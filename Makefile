@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test race fuzz-short fuzz doccheck api-test bench bench-transport bench-trace bench-journal bench-aggcore bench-fanout bench-history dst crash cover
+.PHONY: check vet build test race fuzz-short fuzz doccheck api-test bench-smoke bench bench-transport bench-trace bench-journal bench-aggcore bench-fanout bench-history dst crash cover
 
-check: vet build race fuzz-short api-test dst crash doccheck
+check: vet build race fuzz-short api-test dst crash doccheck bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -81,10 +81,19 @@ cover:
 
 # Documentation gate: `go vet`-clean telemetry packages (vet ./... above
 # already covers them; this pins them even if the wide vet target
-# changes) and no dead relative links in any *.md file.
+# changes), no dead relative links in any *.md file, the metric catalog
+# in step with the code, and the structural lint that keeps the execution
+# loop and the durability protocol in one file (TestOneExecutor).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$'
+
+# The benchmark harness is a module of its own (bench/), so the root
+# build and tests never see it; its smoke test (every workload, traced,
+# at a fifth of the rate, ~20 s) is what keeps it compiling and passing
+# against internal/cq, window, durable and the server's flags.
+bench-smoke:
+	$(GO) test -C bench ./...
 
 # Run every per-PR benchmark gate.
 BENCHTIME ?= 5x

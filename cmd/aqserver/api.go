@@ -25,18 +25,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
-	"path/filepath"
 	"strings"
 
+	"repro/internal/buffer"
 	"repro/internal/cql"
-	"repro/internal/durable"
 	"repro/internal/fanout"
 	"repro/internal/fleet"
 	"repro/internal/netstream"
 	"repro/internal/obs"
-	"repro/internal/obs/tracez"
 )
 
 // maxAPIBody bounds request bodies; a CQL statement fits in far less.
@@ -246,7 +243,7 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 		return nil, admissionError(err)
 	}
 
-	q, dlog, err := a.buildRuntimeRunner(req.Name, req.CQL, stmt)
+	q, err := a.buildRuntimeRunner(req, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +254,6 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 	// laps are per-subscriber already; the source-level rate-quota shed
 	// counter is rebased to attach time.
 	rateBase := src.RateShed()
-	q.tenant = req.Tenant
 	q.shedExtra = func() int64 { return sub.Shed() + src.RateShed() - rateBase }
 	// Ring gauges get the same label sets as compiled-in -fanout
 	// replicas (aq_fanout_lag_batches, aq_queue_depth{queue="fanout"}).
@@ -282,8 +278,8 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 			sub.Unsubscribe()
 			<-pumpDone
 			q.finish() // idempotent; the pump's deferred finish usually already ran
-			if dlog != nil {
-				if err := dlog.Close(); err != nil {
+			if q.dlog != nil {
+				if err := q.dlog.Close(); err != nil {
 					q.log.Error("closing durable log", "err", err)
 				}
 			}
@@ -294,8 +290,8 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 		cancel()
 		close(pumpDone) // Stop never runs; nothing is pumping
 		sub.Unsubscribe()
-		if dlog != nil {
-			dlog.Close()
+		if q.dlog != nil {
+			q.dlog.Close()
 		}
 		return nil, admissionError(err)
 	}
@@ -309,87 +305,40 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 	return q, nil
 }
 
-// buildRuntimeRunner constructs and wires one runtime query runner with
-// the exact compiled-in chain: core selection, flight recorder, SLO
-// watchdog, per-query logger, dump sink, -obs instruments (including
-// the ring gauges and durable_* series), optional durability, started
-// worker.
-func (a *app) buildRuntimeRunner(name, statement string, stmt cql.Query) (*queryRunner, *durable.QueryLog, error) {
-	var q *queryRunner
+// buildRuntimeRunner maps a parsed statement onto buildRunner: the same
+// runner object and wiring as a compiled-in query. A non-grouped runtime
+// query gets no ingest queue of its own — its source's ring is the queue,
+// and pumpRing steps each ring batch whole.
+func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query) (*queryRunner, error) {
+	def := runnerDef{
+		name: req.Name, theta: stmt.Quality, spec: stmt.Spec, agg: stmt.Agg,
+		fixedK: stmt.Handler.K, grouped: stmt.GroupBy,
+		statement: req.CQL, tenant: req.Tenant,
+	}
+	var h buffer.Handler // nil: the adaptive controller at QUALITY
 	switch {
 	case stmt.GroupBy:
 		if stmt.Quality > 0 {
-			return nil, nil, badRequest("QUALITY is not supported for GROUP BY queries registered at runtime; use HANDLER kslack(...)")
+			return nil, badRequest("QUALITY is not supported for GROUP BY queries registered at runtime; use HANDLER kslack(...)")
 		}
 		if stmt.Handler.Kind != "kslack" {
-			return nil, nil, badRequest("GROUP BY queries registered at runtime require HANDLER kslack(...), got %q", stmt.Handler.Kind)
+			return nil, badRequest("GROUP BY queries registered at runtime require HANDLER kslack(...), got %q", stmt.Handler.Kind)
 		}
-		q = newKeyedQueryRunner(name, stmt.Spec, stmt.Agg, stmt.Handler.K, a.cfg.shards, a.cfg.batch)
-	case stmt.Quality > 0:
-		q = newQueryRunner(name, stmt.Quality, stmt.Spec, stmt.Agg)
-		q.batchSize = a.cfg.batch
-	default:
-		h, err := stmt.BuildHandler()
-		if err != nil {
-			return nil, nil, badRequest("%v", err)
-		}
-		q = newBufferedQueryRunner(name, stmt.Spec, stmt.Agg, h, stmt.Handler.K)
-		q.batchSize = a.cfg.batch
-	}
-	q.statement = statement
-	q.setAggCore(a.cfg.aggCore)
-
-	rec := tracez.NewRecorder(a.cfg.traceBuf)
-	tr := tracez.New(rec, name)
-	var wd *tracez.Watchdog
-	if !stmt.GroupBy && stmt.Quality > 0 {
-		wd = tracez.NewWatchdog(stmt.Quality, nil)
-		tr.SetWatchdog(wd)
-	}
-	q.log = slog.New(tracez.NewLogHandler(a.cfg.log.Handler(), rec)).With("query", name)
-	if a.cfg.traceDump != "" {
-		installDumpSink(tr, a.cfg.traceDump, q.log)
-	}
-	q.setTracer(tr, wd)
-	if a.srv.reg != nil {
-		q.instrument(a.srv.reg)
-		if wd != nil {
-			registerBurnRate(a.srv.reg, a.srv.history, a.srv.sloBudget, name)
-		}
-	}
-
-	var dlog *durable.QueryLog
-	if a.cfg.durableDir != "" && !q.grouped {
-		opts := durable.Options{
-			Dir:           filepath.Join(a.cfg.durableDir, name),
-			CommitEvery:   a.cfg.batch,
-			SnapshotEvery: a.cfg.snapshotEvery,
-		}
-		if a.srv.reg != nil {
-			opts.Metrics = durable.NewMetrics(a.srv.reg, obs.L("query", name))
-		}
+		h = buffer.NewKSlack(stmt.Handler.K)
+	case stmt.Quality == 0:
 		var err error
-		dlog, err = durable.Open(opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("open durable dir for %s: %w", name, err)
-		}
-		if err := q.attachDurable(dlog); err != nil {
-			dlog.Close()
-			return nil, nil, fmt.Errorf("recover %s: %w", name, err)
+		if h, err = stmt.BuildHandler(); err != nil {
+			return nil, badRequest("%v", err)
 		}
 	}
-
-	if q.grouped {
-		q.startGrouped(a.cfg.ingestCap, a.cfg.policy)
-	} else {
-		q.start(a.cfg.ingestCap, a.cfg.policy)
-	}
-	return q, dlog, nil
+	return a.buildRunner(def, h, false, false)
 }
 
-// pumpRing moves batches from a source subscription into the runner
-// until the ring ends (source closed on drain) or ctx is cancelled
-// (DELETE). Either way the runner's open windows are flushed.
+// pumpRing moves batches from a fan-out ring subscription into the runner
+// until the ring ends (source closed on drain, -fanout producer stopped)
+// or ctx is cancelled (DELETE, shutdown). Either way the runner's open
+// windows are flushed. It is the one ring consumer: runtime queries and
+// -fanout replicas both run it.
 func pumpRing(ctx context.Context, q *queryRunner, sub *fanout.Sub) {
 	defer q.finish()
 	for {
@@ -408,9 +357,7 @@ func pumpRing(ctx context.Context, q *queryRunner, sub *fanout.Sub) {
 		// before feeding so the emissions this batch triggers are charged
 		// against its client send time.
 		q.noteWireBatch(prov, len(items))
-		for _, it := range items {
-			q.feed(it)
-		}
+		q.feedBatch(items)
 		sub.Release(seq)
 	}
 }

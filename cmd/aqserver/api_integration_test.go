@@ -181,11 +181,12 @@ func runnerReport(t *testing.T, q *queryRunner) *cq.AggReport {
 	if len(results) == resultRing {
 		t.Fatalf("result ring overflowed (%d results); shrink the plan so the comparison sees every window", resultRing)
 	}
+	rep := q.exec.Report()
 	return &cq.AggReport{
 		Results:  results,
-		PreFlush: q.preFlush,
-		Handler:  q.buf.Stats(),
-		Op:       q.op.Stats(),
+		PreFlush: rep.PreFlush,
+		Handler:  rep.Handler,
+		Op:       rep.Op,
 	}
 }
 

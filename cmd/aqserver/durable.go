@@ -1,18 +1,18 @@
 package main
 
 import (
-	"sync/atomic"
-
 	"repro/internal/durable"
 	"repro/internal/stream"
 )
 
-// Durability for non-grouped runners: with -durable-dir set, every accepted
-// item is journaled before it touches operator state, snapshots of
-// handler+operator state are cut on the configured cadence, and a
-// restarted server recovers each query — snapshot restore, journal-suffix
-// replay through the normal processing path, duplicate-emission
-// suppression — before its feed loop starts.
+// Durability for non-grouped runners: with -durable-dir set, the runner's
+// step core (cq.Exec) journals every batch before it touches operator
+// state, cuts snapshots on the configured cadence and, in a restarted
+// server, recovers the query before its feed starts — the whole protocol
+// is the engine's. What lives here is the host's own continuity across a
+// restart: the cumulative counters the status JSON reports, the feed
+// loop's synthetic event-time rebase, and the recovery summary /readyz
+// shows.
 
 // recoveryStatus summarizes a runner's crash recovery for /readyz and the
 // status JSON.
@@ -24,155 +24,57 @@ type recoveryStatus struct {
 	TruncatedBytes    int64  `json:"truncatedBytes,omitempty"`
 }
 
-// attachDurable wires an opened QueryLog into a non-grouped runner and
-// performs recovery. Must run after setTracer (so the replay is traced)
-// and before start() — the runner is still single-threaded here, so the
-// replay needs no feed queue.
-func (q *queryRunner) attachDurable(log *durable.QueryLog) error {
-	q.dlog = log
-	rec := log.TakeRecovery()
+// resumeCounters peeks at what the log recovered (the core consumes it
+// next) and restores the host-side state a snapshot carried: cumulative
+// counters and the feed rebase. Returns nil when there is nothing to
+// recover.
+func (q *queryRunner) resumeCounters() *durable.Recovery {
+	rec := q.dlog.Recovery()
 	if rec == nil || !rec.Recovered {
 		return nil
 	}
-	rs := &recoveryStatus{DurableItems: rec.Items, TruncatedBytes: rec.TruncatedBytes}
 	if snap := rec.Snapshot; snap != nil {
-		rs.FromSnapshot = true
-		if snap.Handler != nil {
-			if err := durable.RestoreHandler(q.buf, snap.Handler); err != nil {
-				return err
-			}
-		}
-		if snap.Op != nil {
-			q.op.Restore(*snap.Op)
-		}
-		q.now = snap.Now
 		if c := snap.Counters; c != nil {
-			q.tuplesIn, q.shed, q.emitted = c["tuplesIn"], c["shed"], c["emitted"]
+			q.shed, q.emitted = c["shed"], c["emitted"]
 		}
-		// Resume the synthetic event-time rebase past everything the dead
-		// process saw, so the restarted feed never rewinds event time.
-		base := snap.FeedBase
-		if snap.Now+stream.Second > base {
-			base = snap.Now + stream.Second
-		}
+		q.feedBase.Store(int64(snap.FeedBase))
+	}
+	return rec
+}
+
+// decorateSnapshot is the cq.Durable.Decorate callback: it adds the
+// host's continuity to a snapshot the core is about to write. The core
+// snapshots inside a step, so q.mu is held.
+func (q *queryRunner) decorateSnapshot(s *durable.Snapshot) {
+	s.Query = q.name
+	s.FeedBase = stream.Time(q.feedBase.Load())
+	s.Counters = map[string]int64{"shed": q.shed, "emitted": q.emitted}
+}
+
+// noteRecovery records what the core's recovery did, once it has run.
+func (q *queryRunner) noteRecovery(prior *durable.Recovery) {
+	info := q.exec.Report().Recovery
+	if prior == nil || info == nil {
+		return
+	}
+	// Resume the synthetic event-time rebase past everything the dead
+	// process saw — the snapshot's own rebase, and the replayed horizon (a
+	// runner that died before its first snapshot cut recovers by journal
+	// replay alone) — so the restarted feed never rewinds event time.
+	if base := q.exec.Now() + stream.Second; base > stream.Time(q.feedBase.Load()) {
 		q.feedBase.Store(int64(base))
 	}
-	if rec.HaveEmit {
-		q.emitFloor, q.haveFloor = rec.EmitProgress, true
+	q.recovery = &recoveryStatus{
+		FromSnapshot:      info.FromSnapshot,
+		ReplayedItems:     info.ReplayedItems,
+		SuppressedResults: info.SuppressedResults,
+		DurableItems:      prior.Items,
+		TruncatedBytes:    info.TruncatedBytes,
 	}
-	q.replaying = true
-	for _, it := range rec.Suffix {
-		q.process(it)
-	}
-	q.replaying = false
-	// The snapshot carries an explicit rebase, but a runner that died
-	// before its first snapshot cut recovers by journal replay alone —
-	// floor the rebase past the replayed horizon too, so the restarted
-	// feed never rewinds event time on either recovery path.
-	if base := q.now + stream.Second; base > stream.Time(q.feedBase.Load()) {
-		q.feedBase.Store(int64(base))
-	}
-	rs.ReplayedItems = len(rec.Suffix)
-	rs.SuppressedResults = q.suppressed
-	q.recovery = rs
-	q.tracer.Recovery(int64(q.now), rs.ReplayedItems, q.emitFloor, rec.TruncatedBytes)
 	q.log.Info("recovered from durable state",
-		"fromSnapshot", rs.FromSnapshot, "replayed", rs.ReplayedItems,
-		"suppressed", rs.SuppressedResults, "durableItems", rs.DurableItems,
-		"truncatedBytes", rs.TruncatedBytes)
-	return nil
-}
-
-// journalLocked appends one accepted item to the journal; q.mu must be
-// held. A journal write failure degrades the query (loudly) rather than
-// stopping ingestion: availability over durability for a live dashboard
-// server.
-func (q *queryRunner) journalLocked(it stream.Item) {
-	if q.dlog == nil || q.replaying {
-		return
-	}
-	if err := q.dlog.AppendItem(it); err != nil {
-		q.journalErrs++
-		if q.health == healthFeeding {
-			q.health = healthDegraded
-		}
-		q.log.Error("journal append failed", "err", err)
-	}
-}
-
-// noteProgressLocked journals the operator's emission cursor; the QueryLog
-// dedupes monotone repeats. q.mu must be held.
-func (q *queryRunner) noteProgressLocked() {
-	if q.dlog == nil || q.replaying {
-		return
-	}
-	if emit, have := q.op.EmitProgress(); have {
-		if err := q.dlog.AppendEmitProgress(emit); err != nil {
-			q.journalErrs++
-			q.log.Error("journal emit-progress failed", "err", err)
-		}
-	}
-}
-
-// durableTickLocked runs the per-batch durability work: group-commit the
-// journal and cut a snapshot when the cadence is due. q.mu must be held.
-func (q *queryRunner) durableTickLocked() {
-	if q.dlog == nil {
-		return
-	}
-	if err := q.dlog.Commit(); err != nil {
-		q.journalErrs++
-		q.log.Error("journal commit failed", "err", err)
-		return
-	}
-	if q.dlog.ShouldSnapshot() {
-		q.snapshotLocked()
-	}
-}
-
-// snapshotLocked cuts and writes one snapshot of the runner's full state.
-// q.mu must be held, so the cut is consistent: the journal covers exactly
-// the items the captured state has absorbed.
-func (q *queryRunner) snapshotLocked() {
-	records, items, err := q.dlog.CutForSnapshot()
-	if err != nil {
-		q.log.Error("snapshot cut failed", "err", err)
-		return
-	}
-	hs, err := durable.SaveHandler(q.buf)
-	if err != nil {
-		q.log.Error("snapshot handler state failed", "err", err)
-		return
-	}
-	ops := q.op.State()
-	emit, have := q.op.EmitProgress()
-	s := &durable.Snapshot{
-		Query:        q.name,
-		Records:      records,
-		Items:        items,
-		Now:          q.now,
-		Handler:      hs,
-		Op:           &ops,
-		EmitProgress: emit,
-		HaveEmit:     have,
-		FeedBase:     stream.Time(q.feedBase.Load()),
-		Counters:     map[string]int64{"tuplesIn": q.tuplesIn, "shed": q.shed, "emitted": q.emitted},
-	}
-	if err := q.dlog.WriteSnapshot(s); err != nil {
-		q.log.Error("snapshot write failed", "err", err)
-		return
-	}
-	q.tracer.Snapshot(int64(q.now), records)
-}
-
-// suppressLocked reports whether r duplicates a window the previous
-// process already delivered durably. q.mu must be held.
-func (q *queryRunner) suppressLocked(r int64, refinement bool) bool {
-	if !q.haveFloor || refinement || r >= q.emitFloor {
-		return false
-	}
-	q.suppressed++
-	return true
+		"fromSnapshot", info.FromSnapshot, "replayed", info.ReplayedItems,
+		"suppressed", info.SuppressedResults, "durableItems", prior.Items,
+		"truncatedBytes", info.TruncatedBytes)
 }
 
 // resumeBase returns the feed loop's starting rebase offset: zero for a
@@ -181,7 +83,3 @@ func (q *queryRunner) resumeBase() stream.Time { return stream.Time(q.feedBase.L
 
 // noteRebase records the feed loop's segment rebase so snapshots carry it.
 func (q *queryRunner) noteRebase(base stream.Time) { q.feedBase.Store(int64(base)) }
-
-// feedBaseVar is a tiny named wrapper so queryRunner's field list stays
-// readable.
-type feedBaseVar = atomic.Int64

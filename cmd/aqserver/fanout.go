@@ -4,178 +4,46 @@ package main
 // generation, chaos decoration and retry once, publishing pooled batches
 // into a broadcast ring (internal/fanout); N replica runners consume the
 // same batches through per-replica cursors. Compare feedLoop, which pays
-// the whole ingest path per query.
+// the whole ingest path per query; both replay through replaySegments.
 
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/fanout"
 	"repro/internal/gen"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/stream"
 )
 
-// fanoutFeedLoop replays generated stream segments exactly like feedLoop
-// — same rebase, pacing, chaos and retry machinery — but through a
-// broadcast ring shared by every replica in the group. Subscriptions are
-// Block: a replica's bounded ingest queue (and its overload policy)
-// already decides what a slow query drops, so ring consumers always
-// drain and backpressure only bounds the producer's lead. Segment
-// lifecycle (health, retries, rebase) is mirrored to every replica —
-// they share one stream, so they share its state.
+// fanoutFeedLoop feeds a -fanout group: one replaySegments producer
+// publishing into a broadcast ring, one pumpRing consumer per replica.
+// Subscriptions are Block: a replica's bounded ingest queue (and its
+// overload policy) already decides what a slow query drops, so ring
+// consumers always drain and backpressure only bounds the producer's lead.
 func fanoutFeedLoop(ctx context.Context, runners []*queryRunner, group string, load func(seed uint64) gen.Config, seed uint64, cfg appConfig, reg *obs.Registry) {
 	b := fanout.New(fanout.Options{Ring: 64, BatchCap: 128})
 	if runners[0].tracer != nil {
 		b.Trace(runners[0].tracer) // publish events land in replica #0's flight recorder
 	}
-	each := func(f func(q *queryRunner)) {
-		for _, q := range runners {
-			f(q)
-		}
-	}
-	subs := make([]*fanout.Sub, len(runners))
-	for i, q := range runners {
-		subs[i] = b.Subscribe(q.name, fanout.Block)
-		instrumentFanout(reg, q, subs[i])
-	}
-	instrumentFanoutProducer(reg, group, b)
-
 	var wg sync.WaitGroup
-	for i, q := range runners {
+	for _, q := range runners {
+		sub := b.Subscribe(q.name, fanout.Block)
+		instrumentFanout(reg, q, sub)
 		wg.Add(1)
-		go func(q *queryRunner, sub *fanout.Sub) {
+		go func() {
 			defer wg.Done()
 			defer sub.Unsubscribe()
-			for {
-				items, seq, ok, err := sub.NextBatch(ctx)
-				if err != nil || !ok {
-					return
-				}
-				for _, it := range items {
-					q.feed(it)
-				}
-				sub.Release(seq)
-			}
-		}(q, subs[i])
+			pumpRing(ctx, q, sub) // finishes the replica when the ring ends
+		}()
 	}
+	instrumentFanoutProducer(reg, group, b)
 	// LIFO: Close publishes end-of-stream (waking blocked consumers),
-	// then Wait joins them. Double Close is a no-op (ErrClosed inside).
+	// then Wait joins them.
 	defer wg.Wait()
 	defer b.Close()
 
-	rate := cfg.rate
-	if rate <= 0 {
-		rate = 1
-	}
-	const batch = 128
-	interval := time.Duration(batch) * time.Second / time.Duration(rate)
-	retry := resilience.Retry{
-		MaxAttempts: 6, BaseDelay: 20 * time.Millisecond, MaxDelay: time.Second, Seed: seed,
-		BreakerThreshold: 8, BreakerCooldown: 2 * time.Second,
-	}
-	if runners[0].tracer != nil {
-		tr := runners[0].tracer
-		retry.OnRetry = func(attempt int, err error) { tr.Retry(0, attempt) }
-		retry.OnBreakerTrip = func() { tr.BreakerTrip(0) }
-	}
-
-	tsBase := runners[0].resumeBase()
-	for loop := uint64(0); ctx.Err() == nil; loop++ {
-		tuples := load(seed + loop).Arrivals()
-		if len(tuples) == 0 {
-			runners[0].log.Warn("generator yielded no tuples; marking replicas done", "segment", loop)
-			b.Close()
-			wg.Wait()
-			each(func(q *queryRunner) { q.finish() })
-			return
-		}
-		items := make([]stream.Item, len(tuples))
-		var maxTS stream.Time
-		for i, t := range tuples {
-			t.TS += tsBase
-			t.Arrival += tsBase
-			if t.TS > maxTS {
-				maxTS = t.TS
-			}
-			items[i] = stream.DataItem(t)
-		}
-		var src stream.ErrSource = stream.AsErrSource(stream.NewSliceSource(items))
-		if cfg.chaosOn {
-			ch := cfg.chaos
-			ch.Seed = ch.Seed ^ (seed*0x9e3779b97f4a7c15 + loop)
-			src = resilience.NewFaultSource(src, ch)
-		}
-		rs := resilience.NewRetryingSource(ctx, src, retry)
-
-		ticker := time.NewTicker(interval)
-		sent := 0
-		segmentOK := true
-		buf := b.Get()
-		ship := func() bool {
-			if len(buf) == 0 {
-				return true
-			}
-			if err := b.Publish(ctx, buf); err != nil {
-				return false
-			}
-			buf = b.Get()
-			return true
-		}
-		flushRetries := func() { each(func(q *queryRunner) { q.addRetries(rs.Retries()) }) }
-		for {
-			it, ok, err := rs.NextErr()
-			if err != nil {
-				if ctx.Err() != nil {
-					ticker.Stop()
-					flushRetries()
-					return
-				}
-				segmentOK = false
-				each(func(q *queryRunner) { q.setHealth(healthStalled) })
-				runners[0].log.Error("source failed; reconnecting", "segment", loop, "err", err)
-				sleepCtx(ctx, time.Second)
-				break
-			}
-			if !ok {
-				break
-			}
-			buf = append(buf, it)
-			sent++
-			if len(buf) >= batch {
-				if !ship() {
-					ticker.Stop()
-					flushRetries()
-					return
-				}
-				select {
-				case <-ticker.C:
-				case <-ctx.Done():
-					ticker.Stop()
-					flushRetries()
-					return
-				}
-			}
-		}
-		if !ship() {
-			ticker.Stop()
-			flushRetries()
-			return
-		}
-		ticker.Stop()
-		flushRetries()
-		switch {
-		case !segmentOK:
-			// health stays stalled until the next segment feeds
-		case rs.Retries() > 0:
-			each(func(q *queryRunner) { q.setHealth(healthDegraded) })
-		default:
-			each(func(q *queryRunner) { q.setHealth(healthFeeding) })
-		}
-		tsBase = maxTS + stream.Second
-		each(func(q *queryRunner) { q.noteRebase(tsBase) })
-		runners[0].log.Info("segment finished", "segment", loop, "items", sent, "rebase", int64(tsBase), "replicas", len(runners))
-	}
+	replaySegments(ctx, runners, load, seed, cfg, func(items []stream.Item) bool {
+		return b.Publish(ctx, append(b.Get(), items...)) == nil
+	})
 }

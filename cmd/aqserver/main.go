@@ -49,11 +49,16 @@
 // mirrored into the recorder, so a dump interleaves pipeline events with
 // the server's own account of them.
 //
-// Execution: one of the queries (user-sum-10s) is a GROUP BY query run by
-// the sharded concurrent engine — -shards picks its window-worker count
-// and -batch the pipeline transport batch size. The same -batch also sets
-// how many queued items the non-grouped workers apply per lock
-// acquisition.
+// Execution: every query is the same runner object around the cq engine,
+// whether compiled in, replicated by -fanout or registered at runtime over
+// /api/queries (see buildRunner). Non-grouped runners step the engine's
+// core (cq.Exec) themselves; one of the compiled-in queries (user-sum-10s)
+// is a GROUP BY query run by the sharded concurrent engine — -shards picks
+// its window-worker count and -batch the pipeline transport batch size.
+// Compiled-in feeds and -fanout replicas sit behind a bounded ingest queue
+// (-ingest, -overload) whose worker applies up to -batch queued items per
+// step; runtime queries have no queue of their own — their source's
+// fan-out ring is the queue, and each ring batch is stepped whole.
 package main
 
 import (
@@ -69,6 +74,9 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/buffer"
+	"repro/internal/core"
+	"repro/internal/cq"
 	"repro/internal/durable"
 	"repro/internal/fleet"
 	"repro/internal/gen"
@@ -80,13 +88,18 @@ import (
 	"repro/internal/window"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers: without it a slow-loris connection holds a server goroutine
+// forever.
+const readHeaderTimeout = 10 * time.Second
+
 // appConfig carries the flag-derived settings for one server instance.
 type appConfig struct {
 	n         int // tuples per stream segment
 	rate      int // replay rate, tuples per wall-clock second
 	ingestCap int
 	shards    int // window shards for grouped queries
-	batch     int // pipeline/worker drain batch size
+	batch     int // grouped pipeline transport batch / queued workers' drain batch
 	// fanout runs N replica queries per stream over one shared-source
 	// broadcast ring (-fanout): generation, chaos and retry are paid once
 	// per stream by a single producer instead of once per query. 1 =
@@ -202,68 +215,21 @@ func newApp(cfg appConfig) (*app, error) {
 	for _, sp := range specs {
 		var group []*queryRunner
 		for r := 0; r < replicas; r++ {
-			name := sp.name
+			def := runnerDef{name: sp.name, theta: sp.theta, spec: sp.spec, agg: sp.agg, grouped: sp.grouped}
 			if replicas > 1 {
-				name = fmt.Sprintf("%s#%d", sp.name, r)
+				def.name = fmt.Sprintf("%s#%d", sp.name, r)
 			}
-			var q *queryRunner
+			var h buffer.Handler // nil: the adaptive controller at sp.theta
 			if sp.grouped {
-				q = newKeyedQueryRunner(name, sp.spec, sp.agg, 200*stream.Millisecond, cfg.shards, cfg.batch)
-			} else {
-				q = newQueryRunner(name, sp.theta, sp.spec, sp.agg)
-				q.batchSize = cfg.batch
+				def.fixedK = 200 * stream.Millisecond
+				h = buffer.NewKSlack(def.fixedK)
 			}
-			q.setAggCore(cfg.aggCore) // before durable recovery and first feed
-			// Tracing is always on: a per-query flight recorder over a fixed
-			// ring of recent events, served at /debug/aq/trace and dumped on
-			// panics, breaker trips and quality violations.
-			rec := tracez.NewRecorder(cfg.traceBuf)
-			tr := tracez.New(rec, name)
-			var wd *tracez.Watchdog
-			if sp.theta > 0 {
-				wd = tracez.NewWatchdog(sp.theta, nil)
-				tr.SetWatchdog(wd)
+			q, err := a.buildRunner(def, h, true, replicas > 1)
+			if err != nil {
+				return nil, err
 			}
-			q.log = slog.New(tracez.NewLogHandler(cfg.log.Handler(), rec)).With("query", name)
-			if cfg.traceDump != "" {
-				installDumpSink(tr, cfg.traceDump, q.log)
-			}
-			q.setTracer(tr, wd)
-			if a.srv.reg != nil {
-				q.instrument(a.srv.reg)
-				if wd != nil {
-					registerBurnRate(a.srv.reg, a.srv.history, a.srv.sloBudget, name)
-				}
-			}
-			if cfg.durableDir != "" {
-				switch {
-				case sp.grouped:
-					q.log.Warn("durability is not supported for grouped queries; running without")
-				case replicas > 1:
-					q.log.Warn("durability is not supported for -fanout replicas; running without (journal the producer's stream instead)")
-				default:
-					opts := durable.Options{
-						Dir:           filepath.Join(cfg.durableDir, name),
-						CommitEvery:   cfg.batch,
-						SnapshotEvery: cfg.snapshotEvery,
-					}
-					if a.srv.reg != nil {
-						opts.Metrics = durable.NewMetrics(a.srv.reg, obs.L("query", name))
-					}
-					dlog, err := durable.Open(opts)
-					if err != nil {
-						return nil, fmt.Errorf("open durable dir for %s: %w", name, err)
-					}
-					if err := q.attachDurable(dlog); err != nil {
-						return nil, fmt.Errorf("recover %s: %w", name, err)
-					}
-					a.dlogs = append(a.dlogs, dlog)
-				}
-			}
-			if sp.grouped {
-				q.startGrouped(cfg.ingestCap, cfg.policy)
-			} else {
-				q.start(cfg.ingestCap, cfg.policy)
+			if q.dlog != nil {
+				a.dlogs = append(a.dlogs, q.dlog)
 			}
 			a.srv.add(q)
 			a.runners = append(a.runners, q)
@@ -274,6 +240,95 @@ func newApp(cfg appConfig) (*app, error) {
 		a.loads = append(a.loads, sp.load)
 	}
 	return a, nil
+}
+
+// buildRunner constructs and wires one query runner. Compiled-in queries,
+// -fanout replicas and runtime registrations all come through here and are
+// the same object: a per-query flight recorder (always on: a fixed ring of
+// recent events, served at /debug/aq/trace and dumped on panics, breaker
+// trips and quality violations), the SLO watchdog for a declared θ, the
+// per-query logger, the engine query (handler, window, aggregation core,
+// tracer), -obs instruments, durability when -durable-dir is set, and the
+// started pipeline. h == nil picks the adaptive controller at def.theta.
+// queued puts the bounded ingest queue (-ingest, -overload) in front of a
+// non-grouped runner; without it the caller steps the runner with whole
+// batches (pumpRing). replica marks a -fanout replica, which runs without
+// durability. The opened durability log, if any, is the runner's dlog; the
+// caller owns closing it.
+func (a *app) buildRunner(def runnerDef, h buffer.Handler, queued, replica bool) (*queryRunner, error) {
+	cfg := a.cfg
+	rec := tracez.NewRecorder(cfg.traceBuf)
+	def.tracer = tracez.New(rec, def.name)
+	if def.theta > 0 {
+		def.watchdog = tracez.NewWatchdog(def.theta, nil)
+		def.tracer.SetWatchdog(def.watchdog)
+	}
+	def.log = slog.New(tracez.NewLogHandler(cfg.log.Handler(), rec)).With("query", def.name)
+	if cfg.traceDump != "" {
+		installDumpSink(def.tracer, cfg.traceDump, def.log)
+	}
+	def.reg, def.batch = a.srv.reg, cfg.batch
+	if def.grouped {
+		def.shards = cfg.shards
+	}
+	if h == nil {
+		aq := core.NewAQKSlack(core.Config{Theta: def.theta, Spec: def.spec, Agg: def.agg})
+		if def.reg != nil {
+			aq.Instrument(core.NewTelemetry(def.reg, def.name))
+		}
+		h = aq
+	}
+	if cfg.durableDir != "" {
+		switch {
+		case def.grouped:
+			def.log.Warn("durability is not supported for grouped queries; running without")
+		case replica:
+			def.log.Warn("durability is not supported for -fanout replicas; running without (journal the producer's stream instead)")
+		default:
+			opts := durable.Options{
+				Dir:           filepath.Join(cfg.durableDir, def.name),
+				CommitEvery:   cfg.batch,
+				SnapshotEvery: cfg.snapshotEvery,
+			}
+			if def.reg != nil {
+				opts.Metrics = durable.NewMetrics(def.reg, obs.L("query", def.name))
+			}
+			dlog, err := durable.Open(opts)
+			if err != nil {
+				return nil, fmt.Errorf("open durable dir for %s: %w", def.name, err)
+			}
+			def.dlog = dlog
+		}
+	}
+
+	var q *queryRunner
+	query := cq.New(nil)
+	if def.grouped {
+		// A grouped query pulls the runner's own ingest queue, which exists
+		// by the time startGrouped launches the pipeline.
+		query = cq.NewFallible(stream.ErrFuncSource(func() (stream.Item, bool, error) {
+			it, ok := <-q.ingest
+			return it, ok, nil
+		})).GroupBy().Shards(def.shards).Batch(def.batch)
+	}
+	query.Handle(h).Window(def.spec, def.agg).AggCore(cfg.aggCore).Trace(def.tracer)
+	var err error
+	if q, err = newQueryRunner(def, query); err != nil {
+		if def.dlog != nil {
+			def.dlog.Close()
+		}
+		return nil, fmt.Errorf("recover %s: %w", def.name, err)
+	}
+	if def.watchdog != nil && def.reg != nil {
+		registerBurnRate(def.reg, a.srv.history, a.srv.sloBudget, def.name)
+	}
+	switch {
+	case def.grouped:
+		q.startGrouped(cfg.ingestCap, cfg.policy)
+	case queued:
+		q.start(cfg.ingestCap, cfg.policy)
+	}
+	return q, nil
 }
 
 // startFeeds launches one feed loop per stream; the loops stop when ctx
@@ -359,7 +414,7 @@ func main() {
 	overload := flag.String("overload", "block", "ingest overload policy: block, shed-newest or shed-late")
 	ingestCap := flag.Int("ingest", 1024, "bounded ingest queue capacity per query")
 	shards := flag.Int("shards", 4, "window shards for grouped (GROUP BY) queries")
-	batch := flag.Int("batch", 64, "items applied per lock acquisition / pipeline transport batch")
+	batch := flag.Int("batch", 64, "items a queued runner's worker applies per step / grouped pipeline transport batch")
 	fanoutN := flag.Int("fanout", 1, "replica queries per stream sharing one broadcast-ring ingest; 1 = independent ingest per query")
 	aggCore := flag.String("aggcore", "fiba", "window aggregation core: fiba (finger B-tree) or legacy (per-window fold); both emit identical results")
 	obsOn := flag.Bool("obs", false, "serve Prometheus /metrics and /debug/pprof, instrumenting every query")
@@ -427,7 +482,7 @@ func main() {
 		logger.Info("aqserver: ingest listening", "addr", a.netl.Addr().String())
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: a.srv.handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: a.srv.handler(), ReadHeaderTimeout: readHeaderTimeout}
 	logger.Info("aqserver: listening", "queries", len(a.runners), "addr", *addr,
 		"overload", policy.String(), "chaos", cfg.chaosOn)
 	logger.Info("try: curl http://localhost" + *addr + "/queries")
@@ -450,13 +505,37 @@ func main() {
 	}
 }
 
-// feedLoop replays generated stream segments forever at the configured
-// wall rate, re-basing timestamps so event time keeps moving forward.
-// Chaos faults (when enabled) are injected per segment; transient source
-// errors are retried with backoff behind a circuit breaker, and a
-// terminal failure stalls the query briefly before reconnecting with the
-// next segment. The loop exits when ctx is cancelled.
+// feedLoop feeds one compiled-in query from its own replayed stream.
 func feedLoop(ctx context.Context, q *queryRunner, load func(seed uint64) gen.Config, seed uint64, cfg appConfig) {
+	exhausted := replaySegments(ctx, []*queryRunner{q}, load, seed, cfg, func(items []stream.Item) bool {
+		q.feedBatch(items)
+		return true
+	})
+	if exhausted {
+		q.finish()
+	}
+}
+
+// replaySegments replays generated stream segments forever at the
+// configured wall rate, re-basing timestamps so event time keeps moving
+// forward, and hands the items to deliver in batches of up to 128 (valid
+// only during the call; false means ctx was cancelled). runners are the
+// queries fed from this one stream — a single query, or the replicas of a
+// -fanout group: segment lifecycle (health, retries, rebase) is mirrored
+// to all of them, because they share the stream they share its state.
+// Chaos faults (when enabled) are injected per segment; transient source
+// errors are retried with backoff behind a circuit breaker, and a terminal
+// failure stalls the queries briefly before reconnecting with the next
+// segment. It returns when ctx is cancelled (false) or when the generator
+// yields nothing (true): such a stream is over, and its queries must be
+// finished so their state is flushed and /readyz says "done", not limbo.
+func replaySegments(ctx context.Context, runners []*queryRunner, load func(seed uint64) gen.Config, seed uint64, cfg appConfig, deliver func([]stream.Item) bool) (exhausted bool) {
+	lead := runners[0] // its logger and flight recorder speak for the stream
+	each := func(f func(q *queryRunner)) {
+		for _, q := range runners {
+			f(q)
+		}
+	}
 	rate := cfg.rate
 	if rate <= 0 {
 		rate = 1
@@ -467,23 +546,19 @@ func feedLoop(ctx context.Context, q *queryRunner, load func(seed uint64) gen.Co
 		MaxAttempts: 6, BaseDelay: 20 * time.Millisecond, MaxDelay: time.Second, Seed: seed,
 		BreakerThreshold: 8, BreakerCooldown: 2 * time.Second,
 	}
-	if q.tracer != nil {
-		tr := q.tracer
+	if tr := lead.tracer; tr != nil {
 		retry.OnRetry = func(attempt int, err error) { tr.Retry(0, attempt) }
 		retry.OnBreakerTrip = func() { tr.BreakerTrip(0) }
 	}
 	// After a durable recovery the rebase resumes past the dead process's
 	// event-time horizon instead of rewinding the synthetic clock to zero.
-	base := q.resumeBase()
+	base := lead.resumeBase()
+	buf := make([]stream.Item, 0, batch)
 	for loop := uint64(0); ctx.Err() == nil; loop++ {
 		tuples := load(seed + loop).Arrivals()
 		if len(tuples) == 0 {
-			// A generator that yields nothing used to kill the query
-			// silently and forever; log it and close out the query so its
-			// state is flushed and /readyz says "done", not limbo.
-			q.log.Warn("generator yielded no tuples; marking query done", "segment", loop)
-			q.finish()
-			return
+			lead.log.Warn("generator yielded no tuples; marking the stream's queries done", "segment", loop)
+			return true
 		}
 		items := make([]stream.Item, len(tuples))
 		var maxTS stream.Time
@@ -504,55 +579,59 @@ func feedLoop(ctx context.Context, q *queryRunner, load func(seed uint64) gen.Co
 		rs := resilience.NewRetryingSource(ctx, src, retry)
 
 		ticker := time.NewTicker(interval)
-		sent := 0
-		segmentOK := true
-		for {
+		sent, segmentOK := 0, true
+		// flush delivers the batch in progress; false means ctx was cancelled.
+		flush := func() bool {
+			ok := len(buf) == 0 || deliver(buf)
+			buf = buf[:0]
+			return ok
+		}
+		for ctx.Err() == nil {
 			it, ok, err := rs.NextErr()
-			if err != nil {
-				if ctx.Err() != nil {
-					ticker.Stop()
-					q.addRetries(rs.Retries())
-					return
-				}
+			if err != nil && ctx.Err() == nil {
 				// Terminal for this segment: the retry budget is spent or
 				// the breaker is open. Reconnect by moving to the next
 				// segment after a short stall — the paced-replay analogue
 				// of re-dialing an upstream.
 				segmentOK = false
-				q.setHealth(healthStalled)
-				q.log.Error("source failed; reconnecting", "segment", loop, "err", err)
+				each(func(q *queryRunner) { q.setHealth(healthStalled) })
+				lead.log.Error("source failed; reconnecting", "segment", loop, "err", err)
 				sleepCtx(ctx, time.Second)
+			}
+			if err != nil || !ok {
 				break
 			}
-			if !ok {
-				break
-			}
-			q.feed(it)
+			buf = append(buf, it)
 			sent++
-			if sent%batch == 0 {
+			if len(buf) == batch {
+				if !flush() {
+					break
+				}
 				select {
 				case <-ticker.C:
 				case <-ctx.Done():
-					ticker.Stop()
-					q.addRetries(rs.Retries())
-					return
 				}
 			}
 		}
+		flush()
 		ticker.Stop()
-		q.addRetries(rs.Retries())
+		each(func(q *queryRunner) { q.addRetries(rs.Retries()) })
+		if ctx.Err() != nil {
+			return false
+		}
 		switch {
 		case !segmentOK:
 			// health stays stalled until the next segment feeds
 		case rs.Retries() > 0:
-			q.setHealth(healthDegraded)
+			each(func(q *queryRunner) { q.setHealth(healthDegraded) })
 		default:
-			q.setHealth(healthFeeding)
+			each(func(q *queryRunner) { q.setHealth(healthFeeding) })
 		}
 		base = maxTS + stream.Second
-		q.noteRebase(base)
-		q.log.Info("segment finished", "segment", loop, "items", sent, "rebase", int64(base))
+		each(func(q *queryRunner) { q.noteRebase(base) })
+		lead.log.Info("segment finished", "segment", loop, "items", sent, "rebase", int64(base), "queries", len(runners))
 	}
+	return false
 }
 
 // sleepCtx waits for d or until ctx is cancelled.

@@ -7,9 +7,10 @@ package main
 //
 // Two styles of instrument are used, on purpose:
 //
-//   - Push: the adaptive handler's controller metrics (via
-//     core.Telemetry) and the emission-latency histogram are updated on
-//     the runner's write path, which already holds q.mu.
+//   - Push: the adaptive handler's controller metrics (core.Telemetry,
+//     installed on the handler by buildRunner) and the emission-latency
+//     histogram are updated on the runner's write path, which already
+//     holds q.mu.
 //   - Pull: everything that is a plain cumulative counter or a current
 //     value guarded by q.mu (tuples in, sheds, retries, panics, buffer
 //     depth, p95 latency, health) is exported as a CounterFunc/GaugeFunc
@@ -20,8 +21,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"repro/internal/core"
-	"repro/internal/cq"
 	"repro/internal/fanout"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -32,43 +31,24 @@ import (
 // current state, 0 otherwise) so dashboards can plot state timelines.
 var healthStates = []string{healthFeeding, healthDegraded, healthStalled, healthDraining, healthDone}
 
-// instrument registers the runner's per-query metrics. It must be called
-// before the runner starts feeding (it installs the push-side telemetry
-// on the adaptive handler).
+// instrument registers the runner's pull-side per-query metrics; called
+// by newQueryRunner once the core exists. The push side is already in
+// place by then: the adaptive handler's controller telemetry (buildRunner)
+// and the emission-latency histogram filled by absorbOne. Grouped runners
+// have no adaptive handler — their push side is the cq engine's own
+// telemetry (stage depths, batch sizes, per-shard tuple counters), which
+// also owns aq_shed_tuples_total and aq_emit_latency_ms for the query (the
+// runner's shed path increments the shared counter in noteShed;
+// registering the runner-side CounterFunc too would collide, and
+// observing the histogram from absorbOne too would double-count), so
+// q.emitLatency stays nil there; the runner's p95 gauge still sees every
+// result.
 func (q *queryRunner) instrument(reg *obs.Registry) {
 	lbl := obs.L("query", q.name)
 
 	// Quality-SLO verdicts: aq_quality_violation_total and
 	// aq_time_in_violation_ms, pulled from the watchdog at scrape time.
 	q.watchdog.Register(reg, q.name)
-
-	// Push side: controller/quality metrics from the adaptive handler,
-	// and the emission-latency histogram filled by absorb. Grouped runners
-	// have no adaptive handler — their push side is the cq engine's own
-	// telemetry (stage depths, batch sizes, per-shard tuple counters).
-	switch {
-	case q.handler != nil:
-		q.handler.Instrument(core.NewTelemetry(reg, q.name))
-		q.emitLatency = reg.Histogram("aq_emit_latency_ms",
-			"Window result emission latency in stream-time ms (emission position minus window end).",
-			cq.LatencyBucketsFor(q.spec), lbl)
-	case q.grouped:
-		// The engine telemetry already owns aq_shed_tuples_total and
-		// aq_emit_latency_ms for this query (the runner's shed path
-		// increments the shared counter in noteShed; registering the
-		// runner-side CounterFunc too would collide, and observing the
-		// histogram from absorb too would double-count). q.emitLatency
-		// stays nil; the runner's p95 gauge still sees every result.
-		q.telemetry = cq.NewTelemetry(reg, q.name, q.spec)
-	default:
-		// Non-grouped runner over a plain (non-adaptive) disorder handler
-		// — runtime-registered queries without QUALITY. No controller
-		// telemetry to install; the runner owns its latency histogram and
-		// shed counter like the adaptive case.
-		q.emitLatency = reg.Histogram("aq_emit_latency_ms",
-			"Window result emission latency in stream-time ms (emission position minus window end).",
-			cq.LatencyBucketsFor(q.spec), lbl)
-	}
 
 	// Pull side: cumulative counters owned by the runner.
 	counter := func(name, help string, read func() int64) {
@@ -79,7 +59,7 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 		}, lbl)
 	}
 	counter("aq_tuples_in_total", "Data tuples accepted into the query's pipeline.",
-		func() int64 { return q.tuplesIn })
+		func() int64 { return q.tuplesInLocked() })
 	counter("aq_windows_emitted_total", "Window results emitted.",
 		func() int64 { return q.emitted })
 	if !q.grouped {
@@ -102,17 +82,17 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 	}
 	gauge("aq_buffer_k_ms", "Current slack K of the disorder buffer, in stream-time ms.",
 		func() float64 {
-			if q.handler == nil {
-				return float64(q.fixedK)
+			if h := q.adaptive(); h != nil {
+				return float64(h.K())
 			}
-			return float64(q.handler.K())
+			return float64(q.fixedK)
 		})
 	gauge("aq_buffer_depth", "Tuples currently held back by the disorder buffer.",
 		func() float64 {
-			if q.handler == nil {
-				return 0 // buffer lives inside the cq engine; see aq_queue_depth
+			if h := q.adaptive(); h != nil {
+				return float64(h.Len())
 			}
-			return float64(q.handler.Len())
+			return 0 // fixed-slack buffers are not exported; see aq_queue_depth
 		})
 	gauge("aq_ingest_queue_depth", "Occupancy of the bounded ingest queue.",
 		func() float64 { return float64(len(q.ingest)) })
@@ -121,10 +101,11 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 	gauge("aq_quality_realized_err_adjusted",
 		"Realized relative-error EWMA with shed loss folded in (metrics.ShedAdjustedErr).",
 		func() float64 {
-			if q.handler == nil {
+			h := q.adaptive()
+			if h == nil {
 				return 0
 			}
-			return metrics.ShedAdjustedErr(q.handler.Quality().RealizedErrEWMA, q.shedTotalLocked(), q.tuplesIn)
+			return metrics.ShedAdjustedErr(h.Quality().RealizedErrEWMA, q.shedTotalLocked(), q.tuplesInLocked())
 		})
 	for _, state := range healthStates {
 		state := state
@@ -135,14 +116,6 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 				}
 				return 0
 			}, lbl, obs.L("state", state))
-	}
-}
-
-// observeLatency publishes one result's emission latency; a no-op when
-// the server runs without -obs.
-func (q *queryRunner) observeLatency(ms float64) {
-	if q.emitLatency != nil {
-		q.emitLatency.Observe(ms)
 	}
 }
 
@@ -158,12 +131,13 @@ func mountObs(mux *http.ServeMux, reg *obs.Registry) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// instrumentFanout registers the per-replica shared-source ring gauges
-// (-obs with -fanout > 1): how many published batches the replica has
-// not yet released, and the ring backlog's contribution to the query's
-// queue-depth family — in fan-out mode the ring sits in front of the
-// bounded ingest queue, so both series together account for everything
-// queued upstream of the operator.
+// instrumentFanout registers the ring gauges of a runner fed from a
+// fan-out ring (-fanout replicas and runtime queries, with -obs): how many
+// published batches it has not yet released, and the ring backlog's
+// contribution to the query's queue-depth family. For a -fanout replica
+// the ring sits in front of its bounded ingest queue, so both series
+// together account for everything queued upstream of the operator; a
+// runtime query has no queue of its own and the ring is its whole backlog.
 func instrumentFanout(reg *obs.Registry, q *queryRunner, sub *fanout.Sub) {
 	if reg == nil {
 		return

@@ -18,9 +18,8 @@ import (
 // and finishes it.
 func instrumentedRunner(t *testing.T, reg *obs.Registry) *queryRunner {
 	t.Helper()
-	q := newQueryRunner("test-sum", 0.02,
-		window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum())
-	q.instrument(reg)
+	q := adaptiveRunner(t, runnerDef{name: "test-sum", theta: 0.02, reg: reg,
+		spec: window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, agg: window.Sum()})
 	for _, tp := range gen.Sensor(20000, 9).Arrivals() {
 		q.feed(stream.DataItem(tp))
 	}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/durable"
@@ -35,34 +34,70 @@ const (
 	healthDone     = "done"     // stream ended and windows were flushed
 )
 
-// queryRunner owns one continuous query's operators and its live state.
-// Items enter through feed; with start() called they pass through a
-// bounded ingest queue drained by a worker goroutine (the single writer
-// of the operator state), otherwise feed processes them synchronously.
-// HTTP handlers read under the mutex.
-type queryRunner struct {
+// runnerDef is what the server knows about a query beyond the engine's
+// cq.AggQuery: how to report it (identity, window shape, declared quality
+// bound) and what is wired around it (flight recorder, logger, metrics
+// registry, durability log). newQueryRunner takes one of these plus the
+// query itself.
+type runnerDef struct {
 	name  string
-	theta float64
+	theta float64 // declared quality bound (QUALITY); 0 for fixed-slack queries
 	spec  window.Spec
 	agg   window.Factory
-	// aggCore selects the window aggregation core (-aggcore flag); set via
-	// setAggCore before any tuples are fed. Defaults to the legacy core.
-	aggCore window.CoreKind
+	// fixedK is the slack reported as currentK when the handler is not the
+	// adaptive controller (grouped queries, HANDLER kslack(...)).
+	fixedK stream.Time
 
-	// Grouped runners (GROUP BY key) delegate their whole pipeline to
-	// cq.RunConcurrent with a fixed-slack handler, shardCount window
-	// workers and batched transport; handler/op above stay nil and the
-	// sinked keyed results flow into the same ring/latency state.
-	grouped    bool
-	shardCount int
-	fixedK     stream.Time
-	// batchSize is the worker drain batch: how many queued items one lock
-	// acquisition may apply (non-grouped), and the pipeline transport
-	// batch (grouped). 0 behaves like 1 / the engine default.
-	batchSize int
-	telemetry *cq.Telemetry // engine telemetry for grouped runners; nil without -obs
+	// Grouped runners (GROUP BY key) hand their whole pipeline to
+	// cq.RunConcurrent: shards window workers, batch-sized transport.
+	grouped bool
+	shards  int
+	// batch is the worker drain batch: how many queued items one step may
+	// apply (queued non-grouped runners), and the pipeline transport batch
+	// (grouped). 0 behaves like 1 / the engine default.
+	batch int
 
-	// Ingest queue; nil until start() is called (tests feed directly).
+	// statement and tenant identify a runtime registration (api.go); empty
+	// for compiled-in queries.
+	statement string
+	tenant    string
+
+	// tracer mirrors the query's lifecycle into a flight recorder (see
+	// trace.go) — the same tracer the AggQuery carries; watchdog turns θ
+	// into live SLO verdicts. Both tolerate staying nil (tests run
+	// untraced). log is the per-query structured logger, mirrored into the
+	// flight recorder when tracing is on; nil means slog.Default.
+	tracer   *tracez.Tracer
+	watchdog *tracez.Watchdog
+	log      *slog.Logger
+	// reg receives the per-query instruments (obs.go); nil without -obs.
+	reg *obs.Registry
+	// dlog is the query's opened durability log; nil without -durable-dir
+	// and for grouped queries and -fanout replicas (see durable.go).
+	dlog *durable.QueryLog
+}
+
+// queryRunner is the server's driver around one continuous query: it owns
+// the query's ingest path and its live bookkeeping — status counters,
+// the ring of recent results, health, wire latency — while the engine
+// executes. Non-grouped runners step a cq.Exec themselves under mu: whole
+// ring batches when they have no queue of their own (runtime-registered
+// queries: the fan-out ring is their ingest queue), the worker's drain
+// batches when start() put a bounded queue in front (compiled-in feeds
+// and -fanout replicas, which is where -overload applies). Grouped
+// runners run cq.RunConcurrent over their queue. HTTP handlers read under
+// the mutex.
+type queryRunner struct {
+	runnerDef
+
+	// exec is the step core of a non-grouped runner; every call into it
+	// happens under mu. query is a grouped runner's pipeline, launched by
+	// startGrouped; telemetry its engine instruments (nil without -obs).
+	exec      *cq.Exec
+	query     *cq.AggQuery
+	telemetry *cq.Telemetry
+
+	// Ingest queue; nil until start()/startGrouped() is called.
 	ingest     chan stream.Item
 	workerDone chan struct{}
 	policy     resilience.OverloadPolicy
@@ -70,50 +105,28 @@ type queryRunner struct {
 	feedTSSet  bool
 	stopOnce   sync.Once
 
-	// panicOn is a test seam: when set, process panics on matching items
-	// so the worker's panic isolation can be exercised.
+	// panicOn is a test seam: when set, applying a matching item panics so
+	// the runner's panic isolation can be exercised.
 	panicOn func(stream.Item) bool
 
-	// tracer mirrors the runner's lifecycle into a flight recorder (see
-	// trace.go); watchdog turns θ into live SLO verdicts. Both are nil
-	// until setTracer and tolerate staying nil (tests feed untraced).
-	tracer   *tracez.Tracer
-	watchdog *tracez.Watchdog
-	// log is the per-query structured logger; records are mirrored into
-	// the flight recorder when tracing is on. Defaults to slog.Default.
-	log *slog.Logger
-
-	// Durability (nil/zero without -durable-dir; see durable.go). feedBase
-	// is written by the feeder at segment boundaries and read by the
-	// snapshot writer, hence atomic.
-	dlog     *durable.QueryLog
+	// Host continuity across restarts (durable.go). feedBase is written
+	// by the feeder at segment boundaries and read by the snapshot
+	// decorator, hence atomic.
 	recovery *recoveryStatus
-	feedBase feedBaseVar
+	feedBase atomic.Int64
 
 	mu      sync.Mutex
-	handler *core.AQKSlack
-	// buf is the disorder handler the write path drives: q.handler
-	// itself, or its traced wrapper once setTracer ran.
-	buf        buffer.Handler
-	op         *window.Op
-	rel        []stream.Tuple
-	resScratch []window.Result // reusable per-process result scratch
-	now        stream.Time
-	results    []window.Result // ring of recent results
-	emitted    int64
-	tuplesIn   int64
-	shed       int64
-	retries    int64
-	panics     int64
-	latency    *stats.P2 // streaming p95 of result latency
-	health     string
-	done       bool
-	// Durability state under mu: replaying gates journaling during
-	// recovery replay; the floor suppresses duplicate re-emissions.
-	replaying   bool
-	emitFloor   int64
-	haveFloor   bool
-	suppressed  int
+	results []window.Result // ring of recent results
+	emitted int64
+	// tuplesIn counts accepted tuples for grouped runners only (the feeder
+	// counts them); non-grouped runners read the core's handler.
+	tuplesIn    int64
+	shed        int64
+	retries     int64
+	panics      int64
+	latency     *stats.P2 // streaming p95 of result latency
+	health      string
+	done        bool
 	journalErrs int64
 
 	// emitLatency is the push-side latency histogram; nil without -obs
@@ -123,112 +136,82 @@ type queryRunner struct {
 	// Wire provenance (runtime queries over -listen sources): wireLat is
 	// the per-source aq_wire_latency_ms histogram (nil without -obs or
 	// for compiled-in queries); wireSendMS holds the client send time of
-	// the most recent provenance-marked batch pumped into the runner, so
-	// absorbOne can observe true client-send→emission latency. The
-	// attribution is batch-granular: results sealed while a batch is in
-	// flight are charged to the newest mark, which smears under backlog
-	// but never lies about the clock base. wallMS is the wall-clock
-	// source, injectable by tests; nil means time.Now.
+	// the provenance-marked batch being pumped into the runner, so
+	// absorbOne can observe true client-send→emission latency. A ring
+	// batch is stepped whole right after its mark is noted, so the
+	// emissions it triggers are charged to its own mark. wallMS is the
+	// wall-clock source, injectable by tests; nil means time.Now.
 	wireLat    *obs.Histogram
 	wireSendMS atomic.Int64
 	wallMS     func() int64
 
-	// Runtime-registered queries (api.go). statement/tenant identify the
-	// registration; shedExtra folds upstream losses — fan-out ring laps
-	// and ingest-quota drops — into the query's shed accounting; preFlush
-	// (set by finish) is the emission count before the final flush, the
-	// AggReport.PreFlush analogue for oracle comparisons.
-	statement string
-	tenant    string
+	// shedExtra folds upstream losses of a runtime query — fan-out ring
+	// laps and ingest-quota drops — into its shed accounting.
 	shedExtra func() int64
-	preFlush  int
 }
 
 const resultRing = 256
 
-func newQueryRunner(name string, theta float64, spec window.Spec, agg window.Factory) *queryRunner {
-	q := &queryRunner{
-		name:    name,
-		theta:   theta,
-		spec:    spec,
-		agg:     agg,
-		handler: core.NewAQKSlack(core.Config{Theta: theta, Spec: spec, Agg: agg}),
-		op:      window.NewOp(spec, agg, window.DropLate, 0),
-		latency: stats.NewP2(0.95),
-		health:  healthFeeding,
-		log:     slog.Default(),
+// newQueryRunner builds the runner for query, which must have no source
+// of its own unless it is grouped (a grouped query pulls the runner's
+// ingest queue; see buildRunner). A non-grouped runner gets its step core
+// here — including, when def.dlog holds prior state, crash recovery: the
+// journal suffix is replayed under the live panic policy (an item that
+// panicked before the crash is in the journal, and must not take the
+// restart down with it), and replayed emissions land in the result ring
+// like live ones.
+func newQueryRunner(def runnerDef, query *cq.AggQuery) (*queryRunner, error) {
+	q := &queryRunner{runnerDef: def, latency: stats.NewP2(0.95), health: healthFeeding}
+	if q.log == nil {
+		q.log = slog.Default()
 	}
-	q.buf = q.handler
-	return q
-}
-
-// newBufferedQueryRunner builds a non-grouped runner over an arbitrary
-// disorder handler: runtime-registered queries may pick any CQL HANDLER
-// instead of the adaptive controller, so q.handler stays nil (no
-// quality estimator to read) and q.buf drives the write path directly.
-// k is the fixed slack reported as currentK (zero for handlers without
-// one).
-func newBufferedQueryRunner(name string, spec window.Spec, agg window.Factory, h buffer.Handler, k stream.Time) *queryRunner {
-	q := &queryRunner{
-		name:    name,
-		spec:    spec,
-		agg:     agg,
-		fixedK:  k,
-		op:      window.NewOp(spec, agg, window.DropLate, 0),
-		latency: stats.NewP2(0.95),
-		health:  healthFeeding,
-		log:     slog.Default(),
+	// The runner keeps its own result ring, and a query that never ends
+	// must not grow a report.
+	query.DiscardReport()
+	if q.grouped {
+		if q.reg != nil {
+			q.telemetry = cq.NewTelemetry(q.reg, q.name, q.spec)
+			query.Instrument(q.telemetry)
+		}
+		q.query = query.SinkKeyed(q.absorbKeyed)
+	} else {
+		if q.reg != nil {
+			q.emitLatency = q.reg.Histogram("aq_emit_latency_ms",
+				"Window result emission latency in stream-time ms (emission position minus window end).",
+				cq.LatencyBucketsFor(q.spec), obs.L("query", q.name))
+		}
+		var prior *durable.Recovery
+		if q.dlog != nil {
+			prior = q.resumeCounters()
+			query.Durable(cq.Durable{Log: q.dlog, Decorate: q.decorateSnapshot})
+		}
+		exec, err := cq.NewExec(query, q.absorbOne)
+		if err != nil {
+			return nil, err
+		}
+		q.exec = exec
+		for !q.stepIsolated(nil, true) {
+		}
+		q.noteRecovery(prior)
 	}
-	q.buf = h
-	return q
-}
-
-// setAggCore selects the aggregation core. It rebuilds the window operator
-// (non-grouped runners) and must therefore run before any tuples are fed
-// and before durable recovery attaches.
-func (q *queryRunner) setAggCore(core window.CoreKind) {
-	q.aggCore = core
-	if !q.grouped {
-		q.op = window.NewOpWithCore(q.spec, q.agg, window.DropLate, 0, core)
+	if q.reg != nil {
+		q.instrument(q.reg)
 	}
-}
-
-// newKeyedQueryRunner builds a grouped (GROUP BY key) runner: per-key
-// windows with a fixed slack k, executed by the sharded concurrent engine
-// once startGrouped is called.
-func newKeyedQueryRunner(name string, spec window.Spec, agg window.Factory, k stream.Time, shards, batch int) *queryRunner {
-	return &queryRunner{
-		name:       name,
-		spec:       spec,
-		agg:        agg,
-		grouped:    true,
-		shardCount: shards,
-		batchSize:  batch,
-		fixedK:     k,
-		latency:    stats.NewP2(0.95),
-		health:     healthFeeding,
-		log:        slog.Default(),
-	}
+	return q, nil
 }
 
 // start switches the runner to queued ingestion: feed enqueues onto a
-// bounded channel of the given capacity and a worker goroutine applies
-// the items, isolating panics per item. The worker drains up to batchSize
-// queued items per lock acquisition, so a backlogged queue is absorbed in
-// batches instead of paying a lock round-trip per tuple. policy decides
-// what a full queue does to data tuples (heartbeats always block — they
-// are progress signals and cheap).
+// bounded channel of the given capacity and a worker goroutine steps the
+// core with up to batch queued items at a time, so a backlogged queue is
+// absorbed in batches instead of paying a lock round-trip per tuple.
+// policy decides what a full queue does to data tuples (heartbeats always
+// block — they are progress signals and cheap).
 func (q *queryRunner) start(capacity int, policy resilience.OverloadPolicy) {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	batch := q.batchSize
+	batch := q.batch
 	if batch <= 0 {
 		batch = 1
 	}
-	q.policy = policy
-	q.ingest = make(chan stream.Item, capacity)
-	q.workerDone = make(chan struct{})
+	q.openQueue(capacity, policy)
 	go func() {
 		defer close(q.workerDone)
 		buf := make([]stream.Item, 0, batch)
@@ -246,44 +229,34 @@ func (q *queryRunner) start(capacity int, policy resilience.OverloadPolicy) {
 					break drain
 				}
 			}
-			q.processBatch(buf)
+			q.step(buf)
 		}
 	}()
 }
 
-// startGrouped wires a grouped runner's ingest channel into the sharded
-// concurrent engine: the pipeline goroutine owns all operator state and
-// pushes merged keyed results back through absorbKeyed. finish closes the
-// channel, which flushes the pipeline's windows through the same sink.
-func (q *queryRunner) startGrouped(capacity int, policy resilience.OverloadPolicy) {
+// openQueue creates the bounded ingest queue. The runner may already be
+// visible to scrapes (the queue-depth gauge reads q.ingest under mu), so
+// the channel is published under the lock.
+func (q *queryRunner) openQueue(capacity int, policy resilience.OverloadPolicy) {
 	if capacity <= 0 {
 		capacity = 1024
 	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.policy = policy
 	q.ingest = make(chan stream.Item, capacity)
 	q.workerDone = make(chan struct{})
-	src := stream.ErrFuncSource(func() (stream.Item, bool, error) {
-		it, ok := <-q.ingest
-		return it, ok, nil
-	})
-	query := cq.NewFallible(src).
-		Handle(buffer.NewKSlack(q.fixedK)).
-		Window(q.spec, q.agg).
-		AggCore(q.aggCore).
-		GroupBy().
-		Shards(q.shardCount).
-		Batch(q.batchSize).
-		SinkKeyed(q.absorbKeyed).
-		DiscardReport() // the runner keeps its own ring; never ends, so the report must not grow
-	if q.telemetry != nil {
-		query.Instrument(q.telemetry)
-	}
-	if q.tracer != nil {
-		query.Trace(q.tracer)
-	}
+}
+
+// startGrouped launches a grouped runner's pipeline over a bounded ingest
+// queue: the engine's goroutines own all operator state and push merged
+// keyed results back through absorbKeyed. finish closes the channel, which
+// flushes the pipeline's windows through the same sink.
+func (q *queryRunner) startGrouped(capacity int, policy resilience.OverloadPolicy) {
+	q.openQueue(capacity, policy)
 	go func() {
 		defer close(q.workerDone)
-		if _, err := query.RunConcurrent(context.Background(), nil); err != nil {
+		if _, err := q.query.RunConcurrent(context.Background(), nil); err != nil {
 			q.log.Error("grouped pipeline failed", "err", err)
 			q.mu.Lock()
 			q.panics++
@@ -294,10 +267,10 @@ func (q *queryRunner) startGrouped(capacity int, policy resilience.OverloadPolic
 }
 
 // feed pushes one item into the pipeline, applying the overload policy
-// when the ingest queue is full. Without start() it processes inline.
+// when the ingest queue is full. Without a queue it steps inline.
 func (q *queryRunner) feed(it stream.Item) {
 	if q.ingest == nil {
-		q.process(it)
+		q.step([]stream.Item{it})
 		return
 	}
 	late := false
@@ -328,58 +301,79 @@ func (q *queryRunner) feed(it stream.Item) {
 	}
 }
 
-// process applies one item to the operator state (inline path, used by
-// tests that never call start).
-func (q *queryRunner) process(it stream.Item) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.processLocked(it)
-}
-
-// processBatch applies a run of queued items under one lock acquisition.
-func (q *queryRunner) processBatch(items []stream.Item) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, it := range items {
-		q.processLocked(it)
+// feedBatch hands over a batch borrowed from a fan-out ring (valid until
+// the caller releases it). A runner without a queue steps it whole — the
+// ring is its ingest queue; a queued runner copies it in item by item,
+// which is where its overload policy applies.
+func (q *queryRunner) feedBatch(items []stream.Item) {
+	if q.ingest == nil {
+		q.step(items)
+		return
 	}
-	q.durableTickLocked()
+	for _, it := range items {
+		q.feed(it)
+	}
 }
 
-// processLocked applies one item to the operator state; q.mu must be
-// held. A panic (a poisoned tuple, an operator bug) is isolated to that
-// item: it is counted, the runner is marked degraded, and the caller
-// keeps going with the next item.
-func (q *queryRunner) processLocked(it stream.Item) {
+// step is the server's policy around Exec.Step: apply one batch under the
+// runner lock, then group-commit the journal — a live server bounds crash
+// loss by the batch, not by the log's item cadence. A panic (a poisoned
+// tuple, an operator bug) is isolated to the item in flight: it is
+// counted, the runner is marked degraded, and the step is resumed behind
+// that item. A durability error degrades the query (loudly) rather than
+// stopping ingestion: availability over durability for a live dashboard
+// server.
+func (q *queryRunner) step(batch []stream.Item) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.panicOn != nil {
+		// Test seam armed: one item per step, so an injected panic costs
+		// exactly the item it names.
+		for i := range batch {
+			q.stepIsolated(batch[i:i+1], false)
+		}
+	} else {
+		for resume := false; !q.stepIsolated(batch, resume); resume = true {
+		}
+	}
+	if q.dlog != nil {
+		if err := q.dlog.Commit(); err != nil {
+			q.journalErrs++
+			q.log.Error("journal commit failed", "err", err)
+		}
+	}
+}
+
+// stepIsolated runs Step — or Resume: behind a panic, and for the recovery
+// replay — and reports whether it ran to completion; q.mu must be held
+// (newQueryRunner calls it before the runner is shared).
+func (q *queryRunner) stepIsolated(batch []stream.Item, resume bool) (completed bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			q.panics++
 			if q.health == healthFeeding {
 				q.health = healthDegraded
 			}
-			q.tracer.Panic(tracez.StageWindow, int64(q.now), fmt.Sprint(p))
-			q.log.Error("panic isolated while processing item", "item", fmt.Sprint(it), "panic", fmt.Sprint(p))
+			stage, it := q.exec.InFlight()
+			q.tracer.Panic(stage, int64(q.exec.Now()), fmt.Sprint(p))
+			q.log.Error("panic isolated while processing item", "stage", stage.String(), "item", fmt.Sprint(it), "panic", fmt.Sprint(p))
 		}
 	}()
-	if q.panicOn != nil && q.panicOn(it) {
+	if resume {
+		q.exec.Resume()
+		return true
+	}
+	if q.panicOn != nil && q.panicOn(batch[0]) {
 		panic("injected processing fault")
 	}
-	q.journalLocked(it)
-	if !it.Heartbeat {
-		q.tuplesIn++
-		if it.Tuple.Arrival > q.now {
-			q.now = it.Tuple.Arrival
+	if err := q.exec.Step(batch); err != nil {
+		q.journalErrs++
+		if q.health == healthFeeding {
+			q.health = healthDegraded
 		}
-	} else if it.Watermark > q.now {
-		q.now = it.Watermark
+		q.log.Error("durability failure; the batch was applied without it", "err", err)
 	}
-	q.rel = q.buf.Insert(it, q.rel[:0])
-	q.resScratch = q.resScratch[:0]
-	for _, t := range q.rel {
-		q.resScratch = q.op.Observe(t, q.now, q.resScratch)
-	}
-	q.absorb(q.resScratch)
-	q.noteProgressLocked()
+	return true
 }
 
 // finish drains the ingest queue, flushes the pipeline and marks the
@@ -393,25 +387,11 @@ func (q *queryRunner) finish() {
 		}
 		q.mu.Lock()
 		defer q.mu.Unlock()
-		if q.grouped {
-			// The engine flushed every window through absorbKeyed while the
-			// worker goroutine wound down; only the state flip is left.
-			q.done = true
-			q.health = healthDone
-			return
-		}
-		q.preFlush = int(q.emitted)
-		q.rel = q.buf.Flush(q.rel[:0])
-		q.resScratch = q.resScratch[:0]
-		for _, t := range q.rel {
-			q.resScratch = q.op.Observe(t, q.now, q.resScratch)
-		}
-		q.resScratch = q.op.Flush(q.now, q.resScratch)
-		q.absorb(q.resScratch)
-		// Flush-forced emissions are deliberately not journaled as progress:
-		// a continued stream re-emits those windows with their full content.
-		if q.dlog != nil {
-			if err := q.dlog.Commit(); err != nil {
+		// A grouped runner's engine flushed every window through
+		// absorbKeyed while its goroutines wound down; only the state flip
+		// is left.
+		if q.exec != nil {
+			if err := q.exec.Finish(); err != nil {
 				q.log.Error("journal commit on finish failed", "err", err)
 			}
 		}
@@ -420,27 +400,15 @@ func (q *queryRunner) finish() {
 	})
 }
 
-func (q *queryRunner) absorb(res []window.Result) {
-	for _, r := range res {
-		q.absorbOne(r)
-	}
-}
-
-// absorbOne folds one emitted result into the ring/latency state; q.mu
-// must be held.
+// absorbOne is the core's result sink: it folds one emitted result into
+// the ring/latency state. q.mu is held by whoever is stepping the core.
 func (q *queryRunner) absorbOne(r window.Result) {
-	if q.suppressLocked(r.Idx, r.Refinement) {
-		return
-	}
 	q.emitted++
 	q.latency.Add(float64(r.Latency()))
-	q.observeLatency(float64(r.Latency()))
-	q.observeWireLatency()
-	if !q.grouped {
-		// Grouped runners' emits are traced inside the cq engine; tracing
-		// them here too would double-count every window.
-		q.tracer.Emit(int64(r.EmitArrival), -1, r.Idx, int64(r.Start), int64(r.End), 0, r.Count, int64(r.Latency()))
+	if q.emitLatency != nil {
+		q.emitLatency.Observe(float64(r.Latency()))
 	}
+	q.observeWireLatency()
 	q.results = append(q.results, r)
 	if len(q.results) > resultRing {
 		q.results = q.results[len(q.results)-resultRing:]
@@ -448,11 +416,30 @@ func (q *queryRunner) absorbOne(r window.Result) {
 }
 
 // absorbKeyed is the grouped pipeline's result sink, called from the
-// engine's window stage.
+// engine's merger goroutine.
 func (q *queryRunner) absorbKeyed(kr window.KeyedResult) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.absorbOne(kr.Result)
+}
+
+// adaptive returns the quality-driven controller behind a non-grouped
+// runner, or nil when the query buffers with a fixed or plain handler;
+// q.mu must be held to read its state.
+func (q *queryRunner) adaptive() *core.AQKSlack {
+	if q.exec == nil {
+		return nil
+	}
+	h, _ := q.exec.Handler().(*core.AQKSlack)
+	return h
+}
+
+// tuplesInLocked is the accepted-tuple count; q.mu must be held.
+func (q *queryRunner) tuplesInLocked() int64 {
+	if q.exec == nil {
+		return q.tuplesIn
+	}
+	return q.exec.Handler().Stats().Inserted
 }
 
 // wallNowMS reads the runner's wall clock (injectable for tests).
@@ -466,8 +453,8 @@ func (q *queryRunner) wallNowMS() int64 {
 // noteWireBatch records a provenance-marked transport batch arriving at
 // the runner: a wire-batch event in the flight recorder (replayed ids
 // show up as duplicate Win values — the visible shape of an
-// at-least-once reconnect) and the clock base absorbOne charges
-// subsequent emissions against.
+// at-least-once reconnect) and the clock base absorbOne charges the
+// batch's emissions against.
 func (q *queryRunner) noteWireBatch(p stream.BatchProv, n int) {
 	if !p.Valid() {
 		return
@@ -477,7 +464,7 @@ func (q *queryRunner) noteWireBatch(p stream.BatchProv, n int) {
 }
 
 // observeWireLatency publishes one emission's client-send→emission
-// latency against the newest wire mark; a no-op without -obs, for
+// latency against the mark of the batch being stepped; a no-op without -obs, for
 // compiled-in queries, and before the first marked batch. q.mu is held
 // by the caller (only atomics and the histogram are touched).
 func (q *queryRunner) observeWireLatency() {
@@ -591,7 +578,7 @@ func (q *queryRunner) status() status {
 		WindowSize:  q.spec.Size,
 		WindowSlide: q.spec.Slide,
 		Aggregate:   q.agg.Name,
-		TuplesIn:    q.tuplesIn,
+		TuplesIn:    q.tuplesInLocked(),
 		Windows:     q.emitted,
 		LatencyP95:  q.latency.Value(),
 		Health:      q.health,
@@ -600,23 +587,23 @@ func (q *queryRunner) status() status {
 		Panics:      q.panics,
 		Done:        q.done,
 		Grouped:     q.grouped,
-		Shards:      q.shardCount,
+		Shards:      q.shards,
 		Durable:     q.dlog != nil,
 		JournalErrs: q.journalErrs,
 		Recovery:    q.recovery,
 		Statement:   q.statement,
 		Tenant:      q.tenant,
 	}
-	if q.handler != nil {
-		qs := q.handler.Quality()
-		st.K = q.handler.K()
+	if h := q.adaptive(); h != nil {
+		qs := h.Quality()
+		st.K = h.K()
 		st.RealizedErr = qs.RealizedErrEWMA
-		st.RealizedErrAdj = metrics.ShedAdjustedErr(qs.RealizedErrEWMA, st.Shed, q.tuplesIn)
+		st.RealizedErrAdj = metrics.ShedAdjustedErr(qs.RealizedErrEWMA, st.Shed, st.TuplesIn)
 		st.EstErr = qs.LastEstErr
 		st.Adaptations = qs.Adaptations
 	} else {
-		// Grouped runners buffer with a fixed slack; quality fields stay
-		// zero because there is no adaptive estimator to read.
+		// Fixed-slack runners: quality fields stay zero because there is no
+		// adaptive estimator to read.
 		st.K = int64(q.fixedK)
 	}
 	return st
@@ -636,10 +623,11 @@ func (q *queryRunner) recentResults(n int) []window.Result {
 func (q *queryRunner) trace() []core.KSample {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.handler == nil {
+	h := q.adaptive()
+	if h == nil {
 		return nil
 	}
-	tr := q.handler.Trace()
+	tr := h.Trace()
 	out := make([]core.KSample, len(tr))
 	copy(out, tr)
 	return out

@@ -3,21 +3,49 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
+	"repro/internal/core"
+	"repro/internal/cq"
+	"repro/internal/durable"
 	"repro/internal/gen"
+	"repro/internal/oracle"
 	"repro/internal/resilience"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
 
+// adaptiveRunner builds a non-grouped runner over the adaptive controller
+// the way buildRunner does, minus the app around it: no queue (tests feed
+// inline unless they call start), and only the wiring def carries.
+func adaptiveRunner(t testing.TB, def runnerDef) *queryRunner {
+	t.Helper()
+	h := core.NewAQKSlack(core.Config{Theta: def.theta, Spec: def.spec, Agg: def.agg})
+	if def.reg != nil {
+		h.Instrument(core.NewTelemetry(def.reg, def.name))
+	}
+	q, err := newQueryRunner(def, cq.New(nil).Handle(h).Window(def.spec, def.agg).Trace(def.tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// sumRunner is adaptiveRunner for the tests' stock query: a 10s/1s sum.
+func sumRunner(t testing.TB, name string, theta float64) *queryRunner {
+	return adaptiveRunner(t, runnerDef{name: name, theta: theta,
+		spec: window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, agg: window.Sum()})
+}
+
 func testRunner(t *testing.T) *queryRunner {
 	t.Helper()
-	q := newQueryRunner("test-sum", 0.02,
-		window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum())
+	q := sumRunner(t, "test-sum", 0.02)
 	for _, tp := range gen.Sensor(20000, 9).Arrivals() {
 		q.feed(stream.DataItem(tp))
 	}
@@ -117,8 +145,7 @@ func TestServerEndpoints(t *testing.T) {
 // TestStatusResilienceFields asserts the degradation counters are
 // exported via the /queries/{name} status JSON.
 func TestStatusResilienceFields(t *testing.T) {
-	q := newQueryRunner("degraded-sum", 0.02,
-		window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum())
+	q := sumRunner(t, "degraded-sum", 0.02)
 	q.start(4, resilience.Block) // block: every tuple reaches the worker, so panics are deterministic
 	q.panicOn = func(it stream.Item) bool { return !it.Heartbeat && it.Tuple.Seq%1000 == 3 }
 	for _, tp := range gen.Sensor(20000, 9).Arrivals() {
@@ -168,8 +195,7 @@ func TestStatusResilienceFields(t *testing.T) {
 func TestWorkerShedPolicies(t *testing.T) {
 	arrivals := gen.Sensor(20000, 9).Arrivals()
 
-	block := newQueryRunner("block", 0.02,
-		window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum())
+	block := sumRunner(t, "block", 0.02)
 	block.start(4, resilience.Block)
 	for _, tp := range arrivals {
 		block.feed(stream.DataItem(tp))
@@ -179,8 +205,7 @@ func TestWorkerShedPolicies(t *testing.T) {
 		t.Fatalf("block policy: in=%d shed=%d", st.TuplesIn, st.Shed)
 	}
 
-	shed := newQueryRunner("shed", 0.02,
-		window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum())
+	shed := sumRunner(t, "shed", 0.02)
 	shed.start(4, resilience.ShedNewest)
 	for _, tp := range arrivals {
 		shed.feed(stream.DataItem(tp))
@@ -286,8 +311,7 @@ func TestAppDrain(t *testing.T) {
 // silent-return: a generator yielding zero tuples must mark the query
 // done instead of leaving it in limbo forever.
 func TestFeedLoopEmptyGeneratorMarksDone(t *testing.T) {
-	q := newQueryRunner("empty", 0.02,
-		window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum())
+	q := sumRunner(t, "empty", 0.02)
 	q.start(16, resilience.Block)
 	done := make(chan struct{})
 	go func() {
@@ -303,4 +327,190 @@ func TestFeedLoopEmptyGeneratorMarksDone(t *testing.T) {
 	if st := q.status(); !st.Done || st.Health != healthDone {
 		t.Fatalf("empty-generator query left in limbo: %+v", st)
 	}
+}
+
+// handlerRunner builds a queue-less runner over a given handler, the shape
+// of a runtime query registered with HANDLER ...(...).
+func handlerRunner(t *testing.T, def runnerDef, h buffer.Handler) *queryRunner {
+	t.Helper()
+	def.log = slog.New(slog.NewTextHandler(io.Discard, nil)) // these tests provoke error logs on purpose
+	q, err := newQueryRunner(def, cq.New(nil).Handle(h).Window(def.spec, def.agg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// kslackRunner is handlerRunner over a fixed-slack buffer.
+func kslackRunner(t *testing.T, def runnerDef, k stream.Time) *queryRunner {
+	return handlerRunner(t, def, buffer.NewKSlack(k))
+}
+
+// feedBatches hands items to a queue-less runner the way pumpRing does:
+// whole batches of n.
+func feedBatches(q *queryRunner, items []stream.Item, n int) {
+	for len(items) > 0 {
+		m := min(n, len(items))
+		q.feedBatch(items[:m])
+		items = items[m:]
+	}
+}
+
+// TestRunnerNonMonotoneArrivalsMatchRun is the server half of the
+// arrival-clock regression test (the engine half is cq's
+// TestNonMonotoneArrivalsSameOnEveryDriver): a sender whose Arrival goes
+// backwards must see the same windows from a server runner as from the
+// in-process oracle executor.
+func TestRunnerNonMonotoneArrivalsMatchRun(t *testing.T) {
+	items := sensorItems(8000, 73)
+	for i := range items {
+		if i%7 == 3 {
+			items[i].Tuple.Arrival -= 700
+		}
+	}
+	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
+	q := kslackRunner(t, runnerDef{name: "backwards", spec: spec, agg: window.Sum()}, 400)
+	feedBatches(q, items, 50)
+	q.finish()
+
+	want, err := cq.New(stream.NewSliceSource(items)).Handle(buffer.NewKSlack(400)).Window(spec, window.Sum()).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Results) == 0 {
+		t.Fatal("oracle emitted no windows; the comparison proves nothing")
+	}
+	if err := oracle.SameOutput(runnerReport(t, q), want); err != nil {
+		t.Fatalf("server runner diverged from cq.Run on backward arrivals: %v", err)
+	}
+}
+
+// TestRunnerJournalFailureKeepsProcessing pins the server's policy for a
+// durability failure (cq's drivers abort instead): every batch is still
+// applied, the failure is counted, and the query reports degraded.
+func TestRunnerJournalFailureKeepsProcessing(t *testing.T) {
+	dlog, err := durable.Open(durable.Options{Dir: t.TempDir(), CommitEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dlog.Close(); err != nil { // every append now fails at its flush
+		t.Fatal(err)
+	}
+	q := kslackRunner(t, runnerDef{name: "lossy-journal", dlog: dlog,
+		spec: window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, agg: window.Sum()}, 400)
+	items := sensorItems(4000, 5)
+	feedBatches(q, items, 64)
+	st := q.status()
+	if st.TuplesIn != int64(len(items)) || st.Windows == 0 {
+		t.Fatalf("journal failure stopped processing: tuplesIn=%d of %d, windows=%d", st.TuplesIn, len(items), st.Windows)
+	}
+	if st.JournalErrs == 0 || !st.Durable || st.Health != healthDegraded {
+		t.Fatalf("journal failure not reported: %+v", st)
+	}
+	q.finish()
+}
+
+// TestRunnerPanicMidBatchResumes drives every way a panic can hit a batch
+// handed over whole; each costs the item in flight and nothing else. The
+// test seam poisons one item: it is skipped, the rest of its batch is
+// applied. A panic from inside the core's window stage — an aggregate that
+// chokes on one value — is resumed behind the item in flight. So is one
+// from the disorder stage — a handler that chokes on one tuple. And because
+// a batch is journaled before it is applied, the poisoned item is in the
+// journal: a restart replays it, and must isolate it again instead of
+// dying in the constructor.
+func TestRunnerPanicMidBatchResumes(t *testing.T) {
+	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
+	items := sensorItems(5000, 11)
+
+	seam := kslackRunner(t, runnerDef{name: "seam", spec: spec, agg: window.Sum()}, 400)
+	seam.panicOn = func(it stream.Item) bool { return it.Tuple.Seq == items[1234].Tuple.Seq }
+	feedBatches(seam, items, 500)
+	seam.finish()
+	if st := seam.status(); st.Panics != 1 || st.TuplesIn != int64(len(items))-1 {
+		t.Fatalf("seam panic: panics=%d tuplesIn=%d, want 1 and %d", st.Panics, st.TuplesIn, len(items)-1)
+	}
+
+	inner := buffer.NewKSlack(400)
+	h := handlerRunner(t, runnerDef{name: "choking-handler", spec: spec, agg: window.Sum()},
+		&chokingHandler{Handler: inner, poison: items[1234].Tuple.Seq})
+	feedBatches(h, items, 500)
+	h.finish()
+	if st, in := h.status(), inner.Stats().Inserted; st.Panics != 1 || st.Health != healthDone || in != int64(len(items))-1 {
+		t.Fatalf("handler panic: panics=%d health=%s inserted=%d, want 1, done and %d (everything but the poisoned tuple)",
+			st.Panics, st.Health, in, len(items)-1)
+	}
+	if rep := h.exec.Report(); rep.Op.TuplesIn != rep.Handler.Released {
+		t.Fatalf("handler panic: %d tuples released, %d observed: releases around the panic were dropped",
+			rep.Handler.Released, rep.Op.TuplesIn)
+	}
+
+	poison := items[1234].Tuple.Value
+	choking := runnerDef{name: "choke", spec: spec, agg: window.Factory{Name: "choking-sum", New: func() window.Aggregate {
+		return &chokingSum{Aggregate: window.Sum().New(), poison: poison}
+	}}}
+	opts := durable.Options{Dir: t.TempDir(), CommitEvery: 64}
+	var err error
+	if choking.dlog, err = durable.Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	q := kslackRunner(t, choking, 400)
+	feedBatches(q, items[:3000], 500)
+	st := q.status()
+	if st.Panics == 0 || st.Health != healthDegraded {
+		t.Fatalf("core panic not isolated and reported: %+v", st)
+	}
+	if st.TuplesIn != 3000 {
+		t.Fatalf("tuplesIn = %d, want 3000: the batch behind the panic was dropped", st.TuplesIn)
+	}
+	rep := q.exec.Report()
+	if lost := rep.Handler.Released - rep.Op.TuplesIn; lost < 0 || lost > 10*st.Panics {
+		t.Fatalf("%d panics cost %d released tuples: Resume did not pick the batch up behind the item in flight",
+			st.Panics, lost)
+	}
+	choking.dlog.Abandon() // the process dies; every stepped batch was group-committed
+
+	if choking.dlog, err = durable.Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer choking.dlog.Close()
+	q = kslackRunner(t, choking, 400) // must not panic
+	st = q.status()
+	if st.Recovery == nil || st.Recovery.ReplayedItems != 3000 || st.TuplesIn != 3000 {
+		t.Fatalf("restart did not replay the journal: %+v", st)
+	}
+	if st.Panics == 0 || st.Health != healthDegraded {
+		t.Fatalf("replayed poison not isolated and reported: %+v", st)
+	}
+	feedBatches(q, items[3000:], 500)
+	q.finish()
+	if st = q.status(); st.TuplesIn != int64(len(items)) || st.JournalErrs != 0 {
+		t.Fatalf("recovered runner did not carry on: %+v", st)
+	}
+}
+
+// chokingHandler panics on one tuple before its handler sees it.
+type chokingHandler struct {
+	buffer.Handler
+	poison uint64 // Seq
+}
+
+func (h *chokingHandler) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
+	if !it.Heartbeat && it.Tuple.Seq == h.poison {
+		panic("poisoned tuple")
+	}
+	return h.Handler.Insert(it, out)
+}
+
+// chokingSum is a sum that panics on one value.
+type chokingSum struct {
+	window.Aggregate
+	poison float64
+}
+
+func (a *chokingSum) Add(v float64) {
+	if v == a.poison {
+		panic("poisoned value")
+	}
+	a.Aggregate.Add(v)
 }

@@ -241,7 +241,8 @@ func TestBurnRateAndDegradedReadiness(t *testing.T) {
 
 	srv := newServer()
 	srv.reg, srv.history, srv.sloBudget = reg, h, 0.01
-	q := newQueryRunner("q1", 0.01, window.Spec{Size: 2 * stream.Second, Slide: stream.Second}, window.Sum())
+	q := adaptiveRunner(t, runnerDef{name: "q1", theta: 0.01,
+		spec: window.Spec{Size: 2 * stream.Second, Slide: stream.Second}, agg: window.Sum()})
 	srv.add(q)
 
 	// Before two samples exist the burn rate is unknown: no degraded

@@ -2,7 +2,9 @@ package main
 
 // Event tracing and flight-recorder wiring: every query runner owns a
 // tracez.Tracer over a fixed ring of recent pipeline events (always on —
-// the recorder is lock-minimal and sized by -trace-buf). The recorder is
+// the recorder is lock-minimal and sized by -trace-buf). buildRunner hands
+// the tracer to the engine (AggQuery.Trace), which traces buffer activity,
+// controller decisions, emits and snapshots for every kind of runner. The recorder is
 // served as Chrome trace-event JSON at /debug/aq/trace, dumped to
 // -trace-dump files when a panic is isolated, a breaker trips or the
 // quality-SLO watchdog fires, and mirrored with the per-query structured
@@ -19,28 +21,8 @@ import (
 
 	"log/slog"
 
-	"repro/internal/buffer"
 	"repro/internal/obs/tracez"
 )
-
-// setTracer attaches the flight recorder to the runner. Must be called
-// before start/startGrouped and before any item is fed. Non-grouped
-// runners trace their own operator path: the adaptive handler reports
-// controller decisions and quality samples (driving wd, when set), and
-// the handler is wrapped so buffer activity becomes events. Grouped
-// runners hand the tracer to the cq engine in startGrouped.
-func (q *queryRunner) setTracer(tr *tracez.Tracer, wd *tracez.Watchdog) {
-	q.tracer = tr
-	q.watchdog = wd
-	if q.handler != nil {
-		q.handler.TraceTo(tr)
-		q.buf = buffer.NewTraced(q.handler, tr)
-	} else if !q.grouped && q.buf != nil {
-		// Runtime-registered queries may run a plain (non-adaptive)
-		// disorder handler; its buffer activity is traced the same way.
-		q.buf = buffer.NewTraced(q.buf, tr)
-	}
-}
 
 // installDumpSink makes every flight-recorder dump (panic, breaker trip,
 // quality violation, on demand) land in dir as a self-contained Chrome

@@ -20,12 +20,11 @@ import (
 // attached before any item is fed, then runs a workload through it.
 func tracedRunner(t *testing.T, name string) (*queryRunner, *tracez.Tracer, *tracez.Watchdog) {
 	t.Helper()
-	q := newQueryRunner(name, 0.02,
-		window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum())
 	tr := tracez.New(tracez.NewRecorder(1<<12), name)
 	wd := tracez.NewWatchdog(0.02, nil)
 	tr.SetWatchdog(wd)
-	q.setTracer(tr, wd)
+	q := adaptiveRunner(t, runnerDef{name: name, theta: 0.02, tracer: tr, watchdog: wd,
+		spec: window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, agg: window.Sum()})
 	for _, tp := range gen.Sensor(20000, 9).Arrivals() {
 		q.feed(stream.DataItem(tp))
 	}

@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -159,6 +162,165 @@ func TestMetricsCatalog(t *testing.T) {
 		}
 	}
 	t.Logf("catalog check: %d registered metric names against %d documented rows", len(inCode), len(inDocs))
+}
+
+// executorCalls are the calls that make up the execution loop and the
+// durability protocol: whoever calls one of them is an executor. The value
+// is the argument count that identifies the call where the bare name is
+// shared with something harmless (obs.Histogram.Observe takes one
+// argument, window operators three); 0 matches any.
+var executorCalls = map[string]int{
+	"Insert": 2, "InsertBatch": 0, "Observe": 3, "Flush": 0, // handler insert/flush, window observe/flush
+	"AppendItem": 0, "AppendItems": 0, "AppendEmitProgress": 0, // journal
+	"CutForSnapshot": 0, "WriteSnapshot": 0, "SaveHandler": 0, // snapshot
+	"TakeRecovery": 0, "RestoreHandler": 0, // recovery
+}
+
+// executorFiles says which non-test files under internal/cq and
+// cmd/aqserver may make executorCalls (nil: any of them). exec.go is the
+// executor; the shard workers drive window.KeyedOp, which has no snapshot
+// form and so no place in the core; session.go and join.go run different
+// operators (window.SessionOp, join.Op) through loops of their own and are
+// exempt.
+var executorFiles = map[string][]string{
+	"internal/cq/exec.go":    nil,
+	"internal/cq/sharded.go": {"Observe", "Flush"},
+	"internal/cq/session.go": nil,
+	"internal/cq/join.go":    nil,
+}
+
+// TestOneExecutor is the structural half of `make check`'s doccheck: the
+// buffer → window → emit loop and the durability protocol (journal, emit
+// progress, snapshot cut/write, recovery restore + replay) exist once, in
+// internal/cq/exec.go, and every way of running a query — Run,
+// RunConcurrent, RunShared, cmd/aqserver's runners — is a driver over it.
+// The repository once had six copies of the loop and two of the protocol,
+// and they had drifted apart; this keeps a seventh from growing back.
+func TestOneExecutor(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	for _, dir := range []string{"internal/cq", "cmd/aqserver"} {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for path, f := range pkg.Files {
+				files[filepath.ToSlash(path)] = f
+			}
+		}
+	}
+	if files["internal/cq/exec.go"] == nil || files["cmd/aqserver/server.go"] == nil {
+		t.Fatalf("extraction rotted: parsed %d files, exec.go or server.go not among them", len(files))
+	}
+
+	allowed := func(path, call string) bool {
+		names, listed := executorFiles[path]
+		if !listed || names == nil {
+			return listed
+		}
+		for _, n := range names {
+			if n == call {
+				return true
+			}
+		}
+		return false
+	}
+	calls := 0
+	for path, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				args, banned := executorCalls[sel.Sel.Name]
+				if !banned || (args != 0 && len(n.Args) != args) {
+					return true
+				}
+				calls++
+				if !allowed(path, sel.Sel.Name) {
+					t.Errorf("%s calls %s: the execution loop and the durability protocol live in internal/cq/exec.go; drive cq.Exec instead",
+						fset.Position(n.Pos()), sel.Sel.Name)
+				}
+			case *ast.Ident:
+				// The in-band snapshot marker and its split writer existed only
+				// because handler and window ran on different goroutines.
+				if n.Name == "snapCut" || n.Name == "writeSnapshotWith" {
+					t.Errorf("%s: %s is back", fset.Position(n.Pos()), n.Name)
+				}
+			}
+			return true
+		})
+	}
+	if calls < 10 {
+		t.Fatalf("extraction rotted: only %d executor calls found anywhere", calls)
+	}
+
+	// The server's runner is bookkeeping around the core: no operator state
+	// of its own, one constructor, and a ring consumer that hands batches
+	// over whole.
+	constructors, sawRunner, sawPump := 0, false, false
+	for path, f := range files {
+		if !strings.HasPrefix(path, "cmd/aqserver/") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || ts.Name.Name != "queryRunner" {
+						continue
+					}
+					sawRunner = true
+					for _, field := range ts.Type.(*ast.StructType).Fields.List {
+						for _, name := range field.Names {
+							switch name.Name {
+							case "handler", "buf", "op", "rel", "now", "emitFloor", "replaying":
+								t.Errorf("%s: queryRunner.%s: operator and recovery state belong to cq.Exec",
+									fset.Position(name.Pos()), name.Name)
+							}
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				// Functions and methods alike: whoever writes a queryRunner
+				// composite literal is a constructor.
+				ast.Inspect(d, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.CompositeLit); ok {
+						if id, ok := lit.Type.(*ast.Ident); ok && id.Name == "queryRunner" {
+							constructors++
+							if d.Recv != nil || d.Name.Name != "newQueryRunner" {
+								t.Errorf("%s: %s builds a queryRunner; newQueryRunner is the one constructor",
+									fset.Position(lit.Pos()), d.Name.Name)
+							}
+						}
+					}
+					return true
+				})
+				if d.Recv == nil && d.Name.Name == "pumpRing" {
+					sawPump = true
+					ast.Inspect(d.Body, func(n ast.Node) bool {
+						if r, ok := n.(*ast.RangeStmt); ok {
+							t.Errorf("%s: pumpRing loops over a ring batch; hand it to the runner whole (feedBatch)",
+								fset.Position(r.Pos()))
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	if !sawRunner || !sawPump {
+		t.Fatalf("extraction rotted: queryRunner found=%v pumpRing found=%v", sawRunner, sawPump)
+	}
+	if constructors != 1 {
+		t.Errorf("cmd/aqserver builds a queryRunner in %d places, want exactly one (newQueryRunner, from an *cq.AggQuery)", constructors)
+	}
 }
 
 func stripCodeFences(s string) string {

@@ -1,22 +1,20 @@
 package cq
 
 import (
-	"fmt"
-
-	"repro/internal/buffer"
 	"repro/internal/durable"
 	"repro/internal/stream"
-	"repro/internal/window"
 )
 
 // Durable couples a query to a durability log (see internal/durable): the
-// executors journal every accepted item, snapshot handler+operator state on
-// the log's cadence, and — when the log was opened over a previous run's
-// directory — recover before processing: restore the snapshot, replay the
-// journal suffix, and suppress re-emission of windows the previous process
-// already delivered durably.
+// step core (Exec) journals every batch it applies, snapshots
+// handler+operator state on the log's cadence, and — when the log was
+// opened over a previous run's directory — recovers before processing:
+// restore the snapshot, replay the journal suffix, and suppress re-emission
+// of windows the previous process already delivered durably. The whole
+// protocol lives in exec.go; this file holds its configuration and the
+// intake-side disorder accumulator a snapshot carries.
 type Durable struct {
-	// Log is an opened durable.QueryLog. The executor consumes its pending
+	// Log is an opened durable.QueryLog. The Exec consumes its pending
 	// recovery (QueryLog.TakeRecovery); the caller keeps ownership and
 	// closes it after the run.
 	Log *durable.QueryLog
@@ -39,7 +37,7 @@ func (q *AggQuery) Durable(d Durable) *AggQuery {
 	return q
 }
 
-// RecoveryInfo summarizes the crash recovery an executor performed before
+// RecoveryInfo summarizes the crash recovery the Exec performed before
 // processing, surfaced on AggReport.Recovery.
 type RecoveryInfo struct {
 	FromSnapshot      bool  // a snapshot was restored (vs journal-only replay)
@@ -51,7 +49,7 @@ type RecoveryInfo struct {
 	TruncatedRecords  int
 }
 
-// disorderAcc is the executors' inline disorder measurement (same
+// disorderAcc is the drivers' inline disorder measurement (same
 // definition as stream.MeasureDisorder, without retaining the input). It is
 // part of snapshots so a recovered run's disorder report covers the whole
 // logical stream, not just the post-crash part.
@@ -104,114 +102,4 @@ func (d *disorderAcc) cut() durable.DisorderCut {
 
 func (d *disorderAcc) restore(c durable.DisorderCut) {
 	d.stats, d.sumLate, d.sumDelay, d.clock, d.started = c.Stats, c.SumLate, c.SumDelay, c.Clock, c.Started
-}
-
-// durRun is the per-execution durability state shared by both executors.
-type durRun struct {
-	log   *durable.QueryLog
-	dec   func(*durable.Snapshot)
-	floor int64 // suppress primary emissions below this window index
-	have  bool
-	info  *RecoveryInfo // nil when nothing was recovered
-}
-
-// suppress reports whether res is a duplicate of a durably-delivered
-// primary emission. Refinements are never suppressed: they are corrections,
-// idempotent by definition.
-func (r *durRun) suppress(res window.Result) bool {
-	if r == nil || !r.have || res.Refinement || res.Idx >= r.floor {
-		return false
-	}
-	if r.info != nil {
-		r.info.SuppressedResults++
-	}
-	return true
-}
-
-// startDurable begins a durable execution: restore the snapshot (if any)
-// into handler and op, resume the disorder accumulator and arrival clock,
-// and hand back the journal suffix for the caller to replay through its own
-// observe loop (with suppression active). The recovery is consumed from the
-// log, so a second run on the same open log starts clean.
-func (q *AggQuery) startDurable(handler buffer.Handler, op *window.Op, dis *disorderAcc, now *stream.Time) (*durRun, []stream.Item, error) {
-	d := q.durable
-	if d == nil {
-		return nil, nil, nil
-	}
-	if d.Log == nil {
-		return nil, nil, fmt.Errorf("cq: Durable needs an opened log")
-	}
-	r := &durRun{log: d.Log, dec: d.Decorate}
-	rec := d.Log.TakeRecovery()
-	if rec == nil || !rec.Recovered {
-		return r, nil, nil
-	}
-	if snap := rec.Snapshot; snap != nil {
-		if snap.Handler != nil {
-			if err := durable.RestoreHandler(handler, snap.Handler); err != nil {
-				return nil, nil, err
-			}
-		}
-		if snap.Op != nil {
-			op.Restore(*snap.Op)
-		}
-		dis.restore(snap.Disorder)
-		*now = snap.Now
-	}
-	r.floor, r.have = rec.EmitProgress, rec.HaveEmit
-	r.info = &RecoveryInfo{
-		FromSnapshot:     rec.Snapshot != nil,
-		ReplayedItems:    len(rec.Suffix),
-		EmitProgress:     rec.EmitProgress,
-		HaveEmit:         rec.HaveEmit,
-		TruncatedBytes:   rec.TruncatedBytes,
-		TruncatedRecords: rec.TruncatedRecords,
-	}
-	return r, rec.Suffix, nil
-}
-
-// writeSnapshot captures handler+operator state at a consistent cut and
-// persists it. records/items come from QueryLog.CutForSnapshot, taken when
-// the journal exactly covered the state being saved.
-func (r *durRun) writeSnapshot(handler buffer.Handler, op *window.Op, records, items uint64, now stream.Time, dis durable.DisorderCut) error {
-	hs, err := durable.SaveHandler(handler)
-	if err != nil {
-		return err
-	}
-	return r.writeSnapshotWith(hs, op, records, items, now, dis)
-}
-
-// writeSnapshotWith persists a snapshot whose handler state was captured
-// earlier (by the concurrent pipeline's disorder stage, at the in-band cut
-// marker).
-func (r *durRun) writeSnapshotWith(hs *durable.HandlerState, op *window.Op, records, items uint64, now stream.Time, dis durable.DisorderCut) error {
-	ops := op.State()
-	emit, have := op.EmitProgress()
-	s := &durable.Snapshot{
-		Records:      records,
-		Items:        items,
-		Now:          now,
-		Disorder:     dis,
-		Handler:      hs,
-		Op:           &ops,
-		EmitProgress: emit,
-		HaveEmit:     have,
-	}
-	if r.dec != nil {
-		r.dec(s)
-	}
-	return r.log.WriteSnapshot(s)
-}
-
-// noteEmitProgress journals the operator's emission cursor; the QueryLog
-// dedupes monotone repeats, so calling it per item/batch is cheap.
-func (r *durRun) noteEmitProgress(op *window.Op) error {
-	if r == nil {
-		return nil
-	}
-	emit, have := op.EmitProgress()
-	if !have {
-		return nil
-	}
-	return r.log.AppendEmitProgress(emit)
 }

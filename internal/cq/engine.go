@@ -6,75 +6,54 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/buffer"
 	"repro/internal/durable"
 	"repro/internal/resilience"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
 
-// released carries a tuple from the disorder-handling stage to the window
-// stage together with the arrival-time position at which it was released.
-type released struct {
-	tuple stream.Tuple
-	now   stream.Time
-	flush bool     // end-of-stream marker: flush remaining windows at now
-	mark  bool     // boundary marker: results so far were progress-emitted
-	snap  *snapCut // in-band snapshot cut travelling to the window stage
-}
-
-// itemBatch is the source→disorder transport unit: a pooled batch of items
-// plus an optional snapshot cut that applies after the batch's last item.
+// itemBatch is the source→core transport unit: a pooled batch of accepted
+// items plus, for durable queries, the disorder accumulator as of the
+// batch's last item — intake runs ahead of the core on the source
+// goroutine, and a snapshot cut at this batch must record the accumulator
+// as it stood here, not as the source stage has advanced it since.
 type itemBatch struct {
 	items []stream.Item
-	snap  *snapCut
-}
-
-// snapCut is a snapshot under construction riding the pipeline in-band, so
-// each stage contributes its state at exactly the cut position: stage 1
-// fixes the journal cut (after syncing it — a snapshot must never reference
-// records that could still vanish) and the disorder accumulators, stage 3
-// adds the handler state once every pre-cut item is inserted, and stage 4
-// adds the operator state and writes the file once every pre-cut release is
-// observed. The result is bit-identical to a synchronous snapshot at the
-// same item position.
-type snapCut struct {
-	records  uint64 // journal records covered (stage 1)
-	items    uint64 // journal items covered (stage 1)
-	disorder durable.DisorderCut
-	handler  *durable.HandlerState // stage 3
-	now      stream.Time           // arrival clock at the cut (stage 3)
+	cut   durable.DisorderCut
 }
 
 const (
 	// defaultIngestCap is the historical bound (in tuples) on the
-	// source→disorder channel.
+	// source→core channel.
 	defaultIngestCap = 256
-	// defaultReleaseCap is the historical bound (in tuples) on the
-	// disorder→window channel.
-	defaultReleaseCap = 256
+	// maxDispatchBatch bounds (in tuples) the batches the grouped
+	// dispatcher hands the window shards.
+	maxDispatchBatch = 256
 	// defaultBatch is the transport batch size when Batch was not called.
 	defaultBatch = 64
 	// maxDefaultShards caps the automatic shard count for grouped queries.
 	maxDefaultShards = 8
 )
 
-// RunConcurrent executes the query as a pipeline of goroutines connected
-// by channels: source → transform → disorder handler → window operator.
-// Results are streamed to sink (from the window stage's goroutine) as they
-// are emitted, and the final report is returned once the source is
-// exhausted or ctx is cancelled.
+// RunConcurrent executes the query as a two-goroutine pipeline around the
+// step core: a source stage that pulls (with retry), applies filter/map,
+// measures disorder, sheds under overload and batches; and a core stage
+// that steps each batch through the disorder handler and the window
+// operator (see Exec). Results are streamed to sink from the core stage's
+// goroutine as they are emitted, and the final report is returned once the
+// source is exhausted or ctx is cancelled. Over a shared fan-out ring
+// (NewShared, RunShared) the ring already is the ingest queue, so the two
+// stages collapse into one goroutine: NextBatch → intake → Step → Release.
 //
-// Transport between stages is batched: stages exchange pooled slices of up
-// to Batch items, recycled through sync.Pools, so a saturated pipeline
-// pays one channel operation per batch instead of per tuple. Partial
-// batches ship as soon as the downstream queue is idle, and heartbeats,
-// the pre-flush mark and end-of-stream always force the batch out, so
-// batching changes neither emission order nor the PreFlush latency
-// accounting.
+// Transport between the stages is batched: pooled slices of up to Batch
+// items, recycled through a sync.Pool, so a saturated pipeline pays one
+// channel operation per batch instead of per tuple. Partial batches ship
+// as soon as the core is idle, and heartbeats and end-of-stream always
+// force the batch out, so batching changes neither emission order nor the
+// PreFlush latency accounting.
 //
 // Grouped queries run the window stage on Shards parallel workers: the
-// disorder stage's output is hash-partitioned by group key, each worker
+// core's released tuples are hash-partitioned by group key, each worker
 // owns its partition's keyed window state, and per-shard results are
 // merged back into KeyedOp's canonical by-key order. Output — results,
 // order, stats — is identical to the synchronous Run for every shard and
@@ -83,331 +62,140 @@ const (
 //
 // Failure semantics: a panic in any stage (including a shard worker) is
 // recovered, cancels the pipeline, and is returned as an error naming the
-// stage. A source error is retried per the Retry policy (if configured)
-// and aborts the pipeline once the budget is exhausted or the circuit
-// breaker opens. Under the shedding overload policies a full ingest queue
-// drops tuples instead of blocking; drops are counted on the report and —
+// stage. A source error is retried per the Retry policy (if configured);
+// once the budget is exhausted or the circuit breaker opens, everything
+// accepted before the error is still applied (and, for a durable query,
+// journaled) and then the error is returned. A durability error aborts the
+// run. Under the shedding overload policies a full ingest queue drops
+// tuples instead of blocking; drops are counted on the report and —
 // because shed tuples are still recorded as input — degrade the
 // oracle-compared realized quality. Cancellation never deadlocks, even
-// when sink blocks forever: the drain loop abandons the window stage
-// rather than waiting on it (the stuck sink's goroutine is leaked, which
-// is the best Go can do about a callback that never returns).
+// when sink blocks forever: the executor abandons the core stage rather
+// than waiting on it (the stuck sink's goroutine is leaked, which is the
+// best Go can do about a callback that never returns).
 func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) (*AggReport, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	handler := q.handler
-	if handler == nil {
-		handler = buffer.Zero()
-	}
-	handler = q.traceHandler(handler)
-	rep := &AggReport{}
 
-	// Internal cancellation: stage failures cancel the whole pipeline so
-	// sibling stages blocked on channel operations unwind promptly.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var failMu sync.Mutex
-	var failErr error
-	fail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-		}
-		failMu.Unlock()
-		cancel()
-	}
+	// Internal cancellation: a stage failure cancels the whole pipeline,
+	// with the failure as the cause, so sibling stages blocked on channel
+	// operations unwind promptly. failure tells it from the caller's cancel.
+	ctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
 	failure := func() error {
-		failMu.Lock()
-		defer failMu.Unlock()
-		return failErr
-	}
-	// recoverStage converts a stage panic into a pipeline error naming
-	// the stage; it must run before the stage's channel-closing defer.
-	recoverStage := func(stage string) {
-		if p := recover(); p != nil {
-			fail(fmt.Errorf("cq: %s stage panicked: %v", stage, p))
+		if cause := context.Cause(ctx); cause != ctx.Err() {
+			return cause
 		}
+		return nil
+	}
+	// srcErr is a terminal source error: not a cancel — what was accepted
+	// before it is still applied. Written before items closes, read after.
+	var srcErr error
+
+	x, err := newExec(q, sink)
+	if err != nil {
+		return nil, err
+	}
+	var shards *shardStage
+	if q.grouped {
+		n := q.shards
+		if n <= 0 {
+			n = min(runtime.GOMAXPROCS(0), maxDefaultShards)
+		}
+		shards = newShardStage(ctx, x, n, sink, fail)
+		x.win = shards
 	}
 
 	batchSize := q.batchSize
 	if batchSize <= 0 {
 		batchSize = defaultBatch
 	}
-	ingestCap := q.ingestCap
-	if ingestCap <= 0 {
-		ingestCap = defaultIngestCap
-	}
-	releaseCap := q.releaseCap
-	if releaseCap <= 0 {
-		releaseCap = defaultReleaseCap
-	}
-	// Capacities are configured in tuples; batches divide them, and a
-	// batch never exceeds the queue bound itself.
-	srcBatch := min(batchSize, ingestCap)
-	// Minimum batch for a starvation-triggered ship (see the idle-ship
-	// branch in the source stage); a full srcBatch still ships eagerly.
-	idleShipMin := min(32, srcBatch)
-	relBatch := min(batchSize, releaseCap)
-	items := make(chan itemBatch, max(1, ingestCap/srcBatch))
-	rels := make(chan []released, max(1, releaseCap/relBatch))
 	done := make(chan struct{})
+	// coreStage wraps the goroutine that owns the Exec: convert a panic
+	// into the stage error, join the shard workers, then signal done. (A
+	// crash recovery's journal suffix is replayed by the first Step or by
+	// Finish; its emissions reach sink like live ones.)
+	coreStage := func(body func()) {
+		defer close(done)
+		if shards != nil {
+			defer shards.close()
+		}
+		defer func() {
+			if p := recover(); p != nil {
+				fail(x.panicErr(p))
+			}
+		}()
+		body()
+		if ctx.Err() != nil || srcErr != nil {
+			return // cancelled or failed: no bogus final flush
+		}
+		if err := x.Finish(); err != nil {
+			fail(err)
+		}
+	}
 
-	// Batch slices are recycled: each consumer returns the batches it
-	// finished, so a steady-state pipeline allocates no transport memory.
-	var itemPool, relPool sync.Pool
-	itemPool.New = func() any { return make([]stream.Item, 0, srcBatch) }
-	relPool.New = func() any { return make([]released, 0, relBatch) }
-	getItemBatch := func() []stream.Item { return itemPool.Get().([]stream.Item)[:0] }
-	getRelBatch := func() []released { return relPool.Get().([]released)[:0] }
-
-	src := q.source
 	var retrier *resilience.RetryingSource
-	if q.retry != nil && q.shared == nil {
-		retry := *q.retry
-		if retry.Clock == nil {
-			retry.Clock = q.clock // nil stays nil: NewRetryingSource defaults to wall
-		}
-		if q.tracer != nil {
-			tr := q.tracer
-			retry.OnRetry = func(attempt int, err error) { tr.Retry(0, attempt) }
-			retry.OnBreakerTrip = func() { tr.BreakerTrip(0) }
-		}
-		retrier = resilience.NewRetryingSource(ctx, src, retry)
-		src = retrier
-	}
-
-	// The plain window operator is built up front (grouped queries build
-	// their sharded operators at stage-4 setup) so durable recovery can
-	// restore into it and replay before the pipeline launches.
-	var op *window.Op
-	if !q.grouped {
-		op = window.NewOpWithCore(q.spec, q.agg, q.policy, q.refineFor, q.aggCore)
-	}
-
-	var inputTuples []stream.Tuple
-	var dis disorderAcc
-	var recNow stream.Time
-	dur, suffix, err := q.startDurable(handler, op, &dis, &recNow)
-	if err != nil {
-		return nil, err
-	}
-	// Recovery replay runs synchronously before the pipeline launches: the
-	// journal suffix flows through the same handler → operator path, with
-	// emissions below the durable floor suppressed and the rest delivered
-	// to the sinks like live results (lost in the crash, owed to the
-	// consumer).
-	if len(suffix) > 0 {
-		var rel []stream.Tuple
-		var scratch []window.Result
-		for _, it := range suffix {
-			if !it.Heartbeat {
-				t := it.Tuple
-				if q.keepInput {
-					inputTuples = append(inputTuples, t)
-				}
-				dis.observe(t)
-				if t.Arrival > recNow {
-					recNow = t.Arrival
-				}
-			} else if it.Watermark > recNow {
-				recNow = it.Watermark
-			}
-			rel = handler.Insert(it, rel[:0])
-			for _, tt := range rel {
-				scratch = op.Observe(tt, recNow, scratch[:0])
-				for _, res := range scratch {
-					if dur.suppress(res) {
-						continue
-					}
-					if !q.discardRep {
-						rep.Results = append(rep.Results, res)
-					}
-					q.telem.noteResult(res, false)
-					q.tracer.Emit(int64(res.EmitArrival), -1, res.Idx, int64(res.Start), int64(res.End), 0, res.Count, int64(res.Latency()))
-					if sink != nil {
-						sink(res)
-					}
-				}
-			}
-		}
-	}
-	if dur != nil && dur.info != nil {
-		rep.Recovery = dur.info
-		q.tracer.Recovery(int64(recNow), dur.info.ReplayedItems, dur.floor, dur.info.TruncatedBytes)
-	}
-
-	// Stage 1+2: source + transform. Owns the source, the shed counter and
-	// the report's input/disorder fields until it closes items. Disorder is
-	// measured inline (same definition as stream.MeasureDisorder, and the
-	// same code path as Run) so an unbounded stream is never retained.
 	var shed int64
+	var items chan itemBatch
 	if q.shared != nil {
-		// Shared-source mode: stages 1-3 collapse into one ring receiver.
-		// The fan-out ring already is the ingest queue — batches are
-		// borrowed in place from the producer's publish (no copy, no
-		// per-query channel) and released once the disorder handler has
-		// absorbed them. Per-consumer work (filter/map, disorder
-		// accounting, KeepInput) still happens here, per query, so the
-		// report is field-for-field what a standalone run over the same
-		// stream would produce; only the shared decode/generate/journal
-		// work upstream of the ring is paid once for all subscribers.
-		q.telem.fanoutGauges(q.shared)
-		sub := q.shared
+		go coreStage(func() { q.receiveRing(ctx, x, fail) })
+	} else {
+		ingestCap := q.ingestCap
+		if ingestCap <= 0 {
+			ingestCap = defaultIngestCap
+		}
+		// The capacity is configured in tuples; batches divide it, and a
+		// batch never exceeds the queue bound itself.
+		srcBatch := min(batchSize, ingestCap)
+		items = make(chan itemBatch, max(1, ingestCap/srcBatch))
+		// Batch slices are recycled: the core returns the batches it
+		// finished, so a steady-state pipeline allocates no transport memory.
+		var pool sync.Pool
+		pool.New = func() any { return make([]stream.Item, 0, srcBatch) }
+
+		src := q.source
+		if q.retry != nil {
+			retry := *q.retry
+			if retry.Clock == nil {
+				retry.Clock = q.clock // nil stays nil: NewRetryingSource defaults to wall
+			}
+			if q.tracer != nil {
+				tr := q.tracer
+				retry.OnRetry = func(attempt int, err error) { tr.Retry(0, attempt) }
+				retry.OnBreakerTrip = func() { tr.BreakerTrip(0) }
+			}
+			retrier = resilience.NewRetryingSource(ctx, src, retry)
+			src = retrier
+		}
+
+		// Source stage. Owns the source, the shed counter and the Exec's
+		// intake fields (input record, disorder accumulator) until it
+		// closes items.
 		go func() {
-			defer close(rels)
-			defer recoverStage("source")
-			// A consumer that stops reading must never wedge the producer
-			// or its Block peers: leaving marks the cursor dead.
-			defer sub.Unsubscribe()
-			now := recNow
-			var rel []stream.Tuple
-			var ends []int
-			var staged []stream.Item // transform staging (filter/map only)
-			transforming := q.filter != nil || q.mapFn != nil
-			cur := getRelBatch()
-			ship := func() bool {
+			defer close(items)
+			defer func() {
+				if p := recover(); p != nil {
+					fail(fmt.Errorf("cq: %s stage panicked: %v", stageSource, p))
+				}
+			}()
+			// Minimum batch for a starvation-triggered ship (see the
+			// idle-ship branch below); a full srcBatch still ships eagerly.
+			idleShipMin := min(32, srcBatch)
+			cur := pool.Get().([]stream.Item)[:0]
+			// cut is the disorder accumulator as of cur's last item. It is
+			// taken at append time, not ship time: by then intake has
+			// already seen the item that found the batch full.
+			var cut durable.DisorderCut
+			// ship sends the in-progress batch downstream; the non-blocking
+			// form is the overload probe, the blocking form applies
+			// backpressure. False means the queue refused (probe) or the
+			// pipeline was cancelled (blocking).
+			ship := func(block bool) bool {
 				if len(cur) == 0 {
 					return true
 				}
-				n := len(cur)
-				select {
-				case rels <- cur:
-				case <-ctx.Done():
-					return false
-				}
-				q.telem.noteReleaseBatch(n)
-				cur = getRelBatch()
-				return true
-			}
-			push := func(r released) bool {
-				cur = append(cur, r)
-				if !r.mark && !r.flush && r.snap == nil {
-					q.telem.noteRelease(len(rels)*relBatch + len(cur))
-				}
-				if r.mark || r.flush || r.snap != nil || len(cur) >= relBatch || len(rels) == 0 {
-					return ship()
-				}
-				return true
-			}
-			for {
-				items, seq, ok, err := sub.NextBatch(ctx)
-				if err != nil {
-					if ctx.Err() == nil {
-						fail(fmt.Errorf("cq: source: %w", err))
-					}
-					return
-				}
-				if !ok {
-					break
-				}
-				// The published batch is immutable and borrowed: filter/map
-				// must stage into a private slice, everything else only
-				// reads. Tuples entering the handler are value copies, so
-				// the batch can be released as soon as it is absorbed.
-				eff := items
-				if transforming {
-					staged = staged[:0]
-					for _, it := range items {
-						if it.Heartbeat {
-							staged = append(staged, it)
-							continue
-						}
-						t, keep := q.transform(it.Tuple)
-						if !keep {
-							continue
-						}
-						staged = append(staged, stream.DataItem(t))
-					}
-					eff = staged
-				}
-				depth := int(sub.Pending())
-				for _, it := range eff {
-					if !it.Heartbeat {
-						if q.keepInput {
-							inputTuples = append(inputTuples, it.Tuple)
-						}
-						dis.observe(it.Tuple)
-					}
-					q.telem.noteSource(it.Heartbeat, depth)
-				}
-				q.telem.noteIngestBatch(len(eff))
-				q.tracer.SourceBatch(int64(dis.clock), len(eff))
-				rel, ends = buffer.InsertBatch(handler, eff, rel[:0], ends[:0])
-				start := 0
-				for i, it := range eff {
-					if it.Heartbeat {
-						if it.Watermark > now {
-							now = it.Watermark
-						}
-					} else if it.Tuple.Arrival > now {
-						now = it.Tuple.Arrival
-					}
-					for _, t := range rel[start:ends[i]] {
-						if !push(released{tuple: t, now: now}) {
-							return
-						}
-					}
-					start = ends[i]
-				}
-				sub.Release(seq)
-			}
-			if failure() != nil {
-				return
-			}
-			if !push(released{now: now, mark: true}) {
-				return
-			}
-			rel = handler.Flush(rel[:0])
-			for _, t := range rel {
-				if !push(released{tuple: t, now: now}) {
-					return
-				}
-			}
-			push(released{now: now, flush: true})
-		}()
-	} else {
-		go func() {
-			defer close(items)
-			defer recoverStage("source")
-			cur := getItemBatch()
-			var pendingSnap *snapCut
-			// perItem selects the paranoid journal cadence: CommitEvery 1 means
-			// every accepted item is journaled and flushed at the accept point,
-			// so the durable prefix equals the crash point exactly (what the DST
-			// crash oracle pins down). Otherwise appends are batched under one
-			// lock per shipped batch — journaled tracks the prefix of cur
-			// already in the journal.
-			perItem := dur != nil && dur.log.PerItemAppend()
-			journaled := 0
-			// journalTail journals the not-yet-journaled suffix of cur. Items in
-			// cur are accepted — journaling them before a send attempt (even one
-			// that fails the overload probe) is always sound; what matters is
-			// journal-before-downstream.
-			journalTail := func() bool {
-				if dur == nil || journaled >= len(cur) {
-					return true
-				}
-				if err := dur.log.AppendItems(cur[journaled:]); err != nil {
-					fail(fmt.Errorf("cq: journal: %w", err))
-					return false
-				}
-				journaled = len(cur)
-				return true
-			}
-			// ship sends the in-progress batch downstream; the non-blocking
-			// form is the overload probe, the blocking form applies
-			// backpressure. False means the pipeline was cancelled.
-			ship := func(block bool) bool {
-				if len(cur) == 0 && pendingSnap == nil {
-					return true
-				}
-				if !journalTail() {
-					return false
-				}
-				n := len(cur)
-				ib := itemBatch{items: cur, snap: pendingSnap}
+				ib := itemBatch{items: cur, cut: cut}
 				if block {
 					select {
 					case items <- ib:
@@ -421,41 +209,26 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 						return false
 					}
 				}
-				pendingSnap = nil
-				// No explicit commit here: the journal is a single ordered
-				// append stream, so every flush persists a prefix — an
-				// emit-progress record can never become durable ahead of the
-				// item records that caused it. Group commit therefore rides
-				// the appenders' CommitEvery cadence alone; committing per
-				// shipped batch would degenerate to a flush syscall per item
-				// whenever the downstream queue runs idle.
-				q.telem.noteIngestBatch(n)
-				q.tracer.SourceBatch(int64(dis.clock), n)
-				cur = getItemBatch()
-				journaled = 0
+				q.telem.noteIngestBatch(len(cur))
+				q.tracer.SourceBatch(int64(x.dis.clock), len(cur))
+				cur = pool.Get().([]stream.Item)[:0]
 				return true
 			}
 			for {
 				it, ok, err := src.NextErr()
 				if err != nil {
-					fail(fmt.Errorf("cq: source: %w", err))
+					// A durable query's journal ends exactly at the failure.
+					ship(true)
+					srcErr = fmt.Errorf("cq: source: %w", err)
 					return
 				}
 				if !ok {
 					ship(true)
 					return
 				}
-				late := false
-				if !it.Heartbeat {
-					t, keep := q.transform(it.Tuple)
-					if !keep {
-						continue
-					}
-					it = stream.DataItem(t)
-					if q.keepInput {
-						inputTuples = append(inputTuples, t)
-					}
-					late = dis.observe(t)
+				it, keep, late := x.accept(it)
+				if !keep {
+					continue
 				}
 				if len(cur) >= srcBatch && !ship(false) {
 					// Batch full and the queue refused it: overload. Heartbeats
@@ -474,46 +247,18 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 						return
 					}
 				}
-				// Journal the accepted item (post-shedding, post-transform)
-				// before it enters the pipeline: a crash after this point
-				// replays it, a crash before loses an item no stage acted on.
-				// The batched cadence defers the suffix of cur to ship time
-				// (journalTail) — still before anything downstream sees it.
-				if perItem {
-					if err := dur.log.AppendItem(it); err != nil {
-						fail(fmt.Errorf("cq: journal: %w", err))
-						return
-					}
-					journaled = len(cur) + 1
-				}
 				cur = append(cur, it)
-				q.telem.noteSource(it.Heartbeat, len(items)*srcBatch+len(cur))
-				if dur != nil && dur.log.ShouldSnapshot() {
-					// Fix the cut here — after journalTail the journal exactly
-					// covers the items shipped so far plus cur — and let the
-					// marker ride behind the current batch to collect handler
-					// and operator state.
-					if !journalTail() {
-						return
-					}
-					records, count, err := dur.log.CutForSnapshot()
-					if err != nil {
-						fail(fmt.Errorf("cq: snapshot cut: %w", err))
-						return
-					}
-					pendingSnap = &snapCut{records: records, items: count, disorder: dis.cut()}
-					if !ship(true) {
-						return
-					}
+				if x.log != nil {
+					cut = x.dis.cut()
 				}
-				// Heartbeats force the batch out so the disorder stage's clock
-				// keeps moving; an idle downstream queue means the consumer is
-				// starved, so holding a partial batch would only add latency.
-				// The idleShipMin floor keeps a starved consumer from
-				// degenerating the transport into per-item handoffs — each
-				// tiny ship costs two scheduler switches (ruinous on few
-				// cores), and a sub-minimum batch is at most one heartbeat
-				// away from being forced out anyway.
+				q.telem.noteSource(it.Heartbeat, len(items)*srcBatch+len(cur))
+				// Heartbeats force the batch out so the core's clock keeps
+				// moving; an idle queue means the core is starved, so holding
+				// a partial batch would only add latency. The idleShipMin
+				// floor keeps a starved core from degenerating the transport
+				// into per-item handoffs — each tiny ship costs two scheduler
+				// switches (ruinous on few cores), and a sub-minimum batch is
+				// at most one heartbeat away from being forced out anyway.
 				if it.Heartbeat || (len(items) == 0 && len(cur) >= idleShipMin) {
 					if !ship(true) {
 						return
@@ -522,237 +267,18 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 			}
 		}()
 
-		// Stage 3: disorder handler. Owns handler state. One scratch slice and
-		// one offsets slice are reused across every batch; InsertBatch lets
-		// batch-aware handlers (the K-slack heap) amortize per-call work while
-		// ends[i] preserves the per-item release attribution the arrival
-		// clock needs.
-		go func() {
-			defer close(rels)
-			defer recoverStage("disorder")
-			now := recNow // resume the arrival clock where recovery left it
-			var rel []stream.Tuple
-			var ends []int
-			cur := getRelBatch()
-			ship := func() bool {
-				if len(cur) == 0 {
-					return true
-				}
-				n := len(cur)
-				select {
-				case rels <- cur:
-				case <-ctx.Done():
-					return false
-				}
-				q.telem.noteReleaseBatch(n)
-				cur = getRelBatch()
-				return true
-			}
-			push := func(r released) bool {
-				cur = append(cur, r)
-				if !r.mark && !r.flush && r.snap == nil {
-					q.telem.noteRelease(len(rels)*relBatch + len(cur))
-				}
-				// Marks, flushes and snapshot cuts must reach the window stage
-				// immediately; otherwise ship on a full batch or an idle
-				// downstream queue.
-				if r.mark || r.flush || r.snap != nil || len(cur) >= relBatch || len(rels) == 0 {
-					return ship()
-				}
-				return true
-			}
+		go coreStage(func() {
 			for ib := range items {
-				rel, ends = buffer.InsertBatch(handler, ib.items, rel[:0], ends[:0])
-				start := 0
-				for i, it := range ib.items {
-					if it.Heartbeat {
-						if it.Watermark > now {
-							now = it.Watermark
-						}
-					} else if it.Tuple.Arrival > now {
-						now = it.Tuple.Arrival
-					}
-					for _, t := range rel[start:ends[i]] {
-						if !push(released{tuple: t, now: now}) {
-							return
-						}
-					}
-					start = ends[i]
-				}
-				if ib.snap != nil {
-					// Every pre-cut item is now inserted: the handler state is
-					// exactly the cut's. Capture it and pass the marker on.
-					hs, err := durable.SaveHandler(handler)
-					if err != nil {
-						fail(fmt.Errorf("cq: snapshot: %w", err))
-						return
-					}
-					ib.snap.handler, ib.snap.now = hs, now
-					if !push(released{now: now, snap: ib.snap}) {
-						return
-					}
-				}
-				itemPool.Put(ib.items[:0])
-			}
-			if failure() != nil {
-				return // upstream failed: don't emit a bogus final flush
-			}
-			if !push(released{now: now, mark: true}) {
-				return
-			}
-			rel = handler.Flush(rel[:0])
-			for _, t := range rel {
-				if !push(released{tuple: t, now: now}) {
-					return
-				}
-			}
-			push(released{now: now, flush: true})
-		}()
-	}
-
-	// Stage 4: window operator(s) + sink. Owns operator state and the
-	// report's results.
-	var ks *keyedShards
-	if q.grouped {
-		nshards := q.shards
-		if nshards <= 0 {
-			nshards = min(runtime.GOMAXPROCS(0), maxDefaultShards)
-		}
-		ks = newKeyedShards(q, nshards, fail)
-		// The stage splits in two so the serial merge overlaps the parallel
-		// window work: the dispatcher feeds each batch to every shard and
-		// queues it for the merger, which gathers the per-shard chunks and
-		// interleaves them while the workers are already computing the next
-		// batch.
-		pending := make(chan []released, 2)
-		mergeDone := make(chan struct{})
-		go func() {
-			defer close(mergeDone)
-			defer recoverStage("window")
-			chunks := make([]shardChunk, ks.n)
-			postMark := false
-			var mergeBuf []window.KeyedResult // merge scratch for DiscardReport
-			for rb := range pending {
-				if ctx.Err() != nil || !ks.collect(ctx.Done(), chunks) {
-					// Cancelled (possibly mid-batch, with a worker still
-					// holding rb): keep draining pending without merging and
-					// let the abandoned batches go to the GC instead of the
-					// pool.
-					continue
-				}
-				for i, r := range rb {
-					if r.mark {
-						rep.PreFlush = len(rep.Keyed)
-						postMark = true
-						continue
-					}
-					var step []window.KeyedResult
-					if q.discardRep {
-						mergeBuf = mergeStep(chunks, i, mergeBuf[:0])
-						step = mergeBuf
-					} else {
-						base := len(rep.Keyed)
-						rep.Keyed = mergeStep(chunks, i, rep.Keyed)
-						step = rep.Keyed[base:]
-					}
-					for _, kr := range step {
-						q.telem.noteResult(kr.Result, postMark)
-						q.tracer.Emit(int64(kr.EmitArrival), -1, kr.Idx, int64(kr.Start), int64(kr.End), kr.Key, kr.Count, int64(kr.Latency()))
-						if q.keyedSink != nil {
-							q.keyedSink(kr)
-						}
-						if sink != nil {
-							sink(kr.Result)
-						}
-					}
-					if r.flush {
-						q.tracer.Flush(int64(r.now))
-					}
-				}
-				relPool.Put(rb[:0])
-			}
-		}()
-		go func() {
-			defer close(done)
-			defer recoverStage("window")
-			defer ks.close()
-			defer func() { <-mergeDone }()
-			defer close(pending)
-			for rb := range rels {
-				if ctx.Err() != nil || !ks.dispatch(ctx.Done(), rb) {
-					continue
-				}
-				select {
-				case pending <- rb:
-				case <-ctx.Done():
-				}
-			}
-		}()
-	} else {
-		go func() {
-			defer close(done)
-			defer recoverStage("window")
-			var scratch []window.Result
-			postMark := false // results after the mark are flush-forced
-			for rb := range rels {
 				if ctx.Err() != nil {
-					continue // cancelled: drain rels without invoking the sink
+					continue // cancelled: drain without invoking the sink
 				}
-				for _, r := range rb {
-					if r.snap != nil {
-						// Every pre-cut release is observed: the operator
-						// state is exactly the cut's. Complete and persist
-						// the snapshot.
-						if err := dur.writeSnapshotWith(r.snap.handler, op,
-							r.snap.records, r.snap.items, r.snap.now, r.snap.disorder); err != nil {
-							fail(fmt.Errorf("cq: snapshot: %w", err))
-							return
-						}
-						q.tracer.Snapshot(int64(r.now), r.snap.records)
-						continue
-					}
-					switch {
-					case r.mark:
-						rep.PreFlush = len(rep.Results)
-						postMark = true
-						continue
-					case r.flush:
-						scratch = op.Flush(r.now, scratch[:0])
-					default:
-						scratch = op.Observe(r.tuple, r.now, scratch[:0])
-					}
-					for _, res := range scratch {
-						if dur.suppress(res) {
-							continue
-						}
-						if !q.discardRep {
-							rep.Results = append(rep.Results, res)
-						}
-						q.telem.noteResult(res, postMark)
-						q.tracer.Emit(int64(res.EmitArrival), -1, res.Idx, int64(res.Start), int64(res.End), 0, res.Count, int64(res.Latency()))
-						if sink != nil {
-							sink(res)
-						}
-					}
-					if r.flush {
-						q.tracer.Flush(int64(r.now))
-					}
+				if err := x.step(ib.items, &ib.cut); err != nil {
+					fail(err)
+					continue
 				}
-				if dur != nil && !postMark {
-					// Record the emission cursor once per transport batch;
-					// the log dedupes monotone repeats. Flush-forced
-					// emissions are excluded: they exist only because the
-					// stream ended, and journaling them would suppress
-					// their re-emission if the "ended" stream turns out to
-					// have a continuation after recovery.
-					if err := dur.noteEmitProgress(op); err != nil {
-						fail(fmt.Errorf("cq: journal: %w", err))
-						return
-					}
-				}
-				relPool.Put(rb[:0])
+				pool.Put(ib.items[:0])
 			}
-		}()
+		})
 	}
 
 	select {
@@ -760,14 +286,16 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 		if err := failure(); err != nil {
 			return nil, err
 		}
+		if srcErr != nil {
+			return nil, srcErr
+		}
 	case <-ctx.Done():
-		// Drain rels alongside (or instead of) stage 4 so the disorder
-		// stage can exit and close it — this must not wait on done,
-		// because a sink that blocks forever would wedge stage 4 and,
-		// with it, the old `<-done` drain. Stage 1 and 3 exit via their
-		// ctx selects; rels is closed by stage 3's defer, ending this
-		// loop without timeouts.
-		for range rels {
+		// Join the source stage (it exits through its ctx selects and
+		// closes items) but not the core stage: a sink that blocks forever
+		// would wedge it, and with it this return.
+		if items != nil {
+			for range items {
+			}
 		}
 		if err := failure(); err != nil {
 			return nil, err
@@ -775,32 +303,80 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 		return nil, ctx.Err()
 	}
 
-	rep.Input = inputTuples
-	rep.Disorder = dis.finish()
-	if dur != nil {
-		if err := dur.log.Commit(); err != nil {
-			return nil, fmt.Errorf("cq: journal: %w", err)
-		}
-	}
+	rep := x.Report()
 	if q.shared != nil {
 		// Ring-level losses (ShedOldest laps) are this query's sheds:
 		// fold them into the same accounting the overload policies use.
 		// Unlike engine-side sheds the lapped tuples never reached the
-		// per-query transform, so they are absent from Input/Disorder —
+		// per-query intake, so they are absent from Input/Disorder —
 		// quality must be read through the shed-adjusted metrics.
 		shed = q.shared.Shed()
 	}
-	st := handler.Stats()
-	st.Shed = shed
-	rep.Handler = st
+	rep.Handler.Shed = shed
 	rep.Shed = shed
 	if retrier != nil {
 		rep.Retries = retrier.Retries()
 	}
-	if ks != nil {
-		rep.Op = ks.opStats()
-	} else {
-		rep.Op = op.Stats()
-	}
 	return rep, nil
+}
+
+// receiveRing is the shared-source driver loop: the fan-out ring already
+// is the ingest queue — batches are borrowed in place from the producer's
+// publish (no copy, no per-query channel), stepped whole, and released
+// once the core has absorbed them. Per-consumer work (filter/map, disorder
+// accounting, KeepInput) still happens here, per query, so the report is
+// field-for-field what a standalone run over the same stream would
+// produce; only the shared decode/generate/journal work upstream of the
+// ring is paid once for all subscribers.
+func (q *AggQuery) receiveRing(ctx context.Context, x *Exec, fail func(error)) {
+	sub := q.shared
+	q.telem.fanoutGauges(sub)
+	// A consumer that stops reading must never wedge the producer or its
+	// Block peers: leaving marks the cursor dead.
+	defer sub.Unsubscribe()
+	var staged []stream.Item // transform staging (filter/map only)
+	transforming := q.filter != nil || q.mapFn != nil
+	for {
+		items, seq, ok, err := sub.NextBatch(ctx)
+		if err != nil {
+			if ctx.Err() == nil {
+				fail(fmt.Errorf("cq: source: %w", err))
+			}
+			return
+		}
+		if !ok {
+			return
+		}
+		// The published batch is immutable and borrowed: filter/map must
+		// stage into a private slice, everything else only reads. Tuples
+		// entering the handler are value copies, so the batch can be
+		// released as soon as it is stepped.
+		eff := items
+		if transforming {
+			staged = staged[:0]
+			for _, it := range items {
+				if out, keep, _ := x.accept(it); keep {
+					staged = append(staged, out)
+				}
+			}
+			eff = staged
+		} else {
+			for _, it := range items {
+				if !it.Heartbeat {
+					x.noteInput(it.Tuple)
+				}
+			}
+		}
+		depth := int(sub.Pending())
+		for _, it := range eff {
+			q.telem.noteSource(it.Heartbeat, depth)
+		}
+		q.telem.noteIngestBatch(len(eff))
+		q.tracer.SourceBatch(int64(x.dis.clock), len(eff))
+		if err := x.Step(eff); err != nil {
+			fail(err)
+			return
+		}
+		sub.Release(seq)
+	}
 }

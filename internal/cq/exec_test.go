@@ -1,0 +1,322 @@
+package cq
+
+import (
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/buffer"
+	"repro/internal/core"
+	"repro/internal/durable"
+	"repro/internal/gen"
+	"repro/internal/obs/tracez"
+	"repro/internal/stats"
+	"repro/internal/stream"
+	"repro/internal/window"
+)
+
+// execItems is a disordered sensor stream with heartbeats: both item kinds
+// move the arrival clock.
+func execItems(n int, seed uint64) []stream.Item {
+	return stream.Collect(stream.NewWithHeartbeats(gen.Sensor(n, seed).Source(), stream.Second))
+}
+
+// stepAll feeds items to x in batches whose sizes rng draws from [1, max]
+// (max 1: one item per step) and finishes the stream.
+func stepAll(t *testing.T, x *Exec, items []stream.Item, rng *stats.RNG, max int) {
+	t.Helper()
+	for len(items) > 0 {
+		n := 1 + rng.Intn(max)
+		if n > len(items) {
+			n = len(items)
+		}
+		if err := x.Step(items[:n]); err != nil {
+			t.Fatal(err)
+		}
+		items = items[n:]
+	}
+}
+
+// execState is everything a snapshot would capture, as comparable JSON.
+func execState(t *testing.T, x *Exec) string {
+	t.Helper()
+	hs, err := durable.SaveHandler(x.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit, have := x.op.EmitProgress()
+	b, err := json.Marshal(struct {
+		Handler *durable.HandlerState
+		Op      window.OpState
+		Emit    int64
+		Have    bool
+		Now     stream.Time
+	}{hs, x.op.State(), emit, have, x.Now()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestExecBatchSplitInvariance is the core's own contract: how a driver
+// cuts the item sequence into Step batches changes nothing — not the
+// results, not the report, not the state a snapshot would save, not the
+// emission cursor — for every snapshot-capable handler on both cores.
+func TestExecBatchSplitInvariance(t *testing.T) {
+	items := execItems(6000, 17)
+	handlers := map[string]func() buffer.Handler{
+		"kslack":     func() buffer.Handler { return buffer.NewKSlack(800) },
+		"maxslack":   func() buffer.Handler { return buffer.NewMaxSlack() },
+		"percentile": func() buffer.Handler { return buffer.NewPercentile(0.95, 64) },
+		"aq": func() buffer.Handler {
+			return core.NewAQKSlack(core.Config{Theta: 0.02, Spec: testSpec, Agg: window.Sum(),
+				WarmupTuples: 200, Estimator: core.EstimatorConfig{Seed: 5, ReservoirSize: 128, MCTrials: 4}})
+		},
+	}
+	for name, mk := range handlers {
+		for _, kind := range []window.CoreKind{window.CoreLegacy, window.CoreFiba} {
+			t.Run(fmt.Sprintf("%s/%s", name, kind), func(t *testing.T) {
+				build := func() *Exec {
+					x, err := NewExec(New(nil).Handle(mk()).Window(testSpec, window.Sum()).AggCore(kind), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return x
+				}
+				ref := build()
+				stepAll(t, ref, items, stats.NewRNG(1), 1)
+				// Mid-stream state first (a snapshot is cut mid-stream), then
+				// the finished report.
+				refState := execState(t, ref)
+				if err := ref.Finish(); err != nil {
+					t.Fatal(err)
+				}
+				want := ref.Report()
+				if len(want.Results) == 0 {
+					t.Fatal("reference emitted nothing; the comparison proves nothing")
+				}
+				for seed := uint64(2); seed < 6; seed++ {
+					x := build()
+					stepAll(t, x, items, stats.NewRNG(seed), 300)
+					if got := execState(t, x); got != refState {
+						t.Fatalf("split seed %d: snapshot state diverged from one-item steps", seed)
+					}
+					if err := x.Finish(); err != nil {
+						t.Fatal(err)
+					}
+					if got := x.Report(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("split seed %d: report diverged:\n got %d results, handler %+v, op %+v, preflush %d\nwant %d results, handler %+v, op %+v, preflush %d",
+							seed, len(got.Results), got.Handler, got.Op, got.PreFlush,
+							len(want.Results), want.Handler, want.Op, want.PreFlush)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestExecCrashInTheMiddle drives the core directly through a crash: step
+// some batches, group-commit, die; a new Exec over the reopened log
+// recovers and takes the rest. What the two processes delivered,
+// concatenated, is exactly the uninterrupted run — nothing lost, nothing
+// twice.
+func TestExecCrashInTheMiddle(t *testing.T) {
+	items := execItems(5000, 23)
+	build := func(log *durable.QueryLog, sink func(window.Result)) *Exec {
+		q := New(nil).Handle(buffer.NewKSlack(1500)).Window(testSpec, window.Sum())
+		if log != nil {
+			q.Durable(Durable{Log: log})
+		}
+		x, err := NewExec(q, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	full := build(nil, nil)
+	stepAll(t, full, items, stats.NewRNG(1), 97)
+	if err := full.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	want := full.Report().Results
+
+	for _, cut := range []int{700, 2600, 4400} {
+		opts := durable.Options{Dir: t.TempDir(), CommitEvery: 64, SnapshotEvery: 900}
+		var delivered []window.Result
+		sink := func(r window.Result) { delivered = append(delivered, r) }
+
+		log := mustOpenLog(t, opts)
+		stepAll(t, build(log, sink), items[:cut], stats.NewRNG(uint64(cut)), 97)
+		if err := log.Commit(); err != nil { // the crash lands right after a group commit
+			t.Fatal(err)
+		}
+		log.Abandon()
+		before := len(delivered)
+
+		log2 := mustOpenLog(t, opts)
+		x := build(log2, sink)
+		rec := x.Report().Recovery
+		if rec == nil || rec.ReplayedItems == 0 {
+			t.Fatalf("cut %d: nothing recovered: %+v", cut, rec)
+		}
+		if cut > 900 && !rec.FromSnapshot {
+			t.Fatalf("cut %d: recovery ignored the snapshot", cut)
+		}
+		// The journal suffix is pending: a driver replays it with Resume, or
+		// leaves it to the first Step (cut 2600).
+		if cut != 2600 {
+			x.Resume()
+		}
+		if len(delivered) != before {
+			t.Fatalf("cut %d: recovery re-delivered %d results the dead process had already delivered durably",
+				cut, len(delivered)-before)
+		}
+		stepAll(t, x, items[cut:], stats.NewRNG(uint64(cut)+1), 97)
+		if err := x.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		log2.Close()
+		if !reflect.DeepEqual(delivered, want) {
+			t.Fatalf("cut %d: two processes delivered %d results, uninterrupted run %d (or they differ)",
+				cut, len(delivered), len(want))
+		}
+		if got := x.Report(); got.Handler != full.Report().Handler || got.Op != full.Report().Op {
+			t.Fatalf("cut %d: recovered stats diverged from the uninterrupted run", cut)
+		}
+	}
+}
+
+// chokingHandler panics on one tuple before its handler sees it.
+type chokingHandler struct {
+	buffer.Handler
+	poison uint64 // Seq
+}
+
+func (h *chokingHandler) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
+	if !it.Heartbeat && it.Tuple.Seq == h.poison {
+		panic("poisoned tuple")
+	}
+	return h.Handler.Insert(it, out)
+}
+
+// stepIsolating steps items in batches of 256 the way a panic-isolating
+// driver does — recover, read InFlight, Resume — and returns what InFlight
+// said at each panic.
+func stepIsolating(t *testing.T, x *Exec, items []stream.Item) (stages []tracez.Stage, hit []stream.Item) {
+	t.Helper()
+	run := func(f func()) (completed bool) {
+		defer func() {
+			if p := recover(); p != nil {
+				stage, it := x.InFlight()
+				stages, hit = append(stages, stage), append(hit, it)
+			}
+		}()
+		f()
+		return true
+	}
+	for len(items) > 0 {
+		batch := items[:min(256, len(items))]
+		items = items[len(batch):]
+		if !run(func() {
+			if err := x.Step(batch); err != nil {
+				t.Error(err)
+			}
+		}) {
+			for !run(x.Resume) {
+			}
+		}
+	}
+	if err := x.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return stages, hit
+}
+
+// TestExecResumeBehindPanic is the core half of panic isolation: a panic
+// inside Step, in either stage, costs the item in flight and nothing else.
+// In the disorder stage (a handler that chokes on one tuple) that is exact:
+// the run equals one that never saw the tuple. In the window stage (here:
+// the sink, on one result) the handler has already absorbed the item, so
+// the cost is bounded by what that one insertion released — not the rest of
+// the batch behind it.
+func TestExecResumeBehindPanic(t *testing.T) {
+	items := execItems(3000, 29)
+	mk := func(h buffer.Handler, sink func(window.Result)) *Exec {
+		x, err := NewExec(New(nil).Handle(h).Window(testSpec, window.Sum()), sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+
+	t.Run("disorder", func(t *testing.T) {
+		poisoned := 1500
+		for items[poisoned].Heartbeat {
+			poisoned++
+		}
+		ref := mk(buffer.NewKSlack(500), nil)
+		without := append(append([]stream.Item{}, items[:poisoned]...), items[poisoned+1:]...)
+		stepAll(t, ref, without, stats.NewRNG(1), 1)
+		if err := ref.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		x := mk(&chokingHandler{Handler: buffer.NewKSlack(500), poison: items[poisoned].Tuple.Seq}, nil)
+		stages, hit := stepIsolating(t, x, items)
+		if len(stages) != 1 || stages[0] != tracez.StageBuffer || hit[0] != items[poisoned] {
+			t.Fatalf("InFlight said %v %v; want one buffer-stage panic on %v", stages, hit, items[poisoned])
+		}
+		if got, want := x.Report(), ref.Report(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("a handler panic cost more than its item: %d results, handler %+v, op %+v; without the item %d, %+v, %+v",
+				len(got.Results), got.Handler, got.Op, len(want.Results), want.Handler, want.Op)
+		}
+	})
+
+	t.Run("window", func(t *testing.T) {
+		ref := mk(buffer.NewKSlack(500), nil)
+		stepAll(t, ref, items, stats.NewRNG(1), 1)
+		if err := ref.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		seen, atRisk, behind := 0, 0, 0
+		var x *Exec
+		x = mk(buffer.NewKSlack(500), func(window.Result) {
+			if seen++; seen == 10 {
+				// What the item in flight released, and how much of its batch
+				// is still waiting behind it.
+				atRisk, behind = len(x.rel), len(x.pend)-x.pos
+				panic("poisoned result")
+			}
+		})
+		stages, _ := stepIsolating(t, x, items)
+		if len(stages) != 1 || stages[0] != tracez.StageWindow {
+			t.Fatalf("InFlight said %v; want exactly the injected window-stage panic", stages)
+		}
+		if behind == 0 {
+			t.Fatal("nothing was pending behind the item in flight; the test proves nothing")
+		}
+		got, want := x.Report(), ref.Report()
+		if got.Handler != want.Handler {
+			t.Fatalf("handler stats diverged: %+v vs %+v", got.Handler, want.Handler)
+		}
+		if lost := want.Op.TuplesIn - got.Op.TuplesIn; lost < 0 || lost > int64(atRisk) {
+			t.Fatalf("panic cost %d released tuples; the item in flight had released only %d (%d items were pending behind it)",
+				lost, atRisk, behind)
+		}
+	})
+}
+
+// TestRunAbortsOnJournalError pins cq's driver policy for a durability
+// failure: the run ends with the error (cmd/aqserver's policy, tested
+// there, is to count it and carry on).
+func TestRunAbortsOnJournalError(t *testing.T) {
+	log := mustOpenLog(t, durable.Options{Dir: t.TempDir(), CommitEvery: 1})
+	if err := log.Close(); err != nil { // every append now fails at its flush
+		t.Fatal(err)
+	}
+	_, err := New(gen.Sensor(100, 3).Source()).Handle(buffer.NewKSlack(100)).
+		Window(testSpec, window.Sum()).Durable(Durable{Log: log}).Run()
+	if err == nil {
+		t.Fatal("Run succeeded over a journal that cannot be written")
+	}
+}

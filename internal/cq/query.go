@@ -4,11 +4,17 @@
 // handlers from internal/core), and a windowed aggregate or a sliding-
 // window join.
 //
-// Two executors are provided. Run is synchronous and deterministic — the
-// experiment harness uses it so results are reproducible bit for bit.
-// RunConcurrent executes the same query as a goroutine pipeline connected
-// by channels, streaming results to a callback as they are produced — the
-// deployment shape a real application would use.
+// There is one executor, Exec (exec.go): a synchronous single-writer step
+// core that applies batches of accepted items to the handler and the
+// window operator, with journaling, recovery, emission and snapshots
+// inside the step. Everything else is a driver that feeds it. Run pulls a
+// source on the calling goroutine, one item per step — deterministic, so
+// the experiment harness uses it and results reproduce bit for bit.
+// RunConcurrent pulls, retries, sheds and batches on a source goroutine and
+// steps on another (or, over a shared fan-out ring, receives and steps in
+// one), streaming results to a callback as they are produced. RunShared
+// runs M such ring consumers off one producer. cmd/aqserver's runners call
+// NewExec and Step themselves under their own lock.
 package cq
 
 import (
@@ -26,7 +32,8 @@ import (
 
 // AggQuery is a single-stream windowed-aggregate continuous query.
 // Construct with New (or NewFallible for sources that can fail), chain
-// option methods, then call Run or RunConcurrent.
+// option methods, then call Run or RunConcurrent — or, for a host that
+// feeds the query itself, build it without a source and pass it to NewExec.
 type AggQuery struct {
 	source    stream.ErrSource
 	filter    func(stream.Tuple) bool
@@ -44,7 +51,6 @@ type AggQuery struct {
 	clock      resilience.Clock
 	overload   resilience.OverloadPolicy
 	ingestCap  int
-	releaseCap int
 	batchSize  int
 	shards     int
 	keyedSink  func(window.KeyedResult)
@@ -121,8 +127,7 @@ func (q *AggQuery) Refine(horizon stream.Time) *AggQuery {
 }
 
 // AggCore selects the open-window aggregation core (window.CoreLegacy or
-// window.CoreFiba) used by every executor path — synchronous, concurrent,
-// and sharded. The cores emit byte-identical results (the DST cross-core
+// window.CoreFiba) used by every window stage — plain, keyed and sharded. The cores emit byte-identical results (the DST cross-core
 // oracle enforces it); fiba trades the legacy per-window fold for a finger
 // B-tree with O(log d) out-of-order inserts. See docs/ALGORITHMS.md.
 func (q *AggQuery) AggCore(core window.CoreKind) *AggQuery {
@@ -139,7 +144,7 @@ func (q *AggQuery) KeepInput() *AggQuery {
 
 // Retry configures retry-with-backoff (and, when the config asks for it,
 // a circuit breaker) around a fallible source. Only RunConcurrent applies
-// it; the synchronous Run executor stays deterministic and surfaces the
+// it; the synchronous Run driver stays deterministic and surfaces the
 // first source error unretried.
 func (q *AggQuery) Retry(r resilience.Retry) *AggQuery {
 	q.retry = &r
@@ -171,24 +176,14 @@ func (q *AggQuery) Overload(policy resilience.OverloadPolicy, capacity int) *Agg
 	return q
 }
 
-// ReleaseCap bounds the disorder→window channel of RunConcurrent at
-// capacity tuples (0 keeps the historical 256). Unlike the ingest queue it
-// never sheds — the disorder stage always applies blocking backpressure —
-// so the bound only controls how far the window stage may lag before the
-// handler stalls.
-func (q *AggQuery) ReleaseCap(capacity int) *AggQuery {
-	q.releaseCap = capacity
-	return q
-}
-
-// Batch sets the transport batch size of RunConcurrent: pipeline stages
-// exchange pooled batches of up to n items instead of single tuples,
-// trading per-tuple channel operations for one send per batch. Partial
-// batches are shipped as soon as the receiving stage is idle, and
-// heartbeats, stream marks and end-of-stream always force a flush, so
-// batching never parks a result behind the batch boundary and the
-// PreFlush-aware latency metrics keep their meaning. n <= 0 keeps the
-// default (64); n = 1 reproduces per-tuple transport.
+// Batch sets the transport batch size of RunConcurrent: the source stage
+// hands the step core pooled batches of up to n items instead of single
+// tuples, trading per-tuple channel operations for one send (and one
+// journal append, one handler call) per batch. Partial batches are shipped
+// as soon as the core is idle, and heartbeats and end-of-stream always
+// force a flush, so batching never parks a result behind the batch
+// boundary and the PreFlush-aware latency metrics keep their meaning.
+// n <= 0 keeps the default (64); n = 1 reproduces per-tuple transport.
 func (q *AggQuery) Batch(n int) *AggQuery {
 	q.batchSize = n
 	return q
@@ -208,19 +203,20 @@ func (q *AggQuery) Shards(n int) *AggQuery {
 
 // SinkKeyed registers a per-result callback for grouped queries run with
 // RunConcurrent: it receives each merged window.KeyedResult (key included)
-// in emission order, from the window stage's goroutine, alongside any
-// plain sink which sees just the embedded Result.
+// in emission order, from the merger's goroutine, alongside any plain sink
+// which sees just the embedded Result.
 func (q *AggQuery) SinkKeyed(f func(window.KeyedResult)) *AggQuery {
 	q.keyedSink = f
 	return q
 }
 
-// DiscardReport makes RunConcurrent drop results from the returned
-// AggReport after delivering them to the sinks: Results/Keyed stay empty
-// and PreFlush stays zero, while Sink/SinkKeyed still see every result in
-// order. Long-running deployments need this — a continuous query that
-// never ends would otherwise accumulate its whole output in memory. The
-// synchronous Run executor ignores it (its report is the output).
+// DiscardReport makes the executor drop results from the AggReport after
+// delivering them to the sinks: Results/Keyed stay empty while
+// Sink/SinkKeyed still see every result in order. PreFlush still counts
+// the progress-emitted results of a plain query (it is a counter, not a
+// slice); grouped queries leave it zero. Long-running deployments need
+// this — a continuous query that never ends would otherwise accumulate its
+// whole output in memory. Run ignores it (its report is the output).
 func (q *AggQuery) DiscardReport() *AggQuery {
 	q.discardRep = true
 	return q
@@ -229,18 +225,18 @@ func (q *AggQuery) DiscardReport() *AggQuery {
 // Instrument attaches live telemetry (see NewTelemetry): RunConcurrent
 // updates the instruments as tuples flow, making stage throughput, queue
 // depth, sheds and emission latency observable while the query runs.
-// The synchronous Run executor ignores it.
+// The synchronous Run driver ignores it.
 func (q *AggQuery) Instrument(t *Telemetry) *AggQuery {
 	q.telem = t
 	return q
 }
 
-// Trace attaches an event tracer (see internal/obs/tracez): both
-// executors mirror the query's lifecycle — source batches, buffer
+// Trace attaches an event tracer (see internal/obs/tracez): the step core
+// and its drivers mirror the query's lifecycle — source batches, buffer
 // inserts/releases/stragglers, slack adaptations, window emits with
 // per-window provenance, sheds, retries, breaker trips — into the
 // tracer's flight recorder. Events are stamped with stream time, so the
-// synchronous Run executor produces a bit-identical trace on every
+// synchronous Run driver produces a bit-identical trace on every
 // replay of the same input (the simulation harness asserts this via
 // tracez.Digest). Adaptive handlers from internal/core additionally
 // report controller decisions and realized-quality samples, which drive
@@ -260,6 +256,7 @@ func (q *AggQuery) GroupBy() *AggQuery {
 	return q
 }
 
+// validate checks a query Run or RunConcurrent is about to pull.
 func (q *AggQuery) validate() error {
 	if q.source == nil && q.shared == nil {
 		return errors.New("cq: query needs a source")
@@ -278,6 +275,11 @@ func (q *AggQuery) validate() error {
 			return errors.New("cq: Overload shedding on a shared-source query belongs to the fanout subscription policy")
 		}
 	}
+	return q.validateShape()
+}
+
+// validateShape checks everything but where the items come from.
+func (q *AggQuery) validateShape() error {
 	if !q.hasWindow {
 		return errors.New("cq: query needs a Window stage")
 	}
@@ -359,7 +361,10 @@ func (r *AggReport) Latency(skipWarmup int) metrics.LatencyReport {
 }
 
 // Run executes the query synchronously and deterministically: the source
-// is drained in arrival order on the calling goroutine.
+// is drained in arrival order on the calling goroutine, one item per step
+// of the core. It is the harness driver: no retries and no wall-clock
+// backoff (a fallible source's first error ends it), no shedding, and a
+// durability error aborts the run.
 func (q *AggQuery) Run() (*AggReport, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
@@ -367,198 +372,35 @@ func (q *AggQuery) Run() (*AggReport, error) {
 	if q.shared != nil {
 		return nil, errors.New("cq: shared-source queries run through RunConcurrent (the ring is a concurrent transport)")
 	}
-	handler := q.handler
-	if handler == nil {
-		handler = buffer.Zero()
-	}
-	handler = q.traceHandler(handler)
-	rep := &AggReport{}
-
-	// The two operator shapes (plain and grouped) share the driving loop
-	// through these three hooks.
-	var observe func(t stream.Tuple, now stream.Time)
-	var flushOp func(now stream.Time)
-	var opStats func() window.OpStats
-	var preFlushLen func() int
-	var plainOp *window.Op
-	if q.grouped {
-		op := window.NewKeyedOpWithCore(q.spec, q.agg, q.policy, q.refineFor, q.aggCore)
-		observe = func(t stream.Tuple, now stream.Time) { rep.Keyed = op.Observe(t, now, rep.Keyed) }
-		flushOp = func(now stream.Time) { rep.Keyed = op.Flush(now, rep.Keyed) }
-		opStats = op.Stats
-		preFlushLen = func() int { return len(rep.Keyed) }
-	} else {
-		plainOp = window.NewOpWithCore(q.spec, q.agg, q.policy, q.refineFor, q.aggCore)
-		op := plainOp
-		observe = func(t stream.Tuple, now stream.Time) { rep.Results = op.Observe(t, now, rep.Results) }
-		flushOp = func(now stream.Time) { rep.Results = op.Flush(now, rep.Results) }
-		opStats = op.Stats
-		preFlushLen = func() int { return len(rep.Results) }
-	}
-
-	// Durable setup must precede the tracer wrapper: suppressed duplicate
-	// emissions (already delivered before a crash) should not re-enter the
-	// trace either.
-	var dis disorderAcc
-	var now stream.Time
-	dur, suffix, err := q.startDurable(handler, plainOp, &dis, &now)
+	// Uninstrumented, and the report is the output: Instrument and
+	// DiscardReport apply to the concurrent drivers only.
+	hq := *q
+	hq.telem, hq.discardRep = nil, false
+	x, err := newExec(&hq, nil)
 	if err != nil {
 		return nil, err
 	}
-	if dur != nil && dur.have {
-		innerObserve, innerFlush := observe, flushOp
-		filter := func(base int) {
-			out := rep.Results[:base]
-			for _, res := range rep.Results[base:] {
-				if !dur.suppress(res) {
-					out = append(out, res)
-				}
-			}
-			rep.Results = out
-		}
-		observe = func(t stream.Tuple, now stream.Time) {
-			base := len(rep.Results)
-			innerObserve(t, now)
-			filter(base)
-		}
-		flushOp = func(now stream.Time) {
-			base := len(rep.Results)
-			innerFlush(now)
-			filter(base)
-		}
-	}
-	if q.tracer != nil {
-		// Wrap the hooks so every result appended by the operator is
-		// mirrored as a KindEmit event (with provenance) at its
-		// emission position. Shard is -1: the sync executor is
-		// unsharded.
-		emitNew := func(from int) {
-			if q.grouped {
-				for _, kr := range rep.Keyed[from:] {
-					q.tracer.Emit(int64(kr.EmitArrival), -1, kr.Idx, int64(kr.Start), int64(kr.End), kr.Key, kr.Count, int64(kr.Latency()))
-				}
-			} else {
-				for _, r := range rep.Results[from:] {
-					q.tracer.Emit(int64(r.EmitArrival), -1, r.Idx, int64(r.Start), int64(r.End), 0, r.Count, int64(r.Latency()))
-				}
-			}
-		}
-		innerObserve, innerFlush := observe, flushOp
-		observe = func(t stream.Tuple, now stream.Time) {
-			n := preFlushLen()
-			innerObserve(t, now)
-			emitNew(n)
-		}
-		flushOp = func(now stream.Time) {
-			n := preFlushLen()
-			innerFlush(now)
-			emitNew(n)
-			q.tracer.Flush(int64(now))
-		}
-	}
-
-	var rel []stream.Tuple
-
-	// Recovery replay: feed the journal suffix through the same handler →
-	// observe path the live loop uses. Replayed items are not re-journaled
-	// (they are the journal), and the suppression wrapper drops emissions
-	// the pre-crash process already delivered.
-	for _, it := range suffix {
-		if !it.Heartbeat {
-			t := it.Tuple
-			if q.keepInput {
-				rep.Input = append(rep.Input, t)
-			}
-			dis.observe(t)
-			if t.Arrival > now {
-				now = t.Arrival
-			}
-		} else if it.Watermark > now {
-			now = it.Watermark
-		}
-		rel = handler.Insert(it, rel[:0])
-		for _, t := range rel {
-			observe(t, now)
-		}
-	}
-	if dur != nil && dur.info != nil {
-		rep.Recovery = dur.info
-		q.tracer.Recovery(int64(now), dur.info.ReplayedItems, dur.floor, dur.info.TruncatedBytes)
-	}
-
+	var one [1]stream.Item
 	for {
 		it, ok, err := q.source.NextErr()
 		if err != nil {
-			// Run is the deterministic harness executor: no retries, no
-			// wall-clock backoff; a fallible source's first error ends it.
 			return nil, fmt.Errorf("cq: source: %w", err)
 		}
 		if !ok {
 			break
 		}
-		if !it.Heartbeat {
-			t, keep := q.transform(it.Tuple)
-			if !keep {
-				continue
-			}
-			it = stream.DataItem(t)
-			if q.keepInput {
-				rep.Input = append(rep.Input, t)
-			}
-			// Inline disorder measurement (same definition as
-			// stream.MeasureDisorder) to avoid retaining the input when
-			// KeepInput is off.
-			dis.observe(t)
-			now = t.Arrival
-		} else if it.Watermark > now {
-			now = it.Watermark
+		var keep bool
+		if one[0], keep, _ = x.accept(it); !keep {
+			continue
 		}
-
-		// Journal the accepted item before the handler sees it: a crash
-		// after this point replays the item, a crash before loses an item
-		// the pipeline never acted on. Heartbeats are journaled too — they
-		// advance the arrival clock, and an exact replay needs them.
-		if dur != nil {
-			if err := dur.log.AppendItem(it); err != nil {
-				return nil, fmt.Errorf("cq: journal: %w", err)
-			}
-		}
-		rel = handler.Insert(it, rel[:0])
-		for _, t := range rel {
-			observe(t, now)
-		}
-		if dur != nil {
-			if err := dur.noteEmitProgress(plainOp); err != nil {
-				return nil, fmt.Errorf("cq: journal: %w", err)
-			}
-			if dur.log.ShouldSnapshot() {
-				records, count, err := dur.log.CutForSnapshot()
-				if err != nil {
-					return nil, fmt.Errorf("cq: snapshot cut: %w", err)
-				}
-				if err := dur.writeSnapshot(handler, plainOp, records, count, now, dis.cut()); err != nil {
-					return nil, fmt.Errorf("cq: snapshot: %w", err)
-				}
-				q.tracer.Snapshot(int64(now), records)
-			}
+		if err := x.Step(one[:]); err != nil {
+			return nil, err
 		}
 	}
-	rep.PreFlush = preFlushLen()
-	rel = handler.Flush(rel[:0])
-	for _, t := range rel {
-		observe(t, now)
+	if err := x.Finish(); err != nil {
+		return nil, err
 	}
-	flushOp(now)
-	if dur != nil {
-		if err := dur.log.Commit(); err != nil {
-			return nil, fmt.Errorf("cq: journal: %w", err)
-		}
-	}
-
-	rep.Disorder = dis.finish()
-	rep.Handler = handler.Stats()
-	rep.Op = opStats()
-	return rep, nil
+	return x.Report(), nil
 }
 
 // traceHandler hooks the disorder handler into the query's tracer:

@@ -1,14 +1,23 @@
 package cq
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/obs/tracez"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
+
+// released carries a tuple from the step core to the window shards
+// together with the arrival-time position at which it was released.
+type released struct {
+	tuple stream.Tuple
+	now   stream.Time
+	flush bool // end-of-stream marker: flush remaining windows at now
+	mark  bool // boundary marker: results so far were progress-emitted
+}
 
 // shardOf maps a group key to one of n shards. The murmur-style finalizer
 // scrambles low-entropy keys (sequential user ids, small enums) so the
@@ -40,48 +49,71 @@ func (c *shardChunk) seg(step int) (int32, int32) {
 	return lo, c.ends[step]
 }
 
-// keyedShards executes a grouped query's window stage across n worker
-// goroutines. Each worker owns the window.KeyedOp for its hash-partition
-// of the key space and sees every released batch: tuples it owns go
-// through Observe, foreign tuples only advance its shared clock (Advance),
-// and marks/flushes are applied everywhere.
+// shardStage is the window stage of a concurrent grouped query, run across
+// n worker goroutines and a merger. The step core's goroutine is the
+// dispatcher: released tuples are gathered into dispatch batches and every
+// batch goes to every worker. Each worker owns the window.KeyedOp for its
+// hash-partition of the key space: tuples it owns go through Observe,
+// foreign tuples only advance its shared clock (Advance), and marks/flushes
+// are applied everywhere. The merger interleaves the per-shard chunks back
+// into canonical order and delivers them — report, telemetry, tracer, sinks.
 //
-// Execution overlaps compute with merging: the engine dispatches batch
-// n+1 to the workers while the merger is still interleaving batch n's
-// chunks, so the (serial) merge does not stall the (parallel) window
-// work. Each worker rotates between two result buffers; the unbuffered
-// out channel makes the rotation safe — by the time the send of batch
-// n+1's chunk completes, the merger has received it, which it only does
-// after fully merging batch n, so the buffer batch n lived in is free to
-// reuse for batch n+2.
-type keyedShards struct {
+// Execution overlaps compute with merging: batch n+1 is dispatched to the
+// workers while the merger is still interleaving batch n's chunks, so the
+// (serial) merge does not stall the (parallel) window work. Each worker
+// rotates between two result buffers; the unbuffered out channel makes the
+// rotation safe — by the time the send of batch n+1's chunk completes, the
+// merger has received it, which it only does after fully merging batch n,
+// so the buffer batch n lived in is free to reuse for batch n+2.
+type shardStage struct {
+	x        *Exec
+	ctx      context.Context
 	n        int
 	in       []chan []released
 	out      []chan shardChunk
 	ops      []*window.KeyedOp
 	counters []*obs.Counter
-	tracer   *tracez.Tracer
 	wg       sync.WaitGroup
-	once     sync.Once
+
+	cur     []released
+	batch   int             // dispatch batch bound, in tuples
+	pending chan []released // dispatched batches awaiting the merger
+	merged  chan struct{}   // closed when the merger has drained pending
+	pool    sync.Pool
+	once    sync.Once
 }
 
-func newKeyedShards(q *AggQuery, n int, fail func(error)) *keyedShards {
-	ks := &keyedShards{
+func newShardStage(ctx context.Context, x *Exec, n int, sink func(window.Result), fail func(error)) *shardStage {
+	q := x.q
+	batch := q.batchSize
+	if batch <= 0 {
+		batch = defaultBatch
+	}
+	s := &shardStage{
+		x:        x,
+		ctx:      ctx,
 		n:        n,
 		in:       make([]chan []released, n),
 		out:      make([]chan shardChunk, n),
 		ops:      make([]*window.KeyedOp, n),
 		counters: q.telem.shardCounters(n),
-		tracer:   q.tracer,
+		batch:    min(batch, maxDispatchBatch),
+		// One batch merging, one queued behind it: enough to keep the
+		// workers busy without letting the dispatcher run far ahead.
+		pending: make(chan []released, 2),
+		merged:  make(chan struct{}),
 	}
-	for s := 0; s < n; s++ {
-		ks.in[s] = make(chan []released, 1)
-		ks.out[s] = make(chan shardChunk) // unbuffered: see buffer-rotation note above
-		ks.ops[s] = window.NewKeyedOpWithCore(q.spec, q.agg, q.policy, q.refineFor, q.aggCore)
-		ks.wg.Add(1)
-		go ks.worker(s, fail)
+	s.pool.New = func() any { return make([]released, 0, s.batch) }
+	s.cur = s.pool.Get().([]released)[:0]
+	for i := 0; i < n; i++ {
+		s.in[i] = make(chan []released, 1)
+		s.out[i] = make(chan shardChunk) // unbuffered: see buffer-rotation note above
+		s.ops[i] = window.NewKeyedOpWithCore(q.spec, q.agg, q.policy, q.refineFor, q.aggCore)
+		s.wg.Add(1)
+		go s.worker(i, fail)
 	}
-	return ks
+	go s.merge(sink, fail)
+	return s
 }
 
 // shardBuf is one of a worker's two rotating result buffers.
@@ -90,10 +122,10 @@ type shardBuf struct {
 	ends    []int32
 }
 
-func (ks *keyedShards) worker(s int, fail func(error)) {
-	defer ks.wg.Done()
-	defer close(ks.out[s])
-	op := ks.ops[s]
+func (s *shardStage) worker(i int, fail func(error)) {
+	defer s.wg.Done()
+	defer close(s.out[i])
+	op := s.ops[i]
 	var bufs [2]shardBuf
 	cur := 0
 	poisoned := false
@@ -101,7 +133,7 @@ func (ks *keyedShards) worker(s int, fail func(error)) {
 		defer func() {
 			if p := recover(); p != nil {
 				poisoned = true
-				fail(fmt.Errorf("cq: window shard %d panicked: %v", s, p))
+				fail(fmt.Errorf("cq: window shard %d panicked: %v", i, p))
 			}
 		}()
 		owned := 0
@@ -113,7 +145,7 @@ func (ks *keyedShards) worker(s int, fail func(error)) {
 				// Stream mark: a bookkeeping step for the merger only.
 			case r.flush:
 				b.results = op.Flush(r.now, b.results)
-			case shardOf(r.tuple.Key, ks.n) == s:
+			case shardOf(r.tuple.Key, s.n) == i:
 				b.results = op.Observe(r.tuple, r.now, b.results)
 				owned++
 			default:
@@ -122,13 +154,13 @@ func (ks *keyedShards) worker(s int, fail func(error)) {
 			b.ends = append(b.ends, int32(len(b.results)))
 		}
 		if owned > 0 {
-			if ks.counters != nil {
-				ks.counters[s].Add(float64(owned))
+			if s.counters != nil {
+				s.counters[i].Add(float64(owned))
 			}
-			ks.tracer.ShardBatch(int64(lastNow), s, owned)
+			s.x.q.tracer.ShardBatch(int64(lastNow), i, owned)
 		}
 	}
-	for batch := range ks.in[s] {
+	for batch := range s.in[i] {
 		b := &bufs[cur]
 		cur ^= 1
 		b.results, b.ends = b.results[:0], b.ends[:0]
@@ -143,73 +175,27 @@ func (ks *keyedShards) worker(s int, fail func(error)) {
 			}
 			b.ends = append(b.ends, last)
 		}
-		ks.out[s] <- shardChunk{results: b.results, ends: b.ends}
+		s.out[i] <- shardChunk{results: b.results, ends: b.ends}
 	}
 }
 
-// dispatch hands one batch to every shard. It reports false when the
-// pipeline is cancelled mid-dispatch; close() later unblocks any worker
-// still holding a chunk.
-func (ks *keyedShards) dispatch(done <-chan struct{}, batch []released) bool {
-	for s := range ks.in {
+// collect gathers one dispatched batch's chunk from every shard; false
+// means the pipeline was cancelled. The chunks' buffers are owned by the
+// workers and stay valid only until the batch after the next one is
+// dispatched (two-buffer rotation).
+func (s *shardStage) collect(chunks []shardChunk) bool {
+	for i := range s.out {
 		select {
-		case ks.in[s] <- batch:
-		case <-done:
-			return false
-		}
-	}
-	return true
-}
-
-// collect gathers one dispatched batch's chunk from every shard. The
-// chunks' buffers are owned by the workers and stay valid only until the
-// batch after the next one is dispatched (two-buffer rotation).
-func (ks *keyedShards) collect(done <-chan struct{}, chunks []shardChunk) bool {
-	for s := range ks.out {
-		select {
-		case c, ok := <-ks.out[s]:
+		case c, ok := <-s.out[i]:
 			if !ok {
 				return false
 			}
-			chunks[s] = c
-		case <-done:
+			chunks[i] = c
+		case <-s.ctx.Done():
 			return false
 		}
 	}
 	return true
-}
-
-// close shuts the workers down: input channels are closed, any chunk still
-// in flight is drained (a worker may be blocked handing over the output of
-// a batch the merger abandoned), and the workers are joined. After close
-// the per-shard operators are quiescent and opStats may be read.
-func (ks *keyedShards) close() {
-	ks.once.Do(func() {
-		for _, c := range ks.in {
-			close(c)
-		}
-		for _, c := range ks.out {
-			for range c {
-			}
-		}
-		ks.wg.Wait()
-	})
-}
-
-// opStats sums the per-shard operator counters. Only valid after close.
-func (ks *keyedShards) opStats() window.OpStats {
-	var sum window.OpStats
-	for _, op := range ks.ops {
-		st := op.Stats()
-		sum.TuplesIn += st.TuplesIn
-		sum.LateTuples += st.LateTuples
-		sum.LateDrops += st.LateDrops
-		sum.LateRefined += st.LateRefined
-		sum.Emitted += st.Emitted
-		sum.Refinements += st.Refinements
-		sum.EmptyEmitted += st.EmptyEmitted
-	}
-	return sum
 }
 
 // mergeStep appends step i's per-shard segments to out in the canonical
@@ -260,4 +246,136 @@ func mergeStep(chunks []shardChunk, step int, out []window.KeyedResult) []window
 		out = append(out, c.results[c.pos:p]...)
 		c.pos = p
 	}
+}
+
+// merge is the merger goroutine: it owns the report's keyed results.
+func (s *shardStage) merge(sink func(window.Result), fail func(error)) {
+	defer close(s.merged)
+	defer func() {
+		if p := recover(); p != nil {
+			fail(fmt.Errorf("cq: %s stage panicked: %v", stageWindow, p))
+		}
+	}()
+	q, rep := s.x.q, s.x.rep
+	chunks := make([]shardChunk, s.n)
+	postMark := false
+	var mergeBuf []window.KeyedResult // merge scratch for DiscardReport
+	for rb := range s.pending {
+		if s.ctx.Err() != nil || !s.collect(chunks) {
+			// Cancelled (possibly mid-batch, with a worker still holding
+			// rb): keep draining pending without merging and let the
+			// abandoned batches go to the GC instead of the pool.
+			continue
+		}
+		for i, r := range rb {
+			if r.mark {
+				rep.PreFlush = len(rep.Keyed)
+				postMark = true
+				continue
+			}
+			var step []window.KeyedResult
+			if q.discardRep {
+				mergeBuf = mergeStep(chunks, i, mergeBuf[:0])
+				step = mergeBuf
+			} else {
+				base := len(rep.Keyed)
+				rep.Keyed = mergeStep(chunks, i, rep.Keyed)
+				step = rep.Keyed[base:]
+			}
+			for _, kr := range step {
+				q.telem.noteResult(kr.Result, postMark)
+				q.tracer.Emit(int64(kr.EmitArrival), -1, kr.Idx, int64(kr.Start), int64(kr.End), kr.Key, kr.Count, int64(kr.Latency()))
+				if q.keyedSink != nil {
+					q.keyedSink(kr)
+				}
+				if sink != nil {
+					sink(kr.Result)
+				}
+			}
+		}
+		s.pool.Put(rb[:0])
+	}
+}
+
+func (s *shardStage) observe(t stream.Tuple, now stream.Time) {
+	s.push(released{tuple: t, now: now})
+}
+
+func (s *shardStage) push(r released) {
+	s.cur = append(s.cur, r)
+	if len(s.cur) >= s.batch {
+		s.endStep()
+	}
+}
+
+// endStep hands the batch in progress to every shard and queues it for the
+// merger; after a cancellation it only drops it (close later unblocks any
+// worker still holding a chunk).
+func (s *shardStage) endStep() {
+	if len(s.cur) == 0 {
+		return
+	}
+	rb := s.cur
+	s.cur = s.pool.Get().([]released)[:0]
+	for i := range s.in {
+		select {
+		case s.in[i] <- rb:
+		case <-s.ctx.Done():
+			return
+		}
+	}
+	select {
+	case s.pending <- rb:
+		s.x.q.telem.noteReleaseBatch(len(rb), len(s.pending)*s.batch)
+	case <-s.ctx.Done():
+	}
+}
+
+// finish ships the mark, the flushed tuples and the flush, then waits for
+// the merger, so everything is delivered when Exec.Finish returns.
+func (s *shardStage) finish(flushed []stream.Tuple, now stream.Time) {
+	s.push(released{now: now, mark: true})
+	for _, t := range flushed {
+		s.push(released{tuple: t, now: now})
+	}
+	s.push(released{now: now, flush: true})
+	s.endStep()
+	s.close()
+}
+
+// close ends the merger, then shuts the workers down: input channels are
+// closed, any chunk still in flight is drained (a worker may be blocked
+// handing over the output of a batch the merger abandoned), and the
+// workers are joined. After close the per-shard operators are quiescent
+// and stats may be read. Idempotent: finish calls it on a clean end, the
+// core stage's defer on every other exit.
+func (s *shardStage) close() {
+	s.once.Do(func() {
+		close(s.pending)
+		<-s.merged
+		for _, c := range s.in {
+			close(c)
+		}
+		for _, c := range s.out {
+			for range c {
+			}
+		}
+		s.wg.Wait()
+	})
+}
+
+// stats sums the per-shard operator counters. Only valid after close.
+func (s *shardStage) stats() window.OpStats {
+	var sum window.OpStats
+	for _, op := range s.ops {
+		st := op.Stats()
+		sum.TuplesIn += st.TuplesIn
+		sum.LateTuples += st.LateTuples
+		sum.LateDrops += st.LateDrops
+		sum.LateRefined += st.LateRefined
+		sum.Emitted += st.Emitted
+		sum.Refinements += st.Refinements
+		sum.EmptyEmitted += st.EmptyEmitted
+	}
+	return sum
 }

@@ -164,8 +164,7 @@ func TestShardedMatchesRunUnderChaos(t *testing.T) {
 }
 
 // TestBatchedUngroupedMatchesRun pins the batched transport's equivalence
-// for plain (non-grouped) queries at awkward batch sizes and a small
-// release bound.
+// for plain (non-grouped) queries at awkward batch sizes.
 func TestBatchedUngroupedMatchesRun(t *testing.T) {
 	tuples := gen.Sensor(20000, 91).Arrivals()
 	syncRep, err := New(stream.FromTuples(tuples)).
@@ -179,7 +178,7 @@ func TestBatchedUngroupedMatchesRun(t *testing.T) {
 		concRep, err := New(stream.FromTuples(tuples)).
 			Handle(buffer.NewKSlack(250)).
 			Window(testSpec, window.Avg()).
-			Batch(batch).ReleaseCap(64).
+			Batch(batch).
 			RunConcurrent(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)

@@ -272,3 +272,47 @@ func TestRunSharedSinkSeesEveryResult(t *testing.T) {
 		}
 	}
 }
+
+// TestNonMonotoneArrivalsSameOnEveryDriver is the regression test for the
+// arrival clock the executor fork hid: Arrival is client-supplied on the
+// wire, so a sender may go backwards. The clock must not — and must not on
+// any driver: Run (which used to assign the arrival), RunConcurrent and
+// the RunShared replicas all report byte-identical results.
+func TestNonMonotoneArrivalsSameOnEveryDriver(t *testing.T) {
+	items := materialize(stream.NewWithHeartbeats(gen.Sensor(8000, 73).Source(), stream.Second))
+	backwards := 0
+	for i := range items {
+		if !items[i].Heartbeat && i%7 == 3 {
+			items[i].Tuple.Arrival -= 700 // behind its predecessors' arrivals
+			backwards++
+		}
+	}
+	if backwards == 0 {
+		t.Fatal("transcript has no backward arrival; the test proves nothing")
+	}
+	build := func(src stream.ErrSource) *cq.AggQuery {
+		return cq.NewFallible(src).Handle(buffer.NewKSlack(400)).
+			Window(sharedSpec, window.Sum()).KeepInput()
+	}
+	sync, err := build(sliceErrSource(items)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conc, err := build(sliceErrSource(items)).Batch(37).RunConcurrent(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.Equivalence(sync, conc); err != nil {
+		t.Fatalf("RunConcurrent: %v", err)
+	}
+	reps, err := cq.RunShared(context.Background(), sliceErrSource(items),
+		cq.SharedOpts{Ring: 8, Batch: 53}, build(nil), build(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reps {
+		if err := oracle.Equivalence(sync, rep); err != nil {
+			t.Fatalf("RunShared replica %d: %v", i, err)
+		}
+	}
+}

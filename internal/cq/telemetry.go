@@ -25,11 +25,11 @@ type Telemetry struct {
 	Released   *obs.Counter // tuples released by the disorder stage
 	Results    *obs.Counter // window results emitted
 
-	IngestDepth  *obs.Gauge // occupancy of the source→disorder channel (tuples, approximate)
-	ReleaseDepth *obs.Gauge // occupancy of the disorder→window channel (tuples, approximate)
+	IngestDepth  *obs.Gauge // occupancy of the source→core channel (tuples, approximate)
+	ReleaseDepth *obs.Gauge // occupancy of the grouped dispatcher→merger queue (tuples, approximate)
 
-	IngestBatch  *obs.Histogram // sizes of batches shipped source→disorder
-	ReleaseBatch *obs.Histogram // sizes of batches shipped disorder→window
+	IngestBatch  *obs.Histogram // sizes of batches shipped source→core
+	ReleaseBatch *obs.Histogram // sizes of batches the grouped dispatcher shipped to the window shards
 
 	EmitLatency *obs.Histogram // result latency (stream-time ms)
 
@@ -150,13 +150,16 @@ func (t *Telemetry) noteIngestBatch(n int) {
 	t.IngestBatch.Observe(float64(n))
 }
 
-// noteReleaseBatch records the size of one batch shipped by the disorder
-// stage.
-func (t *Telemetry) noteReleaseBatch(n int) {
+// noteReleaseBatch records the size of one batch the grouped dispatcher
+// queued for the merger and the queue's occupancy (in tuples) after the
+// send. Non-grouped queries have no such queue: handler and window share
+// the step, and both series read zero.
+func (t *Telemetry) noteReleaseBatch(n, depth int) {
 	if t == nil {
 		return
 	}
 	t.ReleaseBatch.Observe(float64(n))
+	t.ReleaseDepth.Set(float64(depth))
 }
 
 // noteSource records one item accepted by the source stage and the
@@ -181,14 +184,12 @@ func (t *Telemetry) noteShed() {
 	t.Shed.Inc()
 }
 
-// noteRelease records one tuple released by the disorder stage and the
-// release queue's occupancy after the send.
-func (t *Telemetry) noteRelease(depth int) {
-	if t == nil {
+// noteReleased records n tuples released by the disorder handler.
+func (t *Telemetry) noteReleased(n int) {
+	if t == nil || n == 0 {
 		return
 	}
-	t.Released.Inc()
-	t.ReleaseDepth.Set(float64(depth))
+	t.Released.Add(float64(n))
 }
 
 // noteResult records one emitted window result. Latency is observed only

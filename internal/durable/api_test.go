@@ -21,9 +21,6 @@ func TestAppendItemsMatchesPerItem(t *testing.T) {
 	}
 
 	b := mustOpen(t, Options{Dir: dirB, CommitEvery: 16, SnapshotEvery: 100})
-	if b.PerItemAppend() {
-		t.Fatal("CommitEvery 16 must not demand per-item appends")
-	}
 	for lo := 0; lo < len(items); lo += 77 { // uneven chunks straddle the cadence
 		hi := min(lo+77, len(items))
 		if err := b.AppendItems(items[lo:hi]); err != nil {
@@ -54,14 +51,6 @@ func TestAppendItemsMatchesPerItem(t *testing.T) {
 	if !reflect.DeepEqual(segA, segB) {
 		t.Fatal("batch append produced different journal bytes than per-item append")
 	}
-}
-
-func TestPerItemAppend(t *testing.T) {
-	l := mustOpen(t, Options{Dir: t.TempDir(), CommitEvery: 1})
-	if !l.PerItemAppend() {
-		t.Fatal("CommitEvery 1 must report per-item appends")
-	}
-	defer l.Close()
 }
 
 func TestTakeRecoveryClearsPending(t *testing.T) {

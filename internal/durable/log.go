@@ -222,13 +222,6 @@ func (l *QueryLog) AppendItems(items []stream.Item) error {
 	return nil
 }
 
-// PerItemAppend reports whether the group-commit cadence demands an
-// append+commit per accepted item (CommitEvery 1). Callers that batch
-// appends for throughput must fall back to per-item appends in that mode,
-// so the durable prefix tracks the accept point exactly — the property the
-// crash-recovery harness pins down.
-func (l *QueryLog) PerItemAppend() bool { return l.opts.CommitEvery == 1 }
-
 // AppendEmitProgress journals the operator's next primary emission index.
 // Monotone duplicates are skipped, so calling it once per transport batch
 // costs one small record only when progress actually advanced.

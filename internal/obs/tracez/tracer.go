@@ -296,10 +296,11 @@ func (t *Tracer) Flush(at int64) {
 	t.rec.Record(Event{At: at, Kind: KindFlush, Stage: StageWindow})
 }
 
-// Recovery records a completed crash recovery: replayed is the number of
-// journal items replayed past the snapshot, emitFloor the durable emission
-// index below which results were suppressed (0 when none), truncatedBytes
-// the torn-tail bytes repaired away.
+// Recovery records a crash recovery at the point its state is restored:
+// replayed is the number of journal items about to be replayed past the
+// snapshot, emitFloor the durable emission index below which results are
+// suppressed (0 when none), truncatedBytes the torn-tail bytes repaired
+// away.
 func (t *Tracer) Recovery(at int64, replayed int, emitFloor int64, truncatedBytes int64) {
 	if t == nil {
 		return

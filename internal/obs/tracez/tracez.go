@@ -57,7 +57,7 @@ const (
 	KindViolation         // quality-SLO watchdog entered violation; Win, V = realized error
 	KindViolationEnd      // watchdog left violation; V = violation length (wall ms)
 	KindLog               // structured log record mirrored into the recorder
-	KindRecovery          // crash recovery completed; N = replayed items, Win = emit floor, V = truncated bytes
+	KindRecovery          // crash recovery: state restored; N = journal items replayed next, Win = emit floor, V = truncated bytes
 	KindSnapshot          // durable snapshot written; N = journal records covered
 	KindFanoutPublish     // shared-source ring published a batch; Win = ring seq, N = data tuples
 	KindWireBatch         // wire-provenance mark observed at the receiver; Win = batch id, N = items, V = client send time (Unix ms)
