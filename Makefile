@@ -82,11 +82,12 @@ cover:
 # Documentation gate: `go vet`-clean telemetry packages (vet ./... above
 # already covers them; this pins them even if the wide vet target
 # changes), no dead relative links in any *.md file, the metric catalog
-# in step with the code, and the structural lint that keeps the execution
-# loop and the durability protocol in one file (TestOneExecutor).
+# in step with the code, and the structural lints that keep the execution
+# loop and the durability protocol in one file (TestOneExecutor) and the
+# error model's Monte-Carlo in one loop (TestOneErrorSimulation).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$|^TestOneErrorSimulation$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

@@ -323,6 +323,62 @@ func TestOneExecutor(t *testing.T) {
 	}
 }
 
+// TestOneErrorSimulation is TestOneExecutor's counterpart for the error
+// model: non-test code in internal/core reads the value reservoir
+// (values.Sample()) and draws synthetic windows from it
+// (rng.Intn(len(sample))) in exactly one place, the sweep in
+// (*Estimator).lossCurve that every estimate, plain or compensated, is read
+// from. The model used to be re-simulated per probe, fourteen times per
+// refresh; a second simulation path is how that grows back.
+func TestOneErrorSimulation(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "internal/core", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var draws, samples []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					at := fn.Name.Name + " at " + fset.Position(call.Pos()).String()
+					switch {
+					case sel.Sel.Name == "Sample" && len(call.Args) == 0:
+						samples = append(samples, at)
+					case sel.Sel.Name == "Intn" && len(call.Args) == 1:
+						if arg, ok := call.Args[0].(*ast.CallExpr); ok {
+							if id, ok := arg.Fun.(*ast.Ident); ok && id.Name == "len" {
+								draws = append(draws, at)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for what, where := range map[string][]string{"draws from a sample": draws, "reads the value reservoir": samples} {
+		if len(where) != 1 || !strings.HasPrefix(where[0], "lossCurve at internal/core/estimator.go") {
+			t.Errorf("internal/core %s in %d places, want only the sweep in lossCurve: %s",
+				what, len(where), strings.Join(where, "; "))
+		}
+	}
+}
+
 func stripCodeFences(s string) string {
 	var out strings.Builder
 	inFence := false

@@ -54,7 +54,7 @@ type Config struct {
 	PI              *PI         // default DefaultPI()
 	Estimator       EstimatorConfig
 	FeedbackHorizon stream.Time // straggler wait before realized error; default 4 × Spec.Size
-	LossRefresh     int         // adaptations between MaxTolerableLoss refreshes; default 8
+	LossRefresh     int         // adaptations between loss-curve refreshes; default 8
 	WarmupTuples    int64       // tuples before first adaptation; default 200
 }
 
@@ -107,6 +107,11 @@ func clampEps(eps float64) float64 {
 	return eps
 }
 
+// traceCap bounds the adaptation trace: Trace returns the most recent
+// traceCap samples. It is above the run length of every experiment and
+// benchmark replay, so only long-lived server queries ever wrap.
+const traceCap = 1 << 16
+
 // KSample is one point of the adaptation trace.
 type KSample struct {
 	At          stream.Time // stream clock at the adaptation step
@@ -143,21 +148,21 @@ type AQKSlack struct {
 	mode Mode
 
 	// Shadow of the downstream computation, over released tuples.
-	shadow   *window.Op // emitted view (DropLate: values at emission time)
-	full     map[int64]window.Aggregate
-	fullLo   int64 // smallest window index still tracked in full
-	fullHi   int64 // largest window index seen
+	shadow   *window.Op  // emitted view (DropLate: values at emission time)
+	wins     []shadowWin // wins[i] is window fullLo+i: indices are dense
+	fullLo   int64       // smallest window index still tracked
+	fullHi   int64       // largest window index a released tuple fell in
 	haveWin  bool
-	emitted  map[int64]float64 // value at emission, per window, until finalized
-	relClock stream.Time       // max released event timestamp
+	relClock stream.Time // max released event timestamp
 	relStart bool
 
 	realized  *ewmaOrZero
-	pMaxCache float64
-	pMaxAge   int
+	curve     LossCurve // error model as of the last refresh; empty before it
+	curveAge  int       // adaptations since then, modulo LossRefresh
 	lastAdapt stream.Time
 	adaptInit bool
-	trace     []KSample
+	trace     []KSample // ring of the last traceCap samples
+	traceHead int       // oldest sample, once the ring is full
 	qstats    QualityStats
 
 	telem      *Telemetry     // optional live metrics; nil when uninstrumented
@@ -165,6 +170,13 @@ type AQKSlack struct {
 	lastClamps int64          // PI clamp count already published to telem
 
 	scratchRes []window.Result
+}
+
+// shadowWin is one window of the shadow computation, until finalized.
+type shadowWin struct {
+	full       window.Aggregate // every contribution, stragglers included; nil while empty
+	emitted    float64          // value at emission time
+	hasEmitted bool
 }
 
 // ewmaOrZero is a tiny EWMA that reports whether it has data.
@@ -201,8 +213,6 @@ func NewAQKSlack(cfg Config) *AQKSlack {
 		pi:       cfg.PI,
 		mode:     cfg.Mode,
 		shadow:   window.NewOp(cfg.Spec, cfg.Agg, window.DropLate, 0),
-		full:     make(map[int64]window.Aggregate),
-		emitted:  make(map[int64]float64),
 		realized: &ewmaOrZero{},
 	}
 }
@@ -246,8 +256,23 @@ func (a *AQKSlack) String() string {
 	return fmt.Sprintf("aq-kslack(theta=%g mode=%s K=%d)", a.cfg.Theta, a.mode, a.K())
 }
 
-// Trace returns the adaptation trace (one sample per adaptation step).
-func (a *AQKSlack) Trace() []KSample { return a.trace }
+// Trace returns the adaptation trace, oldest first: one sample per
+// adaptation step, the last traceCap of them.
+func (a *AQKSlack) Trace() []KSample {
+	if a.traceHead == 0 {
+		return a.trace
+	}
+	return append(a.trace[a.traceHead:len(a.trace):len(a.trace)], a.trace[:a.traceHead]...)
+}
+
+func (a *AQKSlack) record(s KSample) {
+	if len(a.trace) < traceCap {
+		a.trace = append(a.trace, s)
+		return
+	}
+	a.trace[a.traceHead] = s
+	a.traceHead = (a.traceHead + 1) % traceCap
+}
 
 // TraceTo mirrors the controller's decisions into a flight recorder:
 // every adaptation step becomes a KindKAdapt event (chosen slack +
@@ -277,26 +302,27 @@ func (a *AQKSlack) processReleases(rel []stream.Tuple) {
 			a.relClock = t.TS
 			a.relStart = true
 		}
-		// Emitted view: exactly what the downstream op would do.
-		a.scratchRes = a.shadow.Observe(t, 0, a.scratchRes[:0])
-		for _, r := range a.scratchRes {
-			a.emitted[r.Idx] = r.Value
-		}
-		// Full view: every contribution counts, stragglers included.
 		first, last := a.cfg.Spec.WindowsFor(t.TS)
 		if !a.haveWin {
 			a.fullLo, a.haveWin = first, true
 		}
+		// Emitted view: exactly what the downstream op would do.
+		a.scratchRes = a.shadow.Observe(t, 0, a.scratchRes[:0])
+		for _, r := range a.scratchRes {
+			if w := a.win(r.Idx); w != nil {
+				w.emitted, w.hasEmitted = r.Value, true
+			}
+		}
+		// Full view: every contribution counts, stragglers included.
 		for idx := first; idx <= last; idx++ {
-			if idx < a.fullLo { // beyond the feedback horizon; too late
+			w := a.win(idx)
+			if w == nil { // beyond the feedback horizon; too late
 				continue
 			}
-			agg, ok := a.full[idx]
-			if !ok {
-				agg = a.cfg.Agg.New()
-				a.full[idx] = agg
+			if w.full == nil {
+				w.full = a.cfg.Agg.New()
 			}
-			agg.Add(t.Value)
+			w.full.Add(t.Value)
 			if idx > a.fullHi {
 				a.fullHi = idx
 			}
@@ -305,22 +331,35 @@ func (a *AQKSlack) processReleases(rel []stream.Tuple) {
 	a.finalize()
 }
 
+// win returns the shadow slot of window idx, growing the slice to reach it,
+// or nil for a window already finalized.
+func (a *AQKSlack) win(idx int64) *shadowWin {
+	i := idx - a.fullLo
+	if i < 0 {
+		return nil
+	}
+	for int64(len(a.wins)) <= i {
+		a.wins = append(a.wins, shadowWin{})
+	}
+	return &a.wins[i]
+}
+
 // finalize computes realized errors for windows whose feedback horizon has
 // passed and releases their state.
 func (a *AQKSlack) finalize() {
 	if !a.haveWin {
 		return
 	}
+	done := 0
 	for idx := a.fullLo; idx <= a.fullHi; idx++ {
 		_, end := a.cfg.Spec.Bounds(idx)
 		if end+a.cfg.FeedbackHorizon > a.relClock {
 			break
 		}
-		if fullAgg, ok := a.full[idx]; ok {
-			fullVal := fullAgg.Value()
-			a.est.ObserveWindowCount(fullAgg.N())
-			if emitVal, ok := a.emitted[idx]; ok {
-				a.realized.add(relErrEst(emitVal, fullVal))
+		if w := a.wins[done]; w.full != nil {
+			a.est.ObserveWindowCount(w.full.N())
+			if w.hasEmitted {
+				a.realized.add(relErrEst(w.emitted, w.full.Value()))
 				a.qstats.FinalizedWins++
 				if a.telem != nil {
 					a.telem.Finalized.Inc()
@@ -328,10 +367,16 @@ func (a *AQKSlack) finalize() {
 				}
 				a.tracer.QualitySample(int64(a.relClock), idx, a.realized.v)
 			}
-			delete(a.full, idx)
 		}
-		delete(a.emitted, idx)
-		a.fullLo = idx + 1
+		done++
+	}
+	if done > 0 {
+		// Shift the survivors down rather than re-slicing, so the backing
+		// array is reused forever.
+		n := copy(a.wins, a.wins[done:])
+		clear(a.wins[n:])
+		a.wins = a.wins[:n]
+		a.fullLo += int64(done)
 	}
 }
 
@@ -352,12 +397,15 @@ func (a *AQKSlack) maybeAdapt() {
 	a.lastAdapt = clock
 	target := a.cfg.Safety * a.cfg.Theta
 
-	// Model half: smallest K whose predicted error meets the target.
-	if a.pMaxAge == 0 {
-		a.pMaxCache = a.est.MaxTolerableLoss(target)
+	// Model half: smallest K whose predicted error meets the target. The
+	// error model is re-run every LossRefresh steps (and after restoring a
+	// snapshot that carried no curve); the lateness sketch is read afresh
+	// every step.
+	if a.curveAge == 0 || a.curve.errs == nil {
+		a.curve = a.est.LossCurve()
 	}
-	a.pMaxAge = (a.pMaxAge + 1) % a.cfg.LossRefresh
-	kModel := a.est.MinKForLoss(a.pMaxCache, a.cfg.KMax)
+	a.curveAge = (a.curveAge + 1) % a.cfg.LossRefresh
+	kModel := a.est.MinKForLoss(a.curve.MaxLoss(target), a.cfg.KMax)
 
 	// Feedback half: multiplicative PI trim on realized error.
 	factor := 1.0
@@ -396,11 +444,11 @@ func (a *AQKSlack) maybeAdapt() {
 	}
 	a.buf.SetK(k)
 
-	estErr := a.est.EstimateErr(k)
+	estErr := a.curve.Err(a.est.PLoss(k))
 	a.qstats.Adaptations++
 	a.qstats.LastEstErr = estErr
 	a.tracer.AdaptDecision(int64(clock), int64(k), estErr)
-	a.trace = append(a.trace, KSample{
+	a.record(KSample{
 		At: clock, K: k, EstErr: estErr, RealizedErr: a.realized.v, PIFactor: factor,
 	})
 	if a.telem != nil {

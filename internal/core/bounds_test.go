@@ -10,8 +10,8 @@ import (
 )
 
 // TestAQKSlackShadowStateBounded verifies the realized-error machinery
-// cannot leak: the full-view and emitted-view maps stay bounded by the
-// feedback horizon regardless of stream length.
+// cannot leak: the shadow windows stay bounded by the feedback horizon
+// regardless of stream length.
 func TestAQKSlackShadowStateBounded(t *testing.T) {
 	cfg := defaultCfg(0.02)
 	h := NewAQKSlack(cfg)
@@ -22,10 +22,34 @@ func TestAQKSlackShadowStateBounded(t *testing.T) {
 	for i, tp := range tuples {
 		out = h.Insert(stream.DataItem(tp), out[:0])
 		if i%10000 == 9999 {
-			if len(h.full) > maxTracked || len(h.emitted) > maxTracked {
-				t.Fatalf("shadow state leaked at %d tuples: full=%d emitted=%d",
-					i+1, len(h.full), len(h.emitted))
+			if len(h.wins) > maxTracked || cap(h.wins) > 2*maxTracked {
+				t.Fatalf("shadow state leaked at %d tuples: %d windows tracked (cap %d)",
+					i+1, len(h.wins), cap(h.wins))
 			}
+		}
+	}
+}
+
+// TestAQKSlackTraceBounded: the adaptation trace is a ring of the last
+// traceCap samples, oldest first, however long the handler lives.
+func TestAQKSlackTraceBounded(t *testing.T) {
+	h := NewAQKSlack(defaultCfg(0.02))
+	const extra = 1000
+	for i := 0; i < traceCap+extra; i++ {
+		h.record(KSample{At: stream.Time(i)})
+		if i == traceCap-1 {
+			if tr := h.Trace(); len(tr) != traceCap || tr[0].At != 0 {
+				t.Fatalf("full, unwrapped trace: %d samples from At=%d", len(tr), tr[0].At)
+			}
+		}
+	}
+	tr := h.Trace()
+	if len(tr) != traceCap || cap(h.trace) > 2*traceCap {
+		t.Fatalf("trace holds %d samples (cap %d), want %d", len(tr), cap(h.trace), traceCap)
+	}
+	for i, s := range tr {
+		if s.At != stream.Time(extra+i) {
+			t.Fatalf("sample %d has At=%d, want %d: not the latest, oldest first", i, s.At, extra+i)
 		}
 	}
 }
@@ -124,9 +148,36 @@ func TestEstimatorConstantValues(t *testing.T) {
 	}
 	e.ObserveWindowCount(50)
 	for _, p := range []float64{0, 0.1, 0.5, 0.99} {
-		got := e.estimateErrAt(p)
+		got := e.LossCurve().Err(p)
 		if got != got { // NaN
 			t.Fatalf("NaN estimate at p=%v", p)
 		}
 	}
+}
+
+// TestAQKSlackInsertAllocations: in steady state the handler allocates per
+// adaptation (shadow windows) and per refresh (the sweep's aggregates),
+// never per tuple. Each measured run spans 80 adaptations and 10 refreshes.
+func TestAQKSlackInsertAllocations(t *testing.T) {
+	const warm, chunk, runs = 50000, 8000, 5
+	h := NewAQKSlack(defaultCfg(0.01))
+	tuples := sensorTuples(warm+(runs+1)*chunk, 87)
+	var out []stream.Tuple
+	next := 0
+	feed := func(n int) {
+		for _, tp := range tuples[next : next+n] {
+			out = h.Insert(stream.DataItem(tp), out[:0])
+		}
+		next += n
+	}
+	feed(warm)
+	before := h.Quality().Adaptations
+	perTuple := testing.AllocsPerRun(runs, func() { feed(chunk) }) / chunk
+	if got := h.Quality().Adaptations - before; got < runs*chunk/100 {
+		t.Fatalf("test setup: %d adaptations in the measured runs", got)
+	}
+	if perTuple >= 0.05 {
+		t.Fatalf("steady-state Insert allocates %.3f times per tuple, want < 0.05", perTuple)
+	}
+	t.Logf("%.4f allocs/tuple", perTuple)
 }

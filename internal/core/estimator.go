@@ -10,9 +10,12 @@
 //
 //  1. a lateness sketch (Greenwald–Khanna quantile summary over observed
 //     tuple lateness) yields P(lateness > K) for any candidate K;
-//  2. an aggregate-specific error model — a Monte-Carlo simulation over a
-//     reservoir sample of recent tuple values — maps the induced tuple-loss
-//     probability to an expected relative window error;
+//  2. an aggregate-specific error model maps the induced tuple-loss
+//     probability to an expected relative window error: a loss curve, built
+//     every few adaptations by one Monte-Carlo sweep over synthetic windows
+//     drawn from a reservoir sample of recent tuple values — every loss
+//     probability of a fixed grid from the same random numbers — and read
+//     by interpolation in between;
 //  3. a proportional–integral (PI) controller trims the model's choice
 //     using the realized error, measured a posteriori: stragglers
 //     eventually arrive, so the true value of each emitted window becomes
@@ -151,56 +154,181 @@ func (e *Estimator) WindowCount() int {
 	return n
 }
 
-// EstimateErr predicts the expected relative window error at slack k by
-// Monte-Carlo: draw a synthetic window of the estimated size from the
-// value sample, drop each element with probability PLoss(k), and compare
-// the aggregate of the thinned window against the full one. The generic
-// simulation handles every aggregate — including max and quantiles, whose
-// error is driven by the value distribution, not just the loss fraction.
+// EstimateErr predicts the expected relative window error at slack k: the
+// loss curve read at PLoss(k).
 func (e *Estimator) EstimateErr(k stream.Time) float64 {
-	p := e.PLoss(k)
-	return e.estimateErrAt(p)
+	return e.LossCurve().Err(e.PLoss(k))
 }
 
-func (e *Estimator) estimateErrAt(p float64) float64 {
-	return e.estimateErrScaled(p, 1)
+// The loss curve is probed on a fixed grid of loss probabilities that is
+// geometric towards both ends: 0, then four points per octave of p from
+// 2^-14 up to 1/2, then four per octave of 1−p up to 1−2^-7, then 1.
+// Consecutive probes are at most a factor 1.25 apart in p (below 1/2) or
+// in 1−p (above), which resolves both the small losses a tight θ tolerates
+// and the steep rise just before a mean or order statistic loses its whole
+// window. Every probe is a multiple of 2^-16, so the grid cell of any
+// probability is a table lookup on its top 16 bits — the counting-sort key
+// of the sweep below.
+const (
+	curvePoints = 1 + 13*4 + 1 + 6*4 + 1
+	cellBits    = 16
+)
+
+var lossGrid = func() (g [curvePoints]float64) {
+	j := 1 // g[0] = 0
+	for e := -14; e <= -2; e++ {
+		for m := 0.0; m < 4; m++ {
+			g[j] = math.Ldexp(1+m/4, e)
+			j++
+		}
+	}
+	g[j] = 0.5
+	j++
+	for e := -2; e >= -7; e-- {
+		for m := 3.0; m >= 0; m-- {
+			g[j] = 1 - math.Ldexp(1+m/4, e)
+			j++
+		}
+	}
+	g[j] = 1
+	return g
+}()
+
+// cellOf[i] is how many grid points are <= i·2^-16: j of them from
+// lossGrid[j-1] up to, not including, lossGrid[j].
+var cellOf = func() (c [1 << cellBits]uint8) {
+	for j := 1; j < curvePoints; j++ {
+		lo, hi := int(lossGrid[j-1]*(1<<cellBits)), int(lossGrid[j]*(1<<cellBits))
+		for i := lo; i < hi; i++ {
+			c[i] = uint8(j)
+		}
+	}
+	return c
+}()
+
+// gridCell returns how many grid points are <= p, for p >= 0:
+// lossGrid[gridCell(p)-1] <= p < lossGrid[gridCell(p)].
+func gridCell(p float64) int {
+	if p >= 1 {
+		return curvePoints
+	}
+	return int(cellOf[int(p*(1<<cellBits))])
 }
 
-// estimateErrScaled simulates thinning at probability p with survivor
-// values multiplied by scale (1 for plain loss; 1/(1−p) for
-// Horvitz–Thompson compensated shedding).
-func (e *Estimator) estimateErrScaled(p, scale float64) float64 {
+// LossCurve is the error model evaluated once: the expected relative
+// window error at every probe of the loss grid, from one Monte-Carlo sweep
+// (Estimator.LossCurve). It is a plain value — AQKSlack caches one between
+// refreshes and snapshots it.
+type LossCurve struct {
+	errs []float64 // errs[j] = expected error at loss probability lossGrid[j]
+}
+
+// Err returns the expected relative error at loss probability p, linearly
+// interpolated between the neighbouring probes.
+func (c LossCurve) Err(p float64) float64 {
 	if p <= 0 {
 		return 0
 	}
+	j := gridCell(p)
+	if j == curvePoints {
+		return c.errs[curvePoints-1]
+	}
+	lo, eLo := lossGrid[j-1], c.errs[j-1]
+	return eLo + (c.errs[j]-eLo)*(p-lo)/(lossGrid[j]-lo)
+}
+
+// MaxLoss inverts the curve: the largest loss probability up to which the
+// expected error stays within target — where the interpolated curve first
+// rises above it, or 1 if it never does.
+func (c LossCurve) MaxLoss(target float64) float64 {
+	if target <= 0 {
+		return 0
+	}
+	for j := 1; j < curvePoints; j++ {
+		if c.errs[j] > target {
+			lo, eLo := lossGrid[j-1], c.errs[j-1]
+			return lo + (lossGrid[j]-lo)*(target-eLo)/(c.errs[j]-eLo)
+		}
+	}
+	return 1
+}
+
+// LossCurve runs the error model: Monte-Carlo over synthetic windows of the
+// estimated size drawn from the value sample, each element lost with
+// probability p, the thinned window's aggregate compared against the full
+// one. The generic simulation handles every aggregate — including max and
+// quantiles, whose error is driven by the value distribution, not just the
+// loss fraction.
+//
+// All probes share their random numbers: each element gets one uniform u
+// and survives loss probability p iff u >= p, so the survivor sets are
+// nested and one pass per trial, adding elements in descending-u order,
+// visits every probe's thinned window in turn and ends on the full one.
+// For sum and count over positive values that makes the curve exactly
+// monotone, not just monotone in expectation.
+func (e *Estimator) LossCurve() LossCurve { return e.lossCurve(false) }
+
+// lossCurve is LossCurve with optional Horvitz–Thompson compensation:
+// survivor values scaled by 1/(1−p). The scale differs per probe, so a
+// compensated sweep rebuilds each probe's thinned window from the sorted
+// draws instead of growing one.
+func (e *Estimator) lossCurve(compensated bool) LossCurve {
+	c := LossCurve{errs: make([]float64, curvePoints)}
 	sample := e.values.Sample()
 	if len(sample) == 0 {
 		// No value information yet: fall back to the loss fraction, the
 		// exact error of count and the iid-expected error of sum.
-		return p
+		copy(c.errs, lossGrid[:])
+		return c
 	}
-	n := e.WindowCount()
 	// Cap the simulated window size: beyond ~1k elements the relative
 	// error of subset aggregates is insensitive to n for the loss
 	// probabilities of interest, and the cap bounds adaptation cost.
 	const maxWindow = 1024
-	if n > maxWindow {
-		n = maxWindow
-	}
-	var errSum float64
+	n := min(e.WindowCount(), maxWindow)
+	var vals, sorted [maxWindow]float64
+	var cells [maxWindow]uint8
 	for t := 0; t < e.trials; t++ {
-		full := e.agg.New()
-		thin := e.agg.New()
+		// Draw the window; end[b] counts the draws in grid cell b.
+		var end [curvePoints + 1]int
 		for i := 0; i < n; i++ {
-			v := sample[e.rng.Intn(len(sample))]
-			full.Add(v)
-			if e.rng.Float64() >= p {
-				thin.Add(v * scale)
-			}
+			vals[i] = sample[e.rng.Intn(len(sample))]
+			cells[i] = uint8(gridCell(e.rng.Float64()))
+			end[cells[i]]++
 		}
-		errSum += relErrEst(thin.Value(), full.Value())
+		// Counting sort by cell, highest first. Afterwards end[b] is where
+		// cell b stops, so sorted[:end[j+1]] are the survivors at
+		// lossGrid[j] (a draw in cell b has u >= lossGrid[b-1]).
+		at := 0
+		for b := curvePoints; b > 0; b-- {
+			at, end[b] = at+end[b], at
+		}
+		for i := 0; i < n; i++ {
+			sorted[end[cells[i]]] = vals[i]
+			end[cells[i]]++
+		}
+		// Sweep from p = 1, where nothing survives, down to p = 0, where
+		// the thinned window is the full one.
+		var value [curvePoints]float64
+		thin, added, scale := e.agg.New(), 0, 1.0
+		for j := curvePoints - 1; j >= 0; j-- {
+			if compensated {
+				// (Infinite at p = 1, with nothing there to scale.)
+				thin, added, scale = e.agg.New(), 0, 1/(1-lossGrid[j])
+			}
+			for ; added < end[j+1]; added++ {
+				thin.Add(sorted[added] * scale)
+			}
+			value[j] = thin.Value()
+		}
+		for j := range c.errs {
+			c.errs[j] += relErrEst(value[j], value[0])
+		}
 	}
-	return errSum / float64(e.trials)
+	for j := range c.errs {
+		c.errs[j] /= float64(e.trials)
+	}
+	return c
 }
 
 // EstimateShedErr predicts the relative window error of uniform shedding
@@ -211,33 +339,14 @@ func (e *Estimator) estimateErrScaled(p, scale float64) float64 {
 // faithfully. Count cannot be value-compensated; its error stays ≈ p
 // either way.
 func (e *Estimator) EstimateShedErr(p float64, compensated bool) float64 {
-	scale := 1.0
-	if compensated && p < 1 {
-		scale = 1 / (1 - p)
-	}
-	return e.estimateErrScaled(p, scale)
+	return e.lossCurve(compensated).Err(p)
 }
 
 // MaxTolerableShed inverts EstimateShedErr: the largest shedding
 // probability whose estimated error stays within target.
 func (e *Estimator) MaxTolerableShed(target float64, compensated bool) float64 {
-	if target <= 0 {
-		return 0
-	}
-	probe := func(p float64) float64 { return e.EstimateShedErr(p, compensated) }
-	if probe(0.99) <= target {
-		return 0.99 // cap: total shedding is never sensible
-	}
-	lo, hi := 0.0, 0.99
-	for i := 0; i < 12; i++ {
-		mid := (lo + hi) / 2
-		if probe(mid) <= target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	// Cap: total shedding is never sensible.
+	return min(e.lossCurve(compensated).MaxLoss(target), 0.99)
 }
 
 // relErrEst mirrors metrics.RelErr without importing it (core must not
@@ -259,28 +368,12 @@ func relErrEst(e, o float64) float64 {
 
 // MaxTolerableLoss inverts the error model: it returns the largest
 // (tuple, window) loss probability whose estimated relative error stays
-// within target. The error estimate is monotone (in expectation) in the
-// loss probability, so bisection applies. This is the expensive half of
-// slack selection — Monte-Carlo per probe — and its result depends only on
-// the value distribution and window size, which drift slowly; AQKSlack
-// caches it across adaptation steps.
+// within target. This is the expensive half of slack selection — one
+// Monte-Carlo sweep — and its result depends only on the value
+// distribution and window size, which drift slowly; AQKSlack keeps the
+// curve across adaptation steps.
 func (e *Estimator) MaxTolerableLoss(target float64) float64 {
-	if target <= 0 {
-		return 0
-	}
-	if e.estimateErrAt(1) <= target {
-		return 1
-	}
-	lo, hi := 0.0, 1.0 // invariant: err(lo) <= target < err(hi)
-	for i := 0; i < 12; i++ {
-		mid := (lo + hi) / 2
-		if e.estimateErrAt(mid) <= target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return e.LossCurve().MaxLoss(target)
 }
 
 // MinKForLoss returns the smallest slack in [0, kMax] whose loss

@@ -75,10 +75,11 @@ func TestEstimateErrCountTracksLoss(t *testing.T) {
 		e.ObserveTuple(rng.Float64Range(0, 100), 1)
 	}
 	e.ObserveWindowCount(400)
+	curve := e.LossCurve()
 	for _, p := range []float64{0.05, 0.2, 0.5} {
-		got := e.estimateErrAt(p)
+		got := curve.Err(p)
 		if math.Abs(got-p) > 0.35*p+0.01 {
-			t.Errorf("estimateErrAt(%v) for count = %v, want ~%v", p, got, p)
+			t.Errorf("curve.Err(%v) for count = %v, want ~%v", p, got, p)
 		}
 	}
 }
@@ -97,8 +98,8 @@ func TestEstimateErrAvgSmallerThanSumError(t *testing.T) {
 		return e
 	}
 	p := 0.2
-	sumErr := mk(window.Sum()).estimateErrAt(p)
-	avgErr := mk(window.Avg()).estimateErrAt(p)
+	sumErr := mk(window.Sum()).LossCurve().Err(p)
+	avgErr := mk(window.Avg()).LossCurve().Err(p)
 	if avgErr >= sumErr/3 {
 		t.Fatalf("avg error %v not much smaller than sum error %v", avgErr, sumErr)
 	}
@@ -110,7 +111,7 @@ func TestMaxTolerableLossInvertsModel(t *testing.T) {
 		p := e.MaxTolerableLoss(theta)
 		// The Monte-Carlo estimate is noisy (and quantized at 1/n for
 		// count), so re-evaluation may wobble: allow 2x + quantization.
-		if err := e.estimateErrAt(p); err > 2*theta+0.01 {
+		if err := e.LossCurve().Err(p); err > 2*theta+0.01 {
 			t.Errorf("theta=%v: loss %v gives error %v above target", theta, p, err)
 		}
 	}
@@ -152,8 +153,14 @@ func TestMinKForLossBounds(t *testing.T) {
 func TestEstimateErrNoValuesFallsBackToLoss(t *testing.T) {
 	e := NewEstimator(window.Spec{Size: 10, Slide: 10}, window.Sum(), EstimatorConfig{Seed: 9})
 	// Observe nothing: estimate must fall back to the loss probability.
-	if got := e.estimateErrAt(0.3); got != 0.3 {
-		t.Fatalf("fallback estimate = %v, want 0.3", got)
+	curve := e.LossCurve()
+	for _, p := range []float64{1e-6, 1e-3, 0.3, 1} {
+		if got := curve.Err(p); math.Abs(got-p) > 1e-12 {
+			t.Errorf("fallback estimate at p=%v is %v", p, got)
+		}
+		if got := curve.MaxLoss(p); math.Abs(got-p) > 1e-12 {
+			t.Errorf("fallback MaxLoss(%v) = %v", p, got)
+		}
 	}
 }
 
@@ -177,5 +184,159 @@ func TestObserveTupleClampsNegativeLateness(t *testing.T) {
 	e.ObserveTuple(-50, 1)
 	if got := e.PLate(0); got != 0 {
 		t.Fatalf("negative lateness recorded: PLate(0) = %v", got)
+	}
+}
+
+// bruteForceErr is the probe-by-probe simulation the loss curve replaced:
+// per trial an independent synthetic window, thinned at the one probability
+// p. It returns the mean and variance of the per-trial relative error.
+func bruteForceErr(e *Estimator, rng *stats.RNG, p float64, trials int) (mean, variance float64) {
+	sample := e.values.Sample()
+	n := min(e.WindowCount(), 1024)
+	var w stats.Welford
+	for t := 0; t < trials; t++ {
+		full, thin := e.agg.New(), e.agg.New()
+		for i := 0; i < n; i++ {
+			v := sample[rng.Intn(len(sample))]
+			full.Add(v)
+			if rng.Float64() >= p {
+				thin.Add(v)
+			}
+		}
+		w.Add(relErrEst(thin.Value(), full.Value()))
+	}
+	return w.Mean(), w.SampleVar()
+}
+
+// skewedEstimator holds a fixed reservoir of positive, heavy-tailed values
+// (so max and median have something to lose) and 300-tuple windows.
+func skewedEstimator(agg window.Factory, trials int) *Estimator {
+	e := NewEstimator(window.Spec{Size: 10, Slide: 10}, agg,
+		EstimatorConfig{Seed: 21, MCTrials: trials, ReservoirSize: 512})
+	rng := stats.NewRNG(22)
+	for i := 0; i < 512; i++ {
+		e.ObserveTuple(0, math.Exp(rng.NormFloat64()))
+	}
+	e.ObserveWindowCount(300)
+	return e
+}
+
+// TestLossCurveMatchesBruteForce: one nested-thinning sweep estimates the
+// same expectation, at every probability, as an independent simulation per
+// probability.
+func TestLossCurveMatchesBruteForce(t *testing.T) {
+	const curves, trials = 40, 40
+	probes := []float64{1e-4, 1e-3, 0.008, 0.05, 0.3, 0.9}
+	for _, agg := range []window.Factory{window.Sum(), window.Count(), window.Avg(), window.Max(), window.Median()} {
+		e := skewedEstimator(agg, trials)
+		got := make([]stats.Welford, len(probes)) // over independent curves
+		for c := 0; c < curves; c++ {
+			curve := e.LossCurve()
+			for i, p := range probes {
+				got[i].Add(curve.Err(p))
+			}
+		}
+		rng := stats.NewRNG(23)
+		for i, p := range probes {
+			want, variance := bruteForceErr(e, rng, p, curves*trials)
+			// Five standard errors of the difference, plus 2% for
+			// interpolating between grid probes.
+			se := math.Sqrt(got[i].SampleVar()/curves + variance/(curves*trials))
+			if tol := 5*se + 0.02*want; math.Abs(got[i].Mean()-want) > tol {
+				t.Errorf("%s p=%v: curve %.6g, brute force %.6g (tolerance %.2g)",
+					agg.Name, p, got[i].Mean(), want, tol)
+			}
+		}
+	}
+}
+
+// TestLossCurveMonotoneAndInvertible: over positive values the survivor
+// sets are nested, so sum and count errors never fall as p rises, and
+// MaxLoss lands where the curve crosses the target.
+func TestLossCurveMonotoneAndInvertible(t *testing.T) {
+	for _, agg := range []window.Factory{window.Sum(), window.Count()} {
+		curve := skewedEstimator(agg, 16).LossCurve()
+		prev := 0.0
+		for p := 1e-5; p <= 1; p *= 1.07 {
+			err := curve.Err(p)
+			if err < prev {
+				t.Fatalf("%s: error falls from %v to %v at p=%v", agg.Name, prev, err, p)
+			}
+			prev = err
+		}
+		for _, target := range []float64{0.002, 0.008, 0.05, 0.3} {
+			r := curve.MaxLoss(target)
+			if at, past := curve.Err(r), curve.Err(r*1.2); at > target*(1+1e-9) || past <= target {
+				t.Errorf("%s: MaxLoss(%v) = %v with Err %v there and %v at 1.2x", agg.Name, target, r, at, past)
+			}
+		}
+	}
+}
+
+func TestLossCurveEdgeCases(t *testing.T) {
+	// A curve with a known inverse: Err(p) = 2p.
+	steep := LossCurve{errs: make([]float64, curvePoints)}
+	// And one that never reaches 0.6: Err(p) = p/2.
+	flat := LossCurve{errs: make([]float64, curvePoints)}
+	for j, p := range lossGrid {
+		steep.errs[j], flat.errs[j] = 2*p, p/2
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*want }
+	// Below the first positive probe the curve runs straight to the origin.
+	if below := lossGrid[1] / 100; !near(steep.MaxLoss(2*below), below) || !near(steep.Err(below), 2*below) {
+		t.Errorf("below the first probe: MaxLoss(%v) = %v, Err(%v) = %v",
+			2*below, steep.MaxLoss(2*below), below, steep.Err(below))
+	}
+	if got := steep.MaxLoss(0.1); !near(got, 0.05) {
+		t.Errorf("MaxLoss(0.1) on Err=2p is %v", got)
+	}
+	if got := flat.MaxLoss(0.6); got != 1 {
+		t.Errorf("Err(1) = 0.5 is within target 0.6, yet MaxLoss = %v", got)
+	}
+	for _, target := range []float64{0, -1} {
+		if got := steep.MaxLoss(target); got != 0 {
+			t.Errorf("MaxLoss(%v) = %v, want 0", target, got)
+		}
+	}
+	if steep.Err(0) != 0 || steep.Err(-0.5) != 0 || steep.Err(1) != 2 || steep.Err(1.5) != 2 {
+		t.Errorf("Err outside (0,1): %v %v %v %v", steep.Err(0), steep.Err(-0.5), steep.Err(1), steep.Err(1.5))
+	}
+}
+
+// TestGridCell pins the table-driven bucketing to the grid it stands for.
+func TestGridCell(t *testing.T) {
+	if lossGrid[0] != 0 || lossGrid[1] != 1.0/(1<<14) || lossGrid[curvePoints-1] != 1 {
+		t.Fatalf("grid is %v, %v ... %v", lossGrid[0], lossGrid[1], lossGrid[curvePoints-1])
+	}
+	for j := 2; j < curvePoints-1; j++ {
+		lo, hi := lossGrid[j-1], lossGrid[j]
+		if lo > 0.5 {
+			lo, hi = 1-hi, 1-lo // geometric in 1−p above one half
+		}
+		if r := hi / lo; r <= 1 || r > 1.25 {
+			t.Fatalf("grid step %d (%v to %v) has ratio %v", j, lossGrid[j-1], lossGrid[j], r)
+		}
+	}
+	count := func(p float64) int {
+		n := 0
+		for _, g := range lossGrid {
+			if g <= p {
+				n++
+			}
+		}
+		return n
+	}
+	rng := stats.NewRNG(24)
+	probes := []float64{0, 1e-9, math.Nextafter(1, 0)}
+	for _, g := range lossGrid {
+		probes = append(probes, g, math.Nextafter(g, 0), math.Nextafter(g, 2))
+	}
+	for i := 0; i < 10000; i++ {
+		probes = append(probes, rng.Float64(), rng.Float64()*1e-3)
+	}
+	for _, p := range probes {
+		if got, want := gridCell(p), count(p); got != want {
+			t.Fatalf("gridCell(%v) = %d, want %d", p, got, want)
+		}
 	}
 }

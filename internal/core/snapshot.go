@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/buffer"
 	"repro/internal/stats"
 	"repro/internal/stream"
@@ -16,9 +14,9 @@ import (
 // because every input to the adaptation loop — sketch, sample, RNG, PI
 // integral, shadow windows, feedback bookkeeping — round-trips exactly.
 //
-// Deliberately NOT persisted: the adaptation trace ([]KSample, a debugging
-// artifact unbounded in size), telemetry and tracer attachments (runtime
-// wiring, re-attached by the host process), and scratch buffers.
+// Deliberately NOT persisted: the adaptation trace (a debugging artifact),
+// telemetry and tracer attachments (runtime wiring, re-attached by the host
+// process), and scratch buffers.
 
 // PIState is the exported state of a PI controller. Gains and clamp bounds
 // are included — a snapshot taken under one tuning must not be silently
@@ -102,13 +100,17 @@ type AQState struct {
 	RelClock stream.Time `json:"relClock"`
 	RelStart bool        `json:"relStart"`
 
-	Realized   stats.EWMAState `json:"realized"`
-	PMaxCache  float64         `json:"pMaxCache"`
-	PMaxAge    int             `json:"pMaxAge"`
-	LastAdapt  stream.Time     `json:"lastAdapt"`
-	AdaptInit  bool            `json:"adaptInit"`
-	QStats     QualityStats    `json:"qstats"`
-	LastClamps int64           `json:"lastClamps"`
+	Realized stats.EWMAState `json:"realized"`
+	// Curve is the cached loss curve, one expected error per grid probe. A
+	// snapshot without it (taken before the first refresh, or by a version
+	// that cached only the inverted curve) restores with none, and the next
+	// adaptation refreshes.
+	Curve      []float64    `json:"curve,omitempty"`
+	CurveAge   int          `json:"curveAge"`
+	LastAdapt  stream.Time  `json:"lastAdapt"`
+	AdaptInit  bool         `json:"adaptInit"`
+	QStats     QualityStats `json:"qstats"`
+	LastClamps int64        `json:"lastClamps"`
 }
 
 // State exports the handler state.
@@ -124,26 +126,21 @@ func (a *AQKSlack) State() AQState {
 		RelClock:   a.relClock,
 		RelStart:   a.relStart,
 		Realized:   stats.EWMAState{Value: a.realized.v, Init: a.realized.init},
-		PMaxCache:  a.pMaxCache,
-		PMaxAge:    a.pMaxAge,
+		Curve:      a.curve.errs, // never written after it is built
+		CurveAge:   a.curveAge,
 		LastAdapt:  a.lastAdapt,
 		AdaptInit:  a.adaptInit,
 		QStats:     a.qstats,
 		LastClamps: a.lastClamps,
 	}
-	if len(a.full) > 0 {
-		st.Full = make([]window.WinAgg, 0, len(a.full))
-		for idx, agg := range a.full {
-			st.Full = append(st.Full, window.WinAgg{Idx: idx, Agg: window.SaveAggregate(agg)})
+	for i, w := range a.wins {
+		idx := a.fullLo + int64(i)
+		if w.full != nil {
+			st.Full = append(st.Full, window.WinAgg{Idx: idx, Agg: window.SaveAggregate(w.full)})
 		}
-		sort.Slice(st.Full, func(i, j int) bool { return st.Full[i].Idx < st.Full[j].Idx })
-	}
-	if len(a.emitted) > 0 {
-		st.Emitted = make([]EmittedVal, 0, len(a.emitted))
-		for idx, v := range a.emitted {
-			st.Emitted = append(st.Emitted, EmittedVal{Idx: idx, Value: v})
+		if w.hasEmitted {
+			st.Emitted = append(st.Emitted, EmittedVal{Idx: idx, Value: w.emitted})
 		}
-		sort.Slice(st.Emitted, func(i, j int) bool { return st.Emitted[i].Idx < st.Emitted[j].Idx })
 	}
 	return st
 }
@@ -155,22 +152,32 @@ func (a *AQKSlack) Restore(st AQState) {
 	a.est.Restore(st.Est)
 	a.pi.Restore(st.PI)
 	a.shadow.Restore(st.Shadow)
-	a.full = make(map[int64]window.Aggregate, len(st.Full))
-	for _, wa := range st.Full {
-		a.full[wa.Idx] = window.RestoreAggregate(a.cfg.Agg, wa.Agg)
-	}
 	a.fullLo, a.fullHi, a.haveWin = st.FullLo, st.FullHi, st.HaveWin
-	a.emitted = make(map[int64]float64, len(st.Emitted))
+	a.wins = a.wins[:0]
+	if a.haveWin {
+		a.win(a.fullHi) // finalize indexes every window up to fullHi
+	}
+	for _, wa := range st.Full {
+		if w := a.win(wa.Idx); w != nil {
+			w.full = window.RestoreAggregate(a.cfg.Agg, wa.Agg)
+		}
+	}
 	for _, ev := range st.Emitted {
-		a.emitted[ev.Idx] = ev.Value
+		if w := a.win(ev.Idx); w != nil {
+			w.emitted, w.hasEmitted = ev.Value, true
+		}
 	}
 	a.relClock, a.relStart = st.RelClock, st.RelStart
 	a.realized.v, a.realized.init = st.Realized.Value, st.Realized.Init
-	a.pMaxCache, a.pMaxAge = st.PMaxCache, st.PMaxAge
+	a.curve = LossCurve{}
+	if len(st.Curve) == curvePoints {
+		a.curve.errs = st.Curve
+	}
+	a.curveAge = st.CurveAge
 	a.lastAdapt, a.adaptInit = st.LastAdapt, st.AdaptInit
 	a.qstats = st.QStats
 	a.lastClamps = st.LastClamps
-	a.trace = nil // the adaptation trace is not persisted
+	a.trace, a.traceHead = nil, 0 // the adaptation trace is not persisted
 }
 
 // Theta returns the configured quality bound. Recovery validation uses it

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/stats"
@@ -101,13 +102,31 @@ func TestAQKSlackStateContinuation(t *testing.T) {
 	}
 	a := mk()
 	items := aqItems(77, 3000)
-	cut := len(items) / 2
 
+	// Cut between two refreshes of the loss curve: the restored handler
+	// must go on reading the very curve the original cached.
+	cut := len(items) / 2
 	var scratch []stream.Tuple
-	for _, it := range items[:cut] {
+	for i, it := range items {
+		if i >= cut && a.curveAge == a.cfg.LossRefresh/2 {
+			cut = i
+			break
+		}
 		scratch = a.Insert(it, scratch[:0])
 	}
-	st := a.State()
+	if a.curve.errs == nil || a.curveAge == 0 {
+		t.Fatalf("test setup: cut at %d is not between refreshes (age %d)", cut, a.curveAge)
+	}
+	// Through JSON, as internal/durable stores it.
+	raw, err := json.Marshal(a.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st AQState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	traced := len(a.Trace())
 
 	b := mk()
 	b.Restore(st)
@@ -137,11 +156,54 @@ func TestAQKSlackStateContinuation(t *testing.T) {
 	if a.Quality() != b.Quality() {
 		t.Fatalf("quality stats diverged: %+v vs %+v", a.Quality(), b.Quality())
 	}
-	if a.Quality().Adaptations == 0 {
-		t.Fatalf("test setup: expected adaptations to have run")
+	// The trace restarts empty on restore; from there on every sample —
+	// slack, estimated error, trim — must match the original's.
+	trA, trB := a.Trace()[traced:], b.Trace()
+	if len(trB) < 2*a.cfg.LossRefresh || len(trA) != len(trB) {
+		t.Fatalf("test setup: %d vs %d adaptations after the cut, want a few refreshes", len(trA), len(trB))
+	}
+	for i := range trA {
+		if trA[i] != trB[i] {
+			t.Fatalf("adaptation %d after the cut diverged: %+v vs %+v", i, trA[i], trB[i])
+		}
 	}
 	if b.Theta() != 0.02 {
 		t.Fatalf("theta accessor: got %v", b.Theta())
+	}
+}
+
+// TestAQKSlackRestoreWithoutCurve: a snapshot that carries no loss curve
+// restores, and the next adaptation refreshes instead of reading nothing.
+func TestAQKSlackRestoreWithoutCurve(t *testing.T) {
+	mk := func() *AQKSlack {
+		return NewAQKSlack(Config{
+			Theta: 0.05, Spec: window.Spec{Size: 100, Slide: 50}, Agg: window.Sum(),
+			WarmupTuples: 30, Estimator: EstimatorConfig{Seed: 9, ReservoirSize: 64, MCTrials: 2},
+		})
+	}
+	a := mk()
+	items := aqItems(5, 1600)
+	var scratch []stream.Tuple
+	for _, it := range items[:800] {
+		scratch = a.Insert(it, scratch[:0])
+	}
+	st := a.State()
+	if st.Curve == nil || st.CurveAge == 0 {
+		t.Fatalf("test setup: want a snapshot between refreshes, got age %d", st.CurveAge)
+	}
+	st.Curve = nil
+	b := mk()
+	b.Restore(st)
+	before := b.Quality().Adaptations
+	for _, it := range items[800:] {
+		scratch = b.Insert(it, scratch[:0])
+		if b.Quality().Adaptations > before {
+			break
+		}
+	}
+	if b.Quality().Adaptations == before || b.curve.errs == nil {
+		t.Fatalf("no refresh at the first adaptation after restore (adaptations %d -> %d)",
+			before, b.Quality().Adaptations)
 	}
 }
 

@@ -138,6 +138,7 @@ type GK struct {
 	eps     float64
 	n       int64
 	entries []gkEntry
+	spare   []gkEntry // flush merges into this, then swaps it with entries
 	pending []float64 // small insert buffer to amortize compress cost
 	cumG    []int64   // prefix sums of entry g values; rebuilt lazily
 	dirty   bool      // cumG out of date
@@ -172,7 +173,7 @@ func (g *GK) flush() {
 		return
 	}
 	sort.Float64s(g.pending)
-	out := make([]gkEntry, 0, len(g.entries)+len(g.pending))
+	out := g.spare[:0]
 	i := 0
 	for _, x := range g.pending {
 		for i < len(g.entries) && g.entries[i].v <= x {
@@ -196,7 +197,7 @@ func (g *GK) flush() {
 		g.n++
 	}
 	out = append(out, g.entries[i:]...)
-	g.entries = out
+	g.entries, g.spare = out, g.entries[:0]
 	g.pending = g.pending[:0]
 	g.dirty = true
 	g.compress()

@@ -204,3 +204,24 @@ func TestGKSortedInsertions(t *testing.T) {
 		}
 	}
 }
+
+// TestGKSteadyStateAllocatesNothing: once both merge buffers have grown to
+// the summary's size, a flush swaps them instead of building a new slice,
+// so the controller's cycle — a flush-threshold's worth of Adds, then a
+// probe — allocates nothing.
+func TestGKSteadyStateAllocatesNothing(t *testing.T) {
+	g := NewGK(0.002)
+	rng := NewRNG(31)
+	for i := 0; i < 200000; i++ {
+		g.Add(rng.ExpFloat64())
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := 0; i < 250; i++ {
+			g.Add(rng.ExpFloat64())
+		}
+		g.FracAbove(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed GK Add×250 + FracAbove allocates %v times, want 0", allocs)
+	}
+}
