@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test race fuzz-short fuzz doccheck api-test bench-smoke bench bench-transport bench-trace bench-journal bench-aggcore bench-fanout bench-history dst crash cover
+.PHONY: check vet build test race fuzz-short fuzz doccheck api-test bench-smoke bench bench-transport bench-journal bench-aggcore bench-fanout bench-history dst crash cover
 
 check: vet build race fuzz-short api-test dst crash doccheck bench-smoke
 
@@ -31,6 +31,7 @@ fuzz-short:
 	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzP2Bounds$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream -run '^$$' -fuzz '^FuzzLineProtocol$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netstream -run '^$$' -fuzz '^FuzzParserDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/aqserver -run '^$$' -fuzz '^FuzzQueryAPI$$' -fuzztime $(FUZZTIME)
 
 # Socket-level integration suite for the network control plane: a real
@@ -83,11 +84,12 @@ cover:
 # already covers them; this pins them even if the wide vet target
 # changes), no dead relative links in any *.md file, the metric catalog
 # in step with the code, and the structural lints that keep the execution
-# loop and the durability protocol in one file (TestOneExecutor) and the
-# error model's Monte-Carlo in one loop (TestOneErrorSimulation).
+# loop and the durability protocol in one file (TestOneExecutor), the
+# error model's Monte-Carlo in one loop (TestOneErrorSimulation) and the
+# wire grammar in one parser (TestOneFrameParser).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$|^TestOneErrorSimulation$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,
@@ -108,15 +110,6 @@ bench-transport:
 	$(GO) test -bench 'BenchmarkPipelineBatched|BenchmarkGroupedSharded' \
 		-benchmem -run '^$$' -benchtime $(BENCHTIME) -timeout 20m . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_PR3.json
-
-# PR5 performance gate: the always-on flight recorder must stay cheap.
-# BenchmarkTraceOverhead runs the batched concurrent pipeline with the
-# tracer off and on; BENCH_PR5.json records both so the ≤3% overhead bar
-# (EXPERIMENTS.md R17) can be re-verified on any host.
-bench-trace:
-	$(GO) test -bench 'BenchmarkTraceOverhead' \
-		-benchmem -run '^$$' -benchtime $(BENCHTIME) -timeout 20m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_PR5.json
 
 # PR6 performance gate: the ingest journal's cost on the batched
 # concurrent pipeline (off vs on, default batch size and snapshot

@@ -18,7 +18,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/join"
 	"repro/internal/obs"
-	"repro/internal/obs/tracez"
 	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -252,35 +251,6 @@ func BenchmarkPipelineBatched(b *testing.B) {
 			b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
 		})
 	}
-}
-
-// BenchmarkTraceOverhead measures the cost of always-on event tracing
-// (cq.Trace into a tracez flight recorder) on the batched concurrent
-// engine: "off" runs the usual untraced pipeline, "on" attaches a
-// tracer with a default-size recorder. The acceptance bar is <3%
-// throughput loss on the batched hot path (EXPERIMENTS.md R17).
-func BenchmarkTraceOverhead(b *testing.B) {
-	tuples := benchTuples(200000)
-	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
-	run := func(b *testing.B, traced bool) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q := cq.New(stream.FromTuples(tuples)).
-				Handle(buffer.NewKSlack(2*stream.Second)).
-				Window(spec, window.Sum()).
-				Batch(64)
-			if traced {
-				q.Trace(tracez.New(tracez.NewRecorder(0), "bench"))
-			}
-			if _, err := q.RunConcurrent(context.Background(), nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
-	}
-	b.Run("off", func(b *testing.B) { run(b, false) })
-	b.Run("on", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkGroupedSharded measures grouped (GROUP BY key) execution over

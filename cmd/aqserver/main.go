@@ -356,7 +356,8 @@ func (a *app) startFeeds(ctx context.Context) {
 // the fleet registry (-listen). Split from newApp so tests can boot on
 // an ephemeral port.
 func (a *app) startListener(addr string) error {
-	l, err := netstream.Listen(addr, a.fleet, a.log)
+	open := func(source, _ string) (netstream.Sink, error) { return a.fleet.Open(source) }
+	l, err := netstream.Listen(addr, open, a.log)
 	if err != nil {
 		return err
 	}

@@ -379,6 +379,85 @@ func TestOneErrorSimulation(t *testing.T) {
 	}
 }
 
+// TestOneFrameParser keeps the wire grammar in one place: in non-test
+// internal/netstream, number parsing (strconv.Parse*, the intField and
+// uintField scanners) and field splitting (bytes/strings Cut, Fields,
+// Split*) occur only inside parseFrame, and both ways in — ParseLine for one
+// line, (*Decoder).Decode for a connection's batches — call it. A fast path
+// beside a slow one is two grammars the moment one of them is edited.
+func TestOneFrameParser(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "internal/netstream", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]map[string]bool{} // function or method name → what it calls
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				callees := calls[fn.Name.Name]
+				if callees == nil {
+					callees = map[string]bool{}
+					calls[fn.Name.Name] = callees
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					switch fun := call.Fun.(type) {
+					case *ast.Ident:
+						callees[fun.Name] = true
+					case *ast.SelectorExpr:
+						if pkg, ok := fun.X.(*ast.Ident); ok {
+							callees[pkg.Name+"."+fun.Sel.Name] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	grammar := func(callee string) bool {
+		pkg, name, qualified := strings.Cut(callee, ".")
+		switch {
+		case !qualified:
+			return callee == "intField" || callee == "uintField" || callee == "fields"
+		case pkg == "strconv":
+			return strings.HasPrefix(name, "Parse")
+		case pkg == "bytes" || pkg == "strings":
+			return name == "Cut" || strings.HasPrefix(name, "Fields") || strings.HasPrefix(name, "Split")
+		}
+		return false
+	}
+	found := 0
+	for fn, callees := range calls {
+		for callee := range callees {
+			if !grammar(callee) {
+				continue
+			}
+			found++
+			if fn != "parseFrame" && !(fn == "intField" && callee == "uintField") {
+				t.Errorf("internal/netstream: %s calls %s: frames are parsed in parseFrame only", fn, callee)
+			}
+		}
+	}
+	if found < 4 {
+		t.Fatalf("extraction rotted: %d grammar calls found in internal/netstream", found)
+	}
+	for _, entry := range []string{"ParseLine", "Decode"} {
+		if !calls[entry]["parseFrame"] {
+			t.Errorf("internal/netstream: %s does not call parseFrame", entry)
+		}
+	}
+}
+
 func stripCodeFences(s string) string {
 	var out strings.Builder
 	inFence := false

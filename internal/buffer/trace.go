@@ -8,14 +8,16 @@ import (
 // Traced wraps any Handler and mirrors its activity into a flight
 // recorder as delta events: tuples inserted, released and released out
 // of order, plus every slack change. Like Instrumented it derives the
-// deltas from the handler's own cumulative Stats after each call — one
-// Stats read per call (per batch on the batched path), no hooks in the
-// handlers' hot loops. Event timestamps are the maximum event time seen,
-// i.e. the buffer's clock, so traces replay deterministically under the
-// simulation harness.
+// deltas from the handler's own cumulative Stats — no hooks in the
+// handlers' hot loops — but only when its driver calls Sync: the executor
+// does so once per step (cq.Exec), so a batch of any size costs one Stats
+// read and at most four events, and activity a panic cut off from its
+// Sync rides on the next one. Event timestamps are the maximum event time
+// seen, i.e. the buffer's clock, so traces replay deterministically under
+// the simulation harness.
 //
-// Traced is a Handler (and a BatchHandler) and is driven single-writer
-// like any handler; the tracer it feeds is safe for concurrent use.
+// Traced is a Handler and is driven single-writer like any handler; the
+// tracer it feeds is safe for concurrent use.
 type Traced struct {
 	inner Handler
 	tr    *tracez.Tracer
@@ -34,27 +36,12 @@ func NewTraced(h Handler, tr *tracez.Tracer) *Traced {
 // Insert implements Handler.
 func (b *Traced) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
 	b.advance(it)
-	out = b.inner.Insert(it, out)
-	b.sync()
-	return out
-}
-
-// InsertBatch implements BatchHandler, forwarding to the inner handler's
-// fast path (or the per-item fallback) and syncing once per batch.
-func (b *Traced) InsertBatch(items []stream.Item, out []stream.Tuple, ends []int) ([]stream.Tuple, []int) {
-	for _, it := range items {
-		b.advance(it)
-	}
-	out, ends = InsertBatch(b.inner, items, out, ends)
-	b.sync()
-	return out, ends
+	return b.inner.Insert(it, out)
 }
 
 // Flush implements Handler.
 func (b *Traced) Flush(out []stream.Tuple) []stream.Tuple {
-	out = b.inner.Flush(out)
-	b.sync()
-	return out
+	return b.inner.Flush(out)
 }
 
 // advance moves the wrapper's event-time clock.
@@ -69,8 +56,10 @@ func (b *Traced) advance(it stream.Item) {
 	}
 }
 
-// sync records the deltas since the previous call.
-func (b *Traced) sync() {
+// Sync records the handler's activity since the previous call: one event
+// per non-zero delta with N = the count, and the slack if it changed (the
+// first call always reports it).
+func (b *Traced) Sync() {
 	st := b.inner.Stats()
 	k := b.inner.K()
 	kChanged := !b.kInit || k != b.prevK

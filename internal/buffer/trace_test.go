@@ -30,8 +30,10 @@ func TestTracedMirrorsHandlerActivity(t *testing.T) {
 	// A straggler: TS 95 is behind the released TS 100, forwarded out of
 	// event-time order.
 	out = h.Insert(stream.DataItem(stream.Tuple{TS: 95, Arrival: 115, Seq: 2}), out)
+	h.Sync()
 	out = h.Insert(stream.HeartbeatItem(120), out)
 	out = h.Flush(out)
+	h.Sync()
 
 	st := h.Stats()
 	if st.Inserted != 3 || st.Released != 3 {
@@ -60,30 +62,42 @@ func TestTracedMirrorsHandlerActivity(t *testing.T) {
 	}
 }
 
-func TestTracedBatchAndForwarding(t *testing.T) {
+func TestTracedSyncsOnDemandAndForwards(t *testing.T) {
 	rec := tracez.NewRecorder(1 << 10)
 	inner := NewKSlack(4)
 	h := NewTraced(inner, tracez.New(rec, "test"))
 
-	items := []stream.Item{
-		stream.DataItem(stream.Tuple{TS: 10, Arrival: 10}),
-		stream.DataItem(stream.Tuple{TS: 12, Arrival: 12, Seq: 1}),
-		stream.DataItem(stream.Tuple{TS: 30, Arrival: 30, Seq: 2}),
+	var out []stream.Tuple
+	out = h.Insert(stream.DataItem(stream.Tuple{TS: 10, Arrival: 10}), out)
+	out = h.Insert(stream.DataItem(stream.Tuple{TS: 12, Arrival: 12, Seq: 1}), out)
+	out = h.Insert(stream.DataItem(stream.Tuple{TS: 30, Arrival: 30, Seq: 2}), out)
+	if rec.Len() != 0 {
+		t.Fatalf("%d events before the first Sync: inserts must not record", rec.Len())
 	}
-	out, ends := h.InsertBatch(items, nil, nil)
-	if len(ends) != len(items) {
-		t.Fatalf("ends = %d entries, want %d", len(ends), len(items))
+	h.Sync()
+	// One event per non-zero delta, N = count: 3 inserted, 2 released
+	// (TS 10 and 12 are behind 30−K), plus the initial slack.
+	var inserts int
+	for _, ev := range rec.Events() {
+		if ev.Kind == tracez.KindInsert {
+			inserts++
+			if ev.N != 3 || ev.At != 30 {
+				t.Errorf("insert event = %+v, want N=3 at the buffer clock 30", ev)
+			}
+		}
+	}
+	if n := kindCounts(rec); inserts != 1 || n[tracez.KindRelease] != 2 || n[tracez.KindKSet] != 1 {
+		t.Errorf("after one Sync: %d insert events, counts %v", inserts, n)
 	}
 	before := rec.Len()
-	out = h.Flush(out[:0])
-	if rec.Len() == before && len(out) > 0 {
-		t.Error("flush released tuples but recorded nothing")
+	h.Sync()
+	if rec.Len() != before {
+		t.Error("a Sync with nothing new recorded events")
 	}
-
-	// The batched path syncs once per batch, not per item.
-	n := kindCounts(rec)
-	if n[tracez.KindInsert] != 3 {
-		t.Errorf("insert events carry N=%d, want 3", n[tracez.KindInsert])
+	out = h.Flush(out[:0])
+	h.Sync()
+	if rec.Len() == before || len(out) != 1 {
+		t.Errorf("flush released %d tuples, recorder grew by %d", len(out), rec.Len()-before)
 	}
 
 	if h.K() != inner.K() || h.Len() != inner.Len() || h.Stats() != inner.Stats() {

@@ -283,12 +283,6 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 
 	select {
 	case <-done:
-		if err := failure(); err != nil {
-			return nil, err
-		}
-		if srcErr != nil {
-			return nil, srcErr
-		}
 	case <-ctx.Done():
 		// Join the source stage (it exits through its ctx selects and
 		// closes items) but not the core stage: a sink that blocks forever
@@ -297,10 +291,17 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 			for range items {
 			}
 		}
-		if err := failure(); err != nil {
-			return nil, err
-		}
-		return nil, ctx.Err()
+	}
+	if err := failure(); err != nil {
+		return nil, err
+	}
+	// select may take done although ctx is cancelled too: the core stage
+	// then skipped Finish, and the report is a truncated one.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if srcErr != nil {
+		return nil, srcErr
 	}
 
 	rep := x.Report()

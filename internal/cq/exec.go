@@ -20,11 +20,12 @@ import (
 // One Step is: journal the batch → per item, insert it into the handler,
 // advance the arrival clock and observe the tuples the insertion released →
 // suppress emissions below the recovered floor → report / telemetry /
-// tracer / sink → journal the emission cursor → snapshot when due. Crash
-// recovery is the same per-item loop over the journal suffix with nothing
-// journaled (see Resume). Every state change happens inside Step on the
-// caller's goroutine, so a snapshot is a plain call at a batch boundary:
-// the journal covers exactly the items the captured state has absorbed.
+// tracer / sink → sync the handler's trace and counters, once → journal
+// the emission cursor → snapshot when due. Crash recovery is the same
+// per-item loop over the journal suffix with nothing journaled (see
+// Resume). Every state change happens inside Step on the caller's
+// goroutine, so a snapshot is a plain call at a batch boundary: the journal
+// covers exactly the items the captured state has absorbed.
 //
 // An Exec is not safe for concurrent use; its driver serializes every call
 // (cmd/aqserver does so with the runner mutex).
@@ -40,6 +41,7 @@ type Exec struct {
 	now      stream.Time // arrival clock: max arrival/watermark applied so far
 	dis      disorderAcc // intake-side disorder measurement (see accept)
 	rel      []stream.Tuple
+	released int // tuples the handler released since the last sync
 	scratch  []window.Result
 	emitted  int  // results delivered, after floor suppression
 	flushing bool // Finish reached: emissions are flush-forced
@@ -208,7 +210,7 @@ func (x *Exec) Resume() {
 		x.pos++ // a panic below leaves this item behind, not the batch
 		x.stage = stageDisorder
 		x.rel = x.handler.Insert(it, x.rel[:0])
-		x.q.telem.noteReleased(len(x.rel))
+		x.released += len(x.rel)
 		x.stage = stageWindow
 		if it.Heartbeat {
 			if it.Watermark > x.now {
@@ -224,7 +226,21 @@ func (x *Exec) Resume() {
 		}
 	}
 	x.win.endStep()
+	x.sync()
 	x.stage, x.pend = stageSource, nil
+}
+
+// sync publishes the handler's activity once per step, not per item: the
+// traced wrapper turns the deltas of the handler's cumulative stats into
+// buffer events (N = count), and the released counter moves by what
+// accumulated. A step a panic cut short skips it and loses nothing: its
+// share rides on the sync of the Resume that carries on behind it.
+func (x *Exec) sync() {
+	if tr, ok := x.handler.(*buffer.Traced); ok {
+		tr.Sync()
+	}
+	x.q.telem.noteReleased(x.released)
+	x.released = 0
 }
 
 // InFlight reports where a panic raised inside Step or Resume hit: the
@@ -252,7 +268,8 @@ func (x *Exec) Finish() error {
 	}
 	x.stage = stageDisorder
 	x.rel = x.handler.Flush(x.rel[:0])
-	x.q.telem.noteReleased(len(x.rel))
+	x.released += len(x.rel)
+	x.sync()
 	x.stage = stageWindow
 	x.win.finish(x.rel, x.now)
 	x.q.tracer.Flush(int64(x.now))

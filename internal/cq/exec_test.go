@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 	"repro/internal/stats"
 	"repro/internal/stream"
@@ -302,6 +303,118 @@ func TestExecResumeBehindPanic(t *testing.T) {
 		if lost := want.Op.TuplesIn - got.Op.TuplesIn; lost < 0 || lost > int64(atRisk) {
 			t.Fatalf("panic cost %d released tuples; the item in flight had released only %d (%d items were pending behind it)",
 				lost, atRisk, behind)
+		}
+	})
+}
+
+// kSteppingHandler moves its K-slack's K on chosen tuples, the way an
+// adaptive controller does in the middle of a batch.
+type kSteppingHandler struct {
+	*buffer.KSlack
+	setK map[uint64]stream.Time // Seq → K to set before the insert
+}
+
+func (h *kSteppingHandler) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
+	if k, ok := h.setK[it.Tuple.Seq]; ok && !it.Heartbeat {
+		h.SetK(k)
+	}
+	return h.KSlack.Insert(it, out)
+}
+
+// TestExecTraceSyncPerStep pins what the flight recorder sees of the
+// disorder handler now that the executor syncs the traced wrapper once per
+// step: the events are deltas of the handler's cumulative stats, so their N
+// sums to the stats however the stream was cut into steps, a panic in the
+// middle of a step delays its share to the next sync and loses none of it
+// (the released counter likewise), and a K that moved twice inside one step
+// is reported once, with the value it ended on.
+func TestExecTraceSyncPerStep(t *testing.T) {
+	items := execItems(3000, 31)
+	run := func(t *testing.T, h buffer.Handler, sink func(window.Result), drive func(*Exec)) (*Exec, []tracez.Event, *Telemetry) {
+		rec := tracez.NewRecorder(1 << 14)
+		telem := NewTelemetry(obs.NewRegistry(), "q", testSpec)
+		x, err := NewExec(New(nil).Handle(h).Window(testSpec, window.Sum()).
+			Trace(tracez.New(rec, "q")).Instrument(telem), sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(x)
+		return x, rec.Events(), telem
+	}
+	check := func(t *testing.T, x *Exec, events []tracez.Event, telem *Telemetry) (inserts int) {
+		t.Helper()
+		n := map[tracez.Kind]int64{}
+		for _, ev := range events {
+			n[ev.Kind] += ev.N
+			if ev.Kind == tracez.KindInsert {
+				inserts++
+			}
+		}
+		st := x.Report().Handler
+		if n[tracez.KindInsert] != st.Inserted || n[tracez.KindRelease] != st.Released || n[tracez.KindStraggler] != st.Stragglers {
+			t.Fatalf("events sum to %d inserted, %d released, %d stragglers; handler stats %+v",
+				n[tracez.KindInsert], n[tracez.KindRelease], n[tracez.KindStraggler], st)
+		}
+		if st.Stragglers == 0 {
+			t.Fatal("no stragglers: the comparison proves less than it should")
+		}
+		if got := telem.Released.Value(); got != float64(st.Released) {
+			t.Fatalf("released counter %v, handler released %d", got, st.Released)
+		}
+		return inserts
+	}
+
+	t.Run("mixed steps", func(t *testing.T) {
+		steps := 0
+		x, events, telem := run(t, buffer.NewKSlack(100), nil, func(x *Exec) {
+			rng := stats.NewRNG(3)
+			for rest := items; len(rest) > 0; steps++ {
+				n := min(1+rng.Intn(300), len(rest))
+				if err := x.Step(rest[:n]); err != nil {
+					t.Fatal(err)
+				}
+				rest = rest[n:]
+			}
+			if err := x.Finish(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if inserts := check(t, x, events, telem); inserts > steps {
+			t.Fatalf("%d insert events for %d steps: the sync is per step, not per tuple", inserts, steps)
+		}
+	})
+
+	t.Run("panic mid-step", func(t *testing.T) {
+		seen := 0
+		x, events, telem := run(t, buffer.NewKSlack(100), func(window.Result) {
+			if seen++; seen == 10 {
+				panic("poisoned result")
+			}
+		}, func(x *Exec) {
+			if stages, _ := stepIsolating(t, x, items); len(stages) != 1 {
+				t.Fatalf("%d panics isolated, want the one injected", len(stages))
+			}
+		})
+		check(t, x, events, telem)
+	})
+
+	t.Run("k moves inside a step", func(t *testing.T) {
+		var first, second uint64
+		for _, it := range items[300:500] { // the second 256-item step holds both
+			if !it.Heartbeat {
+				first, second = second, it.Tuple.Seq
+			}
+		}
+		h := &kSteppingHandler{KSlack: buffer.NewKSlack(100), setK: map[uint64]stream.Time{first: 700, second: 900}}
+		_, events, _ := run(t, h, nil, func(x *Exec) { stepIsolating(t, x, items) })
+		var ks []int64
+		for _, ev := range events {
+			if ev.Kind == tracez.KindKSet {
+				ks = append(ks, ev.K)
+			}
+		}
+		if !reflect.DeepEqual(ks, []int64{100, 900}) {
+			t.Fatalf("k-set events %v, want [100 900]: a sync reports the K its step ended on", ks)
 		}
 	})
 }

@@ -21,8 +21,9 @@
 //     at the door and charged to the source's RateShed counter, which
 //     the engine folds into AggReport.Shed exactly like ring laps).
 //
-// The registry implements netstream.Sink, so a netstream.Listener can
-// feed it directly, and the cql.SourceCatalog interface, so statement
+// A Source implements netstream.Sink, so a netstream.Listener feeds it
+// directly once Registry.Open has resolved a connection's hello; the
+// registry implements the cql.SourceCatalog interface, so statement
 // binding can reject queries over unknown sources before any runner
 // spins up.
 package fleet
@@ -148,20 +149,29 @@ func (r *Registry) SourceNames() []string {
 	return out
 }
 
-// Publish implements netstream.Sink: decoded batches from the TCP
-// listener land on the named source's ring. The items slice is the
-// listener's reusable batch buffer, so the source copies before
-// publishing. prov is the batch's wire provenance (zero for v1
-// producers); it rides the ring so consumers can attribute emission
-// latency back to the client's send time.
-func (r *Registry) Publish(source, tenant string, items []stream.Item, prov stream.BatchProv) error {
+// Open resolves the named source for one ingest connection, creating it
+// on first use: the connection then moves batches through the source
+// itself (Get, PublishOwned — netstream.Sink) and the registry is out of
+// its per-batch path. A closed registry opens nothing.
+func (r *Registry) Open(source string) (*Source, error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
-		return fmt.Errorf("fleet: registry closed")
+		return nil, fmt.Errorf("fleet: registry closed")
 	}
-	s := r.sourceLocked(source)
-	r.mu.Unlock()
+	return r.sourceLocked(source), nil
+}
+
+// Publish is Open plus PublishProv for callers that own their slice (the
+// DST replay, tests, the benchmark's layer replay): items is copied, never
+// retained. prov is the batch's wire provenance (zero for v1 producers);
+// it rides the ring so consumers can attribute emission latency back to
+// the client's send time.
+func (r *Registry) Publish(source, tenant string, items []stream.Item, prov stream.BatchProv) error {
+	s, err := r.Open(source)
+	if err != nil {
+		return err
+	}
 	return s.PublishProv(items, prov)
 }
 
@@ -357,18 +367,25 @@ func (s *Source) Publish(items []stream.Item) error {
 	return s.PublishProv(items, stream.BatchProv{})
 }
 
-// PublishProv admits one batch: the rate limiter sheds over-rate data
-// tuples (heartbeats always pass), the remainder is copied into a
-// ring-pooled slice and published with the batch's wire provenance.
-// The input slice is never retained.
+// PublishProv admits a copy of items: the input slice is never retained.
 func (s *Source) PublishProv(items []stream.Item, prov stream.BatchProv) error {
+	return s.PublishOwned(append(s.Get(), items...), prov)
+}
+
+// Get lends an empty ring-pooled batch to fill and hand to PublishOwned.
+func (s *Source) Get() []stream.Item { return s.ring.Get() }
+
+// PublishOwned admits one batch the caller gives up (one from Get comes
+// back to the ring's pool): the rate limiter sheds over-rate data tuples
+// (heartbeats always pass) by compacting the slice in place, and what
+// remains is published as is, with the batch's wire provenance.
+func (s *Source) PublishOwned(items []stream.Item, prov stream.BatchProv) error {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	if s.closed {
 		return fanout.ErrClosed
 	}
-	admitted := s.ring.Get()
-	var shed, data int64
+	var data int64
 	if s.rate > 0 {
 		now := s.clock.Now()
 		s.tokens += now.Sub(s.lastRefill).Seconds() * float64(s.rate)
@@ -376,32 +393,32 @@ func (s *Source) PublishProv(items []stream.Item, prov stream.BatchProv) error {
 			s.tokens = cap
 		}
 		s.lastRefill = now
-		for _, it := range items {
-			if !it.Heartbeat {
+		admitted := items[:0]
+		for i := range items {
+			if !items[i].Heartbeat {
 				if s.tokens < 1 {
-					shed++
 					continue
 				}
 				s.tokens--
 				data++
 			}
-			admitted = append(admitted, it)
+			admitted = append(admitted, items[i])
 		}
+		if shed := len(items) - len(admitted); shed > 0 {
+			s.rateShed.Add(int64(shed))
+		}
+		items = admitted
 	} else {
-		admitted = append(admitted, items...)
-		for _, it := range items {
-			if !it.Heartbeat {
+		for i := range items {
+			if !items[i].Heartbeat {
 				data++
 			}
 		}
 	}
-	if shed > 0 {
-		s.rateShed.Add(shed)
-	}
-	if len(admitted) == 0 {
+	if len(items) == 0 {
 		return nil
 	}
-	if err := s.ring.PublishProv(context.Background(), admitted, prov); err != nil {
+	if err := s.ring.PublishProv(context.Background(), items, prov); err != nil {
 		return err
 	}
 	s.tuples.Add(data)

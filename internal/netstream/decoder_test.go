@@ -2,6 +2,7 @@ package netstream
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -77,6 +78,34 @@ func TestDecoderOverlongLine(t *testing.T) {
 	if _, err := d.ReadAll(); err == nil {
 		t.Fatal("want error for over-long line")
 	}
+}
+
+// A line that never ends is refused as soon as it cannot fit MaxLine, not
+// after the peer has filled the read buffer.
+func TestDecoderOverlongLineWithoutNewline(t *testing.T) {
+	r := io.MultiReader(strings.NewReader("S a\nH 1\nD "), neverEnding('7'))
+	d := NewDecoder(r)
+	if err := d.Hello(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.Decode(nil, connBatch)
+	if err == nil && len(got) == 1 {
+		got, err = d.Decode(got, connBatch)
+	}
+	if err == nil || len(got) != 1 || got[0].Watermark != 1 {
+		t.Fatalf("got %d items, err %v; want the heartbeat and a line-length error", len(got), err)
+	}
+}
+
+// neverEnding reads as an endless run of one byte, a few at a time.
+type neverEnding byte
+
+func (b neverEnding) Read(p []byte) (int, error) {
+	n := min(len(p), 100)
+	for i := range p[:n] {
+		p[i] = byte(b)
+	}
+	return n, nil
 }
 
 func TestDecoderTracksBatchMarks(t *testing.T) {

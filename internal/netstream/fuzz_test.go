@@ -20,6 +20,7 @@ func FuzzLineProtocol(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("D 1 2 3 4 5 NaN"))
 	f.Add([]byte("X what"))
+	f.Add([]byte("B 1 0")) // found by the fuzzer: marks were re-encoded as data
 	f.Fuzz(func(t *testing.T, line []byte) {
 		fr, err := ParseLine(line) // must not panic
 		if err != nil {
@@ -31,6 +32,8 @@ func FuzzLineProtocol(f *testing.F) {
 			return // comments/blanks have no canonical encoding
 		case FrameHello:
 			enc = AppendHello(nil, fr.Source, fr.Tenant)
+		case FrameBatchMark:
+			enc = AppendBatchMark(nil, fr.Prov)
 		default:
 			enc = AppendItem(nil, fr.Item)
 		}

@@ -2,6 +2,7 @@ package netstream
 
 import (
 	"errors"
+	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -10,31 +11,31 @@ import (
 	"repro/internal/stream"
 )
 
-// Sink receives decoded item batches, routed by the source name the
-// connection announced. The fleet registry implements it: each named
-// source owns a broadcast ring and a tenant rate quota.
+// Sink is one connection's handle on the source its hello named: the
+// listener resolves it once per connection and then only moves batches.
+// fleet.Source implements it: each named source owns a broadcast ring
+// and a tenant rate quota.
 type Sink interface {
-	// Publish delivers one in-order batch from a connection feeding the
-	// named source. The slice is reused after Publish returns, so
-	// implementations must copy what they keep. prov carries the wire
-	// provenance in effect for every item of the batch (the zero value
-	// for v1 producers); the listener never mixes items under different
-	// marks in one Publish. A returned error terminates the connection
-	// (the client's retry policy decides whether to reconnect).
-	Publish(source, tenant string, items []stream.Item, prov stream.BatchProv) error
+	// Get lends an empty batch for the listener to decode into.
+	Get() []stream.Item
+	// PublishOwned takes over one in-order batch that came from Get: the
+	// sink owns the slice from here on and may edit it in place. prov
+	// carries the wire provenance in effect for every item of the batch
+	// (the zero value for v1 producers); the listener never mixes items
+	// under different marks in one batch. A returned error terminates
+	// the connection (the client's retry policy decides whether to
+	// reconnect).
+	PublishOwned(items []stream.Item, prov stream.BatchProv) error
 }
 
-// connBatch bounds how many decoded items one Publish carries.
-const connBatch = 256
-
 // Listener accepts TCP line-protocol connections and feeds decoded items
-// into the sink. Each connection announces its source with a hello frame;
-// many connections may feed the same source (sequentially — e.g. a
-// reconnecting client — or concurrently; the sink serializes). A decode
-// error closes the offending connection and touches nothing else.
+// into the sink its hello opens. Many connections may feed the same
+// source (sequentially — e.g. a reconnecting client — or concurrently;
+// the sink serializes). A decode error closes the offending connection
+// and touches nothing else.
 type Listener struct {
 	l    net.Listener
-	sink Sink
+	open func(source, tenant string) (Sink, error)
 	log  *slog.Logger
 
 	mu     sync.Mutex
@@ -47,8 +48,9 @@ type Listener struct {
 }
 
 // Listen binds addr (e.g. ":9070", "127.0.0.1:0") and starts accepting.
-// A nil logger defaults to slog.Default.
-func Listen(addr string, sink Sink, log *slog.Logger) (*Listener, error) {
+// open resolves a connection's hello to the sink it feeds; an error
+// rejects the connection. A nil logger defaults to slog.Default.
+func Listen(addr string, open func(source, tenant string) (Sink, error), log *slog.Logger) (*Listener, error) {
 	if log == nil {
 		log = slog.Default()
 	}
@@ -56,7 +58,7 @@ func Listen(addr string, sink Sink, log *slog.Logger) (*Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Listener{l: nl, sink: sink, log: log, conns: make(map[net.Conn]struct{})}
+	l := &Listener{l: nl, open: open, log: log, conns: make(map[net.Conn]struct{})}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -126,65 +128,47 @@ func (l *Listener) acceptLoop() {
 	}
 }
 
-// serve drains one connection: hello, then decoded items batched into
-// sink publishes. Batches flush when full or when the read buffer runs
-// dry, so one TCP segment's worth of frames becomes one publish and a
-// trickling client still sees per-frame latency.
+// serve drains one connection: hello, then every complete frame already
+// read is decoded straight into a batch borrowed from the sink and handed
+// over before the next blocking read, so one TCP segment's worth of
+// frames becomes one publish (connBatch at most) and a trickling client
+// still sees per-frame latency.
 func (l *Listener) serve(c net.Conn) {
 	defer l.wg.Done()
 	defer l.untrack(c)
 	defer c.Close()
-	d := NewDecoder(c)
-	if err := d.Hello(); err != nil {
+	reject := func(msg string, err error, attrs ...any) {
 		l.rejected.Add(1)
 		if !errors.Is(err, net.ErrClosed) {
-			l.log.Warn("netstream: rejecting connection", "remote", c.RemoteAddr().String(), "err", err)
+			l.log.Warn(msg, append(attrs, "remote", c.RemoteAddr().String(), "err", err)...)
 		}
+	}
+	d := NewDecoder(c)
+	if err := d.Hello(); err != nil {
+		reject("netstream: rejecting connection", err)
 		return
 	}
-	source, tenant := d.Source(), d.Tenant()
-	batch := make([]stream.Item, 0, connBatch)
-	prov := d.Prov()
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		if err := l.sink.Publish(source, tenant, batch, prov); err != nil {
-			l.rejected.Add(1)
-			l.log.Warn("netstream: sink rejected batch; closing connection",
-				"source", source, "remote", c.RemoteAddr().String(), "err", err)
-			return false
-		}
-		batch = batch[:0]
-		return true
+	source := d.Source()
+	sink, err := l.open(source, d.Tenant())
+	if err != nil {
+		reject("netstream: rejecting connection", err, "source", source)
+		return
 	}
+	batch := sink.Get()
 	for {
-		it, ok, err := d.Next()
+		batch, err = d.Decode(batch[:0], connBatch)
+		if len(batch) > 0 {
+			if perr := sink.PublishOwned(batch, d.Prov()); perr != nil {
+				reject("netstream: sink rejected batch; closing connection", perr, "source", source)
+				return
+			}
+			batch = sink.Get()
+		}
 		if err != nil {
-			l.rejected.Add(1)
-			if !errors.Is(err, net.ErrClosed) {
-				l.log.Warn("netstream: closing connection", "source", source, "remote", c.RemoteAddr().String(), "err", err)
+			if err != io.EOF {
+				reject("netstream: closing connection", err, "source", source)
 			}
-			flush()
 			return
-		}
-		if !ok {
-			flush()
-			return
-		}
-		// A new batch mark must not relabel items decoded under the old
-		// one: flush the pending batch before adopting it.
-		if p := d.Prov(); p != prov {
-			if !flush() {
-				return
-			}
-			prov = p
-		}
-		batch = append(batch, it)
-		if len(batch) >= connBatch || !d.Buffered() {
-			if !flush() {
-				return
-			}
 		}
 	}
 }

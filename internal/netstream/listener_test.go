@@ -1,6 +1,7 @@
 package netstream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -31,15 +32,31 @@ func newMemSink() *memSink {
 	}
 }
 
-func (s *memSink) Publish(source, tenant string, items []stream.Item, prov stream.BatchProv) error {
+// open is the Listen callback: one memConn per connection.
+func (s *memSink) open(source, tenant string) (Sink, error) {
+	return &memConn{s: s, source: source, tenant: tenant}, nil
+}
+
+// memConn is one connection's Sink; it recycles its one batch slice.
+type memConn struct {
+	s              *memSink
+	source, tenant string
+	buf            []stream.Item
+}
+
+func (c *memConn) Get() []stream.Item { return c.buf[:0] }
+
+func (c *memConn) PublishOwned(items []stream.Item, prov stream.BatchProv) error {
+	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
 	}
-	s.items[source] = append(s.items[source], items...) // copies: append clones into our backing array
-	s.provs[source] = append(s.provs[source], prov)
-	s.tenant[source] = tenant
+	s.items[c.source] = append(s.items[c.source], items...) // copies: append clones into our backing array
+	s.provs[c.source] = append(s.provs[c.source], prov)
+	s.tenant[c.source] = c.tenant
+	c.buf = items
 	return nil
 }
 
@@ -88,7 +105,7 @@ func testItems(n int) []stream.Item {
 
 func TestListenerDeliversInOrder(t *testing.T) {
 	sink := newMemSink()
-	l, err := Listen("127.0.0.1:0", sink, quietLogger())
+	l, err := Listen("127.0.0.1:0", sink.open, quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +139,7 @@ func TestListenerDeliversInOrder(t *testing.T) {
 
 func TestListenerRejectsProtocolGarbage(t *testing.T) {
 	sink := newMemSink()
-	l, err := Listen("127.0.0.1:0", sink, quietLogger())
+	l, err := Listen("127.0.0.1:0", sink.open, quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +166,7 @@ func TestListenerRejectsProtocolGarbage(t *testing.T) {
 func TestListenerSinkErrorClosesConnection(t *testing.T) {
 	sink := newMemSink()
 	sink.err = errors.New("quota exceeded")
-	l, err := Listen("127.0.0.1:0", sink, quietLogger())
+	l, err := Listen("127.0.0.1:0", sink.open, quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +189,7 @@ func TestListenerSinkErrorClosesConnection(t *testing.T) {
 
 func TestClientReconnectsAcrossListenerRestart(t *testing.T) {
 	sink := newMemSink()
-	l, err := Listen("127.0.0.1:0", sink, quietLogger())
+	l, err := Listen("127.0.0.1:0", sink.open, quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +209,7 @@ func TestClientReconnectsAcrossListenerRestart(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Listen(addr, sink, quietLogger())
+	l2, err := Listen(addr, sink.open, quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +250,7 @@ func TestClientReconnectsAcrossListenerRestart(t *testing.T) {
 }
 
 func TestListenerCloseIsIdempotent(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", newMemSink(), quietLogger())
+	l, err := Listen("127.0.0.1:0", newMemSink().open, quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +276,7 @@ func TestClientRetryBudgetExhausts(t *testing.T) {
 
 func TestListenerCarriesWireProvenance(t *testing.T) {
 	sink := newMemSink()
-	l, err := Listen("127.0.0.1:0", sink, quietLogger())
+	l, err := Listen("127.0.0.1:0", sink.open, quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +322,7 @@ func TestListenerCarriesWireProvenance(t *testing.T) {
 
 func TestListenerV1ClientHasZeroProvenance(t *testing.T) {
 	sink := newMemSink()
-	l, err := Listen("127.0.0.1:0", sink, quietLogger())
+	l, err := Listen("127.0.0.1:0", sink.open, quietLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,5 +339,48 @@ func TestListenerV1ClientHasZeroProvenance(t *testing.T) {
 		if p.Valid() {
 			t.Fatalf("v1 client produced provenance: %+v", p)
 		}
+	}
+}
+
+// TestListenerPublishesBeforeBlockingOnPartialLine: a read that ends in
+// the middle of a line must not hold back the complete frames ahead of
+// it — they are published before the listener blocks for the rest — and
+// the split line still decodes once its second half arrives. net.Pipe
+// makes the segment boundary exact: one Write is one Read.
+func TestListenerPublishesBeforeBlockingOnPartialLine(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	sink := newMemSink()
+	l := &Listener{open: sink.open, log: quietLogger(), conns: make(map[net.Conn]struct{})}
+	l.wg.Add(1)
+	go l.serve(server)
+
+	items := testItems(4)
+	wire := AppendHello(nil, "s1", "")
+	for _, it := range items[:3] {
+		wire = AppendItem(wire, it)
+	}
+	last := AppendItem(nil, items[3])
+	half := len(last) / 2
+	if _, err := client.Write(append(wire, last[:half]...)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the three complete frames, with half a line still pending", func() bool { return sink.count("s1") == 3 })
+	if _, err := client.Write(last[half:]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the completed line", func() bool { return sink.count("s1") == 4 })
+	for i, got := range sink.get("s1") {
+		if got != items[i] {
+			t.Fatalf("item %d: got %+v want %+v", i, got, items[i])
+		}
+	}
+
+	// A line one byte over MaxLine is still a protocol error.
+	long := append([]byte("D "), bytes.Repeat([]byte("1"), MaxLine-1)...)
+	go client.Write(append(long, '\n')) // the listener hangs up mid-write or after it
+	l.wg.Wait()
+	if l.Rejected() != 1 || sink.count("s1") != 4 {
+		t.Fatalf("rejected=%d items=%d after a %d-byte line, want 1 and 4", l.Rejected(), sink.count("s1"), len(long))
 	}
 }

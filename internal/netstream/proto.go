@@ -31,7 +31,9 @@
 package netstream
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/stream"
@@ -134,117 +136,130 @@ func AppendBatchMark(dst []byte, p stream.BatchProv) []byte {
 	return append(dst, '\n')
 }
 
-// fields splits line on single spaces into at most max fields, without
-// allocating a slice header per call site surprise: it reuses the given
-// scratch. Empty fields (double spaces) are a protocol error, signalled
-// by returning ok=false.
-func fields(line []byte, scratch [][]byte) ([][]byte, bool) {
-	out := scratch[:0]
-	start := 0
-	for i := 0; i <= len(line); i++ {
-		if i == len(line) || line[i] == ' ' {
-			if i == start {
-				return nil, false // empty field: leading/trailing/double space
-			}
-			out = append(out, line[start:i])
-			start = i + 1
-		}
-	}
-	return out, true
-}
-
 // ParseLine decodes one protocol line (without its trailing newline; a
 // trailing '\r' is tolerated for telnet-style clients). It never panics,
 // whatever the input.
 func ParseLine(line []byte) (Frame, error) {
+	var f Frame
+	var err error
+	f.Kind, f.Source, f.Tenant, err = parseFrame(line, &f.Item, &f.Prov)
+	if err != nil {
+		return Frame{}, err
+	}
+	return f, nil
+}
+
+// parseFrame is the one frame parser: ParseLine and the Decoder both
+// decode every line through it. It reads line left to right in a single
+// pass and writes a data or heartbeat frame to *it and a batch mark to
+// *prov in place (the destination it was not asked to write is left
+// alone), so the decoder can parse straight into a batch slot. Fields
+// are separated by exactly one space. Integers are decimal ASCII digits
+// with strconv's base-10 grammar and range checks (intField, uintField);
+// only the value goes through strconv.ParseFloat.
+func parseFrame(line []byte, it *stream.Item, prov *stream.BatchProv) (kind FrameKind, source, tenant string, err error) {
 	if len(line) > 0 && line[len(line)-1] == '\r' {
 		line = line[:len(line)-1]
 	}
 	if len(line) > MaxLine {
-		return Frame{}, fmt.Errorf("netstream: line exceeds %d bytes", MaxLine)
+		return 0, "", "", errLineTooLong
 	}
 	if len(line) == 0 || line[0] == '#' {
-		return Frame{Kind: FrameNone}, nil
+		return FrameNone, "", "", nil
 	}
-	var scratch [8][]byte
-	fs, ok := fields(line, scratch[:])
-	if !ok {
-		return Frame{}, fmt.Errorf("netstream: malformed frame %q: empty field", line)
+	if len(line) < 3 || line[1] != ' ' {
+		return 0, "", "", fmt.Errorf("netstream: malformed frame %q", line)
 	}
-	switch string(fs[0]) {
-	case "S":
-		if len(fs) != 2 && len(fs) != 3 {
-			return Frame{}, fmt.Errorf("netstream: hello wants 'S <source> [tenant]', got %d fields", len(fs))
+	switch line[0] {
+	case 'D':
+		// A field that fails leaves i at 0, where the next one fails too.
+		ts, i, ok1 := intField(line, 2, false)
+		ar, i, ok2 := intField(line, i, false)
+		seq, i, ok3 := uintField(line, i, false)
+		key, i, ok4 := uintField(line, i, false)
+		src, i, ok5 := uintField(line, i, false)
+		val, err := strconv.ParseFloat(string(line[i:]), 64)
+		if !(ok1 && ok2 && ok3 && ok4 && ok5) || src > math.MaxUint8 || err != nil {
+			return 0, "", "", fmt.Errorf("netstream: data wants 'D <ts> <arrival> <seq> <key> <src> <value>', got %q", line)
 		}
-		f := Frame{Kind: FrameHello, Source: string(fs[1])}
-		if !ValidName(f.Source) {
-			return Frame{}, fmt.Errorf("netstream: bad source name %q", f.Source)
-		}
-		if len(fs) == 3 {
-			f.Tenant = string(fs[2])
-			if !ValidName(f.Tenant) {
-				return Frame{}, fmt.Errorf("netstream: bad tenant name %q", f.Tenant)
-			}
-		}
-		return f, nil
-	case "H":
-		if len(fs) != 2 {
-			return Frame{}, fmt.Errorf("netstream: heartbeat wants 'H <watermark>', got %d fields", len(fs))
-		}
-		w, err := strconv.ParseInt(string(fs[1]), 10, 64)
-		if err != nil {
-			return Frame{}, fmt.Errorf("netstream: bad watermark %q", fs[1])
-		}
-		return Frame{Kind: FrameHeartbeat, Item: stream.HeartbeatItem(stream.Time(w))}, nil
-	case "B":
-		if len(fs) != 3 {
-			return Frame{}, fmt.Errorf("netstream: batch mark wants 'B <batchid> <sendms>', got %d fields", len(fs))
-		}
-		id, err := strconv.ParseUint(string(fs[1]), 10, 64)
-		if err != nil {
-			return Frame{}, fmt.Errorf("netstream: bad batch id %q", fs[1])
-		}
-		if id == 0 {
-			return Frame{}, fmt.Errorf("netstream: batch id must be >= 1")
-		}
-		send, err := strconv.ParseInt(string(fs[2]), 10, 64)
-		if err != nil {
-			return Frame{}, fmt.Errorf("netstream: bad send time %q", fs[2])
-		}
-		return Frame{Kind: FrameBatchMark, Prov: stream.BatchProv{BatchID: id, SendMS: send}}, nil
-	case "D":
-		if len(fs) != 7 {
-			return Frame{}, fmt.Errorf("netstream: data wants 'D <ts> <arrival> <seq> <key> <src> <value>', got %d fields", len(fs))
-		}
-		ts, err := strconv.ParseInt(string(fs[1]), 10, 64)
-		if err != nil {
-			return Frame{}, fmt.Errorf("netstream: bad ts %q", fs[1])
-		}
-		ar, err := strconv.ParseInt(string(fs[2]), 10, 64)
-		if err != nil {
-			return Frame{}, fmt.Errorf("netstream: bad arrival %q", fs[2])
-		}
-		seq, err := strconv.ParseUint(string(fs[3]), 10, 64)
-		if err != nil {
-			return Frame{}, fmt.Errorf("netstream: bad seq %q", fs[3])
-		}
-		key, err := strconv.ParseUint(string(fs[4]), 10, 64)
-		if err != nil {
-			return Frame{}, fmt.Errorf("netstream: bad key %q", fs[4])
-		}
-		src, err := strconv.ParseUint(string(fs[5]), 10, 8)
-		if err != nil {
-			return Frame{}, fmt.Errorf("netstream: bad src %q", fs[5])
-		}
-		val, err := strconv.ParseFloat(string(fs[6]), 64)
-		if err != nil {
-			return Frame{}, fmt.Errorf("netstream: bad value %q", fs[6])
-		}
-		return Frame{Kind: FrameData, Item: stream.DataItem(stream.Tuple{
+		*it = stream.Item{Tuple: stream.Tuple{
 			TS: stream.Time(ts), Arrival: stream.Time(ar), Seq: seq,
 			Key: key, Src: uint8(src), Value: val,
-		})}, nil
+		}}
+		return FrameData, "", "", nil
+	case 'H':
+		w, _, ok := intField(line, 2, true)
+		if !ok {
+			return 0, "", "", fmt.Errorf("netstream: heartbeat wants 'H <watermark>', got %q", line)
+		}
+		*it = stream.HeartbeatItem(stream.Time(w))
+		return FrameHeartbeat, "", "", nil
+	case 'B':
+		id, i, ok1 := uintField(line, 2, false)
+		send, _, ok2 := intField(line, i, true)
+		if !ok1 || !ok2 || id == 0 {
+			return 0, "", "", fmt.Errorf("netstream: batch mark wants 'B <batchid >= 1> <sendms>', got %q", line)
+		}
+		*prov = stream.BatchProv{BatchID: id, SendMS: send}
+		return FrameBatchMark, "", "", nil
+	case 'S':
+		// ValidName admits no space, so a third field or an empty one
+		// fails as a bad name.
+		src, ten, hasTenant := bytes.Cut(line[2:], []byte{' '})
+		if !ValidName(string(src)) {
+			return 0, "", "", fmt.Errorf("netstream: bad source name %q", src)
+		}
+		if hasTenant && !ValidName(string(ten)) {
+			return 0, "", "", fmt.Errorf("netstream: bad tenant name %q", ten)
+		}
+		return FrameHello, string(src), string(ten), nil
 	default:
-		return Frame{}, fmt.Errorf("netstream: unknown frame type %q", fs[0])
+		return 0, "", "", fmt.Errorf("netstream: unknown frame type in %q", line)
 	}
+}
+
+var errLineTooLong = fmt.Errorf("netstream: line exceeds %d bytes", MaxLine)
+
+// uintField parses the field that starts at line[i]: one or more decimal
+// digits — no sign, no underscore; leading zeros allowed, as
+// strconv.ParseUint(s, 10, 64) has it — ended by a single space, or by
+// the end of the line when last is set. next is the start of the
+// following field.
+func uintField(line []byte, i int, last bool) (v uint64, next int, ok bool) {
+	const cutoff = math.MaxUint64/10 + 1 // v*10 overflows from here on
+	start := i
+	for ; i < len(line) && line[i] != ' '; i++ {
+		d := uint64(line[i] - '0')
+		if d > 9 || v >= cutoff {
+			return 0, 0, false
+		}
+		v = v*10 + d
+		if v < d { // wrapped
+			return 0, 0, false
+		}
+	}
+	if i == start || (i == len(line)) != last {
+		return 0, 0, false
+	}
+	return v, i + 1, true
+}
+
+// intField is uintField with an optional leading '+' or '-' and the
+// int64 range, as strconv.ParseInt(s, 10, 64) has it.
+func intField(line []byte, i int, last bool) (v int64, next int, ok bool) {
+	neg := false
+	if i < len(line) && (line[i] == '+' || line[i] == '-') {
+		neg = line[i] == '-'
+		i++
+	}
+	u, next, ok := uintField(line, i, last)
+	switch {
+	case !ok:
+		return 0, 0, false
+	case neg && u <= 1<<63:
+		return -int64(u), next, true // -(1<<63) wraps onto itself
+	case !neg && u < 1<<63:
+		return int64(u), next, true
+	}
+	return 0, 0, false
 }

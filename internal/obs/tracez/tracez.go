@@ -42,10 +42,10 @@ const (
 	KindUnknown      Kind = iota
 	KindSourceBatch       // source stage shipped a transport batch; N = items
 	KindShed              // overload policy dropped data tuples; N = count
-	KindInsert            // buffer accepted data tuples; N = count
-	KindRelease           // buffer released tuples downstream; N = count
+	KindInsert            // buffer accepted data tuples in one executor step; N = count
+	KindRelease           // buffer released tuples downstream in that step; N = count
 	KindStraggler         // released tuples violated event-time order; N = count
-	KindKSet              // buffer slack changed; K = new slack
+	KindKSet              // buffer slack changed across the step; K = new slack
 	KindKAdapt            // controller adaptation decision; K = slack, V = estimated error
 	KindQuality           // realized error finalized for a window; Win, V = realized error
 	KindShardBatch        // grouped shard worker aggregated owned tuples; Shard, N
