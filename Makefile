@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test race fuzz-short fuzz doccheck api-test bench-smoke bench bench-transport bench-journal bench-aggcore bench-fanout bench-history dst crash cover
+.PHONY: check vet build test race fuzz-short fuzz doccheck api-test bench-smoke bench bench-transport bench-journal bench-fanout bench-history dst crash cover
 
 check: vet build race fuzz-short api-test dst crash doccheck bench-smoke
 
@@ -85,11 +85,12 @@ cover:
 # changes), no dead relative links in any *.md file, the metric catalog
 # in step with the code, and the structural lints that keep the execution
 # loop and the durability protocol in one file (TestOneExecutor), the
-# error model's Monte-Carlo in one loop (TestOneErrorSimulation) and the
-# wire grammar in one parser (TestOneFrameParser).
+# error model's Monte-Carlo in one loop (TestOneErrorSimulation), the
+# wire grammar in one parser (TestOneFrameParser) and open-window
+# evaluation on one core (TestOneAggregationCore).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,
@@ -100,7 +101,7 @@ bench-smoke:
 
 # Run every per-PR benchmark gate.
 BENCHTIME ?= 5x
-bench: bench-transport bench-aggcore bench-fanout bench-history
+bench: bench-transport bench-fanout bench-history
 
 # PR3 performance gate: run the transport/sharding benchmarks and commit
 # the parsed numbers. BENCH_PR3.json records ns/op, allocs/op and
@@ -120,16 +121,6 @@ bench-journal:
 	$(GO) test -bench 'BenchmarkJournalOverhead|BenchmarkRecovery' \
 		-benchmem -run '^$$' -benchtime $(BENCHTIME) -timeout 20m . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_PR6.json
-
-# PR7 performance gate: the two window aggregation cores head to head —
-# in-order, d-bounded out-of-order, and bulk-eviction operator runs, plus
-# the raw finger B-tree insert sweep whose ns/op-vs-d curve is the O(log d)
-# evidence (EXPERIMENTS.md R19). BENCH_PR7.json must show the fiba core
-# ahead of legacy on out-of-order insert at d >= 64.
-bench-aggcore:
-	$(GO) test -bench 'BenchmarkAggCore|BenchmarkFiBAInsert' \
-		-benchmem -run '^$$' -benchtime $(BENCHTIME) -timeout 20m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_PR7.json
 
 # PR8 performance gate: M queries over one shared-source broadcast ring
 # versus M fully independent ingest loops, at M in {1, 2, 4, 8}. The

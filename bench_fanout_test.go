@@ -32,7 +32,6 @@ func fanoutBenchQuery(src stream.ErrSource) *cq.AggQuery {
 	return cq.NewFallible(src).
 		Handle(buffer.NewKSlack(100)).
 		Window(fanoutBenchSpec, window.Sum()).
-		AggCore(window.CoreFiba). // aqserver's default core
 		Batch(256)
 }
 

@@ -82,10 +82,6 @@ func BenchmarkR8Windows(b *testing.B) { runExperiment(b, "R8") }
 // BenchmarkR9Ablation regenerates R9 (table: controller ablation).
 func BenchmarkR9Ablation(b *testing.B) { runExperiment(b, "R9") }
 
-// BenchmarkR10PanesAblation regenerates R10 (extension table: pane-based
-// vs. naive sliding-window evaluation).
-func BenchmarkR10PanesAblation(b *testing.B) { runExperiment(b, "R10") }
-
 // BenchmarkR11GroupedScaling regenerates R11 (extension table: grouped
 // query scaling over key cardinality).
 func BenchmarkR11GroupedScaling(b *testing.B) { runExperiment(b, "R11") }
@@ -136,25 +132,6 @@ func BenchmarkAQKSlackInsert(b *testing.B) {
 		var out []stream.Tuple
 		for _, t := range tuples {
 			out = h.Insert(stream.DataItem(t), out[:0])
-		}
-	}
-	b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
-}
-
-// BenchmarkPaneOpObserve measures the pane-based operator on the same
-// workload as BenchmarkWindowOpObserve — the per-tuple side of the R10
-// ablation.
-func BenchmarkPaneOpObserve(b *testing.B) {
-	tuples := benchTuples(100000)
-	stream.SortByEventTime(tuples)
-	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op := window.NewPaneOp(spec, window.Sum())
-		var res []window.Result
-		for _, t := range tuples {
-			res = op.Observe(t, t.Arrival, res[:0])
 		}
 	}
 	b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")

@@ -104,11 +104,7 @@ type appConfig struct {
 	// broadcast ring (-fanout): generation, chaos and retry are paid once
 	// per stream by a single producer instead of once per query. 1 =
 	// independent ingest per query (the classic feedLoop).
-	fanout int
-	// aggCore selects the window aggregation core for every query
-	// (-aggcore): fiba (the default; order-sensitive aggregates like avg
-	// fall back per operator) or legacy.
-	aggCore   window.CoreKind
+	fanout    int
 	policy    resilience.OverloadPolicy
 	chaos     resilience.Chaos
 	chaosOn   bool
@@ -311,7 +307,7 @@ func (a *app) buildRunner(def runnerDef, h buffer.Handler, queued, replica bool)
 			return it, ok, nil
 		})).GroupBy().Shards(def.shards).Batch(def.batch)
 	}
-	query.Handle(h).Window(def.spec, def.agg).AggCore(cfg.aggCore).Trace(def.tracer)
+	query.Handle(h).Window(def.spec, def.agg).Trace(def.tracer)
 	var err error
 	if q, err = newQueryRunner(def, query); err != nil {
 		if def.dlog != nil {
@@ -417,7 +413,6 @@ func main() {
 	shards := flag.Int("shards", 4, "window shards for grouped (GROUP BY) queries")
 	batch := flag.Int("batch", 64, "items a queued runner's worker applies per step / grouped pipeline transport batch")
 	fanoutN := flag.Int("fanout", 1, "replica queries per stream sharing one broadcast-ring ingest; 1 = independent ingest per query")
-	aggCore := flag.String("aggcore", "fiba", "window aggregation core: fiba (finger B-tree) or legacy (per-window fold); both emit identical results")
 	obsOn := flag.Bool("obs", false, "serve Prometheus /metrics and /debug/pprof, instrumenting every query")
 	traceBuf := flag.Int("trace-buf", tracez.DefaultRecorderSize, "flight-recorder ring size per query, in events")
 	traceDump := flag.String("trace-dump", "", "directory for automatic flight-recorder dumps (panic, breaker trip, quality violation); empty = off")
@@ -445,10 +440,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	core, err := window.ParseCoreKind(*aggCore)
-	if err != nil {
-		fatal(err)
-	}
 	if *fanoutN < 1 {
 		fatal(fmt.Errorf("-fanout must be >= 1, got %d", *fanoutN))
 	}
@@ -459,9 +450,8 @@ func main() {
 		fatal(fmt.Errorf("-max-ingest-per-sec must be >= 0, got %d", *maxIngest))
 	}
 	cfg := appConfig{n: *n, rate: *rate, ingestCap: *ingestCap, shards: *shards, batch: *batch,
-		fanout:  *fanoutN,
-		aggCore: core,
-		policy:  policy, chaos: chaos, chaosOn: chaos.Enabled(), obs: *obsOn,
+		fanout: *fanoutN,
+		policy: policy, chaos: chaos, chaosOn: chaos.Enabled(), obs: *obsOn,
 		traceBuf: *traceBuf, traceDump: *traceDump, log: logger,
 		durableDir: *durableDir, snapshotEvery: *snapshotInterval,
 		listen: *listen, apiOn: *apiOn,

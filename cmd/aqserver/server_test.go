@@ -413,11 +413,17 @@ func TestRunnerJournalFailureKeepsProcessing(t *testing.T) {
 // TestRunnerPanicMidBatchResumes drives every way a panic can hit a batch
 // handed over whole; each costs the item in flight and nothing else. The
 // test seam poisons one item: it is skipped, the rest of its batch is
-// applied. A panic from inside the core's window stage — an aggregate that
-// chokes on one value — is resumed behind the item in flight. So is one
-// from the disorder stage — a handler that chokes on one tuple. And because
-// a batch is journaled before it is applied, the poisoned item is in the
-// journal: a restart replays it, and must isolate it again instead of
+// applied. A panic from the disorder stage — a handler that chokes on one
+// tuple — is resumed behind the item in flight. One from inside the core's
+// window stage costs not even that: a non-built-in aggregate is fed at
+// emission, by an ordered scan of the window, so one that chokes on a value
+// panics while a window is being emitted — with the tuple in flight already
+// stored and the emit cursor not yet moved. Resume carries on behind it and
+// the next advance tries the window again; this aggregate chokes every time,
+// so after window.Op's bounded tries each of the ten windows holding the
+// value is given up (emitted as NaN, counted) and the stream moves on. And
+// because a batch is journaled before it is applied, the poisoned item is in
+// the journal: a restart replays it, and must isolate it again instead of
 // dying in the constructor.
 func TestRunnerPanicMidBatchResumes(t *testing.T) {
 	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
@@ -467,6 +473,15 @@ func TestRunnerPanicMidBatchResumes(t *testing.T) {
 	if lost := rep.Handler.Released - rep.Op.TuplesIn; lost < 0 || lost > 10*st.Panics {
 		t.Fatalf("%d panics cost %d released tuples: Resume did not pick the batch up behind the item in flight",
 			st.Panics, lost)
+	}
+	// Panics during emission cost no tuple, and no window but the ten that
+	// hold the value: the runner is where one that never choked is.
+	calm := kslackRunner(t, runnerDef{name: "calm", spec: spec, agg: window.Sum()}, 400)
+	feedBatches(calm, items[:3000], 500)
+	if cs, co := calm.status(), calm.exec.Report().Op; st.Windows != cs.Windows || rep.Op.EmitFailed != 10 ||
+		rep.Op.TuplesIn != co.TuplesIn || rep.Op.Emitted != co.Emitted {
+		t.Fatalf("%d emission panics cost input or windows: op %+v, %d windows; a runner that never choked has %+v, %d",
+			st.Panics, rep.Op, st.Windows, co, cs.Windows)
 	}
 	choking.dlog.Abandon() // the process dies; every stepped batch was group-committed
 

@@ -458,6 +458,159 @@ func TestOneFrameParser(t *testing.T) {
 	}
 }
 
+// TestOneAggregationCore keeps the window operator at one open-window
+// evaluation path. The repository once shipped three (a per-window fold over
+// a map of open aggregates, the finger B-tree, and panes) with a CoreKind
+// switch and a server flag between the first two and a DST dimension whose
+// only job was to prove the switch did nothing. In Go outside bench/:
+// window.Op keeps no per-window map besides the emitted windows it retains
+// for refinement; CoreKind has exactly one constant; NewOpWithCore and
+// AggQuery.AggCore — kept only because bench/ compiles against them — ignore
+// their argument and have no caller; and the reference fold in
+// internal/window/oracle.go uses neither the operator nor internal/fiba, so
+// what the two agree on they agree on independently.
+func TestOneAggregationCore(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			files[filepath.ToSlash(path)] = f
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The shims: one-line bodies whose core parameter has no name to use.
+	shims := 0
+	for path, name := range map[string]string{"internal/window/core.go": "NewOpWithCore", "internal/cq/query.go": "AggCore"} {
+		f := files[path]
+		if f == nil {
+			t.Fatalf("extraction rotted: %s not parsed", path)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Name.Name != name {
+				continue
+			}
+			shims++
+			last := fn.Type.Params.List[len(fn.Type.Params.List)-1]
+			for _, n := range last.Names {
+				if n.Name != "_" {
+					t.Errorf("%s: %s names its core argument %q; there is nothing to select", fset.Position(n.Pos()), name, n.Name)
+				}
+			}
+			if len(fn.Body.List) != 1 {
+				t.Errorf("%s: %s has %d statements; it is a one-line shim for bench/", fset.Position(fn.Pos()), name, len(fn.Body.List))
+			}
+		}
+	}
+	if shims != 2 {
+		t.Fatalf("extraction rotted: found %d of the 2 bench/ shims", shims)
+	}
+
+	consts, sawOp := 0, false
+	for path, f := range files {
+		if strings.HasPrefix(path, "internal/window/") && !strings.HasSuffix(path, "_test.go") {
+			n, op := coreDecls(t, fset, f)
+			consts, sawOp = consts+n, sawOp || op
+		}
+		// Nobody selects a core: the names bench/ needs are declared, never used.
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			switch id.Name {
+			case "NewOpWithCore", "CoreFiba", "CoreKind":
+				if path != "internal/window/core.go" && path != "internal/cq/query.go" {
+					t.Errorf("%s: %s is used; it exists for bench/ only (window.NewOp is the constructor)", fset.Position(id.Pos()), id.Name)
+				}
+			case "AggCore":
+				if path != "internal/cq/query.go" {
+					t.Errorf("%s: AggCore is called; it does nothing and exists for bench/ only", fset.Position(id.Pos()))
+				}
+			case "Op", "NewOp", "KeyedOp", "NewKeyedOp", "fiba":
+				if path == "internal/window/oracle.go" {
+					t.Errorf("%s: the reference fold uses %s; it must stay independent of the operator and its tree", fset.Position(id.Pos()), id.Name)
+				}
+			}
+			return true
+		})
+	}
+	if !sawOp || files["internal/window/oracle.go"] == nil {
+		t.Fatalf("extraction rotted: window.Op found=%v, oracle.go parsed=%v", sawOp, files["internal/window/oracle.go"] != nil)
+	}
+	if consts != 1 {
+		t.Errorf("internal/window declares %d CoreKind constants, want exactly one: a second one is a second core", consts)
+	}
+	for _, imp := range files["internal/window/oracle.go"].Imports {
+		if strings.Contains(imp.Path.Value, "internal/fiba") {
+			t.Errorf("%s: the reference fold imports %s", fset.Position(imp.Pos()), imp.Path.Value)
+		}
+	}
+}
+
+// coreDecls counts the CoreKind constants one internal/window file declares
+// and reports whether it declares Op, flagging any map field of Op other
+// than the retained (already emitted) windows.
+func coreDecls(t *testing.T, fset *token.FileSet, f *ast.File) (consts int, sawOp bool) {
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		typed := false // a bare name in a const group repeats the spec above it
+		for _, spec := range gd.Specs {
+			switch sp := spec.(type) {
+			case *ast.ValueSpec:
+				if gd.Tok != token.CONST {
+					continue
+				}
+				if sp.Type != nil || len(sp.Values) > 0 {
+					id, _ := sp.Type.(*ast.Ident)
+					typed = id != nil && id.Name == "CoreKind"
+				}
+				if typed {
+					consts += len(sp.Names)
+				}
+			case *ast.TypeSpec:
+				st, ok := sp.Type.(*ast.StructType)
+				if !ok || sp.Name.Name != "Op" {
+					continue
+				}
+				sawOp = true
+				for _, field := range st.Fields.List {
+					if _, isMap := field.Type.(*ast.MapType); !isMap {
+						continue
+					}
+					for _, n := range field.Names {
+						if n.Name != "retained" {
+							t.Errorf("%s: window.Op.%s is a map: open windows live in the tree (fibacore.go), not in per-window state",
+								fset.Position(n.Pos()), n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return consts, sawOp
+}
+
 func stripCodeFences(s string) string {
 	var out strings.Builder
 	inFence := false

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/buffer"
 	"repro/internal/stats"
 	"repro/internal/stream"
@@ -147,11 +149,15 @@ func (a *AQKSlack) State() AQState {
 
 // Restore sets the handler to a previously exported state. The handler must
 // have been built with the same Config as the one the state was saved from.
-func (a *AQKSlack) Restore(st AQState) {
+// The one part that can be refused is the shadow operator's (see
+// window.Op.Restore); it goes first, so an error leaves the handler as built.
+func (a *AQKSlack) Restore(st AQState) error {
+	if err := a.shadow.Restore(st.Shadow); err != nil {
+		return fmt.Errorf("core: shadow operator: %w", err)
+	}
 	a.buf.Restore(st.Buf)
 	a.est.Restore(st.Est)
 	a.pi.Restore(st.PI)
-	a.shadow.Restore(st.Shadow)
 	a.fullLo, a.fullHi, a.haveWin = st.FullLo, st.FullHi, st.HaveWin
 	a.wins = a.wins[:0]
 	if a.haveWin {
@@ -178,6 +184,7 @@ func (a *AQKSlack) Restore(st AQState) {
 	a.qstats = st.QStats
 	a.lastClamps = st.LastClamps
 	a.trace, a.traceHead = nil, 0 // the adaptation trace is not persisted
+	return nil
 }
 
 // Theta returns the configured quality bound. Recovery validation uses it

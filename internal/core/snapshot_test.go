@@ -129,7 +129,9 @@ func TestAQKSlackStateContinuation(t *testing.T) {
 	traced := len(a.Trace())
 
 	b := mk()
-	b.Restore(st)
+	if err := b.Restore(st); err != nil {
+		t.Fatal(err)
+	}
 
 	var relA, relB []stream.Tuple
 	for _, it := range items[cut:] {
@@ -193,7 +195,9 @@ func TestAQKSlackRestoreWithoutCurve(t *testing.T) {
 	}
 	st.Curve = nil
 	b := mk()
-	b.Restore(st)
+	if err := b.Restore(st); err != nil {
+		t.Fatal(err)
+	}
 	before := b.Quality().Adaptations
 	for _, it := range items[800:] {
 		scratch = b.Insert(it, scratch[:0])

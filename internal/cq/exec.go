@@ -40,24 +40,29 @@ type Exec struct {
 
 	now      stream.Time // arrival clock: max arrival/watermark applied so far
 	dis      disorderAcc // intake-side disorder measurement (see accept)
-	rel      []stream.Tuple
-	released int // tuples the handler released since the last sync
+	released int         // tuples the handler released since the last sync
 	scratch  []window.Result
-	emitted  int  // results delivered, after floor suppression
-	flushing bool // Finish reached: emissions are flush-forced
+	emitted  int // results delivered, after floor suppression
 
 	// The work in flight: pend[pos:] is journaled (or is the journal) and
-	// still to be applied. Step sets it and Resume works it off, so a driver
-	// that isolates panics can say where one hit and carry on behind it.
-	stage string
-	pend  []stream.Item
-	pos   int
+	// still to be applied, and rel[relPos:] is what the item before pos
+	// released and the window stage has not seen yet. Step sets pend and
+	// Resume works both off, so a driver that isolates panics can say where
+	// one hit and carry on behind it.
+	stage  string
+	pend   []stream.Item
+	pos    int
+	rel    []stream.Tuple
+	relPos int
 
 	// Durability (nil log without Durable).
-	log       *durable.QueryLog
-	decorate  func(*durable.Snapshot)
-	floor     int64 // primary emissions below it were delivered before the crash
+	log      *durable.QueryLog
+	decorate func(*durable.Snapshot)
+	floor    int64 // primary emissions below it were delivered before the crash
+	// The two flags sit together so that the struct stays in its 320-byte
+	// size class (see CHANGES.md, PR 16).
 	haveFloor bool
+	flushing  bool // Finish reached: emissions are flush-forced
 }
 
 // Pipeline positions, named in stage-panic errors (InFlight reports them as
@@ -115,9 +120,9 @@ func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 	}
 	x.handler = q.traceHandler(x.raw)
 	if q.grouped {
-		x.win = &keyedStage{x: x, op: window.NewKeyedOpWithCore(q.spec, q.agg, q.policy, q.refineFor, q.aggCore)}
+		x.win = &keyedStage{x: x, op: window.NewKeyedOp(q.spec, q.agg, q.policy, q.refineFor)}
 	} else {
-		x.op = window.NewOpWithCore(q.spec, q.agg, q.policy, q.refineFor, q.aggCore)
+		x.op = window.NewOp(q.spec, q.agg, q.policy, q.refineFor)
 		x.win = plainStage{x}
 	}
 	if q.durable != nil {
@@ -200,16 +205,22 @@ func (x *Exec) step(batch []stream.Item, cut *durable.DisorderCut) error {
 // itself. After NewExec recovered prior state, the journal suffix is
 // pending and Resume is the replay — nothing is journaled again, it is the
 // journal. And after recovering a panic raised inside Step or Resume,
-// Resume carries on behind the item in flight, which is what the panic
-// costs: the rest of the batch is already journaled, so abandoning it would
-// make the journal lie. The emission cursor and snapshot check of an
-// interrupted Step ride on the next one.
+// Resume carries on behind it: the rest of the batch is already journaled,
+// so abandoning it would make the journal lie. A panic in the disorder
+// stage costs the item in flight; one in the window stage at most the
+// released tuple in flight, and the rest of what the item released is
+// observed first. (The window operator stores a tuple before anything in it
+// can fail, and a window whose emission panicked is emitted by the next
+// advance, so there the cost is nothing.) The emission cursor and snapshot
+// check of an interrupted Step ride on the next one.
 func (x *Exec) Resume() {
+	x.observeReleased()
 	for x.pos < len(x.pend) {
 		it := x.pend[x.pos]
 		x.pos++ // a panic below leaves this item behind, not the batch
 		x.stage = stageDisorder
 		x.rel = x.handler.Insert(it, x.rel[:0])
+		x.relPos = 0
 		x.released += len(x.rel)
 		x.stage = stageWindow
 		if it.Heartbeat {
@@ -221,13 +232,21 @@ func (x *Exec) Resume() {
 			// monotone; the clock is.
 			x.now = it.Tuple.Arrival
 		}
-		for _, t := range x.rel {
-			x.win.observe(t, x.now)
-		}
+		x.observeReleased()
 	}
 	x.win.endStep()
 	x.sync()
 	x.stage, x.pend = stageSource, nil
+}
+
+// observeReleased hands the window stage what the last inserted item
+// released and it has not seen yet.
+func (x *Exec) observeReleased() {
+	for x.relPos < len(x.rel) {
+		t := x.rel[x.relPos]
+		x.relPos++ // a panic below leaves this tuple behind, not the rest
+		x.win.observe(t, x.now)
+	}
 }
 
 // sync publishes the handler's activity once per step, not per item: the
@@ -268,6 +287,7 @@ func (x *Exec) Finish() error {
 	}
 	x.stage = stageDisorder
 	x.rel = x.handler.Flush(x.rel[:0])
+	x.relPos = len(x.rel) // the window stage's finish takes them whole
 	x.released += len(x.rel)
 	x.sync()
 	x.stage = stageWindow
@@ -343,7 +363,9 @@ func (x *Exec) restore() error {
 			}
 		}
 		if snap.Op != nil {
-			x.op.Restore(*snap.Op)
+			if err := x.op.Restore(*snap.Op); err != nil {
+				return err
+			}
 		}
 		x.dis.restore(snap.Disorder)
 		x.now = snap.Now
@@ -440,7 +462,13 @@ func (s plainStage) observe(t stream.Tuple, now stream.Time) {
 	x.emit(x.scratch)
 }
 
-func (s plainStage) endStep() {}
+// endStep delivers what an Observe that ended in a panic had emitted before
+// it, so that the emission cursor and snapshot of the step cover nothing the
+// sink has not seen.
+func (s plainStage) endStep() {
+	s.x.scratch = s.x.op.Drain(s.x.scratch[:0])
+	s.x.emit(s.x.scratch)
+}
 
 func (s plainStage) finish(flushed []stream.Tuple, now stream.Time) {
 	x := s.x
@@ -467,7 +495,11 @@ func (s *keyedStage) observe(t stream.Tuple, now stream.Time) {
 	s.trace(base)
 }
 
-func (s *keyedStage) endStep() {}
+func (s *keyedStage) endStep() {
+	base := len(s.x.rep.Keyed)
+	s.x.rep.Keyed = s.op.Drain(s.x.rep.Keyed)
+	s.trace(base)
+}
 
 func (s *keyedStage) finish(flushed []stream.Tuple, now stream.Time) {
 	s.x.rep.PreFlush = len(s.x.rep.Keyed)

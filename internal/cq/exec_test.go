@@ -2,8 +2,10 @@ package cq
 
 import (
 	"encoding/json"
-	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/buffer"
@@ -63,7 +65,8 @@ func execState(t *testing.T, x *Exec) string {
 // TestExecBatchSplitInvariance is the core's own contract: how a driver
 // cuts the item sequence into Step batches changes nothing — not the
 // results, not the report, not the state a snapshot would save, not the
-// emission cursor — for every snapshot-capable handler on both cores.
+// emission cursor — for every snapshot-capable handler. (The subtests keep
+// the "/fiba" suffix they had when a second aggregation core existed.)
 func TestExecBatchSplitInvariance(t *testing.T) {
 	items := execItems(6000, 17)
 	handlers := map[string]func() buffer.Handler{
@@ -76,44 +79,42 @@ func TestExecBatchSplitInvariance(t *testing.T) {
 		},
 	}
 	for name, mk := range handlers {
-		for _, kind := range []window.CoreKind{window.CoreLegacy, window.CoreFiba} {
-			t.Run(fmt.Sprintf("%s/%s", name, kind), func(t *testing.T) {
-				build := func() *Exec {
-					x, err := NewExec(New(nil).Handle(mk()).Window(testSpec, window.Sum()).AggCore(kind), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return x
-				}
-				ref := build()
-				stepAll(t, ref, items, stats.NewRNG(1), 1)
-				// Mid-stream state first (a snapshot is cut mid-stream), then
-				// the finished report.
-				refState := execState(t, ref)
-				if err := ref.Finish(); err != nil {
+		t.Run(name+"/fiba", func(t *testing.T) {
+			build := func() *Exec {
+				x, err := NewExec(New(nil).Handle(mk()).Window(testSpec, window.Sum()), nil)
+				if err != nil {
 					t.Fatal(err)
 				}
-				want := ref.Report()
-				if len(want.Results) == 0 {
-					t.Fatal("reference emitted nothing; the comparison proves nothing")
+				return x
+			}
+			ref := build()
+			stepAll(t, ref, items, stats.NewRNG(1), 1)
+			// Mid-stream state first (a snapshot is cut mid-stream), then
+			// the finished report.
+			refState := execState(t, ref)
+			if err := ref.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			want := ref.Report()
+			if len(want.Results) == 0 {
+				t.Fatal("reference emitted nothing; the comparison proves nothing")
+			}
+			for seed := uint64(2); seed < 6; seed++ {
+				x := build()
+				stepAll(t, x, items, stats.NewRNG(seed), 300)
+				if got := execState(t, x); got != refState {
+					t.Fatalf("split seed %d: snapshot state diverged from one-item steps", seed)
 				}
-				for seed := uint64(2); seed < 6; seed++ {
-					x := build()
-					stepAll(t, x, items, stats.NewRNG(seed), 300)
-					if got := execState(t, x); got != refState {
-						t.Fatalf("split seed %d: snapshot state diverged from one-item steps", seed)
-					}
-					if err := x.Finish(); err != nil {
-						t.Fatal(err)
-					}
-					if got := x.Report(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("split seed %d: report diverged:\n got %d results, handler %+v, op %+v, preflush %d\nwant %d results, handler %+v, op %+v, preflush %d",
-							seed, len(got.Results), got.Handler, got.Op, got.PreFlush,
-							len(want.Results), want.Handler, want.Op, want.PreFlush)
-					}
+				if err := x.Finish(); err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				if got := x.Report(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("split seed %d: report diverged:\n got %d results, handler %+v, op %+v, preflush %d\nwant %d results, handler %+v, op %+v, preflush %d",
+						seed, len(got.Results), got.Handler, got.Op, got.PreFlush,
+						len(want.Results), want.Handler, want.Op, want.PreFlush)
+				}
+			}
+		})
 	}
 }
 
@@ -184,6 +185,72 @@ func TestExecCrashInTheMiddle(t *testing.T) {
 		}
 		if got := x.Report(); got.Handler != full.Report().Handler || got.Op != full.Report().Op {
 			t.Fatalf("cut %d: recovered stats diverged from the uninterrupted run", cut)
+		}
+	}
+}
+
+// TestExecRefusesUnrestorableSnapshot: a snapshot whose operator state cannot
+// be restored faithfully — the per-window partials of the removed
+// per-window-fold core under "open", or a tree shape that does not fit its
+// entries — fails NewExec with an error naming the remedy. It is never a
+// query that starts with its open windows silently empty; that holds for
+// the adaptive handler's shadow operator too.
+func TestExecRefusesUnrestorableSnapshot(t *testing.T) {
+	items := execItems(3000, 37)
+	handlers := map[string]func() buffer.Handler{
+		"kslack": func() buffer.Handler { return buffer.NewKSlack(1500) },
+		"aq": func() buffer.Handler {
+			return core.NewAQKSlack(core.Config{Theta: 0.02, Spec: testSpec, Agg: window.Sum(), WarmupTuples: 200})
+		},
+	}
+	for name, mk := range handlers {
+		for _, damage := range []string{"legacy open windows", "malformed shape"} {
+			opts := durable.Options{Dir: t.TempDir(), CommitEvery: 64, SnapshotEvery: 900}
+			build := func(log *durable.QueryLog) (*Exec, error) {
+				return NewExec(New(nil).Handle(mk()).Window(testSpec, window.Sum()).Durable(Durable{Log: log}), nil)
+			}
+			log := mustOpenLog(t, opts)
+			x, err := build(log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepAll(t, x, items, stats.NewRNG(3), 97)
+			if err := log.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			log.Abandon()
+
+			snaps, err := filepath.Glob(filepath.Join(opts.Dir, "snap-*.json"))
+			if err != nil || len(snaps) == 0 {
+				t.Fatalf("%s: no snapshot written (%v)", name, err)
+			}
+			for _, path := range snaps {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The first "tree" in the file is the handler's shadow
+				// operator for aq, the query's operator for kslack.
+				var bad string
+				if damage == "malformed shape" {
+					bad = strings.Replace(string(data), `"shape":{"leaves":[`, `"shape":{"leaves":[1,`, 1)
+				} else {
+					bad = strings.Replace(string(data), `"tree":[`, `"open":[{"idx":1,"agg":{"n":1,"nums":[1,0]}}],"tree":[`, 1)
+				}
+				if bad == string(data) {
+					t.Fatalf("%s: test setup: %s holds no operator tree to damage", name, path)
+				}
+				if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			log2 := mustOpenLog(t, opts)
+			_, err = build(log2)
+			log2.Close()
+			if err == nil || !strings.Contains(err.Error(), "clear the query's durable directory") {
+				t.Errorf("%s, %s: NewExec returned %v; want a refusal naming the remedy", name, damage, err)
+			}
 		}
 	}
 }
@@ -283,9 +350,10 @@ func TestExecResumeBehindPanic(t *testing.T) {
 		var x *Exec
 		x = mk(buffer.NewKSlack(500), func(window.Result) {
 			if seen++; seen == 10 {
-				// What the item in flight released, and how much of its batch
-				// is still waiting behind it.
-				atRisk, behind = len(x.rel), len(x.pend)-x.pos
+				// What the item in flight released that the window stage has
+				// not seen yet, and how much of its batch is still waiting
+				// behind it.
+				atRisk, behind = len(x.rel)-x.relPos, len(x.pend)-x.pos
 				panic("poisoned result")
 			}
 		})
@@ -293,18 +361,91 @@ func TestExecResumeBehindPanic(t *testing.T) {
 		if len(stages) != 1 || stages[0] != tracez.StageWindow {
 			t.Fatalf("InFlight said %v; want exactly the injected window-stage panic", stages)
 		}
-		if behind == 0 {
-			t.Fatal("nothing was pending behind the item in flight; the test proves nothing")
+		if behind == 0 || atRisk == 0 {
+			t.Fatalf("%d items and %d released tuples were pending behind the panic; the test proves nothing", behind, atRisk)
 		}
 		got, want := x.Report(), ref.Report()
 		if got.Handler != want.Handler {
 			t.Fatalf("handler stats diverged: %+v vs %+v", got.Handler, want.Handler)
 		}
-		if lost := want.Op.TuplesIn - got.Op.TuplesIn; lost < 0 || lost > int64(atRisk) {
-			t.Fatalf("panic cost %d released tuples; the item in flight had released only %d (%d items were pending behind it)",
-				lost, atRisk, behind)
+		if got.Op != want.Op {
+			t.Fatalf("a sink panic cost the operator input: op %+v, want %+v (%d released tuples and %d items were pending behind the panic)",
+				got.Op, want.Op, atRisk, behind)
 		}
 	})
+
+	// A panic out of a non-built-in aggregate hits while a window is being
+	// emitted, and the tuple behind a gap closes several in one call: the
+	// ones emitted before the panic must reach the sink (the call's return
+	// value never does), the one that panicked and the rest come out of the
+	// next advance. Nothing is lost, nothing comes twice.
+	t.Run("emission", func(t *testing.T) {
+		var gapped []stream.Item
+		var lastDense stream.Time
+		for _, it := range items {
+			switch {
+			case it.Heartbeat: // tuples alone move this stream
+				continue
+			case len(gapped) < 1500:
+				lastDense = max(lastDense, it.Tuple.TS)
+			default:
+				it.Tuple.TS += 6 * stream.Second
+				it.Tuple.Arrival += 6 * stream.Second
+			}
+			gapped = append(gapped, it)
+		}
+		var want []window.Result
+		ref := mk(buffer.NewKSlack(500), func(r window.Result) { want = append(want, r) })
+		stepAll(t, ref, gapped, stats.NewRNG(1), 1)
+		if err := ref.Finish(); err != nil {
+			t.Fatal(err)
+		}
+
+		fuse, armAt := 0, testSpec.LastClosed(lastDense)
+		var got []window.Result
+		x, err := NewExec(New(nil).Handle(buffer.NewKSlack(500)).Window(testSpec, window.Factory{Name: "fused-sum",
+			New: func() window.Aggregate { return fusedSum{window.Sum().New(), &fuse} }}),
+			func(r window.Result) {
+				if got = append(got, r); r.Idx == armAt {
+					fuse = 2 // the next call closes the gap's windows: its second Value panics
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages, _ := stepIsolating(t, x, gapped)
+		if len(stages) != 1 || stages[0] != tracez.StageWindow {
+			t.Fatalf("InFlight said %v; want exactly the one window-stage panic", stages)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d results reached the sink, want %d", len(got), len(want))
+		}
+		for i := range want {
+			got[i].EmitArrival = want[i].EmitArrival // held-up windows come out later
+			if got[i] != want[i] {
+				t.Fatalf("result %d: %v, want %v", i, got[i], want[i])
+			}
+		}
+		if g, w := x.Report().Op, ref.Report().Op; g != w {
+			t.Fatalf("an emission panic moved the operator's counters: %+v, want %+v", g, w)
+		}
+	})
+}
+
+// fusedSum is a non-built-in sum whose Value panics on the *fuse-th call from
+// now (0: never).
+type fusedSum struct {
+	window.Aggregate
+	fuse *int
+}
+
+func (a fusedSum) Value() float64 {
+	if *a.fuse > 0 {
+		if *a.fuse--; *a.fuse == 0 {
+			panic("flaky Value")
+		}
+	}
+	return a.Aggregate.Value()
 }
 
 // kSteppingHandler moves its K-slack's K on chosen tuples, the way an

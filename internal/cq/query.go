@@ -43,7 +43,6 @@ type AggQuery struct {
 	agg       window.Factory
 	policy    window.LatePolicy
 	refineFor stream.Time
-	aggCore   window.CoreKind
 	keepInput bool
 	grouped   bool
 
@@ -126,14 +125,10 @@ func (q *AggQuery) Refine(horizon stream.Time) *AggQuery {
 	return q
 }
 
-// AggCore selects the open-window aggregation core (window.CoreLegacy or
-// window.CoreFiba) used by every window stage — plain, keyed and sharded. The cores emit byte-identical results (the DST cross-core
-// oracle enforces it); fiba trades the legacy per-window fold for a finger
-// B-tree with O(log d) out-of-order inserts. See docs/ALGORITHMS.md.
-func (q *AggQuery) AggCore(core window.CoreKind) *AggQuery {
-	q.aggCore = core
-	return q
-}
+// AggCore does nothing: there is one aggregation core. It is kept, with
+// window.CoreKind, only because bench/ compiles against it (see
+// window.NewOpWithCore).
+func (q *AggQuery) AggCore(window.CoreKind) *AggQuery { return q }
 
 // KeepInput retains the (post filter/map) input tuples on the report so
 // callers can compute oracle ground truth.

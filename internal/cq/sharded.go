@@ -108,7 +108,7 @@ func newShardStage(ctx context.Context, x *Exec, n int, sink func(window.Result)
 	for i := 0; i < n; i++ {
 		s.in[i] = make(chan []released, 1)
 		s.out[i] = make(chan shardChunk) // unbuffered: see buffer-rotation note above
-		s.ops[i] = window.NewKeyedOpWithCore(q.spec, q.agg, q.policy, q.refineFor, q.aggCore)
+		s.ops[i] = window.NewKeyedOp(q.spec, q.agg, q.policy, q.refineFor)
 		s.wg.Add(1)
 		go s.worker(i, fail)
 	}
@@ -376,6 +376,7 @@ func (s *shardStage) stats() window.OpStats {
 		sum.Emitted += st.Emitted
 		sum.Refinements += st.Refinements
 		sum.EmptyEmitted += st.EmptyEmitted
+		sum.EmitFailed += st.EmitFailed
 	}
 	return sum
 }

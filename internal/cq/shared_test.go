@@ -87,7 +87,7 @@ func TestRunSharedMixedShapesEachMatchStandalone(t *testing.T) {
 		}},
 		{"median-fiba-refine", func(src stream.ErrSource) *cq.AggQuery {
 			return cq.NewFallible(src).Handle(buffer.NewKSlack(800)).
-				Window(sharedSpec, window.Median()).AggCore(window.CoreFiba).
+				Window(sharedSpec, window.Median()).
 				Refine(20 * stream.Second).KeepInput()
 		}},
 		{"grouped-sharded", func(src stream.ErrSource) *cq.AggQuery {

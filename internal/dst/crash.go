@@ -248,19 +248,6 @@ func ExecuteCrash(cp CrashPlan, dir string) (*CrashOutcome, error) {
 		o.fail("crash continuation: %v", err)
 	}
 
-	// Cross-core check under crash loss: the flipped aggregation core must
-	// agree with the loss reference on the surviving stream, so the
-	// equivalence contract holds across snapshot/restore boundaries too
-	// (fiba-core plans snapshot the tree, legacy plans the window maps).
-	flip := p.flipCore()
-	lossRefAlt, err := flip.runSync(lossItems, flip.handler(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("dst: flipped-core loss reference run: %w", err)
-	}
-	if err := oracle.SameOutput(lossRef, lossRefAlt); err != nil {
-		o.fail("core-equivalence (%s vs %s): %v", p.core(), flip.core(), err)
-	}
-
 	// Quality across the crash: the θ contract on the loss reference (whose
 	// KeepInput covers the whole surviving stream) with the crash gap folded
 	// in as shed-equivalent loss. Tail damage is exempt from the loss

@@ -2,9 +2,11 @@ package dst
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,6 +183,30 @@ func TestDSTTranscripts(t *testing.T) {
 				t.Errorf("%s (%s): %v", path, tr.Note, err)
 			}
 		})
+	}
+}
+
+// TestTranscriptWithRetiredCoreFieldReplays covers transcripts recorded
+// while plans still carried a "core" dimension (the choice between two
+// aggregation cores, both proven to emit the same bytes): the field is
+// ignored and the pinned digests still hold.
+func TestTranscriptWithRetiredCoreFieldReplays(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "release-order-regression.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, core := range []string{"fiba", "legacy"} {
+		old := strings.Replace(string(data), `"agg": "count",`, `"agg": "count", "core": "`+core+`",`, 1)
+		if old == string(data) {
+			t.Fatal("test setup: the transcript's plan no longer has the line the core field is spliced after")
+		}
+		var tr Transcript
+		if err := json.Unmarshal([]byte(old), &tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Replay(); err != nil {
+			t.Errorf("core=%s: %v", core, err)
+		}
 	}
 }
 

@@ -38,16 +38,10 @@ type Plan struct {
 	Heartbeat stream.Time `json:"heartbeat,omitempty"`
 
 	// Query shape.
-	Window stream.Time `json:"window"`
-	Slide  stream.Time `json:"slide"`
-	Agg    string      `json:"agg"`              // sum | count | avg | max | median | distinct
-	Refine stream.Time `json:"refine,omitempty"` // >0: RefineLate horizon
-	// Core selects the window aggregation core ("" = legacy, "fiba").
-	// Whatever the plan says, Execute also runs a flipped-core reference
-	// and demands identical output, so every seed proves cross-core
-	// equivalence. Committed pre-core transcripts deserialize to "" and
-	// replay unchanged.
-	Core    string      `json:"core,omitempty"`
+	Window  stream.Time `json:"window"`
+	Slide   stream.Time `json:"slide"`
+	Agg     string      `json:"agg"`              // sum | count | avg | max | median | distinct
+	Refine  stream.Time `json:"refine,omitempty"` // >0: RefineLate horizon
 	Handler HandlerPlan `json:"handler"`
 
 	// Engine shape.
@@ -171,26 +165,6 @@ func (p Plan) agg() window.Factory {
 	}
 }
 
-// core materializes the aggregation-core selection.
-func (p Plan) core() window.CoreKind {
-	k, err := window.ParseCoreKind(p.Core)
-	if err != nil {
-		panic(fmt.Sprintf("dst: %v", err))
-	}
-	return k
-}
-
-// flipCore returns the plan with the other aggregation core selected —
-// the reference run for the cross-core equivalence contract.
-func (p Plan) flipCore() Plan {
-	if p.core() == window.CoreFiba {
-		p.Core = "legacy"
-	} else {
-		p.Core = "fiba"
-	}
-	return p
-}
-
 // grouped reports whether the plan runs a GROUP BY query.
 func (p Plan) grouped() bool { return p.NumKeys > 1 }
 
@@ -253,9 +227,9 @@ func (p Plan) String() string {
 	} else if h == "kslack" {
 		h = fmt.Sprintf("kslack(%d)", p.Handler.K)
 	}
-	return fmt.Sprintf("plan{seed=%d n=%d keys=%d delay=%s/%g hb=%d win=%d/%d agg=%s refine=%d core=%s h=%s batch=%d shards=%d fanout=%d net=%t chaos=%+v}",
+	return fmt.Sprintf("plan{seed=%d n=%d keys=%d delay=%s/%g hb=%d win=%d/%d agg=%s refine=%d h=%s batch=%d shards=%d fanout=%d net=%t chaos=%+v}",
 		p.Seed, p.N, p.NumKeys, p.Delay.Kind, p.Delay.Mean, p.Heartbeat,
-		p.Window, p.Slide, p.Agg, p.Refine, p.core(), h, p.Batch, p.Shards, p.Fanout, p.Net, p.Chaos)
+		p.Window, p.Slide, p.Agg, p.Refine, h, p.Batch, p.Shards, p.Fanout, p.Net, p.Chaos)
 }
 
 // PlanForSeed derives one point of the sweep matrix from a seed. Every
@@ -294,7 +268,7 @@ func PlanForSeed(seed uint64) Plan {
 	p.Agg = []string{"sum", "count", "avg"}[rng.Intn(3)]
 
 	switch {
-	case !  /* ungrouped */ (p.NumKeys > 1) && rng.Float64() < 0.65:
+	case ! /* ungrouped */ (p.NumKeys > 1) && rng.Float64() < 0.65:
 		p.Handler = HandlerPlan{Kind: "aq", Theta: []float64{0.01, 0.02, 0.05}[rng.Intn(3)]}
 	case rng.Float64() < 0.2:
 		p.Handler = HandlerPlan{Kind: "maxslack"}
@@ -334,15 +308,14 @@ func PlanForSeed(seed uint64) Plan {
 		p.Chaos.CutAfter = int64(p.N) * 3 / 4
 	}
 
-	// Core is drawn LAST so its addition did not perturb the plans (and
-	// committed transcripts) earlier seeds already pinned.
-	if rng.Float64() < 0.5 {
-		p.Core = "fiba"
-	}
+	// This draw used to pick between two aggregation cores. There is one
+	// now, but the draw stays (discarded) so that Fanout and Net below — and
+	// with them every plan a committed seed or transcript pins — do not move.
+	_ = rng.Float64()
 
-	// Fanout is drawn after Core for the same reason: appending a draw
-	// leaves every earlier dimension — and the transcripts they pin —
-	// untouched. Half the seeds exercise the shared-source ring.
+	// Fanout is appended after every earlier dimension for the same reason:
+	// a new draw at the end leaves the plans earlier seeds pinned untouched.
+	// Half the seeds exercise the shared-source ring.
 	switch rng.Intn(4) {
 	case 2:
 		p.Fanout = 2

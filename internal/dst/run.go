@@ -62,7 +62,7 @@ func (p Plan) aqHandler(theta float64) buffer.Handler {
 // metamorphic runs execute the same query modulo the dimension under
 // test.
 func (p Plan) build(src stream.ErrSource, h buffer.Handler) *cq.AggQuery {
-	q := cq.NewFallible(src).Handle(h).Window(p.spec(), p.agg()).AggCore(p.core()).KeepInput()
+	q := cq.NewFallible(src).Handle(h).Window(p.spec(), p.agg()).KeepInput()
 	if p.grouped() {
 		q.GroupBy()
 	}
@@ -185,21 +185,6 @@ func Execute(p Plan) (*Outcome, error) {
 	// executor byte for byte.
 	if err := oracle.Equivalence(sync, conc); err != nil {
 		o.fail("equivalence: %v", err)
-	}
-
-	// Contract 1b: the other aggregation core emits the identical output on
-	// the identical transcript. Runs on every seed regardless of which core
-	// the plan drew, so the whole sweep matrix — every batch size, shard
-	// count, policy and chaos mix — doubles as the cross-core equivalence
-	// proof (DST payloads are integers, so tree-regrouped Kahan sums are
-	// exact; see docs/ALGORITHMS.md).
-	flip := p.flipCore()
-	altSync, err := flip.runSync(items, flip.handler(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("dst: flipped-core run: %w", err)
-	}
-	if err := oracle.SameOutput(sync, altSync); err != nil {
-		o.fail("core-equivalence (%s vs %s): %v", p.core(), flip.core(), err)
 	}
 
 	// Contract 1c: every replica of the query, subscribed to one shared

@@ -96,11 +96,6 @@ func candidates(p Plan) []Plan {
 	if p.Refine > 0 {
 		try(func(c *Plan) { c.Refine = 0 })
 	}
-	if p.Core != "" {
-		// The flip-core contract still runs either way; this only simplifies
-		// which core is primary.
-		try(func(c *Plan) { c.Core = "" })
-	}
 	if p.Values != "constant" {
 		try(func(c *Plan) { c.Values = "constant" })
 	}

@@ -79,7 +79,7 @@ func RestoreHandler(h buffer.Handler, st *HandlerState) error {
 		if st.Kind != "aq" || st.AQ == nil {
 			return mismatch("aq")
 		}
-		v.Restore(*st.AQ)
+		return v.Restore(*st.AQ)
 	default:
 		return fmt.Errorf("durable: handler %s does not support snapshots", h)
 	}

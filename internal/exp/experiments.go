@@ -34,7 +34,6 @@ func All() []Experiment {
 		{ID: "R7", Title: "disorder-handling throughput", Run: R7},
 		{ID: "R8", Title: "window size and slide sweep", Run: R8},
 		{ID: "R9", Title: "controller ablation", Run: R9},
-		{ID: "R10", Title: "pane (stream slicing) ablation [extension]", Run: R10},
 		{ID: "R11", Title: "grouped query scaling [extension]", Run: R11},
 		{ID: "R12", Title: "quality-driven load shedding [extension]", Run: R12},
 		{ID: "R13", Title: "session windows under disorder [extension]", Run: R13},

@@ -17,57 +17,6 @@ import (
 	"repro/internal/window"
 )
 
-// R10 ablates the pane-based (stream slicing) sliding-window evaluation
-// against the naive per-window operator across overlap factors — the
-// design-choice ablation DESIGN.md calls out for the window substrate.
-func R10(s Scale) []Table {
-	n := s.N(400000)
-	tuples := gen.Config{N: n, Interval: 10, Seed: 10}.Arrivals() // ordered input isolates operator cost
-	agg := window.Sum()
-
-	t := Table{
-		ID:    "R10",
-		Title: fmt.Sprintf("pane (stream slicing) ablation: window-operator throughput (tuples/s, n=%d)", n),
-		Cols:  []string{"size", "slide", "overlap", "naiveOp", "paneOp", "speedup"},
-		Notes: []string{
-			"overlap = Size/Slide = aggregate updates per tuple in the naive operator; panes do 1 update + merges per window",
-			"expected shape: speedup grows with overlap, ~1x for tumbling windows (overlap 1)",
-		},
-	}
-	run := func(mk func() interface {
-		Observe(stream.Tuple, stream.Time, []window.Result) []window.Result
-	}) float64 {
-		start := time.Now()
-		op := mk()
-		var res []window.Result
-		for _, tp := range tuples {
-			res = op.Observe(tp, tp.Arrival, res[:0])
-		}
-		return float64(len(tuples)) / time.Since(start).Seconds()
-	}
-	for _, c := range []struct{ size, slide stream.Time }{
-		{10 * stream.Second, 10 * stream.Second},
-		{10 * stream.Second, stream.Second},
-		{60 * stream.Second, stream.Second},
-		{120 * stream.Second, stream.Second},
-	} {
-		spec := window.Spec{Size: c.size, Slide: c.slide}
-		naive := run(func() interface {
-			Observe(stream.Tuple, stream.Time, []window.Result) []window.Result
-		} {
-			return window.NewOp(spec, agg, window.DropLate, 0)
-		})
-		panes := run(func() interface {
-			Observe(stream.Tuple, stream.Time, []window.Result) []window.Result
-		} {
-			return window.NewPaneOp(spec, agg)
-		})
-		t.AddRow(Ms(float64(c.size)), Ms(float64(c.slide)), I(int64(c.size/c.slide)),
-			F(naive, 0), F(panes, 0), F(panes/naive, 2))
-	}
-	return []Table{t}
-}
-
 // R12 evaluates quality-driven load shedding: a theta sweep under fixed
 // 4x overload, with and without Horvitz–Thompson compensation. The total
 // budget is split half shedding, half disorder handling.

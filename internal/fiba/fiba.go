@@ -27,6 +27,8 @@
 package fiba
 
 import (
+	"fmt"
+
 	"repro/internal/stream"
 )
 
@@ -34,8 +36,8 @@ import (
 // number as a tiebreaker, so duplicates of one timestamp keep a stable,
 // arrival-independent total order.
 type Key struct {
-	TS  stream.Time
-	Seq uint64
+	TS  stream.Time `json:"ts"`
+	Seq uint64      `json:"seq"`
 }
 
 // Less reports the strict (TS, Seq) lexicographic order.
@@ -46,10 +48,11 @@ func (k Key) Less(o Key) bool {
 	return k.Seq < o.Seq
 }
 
-// Entry is one stored tuple value.
+// Entry is one stored tuple value. The JSON form ({"ts","seq","val"}) is
+// the snapshot format of the window operator's tree.
 type Entry struct {
 	Key
-	Val float64
+	Val float64 `json:"val"`
 }
 
 // Monoid is the aggregation a Tree maintains. Identity is the empty
@@ -581,11 +584,132 @@ func (t *Tree[P]) RangeEach(lo, hi stream.Time, fn func(v float64)) {
 }
 
 // Entries appends every stored entry to out in key order and returns the
-// result. Snapshot export uses it; restoring via InsertBatch on the sorted
-// output rebuilds an equivalent tree in O(n).
+// result. Together with Shape it is the tree's snapshot; Load is the inverse.
 func (t *Tree[P]) Entries(out []Entry) []Entry {
 	for n := t.left; n != nil; n = n.next {
 		out = append(out, n.ents...)
 	}
 	return out
+}
+
+// Shape is a tree's node structure without its contents: how many entries
+// each leaf holds, left to right, and how many children each internal node
+// has, one slice per level from the root down to the leaves' parents.
+//
+// A cached partial is a left fold over the node's children in key order and
+// nothing else, so the sorted entries plus the shape determine every partial
+// bit for bit — and every later split, eviction and range fold with them. A
+// monoid whose Combine is only approximately associative (a compensated
+// float sum) therefore answers identically on a tree and on its Load-ed
+// copy, which a tree rebuilt by re-inserting the entries does not.
+type Shape struct {
+	Leaves []int   `json:"leaves"`
+	Levels [][]int `json:"levels,omitempty"`
+}
+
+// Shape exports the tree's current shape.
+func (t *Tree[P]) Shape() Shape {
+	var sh Shape
+	if t.root == nil {
+		return sh
+	}
+	level := []*node[P]{t.root}
+	for !level[0].leaf {
+		counts := make([]int, len(level))
+		var below []*node[P]
+		for i, n := range level {
+			counts[i] = len(n.kids)
+			below = append(below, n.kids...)
+		}
+		sh.Levels = append(sh.Levels, counts)
+		level = below
+	}
+	sh.Leaves = make([]int, len(level))
+	for i, n := range level {
+		sh.Leaves[i] = len(n.ents)
+	}
+	return sh
+}
+
+// Load replaces the tree's contents by entries arranged in exactly the
+// given shape: the inverse of Entries and Shape. Both come from a snapshot
+// file, so they are checked as outside input — entries in key order, every
+// count within the node fanout, each level's counts summing to the width of
+// the level below, one root — and a mismatch is an error that leaves the
+// tree unchanged, never a repaired or partially loaded tree.
+func (t *Tree[P]) Load(entries []Entry, sh Shape) error {
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Key.Less(entries[i-1].Key) {
+			return fmt.Errorf("fiba: snapshot entry %d is out of key order", i)
+		}
+	}
+	width, err := sumCounts(sh.Leaves, maxLeaf, "leaf")
+	if err != nil {
+		return err
+	}
+	if width != len(entries) {
+		return fmt.Errorf("fiba: shape places %d entries in %d leaves, snapshot holds %d", width, len(sh.Leaves), len(entries))
+	}
+	width = len(sh.Leaves)
+	for l := len(sh.Levels) - 1; l >= 0; l-- {
+		kids, err := sumCounts(sh.Levels[l], maxKids, "internal node")
+		if err != nil {
+			return err
+		}
+		if kids != width {
+			return fmt.Errorf("fiba: shape level %d links %d children, the level below has %d nodes", l, kids, width)
+		}
+		width = len(sh.Levels[l])
+	}
+	if width > 1 {
+		return fmt.Errorf("fiba: shape ends in %d nodes without a common root", width)
+	}
+
+	*t = Tree[P]{m: t.m, stats: t.stats}
+	if len(entries) == 0 {
+		return nil
+	}
+	level := make([]*node[P], len(sh.Leaves))
+	off := 0
+	for i, c := range sh.Leaves {
+		leaf := t.newLeaf()
+		leaf.ents = append(leaf.ents, entries[off:off+c]...)
+		leaf.lo, leaf.dirty = leaf.ents[0].Key, true
+		if i > 0 {
+			leaf.prev, level[i-1].next = level[i-1], leaf
+		}
+		level[i] = leaf
+		off += c
+	}
+	t.left, t.right = level[0], level[len(level)-1]
+	for l := len(sh.Levels) - 1; l >= 0; l-- {
+		parents := make([]*node[P], len(sh.Levels[l]))
+		off = 0
+		for i, c := range sh.Levels[l] {
+			p := t.newInternal()
+			p.kids = append(p.kids, level[off:off+c]...)
+			for _, kid := range p.kids {
+				kid.parent = p
+			}
+			p.lo, p.dirty = p.kids[0].lo, true
+			parents[i] = p
+			off += c
+		}
+		level = parents
+	}
+	t.root, t.size = level[0], len(entries)
+	return nil
+}
+
+// sumCounts adds up one level of a shape, refusing a count no node of that
+// kind can have.
+func sumCounts(counts []int, max int, kind string) (int, error) {
+	sum := 0
+	for i, c := range counts {
+		if c < 1 || c > max {
+			return 0, fmt.Errorf("fiba: shape gives %s %d a count of %d, want 1..%d", kind, i, c, max)
+		}
+		sum += c
+	}
+	return sum, nil
 }

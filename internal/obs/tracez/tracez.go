@@ -181,11 +181,22 @@ const DefaultRecorderSize = 1 << 16
 // possible when the ring wraps a full capacity between two writers'
 // claim and write, which never happens in practice.
 //
+// The ring's memory is allocated in chunks, each when an event first lands
+// in it. A default ring is 6 MB of slots that hold a string each; allocated
+// up front, one per query, they were nearly all of a starting server's heap
+// and every garbage collection during start-up marked them whole, so that
+// how long a server took to become ready hinged on where a few KB of other
+// allocations fell relative to the collector's trigger. A ring that has
+// recorded nothing now costs one pointer per chunk.
+//
 // All methods tolerate a nil receiver.
 type Recorder struct {
-	slots []slot
-	next  atomic.Uint64
+	size   uint64
+	chunks []atomic.Pointer[[]slot] // chunkSlots slots each (the last one the remainder)
+	next   atomic.Uint64
 }
+
+const chunkSlots = 1024
 
 type slot struct {
 	mu  sync.Mutex
@@ -199,7 +210,23 @@ func NewRecorder(size int) *Recorder {
 	if size <= 0 {
 		size = DefaultRecorderSize
 	}
-	return &Recorder{slots: make([]slot, size)}
+	return &Recorder{size: uint64(size), chunks: make([]atomic.Pointer[[]slot], (size+chunkSlots-1)/chunkSlots)}
+}
+
+// slot returns ring position i, allocating its chunk on first use. Writers
+// racing for a new chunk all end up on the one that won.
+func (r *Recorder) slot(i uint64) *slot {
+	c := &r.chunks[i/chunkSlots]
+	p := c.Load()
+	if p == nil {
+		fresh := make([]slot, min(chunkSlots, r.size-i/chunkSlots*chunkSlots))
+		if c.CompareAndSwap(nil, &fresh) {
+			p = &fresh
+		} else {
+			p = c.Load()
+		}
+	}
+	return &(*p)[i%chunkSlots]
 }
 
 // Record appends one event, overwriting the oldest entry once the ring
@@ -210,7 +237,7 @@ func (r *Recorder) Record(ev Event) uint64 {
 		return 0
 	}
 	seq := r.next.Add(1) - 1
-	s := &r.slots[seq%uint64(len(r.slots))]
+	s := r.slot(seq % r.size)
 	ev.Seq = seq
 	s.mu.Lock()
 	s.ev = ev
@@ -226,8 +253,8 @@ func (r *Recorder) Len() int {
 		return 0
 	}
 	n := r.next.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
+	if n > r.size {
+		return int(r.size)
 	}
 	return int(n)
 }
@@ -248,14 +275,20 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
-		s.mu.Lock()
-		if s.set {
-			out = append(out, s.ev)
+	out := make([]Event, 0, r.Len())
+	for c := range r.chunks {
+		p := r.chunks[c].Load()
+		if p == nil {
+			continue
 		}
-		s.mu.Unlock()
+		for i := range *p {
+			s := &(*p)[i]
+			s.mu.Lock()
+			if s.set {
+				out = append(out, s.ev)
+			}
+			s.mu.Unlock()
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out

@@ -108,6 +108,55 @@ func TestRecorderConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestRecorderAllocatesChunksOnDemand covers the ring's lazy memory: a
+// recorder that has recorded nothing holds no slots, one chunk appears per
+// chunkSlots events, writers racing into a fresh chunk (run under -race) lose
+// no event, and a ring whose size is not a multiple of the chunk still holds
+// exactly size events once it has wrapped.
+func TestRecorderAllocatesChunksOnDemand(t *testing.T) {
+	const size = 2*chunkSlots + 100
+	r := NewRecorder(size)
+	allocated := func() (n int) {
+		for i := range r.chunks {
+			if r.chunks[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if allocated() != 0 || len(r.Events()) != 0 {
+		t.Fatalf("an idle recorder holds %d chunks, %d events", allocated(), len(r.Events()))
+	}
+	r.Record(Event{At: 1})
+	if allocated() != 1 {
+		t.Fatalf("one event allocated %d chunks, want 1", allocated())
+	}
+
+	const writers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < (size-1)/writers; i++ {
+				r.Record(Event{At: 2})
+			}
+		}()
+	}
+	wg.Wait()
+	want := 1 + writers*((size-1)/writers)
+	if got := len(r.Events()); got != want || r.Len() != want {
+		t.Fatalf("%d events retained (Len %d) of %d recorded into a ring of %d", got, r.Len(), want, size)
+	}
+	for i := 0; i < 2*size; i++ {
+		r.Record(Event{At: 3})
+	}
+	evs := r.Events()
+	if len(evs) != size || allocated() != 3 || evs[0].At != 3 {
+		t.Fatalf("wrapped ring holds %d events in %d chunks, oldest At=%d; want %d in 3, all from the last pass", len(evs), allocated(), evs[0].At, size)
+	}
+}
+
 func TestTracerProvenance(t *testing.T) {
 	tr := New(NewRecorder(1024), "q")
 	tr.SetTheta(0.01)

@@ -26,6 +26,23 @@ type Aggregate interface {
 
 // Factory creates a fresh Aggregate per window. The name identifies the
 // function in experiment tables and on the CLI.
+//
+// A Factory need not be one of this package's. What the operator does with
+// a non-built-in aggregate is the ordered scan (fibacore.go): the window's
+// tuples wait in the operator's tree, and when the window is emitted New is
+// called once and Add is fed every value in (TS, Seq) order, then Value and
+// N are read. So Add runs at emission, not at arrival; the add order does
+// not depend on how the disorder handler released the tuples; and a panic
+// out of New, Add or Value leaves the window unemitted with nothing lost —
+// the next advance tries it again, and what the call had already emitted
+// waits in the operator (Op.Drain). A window whose emission panics
+// maxEmitTries times in a row is given up — emitted as NaN with count 0,
+// counted in OpStats.EmitFailed — so an aggregate that chokes on a value
+// every time loses the windows holding that value and nothing else. Under
+// RefineLate the emitted aggregate is retained and late values are added to
+// it as they arrive. Operator
+// snapshots hold tuples, so such an aggregate needs no State support unless
+// it is retained (SaveAggregate knows the built-in ones only).
 type Factory struct {
 	Name string
 	New  func() Aggregate
@@ -39,19 +56,40 @@ func (a *countAgg) Add(float64)    { a.n++ }
 func (a *countAgg) Value() float64 { return float64(a.n) }
 func (a *countAgg) N() int64       { return a.n }
 
+// sumAgg keeps the sum as an unevaluated pair: sum − c is the total of what
+// was added, sum its rounded head, c what the rounding left out. Windows can
+// hold millions of values, and the operator combines per-node partials of
+// them in whatever grouping its tree has (fibacore.go); every step being an
+// error-free transformation, the pair is good to ~2⁻¹⁰⁶ relative and the head
+// is the correctly rounded total whichever way the additions were grouped —
+// short of a total within that distance of a rounding boundary. That is what
+// makes a tree-combined sum and a sequential fold agree to the bit.
 type sumAgg struct {
-	n   int64
-	sum float64
-	c   float64 // Kahan compensation: windows can hold millions of values
+	n      int64
+	sum, c float64
 }
 
 func (a *sumAgg) Add(v float64) {
 	a.n++
-	y := v - a.c
-	t := a.sum + y
-	a.c = (t - a.sum) - y
-	a.sum = t
+	a.sum, a.c = sumPlus(a.sum, a.c, v, 0)
 }
+
+// sumPlus adds the pair (ys, yc) to the pair (xs, xc).
+func sumPlus(xs, xc, ys, yc float64) (sum, c float64) {
+	h, e := twoSum(xs, ys)
+	e -= xc + yc
+	sum, e = twoSum(h, e)
+	return sum, -e
+}
+
+// twoSum returns s = fl(a+b) and its rounding error: a + b = s + e exactly
+// (Knuth), whatever the magnitudes.
+func twoSum(a, b float64) (s, e float64) {
+	s = a + b
+	bv := s - a
+	return s, (a - (s - bv)) + (b - bv)
+}
+
 func (a *sumAgg) Value() float64 { return a.sum }
 func (a *sumAgg) N() int64       { return a.n }
 
@@ -172,7 +210,7 @@ func (a *distinctAgg) N() int64       { return a.n }
 // Count counts tuples per window.
 func Count() Factory { return Factory{Name: "count", New: func() Aggregate { return &countAgg{} }} }
 
-// Sum sums tuple values (Kahan-compensated).
+// Sum sums tuple values (as an exact-to-~2⁻¹⁰⁶ pair: see sumAgg).
 func Sum() Factory { return Factory{Name: "sum", New: func() Aggregate { return &sumAgg{} }} }
 
 // Avg averages tuple values.

@@ -1,44 +1,18 @@
 package window
 
-import "fmt"
+import "repro/internal/stream"
 
-// CoreKind selects the open-window aggregation core of an operator: how
-// tuples that are not yet late are stored between observation and window
-// emission.
+// CoreKind, CoreFiba and NewOpWithCore select nothing: every operator runs
+// on the one tree-backed core (fibacore.go). The three names (and
+// cq.AggQuery.AggCore) are kept only because bench/ compiles against them
+// and may not change in the same PR as the code it measures; a
+// benchmark-archetype PR drops those call sites, and then these go.
 type CoreKind uint8
 
-const (
-	// CoreLegacy keeps one Aggregate per open window in a map and adds
-	// every tuple to each of the Size/Slide windows containing it — the
-	// original per-window recompute path.
-	CoreLegacy CoreKind = iota
-	// CoreFiba stores each tuple once in a finger B-tree aggregator
-	// (internal/fiba) ordered by (TS, Seq) and materializes a window's
-	// aggregate at emission by an O(B·log n) range query over cached
-	// partials: amortized O(1) in-order inserts, O(log d) out-of-order
-	// inserts, bulk prefix eviction. Aggregates whose results are
-	// fold-order-sensitive (avg, stddev) fall back to CoreLegacy
-	// transparently; both cores emit byte-identical results (see
-	// docs/ALGORITHMS.md).
-	CoreFiba
-)
+// CoreFiba is the only CoreKind.
+const CoreFiba CoreKind = 1
 
-// String renders the core name as accepted by ParseCoreKind.
-func (k CoreKind) String() string {
-	if k == CoreFiba {
-		return "fiba"
-	}
-	return "legacy"
-}
-
-// ParseCoreKind resolves a core selection from its CLI/plan name. The
-// empty string means legacy.
-func ParseCoreKind(s string) (CoreKind, error) {
-	switch s {
-	case "", "legacy":
-		return CoreLegacy, nil
-	case "fiba":
-		return CoreFiba, nil
-	}
-	return CoreLegacy, fmt.Errorf("window: unknown aggregation core %q (want fiba or legacy)", s)
+// NewOpWithCore is NewOp; the core argument is ignored.
+func NewOpWithCore(spec Spec, agg Factory, policy LatePolicy, refineFor stream.Time, _ CoreKind) *Op {
+	return NewOp(spec, agg, policy, refineFor)
 }

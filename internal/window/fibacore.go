@@ -5,33 +5,32 @@ import (
 	"repro/internal/stream"
 )
 
-// This file implements the operator's CoreFiba evaluation path: instead of
-// adding each tuple to every open window's Aggregate (Size/Slide map
-// updates per tuple), the tuple is stored once in a finger B-tree
-// aggregator keyed by (TS, Seq), and a closing window's aggregate is
-// materialized at emission by one range query over the window's event-time
-// bounds. The tree's cached partials carry the exact merge arithmetic of
-// the legacy aggregates (merge.go), so both cores emit byte-identical
-// results — the contract the DST cross-core oracle enforces.
+// This file is the operator's open-window evaluation: instead of adding
+// each tuple to every open window's Aggregate (Size/Slide updates per
+// tuple), the tuple is stored once in a finger B-tree aggregator keyed by
+// (TS, Seq), and a closing window's aggregate is materialized at emission
+// from the window's event-time range — by combining cached partials where
+// the aggregate is a monoid over scalars, by an ordered scan where it is
+// not.
 
-// fibaMode classifies how a Factory's aggregate runs on the tree core.
+// fibaMode classifies how a Factory's aggregate is materialized.
 type fibaMode uint8
 
 const (
-	// fibaOff: the aggregate's result depends on fold order (avg and
-	// stddev use Welford updates, which are numerically order-sensitive),
-	// so the operator transparently falls back to the legacy maps.
-	fibaOff fibaMode = iota
+	// fibaScan: the aggregate has no scalar partial the tree could cache —
+	// order statistics and distinct counts need the window's value multiset,
+	// avg and stddev (Welford updates) are numerically fold-order-sensitive,
+	// and a non-built-in Aggregate is opaque. The tree serves as the ordered
+	// tuple index (count-only partials answer the emptiness query); emission
+	// walks the window's leaf range and feeds a fresh aggregate in (TS, Seq)
+	// order. That order does not depend on when the disorder handler released
+	// a tuple, so the result depends only on which tuples made it into the
+	// window — and equals the reference fold exactly when none was dropped.
+	fibaScan fibaMode = iota
 	fibaCount
 	fibaSum
 	fibaMin
 	fibaMax
-	// fibaScan: order statistics and distinct counts need the window's
-	// value multiset, not a scalar partial. The tree serves as the ordered
-	// tuple index (count-only partials answer the emptiness/count query);
-	// emission walks the window's leaf range in key order and feeds a
-	// fresh legacy aggregate.
-	fibaScan
 )
 
 // fibaModeFor classifies a factory by the concrete aggregate it builds.
@@ -45,26 +44,27 @@ func fibaModeFor(f Factory) fibaMode {
 		return fibaMin
 	case *maxAgg:
 		return fibaMax
-	case *quantileAgg, *distinctAgg:
-		return fibaScan
 	default:
-		return fibaOff
+		return fibaScan
 	}
 }
 
-// treePart is the node partial cached by the window cores: the add count
-// plus the scalar state of the mergeable aggregate — (sum, Kahan carry)
+// treePart is the node partial cached by the tree: the add count
+// plus the scalar state of the mergeable aggregate — sumAgg's (sum, c) pair
 // for sums, the extremum for min/max, unused for count and scan modes.
 type treePart struct {
 	n    int64
 	a, b float64
 }
 
-// treeMonoid implements fiba.Monoid[treePart] for one mode. Combine
-// replicates the MergeFrom arithmetic of the corresponding aggregate
-// (merge.go) bit for bit, which is what makes tree-combined partials
-// byte-identical to sequentially folded ones for exactly representable
-// inputs (the DST workloads' integer payloads).
+// treeMonoid implements fiba.Monoid[treePart] for one mode. Combine is the
+// MergeFrom arithmetic of the corresponding aggregate (merge.go), so a
+// tree-combined partial equals a sequentially folded one wherever regrouping
+// is exact: always for count/min/max, and for sums because sumAgg's pair
+// arithmetic rounds the head once, from a total good to ~2⁻¹⁰⁶, in whatever
+// order the parts arrive. The snapshot preserves the tree's shape all the same
+// (snapshot.go): the pair's low word, which refinement carries on from, and
+// any rounding-boundary case stay exactly as they were.
 type treeMonoid struct{ mode fibaMode }
 
 // Identity implements fiba.Monoid.
@@ -91,11 +91,7 @@ func (m treeMonoid) Combine(x, y treePart) treePart {
 	out := treePart{n: x.n + y.n}
 	switch m.mode {
 	case fibaSum:
-		// sumAgg.MergeFrom's compensated fold: a = sum, b = Kahan carry.
-		yv := y.a - x.b
-		t := x.a + yv
-		out.b = (t - x.a) - yv + y.b
-		out.a = t
+		out.a, out.b = sumPlus(x.a, x.b, y.a, y.b) // sumAgg's pair: a = sum, b = c
 	case fibaMin:
 		out.a = x.a
 		if y.a < out.a {
@@ -110,7 +106,7 @@ func (m treeMonoid) Combine(x, y treePart) treePart {
 	return out
 }
 
-// fibaState is the per-operator state of the tree core.
+// fibaState is the operator's open-window state.
 type fibaState struct {
 	mode fibaMode
 	tree *fiba.Tree[treePart]
@@ -122,20 +118,16 @@ type fibaState struct {
 	scratch []float64
 }
 
-// newFibaState builds the tree core for a factory, or returns nil when the
-// aggregate requires the legacy fold (the operator then falls back).
-func newFibaState(f Factory) *fibaState {
+// newFibaState builds the empty open-window state for a factory.
+func newFibaState(f Factory) fibaState {
 	mode := fibaModeFor(f)
-	if mode == fibaOff {
-		return nil
-	}
-	return &fibaState{mode: mode, tree: fiba.New[treePart](treeMonoid{mode: mode})}
+	return fibaState{mode: mode, tree: fiba.New[treePart](treeMonoid{mode: mode})}
 }
 
-// aggFor materializes the legacy-typed Aggregate for the window [start,
-// end) from the tree, or nil when the window is empty. The concrete
-// aggregate carries the exact state sequential adds would have produced,
-// so downstream refinement (RefineLate retains it) behaves identically.
+// aggFor materializes the factory's Aggregate for the window [start, end)
+// from the tree, or nil when the window is empty. The concrete aggregate
+// carries the state sequential adds in key order would have produced, so
+// downstream refinement (RefineLate retains it) carries on from there.
 func (s *fibaState) aggFor(f Factory, start, end stream.Time) Aggregate {
 	part := s.tree.RangeAgg(start, end)
 	if part.n == 0 {
@@ -151,61 +143,30 @@ func (s *fibaState) aggFor(f Factory, start, end stream.Time) Aggregate {
 	case fibaMax:
 		return &maxAgg{n: part.n, v: part.a}
 	default: // fibaScan: replay the window's values in key order
-		s.scratch = s.scratch[:0]
-		s.tree.RangeEach(start, end, func(v float64) {
-			s.scratch = append(s.scratch, v)
-		})
 		a := f.New()
 		switch t := a.(type) {
 		case *quantileAgg:
 			// Bulk copy is state-identical to sequential Adds on a fresh
 			// aggregate (unsorted appends), minus the append-doubling.
-			t.vals = append(make([]float64, 0, len(s.scratch)), s.scratch...)
+			t.vals = append(make([]float64, 0, part.n), s.values(start, end)...)
 		case *distinctAgg:
-			t.seen = make(map[float64]struct{}, len(s.scratch))
-			for _, v := range s.scratch {
+			t.seen = make(map[float64]struct{}, part.n)
+			for _, v := range s.values(start, end) {
 				t.seen[v] = struct{}{}
 			}
-			t.n = int64(len(s.scratch))
+			t.n = part.n
 		default:
-			for _, v := range s.scratch {
-				a.Add(v)
-			}
+			s.tree.RangeEach(start, end, a.Add)
 		}
 		return a
 	}
 }
 
-// FactoryMonoid adapts a window Factory to a fiba.Monoid over Aggregate
-// values, using the Mergeable combine every built-in aggregate implements.
-// nil is the identity; Combine clones through the snapshot codec so cached
-// tree partials are never mutated. The operator's own core uses the
-// specialized treePart instead (scalar partials, no boxing); this adapter
-// is the general bridge for any mergeable factory — tests use it to
-// cross-check the specialized arithmetic.
-func FactoryMonoid(f Factory) fiba.Monoid[Aggregate] { return aggMonoid{f: f} }
-
-type aggMonoid struct{ f Factory }
-
-// Identity implements fiba.Monoid.
-func (aggMonoid) Identity() Aggregate { return nil }
-
-// Lift implements fiba.Monoid.
-func (m aggMonoid) Lift(v float64) Aggregate {
-	a := m.f.New()
-	a.Add(v)
-	return a
-}
-
-// Combine implements fiba.Monoid.
-func (m aggMonoid) Combine(a, b Aggregate) Aggregate {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	c := RestoreAggregate(m.f, SaveAggregate(a))
-	c.(Mergeable).MergeFrom(b)
-	return c
+// values stages the window's values, in key order, in the scratch buffer.
+func (s *fibaState) values(start, end stream.Time) []float64 {
+	s.scratch = s.scratch[:0]
+	s.tree.RangeEach(start, end, func(v float64) {
+		s.scratch = append(s.scratch, v)
+	})
+	return s.scratch
 }

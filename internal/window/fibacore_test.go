@@ -1,7 +1,7 @@
 package window
 
 import (
-	"math"
+	"encoding/json"
 	"math/rand"
 	"sort"
 	"strings"
@@ -12,121 +12,21 @@ import (
 	"repro/internal/stream"
 )
 
-// genTuples builds a d-bounded out-of-order stream of n integer-valued
-// tuples with timestamps spread over several windows.
-func genTuples(rng *rand.Rand, n, d int) []stream.Tuple {
-	ts := make([]stream.Time, n)
-	for i := range ts {
-		ts[i] = stream.Time(i * 7 / 3) // ~2.3 ticks apart, duplicates included
-	}
-	// d-bounded shuffle: swap each position with one up to d ahead.
-	for i := range ts {
-		j := i + rng.Intn(d+1)
-		if j < n {
-			ts[i], ts[j] = ts[j], ts[i]
-		}
-	}
-	tuples := make([]stream.Tuple, n)
-	for i := range tuples {
-		tuples[i] = stream.Tuple{
-			Seq:   uint64(i),
-			TS:    ts[i],
-			Key:   uint64(rng.Intn(5)),
-			Value: float64(rng.Intn(2000) - 1000),
-		}
-	}
-	return tuples
-}
-
-func resultsEqual(a, b Result) bool {
-	sameVal := a.Value == b.Value || (math.IsNaN(a.Value) && math.IsNaN(b.Value))
-	return a.Idx == b.Idx && a.Start == b.Start && a.End == b.End && sameVal &&
-		a.Count == b.Count && a.EmitArrival == b.EmitArrival && a.Refinement == b.Refinement
-}
-
-// TestCoreEquivalence drives the legacy and fiba cores through identical
-// d-bounded out-of-order streams, for every factory and both late
-// policies, and requires bit-identical emitted results at every step.
-func TestCoreEquivalence(t *testing.T) {
-	specs := []Spec{
-		{Size: 10, Slide: 10}, // tumbling
-		{Size: 20, Slide: 5},  // overlap 4
-		{Size: 30, Slide: 7},  // slide not dividing size
-	}
-	factories := []Factory{Count(), Sum(), Min(), Max(), Median(), Quantile(0.95), Distinct(), Avg(), StdDev()}
-	policies := []LatePolicy{DropLate, RefineLate}
-	for _, spec := range specs {
-		for _, f := range factories {
-			for _, pol := range policies {
-				rng := rand.New(rand.NewSource(int64(spec.Size)*1000 + int64(len(f.Name))))
-				tuples := genTuples(rng, 1500, 40)
-				legacy := NewOpWithCore(spec, f, pol, 100, CoreLegacy)
-				tree := NewOpWithCore(spec, f, pol, 100, CoreFiba)
-				var lOut, tOut []Result
-				for i, tp := range tuples {
-					now := stream.Time(i)
-					lOut = legacy.Observe(tp, now, lOut[:0])
-					tOut = tree.Observe(tp, now, tOut[:0])
-					compareResults(t, f.Name, spec, pol, lOut, tOut)
-				}
-				lOut = legacy.Flush(9999, lOut[:0])
-				tOut = tree.Flush(9999, tOut[:0])
-				compareResults(t, f.Name, spec, pol, lOut, tOut)
-				if legacy.Stats() != tree.Stats() {
-					t.Fatalf("%s %v %v: stats diverge: legacy=%+v fiba=%+v",
-						f.Name, spec, pol, legacy.Stats(), tree.Stats())
-				}
-			}
-		}
-	}
-}
-
-func compareResults(t *testing.T, name string, spec Spec, pol LatePolicy, want, got []Result) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s %v %v: emitted %d results on fiba, want %d\nlegacy=%v\nfiba=%v",
-			name, spec, pol, len(got), len(want), want, got)
-	}
-	for i := range want {
-		if !resultsEqual(want[i], got[i]) {
-			t.Fatalf("%s %v %v: result %d diverges\nlegacy=%v\nfiba=%v",
-				name, spec, pol, i, want[i], got[i])
-		}
-	}
-}
-
-// TestCoreFallback verifies that order-sensitive aggregates silently fall
-// back to the legacy core, and tree-friendly ones do not.
-func TestCoreFallback(t *testing.T) {
-	spec := Spec{Size: 10, Slide: 5}
-	for _, tc := range []struct {
-		f    Factory
-		want CoreKind
-	}{
-		{Count(), CoreFiba}, {Sum(), CoreFiba}, {Min(), CoreFiba}, {Max(), CoreFiba},
-		{Median(), CoreFiba}, {Quantile(0.9), CoreFiba}, {Distinct(), CoreFiba},
-		{Avg(), CoreLegacy}, {StdDev(), CoreLegacy},
-	} {
-		op := NewOpWithCore(spec, tc.f, DropLate, 0, CoreFiba)
-		if op.Core() != tc.want {
-			t.Errorf("%s: Core() = %v, want %v", tc.f.Name, op.Core(), tc.want)
-		}
-	}
-	if op := NewOp(spec, Sum(), DropLate, 0); op.Core() != CoreLegacy {
-		t.Errorf("NewOp: Core() = %v, want legacy", op.Core())
-	}
-}
-
-// TestFibaSnapshotRoundTrip snapshots a fiba-core operator mid-stream,
-// restores into a fresh operator, and requires the suffix output to match
-// an uninterrupted run bit for bit.
+// TestFibaSnapshotRoundTrip snapshots an operator mid-stream, restores the
+// state into a fresh operator — through JSON, as the durable log does — and
+// requires the suffix output to match the uninterrupted run bit for bit.
+// The payloads are floats: a sum's last bits depend on how the tree groups
+// its partials, so this holds only because the snapshot keeps the shape.
 func TestFibaSnapshotRoundTrip(t *testing.T) {
 	spec := Spec{Size: 20, Slide: 5}
-	for _, f := range []Factory{Sum(), Quantile(0.95)} {
+	for _, f := range []Factory{Sum(), Quantile(0.95), Avg()} {
 		rng := rand.New(rand.NewSource(7))
 		tuples := genTuples(rng, 1200, 60)
-		cont := NewOpWithCore(spec, f, RefineLate, 50, CoreFiba)
-		snap := NewOpWithCore(spec, f, RefineLate, 50, CoreFiba)
+		for i := range tuples {
+			tuples[i].Value += rng.Float64()
+		}
+		cont := NewOp(spec, f, RefineLate, 50)
+		snap := NewOp(spec, f, RefineLate, 50)
 		var a, b []Result
 		cut := 700
 		for i, tp := range tuples[:cut] {
@@ -134,56 +34,152 @@ func TestFibaSnapshotRoundTrip(t *testing.T) {
 			b = snap.Observe(tp, stream.Time(i), b[:0])
 		}
 		st := snap.State()
-		if len(st.Open) != 0 {
-			t.Fatalf("%s: fiba snapshot exported open-window maps", f.Name)
+		if len(st.Tree) == 0 || st.Shape == nil {
+			t.Fatalf("%s: snapshot exported %d tree entries, shape %v", f.Name, len(st.Tree), st.Shape)
 		}
-		if len(st.Tree) == 0 {
-			t.Fatalf("%s: fiba snapshot exported no tree entries", f.Name)
+		data, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
 		}
-		restored := NewOpWithCore(spec, f, RefineLate, 50, CoreFiba)
-		restored.Restore(st)
+		var back OpState
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		restored := NewOp(spec, f, RefineLate, 50)
+		if err := restored.Restore(back); err != nil {
+			t.Fatal(err)
+		}
 		for i, tp := range tuples[cut:] {
 			now := stream.Time(cut + i)
 			a = cont.Observe(tp, now, a[:0])
 			b = restored.Observe(tp, now, b[:0])
-			compareResults(t, f.Name, spec, RefineLate, a, b)
+			compareResults(t, f.Name, spec, RefineLate, a, b, 0)
 		}
 		a = cont.Flush(9999, a[:0])
 		b = restored.Flush(9999, b[:0])
-		compareResults(t, f.Name, spec, RefineLate, a, b)
+		compareResults(t, f.Name, spec, RefineLate, a, b, 0)
 	}
 }
 
-// TestSnapshotCoreMismatchPanics checks that restoring across cores fails
-// loudly instead of silently dropping buffered state.
-func TestSnapshotCoreMismatchPanics(t *testing.T) {
+// TestRestoreRefusesWhatItCannotRebuild covers the snapshots Restore is
+// handed from outside and cannot restore faithfully. Per-window partials of
+// the removed per-window-fold core ("open") cannot be turned back into
+// tuples, and a shape that does not fit its entries is a damaged file; both
+// are errors that name the remedy and leave the operator as it was — never
+// an operator whose open windows are silently empty.
+func TestRestoreRefusesWhatItCannotRebuild(t *testing.T) {
 	spec := Spec{Size: 10, Slide: 5}
-	tup := stream.Tuple{Seq: 1, TS: 3, Value: 42}
-
-	fibaOp := NewOpWithCore(spec, Sum(), DropLate, 0, CoreFiba)
-	fibaOp.Observe(tup, 0, nil)
-	treeState := fibaOp.State()
-
-	legacyOp := NewOp(spec, Sum(), DropLate, 0)
-	legacyOp.Observe(tup, 0, nil)
-	legacyState := legacyOp.State()
-
-	mustPanic(t, "legacy restore of tree snapshot", func() {
-		NewOp(spec, Sum(), DropLate, 0).Restore(treeState)
-	})
-	mustPanic(t, "fiba restore of legacy snapshot", func() {
-		NewOpWithCore(spec, Sum(), DropLate, 0, CoreFiba).Restore(legacyState)
-	})
+	live := NewOp(spec, Sum(), DropLate, 0)
+	for i := 0; i < 200; i++ {
+		live.Observe(stream.Tuple{Seq: uint64(i), TS: stream.Time(i / 40), Value: 1}, 0, nil)
+	}
+	good, err := json.Marshal(live.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := []byte(`{"open":[{"idx":0,"agg":{"n":1,"nums":[42,0]}}],"nextEmit":0,"haveFirst":true,"clock":3,"started":true,"stats":{"TuplesIn":1}}`)
+	var damaged OpState
+	if err := json.Unmarshal(good, &damaged); err != nil {
+		t.Fatal(err)
+	}
+	damaged.Shape.Leaves[0]--
+	bad, err := json.Marshal(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		data []byte
+		want string
+	}{
+		"legacy open windows": {legacy, "per-window-fold"},
+		"malformed shape":     {bad, "damaged"},
+	} {
+		var st OpState
+		if err := json.Unmarshal(tc.data, &st); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		op := NewOp(spec, Sum(), DropLate, 0)
+		op.Observe(stream.Tuple{Seq: 1, TS: 3, Value: 42}, 0, nil)
+		err := op.Restore(st)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "clear the query's durable directory") {
+			t.Errorf("%s: Restore returned %v; want an error naming the cause (%q) and the remedy", name, err, tc.want)
+		}
+		if out := op.Flush(0, nil); len(out) != 2 || out[0].Value != 42 || out[1].Value != 42 {
+			t.Errorf("%s: the refused Restore changed the operator: it now flushes %v", name, out)
+		}
+	}
 }
 
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected panic", what)
-		}
-	}()
-	fn()
+// TestRestoreTreeSnapshotWithoutShape is the upgrade path: the previous
+// version's default core wrote the tree entries but no shape. Such a
+// snapshot restores by bulk insert — every tuple is there, in a tree of
+// another shape, and no aggregate's value depends on the shape.
+func TestRestoreTreeSnapshotWithoutShape(t *testing.T) {
+	spec := Spec{Size: 20, Slide: 5}
+	tuples := genTuples(rand.New(rand.NewSource(5)), 1200, 60)
+	cont := NewOp(spec, Sum(), DropLate, 0)
+	var a, b []Result
+	cut := 700
+	for i, tp := range tuples[:cut] {
+		a = cont.Observe(tp, stream.Time(i), a[:0])
+	}
+	st := cont.State()
+	st.Shape = nil
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "shape") {
+		t.Fatalf("a shape-less state still marshals a shape: %s", data)
+	}
+	var old OpState
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewOp(spec, Sum(), DropLate, 0)
+	if err := restored.Restore(old); err != nil {
+		t.Fatal(err)
+	}
+	for i, tp := range tuples[cut:] {
+		now := stream.Time(cut + i)
+		a = cont.Observe(tp, now, a[:0])
+		b = restored.Observe(tp, now, b[:0])
+		compareResults(t, "sum", spec, DropLate, a, b, 0)
+	}
+	compareResults(t, "sum", spec, DropLate, cont.Flush(9999, nil), restored.Flush(9999, nil), 0)
+}
+
+// FactoryMonoid adapts a window Factory to a fiba.Monoid over Aggregate
+// values, using the Mergeable combine every built-in aggregate implements.
+// nil is the identity; Combine clones through the snapshot codec so cached
+// tree partials are never mutated. It is the reference the operator's
+// specialized treePart arithmetic (scalar partials, no boxing) is checked
+// against.
+func FactoryMonoid(f Factory) fiba.Monoid[Aggregate] { return aggMonoid{f: f} }
+
+type aggMonoid struct{ f Factory }
+
+// Identity implements fiba.Monoid.
+func (aggMonoid) Identity() Aggregate { return nil }
+
+// Lift implements fiba.Monoid.
+func (m aggMonoid) Lift(v float64) Aggregate {
+	a := m.f.New()
+	a.Add(v)
+	return a
+}
+
+// Combine implements fiba.Monoid.
+func (m aggMonoid) Combine(a, b Aggregate) Aggregate {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	c := RestoreAggregate(m.f, SaveAggregate(a))
+	c.(Mergeable).MergeFrom(b)
+	return c
 }
 
 // TestFactoryMonoidMatchesTreePart cross-checks the specialized treePart
@@ -231,38 +227,6 @@ func TestFactoryMonoidMatchesTreePart(t *testing.T) {
 						f.Name, lo, hi, i, got.Nums[i], want.Nums[i])
 				}
 			}
-		}
-	}
-}
-
-func TestParseCoreKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want CoreKind
-		err  bool
-	}{
-		{"", CoreLegacy, false},
-		{"legacy", CoreLegacy, false},
-		{"fiba", CoreFiba, false},
-		{"btree", 0, true},
-	} {
-		got, err := ParseCoreKind(tc.in)
-		if tc.err {
-			if err == nil {
-				t.Errorf("ParseCoreKind(%q): expected error", tc.in)
-			} else if !strings.Contains(err.Error(), tc.in) {
-				t.Errorf("ParseCoreKind(%q): error %v does not name the input", tc.in, err)
-			}
-			continue
-		}
-		if err != nil || got != tc.want {
-			t.Errorf("ParseCoreKind(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	for _, k := range []CoreKind{CoreLegacy, CoreFiba} {
-		rt, err := ParseCoreKind(k.String())
-		if err != nil || rt != k {
-			t.Errorf("round-trip %v: got %v, %v", k, rt, err)
 		}
 	}
 }

@@ -32,7 +32,6 @@ type KeyedOp struct {
 	agg       Factory
 	policy    LatePolicy
 	refineFor stream.Time
-	core      CoreKind
 	ops       map[uint64]*Op
 	keys      []uint64 // every key with state; sorted unless keysDirty
 	keysDirty bool
@@ -40,23 +39,21 @@ type KeyedOp struct {
 	started   bool
 	scratch   []Result
 	blockBuf  []KeyedResult // rotation scratch for mergeOwnBlock
+	// res collects the call's results, for the reason Op.res does: a key's
+	// operator may panic after other keys' have emitted. (What the panicking
+	// operator itself had emitted comes out of its own next call, one slide on
+	// at the latest.)
+	res []KeyedResult
 }
 
-// NewKeyedOp returns a per-key window operator on the legacy aggregation
-// core. It panics on an invalid spec.
+// NewKeyedOp returns a per-key window operator. It panics on an invalid
+// spec.
 func NewKeyedOp(spec Spec, agg Factory, policy LatePolicy, refineFor stream.Time) *KeyedOp {
-	return NewKeyedOpWithCore(spec, agg, policy, refineFor, CoreLegacy)
-}
-
-// NewKeyedOpWithCore returns a per-key window operator whose per-key Ops
-// run on the selected aggregation core (see NewOpWithCore). It panics on
-// an invalid spec.
-func NewKeyedOpWithCore(spec Spec, agg Factory, policy LatePolicy, refineFor stream.Time, core CoreKind) *KeyedOp {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
 	return &KeyedOp{
-		spec: spec, agg: agg, policy: policy, refineFor: refineFor, core: core,
+		spec: spec, agg: agg, policy: policy, refineFor: refineFor,
 		ops: make(map[uint64]*Op),
 	}
 }
@@ -74,27 +71,35 @@ func (o *KeyedOp) Keys() int { return len(o.ops) }
 func (o *KeyedOp) Observe(t stream.Tuple, now stream.Time, out []KeyedResult) []KeyedResult {
 	op, ok := o.ops[t.Key]
 	if !ok {
-		op = NewOpWithCore(o.spec, o.agg, o.policy, o.refineFor, o.core)
+		op = NewOp(o.spec, o.agg, o.policy, o.refineFor)
 		o.ops[t.Key] = op
 		o.keys = append(o.keys, t.Key)
 		o.keysDirty = true
 	}
-	base := len(out)
+	base := len(o.res)
 	o.scratch = op.Observe(t, now, o.scratch[:0])
-	out = o.appendKeyedFrom(t.Key, out)
+	o.appendKeyedFrom(t.Key)
 	if !o.started || t.TS > o.clock {
 		crossed := !o.started || o.spec.LastClosed(t.TS) != o.spec.LastClosed(o.clock)
-		ownLen := len(out) - base
+		ownLen := len(o.res) - base
 		o.clock = t.TS
 		o.started = true
 		if crossed {
-			out = o.advanceOthers(t.Key, now, out)
+			o.advanceOthers(t.Key, now)
 			// The tuple's own results were appended first; rotate the block
 			// into the already key-sorted advanceOthers segment to restore
 			// the canonical by-key order for this step.
-			o.mergeOwnBlock(out[base:], ownLen)
+			o.mergeOwnBlock(o.res[base:], ownLen)
 		}
 	}
+	return o.Drain(out)
+}
+
+// Drain appends to out what a call that ended in a panic had emitted before
+// it; every call that returns has done so itself.
+func (o *KeyedOp) Drain(out []KeyedResult) []KeyedResult {
+	out = append(out, o.res...)
+	o.res = o.res[:0]
 	return out
 }
 
@@ -111,7 +116,8 @@ func (o *KeyedOp) Advance(eventTS, now stream.Time, out []KeyedResult) []KeyedRe
 	if !crossed {
 		return out
 	}
-	return o.advanceOthers(^uint64(0), now, out) // no key excluded
+	o.advanceOthers(^uint64(0), now) // no key excluded
+	return o.Drain(out)
 }
 
 // sortedKeys returns every key with state in ascending order, re-sorting
@@ -124,24 +130,23 @@ func (o *KeyedOp) sortedKeys() []uint64 {
 	return o.keys
 }
 
-func (o *KeyedOp) advanceOthers(except uint64, now stream.Time, out []KeyedResult) []KeyedResult {
+func (o *KeyedOp) advanceOthers(except uint64, now stream.Time) {
 	for _, key := range o.sortedKeys() {
 		if key == except {
 			continue
 		}
 		o.scratch = o.ops[key].Advance(o.clock, now, o.scratch[:0])
-		out = o.appendKeyedFrom(key, out)
+		o.appendKeyedFrom(key)
 	}
-	return out
 }
 
 // Flush emits every open window of every key, in key order.
 func (o *KeyedOp) Flush(now stream.Time, out []KeyedResult) []KeyedResult {
 	for _, key := range o.sortedKeys() {
 		o.scratch = o.ops[key].Flush(now, o.scratch[:0])
-		out = o.appendKeyedFrom(key, out)
+		o.appendKeyedFrom(key)
 	}
-	return out
+	return o.Drain(out)
 }
 
 // mergeOwnBlock restores by-key order for one step's segment where the
@@ -165,11 +170,10 @@ func (o *KeyedOp) mergeOwnBlock(seg []KeyedResult, k int) {
 	copy(seg[p:], o.blockBuf)
 }
 
-func (o *KeyedOp) appendKeyedFrom(key uint64, out []KeyedResult) []KeyedResult {
+func (o *KeyedOp) appendKeyedFrom(key uint64) {
 	for _, r := range o.scratch {
-		out = append(out, KeyedResult{Key: key, Result: r})
+		o.res = append(o.res, KeyedResult{Key: key, Result: r})
 	}
-	return out
 }
 
 // Stats aggregates the per-key operator counters.
@@ -184,25 +188,9 @@ func (o *KeyedOp) Stats() OpStats {
 		s.Emitted += os.Emitted
 		s.Refinements += os.Refinements
 		s.EmptyEmitted += os.EmptyEmitted
+		s.EmitFailed += os.EmitFailed
 	}
 	return s
-}
-
-// KeyedOracle computes exact per-key results for any-order input.
-func KeyedOracle(spec Spec, agg Factory, tuples []stream.Tuple) []KeyedResult {
-	sorted := make([]stream.Tuple, len(tuples))
-	copy(sorted, tuples)
-	stream.SortByEventTime(sorted)
-	op := NewKeyedOp(spec, agg, DropLate, 0)
-	var out []KeyedResult
-	for _, t := range sorted {
-		out = op.Observe(t, 0, out)
-	}
-	out = op.Flush(0, out)
-	for i := range out {
-		out[i].EmitArrival = out[i].End
-	}
-	return out
 }
 
 // KeyedByIdx indexes keyed results by (key, window index), refinements

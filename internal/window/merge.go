@@ -1,9 +1,9 @@
 package window
 
 // Mergeable is implemented by aggregates whose partial results can be
-// combined. Pane-based evaluation (PaneOp) requires it: per-pane partial
-// aggregates are merged into each overlapping window instead of adding
-// every tuple Size/Slide times. All built-in aggregates are mergeable.
+// combined. Session windows require it (two sessions bridged by a late
+// tuple fold into one), and the tree's scalar partials replicate this
+// arithmetic (treeMonoid). All built-in aggregates are mergeable.
 type Mergeable interface {
 	Aggregate
 	// MergeFrom folds other (an aggregate of the same concrete type)
@@ -17,13 +17,7 @@ func (a *countAgg) MergeFrom(o Aggregate) { a.n += o.(*countAgg).n }
 func (a *sumAgg) MergeFrom(o Aggregate) {
 	ob := o.(*sumAgg)
 	a.n += ob.n
-	// Fold the other's compensated sum through the same Kahan update so
-	// precision is preserved across merges.
-	y := ob.sum - a.c
-	t := a.sum + y
-	a.c = (t - a.sum) - y
-	a.c += ob.c
-	a.sum = t
+	a.sum, a.c = sumPlus(a.sum, a.c, ob.sum, ob.c)
 }
 
 func (a *avgAgg) MergeFrom(o Aggregate) { a.w.Merge(&o.(*avgAgg).w) }

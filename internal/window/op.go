@@ -2,6 +2,7 @@ package window
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/fiba"
@@ -61,6 +62,7 @@ type OpStats struct {
 	Emitted      int64 // primary results emitted
 	Refinements  int64 // refinement results emitted
 	EmptyEmitted int64 // primary results with zero contributing tuples
+	EmitFailed   int64 // primary results given up as NaN after maxEmitTries panics
 }
 
 // Op evaluates one windowed aggregate over a (mostly) event-time-ordered
@@ -68,70 +70,68 @@ type OpStats struct {
 // every window index from the first observed window onward, including
 // empty windows, so that downstream quality metrics can align emitted
 // results with the oracle by index.
+//
+// Tuples that are not yet late are stored once, in a finger B-tree ordered
+// by (TS, Seq); a window's aggregate is materialized from the tree when the
+// window is emitted (fibacore.go).
 type Op struct {
 	spec      Spec
 	agg       Factory
 	policy    LatePolicy
 	refineFor stream.Time // retain emitted state this long past the clock
 
-	open      map[int64]Aggregate
-	fib       *fibaState          // non-nil: CoreFiba replaces the open map
+	fib       fibaState           // the open windows' tuples
 	retained  map[int64]Aggregate // emitted windows kept for refinement
 	nextEmit  int64
 	haveFirst bool
 	clock     stream.Time
 	started   bool
 	stats     OpStats
+
+	// res collects what the call in progress emits. It is the operator's and
+	// not the caller's slice because a call can end in a panic out of a
+	// non-built-in aggregate after it has emitted something: that stays here,
+	// and Drain or the next call hands it out.
+	res []Result
+	// emitTries counts the attempts at window nextEmit that ended in a panic.
+	emitTries int
 }
 
-// NewOp returns a window operator on the legacy aggregation core.
-// refineFor bounds how long (in stream time past the operator clock)
-// emitted window state is retained when policy is RefineLate; it is
-// ignored for DropLate. It panics on an invalid spec.
+// maxEmitTries is how often a window's emission may panic before the
+// operator gives the window up. A fault that passes (the first tries) costs
+// nothing; a value a non-built-in aggregate chokes on every time costs the
+// windows that hold it, each emitted as NaN with count 0 and counted in
+// OpStats.EmitFailed, and is evicted with them — without the bound it would
+// stall emission for good and the tree would grow without one.
+const maxEmitTries = 3
+
+// NewOp returns a window operator. refineFor bounds how long (in stream
+// time past the operator clock) emitted window state is retained when
+// policy is RefineLate; it is ignored for DropLate. It panics on an invalid
+// spec.
 func NewOp(spec Spec, agg Factory, policy LatePolicy, refineFor stream.Time) *Op {
-	return NewOpWithCore(spec, agg, policy, refineFor, CoreLegacy)
-}
-
-// NewOpWithCore returns a window operator on the selected aggregation
-// core. CoreFiba stores open-window tuples once in a finger B-tree and
-// materializes aggregates at emission; factories the tree cannot serve
-// byte-identically (avg, stddev) silently fall back to the legacy core —
-// Core reports the effective choice. Both cores emit identical results.
-func NewOpWithCore(spec Spec, agg Factory, policy LatePolicy, refineFor stream.Time, core CoreKind) *Op {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	o := &Op{
+	return &Op{
 		spec:      spec,
 		agg:       agg,
 		policy:    policy,
 		refineFor: refineFor,
-		open:      make(map[int64]Aggregate),
+		fib:       newFibaState(agg),
 		retained:  make(map[int64]Aggregate),
 	}
-	if core == CoreFiba {
-		o.fib = newFibaState(agg)
-	}
-	return o
 }
 
 // Spec returns the operator's window specification.
 func (o *Op) Spec() Spec { return o.spec }
 
-// Core returns the effective aggregation core: CoreFiba only when it was
-// requested and the factory supports tree evaluation.
-func (o *Op) Core() CoreKind {
-	if o.fib != nil {
-		return CoreFiba
-	}
-	return CoreLegacy
-}
-
 // Stats returns cumulative counters.
 func (o *Op) Stats() OpStats { return o.stats }
 
 // Observe feeds one tuple at arrival-time position now, appending any
-// emitted results to out.
+// emitted results to out. The tuple is stored before anything in the call can
+// panic (see Factory), so a caller that recovers one must not feed it again.
 func (o *Op) Observe(t stream.Tuple, now stream.Time, out []Result) []Result {
 	o.stats.TuplesIn++
 	first, last := o.spec.WindowsFor(t.TS)
@@ -148,7 +148,7 @@ func (o *Op) Observe(t stream.Tuple, now stream.Time, out []Result) []Result {
 				if agg, ok := o.retained[idx]; ok {
 					agg.Add(t.Value)
 					o.stats.LateRefined++
-					out = append(out, o.result(idx, agg, now, true))
+					o.res = append(o.res, o.result(idx, agg, now, true))
 					o.stats.Refinements++
 					continue
 				}
@@ -156,18 +156,10 @@ func (o *Op) Observe(t stream.Tuple, now stream.Time, out []Result) []Result {
 			o.stats.LateDrops++
 			continue
 		}
-		if o.fib != nil {
-			// One tree insert covers every not-yet-emitted window containing
-			// the tuple: each reads it back by event-time range at emission.
-			o.fib.tree.Insert(fiba.Key{TS: t.TS, Seq: t.Seq}, t.Value)
-			break
-		}
-		agg, ok := o.open[idx]
-		if !ok {
-			agg = o.agg.New()
-			o.open[idx] = agg
-		}
-		agg.Add(t.Value)
+		// One tree insert covers every not-yet-emitted window containing
+		// the tuple: each reads it back by event-time range at emission.
+		o.fib.tree.Insert(fiba.Key{TS: t.TS, Seq: t.Seq}, t.Value)
+		break
 	}
 	if late {
 		o.stats.LateTuples++
@@ -188,9 +180,17 @@ func (o *Op) Advance(eventTS, now stream.Time, out []Result) []Result {
 	}
 	lastClosed := o.spec.LastClosed(o.clock)
 	for idx := o.nextEmit; idx <= lastClosed; idx++ {
-		out = o.emit(idx, now, out)
+		o.emit(idx, now)
 	}
 	o.expireRetained()
+	return o.Drain(out)
+}
+
+// Drain appends to out what a call that ended in a panic had emitted before
+// it; every call that returns has done so itself.
+func (o *Op) Drain(out []Result) []Result {
+	out = append(out, o.res...)
+	o.res = o.res[:0]
 	return out
 }
 
@@ -201,56 +201,59 @@ func (o *Op) Flush(now stream.Time, out []Result) []Result {
 		return out
 	}
 	maxIdx := o.nextEmit - 1
-	if o.fib != nil {
-		// The last occupied window is the one ending at the tree's maximum
-		// timestamp — evicted entries can only have belonged to windows
-		// below nextEmit, which never re-emit.
-		if k, ok := o.fib.tree.MaxKey(); ok {
-			if idx := floorDiv(k.TS, o.spec.Slide); idx > maxIdx {
-				maxIdx = idx
-			}
-		}
-	}
-	for idx := range o.open {
-		if idx > maxIdx {
+	// The last occupied window is the last one containing the tree's maximum
+	// timestamp — evicted entries can only have belonged to windows below
+	// nextEmit, which never re-emit.
+	if k, ok := o.fib.tree.MaxKey(); ok {
+		if idx := floorDiv(k.TS, o.spec.Slide); idx > maxIdx {
 			maxIdx = idx
 		}
 	}
 	for idx := o.nextEmit; idx <= maxIdx; idx++ {
-		out = o.emit(idx, now, out)
+		o.emit(idx, now)
 	}
-	return out
+	return o.Drain(out)
 }
 
 // emit produces the primary result for window idx and advances nextEmit.
-func (o *Op) emit(idx int64, now stream.Time, out []Result) []Result {
+//
+// Materializing the window can run code the operator does not own — the
+// ordered scan feeds a non-built-in aggregate's Add, and result reads its
+// Value — so all of it happens before the operator changes anything but the
+// try count. A panic in there leaves the window unemitted and its tuples in
+// the tree: whoever recovers it loses nothing, and the next Advance tries the
+// window again, maxEmitTries times in all.
+func (o *Op) emit(idx int64, now stream.Time) {
+	start, end := o.spec.Bounds(idx)
+	r := Result{Idx: idx, Start: start, End: end, Value: math.NaN(), EmitArrival: now}
 	var agg Aggregate
-	if o.fib != nil {
-		start, end := o.spec.Bounds(idx)
+	if o.emitTries < maxEmitTries {
+		o.emitTries++ // stands if the materialization panics
 		agg = o.fib.aggFor(o.agg, start, end)
+		empty := agg == nil
+		if empty {
+			agg = o.agg.New()
+		}
+		r = o.result(idx, agg, now, false)
+		if empty {
+			o.stats.EmptyEmitted++
+		}
 	} else {
-		agg = o.open[idx]
-		delete(o.open, idx)
+		o.stats.EmitFailed++
 	}
-	if agg == nil {
-		agg = o.agg.New()
-		o.stats.EmptyEmitted++
-	}
-	out = append(out, o.result(idx, agg, now, false))
+	o.emitTries = 0
+	o.res = append(o.res, r)
 	o.stats.Emitted++
-	if o.policy == RefineLate {
+	if o.policy == RefineLate && agg != nil {
 		o.retained[idx] = agg
 	}
 	if idx >= o.nextEmit {
 		o.nextEmit = idx + 1
 	}
-	if o.fib != nil {
-		// Bulk-evict the prefix no future window can read: every window from
-		// nextEmit on starts at or after nextEmit·Slide, and anything older
-		// arriving later is late by definition (handled off-tree).
-		o.fib.tree.EvictBelow(stream.Time(o.nextEmit) * o.spec.Slide)
-	}
-	return out
+	// Bulk-evict the prefix no future window can read: every window from
+	// nextEmit on starts at or after nextEmit·Slide, and anything older
+	// arriving later is late by definition (handled off-tree).
+	o.fib.tree.EvictBelow(stream.Time(o.nextEmit) * o.spec.Slide)
 }
 
 func (o *Op) result(idx int64, agg Aggregate, now stream.Time, refinement bool) Result {

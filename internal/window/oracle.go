@@ -1,27 +1,106 @@
 package window
 
-import "repro/internal/stream"
+import (
+	"sort"
+
+	"repro/internal/stream"
+)
+
+// This file is the reference evaluation the quality metrics, the DST
+// oracles and the benchmark's quality columns rest on. It is deliberately
+// the plainest possible fold and shares no code with the operator or its
+// tree: what the two agree on, they agree on independently.
 
 // Oracle computes the exact per-window results a query would produce with
-// perfect (event-time-ordered, loss-free) input. Quality metrics compare
-// emitted results against it. The input may be in any order; it is copied
-// and sorted by event time, and emission positions are set so that every
-// oracle result has zero latency.
+// perfect (event-time-ordered, loss-free) input: every window from the first
+// tuple's first window to the last tuple's last one, empty ones included.
+// The input may be in any order; it is copied and sorted by (TS, Seq).
+// Every oracle result has zero latency.
 func Oracle(spec Spec, agg Factory, tuples []stream.Tuple) []Result {
+	if len(tuples) == 0 {
+		return nil
+	}
+	sorted := sortedCopy(spec, tuples)
+	lo, _ := spec.WindowsFor(sorted[0].TS)
+	_, hi := spec.WindowsFor(sorted[len(sorted)-1].TS)
+	return foldWindows(spec, agg, sorted, lo, hi)
+}
+
+// sortedCopy is the oracles' common entry: the input in (TS, Seq) order,
+// the caller's slice untouched. It panics on an invalid spec.
+func sortedCopy(spec Spec, tuples []stream.Tuple) []stream.Tuple {
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
 	sorted := make([]stream.Tuple, len(tuples))
 	copy(sorted, tuples)
 	stream.SortByEventTime(sorted)
+	return sorted
+}
 
-	op := NewOp(spec, agg, DropLate, 0)
-	var out []Result
+// foldWindows evaluates windows lo..hi over sorted input: each window is a
+// fresh aggregate fed, in order, every tuple its interval covers.
+func foldWindows(spec Spec, agg Factory, sorted []stream.Tuple, lo, hi int64) []Result {
+	out := make([]Result, 0, hi-lo+1)
+	first := 0 // first tuple at or past the window start; starts only grow
+	for idx := lo; idx <= hi; idx++ {
+		start, end := spec.Bounds(idx)
+		for first < len(sorted) && sorted[first].TS < start {
+			first++
+		}
+		a := agg.New()
+		for i := first; i < len(sorted) && sorted[i].TS < end; i++ {
+			a.Add(sorted[i].Value)
+		}
+		// An oracle is instantaneous: each window is emitted as it closes.
+		out = append(out, Result{Idx: idx, Start: start, End: end, Value: a.Value(), Count: a.N(), EmitArrival: end})
+	}
+	return out
+}
+
+// KeyedOracle computes exact per-key results for any-order input, in the
+// canonical emission order of KeyedOp over ordered input. Keys share one
+// event-time clock, so a key's windows run from its own first window to its
+// own last one or the last window the whole stream closes, whichever is
+// later; a result is emitted by the step — the first tuple of any key at or
+// past the window's end, or the final flush — that closes its window, and
+// within one step results are ordered by key, then by window.
+func KeyedOracle(spec Spec, agg Factory, tuples []stream.Tuple) []KeyedResult {
+	if len(tuples) == 0 {
+		return nil
+	}
+	sorted := sortedCopy(spec, tuples)
+	byKey := make(map[uint64][]stream.Tuple)
 	for _, t := range sorted {
-		out = op.Observe(t, 0, out)
+		byKey[t.Key] = append(byKey[t.Key], t)
 	}
-	out = op.Flush(0, out)
-	// An oracle is instantaneous: emit each window the moment it closes.
-	for i := range out {
-		out[i].EmitArrival = out[i].End
+	closed := spec.LastClosed(sorted[len(sorted)-1].TS)
+	var out []KeyedResult
+	for key, own := range byKey {
+		lo, _ := spec.WindowsFor(own[0].TS)
+		_, hi := spec.WindowsFor(own[len(own)-1].TS)
+		if closed > hi {
+			hi = closed
+		}
+		for _, r := range foldWindows(spec, agg, own, lo, hi) {
+			out = append(out, KeyedResult{Key: key, Result: r})
+		}
 	}
+	// The closing step of a window: the index of the first tuple at or past
+	// its end; len(sorted) is the flush.
+	step := func(end stream.Time) int {
+		return sort.Search(len(sorted), func(i int) bool { return sorted[i].TS >= end })
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if sa, sb := step(a.End), step(b.End); sa != sb {
+			return sa < sb
+		}
+		if a.Key != b.Key {
+			return a.Key < b.Key
+		}
+		return a.Idx < b.Idx
+	})
 	return out
 }
 

@@ -1,6 +1,8 @@
 package window
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -11,9 +13,9 @@ import (
 
 // This file exports and restores operator state for crash-consistent
 // snapshots (internal/durable). A restored operator continues exactly where
-// the snapshot left off: same open-window aggregates, same emit cursor,
-// same counters, so replaying the identical tuple suffix emits identical
-// results.
+// the snapshot left off: same open-window tuples in the same tree, same
+// emit cursor, same counters, so replaying the identical tuple suffix emits
+// bit-identical results.
 
 // AggState is the exported state of one window aggregate, generic across
 // the concrete implementations: N is the add count, Nums holds a fixed
@@ -111,31 +113,29 @@ type WinAgg struct {
 	Agg AggState `json:"agg"`
 }
 
-// TreeEntry is one buffered tuple of the fiba core's ordered index. The
-// tree snapshots as its sorted entry list: restoring bulk-inserts the
-// entries, which rebuilds an equivalent tree in O(n) and keeps snapshot
-// bytes independent of the insertion history.
-type TreeEntry struct {
-	TS  stream.Time `json:"ts"`
-	Seq uint64      `json:"seq"`
-	Val float64     `json:"val"`
-}
-
-// OpState is the exported state of a window operator. Open and Retained are
-// sorted by window index so snapshot bytes are deterministic.
+// OpState is the exported state of a window operator. Retained is sorted by
+// window index so snapshot bytes are deterministic.
 type OpState struct {
-	Open []WinAgg `json:"open,omitempty"`
-	// Tree replaces Open when the operator runs the fiba core: the buffered
-	// tuples themselves, in key order. A snapshot taken on one core cannot
-	// be restored on the other (Restore panics), so a durable query must
-	// keep its core across restarts or start from a clean directory.
-	Tree      []TreeEntry `json:"tree,omitempty"`
-	Retained  []WinAgg    `json:"retained,omitempty"`
-	NextEmit  int64       `json:"nextEmit"`
-	HaveFirst bool        `json:"haveFirst"`
-	Clock     stream.Time `json:"clock"`
-	Started   bool        `json:"started"`
-	Stats     OpStats     `json:"stats"`
+	// Tree holds the open windows' tuples in key order and Shape how the
+	// operator's tree arranges them. Restore rebuilds exactly that tree, so
+	// that every cached partial — a float sum's low word included — is what
+	// it was and the recovered run is bit-identical to the uninterrupted one
+	// by construction. A snapshot written before shapes were recorded has
+	// none and restores by bulk insert: same tuples, another grouping.
+	Tree     []fiba.Entry `json:"tree,omitempty"`
+	Shape    *fiba.Shape  `json:"shape,omitempty"`
+	Retained []WinAgg     `json:"retained,omitempty"`
+	// LegacyOpen is never written. It catches the per-window partials a
+	// snapshot of the removed per-window-fold core carries under "open", so
+	// that Restore can refuse them instead of restoring an operator whose
+	// open windows are silently empty.
+	LegacyOpen json.RawMessage `json:"open,omitempty"`
+	NextEmit   int64           `json:"nextEmit"`
+	EmitTries  int             `json:"emitTries,omitempty"` // panicked attempts at NextEmit
+	HaveFirst  bool            `json:"haveFirst"`
+	Clock      stream.Time     `json:"clock"`
+	Started    bool            `json:"started"`
+	Stats      OpStats         `json:"stats"`
 }
 
 func saveWinAggs(m map[int64]Aggregate) []WinAgg {
@@ -161,57 +161,45 @@ func restoreWinAggs(f Factory, was []WinAgg) map[int64]Aggregate {
 // State exports the operator state.
 func (o *Op) State() OpState {
 	st := OpState{
-		Open:      saveWinAggs(o.open),
 		Retained:  saveWinAggs(o.retained),
 		NextEmit:  o.nextEmit,
+		EmitTries: o.emitTries,
 		HaveFirst: o.haveFirst,
 		Clock:     o.clock,
 		Started:   o.started,
 		Stats:     o.stats,
 	}
-	if o.fib != nil {
-		ents := o.fib.tree.Entries(nil)
-		if len(ents) > 0 {
-			st.Tree = make([]TreeEntry, len(ents))
-			for i, e := range ents {
-				st.Tree[i] = TreeEntry{TS: e.TS, Seq: e.Seq, Val: e.Val}
-			}
-		}
+	if tree := o.fib.tree; tree.Len() > 0 {
+		sh := tree.Shape()
+		st.Tree, st.Shape = tree.Entries(make([]fiba.Entry, 0, tree.Len())), &sh
 	}
 	return st
 }
 
 // Restore sets the operator to a previously exported state. The operator
-// must have been built with the same spec, factory, policy and aggregation
-// core as the one the state was saved from; a core mismatch panics (the
-// legacy core's per-window partials cannot be turned back into tuples).
-func (o *Op) Restore(st OpState) {
-	if o.fib != nil {
-		if len(st.Open) > 0 {
-			panic("window: snapshot holds legacy open-window state but the operator runs the fiba core; restart on -aggcore=legacy or clear the durable directory")
-		}
-		fresh := newFibaState(o.agg)
-		if len(st.Tree) > 0 {
-			ents := make([]fiba.Entry, len(st.Tree))
-			for i, e := range st.Tree {
-				ents[i] = fiba.Entry{Key: fiba.Key{TS: e.TS, Seq: e.Seq}, Val: e.Val}
-			}
-			fresh.tree.InsertBatch(ents)
-		}
-		o.fib = fresh
-		o.open = make(map[int64]Aggregate)
-	} else {
-		if len(st.Tree) > 0 {
-			panic("window: snapshot holds fiba tree state but the operator runs the legacy core; restart on -aggcore=fiba or clear the durable directory")
-		}
-		o.open = restoreWinAggs(o.agg, st.Open)
+// must have been built with the same spec, factory and policy as the one the
+// state was saved from. The state comes from a snapshot file, so what cannot
+// be restored faithfully is an error and leaves the operator unchanged.
+func (o *Op) Restore(st OpState) error {
+	if len(st.LegacyOpen) > 0 && string(st.LegacyOpen) != "null" {
+		return errors.New("window: snapshot holds per-window partials (\"open\") written by the removed per-window-fold core; " +
+			"they cannot be turned back into tuples: clear the query's durable directory and let its source replay")
 	}
+	fresh := newFibaState(o.agg)
+	if st.Shape == nil {
+		// Written before snapshots recorded the shape (or with no open tuples).
+		fresh.tree.InsertBatch(st.Tree)
+	} else if err := fresh.tree.Load(st.Tree, *st.Shape); err != nil {
+		return fmt.Errorf("window: snapshot is damaged (%w): clear the query's durable directory and let its source replay", err)
+	}
+	o.fib = fresh
 	o.retained = restoreWinAggs(o.agg, st.Retained)
-	o.nextEmit = st.NextEmit
+	o.nextEmit, o.emitTries = st.NextEmit, st.EmitTries
 	o.haveFirst = st.HaveFirst
 	o.clock = st.Clock
 	o.started = st.Started
 	o.stats = st.Stats
+	return nil
 }
 
 // EmitProgress returns the index of the next primary window the operator

@@ -36,7 +36,9 @@ func TestOpStateContinuationAllAggregates(t *testing.T) {
 				for _, tp := range tuples[:cut] {
 					resA = a.Observe(tp, tp.Arrival, resA)
 				}
-				b.Restore(a.State())
+				if err := b.Restore(a.State()); err != nil {
+					t.Fatal(err)
+				}
 
 				prefix := len(resA)
 				for _, tp := range tuples[cut:] {
@@ -72,11 +74,13 @@ func TestOpStateFreshOperator(t *testing.T) {
 	spec := Spec{Size: 10, Slide: 10}
 	a := NewOp(spec, Sum(), DropLate, 0)
 	st := a.State()
-	if st.HaveFirst || len(st.Open) != 0 {
+	if st.HaveFirst || len(st.Tree) != 0 || st.Shape != nil {
 		t.Fatalf("fresh op exported non-trivial state: %+v", st)
 	}
 	b := NewOp(spec, Sum(), DropLate, 0)
-	b.Restore(st)
+	if err := b.Restore(st); err != nil {
+		t.Fatal(err)
+	}
 	var res []Result
 	res = b.Observe(stream.Tuple{TS: 5, Arrival: 5, Value: 2}, 5, res)
 	res = b.Flush(5, res)

@@ -7,14 +7,14 @@
 // for the usual case where Slide divides Size.
 //
 // The operator (Op, and its per-key form KeyedOp) evaluates one aggregate
-// Factory over that window lattice under a late-tuple policy, and offers
-// two pluggable open-window aggregation cores (CoreKind): the legacy
-// per-window fold, which adds each tuple to every open window's Aggregate,
-// and the fiba core, which stores each tuple once in a finger B-tree
-// aggregator (internal/fiba) and materializes a window at emission by a
-// range query over cached monoid partials. The cores are byte-equivalent
-// on emitted output — docs/ALGORITHMS.md derives why — and the choice is
-// surfaced as cq.AggQuery.AggCore and aqserver's -aggcore flag.
+// Factory over that window lattice under a late-tuple policy. It has one
+// open-window evaluation path: each tuple is stored once in a finger B-tree
+// aggregator (internal/fiba) ordered by (TS, Seq), and a window is
+// materialized at emission — by a range query over cached monoid partials
+// for count/sum/min/max, by an ordered scan of the window's leaf range for
+// everything else (fibacore.go; docs/ALGORITHMS.md derives the arithmetic).
+// Oracle is the independent reference the quality metrics compare against:
+// a plain fold over sorted input that shares no code with the tree.
 package window
 
 import (
