@@ -468,7 +468,10 @@ func TestOneFrameParser(t *testing.T) {
 // AggQuery.AggCore — kept only because bench/ compiles against them — ignore
 // their argument and have no caller; and the reference fold in
 // internal/window/oracle.go uses neither the operator nor internal/fiba, so
-// what the two agree on they agree on independently.
+// what the two agree on they agree on independently. And no order statistic
+// is evaluated by copying the window out of the tree: the one place in
+// internal/window that fills a quantile sample wholesale is the aggregate
+// RefineLate retains (orderStat), everything else selects across sorted panes.
 func TestOneAggregationCore(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{}
@@ -552,6 +555,37 @@ func TestOneAggregationCore(t *testing.T) {
 			return true
 		})
 	}
+	copies := 0
+	for path, f := range files {
+		if !strings.HasPrefix(path, "internal/window/") || strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+					return true
+				}
+				sel, ok := as.Lhs[0].(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "vals" || !makesSlice(as.Rhs[0]) {
+					return true
+				}
+				copies++
+				if path != "internal/window/orderstat.go" || fn.Name.Name != "orderStat" {
+					t.Errorf("%s: %s fills a quantile sample wholesale; a window's order statistic is selected across its panes' sorted runs (orderstat.go), and only the aggregate RefineLate retains is built from them",
+						fset.Position(as.Pos()), fn.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+	if copies != 1 {
+		t.Errorf("found %d wholesale quantile-sample constructions in internal/window, want the one retention site in orderStat (extraction rotted, or a second bulk copy)", copies)
+	}
 	if !sawOp || files["internal/window/oracle.go"] == nil {
 		t.Fatalf("extraction rotted: window.Op found=%v, oracle.go parsed=%v", sawOp, files["internal/window/oracle.go"] != nil)
 	}
@@ -563,6 +597,20 @@ func TestOneAggregationCore(t *testing.T) {
 			t.Errorf("%s: the reference fold imports %s", fset.Position(imp.Pos()), imp.Path.Value)
 		}
 	}
+}
+
+// makesSlice reports whether e is make(…) or append(make(…), …): a sample
+// built in one go, as opposed to one grown by Add.
+func makesSlice(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	return id.Name == "make" || (id.Name == "append" && len(call.Args) > 0 && makesSlice(call.Args[0]))
 }
 
 // coreDecls counts the CoreKind constants one internal/window file declares

@@ -27,7 +27,8 @@
 //	                         none | maxslack | kslack(<dur>) | wm(<pct>) | punctuated
 //
 // Exactly one of QUALITY or HANDLER must be present. Keywords are
-// case-insensitive; identifiers are not.
+// case-insensitive; identifiers are not. A quoted file name ('…' or "…", no
+// escapes) may not contain control characters.
 //
 // Naming note: trace('file.csv') is a *source* — it replays a recorded
 // tuple stream from disk as the query's input. It is unrelated to event
@@ -172,6 +173,12 @@ func (l *lexer) next() (token, error) {
 		quote := c
 		l.pos++
 		for l.pos < len(l.in) && l.in[l.pos] != quote {
+			// A path is printed back inside one line of canonical text and
+			// logged; a newline or other control character in it is a typo
+			// or an injection, never a file name worth supporting.
+			if ch := l.in[l.pos]; ch < 0x20 || ch == 0x7f {
+				return token{}, fmt.Errorf("cql: control character %q in quoted string at %d", ch, l.pos)
+			}
 			l.pos++
 		}
 		if l.pos >= len(l.in) {

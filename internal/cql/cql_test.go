@@ -105,6 +105,20 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("accepted %q", in)
 		}
 	}
+	// Control characters in a quoted path are refused where they stand (the
+	// first is FuzzParse's find: a newline that survived into the canonical form).
+	for in, at := range map[string]string{
+		"SELECT Avg(vAlue)FROM trACe('\n')WINDOW 10 SLIDE 1 HANDLER kslACk(0)":     "at 29",
+		"SELECT sum FROM trace(\"a\tb\") WINDOW 10s SLIDE 1s QUALITY 1%":           "at 24",
+		"SELECT sum FROM trace('a\x7f') WINDOW 10s SLIDE 1s QUALITY 1%":            "at 24",
+		"SELECT sum FROM trace('\x00') WINDOW 10s SLIDE 1s QUALITY 1%":             "at 23",
+		"SELECT sum FROM trace('ok.csv\r') WINDOW 10s SLIDE 1s HANDLER kslack(1s)": "at 29",
+	} {
+		_, err := Parse(in)
+		if err == nil || !strings.Contains(err.Error(), "control character") || !strings.HasSuffix(err.Error(), at) {
+			t.Errorf("Parse(%q) = %v; want a control-character error %s", in, err, at)
+		}
+	}
 }
 
 func TestQueryStringRoundTrips(t *testing.T) {

@@ -26,6 +26,7 @@ func FuzzParse(f *testing.F) {
 		"",
 		"SELECT",
 		"SELECT sum(value) FROM trace('a''b') WINDOW 1s SLIDE 1s QUALITY 1%",
+		"SELECT Avg(vAlue)FROM trACe('\n')WINDOW 10 SLIDE 1 HANDLER kslACk(0)", // once accepted: a multi-line canonical form
 	}
 	for _, s := range seeds {
 		f.Add(s)

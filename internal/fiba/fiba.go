@@ -116,13 +116,13 @@ type Tree[P any] struct {
 
 	// Node free lists: prefix eviction discards nodes at the same steady
 	// rate splits create them, so recycling keeps the hot insert/evict
-	// cycle allocation-free after warmup.
+	// cycle allocation-free after warmup — whatever the window, a tumbling
+	// one that evicts its every leaf at once included. The lists keep every
+	// node the tree releases, and a node is only ever allocated when its list
+	// is empty, so tree and lists together hold as many nodes as the tree
+	// alone did at its largest, never more.
 	freeLeaves, freeNodes []*node[P]
 }
-
-// freeListCap bounds each free list; beyond it, discarded nodes go to the
-// GC (a shrinking tree should release memory eventually).
-const freeListCap = 64
 
 // newLeaf returns a recycled or fresh leaf node.
 func (t *Tree[P]) newLeaf() *node[P] {
@@ -152,18 +152,14 @@ func (t *Tree[P]) release(n *node[P]) {
 	n.agg, n.dirty = zero, false
 	if n.leaf {
 		n.ents = n.ents[:0]
-		if len(t.freeLeaves) < freeListCap {
-			t.freeLeaves = append(t.freeLeaves, n)
-		}
+		t.freeLeaves = append(t.freeLeaves, n)
 		return
 	}
 	for i := range n.kids {
 		n.kids[i] = nil
 	}
 	n.kids = n.kids[:0]
-	if len(t.freeNodes) < freeListCap {
-		t.freeNodes = append(t.freeNodes, n)
-	}
+	t.freeNodes = append(t.freeNodes, n)
 }
 
 // New returns an empty tree maintaining m.

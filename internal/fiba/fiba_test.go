@@ -330,3 +330,35 @@ func TestOutOfOrderDistanceStats(t *testing.T) {
 		t.Fatalf("RangeAgg = %g, want %d", got, n)
 	}
 }
+
+// TestTumblingCycleDoesNotAllocate is the free lists' reason to exist: a
+// tumbling window fills the tree and evicts all of it, every leaf and every
+// internal node at once, and the next window must be built from those nodes
+// and nothing new. The tree never holds more than one window, so neither do
+// tree and free lists together.
+func TestTumblingCycleDoesNotAllocate(t *testing.T) {
+	tr := New[float64](SumMonoid{})
+	const perWindow = 10000
+	var seq uint64
+	window := func() {
+		start := stream.Time(seq)
+		for i := 0; i < perWindow; i++ {
+			seq++
+			tr.Insert(Key{TS: stream.Time(seq), Seq: seq}, 1)
+		}
+		if got := tr.RangeAgg(start+1, start+perWindow+1); got != perWindow {
+			t.Fatalf("window sums to %g, want %d", got, perWindow)
+		}
+		if tr.EvictBelow(start+perWindow+1) != perWindow || tr.Len() != 0 {
+			t.Fatalf("eviction left %d entries", tr.Len())
+		}
+	}
+	window() // warm-up: the one window's worth of nodes is allocated here
+	held := len(tr.freeLeaves) + len(tr.freeNodes)
+	if allocs := testing.AllocsPerRun(20, window); allocs != 0 {
+		t.Errorf("a warmed tumbling window of %d entries allocates %.1f times, want 0", perWindow, allocs)
+	}
+	if now := len(tr.freeLeaves) + len(tr.freeNodes); now != held {
+		t.Errorf("the free lists grew from %d to %d nodes over identical windows", held, now)
+	}
+}

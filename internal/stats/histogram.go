@@ -172,11 +172,25 @@ func percentileSorted(s []float64, p float64) float64 {
 	if p >= 1 {
 		return s[len(s)-1]
 	}
-	pos := p * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
+	i, frac := PercentileRank(len(s), p)
 	if i+1 >= len(s) {
 		return s[len(s)-1]
 	}
-	return s[i] + frac*(s[i+1]-s[i])
+	return Lerp(s[i], s[i+1], frac)
 }
+
+// PercentileRank says where the p-quantile (0 < p < 1) of n sorted values
+// lies: frac of the way from the value at rank i to the one at rank i+1, or
+// at the last value when i+1 == n. With Lerp it is the whole of
+// PercentileSorted's arithmetic, for a caller that can produce the two
+// values without holding the sorted slice (window's order-statistic
+// selection) and must still answer to the bit what PercentileSorted would.
+func PercentileRank(n int, p float64) (i int, frac float64) {
+	pos := p * float64(n-1)
+	i = int(pos)
+	return i, pos - float64(i)
+}
+
+// Lerp returns the point frac of the way from a to b, as PercentileSorted
+// rounds it.
+func Lerp(a, b, frac float64) float64 { return a + frac*(b-a) }

@@ -153,12 +153,15 @@ func (a *maxAgg) Value() float64 {
 }
 func (a *maxAgg) N() int64 { return a.n }
 
-// quantileAgg computes an exact quantile of the window contents. Windows
-// are bounded, so exact computation (sort at read time) is affordable and
-// keeps the oracle comparison sharp; Value caches the sort until the next
-// Add, and an Add into an already-sorted sample inserts in place rather
-// than invalidating the cache — interleaved Add/Value (refinement reads)
-// would otherwise re-sort the full sample per tuple.
+// quantileAgg computes an exact quantile of the values added to it, by
+// sorting them at read time: Value caches the sort until the next Add, and
+// an Add into an already-sorted sample inserts in place rather than
+// invalidating the cache — interleaved Add/Value (refinement reads) would
+// otherwise re-sort the full sample per tuple. That is what the oracle, the
+// session operator and a window retained for refinement use. The operator
+// does not evaluate an open window this way: it selects the same value, to
+// the bit, across per-pane sorted runs (orderstat.go), and builds a
+// quantileAgg only for RefineLate to retain.
 type quantileAgg struct {
 	p      float64
 	vals   []float64
@@ -167,7 +170,10 @@ type quantileAgg struct {
 
 func (a *quantileAgg) Add(v float64) {
 	if a.sorted && len(a.vals) > 0 {
-		i := sort.SearchFloat64s(a.vals, v)
+		i := 0 // a NaN sorts first, where the search (every v >= NaN is false) would not put it
+		if v == v {
+			i = sort.SearchFloat64s(a.vals, v)
+		}
 		a.vals = append(a.vals, 0)
 		copy(a.vals[i+1:], a.vals[i:])
 		a.vals[i] = v

@@ -10,17 +10,18 @@ import (
 // tuple), the tuple is stored once in a finger B-tree aggregator keyed by
 // (TS, Seq), and a closing window's aggregate is materialized at emission
 // from the window's event-time range — by combining cached partials where
-// the aggregate is a monoid over scalars, by an ordered scan where it is
-// not.
+// the aggregate is a monoid over scalars, by selecting across per-pane sorted
+// runs where it is an order statistic (orderstat.go), by an ordered scan
+// otherwise.
 
 // fibaMode classifies how a Factory's aggregate is materialized.
 type fibaMode uint8
 
 const (
-	// fibaScan: the aggregate has no scalar partial the tree could cache —
-	// order statistics and distinct counts need the window's value multiset,
-	// avg and stddev (Welford updates) are numerically fold-order-sensitive,
-	// and a non-built-in Aggregate is opaque. The tree serves as the ordered
+	// fibaScan: the aggregate has no scalar partial the tree could cache — a
+	// distinct count needs the window's value multiset, avg and stddev
+	// (Welford updates) are numerically fold-order-sensitive, and a
+	// non-built-in Aggregate is opaque. The tree serves as the ordered
 	// tuple index (count-only partials answer the emptiness query); emission
 	// walks the window's leaf range and feeds a fresh aggregate in (TS, Seq)
 	// order. That order does not depend on when the disorder handler released
@@ -31,6 +32,11 @@ const (
 	fibaSum
 	fibaMin
 	fibaMax
+	// fibaOrder: median and pNN. The tree is again the ordered index with
+	// count-only partials, read one pane at a time: each pane's values are
+	// sorted once and a window's quantile is selected across its panes' runs
+	// (orderstat.go).
+	fibaOrder
 )
 
 // fibaModeFor classifies a factory by the concrete aggregate it builds.
@@ -44,6 +50,8 @@ func fibaModeFor(f Factory) fibaMode {
 		return fibaMin
 	case *maxAgg:
 		return fibaMax
+	case *quantileAgg:
+		return fibaOrder
 	default:
 		return fibaScan
 	}
@@ -51,7 +59,8 @@ func fibaModeFor(f Factory) fibaMode {
 
 // treePart is the node partial cached by the tree: the add count
 // plus the scalar state of the mergeable aggregate — sumAgg's (sum, c) pair
-// for sums, the extremum for min/max, unused for count and scan modes.
+// for sums, the extremum for min/max, unused for the count, order-statistic
+// and scan modes.
 type treePart struct {
 	n    int64
 	a, b float64
@@ -110,25 +119,46 @@ func (m treeMonoid) Combine(x, y treePart) treePart {
 type fibaState struct {
 	mode fibaMode
 	tree *fiba.Tree[treePart]
-	// scratch stages the window's values during fibaScan materialization
-	// (aggFor) so every emission reuses one buffer instead of append-growing
-	// a fresh aggregate. Only borrowed within a single aggFor call — the
-	// constructed aggregate gets its own exact-size storage, because
-	// RefineLate retains aggregates across emissions.
+	// scratch stages a distinct window's values (aggFor) so every emission
+	// reuses one buffer. Only borrowed within a single aggFor call.
 	scratch []float64
+
+	// Order-statistic mode: the quantile, and the panes' sorted runs — built
+	// by the first emission, so an operator that never emits (and set-up)
+	// pays nothing for them.
+	spec  Spec
+	p     float64
+	order *paneRuns
 }
 
 // newFibaState builds the empty open-window state for a factory.
-func newFibaState(f Factory) fibaState {
+func newFibaState(f Factory, spec Spec) fibaState {
 	mode := fibaModeFor(f)
-	return fibaState{mode: mode, tree: fiba.New[treePart](treeMonoid{mode: mode})}
+	s := fibaState{mode: mode, tree: fiba.New[treePart](treeMonoid{mode: mode}), spec: spec}
+	if mode == fibaOrder {
+		s.p = f.New().(*quantileAgg).p
+	}
+	return s
+}
+
+// insert stores one tuple that is live for at least one window.
+func (s *fibaState) insert(t stream.Tuple) {
+	s.tree.Insert(fiba.Key{TS: t.TS, Seq: t.Seq}, t.Value)
+	if s.order != nil {
+		s.order.patch(t.TS, t.Value)
+	}
 }
 
 // aggFor materializes the factory's Aggregate for the window [start, end)
 // from the tree, or nil when the window is empty. The concrete aggregate
 // carries the state sequential adds in key order would have produced, so
-// downstream refinement (RefineLate retains it) carries on from there.
-func (s *fibaState) aggFor(f Factory, start, end stream.Time) Aggregate {
+// downstream refinement carries on from there — if the caller says it retains
+// it (RefineLate); what is returned otherwise is only good for reading Value
+// and N before the next call.
+func (s *fibaState) aggFor(f Factory, start, end stream.Time, retain bool) Aggregate {
+	if s.mode == fibaOrder {
+		return s.orderStat(f, start, end, retain)
+	}
 	part := s.tree.RangeAgg(start, end)
 	if part.n == 0 {
 		return nil
@@ -144,18 +174,13 @@ func (s *fibaState) aggFor(f Factory, start, end stream.Time) Aggregate {
 		return &maxAgg{n: part.n, v: part.a}
 	default: // fibaScan: replay the window's values in key order
 		a := f.New()
-		switch t := a.(type) {
-		case *quantileAgg:
-			// Bulk copy is state-identical to sequential Adds on a fresh
-			// aggregate (unsorted appends), minus the append-doubling.
-			t.vals = append(make([]float64, 0, part.n), s.values(start, end)...)
-		case *distinctAgg:
+		if t, ok := a.(*distinctAgg); ok {
 			t.seen = make(map[float64]struct{}, part.n)
 			for _, v := range s.values(start, end) {
 				t.seen[v] = struct{}{}
 			}
 			t.n = part.n
-		default:
+		} else {
 			s.tree.RangeEach(start, end, a.Add)
 		}
 		return a

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/fiba"
 	"repro/internal/stream"
 )
 
@@ -118,7 +117,7 @@ func NewOp(spec Spec, agg Factory, policy LatePolicy, refineFor stream.Time) *Op
 		agg:       agg,
 		policy:    policy,
 		refineFor: refineFor,
-		fib:       newFibaState(agg),
+		fib:       newFibaState(agg, spec),
 		retained:  make(map[int64]Aggregate),
 	}
 }
@@ -158,7 +157,7 @@ func (o *Op) Observe(t stream.Tuple, now stream.Time, out []Result) []Result {
 		}
 		// One tree insert covers every not-yet-emitted window containing
 		// the tuple: each reads it back by event-time range at emission.
-		o.fib.tree.Insert(fiba.Key{TS: t.TS, Seq: t.Seq}, t.Value)
+		o.fib.insert(t)
 		break
 	}
 	if late {
@@ -229,7 +228,7 @@ func (o *Op) emit(idx int64, now stream.Time) {
 	var agg Aggregate
 	if o.emitTries < maxEmitTries {
 		o.emitTries++ // stands if the materialization panics
-		agg = o.fib.aggFor(o.agg, start, end)
+		agg = o.fib.aggFor(o.agg, start, end, o.policy == RefineLate)
 		empty := agg == nil
 		if empty {
 			agg = o.agg.New()

@@ -185,7 +185,7 @@ func (o *Op) Restore(st OpState) error {
 		return errors.New("window: snapshot holds per-window partials (\"open\") written by the removed per-window-fold core; " +
 			"they cannot be turned back into tuples: clear the query's durable directory and let its source replay")
 	}
-	fresh := newFibaState(o.agg)
+	fresh := newFibaState(o.agg, o.spec)
 	if st.Shape == nil {
 		// Written before snapshots recorded the shape (or with no open tuples).
 		fresh.tree.InsertBatch(st.Tree)

@@ -11,8 +11,10 @@
 // open-window evaluation path: each tuple is stored once in a finger B-tree
 // aggregator (internal/fiba) ordered by (TS, Seq), and a window is
 // materialized at emission — by a range query over cached monoid partials
-// for count/sum/min/max, by an ordered scan of the window's leaf range for
-// everything else (fibacore.go; docs/ALGORITHMS.md derives the arithmetic).
+// for count/sum/min/max, by an exact selection across per-pane sorted runs
+// for median and pNN (orderstat.go), by an ordered scan of the window's leaf
+// range for everything else (fibacore.go; docs/ALGORITHMS.md derives the
+// arithmetic).
 // Oracle is the independent reference the quality metrics compare against:
 // a plain fold over sorted input that shares no code with the tree.
 package window
