@@ -87,11 +87,12 @@ cover:
 # in step with the code, and the structural lints that keep the execution
 # loop and the durability protocol in one file (TestOneExecutor), the
 # error model's Monte-Carlo in one loop (TestOneErrorSimulation), the
-# wire grammar in one parser (TestOneFrameParser) and open-window
-# evaluation on one core (TestOneAggregationCore).
+# wire grammar in one parser (TestOneFrameParser), open-window
+# evaluation on one core (TestOneAggregationCore) and ingest on one queue,
+# the fan-out ring (TestOneIngestQueue).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

@@ -254,9 +254,9 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 	// laps are per-subscriber already; the source-level rate-quota shed
 	// counter is rebased to attach time.
 	rateBase := src.RateShed()
-	q.shedExtra = func() int64 { return sub.Shed() + src.RateShed() - rateBase }
-	// Ring gauges get the same label sets as compiled-in -fanout
-	// replicas (aq_fanout_lag_batches, aq_queue_depth{queue="fanout"}).
+	q.upstreamShed = func() int64 { return sub.Shed() + src.RateShed() - rateBase }
+	// Ring gauges get the same label sets as compiled-in queries
+	// (aq_fanout_lag_batches, aq_queue_depth{queue="fanout"}).
 	instrumentFanout(a.srv.reg, q, sub)
 	if a.srv.reg != nil {
 		// True client-send→emission latency, keyed by source: queries on
@@ -306,17 +306,14 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 }
 
 // buildRuntimeRunner maps a parsed statement onto buildRunner: the same
-// runner object and wiring as a compiled-in query. A non-grouped runtime
-// query gets no ingest queue of its own — its source's ring is the queue,
-// and pumpRing steps each ring batch whole.
+// runner object and wiring as a compiled-in query.
 func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query) (*queryRunner, error) {
 	def := runnerDef{
 		name: req.Name, theta: stmt.Quality, spec: stmt.Spec, agg: stmt.Agg,
 		fixedK: stmt.Handler.K, grouped: stmt.GroupBy,
 		statement: req.CQL, tenant: req.Tenant,
 	}
-	var h buffer.Handler // nil: the adaptive controller at QUALITY
-	switch {
+	switch { // neither: the adaptive controller at QUALITY
 	case stmt.GroupBy:
 		if stmt.Quality > 0 {
 			return nil, badRequest("QUALITY is not supported for GROUP BY queries registered at runtime; use HANDLER kslack(...)")
@@ -324,23 +321,28 @@ func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query) (*queryRun
 		if stmt.Handler.Kind != "kslack" {
 			return nil, badRequest("GROUP BY queries registered at runtime require HANDLER kslack(...), got %q", stmt.Handler.Kind)
 		}
-		h = buffer.NewKSlack(stmt.Handler.K)
+		def.handler = buffer.NewKSlack(stmt.Handler.K)
 	case stmt.Quality == 0:
 		var err error
-		if h, err = stmt.BuildHandler(); err != nil {
+		if def.handler, err = stmt.BuildHandler(); err != nil {
 			return nil, badRequest("%v", err)
 		}
 	}
-	return a.buildRunner(def, h, false, false)
+	return a.buildRunner(def, false)
 }
 
-// pumpRing moves batches from a fan-out ring subscription into the runner
-// until the ring ends (source closed on drain, -fanout producer stopped)
-// or ctx is cancelled (DELETE, shutdown). Either way the runner's open
-// windows are flushed. It is the one ring consumer: runtime queries and
-// -fanout replicas both run it.
+// pumpRing feeds the runner from its fan-out ring subscription until the
+// ring ends (source closed on drain, compiled-in feed stopped) or ctx is
+// cancelled (DELETE), and then finishes it. It is the one ring consumer:
+// compiled-in and runtime queries both run it. A non-grouped runner steps
+// each ring batch whole; a grouped one hands the subscription to the engine
+// (whose open windows are flushed by the ring's end, not by a cancel).
 func pumpRing(ctx context.Context, q *queryRunner, sub *fanout.Sub) {
 	defer q.finish()
+	if q.grouped {
+		q.runGrouped(ctx, sub)
+		return
+	}
 	for {
 		items, seq, prov, ok, err := sub.NextBatchProv(ctx)
 		if err != nil {
@@ -354,10 +356,10 @@ func pumpRing(ctx context.Context, q *queryRunner, sub *fanout.Sub) {
 			return
 		}
 		// Wire provenance rides the ring alongside the batch: note it
-		// before feeding so the emissions this batch triggers are charged
+		// before stepping so the emissions this batch triggers are charged
 		// against its client send time.
 		q.noteWireBatch(prov, len(items))
-		q.feedBatch(items)
+		q.step(items)
 		sub.Release(seq)
 	}
 }

@@ -13,18 +13,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"repro/internal/resilience"
 )
 
 func FuzzQueryAPI(f *testing.F) {
 	cfg := appConfig{
-		apiOn:     true,
-		ingestCap: 64,
-		batch:     8,
-		shards:    2,
-		policy:    resilience.Block,
-		log:       slog.New(slog.NewTextHandler(io.Discard, nil)),
+		apiOn:  true,
+		batch:  8,
+		shards: 2,
+		log:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	a, err := newApp(cfg)
 	if err != nil {

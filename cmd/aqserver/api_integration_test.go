@@ -37,12 +37,6 @@ import (
 func apiTestApp(t *testing.T, cfg appConfig) (*app, *httptest.Server) {
 	t.Helper()
 	cfg.apiOn = true
-	if cfg.ingestCap == 0 {
-		cfg.ingestCap = 4096
-	}
-	if cfg.policy == 0 {
-		cfg.policy = resilience.Block
-	}
 	if cfg.shards == 0 {
 		cfg.shards = 2
 	}

@@ -34,9 +34,7 @@ func (q *queryRunner) resumeCounters() *durable.Recovery {
 		return nil
 	}
 	if snap := rec.Snapshot; snap != nil {
-		if c := snap.Counters; c != nil {
-			q.shed, q.emitted = c["shed"], c["emitted"]
-		}
+		q.emitted = snap.Counters["emitted"]
 		q.feedBase.Store(int64(snap.FeedBase))
 	}
 	return rec
@@ -48,7 +46,7 @@ func (q *queryRunner) resumeCounters() *durable.Recovery {
 func (q *queryRunner) decorateSnapshot(s *durable.Snapshot) {
 	s.Query = q.name
 	s.FeedBase = stream.Time(q.feedBase.Load())
-	s.Counters = map[string]int64{"shed": q.shed, "emitted": q.emitted}
+	s.Counters = map[string]int64{"emitted": q.emitted}
 }
 
 // noteRecovery records what the core's recovery did, once it has run.

@@ -4,15 +4,13 @@ import (
 	"context"
 	"testing"
 	"time"
-
-	"repro/internal/resilience"
 )
 
 // durableCfg is the test app configuration with durability on.
 func durableCfg(dir string) appConfig {
 	return appConfig{
-		n: 5000, rate: 2_000_000, ingestCap: 256, batch: 16,
-		policy: resilience.Block, durableDir: dir, snapshotEvery: 2000,
+		n: 5000, rate: 2_000_000, batch: 16,
+		durableDir: dir, snapshotEvery: 2000,
 	}
 }
 

@@ -1,10 +1,9 @@
 package main
 
-// Shared-source fan-out (-fanout N): one producer per stream pays
-// generation, chaos decoration and retry once, publishing pooled batches
-// into a broadcast ring (internal/fanout); N replica runners consume the
-// same batches through per-replica cursors. Compare feedLoop, which pays
-// the whole ingest path per query; both replay through replaySegments.
+// Compiled-in feeds: one producer per stream pays generation, chaos
+// decoration and retry once, publishing pooled batches into a broadcast
+// ring (internal/fanout); the stream's runners — one, or -fanout N
+// replicas — consume the same batches through per-runner cursors.
 
 import (
 	"context"
@@ -16,15 +15,16 @@ import (
 	"repro/internal/stream"
 )
 
-// fanoutFeedLoop feeds a -fanout group: one replaySegments producer
-// publishing into a broadcast ring, one pumpRing consumer per replica.
-// Subscriptions are Block: a replica's bounded ingest queue (and its
-// overload policy) already decides what a slow query drops, so ring
-// consumers always drain and backpressure only bounds the producer's lead.
+// fanoutFeedLoop feeds one stream's runners: one replaySegments producer
+// publishing into a broadcast ring, one pumpRing consumer per runner.
+// Subscriptions are Block — a compiled-in query sees its whole stream, and
+// backpressure bounds the producer's lead at the ring — and the consumers
+// end with the ring, not with ctx: what was published is applied, and
+// every runner's windows (a grouped engine's included) are flushed.
 func fanoutFeedLoop(ctx context.Context, runners []*queryRunner, group string, load func(seed uint64) gen.Config, seed uint64, cfg appConfig, reg *obs.Registry) {
 	b := fanout.New(fanout.Options{Ring: 64, BatchCap: 128})
 	if runners[0].tracer != nil {
-		b.Trace(runners[0].tracer) // publish events land in replica #0's flight recorder
+		b.Trace(runners[0].tracer) // publish events land in the lead runner's flight recorder
 	}
 	var wg sync.WaitGroup
 	for _, q := range runners {
@@ -34,12 +34,11 @@ func fanoutFeedLoop(ctx context.Context, runners []*queryRunner, group string, l
 		go func() {
 			defer wg.Done()
 			defer sub.Unsubscribe()
-			pumpRing(ctx, q, sub) // finishes the replica when the ring ends
+			pumpRing(context.WithoutCancel(ctx), q, sub) // finishes the runner when the ring ends
 		}()
 	}
 	instrumentFanoutProducer(reg, group, b)
-	// LIFO: Close publishes end-of-stream (waking blocked consumers),
-	// then Wait joins them.
+	// LIFO: Close publishes end-of-stream, then Wait joins the consumers.
 	defer wg.Wait()
 	defer b.Close()
 

@@ -13,8 +13,7 @@ import (
 // three replica runners sharing one broadcast-ring producer, all of them
 // must ingest the same stream, and a drain must flush every replica.
 func TestAppFanout(t *testing.T) {
-	a, err := newApp(appConfig{n: 5000, rate: 2_000_000, ingestCap: 64,
-		policy: resilience.Block, fanout: 3,
+	a, err := newApp(appConfig{n: 5000, rate: 2_000_000, fanout: 3,
 		chaos: resilience.Chaos{ErrorRate: 0.001, DupRate: 0.001}, chaosOn: true})
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,8 @@
 // Resilience: -chaos injects deterministic source faults (see
 // resilience.ParseChaos for the spec syntax); transient source errors are
 // retried with backoff behind a circuit breaker, and a terminally failed
-// segment reconnects with the next one. -overload picks what a full
-// ingest queue does (block, shed-newest, shed-late); sheds are counted in
+// segment reconnects with the next one. A runtime query that falls a ring
+// behind its source is lapped (fanout.ShedOldest); its sheds are counted in
 // the status JSON and folded into realizedErrAdjusted. On SIGINT/SIGTERM
 // the server drains: feed loops stop, every query's windows are flushed,
 // /readyz flips to 503, and the process exits 0.
@@ -51,14 +51,14 @@
 //
 // Execution: every query is the same runner object around the cq engine,
 // whether compiled in, replicated by -fanout or registered at runtime over
-// /api/queries (see buildRunner). Non-grouped runners step the engine's
-// core (cq.Exec) themselves; one of the compiled-in queries (user-sum-10s)
-// is a GROUP BY query run by the sharded concurrent engine — -shards picks
-// its window-worker count and -batch the pipeline transport batch size.
-// Compiled-in feeds and -fanout replicas sit behind a bounded ingest queue
-// (-ingest, -overload) whose worker applies up to -batch queued items per
-// step; runtime queries have no queue of their own — their source's
-// fan-out ring is the queue, and each ring batch is stepped whole.
+// /api/queries (see buildRunner), and every runner has one ingest queue: a
+// fan-out ring (internal/fanout) — its compiled-in stream's, or its network
+// source's. Non-grouped runners step the engine's core (cq.Exec)
+// themselves, one whole ring batch per step; one of the compiled-in
+// queries (user-sum-10s) is a GROUP BY query whose ring subscription is
+// handed to the sharded concurrent engine — -shards picks its window-worker
+// count. -batch is the journal's group-commit cadence (-durable-dir) and
+// the grouped engine's shard dispatch batch.
 package main
 
 import (
@@ -76,7 +76,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/cq"
 	"repro/internal/durable"
 	"repro/internal/fleet"
 	"repro/internal/gen"
@@ -95,17 +94,14 @@ const readHeaderTimeout = 10 * time.Second
 
 // appConfig carries the flag-derived settings for one server instance.
 type appConfig struct {
-	n         int // tuples per stream segment
-	rate      int // replay rate, tuples per wall-clock second
-	ingestCap int
-	shards    int // window shards for grouped queries
-	batch     int // grouped pipeline transport batch / queued workers' drain batch
-	// fanout runs N replica queries per stream over one shared-source
-	// broadcast ring (-fanout): generation, chaos and retry are paid once
-	// per stream by a single producer instead of once per query. 1 =
-	// independent ingest per query (the classic feedLoop).
+	n      int // tuples per stream segment
+	rate   int // replay rate, tuples per wall-clock second
+	shards int // window shards for grouped queries
+	batch  int // journal commit cadence / grouped shard dispatch batch
+	// fanout is how many replica queries subscribe to each compiled-in
+	// stream's broadcast ring (-fanout): generation, chaos and retry are
+	// paid once per stream by its single producer however many there are.
 	fanout    int
-	policy    resilience.OverloadPolicy
 	chaos     resilience.Chaos
 	chaosOn   bool
 	obs       bool         // serve /metrics + pprof and instrument every query
@@ -215,12 +211,11 @@ func newApp(cfg appConfig) (*app, error) {
 			if replicas > 1 {
 				def.name = fmt.Sprintf("%s#%d", sp.name, r)
 			}
-			var h buffer.Handler // nil: the adaptive controller at sp.theta
-			if sp.grouped {
+			if sp.grouped { // the others run the adaptive controller at sp.theta
 				def.fixedK = 200 * stream.Millisecond
-				h = buffer.NewKSlack(def.fixedK)
+				def.handler = buffer.NewKSlack(def.fixedK)
 			}
-			q, err := a.buildRunner(def, h, true, replicas > 1)
+			q, err := a.buildRunner(def, replicas > 1)
 			if err != nil {
 				return nil, err
 			}
@@ -244,14 +239,12 @@ func newApp(cfg appConfig) (*app, error) {
 // recent events, served at /debug/aq/trace and dumped on panics, breaker
 // trips and quality violations), the SLO watchdog for a declared θ, the
 // per-query logger, the engine query (handler, window, aggregation core,
-// tracer), -obs instruments, durability when -durable-dir is set, and the
-// started pipeline. h == nil picks the adaptive controller at def.theta.
-// queued puts the bounded ingest queue (-ingest, -overload) in front of a
-// non-grouped runner; without it the caller steps the runner with whole
-// batches (pumpRing). replica marks a -fanout replica, which runs without
-// durability. The opened durability log, if any, is the runner's dlog; the
-// caller owns closing it.
-func (a *app) buildRunner(def runnerDef, h buffer.Handler, queued, replica bool) (*queryRunner, error) {
+// tracer), -obs instruments, and durability when -durable-dir is set. The
+// caller feeds it from a ring subscription (pumpRing). A nil def.handler
+// picks the adaptive controller at def.theta. replica marks a -fanout
+// replica, which runs without durability. The opened durability log, if
+// any, is the runner's dlog; the caller owns closing it.
+func (a *app) buildRunner(def runnerDef, replica bool) (*queryRunner, error) {
 	cfg := a.cfg
 	rec := tracez.NewRecorder(cfg.traceBuf)
 	def.tracer = tracez.New(rec, def.name)
@@ -267,12 +260,12 @@ func (a *app) buildRunner(def runnerDef, h buffer.Handler, queued, replica bool)
 	if def.grouped {
 		def.shards = cfg.shards
 	}
-	if h == nil {
+	if def.handler == nil {
 		aq := core.NewAQKSlack(core.Config{Theta: def.theta, Spec: def.spec, Agg: def.agg})
 		if def.reg != nil {
 			aq.Instrument(core.NewTelemetry(def.reg, def.name))
 		}
-		h = aq
+		def.handler = aq
 	}
 	if cfg.durableDir != "" {
 		switch {
@@ -297,19 +290,8 @@ func (a *app) buildRunner(def runnerDef, h buffer.Handler, queued, replica bool)
 		}
 	}
 
-	var q *queryRunner
-	query := cq.New(nil)
-	if def.grouped {
-		// A grouped query pulls the runner's own ingest queue, which exists
-		// by the time startGrouped launches the pipeline.
-		query = cq.NewFallible(stream.ErrFuncSource(func() (stream.Item, bool, error) {
-			it, ok := <-q.ingest
-			return it, ok, nil
-		})).GroupBy().Shards(def.shards).Batch(def.batch)
-	}
-	query.Handle(h).Window(def.spec, def.agg).Trace(def.tracer)
-	var err error
-	if q, err = newQueryRunner(def, query); err != nil {
+	q, err := newQueryRunner(def)
+	if err != nil {
 		if def.dlog != nil {
 			def.dlog.Close()
 		}
@@ -318,33 +300,19 @@ func (a *app) buildRunner(def runnerDef, h buffer.Handler, queued, replica bool)
 	if def.watchdog != nil && def.reg != nil {
 		registerBurnRate(def.reg, a.srv.history, a.srv.sloBudget, def.name)
 	}
-	switch {
-	case def.grouped:
-		q.startGrouped(cfg.ingestCap, cfg.policy)
-	case queued:
-		q.start(cfg.ingestCap, cfg.policy)
-	}
 	return q, nil
 }
 
-// startFeeds launches one feed loop per stream; the loops stop when ctx
-// is cancelled. Single-runner groups use the classic per-query feedLoop;
-// fan-out groups share one producer over a broadcast ring.
+// startFeeds launches one feed loop per stream — a producer publishing
+// into the stream's broadcast ring, and its runners consuming it; the
+// loops stop when ctx is cancelled.
 func (a *app) startFeeds(ctx context.Context) {
 	for i, g := range a.groups {
-		load, seed := a.loads[i], uint64(i+1)
 		a.wg.Add(1)
-		if len(g) == 1 {
-			go func(q *queryRunner) {
-				defer a.wg.Done()
-				feedLoop(ctx, q, load, seed, a.cfg)
-			}(g[0])
-			continue
-		}
-		go func(g []*queryRunner, base string) {
+		go func() {
 			defer a.wg.Done()
-			fanoutFeedLoop(ctx, g, base, load, seed, a.cfg, a.srv.reg)
-		}(g, a.bases[i])
+			fanoutFeedLoop(ctx, g, a.bases[i], a.loads[i], uint64(i+1), a.cfg, a.srv.reg)
+		}()
 	}
 }
 
@@ -408,11 +376,9 @@ func main() {
 	rate := flag.Int("rate", 20000, "replay rate in tuples per wall-clock second")
 	n := flag.Int("n", 200000, "tuples per stream segment (looped)")
 	chaosSpec := flag.String("chaos", "", "fault injection spec, e.g. seed=7,err=0.01,stall=0.001,stalldur=5ms,dup=0.005,spike=0.001 (empty = off)")
-	overload := flag.String("overload", "block", "ingest overload policy: block, shed-newest or shed-late")
-	ingestCap := flag.Int("ingest", 1024, "bounded ingest queue capacity per query")
 	shards := flag.Int("shards", 4, "window shards for grouped (GROUP BY) queries")
-	batch := flag.Int("batch", 64, "items a queued runner's worker applies per step / grouped pipeline transport batch")
-	fanoutN := flag.Int("fanout", 1, "replica queries per stream sharing one broadcast-ring ingest; 1 = independent ingest per query")
+	batch := flag.Int("batch", 64, "journal group-commit cadence in items (with -durable-dir) / grouped engine's shard dispatch batch")
+	fanoutN := flag.Int("fanout", 1, "replica queries subscribed to each compiled-in stream's broadcast ring")
 	obsOn := flag.Bool("obs", false, "serve Prometheus /metrics and /debug/pprof, instrumenting every query")
 	traceBuf := flag.Int("trace-buf", tracez.DefaultRecorderSize, "flight-recorder ring size per query, in events")
 	traceDump := flag.String("trace-dump", "", "directory for automatic flight-recorder dumps (panic, breaker trip, quality violation); empty = off")
@@ -436,10 +402,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	policy, err := resilience.ParseOverloadPolicy(*overload)
-	if err != nil {
-		fatal(err)
-	}
 	if *fanoutN < 1 {
 		fatal(fmt.Errorf("-fanout must be >= 1, got %d", *fanoutN))
 	}
@@ -449,9 +411,9 @@ func main() {
 	if *maxIngest < 0 {
 		fatal(fmt.Errorf("-max-ingest-per-sec must be >= 0, got %d", *maxIngest))
 	}
-	cfg := appConfig{n: *n, rate: *rate, ingestCap: *ingestCap, shards: *shards, batch: *batch,
+	cfg := appConfig{n: *n, rate: *rate, shards: *shards, batch: *batch,
 		fanout: *fanoutN,
-		policy: policy, chaos: chaos, chaosOn: chaos.Enabled(), obs: *obsOn,
+		chaos:  chaos, chaosOn: chaos.Enabled(), obs: *obsOn,
 		traceBuf: *traceBuf, traceDump: *traceDump, log: logger,
 		durableDir: *durableDir, snapshotEvery: *snapshotInterval,
 		listen: *listen, apiOn: *apiOn,
@@ -474,8 +436,7 @@ func main() {
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: a.srv.handler(), ReadHeaderTimeout: readHeaderTimeout}
-	logger.Info("aqserver: listening", "queries", len(a.runners), "addr", *addr,
-		"overload", policy.String(), "chaos", cfg.chaosOn)
+	logger.Info("aqserver: listening", "queries", len(a.runners), "addr", *addr, "chaos", cfg.chaosOn)
 	logger.Info("try: curl http://localhost" + *addr + "/queries")
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
@@ -496,23 +457,12 @@ func main() {
 	}
 }
 
-// feedLoop feeds one compiled-in query from its own replayed stream.
-func feedLoop(ctx context.Context, q *queryRunner, load func(seed uint64) gen.Config, seed uint64, cfg appConfig) {
-	exhausted := replaySegments(ctx, []*queryRunner{q}, load, seed, cfg, func(items []stream.Item) bool {
-		q.feedBatch(items)
-		return true
-	})
-	if exhausted {
-		q.finish()
-	}
-}
-
 // replaySegments replays generated stream segments forever at the
 // configured wall rate, re-basing timestamps so event time keeps moving
 // forward, and hands the items to deliver in batches of up to 128 (valid
 // only during the call; false means ctx was cancelled). runners are the
-// queries fed from this one stream — a single query, or the replicas of a
-// -fanout group: segment lifecycle (health, retries, rebase) is mirrored
+// queries fed from this one stream — a single query, or its -fanout
+// replicas: segment lifecycle (health, retries, rebase) is mirrored
 // to all of them, because they share the stream they share its state.
 // Chaos faults (when enabled) are injected per segment; transient source
 // errors are retried with backoff behind a circuit breaker, and a terminal

@@ -37,12 +37,11 @@ var healthStates = []string{healthFeeding, healthDegraded, healthStalled, health
 // and the emission-latency histogram filled by absorbOne. Grouped runners
 // have no adaptive handler — their push side is the cq engine's own
 // telemetry (stage depths, batch sizes, per-shard tuple counters), which
-// also owns aq_shed_tuples_total and aq_emit_latency_ms for the query (the
-// runner's shed path increments the shared counter in noteShed;
-// registering the runner-side CounterFunc too would collide, and
-// observing the histogram from absorbOne too would double-count), so
-// q.emitLatency stays nil there; the runner's p95 gauge still sees every
-// result.
+// also owns aq_shed_tuples_total (fed with the query's ring laps) and
+// aq_emit_latency_ms for the query (registering the runner-side
+// CounterFunc too would collide, and observing the histogram from
+// absorbOne too would double-count), so q.emitLatency stays nil there; the
+// runner's p95 gauge still sees every result.
 func (q *queryRunner) instrument(reg *obs.Registry) {
 	lbl := obs.L("query", q.name)
 
@@ -64,8 +63,8 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 		func() int64 { return q.emitted })
 	if !q.grouped {
 		counter("aq_shed_tuples_total",
-			"Data tuples lost to this query: overload-policy drops plus upstream ring laps and ingest-quota sheds.",
-			func() int64 { return q.shedTotalLocked() })
+			"Data tuples lost to this query: fan-out ring laps and ingest-quota sheds.",
+			func() int64 { return q.shedTotal() })
 	}
 	counter("aq_source_retries_total", "Source retry attempts spent by the retry policy.",
 		func() int64 { return q.retries })
@@ -92,10 +91,8 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 			if h := q.adaptive(); h != nil {
 				return float64(h.Len())
 			}
-			return 0 // fixed-slack buffers are not exported; see aq_queue_depth
+			return 0 // fixed-slack buffers are not exported
 		})
-	gauge("aq_ingest_queue_depth", "Occupancy of the bounded ingest queue.",
-		func() float64 { return float64(len(q.ingest)) })
 	gauge("aq_latency_p95_ms", "Streaming p95 of result emission latency (stream-time ms).",
 		func() float64 { return q.latency.Value() })
 	gauge("aq_quality_realized_err_adjusted",
@@ -105,7 +102,7 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 			if h == nil {
 				return 0
 			}
-			return metrics.ShedAdjustedErr(h.Quality().RealizedErrEWMA, q.shedTotalLocked(), q.tuplesInLocked())
+			return metrics.ShedAdjustedErr(h.Quality().RealizedErrEWMA, q.shedTotal(), q.tuplesInLocked())
 		})
 	for _, state := range healthStates {
 		state := state
@@ -131,13 +128,10 @@ func mountObs(mux *http.ServeMux, reg *obs.Registry) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// instrumentFanout registers the ring gauges of a runner fed from a
-// fan-out ring (-fanout replicas and runtime queries, with -obs): how many
-// published batches it has not yet released, and the ring backlog's
-// contribution to the query's queue-depth family. For a -fanout replica
-// the ring sits in front of its bounded ingest queue, so both series
-// together account for everything queued upstream of the operator; a
-// runtime query has no queue of its own and the ring is its whole backlog.
+// instrumentFanout registers the ring gauges of a runner (with -obs): how
+// many published batches it has not yet released, and the ring backlog in
+// tuples — the ring is the runner's one ingest queue, so this is everything
+// queued upstream of its disorder buffer.
 func instrumentFanout(reg *obs.Registry, q *queryRunner, sub *fanout.Sub) {
 	if reg == nil {
 		return

@@ -20,9 +20,7 @@ func instrumentedRunner(t *testing.T, reg *obs.Registry) *queryRunner {
 	t.Helper()
 	q := adaptiveRunner(t, runnerDef{name: "test-sum", theta: 0.02, reg: reg,
 		spec: window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, agg: window.Sum()})
-	for _, tp := range gen.Sensor(20000, 9).Arrivals() {
-		q.feed(stream.DataItem(tp))
-	}
+	feedTuples(q, gen.Sensor(20000, 9).Arrivals())
 	q.finish()
 	return q
 }
@@ -75,7 +73,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"aq_buffer_depth", "aq_emit_latency_ms_bucket", "aq_quality_est_err",
 		"aq_quality_realized_err", "aq_quality_realized_err_adjusted", "aq_quality_theta",
 		"aq_shed_tuples_total", "aq_source_retries_total", "aq_stage_panics_total",
-		"aq_controller_pi_factor", "aq_ingest_queue_depth", "aq_latency_p95_ms",
+		"aq_controller_pi_factor", "aq_latency_p95_ms",
 		"aq_go_goroutines",
 	} {
 		if !strings.Contains(body, fam) {

@@ -13,13 +13,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/durable"
+	"repro/internal/fanout"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/tracez"
-	"repro/internal/resilience"
 	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -34,28 +35,26 @@ const (
 	healthDone     = "done"     // stream ended and windows were flushed
 )
 
-// runnerDef is what the server knows about a query beyond the engine's
-// cq.AggQuery: how to report it (identity, window shape, declared quality
-// bound) and what is wired around it (flight recorder, logger, metrics
-// registry, durability log). newQueryRunner takes one of these plus the
-// query itself.
+// runnerDef is what the server knows about a query: what the engine runs
+// (disorder handler, window shape, aggregate), how to report it (identity,
+// declared quality bound) and what is wired around it (flight recorder,
+// logger, metrics registry, durability log). newQueryRunner takes one.
 type runnerDef struct {
-	name  string
-	theta float64 // declared quality bound (QUALITY); 0 for fixed-slack queries
-	spec  window.Spec
-	agg   window.Factory
+	name    string
+	theta   float64 // declared quality bound (QUALITY); 0 for fixed-slack queries
+	handler buffer.Handler
+	spec    window.Spec
+	agg     window.Factory
 	// fixedK is the slack reported as currentK when the handler is not the
 	// adaptive controller (grouped queries, HANDLER kslack(...)).
 	fixedK stream.Time
 
 	// Grouped runners (GROUP BY key) hand their whole pipeline to
-	// cq.RunConcurrent: shards window workers, batch-sized transport.
+	// cq.RunConcurrent: shards window workers, fed batch released tuples
+	// at a time (0 = the engine default).
 	grouped bool
 	shards  int
-	// batch is the worker drain batch: how many queued items one step may
-	// apply (queued non-grouped runners), and the pipeline transport batch
-	// (grouped). 0 behaves like 1 / the engine default.
-	batch int
+	batch   int
 
 	// statement and tenant identify a runtime registration (api.go); empty
 	// for compiled-in queries.
@@ -78,32 +77,23 @@ type runnerDef struct {
 }
 
 // queryRunner is the server's driver around one continuous query: it owns
-// the query's ingest path and its live bookkeeping — status counters,
-// the ring of recent results, health, wire latency — while the engine
-// executes. Non-grouped runners step a cq.Exec themselves under mu: whole
-// ring batches when they have no queue of their own (runtime-registered
-// queries: the fan-out ring is their ingest queue), the worker's drain
-// batches when start() put a bounded queue in front (compiled-in feeds
-// and -fanout replicas, which is where -overload applies). Grouped
-// runners run cq.RunConcurrent over their queue. HTTP handlers read under
-// the mutex.
+// the query's live bookkeeping — status counters, the ring of recent
+// results, health, wire latency — while the engine executes. Every runner
+// is fed from a fan-out ring (pumpRing), the one ingest queue: non-grouped
+// runners step a cq.Exec themselves under mu, one whole ring batch per
+// step; grouped runners hand their ring subscription to cq.RunConcurrent.
+// HTTP handlers read under the mutex.
 type queryRunner struct {
 	runnerDef
 
 	// exec is the step core of a non-grouped runner; every call into it
-	// happens under mu. query is a grouped runner's pipeline, launched by
-	// startGrouped; telemetry its engine instruments (nil without -obs).
+	// happens under mu. telemetry holds a grouped runner's engine
+	// instruments: the engine owns that pipeline's state, so the runner
+	// reads the accepted-tuple count there — which is why they exist
+	// without -obs too (unexported then).
 	exec      *cq.Exec
-	query     *cq.AggQuery
 	telemetry *cq.Telemetry
-
-	// Ingest queue; nil until start()/startGrouped() is called.
-	ingest     chan stream.Item
-	workerDone chan struct{}
-	policy     resilience.OverloadPolicy
-	feedMaxTS  stream.Time // event-time clock, touched only by the feeder
-	feedTSSet  bool
-	stopOnce   sync.Once
+	stopOnce  sync.Once
 
 	// panicOn is a test seam: when set, applying a matching item panics so
 	// the runner's panic isolation can be exercised.
@@ -115,13 +105,9 @@ type queryRunner struct {
 	recovery *recoveryStatus
 	feedBase atomic.Int64
 
-	mu      sync.Mutex
-	results []window.Result // ring of recent results
-	emitted int64
-	// tuplesIn counts accepted tuples for grouped runners only (the feeder
-	// counts them); non-grouped runners read the core's handler.
-	tuplesIn    int64
-	shed        int64
+	mu          sync.Mutex
+	results     []window.Result // ring of recent results
+	emitted     int64
 	retries     int64
 	panics      int64
 	latency     *stats.P2 // streaming p95 of result latency
@@ -145,41 +131,43 @@ type queryRunner struct {
 	wireSendMS atomic.Int64
 	wallMS     func() int64
 
-	// shedExtra folds upstream losses of a runtime query — fan-out ring
-	// laps and ingest-quota drops — into its shed accounting.
-	shedExtra func() int64
+	// upstreamShed reports the losses of a runtime query — fan-out ring
+	// laps and ingest-quota drops; nil for compiled-in queries, whose Block
+	// subscriptions lose nothing.
+	upstreamShed func() int64
 }
 
 const resultRing = 256
 
-// newQueryRunner builds the runner for query, which must have no source
-// of its own unless it is grouped (a grouped query pulls the runner's
-// ingest queue; see buildRunner). A non-grouped runner gets its step core
-// here — including, when def.dlog holds prior state, crash recovery: the
-// journal suffix is replayed under the live panic policy (an item that
-// panicked before the crash is in the journal, and must not take the
-// restart down with it), and replayed emissions land in the result ring
-// like live ones.
-func newQueryRunner(def runnerDef, query *cq.AggQuery) (*queryRunner, error) {
+// engineQuery shapes base — sourceless for a stepped runner, a ring
+// subscription for a grouped one — into the runner's engine query. The
+// runner keeps its own result ring, and a query that never ends must not
+// grow a report.
+func (q *queryRunner) engineQuery(base *cq.AggQuery) *cq.AggQuery {
+	return base.Handle(q.handler).Window(q.spec, q.agg).Trace(q.tracer).DiscardReport()
+}
+
+// newQueryRunner builds the runner for def. A non-grouped runner gets its
+// step core here — including, when def.dlog holds prior state, crash
+// recovery: the journal suffix is replayed under the live panic policy (an
+// item that panicked before the crash is in the journal, and must not take
+// the restart down with it), and replayed emissions land in the result
+// ring like live ones. A grouped runner's engine starts with its feed
+// (runGrouped).
+func newQueryRunner(def runnerDef) (*queryRunner, error) {
 	q := &queryRunner{runnerDef: def, latency: stats.NewP2(0.95), health: healthFeeding}
 	if q.log == nil {
 		q.log = slog.Default()
 	}
-	// The runner keeps its own result ring, and a query that never ends
-	// must not grow a report.
-	query.DiscardReport()
 	if q.grouped {
-		if q.reg != nil {
-			q.telemetry = cq.NewTelemetry(q.reg, q.name, q.spec)
-			query.Instrument(q.telemetry)
-		}
-		q.query = query.SinkKeyed(q.absorbKeyed)
+		q.telemetry = cq.NewTelemetry(q.reg, q.name, q.spec)
 	} else {
 		if q.reg != nil {
 			q.emitLatency = q.reg.Histogram("aq_emit_latency_ms",
 				"Window result emission latency in stream-time ms (emission position minus window end).",
 				cq.LatencyBucketsFor(q.spec), obs.L("query", q.name))
 		}
+		query := q.engineQuery(cq.New(nil))
 		var prior *durable.Recovery
 		if q.dlog != nil {
 			prior = q.resumeCounters()
@@ -200,118 +188,19 @@ func newQueryRunner(def runnerDef, query *cq.AggQuery) (*queryRunner, error) {
 	return q, nil
 }
 
-// start switches the runner to queued ingestion: feed enqueues onto a
-// bounded channel of the given capacity and a worker goroutine steps the
-// core with up to batch queued items at a time, so a backlogged queue is
-// absorbed in batches instead of paying a lock round-trip per tuple.
-// policy decides what a full queue does to data tuples (heartbeats always
-// block — they are progress signals and cheap).
-func (q *queryRunner) start(capacity int, policy resilience.OverloadPolicy) {
-	batch := q.batch
-	if batch <= 0 {
-		batch = 1
-	}
-	q.openQueue(capacity, policy)
-	go func() {
-		defer close(q.workerDone)
-		buf := make([]stream.Item, 0, batch)
-		for it := range q.ingest {
-			buf = append(buf[:0], it)
-		drain:
-			for len(buf) < batch {
-				select {
-				case more, ok := <-q.ingest:
-					if !ok {
-						break drain
-					}
-					buf = append(buf, more)
-				default:
-					break drain
-				}
-			}
-			q.step(buf)
-		}
-	}()
-}
-
-// openQueue creates the bounded ingest queue. The runner may already be
-// visible to scrapes (the queue-depth gauge reads q.ingest under mu), so
-// the channel is published under the lock.
-func (q *queryRunner) openQueue(capacity int, policy resilience.OverloadPolicy) {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.policy = policy
-	q.ingest = make(chan stream.Item, capacity)
-	q.workerDone = make(chan struct{})
-}
-
-// startGrouped launches a grouped runner's pipeline over a bounded ingest
-// queue: the engine's goroutines own all operator state and push merged
-// keyed results back through absorbKeyed. finish closes the channel, which
-// flushes the pipeline's windows through the same sink.
-func (q *queryRunner) startGrouped(capacity int, policy resilience.OverloadPolicy) {
-	q.openQueue(capacity, policy)
-	go func() {
-		defer close(q.workerDone)
-		if _, err := q.query.RunConcurrent(context.Background(), nil); err != nil {
-			q.log.Error("grouped pipeline failed", "err", err)
-			q.mu.Lock()
-			q.panics++
-			q.health = healthStalled
-			q.mu.Unlock()
-		}
-	}()
-}
-
-// feed pushes one item into the pipeline, applying the overload policy
-// when the ingest queue is full. Without a queue it steps inline.
-func (q *queryRunner) feed(it stream.Item) {
-	if q.ingest == nil {
-		q.step([]stream.Item{it})
-		return
-	}
-	late := false
-	if !it.Heartbeat {
-		late = q.feedTSSet && it.Tuple.TS < q.feedMaxTS
-		if !q.feedTSSet || it.Tuple.TS > q.feedMaxTS {
-			q.feedMaxTS, q.feedTSSet = it.Tuple.TS, true
-		}
-	}
-	canShed := !it.Heartbeat &&
-		(q.policy == resilience.ShedNewest || (q.policy == resilience.ShedLate && late))
-	if canShed {
-		select {
-		case q.ingest <- it:
-		default:
-			q.noteShed()
-			return
-		}
-	} else {
-		q.ingest <- it
-	}
-	// Grouped runners hand operator state to the engine, so the accepted-
-	// tuple counter is the feeder's job.
-	if q.grouped && !it.Heartbeat {
+// runGrouped hands a grouped runner's ring subscription to the engine and
+// returns when the ring ends — the pipeline's windows are then flushed —
+// or ctx is cancelled. The engine's goroutines own all operator state and
+// push merged keyed results back through absorbKeyed.
+func (q *queryRunner) runGrouped(ctx context.Context, sub *fanout.Sub) {
+	query := q.engineQuery(cq.NewShared(sub)).GroupBy().Shards(q.shards).Batch(q.batch).
+		Instrument(q.telemetry).SinkKeyed(q.absorbKeyed)
+	if _, err := query.RunConcurrent(ctx, nil); err != nil && ctx.Err() == nil {
+		q.log.Error("grouped pipeline failed", "err", err)
 		q.mu.Lock()
-		q.tuplesIn++
+		q.panics++
+		q.health = healthStalled
 		q.mu.Unlock()
-	}
-}
-
-// feedBatch hands over a batch borrowed from a fan-out ring (valid until
-// the caller releases it). A runner without a queue steps it whole — the
-// ring is its ingest queue; a queued runner copies it in item by item,
-// which is where its overload policy applies.
-func (q *queryRunner) feedBatch(items []stream.Item) {
-	if q.ingest == nil {
-		q.step(items)
-		return
-	}
-	for _, it := range items {
-		q.feed(it)
 	}
 }
 
@@ -376,20 +265,14 @@ func (q *queryRunner) stepIsolated(batch []stream.Item, resume bool) (completed 
 	return true
 }
 
-// finish drains the ingest queue, flushes the pipeline and marks the
-// runner done. It is idempotent and must only be called after the feeder
-// has stopped.
+// finish flushes the pipeline and marks the runner done. It is idempotent
+// and must only be called after the feeder (pumpRing) has stopped.
 func (q *queryRunner) finish() {
 	q.stopOnce.Do(func() {
-		if q.ingest != nil {
-			close(q.ingest)
-			<-q.workerDone
-		}
 		q.mu.Lock()
 		defer q.mu.Unlock()
 		// A grouped runner's engine flushed every window through
-		// absorbKeyed while its goroutines wound down; only the state flip
-		// is left.
+		// absorbKeyed when its ring ended; only the state flip is left.
 		if q.exec != nil {
 			if err := q.exec.Finish(); err != nil {
 				q.log.Error("journal commit on finish failed", "err", err)
@@ -437,7 +320,7 @@ func (q *queryRunner) adaptive() *core.AQKSlack {
 // tuplesInLocked is the accepted-tuple count; q.mu must be held.
 func (q *queryRunner) tuplesInLocked() int64 {
 	if q.exec == nil {
-		return q.tuplesIn
+		return int64(q.telemetry.SourceIn.Value())
 	}
 	return q.exec.Handler().Stats().Inserted
 }
@@ -480,30 +363,13 @@ func (q *queryRunner) observeWireLatency() {
 	}
 }
 
-// shedTotalLocked returns the query's full shed count: overload-policy
-// drops plus — for runtime queries riding a shared ring — upstream
-// losses (ring laps, ingest-quota drops) charged via shedExtra. q.mu
-// must be held (shedExtra itself only reads atomics).
-func (q *queryRunner) shedTotalLocked() int64 {
-	s := q.shed
-	if q.shedExtra != nil {
-		s += q.shedExtra()
+// shedTotal returns the tuples lost to this query upstream of it (see
+// upstreamShed, which only reads atomics).
+func (q *queryRunner) shedTotal() int64 {
+	if q.upstreamShed == nil {
+		return 0
 	}
-	return s
-}
-
-func (q *queryRunner) noteShed() {
-	q.mu.Lock()
-	q.shed++
-	if q.health == healthFeeding {
-		q.health = healthDegraded
-	}
-	q.mu.Unlock()
-	// Grouped runners share the engine telemetry's shed counter (the
-	// engine itself never sheds here — its overload policy is unset).
-	if q.telemetry != nil {
-		q.telemetry.Shed.Inc()
-	}
+	return q.upstreamShed()
 }
 
 // addRetries folds a feed segment's retry count into the runner total.
@@ -582,7 +448,7 @@ func (q *queryRunner) status() status {
 		Windows:     q.emitted,
 		LatencyP95:  q.latency.Value(),
 		Health:      q.health,
-		Shed:        q.shedTotalLocked(),
+		Shed:        q.shedTotal(),
 		Retries:     q.retries,
 		Panics:      q.panics,
 		Done:        q.done,

@@ -22,19 +22,27 @@ import (
 )
 
 // adaptiveRunner builds a non-grouped runner over the adaptive controller
-// the way buildRunner does, minus the app around it: no queue (tests feed
-// inline unless they call start), and only the wiring def carries.
+// the way buildRunner does, minus the app around it: tests step it
+// themselves, and only the wiring def carries.
 func adaptiveRunner(t testing.TB, def runnerDef) *queryRunner {
 	t.Helper()
 	h := core.NewAQKSlack(core.Config{Theta: def.theta, Spec: def.spec, Agg: def.agg})
 	if def.reg != nil {
 		h.Instrument(core.NewTelemetry(def.reg, def.name))
 	}
-	q, err := newQueryRunner(def, cq.New(nil).Handle(h).Window(def.spec, def.agg).Trace(def.tracer))
+	def.handler = h
+	q, err := newQueryRunner(def)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return q
+}
+
+// feedTuples steps the runner one tuple at a time.
+func feedTuples(q *queryRunner, tuples []stream.Tuple) {
+	for _, tp := range tuples {
+		q.step([]stream.Item{stream.DataItem(tp)})
+	}
 }
 
 // sumRunner is adaptiveRunner for the tests' stock query: a 10s/1s sum.
@@ -46,9 +54,7 @@ func sumRunner(t testing.TB, name string, theta float64) *queryRunner {
 func testRunner(t *testing.T) *queryRunner {
 	t.Helper()
 	q := sumRunner(t, "test-sum", 0.02)
-	for _, tp := range gen.Sensor(20000, 9).Arrivals() {
-		q.feed(stream.DataItem(tp))
-	}
+	feedTuples(q, gen.Sensor(20000, 9).Arrivals())
 	q.finish()
 	return q
 }
@@ -146,11 +152,8 @@ func TestServerEndpoints(t *testing.T) {
 // exported via the /queries/{name} status JSON.
 func TestStatusResilienceFields(t *testing.T) {
 	q := sumRunner(t, "degraded-sum", 0.02)
-	q.start(4, resilience.Block) // block: every tuple reaches the worker, so panics are deterministic
 	q.panicOn = func(it stream.Item) bool { return !it.Heartbeat && it.Tuple.Seq%1000 == 3 }
-	for _, tp := range gen.Sensor(20000, 9).Arrivals() {
-		q.feed(stream.DataItem(tp))
-	}
+	feedTuples(q, gen.Sensor(20000, 9).Arrivals())
 	q.addRetries(7)
 	q.finish()
 
@@ -190,48 +193,11 @@ func TestStatusResilienceFields(t *testing.T) {
 	}
 }
 
-// TestWorkerShedPolicies exercises the bounded ingest queue: block loses
-// nothing; shed-newest under a full queue drops and counts.
-func TestWorkerShedPolicies(t *testing.T) {
-	arrivals := gen.Sensor(20000, 9).Arrivals()
-
-	block := sumRunner(t, "block", 0.02)
-	block.start(4, resilience.Block)
-	for _, tp := range arrivals {
-		block.feed(stream.DataItem(tp))
-	}
-	block.finish()
-	if st := block.status(); st.TuplesIn != 20000 || st.Shed != 0 {
-		t.Fatalf("block policy: in=%d shed=%d", st.TuplesIn, st.Shed)
-	}
-
-	shed := sumRunner(t, "shed", 0.02)
-	shed.start(4, resilience.ShedNewest)
-	for _, tp := range arrivals {
-		shed.feed(stream.DataItem(tp))
-	}
-	shed.finish()
-	st := shed.status()
-	if st.TuplesIn+st.Shed != 20000 {
-		t.Fatalf("shed policy lost tuples silently: in=%d shed=%d", st.TuplesIn, st.Shed)
-	}
-	if st.Shed == 0 {
-		t.Skip("feeder never outran the tiny queue on this machine")
-	}
-	if st.Health == healthFeeding {
-		t.Fatal("shedding runner still reports healthy feeding")
-	}
-	if st.RealizedErrAdj <= st.RealizedErr {
-		t.Fatalf("adjusted err %v not above realized %v despite %d sheds",
-			st.RealizedErrAdj, st.RealizedErr, st.Shed)
-	}
-}
-
 // TestAppDrain is the graceful-shutdown test: cancelling the feed context
 // (what SIGTERM does in main) must stop the loops, flush every runner's
 // windows via finish(), and flip /readyz to 503 with per-query health.
 func TestAppDrain(t *testing.T) {
-	a, err := newApp(appConfig{n: 5000, rate: 2_000_000, ingestCap: 64, policy: resilience.Block,
+	a, err := newApp(appConfig{n: 5000, rate: 2_000_000,
 		chaos: resilience.Chaos{ErrorRate: 0.001, DupRate: 0.001}, chaosOn: true})
 	if err != nil {
 		t.Fatal(err)
@@ -312,29 +278,29 @@ func TestAppDrain(t *testing.T) {
 // done instead of leaving it in limbo forever.
 func TestFeedLoopEmptyGeneratorMarksDone(t *testing.T) {
 	q := sumRunner(t, "empty", 0.02)
-	q.start(16, resilience.Block)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		feedLoop(context.Background(), q, func(uint64) gen.Config { return gen.Config{} },
-			1, appConfig{rate: 1_000_000})
+		fanoutFeedLoop(context.Background(), []*queryRunner{q}, "empty",
+			func(uint64) gen.Config { return gen.Config{} }, 1, appConfig{rate: 1_000_000}, nil)
 	}()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("feedLoop did not return on an empty generator")
+		t.Fatal("fanoutFeedLoop did not return on an empty generator")
 	}
 	if st := q.status(); !st.Done || st.Health != healthDone {
 		t.Fatalf("empty-generator query left in limbo: %+v", st)
 	}
 }
 
-// handlerRunner builds a queue-less runner over a given handler, the shape
-// of a runtime query registered with HANDLER ...(...).
+// handlerRunner builds a runner over a given handler, the shape of a runtime
+// query registered with HANDLER ...(...).
 func handlerRunner(t *testing.T, def runnerDef, h buffer.Handler) *queryRunner {
 	t.Helper()
 	def.log = slog.New(slog.NewTextHandler(io.Discard, nil)) // these tests provoke error logs on purpose
-	q, err := newQueryRunner(def, cq.New(nil).Handle(h).Window(def.spec, def.agg))
+	def.handler = h
+	q, err := newQueryRunner(def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +312,12 @@ func kslackRunner(t *testing.T, def runnerDef, k stream.Time) *queryRunner {
 	return handlerRunner(t, def, buffer.NewKSlack(k))
 }
 
-// feedBatches hands items to a queue-less runner the way pumpRing does:
-// whole batches of n.
+// feedBatches hands items to a runner the way pumpRing does: whole batches
+// of n.
 func feedBatches(q *queryRunner, items []stream.Item, n int) {
 	for len(items) > 0 {
 		m := min(n, len(items))
-		q.feedBatch(items[:m])
+		q.step(items[:m])
 		items = items[m:]
 	}
 }

@@ -25,9 +25,7 @@ func tracedRunner(t *testing.T, name string) (*queryRunner, *tracez.Tracer, *tra
 	tr.SetWatchdog(wd)
 	q := adaptiveRunner(t, runnerDef{name: name, theta: 0.02, tracer: tr, watchdog: wd,
 		spec: window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, agg: window.Sum()})
-	for _, tp := range gen.Sensor(20000, 9).Arrivals() {
-		q.feed(stream.DataItem(tp))
-	}
+	feedTuples(q, gen.Sensor(20000, 9).Arrivals())
 	q.finish()
 	return q, tr, wd
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -306,7 +307,7 @@ func TestOneExecutor(t *testing.T) {
 					sawPump = true
 					ast.Inspect(d.Body, func(n ast.Node) bool {
 						if r, ok := n.(*ast.RangeStmt); ok {
-							t.Errorf("%s: pumpRing loops over a ring batch; hand it to the runner whole (feedBatch)",
+							t.Errorf("%s: pumpRing loops over a ring batch; hand it to the runner whole (step)",
 								fset.Position(r.Pos()))
 						}
 						return true
@@ -319,7 +320,7 @@ func TestOneExecutor(t *testing.T) {
 		t.Fatalf("extraction rotted: queryRunner found=%v pumpRing found=%v", sawRunner, sawPump)
 	}
 	if constructors != 1 {
-		t.Errorf("cmd/aqserver builds a queryRunner in %d places, want exactly one (newQueryRunner, from an *cq.AggQuery)", constructors)
+		t.Errorf("cmd/aqserver builds a queryRunner in %d places, want exactly one (newQueryRunner, from a runnerDef)", constructors)
 	}
 }
 
@@ -657,6 +658,74 @@ func coreDecls(t *testing.T, fset *token.FileSet, f *ast.File) (consts int, sawO
 		}
 	}
 	return consts, sawOp
+}
+
+// TestOneIngestQueue keeps the fan-out ring the only transport between a
+// source and a step core. The repository once had three doing that one job
+// — RunConcurrent's source-stage goroutine and batch channel, aqserver's
+// per-query item channel and drain worker, and the ring — and with them
+// three overload vocabularies; every queue in front of the disorder buffer
+// is latency the quality controller neither sees nor sizes. Non-test Go in
+// internal/cq and cmd/aqserver declares no channel of stream items (or of
+// batches of them), and the old vocabulary — OverloadPolicy, ShedNewest,
+// ShedLate, ingestCap — names nothing in Go outside bench/: what a slow
+// consumer costs is fanout.Policy and nothing else.
+func TestOneIngestQueue(t *testing.T) {
+	fset := token.NewFileSet()
+	parsed, rings := 0, 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		parsed++
+		path = filepath.ToSlash(path)
+		transportFree := !strings.HasSuffix(path, "_test.go") &&
+			(strings.HasPrefix(path, "internal/cq/") || strings.HasPrefix(path, "cmd/aqserver/"))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				switch n.Name {
+				case "OverloadPolicy", "ShedNewest", "ShedLate", "ingestCap":
+					t.Errorf("%s: %s is back: slow-consumer policy is fanout.Policy, and the ring is the ingest queue",
+						fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && id.Name == "fanout" && transportFree {
+					rings++
+				}
+			case *ast.ChanType:
+				elem := n.Value
+				if arr, ok := elem.(*ast.ArrayType); ok {
+					elem = arr.Elt
+				}
+				if transportFree && (types.ExprString(elem) == "stream.Item" || types.ExprString(elem) == "itemBatch") {
+					t.Errorf("%s: a channel of %s: items reach a step core through a fan-out ring subscription and nothing else",
+						fset.Position(n.Pos()), types.ExprString(n.Value))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed < 100 || rings < 10 {
+		t.Fatalf("extraction rotted: %d files parsed, %d uses of the ring in internal/cq and cmd/aqserver", parsed, rings)
+	}
 }
 
 func stripCodeFences(s string) string {

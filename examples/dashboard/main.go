@@ -2,9 +2,10 @@
 // pipelines, each with its own quality bound, streaming results while a
 // supervisor prints a periodic compliance summary.
 //
-// This is the deployment shape of the engine: cq.RunConcurrent wires
-// source → disorder handler → window operator as independent goroutines
-// connected by channels; results reach the sink as they are emitted.
+// This is the deployment shape of the engine: cq.RunConcurrent pumps the
+// source into a fan-out ring — the one ingest queue — on one goroutine and
+// steps disorder handler → window operator straight off it on another;
+// results reach the sink as they are emitted.
 //
 // Each pipeline is also instrumented (cq.Telemetry + core.Telemetry into
 // one obs.Registry), and the final Prometheus-format scrape is printed —
@@ -104,7 +105,7 @@ func main() {
 		fmt.Printf("%-15s  %5.2f%%  %7d  %8.4f%%  %9.1f%%  %6.0fms\n",
 			p.name, 100*p.theta, p.results.Load(), 100*q.MeanRelErr, 100*q.Compliance, l.Mean)
 	}
-	fmt.Println("\nall three queries ran as concurrent channel pipelines with independent")
+	fmt.Println("\nall three queries ran as concurrent ring-fed pipelines with independent")
 	fmt.Println("quality bounds; each handler adapted its own slack.")
 
 	hist.Stop()

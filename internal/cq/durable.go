@@ -61,11 +61,8 @@ type disorderAcc struct {
 	started  bool
 }
 
-// observe folds one (post-transform) tuple in; late reports whether the
-// tuple arrived behind the event-time high-water mark (the ShedLate
-// criterion).
-func (d *disorderAcc) observe(t stream.Tuple) (late bool) {
-	late = d.started && t.TS < d.clock
+// observe folds one (post-transform) tuple in.
+func (d *disorderAcc) observe(t stream.Tuple) {
 	if !d.started || t.TS > d.clock {
 		d.clock, d.started = t.TS, true
 	}
@@ -82,7 +79,6 @@ func (d *disorderAcc) observe(t stream.Tuple) (late bool) {
 		d.stats.MaxDelay = dl
 	}
 	d.stats.N++
-	return late
 }
 
 // finish computes the derived means and returns the stats.

@@ -1,7 +1,9 @@
 package cq
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -345,5 +347,92 @@ func TestDurableValidate(t *testing.T) {
 	if _, err := New(src).Window(testSpec, window.Sum()).
 		Durable(Durable{}).Run(); err == nil {
 		t.Fatal("durable query with nil log accepted")
+	}
+}
+
+// The property a one-goroutine intake buys (a two-goroutine pipeline had to
+// ship the disorder accumulator with every batch to get it): wherever a
+// durable RunConcurrent cuts a snapshot — mid-stream, with the source
+// running ahead in the ring — the snapshot is what a durable Run cutting at
+// the same item writes, disorder accumulator included, and both directories
+// recover to the same continuation. The two differ only in the journal
+// record count: Run journals the emission cursor per item, RunConcurrent
+// per batch.
+func TestDurableRunConcurrentSnapshotsMatchRun(t *testing.T) {
+	items := sensorItems(3000, 37)
+	const crashAt = 1777 // a multiple of no batch size below
+	build := func(src stream.ErrSource) *AggQuery {
+		return NewFallible(src).
+			Filter(func(tp stream.Tuple) bool { return tp.Seq%5 != 0 }). // intake is not the identity
+			Handle(buffer.NewKSlack(2000)).
+			Window(testSpec, window.Sum())
+	}
+	// lastSnapshot reopens dir and returns its newest snapshot, record count
+	// blanked, as the bytes written, plus the journal suffix behind it.
+	lastSnapshot := func(dir string) (snap *durable.Snapshot, data []byte, suffix int) {
+		t.Helper()
+		l := mustOpenLog(t, durable.Options{Dir: dir})
+		defer l.Close()
+		rec := l.Recovery()
+		if rec == nil || rec.Snapshot == nil {
+			t.Fatalf("%s: no snapshot to compare", dir)
+		}
+		snap = rec.Snapshot
+		blank := *snap
+		blank.Records = 0
+		data, err := json.Marshal(blank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap, data, len(rec.Suffix)
+	}
+	resume := func(dir string) *AggReport {
+		t.Helper()
+		l := mustOpenLog(t, durable.Options{Dir: dir})
+		defer l.Close()
+		rep, err := build(stream.AsErrSource(stream.NewSliceSource(items[crashAt:]))).Durable(Durable{Log: l}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	for _, batch := range []int{1, 7, 64} {
+		concDir, syncDir := t.TempDir(), t.TempDir()
+		log := mustOpenLog(t, durable.Options{Dir: concDir, CommitEvery: 1, SnapshotEvery: 500})
+		_, err := build(&crashSource{items: items, n: crashAt}).Batch(batch).Durable(Durable{Log: log}).
+			RunConcurrent(context.Background(), nil)
+		if !errors.Is(err, errCrash) {
+			t.Fatalf("batch %d: err = %v", batch, err)
+		}
+		log.Abandon()
+		conc, concBytes, concSuffix := lastSnapshot(concDir)
+		if conc.Items == 0 || 2*conc.Items <= uint64(crashAt)*4/5 {
+			t.Fatalf("batch %d: last snapshot at journal item %d; the cadence is off", batch, conc.Items)
+		}
+
+		// Run cuts one snapshot, at the same journal item. (The journal
+		// holds post-filter items, so the cadence is in those.)
+		log = mustOpenLog(t, durable.Options{Dir: syncDir, CommitEvery: 1, SnapshotEvery: int64(conc.Items)})
+		if _, err := build(&crashSource{items: items, n: crashAt}).Durable(Durable{Log: log}).Run(); !errors.Is(err, errCrash) {
+			t.Fatalf("batch %d: reference err = %v", batch, err)
+		}
+		log.Abandon()
+		ref, refBytes, refSuffix := lastSnapshot(syncDir)
+		if ref.Items != conc.Items || refSuffix != concSuffix {
+			t.Fatalf("batch %d: cuts differ: Run at item %d (+%d journaled), RunConcurrent at %d (+%d)",
+				batch, ref.Items, refSuffix, conc.Items, concSuffix)
+		}
+		if !bytes.Equal(concBytes, refBytes) {
+			t.Fatalf("batch %d: snapshots at journal item %d differ:\nRunConcurrent %s\nRun           %s",
+				batch, conc.Items, concBytes, refBytes)
+		}
+
+		got, want := resume(concDir), resume(syncDir)
+		if !reflect.DeepEqual(got.Results, want.Results) || got.Handler != want.Handler ||
+			got.Op != want.Op || got.Disorder != want.Disorder || got.PreFlush != want.PreFlush {
+			t.Fatalf("batch %d: continuations diverge: %d results vs %d, disorder %+v vs %+v",
+				batch, len(got.Results), len(want.Results), got.Disorder, want.Disorder)
+		}
 	}
 }

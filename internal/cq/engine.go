@@ -4,28 +4,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
-	"repro/internal/durable"
+	"repro/internal/fanout"
 	"repro/internal/resilience"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
 
-// itemBatch is the source→core transport unit: a pooled batch of accepted
-// items plus, for durable queries, the disorder accumulator as of the
-// batch's last item — intake runs ahead of the core on the source
-// goroutine, and a snapshot cut at this batch must record the accumulator
-// as it stood here, not as the source stage has advanced it since.
-type itemBatch struct {
-	items []stream.Item
-	cut   durable.DisorderCut
-}
-
 const (
-	// defaultIngestCap is the historical bound (in tuples) on the
-	// source→core channel.
-	defaultIngestCap = 256
 	// maxDispatchBatch bounds (in tuples) the batches the grouped
 	// dispatcher hands the window shards.
 	maxDispatchBatch = 256
@@ -35,52 +21,53 @@ const (
 	maxDefaultShards = 8
 )
 
-// RunConcurrent executes the query as a two-goroutine pipeline around the
-// step core: a source stage that pulls (with retry), applies filter/map,
-// measures disorder, sheds under overload and batches; and a core stage
-// that steps each batch through the disorder handler and the window
-// operator (see Exec). Results are streamed to sink from the core stage's
-// goroutine as they are emitted, and the final report is returned once the
-// source is exhausted or ctx is cancelled. Over a shared fan-out ring
-// (NewShared, RunShared) the ring already is the ingest queue, so the two
-// stages collapse into one goroutine: NextBatch → intake → Step → Release.
+// RunConcurrent executes the query as a pipeline around the step core with
+// one ingest queue, a fan-out ring (internal/fanout): the core stage
+// borrows each published batch in place, applies filter/map, measures
+// disorder, steps the batch through the disorder handler and the window
+// operator (see Exec) and releases it. Over a private source the ring is
+// the query's own — one Block subscriber — and a producer goroutine pumps
+// the source (wrapped in a retrier when Retry is set) into it
+// (fanout.Broadcast.Pump); over a shared subscription (NewShared,
+// RunShared) somebody else's producer does. Either way the driver loop is
+// receiveRing. Results are streamed to sink from the core stage's goroutine
+// as they are emitted, and the final report is returned once the stream
+// ends or ctx is cancelled.
 //
-// Transport between the stages is batched: pooled slices of up to Batch
-// items, recycled through a sync.Pool, so a saturated pipeline pays one
-// channel operation per batch instead of per tuple. Partial batches ship
-// as soon as the core is idle, and heartbeats and end-of-stream always
-// force the batch out, so batching changes neither emission order nor the
-// PreFlush latency accounting.
+// Transport is batched: pooled slices of up to Batch items, recycled by
+// the ring, so a saturated pipeline pays one wake-up per batch instead of
+// per tuple. Partial batches ship as soon as the core has drained the
+// ring, and heartbeats and end-of-stream always force the batch out, so
+// batching changes neither emission order nor the PreFlush latency
+// accounting.
 //
 // Grouped queries run the window stage on Shards parallel workers: the
 // core's released tuples are hash-partitioned by group key, each worker
 // owns its partition's keyed window state, and per-shard results are
 // merged back into KeyedOp's canonical by-key order. Output — results,
 // order, stats — is identical to the synchronous Run for every shard and
-// batch setting (absent faults and shedding), because every stage
-// preserves arrival order and the merge is deterministic.
+// batch setting (absent faults and a ShedOldest subscription), because
+// every stage preserves arrival order and the merge is deterministic.
 //
-// Failure semantics: a panic in any stage (including a shard worker) is
-// recovered, cancels the pipeline, and is returned as an error naming the
-// stage. A source error is retried per the Retry policy (if configured);
-// once the budget is exhausted or the circuit breaker opens, everything
-// accepted before the error is still applied (and, for a durable query,
-// journaled) and then the error is returned. A durability error aborts the
-// run. Under the shedding overload policies a full ingest queue drops
-// tuples instead of blocking; drops are counted on the report and —
-// because shed tuples are still recorded as input — degrade the
-// oracle-compared realized quality. Cancellation never deadlocks, even
-// when sink blocks forever: the executor abandons the core stage rather
-// than waiting on it (the stuck sink's goroutine is leaked, which is the
-// best Go can do about a callback that never returns).
+// Failure semantics: a panic in any stage (including the source and a
+// shard worker) is recovered, cancels the pipeline, and is returned as an
+// error naming the stage. A source error is retried per the Retry policy
+// (if configured); once the budget is exhausted or the circuit breaker
+// opens, everything accepted before the error is still applied (and, for a
+// durable query, journaled) and then the error is returned. A durability
+// error aborts the run. A private ring never sheds: a slow core holds the
+// source back. Cancellation never deadlocks, even when sink blocks
+// forever: the executor abandons the core stage rather than waiting on it
+// (the stuck sink's goroutine is leaked, which is the best Go can do about
+// a callback that never returns).
 func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) (*AggReport, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
 
 	// Internal cancellation: a stage failure cancels the whole pipeline,
-	// with the failure as the cause, so sibling stages blocked on channel
-	// operations unwind promptly. failure tells it from the caller's cancel.
+	// with the failure as the cause, so sibling stages blocked on the ring
+	// unwind promptly. failure tells it from the caller's cancel.
 	ctx, fail := context.WithCancelCause(ctx)
 	defer fail(nil)
 	failure := func() error {
@@ -89,9 +76,6 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 		}
 		return nil
 	}
-	// srcErr is a terminal source error: not a cancel — what was accepted
-	// before it is still applied. Written before items closes, read after.
-	var srcErr error
 
 	x, err := newExec(q, sink)
 	if err != nil {
@@ -107,53 +91,18 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 		x.win = shards
 	}
 
-	batchSize := q.batchSize
-	if batchSize <= 0 {
-		batchSize = defaultBatch
-	}
-	done := make(chan struct{})
-	// coreStage wraps the goroutine that owns the Exec: convert a panic
-	// into the stage error, join the shard workers, then signal done. (A
-	// crash recovery's journal suffix is replayed by the first Step or by
-	// Finish; its emissions reach sink like live ones.)
-	coreStage := func(body func()) {
-		defer close(done)
-		if shards != nil {
-			defer shards.close()
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				fail(x.panicErr(p))
-			}
-		}()
-		body()
-		if ctx.Err() != nil || srcErr != nil {
-			return // cancelled or failed: no bogus final flush
-		}
-		if err := x.Finish(); err != nil {
-			fail(err)
-		}
-	}
-
+	sub := q.shared
 	var retrier *resilience.RetryingSource
-	var shed int64
-	var items chan itemBatch
-	if q.shared != nil {
-		go coreStage(func() { q.receiveRing(ctx, x, fail) })
+	pumped := make(chan struct{})
+	if sub != nil {
+		close(pumped) // the ring's producer is somebody else's
 	} else {
-		ingestCap := q.ingestCap
-		if ingestCap <= 0 {
-			ingestCap = defaultIngestCap
+		batchSize := q.batchSize
+		if batchSize <= 0 {
+			batchSize = defaultBatch
 		}
-		// The capacity is configured in tuples; batches divide it, and a
-		// batch never exceeds the queue bound itself.
-		srcBatch := min(batchSize, ingestCap)
-		items = make(chan itemBatch, max(1, ingestCap/srcBatch))
-		// Batch slices are recycled: the core returns the batches it
-		// finished, so a steady-state pipeline allocates no transport memory.
-		var pool sync.Pool
-		pool.New = func() any { return make([]stream.Item, 0, srcBatch) }
-
+		b := fanout.New(fanout.Options{BatchCap: batchSize})
+		sub = b.Subscribe("source", fanout.Block)
 		src := q.source
 		if q.retry != nil {
 			retry := *q.retry
@@ -168,130 +117,51 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 			retrier = resilience.NewRetryingSource(ctx, src, retry)
 			src = retrier
 		}
-
-		// Source stage. Owns the source, the shed counter and the Exec's
-		// intake fields (input record, disorder accumulator) until it
-		// closes items.
+		// Source stage. A source error reaches the core through the ring,
+		// behind everything accepted before it.
 		go func() {
-			defer close(items)
+			defer close(pumped)
 			defer func() {
 				if p := recover(); p != nil {
 					fail(fmt.Errorf("cq: %s stage panicked: %v", stageSource, p))
 				}
 			}()
-			// Minimum batch for a starvation-triggered ship (see the
-			// idle-ship branch below); a full srcBatch still ships eagerly.
-			idleShipMin := min(32, srcBatch)
-			cur := pool.Get().([]stream.Item)[:0]
-			// cut is the disorder accumulator as of cur's last item. It is
-			// taken at append time, not ship time: by then intake has
-			// already seen the item that found the batch full.
-			var cut durable.DisorderCut
-			// ship sends the in-progress batch downstream; the non-blocking
-			// form is the overload probe, the blocking form applies
-			// backpressure. False means the queue refused (probe) or the
-			// pipeline was cancelled (blocking).
-			ship := func(block bool) bool {
-				if len(cur) == 0 {
-					return true
-				}
-				ib := itemBatch{items: cur, cut: cut}
-				if block {
-					select {
-					case items <- ib:
-					case <-ctx.Done():
-						return false
-					}
-				} else {
-					select {
-					case items <- ib:
-					default:
-						return false
-					}
-				}
-				q.telem.noteIngestBatch(len(cur))
-				q.tracer.SourceBatch(int64(x.dis.clock), len(cur))
-				cur = pool.Get().([]stream.Item)[:0]
-				return true
-			}
-			for {
-				it, ok, err := src.NextErr()
-				if err != nil {
-					// A durable query's journal ends exactly at the failure.
-					ship(true)
-					srcErr = fmt.Errorf("cq: source: %w", err)
-					return
-				}
-				if !ok {
-					ship(true)
-					return
-				}
-				it, keep, late := x.accept(it)
-				if !keep {
-					continue
-				}
-				if len(cur) >= srcBatch && !ship(false) {
-					// Batch full and the queue refused it: overload. Heartbeats
-					// are progress signals and are never shed; a full queue
-					// applies backpressure to them (and to everything else
-					// under the blocking policy).
-					canShed := !it.Heartbeat &&
-						(q.overload == resilience.ShedNewest || (q.overload == resilience.ShedLate && late))
-					if canShed {
-						shed++
-						q.telem.noteShed()
-						q.tracer.Shed(int64(it.Tuple.TS), 1)
-						continue
-					}
-					if !ship(true) {
-						return
-					}
-				}
-				cur = append(cur, it)
-				if x.log != nil {
-					cut = x.dis.cut()
-				}
-				q.telem.noteSource(it.Heartbeat, len(items)*srcBatch+len(cur))
-				// Heartbeats force the batch out so the core's clock keeps
-				// moving; an idle queue means the core is starved, so holding
-				// a partial batch would only add latency. The idleShipMin
-				// floor keeps a starved core from degenerating the transport
-				// into per-item handoffs — each tiny ship costs two scheduler
-				// switches (ruinous on few cores), and a sub-minimum batch is
-				// at most one heartbeat away from being forced out anyway.
-				if it.Heartbeat || (len(items) == 0 && len(cur) >= idleShipMin) {
-					if !ship(true) {
-						return
-					}
-				}
+			_ = b.Pump(ctx, src, batchSize)
+		}()
+	}
+
+	// Core stage: the goroutine that owns the Exec. Convert a panic into
+	// the stage error, join the shard workers, then signal done. (A crash
+	// recovery's journal suffix is replayed by the first Step or by Finish;
+	// its emissions reach sink like live ones.)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if shards != nil {
+			defer shards.close()
+		}
+		defer func() {
+			if p := recover(); p != nil {
+				fail(x.panicErr(p))
 			}
 		}()
-
-		go coreStage(func() {
-			for ib := range items {
-				if ctx.Err() != nil {
-					continue // cancelled: drain without invoking the sink
-				}
-				if err := x.step(ib.items, &ib.cut); err != nil {
-					fail(err)
-					continue
-				}
-				pool.Put(ib.items[:0])
-			}
-		})
-	}
+		q.receiveRing(ctx, x, sub, fail)
+		if ctx.Err() != nil {
+			return // cancelled or failed: no bogus final flush
+		}
+		if err := x.Finish(); err != nil {
+			fail(err)
+		}
+	}()
 
 	select {
 	case <-done:
 	case <-ctx.Done():
-		// Join the source stage (it exits through its ctx selects and
-		// closes items) but not the core stage: a sink that blocks forever
-		// would wedge it, and with it this return.
-		if items != nil {
-			for range items {
-			}
-		}
+		// The core stage is not joined: a sink that blocks forever would
+		// wedge it, and with it this return.
 	}
+	// The source stage is: it exits through ctx or the ring it closed.
+	<-pumped
 	if err := failure(); err != nil {
 		return nil, err
 	}
@@ -300,45 +170,44 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if srcErr != nil {
-		return nil, srcErr
-	}
 
 	rep := x.Report()
-	if q.shared != nil {
-		// Ring-level losses (ShedOldest laps) are this query's sheds:
-		// fold them into the same accounting the overload policies use.
-		// Unlike engine-side sheds the lapped tuples never reached the
-		// per-query intake, so they are absent from Input/Disorder —
-		// quality must be read through the shed-adjusted metrics.
-		shed = q.shared.Shed()
-	}
-	rep.Handler.Shed = shed
-	rep.Shed = shed
+	// Ring-level losses (ShedOldest laps) are this query's sheds. The
+	// lapped tuples never reached the per-query intake, so they are absent
+	// from Input/Disorder — quality must be read through the shed-adjusted
+	// metrics.
+	rep.Shed = sub.Shed()
+	rep.Handler.Shed = rep.Shed
 	if retrier != nil {
 		rep.Retries = retrier.Retries()
 	}
 	return rep, nil
 }
 
-// receiveRing is the shared-source driver loop: the fan-out ring already
-// is the ingest queue — batches are borrowed in place from the producer's
-// publish (no copy, no per-query channel), stepped whole, and released
-// once the core has absorbed them. Per-consumer work (filter/map, disorder
-// accounting, KeepInput) still happens here, per query, so the report is
-// field-for-field what a standalone run over the same stream would
-// produce; only the shared decode/generate/journal work upstream of the
-// ring is paid once for all subscribers.
-func (q *AggQuery) receiveRing(ctx context.Context, x *Exec, fail func(error)) {
-	sub := q.shared
+// receiveRing is the one driver loop: the fan-out ring is the ingest queue
+// — batches are borrowed in place from the producer's publish (no copy, no
+// per-query channel), stepped whole, and released once the core has
+// absorbed them. Per-consumer work (filter/map, disorder accounting,
+// KeepInput) happens here, per query, so the report is field-for-field
+// what a standalone run over the same stream would produce; only the
+// decode/generate work upstream of the ring is paid once for all
+// subscribers. A terminal producer error fails the pipeline after the
+// batches published before it were applied.
+func (q *AggQuery) receiveRing(ctx context.Context, x *Exec, sub *fanout.Sub, fail func(error)) {
 	q.telem.fanoutGauges(sub)
 	// A consumer that stops reading must never wedge the producer or its
 	// Block peers: leaving marks the cursor dead.
 	defer sub.Unsubscribe()
 	var staged []stream.Item // transform staging (filter/map only)
 	transforming := q.filter != nil || q.mapFn != nil
+	var shed int64
 	for {
 		items, seq, ok, err := sub.NextBatch(ctx)
+		if lost := sub.Shed() - shed; lost > 0 { // a ShedOldest lap
+			shed += lost
+			q.telem.noteShed(lost)
+			q.tracer.Shed(int64(x.dis.clock), lost)
+		}
 		if err != nil {
 			if ctx.Err() == nil {
 				fail(fmt.Errorf("cq: source: %w", err))
@@ -356,7 +225,7 @@ func (q *AggQuery) receiveRing(ctx context.Context, x *Exec, fail func(error)) {
 		if transforming {
 			staged = staged[:0]
 			for _, it := range items {
-				if out, keep, _ := x.accept(it); keep {
+				if out, keep := x.accept(it); keep {
 					staged = append(staged, out)
 				}
 			}
@@ -368,11 +237,7 @@ func (q *AggQuery) receiveRing(ctx context.Context, x *Exec, fail func(error)) {
 				}
 			}
 		}
-		depth := int(sub.Pending())
-		for _, it := range eff {
-			q.telem.noteSource(it.Heartbeat, depth)
-		}
-		q.telem.noteIngestBatch(len(eff))
+		q.telem.noteBatch(eff)
 		q.tracer.SourceBatch(int64(x.dis.clock), len(eff))
 		if err := x.Step(eff); err != nil {
 			fail(err)

@@ -2,13 +2,14 @@ package cq
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/buffer"
+	"repro/internal/fanout"
 	"repro/internal/gen"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -60,7 +61,7 @@ func TestTelemetryMatchesReport(t *testing.T) {
 		`aq_stage_tuples_total{query="obs-test",stage="disorder"}`,
 		`aq_stage_tuples_total{query="obs-test",stage="window"}`,
 		`aq_emit_latency_ms_count{query="obs-test"}`,
-		`aq_queue_depth{query="obs-test",queue="ingest"}`,
+		`aq_queue_depth{query="obs-test",queue="fanout"}`,
 	} {
 		if !strings.Contains(out.String(), series) {
 			t.Errorf("exposition missing %s", series)
@@ -69,30 +70,30 @@ func TestTelemetryMatchesReport(t *testing.T) {
 }
 
 // TestTelemetryShedCounting checks the shed counter against the report
-// under a shedding overload policy with a tiny ingest queue.
+// under the ring's ShedOldest policy with a tiny ring.
 func TestTelemetryShedCounting(t *testing.T) {
 	tuples := gen.Sensor(20000, 7).Arrivals()
 	reg := obs.NewRegistry()
 	telem := NewTelemetry(reg, "shed-test", window.Spec{Size: 10 * stream.Second, Slide: stream.Second})
 
-	// A 1-slot ingest queue races the producer against the disorder
-	// stage; how many tuples shed is timing-dependent, but the invariant
-	// under test is timing-free: live counter == report count, and
-	// accepted == input − shed.
-	rep, err := New(stream.FromTuples(tuples)).
-		Handle(buffer.NewKSlack(0)).
-		Window(window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum()).
-		Overload(resilience.ShedNewest, 1).
-		Instrument(telem).
-		RunConcurrent(context.Background(), nil)
+	// A two-batch ring races the producer against the core; how many
+	// tuples are lapped is timing-dependent, but the invariant under test
+	// is timing-free: live counter == report count, and accepted ==
+	// published − shed.
+	reps, err := RunShared(context.Background(), stream.AsErrSource(stream.FromTuples(tuples)),
+		SharedOpts{Ring: 2, Batch: 8, Policy: fanout.ShedOldest},
+		New(nil).Handle(buffer.NewKSlack(0)).
+			Window(window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum()).
+			Instrument(telem))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := reps[0]
 	if got, want := telem.Shed.Value(), float64(rep.Shed); got != want {
 		t.Errorf("shed counter = %g, want %g", got, want)
 	}
-	if got, want := telem.SourceIn.Value(), float64(rep.Disorder.N)-float64(rep.Shed); got != want {
-		t.Errorf("source counter = %g, want %g (accepted = input − shed)", got, want)
+	if got, want := telem.SourceIn.Value(), float64(len(tuples))-float64(rep.Shed); got != want {
+		t.Errorf("source counter = %g, want %g (accepted = published − shed)", got, want)
 	}
 }
 
@@ -133,5 +134,56 @@ func TestInstrumentedHandlerWrapper(t *testing.T) {
 	}
 	if wrapped.Unwrap() != inner {
 		t.Error("Unwrap did not return the inner handler")
+	}
+}
+
+// TestSaturatedPipelineShipsFullBatches is the other half of the ring's
+// latency policy (fanout's TestPumpShipsPartialBatchToStarvedConsumer is
+// the first): partial batches are for a starved core only. With a source
+// that is never the bottleneck the core is always behind, so the batches
+// it steps are full ones: aq_batch_size_tuples{queue="ingest"} has its
+// median in the bucket of the configured batch size.
+func TestSaturatedPipelineShipsFullBatches(t *testing.T) {
+	const batch = 64
+	tuples := gen.Sensor(50000, 17).Arrivals()
+	reg := obs.NewRegistry()
+	telem := NewTelemetry(reg, "sat", window.Spec{Size: 10 * stream.Second, Slide: stream.Second})
+	_, err := New(stream.FromTuples(tuples)).
+		Handle(buffer.NewKSlack(500)).
+		Window(window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum()).
+		Batch(batch).Instrument(telem).
+		RunConcurrent(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	// Buckets are powers of two; le="32" counts every batch smaller than
+	// a full one.
+	var below, total uint64
+	for _, line := range strings.Split(out.String(), "\n") {
+		if !strings.HasPrefix(line, "aq_batch_size_tuples_") || !strings.Contains(line, `queue="ingest"`) {
+			continue
+		}
+		v, err := strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		switch {
+		case strings.HasPrefix(line, "aq_batch_size_tuples_count"):
+			total = v
+		case strings.Contains(line, `le="32"`):
+			below = v
+		default:
+			continue
+		}
+		if err != nil {
+			t.Fatalf("unparsable sample %q: %v", line, err)
+		}
+	}
+	if total == 0 || total != telem.IngestBatch.Count() {
+		t.Fatalf("exposition counts %d batches, the histogram %d", total, telem.IngestBatch.Count())
+	}
+	if 2*below >= total {
+		t.Fatalf("%d of %d batches were partial: the median batch is not a full one", below, total)
 	}
 }

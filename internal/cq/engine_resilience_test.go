@@ -3,12 +3,14 @@ package cq
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/fanout"
 	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
@@ -201,9 +203,11 @@ func TestRunConcurrentSourceError(t *testing.T) {
 
 // TestChaosPipeline is the acceptance chaos run: errors + stalls +
 // duplicates + delay spikes through FaultSource at a fixed seed, with
-// shedding enabled and a consumer wedged for the duration of the feed. The
-// pipeline must terminate, count its retries and sheds, and report a
-// realized error that is honestly worse than the clean run's.
+// shedding enabled — the ring's ShedOldest, the one slow-consumer policy —
+// and a consumer wedged for the duration of the feed. The pipeline must
+// terminate, count its retries and sheds, and its realized error against
+// the stream the source delivered must be honestly worse than the clean
+// run's.
 func TestChaosPipeline(t *testing.T) {
 	tuples := gen.Sensor(30000, 7).Arrivals()
 	spec := testSpec
@@ -211,7 +215,7 @@ func TestChaosPipeline(t *testing.T) {
 	opts := metrics.CompareOpts{SkipWarmup: 2, SkipEmptyOracle: true}
 
 	clean, err := New(stream.FromTuples(tuples)).
-		Handle(buffer.NewKSlack(200 * stream.Millisecond)).
+		Handle(buffer.NewKSlack(200*stream.Millisecond)).
 		Window(spec, agg).KeepInput().
 		RunConcurrent(context.Background(), nil)
 	if err != nil {
@@ -228,88 +232,161 @@ func TestChaosPipeline(t *testing.T) {
 	})
 	// eof closes when the fault source is exhausted; the sink blocks on it
 	// so the whole feed runs against a wedged consumer and the shedding
-	// policy, not backpressure, must absorb the overload.
+	// policy, not backpressure, must absorb the overload. delivered is the
+	// stream as the source handed it over: what quality is owed against.
 	eof := make(chan struct{})
 	var eofOnce sync.Once
-	src := stream.ErrFuncSource(func() (stream.Item, bool, error) {
+	var delivered []stream.Tuple
+	src := resilience.NewRetryingSource(context.Background(), stream.ErrFuncSource(func() (stream.Item, bool, error) {
 		it, ok, err := fs.NextErr()
 		if err == nil && !ok {
 			eofOnce.Do(func() { close(eof) })
 		}
+		if err == nil && ok && !it.Heartbeat {
+			delivered = append(delivered, it.Tuple)
+		}
 		return it, ok, err
-	})
+	}), resilience.Retry{MaxAttempts: 8, BaseDelay: time.Microsecond, MaxDelay: 100 * time.Microsecond, Seed: 42})
 	var firstResult sync.Once
-	sink := func(window.Result) { firstResult.Do(func() { <-eof }) }
+	sink := func(int, window.Result) { firstResult.Do(func() { <-eof }) }
 
-	rep, err := NewFallible(src).
-		Handle(buffer.NewKSlack(200 * stream.Millisecond)).
-		Window(spec, agg).KeepInput().
-		Retry(resilience.Retry{MaxAttempts: 8, BaseDelay: time.Microsecond, MaxDelay: 100 * time.Microsecond, Seed: 42}).
-		Overload(resilience.ShedNewest, 4).
-		RunConcurrent(context.Background(), sink)
+	reps, err := RunShared(context.Background(), src,
+		SharedOpts{Ring: 2, Batch: 4, Policy: fanout.ShedOldest, Sink: sink},
+		New(nil).Handle(buffer.NewKSlack(200*stream.Millisecond)).Window(spec, agg).KeepInput())
 	if err != nil {
 		t.Fatalf("chaos run did not terminate cleanly: %v", err)
 	}
+	rep := reps[0]
 
 	st := fs.Stats()
 	if st.Errors == 0 || st.Duplicates == 0 || st.Stalls == 0 || st.DelaySpikes == 0 {
 		t.Fatalf("chaos config did not exercise every fault: %v", st)
 	}
-	if rep.Retries == 0 {
+	if src.Retries() == 0 {
 		t.Fatalf("injected %d source errors but counted no retries", st.Errors)
 	}
 	if rep.Shed == 0 {
-		t.Fatal("wedged consumer + ShedNewest produced no sheds")
+		t.Fatal("wedged consumer + ShedOldest produced no sheds")
 	}
 	if rep.Handler.Shed != rep.Shed {
 		t.Fatalf("Handler.Shed = %d, report Shed = %d", rep.Handler.Shed, rep.Shed)
 	}
+	if got := int64(len(rep.Input)) + rep.Shed; got != int64(len(delivered)) {
+		t.Fatalf("input %d + shed %d != delivered %d", len(rep.Input), rep.Shed, len(delivered))
+	}
 
-	chaosQ := rep.Quality(spec, agg, opts)
+	// Lapped tuples never reached the query's intake, so its own Input does
+	// not know them: the oracle is the delivered stream.
+	chaosQ := metrics.Compare(rep.Results, window.Oracle(spec, agg, delivered), opts)
 	if !(chaosQ.MeanRelErr > cleanQ.MeanRelErr) {
 		t.Fatalf("shed-degraded realized error %.6f does not exceed clean %.6f — shedding is being hidden",
 			chaosQ.MeanRelErr, cleanQ.MeanRelErr)
 	}
 	t.Logf("clean meanErr=%.5f chaos meanErr=%.5f shed=%d retries=%d faults=%v",
-		cleanQ.MeanRelErr, chaosQ.MeanRelErr, rep.Shed, rep.Retries, st)
+		cleanQ.MeanRelErr, chaosQ.MeanRelErr, rep.Shed, src.Retries(), st)
 }
 
-// TestRunConcurrentShedLateOnlyDropsLate verifies the quality-aware
-// policy: whatever ShedLate drops under pressure, in-order tuples always
-// survive — the shed count is bounded by the input's out-of-order count
-// even with a tiny queue and a wedged consumer.
-func TestRunConcurrentShedLateOnlyDropsLate(t *testing.T) {
-	tuples := gen.Sensor(20000, 11).Arrivals()
-	var lateTotal int64
-	var maxTS stream.Time = -1
-	for _, tp := range tuples {
-		if tp.TS < maxTS {
-			lateTotal++
-		} else {
-			maxTS = tp.TS
+// TestDriversLeakNoGoroutines: whatever way a concurrent driver returns —
+// clean end, terminal source error, cancellation — the goroutines it
+// started (source pump, core stage, shard workers, merger, RunShared's
+// consumers) are gone soon after. Cancellation does not join the core
+// stage, so the check polls.
+func TestDriversLeakNoGoroutines(t *testing.T) {
+	tuples := gen.Sensor(5000, 13).Arrivals()
+	boom := errors.New("upstream gone")
+	failing := func() stream.ErrSource { // fails mid-batch, mid-stream
+		n := 0
+		return stream.ErrFuncSource(func() (stream.Item, bool, error) {
+			if n == 1234 {
+				return stream.Item{}, false, boom
+			}
+			n++
+			return stream.DataItem(tuples[n-1]), true, nil
+		})
+	}
+	endless := func() stream.ErrSource {
+		n := 0
+		return stream.ErrFuncSource(func() (stream.Item, bool, error) {
+			n++
+			ts := stream.Time(n * 10)
+			return stream.DataItem(stream.Tuple{TS: ts, Arrival: ts, Seq: uint64(n)}), true, nil
+		})
+	}
+	query := func(src stream.ErrSource, grouped bool) *AggQuery {
+		q := NewFallible(src).Handle(buffer.NewKSlack(100)).Window(testSpec, window.Sum())
+		if grouped {
+			q.GroupBy().Shards(3)
 		}
+		return q
 	}
-	if lateTotal == 0 {
-		t.Fatal("workload has no late tuples; test is vacuous")
+	// cancelOnResult cancels the run as soon as it has emitted something.
+	cancelOnResult := func() (context.Context, func(window.Result)) {
+		ctx, cancel := context.WithCancel(context.Background())
+		return ctx, func(window.Result) { cancel() }
 	}
 
-	var wedge sync.Once
-	block := make(chan struct{})
-	time.AfterFunc(200*time.Millisecond, func() { close(block) })
-	sink := func(window.Result) { wedge.Do(func() { <-block }) }
-
-	rep, err := New(stream.FromTuples(tuples)).
-		Handle(buffer.NewKSlack(100 * stream.Millisecond)).
-		Window(testSpec, window.Sum()).
-		Overload(resilience.ShedLate, 4).
-		RunConcurrent(context.Background(), sink)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		run  func() error
+		want error
+	}{
+		{"RunConcurrent success", func() error {
+			_, err := query(stream.AsErrSource(stream.FromTuples(tuples)), false).RunConcurrent(context.Background(), nil)
+			return err
+		}, nil},
+		{"RunConcurrent grouped success", func() error {
+			_, err := query(stream.AsErrSource(stream.FromTuples(tuples)), true).RunConcurrent(context.Background(), nil)
+			return err
+		}, nil},
+		{"RunConcurrent source error", func() error {
+			_, err := query(failing(), false).RunConcurrent(context.Background(), nil)
+			return err
+		}, boom},
+		{"RunConcurrent grouped source error", func() error {
+			_, err := query(failing(), true).RunConcurrent(context.Background(), nil)
+			return err
+		}, boom},
+		{"RunConcurrent cancel", func() error {
+			ctx, sink := cancelOnResult()
+			_, err := query(endless(), false).RunConcurrent(ctx, sink)
+			return err
+		}, context.Canceled},
+		{"RunConcurrent grouped cancel", func() error {
+			ctx, sink := cancelOnResult()
+			_, err := query(endless(), true).RunConcurrent(ctx, sink)
+			return err
+		}, context.Canceled},
+		{"RunShared success", func() error {
+			_, err := RunShared(context.Background(), stream.AsErrSource(stream.FromTuples(tuples)), SharedOpts{},
+				query(nil, false), query(nil, true))
+			return err
+		}, nil},
+		{"RunShared source error", func() error {
+			_, err := RunShared(context.Background(), failing(), SharedOpts{}, query(nil, false), query(nil, true))
+			return err
+		}, boom},
+		{"RunShared cancel", func() error {
+			ctx, sink := cancelOnResult()
+			_, err := RunShared(ctx, endless(), SharedOpts{Sink: func(_ int, r window.Result) { sink(r) }},
+				query(nil, false), query(nil, true))
+			return err
+		}, context.Canceled},
 	}
-	if rep.Shed > lateTotal {
-		t.Fatalf("ShedLate shed %d tuples but only %d were late", rep.Shed, lateTotal)
-	}
-	if got := rep.Handler.Inserted; got != int64(len(tuples))-rep.Shed {
-		t.Fatalf("Inserted = %d, want %d - %d shed", got, len(tuples), rep.Shed)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			if err := tc.run(); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines before the run, %d still there 2s after it returned:\n%s",
+						base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

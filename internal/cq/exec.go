@@ -13,8 +13,8 @@ import (
 
 // Exec is the one executor: a synchronous, single-writer step core that
 // applies batches of accepted items to a query's disorder handler and
-// window operator. Run, RunConcurrent (private source or shared ring),
-// RunShared and cmd/aqserver's runners are drivers: they decide where items
+// window operator. Run, RunConcurrent (private or shared ring), RunShared
+// and cmd/aqserver's runners are drivers: they decide where items
 // come from and what an error means, and hand the items to Step.
 //
 // One Step is: journal the batch → per item, insert it into the handler,
@@ -134,29 +134,26 @@ func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 }
 
 // accept is every driver's intake for one pulled item: filter and map, then
-// the input record (KeepInput) and the inline disorder measurement. It runs
-// at the accept point, before any shedding decision, so shed tuples still
-// count as query input and degrade the oracle-compared quality honestly.
-// keep is false for a filtered-out tuple; late is the ShedLate criterion.
-// accept touches only the intake fields, so it may run on another goroutine
-// than Step if the disorder cut travels with each batch (see step).
-func (x *Exec) accept(it stream.Item) (out stream.Item, keep, late bool) {
+// the input record (KeepInput) and the inline disorder measurement. keep is
+// false for a filtered-out tuple.
+func (x *Exec) accept(it stream.Item) (out stream.Item, keep bool) {
 	if it.Heartbeat {
-		return it, true, false
+		return it, true
 	}
 	t, keep := x.q.transform(it.Tuple)
 	if !keep {
-		return it, false, false
+		return it, false
 	}
-	return stream.DataItem(t), true, x.noteInput(t)
+	x.noteInput(t)
+	return stream.DataItem(t), true
 }
 
 // noteInput records one post-transform tuple as query input.
-func (x *Exec) noteInput(t stream.Tuple) (late bool) {
+func (x *Exec) noteInput(t stream.Tuple) {
 	if x.q.keepInput {
 		x.rep.Input = append(x.rep.Input, t)
 	}
-	return x.dis.observe(t)
+	x.dis.observe(t)
 }
 
 // Step applies one batch of accepted items, in order. The batch is only
@@ -165,13 +162,6 @@ func (x *Exec) noteInput(t stream.Tuple) (late bool) {
 // durability failure — journal append, emission cursor, snapshot — returned
 // after the batch has been applied: abort or carry on is the driver's policy.
 func (x *Exec) Step(batch []stream.Item) error {
-	return x.step(batch, nil)
-}
-
-// step is Step with the disorder accumulator as of the batch's last item,
-// for drivers whose intake runs ahead of Step on another goroutine; nil
-// means the accumulator is current.
-func (x *Exec) step(batch []stream.Item, cut *durable.DisorderCut) error {
 	if x.pend != nil {
 		x.Resume() // pending work is never dropped: first come, first applied
 	}
@@ -191,7 +181,7 @@ func (x *Exec) step(batch []stream.Item, cut *durable.DisorderCut) error {
 			err = perr
 		}
 		if x.log.ShouldSnapshot() {
-			if serr := x.snapshot(cut); serr != nil && err == nil {
+			if serr := x.snapshot(); serr != nil && err == nil {
 				err = serr
 			}
 		}
@@ -416,8 +406,10 @@ func (x *Exec) noteEmitProgress() error {
 }
 
 // snapshot cuts the journal and persists handler + operator state. Called
-// at a step boundary, so the cut covers exactly the absorbed items.
-func (x *Exec) snapshot(cut *durable.DisorderCut) error {
+// at a step boundary, so the cut covers exactly the absorbed items (every
+// driver's intake runs on the stepping goroutine, so the disorder
+// accumulator is as of the batch's last item too).
+func (x *Exec) snapshot() error {
 	records, items, err := x.log.CutForSnapshot()
 	if err != nil {
 		return fmt.Errorf("cq: snapshot cut: %w", err)
@@ -426,17 +418,13 @@ func (x *Exec) snapshot(cut *durable.DisorderCut) error {
 	if err != nil {
 		return fmt.Errorf("cq: snapshot: %w", err)
 	}
-	if cut == nil {
-		c := x.dis.cut()
-		cut = &c
-	}
 	ops := x.op.State()
 	emit, have := x.op.EmitProgress()
 	s := &durable.Snapshot{
 		Records:      records,
 		Items:        items,
 		Now:          x.now,
-		Disorder:     *cut,
+		Disorder:     x.dis.cut(),
 		Handler:      hs,
 		Op:           &ops,
 		EmitProgress: emit,

@@ -10,11 +10,13 @@
 // inside the step. Everything else is a driver that feeds it. Run pulls a
 // source on the calling goroutine, one item per step — deterministic, so
 // the experiment harness uses it and results reproduce bit for bit.
-// RunConcurrent pulls, retries, sheds and batches on a source goroutine and
-// steps on another (or, over a shared fan-out ring, receives and steps in
-// one), streaming results to a callback as they are produced. RunShared
-// runs M such ring consumers off one producer. cmd/aqserver's runners call
-// NewExec and Step themselves under their own lock.
+// RunConcurrent receives and steps on one goroutine over a fan-out ring
+// subscription (internal/fanout) — the one ingest queue — streaming results
+// to a callback as they are produced; over a private source the ring is the
+// query's own, and a source goroutine pulls, retries and batches into it.
+// RunShared runs M such ring consumers off one producer. cmd/aqserver's
+// runners call NewExec and Step themselves under their own lock, or hand a
+// subscription to RunConcurrent (NewShared).
 package cq
 
 import (
@@ -48,8 +50,6 @@ type AggQuery struct {
 
 	retry      *resilience.Retry
 	clock      resilience.Clock
-	overload   resilience.OverloadPolicy
-	ingestCap  int
 	batchSize  int
 	shards     int
 	keyedSink  func(window.KeyedResult)
@@ -83,9 +83,10 @@ func NewFallible(source stream.ErrSource) *AggQuery {
 // source, so M queries on one stream pay one ingest path. The Sub must
 // be freshly subscribed and is owned by this query for one run.
 //
-// Shared queries reject Retry and Durable — resilience wrappers and the
-// journal belong on the producer side of the ring, where the stream
-// exists exactly once. A Block subscription makes the query's output
+// Queries on somebody else's ring reject Retry and Durable — resilience
+// wrappers and the journal belong on the producer side of the ring, where
+// the stream exists exactly once (a query with a private source has a ring
+// of its own, and may carry both). A Block subscription makes the query's output
 // byte-identical to the same query run standalone over the same stream
 // (the DST fan-out oracle enforces it); a ShedOldest subscription trades
 // completeness for isolation, with losses counted in AggReport.Shed.
@@ -157,27 +158,14 @@ func (q *AggQuery) Clock(c resilience.Clock) *AggQuery {
 	return q
 }
 
-// Overload bounds RunConcurrent's ingest queue at capacity tuples and sets
-// the policy applied when it is full. The default (capacity 0) keeps the
-// historical 256-tuple bound with blocking backpressure. Shed tuples are
-// counted in AggReport.Shed (and Handler.Shed) and — because they are
-// still recorded as query input — degrade the oracle-compared realized
-// quality instead of being silently absorbed. With batched transport the
-// capacity still counts tuples: the engine sizes the batch channel as
-// capacity/batch, and a shedding decision is made per tuple once the
-// in-progress batch is full and the channel refuses it.
-func (q *AggQuery) Overload(policy resilience.OverloadPolicy, capacity int) *AggQuery {
-	q.overload, q.ingestCap = policy, capacity
-	return q
-}
-
-// Batch sets the transport batch size of RunConcurrent: the source stage
-// hands the step core pooled batches of up to n items instead of single
-// tuples, trading per-tuple channel operations for one send (and one
+// Batch sets the transport batch size of RunConcurrent over a private
+// source: the ring hands the step core pooled batches of up to n items
+// instead of single tuples, trading per-tuple wake-ups for one (and one
 // journal append, one handler call) per batch. Partial batches are shipped
-// as soon as the core is idle, and heartbeats and end-of-stream always
-// force a flush, so batching never parks a result behind the batch
-// boundary and the PreFlush-aware latency metrics keep their meaning.
+// as soon as the core has drained the ring, and heartbeats and
+// end-of-stream always force a flush, so batching never parks a result
+// behind the batch boundary and the PreFlush-aware latency metrics keep
+// their meaning. It also bounds a grouped query's shard dispatch batch.
 // n <= 0 keeps the default (64); n = 1 reproduces per-tuple transport.
 func (q *AggQuery) Batch(n int) *AggQuery {
 	q.batchSize = n
@@ -266,9 +254,6 @@ func (q *AggQuery) validate() error {
 		if q.durable != nil {
 			return errors.New("cq: Durable does not support shared-source queries (journal the producer)")
 		}
-		if q.overload != resilience.Block {
-			return errors.New("cq: Overload shedding on a shared-source query belongs to the fanout subscription policy")
-		}
 	}
 	return q.validateShape()
 }
@@ -305,10 +290,11 @@ type AggReport struct {
 	// forced out by the end-of-stream flush and carry boundary latencies
 	// (latency metrics skip them).
 	PreFlush int
-	// Shed counts tuples dropped by the overload policy (RunConcurrent
-	// only). Shed tuples remain part of Input/Disorder, so oracle-based
-	// quality honestly reflects the loss; Handler.Shed carries the same
-	// count for handler-level reporting.
+	// Shed counts the tuples a ShedOldest ring subscription lapped past
+	// the query (RunConcurrent over NewShared, RunShared). They never
+	// reached its intake, so they are absent from Input/Disorder: quality
+	// under shedding is read through the shed-adjusted metrics.
+	// Handler.Shed carries the same count for handler-level reporting.
 	Shed int64
 	// Retries counts source retry attempts spent by the Retry policy
 	// (RunConcurrent only).
@@ -358,7 +344,7 @@ func (r *AggReport) Latency(skipWarmup int) metrics.LatencyReport {
 // Run executes the query synchronously and deterministically: the source
 // is drained in arrival order on the calling goroutine, one item per step
 // of the core. It is the harness driver: no retries and no wall-clock
-// backoff (a fallible source's first error ends it), no shedding, and a
+// backoff (a fallible source's first error ends it), no queue, and a
 // durability error aborts the run.
 func (q *AggQuery) Run() (*AggReport, error) {
 	if err := q.validate(); err != nil {
@@ -385,7 +371,7 @@ func (q *AggQuery) Run() (*AggReport, error) {
 			break
 		}
 		var keep bool
-		if one[0], keep, _ = x.accept(it); !keep {
+		if one[0], keep = x.accept(it); !keep {
 			continue
 		}
 		if err := x.Step(one[:]); err != nil {

@@ -56,24 +56,25 @@ func RunShared(ctx context.Context, src stream.ErrSource, opts SharedOpts, queri
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	for i, q := range queries {
-		if q.source != nil || q.shared != nil {
-			return nil, fmt.Errorf("cq: RunShared query %d must be built without a source (the ring provides it)", i)
-		}
-	}
 	b := fanout.New(fanout.Options{Ring: opts.Ring, BatchCap: opts.Batch})
 	if opts.Tracer != nil {
 		b.Trace(opts.Tracer)
 	}
+	// Each query runs as a copy bound to its subscription, so the caller's
+	// queries are left as built. Validate everything up front: a query that
+	// refuses to run would otherwise leave its subscription unread and
+	// wedge Block peers.
+	bound := make([]*AggQuery, len(queries))
 	for i, q := range queries {
-		q.shared = b.Subscribe(fmt.Sprintf("q%d", i), opts.Policy)
-	}
-	// Validate everything up front: a query that refuses to run would
-	// otherwise leave its subscription unread and wedge Block peers.
-	for i, q := range queries {
-		if err := q.validate(); err != nil {
+		if q.source != nil || q.shared != nil {
+			return nil, fmt.Errorf("cq: RunShared query %d must be built without a source (the ring provides it)", i)
+		}
+		sq := *q
+		sq.shared = b.Subscribe(fmt.Sprintf("q%d", i), opts.Policy)
+		if err := sq.validate(); err != nil {
 			return nil, fmt.Errorf("cq: RunShared query %d: %w", i, err)
 		}
+		bound[i] = &sq
 	}
 
 	pumpErr := make(chan error, 1)
@@ -82,7 +83,7 @@ func RunShared(ctx context.Context, src stream.ErrSource, opts SharedOpts, queri
 	reps := make([]*AggReport, len(queries))
 	errs := make([]error, len(queries))
 	var wg sync.WaitGroup
-	for i, q := range queries {
+	for i, q := range bound {
 		wg.Add(1)
 		go func(i int, q *AggQuery) {
 			defer wg.Done()

@@ -187,6 +187,19 @@ func TestSharedValidation(t *testing.T) {
 		t.Fatal("query with a source accepted by RunShared")
 	}
 
+	// A query that fails validation is left as built: fix it (and keep its
+	// peers, which RunShared had already subscribed) and the same objects
+	// run.
+	good := cq.NewFallible(nil).Window(sharedSpec, window.Sum())
+	bad := cq.NewFallible(nil).Handle(buffer.NewKSlack(100)) // no Window stage
+	if _, err := cq.RunShared(context.Background(), sliceErrSource(items), cq.SharedOpts{}, good, bad); err == nil {
+		t.Fatal("query without a Window stage accepted by RunShared")
+	}
+	bad.Window(sharedSpec, window.Sum())
+	if _, err := cq.RunShared(context.Background(), sliceErrSource(items), cq.SharedOpts{}, good, bad); err != nil {
+		t.Fatalf("queries of a refused RunShared cannot be run again: %v", err)
+	}
+
 	// NewShared rejects the synchronous executor.
 	b := fanout.New(fanout.Options{})
 	sub := b.Subscribe("q", fanout.Block)

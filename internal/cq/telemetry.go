@@ -6,12 +6,14 @@ import (
 
 	"repro/internal/fanout"
 	"repro/internal/obs"
+	"repro/internal/stream"
 	"repro/internal/window"
 )
 
 // Telemetry bundles the obs instruments RunConcurrent updates while the
 // pipeline runs: per-stage throughput counters, queue-depth gauges, shed
-// accounting and the emission-latency histogram. All methods tolerate a
+// accounting and the emission-latency histogram (the ingest queue's own
+// gauges are the ring's: see fanoutGauges). All methods tolerate a
 // nil receiver, so the engine's hot path pays a single pointer check
 // when telemetry is off.
 //
@@ -21,14 +23,13 @@ import (
 type Telemetry struct {
 	SourceIn   *obs.Counter // data tuples accepted by the source stage (post filter/map)
 	Heartbeats *obs.Counter // progress signals forwarded
-	Shed       *obs.Counter // data tuples dropped by the overload policy
+	Shed       *obs.Counter // data tuples lost to ring laps (a ShedOldest subscription)
 	Released   *obs.Counter // tuples released by the disorder stage
 	Results    *obs.Counter // window results emitted
 
-	IngestDepth  *obs.Gauge // occupancy of the source→core channel (tuples, approximate)
 	ReleaseDepth *obs.Gauge // occupancy of the grouped dispatcher→merger queue (tuples, approximate)
 
-	IngestBatch  *obs.Histogram // sizes of batches shipped source→core
+	IngestBatch  *obs.Histogram // sizes of the ring batches handed to the step core
 	ReleaseBatch *obs.Histogram // sizes of batches the grouped dispatcher shipped to the window shards
 
 	EmitLatency *obs.Histogram // result latency (stream-time ms)
@@ -74,8 +75,13 @@ func LatencyBucketsFor(spec window.Spec) []float64 {
 // pass to AggQuery.Instrument. Registering the same query twice returns
 // instruments backed by the same series. The emission-latency histogram
 // buckets are derived from spec via LatencyBucketsFor, so the histogram
-// resolves around the query's own window geometry.
+// resolves around the query's own window geometry. A nil registry gives
+// live instruments that are exported nowhere, for a host that only reads
+// them itself.
 func NewTelemetry(reg *obs.Registry, query string, spec window.Spec) *Telemetry {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	q := obs.L("query", query)
 	stage := func(s string) []obs.Label { return []obs.Label{q, obs.L("stage", s)} }
 	return &Telemetry{
@@ -88,9 +94,7 @@ func NewTelemetry(reg *obs.Registry, query string, spec window.Spec) *Telemetry 
 		Heartbeats: reg.Counter("aq_heartbeats_total",
 			"Heartbeat (watermark) items forwarded through the pipeline.", q),
 		Shed: reg.Counter("aq_shed_tuples_total",
-			"Data tuples dropped by the ingest overload policy.", q),
-		IngestDepth: reg.Gauge("aq_queue_depth",
-			"Occupancy of a pipeline channel.", q, obs.L("queue", "ingest")),
+			"Data tuples lost to this query: fan-out ring laps (a ShedOldest subscription).", q),
 		ReleaseDepth: reg.Gauge("aq_queue_depth",
 			"Occupancy of a pipeline channel.", q, obs.L("queue", "release")),
 		IngestBatch: reg.Histogram("aq_batch_size_tuples",
@@ -124,11 +128,10 @@ func (t *Telemetry) shardCounters(n int) []*obs.Counter {
 
 // fanoutGauges registers the shared-source ring gauges for this query:
 // per-consumer lag in published batches (aq_fanout_lag_batches) and the
-// ring backlog's contribution to aq_queue_depth (queue="fanout") — in
-// shared mode the ring is the ingest queue, so queue-depth dashboards
-// (the OBSERVABILITY.md delay-spike walkthrough) stay accurate with
-// -fanout on. Re-registration replaces the callbacks, so a restarted
-// query re-claims its series.
+// ring backlog as aq_queue_depth (queue="fanout") — the ring is the ingest
+// queue, private or shared, so this is what queue-depth dashboards (the
+// OBSERVABILITY.md delay-spike walkthrough) read. Re-registration replaces
+// the callbacks, so a restarted query re-claims its series.
 func (t *Telemetry) fanoutGauges(sub *fanout.Sub) {
 	if t == nil || t.reg == nil {
 		return
@@ -141,13 +144,21 @@ func (t *Telemetry) fanoutGauges(sub *fanout.Sub) {
 		func() float64 { return float64(sub.Pending()) }, t.query, obs.L("queue", "fanout"))
 }
 
-// noteIngestBatch records the size of one batch shipped by the source
-// stage.
-func (t *Telemetry) noteIngestBatch(n int) {
+// noteBatch records one ring batch handed to the step core (post
+// filter/map): its size and its data/heartbeat split.
+func (t *Telemetry) noteBatch(items []stream.Item) {
 	if t == nil {
 		return
 	}
-	t.IngestBatch.Observe(float64(n))
+	heartbeats := 0
+	for _, it := range items {
+		if it.Heartbeat {
+			heartbeats++
+		}
+	}
+	t.Heartbeats.Add(float64(heartbeats))
+	t.SourceIn.Add(float64(len(items) - heartbeats))
+	t.IngestBatch.Observe(float64(len(items)))
 }
 
 // noteReleaseBatch records the size of one batch the grouped dispatcher
@@ -162,26 +173,12 @@ func (t *Telemetry) noteReleaseBatch(n, depth int) {
 	t.ReleaseDepth.Set(float64(depth))
 }
 
-// noteSource records one item accepted by the source stage and the
-// ingest queue's occupancy after the send.
-func (t *Telemetry) noteSource(heartbeat bool, depth int) {
+// noteShed records n tuples the ring lapped past this query.
+func (t *Telemetry) noteShed(n int64) {
 	if t == nil {
 		return
 	}
-	if heartbeat {
-		t.Heartbeats.Inc()
-	} else {
-		t.SourceIn.Inc()
-	}
-	t.IngestDepth.Set(float64(depth))
-}
-
-// noteShed records one tuple dropped by the overload policy.
-func (t *Telemetry) noteShed() {
-	if t == nil {
-		return
-	}
-	t.Shed.Inc()
+	t.Shed.Add(float64(n))
 }
 
 // noteReleased records n tuples released by the disorder handler.

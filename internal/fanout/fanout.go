@@ -26,8 +26,7 @@
 // never slow the producer: when one is lapped, its next read skips to
 // the oldest batch still in the ring and the skipped data tuples are
 // counted as shed — each batch carries the cumulative data-tuple count,
-// so the accounting is exact and feeds AggReport.Shed like the engine's
-// own overload sheds.
+// so the accounting is exact and feeds AggReport.Shed.
 package fanout
 
 import (
@@ -394,20 +393,33 @@ func (b *Broadcast) Dropped() int64 { return b.dropped.Load() }
 func (b *Broadcast) cumData() int64 { return b.pubCum.Load() }
 
 // Pump drives the ring from a pull-based source: items are drained,
-// batched (batchSize per publish, heartbeats force the batch out so
-// progress signals are never parked), and published until the source
-// ends or fails. A clean end publishes Close; a source error publishes
-// Fail so every consumer aborts with the cause, and Pump returns it.
-// Retry/chaos wrappers belong on src — upstream of the ring, where the
-// single producer pays for resilience once on behalf of every consumer.
+// batched and published until the source ends or fails. A batch ships when
+// it is full (batchSize), at every heartbeat (progress signals are never
+// parked) and — the latency policy — as soon as every consumer has drained
+// the ring: nobody has work then, so holding a partial batch back would
+// only add delay, and a paced source never waits on batchSize. A clean end
+// publishes Close; a source error publishes what was accepted before it
+// and then Fail, so every consumer applies the same prefix and aborts with
+// the cause, and Pump returns it. Retry/chaos wrappers belong on src —
+// upstream of the ring, where the single producer pays for resilience once
+// on behalf of every consumer.
 func (b *Broadcast) Pump(ctx context.Context, src stream.ErrSource, batchSize int) error {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
+	// The floor keeps starved consumers from degenerating the transport
+	// into per-item handoffs — each tiny ship costs two scheduler switches
+	// — and a smaller batch is at most one heartbeat away from going out.
+	idleShip := min(32, batchSize)
 	cur := b.Get()
 	ship := func() error {
 		if len(cur) == 0 {
 			return nil
+		}
+		// Publish only looks at ctx when it has to wait, and with every
+		// consumer gone it never does: a cancelled Pump must still stop.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if err := b.Publish(ctx, cur); err != nil {
 			return err
@@ -415,29 +427,42 @@ func (b *Broadcast) Pump(ctx context.Context, src stream.ErrSource, batchSize in
 		cur = b.Get()
 		return nil
 	}
-	for {
-		it, ok, err := src.NextErr()
-		if err != nil {
-			b.Fail(fmt.Errorf("fanout: source: %w", err))
+	// end publishes the terminal marker — waiting for its slot under ctx
+	// like any batch, so a cancelled Pump is never wedged behind a consumer
+	// that will not release (the marker is dropped; consumers reading under
+	// ctx are unwinding anyway) — and returns cause.
+	end := func(cause error) error {
+		if err := b.publish(ctx, nil, stream.BatchProv{}, true, cause); err != nil && cause == nil {
 			return err
 		}
-		if !ok {
-			if err := ship(); err != nil {
-				b.Fail(err)
+		return cause
+	}
+	for {
+		it, ok, err := src.NextErr()
+		if err != nil || !ok {
+			// What was accepted before the end reaches every consumer (and
+			// its journal) first.
+			if serr := ship(); serr != nil {
+				return end(serr)
+			}
+			if err != nil {
+				end(fmt.Errorf("fanout: source: %w", err))
 				return err
 			}
-			b.Close()
-			return nil
+			return end(nil)
 		}
 		cur = append(cur, it)
-		if it.Heartbeat || len(cur) >= batchSize {
+		if it.Heartbeat || len(cur) >= batchSize || (len(cur) >= idleShip && b.drained()) {
 			if err := ship(); err != nil {
-				b.Fail(err)
-				return err
+				return end(err)
 			}
 		}
 	}
 }
+
+// drained reports whether every live consumer has released everything
+// published so far. Producer-side only (it reads next).
+func (b *Broadcast) drained() bool { return b.minCursor(false) >= b.next }
 
 // Sub is one consumer's handle on the ring. A Sub is owned by a single
 // consumer goroutine; only Shed, Lag and Pending are safe to call from

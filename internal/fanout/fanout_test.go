@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/stream"
 )
@@ -361,11 +362,15 @@ func TestPumpDrivesRingFromSource(t *testing.T) {
 	}
 }
 
+// A source failing at item n delivers exactly items [0,n) to every Block
+// subscriber before the error surfaces — the partial last batch included:
+// a consumer that journals what it is handed must end at the failure.
 func TestPumpFailsEveryConsumerOnSourceError(t *testing.T) {
 	cause := errors.New("flaky")
+	const failAt, batch = 10, 4 // not a multiple: a partial batch is in flight
 	n := 0
 	src := stream.ErrFuncSource(func() (stream.Item, bool, error) {
-		if n >= 10 {
+		if n >= failAt {
 			return stream.Item{}, false, cause
 		}
 		it := mkItems(n, 1)[0]
@@ -376,21 +381,90 @@ func TestPumpFailsEveryConsumerOnSourceError(t *testing.T) {
 	s1 := b.Subscribe("a", Block)
 	s2 := b.Subscribe("b", Block)
 	errc := make(chan error, 1)
-	go func() { errc <- b.Pump(context.Background(), src, 4) }()
+	go func() { errc <- b.Pump(context.Background(), src, batch) }()
 	for _, s := range []*Sub{s1, s2} {
 		vals, err := drain(context.Background(), s)
 		if !errors.Is(err, cause) {
 			t.Fatalf("sub %s: err = %v, want %v", s.Name(), err, cause)
 		}
-		if len(vals) != 8 {
-			// 10 items at batch 4: two full batches shipped; the partial
-			// third dies with the failure (Fail does not flush it —
-			// delivery of a prefix is all the contract promises).
-			t.Fatalf("sub %s: got %d tuples, want 8", s.Name(), len(vals))
+		if len(vals) != failAt {
+			t.Fatalf("sub %s: got %d tuples, want the %d accepted before the failure", s.Name(), len(vals), failAt)
+		}
+		for i, v := range vals {
+			if v != float64(i) {
+				t.Fatalf("sub %s: item %d = %g, want %d", s.Name(), i, v, i)
+			}
 		}
 	}
 	if !errors.Is(<-errc, cause) {
 		t.Fatal("pump did not return the source error")
+	}
+}
+
+// The latency policy: over a source that blocks between items, a starved
+// subscriber gets the partial batch in progress instead of waiting for
+// batchSize items that may be a long time coming.
+func TestPumpShipsPartialBatchToStarvedConsumer(t *testing.T) {
+	const batch, burst = 64, 40
+	more := make(chan struct{})
+	n := 0
+	src := stream.ErrFuncSource(func() (stream.Item, bool, error) {
+		if n == burst {
+			<-more // the source goes quiet mid-batch
+			return stream.Item{}, false, nil
+		}
+		it := mkItems(n, 1)[0]
+		n++
+		return it, true, nil
+	})
+	b := New(Options{})
+	s := b.Subscribe("q", Block)
+	errc := make(chan error, 1)
+	go func() { errc <- b.Pump(context.Background(), src, batch) }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	items, seq, ok, err := s.NextBatch(ctx)
+	if err != nil || !ok {
+		t.Fatalf("starved consumer got no batch while the source was quiet: ok=%v err=%v", ok, err)
+	}
+	if len(items) == 0 || len(items) >= batch {
+		t.Fatalf("first batch has %d items, want a partial one (0 < n < %d)", len(items), batch)
+	}
+	s.Release(seq)
+	close(more)
+	rest, err := drain(context.Background(), s)
+	if err != nil || len(items)+len(rest) != burst {
+		t.Fatalf("got %d + %d items (err %v), want %d in all", len(items), len(rest), err, burst)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("pump: %v", err)
+	}
+}
+
+// A cancelled Pump stops even when nothing can make Publish wait: with its
+// consumers gone the ring never fills, and an endless source would
+// otherwise be drained forever.
+func TestPumpStopsOnCancelWithoutConsumers(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	n := 0
+	src := stream.ErrFuncSource(func() (stream.Item, bool, error) {
+		if n++; n == 1000 {
+			cancel()
+		}
+		return mkItems(n, 1)[0], true, nil
+	})
+	b := New(Options{Ring: 2})
+	b.Subscribe("gone", Block).Unsubscribe()
+	errc := make(chan error, 1)
+	go func() { errc <- b.Pump(ctx, src, 8) }()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pump returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pump kept draining an endless source after its context was cancelled")
 	}
 }
 

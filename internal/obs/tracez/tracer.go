@@ -154,7 +154,7 @@ func (t *Tracer) SourceBatch(at int64, n int) {
 	t.rec.Record(Event{At: at, Kind: KindSourceBatch, Stage: StageSource, N: int64(n)})
 }
 
-// Shed records n tuples dropped by the overload policy.
+// Shed records n tuples lost upstream of the query (fan-out ring laps).
 func (t *Tracer) Shed(at int64, n int64) {
 	if t == nil {
 		return

@@ -41,7 +41,7 @@ type Kind uint8
 const (
 	KindUnknown      Kind = iota
 	KindSourceBatch       // source stage shipped a transport batch; N = items
-	KindShed              // overload policy dropped data tuples; N = count
+	KindShed              // data tuples lost upstream of the query (ring laps); N = count
 	KindInsert            // buffer accepted data tuples in one executor step; N = count
 	KindRelease           // buffer released tuples downstream in that step; N = count
 	KindStraggler         // released tuples violated event-time order; N = count

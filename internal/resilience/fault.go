@@ -1,16 +1,14 @@
 // Package resilience hardens the continuous-query pipeline against the
 // failure modes a deployed stream processor actually meets: flaky sources,
-// stalls, duplicate delivery, delay-spike bursts, overload, and stage
-// panics.
+// stalls, duplicate delivery, delay-spike bursts, and stage panics.
 //
 // It has two halves. The fault-injection half (Chaos, FaultSource) wraps
 // any stream source and injects failures deterministically by seed, so
 // chaos runs are reproducible in tests and via aqserver's -chaos flag. The
-// recovery half (Retry, Breaker, RetryingSource, OverloadPolicy) is the
-// machinery the pipeline uses to survive those faults: exponential-backoff
-// retries behind a small circuit breaker, and bounded ingest with explicit
-// load-shedding policies whose drops are folded into the realized-quality
-// accounting instead of being hidden.
+// recovery half (Retry, Breaker, RetryingSource) is the machinery the
+// pipeline uses to survive those faults: exponential-backoff retries behind
+// a small circuit breaker. (What a slow consumer costs is the ingest ring's
+// business: fanout.Policy.)
 package resilience
 
 import (

@@ -195,20 +195,3 @@ func TestRetryingSourceBreakerFailsFast(t *testing.T) {
 		t.Fatalf("second call err=%v, want ErrCircuitOpen", err)
 	}
 }
-
-func TestParseOverloadPolicy(t *testing.T) {
-	for s, want := range map[string]OverloadPolicy{
-		"": Block, "block": Block, "shed": ShedNewest, "shed-newest": ShedNewest, "shed-late": ShedLate,
-	} {
-		got, err := ParseOverloadPolicy(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseOverloadPolicy(%q) = %v, %v", s, got, err)
-		}
-		if got.String() == "" {
-			t.Fatalf("empty String for %v", got)
-		}
-	}
-	if _, err := ParseOverloadPolicy("drop-all"); err == nil {
-		t.Fatal("bad policy accepted")
-	}
-}
