@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test race fuzz-short fuzz doccheck api-test bench-smoke bench bench-transport bench-journal bench-fanout bench-history dst crash cover
+.PHONY: check vet build test race fuzz-short fuzz doccheck api-test bench-smoke dst crash cover
 
 check: vet build race fuzz-short api-test dst crash doccheck bench-smoke
 
@@ -88,11 +88,12 @@ cover:
 # loop and the durability protocol in one file (TestOneExecutor), the
 # error model's Monte-Carlo in one loop (TestOneErrorSimulation), the
 # wire grammar in one parser (TestOneFrameParser), open-window
-# evaluation on one core (TestOneAggregationCore) and ingest on one queue,
-# the fan-out ring (TestOneIngestQueue).
+# evaluation on one core (TestOneAggregationCore), ingest on one queue, the
+# fan-out ring (TestOneIngestQueue), and grouped queries on one window
+# stage inside the step (TestOneWindowStage).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,
@@ -101,53 +102,10 @@ doccheck:
 bench-smoke:
 	$(GO) test -C bench ./...
 
-# Run every per-PR benchmark gate.
-BENCHTIME ?= 5x
-bench: bench-transport bench-fanout bench-history
-
-# PR3 performance gate: run the transport/sharding benchmarks and commit
-# the parsed numbers. BENCH_PR3.json records ns/op, allocs/op and
-# tuples/s per benchmark plus the host CPU count (shard scaling only
-# shows on multi-core hosts; see EXPERIMENTS.md R16).
-bench-transport:
-	$(GO) test -bench 'BenchmarkPipelineBatched|BenchmarkGroupedSharded' \
-		-benchmem -run '^$$' -benchtime $(BENCHTIME) -timeout 20m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_PR3.json
-
-# PR6 performance gate: the ingest journal's cost on the batched
-# concurrent pipeline (off vs on, default batch size and snapshot
-# cadence) plus recovery speed. BENCH_PR6.json records both so the
-# durability overhead (EXPERIMENTS.md R18) can be re-verified on any
-# host.
-bench-journal:
-	$(GO) test -bench 'BenchmarkJournalOverhead|BenchmarkRecovery' \
-		-benchmem -run '^$$' -benchtime $(BENCHTIME) -timeout 20m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_PR6.json
-
-# PR8 performance gate: M queries over one shared-source broadcast ring
-# versus M fully independent ingest loops, at M in {1, 2, 4, 8}. The
-# aggregate tuples/s at q=8 must be >= 3x the independent baseline:
-# ingest (1M-tuple generation, chaos decoration, retry wrapper — and the
-# allocation/GC load that comes with it) is paid once instead of per
-# query (EXPERIMENTS.md R20). Iterations run seconds each at this
-# segment size, so a small -benchtime is already noise-stable.
-bench-fanout: BENCHTIME = 3x
-bench-fanout:
-	$(GO) test -bench 'BenchmarkFanout' \
-		-benchmem -run '^$$' -benchtime $(BENCHTIME) -timeout 30m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_PR8.json
-
-# PR10 performance gate: the observability plane must ride along, not
-# slow down. BenchmarkHistoryOverhead runs the instrumented concurrent
-# pipeline with the background history sampler off and on (at 100x the
-# production sampling rate); BenchmarkWireProvOverhead drains the
-# broadcast ring with and without wire-provenance marks. BENCH_PR10.json
-# records both so the ≤2% combined bar (EXPERIMENTS.md R21) can be
-# re-verified on any host.
-bench-history:
-	$(GO) test -bench 'BenchmarkHistoryOverhead|BenchmarkWireProvOverhead' \
-		-benchmem -run '^$$' -benchtime $(BENCHTIME) -timeout 20m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_PR10.json
+# In-process benchmarks (bench_test.go, bench_fanout_test.go,
+# bench_history_test.go) have no target of their own: run them with
+# `go test -bench <name> -benchmem -run '^$$' .` — EXPERIMENTS.md R16, R18,
+# R20 and R21 name theirs. End-to-end numbers come from bench/aqbench.
 
 fuzz: FUZZTIME = 60s
 fuzz: fuzz-short

@@ -1,7 +1,7 @@
 package repro
 
-// Shared-source fan-out benchmarks (PR8 gate, BENCH_PR8.json via `make
-// bench-fanout`): M concurrent queries over one stream, comparing the
+// Shared-source fan-out benchmarks (`go test -bench BenchmarkFanout
+// -benchtime 3x -run '^$' .`): M concurrent queries over one stream, comparing the
 // broadcast-ring ingest (internal/fanout — generation paid once, every
 // query reads the published batches through its own cursor) against M
 // fully independent pipelines each paying the whole ingest path. The

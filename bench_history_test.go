@@ -1,7 +1,7 @@
 package repro
 
-// Observability-plane benchmarks (PR10 gate, BENCH_PR10.json via `make
-// bench-history`): the windowed metric history sampler and the
+// Observability-plane benchmarks (`go test -bench
+// 'BenchmarkHistoryOverhead|BenchmarkWireProvOverhead' -run '^$' .`): the windowed metric history sampler and the
 // wire-provenance mark on the ingest hot path. Both ride alongside the
 // pipeline rather than inside it — the sampler reads instruments the
 // hot path already updates, and the provenance mark is a 16-byte struct

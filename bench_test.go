@@ -205,10 +205,9 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 }
 
 // BenchmarkPipelineBatched measures the concurrent engine's transport
-// cost on a single-key stream (no sharding — the window stage is one
-// operator): batch=1 reproduces the old per-tuple channel hops, larger
-// batches amortize them. The acceptance bar is batch=64 at >=1.5x the
-// batch=1 throughput (BENCH_PR3.json).
+// cost on a single-key stream: batch=1 reproduces per-tuple ring hops,
+// larger batches amortize them. The acceptance bar is batch=64 at >=1.5x
+// the batch=1 throughput (EXPERIMENTS.md R16).
 func BenchmarkPipelineBatched(b *testing.B) {
 	tuples := benchTuples(200000)
 	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
@@ -230,12 +229,12 @@ func BenchmarkPipelineBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupedSharded measures grouped (GROUP BY key) execution over
-// 256 keys: "sync" is the synchronous Run executor (the only grouped
-// executor before the sharded engine), shards=N the concurrent engine
-// with N window workers and batched transport. The acceptance bar is
-// shards=4 at >=3x the sync throughput (BENCH_PR3.json).
-func BenchmarkGroupedSharded(b *testing.B) {
+// BenchmarkGrouped measures grouped (GROUP BY key) execution over 256
+// keys, library-shaped — every result retained on the report: "sync" is
+// the synchronous Run driver, "concurrent" is RunConcurrent with batched
+// transport. Both step the same keyed window stage; the difference is the
+// ring hop and the source goroutine (EXPERIMENTS.md R16b).
+func BenchmarkGrouped(b *testing.B) {
 	cfg := gen.Sensor(200000, 12345)
 	cfg.NumKeys = 256
 	tuples := cfg.Arrivals()
@@ -246,29 +245,49 @@ func BenchmarkGroupedSharded(b *testing.B) {
 			Window(spec, window.Sum()).
 			GroupBy()
 	}
-	b.Run("sync", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := build().Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
-	})
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+	run := func(name string, exec func(*cq.AggQuery) (*cq.AggReport, error)) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q := build().Shards(shards).Batch(128)
-				if _, err := q.RunConcurrent(context.Background(), nil); err != nil {
+				if _, err := exec(build()); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
 		})
 	}
+	run("sync", func(q *cq.AggQuery) (*cq.AggReport, error) { return q.Run() })
+	run("concurrent", func(q *cq.AggQuery) (*cq.AggReport, error) {
+		return q.Batch(128).RunConcurrent(context.Background(), nil)
+	})
+}
+
+// BenchmarkGroupedServerShaped is the grouped query the way cmd/aqserver
+// runs its GROUP BY demo: nothing retained on the report, every keyed
+// result delivered to a callback, a 200 ms slack, 64-item batches (the
+// shape EXPERIMENTS.md R16b compares against the retired sharded stage).
+func BenchmarkGroupedServerShaped(b *testing.B) {
+	cfg := gen.Sensor(400000, 12345)
+	cfg.NumKeys = 256
+	tuples := cfg.Arrivals()
+	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
+	b.ReportAllocs()
+	b.ResetTimer()
+	results := 0
+	for i := 0; i < b.N; i++ {
+		results = 0
+		q := cq.New(stream.FromTuples(tuples)).
+			Handle(buffer.NewKSlack(200*stream.Millisecond)).
+			Window(spec, window.Sum()).
+			GroupBy().Batch(64).DiscardReport().
+			SinkKeyed(func(window.KeyedResult) { results++ })
+		if _, err := q.RunConcurrent(context.Background(), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(results), "results")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(tuples)*b.N), "ns/tuple")
 }
 
 // BenchmarkGKSketchAdd measures the lateness sketch's insert cost.
@@ -313,7 +332,7 @@ func BenchmarkEstimatorMinK(b *testing.B) {
 // pipeline, "on" attaches a durable.QueryLog journaling every accepted
 // item with the default group-commit batch and a mid-run snapshot
 // cadence. The acceptance bar is <=10% throughput loss at the default
-// transport batch (EXPERIMENTS.md R18, BENCH_PR6.json).
+// transport batch (EXPERIMENTS.md R18).
 func BenchmarkJournalOverhead(b *testing.B) {
 	tuples := benchTuples(200000)
 	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}

@@ -310,8 +310,7 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query) (*queryRunner, error) {
 	def := runnerDef{
 		name: req.Name, theta: stmt.Quality, spec: stmt.Spec, agg: stmt.Agg,
-		fixedK: stmt.Handler.K, grouped: stmt.GroupBy,
-		statement: req.CQL, tenant: req.Tenant,
+		grouped: stmt.GroupBy, statement: req.CQL, tenant: req.Tenant,
 	}
 	switch { // neither: the adaptive controller at QUALITY
 	case stmt.GroupBy:
@@ -334,15 +333,10 @@ func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query) (*queryRun
 // pumpRing feeds the runner from its fan-out ring subscription until the
 // ring ends (source closed on drain, compiled-in feed stopped) or ctx is
 // cancelled (DELETE), and then finishes it. It is the one ring consumer:
-// compiled-in and runtime queries both run it. A non-grouped runner steps
-// each ring batch whole; a grouped one hands the subscription to the engine
-// (whose open windows are flushed by the ring's end, not by a cancel).
+// compiled-in and runtime queries, grouped or not, all run it, stepping
+// each ring batch whole.
 func pumpRing(ctx context.Context, q *queryRunner, sub *fanout.Sub) {
 	defer q.finish()
-	if q.grouped {
-		q.runGrouped(ctx, sub)
-		return
-	}
 	for {
 		items, seq, prov, ok, err := sub.NextBatchProv(ctx)
 		if err != nil {

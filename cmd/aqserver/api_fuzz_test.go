@@ -17,10 +17,9 @@ import (
 
 func FuzzQueryAPI(f *testing.F) {
 	cfg := appConfig{
-		apiOn:  true,
-		batch:  8,
-		shards: 2,
-		log:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+		apiOn: true,
+		batch: 8,
+		log:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	a, err := newApp(cfg)
 	if err != nil {

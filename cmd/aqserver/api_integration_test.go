@@ -37,9 +37,6 @@ import (
 func apiTestApp(t *testing.T, cfg appConfig) (*app, *httptest.Server) {
 	t.Helper()
 	cfg.apiOn = true
-	if cfg.shards == 0 {
-		cfg.shards = 2
-	}
 	if cfg.log == nil {
 		cfg.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -424,5 +421,47 @@ func TestRuntimeQueryMetricLabelParity(t *testing.T) {
 	}
 	if n := fmt.Sprintf("%d", len(text)); n == "0" {
 		t.Fatal("empty metrics body")
+	}
+}
+
+// TestAPIBufferGaugesReadTheHandler: currentK, aq_buffer_k_ms and
+// aq_buffer_depth are read from the query's disorder handler, whichever it
+// is. They used to be wired to the adaptive controller only: every other
+// handler reported its statement's literal K (0 for maxslack, wm and
+// punctuated, which have none) and a depth of 0.
+func TestAPIBufferGaugesReadTheHandler(t *testing.T) {
+	a, ts := apiTestApp(t, appConfig{obs: true, batch: 8})
+	registerSourceAndQuery(t, ts, "s1", "mq",
+		`SELECT sum FROM s1 WINDOW 2s SLIDE 1s HANDLER maxslack`)
+	if resp, body := postJSON(t, ts, "/api/queries", registerRequest{Name: "gq", Tenant: "t1",
+		CQL: `SELECT sum FROM s1 GROUP BY key WINDOW 2s SLIDE 1s HANDLER kslack(500ms)`}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register grouped query: %d %s", resp.StatusCode, body)
+	}
+
+	c := &netstream.Client{Addr: a.netl.Addr().String(), Source: "s1"}
+	defer c.Close()
+	if err := c.Send(context.Background(), sensorItems(2000, 9)); err != nil {
+		t.Fatal(err)
+	}
+	waitTuples(t, ts, "mq", 2000)
+	waitTuples(t, ts, "gq", 2000)
+
+	text := scrapeMetrics(t, ts)
+	gauge := func(name, query string) float64 {
+		return metricValue(t, text, name+`\{query="`+query+`"\} ([0-9.e+]+)`)
+	}
+	if st, _ := getStatus(t, ts, "mq"); st.K <= 0 {
+		t.Errorf("maxslack query over a disordered feed reports currentK = %d", st.K)
+	}
+	if k := gauge("aq_buffer_k_ms", "mq"); k <= 0 {
+		t.Errorf("aq_buffer_k_ms{mq} = %v, want the max-slack handler's K", k)
+	}
+	if st, _ := getStatus(t, ts, "gq"); st.K != 500 || !st.Grouped {
+		t.Errorf("grouped kslack(500ms) query reports currentK = %d grouped = %t", st.K, st.Grouped)
+	}
+	for _, q := range []string{"mq", "gq"} {
+		if d := gauge("aq_buffer_depth", q); d <= 0 {
+			t.Errorf("aq_buffer_depth{%s} = %v with the stream still open, want the buffered tuples", q, d)
+		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // Subscriptions are Block — a compiled-in query sees its whole stream, and
 // backpressure bounds the producer's lead at the ring — and the consumers
 // end with the ring, not with ctx: what was published is applied, and
-// every runner's windows (a grouped engine's included) are flushed.
+// every runner's windows are flushed.
 func fanoutFeedLoop(ctx context.Context, runners []*queryRunner, group string, load func(seed uint64) gen.Config, seed uint64, cfg appConfig, reg *obs.Registry) {
 	b := fanout.New(fanout.Options{Ring: 64, BatchCap: 128})
 	if runners[0].tracer != nil {

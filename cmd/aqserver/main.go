@@ -53,12 +53,11 @@
 // whether compiled in, replicated by -fanout or registered at runtime over
 // /api/queries (see buildRunner), and every runner has one ingest queue: a
 // fan-out ring (internal/fanout) — its compiled-in stream's, or its network
-// source's. Non-grouped runners step the engine's core (cq.Exec)
-// themselves, one whole ring batch per step; one of the compiled-in
-// queries (user-sum-10s) is a GROUP BY query whose ring subscription is
-// handed to the sharded concurrent engine — -shards picks its window-worker
-// count. -batch is the journal's group-commit cadence (-durable-dir) and
-// the grouped engine's shard dispatch batch.
+// source's. Every runner steps the engine's core (cq.Exec) itself, one
+// whole ring batch per step; one of the compiled-in queries (user-sum-10s)
+// is a GROUP BY query, whose core evaluates one keyed window operator
+// instead of a plain one. -batch is the journal's group-commit cadence
+// (-durable-dir).
 package main
 
 import (
@@ -94,10 +93,9 @@ const readHeaderTimeout = 10 * time.Second
 
 // appConfig carries the flag-derived settings for one server instance.
 type appConfig struct {
-	n      int // tuples per stream segment
-	rate   int // replay rate, tuples per wall-clock second
-	shards int // window shards for grouped queries
-	batch  int // journal commit cadence / grouped shard dispatch batch
+	n     int // tuples per stream segment
+	rate  int // replay rate, tuples per wall-clock second
+	batch int // journal commit cadence, in items
 	// fanout is how many replica queries subscribe to each compiled-in
 	// stream's broadcast ring (-fanout): generation, chaos and retry are
 	// paid once per stream by its single producer however many there are.
@@ -191,8 +189,8 @@ func newApp(cfg appConfig) (*app, error) {
 			window.Sum(), false, func(seed uint64) gen.Config { return gen.SensorBursty(cfg.n, seed) }},
 		{"calls-p95-60s", 0.05, window.Spec{Size: 60 * stream.Second, Slide: 10 * stream.Second},
 			window.Quantile(0.95), false, func(seed uint64) gen.Config { return gen.CDR(cfg.n, seed) }},
-		// GROUP BY demo: per-key sums over many keys, executed by the
-		// sharded concurrent engine with a fixed 200ms slack.
+		// GROUP BY demo: per-key sums over many keys behind a fixed 200ms
+		// slack.
 		{"user-sum-10s", 0, window.Spec{Size: 10 * stream.Second, Slide: stream.Second},
 			window.Sum(), true, func(seed uint64) gen.Config {
 				c := gen.Sensor(cfg.n, seed)
@@ -212,8 +210,7 @@ func newApp(cfg appConfig) (*app, error) {
 				def.name = fmt.Sprintf("%s#%d", sp.name, r)
 			}
 			if sp.grouped { // the others run the adaptive controller at sp.theta
-				def.fixedK = 200 * stream.Millisecond
-				def.handler = buffer.NewKSlack(def.fixedK)
+				def.handler = buffer.NewKSlack(200 * stream.Millisecond)
 			}
 			q, err := a.buildRunner(def, replicas > 1)
 			if err != nil {
@@ -256,10 +253,7 @@ func (a *app) buildRunner(def runnerDef, replica bool) (*queryRunner, error) {
 	if cfg.traceDump != "" {
 		installDumpSink(def.tracer, cfg.traceDump, def.log)
 	}
-	def.reg, def.batch = a.srv.reg, cfg.batch
-	if def.grouped {
-		def.shards = cfg.shards
-	}
+	def.reg = a.srv.reg
 	if def.handler == nil {
 		aq := core.NewAQKSlack(core.Config{Theta: def.theta, Spec: def.spec, Agg: def.agg})
 		if def.reg != nil {
@@ -376,8 +370,7 @@ func main() {
 	rate := flag.Int("rate", 20000, "replay rate in tuples per wall-clock second")
 	n := flag.Int("n", 200000, "tuples per stream segment (looped)")
 	chaosSpec := flag.String("chaos", "", "fault injection spec, e.g. seed=7,err=0.01,stall=0.001,stalldur=5ms,dup=0.005,spike=0.001 (empty = off)")
-	shards := flag.Int("shards", 4, "window shards for grouped (GROUP BY) queries")
-	batch := flag.Int("batch", 64, "journal group-commit cadence in items (with -durable-dir) / grouped engine's shard dispatch batch")
+	batch := flag.Int("batch", 64, "journal group-commit cadence in items (with -durable-dir)")
 	fanoutN := flag.Int("fanout", 1, "replica queries subscribed to each compiled-in stream's broadcast ring")
 	obsOn := flag.Bool("obs", false, "serve Prometheus /metrics and /debug/pprof, instrumenting every query")
 	traceBuf := flag.Int("trace-buf", tracez.DefaultRecorderSize, "flight-recorder ring size per query, in events")
@@ -411,7 +404,7 @@ func main() {
 	if *maxIngest < 0 {
 		fatal(fmt.Errorf("-max-ingest-per-sec must be >= 0, got %d", *maxIngest))
 	}
-	cfg := appConfig{n: *n, rate: *rate, shards: *shards, batch: *batch,
+	cfg := appConfig{n: *n, rate: *rate, batch: *batch,
 		fanout: *fanoutN,
 		chaos:  chaos, chaosOn: chaos.Enabled(), obs: *obsOn,
 		traceBuf: *traceBuf, traceDump: *traceDump, log: logger,

@@ -34,14 +34,7 @@ var healthStates = []string{healthFeeding, healthDegraded, healthStalled, health
 // instrument registers the runner's pull-side per-query metrics; called
 // by newQueryRunner once the core exists. The push side is already in
 // place by then: the adaptive handler's controller telemetry (buildRunner)
-// and the emission-latency histogram filled by absorbOne. Grouped runners
-// have no adaptive handler — their push side is the cq engine's own
-// telemetry (stage depths, batch sizes, per-shard tuple counters), which
-// also owns aq_shed_tuples_total (fed with the query's ring laps) and
-// aq_emit_latency_ms for the query (registering the runner-side
-// CounterFunc too would collide, and observing the histogram from
-// absorbOne too would double-count), so q.emitLatency stays nil there; the
-// runner's p95 gauge still sees every result.
+// and the emission-latency histogram filled by absorbOne.
 func (q *queryRunner) instrument(reg *obs.Registry) {
 	lbl := obs.L("query", q.name)
 
@@ -61,11 +54,9 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 		func() int64 { return q.tuplesInLocked() })
 	counter("aq_windows_emitted_total", "Window results emitted.",
 		func() int64 { return q.emitted })
-	if !q.grouped {
-		counter("aq_shed_tuples_total",
-			"Data tuples lost to this query: fan-out ring laps and ingest-quota sheds.",
-			func() int64 { return q.shedTotal() })
-	}
+	counter("aq_shed_tuples_total",
+		"Data tuples lost to this query: fan-out ring laps and ingest-quota sheds.",
+		func() int64 { return q.shedTotal() })
 	counter("aq_source_retries_total", "Source retry attempts spent by the retry policy.",
 		func() int64 { return q.retries })
 	counter("aq_stage_panics_total", "Panics isolated while processing items.",
@@ -80,19 +71,9 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 		}, lbl)
 	}
 	gauge("aq_buffer_k_ms", "Current slack K of the disorder buffer, in stream-time ms.",
-		func() float64 {
-			if h := q.adaptive(); h != nil {
-				return float64(h.K())
-			}
-			return float64(q.fixedK)
-		})
+		func() float64 { return float64(q.exec.Handler().K()) })
 	gauge("aq_buffer_depth", "Tuples currently held back by the disorder buffer.",
-		func() float64 {
-			if h := q.adaptive(); h != nil {
-				return float64(h.Len())
-			}
-			return 0 // fixed-slack buffers are not exported
-		})
+		func() float64 { return float64(q.exec.Handler().Len()) })
 	gauge("aq_latency_p95_ms", "Streaming p95 of result emission latency (stream-time ms).",
 		func() float64 { return q.latency.Value() })
 	gauge("aq_quality_realized_err_adjusted",

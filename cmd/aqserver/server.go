@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/durable"
-	"repro/internal/fanout"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/tracez"
@@ -45,16 +43,9 @@ type runnerDef struct {
 	handler buffer.Handler
 	spec    window.Spec
 	agg     window.Factory
-	// fixedK is the slack reported as currentK when the handler is not the
-	// adaptive controller (grouped queries, HANDLER kslack(...)).
-	fixedK stream.Time
-
-	// Grouped runners (GROUP BY key) hand their whole pipeline to
-	// cq.RunConcurrent: shards window workers, fed batch released tuples
-	// at a time (0 = the engine default).
+	// grouped (GROUP BY key) picks the keyed window operator: one set of
+	// windows per tuple key.
 	grouped bool
-	shards  int
-	batch   int
 
 	// statement and tenant identify a runtime registration (api.go); empty
 	// for compiled-in queries.
@@ -79,21 +70,15 @@ type runnerDef struct {
 // queryRunner is the server's driver around one continuous query: it owns
 // the query's live bookkeeping — status counters, the ring of recent
 // results, health, wire latency — while the engine executes. Every runner
-// is fed from a fan-out ring (pumpRing), the one ingest queue: non-grouped
-// runners step a cq.Exec themselves under mu, one whole ring batch per
-// step; grouped runners hand their ring subscription to cq.RunConcurrent.
-// HTTP handlers read under the mutex.
+// is fed from a fan-out ring (pumpRing), the one ingest queue, and steps a
+// cq.Exec itself under mu, one whole ring batch per step. HTTP handlers
+// read under the mutex.
 type queryRunner struct {
 	runnerDef
 
-	// exec is the step core of a non-grouped runner; every call into it
-	// happens under mu. telemetry holds a grouped runner's engine
-	// instruments: the engine owns that pipeline's state, so the runner
-	// reads the accepted-tuple count there — which is why they exist
-	// without -obs too (unexported then).
-	exec      *cq.Exec
-	telemetry *cq.Telemetry
-	stopOnce  sync.Once
+	// exec is the step core; every call into it happens under mu.
+	exec     *cq.Exec
+	stopOnce sync.Once
 
 	// panicOn is a test seam: when set, applying a matching item panics so
 	// the runner's panic isolation can be exercised.
@@ -139,69 +124,44 @@ type queryRunner struct {
 
 const resultRing = 256
 
-// engineQuery shapes base — sourceless for a stepped runner, a ring
-// subscription for a grouped one — into the runner's engine query. The
-// runner keeps its own result ring, and a query that never ends must not
-// grow a report.
-func (q *queryRunner) engineQuery(base *cq.AggQuery) *cq.AggQuery {
-	return base.Handle(q.handler).Window(q.spec, q.agg).Trace(q.tracer).DiscardReport()
-}
-
-// newQueryRunner builds the runner for def. A non-grouped runner gets its
-// step core here — including, when def.dlog holds prior state, crash
-// recovery: the journal suffix is replayed under the live panic policy (an
-// item that panicked before the crash is in the journal, and must not take
-// the restart down with it), and replayed emissions land in the result
-// ring like live ones. A grouped runner's engine starts with its feed
-// (runGrouped).
+// newQueryRunner builds the runner for def and its step core — including,
+// when def.dlog holds prior state, crash recovery: the journal suffix is
+// replayed under the live panic policy (an item that panicked before the
+// crash is in the journal, and must not take the restart down with it), and
+// replayed emissions land in the result ring like live ones. The runner
+// keeps its own result ring, and a query that never ends must not grow a
+// report, hence DiscardReport.
 func newQueryRunner(def runnerDef) (*queryRunner, error) {
 	q := &queryRunner{runnerDef: def, latency: stats.NewP2(0.95), health: healthFeeding}
 	if q.log == nil {
 		q.log = slog.Default()
 	}
-	if q.grouped {
-		q.telemetry = cq.NewTelemetry(q.reg, q.name, q.spec)
-	} else {
-		if q.reg != nil {
-			q.emitLatency = q.reg.Histogram("aq_emit_latency_ms",
-				"Window result emission latency in stream-time ms (emission position minus window end).",
-				cq.LatencyBucketsFor(q.spec), obs.L("query", q.name))
-		}
-		query := q.engineQuery(cq.New(nil))
-		var prior *durable.Recovery
-		if q.dlog != nil {
-			prior = q.resumeCounters()
-			query.Durable(cq.Durable{Log: q.dlog, Decorate: q.decorateSnapshot})
-		}
-		exec, err := cq.NewExec(query, q.absorbOne)
-		if err != nil {
-			return nil, err
-		}
-		q.exec = exec
-		for !q.stepIsolated(nil, true) {
-		}
-		q.noteRecovery(prior)
+	if q.reg != nil {
+		q.emitLatency = q.reg.Histogram("aq_emit_latency_ms",
+			"Window result emission latency in stream-time ms (emission position minus window end).",
+			cq.LatencyBucketsFor(q.spec), obs.L("query", q.name))
 	}
+	query := cq.New(nil).Handle(q.handler).Window(q.spec, q.agg).Trace(q.tracer).DiscardReport()
+	if q.grouped {
+		query.GroupBy() // absorbOne sees each keyed result's embedded Result
+	}
+	var prior *durable.Recovery
+	if q.dlog != nil {
+		prior = q.resumeCounters()
+		query.Durable(cq.Durable{Log: q.dlog, Decorate: q.decorateSnapshot})
+	}
+	exec, err := cq.NewExec(query, q.absorbOne)
+	if err != nil {
+		return nil, err
+	}
+	q.exec = exec
+	for !q.stepIsolated(nil, true) {
+	}
+	q.noteRecovery(prior)
 	if q.reg != nil {
 		q.instrument(q.reg)
 	}
 	return q, nil
-}
-
-// runGrouped hands a grouped runner's ring subscription to the engine and
-// returns when the ring ends — the pipeline's windows are then flushed —
-// or ctx is cancelled. The engine's goroutines own all operator state and
-// push merged keyed results back through absorbKeyed.
-func (q *queryRunner) runGrouped(ctx context.Context, sub *fanout.Sub) {
-	query := q.engineQuery(cq.NewShared(sub)).GroupBy().Shards(q.shards).Batch(q.batch).
-		Instrument(q.telemetry).SinkKeyed(q.absorbKeyed)
-	if _, err := query.RunConcurrent(ctx, nil); err != nil && ctx.Err() == nil {
-		q.log.Error("grouped pipeline failed", "err", err)
-		q.mu.Lock()
-		q.panics++
-		q.health = healthStalled
-		q.mu.Unlock()
-	}
 }
 
 // step is the server's policy around Exec.Step: apply one batch under the
@@ -271,12 +231,8 @@ func (q *queryRunner) finish() {
 	q.stopOnce.Do(func() {
 		q.mu.Lock()
 		defer q.mu.Unlock()
-		// A grouped runner's engine flushed every window through
-		// absorbKeyed when its ring ended; only the state flip is left.
-		if q.exec != nil {
-			if err := q.exec.Finish(); err != nil {
-				q.log.Error("journal commit on finish failed", "err", err)
-			}
+		if err := q.exec.Finish(); err != nil {
+			q.log.Error("journal commit on finish failed", "err", err)
 		}
 		q.done = true
 		q.health = healthDone
@@ -298,30 +254,16 @@ func (q *queryRunner) absorbOne(r window.Result) {
 	}
 }
 
-// absorbKeyed is the grouped pipeline's result sink, called from the
-// engine's merger goroutine.
-func (q *queryRunner) absorbKeyed(kr window.KeyedResult) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.absorbOne(kr.Result)
-}
-
-// adaptive returns the quality-driven controller behind a non-grouped
-// runner, or nil when the query buffers with a fixed or plain handler;
-// q.mu must be held to read its state.
+// adaptive returns the quality-driven controller behind the runner, or nil
+// when the query buffers with a fixed or plain handler; q.mu must be held
+// to read its state.
 func (q *queryRunner) adaptive() *core.AQKSlack {
-	if q.exec == nil {
-		return nil
-	}
 	h, _ := q.exec.Handler().(*core.AQKSlack)
 	return h
 }
 
 // tuplesInLocked is the accepted-tuple count; q.mu must be held.
 func (q *queryRunner) tuplesInLocked() int64 {
-	if q.exec == nil {
-		return int64(q.telemetry.SourceIn.Value())
-	}
 	return q.exec.Handler().Stats().Inserted
 }
 
@@ -424,7 +366,6 @@ type status struct {
 	Panics         int64   `json:"stagePanics"`
 	Done           bool    `json:"done"`
 	Grouped        bool    `json:"grouped,omitempty"`
-	Shards         int     `json:"shards,omitempty"`
 	// Statement and Tenant identify runtime-registered queries (api.go);
 	// empty for compiled-in ones.
 	Statement string `json:"statement,omitempty"`
@@ -453,24 +394,20 @@ func (q *queryRunner) status() status {
 		Panics:      q.panics,
 		Done:        q.done,
 		Grouped:     q.grouped,
-		Shards:      q.shards,
 		Durable:     q.dlog != nil,
 		JournalErrs: q.journalErrs,
 		Recovery:    q.recovery,
 		Statement:   q.statement,
 		Tenant:      q.tenant,
 	}
+	st.K = int64(q.exec.Handler().K())
+	// Quality fields stay zero without an adaptive estimator to read.
 	if h := q.adaptive(); h != nil {
 		qs := h.Quality()
-		st.K = h.K()
 		st.RealizedErr = qs.RealizedErrEWMA
 		st.RealizedErrAdj = metrics.ShedAdjustedErr(qs.RealizedErrEWMA, st.Shed, st.TuplesIn)
 		st.EstErr = qs.LastEstErr
 		st.Adaptations = qs.Adaptations
-	} else {
-		// Fixed-slack runners: quality fields stay zero because there is no
-		// adaptive estimator to read.
-		st.K = int64(q.fixedK)
 	}
 	return st
 }

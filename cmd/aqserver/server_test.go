@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -468,6 +469,66 @@ func TestRunnerPanicMidBatchResumes(t *testing.T) {
 	if st = q.status(); st.TuplesIn != int64(len(items)) || st.JournalErrs != 0 {
 		t.Fatalf("recovered runner did not carry on: %+v", st)
 	}
+}
+
+// TestGroupedRunnerPanicIsolated: a GROUP BY runner is stepped under the
+// same panic isolation as every other. The aggregate chokes once,
+// while a window of one key is being emitted: the panic is counted, the
+// runner is degraded, the rest of the batch is applied, the window is
+// emitted by the next advance, and at the end nothing is missing.
+func TestGroupedRunnerPanicIsolated(t *testing.T) {
+	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
+	cfg := gen.Sensor(6000, 21)
+	cfg.NumKeys = 16
+	items := stream.Collect(cfg.Source())
+
+	choked := false
+	poison := items[2500].Tuple.Value
+	choking := window.Factory{Name: "choke-once-sum", New: func() window.Aggregate {
+		return &chokeOnceSum{Aggregate: window.Sum().New(), poison: poison, choked: &choked}
+	}}
+	q := kslackRunner(t, runnerDef{name: "grouped-choke", grouped: true, spec: spec, agg: choking}, 400)
+	feedBatches(q, items[:4000], 128)
+	mid := q.status()
+	if mid.Panics != 1 || mid.Health != healthDegraded || !mid.Grouped {
+		t.Fatalf("grouped panic not isolated and reported: %+v", mid)
+	}
+	if mid.TuplesIn != 4000 {
+		t.Fatalf("tuplesIn = %d, want 4000: the batch behind the panic was dropped", mid.TuplesIn)
+	}
+	feedBatches(q, items[4000:], 128)
+	if st := q.status(); st.Windows <= mid.Windows || st.Panics != 1 || st.Health != healthDegraded {
+		t.Fatalf("degraded grouped runner stopped emitting: %+v after %+v", st, mid)
+	}
+	q.finish()
+
+	calm := kslackRunner(t, runnerDef{name: "grouped-calm", grouped: true, spec: spec,
+		agg: window.Factory{Name: "calm-sum", New: window.Sum().New}}, 400)
+	feedBatches(calm, items, 128)
+	calm.finish()
+	st, cs := q.status(), calm.status()
+	if st.Windows != cs.Windows || st.TuplesIn != cs.TuplesIn || cs.Panics != 0 {
+		t.Fatalf("the panic cost input or windows: %+v, a runner that never choked has %+v", st, cs)
+	}
+	if got, want := q.recentResults(0), calm.recentResults(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("results after the panic differ from a runner that never choked")
+	}
+}
+
+// chokeOnceSum is a sum that panics the first time any instance meets one
+// value.
+type chokeOnceSum struct {
+	window.Aggregate
+	poison float64
+	choked *bool
+}
+
+func (a *chokeOnceSum) Add(v float64) {
+	if v == a.poison && !*a.choked {
+		*a.choked = true
+		panic("poisoned value")
+	}
+	a.Aggregate.Add(v)
 }
 
 // chokingHandler panics on one tuple before its handler sees it.

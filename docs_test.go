@@ -179,13 +179,10 @@ var executorCalls = map[string]int{
 
 // executorFiles says which non-test files under internal/cq and
 // cmd/aqserver may make executorCalls (nil: any of them). exec.go is the
-// executor; the shard workers drive window.KeyedOp, which has no snapshot
-// form and so no place in the core; session.go and join.go run different
-// operators (window.SessionOp, join.Op) through loops of their own and are
-// exempt.
+// executor; session.go and join.go run different operators
+// (window.SessionOp, join.Op) through loops of their own and are exempt.
 var executorFiles = map[string][]string{
 	"internal/cq/exec.go":    nil,
-	"internal/cq/sharded.go": {"Observe", "Flush"},
 	"internal/cq/session.go": nil,
 	"internal/cq/join.go":    nil,
 }
@@ -671,27 +668,8 @@ func coreDecls(t *testing.T, fset *token.FileSet, f *ast.File) (consts int, sawO
 // ShedLate, ingestCap — names nothing in Go outside bench/: what a slow
 // consumer costs is fanout.Policy and nothing else.
 func TestOneIngestQueue(t *testing.T) {
-	fset := token.NewFileSet()
-	parsed, rings := 0, 0
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		parsed++
-		path = filepath.ToSlash(path)
+	rings := 0
+	parsed := eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
 		transportFree := !strings.HasSuffix(path, "_test.go") &&
 			(strings.HasPrefix(path, "internal/cq/") || strings.HasPrefix(path, "cmd/aqserver/"))
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -718,14 +696,108 @@ func TestOneIngestQueue(t *testing.T) {
 			}
 			return true
 		})
+	})
+	if parsed < 100 || rings < 10 {
+		t.Fatalf("extraction rotted: %d files parsed, %d uses of the ring in internal/cq and cmd/aqserver", parsed, rings)
+	}
+}
+
+// TestOneWindowStage keeps grouped execution inside the step core. For
+// eighteen PRs RunConcurrent ran GROUP BY queries on a second window stage —
+// a dispatcher broadcasting every released tuple to N shard workers and a
+// serial k-way merger putting their output back into the order one keyed
+// operator emits anyway — whose output the oracles held byte-identical to
+// Run's and whose speed-up nobody could measure (EXPERIMENTS.md R16b); and
+// cmd/aqserver ran such queries as a second runner kind, an engine pipeline
+// outside its own lock, panic isolation and buffer gauges. So: the
+// identifiers Shards, shardStage, shardOf and mergeStep name nothing in Go
+// outside bench/; non-test internal/cq starts goroutines only in the two
+// ring drivers (engine.go, shared.go); non-test cmd/aqserver calls neither
+// RunConcurrent nor RunShared — its runners step a cq.Exec; and outside
+// internal/window only internal/cq/exec.go names window.KeyedOp or its
+// constructor, so only the step core can call its Observe and Flush. If a
+// many-core host ever shows key-parallelism is needed, it comes back as N
+// key-filtered subscribers on the fan-out ring, not as a second stage.
+func TestOneWindowStage(t *testing.T) {
+	spawns, keyedRefs, serverFiles := map[string]int{}, 0, 0
+	parsed := eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		prod := !strings.HasSuffix(path, "_test.go")
+		inCQ := prod && strings.HasPrefix(path, "internal/cq/")
+		inServer := prod && strings.HasPrefix(path, "cmd/aqserver/")
+		if inServer {
+			serverFiles++
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				switch n.Name {
+				case "Shards", "shardStage", "shardOf", "mergeStep":
+					t.Errorf("%s: %s is back: grouped queries run one keyed window stage, inside Exec.Step",
+						fset.Position(n.Pos()), n.Name)
+				case "KeyedOp", "NewKeyedOp":
+					if !prod || strings.HasPrefix(path, "internal/window/") {
+						break
+					}
+					keyedRefs++
+					if path != "internal/cq/exec.go" {
+						t.Errorf("%s: %s outside the step core: a grouped query's windows are evaluated by cq.Exec",
+							fset.Position(n.Pos()), n.Name)
+					}
+				case "RunConcurrent", "RunShared":
+					if inServer {
+						t.Errorf("%s: cmd/aqserver calls %s: every runner steps a cq.Exec under its own lock (newQueryRunner, pumpRing)",
+							fset.Position(n.Pos()), n.Name)
+					}
+				}
+			case *ast.GoStmt:
+				if inCQ {
+					spawns[path]++
+					if path != "internal/cq/engine.go" && path != "internal/cq/shared.go" {
+						t.Errorf("%s: a goroutine in %s: the ring drivers (engine.go, shared.go) start goroutines, stages do not",
+							fset.Position(n.Pos()), path)
+					}
+				}
+			}
+			return true
+		})
+	})
+	if parsed < 100 || serverFiles < 5 || keyedRefs == 0 || spawns["internal/cq/engine.go"] == 0 || spawns["internal/cq/shared.go"] == 0 {
+		t.Fatalf("extraction rotted: %d files parsed, %d of cmd/aqserver, %d KeyedOp references, goroutines by file %v",
+			parsed, serverFiles, keyedRefs, spawns)
+	}
+}
+
+// eachGoFile parses every Go file of the root module — tests included,
+// bench/ (a module of its own) and dot-directories excluded — hands each to
+// visit under its slash-separated path, and returns how many there were.
+func eachGoFile(t *testing.T, visit func(fset *token.FileSet, path string, f *ast.File)) (parsed int) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		parsed++
+		visit(fset, filepath.ToSlash(path), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed < 100 || rings < 10 {
-		t.Fatalf("extraction rotted: %d files parsed, %d uses of the ring in internal/cq and cmd/aqserver", parsed, rings)
-	}
+	return parsed
 }
 
 func stripCodeFences(s string) string {

@@ -3,7 +3,6 @@ package cq
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/fanout"
 	"repro/internal/resilience"
@@ -11,15 +10,8 @@ import (
 	"repro/internal/window"
 )
 
-const (
-	// maxDispatchBatch bounds (in tuples) the batches the grouped
-	// dispatcher hands the window shards.
-	maxDispatchBatch = 256
-	// defaultBatch is the transport batch size when Batch was not called.
-	defaultBatch = 64
-	// maxDefaultShards caps the automatic shard count for grouped queries.
-	maxDefaultShards = 8
-)
+// defaultBatch is the transport batch size when Batch was not called.
+const defaultBatch = 64
 
 // RunConcurrent executes the query as a pipeline around the step core with
 // one ingest queue, a fan-out ring (internal/fanout): the core stage
@@ -41,17 +33,15 @@ const (
 // batching changes neither emission order nor the PreFlush latency
 // accounting.
 //
-// Grouped queries run the window stage on Shards parallel workers: the
-// core's released tuples are hash-partitioned by group key, each worker
-// owns its partition's keyed window state, and per-shard results are
-// merged back into KeyedOp's canonical by-key order. Output — results,
-// order, stats — is identical to the synchronous Run for every shard and
-// batch setting (absent faults and a ShedOldest subscription), because
-// every stage preserves arrival order and the merge is deterministic.
+// Output — results, order, stats — is identical to the synchronous Run for
+// every batch setting, grouped or not (absent faults and a ShedOldest
+// subscription): it is the same step core fed the same items in the same
+// order, and the window stage runs inside the step.
 //
-// Failure semantics: a panic in any stage (including the source and a
-// shard worker) is recovered, cancels the pipeline, and is returned as an
-// error naming the stage. A source error is retried per the Retry policy
+// Failure semantics: a panic in either goroutine (the source's or the
+// core's, whose stages are the disorder handler and the window operator) is
+// recovered, cancels the pipeline, and is returned as an error naming the
+// stage. A source error is retried per the Retry policy
 // (if configured); once the budget is exhausted or the circuit breaker
 // opens, everything accepted before the error is still applied (and, for a
 // durable query, journaled) and then the error is returned. A durability
@@ -81,16 +71,6 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 	if err != nil {
 		return nil, err
 	}
-	var shards *shardStage
-	if q.grouped {
-		n := q.shards
-		if n <= 0 {
-			n = min(runtime.GOMAXPROCS(0), maxDefaultShards)
-		}
-		shards = newShardStage(ctx, x, n, sink, fail)
-		x.win = shards
-	}
-
 	sub := q.shared
 	var retrier *resilience.RetryingSource
 	pumped := make(chan struct{})
@@ -131,15 +111,12 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 	}
 
 	// Core stage: the goroutine that owns the Exec. Convert a panic into
-	// the stage error, join the shard workers, then signal done. (A crash
-	// recovery's journal suffix is replayed by the first Step or by Finish;
-	// its emissions reach sink like live ones.)
+	// the stage error, then signal done. (A crash recovery's journal suffix
+	// is replayed by the first Step or by Finish; its emissions reach sink
+	// like live ones.)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if shards != nil {
-			defer shards.close()
-		}
 		defer func() {
 			if p := recover(); p != nil {
 				fail(x.panicErr(p))

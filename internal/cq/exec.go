@@ -73,10 +73,9 @@ const (
 	stageWindow   = "window"
 )
 
-// windowStage is the seam between the step core and the window operator(s):
-// the plain operator, the keyed operator evaluated in place (synchronous
-// grouped queries), or the shard dispatcher of concurrent grouped queries
-// (sharded.go).
+// windowStage is the seam between the step core and the window operator:
+// the plain operator, or the keyed operator of a grouped query. Both are
+// evaluated in place, on the stepping goroutine, whatever the driver.
 type windowStage interface {
 	// observe feeds one released tuple at arrival position now.
 	observe(t stream.Tuple, now stream.Time)
@@ -88,20 +87,18 @@ type windowStage interface {
 	stats() window.OpStats
 }
 
-// NewExec builds the step core for a non-grouped query that has no source
-// of its own: the caller is the driver and feeds Step. Results reach sink
-// (may be nil) from inside Step, Resume and Finish, on the caller's
-// goroutine. A Durable query whose log holds prior state comes back with
-// the snapshot restored and the journal suffix pending. Replaying it —
-// duplicates suppressed, the rest delivered to sink like live results — is
-// Resume: a driver with a panic policy calls it under that policy before
-// the first Step; otherwise the first Step or Finish does.
+// NewExec builds the step core for a query that has no source of its own:
+// the caller is the driver and feeds Step. Results reach sink (may be nil;
+// a grouped query's sink sees the Result embedded in each KeyedResult, its
+// SinkKeyed callback the whole of it) from inside Step, Resume and Finish,
+// on the caller's goroutine. A Durable query whose log holds prior state
+// comes back with the snapshot restored and the journal suffix pending.
+// Replaying it — duplicates suppressed, the rest delivered to sink like live
+// results — is Resume: a driver with a panic policy calls it under that
+// policy before the first Step; otherwise the first Step or Finish does.
 func NewExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 	if q.source != nil || q.shared != nil {
 		return nil, errors.New("cq: NewExec drives a query built without a source (Run and RunConcurrent own theirs)")
-	}
-	if q.grouped {
-		return nil, errors.New("cq: NewExec steps non-grouped queries (grouped ones run sharded through RunConcurrent)")
 	}
 	if err := q.validateShape(); err != nil {
 		return nil, err
@@ -109,9 +106,7 @@ func NewExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 	return newExec(q, sink)
 }
 
-// newExec builds the core for a validated query. Grouped queries get the
-// in-place keyed stage; RunConcurrent replaces it with the shard
-// dispatcher before the first Step.
+// newExec builds the core for a validated query.
 func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 	x := &Exec{q: q, sink: sink, rep: &AggReport{}, stage: stageSource}
 	x.raw = q.handler
@@ -304,8 +299,7 @@ func (x *Exec) emit(results []window.Result) {
 			x.rep.Results = append(x.rep.Results, res)
 		}
 		x.q.telem.noteResult(res, x.flushing)
-		// Shard is -1: the plain operator is unsharded.
-		x.q.tracer.Emit(int64(res.EmitArrival), -1, res.Idx, int64(res.Start), int64(res.End), 0, res.Count, int64(res.Latency()))
+		x.q.tracer.Emit(int64(res.EmitArrival), res.Idx, int64(res.Start), int64(res.End), 0, res.Count, int64(res.Latency()))
 		if x.sink != nil {
 			x.sink(res)
 		}
@@ -470,38 +464,62 @@ func (s plainStage) finish(flushed []stream.Tuple, now stream.Time) {
 
 func (s plainStage) stats() window.OpStats { return s.x.op.Stats() }
 
-// keyedStage evaluates a grouped query on one window.KeyedOp, in place:
-// the synchronous executor's shape. Results accumulate on the report.
+// keyedStage is the grouped window stage: one window.KeyedOp, whose results
+// — in its canonical order, by window and then by key — are delivered like
+// the plain stage's: report, telemetry, tracer, SinkKeyed, and the plain
+// sink with the embedded Result. (Durable refuses grouped queries, so there
+// is no emission floor to apply.) The operator appends straight to the
+// report; under DiscardReport, to a scratch slice instead.
 type keyedStage struct {
-	x  *Exec
-	op *window.KeyedOp
+	x       *Exec
+	op      *window.KeyedOp
+	scratch []window.KeyedResult
+}
+
+// out is where the operator appends its next results, and from which index.
+func (s *keyedStage) out() (dst *[]window.KeyedResult, base int) {
+	if s.x.q.discardRep {
+		s.scratch = s.scratch[:0]
+		return &s.scratch, 0
+	}
+	return &s.x.rep.Keyed, len(s.x.rep.Keyed)
 }
 
 func (s *keyedStage) observe(t stream.Tuple, now stream.Time) {
-	base := len(s.x.rep.Keyed)
-	s.x.rep.Keyed = s.op.Observe(t, now, s.x.rep.Keyed)
-	s.trace(base)
+	dst, base := s.out()
+	*dst = s.op.Observe(t, now, *dst)
+	s.emit((*dst)[base:])
 }
 
 func (s *keyedStage) endStep() {
-	base := len(s.x.rep.Keyed)
-	s.x.rep.Keyed = s.op.Drain(s.x.rep.Keyed)
-	s.trace(base)
+	dst, base := s.out()
+	*dst = s.op.Drain(*dst)
+	s.emit((*dst)[base:])
 }
 
 func (s *keyedStage) finish(flushed []stream.Tuple, now stream.Time) {
-	s.x.rep.PreFlush = len(s.x.rep.Keyed)
+	x := s.x
+	x.rep.PreFlush, x.flushing = x.emitted, true
 	for _, t := range flushed {
 		s.observe(t, now)
 	}
-	base := len(s.x.rep.Keyed)
-	s.x.rep.Keyed = s.op.Flush(now, s.x.rep.Keyed)
-	s.trace(base)
+	dst, base := s.out()
+	*dst = s.op.Flush(now, *dst)
+	s.emit((*dst)[base:])
 }
 
-func (s *keyedStage) trace(from int) {
-	for _, kr := range s.x.rep.Keyed[from:] {
-		s.x.q.tracer.Emit(int64(kr.EmitArrival), -1, kr.Idx, int64(kr.Start), int64(kr.End), kr.Key, kr.Count, int64(kr.Latency()))
+func (s *keyedStage) emit(results []window.KeyedResult) {
+	x := s.x
+	x.emitted += len(results)
+	for _, kr := range results {
+		x.q.telem.noteResult(kr.Result, x.flushing)
+		x.q.tracer.Emit(int64(kr.EmitArrival), kr.Idx, int64(kr.Start), int64(kr.End), kr.Key, kr.Count, int64(kr.Latency()))
+		if x.q.keyedSink != nil {
+			x.q.keyedSink(kr)
+		}
+		if x.sink != nil {
+			x.sink(kr.Result)
+		}
 	}
 }
 

@@ -15,8 +15,10 @@
 // to a callback as they are produced; over a private source the ring is the
 // query's own, and a source goroutine pulls, retries and batches into it.
 // RunShared runs M such ring consumers off one producer. cmd/aqserver's
-// runners call NewExec and Step themselves under their own lock, or hand a
-// subscription to RunConcurrent (NewShared).
+// runners call NewExec and Step themselves under their own lock. A grouped
+// query (GroupBy) differs from a plain one only in the window stage inside
+// the step — one keyed operator instead of one plain operator — so every
+// driver runs both.
 package cq
 
 import (
@@ -51,7 +53,6 @@ type AggQuery struct {
 	retry      *resilience.Retry
 	clock      resilience.Clock
 	batchSize  int
-	shards     int
 	keyedSink  func(window.KeyedResult)
 	discardRep bool
 	telem      *Telemetry
@@ -165,29 +166,18 @@ func (q *AggQuery) Clock(c resilience.Clock) *AggQuery {
 // as soon as the core has drained the ring, and heartbeats and
 // end-of-stream always force a flush, so batching never parks a result
 // behind the batch boundary and the PreFlush-aware latency metrics keep
-// their meaning. It also bounds a grouped query's shard dispatch batch.
-// n <= 0 keeps the default (64); n = 1 reproduces per-tuple transport.
+// their meaning. n <= 0 keeps the default (64); n = 1 reproduces per-tuple
+// transport.
 func (q *AggQuery) Batch(n int) *AggQuery {
 	q.batchSize = n
 	return q
 }
 
-// Shards sets how many parallel workers execute a grouped query's window
-// stage in RunConcurrent. Tuples are hash-partitioned by group key after
-// the disorder stage; each worker owns the keyed window state of its
-// partition, and per-shard results are merged back into the canonical
-// key order, so output is identical for every shard count (including the
-// synchronous Run). n <= 0 picks min(GOMAXPROCS, 8). Non-grouped queries
-// ignore the setting.
-func (q *AggQuery) Shards(n int) *AggQuery {
-	q.shards = n
-	return q
-}
-
 // SinkKeyed registers a per-result callback for grouped queries run with
-// RunConcurrent: it receives each merged window.KeyedResult (key included)
-// in emission order, from the merger's goroutine, alongside any plain sink
-// which sees just the embedded Result.
+// RunConcurrent or stepped through NewExec: it receives each
+// window.KeyedResult (key included) in emission order — Run's Keyed order —
+// from the stepping goroutine, ahead of any plain sink, which sees just
+// the embedded Result. Run ignores it (its report is the output).
 func (q *AggQuery) SinkKeyed(f func(window.KeyedResult)) *AggQuery {
 	q.keyedSink = f
 	return q
@@ -196,8 +186,8 @@ func (q *AggQuery) SinkKeyed(f func(window.KeyedResult)) *AggQuery {
 // DiscardReport makes the executor drop results from the AggReport after
 // delivering them to the sinks: Results/Keyed stay empty while
 // Sink/SinkKeyed still see every result in order. PreFlush still counts
-// the progress-emitted results of a plain query (it is a counter, not a
-// slice); grouped queries leave it zero. Long-running deployments need
+// the progress-emitted results (it is a counter, not a slice), grouped or
+// not. Long-running deployments need
 // this — a continuous query that never ends would otherwise accumulate its
 // whole output in memory. Run ignores it (its report is the output).
 func (q *AggQuery) DiscardReport() *AggQuery {
@@ -231,9 +221,9 @@ func (q *AggQuery) Trace(tr *tracez.Tracer) *AggQuery {
 
 // GroupBy partitions the window aggregate by tuple key (GROUP BY key):
 // each key gets independent windows sharing one event-time clock. Results
-// land in AggReport.Keyed instead of AggReport.Results. Run evaluates the
-// groups on one operator; RunConcurrent hash-shards them across Shards
-// workers with a deterministic merge, producing identical output.
+// land in AggReport.Keyed instead of AggReport.Results, ordered by window
+// and, within one step, by key. Every driver evaluates the groups on one
+// keyed operator inside the step core, so their output is identical.
 func (q *AggQuery) GroupBy() *AggQuery {
 	q.grouped = true
 	return q
@@ -329,7 +319,8 @@ func (r *AggReport) KeyedQuality(spec window.Spec, agg window.Factory, opts metr
 
 // Latency summarizes result latency over the results emitted by stream
 // progress (flush-forced boundary results are excluded), skipping warm-up
-// windows. It covers whichever of Results/Keyed the query produced.
+// windows. It covers whichever of Results/Keyed the query produced (a
+// DiscardReport report retained neither, and summarizes nothing).
 func (r *AggReport) Latency(skipWarmup int) metrics.LatencyReport {
 	if len(r.Keyed) > 0 {
 		flat := make([]window.Result, 0, r.PreFlush)
@@ -338,7 +329,7 @@ func (r *AggReport) Latency(skipWarmup int) metrics.LatencyReport {
 		}
 		return metrics.Latency(flat, skipWarmup)
 	}
-	return metrics.Latency(r.Results[:r.PreFlush], skipWarmup)
+	return metrics.Latency(r.Results[:min(r.PreFlush, len(r.Results))], skipWarmup)
 }
 
 // Run executes the query synchronously and deterministically: the source
@@ -353,10 +344,10 @@ func (q *AggQuery) Run() (*AggReport, error) {
 	if q.shared != nil {
 		return nil, errors.New("cq: shared-source queries run through RunConcurrent (the ring is a concurrent transport)")
 	}
-	// Uninstrumented, and the report is the output: Instrument and
-	// DiscardReport apply to the concurrent drivers only.
+	// Uninstrumented, and the report is the output: Instrument, SinkKeyed
+	// and DiscardReport apply to the concurrent drivers only.
 	hq := *q
-	hq.telem, hq.discardRep = nil, false
+	hq.telem, hq.keyedSink, hq.discardRep = nil, nil, false
 	x, err := newExec(&hq, nil)
 	if err != nil {
 		return nil, err

@@ -90,9 +90,9 @@ func TestRunSharedMixedShapesEachMatchStandalone(t *testing.T) {
 				Window(sharedSpec, window.Median()).
 				Refine(20 * stream.Second).KeepInput()
 		}},
-		{"grouped-sharded", func(src stream.ErrSource) *cq.AggQuery {
+		{"grouped", func(src stream.ErrSource) *cq.AggQuery {
 			return cq.NewFallible(src).Handle(buffer.NewMaxSlack()).
-				Window(sharedSpec, window.Count()).GroupBy().Shards(3).KeepInput()
+				Window(sharedSpec, window.Count()).GroupBy().KeepInput()
 		}},
 		{"filtered-mapped", func(src stream.ErrSource) *cq.AggQuery {
 			return cq.NewFallible(src).

@@ -2,7 +2,6 @@ package cq
 
 import (
 	"math"
-	"strconv"
 
 	"repro/internal/fanout"
 	"repro/internal/obs"
@@ -11,11 +10,11 @@ import (
 )
 
 // Telemetry bundles the obs instruments RunConcurrent updates while the
-// pipeline runs: per-stage throughput counters, queue-depth gauges, shed
-// accounting and the emission-latency histogram (the ingest queue's own
-// gauges are the ring's: see fanoutGauges). All methods tolerate a
-// nil receiver, so the engine's hot path pays a single pointer check
-// when telemetry is off.
+// pipeline runs: per-stage throughput counters, shed accounting, ingest
+// batch sizes and the emission-latency histogram (the ingest queue's own
+// gauges are the ring's: see fanoutGauges). All methods tolerate a nil
+// receiver, so the engine's hot path pays a single pointer check when
+// telemetry is off.
 //
 // The synchronous Run executor is deliberately uninstrumented: it is the
 // deterministic harness path, and its AggReport already carries every
@@ -27,15 +26,11 @@ type Telemetry struct {
 	Released   *obs.Counter // tuples released by the disorder stage
 	Results    *obs.Counter // window results emitted
 
-	ReleaseDepth *obs.Gauge // occupancy of the grouped dispatcher→merger queue (tuples, approximate)
-
-	IngestBatch  *obs.Histogram // sizes of the ring batches handed to the step core
-	ReleaseBatch *obs.Histogram // sizes of batches the grouped dispatcher shipped to the window shards
-
+	IngestBatch *obs.Histogram // sizes of the ring batches handed to the step core
 	EmitLatency *obs.Histogram // result latency (stream-time ms)
 
-	// reg and query are retained so the engine can register per-shard
-	// counters once the shard count is known (at RunConcurrent time).
+	// reg and query are retained so the engine can register the ring's
+	// gauges once the subscription exists (at RunConcurrent time).
 	reg   *obs.Registry
 	query obs.Label
 }
@@ -75,13 +70,8 @@ func LatencyBucketsFor(spec window.Spec) []float64 {
 // pass to AggQuery.Instrument. Registering the same query twice returns
 // instruments backed by the same series. The emission-latency histogram
 // buckets are derived from spec via LatencyBucketsFor, so the histogram
-// resolves around the query's own window geometry. A nil registry gives
-// live instruments that are exported nowhere, for a host that only reads
-// them itself.
+// resolves around the query's own window geometry.
 func NewTelemetry(reg *obs.Registry, query string, spec window.Spec) *Telemetry {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	q := obs.L("query", query)
 	stage := func(s string) []obs.Label { return []obs.Label{q, obs.L("stage", s)} }
 	return &Telemetry{
@@ -95,35 +85,15 @@ func NewTelemetry(reg *obs.Registry, query string, spec window.Spec) *Telemetry 
 			"Heartbeat (watermark) items forwarded through the pipeline.", q),
 		Shed: reg.Counter("aq_shed_tuples_total",
 			"Data tuples lost to this query: fan-out ring laps (a ShedOldest subscription).", q),
-		ReleaseDepth: reg.Gauge("aq_queue_depth",
-			"Occupancy of a pipeline channel.", q, obs.L("queue", "release")),
 		IngestBatch: reg.Histogram("aq_batch_size_tuples",
 			"Sizes of the batches shipped between pipeline stages.",
 			obs.ExponentialBuckets(1, 2, 11), q, obs.L("queue", "ingest")),
-		ReleaseBatch: reg.Histogram("aq_batch_size_tuples",
-			"Sizes of the batches shipped between pipeline stages.",
-			obs.ExponentialBuckets(1, 2, 11), q, obs.L("queue", "release")),
 		EmitLatency: reg.Histogram("aq_emit_latency_ms",
 			"Window result emission latency in stream-time ms (emission position minus window end).",
 			LatencyBucketsFor(spec), q),
 		reg:   reg,
 		query: q,
 	}
-}
-
-// shardCounters registers (or fetches) one aq_shard_tuples_total counter
-// per shard of a grouped query's window stage.
-func (t *Telemetry) shardCounters(n int) []*obs.Counter {
-	if t == nil || t.reg == nil {
-		return nil
-	}
-	out := make([]*obs.Counter, n)
-	for i := range out {
-		out[i] = t.reg.Counter("aq_shard_tuples_total",
-			"Data tuples owned and aggregated by each grouped-executor shard.",
-			t.query, obs.L("shard", strconv.Itoa(i)))
-	}
-	return out
 }
 
 // fanoutGauges registers the shared-source ring gauges for this query:
@@ -159,18 +129,6 @@ func (t *Telemetry) noteBatch(items []stream.Item) {
 	t.Heartbeats.Add(float64(heartbeats))
 	t.SourceIn.Add(float64(len(items) - heartbeats))
 	t.IngestBatch.Observe(float64(len(items)))
-}
-
-// noteReleaseBatch records the size of one batch the grouped dispatcher
-// queued for the merger and the queue's occupancy (in tuples) after the
-// send. Non-grouped queries have no such queue: handler and window share
-// the step, and both series read zero.
-func (t *Telemetry) noteReleaseBatch(n, depth int) {
-	if t == nil {
-		return
-	}
-	t.ReleaseBatch.Observe(float64(n))
-	t.ReleaseDepth.Set(float64(depth))
 }
 
 // noteShed records n tuples the ring lapped past this query.

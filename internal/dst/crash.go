@@ -17,7 +17,7 @@ import (
 
 // CrashPlan is one fully-specified crash-recovery simulation: a base
 // workload/query plan (restricted to the durable executor's domain:
-// ungrouped, no refinement, no shards), a crash point expressed as a
+// ungrouped, no refinement), a crash point expressed as a
 // fraction of the transcript, optional tail damage applied to the journal
 // between death and restart, and the durability cadence. Like Plan it is a
 // pure value: executing it twice in fresh directories yields identical
@@ -61,7 +61,6 @@ func (cp CrashPlan) String() string {
 func CrashPlanForSeed(seed uint64) CrashPlan {
 	p := PlanForSeed(seed)
 	p.NumKeys = 0 // durability covers ungrouped queries only
-	p.Shards = 0
 	p.Refine = 0
 
 	rng := stats.NewRNG(seed*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb)

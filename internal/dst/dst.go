@@ -17,8 +17,8 @@
 //     instead of sleeping. Simulated and production runs share one code
 //     path — only the injected clock differs (cq.AggQuery.Clock,
 //     resilience.FaultSource.WithClock, resilience.Retry.Clock).
-//   - The engine's own output contract (batched transport and the
-//     sharded merge preserve the synchronous executor's output exactly)
+//   - The engine's own output contract (batched transport preserves
+//     the synchronous executor's output exactly)
 //     removes goroutine-schedule dependence from everything the harness
 //     observes. Plans therefore never enable load shedding — sheds are
 //     decided by live queue depth, the one intentionally

@@ -216,14 +216,14 @@ func TestTranscriptWithRetiredCoreFieldReplays(t *testing.T) {
 func TestShrinkReducesPlan(t *testing.T) {
 	p := PlanForSeed(3)
 	p.Chaos = ChaosPlan{DupRate: 0.01, ErrRate: 0.02, SpikeRate: 0.001, SpikeLen: 16}
-	p.NumKeys, p.Shards, p.Batch, p.Heartbeat = 32, 4, 256, stream.Second
+	p.NumKeys, p.Batch, p.Heartbeat = 32, 256, stream.Second
 	fails := func(c Plan) bool { return c.Chaos.DupRate > 0 }
 	min := Shrink(p, fails, 200)
 	if min.Chaos.DupRate == 0 {
 		t.Fatal("shrink removed the failing dimension")
 	}
 	if min.Chaos.ErrRate != 0 || min.Chaos.SpikeRate != 0 || min.NumKeys > 1 ||
-		min.Shards > 1 || min.Batch > 1 || min.Heartbeat != 0 {
+		min.Batch > 1 || min.Heartbeat != 0 {
 		t.Errorf("shrink left reducible dimensions: %s", min)
 	}
 	if min.N >= p.N {

@@ -45,8 +45,7 @@ type Plan struct {
 	Handler HandlerPlan `json:"handler"`
 
 	// Engine shape.
-	Batch  int `json:"batch"`
-	Shards int `json:"shards,omitempty"`
+	Batch int `json:"batch"`
 
 	// Fault plan. Sheds are deliberately impossible (DST plans never set
 	// an overload policy): shedding decisions depend on live queue depth,
@@ -227,14 +226,14 @@ func (p Plan) String() string {
 	} else if h == "kslack" {
 		h = fmt.Sprintf("kslack(%d)", p.Handler.K)
 	}
-	return fmt.Sprintf("plan{seed=%d n=%d keys=%d delay=%s/%g hb=%d win=%d/%d agg=%s refine=%d h=%s batch=%d shards=%d fanout=%d net=%t chaos=%+v}",
+	return fmt.Sprintf("plan{seed=%d n=%d keys=%d delay=%s/%g hb=%d win=%d/%d agg=%s refine=%d h=%s batch=%d fanout=%d net=%t chaos=%+v}",
 		p.Seed, p.N, p.NumKeys, p.Delay.Kind, p.Delay.Mean, p.Heartbeat,
-		p.Window, p.Slide, p.Agg, p.Refine, h, p.Batch, p.Shards, p.Fanout, p.Net, p.Chaos)
+		p.Window, p.Slide, p.Agg, p.Refine, h, p.Batch, p.Fanout, p.Net, p.Chaos)
 }
 
 // PlanForSeed derives one point of the sweep matrix from a seed. Every
 // dimension — workload size and pacing, delay distribution, keys, window
-// shape, aggregate, handler, transport batch, shard count, fault plan —
+// shape, aggregate, handler, transport batch, fault plan —
 // is drawn from a dedicated RNG, so the matrix is dense, reproducible and
 // grows no test-source table.
 func PlanForSeed(seed uint64) Plan {
@@ -288,7 +287,10 @@ func PlanForSeed(seed uint64) Plan {
 
 	p.Batch = []int{1, 7, 64, 256}[rng.Intn(4)]
 	if p.NumKeys > 1 {
-		p.Shards = 1 + rng.Intn(4)
+		// This draw used to pick a shard count for the grouped window stage.
+		// There is one stage now, but the draw stays (discarded) so that
+		// every later dimension of every seed is what it was.
+		rng.Intn(4)
 	}
 
 	switch rng.Intn(7) {

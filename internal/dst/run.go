@@ -72,9 +72,6 @@ func (p Plan) build(src stream.ErrSource, h buffer.Handler) *cq.AggQuery {
 	if p.Batch > 0 {
 		q.Batch(p.Batch)
 	}
-	if p.Shards > 0 {
-		q.Shards(p.Shards)
-	}
 	return q
 }
 

@@ -84,11 +84,8 @@ func candidates(p Plan) []Plan {
 			try(func(c *Plan) { c.Fanout = 2 })
 		}
 	}
-	if p.Shards > 1 {
-		try(func(c *Plan) { c.Shards = 1 })
-	}
 	if p.NumKeys > 1 {
-		try(func(c *Plan) { c.NumKeys, c.Shards = 0, 0 })
+		try(func(c *Plan) { c.NumKeys = 0 })
 	}
 	if p.Batch > 1 {
 		try(func(c *Plan) { c.Batch = 1 })

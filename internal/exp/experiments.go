@@ -38,7 +38,7 @@ func All() []Experiment {
 		{ID: "R12", Title: "quality-driven load shedding [extension]", Run: R12},
 		{ID: "R13", Title: "session windows under disorder [extension]", Run: R13},
 		{ID: "R14", Title: "speculation (refinements) vs. buffering [extension]", Run: R14},
-		{ID: "R16", Title: "batched transport + sharded grouped execution [extension]", Run: R16},
+		{ID: "R16", Title: "batched transport + grouped execution [extension]", Run: R16},
 	}
 }
 

@@ -264,13 +264,12 @@ func R11(s Scale) []Table {
 	return []Table{t}
 }
 
-// R16 validates the batched-transport + sharded-execution engine (the
-// PR3 tentpole): quality and compliance must be invariant across batch
-// sizes (R16a) and shard counts (R16b), and the sharded executor's
-// output must be byte-identical to the synchronous grouped Run. Absolute
-// throughput depends on the host's core count — on a single-core host
-// sharding shows bounded overhead, not speedup; BENCH_PR3.json records
-// the same sweep with host metadata.
+// R16 validates the concurrent driver's batched transport: quality and
+// compliance must be invariant across batch sizes (R16a), and a grouped
+// query's concurrent output must be byte-identical to the synchronous
+// grouped Run (R16b). Absolute throughput depends on the host;
+// `go test -bench 'BenchmarkPipelineBatched|BenchmarkGrouped' .` runs the
+// same sweep as benchmarks.
 func R16(s Scale) []Table {
 	n := s.N(200000)
 	theta := 0.01
@@ -309,16 +308,16 @@ func R16(s Scale) []Table {
 			Ms(rep.Latency(warmupWindows).Mean))
 	}
 
-	// R16b: grouped shard sweep against the synchronous executor. The
-	// identical column asserts the byte-identical output contract that the
-	// deterministic merge guarantees.
+	// R16b: grouped execution, the concurrent driver against the
+	// synchronous one. Both step the same keyed window stage; the identical
+	// column asserts that their output is the same byte for byte.
 	b := Table{
 		ID:    "R16b",
-		Title: fmt.Sprintf("sharded grouped execution at theta=%s (256 keys, n=%d, host cores=%d)", Pct(theta), n, runtime.NumCPU()),
+		Title: fmt.Sprintf("grouped execution at theta=%s (256 keys, n=%d, host cores=%d)", Pct(theta), n, runtime.NumCPU()),
 		Cols:  []string{"executor", "tuples/s", "keyedWindows", "meanErr", "compliance", "identical"},
 		Notes: []string{
-			"identical = keyed result sequence equals the synchronous Run byte for byte (the sharded merge determinism contract)",
-			"expected shape: quality/compliance identical everywhere; shards>1 speeds up only on multi-core hosts (single-core hosts see the coordination overhead instead)",
+			"identical = keyed result sequence equals the synchronous Run byte for byte",
+			"expected shape: quality/compliance identical; concurrent differs from sync only by the ring hop and the source goroutine",
 		},
 	}
 	c := gen.Sensor(n, 17)
@@ -355,13 +354,11 @@ func R16(s Scale) []Table {
 		panic(err)
 	}
 	addRow("sync", syncRep, time.Since(start).Seconds(), nil)
-	for _, shards := range []int{1, 2, 4} {
-		start := time.Now()
-		rep, err := build().Shards(shards).Batch(128).RunConcurrent(context.Background(), nil)
-		if err != nil {
-			panic(err)
-		}
-		addRow(fmt.Sprintf("shards=%d", shards), rep, time.Since(start).Seconds(), syncRep.Keyed)
+	start = time.Now()
+	concRep, err := build().Batch(128).RunConcurrent(context.Background(), nil)
+	if err != nil {
+		panic(err)
 	}
+	addRow("concurrent", concRep, time.Since(start).Seconds(), syncRep.Keyed)
 	return []Table{a, b}
 }

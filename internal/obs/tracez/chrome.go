@@ -11,8 +11,8 @@ import (
 // traceEvents wrapper object), loadable in Perfetto and chrome://tracing.
 // Rendering choices:
 //
-//   - one track (tid) per pipeline stage, plus one per window shard, all
-//     under a single process named after the query;
+//   - one track (tid) per pipeline stage, all under a single process named
+//     after the query;
 //   - emits render as complete ("X") spans from the window's seal to its
 //     emission — the span length IS the emission latency;
 //   - slack changes render as a counter ("C") track, so K's staircase is
@@ -46,22 +46,6 @@ type chromeTrace struct {
 	OtherData       any           `json:"otherData,omitempty"`
 }
 
-// trackID maps a (stage, shard) pair to a stable Chrome thread id.
-func trackID(st Stage, shard int32) int {
-	if st == StageWindow && shard >= 0 {
-		return 100 + int(shard)
-	}
-	return int(st)
-}
-
-// trackName names a (stage, shard) track.
-func trackName(st Stage, shard int32) string {
-	if st == StageWindow && shard >= 0 {
-		return fmt.Sprintf("window/shard-%d", shard)
-	}
-	return st.String()
-}
-
 // WriteChromeTrace writes events as Chrome trace-event JSON for the
 // named query. extra, when non-nil, is attached under otherData (viewers
 // ignore it; tools can read dump metadata and provenance from it).
@@ -74,10 +58,7 @@ func WriteChromeTrace(w io.Writer, query string, events []Event, extra any) erro
 
 	tracks := map[int]string{}
 	for _, ev := range events {
-		tid := trackID(ev.Stage, ev.Shard)
-		if _, ok := tracks[tid]; !ok {
-			tracks[tid] = trackName(ev.Stage, ev.Shard)
-		}
+		tracks[int(ev.Stage)] = ev.Stage.String()
 	}
 	tids := make([]int, 0, len(tracks))
 	for tid := range tracks {
@@ -92,7 +73,7 @@ func WriteChromeTrace(w io.Writer, query string, events []Event, extra any) erro
 	}
 
 	for _, ev := range events {
-		tid := trackID(ev.Stage, ev.Shard)
+		tid := int(ev.Stage)
 		switch ev.Kind {
 		case KindEmit:
 			// Span from seal (emission minus latency) to emission.

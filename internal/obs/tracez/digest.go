@@ -23,7 +23,7 @@ func Digest(events []Event) string {
 	for _, ev := range events {
 		u64(ev.Seq)
 		u64(uint64(ev.At))
-		u64(uint64(ev.Kind)<<32 | uint64(ev.Stage)<<16 | uint64(uint32(ev.Shard)))
+		u64(uint64(ev.Kind)<<32 | uint64(ev.Stage)<<16)
 		u64(uint64(ev.Win))
 		u64(ev.Key)
 		u64(uint64(ev.N))

@@ -249,25 +249,16 @@ func (t *Tracer) QualitySample(at, win int64, realized float64) {
 	}
 }
 
-// ShardBatch records one grouped shard worker's owned-tuple count for a
-// released batch — the per-shard track of the window stage.
-func (t *Tracer) ShardBatch(at int64, shard int, owned int) {
-	if t == nil {
-		return
-	}
-	t.rec.Record(Event{At: at, Kind: KindShardBatch, Stage: StageWindow, Shard: int32(shard), N: int64(owned)})
-}
-
 // Emit records one emitted window result and seals its provenance: the
 // contributing tuple count, the slack at seal, stragglers since the
 // previous seal, cumulative sheds, and the controller's error estimate
 // against θ.
-func (t *Tracer) Emit(at int64, shard int32, win, start, end int64, key uint64, count, latency int64) {
+func (t *Tracer) Emit(at int64, win, start, end int64, key uint64, count, latency int64) {
 	if t == nil {
 		return
 	}
 	k := t.curK.Load()
-	t.rec.Record(Event{At: at, Kind: KindEmit, Stage: StageWindow, Shard: shard,
+	t.rec.Record(Event{At: at, Kind: KindEmit, Stage: StageWindow,
 		Win: win, Key: key, N: count, K: k, V: float64(latency)})
 	p := Provenance{
 		Win: win, Key: key, Start: start, End: end, Count: count,

@@ -10,7 +10,7 @@ import (
 func TestKindAndStageNames(t *testing.T) {
 	kinds := []Kind{
 		KindSourceBatch, KindShed, KindInsert, KindRelease, KindStraggler,
-		KindKSet, KindKAdapt, KindQuality, KindShardBatch, KindEmit,
+		KindKSet, KindKAdapt, KindQuality, KindEmit,
 		KindFlush, KindRetry, KindBreakerTrip, KindPanic, KindViolation,
 		KindViolationEnd, KindLog, KindRecovery, KindSnapshot,
 	}

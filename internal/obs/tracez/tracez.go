@@ -48,7 +48,7 @@ const (
 	KindKSet              // buffer slack changed across the step; K = new slack
 	KindKAdapt            // controller adaptation decision; K = slack, V = estimated error
 	KindQuality           // realized error finalized for a window; Win, V = realized error
-	KindShardBatch        // grouped shard worker aggregated owned tuples; Shard, N
+	_                     // retired (shard-batch); the slot keeps the later kinds' numbers
 	KindEmit              // window result emitted; Win, Key, N = count, K = slack at seal, V = latency
 	KindFlush             // end-of-stream flush of the window stage
 	KindRetry             // source retry attempt; N = attempt number
@@ -82,8 +82,6 @@ func (k Kind) String() string {
 		return "k-adapt"
 	case KindQuality:
 		return "quality"
-	case KindShardBatch:
-		return "shard-batch"
 	case KindEmit:
 		return "emit"
 	case KindFlush:
@@ -114,7 +112,7 @@ func (k Kind) String() string {
 }
 
 // Stage identifies which pipeline stage recorded an event; the Chrome
-// exporter renders one track per stage (per shard for the window stage).
+// exporter renders one track per stage.
 type Stage uint8
 
 const (
@@ -122,7 +120,7 @@ const (
 	StageSource           // source + transform stage
 	StageBuffer           // disorder-handling buffer
 	StageController       // adaptive-slack controller
-	StageWindow           // window operator / shard workers
+	StageWindow           // window operator
 	StageWatchdog         // quality-SLO watchdog
 	StageLog              // structured logging
 	StageDurable          // journal / snapshot / recovery machinery
@@ -159,7 +157,6 @@ type Event struct {
 	At    int64   `json:"at"`
 	Kind  Kind    `json:"kind"`
 	Stage Stage   `json:"stage"`
-	Shard int32   `json:"shard,omitempty"`
 	Win   int64   `json:"win,omitempty"`
 	Key   uint64  `json:"key,omitempty"`
 	N     int64   `json:"n,omitempty"`

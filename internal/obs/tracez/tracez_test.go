@@ -25,7 +25,7 @@ func TestRecorderNilSafe(t *testing.T) {
 	tr.BufferSync(1, 1, 1, 1, 5, true)
 	tr.AdaptDecision(1, 5, 0.1)
 	tr.QualitySample(1, 0, 0.1)
-	tr.Emit(1, -1, 0, 0, 10, 0, 3, 2)
+	tr.Emit(1, 0, 0, 10, 0, 3, 2)
 	tr.Panic(StageWindow, 1, "boom")
 	tr.Dump("x", 1, -1)
 	if tr.Recorder() != nil || tr.Dumps() != nil || tr.Provenances() != nil {
@@ -163,7 +163,7 @@ func TestTracerProvenance(t *testing.T) {
 	tr.BufferSync(100, 10, 8, 2, 500, true)
 	tr.AdaptDecision(100, 500, 0.004)
 	tr.Shed(110, 3)
-	tr.Emit(120, -1, 7, 0, 100, 0, 42, 20)
+	tr.Emit(120, 7, 0, 100, 0, 42, 20)
 	p, ok := tr.ProvenanceFor(7)
 	if !ok {
 		t.Fatal("provenance for window 7 not found")
@@ -174,7 +174,7 @@ func TestTracerProvenance(t *testing.T) {
 	}
 	// The next emit's straggler count is a delta since the previous seal.
 	tr.BufferSync(130, 5, 5, 1, 500, false)
-	tr.Emit(140, -1, 8, 100, 200, 0, 40, 18)
+	tr.Emit(140, 8, 100, 200, 0, 40, 18)
 	p8, _ := tr.ProvenanceFor(8)
 	if p8.Stragglers != 1 {
 		t.Fatalf("window 8 straggler delta = %d, want 1", p8.Stragglers)
@@ -184,7 +184,7 @@ func TestTracerProvenance(t *testing.T) {
 func TestTracerProvenanceRingBounded(t *testing.T) {
 	tr := New(NewRecorder(16), "q")
 	for i := 0; i < provCap+50; i++ {
-		tr.Emit(int64(i), -1, int64(i), 0, 1, 0, 1, 0)
+		tr.Emit(int64(i), int64(i), 0, 1, 0, 1, 0)
 	}
 	ps := tr.Provenances()
 	if len(ps) != provCap {
@@ -255,7 +255,7 @@ func TestTracerViolationDump(t *testing.T) {
 	tr := New(NewRecorder(256), "q")
 	tr.SetWatchdog(NewWatchdog(0.01, nil))
 	tr.BufferSync(100, 10, 10, 1, 300, true)
-	tr.Emit(110, -1, 5, 0, 100, 0, 9, 10)
+	tr.Emit(110, 5, 0, 100, 0, 9, 10)
 	tr.QualitySample(120, 5, 0.2) // above theta: violation + automatic dump
 	dumps := tr.Dumps()
 	if len(dumps) != 1 {
@@ -303,8 +303,7 @@ func TestChromeTrace(t *testing.T) {
 	tr.SourceBatch(10, 64)
 	tr.BufferSync(10, 64, 60, 1, 200, true)
 	tr.AdaptDecision(20, 250, 0.003)
-	tr.ShardBatch(25, 2, 31)
-	tr.Emit(30, -1, 1, 0, 10, 0, 60, 20)
+	tr.Emit(30, 1, 0, 10, 0, 60, 20)
 	tr.QualitySample(40, 1, 0.2)
 
 	var buf bytes.Buffer
@@ -332,7 +331,7 @@ func TestChromeTrace(t *testing.T) {
 		}
 	}
 	all := strings.Join(names, ",")
-	for _, want := range []string{"process_name", "source", "buffer", "controller", "window/shard-2", "win#1", "K"} {
+	for _, want := range []string{"process_name", "source", "buffer", "controller", "window", "win#1", "K"} {
 		if !strings.Contains(all, want) {
 			t.Fatalf("export lacks %q:\n%s", want, all)
 		}

@@ -1,6 +1,6 @@
 // Package stats provides the statistics substrate used throughout the
 // repository: a deterministic random number generator, online moment
-// trackers, exponentially weighted moving averages, histograms, streaming
+// trackers, exponentially weighted moving averages, streaming
 // quantile estimators and reservoir sampling.
 //
 // Everything here is allocation-conscious and safe for single-goroutine use;

@@ -22,11 +22,10 @@ type KeyedResult struct {
 // tuple plus the empty gaps between their own occupied windows (the same
 // contiguity rule as Op, applied per key).
 //
-// Emission order is canonical: within one input step (one Observe, Advance
-// or Flush call) results are ordered by key, ascending, with a key's own
-// results keeping their operator-emission order. That determinism is what
-// lets the sharded concurrent executor in internal/cq merge per-shard
-// output back into the exact byte sequence the single-operator path emits.
+// Emission order is canonical: within one input step (one Observe or Flush
+// call) results are ordered by key, ascending, with a key's own results
+// keeping their operator-emission order, so the output sequence is a pure
+// function of the released tuple sequence (no map-iteration dependence).
 type KeyedOp struct {
 	spec      Spec
 	agg       Factory
@@ -101,23 +100,6 @@ func (o *KeyedOp) Drain(out []KeyedResult) []KeyedResult {
 	out = append(out, o.res...)
 	o.res = o.res[:0]
 	return out
-}
-
-// Advance moves the shared clock (heartbeat path) and, when the advance
-// crosses a slide boundary, closes the newly completed windows for every
-// key.
-func (o *KeyedOp) Advance(eventTS, now stream.Time, out []KeyedResult) []KeyedResult {
-	if o.started && eventTS <= o.clock {
-		return out
-	}
-	crossed := !o.started || o.spec.LastClosed(eventTS) != o.spec.LastClosed(o.clock)
-	o.clock = eventTS
-	o.started = true
-	if !crossed {
-		return out
-	}
-	o.advanceOthers(^uint64(0), now) // no key excluded
-	return o.Drain(out)
 }
 
 // sortedKeys returns every key with state in ascending order, re-sorting

@@ -52,27 +52,6 @@ func TestKeyedOpSharedClockClosesOtherKeys(t *testing.T) {
 	}
 }
 
-func TestKeyedOpAdvance(t *testing.T) {
-	op := NewKeyedOp(Spec{Size: 10, Slide: 10}, Count(), DropLate, 0)
-	var out []KeyedResult
-	out = op.Observe(kmk(5, 7, 1), 5, out)
-	out = op.Advance(100, 100, out)
-	// Windows 0..9 close for key 7: window 0 holds the tuple, 1..9 are
-	// the contiguous empties.
-	if len(out) != 10 || out[0].Key != 7 || out[0].Count != 1 {
-		t.Fatalf("Advance output: %v", out)
-	}
-	for _, r := range out[1:] {
-		if r.Count != 0 {
-			t.Fatalf("expected empty window: %+v", r)
-		}
-	}
-	// A stale Advance must not emit or rewind.
-	if more := op.Advance(50, 101, nil); len(more) != 0 {
-		t.Fatalf("stale Advance emitted: %v", more)
-	}
-}
-
 func TestKeyedOpMatchesPerKeyOracle(t *testing.T) {
 	rng := stats.NewRNG(701)
 	spec := Spec{Size: 20, Slide: 5}
