@@ -27,10 +27,12 @@ race:
 fuzz-short:
 	$(GO) test ./internal/buffer -run '^$$' -fuzz '^FuzzKSlackInvariants$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/buffer -run '^$$' -fuzz '^FuzzPercentileHandler$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/buffer -run '^$$' -fuzz '^FuzzTupleRingOrder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzGKQuantile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzP2Bounds$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window -run '^$$' -fuzz '^FuzzOrderStatisticWindows$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/window -run '^$$' -fuzz '^FuzzObserveRunMatchesObserve$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream -run '^$$' -fuzz '^FuzzLineProtocol$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream -run '^$$' -fuzz '^FuzzParserDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/aqserver -run '^$$' -fuzz '^FuzzQueryAPI$$' -fuzztime $(FUZZTIME)

@@ -3,8 +3,17 @@ package buffer
 import "repro/internal/stream"
 
 // BatchHandler is implemented by handlers that have a batched insert fast
-// path. The concurrent executor hands the disorder stage whole transport
-// batches, amortizing per-call overhead across the batch.
+// path, amortizing per-call overhead across a whole transport batch.
+//
+// A caller that holds a handler as an interface value must not take the
+// method's presence as licence to use it: a type that embeds *KSlack and
+// overrides Insert (a test's fault injector, a controller that moves K
+// between tuples) inherits InsertBatch by promotion, and the inherited method
+// feeds the embedded buffer directly — the override never runs. The executor
+// (cq.Exec) therefore takes the batched path only for a handler whose
+// concrete type is exactly *KSlack and calls Insert per item on every other;
+// the InsertBatch function below asserts the interface and is for callers
+// that know what they pass.
 type BatchHandler interface {
 	Handler
 	// InsertBatch accepts items in arrival order, appending released
@@ -38,27 +47,28 @@ func InsertBatch(h Handler, items []stream.Item, out []stream.Tuple, ends []int)
 // release order and stats are identical to the per-item path, including
 // the transient MaxHeld high-water mark the bypassed push would have set.
 func (b *KSlack) InsertBatch(items []stream.Item, out []stream.Tuple, ends []int) ([]stream.Tuple, []int) {
-	for _, it := range items {
+	for i := range items {
+		it := &items[i] // a 64-byte Item is not worth copying to read it
 		if it.Heartbeat {
 			b.advanceClock(it.Watermark)
 			out = b.drain(out)
 			ends = append(ends, len(out))
 			continue
 		}
-		t := it.Tuple
+		t := &it.Tuple
 		b.stats.Inserted++
 		b.advanceClock(t.TS)
 		if b.k > b.stats.MaxK {
 			b.stats.MaxK = b.k
 		}
-		if t.TS <= b.clock-b.k && (b.heap.len() == 0 || tupleLess(t, *b.heap.first())) {
+		if t.TS <= b.clock-b.k && (b.heap.len() == 0 || tupleLess(*t, *b.heap.first())) {
 			// Release-through: pushing t would pop it straight back off.
 			if b.heap.len()+1 > b.stats.MaxHeld {
 				b.stats.MaxHeld = b.heap.len() + 1
 			}
-			out = b.release(out, t)
+			out = b.release(out, *t)
 		} else {
-			b.heap.push(t)
+			b.heap.insert(t)
 			if n := b.heap.len(); n > b.stats.MaxHeld {
 				b.stats.MaxHeld = n
 			}

@@ -10,11 +10,11 @@ import (
 // of order, plus every slack change. Like Instrumented it derives the
 // deltas from the handler's own cumulative Stats — no hooks in the
 // handlers' hot loops — but only when its driver calls Sync: the executor
-// does so once per step (cq.Exec), so a batch of any size costs one Stats
-// read and at most four events, and activity a panic cut off from its
-// Sync rides on the next one. Event timestamps are the maximum event time
-// seen, i.e. the buffer's clock, so traces replay deterministically under
-// the simulation harness.
+// does so once per step (cq.Exec), so a batch of any size costs one pass
+// over its timestamps (Advance), one Stats read and at most four events,
+// and activity a panic cut off from its Sync rides on the next one. Event
+// timestamps are the maximum event time seen, i.e. the buffer's clock, so
+// traces replay deterministically under the simulation harness.
 //
 // Traced is a Handler and is driven single-writer like any handler; the
 // tracer it feeds is safe for concurrent use.
@@ -35,7 +35,7 @@ func NewTraced(h Handler, tr *tracez.Tracer) *Traced {
 
 // Insert implements Handler.
 func (b *Traced) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
-	b.advance(it)
+	b.Advance([]stream.Item{it})
 	return b.inner.Insert(it, out)
 }
 
@@ -44,15 +44,20 @@ func (b *Traced) Flush(out []stream.Tuple) []stream.Tuple {
 	return b.inner.Flush(out)
 }
 
-// advance moves the wrapper's event-time clock.
-func (b *Traced) advance(it stream.Item) {
-	switch {
-	case it.Heartbeat:
-		if it.Watermark > b.at {
-			b.at = it.Watermark
+// Advance moves the wrapper's event-time clock past items. A driver that
+// inserts a batch into the wrapped handler itself (cq.Exec does, through
+// Unwrap, to pick the handler's batched path by its concrete type) calls it
+// once for the batch: the clock is only read by Sync, so one maximum over
+// the batch is as good as a step per item.
+func (b *Traced) Advance(items []stream.Item) {
+	for i := range items {
+		at := items[i].Tuple.TS
+		if items[i].Heartbeat {
+			at = items[i].Watermark
 		}
-	case it.Tuple.TS > b.at:
-		b.at = it.Tuple.TS
+		if at > b.at {
+			b.at = at
+		}
 	}
 }
 

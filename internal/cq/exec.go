@@ -3,6 +3,7 @@ package cq
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/buffer"
 	"repro/internal/durable"
@@ -17,21 +18,24 @@ import (
 // and cmd/aqserver's runners are drivers: they decide where items
 // come from and what an error means, and hand the items to Step.
 //
-// One Step is: journal the batch → per item, insert it into the handler,
-// advance the arrival clock and observe the tuples the insertion released →
-// suppress emissions below the recovered floor → report / telemetry /
-// tracer / sink → sync the handler's trace and counters, once → journal
-// the emission cursor → snapshot when due. Crash recovery is the same
-// per-item loop over the journal suffix with nothing journaled (see
-// Resume). Every state change happens inside Step on the caller's
-// goroutine, so a snapshot is a plain call at a batch boundary: the journal
-// covers exactly the items the captured state has absorbed.
+// One Step is: journal the batch → the disorder pass: insert the items into
+// the handler, advancing the arrival clock, and keep what they released with
+// the clock each tuple was released at → the window pass: hand the window
+// stage that run whole → suppress emissions below the recovered floor →
+// report / telemetry / tracer / sink → sync the handler's trace and
+// counters, once → journal the emission cursor → snapshot when due. A run,
+// not a tuple, is the unit of work between handler and operator, which is
+// where the time goes: see Resume. Crash recovery is the same two passes
+// over the journal suffix with nothing journaled. Every state change happens
+// inside Step on the caller's goroutine, so a snapshot is a plain call at a
+// batch boundary: the journal covers exactly the items the captured state
+// has absorbed.
 //
 // An Exec is not safe for concurrent use; its driver serializes every call
 // (cmd/aqserver does so with the runner mutex).
 type Exec struct {
 	q       *AggQuery
-	raw     buffer.Handler // as configured; what Handler returns
+	raw     buffer.Handler // as configured; what Handler returns and the disorder pass feeds
 	handler buffer.Handler // raw, or its traced wrapper
 	op      *window.Op     // plain operator; nil for grouped queries
 	win     windowStage
@@ -45,25 +49,40 @@ type Exec struct {
 	emitted  int // results delivered, after floor suppression
 
 	// The work in flight: pend[pos:] is journaled (or is the journal) and
-	// still to be applied, and rel[relPos:] is what the item before pos
-	// released and the window stage has not seen yet. Step sets pend and
+	// still to be inserted, and rel is what the items before pos released
+	// and how far window stage and sink have got with it. Step sets pend and
 	// Resume works both off, so a driver that isolates panics can say where
-	// one hit and carry on behind it.
-	stage  string
-	pend   []stream.Item
-	pos    int
-	rel    []stream.Tuple
-	relPos int
+	// one hit and carry on behind it. rel is a pointer to keep the struct in
+	// its size class (TestExecSizeClass).
+	stage string
+	pend  []stream.Item
+	pos   int
+	rel   *released
 
 	// Durability (nil log without Durable).
-	log      *durable.QueryLog
-	decorate func(*durable.Snapshot)
-	floor    int64 // primary emissions below it were delivered before the crash
-	// The two flags sit together so that the struct stays in its 320-byte
-	// size class (see CHANGES.md, PR 16).
+	log       *durable.QueryLog
+	decorate  func(*durable.Snapshot)
+	floor     int64 // primary emissions below it were delivered before the crash
 	haveFloor bool
 	flushing  bool // Finish reached: emissions are flush-forced
 }
+
+// released is the run between the two passes of a step: the tuples one chunk
+// of pending items released, in release order, and the window stage's
+// progress through them.
+type released struct {
+	ts   []stream.Tuple
+	nows []stream.Time // nows[i]: the arrival clock when ts[i] was released
+	ends []int         // ends[j]: len(ts) once the chunk's item j was inserted
+	base int           // the chunk is pend[base : base+len(ends)]
+	pos  int           // ts[pos:] is what the window stage has not been handed
+	sent int           // the stage's results before sent have been delivered
+}
+
+// maxChunk bounds the items one disorder pass inserts, and with them the
+// release buffer: a ring batch is far smaller, but a recovery's journal
+// suffix is one pending batch of up to a snapshot interval's items.
+const maxChunk = 4096
 
 // Pipeline positions, named in stage-panic errors (InFlight reports them as
 // trace stages).
@@ -75,15 +94,18 @@ const (
 
 // windowStage is the seam between the step core and the window operator:
 // the plain operator, or the keyed operator of a grouped query. Both are
-// evaluated in place, on the stepping goroutine, whatever the driver.
+// evaluated in place, on the stepping goroutine, whatever the driver, and
+// both take a released run whole — there is no per-tuple entry.
 type windowStage interface {
-	// observe feeds one released tuple at arrival position now.
-	observe(t stream.Tuple, now stream.Time)
-	// endStep is a batch boundary: nothing observed may stay parked.
-	endStep()
-	// finish records the PreFlush boundary, observes the tuples the
-	// handler's final flush released and forces the remaining windows out.
-	finish(flushed []stream.Tuple, now stream.Time)
+	// observeRun delivers the results a panic cut off from the sink (from
+	// r.sent), hands the operator r.ts[r.pos:] with their nows — r.pos
+	// moves past a tuple before the operator touches it — and delivers what
+	// that emitted. After it returns nothing is parked: not in r, not in
+	// the operator, not short of the sink.
+	observeRun(r *released)
+	// finish records the PreFlush boundary, observes the run the handler's
+	// final flush released and forces the remaining windows out.
+	finish(r *released, now stream.Time)
 	stats() window.OpStats
 }
 
@@ -108,7 +130,7 @@ func NewExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 
 // newExec builds the core for a validated query.
 func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
-	x := &Exec{q: q, sink: sink, rep: &AggReport{}, stage: stageSource}
+	x := &Exec{q: q, sink: sink, rep: &AggReport{}, stage: stageSource, rel: &released{}}
 	x.raw = q.handler
 	if x.raw == nil {
 		x.raw = buffer.Zero()
@@ -184,53 +206,89 @@ func (x *Exec) Step(batch []stream.Item) error {
 	return err
 }
 
-// Resume applies what is pending, item by item: insert into the handler,
-// advance the arrival clock, observe the tuples the insertion released. It
-// is the body of every Step, and what a panic-isolating driver calls
-// itself. After NewExec recovered prior state, the journal suffix is
-// pending and Resume is the replay — nothing is journaled again, it is the
-// journal. And after recovering a panic raised inside Step or Resume,
-// Resume carries on behind it: the rest of the batch is already journaled,
-// so abandoning it would make the journal lie. A panic in the disorder
-// stage costs the item in flight; one in the window stage at most the
-// released tuple in flight, and the rest of what the item released is
-// observed first. (The window operator stores a tuple before anything in it
-// can fail, and a window whose emission panicked is emitted by the next
-// advance, so there the cost is nothing.) The emission cursor and snapshot
-// check of an interrupted Step ride on the next one.
+// Resume applies what is pending, in two passes a chunk: the disorder pass
+// inserts the chunk's items into the handler and stamps every released tuple
+// with the arrival clock of the item that released it; the window pass hands
+// the window stage that run. It is the body of every Step, and what a
+// panic-isolating driver calls itself. After NewExec recovered prior state,
+// the journal suffix is pending and Resume is the replay — nothing is
+// journaled again, it is the journal. And after recovering a panic raised
+// inside Step or Resume, Resume carries on behind it: the rest of the batch
+// is already journaled, so abandoning it would make the journal lie. A panic
+// in the disorder pass costs the item in flight; one in the window pass at
+// most the released tuple or the result in flight, and everything released
+// or emitted behind it is observed and delivered first. (The window operator
+// stores a tuple before anything in it can fail, and a window whose emission
+// panicked is emitted by the next advance, so there the cost is nothing.)
+// The emission cursor and snapshot check of an interrupted Step ride on the
+// next one.
+//
+// Why runs: taking a batch apart into one handler call and one operator call
+// per tuple — each with its copies of a 64-byte Item, three divisions to
+// place the tuple among the windows and a chain of frames down to the sink —
+// cost more than the work itself, when 99 released tuples in 100 are late
+// for nothing and close nothing (window.Op.ObserveRun).
 func (x *Exec) Resume() {
-	x.observeReleased()
-	for x.pos < len(x.pend) {
-		it := x.pend[x.pos]
-		x.pos++ // a panic below leaves this item behind, not the batch
-		x.stage = stageDisorder
-		x.rel = x.handler.Insert(it, x.rel[:0])
-		x.relPos = 0
-		x.released += len(x.rel)
+	if x.stage != stageSource {
+		// Behind a panic: first what it left in the release buffer, parked in
+		// the operator or short of the sink. (A pass that returns leaves
+		// nothing, so every other call starts with the disorder pass.)
 		x.stage = stageWindow
-		if it.Heartbeat {
-			if it.Watermark > x.now {
-				x.now = it.Watermark
-			}
-		} else if it.Tuple.Arrival > x.now {
-			// Arrival is client-supplied on the wire and need not be
-			// monotone; the clock is.
-			x.now = it.Tuple.Arrival
-		}
-		x.observeReleased()
+		x.win.observeRun(x.rel)
 	}
-	x.win.endStep()
+	for x.pos < len(x.pend) {
+		x.stage = stageDisorder
+		x.insertChunk(x.pend[x.pos:min(x.pos+maxChunk, len(x.pend))])
+		x.stage = stageWindow
+		x.win.observeRun(x.rel)
+	}
 	x.sync()
 	x.stage, x.pend = stageSource, nil
 }
 
-// observeReleased hands the window stage what the last inserted item
-// released and it has not seen yet.
-func (x *Exec) observeReleased() {
-	for x.relPos < len(x.rel) {
-		t := x.rel[x.relPos]
-		x.relPos++ // a panic below leaves this tuple behind, not the rest
-		x.win.observe(t, x.now)
+// insertChunk is the disorder pass over one chunk of the pending items. A
+// handler that is exactly a *buffer.KSlack — its concrete type, looked up
+// behind the traced wrapper; a type that embeds one and overrides Insert
+// inherits InsertBatch and must not be short-circuited — takes the chunk in
+// one call. Every other handler takes it item by item, x.pos moving first so
+// that a panic leaves the item behind, not the batch.
+func (x *Exec) insertChunk(chunk []stream.Item) {
+	r := x.rel
+	r.ts, r.nows, r.ends = r.ts[:0], r.nows[:0], r.ends[:0]
+	r.base, r.pos = x.pos, 0
+	if tr, ok := x.handler.(*buffer.Traced); ok {
+		tr.Advance(chunk)
+	}
+	if ks, ok := x.raw.(*buffer.KSlack); ok {
+		x.pos += len(chunk)
+		r.ts, r.ends = ks.InsertBatch(chunk, r.ts, r.ends)
+		for i := range chunk {
+			x.stamp(&chunk[i], r.ends[i])
+		}
+	} else {
+		for i := range chunk {
+			x.pos++
+			r.ts = x.raw.Insert(chunk[i], r.ts)
+			r.ends = append(r.ends, len(r.ts))
+			x.stamp(&chunk[i], len(r.ts))
+		}
+	}
+}
+
+// stamp advances the arrival clock over one inserted item and counts and
+// stamps the tuples its insertion released, rel.ts[len(rel.nows):end].
+func (x *Exec) stamp(it *stream.Item, end int) {
+	// Arrival is client-supplied on the wire and need not be monotone; the
+	// clock is.
+	at := it.Tuple.Arrival
+	if it.Heartbeat {
+		at = it.Watermark
+	}
+	x.now = max(x.now, at)
+	r := x.rel
+	x.released += end - len(r.nows)
+	for len(r.nows) < end {
+		r.nows = append(r.nows, x.now)
 	}
 }
 
@@ -248,17 +306,24 @@ func (x *Exec) sync() {
 }
 
 // InFlight reports where a panic raised inside Step or Resume hit: the
-// trace stage (buffer or window) and the item being applied (the zero Item
-// if the panic came from outside the per-item loop).
+// trace stage (buffer or window) and the item being applied — in the buffer
+// stage the item being inserted, in the window stage the item whose insertion
+// released the last tuple the operator was handed (for a panic out of the
+// sink that is the last tuple of the run: results are delivered behind it).
+// It is the zero Item if the panic came from outside the two passes.
 func (x *Exec) InFlight() (stage tracez.Stage, it stream.Item) {
-	stage = tracez.StageWindow
 	if x.stage == stageDisorder {
-		stage = tracez.StageBuffer
+		if x.pos > 0 && x.pos <= len(x.pend) {
+			it = x.pend[x.pos-1]
+		}
+		return tracez.StageBuffer, it
 	}
-	if x.pos > 0 && x.pos <= len(x.pend) {
-		it = x.pend[x.pos-1]
+	if r := x.rel; r.pos > 0 {
+		if i := r.base + sort.SearchInts(r.ends, r.pos); i < r.base+len(r.ends) && i < len(x.pend) {
+			it = x.pend[i]
+		}
 	}
-	return stage, it
+	return tracez.StageWindow, it
 }
 
 // Finish ends the stream: results so far are marked progress-emitted
@@ -271,12 +336,15 @@ func (x *Exec) Finish() error {
 		x.Resume()
 	}
 	x.stage = stageDisorder
-	x.rel = x.handler.Flush(x.rel[:0])
-	x.relPos = len(x.rel) // the window stage's finish takes them whole
-	x.released += len(x.rel)
+	r := x.rel
+	r.ts, r.nows, r.ends, r.pos = x.handler.Flush(r.ts[:0]), r.nows[:0], r.ends[:0], 0
+	for range r.ts {
+		r.nows = append(r.nows, x.now)
+	}
+	x.released += len(r.ts)
 	x.sync()
 	x.stage = stageWindow
-	x.win.finish(x.rel, x.now)
+	x.win.finish(r, x.now)
 	x.q.tracer.Flush(int64(x.now))
 	x.stage = stageSource
 	if x.log != nil {
@@ -287,10 +355,15 @@ func (x *Exec) Finish() error {
 	return nil
 }
 
-// emit delivers the plain operator's results: floor suppression first, so
-// duplicates of pre-crash deliveries reach neither report, trace nor sink.
-func (x *Exec) emit(results []window.Result) {
-	for _, res := range results {
+// emit delivers the plain operator's results, x.scratch from rel.sent on:
+// floor suppression first, so duplicates of pre-crash deliveries reach
+// neither report, trace nor sink. The cursor moves before a result is
+// delivered, so a panic out of telemetry, tracer or sink costs that result
+// and the next pass delivers the ones behind it.
+func (x *Exec) emit() {
+	for r := x.rel; r.sent < len(x.scratch); {
+		res := x.scratch[r.sent]
+		r.sent++
 		if x.suppress(res) {
 			continue
 		}
@@ -438,28 +511,19 @@ func (x *Exec) snapshot() error {
 // go through Exec.emit.
 type plainStage struct{ x *Exec }
 
-func (s plainStage) observe(t stream.Tuple, now stream.Time) {
+func (s plainStage) observeRun(r *released) {
 	x := s.x
-	x.scratch = x.op.Observe(t, now, x.scratch[:0])
-	x.emit(x.scratch)
+	x.emit()
+	x.scratch, r.sent = x.op.ObserveRun(r.ts, r.nows, &r.pos, x.scratch[:0]), 0
+	x.emit()
 }
 
-// endStep delivers what an Observe that ended in a panic had emitted before
-// it, so that the emission cursor and snapshot of the step cover nothing the
-// sink has not seen.
-func (s plainStage) endStep() {
-	s.x.scratch = s.x.op.Drain(s.x.scratch[:0])
-	s.x.emit(s.x.scratch)
-}
-
-func (s plainStage) finish(flushed []stream.Tuple, now stream.Time) {
+func (s plainStage) finish(r *released, now stream.Time) {
 	x := s.x
 	x.rep.PreFlush, x.flushing = x.emitted, true
-	for _, t := range flushed {
-		s.observe(t, now)
-	}
-	x.scratch = x.op.Flush(now, x.scratch[:0])
-	x.emit(x.scratch)
+	s.observeRun(r)
+	x.scratch, r.sent = x.op.Flush(now, x.scratch[:0]), 0
+	x.emit()
 }
 
 func (s plainStage) stats() window.OpStats { return s.x.op.Stats() }
@@ -476,42 +540,42 @@ type keyedStage struct {
 	scratch []window.KeyedResult
 }
 
-// out is where the operator appends its next results, and from which index.
-func (s *keyedStage) out() (dst *[]window.KeyedResult, base int) {
-	if s.x.q.discardRep {
-		s.scratch = s.scratch[:0]
-		return &s.scratch, 0
+// out is where the operator appends its next results; rel.sent indexes it.
+// The scratch slice is emptied whenever everything in it has been delivered.
+func (s *keyedStage) out() *[]window.KeyedResult {
+	if !s.x.q.discardRep {
+		return &s.x.rep.Keyed
 	}
-	return &s.x.rep.Keyed, len(s.x.rep.Keyed)
+	if r := s.x.rel; r.sent == len(s.scratch) {
+		s.scratch, r.sent = s.scratch[:0], 0
+	}
+	return &s.scratch
 }
 
-func (s *keyedStage) observe(t stream.Tuple, now stream.Time) {
-	dst, base := s.out()
-	*dst = s.op.Observe(t, now, *dst)
-	s.emit((*dst)[base:])
+func (s *keyedStage) observeRun(r *released) {
+	s.emit()
+	dst := s.out()
+	*dst = s.op.ObserveRun(r.ts, r.nows, &r.pos, *dst)
+	s.emit()
 }
 
-func (s *keyedStage) endStep() {
-	dst, base := s.out()
-	*dst = s.op.Drain(*dst)
-	s.emit((*dst)[base:])
-}
-
-func (s *keyedStage) finish(flushed []stream.Tuple, now stream.Time) {
+func (s *keyedStage) finish(r *released, now stream.Time) {
 	x := s.x
 	x.rep.PreFlush, x.flushing = x.emitted, true
-	for _, t := range flushed {
-		s.observe(t, now)
-	}
-	dst, base := s.out()
+	s.observeRun(r)
+	dst := s.out()
 	*dst = s.op.Flush(now, *dst)
-	s.emit((*dst)[base:])
+	s.emit()
 }
 
-func (s *keyedStage) emit(results []window.KeyedResult) {
+// emit delivers the operator's results from rel.sent on, the cursor moving
+// first (see Exec.emit).
+func (s *keyedStage) emit() {
 	x := s.x
-	x.emitted += len(results)
-	for _, kr := range results {
+	for r, dst := x.rel, s.out(); r.sent < len(*dst); {
+		kr := (*dst)[r.sent]
+		r.sent++
+		x.emitted++
 		x.q.telem.noteResult(kr.Result, x.flushing)
 		x.q.tracer.Emit(int64(kr.EmitArrival), kr.Idx, int64(kr.Start), int64(kr.End), kr.Key, kr.Count, int64(kr.Latency()))
 		if x.q.keyedSink != nil {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -346,31 +347,39 @@ func TestExecResumeBehindPanic(t *testing.T) {
 		if err := ref.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		seen, atRisk, behind := 0, 0, 0
+		seen, atRisk := 0, 0
 		var x *Exec
-		x = mk(buffer.NewKSlack(500), func(window.Result) {
+		var got []window.Result
+		x = mk(buffer.NewKSlack(500), func(res window.Result) {
 			if seen++; seen == 10 {
-				// What the item in flight released that the window stage has
-				// not seen yet, and how much of its batch is still waiting
-				// behind it.
-				atRisk, behind = len(x.rel)-x.relPos, len(x.pend)-x.pos
+				// The released tuples of the run in flight behind the one that
+				// closed this window: the operator has them, their results are
+				// still to be delivered.
+				nows := x.rel.nows
+				atRisk = len(nows) - sort.Search(len(nows), func(i int) bool { return nows[i] > res.EmitArrival })
 				panic("poisoned result")
 			}
+			got = append(got, res)
 		})
 		stages, _ := stepIsolating(t, x, items)
 		if len(stages) != 1 || stages[0] != tracez.StageWindow {
 			t.Fatalf("InFlight said %v; want exactly the injected window-stage panic", stages)
 		}
-		if behind == 0 || atRisk == 0 {
-			t.Fatalf("%d items and %d released tuples were pending behind the panic; the test proves nothing", behind, atRisk)
+		if atRisk == 0 {
+			t.Fatalf("%d released tuples were pending behind the panic; the test proves nothing", atRisk)
 		}
-		got, want := x.Report(), ref.Report()
-		if got.Handler != want.Handler {
-			t.Fatalf("handler stats diverged: %+v vs %+v", got.Handler, want.Handler)
+		rep, want := x.Report(), ref.Report()
+		if rep.Handler != want.Handler {
+			t.Fatalf("handler stats diverged: %+v vs %+v", rep.Handler, want.Handler)
 		}
-		if got.Op != want.Op {
-			t.Fatalf("a sink panic cost the operator input: op %+v, want %+v (%d released tuples and %d items were pending behind the panic)",
-				got.Op, want.Op, atRisk, behind)
+		if rep.Op != want.Op {
+			t.Fatalf("a sink panic cost the operator input: op %+v, want %+v (%d released tuples were pending behind the panic)",
+				rep.Op, want.Op, atRisk)
+		}
+		// Every reference result except the poisoned one reached the sink
+		// exactly once, in order.
+		if wantSink := append(append([]window.Result{}, want.Results[:9]...), want.Results[10:]...); !reflect.DeepEqual(got, wantSink) {
+			t.Fatalf("the sink saw %d results, want the reference's %d without its tenth (or they differ)", len(got), len(wantSink))
 		}
 	})
 

@@ -27,7 +27,9 @@
 package fiba
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -46,6 +48,14 @@ func (k Key) Less(o Key) bool {
 		return k.TS < o.TS
 	}
 	return k.Seq < o.Seq
+}
+
+// Compare is the same order three ways, for package slices.
+func (k Key) Compare(o Key) int {
+	if c := cmp.Compare(k.TS, o.TS); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Seq, o.Seq)
 }
 
 // Entry is one stored tuple value. The JSON form ({"ts","seq","val"}) is
@@ -360,48 +370,55 @@ func (t *Tree[P]) insertChild(n, sib *node[P]) {
 	}
 }
 
-// InsertBatch inserts a batch of entries, sorting a copy first (stable, so
-// duplicate keys keep their slice order) so consecutive inserts stay close
-// to one finger. An in-order batch appended to the end of the tree costs
-// amortized O(1) per entry.
-func (t *Tree[P]) InsertBatch(entries []Entry) {
-	sorted := true
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Key.Less(entries[i-1].Key) {
-			sorted = false
-			break
+// InsertRun inserts entries in slice order and leaves exactly the tree that
+// calling Insert once per entry leaves: same leaves, same splits, same Stats,
+// hence the same Shape and — a cached partial being a left fold over a
+// node's children — the same bits in every later range fold, wherever a
+// caller cuts its input into runs. What it saves is the per-entry work: every
+// ascending stretch at or above the maximum key (what a disorder buffer
+// releases, stragglers aside) is appended to the right leaf a chunk at a
+// time — fill the leaf to the overflow point one-by-one appends reach, split
+// it where they would, carry on in the new right leaf — with one spine
+// invalidation per chunk. Entries below the maximum go through Insert.
+func (t *Tree[P]) InsertRun(entries []Entry) {
+	for i := 0; i < len(entries); {
+		r := t.right
+		if r == nil || entries[i].Key.Less(r.ents[len(r.ents)-1].Key) {
+			t.Insert(entries[i].Key, entries[i].Val)
+			i++
+			continue
 		}
-	}
-	if !sorted {
-		cp := make([]Entry, len(entries))
-		copy(cp, entries)
-		insertionSortStable(cp)
-		entries = cp
-	}
-	for _, e := range entries {
-		t.Insert(e.Key, e.Val)
+		// A leaf holds at most maxLeaf entries between calls, so there is
+		// room for at least one; the append that makes it maxLeaf+1 splits.
+		end := min(len(entries), i+maxLeaf+1-len(r.ents))
+		j := i + 1
+		for j < end && !entries[j].Key.Less(entries[j-1].Key) {
+			j++
+		}
+		r.ents = append(r.ents, entries[i:j]...)
+		t.size += j - i
+		t.stats.Inserts += int64(j - i)
+		t.stats.AppendFast += int64(j - i)
+		t.markDirty(r)
+		if len(r.ents) > maxLeaf {
+			t.splitLeaf(r)
+		}
+		i = j
 	}
 }
 
-// insertionSortStable sorts entries by key, stable. Binary-search insertion
-// keeps comparisons low on the nearly-sorted batches a disorder buffer
-// releases; fully random batches are rare and still O(n²) moves bounded by
-// batch size.
-func insertionSortStable(es []Entry) {
-	for i := 1; i < len(es); i++ {
-		e := es[i]
-		lo, hi := 0, i
-		for lo < hi {
-			m := (lo + hi) / 2
-			if e.Key.Less(es[m].Key) {
-				hi = m
-			} else {
-				lo = m + 1
-			}
-		}
-		copy(es[lo+1:i+1], es[lo:i])
-		es[lo] = e
+// InsertBatch inserts a batch of entries in key order, sorting a copy first
+// when it has to (stable, so duplicate keys keep their slice order): a batch
+// that lies at the end of the tree costs amortized O(1) per entry whatever
+// order it came in. The window operator restores a snapshot that records no
+// shape through it, so the batch is outside input of any size and order.
+func (t *Tree[P]) InsertBatch(entries []Entry) {
+	byKey := func(a, b Entry) int { return a.Key.Compare(b.Key) }
+	if !slices.IsSortedFunc(entries, byKey) {
+		entries = slices.Clone(entries)
+		slices.SortStableFunc(entries, byKey)
 	}
+	t.InsertRun(entries)
 }
 
 // EvictBelow removes every entry with timestamp < ts (bulk prefix

@@ -122,6 +122,7 @@ type fibaState struct {
 	// scratch stages a distinct window's values (aggFor) so every emission
 	// reuses one buffer. Only borrowed within a single aggFor call.
 	scratch []float64
+	run     []fiba.Entry // insertRun's staging, likewise
 
 	// Order-statistic mode: the quantile, and the panes' sorted runs — built
 	// by the first emission, so an operator that never emits (and set-up)
@@ -147,6 +148,17 @@ func (s *fibaState) insert(t stream.Tuple) {
 	if s.order != nil {
 		s.order.patch(t.TS, t.Value)
 	}
+}
+
+// insertRun stores a run of tuples, in slice order, none of which lies in a
+// pane that has a sorted run (Op.ObserveRun says why): the tree takes them as
+// one run and there is nothing to patch.
+func (s *fibaState) insertRun(ts []stream.Tuple) {
+	s.run = s.run[:0]
+	for i := range ts {
+		s.run = append(s.run, fiba.Entry{Key: fiba.Key{TS: ts[i].TS, Seq: ts[i].Seq}, Val: ts[i].Value})
+	}
+	s.tree.InsertRun(s.run)
 }
 
 // aggFor materializes the factory's Aggregate for the window [start, end)

@@ -68,6 +68,12 @@ func (o *KeyedOp) Keys() int { return len(o.ops) }
 // closes that window for every other key; advances within the same slide
 // touch only the tuple's own key, since no other key could emit anything.
 func (o *KeyedOp) Observe(t stream.Tuple, now stream.Time, out []KeyedResult) []KeyedResult {
+	o.observe(t, now)
+	return o.Drain(out)
+}
+
+// observe is Observe with the results left in o.res.
+func (o *KeyedOp) observe(t stream.Tuple, now stream.Time) {
 	op, ok := o.ops[t.Key]
 	if !ok {
 		op = NewOp(o.spec, o.agg, o.policy, o.refineFor)
@@ -90,6 +96,17 @@ func (o *KeyedOp) Observe(t stream.Tuple, now stream.Time, out []KeyedResult) []
 			// the canonical by-key order for this step.
 			o.mergeOwnBlock(o.res[base:], ownLen)
 		}
+	}
+}
+
+// ObserveRun feeds ts[*pos:] with their arrival-time positions nows, one
+// Observe per tuple — each tuple is an input step of its own, which is what
+// the canonical emission order is defined over — moving *pos past a tuple
+// before touching it (see Op.ObserveRun).
+func (o *KeyedOp) ObserveRun(ts []stream.Tuple, nows []stream.Time, pos *int, out []KeyedResult) []KeyedResult {
+	for i := *pos; i < len(ts); i = *pos {
+		*pos = i + 1
+		o.observe(ts[i], nows[i])
 	}
 	return o.Drain(out)
 }

@@ -132,6 +132,12 @@ func (o *Op) Stats() OpStats { return o.stats }
 // emitted results to out. The tuple is stored before anything in the call can
 // panic (see Factory), so a caller that recovers one must not feed it again.
 func (o *Op) Observe(t stream.Tuple, now stream.Time, out []Result) []Result {
+	o.observe(t, now)
+	return o.Drain(out)
+}
+
+// observe is Observe with the results left in o.res.
+func (o *Op) observe(t stream.Tuple, now stream.Time) {
 	o.stats.TuplesIn++
 	first, last := o.spec.WindowsFor(t.TS)
 	if !o.haveFirst {
@@ -163,26 +169,75 @@ func (o *Op) Observe(t stream.Tuple, now stream.Time, out []Result) []Result {
 	if late {
 		o.stats.LateTuples++
 	}
-	return o.Advance(t.TS, now, out)
+	o.advance(t.TS, now)
+}
+
+// ObserveRun feeds ts[*pos:], a run of tuples in the order a disorder handler
+// released them, nows[i] being the arrival-time position at which ts[i] was
+// released; it is Observe called for each tuple in turn, to the last bit of
+// state and output. *pos moves past a tuple before the tuple is touched, so a
+// caller that recovers a panic (see Observe) carries on behind it by calling
+// again with the same arguments.
+//
+// What a run saves is the per-tuple arithmetic. With windows below nextEmit
+// emitted and lo and hi the ends of windows nextEmit−1 and nextEmit, a tuple
+// with lo ≤ TS < hi is late for no window (its first window starts after
+// TS−Size ≥ (nextEmit−1)·Slide, so is nextEmit or later), closes none (the
+// clock stays below hi, the end of the next window to close) and lies in no
+// pane an order-statistic window has sorted yet (those end at lo): all
+// Observe does with it is count it, store it and raise the clock. Nearly
+// every tuple a K-slack releases is of that kind — one per slide closes a
+// window, a few in a thousand are stragglers — so a maximal stretch of them
+// is found with two compares a tuple and stored by one tree append; retained
+// windows are expired once behind it, nothing in the stretch reads them. The
+// tuple that ends a stretch takes Observe's body, with its own now. Results
+// collect in o.res until the run is through, so a panic strands none.
+func (o *Op) ObserveRun(ts []stream.Tuple, nows []stream.Time, pos *int, out []Result) []Result {
+	for i := *pos; i < len(ts); i = *pos {
+		_, lo := o.spec.Bounds(o.nextEmit - 1)
+		hi := lo + o.spec.Slide
+		if o.haveFirst && o.started && o.clock < hi { // else: nothing emitted yet, or an emission is held up
+			clock, j := o.clock, i
+			for ; j < len(ts) && ts[j].TS >= lo && ts[j].TS < hi; j++ {
+				clock = max(clock, ts[j].TS)
+			}
+			if j > i {
+				*pos = j
+				o.stats.TuplesIn += int64(j - i)
+				o.fib.insertRun(ts[i:j])
+				o.clock = clock
+				o.expireRetained()
+				continue
+			}
+		}
+		*pos = i + 1
+		o.observe(ts[i], nows[i])
+	}
+	return o.Drain(out)
 }
 
 // Advance moves the operator's event-time clock to at least eventTS and
 // emits every window that closes, at arrival-time position now. The cq
 // engine calls it for post-buffer progress signals (heartbeats).
 func (o *Op) Advance(eventTS, now stream.Time, out []Result) []Result {
+	o.advance(eventTS, now)
+	return o.Drain(out)
+}
+
+// advance is Advance with the results left in o.res.
+func (o *Op) advance(eventTS, now stream.Time) {
 	if !o.started || eventTS > o.clock {
 		o.clock = eventTS
 		o.started = true
 	}
 	if !o.haveFirst {
-		return out
+		return
 	}
 	lastClosed := o.spec.LastClosed(o.clock)
 	for idx := o.nextEmit; idx <= lastClosed; idx++ {
 		o.emit(idx, now)
 	}
 	o.expireRetained()
-	return o.Drain(out)
 }
 
 // Drain appends to out what a call that ended in a panic had emitted before

@@ -1,8 +1,10 @@
 package window
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/fiba"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -127,3 +129,28 @@ type unknownAgg struct{}
 func (unknownAgg) Add(float64)    {}
 func (unknownAgg) Value() float64 { return 0 }
 func (unknownAgg) N() int64       { return 0 }
+
+// TestRestoreShapelessSnapshotInAnyOrder: a snapshot that records no tree
+// shape (written before shapes were, or edited by hand) is outside input of
+// any size in any order, and restores by bulk insert. Half a million shuffled
+// entries — equal keys among them, which keep their snapshot order — must come
+// back as the sorted input, in time a start-up can afford (the insertion sort
+// this replaced moved a quarter of n² entries: minutes).
+func TestRestoreShapelessSnapshotInAnyOrder(t *testing.T) {
+	const n = 500_000
+	rng := stats.NewRNG(77)
+	ents := make([]fiba.Entry, n)
+	for i := range ents {
+		ents[i] = fiba.Entry{Key: fiba.Key{TS: stream.Time(rng.Intn(n / 4)), Seq: uint64(rng.Intn(4))}, Val: float64(i)}
+	}
+	want := slices.Clone(ents)
+	slices.SortStableFunc(want, func(a, b fiba.Entry) int { return a.Key.Compare(b.Key) })
+
+	op := NewOp(Spec{Size: 1000, Slide: 100}, Sum(), DropLate, 0)
+	if err := op.Restore(OpState{Tree: ents, HaveFirst: true, Started: true, Clock: stream.Time(n / 4)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := op.State().Tree; !slices.Equal(got, want) {
+		t.Fatalf("restored tree holds %d entries, want the %d of the snapshot in key order (or they differ)", len(got), len(want))
+	}
+}
