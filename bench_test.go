@@ -327,44 +327,6 @@ func BenchmarkEstimatorMinK(b *testing.B) {
 	}
 }
 
-// BenchmarkJournalOverhead measures the cost of crash-consistent
-// durability on the batched concurrent engine: "off" is the plain
-// pipeline, "on" attaches a durable.QueryLog journaling every accepted
-// item with the default group-commit batch and a mid-run snapshot
-// cadence. The acceptance bar is <=10% throughput loss at the default
-// transport batch (EXPERIMENTS.md R18).
-func BenchmarkJournalOverhead(b *testing.B) {
-	tuples := benchTuples(200000)
-	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
-	run := func(b *testing.B, dir string) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q := cq.New(stream.FromTuples(tuples)).
-				Handle(buffer.NewKSlack(2*stream.Second)).
-				Window(spec, window.Sum()).
-				Batch(64)
-			if dir != "" {
-				log, err := durable.Open(durable.Options{
-					Dir:           fmt.Sprintf("%s/iter-%d", dir, i),
-					SnapshotEvery: 50000,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				q.Durable(cq.Durable{Log: log})
-				defer log.Close()
-			}
-			if _, err := q.RunConcurrent(context.Background(), nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
-	}
-	b.Run("off", func(b *testing.B) { run(b, "") })
-	b.Run("on", func(b *testing.B) { run(b, b.TempDir()) })
-}
-
 // BenchmarkRecovery measures restart cost over a populated durable
 // directory: each iteration performs a full recovery — load the newest
 // snapshot, scan and repair the journal, replay the suffix through the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -623,14 +624,17 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// resultJSON is the wire form of a window result.
+// resultJSON is the wire form of a window result. Value is null where the
+// result is NaN or ±Inf, which JSON cannot carry: an empty window's max, min,
+// avg, stddev or quantile, or a window given up after its emission kept
+// panicking.
 type resultJSON struct {
-	Window  int64   `json:"window"`
-	Start   int64   `json:"start"`
-	End     int64   `json:"end"`
-	Value   float64 `json:"value"`
-	Count   int64   `json:"count"`
-	Latency int64   `json:"latency"`
+	Window  int64    `json:"window"`
+	Start   int64    `json:"start"`
+	End     int64    `json:"end"`
+	Value   *float64 `json:"value"`
+	Count   int64    `json:"count"`
+	Latency int64    `json:"latency"`
 }
 
 func resultsJSON(rs []window.Result) []resultJSON {
@@ -638,17 +642,25 @@ func resultsJSON(rs []window.Result) []resultJSON {
 	for i, r := range rs {
 		out[i] = resultJSON{
 			Window: r.Idx, Start: r.Start, End: r.End,
-			Value: r.Value, Count: r.Count, Latency: r.Latency(),
+			Count: r.Count, Latency: r.Latency(),
+		}
+		if !math.IsNaN(r.Value) && !math.IsInf(r.Value, 0) {
+			out[i].Value = &rs[i].Value
 		}
 	}
 	return out
 }
 
+// writeJSON answers with v as compact JSON, marshaled whole before anything
+// is written, so a value that cannot be encoded is a 500, not a torn 200.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	body = append(body, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body) // fails only when the client has gone: no one to tell
 }

@@ -149,6 +149,55 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
+// TestResultsNonFiniteValueIsNull: a max query over a stream with an
+// event-time gap wider than its window emits the empty windows in between,
+// whose max is NaN. JSON has no NaN, so those rows carry a null value and the
+// endpoint still answers 200 — one such window used to fail it whole.
+func TestResultsNonFiniteValueIsNull(t *testing.T) {
+	sec := stream.Second
+	q := kslackRunner(t, runnerDef{name: "gap-max", spec: window.Spec{Size: sec, Slide: sec}, agg: window.Max()}, 100)
+	var items []stream.Item
+	for i, ts := range []stream.Time{100, 600, 5100, 5600} {
+		items = append(items, stream.DataItem(stream.Tuple{TS: ts, Arrival: ts, Seq: uint64(i), Value: float64(i)}))
+	}
+	feedBatches(q, items, len(items))
+	q.finish()
+	srv := newServer()
+	srv.add(q)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/queries/gap-max/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) {
+		t.Fatalf("status %d, Content-Length %d for a %d-byte body: %s", resp.StatusCode, resp.ContentLength, len(body), body)
+	}
+	var rows []struct {
+		Window int64
+		Value  *float64
+	}
+	if err := json.Unmarshal(body, &rows); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]float64{0: 1, 5: 3} // windows 1-4 are empty
+	if len(rows) != 6 {
+		t.Fatalf("got %d windows, want 0-5: %s", len(rows), body)
+	}
+	for _, r := range rows {
+		v, ok := want[r.Window]
+		if ok != (r.Value != nil) || ok && *r.Value != v {
+			t.Fatalf("window %d: value %v, want %v (null for an empty window): %s", r.Window, r.Value, v, body)
+		}
+	}
+}
+
 // TestStatusResilienceFields asserts the degradation counters are
 // exported via the /queries/{name} status JSON.
 func TestStatusResilienceFields(t *testing.T) {

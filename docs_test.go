@@ -172,7 +172,7 @@ func TestMetricsCatalog(t *testing.T) {
 // argument, window operators three); 0 matches any.
 var executorCalls = map[string]int{
 	"Insert": 2, "InsertBatch": 0, "Observe": 3, "Flush": 0, // handler insert/flush, window observe/flush
-	"AppendItem": 0, "AppendItems": 0, "AppendEmitProgress": 0, // journal
+	"AppendItems": 0, "AppendEmitProgress": 0, // journal
 	"CutForSnapshot": 0, "WriteSnapshot": 0, "SaveHandler": 0, // snapshot
 	"TakeRecovery": 0, "RestoreHandler": 0, // recovery
 }

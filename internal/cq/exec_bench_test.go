@@ -1,12 +1,14 @@
 package cq
 
 import (
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/delay"
+	"repro/internal/durable"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/obs/tracez"
@@ -22,6 +24,14 @@ import (
 // the metric that matters is ns/query-tuple, time inside Step only. A CPU
 // profile of the paced server is phase-locked to its 2 ms tick and collects
 // next to nothing — this is the profile to read instead (docs/TESTING.md).
+//
+// durable is fixedk journaled the way aqserver runs a durable query:
+// 256-item ring batches, a journal in a temporary directory with the
+// server's CommitEvery (64), snapshot interval (50 000 items) and -obs
+// instruments, a snapshot Decorate like the runner's, and one Commit after
+// every Step, timed with it. Snapshot and rotation fsyncs are wall time the
+// CPU does not spend, so every sub-benchmark also reports cpu-ns/query-tuple,
+// the process's user + system CPU over the same region, from getrusage.
 func BenchmarkExecStepServerShaped(b *testing.B) {
 	type shape struct {
 		spec window.Spec
@@ -29,20 +39,21 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 		k    stream.Time
 	}
 	sec := stream.Second
+	fixedk := []shape{{window.Spec{Size: 10 * sec, Slide: sec}, window.Sum(), 500}}
 	for _, bc := range []struct {
-		name   string
-		batch  int
-		shapes []shape
+		name    string
+		batch   int
+		shapes  []shape
+		durable bool
 	}{
 		{"fanout4", 160, []shape{
 			{window.Spec{Size: sec, Slide: sec}, window.Sum(), 500},
 			{window.Spec{Size: 60 * sec, Slide: sec}, window.Max(), 500},
 			{window.Spec{Size: 10 * sec, Slide: sec}, window.Quantile(0.95), 500},
 			{window.Spec{Size: 10 * sec, Slide: sec}, window.Count(), 2000},
-		}},
-		{"fixedk", 1200, []shape{
-			{window.Spec{Size: 10 * sec, Slide: sec}, window.Sum(), 500},
-		}},
+		}, false},
+		{"fixedk", 1200, fixedk, false},
+		{"durable", 256, fixedk, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := gen.Sensor(240_000, 11)
@@ -52,9 +63,22 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 
 			results := 0
 			execs := make([]*Exec, len(bc.shapes))
+			logs := make([]*durable.QueryLog, 0, len(bc.shapes))
 			for i, s := range bc.shapes {
 				q := New(nil).Handle(buffer.NewKSlack(s.k)).Window(s.spec, s.agg).
 					Trace(tracez.New(tracez.NewRecorder(1<<12), "q")).DiscardReport()
+				if bc.durable {
+					log, err := durable.Open(durable.Options{Dir: b.TempDir(), CommitEvery: 64, SnapshotEvery: 50_000,
+						Metrics: durable.NewMetrics(obs.NewRegistry())})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer log.Close()
+					logs = append(logs, log)
+					q.Durable(Durable{Log: log, Decorate: func(s *durable.Snapshot) {
+						s.Query, s.Counters = "q", map[string]int64{"emitted": int64(results)}
+					}})
+				}
 				x, err := NewExec(q, func(window.Result) { results++ })
 				if err != nil {
 					b.Fatal(err)
@@ -66,7 +90,7 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 			// in event time, arrival time and sequence, so the stream never
 			// repeats. The shift is done outside the timed region.
 			batch := make([]stream.Item, bc.batch)
-			var inStep time.Duration
+			var inStep, cpu time.Duration
 			off, pass := 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -81,19 +105,27 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 					batch[j] = it
 				}
 				off += bc.batch
-				start := time.Now()
+				start, cpu0 := time.Now(), cpuTime()
 				for _, x := range execs {
 					if err := x.Step(batch); err != nil {
 						b.Fatal(err)
 					}
 				}
+				for _, log := range logs {
+					if err := log.Commit(); err != nil {
+						b.Fatal(err)
+					}
+				}
 				inStep += time.Since(start)
+				cpu += cpuTime() - cpu0
 			}
 			b.StopTimer()
 			if results == 0 && b.N*bc.batch > 1000 {
 				b.Fatal("no window ever closed; the benchmark measures nothing")
 			}
-			b.ReportMetric(float64(inStep.Nanoseconds())/float64(b.N*bc.batch*len(execs)), "ns/query-tuple")
+			n := float64(b.N * bc.batch * len(execs))
+			b.ReportMetric(float64(inStep.Nanoseconds())/n, "ns/query-tuple")
+			b.ReportMetric(float64(cpu.Nanoseconds())/n, "cpu-ns/query-tuple")
 		})
 	}
 }
@@ -164,4 +196,13 @@ func BenchmarkExecStepAdaptive(b *testing.B) {
 			b.ReportMetric(float64(inStep.Nanoseconds())/float64(b.N*batch), "ns/tuple")
 		})
 	}
+}
+
+// cpuTime is the process's user + system CPU time so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

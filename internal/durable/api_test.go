@@ -1,7 +1,11 @@
 package durable
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -9,7 +13,7 @@ import (
 )
 
 // AppendItems is the transport-batch fast path; it must be byte-for-byte
-// equivalent to the per-item loop, group-commit cadence included.
+// equivalent to the per-item loop, snapshot cadence included.
 func TestAppendItemsMatchesPerItem(t *testing.T) {
 	items := testItems(300)
 	dirA, dirB := t.TempDir(), t.TempDir()
@@ -50,6 +54,105 @@ func TestAppendItemsMatchesPerItem(t *testing.T) {
 	}
 	if !reflect.DeepEqual(segA, segB) {
 		t.Fatal("batch append produced different journal bytes than per-item append")
+	}
+}
+
+// journalDigest hashes every segment file of dir, names included, in order.
+func journalDigest(t *testing.T, dir string) (digest string, segments int) {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.Base(seg.path), len(data))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil)), len(segs)
+}
+
+// perItemJournal is the digest of the journal that appending testItems(300)
+// one item at a time, CommitEvery 16, into 2 000-byte segments writes. It was
+// recorded with QueryLog.AppendItem, the per-item append that batch appends
+// replaced, so it pins the bytes on disk across that change: a journal
+// directory written by either version is the other's.
+const perItemJournal = "020234fc8693c8151c7ace164343a24ecff6c30cc59a59bccf77002763876721"
+
+// The rotation rule is applied per frame inside a batch, so batches that
+// span segments — cut at 1, 7, 77 or 300 items — write the segment files,
+// and report the Appends and JournalBytes metrics, of one-at-a-time appends.
+func TestAppendItemsAcrossSegmentsMatchesPerItem(t *testing.T) {
+	items := testItems(300)
+	write := func(chunk int) (digest string, segments int, m *Metrics) {
+		dir := t.TempDir()
+		m = NewMetrics(obs.NewRegistry())
+		l := mustOpen(t, Options{Dir: dir, SegmentBytes: 2000, CommitEvery: 16, Metrics: m})
+		for lo := 0; lo < len(items); lo += chunk {
+			if err := l.AppendItems(items[lo:min(lo+chunk, len(items))]); err != nil {
+				t.Fatalf("AppendItems: %v", err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		digest, segments = journalDigest(t, dir)
+		return digest, segments, m
+	}
+	want, segments, wantM := write(1)
+	if segments < 5 {
+		t.Fatalf("the items span %d segments, want at least 5", segments)
+	}
+	if want != perItemJournal {
+		t.Fatalf("one-at-a-time journal digest %s, recorded per-item journal %s", want, perItemJournal)
+	}
+	for _, chunk := range []int{7, 77, 300} {
+		got, _, m := write(chunk)
+		if got != want {
+			t.Errorf("chunks of %d: journal digest %s, one at a time %s", chunk, got, want)
+		}
+		if m.Appends.Value() != wantM.Appends.Value() || m.JournalBytes.Value() != wantM.JournalBytes.Value() {
+			t.Errorf("chunks of %d: appends %v, journal bytes %v; one at a time %v, %v", chunk,
+				m.Appends.Value(), m.JournalBytes.Value(), wantM.Appends.Value(), wantM.JournalBytes.Value())
+		}
+	}
+}
+
+// AppendItems applies the group-commit rule once, at the batch's end: a crash
+// (Abandon) right after a batch of at least CommitEvery items keeps all of
+// it, and a batch below the cadence carries its count to the next one.
+func TestAppendItemsGroupCommitsAtBatchEnd(t *testing.T) {
+	items := testItems(200)
+	for _, tc := range []struct {
+		batches []int
+		durable int
+	}{
+		{[]int{100}, 100},
+		{[]int{64}, 64},
+		{[]int{40}, 0},
+		{[]int{40, 30}, 70},
+		{[]int{40, 30, 20}, 70},
+	} {
+		dir := t.TempDir()
+		l := mustOpen(t, Options{Dir: dir, CommitEvery: 64})
+		n := 0
+		for _, b := range tc.batches {
+			if err := l.AppendItems(items[n : n+b]); err != nil {
+				t.Fatal(err)
+			}
+			n += b
+		}
+		l.Abandon()
+		l = mustOpen(t, Options{Dir: dir})
+		got := l.Recovery().Suffix
+		l.Close()
+		if len(got) != tc.durable || len(got) > 0 && !reflect.DeepEqual(got, items[:len(got)]) {
+			t.Errorf("batches %v then a crash: recovered %d items, want the first %d", tc.batches, len(got), tc.durable)
+		}
 	}
 }
 
@@ -164,7 +267,7 @@ func TestMetricsInstruments(t *testing.T) {
 
 	// The nil receiver is the uninstrumented fast path — must be silent.
 	var nilM *Metrics
-	nilM.noteAppend(0)
+	nilM.noteAppend(0, 0)
 	nilM.noteCommit()
 	nilM.noteSync()
 	nilM.noteRotation()

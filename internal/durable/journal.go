@@ -76,12 +76,17 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
-// appendFrame frames payload (length + CRC) onto buf.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [recHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	return append(append(buf, hdr[:]...), payload...)
+// openFrame reserves a record header on buf; the payload is appended behind
+// it and sealFrame fills it in.
+func openFrame(buf []byte) []byte { return binary.LittleEndian.AppendUint64(buf, 0) }
+
+// sealFrame fills in the header (length + CRC) of the frame at buf[at:] from
+// the payload behind it.
+func sealFrame(buf []byte, at int) []byte {
+	payload := buf[at+recHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[at+4:], crc32.Checksum(payload, castagnoli))
+	return buf
 }
 
 // appendItemPayload encodes a stream item. Tuple values round-trip as raw
@@ -142,6 +147,10 @@ func decodePayload(p []byte) (it stream.Item, emit int64, kind byte, err error) 
 	return it, 0, kind, fmt.Errorf("durable: unknown record kind %d", kind)
 }
 
+// writeBuffer sizes the journal's write buffer to hold a ring batch's frames,
+// so that a batch reaches the OS in one write(2) at its group commit.
+const writeBuffer = 64 << 10
+
 // journalWriter appends framed records across rotating segments with
 // buffered group-commit writes.
 type journalWriter struct {
@@ -156,7 +165,7 @@ type journalWriter struct {
 	records uint64 // total records appended (all segments, all time)
 	items   uint64 // subset of records that are items (tuple or heartbeat)
 
-	scratch []byte
+	scratch []byte // the frames being appended
 	m       *Metrics
 }
 
@@ -180,7 +189,7 @@ func newJournalWriter(dir string, segBytes int64, records, items uint64, last *s
 		f.Close()
 		return nil, err
 	}
-	w.f, w.bw = f, bufio.NewWriter(f)
+	w.f, w.bw = f, bufio.NewWriterSize(f, writeBuffer)
 	w.segStart, w.segSize = last.first, info.Size()
 	return w, nil
 }
@@ -208,7 +217,7 @@ func (w *journalWriter) openSegment(first uint64) error {
 		f.Close()
 		return err
 	}
-	w.f, w.bw = f, bufio.NewWriter(f)
+	w.f, w.bw = f, bufio.NewWriterSize(f, writeBuffer)
 	w.segStart, w.segSize = first, segHeaderSize
 	return nil
 }
@@ -227,25 +236,51 @@ func (w *journalWriter) rotate() error {
 	return w.openSegment(w.records)
 }
 
-// appendPayload frames and buffers one record, rotating first when the
-// open segment is full.
-func (w *journalWriter) appendPayload(payload []byte, isItem bool) error {
-	frame := int64(recHeaderSize + len(payload))
-	if w.segSize+frame > w.segBytes && w.segSize > segHeaderSize {
-		if err := w.rotate(); err != nil {
-			return err
-		}
+// appendItems frames a batch of item records into the scratch buffer, each
+// exactly as it would be framed alone, and appends them.
+func (w *journalWriter) appendItems(items []stream.Item) error {
+	buf := w.scratch[:0]
+	for _, it := range items {
+		at := len(buf)
+		buf = sealFrame(appendItemPayload(openFrame(buf), it), at)
 	}
-	w.scratch = appendFrame(w.scratch[:0], payload)
-	if _, err := w.bw.Write(w.scratch); err != nil {
+	w.scratch = buf
+	if err := w.appendFrames(buf); err != nil {
 		return err
 	}
-	w.segSize += frame
-	w.records++
-	if isItem {
-		w.items++
-	}
+	w.items += uint64(len(items))
 	return nil
+}
+
+// appendEmit frames and appends one emit-progress record.
+func (w *journalWriter) appendEmit(nextEmit int64) error {
+	w.scratch = sealFrame(appendEmitPayload(openFrame(w.scratch[:0]), nextEmit), 0)
+	return w.appendFrames(w.scratch)
+}
+
+// appendFrames buffers framed records, handing the buffered writer one Write
+// per segment they span. The rotation rule is applied before every frame: a
+// frame that would overflow a segment holding a record already seals it, once
+// the frames before it are written out, and opens the next.
+func (w *journalWriter) appendFrames(frames []byte) error {
+	start := 0
+	for at := 0; at < len(frames); {
+		frame := int64(recHeaderSize + binary.LittleEndian.Uint32(frames[at:]))
+		if w.segSize+frame > w.segBytes && w.segSize > segHeaderSize {
+			if _, err := w.bw.Write(frames[start:at]); err != nil {
+				return err
+			}
+			if err := w.rotate(); err != nil {
+				return err
+			}
+			start = at
+		}
+		w.segSize += frame
+		w.records++
+		at += int(frame)
+	}
+	_, err := w.bw.Write(frames[start:])
+	return err
 }
 
 // flush pushes buffered records to the OS (group commit: they survive a

@@ -76,7 +76,6 @@ type QueryLog struct {
 	w    *journalWriter
 	rec  *Recovery
 
-	payload      []byte
 	sinceCommit  int
 	sinceSnap    int64
 	lastEmit     int64
@@ -173,51 +172,29 @@ func (l *QueryLog) Items() uint64 {
 	return l.w.items
 }
 
-// AppendItem journals one accepted item (post-shedding, post-transform).
-// Writes are buffered; they become crash-durable at the next group commit,
-// Commit, or snapshot cut.
-func (l *QueryLog) AppendItem(it stream.Item) error {
+// AppendItems journals a batch of accepted items (post-shedding,
+// post-transform) under one lock. The batch is framed in one pass, every item
+// as a record of its own, so the bytes on disk do not depend on how items are
+// batched; it is handed to the buffered writer once per segment it spans. The
+// group-commit rule is applied once, at the batch's end: the buffered writes
+// are flushed to the OS when CommitEvery or more appended items are
+// unflushed, so fewer than CommitEvery are when the call returns. Unflushed
+// writes become crash-durable at the next group commit, Commit, or snapshot
+// cut.
+func (l *QueryLog) AppendItems(items []stream.Item) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.payload = appendItemPayload(l.payload[:0], it)
-	if err := l.w.appendPayload(l.payload, true); err != nil {
+	if err := l.w.appendItems(items); err != nil {
 		return err
 	}
-	l.opts.Metrics.noteAppend(l.w.segSize)
-	l.sinceSnap++
-	l.sinceCommit++
+	l.opts.Metrics.noteAppend(len(items), l.w.segSize)
+	l.sinceSnap += int64(len(items))
+	l.sinceCommit += len(items)
 	if l.opts.SnapshotEvery > 0 && l.sinceSnap >= l.opts.SnapshotEvery {
 		l.snapDue.Store(true)
 	}
 	if l.sinceCommit >= l.opts.CommitEvery {
 		return l.commitLocked()
-	}
-	return nil
-}
-
-// AppendItems journals a batch of accepted items under one lock — the
-// concurrent executor's transport-batch path. Equivalent to calling
-// AppendItem for each element, including the group-commit cadence, at a
-// fraction of the locking cost.
-func (l *QueryLog) AppendItems(items []stream.Item) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, it := range items {
-		l.payload = appendItemPayload(l.payload[:0], it)
-		if err := l.w.appendPayload(l.payload, true); err != nil {
-			return err
-		}
-		l.opts.Metrics.noteAppend(l.w.segSize)
-		l.sinceSnap++
-		l.sinceCommit++
-		if l.sinceCommit >= l.opts.CommitEvery {
-			if err := l.commitLocked(); err != nil {
-				return err
-			}
-		}
-	}
-	if l.opts.SnapshotEvery > 0 && l.sinceSnap >= l.opts.SnapshotEvery {
-		l.snapDue.Store(true)
 	}
 	return nil
 }
@@ -231,12 +208,11 @@ func (l *QueryLog) AppendEmitProgress(nextEmit int64) error {
 	if l.haveLastEmit && nextEmit <= l.lastEmit {
 		return nil
 	}
-	l.payload = appendEmitPayload(l.payload[:0], nextEmit)
-	if err := l.w.appendPayload(l.payload, false); err != nil {
+	if err := l.w.appendEmit(nextEmit); err != nil {
 		return err
 	}
 	l.lastEmit, l.haveLastEmit = nextEmit, true
-	l.opts.Metrics.noteAppend(l.w.segSize)
+	l.opts.Metrics.noteAppend(1, l.w.segSize)
 	return nil
 }
 

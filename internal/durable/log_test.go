@@ -44,9 +44,9 @@ func mustOpen(t *testing.T, opts Options) *QueryLog {
 
 func appendAll(t *testing.T, l *QueryLog, items []stream.Item) {
 	t.Helper()
-	for _, it := range items {
-		if err := l.AppendItem(it); err != nil {
-			t.Fatalf("AppendItem: %v", err)
+	for i := range items {
+		if err := l.AppendItems(items[i : i+1]); err != nil {
+			t.Fatalf("AppendItems: %v", err)
 		}
 	}
 }

@@ -35,11 +35,11 @@ func NewMetrics(r *obs.Registry, labels ...obs.Label) *Metrics {
 	}
 }
 
-func (m *Metrics) noteAppend(segSize int64) {
+func (m *Metrics) noteAppend(records int, segSize int64) {
 	if m == nil {
 		return
 	}
-	m.Appends.Inc()
+	m.Appends.Add(float64(records))
 	m.JournalBytes.Set(float64(segSize))
 }
 

@@ -30,7 +30,8 @@
 package tracez
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -39,28 +40,28 @@ import (
 type Kind uint8
 
 const (
-	KindUnknown      Kind = iota
-	KindSourceBatch       // source stage shipped a transport batch; N = items
-	KindShed              // data tuples lost upstream of the query (ring laps); N = count
-	KindInsert            // buffer accepted data tuples in one executor step; N = count
-	KindRelease           // buffer released tuples downstream in that step; N = count
-	KindStraggler         // released tuples violated event-time order; N = count
-	KindKSet              // buffer slack changed across the step; K = new slack
-	KindKAdapt            // controller adaptation decision; K = slack, V = estimated error
-	KindQuality           // realized error finalized for a window; Win, V = realized error
-	_                     // retired (shard-batch); the slot keeps the later kinds' numbers
-	KindEmit              // window result emitted; Win, Key, N = count, K = slack at seal, V = latency
-	KindFlush             // end-of-stream flush of the window stage
-	KindRetry             // source retry attempt; N = attempt number
-	KindBreakerTrip       // circuit breaker transitioned closed→open
-	KindPanic             // stage panic isolated; Msg = panic value
-	KindViolation         // quality-SLO watchdog entered violation; Win, V = realized error
-	KindViolationEnd      // watchdog left violation; V = violation length (wall ms)
-	KindLog               // structured log record mirrored into the recorder
-	KindRecovery          // crash recovery: state restored; N = journal items replayed next, Win = emit floor, V = truncated bytes
-	KindSnapshot          // durable snapshot written; N = journal records covered
-	KindFanoutPublish     // shared-source ring published a batch; Win = ring seq, N = data tuples
-	KindWireBatch         // wire-provenance mark observed at the receiver; Win = batch id, N = items, V = client send time (Unix ms)
+	KindUnknown       Kind = iota
+	KindSourceBatch        // source stage shipped a transport batch; N = items
+	KindShed               // data tuples lost upstream of the query (ring laps); N = count
+	KindInsert             // buffer accepted data tuples in one executor step; N = count
+	KindRelease            // buffer released tuples downstream in that step; N = count
+	KindStraggler          // released tuples violated event-time order; N = count
+	KindKSet               // buffer slack changed across the step; K = new slack
+	KindKAdapt             // controller adaptation decision; K = slack, V = estimated error
+	KindQuality            // realized error finalized for a window; Win, V = realized error
+	_                      // retired (shard-batch); the slot keeps the later kinds' numbers
+	KindEmit               // window result emitted; Win, Key, N = count, K = slack at seal, V = latency
+	KindFlush              // end-of-stream flush of the window stage
+	KindRetry              // source retry attempt; N = attempt number
+	KindBreakerTrip        // circuit breaker transitioned closed→open
+	KindPanic              // stage panic isolated; Msg = panic value
+	KindViolation          // quality-SLO watchdog entered violation; Win, V = realized error
+	KindViolationEnd       // watchdog left violation; V = violation length (wall ms)
+	KindLog                // structured log record mirrored into the recorder
+	KindRecovery           // crash recovery: state restored; N = journal items replayed next, Win = emit floor, V = truncated bytes
+	KindSnapshot           // durable snapshot written; N = journal records covered
+	KindFanoutPublish      // shared-source ring published a batch; Win = ring seq, N = data tuples
+	KindWireBatch          // wire-provenance mark observed at the receiver; Win = batch id, N = items, V = client send time (Unix ms)
 )
 
 // String names the kind (stable — the Chrome exporter and dumps use it).
@@ -268,26 +269,46 @@ func (r *Recorder) Total() uint64 {
 // Events returns the retained events oldest-first. With concurrent
 // writers the snapshot is a consistent-per-slot approximation: each
 // entry is a complete event, ordering is by sequence number.
+//
+// Event seq lives in slot seq % size, so the ring read from the oldest live
+// seq's slot round to the one before it is in seq order already. Only a writer
+// racing the read — one that claimed a seq and has not yet overwritten the
+// slot's event of a lap before, or wrote behind the read's start — can leave a
+// slot out of that order, and then the copy is sorted.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
 	out := make([]Event, 0, r.Len())
-	for c := range r.chunks {
-		p := r.chunks[c].Load()
-		if p == nil {
-			continue
-		}
-		for i := range *p {
-			s := &(*p)[i]
-			s.mu.Lock()
-			if s.set {
-				out = append(out, s.ev)
-			}
-			s.mu.Unlock()
-		}
+	start := r.next.Load() % r.size
+	out = r.appendSlots(out, start, r.size)
+	out = r.appendSlots(out, 0, start)
+	bySeq := func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) }
+	if !slices.IsSortedFunc(out, bySeq) {
+		slices.SortFunc(out, bySeq)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+// appendSlots appends the events held by ring positions [lo, hi), in
+// position order, reading each slot under its lock.
+func (r *Recorder) appendSlots(out []Event, lo, hi uint64) []Event {
+	for lo < hi {
+		c := lo / chunkSlots
+		end := min(hi, (c+1)*chunkSlots)
+		if p := r.chunks[c].Load(); p != nil {
+			slots := (*p)[lo-c*chunkSlots : end-c*chunkSlots]
+			for i := range slots {
+				s := &slots[i]
+				s.mu.Lock()
+				if s.set {
+					out = append(out, s.ev)
+				}
+				s.mu.Unlock()
+			}
+		}
+		lo = end
+	}
 	return out
 }
 

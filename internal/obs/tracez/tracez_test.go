@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -154,6 +156,105 @@ func TestRecorderAllocatesChunksOnDemand(t *testing.T) {
 	evs := r.Events()
 	if len(evs) != size || allocated() != 3 || evs[0].At != 3 {
 		t.Fatalf("wrapped ring holds %d events in %d chunks, oldest At=%d; want %d in 3, all from the last pass", len(evs), allocated(), evs[0].At, size)
+	}
+}
+
+// eventsSortedCopy is Recorder.Events as it was before it read the ring in
+// order, kept verbatim as the oracle: copy every slot, then sort by Seq.
+func eventsSortedCopy(r *Recorder) []Event {
+	if r == nil {
+		return nil
+	}
+	out := make([]Event, 0, r.Len())
+	for c := range r.chunks {
+		p := r.chunks[c].Load()
+		if p == nil {
+			continue
+		}
+		for i := range *p {
+			s := &(*p)[i]
+			s.mu.Lock()
+			if s.set {
+				out = append(out, s.ev)
+			}
+			s.mu.Unlock()
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+// TestEventsMatchesSortedCopy holds Events to the implementation it replaced:
+// at every fill level of rings of one slot, a partial chunk, a whole chunk and
+// several chunks; behind writers that claimed a seq and stalled before writing
+// it — their slots still hold the event a lap older, out of ring order, the
+// race the sort fallback is for; and with writers running, where every read
+// must be whole and seq-ordered, and the ring read the same once they stop.
+func TestEventsMatchesSortedCopy(t *testing.T) {
+	same := func(r *Recorder, what string) {
+		t.Helper()
+		if got, want := r.Events(), eventsSortedCopy(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Events read %d events, the sorted copy %d, or they differ", what, len(got), len(want))
+		}
+	}
+	for _, size := range []int{1, 7, chunkSlots, 2*chunkSlots + 100} {
+		for _, total := range []int{0, 1, size - 1, size, size + 1, 3*size + 5} {
+			r := NewRecorder(size)
+			for i := 0; i < total; i++ {
+				r.Record(Event{At: int64(i), Kind: KindEmit})
+			}
+			same(r, fmt.Sprintf("ring of %d after %d events", size, total))
+			r.next.Add(3)
+			same(r, fmt.Sprintf("ring of %d after %d events and 3 stalled writers", size, total))
+			r.Record(Event{At: -1, Kind: KindEmit})
+			same(r, fmt.Sprintf("ring of %d after %d events, 3 stalled writers and one more event", size, total))
+		}
+	}
+
+	r := NewRecorder(256)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.Record(Event{N: i, K: i, Kind: KindInsert})
+			}
+		}()
+	}
+	for reads := 0; reads < 200; reads++ {
+		evs := r.Events()
+		for i, ev := range evs {
+			if ev.N != ev.K || i > 0 && ev.Seq <= evs[i-1].Seq {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("read %d under writers: event %d (seq %d, N %d, K %d) torn or out of order", reads, i, ev.Seq, ev.N, ev.K)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	same(r, "ring after concurrent writers stopped")
+}
+
+// BenchmarkRecorderEvents reads a full default-size ring: the copy every
+// flight-recorder dump takes.
+func BenchmarkRecorderEvents(b *testing.B) {
+	r := NewRecorder(DefaultRecorderSize)
+	for i := 0; i < DefaultRecorderSize*4/3; i++ {
+		r.Record(Event{At: int64(i), Kind: KindEmit})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(r.Events()) != DefaultRecorderSize {
+			b.Fatal("ring not full")
+		}
 	}
 }
 
