@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/cql"
-	"repro/internal/fanout"
 	"repro/internal/fleet"
 	"repro/internal/netstream"
 	"repro/internal/obs"
@@ -211,8 +210,10 @@ func admissionError(err error) error {
 
 // registerQuery is the full runtime admission pipeline: validate,
 // parse, bind, quota-check, wire a runner exactly like a compiled-in
-// query, attach it to the source ring at the frontier, and start its
-// pump. Every failure before the pump starts leaves no residue.
+// query, place it in its group on the source ring — a fresh group of the
+// same handler, or a new one attached at the frontier (groupRegistry.place) —
+// and make sure the group's pump runs. A failure after placement ends the
+// query again.
 func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 	if !netstream.ValidName(req.Name) {
 		return nil, badRequest("invalid query name %q (want [A-Za-z0-9_.-]{1,%d})", req.Name, netstream.MaxNameLen)
@@ -243,74 +244,67 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 		return nil, admissionError(err)
 	}
 
-	q, err := a.buildRuntimeRunner(req, stmt)
+	src := a.fleet.Source(stmt.Source)
+	q, err := a.buildRuntimeRunner(req, stmt, src)
 	if err != nil {
 		return nil, err
 	}
-
-	src := a.fleet.Source(stmt.Source)
-	sub := src.Attach(req.Name)
-	// Charge upstream losses to this query from its own baseline: ring
-	// laps are per-subscriber already; the source-level rate-quota shed
-	// counter is rebased to attach time.
-	rateBase := src.RateShed()
+	// Charge upstream losses to this query from its own baseline: ring laps
+	// are its group's subscription's, which attached no earlier than the
+	// query (a query joins a group only while nothing has been published
+	// since it attached); the source-level rate-quota shed counter is
+	// rebased to attach time.
+	sub, rateBase := q.grp.sub, src.RateShed()
+	q.mu.Lock()
 	q.upstreamShed = func() int64 { return sub.Shed() + src.RateShed() - rateBase }
+	q.mu.Unlock()
 	// Ring gauges get the same label sets as compiled-in queries
 	// (aq_fanout_lag_batches, aq_queue_depth{queue="fanout"}).
 	instrumentFanout(a.srv.reg, q, sub)
-	if a.srv.reg != nil {
-		// True client-send→emission latency, keyed by source: queries on
-		// the same source share the histogram, so it reads as the wire's
-		// property, not any one query's.
-		q.wireLat = a.srv.reg.Histogram("aq_wire_latency_ms",
-			"Client-send to window-emission latency in milliseconds per network source (wire provenance marks).",
-			obs.LatencyBuckets(), obs.L("source", stmt.Source))
-	}
+	q.grp.run(context.Background()) // a no-op when the query joined a running group
 
-	ctx, cancel := context.WithCancel(context.Background())
-	pumpDone := make(chan struct{})
+	stop := func() {
+		q.finish() // leaves the group; the last member out stops its pump
+		if q.dlog != nil {
+			if err := q.dlog.Close(); err != nil {
+				q.log.Error("closing durable log", "err", err)
+			}
+		}
+	}
 	entry := &fleet.Query{
 		Name:      req.Name,
 		Tenant:    req.Tenant,
 		Statement: req.CQL,
 		Stop: func() {
-			cancel()
-			sub.Unsubscribe()
-			<-pumpDone
-			q.finish() // idempotent; the pump's deferred finish usually already ran
-			if q.dlog != nil {
-				if err := q.dlog.Close(); err != nil {
-					q.log.Error("closing durable log", "err", err)
-				}
-			}
+			stop()
 			a.srv.remove(req.Name)
 		},
 	}
 	if err := a.fleet.AddQuery(entry); err != nil {
-		cancel()
-		close(pumpDone) // Stop never runs; nothing is pumping
-		sub.Unsubscribe()
-		if q.dlog != nil {
-			q.dlog.Close()
-		}
+		stop() // Stop never runs
 		return nil, admissionError(err)
 	}
 
 	a.srv.add(q)
-	go func() {
-		defer close(pumpDone)
-		pumpRing(ctx, q, sub)
-	}()
 	q.log.Info("runtime query registered", "tenant", req.Tenant, "source", stmt.Source, "cql", req.CQL)
 	return q, nil
 }
 
 // buildRuntimeRunner maps a parsed statement onto buildRunner: the same
-// runner object and wiring as a compiled-in query.
-func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query) (*queryRunner, error) {
+// runner object and wiring as a compiled-in query, over the network source
+// src.
+func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query, src *fleet.Source) (*queryRunner, error) {
 	def := runnerDef{
 		name: req.Name, theta: stmt.Quality, spec: stmt.Spec, agg: stmt.Agg,
 		grouped: stmt.GroupBy, statement: req.CQL, tenant: req.Tenant,
+	}
+	if a.srv.reg != nil {
+		// True client-send→emission latency, keyed by source: queries on
+		// the same source share the histogram, so it reads as the wire's
+		// property, not any one query's.
+		def.wireLat = a.srv.reg.Histogram("aq_wire_latency_ms",
+			"Client-send to window-emission latency in milliseconds per network source (wire provenance marks).",
+			obs.LatencyBuckets(), obs.L("source", stmt.Source))
 	}
 	switch { // neither: the adaptive controller at QUALITY
 	case stmt.GroupBy:
@@ -327,33 +321,5 @@ func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query) (*queryRun
 			return nil, badRequest("%v", err)
 		}
 	}
-	return a.buildRunner(def, false)
-}
-
-// pumpRing feeds the runner from its fan-out ring subscription until the
-// ring ends (source closed on drain, compiled-in feed stopped) or ctx is
-// cancelled (DELETE), and then finishes it. It is the one ring consumer:
-// compiled-in and runtime queries, grouped or not, all run it, stepping
-// each ring batch whole.
-func pumpRing(ctx context.Context, q *queryRunner, sub *fanout.Sub) {
-	defer q.finish()
-	for {
-		items, seq, prov, ok, err := sub.NextBatchProv(ctx)
-		if err != nil {
-			if ctx.Err() == nil {
-				q.setHealth(healthStalled)
-				q.log.Error("source ring failed", "err", err)
-			}
-			return
-		}
-		if !ok {
-			return
-		}
-		// Wire provenance rides the ring alongside the batch: note it
-		// before stepping so the emissions this batch triggers are charged
-		// against its client send time.
-		q.noteWireBatch(prov, len(items))
-		q.step(items)
-		sub.Release(seq)
-	}
+	return a.buildRunner(def, false, src, nil)
 }

@@ -51,7 +51,7 @@ func (q *queryRunner) decorateSnapshot(s *durable.Snapshot) {
 
 // noteRecovery records what the core's recovery did, once it has run.
 func (q *queryRunner) noteRecovery(prior *durable.Recovery) {
-	info := q.exec.Report().Recovery
+	info := q.stage.Report().Recovery
 	if prior == nil || info == nil {
 		return
 	}

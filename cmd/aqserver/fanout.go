@@ -7,7 +7,6 @@ package main
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/fanout"
 	"repro/internal/gen"
@@ -16,30 +15,27 @@ import (
 )
 
 // fanoutFeedLoop feeds one stream's runners: one replaySegments producer
-// publishing into a broadcast ring, one pumpRing consumer per runner.
-// Subscriptions are Block — a compiled-in query sees its whole stream, and
-// backpressure bounds the producer's lead at the ring — and the consumers
-// end with the ring, not with ctx: what was published is applied, and
+// publishing into the stream's broadcast ring b, and one pump per group of
+// its runners (replicas behind the same fixed handler share one; see
+// group.go). Subscriptions are Block — a compiled-in query sees its whole
+// stream, and backpressure bounds the producer's lead at the ring — and the
+// pumps end with the ring, not with ctx: what was published is applied, and
 // every runner's windows are flushed.
-func fanoutFeedLoop(ctx context.Context, runners []*queryRunner, group string, load func(seed uint64) gen.Config, seed uint64, cfg appConfig, reg *obs.Registry) {
-	b := fanout.New(fanout.Options{Ring: 64, BatchCap: 128})
+func fanoutFeedLoop(ctx context.Context, b *fanout.Broadcast, runners []*queryRunner, base string, load func(seed uint64) gen.Config, seed uint64, cfg appConfig, reg *obs.Registry) {
 	if runners[0].tracer != nil {
 		b.Trace(runners[0].tracer) // publish events land in the lead runner's flight recorder
 	}
-	var wg sync.WaitGroup
 	for _, q := range runners {
-		sub := b.Subscribe(q.name, fanout.Block)
-		instrumentFanout(reg, q, sub)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sub.Unsubscribe()
-			pumpRing(context.WithoutCancel(ctx), q, sub) // finishes the runner when the ring ends
-		}()
+		instrumentFanout(reg, q, q.grp.sub)
+		q.grp.run(context.WithoutCancel(ctx))
 	}
-	instrumentFanoutProducer(reg, group, b)
-	// LIFO: Close publishes end-of-stream, then Wait joins the consumers.
-	defer wg.Wait()
+	instrumentFanoutProducer(reg, base, b)
+	// LIFO: Close publishes end-of-stream, then the pumps are waited for.
+	defer func() {
+		for _, q := range runners {
+			<-q.grp.pumpDone
+		}
+	}()
 	defer b.Close()
 
 	replaySegments(ctx, runners, load, seed, cfg, func(items []stream.Item) bool {

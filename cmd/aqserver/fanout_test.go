@@ -18,12 +18,12 @@ func TestAppFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(a.runners), 3*len(a.groups); got != want {
-		t.Fatalf("%d runners for %d streams, want %d replicas", got, len(a.groups), want)
+	if got, want := len(a.runners), 3*len(a.streams); got != want {
+		t.Fatalf("%d runners for %d streams, want %d replicas", got, len(a.streams), want)
 	}
-	for _, g := range a.groups {
+	for _, g := range a.streams {
 		if len(g) != 3 {
-			t.Fatalf("group has %d replicas, want 3", len(g))
+			t.Fatalf("stream has %d replicas, want 3", len(g))
 		}
 	}
 
@@ -59,7 +59,7 @@ func TestAppFanout(t *testing.T) {
 	// Replicas of one stream consume the identical published sequence, so
 	// after a full drain each group's accepted-tuple counters agree up to
 	// what was still queued at cancel time — and every replica flushed.
-	for gi, g := range a.groups {
+	for gi, g := range a.streams {
 		for _, q := range g {
 			st := q.status()
 			if !strings.HasPrefix(q.name, a.bases[gi]+"#") {

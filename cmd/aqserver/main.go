@@ -53,11 +53,13 @@
 // whether compiled in, replicated by -fanout or registered at runtime over
 // /api/queries (see buildRunner), and every runner has one ingest queue: a
 // fan-out ring (internal/fanout) — its compiled-in stream's, or its network
-// source's. Every runner steps the engine's core (cq.Exec) itself, one
-// whole ring batch per step; one of the compiled-in queries (user-sum-10s)
-// is a GROUP BY query, whose core evaluates one keyed window operator
-// instead of a plain one. -batch is the journal's group-commit cadence
-// (-durable-dir).
+// source's. Queries on one ring behind the same fixed disorder handler share
+// one group (group.go): one subscription and one step core (cq.Exec) whose
+// disorder pass feeds each query's window stage, one whole ring batch per
+// step; every other query is a group of one. One of the compiled-in queries
+// (user-sum-10s) is a GROUP BY query, whose window stage is one keyed
+// operator instead of a plain one. -batch is the journal's group-commit
+// cadence (-durable-dir).
 package main
 
 import (
@@ -76,6 +78,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/fanout"
 	"repro/internal/fleet"
 	"repro/internal/gen"
 	"repro/internal/netstream"
@@ -139,14 +142,19 @@ type app struct {
 	srv     *server
 	log     *slog.Logger
 	runners []*queryRunner
-	// groups partitions runners by stream: one entry per spec, holding
-	// that stream's replicas (a single runner unless -fanout > 1). loads
-	// and bases are index-aligned with groups.
-	groups [][]*queryRunner
-	bases  []string
-	loads  []func(seed uint64) gen.Config
-	dlogs  []*durable.QueryLog
-	wg     sync.WaitGroup
+	// streams partitions runners by compiled-in stream: one entry per spec,
+	// holding that stream's replicas (a single runner unless -fanout > 1),
+	// fed by the broadcast ring in rings. rings, loads and bases are
+	// index-aligned with streams.
+	streams [][]*queryRunner
+	rings   []*fanout.Broadcast
+	bases   []string
+	loads   []func(seed uint64) gen.Config
+	dlogs   []*durable.QueryLog
+	wg      sync.WaitGroup
+	// groups places every runner, compiled-in or runtime, in the group
+	// whose disorder pass feeds it (group.go).
+	groups groupRegistry
 
 	// Network control plane (nil without -listen/-api): the fleet
 	// registry owns named sources and runtime query entries; netl is the
@@ -203,7 +211,8 @@ func newApp(cfg appConfig) (*app, error) {
 		replicas = cfg.fanout
 	}
 	for _, sp := range specs {
-		var group []*queryRunner
+		var runners []*queryRunner
+		ring := fanout.New(fanout.Options{Ring: 64, BatchCap: 128})
 		for r := 0; r < replicas; r++ {
 			def := runnerDef{name: sp.name, theta: sp.theta, spec: sp.spec, agg: sp.agg, grouped: sp.grouped}
 			if replicas > 1 {
@@ -212,7 +221,7 @@ func newApp(cfg appConfig) (*app, error) {
 			if sp.grouped { // the others run the adaptive controller at sp.theta
 				def.handler = buffer.NewKSlack(200 * stream.Millisecond)
 			}
-			q, err := a.buildRunner(def, replicas > 1)
+			q, err := a.buildRunner(def, replicas > 1, nil, ring)
 			if err != nil {
 				return nil, err
 			}
@@ -221,9 +230,10 @@ func newApp(cfg appConfig) (*app, error) {
 			}
 			a.srv.add(q)
 			a.runners = append(a.runners, q)
-			group = append(group, q)
+			runners = append(runners, q)
 		}
-		a.groups = append(a.groups, group)
+		a.streams = append(a.streams, runners)
+		a.rings = append(a.rings, ring)
 		a.bases = append(a.bases, sp.name)
 		a.loads = append(a.loads, sp.load)
 	}
@@ -237,11 +247,12 @@ func newApp(cfg appConfig) (*app, error) {
 // trips and quality violations), the SLO watchdog for a declared θ, the
 // per-query logger, the engine query (handler, window, aggregation core,
 // tracer), -obs instruments, and durability when -durable-dir is set. The
-// caller feeds it from a ring subscription (pumpRing). A nil def.handler
-// picks the adaptive controller at def.theta. replica marks a -fanout
-// replica, which runs without durability. The opened durability log, if
-// any, is the runner's dlog; the caller owns closing it.
-func (a *app) buildRunner(def runnerDef, replica bool) (*queryRunner, error) {
+// runner is placed in its group on the ring it reads — the network source
+// src, or the compiled-in stream b — whose pump feeds it (pumpRing). A nil
+// def.handler picks the adaptive controller at def.theta. replica marks a
+// -fanout replica, which runs without durability. The opened durability log,
+// if any, is the runner's dlog; the caller owns closing it.
+func (a *app) buildRunner(def runnerDef, replica bool, src *fleet.Source, b *fanout.Broadcast) (*queryRunner, error) {
 	cfg := a.cfg
 	rec := tracez.NewRecorder(cfg.traceBuf)
 	def.tracer = tracez.New(rec, def.name)
@@ -284,7 +295,7 @@ func (a *app) buildRunner(def runnerDef, replica bool) (*queryRunner, error) {
 		}
 	}
 
-	q, err := newQueryRunner(def)
+	q, err := a.groups.place(def, src, b)
 	if err != nil {
 		if def.dlog != nil {
 			def.dlog.Close()
@@ -298,14 +309,14 @@ func (a *app) buildRunner(def runnerDef, replica bool) (*queryRunner, error) {
 }
 
 // startFeeds launches one feed loop per stream — a producer publishing
-// into the stream's broadcast ring, and its runners consuming it; the
-// loops stop when ctx is cancelled.
+// into the stream's broadcast ring, and its runners' groups consuming it;
+// the loops stop when ctx is cancelled.
 func (a *app) startFeeds(ctx context.Context) {
-	for i, g := range a.groups {
+	for i, runners := range a.streams {
 		a.wg.Add(1)
 		go func() {
 			defer a.wg.Done()
-			fanoutFeedLoop(ctx, g, a.bases[i], a.loads[i], uint64(i+1), a.cfg, a.srv.reg)
+			fanoutFeedLoop(ctx, a.rings[i], runners, a.bases[i], a.loads[i], uint64(i+1), a.cfg, a.srv.reg)
 		}()
 	}
 }

@@ -66,19 +66,45 @@ type runnerDef struct {
 	// dlog is the query's opened durability log; nil without -durable-dir
 	// and for grouped queries and -fanout replicas (see durable.go).
 	dlog *durable.QueryLog
+	// wireLat is the per-source aq_wire_latency_ms histogram of a runtime
+	// query over a -listen source (nil without -obs and for compiled-in
+	// queries): see noteWireBatch.
+	wireLat *obs.Histogram
+}
+
+// query is the engine query def runs: its handler, window and tracer, the
+// report discarded (the runner keeps its own ring of recent results, and a
+// query that never ends must not grow a report), and its journal, with
+// decorate adding the host's continuity to every snapshot.
+func (d *runnerDef) query(decorate func(*durable.Snapshot)) *cq.AggQuery {
+	query := cq.New(nil).Handle(d.handler).Window(d.spec, d.agg).Trace(d.tracer).DiscardReport()
+	if d.grouped {
+		query.GroupBy() // absorbOne sees each keyed result's embedded Result
+	}
+	if d.dlog != nil {
+		query.Durable(cq.Durable{Log: d.dlog, Decorate: decorate})
+	}
+	return query
 }
 
 // queryRunner is the server's driver around one continuous query: it owns
-// the query's live bookkeeping — status counters, the ring of recent
-// results, health, wire latency — while the engine executes. Every runner
-// is fed from a fan-out ring (pumpRing), the one ingest queue, and steps a
-// cq.Exec itself under mu, one whole ring batch per step. HTTP handlers
-// read under the mutex.
+// the query's live bookkeeping — status counters, the ring of recent results,
+// health, wire latency — while the engine executes. Every runner is in a
+// group (group.go): one fan-out ring subscription, the one ingest queue, read
+// by one pump (pumpRing) that steps the group's cq.Exec under the group's
+// mutex, one whole ring batch per step, for every member at once. HTTP
+// handlers read under that mutex.
 type queryRunner struct {
 	runnerDef
 
-	// exec is the step core; every call into it happens under mu.
+	// grp is the runner's group and mu its mutex: every call into the step
+	// core, and every read or write of the bookkeeping below, holds it. exec
+	// is the group's step core and stage the runner's window stage in it
+	// (exec.Report is the first member's report; the runner's is stage's).
+	grp      *runnerGroup
+	mu       *sync.Mutex
 	exec     *cq.Exec
+	stage    *cq.Stage
 	stopOnce sync.Once
 
 	// panicOn is a test seam: when set, applying a matching item panics so
@@ -91,7 +117,6 @@ type queryRunner struct {
 	recovery *recoveryStatus
 	feedBase atomic.Int64
 
-	mu          sync.Mutex
 	results     []window.Result // ring of recent results
 	emitted     int64
 	retries     int64
@@ -105,15 +130,13 @@ type queryRunner struct {
 	// (see obs.go for the rest of the per-query instruments).
 	emitLatency *obs.Histogram
 
-	// Wire provenance (runtime queries over -listen sources): wireLat is
-	// the per-source aq_wire_latency_ms histogram (nil without -obs or
-	// for compiled-in queries); wireSendMS holds the client send time of
-	// the provenance-marked batch being pumped into the runner, so
-	// absorbOne can observe true client-send→emission latency. A ring
-	// batch is stepped whole right after its mark is noted, so the
-	// emissions it triggers are charged to its own mark. wallMS is the
-	// wall-clock source, injectable by tests; nil means time.Now.
-	wireLat    *obs.Histogram
+	// Wire provenance (runtime queries over -listen sources): wireSendMS
+	// holds the client send time of the provenance-marked batch being
+	// stepped, so absorbOne can observe true client-send→emission latency
+	// into wireLat. A ring batch is stepped whole right after its mark is
+	// noted, so the emissions it triggers are charged to its own mark.
+	// wallMS is the wall-clock source, injectable by tests; nil means
+	// time.Now.
 	wireSendMS atomic.Int64
 	wallMS     func() int64
 
@@ -125,14 +148,15 @@ type queryRunner struct {
 
 const resultRing = 256
 
-// newQueryRunner builds the runner for def and its step core — including,
-// when def.dlog holds prior state, crash recovery: the journal suffix is
-// replayed under the live panic policy (an item that panicked before the
-// crash is in the journal, and must not take the restart down with it), and
-// replayed emissions land in the result ring like live ones. The runner
-// keeps its own result ring, and a query that never ends must not grow a
-// report, hence DiscardReport.
-func newQueryRunner(def runnerDef) (*queryRunner, error) {
+// newQueryRunner builds the runner for def and its window stage: in into's
+// step core when into is non-nil (the group registry, which holds into's
+// mutex, decided the runner joins it), otherwise in a step core of its own,
+// the first of a new group. That includes, when def.dlog holds prior state,
+// crash recovery: the journal suffix is replayed under the live panic policy
+// (an item that panicked before the crash is in the journal, and must not
+// take the restart down with it), and replayed emissions land in the result
+// ring like live ones. (A durable query never shares, so it never joins.)
+func newQueryRunner(def runnerDef, into *runnerGroup) (*queryRunner, error) {
 	q := &queryRunner{runnerDef: def, latency: stats.NewP2(0.95), health: healthFeeding}
 	if q.log == nil {
 		q.log = slog.Default()
@@ -142,102 +166,58 @@ func newQueryRunner(def runnerDef) (*queryRunner, error) {
 			"Window result emission latency in stream-time ms (emission position minus window end).",
 			cq.LatencyBucketsFor(q.spec), obs.L("query", q.name))
 	}
-	query := cq.New(nil).Handle(q.handler).Window(q.spec, q.agg).Trace(q.tracer).DiscardReport()
-	if q.grouped {
-		query.GroupBy() // absorbOne sees each keyed result's embedded Result
+	query := def.query(q.decorateSnapshot)
+	if g := into; g != nil {
+		stage, err := g.exec.Join(query, q.absorbOne)
+		if err != nil {
+			return nil, err
+		}
+		q.grp, q.mu, q.exec, q.stage = g, &g.mu, g.exec, stage
+		g.members = append(g.members, q)
+	} else {
+		var prior *durable.Recovery
+		if q.dlog != nil {
+			prior = q.resumeCounters()
+		}
+		exec, err := cq.NewExec(query, q.absorbOne)
+		if err != nil {
+			return nil, err
+		}
+		g := &runnerGroup{exec: exec, members: []*queryRunner{q}}
+		q.grp, q.mu, q.exec, q.stage = g, &g.mu, exec, exec.Stages()[0]
+		for !g.stepIsolated(nil, true) {
+		}
+		q.noteRecovery(prior)
 	}
-	var prior *durable.Recovery
-	if q.dlog != nil {
-		prior = q.resumeCounters()
-		query.Durable(cq.Durable{Log: q.dlog, Decorate: q.decorateSnapshot})
-	}
-	exec, err := cq.NewExec(query, q.absorbOne)
-	if err != nil {
-		return nil, err
-	}
-	q.exec = exec
-	for !q.stepIsolated(nil, true) {
-	}
-	q.noteRecovery(prior)
 	if q.reg != nil {
 		q.instrument(q.reg)
 	}
 	return q, nil
 }
 
-// step is the server's policy around Exec.Step: apply one batch under the
-// runner lock, then group-commit the journal — a live server bounds crash
-// loss by the batch, not by the log's item cadence. A panic (a poisoned
-// tuple, an operator bug) is isolated to the item in flight: it is
-// counted, the runner is marked degraded, and the step is resumed behind
-// that item. A durability error degrades the query (loudly) rather than
-// stopping ingestion: availability over durability for a live dashboard
-// server.
-func (q *queryRunner) step(batch []stream.Item) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.panicOn != nil {
-		// Test seam armed: one item per step, so an injected panic costs
-		// exactly the item it names.
-		for i := range batch {
-			q.stepIsolated(batch[i:i+1], false)
-		}
-	} else {
-		for resume := false; !q.stepIsolated(batch, resume); resume = true {
-		}
-	}
-	if q.dlog != nil {
-		if err := q.dlog.Commit(); err != nil {
-			q.journalErrs++
-			q.log.Error("journal commit failed", "err", err)
-		}
-	}
-}
+// step applies one batch to the runner's group, as its pump does (tests feed
+// runners this way).
+func (q *queryRunner) step(batch []stream.Item) { q.grp.step(batch, stream.BatchProv{}) }
 
-// stepIsolated runs Step — or Resume: behind a panic, and for the recovery
-// replay — and reports whether it ran to completion; q.mu must be held
-// (newQueryRunner calls it before the runner is shared).
-func (q *queryRunner) stepIsolated(batch []stream.Item, resume bool) (completed bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			q.panics++
-			if q.health == healthFeeding {
-				q.health = healthDegraded
-			}
-			stage, it := q.exec.InFlight()
-			q.tracer.Panic(stage, int64(q.exec.Now()), fmt.Sprint(p))
-			q.log.Error("panic isolated while processing item", "stage", stage.String(), "item", fmt.Sprint(it), "panic", fmt.Sprint(p))
-		}
-	}()
-	if resume {
-		q.exec.Resume()
-		return true
-	}
-	if q.panicOn != nil && q.panicOn(batch[0]) {
-		panic("injected processing fault")
-	}
-	if err := q.exec.Step(batch); err != nil {
-		q.journalErrs++
-		if q.health == healthFeeding {
-			q.health = healthDegraded
-		}
-		q.log.Error("durability failure; the batch was applied without it", "err", err)
-	}
-	return true
-}
-
-// finish flushes the pipeline and marks the runner done. It is idempotent
-// and must only be called after the feeder (pumpRing) has stopped.
+// finish flushes the runner's windows and marks it done; it is idempotent.
+// The runner leaves its group at a step boundary, and the last member out
+// stops the group's pump and waits for it, so finish is never called from
+// the pump (which ends its group with runnerGroup.finish).
 func (q *queryRunner) finish() {
 	q.stopOnce.Do(func() {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if err := q.exec.Finish(); err != nil {
-			q.log.Error("journal commit on finish failed", "err", err)
+		if stop := q.grp.leave(q); stop != nil {
+			stop()
 		}
-		q.done = true
-		q.health = healthDone
 	})
+}
+
+// markDone records the end of the runner's stream (err is the journal's
+// final commit); the group's lock is held.
+func (q *queryRunner) markDone(err error) {
+	if err != nil {
+		q.log.Error("journal commit on finish failed", "err", err)
+	}
+	q.done, q.health = true, healthDone
 }
 
 // absorbOne is the core's result sink: it folds one emitted result into
@@ -331,10 +311,22 @@ func (q *queryRunner) addRetries(n int64) {
 func (q *queryRunner) setHealth(h string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.setHealthLocked(h)
+}
+
+// setHealthLocked is setHealth with q.mu held.
+func (q *queryRunner) setHealthLocked(h string) {
 	if q.health == healthDone || (q.health == healthDraining && h != healthDone) {
 		return
 	}
 	q.health = h
+}
+
+// degrade marks a feeding runner degraded; q.mu must be held.
+func (q *queryRunner) degrade() {
+	if q.health == healthFeeding {
+		q.health = healthDegraded
+	}
 }
 
 func (q *queryRunner) healthState() string {

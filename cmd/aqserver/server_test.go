@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/durable"
+	"repro/internal/fanout"
 	"repro/internal/gen"
 	"repro/internal/oracle"
 	"repro/internal/resilience"
@@ -32,7 +33,7 @@ func adaptiveRunner(t testing.TB, def runnerDef) *queryRunner {
 		h.Instrument(core.NewTelemetry(def.reg, def.name))
 	}
 	def.handler = h
-	q, err := newQueryRunner(def)
+	q, err := newQueryRunner(def, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,10 +329,12 @@ func TestAppDrain(t *testing.T) {
 // done instead of leaving it in limbo forever.
 func TestFeedLoopEmptyGeneratorMarksDone(t *testing.T) {
 	q := sumRunner(t, "empty", 0.02)
+	b := fanout.New(fanout.Options{})
+	q.grp.sub = b.Subscribe(q.name, fanout.Block)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		fanoutFeedLoop(context.Background(), []*queryRunner{q}, "empty",
+		fanoutFeedLoop(context.Background(), b, []*queryRunner{q}, "empty",
 			func(uint64) gen.Config { return gen.Config{} }, 1, appConfig{rate: 1_000_000}, nil)
 	}()
 	select {
@@ -350,7 +353,7 @@ func handlerRunner(t *testing.T, def runnerDef, h buffer.Handler) *queryRunner {
 	t.Helper()
 	def.log = slog.New(slog.NewTextHandler(io.Discard, nil)) // these tests provoke error logs on purpose
 	def.handler = h
-	q, err := newQueryRunner(def)
+	q, err := newQueryRunner(def, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -767,6 +768,91 @@ func TestOneWindowStage(t *testing.T) {
 		t.Fatalf("extraction rotted: %d files parsed, %d of cmd/aqserver, %d KeyedOp references, goroutines by file %v",
 			parsed, serverFiles, keyedRefs, spawns)
 	}
+}
+
+// TestOneDisorderPass keeps queries that buffer one stream behind one fixed
+// handler on one disorder pass. Until they shared one, three of each
+// source's four fanout8_windows queries sorted every tuple into the same
+// runs three times over: the K-slack in front of the window is an operator
+// of the stream, not of the query. So: non-test internal/cq decides which
+// handlers may feed several queries in exactly one function — the only one
+// that names the shareable kinds besides the K-slack the step core's batched
+// insert looks for — and both drivers that serve many queries off one ring
+// group them by its key, cq.ShareKey: RunShared, and in cmd/aqserver the
+// group registry, which is also the one function of non-test cmd/aqserver
+// that subscribes to a ring (Attach, Subscribe, SubscribeLate). A second
+// subscription path is how a query comes back with a disorder pass of its
+// own.
+func TestOneDisorderPass(t *testing.T) {
+	subscribe, kinds, shareKey := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	parsed := eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		inServer := strings.HasPrefix(path, "cmd/aqserver/")
+		inCQ := strings.HasPrefix(path, "internal/cq/")
+		if strings.HasSuffix(path, "_test.go") || !inServer && !inCQ {
+			return
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			where := path + ": " + fn.Name.Name
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					var name string
+					switch fun := n.Fun.(type) {
+					case *ast.SelectorExpr:
+						name = fun.Sel.Name
+					case *ast.Ident:
+						name = fun.Name
+					}
+					switch name {
+					case "Attach", "Subscribe", "SubscribeLate":
+						if inServer {
+							subscribe[where] = true
+						}
+					case "ShareKey":
+						shareKey[where] = true
+					}
+				case *ast.SelectorExpr:
+					if id, ok := n.X.(*ast.Ident); ok && id.Name == "buffer" && inCQ {
+						switch n.Sel.Name {
+						case "MaxSlack", "Percentile", "Punctuated", "NewMaxSlack", "NewPercentile", "NewPunctuated":
+							kinds[where] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	})
+	if parsed < 100 {
+		t.Fatalf("extraction rotted: %d files parsed", parsed)
+	}
+	only := func(what string, found map[string]bool, want string) {
+		t.Helper()
+		if len(found) != 1 || !found[want] {
+			t.Errorf("%s in %v, want only %s", what, keys(found), want)
+		}
+	}
+	only("non-test cmd/aqserver subscribes to a ring", subscribe, "cmd/aqserver/group.go: place")
+	only("non-test internal/cq names the shareable handler kinds", kinds, "internal/cq/exec.go: shareable")
+	for _, caller := range []string{"internal/cq/shared.go: RunShared", "cmd/aqserver/group.go: place"} {
+		if !shareKey[caller] {
+			t.Errorf("%s does not group its queries by cq.ShareKey (callers: %v)", caller, keys(shareKey))
+		}
+	}
+}
+
+// keys lists a set's members, sorted.
+func keys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // eachGoFile parses every Go file of the root module — tests included,

@@ -391,5 +391,5 @@ func (b *Percentile) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
 
 // String implements Handler.
 func (b *Percentile) String() string {
-	return fmt.Sprintf("percentile(p=%g,K=%d)", b.p, b.k)
+	return fmt.Sprintf("percentile(p=%g,every=%d,K=%d)", b.p, b.updateEvery, b.k)
 }

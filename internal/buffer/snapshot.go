@@ -83,3 +83,22 @@ func (b *Percentile) Restore(st PercentileState) {
 	b.sketch.Restore(st.Sketch)
 	b.sinceUpdate = st.SinceUpdate
 }
+
+// PunctuatedState is the exported state of a Punctuated buffer: the slack
+// mechanism (K stays 0) and the last watermark trusted.
+type PunctuatedState struct {
+	Slack  SlackState  `json:"slack"`
+	LastWM stream.Time `json:"lastWM"`
+	HasWM  bool        `json:"hasWM"`
+}
+
+// State exports the buffer state.
+func (b *Punctuated) State() PunctuatedState {
+	return PunctuatedState{Slack: b.slackState(), LastWM: b.lastWM, HasWM: b.hasWM}
+}
+
+// Restore sets the buffer to a previously exported state.
+func (b *Punctuated) Restore(st PunctuatedState) {
+	b.restoreSlack(st.Slack)
+	b.lastWM, b.hasWM = st.LastWM, st.HasWM
+}

@@ -57,15 +57,9 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 
 	// Internal cancellation: a stage failure cancels the whole pipeline,
 	// with the failure as the cause, so sibling stages blocked on the ring
-	// unwind promptly. failure tells it from the caller's cancel.
+	// unwind promptly. outcome tells it from the caller's cancel.
 	ctx, fail := context.WithCancelCause(ctx)
 	defer fail(nil)
-	failure := func() error {
-		if cause := context.Cause(ctx); cause != ctx.Err() {
-			return cause
-		}
-		return nil
-	}
 
 	x, err := newExec(q, sink)
 	if err != nil {
@@ -110,10 +104,27 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 		}()
 	}
 
-	// Core stage: the goroutine that owns the Exec. Convert a panic into
-	// the stage error, then signal done. (A crash recovery's journal suffix
-	// is replayed by the first Step or by Finish; its emissions reach sink
-	// like live ones.)
+	drive(ctx, x, sub, fail)
+	// The source stage is joined: it exits through ctx or the ring it closed.
+	<-pumped
+	if err := outcome(ctx); err != nil {
+		return nil, err
+	}
+	rep := ringReport(x.stages[0], sub)
+	if retrier != nil {
+		rep.Retries = retrier.Retries()
+	}
+	return rep, nil
+}
+
+// drive is a ring driver's core stage: on a goroutine of its own it steps x
+// with sub's batches (receiveRing) and finishes x when the ring ends, turning
+// a panic into the stage error. (A crash recovery's journal suffix is
+// replayed by the first Step or by Finish; its emissions reach the sinks like
+// live ones.) It returns once the core is done or ctx has ended, whichever is
+// first: a core stuck in a sink that blocks forever is not waited for — its
+// goroutine is leaked, which is the best Go can do about such a callback.
+func drive(ctx context.Context, x *Exec, sub *fanout.Sub, fail func(error)) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -122,7 +133,7 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 				fail(x.panicErr(p))
 			}
 		}()
-		q.receiveRing(ctx, x, sub, fail)
+		receiveRing(ctx, x, sub, fail)
 		if ctx.Err() != nil {
 			return // cancelled or failed: no bogus final flush
 		}
@@ -130,60 +141,63 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 			fail(err)
 		}
 	}()
-
 	select {
 	case <-done:
 	case <-ctx.Done():
-		// The core stage is not joined: a sink that blocks forever would
-		// wedge it, and with it this return.
 	}
-	// The source stage is: it exits through ctx or the ring it closed.
-	<-pumped
-	if err := failure(); err != nil {
-		return nil, err
-	}
-	// select may take done although ctx is cancelled too: the core stage
-	// then skipped Finish, and the report is a truncated one.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+}
 
-	rep := x.Report()
-	// Ring-level losses (ShedOldest laps) are this query's sheds. The
-	// lapped tuples never reached the per-query intake, so they are absent
-	// from Input/Disorder — quality must be read through the shed-adjusted
-	// metrics.
+// outcome is a driver's verdict once drive has returned: the failure a stage
+// cancelled ctx with, or ctx's own error — the caller's cancellation (drive
+// may return on done although ctx is cancelled too: the core then skipped
+// Finish, and the report is a truncated one).
+func outcome(ctx context.Context) error {
+	if cause := context.Cause(ctx); cause != ctx.Err() {
+		return cause
+	}
+	return ctx.Err()
+}
+
+// ringReport is s's report with the ring's losses: ShedOldest laps are the
+// query's sheds. The lapped tuples never reached the intake, so they are
+// absent from Input and Disorder — quality must be read through the
+// shed-adjusted metrics.
+func ringReport(s *Stage, sub *fanout.Sub) *AggReport {
+	rep := s.Report()
 	rep.Shed = sub.Shed()
 	rep.Handler.Shed = rep.Shed
-	if retrier != nil {
-		rep.Retries = retrier.Retries()
-	}
-	return rep, nil
+	return rep
 }
 
 // receiveRing is the one driver loop: the fan-out ring is the ingest queue
 // — batches are borrowed in place from the producer's publish (no copy, no
 // per-query channel), stepped whole, and released once the core has
 // absorbed them. Per-consumer work (filter/map, disorder accounting,
-// KeepInput) happens here, per query, so the report is field-for-field
-// what a standalone run over the same stream would produce; only the
+// KeepInput) happens here, so every query's report is field-for-field what a
+// standalone run over the same stream would produce; only the
 // decode/generate work upstream of the ring is paid once for all
-// subscribers. A terminal producer error fails the pipeline after the
-// batches published before it were applied.
-func (q *AggQuery) receiveRing(ctx context.Context, x *Exec, sub *fanout.Sub, fail func(error)) {
-	q.telem.fanoutGauges(sub)
+// subscribers — and the disorder pass once for all the queries x serves. A
+// terminal producer error fails the pipeline after the batches published
+// before it were applied.
+func receiveRing(ctx context.Context, x *Exec, sub *fanout.Sub, fail func(error)) {
+	for _, s := range x.stages {
+		s.q.telem.fanoutGauges(sub)
+	}
 	// A consumer that stops reading must never wedge the producer or its
 	// Block peers: leaving marks the cursor dead.
 	defer sub.Unsubscribe()
 	var staged []stream.Item // transform staging (filter/map only)
-	transforming := q.filter != nil || q.mapFn != nil
+	lead := x.stages[0].q
+	transforming := lead.filter != nil || lead.mapFn != nil
 	var shed int64
 	for {
 		items, seq, ok, err := sub.NextBatch(ctx)
 		if lost := sub.Shed() - shed; lost > 0 { // a ShedOldest lap
 			shed += lost
-			q.telem.noteShed(lost)
-			q.tracer.Shed(int64(x.dis.clock), lost)
+			for _, s := range x.stages {
+				s.q.telem.noteShed(lost)
+				s.q.tracer.Shed(int64(x.dis.clock), lost)
+			}
 		}
 		if err != nil {
 			if ctx.Err() == nil {
@@ -214,8 +228,10 @@ func (q *AggQuery) receiveRing(ctx context.Context, x *Exec, sub *fanout.Sub, fa
 				}
 			}
 		}
-		q.telem.noteBatch(eff)
-		q.tracer.SourceBatch(int64(x.dis.clock), len(eff))
+		for _, s := range x.stages {
+			s.q.telem.noteBatch(eff)
+			s.q.tracer.SourceBatch(int64(x.dis.clock), len(eff))
+		}
 		if err := x.Step(eff); err != nil {
 			fail(err)
 			return

@@ -3,6 +3,8 @@ package cq
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/buffer"
@@ -13,14 +15,15 @@ import (
 )
 
 // Exec is the one executor: a synchronous, single-writer step core that
-// applies batches of accepted items to a query's disorder handler and
-// window operator. Run, RunConcurrent (private or shared ring), RunShared
-// and cmd/aqserver's runners are drivers: they decide where items
-// come from and what an error means, and hand the items to Step.
+// applies batches of accepted items to a disorder handler and hands what it
+// releases to the window stages it feeds, one per query. Run, RunConcurrent
+// (private or shared ring), RunShared and cmd/aqserver's runners are drivers:
+// they decide where items come from and what an error means, and hand the
+// items to Step.
 //
 // One Step is: journal the batch → the disorder pass: insert the items into
 // the handler, advancing the arrival clock, and keep what they released with
-// the clock each tuple was released at → the window pass: hand the window
+// the clock each tuple was released at → the window pass: hand every window
 // stage that run whole → suppress emissions below the recovered floor →
 // report / telemetry / tracer / sink → sync the handler's trace and
 // counters, once → journal the emission cursor → snapshot when due. A run,
@@ -31,52 +34,75 @@ import (
 // batch boundary: the journal covers exactly the items the captured state
 // has absorbed.
 //
+// NewExec builds an Exec with one window stage. What a handler releases
+// depends on nothing but the stream when its kind is deterministic and does
+// not depend on the query (ShareKey), and queries over one stream behind such
+// a handler then sort every tuple into identical runs: Join adds a query's
+// window stage to the Exec, so that one disorder pass feeds them all — the
+// K-slack in front of several windows, as in the paper — and Leave ends one
+// while the others run on. The handler, arrival clock, intake disorder
+// measurement and journal are the Exec's; the sink, report, tracer,
+// telemetry, emitted count, release cursor and PreFlush boundary are the
+// stage's, so every query's report, trace and gauges read exactly as they
+// would if it ran alone over the same items.
+//
 // An Exec is not safe for concurrent use; its driver serializes every call
-// (cmd/aqserver does so with the runner mutex).
+// (cmd/aqserver does so with its group's mutex).
 type Exec struct {
-	q       *AggQuery
 	raw     buffer.Handler // as configured; what Handler returns and the disorder pass feeds
-	handler buffer.Handler // raw, or its traced wrapper
-	op      *window.Op     // plain operator; nil for grouped queries
-	win     windowStage
-	sink    func(window.Result)
-	rep     *AggReport
+	handler buffer.Handler // raw, or its traced wrapper (feeding every stage's tracer)
+	stages  []*Stage
 
 	now      stream.Time // arrival clock: max arrival/watermark applied so far
 	dis      disorderAcc // intake-side disorder measurement (see accept)
 	released int         // tuples the handler released since the last sync
-	scratch  []window.Result
-	emitted  int // results delivered, after floor suppression
 
 	// The work in flight: pend[pos:] is journaled (or is the journal) and
-	// still to be inserted, and rel is what the items before pos released
-	// and how far window stage and sink have got with it. Step sets pend and
-	// Resume works both off, so a driver that isolates panics can say where
-	// one hit and carry on behind it. rel is a pointer to keep the struct in
+	// still to be inserted, and rel is what the items before pos released;
+	// each stage keeps how far it has got with rel. Step sets pend and Resume
+	// works both off, so a driver that isolates panics can say where one hit
+	// and carry on behind it: stage names the pass, and in the window pass cur
+	// the stage being handed the run. rel is a pointer to keep the struct in
 	// its size class (TestExecSizeClass).
 	stage string
+	cur   int
 	pend  []stream.Item
 	pos   int
 	rel   *released
 
-	// Durability (nil log without Durable).
+	// Durability (nil log without Durable; a durable query never shares).
 	log       *durable.QueryLog
 	decorate  func(*durable.Snapshot)
 	floor     int64 // primary emissions below it were delivered before the crash
 	haveFloor bool
-	flushing  bool // Finish reached: emissions are flush-forced
+}
+
+// Stage is one query's window stage in an Exec: its window operator and what
+// the query delivers to — sink, report, tracer, telemetry — with its own
+// cursor in the run the disorder pass released.
+type Stage struct {
+	x       *Exec // nil once the stage has left (Leave)
+	q       *AggQuery
+	sink    func(window.Result)
+	rep     *AggReport
+	op      *window.Op // plain operator; nil for grouped queries
+	win     windowStage
+	scratch []window.Result
+	emitted int // results delivered, after floor suppression
+
+	// The release cursor: the run's tuples before pos have been handed to
+	// the operator, and the operator's results before sent delivered.
+	pos, sent int
+	flushing  bool // Finish or Leave reached: emissions are flush-forced
 }
 
 // released is the run between the two passes of a step: the tuples one chunk
-// of pending items released, in release order, and the window stage's
-// progress through them.
+// of pending items released, in release order.
 type released struct {
 	ts   []stream.Tuple
 	nows []stream.Time // nows[i]: the arrival clock when ts[i] was released
 	ends []int         // ends[j]: len(ts) once the chunk's item j was inserted
 	base int           // the chunk is pend[base : base+len(ends)]
-	pos  int           // ts[pos:] is what the window stage has not been handed
-	sent int           // the stage's results before sent have been delivered
 }
 
 // maxChunk bounds the items one disorder pass inserts, and with them the
@@ -92,20 +118,19 @@ const (
 	stageWindow   = "window"
 )
 
-// windowStage is the seam between the step core and the window operator:
-// the plain operator, or the keyed operator of a grouped query. Both are
-// evaluated in place, on the stepping goroutine, whatever the driver, and
-// both take a released run whole — there is no per-tuple entry.
+// windowStage is the seam between the step core and a query's window
+// operator: the plain operator, or the keyed operator of a grouped query.
+// Both are evaluated in place, on the stepping goroutine, whatever the
+// driver, and both take a released run whole — there is no per-tuple entry.
 type windowStage interface {
 	// observeRun delivers the results a panic cut off from the sink (from
-	// r.sent), hands the operator r.ts[r.pos:] with their nows — r.pos
+	// the stage's sent), hands the operator r.ts[pos:] with their nows — pos
 	// moves past a tuple before the operator touches it — and delivers what
-	// that emitted. After it returns nothing is parked: not in r, not in
-	// the operator, not short of the sink.
+	// that emitted. After it returns nothing is parked: not in r, not in the
+	// operator, not short of the sink.
 	observeRun(r *released)
-	// finish records the PreFlush boundary, observes the run the handler's
-	// final flush released and forces the remaining windows out.
-	finish(r *released, now stream.Time)
+	// flush forces the remaining windows out and delivers them.
+	flush(now stream.Time)
 	stats() window.OpStats
 }
 
@@ -119,8 +144,8 @@ type windowStage interface {
 // results — is Resume: a driver with a panic policy calls it under that
 // policy before the first Step; otherwise the first Step or Finish does.
 func NewExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
-	if q.source != nil || q.shared != nil {
-		return nil, errors.New("cq: NewExec drives a query built without a source (Run and RunConcurrent own theirs)")
+	if err := q.ownedByCaller(); err != nil {
+		return nil, err
 	}
 	if err := q.validateShape(); err != nil {
 		return nil, err
@@ -128,20 +153,24 @@ func NewExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 	return newExec(q, sink)
 }
 
+// ownedByCaller refuses a query with a source: NewExec's and Join's caller is
+// the driver.
+func (q *AggQuery) ownedByCaller() error {
+	if q.source != nil || q.shared != nil {
+		return errors.New("cq: an Exec's queries are built without a source (Run and RunConcurrent own theirs)")
+	}
+	return nil
+}
+
 // newExec builds the core for a validated query.
 func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
-	x := &Exec{q: q, sink: sink, rep: &AggReport{}, stage: stageSource, rel: &released{}}
+	x := &Exec{stage: stageSource, rel: &released{}}
 	x.raw = q.handler
 	if x.raw == nil {
 		x.raw = buffer.Zero()
 	}
 	x.handler = q.traceHandler(x.raw)
-	if q.grouped {
-		x.win = &keyedStage{x: x, op: window.NewKeyedOp(q.spec, q.agg, q.policy, q.refineFor)}
-	} else {
-		x.op = window.NewOp(q.spec, q.agg, q.policy, q.refineFor)
-		x.win = plainStage{x}
-	}
+	x.stages = []*Stage{x.newStage(q, sink)}
 	if q.durable != nil {
 		if err := x.restore(); err != nil {
 			return nil, err
@@ -150,14 +179,124 @@ func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 	return x, nil
 }
 
+// newStage builds q's window stage in x.
+func (x *Exec) newStage(q *AggQuery, sink func(window.Result)) *Stage {
+	s := &Stage{x: x, q: q, sink: sink, rep: &AggReport{}}
+	if q.grouped {
+		s.win = &keyedStage{s: s, op: window.NewKeyedOp(q.spec, q.agg, q.policy, q.refineFor)}
+	} else {
+		s.op = window.NewOp(q.spec, q.agg, q.policy, q.refineFor)
+		s.win = plainStage{s}
+	}
+	return s
+}
+
+// shareable decides whether a query's disorder pass may feed other queries'
+// window stages as well (ShareKey, Exec.Join). It may when what its handler
+// releases depends on the stream alone: the handler is of a deterministic
+// kind that does not depend on the query — fixed K-slack (the default, and
+// "none" at K = 0), MAX-slack, the percentile watermark or punctuation — and
+// nothing of the query's own runs in front of it or beside it: no Filter or
+// Map, no Durable journal. The adaptive handlers of internal/core model their
+// query's window and aggregate, and a wrapped handler may do anything:
+// neither shares. shareable returns a fresh handler of the query's kind —
+// what a leaving query's private copy of the shared one is restored into —
+// or nil when the query runs alone.
+func shareable(q *AggQuery) buffer.Handler {
+	if q.filter != nil || q.mapFn != nil || q.durable != nil {
+		return nil
+	}
+	switch q.handler.(type) {
+	case nil, *buffer.KSlack:
+		return buffer.Zero()
+	case *buffer.MaxSlack:
+		return buffer.NewMaxSlack()
+	case *buffer.Percentile:
+		return buffer.NewPercentile(1, 1) // a flush needs the restored state only
+	case *buffer.Punctuated:
+		return buffer.NewPunctuated()
+	}
+	return nil
+}
+
+// ShareKey is what the drivers that serve many queries from one ring group
+// them by — RunShared, and cmd/aqserver's group registry: queries with equal,
+// non-empty keys release identical runs from identical input, so one Exec's
+// disorder pass can feed all their window stages (Join). The key is the
+// handler's kind, configuration and state — a fresh handler's state is its
+// configuration — and empty for a query that runs alone (see shareable).
+func ShareKey(q *AggQuery) string {
+	if shareable(q) == nil {
+		return ""
+	}
+	h := q.handler
+	if h == nil {
+		h = buffer.Zero()
+	}
+	st, err := durable.SaveHandler(h)
+	if err != nil {
+		return ""
+	}
+	var state any
+	switch {
+	case st.Slack != nil:
+		state = *st.Slack
+	case st.Percentile != nil:
+		state = *st.Percentile
+	case st.Punctuated != nil:
+		state = *st.Punctuated
+	}
+	return fmt.Sprintf("%s %#v", h, state)
+}
+
+// Join adds q's window stage to x, fed from x's disorder pass, with sink as
+// its result sink (as NewExec's), and returns it. q must be built without a
+// source and have x's ShareKey — which, the key holding the handler's state,
+// asks in practice that neither x nor q's handler has seen an item yet. q's
+// own handler is left unused.
+func (x *Exec) Join(q *AggQuery, sink func(window.Result)) (*Stage, error) {
+	if err := q.ownedByCaller(); err != nil {
+		return nil, err
+	}
+	if err := q.validateShape(); err != nil {
+		return nil, err
+	}
+	if key := ShareKey(q); key == "" || key != x.shareKey() || x.pend != nil || x.stages[0].flushing {
+		return nil, errors.New("cq: the query cannot join this Exec's disorder pass (see ShareKey)")
+	}
+	s := x.newStage(q, sink)
+	x.stages = append(x.stages, s)
+	if tr := q.tracer; tr != nil {
+		if traced, ok := x.handler.(*buffer.Traced); ok {
+			traced.Mirror(tr)
+		} else {
+			x.handler = buffer.NewTraced(x.raw, tr)
+		}
+	}
+	return s, nil
+}
+
+// shareKey is the ShareKey of a query like x's first whose handler is x's,
+// where it stands now.
+func (x *Exec) shareKey() string {
+	lead := *x.stages[0].q
+	lead.handler = x.raw
+	return ShareKey(&lead)
+}
+
+// Stages returns x's window stages, in the order they joined; the slice must
+// not be modified.
+func (x *Exec) Stages() []*Stage { return x.stages }
+
 // accept is every driver's intake for one pulled item: filter and map, then
 // the input record (KeepInput) and the inline disorder measurement. keep is
-// false for a filtered-out tuple.
+// false for a filtered-out tuple. (Only an Exec of one query can have a
+// filter or a map: they keep a query from sharing.)
 func (x *Exec) accept(it stream.Item) (out stream.Item, keep bool) {
 	if it.Heartbeat {
 		return it, true
 	}
-	t, keep := x.q.transform(it.Tuple)
+	t, keep := x.stages[0].q.transform(it.Tuple)
 	if !keep {
 		return it, false
 	}
@@ -165,10 +304,12 @@ func (x *Exec) accept(it stream.Item) (out stream.Item, keep bool) {
 	return stream.DataItem(t), true
 }
 
-// noteInput records one post-transform tuple as query input.
+// noteInput records one post-transform tuple as input.
 func (x *Exec) noteInput(t stream.Tuple) {
-	if x.q.keepInput {
-		x.rep.Input = append(x.rep.Input, t)
+	for _, s := range x.stages {
+		if s.q.keepInput {
+			s.rep.Input = append(s.rep.Input, t)
+		}
 	}
 	x.dis.observe(t)
 }
@@ -209,108 +350,131 @@ func (x *Exec) Step(batch []stream.Item) error {
 // Resume applies what is pending, in two passes a chunk: the disorder pass
 // inserts the chunk's items into the handler and stamps every released tuple
 // with the arrival clock of the item that released it; the window pass hands
-// the window stage that run. It is the body of every Step, and what a
+// every window stage that run. It is the body of every Step, and what a
 // panic-isolating driver calls itself. After NewExec recovered prior state,
 // the journal suffix is pending and Resume is the replay — nothing is
 // journaled again, it is the journal. And after recovering a panic raised
 // inside Step or Resume, Resume carries on behind it: the rest of the batch
 // is already journaled, so abandoning it would make the journal lie. A panic
-// in the disorder pass costs the item in flight; one in the window pass at
-// most the released tuple or the result in flight, and everything released
-// or emitted behind it is observed and delivered first. (The window operator
-// stores a tuple before anything in it can fail, and a window whose emission
-// panicked is emitted by the next advance, so there the cost is nothing.)
-// The emission cursor and snapshot check of an interrupted Step ride on the
-// next one.
+// in the disorder pass costs the item in flight — for every stage, which all
+// see what the handler releases; one in the window pass at most the released
+// tuple or the result in flight, of the stage it hit only, and everything
+// released or emitted behind it is observed and delivered first. (The window
+// operator stores a tuple before anything in it can fail, and a window whose
+// emission panicked is emitted by the next advance, so there the cost is
+// nothing.) The emission cursor and snapshot check of an interrupted Step
+// ride on the next one.
 //
 // Why runs: taking a batch apart into one handler call and one operator call
 // per tuple — each with its copies of a 64-byte Item, three divisions to
 // place the tuple among the windows and a chain of frames down to the sink —
 // cost more than the work itself, when 99 released tuples in 100 are late
-// for nothing and close nothing (window.Op.ObserveRun).
+// for nothing and close nothing (window.Op.ObserveRun). And it is what lets
+// one disorder pass feed many stages: the run is sorted once and read by each.
 func (x *Exec) Resume() {
 	if x.stage != stageSource {
 		// Behind a panic: first what it left in the release buffer, parked in
-		// the operator or short of the sink. (A pass that returns leaves
+		// an operator or short of a sink. (A pass that returns leaves
 		// nothing, so every other call starts with the disorder pass.)
-		x.stage = stageWindow
-		x.win.observeRun(x.rel)
+		x.windowPass()
 	}
 	for x.pos < len(x.pend) {
 		x.stage = stageDisorder
 		x.insertChunk(x.pend[x.pos:min(x.pos+maxChunk, len(x.pend))])
-		x.stage = stageWindow
-		x.win.observeRun(x.rel)
+		x.windowPass()
 	}
 	x.sync()
 	x.stage, x.pend = stageSource, nil
+}
+
+// windowPass hands the run in the release buffer to the stages in turn, from
+// the one a panic interrupted: a stage that has had the whole run does nothing
+// with it again.
+func (x *Exec) windowPass() {
+	x.stage = stageWindow
+	for ; x.cur < len(x.stages); x.cur++ {
+		x.stages[x.cur].win.observeRun(x.rel)
+	}
+	x.cur = 0
 }
 
 // insertChunk is the disorder pass over one chunk of the pending items. A
 // handler that is exactly a *buffer.KSlack — its concrete type, looked up
 // behind the traced wrapper; a type that embeds one and overrides Insert
 // inherits InsertBatch and must not be short-circuited — takes the chunk in
-// one call. Every other handler takes it item by item, x.pos moving first so
-// that a panic leaves the item behind, not the batch.
+// one call, and the chunk is stamped behind it in one pass. Every other
+// handler takes it item by item, x.pos moving first so that a panic leaves
+// the item behind, not the batch, and every item stamped as it goes.
 func (x *Exec) insertChunk(chunk []stream.Item) {
 	r := x.rel
-	r.ts, r.nows, r.ends = r.ts[:0], r.nows[:0], r.ends[:0]
-	r.base, r.pos = x.pos, 0
-	if tr, ok := x.handler.(*buffer.Traced); ok {
-		tr.Advance(chunk)
+	r.ts, r.nows, r.ends, r.base = r.ts[:0], r.nows[:0], r.ends[:0], x.pos
+	for _, s := range x.stages {
+		s.pos = 0
 	}
+	tr, _ := x.handler.(*buffer.Traced)
 	if ks, ok := x.raw.(*buffer.KSlack); ok {
 		x.pos += len(chunk)
 		r.ts, r.ends = ks.InsertBatch(chunk, r.ts, r.ends)
+		at := stream.Time(math.MinInt64)
 		for i := range chunk {
-			x.stamp(&chunk[i], r.ends[i])
+			at = max(at, x.stamp(&chunk[i], r.ends[i]))
 		}
-	} else {
-		for i := range chunk {
-			x.pos++
-			r.ts = x.raw.Insert(chunk[i], r.ts)
-			r.ends = append(r.ends, len(r.ts))
-			x.stamp(&chunk[i], len(r.ts))
+		if tr != nil {
+			tr.Advance(at)
+		}
+		return
+	}
+	for i := range chunk {
+		x.pos++
+		r.ts = x.raw.Insert(chunk[i], r.ts)
+		r.ends = append(r.ends, len(r.ts))
+		if at := x.stamp(&chunk[i], len(r.ts)); tr != nil {
+			tr.Advance(at)
 		}
 	}
 }
 
-// stamp advances the arrival clock over one inserted item and counts and
-// stamps the tuples its insertion released, rel.ts[len(rel.nows):end].
-func (x *Exec) stamp(it *stream.Item, end int) {
+// stamp advances the arrival clock over one inserted item, counts and stamps
+// the tuples its insertion released, rel.ts[len(rel.nows):end], and returns
+// the item's event time (a tuple's TS, a heartbeat's watermark).
+func (x *Exec) stamp(it *stream.Item, end int) (at stream.Time) {
 	// Arrival is client-supplied on the wire and need not be monotone; the
 	// clock is.
-	at := it.Tuple.Arrival
+	arrival, at := it.Tuple.Arrival, it.Tuple.TS
 	if it.Heartbeat {
-		at = it.Watermark
+		arrival, at = it.Watermark, it.Watermark
 	}
-	x.now = max(x.now, at)
+	x.now = max(x.now, arrival)
 	r := x.rel
 	x.released += end - len(r.nows)
 	for len(r.nows) < end {
 		r.nows = append(r.nows, x.now)
 	}
+	return at
 }
 
 // sync publishes the handler's activity once per step, not per item: the
 // traced wrapper turns the deltas of the handler's cumulative stats into
-// buffer events (N = count), and the released counter moves by what
-// accumulated. A step a panic cut short skips it and loses nothing: its
-// share rides on the sync of the Resume that carries on behind it.
+// buffer events (N = count) in every stage's tracer, and each stage's
+// released counter moves by what accumulated. A step a panic cut short skips
+// it and loses nothing: its share rides on the sync of the Resume that
+// carries on behind it.
 func (x *Exec) sync() {
 	if tr, ok := x.handler.(*buffer.Traced); ok {
 		tr.Sync()
 	}
-	x.q.telem.noteReleased(x.released)
+	for _, s := range x.stages {
+		s.q.telem.noteReleased(x.released)
+	}
 	x.released = 0
 }
 
 // InFlight reports where a panic raised inside Step or Resume hit: the
 // trace stage (buffer or window) and the item being applied — in the buffer
 // stage the item being inserted, in the window stage the item whose insertion
-// released the last tuple the operator was handed (for a panic out of the
-// sink that is the last tuple of the run: results are delivered behind it).
-// It is the zero Item if the panic came from outside the two passes.
+// released the last tuple the stage's operator was handed (for a panic out of
+// the sink that is the last tuple of the run: results are delivered behind
+// it). It is the zero Item if the panic came from outside the two passes.
 func (x *Exec) InFlight() (stage tracez.Stage, it stream.Item) {
 	if x.stage == stageDisorder {
 		if x.pos > 0 && x.pos <= len(x.pend) {
@@ -318,35 +482,44 @@ func (x *Exec) InFlight() (stage tracez.Stage, it stream.Item) {
 		}
 		return tracez.StageBuffer, it
 	}
-	if r := x.rel; r.pos > 0 {
-		if i := r.base + sort.SearchInts(r.ends, r.pos); i < r.base+len(r.ends) && i < len(x.pend) {
+	if s := x.InFlightStage(); s != nil && s.pos > 0 {
+		r := x.rel
+		if i := r.base + sort.SearchInts(r.ends, s.pos); i < r.base+len(r.ends) && i < len(x.pend) {
 			it = x.pend[i]
 		}
 	}
 	return tracez.StageWindow, it
 }
 
-// Finish ends the stream: results so far are marked progress-emitted
-// (PreFlush), handler and operator are flushed through the same emission
-// path, and the journal is committed. Flush-forced emissions are not
-// journaled as emission progress: they exist only because the stream ended,
-// and a continuation after recovery re-emits those windows in full.
+// InFlightStage reports which query a panic raised inside Step, Resume or
+// Finish costs: the window stage it hit, or nil when it hit the disorder
+// pass — which every stage shares — or came from outside the two passes.
+func (x *Exec) InFlightStage() *Stage {
+	if x.stage != stageWindow || x.cur >= len(x.stages) {
+		return nil
+	}
+	return x.stages[x.cur]
+}
+
+// Finish ends the stream: every stage's results so far are marked
+// progress-emitted (PreFlush), the handler is flushed into every operator
+// and the operators through the same emission path, and the journal is
+// committed. Flush-forced emissions are not journaled as emission progress:
+// they exist only because the stream ended, and a continuation after
+// recovery re-emits those windows in full.
 func (x *Exec) Finish() error {
 	if x.pend != nil {
 		x.Resume()
 	}
 	x.stage = stageDisorder
-	r := x.rel
-	r.ts, r.nows, r.ends, r.pos = x.handler.Flush(r.ts[:0]), r.nows[:0], r.ends[:0], 0
-	for range r.ts {
-		r.nows = append(r.nows, x.now)
-	}
+	r := x.drain(x.handler)
 	x.released += len(r.ts)
 	x.sync()
 	x.stage = stageWindow
-	x.win.finish(r, x.now)
-	x.q.tracer.Flush(int64(x.now))
-	x.stage = stageSource
+	for ; x.cur < len(x.stages); x.cur++ {
+		x.stages[x.cur].finish(r, x.now)
+	}
+	x.stage, x.cur = stageSource, 0
 	if x.log != nil {
 		if err := x.log.Commit(); err != nil {
 			return fmt.Errorf("cq: journal: %w", err)
@@ -355,43 +528,78 @@ func (x *Exec) Finish() error {
 	return nil
 }
 
-// emit delivers the plain operator's results, x.scratch from rel.sent on:
-// floor suppression first, so duplicates of pre-crash deliveries reach
-// neither report, trace nor sink. The cursor moves before a result is
-// delivered, so a panic out of telemetry, tracer or sink costs that result
-// and the next pass delivers the ones behind it.
-func (x *Exec) emit() {
-	for r := x.rel; r.sent < len(x.scratch); {
-		res := x.scratch[r.sent]
-		r.sent++
-		if x.suppress(res) {
-			continue
-		}
-		x.emitted++
-		if !x.q.discardRep {
-			x.rep.Results = append(x.rep.Results, res)
-		}
-		x.q.telem.noteResult(res, x.flushing)
-		x.q.tracer.Emit(int64(res.EmitArrival), res.Idx, int64(res.Start), int64(res.End), 0, res.Count, int64(res.Latency()))
-		if x.sink != nil {
-			x.sink(res)
-		}
+// Leave ends one query of x as Finish would end it alone — its PreFlush
+// boundary recorded, the handler flushed into its operator, its remaining
+// windows forced out, its report, trace and telemetry told so — and removes
+// its stage. The others are untouched: the flush goes through a private copy
+// of the handler (durable.SaveHandler, RestoreHandler), and the shared one
+// keeps every tuple it holds for them. Leaving the only stage is Finish.
+func (x *Exec) Leave(s *Stage) error {
+	i := slices.Index(x.stages, s)
+	if i < 0 {
+		return errors.New("cq: Leave: not a stage of this Exec")
 	}
+	if len(x.stages) == 1 {
+		return x.Finish()
+	}
+	if x.pend != nil {
+		x.Resume()
+	}
+	h := shareable(s.q) // every query of a shared pass is shareable
+	st, err := durable.SaveHandler(x.raw)
+	if err == nil {
+		err = durable.RestoreHandler(h, st)
+	}
+	if err != nil {
+		return fmt.Errorf("cq: Leave: %w", err)
+	}
+	x.stages = slices.Delete(x.stages, i, i+1)
+	if tr := s.q.tracer; tr != nil {
+		h = x.handler.(*buffer.Traced).Split(tr, h)
+	}
+	r := x.drain(h)
+	if tr, ok := h.(*buffer.Traced); ok {
+		tr.Sync()
+	}
+	s.q.telem.noteReleased(len(r.ts))
+	s.finish(r, x.now)
+	s.rep.Disorder, s.rep.Handler = x.dis.finish(), h.Stats()
+	s.x = nil
+	return nil
 }
 
-// Report brings the handler, operator and disorder statistics up to date
-// and returns the live report (not a copy).
-func (x *Exec) Report() *AggReport {
-	x.rep.Disorder = x.dis.finish()
-	x.rep.Handler = x.handler.Stats()
-	x.rep.Op = x.win.stats()
-	return x.rep
+// drain fills the release buffer with what flushing h releases, stamped with
+// the arrival clock.
+func (x *Exec) drain(h buffer.Handler) *released {
+	r := x.rel
+	r.ts, r.nows, r.ends = h.Flush(r.ts[:0]), r.nows[:0], r.ends[:0]
+	for range r.ts {
+		r.nows = append(r.nows, x.now)
+	}
+	return r
+}
+
+// Report brings the first stage's report up to date and returns it: for an
+// Exec of one query, its report (see Stage.Report).
+func (x *Exec) Report() *AggReport { return x.stages[0].Report() }
+
+// Report brings the handler, operator and disorder statistics up to date and
+// returns the live report (not a copy). The handler and disorder statistics
+// are the disorder pass's — what the query's own would read — or, once the
+// stage has left, what its private copy's were when it did.
+func (s *Stage) Report() *AggReport {
+	if x := s.x; x != nil {
+		s.rep.Disorder = x.dis.finish()
+		s.rep.Handler = x.handler.Stats()
+	}
+	s.rep.Op = s.win.stats()
+	return s.rep
 }
 
 // Now returns the arrival clock.
 func (x *Exec) Now() stream.Time { return x.now }
 
-// Handler returns the disorder handler the query was built with (buffer.Zero
+// Handler returns the disorder handler the Exec was built with (buffer.Zero
 // when none was set), for hosts that read its live state between steps.
 func (x *Exec) Handler() buffer.Handler { return x.raw }
 
@@ -405,9 +613,10 @@ func (x *Exec) panicErr(p any) error {
 // handler and operator, resume the disorder accumulator and arrival clock,
 // arm the emission floor and leave the journal suffix pending. The recovery
 // is consumed from the log, so a second execution on the same open log
-// starts clean.
+// starts clean. A durable query runs alone: its stage is the Exec's only one.
 func (x *Exec) restore() error {
-	d := x.q.durable
+	s := x.stages[0]
+	d := s.q.durable
 	x.log, x.decorate = d.Log, d.Decorate
 	rec := d.Log.TakeRecovery()
 	if rec == nil || !rec.Recovered {
@@ -420,7 +629,7 @@ func (x *Exec) restore() error {
 			}
 		}
 		if snap.Op != nil {
-			if err := x.op.Restore(*snap.Op); err != nil {
+			if err := s.op.Restore(*snap.Op); err != nil {
 				return err
 			}
 		}
@@ -428,7 +637,7 @@ func (x *Exec) restore() error {
 		x.now = snap.Now
 	}
 	x.floor, x.haveFloor = rec.EmitProgress, rec.HaveEmit
-	x.rep.Recovery = &RecoveryInfo{
+	s.rep.Recovery = &RecoveryInfo{
 		FromSnapshot:     rec.Snapshot != nil,
 		ReplayedItems:    len(rec.Suffix),
 		EmitProgress:     rec.EmitProgress,
@@ -444,25 +653,26 @@ func (x *Exec) restore() error {
 		}
 	}
 	x.pend, x.pos = rec.Suffix, 0
-	x.q.tracer.Recovery(int64(x.now), len(rec.Suffix), x.floor, rec.TruncatedBytes)
+	s.q.tracer.Recovery(int64(x.now), len(rec.Suffix), x.floor, rec.TruncatedBytes)
 	return nil
 }
 
 // suppress reports whether res duplicates a primary emission the previous
 // process delivered durably. Refinements are never suppressed: they are
 // corrections, idempotent by definition.
-func (x *Exec) suppress(res window.Result) bool {
+func (s *Stage) suppress(res window.Result) bool {
+	x := s.x
 	if !x.haveFloor || res.Refinement || res.Idx >= x.floor {
 		return false
 	}
-	x.rep.Recovery.SuppressedResults++
+	s.rep.Recovery.SuppressedResults++
 	return true
 }
 
 // noteEmitProgress journals the operator's emission cursor once per step;
 // the log dedupes monotone repeats.
 func (x *Exec) noteEmitProgress() error {
-	emit, have := x.op.EmitProgress()
+	emit, have := x.stages[0].op.EmitProgress()
 	if !have {
 		return nil
 	}
@@ -485,9 +695,10 @@ func (x *Exec) snapshot() error {
 	if err != nil {
 		return fmt.Errorf("cq: snapshot: %w", err)
 	}
-	ops := x.op.State()
-	emit, have := x.op.EmitProgress()
-	s := &durable.Snapshot{
+	s := x.stages[0]
+	ops := s.op.State()
+	emit, have := s.op.EmitProgress()
+	snap := &durable.Snapshot{
 		Records:      records,
 		Items:        items,
 		Now:          x.now,
@@ -498,35 +709,68 @@ func (x *Exec) snapshot() error {
 		HaveEmit:     have,
 	}
 	if x.decorate != nil {
-		x.decorate(s)
+		x.decorate(snap)
 	}
-	if err := x.log.WriteSnapshot(s); err != nil {
+	if err := x.log.WriteSnapshot(snap); err != nil {
 		return fmt.Errorf("cq: snapshot: %w", err)
 	}
-	x.q.tracer.Snapshot(int64(x.now), records)
+	s.q.tracer.Snapshot(int64(x.now), records)
 	return nil
 }
 
+// finish ends the stage's stream: its results so far are progress-emitted
+// (PreFlush), the run the handler's final flush released is observed and the
+// remaining windows are forced out.
+func (s *Stage) finish(r *released, now stream.Time) {
+	s.rep.PreFlush, s.flushing = s.emitted, true
+	s.pos = 0
+	s.win.observeRun(r)
+	s.win.flush(now)
+	s.q.tracer.Flush(int64(now))
+}
+
+// emit delivers the plain operator's results, s.scratch from s.sent on:
+// floor suppression first, so duplicates of pre-crash deliveries reach
+// neither report, trace nor sink. The cursor moves before a result is
+// delivered, so a panic out of telemetry, tracer or sink costs that result
+// and the next pass delivers the ones behind it.
+func (s *Stage) emit() {
+	for s.sent < len(s.scratch) {
+		res := s.scratch[s.sent]
+		s.sent++
+		if s.suppress(res) {
+			continue
+		}
+		s.emitted++
+		if !s.q.discardRep {
+			s.rep.Results = append(s.rep.Results, res)
+		}
+		s.q.telem.noteResult(res, s.flushing)
+		s.q.tracer.Emit(int64(res.EmitArrival), res.Idx, int64(res.Start), int64(res.End), 0, res.Count, int64(res.Latency()))
+		if s.sink != nil {
+			s.sink(res)
+		}
+	}
+}
+
 // plainStage is the non-grouped window stage: one window.Op whose results
-// go through Exec.emit.
-type plainStage struct{ x *Exec }
+// go through Stage.emit.
+type plainStage struct{ s *Stage }
 
-func (s plainStage) observeRun(r *released) {
-	x := s.x
-	x.emit()
-	x.scratch, r.sent = x.op.ObserveRun(r.ts, r.nows, &r.pos, x.scratch[:0]), 0
-	x.emit()
+func (p plainStage) observeRun(r *released) {
+	s := p.s
+	s.emit()
+	s.scratch, s.sent = s.op.ObserveRun(r.ts, r.nows, &s.pos, s.scratch[:0]), 0
+	s.emit()
 }
 
-func (s plainStage) finish(r *released, now stream.Time) {
-	x := s.x
-	x.rep.PreFlush, x.flushing = x.emitted, true
-	s.observeRun(r)
-	x.scratch, r.sent = x.op.Flush(now, x.scratch[:0]), 0
-	x.emit()
+func (p plainStage) flush(now stream.Time) {
+	s := p.s
+	s.scratch, s.sent = s.op.Flush(now, s.scratch[:0]), 0
+	s.emit()
 }
 
-func (s plainStage) stats() window.OpStats { return s.x.op.Stats() }
+func (p plainStage) stats() window.OpStats { return p.s.op.Stats() }
 
 // keyedStage is the grouped window stage: one window.KeyedOp, whose results
 // — in its canonical order, by window and then by key — are delivered like
@@ -535,56 +779,55 @@ func (s plainStage) stats() window.OpStats { return s.x.op.Stats() }
 // is no emission floor to apply.) The operator appends straight to the
 // report; under DiscardReport, to a scratch slice instead.
 type keyedStage struct {
-	x       *Exec
+	s       *Stage
 	op      *window.KeyedOp
 	scratch []window.KeyedResult
 }
 
-// out is where the operator appends its next results; rel.sent indexes it.
-// The scratch slice is emptied whenever everything in it has been delivered.
-func (s *keyedStage) out() *[]window.KeyedResult {
-	if !s.x.q.discardRep {
-		return &s.x.rep.Keyed
+// out is where the operator appends its next results; the stage's sent
+// indexes it. The scratch slice is emptied whenever everything in it has
+// been delivered.
+func (k *keyedStage) out() *[]window.KeyedResult {
+	s := k.s
+	if !s.q.discardRep {
+		return &s.rep.Keyed
 	}
-	if r := s.x.rel; r.sent == len(s.scratch) {
-		s.scratch, r.sent = s.scratch[:0], 0
+	if s.sent == len(k.scratch) {
+		k.scratch, s.sent = k.scratch[:0], 0
 	}
-	return &s.scratch
+	return &k.scratch
 }
 
-func (s *keyedStage) observeRun(r *released) {
-	s.emit()
-	dst := s.out()
-	*dst = s.op.ObserveRun(r.ts, r.nows, &r.pos, *dst)
-	s.emit()
+func (k *keyedStage) observeRun(r *released) {
+	k.emit()
+	dst := k.out()
+	*dst = k.op.ObserveRun(r.ts, r.nows, &k.s.pos, *dst)
+	k.emit()
 }
 
-func (s *keyedStage) finish(r *released, now stream.Time) {
-	x := s.x
-	x.rep.PreFlush, x.flushing = x.emitted, true
-	s.observeRun(r)
-	dst := s.out()
-	*dst = s.op.Flush(now, *dst)
-	s.emit()
+func (k *keyedStage) flush(now stream.Time) {
+	dst := k.out()
+	*dst = k.op.Flush(now, *dst)
+	k.emit()
 }
 
-// emit delivers the operator's results from rel.sent on, the cursor moving
-// first (see Exec.emit).
-func (s *keyedStage) emit() {
-	x := s.x
-	for r, dst := x.rel, s.out(); r.sent < len(*dst); {
-		kr := (*dst)[r.sent]
-		r.sent++
-		x.emitted++
-		x.q.telem.noteResult(kr.Result, x.flushing)
-		x.q.tracer.Emit(int64(kr.EmitArrival), kr.Idx, int64(kr.Start), int64(kr.End), kr.Key, kr.Count, int64(kr.Latency()))
-		if x.q.keyedSink != nil {
-			x.q.keyedSink(kr)
+// emit delivers the operator's results from the stage's sent on, the cursor
+// moving first (see Stage.emit).
+func (k *keyedStage) emit() {
+	s := k.s
+	for dst := k.out(); s.sent < len(*dst); {
+		kr := (*dst)[s.sent]
+		s.sent++
+		s.emitted++
+		s.q.telem.noteResult(kr.Result, s.flushing)
+		s.q.tracer.Emit(int64(kr.EmitArrival), kr.Idx, int64(kr.Start), int64(kr.End), kr.Key, kr.Count, int64(kr.Latency()))
+		if s.q.keyedSink != nil {
+			s.q.keyedSink(kr)
 		}
-		if x.sink != nil {
-			x.sink(kr.Result)
+		if s.sink != nil {
+			s.sink(kr.Result)
 		}
 	}
 }
 
-func (s *keyedStage) stats() window.OpStats { return s.op.Stats() }
+func (k *keyedStage) stats() window.OpStats { return k.op.Stats() }

@@ -19,11 +19,14 @@ import (
 // BenchmarkExecStepServerShaped times Exec.Step the way cmd/aqserver's
 // runners call it: the aqbench query shapes behind fixed K-slacks, a tracer
 // attached, the report discarded, whole ring batches of the size the paced
-// server sees, exponential 100 ms delays (aqbench's sensorExp). One
-// iteration is one batch stepped through every query of the sub-benchmark;
-// the metric that matters is ns/query-tuple, time inside Step only. A CPU
-// profile of the paced server is phase-locked to its 2 ms tick and collects
-// next to nothing — this is the profile to read instead (docs/TESTING.md).
+// server sees, exponential 100 ms delays (aqbench's sensorExp). Queries
+// behind the same handler share one Exec, as the server's groups do
+// (ShareKey): fanout4 is one Exec with the three kslack(500ms) window stages
+// and one with the kslack(2s) stage. One iteration is one batch stepped
+// through every Exec of the sub-benchmark; the metric that matters is
+// ns/query-tuple, time inside Step only. A CPU profile of the paced server is
+// phase-locked to its 2 ms tick and collects next to nothing — this is the
+// profile to read instead (docs/TESTING.md).
 //
 // durable is fixedk journaled the way aqserver runs a durable query:
 // 256-item ring batches, a journal in a temporary directory with the
@@ -62,9 +65,10 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 			span := stream.Time(len(pool)) * cfg.Interval
 
 			results := 0
-			execs := make([]*Exec, len(bc.shapes))
+			var execs []*Exec
+			byKey := map[string]*Exec{}
 			logs := make([]*durable.QueryLog, 0, len(bc.shapes))
-			for i, s := range bc.shapes {
+			for _, s := range bc.shapes {
 				q := New(nil).Handle(buffer.NewKSlack(s.k)).Window(s.spec, s.agg).
 					Trace(tracez.New(tracez.NewRecorder(1<<12), "q")).DiscardReport()
 				if bc.durable {
@@ -79,11 +83,20 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 						s.Query, s.Counters = "q", map[string]int64{"emitted": int64(results)}
 					}})
 				}
-				x, err := NewExec(q, func(window.Result) { results++ })
+				sink := func(window.Result) { results++ }
+				key := ShareKey(q)
+				if x := byKey[key]; x != nil && key != "" {
+					if _, err := x.Join(q, sink); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				x, err := NewExec(q, sink)
 				if err != nil {
 					b.Fatal(err)
 				}
-				execs[i] = x
+				byKey[key] = x
+				execs = append(execs, x)
 			}
 
 			// The pool is replayed end to end, each pass shifted one span on
@@ -123,7 +136,7 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 			if results == 0 && b.N*bc.batch > 1000 {
 				b.Fatal("no window ever closed; the benchmark measures nothing")
 			}
-			n := float64(b.N * bc.batch * len(execs))
+			n := float64(b.N * bc.batch * len(bc.shapes))
 			b.ReportMetric(float64(inStep.Nanoseconds())/n, "ns/query-tuple")
 			b.ReportMetric(float64(cpu.Nanoseconds())/n, "cpu-ns/query-tuple")
 		})

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,14 +50,15 @@ func execState(t *testing.T, x *Exec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emit, have := x.op.EmitProgress()
+	op := x.stages[0].op
+	emit, have := op.EmitProgress()
 	b, err := json.Marshal(struct {
 		Handler *durable.HandlerState
 		Op      window.OpState
 		Emit    int64
 		Have    bool
 		Now     stream.Time
-	}{hs, x.op.State(), emit, have, x.Now()})
+	}{hs, op.State(), emit, have, x.Now()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +189,76 @@ func TestExecCrashInTheMiddle(t *testing.T) {
 		if got := x.Report(); got.Handler != full.Report().Handler || got.Op != full.Report().Op {
 			t.Fatalf("cut %d: recovered stats diverged from the uninterrupted run", cut)
 		}
+	}
+}
+
+// TestExecCrashWithInfiniteWindow: a max window holding +Inf (and a tuple
+// of -Inf buffered beside it) is written to every snapshot — JSON has no
+// such numbers, so they go as strings — and a crash recovered from one
+// continues bit for bit. A snapshot that could not be written used to fail
+// every snapshot of the query from then on.
+func TestExecCrashWithInfiniteWindow(t *testing.T) {
+	items := execItems(4000, 59)
+	for i, v := range map[int]float64{700: math.Inf(1), 1700: math.Inf(-1), 2700: math.Inf(1)} {
+		for items[i].Heartbeat {
+			i++
+		}
+		items[i].Tuple.Value = v
+	}
+	build := func(log *durable.QueryLog, sink func(window.Result)) *Exec {
+		q := New(nil).Handle(buffer.NewKSlack(1500)).Window(testSpec, window.Max())
+		if log != nil {
+			q.Durable(Durable{Log: log})
+		}
+		x, err := NewExec(q, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	var want []window.Result
+	full := build(nil, func(r window.Result) { want = append(want, r) })
+	stepAll(t, full, items, stats.NewRNG(1), 97)
+	if err := full.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := durable.Options{Dir: t.TempDir(), CommitEvery: 64, SnapshotEvery: 900}
+	var got []window.Result
+	sink := func(r window.Result) { got = append(got, r) }
+	log := mustOpenLog(t, opts)
+	stepAll(t, build(log, sink), items[:3100], stats.NewRNG(2), 97) // fails on a snapshot that cannot be written
+	if err := log.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	log.Abandon()
+	snaps, err := filepath.Glob(filepath.Join(opts.Dir, "snap-*.json"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot written (%v)", err)
+	}
+	data, err := os.ReadFile(snaps[len(snaps)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"+Inf"`) {
+		t.Fatalf("the last snapshot holds no +Inf: the test proves nothing")
+	}
+
+	log2 := mustOpenLog(t, opts)
+	defer log2.Close()
+	x := build(log2, sink)
+	if rec := x.Report().Recovery; rec == nil || !rec.FromSnapshot {
+		t.Fatalf("recovery did not start from the snapshot: %+v", rec)
+	}
+	stepAll(t, x, items[3100:], stats.NewRNG(3), 97)
+	if err := x.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("two processes delivered %d results, the uninterrupted run %d (or they differ)", len(got), len(want))
+	}
+	if g, w := x.Report().Handler, full.Report().Handler; g != w {
+		t.Fatalf("recovered handler stats %+v, uninterrupted %+v", g, w)
 	}
 }
 

@@ -6,19 +6,20 @@
 //
 // There is one executor, Exec (exec.go): a synchronous single-writer step
 // core that applies batches of accepted items to the handler and the
-// window operator, with journaling, recovery, emission and snapshots
-// inside the step. Everything else is a driver that feeds it. Run pulls a
-// source on the calling goroutine, one item per step — deterministic, so
-// the experiment harness uses it and results reproduce bit for bit.
-// RunConcurrent receives and steps on one goroutine over a fan-out ring
-// subscription (internal/fanout) — the one ingest queue — streaming results
-// to a callback as they are produced; over a private source the ring is the
-// query's own, and a source goroutine pulls, retries and batches into it.
-// RunShared runs M such ring consumers off one producer. cmd/aqserver's
-// runners call NewExec and Step themselves under their own lock. A grouped
-// query (GroupBy) differs from a plain one only in the window stage inside
-// the step — one keyed operator instead of one plain operator — so every
-// driver runs both.
+// window operators it feeds, one per query, with journaling, recovery,
+// emission and snapshots inside the step. Everything else is a driver that
+// feeds it. Run pulls a source on the calling goroutine, one item per step
+// — deterministic, so the experiment harness uses it and results reproduce
+// bit for bit. RunConcurrent receives and steps on one goroutine over a
+// fan-out ring subscription (internal/fanout) — the one ingest queue —
+// streaming results to a callback as they are produced; over a private
+// source the ring is the query's own, and a source goroutine pulls, retries
+// and batches into it. RunShared runs such ring consumers off one producer,
+// one per group of queries that can share a disorder pass (ShareKey).
+// cmd/aqserver's runner groups call NewExec, Join and Step themselves under
+// their own lock. A grouped query (GroupBy) differs from a plain one only in
+// its window stage — one keyed operator instead of one plain operator — so
+// every driver runs both.
 package cq
 
 import (
@@ -238,14 +239,22 @@ func (q *AggQuery) validate() error {
 		if q.source != nil {
 			return errors.New("cq: shared-source query cannot also have its own source")
 		}
-		if q.retry != nil {
-			return errors.New("cq: Retry on a shared-source query belongs on the ring's producer")
-		}
-		if q.durable != nil {
-			return errors.New("cq: Durable does not support shared-source queries (journal the producer)")
+		if err := q.validateRing(); err != nil {
+			return err
 		}
 	}
 	return q.validateShape()
+}
+
+// validateRing checks what a query on somebody else's ring must not carry.
+func (q *AggQuery) validateRing() error {
+	if q.retry != nil {
+		return errors.New("cq: Retry on a shared-source query belongs on the ring's producer")
+	}
+	if q.durable != nil {
+		return errors.New("cq: Durable does not support shared-source queries (journal the producer)")
+	}
+	return nil
 }
 
 // validateShape checks everything but where the items come from.

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -28,26 +29,33 @@ type SharedOpts struct {
 	// batch on the producer side.
 	Tracer *tracez.Tracer
 	// Sink, when set, receives every query's results as they stream
-	// (i indexes the queries argument). Called from each query's window
-	// stage goroutine — one call at a time per query, but concurrently
-	// across queries.
+	// (i indexes the queries argument). Called from the goroutine of the
+	// step core the query's window stage is in — one call at a time per
+	// query, but concurrently across step cores.
 	Sink func(i int, r window.Result)
 }
 
 // RunShared executes M queries over one shared ingest path: src is
 // drained exactly once by a producer goroutine that publishes pooled
-// batches into a fanout.Broadcast, and every query consumes the same
-// published batches through its own cursor (see internal/fanout). The
-// queries must have been built with NewShared-compatible shapes minus
-// the subscription — RunShared subscribes each one itself — i.e. with a
-// nil source; everything else (handler, window, grouping, shards,
-// batch, telemetry, tracing) is per query as usual.
+// batches into a fanout.Broadcast, and the queries consume the same
+// published batches through cursors of their own (see internal/fanout).
+// Queries whose disorder handlers release identical runs from identical
+// input — equal ShareKey: the same fixed handler, no filter or map — share
+// one step core (Exec.Join): one subscription, one core goroutine, one
+// disorder pass feeding every one of their window stages. Each of the
+// others runs alone. The queries must have been built with
+// NewShared-compatible shapes minus the subscription — RunShared subscribes
+// them itself — i.e. with a nil source; everything else (handler, window,
+// grouping, batch, telemetry, tracing) is per query as usual, and every
+// report reads as the query's standalone run over the stream would.
 //
 // Resilience belongs upstream: wrap src with resilience.NewRetryingSource
 // (or any chaos/retry stack) before calling — the single producer pays
 // for it once on behalf of every subscriber. A producer failure reaches
 // every query after its published prefix is drained, so all reports fail
-// with the same cause.
+// with the same cause. A stage failure — a panic in a handler, operator or
+// sink — fails the queries of its step core, which share the pass the step
+// was in.
 //
 // The returned reports are index-aligned with queries. The first
 // per-query error (or the producer's, if the queries all survived) is
@@ -56,51 +64,86 @@ func RunShared(ctx context.Context, src stream.ErrSource, opts SharedOpts, queri
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	b := fanout.New(fanout.Options{Ring: opts.Ring, BatchCap: opts.Batch})
-	if opts.Tracer != nil {
-		b.Trace(opts.Tracer)
-	}
-	// Each query runs as a copy bound to its subscription, so the caller's
-	// queries are left as built. Validate everything up front: a query that
-	// refuses to run would otherwise leave its subscription unread and
+	// Each query runs as a copy, so the caller's queries are left as built.
+	// Everything is validated and built before anything subscribes: a query
+	// that refuses to run would otherwise leave a subscription unread and
 	// wedge Block peers.
-	bound := make([]*AggQuery, len(queries))
+	stages := make([]*Stage, len(queries))
+	core := make([]int, len(queries)) // stages[i] is fed by execs[core[i]]
+	var execs []*Exec
+	byKey := map[string]int{}
 	for i, q := range queries {
 		if q.source != nil || q.shared != nil {
 			return nil, fmt.Errorf("cq: RunShared query %d must be built without a source (the ring provides it)", i)
 		}
-		sq := *q
-		sq.shared = b.Subscribe(fmt.Sprintf("q%d", i), opts.Policy)
-		if err := sq.validate(); err != nil {
+		if err := q.validateRing(); err != nil {
 			return nil, fmt.Errorf("cq: RunShared query %d: %w", i, err)
 		}
-		bound[i] = &sq
+		sq := *q
+		var sink func(window.Result)
+		if opts.Sink != nil {
+			sink = func(r window.Result) { opts.Sink(i, r) }
+		}
+		key := ShareKey(&sq)
+		if j, ok := byKey[key]; ok && key != "" {
+			s, err := execs[j].Join(&sq, sink)
+			if err != nil {
+				return nil, fmt.Errorf("cq: RunShared query %d: %w", i, err)
+			}
+			stages[i], core[i] = s, j
+			continue
+		}
+		if err := sq.validateShape(); err != nil {
+			return nil, fmt.Errorf("cq: RunShared query %d: %w", i, err)
+		}
+		x, err := newExec(&sq, sink)
+		if err != nil {
+			return nil, fmt.Errorf("cq: RunShared query %d: %w", i, err)
+		}
+		byKey[key] = len(execs)
+		stages[i], core[i] = x.stages[0], len(execs)
+		execs = append(execs, x)
 	}
 
+	b := fanout.New(fanout.Options{Ring: opts.Ring, BatchCap: opts.Batch})
+	if opts.Tracer != nil {
+		b.Trace(opts.Tracer)
+	}
+	subs := make([]*fanout.Sub, len(execs))
+	for i := range queries {
+		if subs[core[i]] == nil {
+			subs[core[i]] = b.Subscribe(fmt.Sprintf("q%d", i), opts.Policy)
+		}
+	}
 	pumpErr := make(chan error, 1)
 	go func() { pumpErr <- b.Pump(ctx, src, opts.Batch) }()
 
-	reps := make([]*AggReport, len(queries))
-	errs := make([]error, len(queries))
+	errs := make([]error, len(execs))
 	var wg sync.WaitGroup
-	for i, q := range bound {
+	for j, x := range execs {
 		wg.Add(1)
-		go func(i int, q *AggQuery) {
+		go func() {
 			defer wg.Done()
-			var sink func(window.Result)
-			if opts.Sink != nil {
-				sink = func(r window.Result) { opts.Sink(i, r) }
-			}
-			reps[i], errs[i] = q.RunConcurrent(ctx, sink)
-		}(i, q)
+			ctx, fail := context.WithCancelCause(ctx)
+			defer fail(nil)
+			drive(ctx, x, subs[j], fail)
+			errs[j] = outcome(ctx)
+		}()
 	}
 	wg.Wait()
 	perr := <-pumpErr
 
-	for _, err := range errs {
-		if err != nil {
-			return reps, err
+	reps := make([]*AggReport, len(queries))
+	var first error
+	for i, s := range stages {
+		if err := errs[core[i]]; err != nil {
+			first = cmp.Or(first, err)
+			continue
 		}
+		reps[i] = ringReport(s, subs[core[i]])
+	}
+	if first != nil {
+		return reps, first
 	}
 	// Every consumer succeeded, so a pump "error" can only be ctx
 	// cancellation racing the clean close — but surface it anyway: a

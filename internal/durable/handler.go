@@ -14,6 +14,7 @@ type HandlerState struct {
 	Kind       string                  `json:"kind"`
 	Slack      *buffer.SlackState      `json:"slack,omitempty"`      // kslack, maxslack
 	Percentile *buffer.PercentileState `json:"percentile,omitempty"` // percentile
+	Punctuated *buffer.PunctuatedState `json:"punctuated,omitempty"` // punctuated
 	AQ         *core.AQState           `json:"aq,omitempty"`         // aq
 }
 
@@ -43,6 +44,9 @@ func SaveHandler(h buffer.Handler) (*HandlerState, error) {
 	case *buffer.Percentile:
 		st := v.State()
 		return &HandlerState{Kind: "percentile", Percentile: &st}, nil
+	case *buffer.Punctuated:
+		st := v.State()
+		return &HandlerState{Kind: "punctuated", Punctuated: &st}, nil
 	case *core.AQKSlack:
 		st := v.State()
 		return &HandlerState{Kind: "aq", AQ: &st}, nil
@@ -75,6 +79,11 @@ func RestoreHandler(h buffer.Handler, st *HandlerState) error {
 			return mismatch("percentile")
 		}
 		v.Restore(*st.Percentile)
+	case *buffer.Punctuated:
+		if st.Kind != "punctuated" || st.Punctuated == nil {
+			return mismatch("punctuated")
+		}
+		v.Restore(*st.Punctuated)
 	case *core.AQKSlack:
 		if st.Kind != "aq" || st.AQ == nil {
 			return mismatch("aq")

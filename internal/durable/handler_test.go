@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/snapjson"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -80,6 +82,71 @@ func TestHandlerRoundTripPercentile(t *testing.T) {
 	roundTrip(t, "percentile", h, buffer.NewPercentile(0.95, 10))
 }
 
+func TestHandlerRoundTripPunctuated(t *testing.T) {
+	h := buffer.NewPunctuated()
+	feedHandler(t, h)
+	h.Insert(stream.HeartbeatItem(300), nil) // trusted: everything at or below it leaves
+	fresh := buffer.NewPunctuated()
+	st, err := SaveHandler(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RestoreHandler(fresh, st); err != nil {
+		t.Fatal(err)
+	}
+	// The watermark came along: a tuple below it is a violation in both.
+	late := stream.DataItem(stream.Tuple{TS: 250, Arrival: 900, Seq: 99})
+	if got, want := fresh.Insert(late, nil), h.Insert(late, nil); !reflect.DeepEqual(got, want) || len(got) != 1 {
+		t.Fatalf("restored handler released %v for a tuple below the watermark, the original %v", got, want)
+	}
+	roundTrip(t, "punctuated", h, fresh)
+}
+
+// TestSnapshotFileRoundTripsInfiniteState: an adaptive handler whose buffer,
+// reservoir and shadow windows hold ±Inf and whose loss curve holds NaN —
+// the deepest state a snapshot carries, RNG arrays and all — is written to a
+// snapshot file and read back to the bit: written again, it is the same
+// bytes.
+func TestSnapshotFileRoundTripsInfiniteState(t *testing.T) {
+	h := core.NewAQKSlack(core.Config{Theta: 0.001, Spec: window.Spec{Size: 100, Slide: 50}, Agg: window.Max(), WarmupTuples: 1})
+	var out []stream.Tuple
+	for i := 0; i < 200; i++ {
+		v := float64(i)
+		switch i % 17 {
+		case 3:
+			v = math.Inf(1)
+		case 11:
+			v = math.Inf(-1)
+		}
+		ts := int64(i*10 - (i%3)*25)
+		out = h.Insert(stream.DataItem(stream.Tuple{TS: ts, Arrival: int64(i * 10), Seq: uint64(i), Value: v}), out[:0])
+	}
+	st, err := SaveHandler(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	want := &Snapshot{Records: 7, Items: 200, Handler: st, Counters: map[string]int64{"emitted": 3}}
+	if _, err := writeSnapshotFile(dir, want); err != nil {
+		t.Fatalf("a snapshot holding ±Inf was not written: %v", err)
+	}
+	got, err := loadLatestSnapshot(dir)
+	if err != nil || got == nil {
+		t.Fatalf("snapshot not read back: %v", err)
+	}
+	wantJSON, err := snapjson.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := snapjson.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotJSON) != string(wantJSON) || !strings.Contains(string(wantJSON), `"-Inf"`) {
+		t.Fatalf("snapshot read back differs (or holds no -Inf):\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+}
+
 func TestHandlerRoundTripAQ(t *testing.T) {
 	cfg := core.Config{
 		Theta: 0.001, // tight bound: the controller must hold a real slack
@@ -123,12 +190,12 @@ func TestRestoreHandlerRejectsMismatch(t *testing.T) {
 }
 
 func TestUnsupportedHandlerRejected(t *testing.T) {
-	h := buffer.NewPunctuated()
+	h := buffer.NewTimeout(buffer.NewKSlack(10), 100)
 	if _, err := SaveHandler(h); err == nil {
 		t.Fatal("SaveHandler on an unsupported handler must fail")
 	}
 	st := &HandlerState{Kind: "kslack"}
-	if err := RestoreHandler(buffer.NewPunctuated(), st); err == nil {
+	if err := RestoreHandler(buffer.NewTimeout(buffer.NewKSlack(10), 100), st); err == nil {
 		t.Fatal("RestoreHandler on an unsupported handler must fail")
 	}
 }

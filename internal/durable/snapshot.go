@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/snapjson"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -61,10 +61,13 @@ type Snapshot struct {
 
 func snapshotName(records uint64) string { return fmt.Sprintf("snap-%016d.json", records) }
 
-// writeSnapshotFile marshals and atomically writes s into dir.
+// writeSnapshotFile marshals and atomically writes s into dir. A window or a
+// buffered tuple may hold NaN or ±Inf, which JSON has no numbers for:
+// snapjson writes those as strings (and reads them back), and everything else
+// exactly as encoding/json does.
 func writeSnapshotFile(dir string, s *Snapshot) (int, error) {
 	s.Version = SnapshotVersion
-	data, err := json.Marshal(s)
+	data, err := snapjson.Marshal(s)
 	if err != nil {
 		return 0, err
 	}
@@ -109,7 +112,7 @@ func loadLatestSnapshot(dir string) (*Snapshot, error) {
 			continue
 		}
 		var s Snapshot
-		if err := json.Unmarshal(data, &s); err != nil {
+		if err := snapjson.Unmarshal(data, &s); err != nil {
 			continue
 		}
 		if s.Version != SnapshotVersion {

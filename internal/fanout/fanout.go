@@ -250,7 +250,7 @@ func (b *Broadcast) SubscribeLate(name string, p Policy) *Sub {
 			seq--
 		}
 	}
-	s.acq = seq
+	s.acq, s.from = seq, seq
 	s.cursor.Store(seq)
 	s.consumedFloor.Store(s.lastCum)
 	b.subs = append(b.subs, s)
@@ -382,6 +382,19 @@ func (b *Broadcast) publish(ctx context.Context, items []stream.Item, prov strea
 	return nil
 }
 
+// Subscribers reports how many consumers are subscribed and have not left.
+func (b *Broadcast) Subscribers() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, s := range b.subs {
+		if !s.dead.Load() {
+			n++
+		}
+	}
+	return n
+}
+
 // Published reports how many batches were published (markers excluded).
 func (b *Broadcast) Published() int64 { return b.published.Load() }
 
@@ -479,6 +492,8 @@ type Sub struct {
 	// acq is the next sequence NextBatch will hand out (consumer-local;
 	// it runs ahead of cursor while batches are borrowed).
 	acq int64
+	// from is the sequence the subscription started at.
+	from int64
 	// lastCum is the cumulative data count through the last acquired
 	// batch — the baseline for exact shed accounting on a lap.
 	lastCum int64
@@ -502,6 +517,11 @@ func (s *Sub) Name() string { return s.name }
 
 // Policy returns the subscriber's slow-consumer policy.
 func (s *Sub) Policy() Policy { return s.policy }
+
+// Fresh reports whether nothing has been published since the subscription
+// was made, so that a subscriber attached now would be handed exactly the
+// batches this one will be. Safe to call from any goroutine.
+func (s *Sub) Fresh() bool { return s.b.pubSeq.Load() == s.from }
 
 // Shed reports the data tuples this consumer lost to ShedOldest laps.
 func (s *Sub) Shed() int64 { return s.shed.Load() }

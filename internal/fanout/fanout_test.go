@@ -309,6 +309,40 @@ func TestSubscribeLateJoinsAtFrontier(t *testing.T) {
 	}
 }
 
+// TestSubFreshUntilPublish: a subscription is fresh — a subscriber attached
+// now would see the same batches — until the next publish, whatever the
+// subscriber has read; and a subscriber that leaves is no longer counted.
+func TestSubFreshUntilPublish(t *testing.T) {
+	b := New(Options{Ring: 8})
+	early := b.Subscribe("early", Block)
+	if !early.Fresh() {
+		t.Fatal("a subscription on an unpublished ring is not fresh")
+	}
+	if err := b.Publish(context.Background(), mkItems(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if early.Fresh() {
+		t.Fatal("still fresh after a publish")
+	}
+	late := b.SubscribeLate("late", ShedOldest)
+	if !late.Fresh() {
+		t.Fatal("a late subscription is not fresh at its frontier")
+	}
+	if err := b.Publish(context.Background(), mkItems(10, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if late.Fresh() {
+		t.Fatal("a late subscription still fresh after a publish")
+	}
+	if n := b.Subscribers(); n != 2 {
+		t.Fatalf("%d subscribers, want 2", n)
+	}
+	early.Unsubscribe()
+	if n := b.Subscribers(); n != 1 {
+		t.Fatalf("%d subscribers after one left, want 1", n)
+	}
+}
+
 func TestSubscribeLateOnClosedRing(t *testing.T) {
 	b := New(Options{Ring: 8})
 	if err := b.Publish(context.Background(), mkItems(0, 10)); err != nil {

@@ -355,6 +355,10 @@ func (s *Source) Tuples() int64 { return s.tuples.Load() }
 // quality loss exactly like ring laps and overload drops.
 func (s *Source) RateShed() int64 { return s.rateShed.Load() }
 
+// Subscribers reports the ring subscriptions attached to the source and not
+// yet detached.
+func (s *Source) Subscribers() int { return s.ring.Subscribers() }
+
 // Attach subscribes a runtime query to the source at the current
 // frontier under ShedOldest (see the package comment for why runtime
 // queries never get Block).

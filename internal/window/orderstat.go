@@ -40,7 +40,8 @@ type paneRuns struct {
 	// is ring[p mod len(ring)]. The panes that have a run are the ones below
 	// built that a future window can still read — at most a window's worth,
 	// so no two share a slot — and a slot's storage is recycled by the pane
-	// that takes it over, which is how a run is dropped.
+	// that takes it over, which is how a run is dropped (or reallocated, when
+	// it is far larger than that pane needs: shrinkAbove).
 	ring  []run
 	built int64
 
@@ -73,6 +74,11 @@ func newPaneRuns(spec Spec) *paneRuns {
 	k := int(spec.Size / w)
 	return &paneRuns{width: w, ring: make([]run, k), built: math.MinInt64, live: make([]int32, 0, k)}
 }
+
+// shrinkAbove bounds a slot's capacity in multiples of what the run rebuilt in
+// it holds: beyond that the slot is reallocated to fit. It is above what
+// append's growth leaves (under 2×), so a steady stream keeps its slots.
+const shrinkAbove = 4
 
 func (o *paneRuns) slot(pane int64) int {
 	k := int64(len(o.ring))
@@ -110,6 +116,11 @@ func (o *paneRuns) gather(tree *fiba.Tree[treePart], start, end stream.Time) int
 			r.vals, r.sorted = r.vals[:0], 0
 			lo := stream.Time(p) * o.width
 			tree.RangeEach(lo, lo+o.width, func(v float64) { r.vals = append(r.vals, v) })
+			if cap(r.vals) > shrinkAbove*len(r.vals) {
+				// The slot held a far larger pane once (a burst, per key under
+				// GROUP BY): give the memory back.
+				r.vals = append([]float64(nil), r.vals...)
+			}
 		}
 		if r.sorted < len(r.vals) {
 			o.tail = r.settle(o.tail)

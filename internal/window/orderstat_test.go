@@ -1,13 +1,13 @@
 package window
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/snapjson"
 	"repro/internal/stream"
 )
 
@@ -181,15 +181,16 @@ func TestOrderStatRunsFollowTheTree(t *testing.T) {
 	}
 }
 
-// TestOrderStatRestoreContinues snapshots mid-stream — through JSON, with the
-// tree's shape and without — and requires the restored operator, which has no
-// runs and rebuilds them from the loaded tree, to continue bit for bit.
+// TestOrderStatRestoreContinues snapshots mid-stream — through the snapshot
+// JSON, ±Inf and NaN payloads included, with the tree's shape and without —
+// and requires the restored operator, which has no runs and rebuilds them from
+// the loaded tree, to continue bit for bit.
 func TestOrderStatRestoreContinues(t *testing.T) {
 	for _, spec := range orderStatSpecs[:4] {
 		for _, pol := range []LatePolicy{DropLate, RefineLate} {
 			for _, withShape := range []bool{true, false} {
 				what := fmt.Sprintf("%v %v shape=%v", spec, pol, withShape)
-				tuples := orderStatStream(rand.New(rand.NewSource(21)), 1000, 50, spec, false) // finite: JSON has no NaN
+				tuples := orderStatStream(rand.New(rand.NewSource(21)), 1000, 50, spec, true)
 				for i := range tuples {
 					if i%9 == 0 {
 						tuples[i].Value = math.Copysign(0, float64(i%2)-1)
@@ -207,12 +208,12 @@ func TestOrderStatRestoreContinues(t *testing.T) {
 				if !withShape {
 					st.Shape = nil
 				}
-				data, err := json.Marshal(st)
+				data, err := snapjson.Marshal(st)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var back OpState
-				if err := json.Unmarshal(data, &back); err != nil {
+				if err := snapjson.Unmarshal(data, &back); err != nil {
 					t.Fatal(err)
 				}
 				restored := NewOp(spec, Quantile(0.95), pol, 80)
@@ -374,6 +375,42 @@ func TestOrderStatEmissionDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestOrderStatSlotsShrinkAfterBurst: a pane a hundred times the usual size
+// keeps its ring slot that large only until a normal pane takes the slot over,
+// and the output stays the reference fold's, bit for bit, throughout.
+func TestOrderStatSlotsShrinkAfterBurst(t *testing.T) {
+	spec := Spec{Size: 20, Slide: 5} // panes of 5, four ring slots
+	ref, op := newRefOp(spec, Quantile(0.95), DropLate, 0), NewOp(spec, Quantile(0.95), DropLate, 0)
+	var want, got []Result
+	var seq uint64
+	burstCap := 0
+	for ts := stream.Time(0); ts < 400; ts++ {
+		n := 2
+		if ts >= 100 && ts < 105 {
+			n = 200 // pane 20: 1000 values, the others 10
+		}
+		for range n {
+			tp := stream.Tuple{Seq: seq, TS: ts, Value: float64(seq % 97)}
+			seq++
+			want, got = ref.Observe(tp, ts, want[:0]), op.Observe(tp, ts, got[:0])
+			requireSameBits(t, fmt.Sprintf("ts %d", ts), want, got)
+		}
+		if o := op.fib.order; o != nil { // built at the first emission
+			for _, r := range o.ring {
+				burstCap = max(burstCap, cap(r.vals))
+			}
+		}
+	}
+	if burstCap < 1000 {
+		t.Fatalf("no slot ever held the burst pane (largest capacity %d): the test proves nothing", burstCap)
+	}
+	for i, r := range op.fib.order.ring {
+		if cap(r.vals) > shrinkAbove*max(len(r.vals), 1) {
+			t.Errorf("slot %d: capacity %d for a run of %d values, long after the burst", i, cap(r.vals), len(r.vals))
+		}
+	}
+}
+
 // FuzzOrderStatisticWindows draws a window shape, a quantile, a late policy
 // and an arrival sequence (two bytes a tuple: a step of the event-time clock,
 // backwards often enough to release tuples into panes already sorted, and a
@@ -412,17 +449,17 @@ func FuzzOrderStatisticWindows(f *testing.F) {
 				if cut%2 == 1 {
 					st.Shape = nil
 				}
-				// (JSON has no ±Inf or NaN: a state holding one does not
-				// marshal, and the run goes on without the restore.)
-				if raw, err := json.Marshal(st); err == nil {
-					var back OpState
-					if err := json.Unmarshal(raw, &back); err != nil {
-						t.Fatal(err)
-					}
-					op = NewOp(spec, agg, pol, 3*spec.Size)
-					if err := op.Restore(back); err != nil {
-						t.Fatal(err)
-					}
+				raw, err := snapjson.Marshal(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var back OpState
+				if err := snapjson.Unmarshal(raw, &back); err != nil {
+					t.Fatal(err)
+				}
+				op = NewOp(spec, agg, pol, 3*spec.Size)
+				if err := op.Restore(back); err != nil {
+					t.Fatal(err)
 				}
 			}
 			want = ref.Observe(tp, stream.Time(i), want[:0])
