@@ -28,7 +28,6 @@ import (
 	"net/http"
 	"strings"
 
-	"repro/internal/buffer"
 	"repro/internal/cql"
 	"repro/internal/fleet"
 	"repro/internal/netstream"
@@ -306,16 +305,10 @@ func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query, src *fleet
 			"Client-send to window-emission latency in milliseconds per network source (wire provenance marks).",
 			obs.LatencyBuckets(), obs.L("source", stmt.Source))
 	}
-	switch { // neither: the adaptive controller at QUALITY
-	case stmt.GroupBy:
-		if stmt.Quality > 0 {
-			return nil, badRequest("QUALITY is not supported for GROUP BY queries registered at runtime; use HANDLER kslack(...)")
-		}
-		if stmt.Handler.Kind != "kslack" {
-			return nil, badRequest("GROUP BY queries registered at runtime require HANDLER kslack(...), got %q", stmt.Handler.Kind)
-		}
-		def.handler = buffer.NewKSlack(stmt.Handler.K)
-	case stmt.Quality == 0:
+	if stmt.GroupBy && stmt.Quality > 0 {
+		return nil, badRequest("QUALITY is not supported for GROUP BY queries registered at runtime; use a fixed HANDLER")
+	}
+	if stmt.Quality == 0 { // otherwise: the adaptive controller at QUALITY
 		var err error
 		if def.handler, err = stmt.BuildHandler(); err != nil {
 			return nil, badRequest("%v", err)

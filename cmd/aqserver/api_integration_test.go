@@ -145,7 +145,8 @@ func sensorItems(n int, seed uint64) []stream.Item {
 
 // runOracle executes the same CQL plan in-process over the same items
 // with the cq engine — the ground truth the networked path must match
-// byte for byte.
+// byte for byte. A GROUP BY plan's keyed results are reported as the
+// Results embedded in them, which is what its runner records.
 func runOracle(t *testing.T, cqlText string, items []stream.Item) *cq.AggReport {
 	t.Helper()
 	stmt, err := cql.Parse(cqlText)
@@ -156,10 +157,18 @@ func runOracle(t *testing.T, cqlText string, items []stream.Item) *cq.AggReport 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := cq.New(stream.NewSliceSource(items)).Handle(h).Window(stmt.Spec, stmt.Agg).Run()
+	q := cq.New(stream.NewSliceSource(items)).Handle(h).Window(stmt.Spec, stmt.Agg)
+	if stmt.GroupBy {
+		q.GroupBy()
+	}
+	rep, err := q.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, kr := range rep.Keyed {
+		rep.Results = append(rep.Results, kr.Result)
+	}
+	rep.Keyed = nil
 	return rep
 }
 
@@ -313,7 +322,7 @@ func TestAPIQuotaAndValidation(t *testing.T) {
 		{"trace source", registerRequest{Name: "q4", Tenant: "other", CQL: `SELECT sum FROM trace('x.csv') WINDOW 2s SLIDE 1s QUALITY 1%`}, http.StatusBadRequest},
 		{"bad cql", registerRequest{Name: "q5", Tenant: "other", CQL: `SELECT nonsense`}, http.StatusBadRequest},
 		{"bad name", registerRequest{Name: "no spaces", Tenant: "other", CQL: cqlText}, http.StatusBadRequest},
-		{"grouped without kslack", registerRequest{Name: "q6", Tenant: "other", CQL: `SELECT sum FROM s1 GROUP BY key WINDOW 2s SLIDE 1s QUALITY 1%`}, http.StatusBadRequest},
+		{"grouped with QUALITY", registerRequest{Name: "q6", Tenant: "other", CQL: `SELECT sum FROM s1 GROUP BY key WINDOW 2s SLIDE 1s QUALITY 1%`}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts, "/api/queries", tc.req)
@@ -464,4 +473,20 @@ func TestAPIBufferGaugesReadTheHandler(t *testing.T) {
 			t.Errorf("aq_buffer_depth{%s} = %v with the stream still open, want the buffered tuples", q, d)
 		}
 	}
+}
+
+// TestAPIGroupedAnyFixedHandler: a GROUP BY query registers behind any fixed
+// HANDLER, not only kslack(...), and emits exactly what the grouped plan
+// emits in-process.
+func TestAPIGroupedAnyFixedHandler(t *testing.T) {
+	const text = `SELECT sum FROM s7 GROUP BY key WINDOW 2s SLIDE 1s HANDLER maxslack`
+	a, ts := apiTestApp(t, appConfig{batch: 8})
+	registerSourceAndQuery(t, ts, "s7", "gmax", text) // fails the test unless 201
+	items := sensorItems(3000, 47)
+	for i := range items {
+		items[i].Tuple.Key = items[i].Tuple.Seq % 3
+	}
+	send(t, a, "s7", items)
+	waitTuples(t, ts, "gmax", int64(len(items)))
+	dropAndCompare(t, a, ts, items, map[string]string{"gmax": text})
 }

@@ -143,8 +143,13 @@ func (g *runnerGroup) run(ctx context.Context) {
 func pumpRing(ctx context.Context, g *runnerGroup) {
 	defer g.finish()
 	defer g.sub.Unsubscribe()
+	var shed int64
 	for {
 		items, seq, prov, ok, err := g.sub.NextBatchProv(ctx)
+		if lost := g.sub.Shed() - shed; lost > 0 { // a ShedOldest lap
+			shed += lost
+			g.noteShed(lost)
+		}
 		if err != nil {
 			if ctx.Err() == nil {
 				g.stall(err)
@@ -243,6 +248,16 @@ func (q *queryRunner) notePanic(stage tracez.Stage, it stream.Item, p any) {
 	q.degrade()
 	q.tracer.Panic(stage, int64(q.exec.Now()), fmt.Sprint(p))
 	q.log.Error("panic isolated while processing item", "stage", stage.String(), "item", fmt.Sprint(it), "panic", fmt.Sprint(p))
+}
+
+// noteShed charges n tuples a ring lap cost the group to every member's
+// flight recorder (a shed event, and the tracer's shed total).
+func (g *runnerGroup) noteShed(n int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, q := range g.members {
+		q.tracer.Shed(int64(g.exec.Now()), n)
+	}
 }
 
 // stall marks every member stalled: the source ring failed.

@@ -21,6 +21,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/fanout"
 	"repro/internal/netstream"
+	"repro/internal/obs/tracez"
 	"repro/internal/oracle"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -197,8 +198,9 @@ func TestAPIDurableQueriesStayPrivate(t *testing.T) {
 
 // TestAPIGroupShedAccounting laps a group on its ShedOldest subscription:
 // every member is charged exactly what the group lost (tuples in plus shed
-// tuples is what was published, for each), and the members, fed the same
-// delivered stream, emit the same windows.
+// tuples is what was published, for each; its flight recorder's shed events
+// add up to the ring's laps), and the members, fed the same delivered
+// stream, emit the same windows.
 func TestAPIGroupShedAccounting(t *testing.T) {
 	const text = `SELECT sum FROM s4 WINDOW 2s SLIDE 1s HANDLER kslack(200ms)`
 	a, ts := apiTestApp(t, appConfig{batch: 8})
@@ -247,6 +249,15 @@ func TestAPIGroupShedAccounting(t *testing.T) {
 			t.Fatalf("DELETE %s: %d", name, resp.StatusCode)
 		}
 		reports[name] = memberReport(t, q)
+		var recorded int64
+		for _, ev := range q.tracer.Recorder().Events() {
+			if ev.Kind == tracez.KindShed {
+				recorded += ev.N
+			}
+		}
+		if lapped := q.grp.sub.Shed(); recorded != lapped {
+			t.Fatalf("%s: the flight recorder's shed events add up to %d tuples, the ring lapped %d", name, recorded, lapped)
+		}
 	}
 	for _, name := range []string{"m2", "m3"} {
 		if err := oracle.SameOutput(reports[name], reports["m1"]); err != nil {

@@ -36,9 +36,11 @@
 // docs/OBSERVABILITY.md for the metric catalog and a worked monitoring
 // walkthrough.
 //
-// Tracing: every query always mirrors its pipeline lifecycle — source
-// batches, buffer inserts/releases, slack adaptations, window emits with
-// provenance, sheds, retries, panics — into a fixed-ring flight recorder
+// Tracing: every query always mirrors its pipeline lifecycle — the batches
+// it is fed (ring publishes of a compiled-in stream, in its lead query's
+// recorder; wire batches of a -listen source, by provenance mark), buffer
+// inserts/releases, slack adaptations, window emits with provenance, ring-lap
+// sheds, retries, panics — into a fixed-ring flight recorder
 // (-trace-buf events). GET /debug/aq/trace?query=NAME&last=n serves the
 // ring as Chrome trace-event JSON (load it in Perfetto), and -trace-dump
 // DIR writes automatic dumps when a panic is isolated, a circuit breaker

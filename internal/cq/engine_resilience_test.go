@@ -287,9 +287,10 @@ func TestChaosPipeline(t *testing.T) {
 }
 
 // TestDriversLeakNoGoroutines: whatever way a concurrent driver returns —
-// clean end, terminal source error, cancellation — the goroutines it
-// started (source pump, core stage, RunShared's consumers) are gone soon
-// after. Cancellation does not join the core stage, so the check polls. And
+// clean end, terminal source error, cancellation, a panic in the source or
+// in a sink (which must end the run at once, endless source or not) — the
+// goroutines it started (source pump, core stages) are gone soon after.
+// Cancellation does not join the core stage, so the check polls. And
 // while it runs, a grouped query holds no more goroutines than a plain one:
 // its window stage is inside the step.
 func TestDriversLeakNoGoroutines(t *testing.T) {
@@ -312,6 +313,33 @@ func TestDriversLeakNoGoroutines(t *testing.T) {
 			ts := stream.Time(n * 10)
 			return stream.DataItem(stream.Tuple{TS: ts, Arrival: ts, Seq: uint64(n)}), true, nil
 		})
+	}
+	panicking := func() stream.ErrSource { // panics mid-batch, mid-stream
+		n := 0
+		return stream.ErrFuncSource(func() (stream.Item, bool, error) {
+			if n == 1234 {
+				panic("source exploded")
+			}
+			n++
+			return stream.DataItem(tuples[n-1]), true, nil
+		})
+	}
+	// promptly runs a driver that must return within a second, and turns the
+	// error naming the stage that panicked into errStagePanic, which a case
+	// can want.
+	errStagePanic := errors.New("stage panicked")
+	promptly := func(stage string, run func() error) error {
+		errc := make(chan error, 1)
+		go func() { errc <- run() }()
+		select {
+		case err := <-errc:
+			if err != nil && strings.Contains(err.Error(), "cq: "+stage+" stage panicked") {
+				return errStagePanic
+			}
+			return err
+		case <-time.After(time.Second):
+			return errors.New("the driver did not return within 1s")
+		}
 	}
 	query := func(src stream.ErrSource, grouped bool) *AggQuery {
 		q := NewFallible(src).Handle(buffer.NewKSlack(100)).Window(testSpec, window.Sum())
@@ -372,6 +400,19 @@ func TestDriversLeakNoGoroutines(t *testing.T) {
 				query(nil, false), query(nil, true))
 			return err
 		}, context.Canceled},
+		{"RunShared sink panic", func() error {
+			return promptly(stageWindow, func() error {
+				_, err := RunShared(context.Background(), endless(),
+					SharedOpts{Sink: func(int, window.Result) { panic("sink exploded") }}, query(nil, false))
+				return err
+			})
+		}, errStagePanic},
+		{"RunShared source panic", func() error {
+			return promptly(stageSource, func() error {
+				_, err := RunShared(context.Background(), panicking(), SharedOpts{}, query(nil, false), query(nil, true))
+				return err
+			})
+		}, errStagePanic},
 	}
 	settle := func(t *testing.T, base int) {
 		t.Helper()

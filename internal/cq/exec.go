@@ -16,8 +16,8 @@ import (
 
 // Exec is the one executor: a synchronous, single-writer step core that
 // applies batches of accepted items to a disorder handler and hands what it
-// releases to the window stages it feeds, one per query. Run, RunConcurrent
-// (private or shared ring), RunShared and cmd/aqserver's runners are drivers:
+// releases to the window stages it feeds, one per query. Run, the ring driver
+// (RunConcurrent, RunShared) and cmd/aqserver's runners are drivers:
 // they decide where items come from and what an error means, and hand the
 // items to Step.
 //
@@ -54,7 +54,7 @@ type Exec struct {
 	stages  []*Stage
 
 	now      stream.Time // arrival clock: max arrival/watermark applied so far
-	dis      disorderAcc // intake-side disorder measurement (see accept)
+	dis      disorderAcc // intake-side disorder measurement (see noteInput)
 	released int         // tuples the handler released since the last sync
 
 	// The work in flight: pend[pos:] is journaled (or is the journal) and
@@ -156,7 +156,7 @@ func NewExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 // ownedByCaller refuses a query with a source: NewExec's and Join's caller is
 // the driver.
 func (q *AggQuery) ownedByCaller() error {
-	if q.source != nil || q.shared != nil {
+	if q.source != nil {
 		return errors.New("cq: an Exec's queries are built without a source (Run and RunConcurrent own theirs)")
 	}
 	return nil
@@ -196,14 +196,13 @@ func (x *Exec) newStage(q *AggQuery, sink func(window.Result)) *Stage {
 // releases depends on the stream alone: the handler is of a deterministic
 // kind that does not depend on the query — fixed K-slack (the default, and
 // "none" at K = 0), MAX-slack, the percentile watermark or punctuation — and
-// nothing of the query's own runs in front of it or beside it: no Filter or
-// Map, no Durable journal. The adaptive handlers of internal/core model their
-// query's window and aggregate, and a wrapped handler may do anything:
-// neither shares. shareable returns a fresh handler of the query's kind —
-// what a leaving query's private copy of the shared one is restored into —
-// or nil when the query runs alone.
+// nothing of the query's own runs beside it: no Durable journal. The adaptive
+// handlers of internal/core model their query's window and aggregate, and a
+// wrapped handler may do anything: neither shares. shareable returns a fresh
+// handler of the query's kind — what a leaving query's private copy of the
+// shared one is restored into — or nil when the query runs alone.
 func shareable(q *AggQuery) buffer.Handler {
-	if q.filter != nil || q.mapFn != nil || q.durable != nil {
+	if q.durable != nil {
 		return nil
 	}
 	switch q.handler.(type) {
@@ -288,30 +287,21 @@ func (x *Exec) shareKey() string {
 // not be modified.
 func (x *Exec) Stages() []*Stage { return x.stages }
 
-// accept is every driver's intake for one pulled item: filter and map, then
-// the input record (KeepInput) and the inline disorder measurement. keep is
-// false for a filtered-out tuple. (Only an Exec of one query can have a
-// filter or a map: they keep a query from sharing.)
-func (x *Exec) accept(it stream.Item) (out stream.Item, keep bool) {
-	if it.Heartbeat {
-		return it, true
-	}
-	t, keep := x.stages[0].q.transform(it.Tuple)
-	if !keep {
-		return it, false
-	}
-	x.noteInput(t)
-	return stream.DataItem(t), true
-}
-
-// noteInput records one post-transform tuple as input.
-func (x *Exec) noteInput(t stream.Tuple) {
-	for _, s := range x.stages {
-		if s.q.keepInput {
-			s.rep.Input = append(s.rep.Input, t)
+// noteInput is every driver's intake for a batch it is about to step: each
+// data tuple's input record (KeepInput) and the inline disorder measurement.
+func (x *Exec) noteInput(items []stream.Item) {
+	for i := range items {
+		if items[i].Heartbeat {
+			continue
 		}
+		t := items[i].Tuple
+		for _, s := range x.stages {
+			if s.q.keepInput {
+				s.rep.Input = append(s.rep.Input, t)
+			}
+		}
+		x.dis.observe(t)
 	}
-	x.dis.observe(t)
 }
 
 // Step applies one batch of accepted items, in order. The batch is only
@@ -645,13 +635,9 @@ func (x *Exec) restore() error {
 		TruncatedBytes:   rec.TruncatedBytes,
 		TruncatedRecords: rec.TruncatedRecords,
 	}
-	// The journal suffix is left pending for the driver's Resume. Its items
-	// were transformed before they were journaled; they still count as input.
-	for _, it := range rec.Suffix {
-		if !it.Heartbeat {
-			x.noteInput(it.Tuple)
-		}
-	}
+	// The journal suffix is left pending for the driver's Resume; its items
+	// still count as input.
+	x.noteInput(rec.Suffix)
 	x.pend, x.pos = rec.Suffix, 0
 	s.q.tracer.Recovery(int64(x.now), len(rec.Suffix), x.floor, rec.TruncatedBytes)
 	return nil

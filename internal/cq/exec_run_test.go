@@ -65,11 +65,8 @@ func TestStepBatchingIsInvisible(t *testing.T) {
 				batch := make([]stream.Item, 0, size)
 				for rest := items; len(rest) > 0; {
 					n := min(size, len(rest))
-					batch = batch[:0]
-					for _, it := range rest[:n] {
-						out, _ := x.accept(it)
-						batch = append(batch, out)
-					}
+					batch = append(batch[:0], rest[:n]...)
+					x.noteInput(batch)
 					if err := x.Step(batch); err != nil {
 						t.Fatal(err)
 					}

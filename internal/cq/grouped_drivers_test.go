@@ -111,15 +111,10 @@ func assertGroupedDriversMatchRun(t *testing.T, build func(src stream.Source) *A
 	if err != nil {
 		t.Fatalf("%s: NewExec: %v", label, err)
 	}
-	var staged []stream.Item
 	for at := 0; at < len(items); at += batch {
-		staged = staged[:0]
-		for _, it := range items[at:min(at+batch, len(items))] {
-			if out, keep := x.accept(it); keep {
-				staged = append(staged, out)
-			}
-		}
-		if err := x.Step(staged); err != nil {
+		chunk := items[at:min(at+batch, len(items))]
+		x.noteInput(chunk)
+		if err := x.Step(chunk); err != nil {
 			t.Fatal(err)
 		}
 	}

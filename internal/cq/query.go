@@ -1,8 +1,7 @@
 // Package cq is the continuous-query engine tying the substrates together:
-// a query couples an arrival-ordered source, optional filter/map stages, a
-// disorder handler (fixed-slack baseline or the adaptive quality-driven
-// handlers from internal/core), and a windowed aggregate or a sliding-
-// window join.
+// a query couples an arrival-ordered source, a disorder handler (fixed-slack
+// baseline or the adaptive quality-driven handlers from internal/core), and a
+// windowed aggregate or a sliding-window join.
 //
 // There is one executor, Exec (exec.go): a synchronous single-writer step
 // core that applies batches of accepted items to the handler and the
@@ -10,16 +9,16 @@
 // emission and snapshots inside the step. Everything else is a driver that
 // feeds it. Run pulls a source on the calling goroutine, one item per step
 // — deterministic, so the experiment harness uses it and results reproduce
-// bit for bit. RunConcurrent receives and steps on one goroutine over a
-// fan-out ring subscription (internal/fanout) — the one ingest queue —
-// streaming results to a callback as they are produced; over a private
-// source the ring is the query's own, and a source goroutine pulls, retries
-// and batches into it. RunShared runs such ring consumers off one producer,
-// one per group of queries that can share a disorder pass (ShareKey).
-// cmd/aqserver's runner groups call NewExec, Join and Step themselves under
-// their own lock. A grouped query (GroupBy) differs from a plain one only in
-// its window stage — one keyed operator instead of one plain operator — so
-// every driver runs both.
+// bit for bit. The other in-process driver is the ring driver (engine.go):
+// a producer goroutine pulls the source into a fan-out ring
+// (internal/fanout) — the one ingest queue — and a core goroutine per group
+// of queries that can share a disorder pass (ShareKey) receives and steps its
+// batches, streaming results to a callback as they are produced. RunShared is
+// that driver over many queries; RunConcurrent is RunShared of one query over
+// its own source, which it may retry. cmd/aqserver's runner groups call
+// NewExec, Join and Step themselves under their own lock. A grouped query
+// (GroupBy) differs from a plain one only in its window stage — one keyed
+// operator instead of one plain operator — so every driver runs both.
 package cq
 
 import (
@@ -27,7 +26,6 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
-	"repro/internal/fanout"
 	"repro/internal/metrics"
 	"repro/internal/obs/tracez"
 	"repro/internal/resilience"
@@ -37,12 +35,11 @@ import (
 
 // AggQuery is a single-stream windowed-aggregate continuous query.
 // Construct with New (or NewFallible for sources that can fail), chain
-// option methods, then call Run or RunConcurrent — or, for a host that
-// feeds the query itself, build it without a source and pass it to NewExec.
+// option methods, then call Run or RunConcurrent — or build it without a
+// source and pass it to RunShared, or to NewExec for a host that feeds the
+// query itself.
 type AggQuery struct {
 	source    stream.ErrSource
-	filter    func(stream.Tuple) bool
-	mapFn     func(stream.Tuple) stream.Tuple
 	handler   buffer.Handler
 	spec      window.Spec
 	agg       window.Factory
@@ -59,7 +56,6 @@ type AggQuery struct {
 	telem      *Telemetry
 	tracer     *tracez.Tracer
 	durable    *Durable
-	shared     *fanout.Sub
 
 	hasWindow bool
 }
@@ -77,35 +73,6 @@ func New(source stream.Source) *AggQuery {
 // through transient failures instead of aborting on the first one.
 func NewFallible(source stream.ErrSource) *AggQuery {
 	return &AggQuery{source: source}
-}
-
-// NewShared starts building a query over a shared-source fan-out
-// subscription (see internal/fanout): RunConcurrent consumes published
-// batches through the subscription's cursor instead of pulling a private
-// source, so M queries on one stream pay one ingest path. The Sub must
-// be freshly subscribed and is owned by this query for one run.
-//
-// Queries on somebody else's ring reject Retry and Durable — resilience
-// wrappers and the journal belong on the producer side of the ring, where
-// the stream exists exactly once (a query with a private source has a ring
-// of its own, and may carry both). A Block subscription makes the query's output
-// byte-identical to the same query run standalone over the same stream
-// (the DST fan-out oracle enforces it); a ShedOldest subscription trades
-// completeness for isolation, with losses counted in AggReport.Shed.
-func NewShared(sub *fanout.Sub) *AggQuery {
-	return &AggQuery{shared: sub}
-}
-
-// Filter keeps only tuples for which f returns true.
-func (q *AggQuery) Filter(f func(stream.Tuple) bool) *AggQuery {
-	q.filter = f
-	return q
-}
-
-// Map transforms each tuple before windowing.
-func (q *AggQuery) Map(f func(stream.Tuple) stream.Tuple) *AggQuery {
-	q.mapFn = f
-	return q
 }
 
 // Handle sets the disorder handler. Defaults to no handling (K = 0).
@@ -133,8 +100,8 @@ func (q *AggQuery) Refine(horizon stream.Time) *AggQuery {
 // window.NewOpWithCore).
 func (q *AggQuery) AggCore(window.CoreKind) *AggQuery { return q }
 
-// KeepInput retains the (post filter/map) input tuples on the report so
-// callers can compute oracle ground truth.
+// KeepInput retains the input tuples on the report so callers can compute
+// oracle ground truth.
 func (q *AggQuery) KeepInput() *AggQuery {
 	q.keepInput = true
 	return q
@@ -160,8 +127,7 @@ func (q *AggQuery) Clock(c resilience.Clock) *AggQuery {
 	return q
 }
 
-// Batch sets the transport batch size of RunConcurrent over a private
-// source: the ring hands the step core pooled batches of up to n items
+// Batch sets RunConcurrent's transport batch size: the ring hands the step core pooled batches of up to n items
 // instead of single tuples, trading per-tuple wake-ups for one (and one
 // journal append, one handler call) per batch. Partial batches are shipped
 // as soon as the core has drained the ring, and heartbeats and
@@ -232,29 +198,25 @@ func (q *AggQuery) GroupBy() *AggQuery {
 
 // validate checks a query Run or RunConcurrent is about to pull.
 func (q *AggQuery) validate() error {
-	if q.source == nil && q.shared == nil {
+	if q.source == nil {
 		return errors.New("cq: query needs a source")
-	}
-	if q.shared != nil {
-		if q.source != nil {
-			return errors.New("cq: shared-source query cannot also have its own source")
-		}
-		if err := q.validateRing(); err != nil {
-			return err
-		}
 	}
 	return q.validateShape()
 }
 
-// validateRing checks what a query on somebody else's ring must not carry.
+// validateRing checks what a query on somebody else's ring (RunShared) must
+// not carry, and its shape.
 func (q *AggQuery) validateRing() error {
+	if q.source != nil {
+		return errors.New("cq: a RunShared query must be built without a source (the ring provides it)")
+	}
 	if q.retry != nil {
 		return errors.New("cq: Retry on a shared-source query belongs on the ring's producer")
 	}
 	if q.durable != nil {
 		return errors.New("cq: Durable does not support shared-source queries (journal the producer)")
 	}
-	return nil
+	return q.validateShape()
 }
 
 // validateShape checks everything but where the items come from.
@@ -290,7 +252,7 @@ type AggReport struct {
 	// (latency metrics skip them).
 	PreFlush int
 	// Shed counts the tuples a ShedOldest ring subscription lapped past
-	// the query (RunConcurrent over NewShared, RunShared). They never
+	// the query (RunShared). They never
 	// reached its intake, so they are absent from Input/Disorder: quality
 	// under shedding is read through the shed-adjusted metrics.
 	// Handler.Shed carries the same count for handler-level reporting.
@@ -350,9 +312,6 @@ func (q *AggQuery) Run() (*AggReport, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	if q.shared != nil {
-		return nil, errors.New("cq: shared-source queries run through RunConcurrent (the ring is a concurrent transport)")
-	}
 	// Uninstrumented, and the report is the output: Instrument, SinkKeyed
 	// and DiscardReport apply to the concurrent drivers only.
 	hq := *q
@@ -370,10 +329,8 @@ func (q *AggQuery) Run() (*AggReport, error) {
 		if !ok {
 			break
 		}
-		var keep bool
-		if one[0], keep = x.accept(it); !keep {
-			continue
-		}
+		one[0] = it
+		x.noteInput(one[:])
 		if err := x.Step(one[:]); err != nil {
 			return nil, err
 		}
@@ -397,16 +354,4 @@ func (q *AggQuery) traceHandler(h buffer.Handler) buffer.Handler {
 		qt.TraceTo(q.tracer)
 	}
 	return buffer.NewTraced(h, q.tracer)
-}
-
-// transform applies filter and map; keep is false when the tuple is
-// filtered out.
-func (q *AggQuery) transform(t stream.Tuple) (out stream.Tuple, keep bool) {
-	if q.filter != nil && !q.filter(t) {
-		return t, false
-	}
-	if q.mapFn != nil {
-		t = q.mapFn(t)
-	}
-	return t, true
 }

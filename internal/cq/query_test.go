@@ -2,7 +2,6 @@ package cq
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/buffer"
@@ -44,33 +43,6 @@ func TestRunEndToEndMatchesOracleWithBigSlack(t *testing.T) {
 	}
 	if rep.Disorder.OutOfOrder == 0 {
 		t.Fatal("disorder not measured")
-	}
-}
-
-func TestRunFilterAndMap(t *testing.T) {
-	c := gen.Config{N: 1000, Interval: 10, Seed: 42}
-	rep, err := New(c.Source()).
-		Filter(func(t stream.Tuple) bool { return t.Seq%2 == 0 }).
-		Map(func(t stream.Tuple) stream.Tuple { t.Value *= 10; return t }).
-		Window(window.Spec{Size: 1000, Slide: 1000}, window.Sum()).
-		KeepInput().
-		Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Input) != 500 {
-		t.Fatalf("filter kept %d tuples, want 500", len(rep.Input))
-	}
-	for _, tp := range rep.Input {
-		if tp.Value != 10 {
-			t.Fatalf("map not applied: %v", tp)
-		}
-	}
-	// Window sum: 50 tuples of value 10 per 1000-unit window.
-	for _, r := range rep.Results[:5] {
-		if r.Count > 0 && math.Abs(r.Value/float64(r.Count)-10) > 1e-9 {
-			t.Fatalf("window value inconsistent: %+v", r)
-		}
 	}
 }
 

@@ -126,7 +126,7 @@ func TestSharedStagesReadAsAlone(t *testing.T) {
 }
 
 // TestJoinRefusesWhatCannotShare: a query whose releases depend on more than
-// the stream — an adaptive handler, a filter, a journal — or whose handler is
+// the stream — an adaptive handler, a journal — or whose handler is
 // not where the pass's is, gets a step core of its own.
 func TestJoinRefusesWhatCannotShare(t *testing.T) {
 	spec := testSpec
@@ -141,7 +141,6 @@ func TestJoinRefusesWhatCannotShare(t *testing.T) {
 	for what, q := range map[string]*AggQuery{
 		"adaptive":      mk(aq),
 		"other K":       mk(buffer.NewKSlack(400)),
-		"filtered":      mk(buffer.NewKSlack(500)).Filter(func(stream.Tuple) bool { return true }),
 		"durable":       mk(buffer.NewKSlack(500)).Durable(Durable{Log: log}),
 		"wrapped":       mk(buffer.NewTimeout(buffer.NewKSlack(500), 100)),
 		"other kind":    mk(buffer.NewMaxSlack()),

@@ -94,12 +94,9 @@ func TestRunSharedMixedShapesEachMatchStandalone(t *testing.T) {
 			return cq.NewFallible(src).Handle(buffer.NewMaxSlack()).
 				Window(sharedSpec, window.Count()).GroupBy().KeepInput()
 		}},
-		{"filtered-mapped", func(src stream.ErrSource) *cq.AggQuery {
-			return cq.NewFallible(src).
-				Filter(func(tp stream.Tuple) bool { return tp.Seq%3 != 0 }).
-				Map(func(tp stream.Tuple) stream.Tuple { tp.Value += 1; return tp }).
-				Handle(buffer.NewKSlack(300)).
-				Window(sharedSpec, window.Sum()).KeepInput()
+		{"count-kslack", func(src stream.ErrSource) *cq.AggQuery { // shares sum-kslack's step core
+			return cq.NewFallible(src).Handle(buffer.NewKSlack(300)).
+				Window(sharedSpec, window.Count()).KeepInput()
 		}},
 	}
 
@@ -200,65 +197,17 @@ func TestSharedValidation(t *testing.T) {
 		t.Fatalf("queries of a refused RunShared cannot be run again: %v", err)
 	}
 
-	// NewShared rejects the synchronous executor.
-	b := fanout.New(fanout.Options{})
-	sub := b.Subscribe("q", fanout.Block)
-	if _, err := cq.NewShared(sub).Window(sharedSpec, window.Sum()).Run(); err == nil {
-		t.Fatal("shared query ran synchronously")
+	// A query shaped for the ring has no source of its own to run
+	// synchronously.
+	if _, err := cq.NewFallible(nil).Window(sharedSpec, window.Sum()).Run(); err == nil {
+		t.Fatal("sourceless query ran synchronously")
 	}
 
 	// Retry belongs on the producer.
-	b2 := fanout.New(fanout.Options{})
-	sub2 := b2.Subscribe("q", fanout.Block)
-	q := cq.NewShared(sub2).Window(sharedSpec, window.Sum()).
+	q := cq.NewFallible(nil).Window(sharedSpec, window.Sum()).
 		Retry(resilience.Retry{MaxAttempts: 2})
-	if _, err := q.RunConcurrent(context.Background(), nil); err == nil {
+	if _, err := cq.RunShared(context.Background(), sliceErrSource(items), cq.SharedOpts{}, q); err == nil {
 		t.Fatal("shared query with Retry accepted")
-	}
-}
-
-func TestNewSharedManualWiring(t *testing.T) {
-	items := materialize(gen.Sensor(8000, 75).Source())
-	ref, err := cq.NewFallible(sliceErrSource(items)).
-		Handle(buffer.NewKSlack(400)).
-		Window(sharedSpec, window.Max()).
-		KeepInput().
-		RunConcurrent(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	b := fanout.New(fanout.Options{Ring: 4, BatchCap: 32})
-	subs := []*fanout.Sub{b.Subscribe("a", fanout.Block), b.Subscribe("b", fanout.Block)}
-	pumpErr := make(chan error, 1)
-	go func() { pumpErr <- b.Pump(context.Background(), sliceErrSource(items), 32) }()
-
-	type res struct {
-		rep *cq.AggReport
-		err error
-	}
-	out := make(chan res, len(subs))
-	for _, sub := range subs {
-		go func(sub *fanout.Sub) {
-			rep, err := cq.NewShared(sub).
-				Handle(buffer.NewKSlack(400)).
-				Window(sharedSpec, window.Max()).
-				KeepInput().
-				RunConcurrent(context.Background(), nil)
-			out <- res{rep, err}
-		}(sub)
-	}
-	for range subs {
-		r := <-out
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if err := oracle.Equivalence(ref, r.rep); err != nil {
-			t.Fatalf("manual wiring diverged: %v", err)
-		}
-	}
-	if err := <-pumpErr; err != nil {
-		t.Fatalf("pump: %v", err)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // deterministic harness path, and its AggReport already carries every
 // cumulative number post hoc.
 type Telemetry struct {
-	SourceIn   *obs.Counter // data tuples accepted by the source stage (post filter/map)
+	SourceIn   *obs.Counter // data tuples accepted by the source stage
 	Heartbeats *obs.Counter // progress signals forwarded
 	Shed       *obs.Counter // data tuples lost to ring laps (a ShedOldest subscription)
 	Released   *obs.Counter // tuples released by the disorder stage
@@ -114,8 +114,8 @@ func (t *Telemetry) fanoutGauges(sub *fanout.Sub) {
 		func() float64 { return float64(sub.Pending()) }, t.query, obs.L("queue", "fanout"))
 }
 
-// noteBatch records one ring batch handed to the step core (post
-// filter/map): its size and its data/heartbeat split.
+// noteBatch records one ring batch handed to the step core: its size and its
+// data/heartbeat split.
 func (t *Telemetry) noteBatch(items []stream.Item) {
 	if t == nil {
 		return

@@ -40,7 +40,7 @@ const (
 
 // Record kinds.
 const (
-	kindTuple        = 0x01 // accepted data tuple (post-shedding, post-transform)
+	kindTuple        = 0x01 // accepted data tuple (post-shedding)
 	kindHeartbeat    = 0x02 // heartbeat punctuation with watermark
 	kindEmitProgress = 0x03 // window operator's next primary emission index
 )

@@ -172,8 +172,8 @@ func (l *QueryLog) Items() uint64 {
 	return l.w.items
 }
 
-// AppendItems journals a batch of accepted items (post-shedding,
-// post-transform) under one lock. The batch is framed in one pass, every item
+// AppendItems journals a batch of accepted items (post-shedding) under one
+// lock. The batch is framed in one pass, every item
 // as a record of its own, so the bytes on disk do not depend on how items are
 // batched; it is handed to the buffered writer once per segment it spans. The
 // group-commit rule is applied once, at the batch's end: the buffered writes
