@@ -93,12 +93,13 @@ cover:
 # wire grammar in one parser (TestOneFrameParser), open-window
 # evaluation on one core (TestOneAggregationCore), ingest on one queue, the
 # fan-out ring (TestOneIngestQueue), grouped queries on one window
-# stage inside the step (TestOneWindowStage), and queries behind one fixed
+# stage inside the step (TestOneWindowStage), queries behind one fixed
 # handler on one disorder pass, grouped by one key from one subscription
-# path (TestOneDisorderPass).
+# path (TestOneDisorderPass), and every metric name registered in one
+# file, by one instrument set (TestOneInstrumentSet).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

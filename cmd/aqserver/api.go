@@ -150,6 +150,11 @@ func (a *app) handleAPIQuery(w http.ResponseWriter, r *http.Request) {
 			writeAPIError(w, http.StatusNotFound, fmt.Sprintf("no runtime query %q", name))
 			return
 		}
+		// Its series go too: their callbacks hold the runner, and the
+		// metric history would keep every one of them for good.
+		if a.srv.reg != nil {
+			a.srv.reg.Forget(obs.L("query", name))
+		}
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		writeAPIError(w, http.StatusMethodNotAllowed, "use GET or DELETE")
@@ -257,9 +262,6 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 	q.mu.Lock()
 	q.upstreamShed = func() int64 { return sub.Shed() + src.RateShed() - rateBase }
 	q.mu.Unlock()
-	// Ring gauges get the same label sets as compiled-in queries
-	// (aq_fanout_lag_batches, aq_queue_depth{queue="fanout"}).
-	instrumentFanout(a.srv.reg, q, sub)
 	q.grp.run(context.Background()) // a no-op when the query joined a running group
 
 	stop := func() {

@@ -10,14 +10,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,8 +27,10 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/gen"
 	"repro/internal/netstream"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/resilience"
+	"repro/internal/stats"
 	"repro/internal/stream"
 )
 
@@ -386,12 +389,17 @@ func TestAPIIngestQuotaShedsIntoQueryAccounting(t *testing.T) {
 	}
 }
 
-// TestRuntimeQueryMetricLabelParity is the satellite-4 regression test:
-// a runtime-registered query must export the same per-query label sets
-// compiled-in queries get — the fan-out ring gauges and, with
-// durability on, the durable_* series.
+// TestRuntimeQueryMetricLabelParity: a runtime-registered query and a
+// compiled-in one, its feed running, export the same per-query label sets:
+// the engine's whole set (cq.Telemetry — stage counters, heartbeats, batch
+// sizes, the disorder buffer's stragglers, slack and depth, the fan-out ring
+// gauges, ring-lap sheds, emission latency) and, with durability on, the
+// durable_* series.
 func TestRuntimeQueryMetricLabelParity(t *testing.T) {
-	a, ts := apiTestApp(t, appConfig{obs: true, durableDir: t.TempDir(), batch: 8})
+	a, ts := apiTestApp(t, appConfig{obs: true, durableDir: t.TempDir(), batch: 8, n: 2000, rate: 100000})
+	ctx, stopFeeds := context.WithCancel(context.Background())
+	t.Cleanup(stopFeeds) // runs before apiTestApp's drain, which waits for the feeds
+	a.startFeeds(ctx)
 	registerSourceAndQuery(t, ts, "s1", "rt-q",
 		`SELECT sum FROM s1 WINDOW 2s SLIDE 1s QUALITY 1%`)
 
@@ -401,35 +409,114 @@ func TestRuntimeQueryMetricLabelParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTuples(t, ts, "rt-q", 500)
-
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	const compiled = "temp-avg-10s"
+	builtin, ok := a.srv.get(compiled)
+	if !ok {
+		t.Fatalf("no compiled-in query %s", compiled)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
-	for _, want := range []string{
-		// Ring gauges with the same label sets -fanout replicas get.
-		`aq_fanout_lag_batches{query="rt-q"}`,
-		`aq_queue_depth{query="rt-q",queue="fanout"}`,
-		// The standard per-query family.
-		`aq_tuples_in_total{query="rt-q"}`,
-		`aq_shed_tuples_total{query="rt-q"}`,
-		`aq_emit_latency_ms_bucket{query="rt-q"`,
-		// Durability series (regression: these were compiled-in only).
-		`durable_journal_appends_total{query="rt-q"}`,
-		`durable_journal_commits_total{query="rt-q"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %s for the runtime query", want)
+	for deadline := time.Now().Add(10 * time.Second); builtin.status().TuplesIn == 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never ingested", compiled)
 		}
 	}
-	if n := fmt.Sprintf("%d", len(text)); n == "0" {
-		t.Fatal("empty metrics body")
+
+	text := scrapeMetrics(t, ts)
+	for _, q := range []string{"rt-q", compiled} {
+		l := `{query="` + q + `"`
+		for _, want := range []string{
+			`aq_stage_tuples_total` + l + `,stage="source"}`,
+			`aq_stage_tuples_total` + l + `,stage="disorder"}`,
+			`aq_stage_tuples_total` + l + `,stage="window"}`,
+			`aq_heartbeats_total` + l + `}`,
+			`aq_batch_size_tuples_count` + l + `,queue="ingest"}`,
+			`aq_buffer_stragglers_total` + l + `}`,
+			`aq_buffer_k_ms` + l + `}`,
+			`aq_buffer_depth` + l + `}`,
+			`aq_fanout_lag_batches` + l + `}`,
+			`aq_queue_depth` + l + `,queue="fanout"}`,
+			`aq_shed_tuples_total` + l + `}`,
+			`aq_emit_latency_ms_count` + l + `}`,
+			`durable_journal_appends_total` + l + `}`,
+			`durable_journal_commits_total` + l + `}`,
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("/metrics missing %s", want)
+			}
+		}
+		// Live, not merely registered: the step core counts what it steps.
+		if v := metricValue(t, text, `aq_stage_tuples_total\{query="`+q+`",stage="source"\} ([0-9.e+]+)`); v == 0 {
+			t.Errorf("aq_stage_tuples_total{query=%q,stage=\"source\"} = 0 after the query ingested", q)
+		}
+	}
+}
+
+// TestAPIDeleteReleasesRunner: with -obs, DELETE forgets the query's series.
+// /metrics and /api/stats carry none of them afterwards, the metric history
+// is back at its track count, and nothing keeps the deleted runner alive —
+// the registry's callbacks used to capture it for the life of the process,
+// and the history kept their tracks, with their points, as long.
+func TestAPIDeleteReleasesRunner(t *testing.T) {
+	a, ts := apiTestApp(t, appConfig{obs: true, batch: 8, statsStep: time.Hour})
+	const cqlText = `SELECT sum FROM s1 WINDOW 2s SLIDE 1s QUALITY 1%` // watchdog, burn rate, controller series
+	hist := a.srv.history
+	tracks := func() int {
+		hist.Sample()
+		return len(hist.Query(obs.HistoryQuery{}))
+	}
+	// One register/feed/delete round creates whatever the source, the routes
+	// and the listener register for good; the track count after it is the
+	// baseline.
+	cycle := func(names []string, freed *atomic.Int64) {
+		for _, n := range names {
+			registerSourceAndQuery(t, ts, "s1", n, cqlText)
+		}
+		send(t, a, "s1", sensorItems(300, 5))
+		for _, n := range names {
+			waitTuples(t, ts, n, 300)
+			if freed != nil {
+				q, _ := a.srv.get(n)
+				// The runner sits in a cycle with its window stage's sink, and
+				// Go never finalizes an object in a cycle: watch its p95
+				// estimator, a leaf nothing but the runner references.
+				runtime.SetFinalizer(q.latency, func(*stats.P2) { freed.Add(1) })
+			}
+		}
+		if freed != nil && tracks() == 0 {
+			t.Fatal("no tracks sampled")
+		}
+		for _, n := range names {
+			if resp := doDelete(t, ts, "/api/queries/"+n); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("DELETE %s: %d", n, resp.StatusCode)
+			}
+		}
+		getStats(t, ts, "")
+	}
+	cycle([]string{"warm"}, nil)
+	baseline := tracks()
+
+	names := []string{"d0", "d1", "d2", "d3", "d4", "d5"}
+	var freed atomic.Int64
+	cycle(names, &freed)
+	if n := tracks(); n != baseline {
+		t.Errorf("history holds %d tracks after the deletes, %d before the queries", n, baseline)
+	}
+	metrics := scrapeMetrics(t, ts)
+	sr, _ := getStats(t, ts, "")
+	for _, n := range append(names, "warm") {
+		if strings.Contains(metrics, `query="`+n+`"`) {
+			t.Errorf("/metrics still carries series of deleted query %s", n)
+		}
+		for _, s := range sr.Series {
+			if s.Labels["query"] == n {
+				t.Errorf("/api/stats still carries %s of deleted query %s", s.Name, n)
+			}
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < int64(len(names)); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d deleted runners collected", freed.Load(), len(names))
+		}
+		runtime.GC()
 	}
 }
 

@@ -26,7 +26,6 @@ func fanoutFeedLoop(ctx context.Context, b *fanout.Broadcast, runners []*queryRu
 		b.Trace(runners[0].tracer) // publish events land in the lead runner's flight recorder
 	}
 	for _, q := range runners {
-		instrumentFanout(reg, q, q.grp.sub)
 		q.grp.run(context.WithoutCancel(ctx))
 	}
 	instrumentFanoutProducer(reg, base, b)

@@ -58,33 +58,37 @@ type groupRegistry struct {
 // been published on the ring since that group attached, so that every run it
 // is handed is byte for byte what a subscription of its own, made now, would
 // deliver; otherwise — or when it may share with nobody — it opens a group of
-// its own. This is the one place the server subscribes to a ring.
+// its own. This is the one place the server subscribes to a ring, and where a
+// runner's ring gauges are registered over its group's subscription.
 func (r *groupRegistry) place(def runnerDef, src *fleet.Source, b *fanout.Broadcast) (*queryRunner, error) {
 	key := groupKey{ring: b, share: cq.ShareKey(def.query(nil))}
 	if src != nil {
 		key.ring = src
 	}
-	if q, err := r.join(key, def); q != nil || err != nil {
-		return q, err
-	}
-	q, err := newQueryRunner(def, nil)
+	q, err := r.join(key, def)
 	if err != nil {
 		return nil, err
 	}
-	g := q.grp
-	if src != nil {
-		g.sub = src.Attach(q.name)
-	} else {
-		g.sub = b.Subscribe(q.name, fanout.Block)
-	}
-	if key.share != "" {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.open == nil {
-			r.open = make(map[groupKey]*runnerGroup)
+	if q == nil {
+		if q, err = newQueryRunner(def, nil); err != nil {
+			return nil, err
 		}
-		g.reg, g.key, r.open[key] = r, key, g
+		g := q.grp
+		if src != nil {
+			g.sub = src.Attach(q.name)
+		} else {
+			g.sub = b.Subscribe(q.name, fanout.Block)
+		}
+		if key.share != "" {
+			r.mu.Lock()
+			if r.open == nil {
+				r.open = make(map[groupKey]*runnerGroup)
+			}
+			g.reg, g.key, r.open[key] = r, key, g
+			r.mu.Unlock()
+		}
 	}
+	q.telem.RingGauges(q.grp.sub)
 	return q, nil
 }
 
@@ -148,7 +152,9 @@ func pumpRing(ctx context.Context, g *runnerGroup) {
 		items, seq, prov, ok, err := g.sub.NextBatchProv(ctx)
 		if lost := g.sub.Shed() - shed; lost > 0 { // a ShedOldest lap
 			shed += lost
-			g.noteShed(lost)
+			g.mu.Lock()
+			g.exec.NoteShed(lost)
+			g.mu.Unlock()
 		}
 		if err != nil {
 			if ctx.Err() == nil {
@@ -248,16 +254,6 @@ func (q *queryRunner) notePanic(stage tracez.Stage, it stream.Item, p any) {
 	q.degrade()
 	q.tracer.Panic(stage, int64(q.exec.Now()), fmt.Sprint(p))
 	q.log.Error("panic isolated while processing item", "stage", stage.String(), "item", fmt.Sprint(it), "panic", fmt.Sprint(p))
-}
-
-// noteShed charges n tuples a ring lap cost the group to every member's
-// flight recorder (a shed event, and the tracer's shed total).
-func (g *runnerGroup) noteShed(n int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, q := range g.members {
-		q.tracer.Shed(int64(g.exec.Now()), n)
-	}
 }
 
 // stall marks every member stalled: the source ring failed.

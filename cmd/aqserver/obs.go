@@ -5,17 +5,19 @@ package main
 // HTTP mux gains /metrics (Prometheus text format) plus the standard
 // net/http/pprof endpoints. docs/OBSERVABILITY.md catalogs the metrics.
 //
-// Two styles of instrument are used, on purpose:
+// A query's instruments come from three places, and each name from one:
 //
-//   - Push: the adaptive handler's controller metrics (core.Telemetry,
-//     installed on the handler by buildRunner) and the emission-latency
-//     histogram are updated on the runner's write path, which already
-//     holds q.mu.
-//   - Pull: everything that is a plain cumulative counter or a current
-//     value guarded by q.mu (tuples in, sheds, retries, panics, buffer
-//     depth, p95 latency, health) is exported as a CounterFunc/GaugeFunc
-//     whose callback locks the runner at scrape time. The hot path pays
-//     nothing for these.
+//   - The engine's set (cq.Telemetry, installed by runnerDef.query; ring
+//     gauges by groupRegistry.place): stage throughput, heartbeats, ring
+//     laps, the disorder handler's stragglers, slack and depth, batch
+//     sizes and emission latency, updated by the step core under the
+//     group's lock — what a library user of internal/cq sees too.
+//   - The adaptive handler's controller metrics (core.Telemetry, installed
+//     on the handler by buildRunner).
+//   - What only the server knows (instrument below): retries, panics, the
+//     P² p95, shed-adjusted error and health, exported as CounterFunc/
+//     GaugeFunc callbacks that lock the runner at scrape time, and the
+//     watchdog's verdicts. The hot path pays nothing for these.
 
 import (
 	"net/http"
@@ -31,10 +33,9 @@ import (
 // current state, 0 otherwise) so dashboards can plot state timelines.
 var healthStates = []string{healthFeeding, healthDegraded, healthStalled, healthDraining, healthDone}
 
-// instrument registers the runner's pull-side per-query metrics; called
-// by newQueryRunner once the core exists. The push side is already in
-// place by then: the adaptive handler's controller telemetry (buildRunner)
-// and the emission-latency histogram filled by absorbOne.
+// instrument registers what only the server knows about the runner; called
+// by newQueryRunner once the core exists. A DELETE forgets all of the
+// query's series at once (obs.Registry.Forget), these callbacks with them.
 func (q *queryRunner) instrument(reg *obs.Registry) {
 	lbl := obs.L("query", q.name)
 
@@ -42,7 +43,7 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 	// aq_time_in_violation_ms, pulled from the watchdog at scrape time.
 	q.watchdog.Register(reg, q.name)
 
-	// Pull side: cumulative counters owned by the runner.
+	// Cumulative counters owned by the runner.
 	counter := func(name, help string, read func() int64) {
 		reg.CounterFunc(name, help, func() float64 {
 			q.mu.Lock()
@@ -50,19 +51,12 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 			return float64(read())
 		}, lbl)
 	}
-	counter("aq_tuples_in_total", "Data tuples accepted into the query's pipeline.",
-		func() int64 { return q.tuplesInLocked() })
-	counter("aq_windows_emitted_total", "Window results emitted.",
-		func() int64 { return q.emitted })
-	counter("aq_shed_tuples_total",
-		"Data tuples lost to this query: fan-out ring laps and ingest-quota sheds.",
-		func() int64 { return q.shedTotal() })
 	counter("aq_source_retries_total", "Source retry attempts spent by the retry policy.",
 		func() int64 { return q.retries })
 	counter("aq_stage_panics_total", "Panics isolated while processing items.",
 		func() int64 { return q.panics })
 
-	// Pull side: current values.
+	// Current values.
 	gauge := func(name, help string, read func() float64) {
 		reg.GaugeFunc(name, help, func() float64 {
 			q.mu.Lock()
@@ -70,10 +64,6 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 			return read()
 		}, lbl)
 	}
-	gauge("aq_buffer_k_ms", "Current slack K of the disorder buffer, in stream-time ms.",
-		func() float64 { return float64(q.exec.Handler().K()) })
-	gauge("aq_buffer_depth", "Tuples currently held back by the disorder buffer.",
-		func() float64 { return float64(q.exec.Handler().Len()) })
 	gauge("aq_latency_p95_ms", "Streaming p95 of result emission latency (stream-time ms).",
 		func() float64 { return q.latency.Value() })
 	gauge("aq_quality_realized_err_adjusted",
@@ -107,22 +97,6 @@ func mountObs(mux *http.ServeMux, reg *obs.Registry) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// instrumentFanout registers the ring gauges of a runner (with -obs): how
-// many published batches it has not yet released, and the ring backlog in
-// tuples — the ring is the runner's one ingest queue, so this is everything
-// queued upstream of its disorder buffer.
-func instrumentFanout(reg *obs.Registry, q *queryRunner, sub *fanout.Sub) {
-	if reg == nil {
-		return
-	}
-	lbl := obs.L("query", q.name)
-	reg.GaugeFunc("aq_fanout_lag_batches",
-		"Published fan-out ring batches the query has not yet released.",
-		func() float64 { return float64(sub.Lag()) }, lbl)
-	reg.GaugeFunc("aq_queue_depth", "Occupancy of a pipeline channel.",
-		func() float64 { return float64(sub.Pending()) }, lbl, obs.L("queue", "fanout"))
 }
 
 // instrumentFanoutProducer registers the per-stream producer counters of

@@ -61,8 +61,11 @@ type runnerDef struct {
 	tracer   *tracez.Tracer
 	watchdog *tracez.Watchdog
 	log      *slog.Logger
-	// reg receives the per-query instruments (obs.go); nil without -obs.
-	reg *obs.Registry
+	// reg receives the per-query instruments; nil without -obs. telem is the
+	// engine's set (cq.NewTelemetry, made by newQueryRunner), which the step
+	// core updates; obs.go registers what only the server knows.
+	reg   *obs.Registry
+	telem *cq.Telemetry
 	// dlog is the query's opened durability log; nil without -durable-dir
 	// and for grouped queries and -fanout replicas (see durable.go).
 	dlog *durable.QueryLog
@@ -72,12 +75,12 @@ type runnerDef struct {
 	wireLat *obs.Histogram
 }
 
-// query is the engine query def runs: its handler, window and tracer, the
-// report discarded (the runner keeps its own ring of recent results, and a
-// query that never ends must not grow a report), and its journal, with
-// decorate adding the host's continuity to every snapshot.
+// query is the engine query def runs: its handler, window, tracer and
+// telemetry, the report discarded (the runner keeps its own ring of recent
+// results, and a query that never ends must not grow a report), and its
+// journal, with decorate adding the host's continuity to every snapshot.
 func (d *runnerDef) query(decorate func(*durable.Snapshot)) *cq.AggQuery {
-	query := cq.New(nil).Handle(d.handler).Window(d.spec, d.agg).Trace(d.tracer).DiscardReport()
+	query := cq.New(nil).Handle(d.handler).Window(d.spec, d.agg).Trace(d.tracer).Instrument(d.telem).DiscardReport()
 	if d.grouped {
 		query.GroupBy() // absorbOne sees each keyed result's embedded Result
 	}
@@ -126,10 +129,6 @@ type queryRunner struct {
 	done        bool
 	journalErrs int64
 
-	// emitLatency is the push-side latency histogram; nil without -obs
-	// (see obs.go for the rest of the per-query instruments).
-	emitLatency *obs.Histogram
-
 	// Wire provenance (runtime queries over -listen sources): wireSendMS
 	// holds the client send time of the provenance-marked batch being
 	// stepped, so absorbOne can observe true client-send→emission latency
@@ -162,11 +161,9 @@ func newQueryRunner(def runnerDef, into *runnerGroup) (*queryRunner, error) {
 		q.log = slog.Default()
 	}
 	if q.reg != nil {
-		q.emitLatency = q.reg.Histogram("aq_emit_latency_ms",
-			"Window result emission latency in stream-time ms (emission position minus window end).",
-			cq.LatencyBucketsFor(q.spec), obs.L("query", q.name))
+		q.telem = cq.NewTelemetry(q.reg, q.name, q.spec)
 	}
-	query := def.query(q.decorateSnapshot)
+	query := q.query(q.decorateSnapshot)
 	if g := into; g != nil {
 		stage, err := g.exec.Join(query, q.absorbOne)
 		if err != nil {
@@ -225,9 +222,6 @@ func (q *queryRunner) markDone(err error) {
 func (q *queryRunner) absorbOne(r window.Result) {
 	q.emitted++
 	q.latency.Add(float64(r.Latency()))
-	if q.emitLatency != nil {
-		q.emitLatency.Observe(float64(r.Latency()))
-	}
 	q.observeWireLatency()
 	q.results = append(q.results, r)
 	if len(q.results) > resultRing {

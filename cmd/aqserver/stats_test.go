@@ -75,12 +75,13 @@ func TestStatsEndpoint(t *testing.T) {
 	var sr statsResponse
 	for {
 		var code int
-		sr, code = getStats(t, ts, "?series=aq_tuples_in_total&query=net-stats")
+		sr, code = getStats(t, ts, "?series=aq_stage_tuples_total&query=net-stats")
 		if code != http.StatusOK {
 			t.Fatalf("GET /api/stats = %d", code)
 		}
-		if len(sr.Series) == 1 && len(sr.Series[0].Points) >= 2 &&
-			sr.Series[0].Points[len(sr.Series[0].Points)-1].V == float64(len(items)) {
+		// Sorted by labels: stage disorder, source, window.
+		if len(sr.Series) == 3 && len(sr.Series[1].Points) >= 2 &&
+			sr.Series[1].Points[len(sr.Series[1].Points)-1].V == float64(len(items)) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -88,8 +89,8 @@ func TestStatsEndpoint(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	s := sr.Series[0]
-	if s.Name != "aq_tuples_in_total" || s.Kind != "counter" || s.Labels["query"] != "net-stats" {
+	s := sr.Series[1]
+	if s.Name != "aq_stage_tuples_total" || s.Kind != "counter" || s.Labels["query"] != "net-stats" || s.Labels["stage"] != "source" {
 		t.Fatalf("series header wrong: %+v", s)
 	}
 	for i := 1; i < len(s.Points); i++ {
@@ -111,7 +112,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 
 	// Downsampling: a coarse step returns at most one point per bucket.
-	coarse, code := getStats(t, ts, "?series=aq_tuples_in_total&query=net-stats&step=1h")
+	coarse, code := getStats(t, ts, "?series=aq_heartbeats_total&query=net-stats&step=1h")
 	if code != http.StatusOK || len(coarse.Series) != 1 {
 		t.Fatalf("coarse query failed: %d %+v", code, coarse.Series)
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -110,35 +111,7 @@ var catalogRow = regexp.MustCompile("(?m)^\\|\\s*`((?:aq|durable)_[a-z0-9_]+)`\\
 // row is invisible to operators; a catalog row whose metric was renamed
 // or removed is documentation lying about the dashboard.
 func TestMetricsCatalog(t *testing.T) {
-	inCode := map[string][]string{} // name -> files registering it
-	for _, root := range []string{"internal", "cmd", "examples"} {
-		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if d.Name() == "testdata" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			for _, m := range metricRegistration.FindAllStringSubmatch(string(src), -1) {
-				inCode[m[1]] = append(inCode[m[1]], path)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	inCode := registrations(t)
 	raw, err := os.ReadFile(filepath.Join("docs", "OBSERVABILITY.md"))
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +137,64 @@ func TestMetricsCatalog(t *testing.T) {
 		}
 	}
 	t.Logf("catalog check: %d registered metric names against %d documented rows", len(inCode), len(inDocs))
+}
+
+// registrations maps every metric name metricRegistration finds in non-test
+// Go under internal/, cmd/ and examples/ to the files registering it, one
+// entry per registration.
+func registrations(t *testing.T) map[string][]string {
+	t.Helper()
+	inCode := map[string][]string{}
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if d.Name() == "testdata" {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range metricRegistration.FindAllStringSubmatch(string(src), -1) {
+				inCode[m[1]] = append(inCode[m[1]], filepath.ToSlash(path))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return inCode
+}
+
+// TestOneInstrumentSet keeps every metric name registered in one non-test
+// file. The server once exported a query's pipeline through four sets of
+// instruments — the engine's cq.Telemetry, a handler wrapper
+// (buffer.Instrument), the controller's core.Telemetry and its own copies —
+// so seven names were registered in two places each, tuples-in was counted
+// three ways, and seven of the engine's families never reached the server's
+// /metrics. One name, one file: a second registration of a name is a second
+// implementation of what it measures, and the two drift.
+func TestOneInstrumentSet(t *testing.T) {
+	inCode := registrations(t)
+	if len(inCode) < 40 {
+		t.Fatalf("extraction rotted: %d registered names (want ≥ 40)", len(inCode))
+	}
+	for name, files := range inCode {
+		slices.Sort(files)
+		if files = slices.Compact(files); len(files) != 1 {
+			t.Errorf("metric %q is registered in %d files (%s): one instrument set, one place per name",
+				name, len(files), strings.Join(files, ", "))
+		}
+	}
 }
 
 // executorCalls are the calls that make up the execution loop and the

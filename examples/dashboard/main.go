@@ -110,8 +110,8 @@ func main() {
 
 	hist.Stop()
 	fmt.Println("\n--- windowed history (obs.History; aqserver serves this at /api/stats) ---")
-	fmt.Println("series: aq_controller_k_ms — the slack each controller paid over the run")
-	for _, s := range hist.Query(obs.HistoryQuery{Names: []string{"aq_controller_k_ms"}}) {
+	fmt.Println("series: aq_buffer_k_ms — the slack each controller paid over the run")
+	for _, s := range hist.Query(obs.HistoryQuery{Names: []string{"aq_buffer_k_ms"}}) {
 		if len(s.Points) == 0 {
 			continue
 		}

@@ -78,12 +78,3 @@ func (b *KSlack) InsertBatch(items []stream.Item, out []stream.Tuple, ends []int
 	}
 	return out, ends
 }
-
-// InsertBatch implements BatchHandler by forwarding to the wrapped
-// handler's fast path (or the per-item fallback) and publishing one
-// metrics sync for the whole batch.
-func (i *Instrumented) InsertBatch(items []stream.Item, out []stream.Tuple, ends []int) ([]stream.Tuple, []int) {
-	out, ends = InsertBatch(i.inner, items, out, ends)
-	i.sync()
-	return out, ends
-}

@@ -9,7 +9,7 @@ import (
 
 // Traced wraps any Handler and mirrors its activity into a flight
 // recorder as delta events: tuples inserted, released and released out
-// of order, plus every slack change. Like Instrumented it derives the
+// of order, plus every slack change. It derives the
 // deltas from the handler's own cumulative Stats — no hooks in the
 // handlers' hot loops — but only when its driver calls Sync: the executor
 // does so once per step (cq.Exec), so a batch of any size costs one

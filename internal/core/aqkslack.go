@@ -445,7 +445,6 @@ func (a *AQKSlack) maybeAdapt() {
 	})
 	if a.telem != nil {
 		a.telem.Adaptations.Inc()
-		a.telem.K.Set(float64(k))
 		a.telem.EstErr.Set(estErr)
 		a.telem.PIFactor.Set(factor)
 		if d := a.pi.Clamps() - a.lastClamps; d > 0 {

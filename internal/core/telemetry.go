@@ -5,16 +5,17 @@ import (
 )
 
 // Telemetry bundles the obs instruments the adaptive handler updates as
-// its control loop runs: the chosen slack, the model-estimated and
-// realized errors, the PI correction factor, and counters of adaptation
-// steps, clamped PI outputs and finalized (ground-truth-known) windows.
-// All update paths tolerate a nil *Telemetry, so an uninstrumented
-// handler pays one pointer check per adaptation, not per tuple.
+// its control loop runs: the model-estimated and realized errors, the PI
+// correction factor, and counters of adaptation steps, clamped PI outputs
+// and finalized (ground-truth-known) windows. The chosen slack is not
+// among them: it is the handler's K, which the query's cq.Telemetry
+// exports as aq_buffer_k_ms for every handler. All update paths tolerate
+// a nil *Telemetry, so an uninstrumented handler pays one pointer check
+// per adaptation, not per tuple.
 type Telemetry struct {
 	Adaptations *obs.Counter // adaptation steps taken
 	PIClamps    *obs.Counter // PI outputs that hit the factor clamp
 	Finalized   *obs.Counter // windows whose realized error became known
-	K           *obs.Gauge   // current slack (stream-time ms)
 	EstErr      *obs.Gauge   // model-estimated relative error at the chosen K
 	RealizedErr *obs.Gauge   // realized relative-error EWMA
 	PIFactor    *obs.Gauge   // last PI correction factor
@@ -32,8 +33,6 @@ func NewTelemetry(reg *obs.Registry, query string) *Telemetry {
 			"PI controller outputs clamped at MinFactor/MaxFactor.", q),
 		Finalized: reg.Counter("aq_quality_finalized_windows_total",
 			"Windows whose eventually-complete value (and thus realized error) became known.", q),
-		K: reg.Gauge("aq_controller_k_ms",
-			"Slack K currently chosen by the controller, in stream-time ms.", q),
 		EstErr: reg.Gauge("aq_quality_est_err",
 			"Model-estimated relative window error at the chosen slack.", q),
 		RealizedErr: reg.Gauge("aq_quality_realized_err",

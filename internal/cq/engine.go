@@ -284,7 +284,7 @@ func ringReport(s *Stage, sub *fanout.Sub) *AggReport {
 // after the batches published before it were applied.
 func receiveRing(ctx context.Context, x *Exec, sub *fanout.Sub, fail func(error)) {
 	for _, s := range x.stages {
-		s.q.telem.fanoutGauges(sub)
+		s.q.telem.RingGauges(sub)
 	}
 	// A consumer that stops reading must never wedge the producer or its
 	// Block peers: leaving marks the cursor dead.
@@ -294,10 +294,7 @@ func receiveRing(ctx context.Context, x *Exec, sub *fanout.Sub, fail func(error)
 		items, seq, ok, err := sub.NextBatch(ctx)
 		if lost := sub.Shed() - shed; lost > 0 { // a ShedOldest lap
 			shed += lost
-			for _, s := range x.stages {
-				s.q.telem.noteShed(lost)
-				s.q.tracer.Shed(int64(x.dis.clock), lost)
-			}
+			x.NoteShed(lost)
 		}
 		if err != nil {
 			if ctx.Err() == nil {
@@ -313,7 +310,6 @@ func receiveRing(ctx context.Context, x *Exec, sub *fanout.Sub, fail func(error)
 		// the batch can be released as soon as it is stepped.
 		x.noteInput(items)
 		for _, s := range x.stages {
-			s.q.telem.noteBatch(items)
 			s.q.tracer.SourceBatch(int64(x.dis.clock), len(items))
 		}
 		if err := x.Step(items); err != nil {

@@ -15,56 +15,79 @@ import (
 )
 
 // TestTelemetryMatchesReport is the cross-check between the live metrics
-// and the post-hoc report: after a RunConcurrent execution, every stage
-// counter must equal the corresponding AggReport/handler total. If these
-// drift apart, either the dashboard lies or the report does.
+// and the post-hoc report: under Run and under RunConcurrent alike — the
+// step core updates the instruments, not the driver — every stage counter
+// must equal the corresponding AggReport/handler total, and the handler's
+// gauges its final slack and depth. If these drift apart, either the
+// dashboard lies or the report does. The handler is a MAX-slack over a
+// bursty feed, so the slack moves and stragglers occur.
 func TestTelemetryMatchesReport(t *testing.T) {
-	tuples := gen.Sensor(20000, 11).Arrivals()
-	reg := obs.NewRegistry()
-	telem := NewTelemetry(reg, "obs-test", window.Spec{Size: 10 * stream.Second, Slide: stream.Second})
-	handler := buffer.NewKSlack(500)
+	tuples := gen.SensorBursty(20000, 11).Arrivals()
+	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
+	for _, driver := range []string{"Run", "RunConcurrent"} {
+		t.Run(driver, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			telem := NewTelemetry(reg, "obs-test", spec)
+			handler := buffer.NewMaxSlack()
+			q := New(stream.FromTuples(tuples)).Handle(handler).Window(spec, window.Sum()).Instrument(telem)
+			var rep *AggReport
+			var err error
+			if driver == "Run" {
+				rep, err = q.Run()
+			} else {
+				rep, err = q.RunConcurrent(context.Background(), nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	rep, err := New(stream.FromTuples(tuples)).
-		Handle(handler).
-		Window(window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, window.Sum()).
-		Instrument(telem).
-		RunConcurrent(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := telem.SourceIn.Value(), float64(rep.Disorder.N); got != want {
-		t.Errorf("source stage counter = %g, want %g (accepted data tuples)", got, want)
-	}
-	if got, want := telem.Released.Value(), float64(rep.Handler.Released); got != want {
-		t.Errorf("disorder stage counter = %g, want %g (released tuples)", got, want)
-	}
-	if got, want := telem.Results.Value(), float64(len(rep.Results)); got != want {
-		t.Errorf("window stage counter = %g, want %g (emitted results)", got, want)
-	}
-	if got, want := telem.Shed.Value(), float64(rep.Shed); got != want {
-		t.Errorf("shed counter = %g, want %g", got, want)
-	}
-	// Latency histogram covers exactly the progress-emitted results,
-	// matching the PreFlush split the latency metrics use.
-	if got, want := telem.EmitLatency.Count(), uint64(rep.PreFlush); got != want {
-		t.Errorf("latency histogram count = %d, want %d (PreFlush results)", got, want)
-	}
-	// The whole pipeline must be visible in one scrape.
-	var out strings.Builder
-	if err := reg.WritePrometheus(&out); err != nil {
-		t.Fatal(err)
-	}
-	for _, series := range []string{
-		`aq_stage_tuples_total{query="obs-test",stage="source"}`,
-		`aq_stage_tuples_total{query="obs-test",stage="disorder"}`,
-		`aq_stage_tuples_total{query="obs-test",stage="window"}`,
-		`aq_emit_latency_ms_count{query="obs-test"}`,
-		`aq_queue_depth{query="obs-test",queue="fanout"}`,
-	} {
-		if !strings.Contains(out.String(), series) {
-			t.Errorf("exposition missing %s", series)
-		}
+			st := rep.Handler
+			if st.Stragglers == 0 || handler.K() == 0 {
+				t.Fatalf("stragglers %d, final K %d: the comparison proves less than it should", st.Stragglers, handler.K())
+			}
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"source stage counter (accepted data tuples)", telem.SourceIn.Value(), float64(rep.Disorder.N)},
+				{"disorder stage counter (released tuples)", telem.Released.Value(), float64(st.Released)},
+				{"stragglers counter", telem.Stragglers.Value(), float64(st.Stragglers)},
+				{"window stage counter (emitted results)", telem.Results.Value(), float64(len(rep.Results))},
+				{"shed counter", telem.Shed.Value(), float64(rep.Shed)},
+				{"K gauge", telem.K.Value(), float64(handler.K())},
+				{"depth gauge", telem.Depth.Value(), float64(handler.Len())},
+				// Latency histogram covers exactly the progress-emitted
+				// results, matching the PreFlush split the latency metrics use.
+				{"latency histogram count (PreFlush results)", float64(telem.EmitLatency.Count()), float64(rep.PreFlush)},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
+				}
+			}
+			// The whole pipeline must be visible in one scrape; the ring's
+			// gauges only where there is a ring.
+			var out strings.Builder
+			if err := reg.WritePrometheus(&out); err != nil {
+				t.Fatal(err)
+			}
+			series := []string{
+				`aq_stage_tuples_total{query="obs-test",stage="source"}`,
+				`aq_stage_tuples_total{query="obs-test",stage="disorder"}`,
+				`aq_stage_tuples_total{query="obs-test",stage="window"}`,
+				`aq_buffer_stragglers_total{query="obs-test"}`,
+				`aq_buffer_k_ms{query="obs-test"}`,
+				`aq_buffer_depth{query="obs-test"}`,
+				`aq_emit_latency_ms_count{query="obs-test"}`,
+			}
+			if driver == "RunConcurrent" {
+				series = append(series, `aq_queue_depth{query="obs-test",queue="fanout"}`)
+			}
+			for _, s := range series {
+				if !strings.Contains(out.String(), s) {
+					t.Errorf("exposition missing %s", s)
+				}
+			}
+		})
 	}
 }
 
@@ -93,46 +116,6 @@ func TestTelemetryShedCounting(t *testing.T) {
 	}
 	if got, want := telem.SourceIn.Value(), float64(len(tuples))-float64(rep.Shed); got != want {
 		t.Errorf("source counter = %g, want %g (accepted = published − shed)", got, want)
-	}
-}
-
-// TestInstrumentedHandlerWrapper drives buffer.Instrument through a run
-// and checks the wrapper's counters against the wrapped handler's stats.
-func TestInstrumentedHandlerWrapper(t *testing.T) {
-	tuples := gen.SensorBursty(10000, 5).Arrivals()
-	reg := obs.NewRegistry()
-	inner := buffer.NewMaxSlack()
-	wrapped := buffer.Instrument(inner, reg, obs.L("query", "wrap-test"))
-
-	rep, err := New(stream.FromTuples(tuples)).
-		Handle(wrapped).
-		Window(window.Spec{Size: 5 * stream.Second, Slide: stream.Second}, window.Avg()).
-		RunConcurrent(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := rep.Handler
-	check := func(name string, want int64) {
-		t.Helper()
-		got := reg.Counter(name, "", obs.L("query", "wrap-test")).Value()
-		if got != float64(want) {
-			t.Errorf("%s = %g, want %d", name, got, want)
-		}
-	}
-	check("aq_buffer_inserted_total", st.Inserted)
-	check("aq_buffer_released_total", st.Released)
-	check("aq_buffer_stragglers_total", st.Stragglers)
-	// MaxSlack grows K as lateness peaks arrive; the bursty workload must
-	// have produced at least one adaptation, and the gauge must agree
-	// with the final slack.
-	if v := reg.Counter("aq_buffer_k_adaptations_total", "", obs.L("query", "wrap-test")).Value(); v == 0 {
-		t.Error("no K adaptations recorded for MaxSlack on a bursty workload")
-	}
-	if v := reg.Gauge("aq_buffer_k_ms", "", obs.L("query", "wrap-test")).Value(); v != float64(inner.K()) {
-		t.Errorf("k gauge = %g, want %d", v, inner.K())
-	}
-	if wrapped.Unwrap() != inner {
-		t.Error("Unwrap did not return the inner handler")
 	}
 }
 

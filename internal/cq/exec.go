@@ -21,12 +21,12 @@ import (
 // they decide where items come from and what an error means, and hand the
 // items to Step.
 //
-// One Step is: journal the batch → the disorder pass: insert the items into
-// the handler, advancing the arrival clock, and keep what they released with
-// the clock each tuple was released at → the window pass: hand every window
-// stage that run whole → suppress emissions below the recovered floor →
-// report / telemetry / tracer / sink → sync the handler's trace and
-// counters, once → journal the emission cursor → snapshot when due. A run,
+// One Step is: count the batch → journal it → the disorder pass: insert the
+// items into the handler, advancing the arrival clock, and keep what they
+// released with the clock each tuple was released at → the window pass: hand
+// every window stage that run whole → suppress emissions below the recovered
+// floor → report / telemetry / tracer / sink → sync the handler's trace and
+// telemetry, once → journal the emission cursor → snapshot when due. A run,
 // not a tuple, is the unit of work between handler and operator, which is
 // where the time goes: see Resume. Crash recovery is the same two passes
 // over the journal suffix with nothing journaled. Every state change happens
@@ -89,6 +89,9 @@ type Stage struct {
 	win     windowStage
 	scratch []window.Result
 	emitted int // results delivered, after floor suppression
+	// stragglers is the handler's straggler count as last published to the
+	// telemetry, which counts the stragglers since.
+	stragglers int64
 
 	// The release cursor: the run's tuples before pos have been handed to
 	// the operator, and the operator's results before sent delivered.
@@ -176,6 +179,7 @@ func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 			return nil, err
 		}
 	}
+	x.stages[0].publish(x.raw, 0) // the handler as restored, not as built
 	return x, nil
 }
 
@@ -265,6 +269,7 @@ func (x *Exec) Join(q *AggQuery, sink func(window.Result)) (*Stage, error) {
 	}
 	s := x.newStage(q, sink)
 	x.stages = append(x.stages, s)
+	s.publish(x.raw, 0)
 	if tr := q.tracer; tr != nil {
 		if traced, ok := x.handler.(*buffer.Traced); ok {
 			traced.Mirror(tr)
@@ -313,6 +318,7 @@ func (x *Exec) Step(batch []stream.Item) error {
 	if x.pend != nil {
 		x.Resume() // pending work is never dropped: first come, first applied
 	}
+	x.noteBatch(batch)
 	var err error
 	if x.log != nil {
 		// Journal before the handler sees the batch: a crash after this
@@ -335,6 +341,30 @@ func (x *Exec) Step(batch []stream.Item) error {
 		}
 	}
 	return err
+}
+
+// noteBatch counts a batch about to be stepped in every stage's telemetry:
+// its size, its data tuples and its heartbeats.
+func (x *Exec) noteBatch(batch []stream.Item) {
+	heartbeats := 0
+	for i := range batch {
+		if batch[i].Heartbeat {
+			heartbeats++
+		}
+	}
+	for _, s := range x.stages {
+		s.q.telem.noteBatch(len(batch), heartbeats)
+	}
+}
+
+// NoteShed charges n data tuples a ring lap cost x's queries to every stage:
+// its telemetry's shed count, and a shed event in its tracer at the arrival
+// clock. The ring drivers call it when their subscription reports a lap.
+func (x *Exec) NoteShed(n int64) {
+	for _, s := range x.stages {
+		s.q.telem.noteShed(n)
+		s.q.tracer.Shed(int64(x.now), n)
+	}
 }
 
 // Resume applies what is pending, in two passes a chunk: the disorder pass
@@ -446,17 +476,30 @@ func (x *Exec) stamp(it *stream.Item, end int) (at stream.Time) {
 // sync publishes the handler's activity once per step, not per item: the
 // traced wrapper turns the deltas of the handler's cumulative stats into
 // buffer events (N = count) in every stage's tracer, and each stage's
-// released counter moves by what accumulated. A step a panic cut short skips
-// it and loses nothing: its share rides on the sync of the Resume that
-// carries on behind it.
+// telemetry takes what was released and the new stragglers among it, and the
+// handler's slack and depth. A step a panic cut short skips it and loses
+// nothing: its share rides on the sync of the Resume that carries on behind
+// it.
 func (x *Exec) sync() {
 	if tr, ok := x.handler.(*buffer.Traced); ok {
 		tr.Sync()
 	}
 	for _, s := range x.stages {
-		s.q.telem.noteReleased(x.released)
+		s.publish(x.raw, x.released)
 	}
 	x.released = 0
+}
+
+// publish brings the stage's telemetry up to h, the handler that feeds it:
+// released, the tuples h released since the last publish; the stragglers h
+// counted since; h's slack and depth now.
+func (s *Stage) publish(h buffer.Handler, released int) {
+	if s.q.telem == nil {
+		return
+	}
+	n := h.Stats().Stragglers
+	s.q.telem.noteHandler(h, released, n-s.stragglers)
+	s.stragglers = n
 }
 
 // InFlight reports where a panic raised inside Step or Resume hit: the
@@ -551,7 +594,7 @@ func (x *Exec) Leave(s *Stage) error {
 	if tr, ok := h.(*buffer.Traced); ok {
 		tr.Sync()
 	}
-	s.q.telem.noteReleased(len(r.ts))
+	s.publish(h, len(r.ts))
 	s.finish(r, x.now)
 	s.rep.Disorder, s.rep.Handler = x.dis.finish(), h.Stats()
 	s.x = nil

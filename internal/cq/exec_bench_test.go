@@ -18,8 +18,9 @@ import (
 
 // BenchmarkExecStepServerShaped times Exec.Step the way cmd/aqserver's
 // runners call it: the aqbench query shapes behind fixed K-slacks, a tracer
-// attached, the report discarded, whole ring batches of the size the paced
-// server sees, exponential 100 ms delays (aqbench's sensorExp). Queries
+// and the -obs telemetry attached, the report discarded, whole ring batches
+// of the size the paced server sees, exponential 100 ms delays (aqbench's
+// sensorExp). Queries
 // behind the same handler share one Exec, as the server's groups do
 // (ShareKey): fanout4 is one Exec with the three kslack(500ms) window stages
 // and one with the kslack(2s) stage. One iteration is one batch stepped
@@ -70,7 +71,8 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 			logs := make([]*durable.QueryLog, 0, len(bc.shapes))
 			for _, s := range bc.shapes {
 				q := New(nil).Handle(buffer.NewKSlack(s.k)).Window(s.spec, s.agg).
-					Trace(tracez.New(tracez.NewRecorder(1<<12), "q")).DiscardReport()
+					Trace(tracez.New(tracez.NewRecorder(1<<12), "q")).
+					Instrument(NewTelemetry(obs.NewRegistry(), "q", s.spec)).DiscardReport()
 				if bc.durable {
 					log, err := durable.Open(durable.Options{Dir: b.TempDir(), CommitEvery: 64, SnapshotEvery: 50_000,
 						Metrics: durable.NewMetrics(obs.NewRegistry())})

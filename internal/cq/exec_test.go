@@ -548,8 +548,8 @@ func (h *kSteppingHandler) Insert(it stream.Item, out []stream.Tuple) []stream.T
 // step: the events are deltas of the handler's cumulative stats, so their N
 // sums to the stats however the stream was cut into steps, a panic in the
 // middle of a step delays its share to the next sync and loses none of it
-// (the released counter likewise), and a K that moved twice inside one step
-// is reported once, with the value it ended on.
+// (the released and stragglers counters likewise), and a K that moved twice
+// inside one step is reported once, with the value it ended on.
 func TestExecTraceSyncPerStep(t *testing.T) {
 	items := execItems(3000, 31)
 	run := func(t *testing.T, h buffer.Handler, sink func(window.Result), drive func(*Exec)) (*Exec, []tracez.Event, *Telemetry) {
@@ -582,6 +582,9 @@ func TestExecTraceSyncPerStep(t *testing.T) {
 		}
 		if got := telem.Released.Value(); got != float64(st.Released) {
 			t.Fatalf("released counter %v, handler released %d", got, st.Released)
+		}
+		if got := telem.Stragglers.Value(); got != float64(st.Stragglers) {
+			t.Fatalf("stragglers counter %v, handler stragglers %d", got, st.Stragglers)
 		}
 		return inserts
 	}

@@ -162,10 +162,11 @@ func (q *AggQuery) DiscardReport() *AggQuery {
 	return q
 }
 
-// Instrument attaches live telemetry (see NewTelemetry): RunConcurrent
-// updates the instruments as tuples flow, making stage throughput, queue
-// depth, sheds and emission latency observable while the query runs.
-// The synchronous Run driver ignores it.
+// Instrument attaches live telemetry (see NewTelemetry): the step core
+// updates the instruments as tuples flow, under every driver, making stage
+// throughput, the disorder handler's stragglers, slack and depth, sheds and
+// emission latency observable while the query runs. Instruments only
+// observe: a run's output and trace are the same with or without them.
 func (q *AggQuery) Instrument(t *Telemetry) *AggQuery {
 	q.telem = t
 	return q
@@ -312,10 +313,10 @@ func (q *AggQuery) Run() (*AggReport, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	// Uninstrumented, and the report is the output: Instrument, SinkKeyed
-	// and DiscardReport apply to the concurrent drivers only.
+	// The report is the output: SinkKeyed and DiscardReport apply to the
+	// concurrent drivers only.
 	hq := *q
-	hq.telem, hq.keyedSink, hq.discardRep = nil, nil, false
+	hq.keyedSink, hq.discardRep = nil, false
 	x, err := newExec(&hq, nil)
 	if err != nil {
 		return nil, err

@@ -34,6 +34,15 @@ func (s *sharedShape) query(h buffer.Handler) *AggQuery {
 	return q
 }
 
+// readings is every instrument of t, read once.
+func readings(t *Telemetry) [11]float64 {
+	return [11]float64{
+		t.SourceIn.Value(), t.Heartbeats.Value(), t.Shed.Value(), t.Released.Value(),
+		t.Stragglers.Value(), t.Results.Value(), t.K.Value(), t.Depth.Value(),
+		float64(t.IngestBatch.Count()), float64(t.EmitLatency.Count()), t.EmitLatency.Sum(),
+	}
+}
+
 func sharedShapes() []*sharedShape {
 	sec := stream.Second
 	return []*sharedShape{
@@ -47,8 +56,8 @@ func sharedShapes() []*sharedShape {
 // TestSharedStagesReadAsAlone: queries joined to one Exec, stepped in
 // batches of any size, one of them leaving mid-stream, each read as the same
 // query run alone over the same items — report field for field, flight
-// recorder event for event (buffer events included), released and result
-// counters — for every handler kind that shares.
+// recorder event for event (buffer events included), every instrument of its
+// telemetry — for every handler kind that shares.
 func TestSharedStagesReadAsAlone(t *testing.T) {
 	items := execItems(8000, 91)
 	for i := range items {
@@ -114,11 +123,8 @@ func TestSharedStagesReadAsAlone(t *testing.T) {
 				if got, want := shared[i].rec.Events(), alone[i].rec.Events(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("query %d: %d trace events, alone %d (or they differ)", i, len(got), len(want))
 				}
-				if got, want := shared[i].telem.Released.Value(), alone[i].telem.Released.Value(); got != want {
-					t.Fatalf("query %d: released counter %v, alone %v", i, got, want)
-				}
-				if got, want := shared[i].telem.Results.Value(), alone[i].telem.Results.Value(); got != want {
-					t.Fatalf("query %d: results counter %v, alone %v", i, got, want)
+				if got, want := readings(shared[i].telem), readings(alone[i].telem); got != want {
+					t.Fatalf("query %d: telemetry %v, alone %v", i, got, want)
 				}
 			}
 		})

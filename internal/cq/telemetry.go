@@ -3,34 +3,37 @@ package cq
 import (
 	"math"
 
+	"repro/internal/buffer"
 	"repro/internal/fanout"
 	"repro/internal/obs"
-	"repro/internal/stream"
 	"repro/internal/window"
 )
 
-// Telemetry bundles the obs instruments RunConcurrent updates while the
-// pipeline runs: per-stage throughput counters, shed accounting, ingest
-// batch sizes and the emission-latency histogram (the ingest queue's own
-// gauges are the ring's: see fanoutGauges). All methods tolerate a nil
-// receiver, so the engine's hot path pays a single pointer check when
-// telemetry is off.
-//
-// The synchronous Run executor is deliberately uninstrumented: it is the
-// deterministic harness path, and its AggReport already carries every
-// cumulative number post hoc.
+// Telemetry is the one set of per-query pipeline instruments: stage
+// throughput, heartbeats, ring sheds, the disorder handler's stragglers,
+// slack and depth, ingest batch sizes and the emission-latency histogram
+// (the ring's own gauges are registered by RingGauges). The step core
+// updates it whatever the driver — Run, the ring driver, cmd/aqserver's
+// runner groups: Exec.Step counts each batch, the end of each step
+// publishes the handler's activity, and every delivered result is counted
+// and timed. All methods tolerate a nil receiver, so the hot path pays a
+// single pointer check when telemetry is off.
 type Telemetry struct {
-	SourceIn   *obs.Counter // data tuples accepted by the source stage
-	Heartbeats *obs.Counter // progress signals forwarded
+	SourceIn   *obs.Counter // data tuples in the batches stepped
+	Heartbeats *obs.Counter // heartbeat (watermark) items stepped
 	Shed       *obs.Counter // data tuples lost to ring laps (a ShedOldest subscription)
-	Released   *obs.Counter // tuples released by the disorder stage
+	Released   *obs.Counter // tuples released by the disorder handler
+	Stragglers *obs.Counter // released tuples that violated event-time order
 	Results    *obs.Counter // window results emitted
 
-	IngestBatch *obs.Histogram // sizes of the ring batches handed to the step core
+	K     *obs.Gauge // the disorder handler's slack, stream-time ms
+	Depth *obs.Gauge // tuples the disorder handler holds back
+
+	IngestBatch *obs.Histogram // sizes of the batches handed to the step core
 	EmitLatency *obs.Histogram // result latency (stream-time ms)
 
-	// reg and query are retained so the engine can register the ring's
-	// gauges once the subscription exists (at RunConcurrent time).
+	// reg and query are retained for the ring's gauges (RingGauges), which
+	// need the subscription the query is read through.
 	reg   *obs.Registry
 	query obs.Label
 }
@@ -84,7 +87,13 @@ func NewTelemetry(reg *obs.Registry, query string, spec window.Spec) *Telemetry 
 		Heartbeats: reg.Counter("aq_heartbeats_total",
 			"Heartbeat (watermark) items forwarded through the pipeline.", q),
 		Shed: reg.Counter("aq_shed_tuples_total",
-			"Data tuples lost to this query: fan-out ring laps (a ShedOldest subscription).", q),
+			"Data tuples lost to this query to fan-out ring laps (a ShedOldest subscription).", q),
+		Stragglers: reg.Counter("aq_buffer_stragglers_total",
+			"Released tuples that violated event-time order.", q),
+		K: reg.Gauge("aq_buffer_k_ms",
+			"Current slack K of the disorder buffer, in stream-time ms.", q),
+		Depth: reg.Gauge("aq_buffer_depth",
+			"Tuples currently held back by the disorder buffer.", q),
 		IngestBatch: reg.Histogram("aq_batch_size_tuples",
 			"Sizes of the batches shipped between pipeline stages.",
 			obs.ExponentialBuckets(1, 2, 11), q, obs.L("queue", "ingest")),
@@ -96,13 +105,14 @@ func NewTelemetry(reg *obs.Registry, query string, spec window.Spec) *Telemetry 
 	}
 }
 
-// fanoutGauges registers the shared-source ring gauges for this query:
-// per-consumer lag in published batches (aq_fanout_lag_batches) and the
-// ring backlog as aq_queue_depth (queue="fanout") — the ring is the ingest
-// queue, private or shared, so this is what queue-depth dashboards (the
-// OBSERVABILITY.md delay-spike walkthrough) read. Re-registration replaces
-// the callbacks, so a restarted query re-claims its series.
-func (t *Telemetry) fanoutGauges(sub *fanout.Sub) {
+// RingGauges registers the query's fan-out ring gauges over sub, the
+// subscription its step core reads: the published batches it has not yet
+// released (aq_fanout_lag_batches) and the ring backlog as aq_queue_depth
+// (queue="fanout") — the ring is the ingest queue, private or shared, so
+// this is what queue-depth dashboards (the OBSERVABILITY.md delay-spike
+// walkthrough) read. Re-registration replaces the callbacks, so a restarted
+// query re-claims its series.
+func (t *Telemetry) RingGauges(sub *fanout.Sub) {
 	if t == nil || t.reg == nil {
 		return
 	}
@@ -114,21 +124,15 @@ func (t *Telemetry) fanoutGauges(sub *fanout.Sub) {
 		func() float64 { return float64(sub.Pending()) }, t.query, obs.L("queue", "fanout"))
 }
 
-// noteBatch records one ring batch handed to the step core: its size and its
+// noteBatch records one batch handed to the step core: its size and its
 // data/heartbeat split.
-func (t *Telemetry) noteBatch(items []stream.Item) {
+func (t *Telemetry) noteBatch(n, heartbeats int) {
 	if t == nil {
 		return
 	}
-	heartbeats := 0
-	for _, it := range items {
-		if it.Heartbeat {
-			heartbeats++
-		}
-	}
 	t.Heartbeats.Add(float64(heartbeats))
-	t.SourceIn.Add(float64(len(items) - heartbeats))
-	t.IngestBatch.Observe(float64(len(items)))
+	t.SourceIn.Add(float64(n - heartbeats))
+	t.IngestBatch.Observe(float64(n))
 }
 
 // noteShed records n tuples the ring lapped past this query.
@@ -139,12 +143,21 @@ func (t *Telemetry) noteShed(n int64) {
 	t.Shed.Add(float64(n))
 }
 
-// noteReleased records n tuples released by the disorder handler.
-func (t *Telemetry) noteReleased(n int) {
-	if t == nil || n == 0 {
+// noteHandler records the disorder handler's activity since the last call —
+// released tuples, and new stragglers among them — and its slack and depth
+// now.
+func (t *Telemetry) noteHandler(h buffer.Handler, released int, stragglers int64) {
+	if t == nil {
 		return
 	}
-	t.Released.Add(float64(n))
+	if released > 0 {
+		t.Released.Add(float64(released))
+	}
+	if stragglers > 0 {
+		t.Stragglers.Add(float64(stragglers))
+	}
+	t.K.Set(float64(h.K()))
+	t.Depth.Set(float64(h.Len()))
 }
 
 // noteResult records one emitted window result. Latency is observed only

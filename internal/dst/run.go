@@ -237,14 +237,16 @@ func Execute(p Plan) (*Outcome, error) {
 	}
 
 	// Contract 1e: the observability plane is passive. The identical
-	// synchronous run with the handler instrumented into a registry and
+	// synchronous run with the query instrumented into a registry — the
+	// engine's per-query set, cq.Telemetry, which aqserver exports — and
 	// an obs.History hammering Sample on that registry from another
 	// goroutine must reproduce both the output digest and the trace
 	// digest byte for byte — sampling reads instruments, it never
 	// perturbs execution.
 	obsRec := tracez.NewRecorder(1 << 15)
 	reg := obs.NewRegistry()
-	obsHandler := buffer.Instrument(p.handler(), reg, obs.L("query", "dst"))
+	obsQuery := p.build(stream.AsErrSource(stream.NewSliceSource(items)), p.handler()).
+		Trace(tracez.New(obsRec, "dst")).Instrument(cq.NewTelemetry(reg, "dst", p.spec()))
 	hist := obs.NewHistory(reg, obs.HistoryOptions{Step: time.Millisecond, Retention: time.Second})
 	stopSampling := make(chan struct{})
 	samplerDone := make(chan struct{})
@@ -259,7 +261,7 @@ func Execute(p Plan) (*Outcome, error) {
 			}
 		}
 	}()
-	obsSync, err := p.runSync(items, obsHandler, tracez.New(obsRec, "dst"))
+	obsSync, err := obsQuery.Run()
 	close(stopSampling)
 	<-samplerDone
 	if err != nil {

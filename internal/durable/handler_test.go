@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/obs"
+	"repro/internal/obs/tracez"
 	"repro/internal/snapjson"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -161,13 +161,14 @@ func TestHandlerRoundTripAQ(t *testing.T) {
 	roundTrip(t, "aq", h, core.NewAQKSlack(cfg))
 }
 
-// Instrumentation wrappers must be transparent: the state belongs to the
-// wrapped handler, and a wrapped target restores like a bare one.
+// Instrumentation wrappers (the tracing one, buffer.Traced) must be
+// transparent: the state belongs to the wrapped handler, and a wrapped
+// target restores like a bare one.
 func TestHandlerRoundTripUnwrapsInstrumentation(t *testing.T) {
-	inner := buffer.NewKSlack(25)
-	h := buffer.Instrument(inner, obs.NewRegistry())
+	tr := tracez.New(tracez.NewRecorder(64), "q")
+	h := buffer.NewTraced(buffer.NewKSlack(25), tr)
 	feedHandler(t, h)
-	roundTrip(t, "kslack", h, buffer.Instrument(buffer.NewKSlack(25), obs.NewRegistry()))
+	roundTrip(t, "kslack", h, buffer.NewTraced(buffer.NewKSlack(25), tr))
 }
 
 func TestRestoreHandlerRejectsMismatch(t *testing.T) {

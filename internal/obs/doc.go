@@ -15,14 +15,15 @@
 // created with get-or-create semantics:
 //
 //	reg := obs.NewRegistry()
-//	in := reg.Counter("aq_tuples_in_total", "Tuples accepted.", obs.L("query", "q1"))
-//	in.Inc()
+//	jobs := reg.Counter("jobs_done_total", "Jobs completed.", obs.L("worker", "w1"))
+//	jobs.Inc()
 //
 // All write paths are lock-free atomics, safe for concurrent use and
 // cheap enough for per-tuple hot paths (a counter increment is one
 // atomic add). Pull-style metrics that are derived from state guarded
 // elsewhere register a callback instead (GaugeFunc / CounterFunc); the
-// callback runs at scrape time only.
+// callback runs at scrape time only. Forget drops every series carrying a
+// label — a deleted query's — and the callbacks with them.
 //
 // # Naming conventions
 //

@@ -42,7 +42,7 @@ type SeriesHistory struct {
 }
 
 // trackKey identifies one reading of one series by pointer identity:
-// the series is stable for the registry's lifetime, and a histogram
+// the series is stable until the registry forgets it, and a histogram
 // yields two readings (count, sum) distinguished by sub.
 type trackKey struct {
 	s   *series
@@ -55,6 +55,7 @@ type track struct {
 	kind   string
 	labels []Label
 	key    trackKey
+	gen    uint64 // the Sample that last read the series
 
 	ring []Point // fixed capacity, filled circularly
 	head int     // next write position
@@ -93,6 +94,7 @@ type History struct {
 
 	mu     sync.Mutex
 	tracks map[trackKey]*track
+	gen    uint64 // Sample calls so far
 
 	// sampler scratch, reused across Sample calls (zero-alloc steady
 	// state).
@@ -181,8 +183,9 @@ type reading struct {
 	v   float64
 }
 
-// Sample takes one snapshot of every registry series. Safe to call
-// concurrently with Query and with metric updates — including metric
+// Sample takes one snapshot of every registry series and drops the
+// tracks of series the registry has forgotten (Registry.Forget). Safe to
+// call concurrently with Query and with metric updates — including metric
 // callbacks that read this History back (e.g. burn-rate gauges).
 func (h *History) Sample() {
 	nowMS := h.now().UnixMilli()
@@ -220,20 +223,34 @@ func (h *History) Sample() {
 				reads = append(reads, reading{f: f, s: s, v: s.counter.Value()})
 			case s.gauge != nil:
 				reads = append(reads, reading{f: f, s: s, v: s.gauge.Value()})
-			case s.fn != nil:
-				reads = append(reads, reading{f: f, s: s, v: s.fn()})
 			default:
-				// series still being registered; skip this round
+				if fn := s.fn.Load(); fn != nil {
+					reads = append(reads, reading{f: f, s: s, v: (*fn)()})
+				} // else the series is still being registered; skip this round
 			}
 		}
+		clear(ss) // the scratch must not keep a forgotten series alive
 	}
 	h.scratchReads = reads
 
 	h.mu.Lock()
+	h.gen++
 	for _, r := range reads {
-		h.trackFor(r.f, r.s, r.sub).push(Point{T: nowMS, V: r.v})
+		t := h.trackFor(r.f, r.s, r.sub)
+		t.push(Point{T: nowMS, V: r.v})
+		t.gen = h.gen
+	}
+	// Every reading has a track, so more tracks than readings means some
+	// series are gone.
+	if len(h.tracks) > len(reads) {
+		for key, t := range h.tracks {
+			if t.gen != h.gen {
+				delete(h.tracks, key)
+			}
+		}
 	}
 	h.mu.Unlock()
+	clear(reads)
 }
 
 // trackFor returns the ring for (series, sub), creating it on first

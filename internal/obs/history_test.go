@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -65,6 +68,90 @@ func TestHistorySamplesAllSeriesKinds(t *testing.T) {
 	sel := h.Query(HistoryQuery{Names: []string{"aq_test_ms"}})
 	if len(sel) != 2 {
 		t.Fatalf("base-name selector got %d series, want 2", len(sel))
+	}
+}
+
+// TestHistoryDropsForgottenSeries: Registry.Forget takes a label's series
+// out of the exposition, and the next Sample drops their tracks — the
+// history is the one place that would otherwise keep them, and what their
+// callbacks capture, alive.
+func TestHistoryDropsForgottenSeries(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("aq_test_total", "test", L("query", "keep")).Inc()
+	reg.Counter("aq_test_total", "test", L("query", "gone")).Inc()
+	reg.Histogram("aq_test_ms", "test", []float64{1}, L("query", "gone"), L("stage", "x")).Observe(2)
+	reg.GaugeFunc("aq_test_fn", "test", func() float64 { return 1 }, L("query", "gone"))
+	h, _ := newTestHistory(reg, time.Second, time.Minute)
+	h.Sample()
+	if n := len(h.Query(HistoryQuery{})); n != 5 {
+		t.Fatalf("%d tracks before Forget, want 5", n)
+	}
+
+	reg.Forget(L("query", "gone"))
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), `query="gone"`) || !strings.Contains(out.String(), `query="keep"`) {
+		t.Fatalf("exposition after Forget:\n%s", out.String())
+	}
+	h.Sample()
+	all := h.Query(HistoryQuery{})
+	if len(all) != 1 || all[0].Labels["query"] != "keep" || len(all[0].Points) != 2 {
+		t.Fatalf("tracks after Forget: %+v", all)
+	}
+
+	// Registering a forgotten series again starts it afresh.
+	if v := reg.Counter("aq_test_total", "test", L("query", "gone")).Value(); v != 0 {
+		t.Fatalf("re-registered counter starts at %v", v)
+	}
+}
+
+// TestHistoryForgetConcurrent runs Forget against registrations, updates,
+// callback series, exposition and sampling (a deleted query's series go
+// while the server keeps scraping and other queries keep counting); once
+// everything is forgotten, the next sample leaves no track behind.
+func TestHistoryForgetConcurrent(t *testing.T) {
+	reg := NewRegistry()
+	h, _ := newTestHistory(reg, time.Second, time.Minute)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lbl := L("query", fmt.Sprintf("q%d", g))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				reg.Counter("aq_test_total", "test", lbl).Inc()
+				reg.Histogram("aq_test_ms", "test", []float64{1}, lbl).Observe(float64(i))
+				reg.GaugeFunc("aq_test_fn", "test", func() float64 { return float64(g) }, lbl)
+				if i%50 == 0 {
+					reg.Forget(lbl)
+					var out testWriter
+					if err := reg.WritePrometheus(&out); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 200; i++ {
+		h.Sample()
+	}
+	close(stop)
+	wg.Wait()
+	for g := 0; g < 4; g++ {
+		reg.Forget(L("query", fmt.Sprintf("q%d", g)))
+	}
+	h.Sample()
+	if all := h.Query(HistoryQuery{}); len(all) != 0 {
+		t.Fatalf("%d tracks left after every series was forgotten", len(all))
 	}
 }
 

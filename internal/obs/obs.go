@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -145,7 +146,10 @@ type series struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	fn      func() float64 // CounterFunc / GaugeFunc callback
+	// fn is the CounterFunc / GaugeFunc callback: stored after the series is
+	// published and replaced by a re-registration, while scrapes and the
+	// history's sampler read it without the family's lock.
+	fn atomic.Pointer[func() float64]
 }
 
 // family groups all series sharing a metric name.
@@ -261,6 +265,25 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	r.registerFunc(name, help, typeCounter, fn, labels)
 }
 
+// Forget drops every series that carries the label l, in every family: a
+// component gone for good (a deleted query) takes its series, and whatever
+// their callbacks hold, with it. Instruments already handed out keep working
+// but are no longer exported, and registering a forgotten series again
+// creates a fresh one. Families stay, emptied or not.
+func (r *Registry) Forget(l Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range r.fams {
+		f.mu.Lock()
+		for key, s := range f.series {
+			if slices.Contains(s.labels, l) {
+				delete(f.series, key)
+			}
+		}
+		f.mu.Unlock()
+	}
+}
+
 func (r *Registry) registerFunc(name, help string, typ metricType, fn func() float64, labels []Label) {
 	mustValidLabels(labels)
 	if fn == nil {
@@ -268,12 +291,10 @@ func (r *Registry) registerFunc(name, help string, typ metricType, fn func() flo
 	}
 	f := r.familyFor(name, help, typ)
 	s := f.getOrCreate(labels, func() *series { return &series{} })
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if s.counter != nil || s.gauge != nil || s.hist != nil {
 		panic(fmt.Sprintf("obs: %s%s already registered as a direct instrument", name, labelKey(labels)))
 	}
-	s.fn = fn
+	s.fn.Store(&fn)
 }
 
 // sortedFamilies snapshots the family list ordered by name.

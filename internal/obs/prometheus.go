@@ -45,8 +45,9 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 	case s.gauge != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatValue(s.gauge.Value()))
 		return err
-	case s.fn != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatValue(s.fn()))
+	}
+	if fn := s.fn.Load(); fn != nil {
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, key, formatValue((*fn)()))
 		return err
 	}
 	return nil
