@@ -36,6 +36,7 @@ fuzz-short:
 	$(GO) test ./internal/window -run '^$$' -fuzz '^FuzzObserveRunMatchesObserve$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream -run '^$$' -fuzz '^FuzzLineProtocol$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream -run '^$$' -fuzz '^FuzzParserDifferential$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netstream -run '^$$' -fuzz '^FuzzValueKernel$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/aqserver -run '^$$' -fuzz '^FuzzQueryAPI$$' -fuzztime $(FUZZTIME)
 
 # Socket-level integration suite for the network control plane: a real

@@ -413,10 +413,13 @@ func TestOneErrorSimulation(t *testing.T) {
 
 // TestOneFrameParser keeps the wire grammar in one place: in non-test
 // internal/netstream, number parsing (strconv.Parse*, the intField and
-// uintField scanners) and field splitting (bytes/strings Cut, Fields,
-// Split*) occur only inside parseFrame, and both ways in — ParseLine for one
-// line, (*Decoder).Decode for a connection's batches — call it. A fast path
-// beside a slow one is two grammars the moment one of them is edited.
+// uintField scanners, the value kernel valueField with its eiselLemire64
+// step, and the digit-block scanner digitRun they share — each called by
+// another only along the listed internal edges) and field splitting
+// (bytes/strings Cut, Fields, Split*) occur only inside parseFrame, and
+// both ways in — ParseLine for one line, (*Decoder).Decode for a
+// connection's batches — call it. A fast path beside a slow one is two
+// grammars the moment one of them is edited.
 func TestOneFrameParser(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, "internal/netstream", func(fi os.FileInfo) bool {
@@ -456,11 +459,19 @@ func TestOneFrameParser(t *testing.T) {
 			}
 		}
 	}
+	// The package's own number parsers, and the calls one makes into another.
+	scanners := map[string]bool{"intField": true, "uintField": true, "valueField": true, "digitRun": true, "eiselLemire64": true}
+	internal := map[[2]string]bool{
+		{"intField", "uintField"}:       true,
+		{"uintField", "digitRun"}:       true,
+		{"valueField", "digitRun"}:      true,
+		{"valueField", "eiselLemire64"}: true,
+	}
 	grammar := func(callee string) bool {
 		pkg, name, qualified := strings.Cut(callee, ".")
 		switch {
 		case !qualified:
-			return callee == "intField" || callee == "uintField" || callee == "fields"
+			return scanners[callee] || callee == "fields"
 		case pkg == "strconv":
 			return strings.HasPrefix(name, "Parse")
 		case pkg == "bytes" || pkg == "strings":
@@ -475,12 +486,12 @@ func TestOneFrameParser(t *testing.T) {
 				continue
 			}
 			found++
-			if fn != "parseFrame" && !(fn == "intField" && callee == "uintField") {
+			if fn != "parseFrame" && !internal[[2]string{fn, callee}] {
 				t.Errorf("internal/netstream: %s calls %s: frames are parsed in parseFrame only", fn, callee)
 			}
 		}
 	}
-	if found < 4 {
+	if found < 9 {
 		t.Fatalf("extraction rotted: %d grammar calls found in internal/netstream", found)
 	}
 	for _, entry := range []string{"ParseLine", "Decode"} {

@@ -43,7 +43,7 @@ type Listener struct {
 	closed bool
 
 	wg       sync.WaitGroup
-	accepted atomic.Int64
+	accepted atomic.Int64 // connections whose hello opened a sink
 	rejected atomic.Int64 // connections dropped on protocol/sink errors
 }
 
@@ -67,11 +67,13 @@ func Listen(addr string, open func(source, tenant string) (Sink, error), log *sl
 // Addr returns the bound address (useful with ":0").
 func (l *Listener) Addr() net.Addr { return l.l.Addr() }
 
-// Accepted returns how many connections were accepted.
+// Accepted returns how many connections completed the hello: their hello
+// opened a sink.
 func (l *Listener) Accepted() int64 { return l.accepted.Load() }
 
 // Rejected returns how many connections ended on a protocol or sink
-// error (clean client disconnects are not counted).
+// error (clean client disconnects and connections Close ended are not
+// counted).
 func (l *Listener) Rejected() int64 { return l.rejected.Load() }
 
 // Close stops accepting, closes every live connection and waits for the
@@ -122,7 +124,6 @@ func (l *Listener) acceptLoop() {
 			c.Close()
 			return
 		}
-		l.accepted.Add(1)
 		l.wg.Add(1)
 		go l.serve(c)
 	}
@@ -138,10 +139,11 @@ func (l *Listener) serve(c net.Conn) {
 	defer l.untrack(c)
 	defer c.Close()
 	reject := func(msg string, err error, attrs ...any) {
-		l.rejected.Add(1)
-		if !errors.Is(err, net.ErrClosed) {
-			l.log.Warn(msg, append(attrs, "remote", c.RemoteAddr().String(), "err", err)...)
+		if errors.Is(err, net.ErrClosed) {
+			return // Close ended the connection: a drain, not a rejection
 		}
+		l.rejected.Add(1)
+		l.log.Warn(msg, append(attrs, "remote", c.RemoteAddr().String(), "err", err)...)
 	}
 	d := NewDecoder(c)
 	if err := d.Hello(); err != nil {
@@ -154,6 +156,7 @@ func (l *Listener) serve(c net.Conn) {
 		reject("netstream: rejecting connection", err, "source", source)
 		return
 	}
+	l.accepted.Add(1)
 	batch := sink.Get()
 	for {
 		batch, err = d.Decode(batch[:0], connBatch)

@@ -163,6 +163,50 @@ func TestListenerRejectsProtocolGarbage(t *testing.T) {
 	waitFor(t, "rejection", func() bool { return l.Rejected() == 1 })
 }
 
+// TestListenerCountsMatchTheirCatalogRows: a connection is accepted once
+// its hello opened a sink, and rejected only when the listener dropped it
+// on a protocol or sink error, not when Close ended it at drain.
+func TestListenerCountsMatchTheirCatalogRows(t *testing.T) {
+	t.Run("bad hello", func(t *testing.T) {
+		l, err := Listen("127.0.0.1:0", newMemSink().open, quietLogger())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte("S bad/name\n")); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "rejection", func() bool { return l.Rejected() == 1 })
+		if l.Accepted() != 0 {
+			t.Fatalf("accepted=%d after a bad hello, want 0", l.Accepted())
+		}
+	})
+	t.Run("healthy then Close", func(t *testing.T) {
+		sink := newMemSink()
+		l, err := Listen("127.0.0.1:0", sink.open, quietLogger())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &Client{Addr: l.Addr().String(), Source: "s1"}
+		defer c.Close()
+		if err := c.Send(context.Background(), testItems(10)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "items", func() bool { return sink.count("s1") == 10 })
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if l.Accepted() != 1 || l.Rejected() != 0 {
+			t.Fatalf("accepted=%d rejected=%d after Close, want 1 and 0", l.Accepted(), l.Rejected())
+		}
+	})
+}
+
 func TestListenerSinkErrorClosesConnection(t *testing.T) {
 	sink := newMemSink()
 	sink.err = errors.New("quota exceeded")
