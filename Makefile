@@ -96,11 +96,12 @@ cover:
 # fan-out ring (TestOneIngestQueue), grouped queries on one window
 # stage inside the step (TestOneWindowStage), queries behind one fixed
 # handler on one disorder pass, grouped by one key from one subscription
-# path (TestOneDisorderPass), and every metric name registered in one
-# file, by one instrument set (TestOneInstrumentSet).
+# path (TestOneDisorderPass), every metric name registered in one
+# file, by one instrument set (TestOneInstrumentSet), and fan-out batch
+# recycling in one compare-and-swap-guarded function (TestOneRecycleSite).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/buffer"
 	"repro/internal/cq"
@@ -119,6 +120,43 @@ func TestAPISharedDisorderPass(t *testing.T) {
 	dropAndCompare(t, a, ts, items, fanoutCQL)
 	if n := a.fleet.Source("s0").Subscribers(); n != 0 {
 		t.Fatalf("%d subscribers left after every query was deleted", n)
+	}
+}
+
+// TestRuntimeGroupRecyclesRingBatches: a runtime group stepping a fleet
+// source hands each batch back to the ring at its release, so a producer
+// that lets the group catch up between publishes cycles a few item slices
+// through the 256-slot ring, not one per slot.
+func TestRuntimeGroupRecyclesRingBatches(t *testing.T) {
+	a, ts := apiTestApp(t, appConfig{batch: 8})
+	if resp, body := postJSON(t, ts, "/api/sources", map[string]string{"name": "s0"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create source: %d %s", resp.StatusCode, body)
+	}
+	registerQueries(t, ts, map[string]string{"s0-tumble": fanoutCQL["s0-tumble"]})
+	q, _ := a.srv.get("s0-tumble")
+	src := a.fleet.Source("s0")
+	items := sensorItems(4000, 37)
+	const per = 4
+	seen := map[*stream.Item]bool{}
+	for off := 0; off < len(items); off += per {
+		batch := src.Get()
+		seen[unsafe.SliceData(batch)] = true
+		if err := src.PublishOwned(append(batch, items[off:off+per]...), stream.BatchProv{}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for q.grp.sub.Lag() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("the group is stuck %d batches behind", q.grp.sub.Lag())
+			}
+			runtime.Gosched()
+		}
+	}
+	waitTuples(t, ts, "s0-tumble", int64(len(items)))
+	// The group's release stores its cursor before it recycles, so the next
+	// Get may come first: one slice in the ring, one pending, one filled.
+	if len(seen) > 3 {
+		t.Fatalf("%d publishes used %d distinct item slices, want at most 3", len(items)/per, len(seen))
 	}
 }
 

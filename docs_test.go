@@ -747,6 +747,54 @@ func TestOneIngestQueue(t *testing.T) {
 	}
 }
 
+// TestOneRecycleSite keeps the fan-out ring's batch recycling in one place.
+// A ring batch goes back to the free list at the Release that moves the last
+// live consumer's cursor past it, or at the overwrite of its slot when no
+// release did; both may find the same batch behind every cursor, and a batch
+// handed out twice would be refilled under a consumer still reading it. So
+// in non-test internal/fanout, pool.Put is called from exactly one function,
+// recycle, and that function guards it with the batch's compare-and-swap.
+func TestOneRecycleSite(t *testing.T) {
+	puts, guarded := map[string]bool{}, map[string]bool{}
+	fanoutFiles := 0
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if !strings.HasPrefix(path, "internal/fanout/") || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		fanoutFiles++
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			where := path + ": " + fn.Name.Name
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					switch sel.Sel.Name {
+					case "Put":
+						if pool, ok := sel.X.(*ast.SelectorExpr); ok && pool.Sel.Name == "pool" {
+							puts[where] = true
+						}
+					case "CompareAndSwap":
+						guarded[where] = true
+					}
+				}
+				return true
+			})
+		}
+	})
+	if fanoutFiles == 0 {
+		t.Fatal("extraction rotted: no non-test internal/fanout file parsed")
+	}
+	const want = "internal/fanout/fanout.go: recycle"
+	if len(puts) != 1 || !puts[want] {
+		t.Errorf("non-test internal/fanout calls pool.Put in %v, want only %s", keys(puts), want)
+	}
+	if !guarded[want] {
+		t.Errorf("%s does not guard its pool.Put with a CompareAndSwap", want)
+	}
+}
+
 // TestOneWindowStage keeps grouped execution inside the step core. For
 // eighteen PRs RunConcurrent ran GROUP BY queries on a second window stage —
 // a dispatcher broadcasting every released tuple to N shard workers and a

@@ -14,9 +14,14 @@
 //     Reading is one atomic load of the slot plus a stamp check; no
 //     locks, no per-consumer channels, no copies — consumers borrow the
 //     published batch until they Release it.
-//   - Batches are recycled through a sync.Pool once every live
-//     consumer's cursor has passed them, so a steady-state ring
-//     allocates no transport memory.
+//   - A batch goes back to the ring's free list at the Release that
+//     moves the last live consumer's cursor past it, so a source whose
+//     consumers keep up cycles two or three batches, however deep the
+//     ring. Ring depth bounds how far a consumer may lag, not memory:
+//     what a source holds is what its consumers have not released. A
+//     batch a lapped ShedOldest consumer held is not released by it; it
+//     comes back when its slot is overwritten with every live cursor
+//     past it, or else goes to the GC.
 //
 // Slow consumers choose a policy at Subscribe time. Block consumers
 // apply backpressure: the producer waits before overwriting a slot a
@@ -68,15 +73,58 @@ var ErrClosed = errors.New("fanout: broadcast closed")
 
 // batch is one published ring entry. Batches are immutable once stored:
 // the producer stamps a fresh one per Publish and consumers only read,
-// so slot pointers are the only shared mutable state.
+// so slot pointers are the only shared mutable state — besides recycled,
+// which hands items back to the free list exactly once.
 type batch struct {
-	seq   int64 // ring sequence, dense from 0
-	items []stream.Item
-	n     int64            // data tuples in items (heartbeats excluded)
-	cum   int64            // cumulative data tuples through this batch, inclusive
-	eos   bool             // end-of-stream marker (items empty)
-	err   error            // producer failure (items empty, eos set)
-	prov  stream.BatchProv // wire provenance (zero when the producer has none)
+	seq      int64 // ring sequence, dense from 0
+	items    []stream.Item
+	n        int64            // data tuples in items (heartbeats excluded)
+	cum      int64            // cumulative data tuples through this batch, inclusive
+	eos      bool             // end-of-stream marker (items empty)
+	err      error            // producer failure (items empty, eos set)
+	prov     stream.BatchProv // wire provenance (zero when the producer has none)
+	recycled atomic.Bool
+}
+
+// freeKeep bounds the item slices a ring keeps idle. Consumers that keep up
+// need two or three; what a lag burst returns beyond that goes to the GC, so
+// idle memory does not grow with ring depth either.
+const freeKeep = 8
+
+// freeList holds released item slices, newest on top, so the producer
+// refills the one most recently read. A sync.Pool may drop what it is given
+// (under -race it drops a quarter on purpose), and a consumer's Put lands in
+// its own P's private slot, out of the producer's reach; here reuse is
+// deterministic.
+type freeList struct {
+	mu    sync.Mutex
+	free  [][]stream.Item
+	fresh int // capacity of a slice made when the list is empty
+}
+
+// Get pops the newest idle slice, or makes one.
+func (f *freeList) Get() []stream.Item {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		items := f.free[n-1]
+		f.free[n-1] = nil
+		f.free = f.free[:n-1]
+		return items
+	}
+	return make([]stream.Item, 0, f.fresh)
+}
+
+// Put keeps items for reuse; when freeKeep slices are idle already, the
+// oldest of them goes to the GC instead.
+func (f *freeList) Put(items []stream.Item) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.free) == freeKeep {
+		copy(f.free, f.free[1:])
+		f.free = f.free[:freeKeep-1]
+	}
+	f.free = append(f.free, items)
 }
 
 // signal is a broadcast parking spot: waiters grab the current epoch
@@ -157,7 +205,7 @@ type Broadcast struct {
 	published atomic.Int64 // batches published (excluding the final marker)
 	dropped   atomic.Int64 // data tuples shed across all ShedOldest consumers
 
-	pool sync.Pool // recycled []stream.Item
+	pool freeList // released item slices
 
 	mu     sync.Mutex
 	subs   []*Sub
@@ -183,14 +231,13 @@ func New(o Options) *Broadcast {
 	if bcap <= 0 {
 		bcap = 64
 	}
-	b := &Broadcast{
+	return &Broadcast{
 		mask:  int64(n - 1),
 		slots: make([]atomic.Pointer[batch], n),
+		pool:  freeList{fresh: bcap},
 		pub:   newSignal(),
 		cons:  newSignal(),
 	}
-	b.pool.New = func() any { return make([]stream.Item, 0, bcap) }
-	return b
 }
 
 // Trace mirrors publish events into the tracer's flight recorder
@@ -257,15 +304,27 @@ func (b *Broadcast) SubscribeLate(name string, p Policy) *Sub {
 	return s
 }
 
-// Get returns a pooled item slice (length 0) for the producer to fill
-// before Publish. Publishing hands ownership to the ring; the slice
-// comes back to the pool once every live consumer has released it.
+// Get returns an item slice (length 0) for the producer to fill before
+// Publish, reusing a released one when it can. Publishing hands ownership
+// to the ring; the slice comes back at the Release that moves the last
+// live consumer's cursor past its batch. A batch a lapped ShedOldest
+// consumer held comes back when its slot is overwritten with every live
+// cursor past it, or goes to the GC.
 func (b *Broadcast) Get() []stream.Item {
-	return b.pool.Get().([]stream.Item)[:0]
+	return b.pool.Get()[:0]
+}
+
+// recycle returns bt's items to the free list, once: a releasing consumer
+// and the producer overwriting bt's slot may both find bt behind every
+// live cursor. The caller must have seen exactly that (minCursor > bt.seq).
+func (b *Broadcast) recycle(bt *batch) {
+	if bt.items != nil && bt.recycled.CompareAndSwap(false, true) {
+		b.pool.Put(bt.items[:0])
+	}
 }
 
 // minCursor returns the smallest next-to-read sequence over live
-// consumers with the given policy filter (all == true ignores policy).
+// consumers with the given policy filter (blockOnly == false counts all).
 // Dead (unsubscribed) consumers never hold the ring back.
 func (b *Broadcast) minCursor(blockOnly bool) int64 {
 	b.mu.Lock()
@@ -358,12 +417,11 @@ func (b *Broadcast) publish(ctx context.Context, items []stream.Item, prov strea
 	}
 
 	// Recycle the batch being overwritten if every live consumer —
-	// including ShedOldest ones — is past it; otherwise let the GC have
+	// including ShedOldest ones — is past it and no Release did (a lapped
+	// consumer skipped it, or a laggard left); otherwise let the GC have
 	// it (a straggling shed consumer may still be reading it).
-	if old := b.slots[seq&b.mask].Load(); old != nil && old.items != nil {
-		if b.minCursor(false) > old.seq {
-			b.pool.Put(old.items[:0])
-		}
+	if old := b.slots[seq&b.mask].Load(); old != nil && b.minCursor(false) > old.seq {
+		b.recycle(old)
 	}
 
 	b.slots[seq&b.mask].Store(nb)
@@ -642,11 +700,18 @@ func (s *Sub) acquire(ctx context.Context) (*batch, error) {
 
 // Release returns a borrowed batch to the ring. seq must be the
 // sequence NextBatch handed out; releases are in-order, so the cursor
-// simply advances past it.
+// simply advances past it. The release that moves the last live cursor
+// past the batch recycles its items.
 func (s *Sub) Release(seq int64) {
 	s.cursor.Store(seq + 1)
 	if bt := s.b.slots[seq&s.b.mask].Load(); bt != nil && bt.seq == seq {
 		s.consumedFloor.Store(bt.cum)
+		// A batch pubSeq does not count yet is left to the overwrite: a
+		// SubscribeLate joining now would start at it, and minCursor cannot
+		// see that joiner before it registers.
+		if seq < s.b.pubSeq.Load() && s.b.minCursor(false) > seq {
+			s.b.recycle(bt)
+		}
 	}
 	s.b.cons.wake()
 }

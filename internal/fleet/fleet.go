@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/fanout"
+	"repro/internal/netstream"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/stream"
@@ -109,7 +110,7 @@ func (r *Registry) sourceLocked(name string) *Source {
 	if !ok {
 		s = &Source{
 			name:  name,
-			ring:  fanout.New(fanout.Options{Ring: r.opts.Ring}),
+			ring:  fanout.New(fanout.Options{Ring: r.opts.Ring, BatchCap: netstream.ConnBatch}),
 			rate:  r.opts.Quotas.MaxIngestPerSec,
 			clock: r.opts.Clock,
 		}

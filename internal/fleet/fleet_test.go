@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fanout"
+	"repro/internal/netstream"
 	"repro/internal/obs"
 	"repro/internal/stream"
 )
@@ -65,6 +66,15 @@ func drainSub(t *testing.T, sub *fanout.Sub) []float64 {
 		if !it.Heartbeat {
 			vals = append(vals, it.Tuple.Value)
 		}
+	}
+}
+
+// TestSourceGetFitsTheListener: a fresh batch from a source has the
+// listener's capacity, so decoding a full ConnBatch into it never regrows it.
+func TestSourceGetFitsTheListener(t *testing.T) {
+	r := NewRegistry(Options{})
+	if got := cap(r.Source("s1").Get()); got != netstream.ConnBatch {
+		t.Fatalf("fresh Source.Get() capacity = %d, want netstream.ConnBatch = %d", got, netstream.ConnBatch)
 	}
 }
 

@@ -30,7 +30,7 @@ func sensorExpWire(n int, seed uint64) []byte {
 // stream is decoded again from the top as often as b.N needs.
 func BenchmarkDecodeServerShaped(b *testing.B) {
 	wire := sensorExpWire(200_000, 1)
-	batch := make([]stream.Item, 0, connBatch)
+	batch := make([]stream.Item, 0, ConnBatch)
 	var r bytes.Reader
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -42,7 +42,7 @@ func BenchmarkDecodeServerShaped(b *testing.B) {
 		}
 		for n < b.N {
 			var err error
-			batch, err = d.Decode(batch[:0], connBatch)
+			batch, err = d.Decode(batch[:0], ConnBatch)
 			n += len(batch)
 			if err == io.EOF {
 				break

@@ -9,12 +9,13 @@ import (
 	"repro/internal/stream"
 )
 
-// connBatch bounds how many decoded items one Decode call (and so one
-// sink publish) carries.
-const connBatch = 256
+// ConnBatch bounds how many decoded items one Decode call (and so one
+// sink publish) carries. A sink that lends the listener its batches sizes
+// them to it, so Decode never regrows one.
+const ConnBatch = 256
 
 // readBuf sizes the decoder's read buffer: one read holds several full
-// connBatches of typical data frames (40-60 bytes each), so a fast client's
+// ConnBatches of typical data frames (40-60 bytes each), so a fast client's
 // write is rarely cut into partial batches, and many maximal lines.
 const readBuf = 64 << 10
 
@@ -184,7 +185,7 @@ func (d *Decoder) ReadAll() ([]stream.Item, error) {
 	var items []stream.Item
 	for {
 		var err error
-		items, err = d.Decode(items, connBatch)
+		items, err = d.Decode(items, ConnBatch)
 		if err == io.EOF {
 			return items, nil
 		}

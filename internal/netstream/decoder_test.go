@@ -88,9 +88,9 @@ func TestDecoderOverlongLineWithoutNewline(t *testing.T) {
 	if err := d.Hello(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Decode(nil, connBatch)
+	got, err := d.Decode(nil, ConnBatch)
 	if err == nil && len(got) == 1 {
-		got, err = d.Decode(got, connBatch)
+		got, err = d.Decode(got, ConnBatch)
 	}
 	if err == nil || len(got) != 1 || got[0].Watermark != 1 {
 		t.Fatalf("got %d items, err %v; want the heartbeat and a line-length error", len(got), err)

@@ -132,7 +132,7 @@ func (l *Listener) acceptLoop() {
 // serve drains one connection: hello, then every complete frame already
 // read is decoded straight into a batch borrowed from the sink and handed
 // over before the next blocking read, so one TCP segment's worth of
-// frames becomes one publish (connBatch at most) and a trickling client
+// frames becomes one publish (ConnBatch at most) and a trickling client
 // still sees per-frame latency.
 func (l *Listener) serve(c net.Conn) {
 	defer l.wg.Done()
@@ -159,7 +159,7 @@ func (l *Listener) serve(c net.Conn) {
 	l.accepted.Add(1)
 	batch := sink.Get()
 	for {
-		batch, err = d.Decode(batch[:0], connBatch)
+		batch, err = d.Decode(batch[:0], ConnBatch)
 		if len(batch) > 0 {
 			if perr := sink.PublishOwned(batch, d.Prov()); perr != nil {
 				reject("netstream: sink rejected batch; closing connection", perr, "source", source)

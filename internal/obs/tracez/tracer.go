@@ -47,6 +47,11 @@ const provCap = 512
 // dumpCap bounds how many dumps a tracer retains.
 const dumpCap = 8
 
+// dumpEvents bounds the events one dump copies: the newest of the ring.
+// A violation, panic or breaker trip is explained by what led up to it, and
+// a full default ring is 16× this — megabytes a copy, per dump retained.
+const dumpEvents = 4096
+
 // Tracer is one query's handle into the flight recorder: the pipeline
 // stages call its methods, it turns them into Events, maintains the
 // per-window provenance ring, and feeds realized-error samples to the
@@ -369,9 +374,9 @@ func (t *Tracer) ProvenanceFor(win int64) (Provenance, bool) {
 	return Provenance{}, false
 }
 
-// Dump takes a flight-recorder snapshot (events + provenance), retains
-// it (last dumpCap dumps), hands it to the OnDump sink if one is set,
-// and returns it. win < 0 means "no specific window".
+// Dump takes a flight-recorder snapshot (the newest dumpEvents events +
+// provenance), retains it (last dumpCap dumps), hands it to the OnDump sink
+// if one is set, and returns it. win < 0 means "no specific window".
 func (t *Tracer) Dump(reason string, at, win int64) Dump {
 	if t == nil {
 		return Dump{}
@@ -382,7 +387,7 @@ func (t *Tracer) Dump(reason string, at, win int64) Dump {
 		At:         at,
 		Win:        win,
 		Provenance: t.Provenances(),
-		Events:     t.rec.Events(),
+		Events:     t.rec.Last(dumpEvents),
 	}
 	t.dumpMu.Lock()
 	t.dumps = append(t.dumps, d)

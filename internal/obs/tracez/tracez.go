@@ -269,20 +269,29 @@ func (r *Recorder) Total() uint64 {
 // Events returns the retained events oldest-first. With concurrent
 // writers the snapshot is a consistent-per-slot approximation: each
 // entry is a complete event, ordering is by sequence number.
+func (r *Recorder) Events() []Event {
+	if r == nil {
+		return nil
+	}
+	return r.newest(r.size)
+}
+
+// newest reads the n ring positions before the next write's, oldest first.
 //
 // Event seq lives in slot seq % size, so the ring read from the oldest live
 // seq's slot round to the one before it is in seq order already. Only a writer
 // racing the read — one that claimed a seq and has not yet overwritten the
 // slot's event of a lap before, or wrote behind the read's start — can leave a
 // slot out of that order, and then the copy is sorted.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
+func (r *Recorder) newest(n uint64) []Event {
+	out := make([]Event, 0, min(n, uint64(r.Len())))
+	end := r.next.Load() % r.size
+	if start := (end + r.size - n) % r.size; start < end {
+		out = r.appendSlots(out, start, end)
+	} else {
+		out = r.appendSlots(out, start, r.size)
+		out = r.appendSlots(out, 0, end)
 	}
-	out := make([]Event, 0, r.Len())
-	start := r.next.Load() % r.size
-	out = r.appendSlots(out, start, r.size)
-	out = r.appendSlots(out, 0, start)
 	bySeq := func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) }
 	if !slices.IsSortedFunc(out, bySeq) {
 		slices.SortFunc(out, bySeq)
@@ -313,11 +322,13 @@ func (r *Recorder) appendSlots(out []Event, lo, hi uint64) []Event {
 }
 
 // Last returns the newest n retained events oldest-first (all of them
-// when n <= 0 or exceeds the retained count).
+// when n <= 0 or exceeds the retained count), reading only their slots.
 func (r *Recorder) Last(n int) []Event {
-	evs := r.Events()
-	if n > 0 && n < len(evs) {
-		evs = evs[len(evs)-n:]
+	if r == nil {
+		return nil
 	}
-	return evs
+	if n <= 0 || uint64(n) > r.size {
+		return r.newest(r.size)
+	}
+	return r.newest(uint64(n))
 }

@@ -399,6 +399,58 @@ func TestDumpSink(t *testing.T) {
 	}
 }
 
+// TestDumpHoldsNewestEvents: a dump off a full default-size ring copies
+// only the newest dumpEvents events, and the newest is what triggered it.
+func TestDumpHoldsNewestEvents(t *testing.T) {
+	rec := NewRecorder(DefaultRecorderSize)
+	tr := New(rec, "q")
+	tr.SetWatchdog(NewWatchdog(0.01, nil))
+	for i := 0; i < DefaultRecorderSize+100; i++ {
+		tr.BufferSync(int64(i), 1, 1, 0, 100, false)
+	}
+	if rec.Len() != DefaultRecorderSize {
+		t.Fatalf("ring holds %d events, want it full at %d", rec.Len(), DefaultRecorderSize)
+	}
+	tr.QualitySample(int64(DefaultRecorderSize+100), 7, 0.5)
+	dumps := tr.Dumps()
+	if len(dumps) != 1 {
+		t.Fatalf("got %d dumps, want 1", len(dumps))
+	}
+	evs := dumps[0].Events
+	if len(evs) == 0 || len(evs) > dumpEvents {
+		t.Fatalf("dump holds %d events, want 1..%d", len(evs), dumpEvents)
+	}
+	if last := evs[len(evs)-1]; last.Kind != KindViolation || last.Win != 7 {
+		t.Fatalf("dump ends with %+v, want the KindViolation event", last)
+	}
+	if want := rec.Total() - 1; evs[len(evs)-1].Seq != want {
+		t.Fatalf("dump's newest event has seq %d, want %d", evs[len(evs)-1].Seq, want)
+	}
+}
+
+// TestLastIsEventsSuffix: Last(n) reads only the newest n slots, and that is
+// the tail of Events whether the read wraps the ring, crosses a chunk or not.
+func TestLastIsEventsSuffix(t *testing.T) {
+	for _, size := range []int{5, chunkSlots + 3, 3 * chunkSlots} {
+		r := NewRecorder(size)
+		for total := 0; total < 3*size; total += 1 + total/3 {
+			for r.Total() < uint64(total) {
+				r.Record(Event{At: int64(r.Total()), Kind: KindInsert, Stage: StageBuffer})
+			}
+			all := r.Events()
+			for _, n := range []int{-1, 0, 1, 2, size / 2, size - 1, size, size + 1} {
+				want := all
+				if n > 0 && n < len(all) {
+					want = all[len(all)-n:]
+				}
+				if got := r.Last(n); !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
+					t.Fatalf("size %d, %d recorded: Last(%d) = %d events, want the %d newest", size, total, n, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
 func TestChromeTrace(t *testing.T) {
 	tr := New(NewRecorder(256), "demo")
 	tr.SourceBatch(10, 64)
