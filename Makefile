@@ -98,10 +98,12 @@ cover:
 # handler on one disorder pass, grouped by one key from one subscription
 # path (TestOneDisorderPass), every metric name registered in one
 # file, by one instrument set (TestOneInstrumentSet), and fan-out batch
-# recycling in one compare-and-swap-guarded function (TestOneRecycleSite).
+# recycling in one compare-and-swap-guarded function (TestOneRecycleSite),
+# and an adaptive query's windows computed once, by its own operator
+# (TestOneWindowComputation).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$|^TestOneWindowComputation$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

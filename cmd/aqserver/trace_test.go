@@ -104,6 +104,8 @@ func TestTraceEndpoint(t *testing.T) {
 // automatic flight-recorder dump naming the violating window.
 func TestReadinessQualityViolations(t *testing.T) {
 	q, tr, wd := tracedRunner(t, "violated-sum")
+	var dumps []tracez.Dump
+	tr.OnDump(func(d tracez.Dump) { dumps = append(dumps, d) })
 	srv := newServer()
 	srv.add(q)
 
@@ -125,7 +127,6 @@ func TestReadinessQualityViolations(t *testing.T) {
 		t.Fatal("quality violation must degrade, not fail, readiness")
 	}
 
-	dumps := tr.Dumps()
 	if len(dumps) == 0 {
 		t.Fatal("violation start did not dump the flight recorder")
 	}

@@ -956,6 +956,67 @@ func TestOneDisorderPass(t *testing.T) {
 	}
 }
 
+// TestOneWindowComputation keeps the adaptive controller's feedback on the
+// query's own window operator. For thirty PRs AQKSlack computed every window
+// a second time beside the query — a private DropLate window.Op fed each
+// tuple it released, to learn the emitted value, and a window.Aggregate per
+// open window over the same tuples, stragglers included, to learn the
+// complete one — about a quarter of the adaptive step, and under GROUP BY a
+// global window no query delivered. Now the operator keeps each emitted
+// window until the controller's feedback horizon and reports it
+// (window.Op.SetFeedback, cq.Exec). So: non-test internal/core names neither
+// window.Op nor window.KeyedOp nor their constructors, and no struct in it
+// holds a window.Aggregate, but for the one Monte-Carlo trial's thinned
+// window the error model simulates (the estimator's sweepTrial.thin), which
+// is no window a query emits.
+func TestOneWindowComputation(t *testing.T) {
+	allowed := map[string]bool{"internal/core/estimator.go: sweepTrial.thin": true}
+	coreFiles := 0
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if !strings.HasPrefix(path, "internal/core/") || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		coreFiles++
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && id.Name == "window" {
+					switch n.Sel.Name {
+					case "Op", "KeyedOp", "NewOp", "NewKeyedOp", "NewOpWithCore":
+						t.Errorf("%s: window.%s: the controller reads the query's operator, it runs none of its own",
+							fset.Position(n.Pos()), n.Sel.Name)
+					}
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					holds := false
+					ast.Inspect(field.Type, func(m ast.Node) bool {
+						if sel, ok := m.(*ast.SelectorExpr); ok && sel.Sel.Name == "Aggregate" {
+							if id, ok := sel.X.(*ast.Ident); ok && id.Name == "window" {
+								holds = true
+							}
+						}
+						return true
+					})
+					for _, name := range field.Names {
+						if where := path + ": " + n.Name.Name + "." + name.Name; holds && !allowed[where] {
+							t.Errorf("%s holds a window.Aggregate: a window's value is the query operator's (window.Final)", where)
+						}
+					}
+				}
+			}
+			return true
+		})
+	})
+	if coreFiles == 0 {
+		t.Fatal("extraction rotted: no non-test internal/core file parsed")
+	}
+}
+
 // keys lists a set's members, sorted.
 func keys(set map[string]bool) []string {
 	out := make([]string, 0, len(set))

@@ -1,6 +1,9 @@
 package buffer
 
-import "repro/internal/stream"
+import (
+	"repro/internal/stream"
+	"repro/internal/window"
+)
 
 // BatchHandler is implemented by handlers that have a batched insert fast
 // path, amortizing per-call overhead across a whole transport batch.
@@ -23,6 +26,25 @@ type BatchHandler interface {
 	// their order and the handler's Stats must be identical to calling
 	// Insert once per item.
 	InsertBatch(items []stream.Item, out []stream.Tuple, ends []int) ([]stream.Tuple, []int)
+}
+
+// FeedbackHandler is implemented by a handler that adapts to the error its
+// query actually delivers — the adaptive controller of internal/core, and a
+// shedder in front of one. The query's window operator keeps each window it
+// emits until FeedbackHorizon past the window's end and then reports the
+// window's emitted and complete value (window.Op.SetFeedback). The executor
+// (cq.Exec) inserts by InsertRun, which takes items up to the one after which
+// the handler's next adaptation falls due — ends and out as InsertBatch has
+// them, so len(ends) grows by the items taken — and reports whether it
+// stopped there; and once the window operator has had what that released, it
+// hands the operator's reports to Feedback, which runs the adaptation. A
+// horizon of 0 means the handler takes no feedback: it is then inserted into
+// item by item, by Insert.
+type FeedbackHandler interface {
+	Handler
+	FeedbackHorizon() stream.Time
+	InsertRun(items []stream.Item, out []stream.Tuple, ends []int) ([]stream.Tuple, []int, bool)
+	Feedback(fs []window.Final)
 }
 
 // InsertBatch feeds items to h in order, using the handler's batched fast

@@ -127,11 +127,17 @@ type QualityStats struct {
 // fixed K-slack buffer fits, and adapts its slack to the smallest value
 // whose estimated + realized window error stays within Theta.
 //
-// Internally it runs a shadow of the downstream window computation on the
-// tuples it releases: the value each window had when it was (or would
-// have been) emitted, and — because stragglers keep flowing through the
-// buffer — the window's eventually-complete value. Their relative
-// difference is the error actually inflicted, fed back into the PI trim.
+// The realized error comes from the query's own window operator, not from a
+// computation of the handler's: cq.Exec has the operator keep each emitted
+// window until FeedbackHorizon past its end, adding the stragglers released
+// meanwhile, and hands the handler the window's emitted and complete value
+// then (Feedback). Their relative difference is the error actually
+// inflicted, fed back into the PI trim. Between adaptations the handler
+// inserts a run at a time into its K-slack (InsertRun); the run ends at the
+// item after which an adaptation falls due, and the adaptation waits until
+// the operator has seen what the run released. A caller that drives Insert
+// itself gets the same handler with no one to report back: the model half
+// of the controller, with no realized feedback.
 type AQKSlack struct {
 	cfg  Config
 	buf  *buffer.KSlack
@@ -139,20 +145,12 @@ type AQKSlack struct {
 	pi   *PI
 	mode Mode
 
-	// Shadow of the downstream computation, over released tuples.
-	shadow   *window.Op  // emitted view (DropLate: values at emission time)
-	wins     []shadowWin // wins[i] is window fullLo+i: indices are dense
-	fullLo   int64       // smallest window index still tracked
-	fullHi   int64       // largest window index a released tuple fell in
-	haveWin  bool
-	relClock stream.Time // max released event timestamp
-	relStart bool
-
 	realized  *ewmaOrZero
 	curve     LossCurve // error model as of the last refresh; empty before it
 	curveAge  int       // adaptations since then, modulo LossRefresh
 	lastAdapt stream.Time
 	adaptInit bool
+	due       bool      // InsertRun stopped where an adaptation falls due
 	trace     []KSample // ring of the last traceCap samples
 	traceHead int       // oldest sample, once the ring is full
 	qstats    QualityStats
@@ -160,15 +158,6 @@ type AQKSlack struct {
 	telem      *Telemetry     // optional live metrics; nil when uninstrumented
 	tracer     *tracez.Tracer // optional event tracing; nil-safe when absent
 	lastClamps int64          // PI clamp count already published to telem
-
-	scratchRes []window.Result
-}
-
-// shadowWin is one window of the shadow computation, until finalized.
-type shadowWin struct {
-	full       window.Aggregate // every contribution, stragglers included; nil while empty
-	emitted    float64          // value at emission time
-	hasEmitted bool
 }
 
 // ewmaOrZero is a tiny EWMA that reports whether it has data.
@@ -204,35 +193,88 @@ func NewAQKSlack(cfg Config) *AQKSlack {
 		est:      NewEstimator(cfg.Spec, cfg.Agg, cfg.Estimator),
 		pi:       cfg.PI,
 		mode:     cfg.Mode,
-		shadow:   window.NewOp(cfg.Spec, cfg.Agg, window.DropLate, 0),
 		realized: &ewmaOrZero{},
 	}
 }
 
-// Insert implements buffer.Handler.
+// Insert implements buffer.Handler: InsertRun of the one item, then the
+// adaptation it leaves due, with no realized error to trim by (see AQKSlack).
 func (a *AQKSlack) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
-	if !it.Heartbeat {
-		t := it.Tuple
-		late := a.buf.Clock() - t.TS
-		if !a.relStart && a.buf.Stats().Inserted == 0 {
-			late = 0
-		}
-		a.est.ObserveTuple(float64(late), t.Value)
-	}
-	before := len(out)
-	out = a.buf.Insert(it, out)
-	a.processReleases(out[before:])
-	a.maybeAdapt()
+	var end [1]int
+	out, _, _ = a.InsertRun([]stream.Item{it}, out, end[:0])
+	a.Feedback(nil)
 	return out
 }
 
-// Flush implements buffer.Handler.
-func (a *AQKSlack) Flush(out []stream.Tuple) []stream.Tuple {
-	before := len(out)
-	out = a.buf.Flush(out)
-	a.processReleases(out[before:])
-	return out
+// InsertRun inserts items from the front of items into the K-slack, in one
+// batch, up to the one after which an adaptation falls due — the period has
+// elapsed on the stream clock and the estimator is warm — or all of them,
+// and reports whether it stopped there. Released tuples and ends follow
+// buffer.BatchHandler.InsertBatch, so len(ends) grows by the items taken.
+// The due adaptation runs at the next Feedback, which must come before the
+// next InsertRun: its caller first hands the released run to the window
+// operator whose reports Feedback takes.
+func (a *AQKSlack) InsertRun(items []stream.Item, out []stream.Tuple, ends []int) ([]stream.Tuple, []int, bool) {
+	// The stream clock the K-slack will have after each item, to measure
+	// each tuple's lateness against and to find the due item, is the
+	// running maximum of event times and watermarks; the K-slack starts it
+	// at the first item, as the adaptation period does.
+	clock, first := a.buf.Clock(), a.buf.Stats().Inserted == 0
+	n, due := len(items), false
+	for i := range items {
+		it := &items[i]
+		at := it.Watermark
+		if !it.Heartbeat {
+			at = it.Tuple.TS
+			late := clock - at
+			if first {
+				late, first = 0, false
+			}
+			a.est.ObserveTuple(float64(late), it.Tuple.Value)
+		}
+		if !a.adaptInit {
+			clock, a.adaptInit, a.lastAdapt = at, true, at
+			continue
+		}
+		clock = max(clock, at)
+		if clock-a.lastAdapt >= a.cfg.AdaptEvery && a.est.Observations() >= a.cfg.WarmupTuples {
+			n, due = i+1, true
+			break
+		}
+	}
+	out, ends = a.buf.InsertBatch(items[:n], out, ends)
+	a.due = due
+	return out, ends, due
 }
+
+// FeedbackHorizon is how long past its end a window's stragglers still count
+// towards its realized error: the operator reports a window (Feedback) once
+// its clock is this far past the window's end.
+func (a *AQKSlack) FeedbackHorizon() stream.Time { return a.cfg.FeedbackHorizon }
+
+// Feedback takes the windows the query's operator reported, in the order it
+// reported them, into the realized error and the per-window count estimate,
+// then runs the adaptation InsertRun left due, if any.
+func (a *AQKSlack) Feedback(fs []window.Final) {
+	for _, f := range fs {
+		a.est.ObserveWindowCount(f.N)
+		a.realized.add(relErrEst(f.Emitted, f.Full))
+		a.qstats.FinalizedWins++
+		if a.telem != nil {
+			a.telem.Finalized.Inc()
+			a.telem.RealizedErr.Set(a.realized.v)
+		}
+		_, end := a.cfg.Spec.Bounds(f.Idx)
+		a.tracer.QualitySample(int64(end+a.cfg.FeedbackHorizon), f.Idx, a.realized.v)
+	}
+	if a.due {
+		a.due = false
+		a.adapt()
+	}
+}
+
+// Flush implements buffer.Handler.
+func (a *AQKSlack) Flush(out []stream.Tuple) []stream.Tuple { return a.buf.Flush(out) }
 
 // K implements buffer.Handler.
 func (a *AQKSlack) K() stream.Time { return a.buf.K() }
@@ -286,106 +328,9 @@ func (a *AQKSlack) Quality() QualityStats {
 	return q
 }
 
-// processReleases runs the shadow window computation over newly released
-// tuples and finalizes realized errors.
-func (a *AQKSlack) processReleases(rel []stream.Tuple) {
-	for _, t := range rel {
-		if !a.relStart || t.TS > a.relClock {
-			a.relClock = t.TS
-			a.relStart = true
-		}
-		first, last := a.cfg.Spec.WindowsFor(t.TS)
-		if !a.haveWin {
-			a.fullLo, a.haveWin = first, true
-		}
-		// Emitted view: exactly what the downstream op would do.
-		a.scratchRes = a.shadow.Observe(t, 0, a.scratchRes[:0])
-		for _, r := range a.scratchRes {
-			if w := a.win(r.Idx); w != nil {
-				w.emitted, w.hasEmitted = r.Value, true
-			}
-		}
-		// Full view: every contribution counts, stragglers included.
-		for idx := first; idx <= last; idx++ {
-			w := a.win(idx)
-			if w == nil { // beyond the feedback horizon; too late
-				continue
-			}
-			if w.full == nil {
-				w.full = a.cfg.Agg.New()
-			}
-			w.full.Add(t.Value)
-			if idx > a.fullHi {
-				a.fullHi = idx
-			}
-		}
-	}
-	a.finalize()
-}
-
-// win returns the shadow slot of window idx, growing the slice to reach it,
-// or nil for a window already finalized.
-func (a *AQKSlack) win(idx int64) *shadowWin {
-	i := idx - a.fullLo
-	if i < 0 {
-		return nil
-	}
-	for int64(len(a.wins)) <= i {
-		a.wins = append(a.wins, shadowWin{})
-	}
-	return &a.wins[i]
-}
-
-// finalize computes realized errors for windows whose feedback horizon has
-// passed and releases their state.
-func (a *AQKSlack) finalize() {
-	if !a.haveWin {
-		return
-	}
-	done := 0
-	for idx := a.fullLo; idx <= a.fullHi; idx++ {
-		_, end := a.cfg.Spec.Bounds(idx)
-		if end+a.cfg.FeedbackHorizon > a.relClock {
-			break
-		}
-		if w := a.wins[done]; w.full != nil {
-			a.est.ObserveWindowCount(w.full.N())
-			if w.hasEmitted {
-				a.realized.add(relErrEst(w.emitted, w.full.Value()))
-				a.qstats.FinalizedWins++
-				if a.telem != nil {
-					a.telem.Finalized.Inc()
-					a.telem.RealizedErr.Set(a.realized.v)
-				}
-				a.tracer.QualitySample(int64(a.relClock), idx, a.realized.v)
-			}
-		}
-		done++
-	}
-	if done > 0 {
-		// Shift the survivors down rather than re-slicing, so the backing
-		// array is reused forever.
-		n := copy(a.wins, a.wins[done:])
-		clear(a.wins[n:])
-		a.wins = a.wins[:n]
-		a.fullLo += int64(done)
-	}
-}
-
-// maybeAdapt runs one adaptation step when the period has elapsed.
-func (a *AQKSlack) maybeAdapt() {
+// adapt runs one adaptation step, at the stream clock.
+func (a *AQKSlack) adapt() {
 	clock := a.buf.Clock()
-	if !a.adaptInit {
-		a.adaptInit = true
-		a.lastAdapt = clock
-		return
-	}
-	if clock-a.lastAdapt < a.cfg.AdaptEvery {
-		return
-	}
-	if a.est.Observations() < a.cfg.WarmupTuples {
-		return
-	}
 	a.lastAdapt = clock
 	target := a.cfg.Safety * a.cfg.Theta
 

@@ -14,22 +14,61 @@ import (
 // runPipeline drives a disorder handler into a window operator and returns
 // emitted results — the same wiring the experiment harness uses.
 func runPipeline(h buffer.Handler, tuples []stream.Tuple, spec window.Spec, agg window.Factory) []window.Result {
-	op := window.NewOp(spec, agg, window.DropLate, 0)
-	var results []window.Result
-	var rel []stream.Tuple
-	var now stream.Time
+	p := newPipe(h, spec, agg)
 	for _, t := range tuples {
-		now = t.Arrival
-		rel = h.Insert(stream.DataItem(t), rel[:0])
-		for _, r := range rel {
-			results = op.Observe(r, now, results)
-		}
+		p.insert(stream.DataItem(t), t.Arrival)
 	}
-	rel = h.Flush(rel[:0])
+	return p.finish()
+}
+
+// pipe is what cq.Exec does between a handler and a DropLate window
+// operator, for this package's tests (which cannot import cq): a handler
+// that takes feedback inserts by InsertRun, and after each run the operator
+// sees what it released and the handler hears what the operator reported.
+type pipe struct {
+	h   buffer.Handler
+	fb  buffer.FeedbackHandler
+	op  *window.Op
+	now stream.Time
+	rel []stream.Tuple
+	res []window.Result
+	fin []window.Final
+}
+
+func newPipe(h buffer.Handler, spec window.Spec, agg window.Factory) *pipe {
+	p := &pipe{h: h, op: window.NewOp(spec, agg, window.DropLate, 0)}
+	if fb, ok := h.(buffer.FeedbackHandler); ok && fb.FeedbackHorizon() > 0 {
+		p.fb = fb
+		p.op.SetFeedback(fb.FeedbackHorizon())
+	}
+	return p
+}
+
+func (p *pipe) insert(it stream.Item, now stream.Time) {
+	p.now = now
+	if p.fb == nil {
+		p.observe(p.h.Insert(it, p.rel[:0]))
+		return
+	}
+	p.rel, _, _ = p.fb.InsertRun([]stream.Item{it}, p.rel[:0], nil)
+	p.observe(p.rel)
+}
+
+func (p *pipe) observe(rel []stream.Tuple) {
 	for _, r := range rel {
-		results = op.Observe(r, now, results)
+		p.res = p.op.Observe(r, p.now, p.res)
 	}
-	return op.Flush(now, results)
+	if p.fb != nil {
+		p.fin = p.op.Finals(p.fin[:0])
+		p.fb.Feedback(p.fin)
+	}
+}
+
+// finish flushes the handler into the operator and the operator, and
+// returns every result.
+func (p *pipe) finish() []window.Result {
+	p.observe(p.h.Flush(p.rel[:0]))
+	return p.op.Flush(p.now, p.res)
 }
 
 func sensorTuples(n int, seed uint64) []stream.Tuple {

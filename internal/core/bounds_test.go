@@ -9,27 +9,6 @@ import (
 	"repro/internal/window"
 )
 
-// TestAQKSlackShadowStateBounded verifies the realized-error machinery
-// cannot leak: the shadow windows stay bounded by the feedback horizon
-// regardless of stream length.
-func TestAQKSlackShadowStateBounded(t *testing.T) {
-	cfg := defaultCfg(0.02)
-	h := NewAQKSlack(cfg)
-	tuples := gen.Sensor(150000, 81).Arrivals()
-	// Horizon 4×Size = 40 windows of Slide 1s, plus open windows ~ Size/Slide.
-	const maxTracked = 400
-	var out []stream.Tuple
-	for i, tp := range tuples {
-		out = h.Insert(stream.DataItem(tp), out[:0])
-		if i%10000 == 9999 {
-			if len(h.wins) > maxTracked || cap(h.wins) > 2*maxTracked {
-				t.Fatalf("shadow state leaked at %d tuples: %d windows tracked (cap %d)",
-					i+1, len(h.wins), cap(h.wins))
-			}
-		}
-	}
-}
-
 // TestAQKSlackTraceBounded: the adaptation trace is a ring of the last
 // traceCap samples, oldest first, however long the handler lives.
 func TestAQKSlackTraceBounded(t *testing.T) {

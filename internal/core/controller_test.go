@@ -99,10 +99,13 @@ func TestHandlersOwnTheirPI(t *testing.T) {
 		return c
 	}
 	run := func(hs ...*AQKSlack) {
-		var rel []stream.Tuple
+		var ps []*pipe
+		for _, h := range hs {
+			ps = append(ps, newPipe(h, h.cfg.Spec, h.cfg.Agg))
+		}
 		for _, tp := range tuples {
-			for _, h := range hs {
-				rel = h.Insert(stream.DataItem(tp), rel[:0])
+			for _, p := range ps {
+				p.insert(stream.DataItem(tp), tp.Arrival)
 			}
 		}
 	}

@@ -3,11 +3,198 @@ package core_test
 import (
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/cq"
+	"repro/internal/join"
+	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
+
+// releaseHasher hashes everything the adaptive handler it wraps releases, in
+// release order, as cq.Exec drives it.
+type releaseHasher struct {
+	buffer.FeedbackHandler
+	hs []*core.PinHash
+}
+
+func (r releaseHasher) InsertRun(items []stream.Item, out []stream.Tuple, ends []int) ([]stream.Tuple, []int, bool) {
+	n := len(out)
+	out, ends, due := r.FeedbackHandler.InsertRun(items, out, ends)
+	r.hash(out[n:])
+	return out, ends, due
+}
+
+func (r releaseHasher) Flush(out []stream.Tuple) []stream.Tuple {
+	n := len(out)
+	out = r.FeedbackHandler.Flush(out)
+	r.hash(out[n:])
+	return out
+}
+
+func (r releaseHasher) hash(rel []stream.Tuple) {
+	for _, h := range r.hs {
+		h.Released(rel)
+	}
+}
+
+// runPinned drives h through cq.Exec over items in steps of step items, a
+// window of agg over the pinned spec downstream, hashing what h releases
+// into every one of hs.
+func runPinned(t *testing.T, h buffer.FeedbackHandler, agg window.Factory, items []stream.Item, step int, hs ...*core.PinHash) {
+	t.Helper()
+	x, err := cq.NewExec(cq.New(nil).Handle(releaseHasher{h, hs}).Window(core.PinnedSpec(), agg).DiscardReport(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(items); i += step {
+		if err := x.Step(items[i:min(i+step, len(items))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := x.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func pinnedItems(n int, seed uint64) []stream.Item {
+	items := make([]stream.Item, 0, n)
+	for _, tp := range core.DriftTuples(n, seed) {
+		items = append(items, stream.DataItem(tp))
+	}
+	return items
+}
+
+// TestControllerDecisionsPinned: every slack the controllers choose, every
+// error they estimate and every tuple they release over the drift stream
+// hashes to what the parent of the controller rewrite produced. The
+// adaptive K-slack and the shedder in front of it run as every query runs
+// them, through cq.Exec: their realized error comes from the query's window
+// operator. avg and stddev fold a window's complete value in key order
+// where the handler's own computation once folded it in release order, so
+// their realized errors moved in the last bits and their full hashes were
+// re-recorded then; their slacks and releases did not move (kOnly, recorded
+// on the commit before).
+func TestControllerDecisionsPinned(t *testing.T) {
+	items := pinnedItems(core.PinnedN, 51)
+	check := func(t *testing.T, what string, h *core.PinHash, want uint64) {
+		t.Helper()
+		if got := h.Sum(); got != want {
+			t.Errorf("%s hash %#x, want %#x", what, got, want)
+		}
+	}
+	for _, tc := range []struct {
+		agg         window.Factory
+		want, kOnly uint64
+	}{
+		{window.Sum(), 0xd4168215c6721967, 0},
+		{window.Count(), 0x11e0bee20464a2b8, 0},
+		{window.Avg(), 0xda956ec75a2b5938, 0xd4fbd6e3e9029161},
+		{window.Max(), 0x35abf7745372d18f, 0},
+		{window.Quantile(0.95), 0x315c9d6014b99eaf, 0},
+		{window.StdDev(), 0x94adb98095f4198e, 0xa408fe178aba1736},
+	} {
+		t.Run("kslack/"+tc.agg.Name, func(t *testing.T) {
+			aq := core.NewAQKSlack(core.Config{Theta: 0.01, Spec: core.PinnedSpec(), Agg: tc.agg})
+			h, k := core.NewPinHash(), core.NewPinHash()
+			runPinned(t, aq, tc.agg, items, 100, h, k)
+			tr := aq.Trace()
+			if len(tr) < 300 {
+				t.Fatalf("only %d adaptations", len(tr))
+			}
+			if tc.kOnly != 0 {
+				// The releases, then every slack chosen.
+				for _, s := range tr {
+					k.U64(uint64(s.At), uint64(s.K))
+				}
+				check(t, "slack and release", k, tc.kOnly)
+			}
+			h.Samples(tr)
+			check(t, "decision", h, tc.want)
+		})
+	}
+
+	t.Run("join", func(t *testing.T) {
+		two := core.DriftTuples(core.PinnedN*2/5, 52) // the join operator is the slow part
+		for i := range two {
+			two[i].Src = uint8(i % 2)
+		}
+		jop := join.New(join.Config{Band: 500, RetainFor: 60 * stream.Second})
+		aq := core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: 500}, jop.Stats)
+		h := core.NewPinHash()
+		var rel []stream.Tuple
+		var res []join.Result
+		for _, tp := range two {
+			rel = aq.Insert(stream.DataItem(tp), rel[:0])
+			h.Released(rel)
+			for _, r := range rel {
+				res = jop.Insert(join.Tagged{Tuple: r, Side: join.Side(r.Src)}, tp.Arrival, res[:0])
+			}
+		}
+		h.Released(aq.Flush(rel[:0]))
+		h.Samples(aq.Trace())
+		if aq.Adaptations() < 300 {
+			t.Fatalf("only %d adaptations", aq.Adaptations())
+		}
+		check(t, "decision", h, 0xeab625429e9b7877)
+	})
+
+	for _, tc := range []struct {
+		compensate bool
+		want       uint64
+	}{{false, 0x46db01775669cbef}, {true, 0x972141fa10499e86}} {
+		name := "shed"
+		if tc.compensate {
+			name = "shed-compensated"
+		}
+		t.Run(name, func(t *testing.T) {
+			inner := core.NewAQKSlack(core.Config{Theta: 0.005, Spec: core.PinnedSpec(), Agg: window.Sum()})
+			sh := core.NewShedder(core.ShedConfig{Theta: 0.005, Spec: core.PinnedSpec(), Agg: window.Sum(),
+				TargetRate: 50, Compensate: tc.compensate}, inner)
+			h := core.NewPinHash()
+			runPinned(t, sh, window.Sum(), items, 100, h)
+			h.Samples(inner.Trace())
+			st := sh.Shed()
+			if st.Shed == 0 || st.Adaptations < 300 {
+				t.Fatalf("shedder idle: %v", st)
+			}
+			h.U64(uint64(st.Shed), uint64(st.Adaptations))
+			h.F64(st.PShed, st.PBudget, st.MeanPBudget, st.MeanPWanted)
+			check(t, "decision", h, tc.want)
+		})
+	}
+
+	// The curve itself at fixed estimator states: a full power-of-two
+	// reservoir and a partly filled one, plain then compensated.
+	for _, tc := range []struct {
+		name string
+		est  func(agg window.Factory) *core.Estimator
+		want uint64
+	}{
+		{"curve/pow2", func(agg window.Factory) *core.Estimator { return core.SkewedEstimator(agg, 16) }, 0xedb9fb645941495f},
+		{"curve/partial", func(agg window.Factory) *core.Estimator {
+			e := core.NewEstimator(core.PinnedSpec(), agg, core.EstimatorConfig{Seed: 5})
+			rng := stats.NewRNG(6)
+			for i := 0; i < 3001; i++ {
+				e.ObserveTuple(0, rng.Float64Range(50, 150)+20*rng.NormFloat64())
+			}
+			e.ObserveWindowCount(700)
+			return e
+		}, 0x66c0306f01525f24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := core.NewPinHash()
+			for _, agg := range []window.Factory{window.Sum(), window.Count(), window.Avg(),
+				window.Max(), window.Median(), window.StdDev()} {
+				e := tc.est(agg)
+				h.F64(core.CurveErrs(e, false)...)
+				h.F64(core.CurveErrs(e, true)...)
+			}
+			check(t, "curve", h, tc.want)
+		})
+	}
+}
 
 // TestControllerDecisionsPinnedThroughExec is TestControllerDecisionsPinned's
 // sum case driven the way every server runner drives it — through cq.Exec,

@@ -4,22 +4,19 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
-	"testing"
 
 	"repro/internal/delay"
 	"repro/internal/gen"
-	"repro/internal/join"
-	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
 
 // The adaptive controllers' decisions are pinned to hashes recorded on the
 // commit before their hot paths — the loss-curve refresh, the sketch flush,
-// the slack search — were made cheap. Those rewrites promised not to change
-// one bit of any decision; a hash over every decision is how that promise
-// is kept. A deliberate behaviour change re-records the constants and says
-// so.
+// the slack search — were made cheap (TestControllerDecisionsPinned, in
+// pinned_exec_test.go). Those rewrites promised not to change one bit of any
+// decision; a hash over every decision is how that promise is kept. A
+// deliberate behaviour change re-records the constants and says so.
 
 // pinnedN tuples of the drift stream feed every pinned controller run:
 // 600 s of stream time, ~600 adaptations and ~75 loss-curve refreshes.
@@ -42,11 +39,19 @@ func driftTuples(n int, seed uint64) []stream.Tuple {
 	return c.Arrivals()
 }
 
-// DriftTuples and PinnedN export the pinned input to the external test
-// package (pinned_exec_test.go, which imports cq).
-var DriftTuples = driftTuples
+// DriftTuples, PinnedN and PinnedSpec export the pinned input to the
+// external test package (pinned_exec_test.go, which imports cq), and
+// SkewedEstimator and CurveErrs the loss-curve probes.
+var (
+	DriftTuples     = driftTuples
+	PinnedSpec      = pinnedSpec
+	SkewedEstimator = skewedEstimator
+)
 
 const PinnedN = pinnedN
+
+// CurveErrs is the estimator's loss curve, plain or compensated.
+func CurveErrs(e *Estimator, compensated bool) []float64 { return e.lossCurve(compensated).errs }
 
 // PinHash is an FNV-1a hash over the bits of controller decisions.
 type PinHash struct{ h hash.Hash64 }
@@ -90,129 +95,4 @@ func (p *PinHash) Sum() uint64 { return p.h.Sum64() }
 
 func pinnedSpec() window.Spec {
 	return window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
-}
-
-// TestControllerDecisionsPinned: every slack the controllers choose, every
-// error they estimate and every tuple they release over the drift stream
-// hashes to what the parent of the controller rewrite produced.
-func TestControllerDecisionsPinned(t *testing.T) {
-	tuples := driftTuples(pinnedN, 51)
-	check := func(t *testing.T, h *PinHash, want uint64) {
-		t.Helper()
-		if got := h.Sum(); got != want {
-			t.Errorf("decision hash %#x, want %#x", got, want)
-		}
-	}
-	for _, tc := range []struct {
-		agg  window.Factory
-		want uint64
-	}{
-		{window.Sum(), 0xd4168215c6721967},
-		{window.Count(), 0x11e0bee20464a2b8},
-		{window.Avg(), 0x87484d5cb29dca02},
-		{window.Max(), 0x35abf7745372d18f},
-		{window.Quantile(0.95), 0x315c9d6014b99eaf},
-		{window.StdDev(), 0xaf83a7880db060ad},
-	} {
-		t.Run("kslack/"+tc.agg.Name, func(t *testing.T) {
-			aq := NewAQKSlack(Config{Theta: 0.01, Spec: pinnedSpec(), Agg: tc.agg})
-			h := NewPinHash()
-			var rel []stream.Tuple
-			for _, tp := range tuples {
-				rel = aq.Insert(stream.DataItem(tp), rel[:0])
-				h.Released(rel)
-			}
-			h.Released(aq.Flush(rel[:0]))
-			if len(aq.Trace()) < 300 {
-				t.Fatalf("only %d adaptations", len(aq.Trace()))
-			}
-			h.Samples(aq.Trace())
-			check(t, h, tc.want)
-		})
-	}
-
-	t.Run("join", func(t *testing.T) {
-		two := driftTuples(pinnedN*2/5, 52) // the join operator is the slow part
-		for i := range two {
-			two[i].Src = uint8(i % 2)
-		}
-		jop := join.New(join.Config{Band: 500, RetainFor: 60 * stream.Second})
-		aq := NewAQJoin(JoinConfig{Recall: 0.99, Band: 500}, jop.Stats)
-		h := NewPinHash()
-		var rel []stream.Tuple
-		var res []join.Result
-		for _, tp := range two {
-			rel = aq.Insert(stream.DataItem(tp), rel[:0])
-			h.Released(rel)
-			for _, r := range rel {
-				res = jop.Insert(join.Tagged{Tuple: r, Side: join.Side(r.Src)}, tp.Arrival, res[:0])
-			}
-		}
-		h.Released(aq.Flush(rel[:0]))
-		h.Samples(aq.Trace())
-		if aq.Adaptations() < 300 {
-			t.Fatalf("only %d adaptations", aq.Adaptations())
-		}
-		check(t, h, 0xeab625429e9b7877)
-	})
-
-	for _, tc := range []struct {
-		compensate bool
-		want       uint64
-	}{{false, 0x46db01775669cbef}, {true, 0x972141fa10499e86}} {
-		name := "shed"
-		if tc.compensate {
-			name = "shed-compensated"
-		}
-		t.Run(name, func(t *testing.T) {
-			inner := NewAQKSlack(Config{Theta: 0.005, Spec: pinnedSpec(), Agg: window.Sum()})
-			sh := NewShedder(ShedConfig{Theta: 0.005, Spec: pinnedSpec(), Agg: window.Sum(),
-				TargetRate: 50, Compensate: tc.compensate}, inner)
-			h := NewPinHash()
-			var rel []stream.Tuple
-			for _, tp := range tuples {
-				rel = sh.Insert(stream.DataItem(tp), rel[:0])
-				h.Released(rel)
-			}
-			h.Released(sh.Flush(rel[:0]))
-			h.Samples(inner.Trace())
-			st := sh.Shed()
-			if st.Shed == 0 || st.Adaptations < 300 {
-				t.Fatalf("shedder idle: %v", st)
-			}
-			h.U64(uint64(st.Shed), uint64(st.Adaptations))
-			h.F64(st.PShed, st.PBudget, st.MeanPBudget, st.MeanPWanted)
-			check(t, h, tc.want)
-		})
-	}
-
-	// The curve itself at fixed estimator states: a full power-of-two
-	// reservoir and a partly filled one, plain then compensated.
-	for _, tc := range []struct {
-		name string
-		est  func(agg window.Factory) *Estimator
-		want uint64
-	}{
-		{"curve/pow2", func(agg window.Factory) *Estimator { return skewedEstimator(agg, 16) }, 0xedb9fb645941495f},
-		{"curve/partial", func(agg window.Factory) *Estimator {
-			e := NewEstimator(pinnedSpec(), agg, EstimatorConfig{Seed: 5})
-			rng := stats.NewRNG(6)
-			for i := 0; i < 3001; i++ {
-				e.ObserveTuple(0, rng.Float64Range(50, 150)+20*rng.NormFloat64())
-			}
-			e.ObserveWindowCount(700)
-			return e
-		}, 0x66c0306f01525f24},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h := NewPinHash()
-			for _, agg := range []window.Factory{window.Sum(), window.Count(), window.Avg(),
-				window.Max(), window.Median(), window.StdDev()} {
-				e := tc.est(agg)
-				h.F64(e.LossCurve().errs...)
-				h.F64(e.lossCurve(true).errs...)
-			}
-			check(t, h, tc.want)
-		})
-	}
 }

@@ -93,10 +93,13 @@ func (s ShedStats) String() string {
 // AQKSlack it wraps with Theta = 0.005 apiece.
 //
 // Shedder implements buffer.Handler by delegating the buffering half to
-// an inner handler.
+// an inner handler, and buffer.FeedbackHandler by forwarding to an adaptive
+// one.
 type Shedder struct {
 	cfg   ShedConfig
 	inner buffer.Handler
+	fb    buffer.FeedbackHandler // inner, when it takes feedback
+	one   [1]stream.Item
 	est   *Estimator
 	rng   *stats.RNG
 
@@ -139,9 +142,11 @@ func NewShedder(cfg ShedConfig, inner buffer.Handler) *Shedder {
 		panic("core: shedder needs an inner handler")
 	}
 	cfg = cfg.withDefaults()
+	fb, _ := inner.(buffer.FeedbackHandler)
 	return &Shedder{
 		cfg:      cfg,
 		inner:    inner,
+		fb:       fb,
 		est:      NewEstimator(cfg.Spec, cfg.Agg, cfg.Estimator),
 		rng:      stats.NewRNG(cfg.Estimator.Seed ^ 0x5851f42d4c957f2d),
 		rateEWMA: stats.NewEWMA(0.3),
@@ -152,8 +157,17 @@ func NewShedder(cfg ShedConfig, inner buffer.Handler) *Shedder {
 // Insert implements buffer.Handler: the tuple is dropped with the current
 // shedding probability, otherwise forwarded to the inner handler.
 func (s *Shedder) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
-	if it.Heartbeat {
+	if it, ok := s.admit(it); ok {
 		return s.inner.Insert(it, out)
+	}
+	return out
+}
+
+// admit is the shedding decision over one item: whether it goes on to the
+// inner handler, and as what.
+func (s *Shedder) admit(it stream.Item) (stream.Item, bool) {
+	if it.Heartbeat {
+		return it, true
 	}
 	t := it.Tuple
 	s.stats.Offered++
@@ -162,15 +176,48 @@ func (s *Shedder) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
 	if s.pShed > 0 && s.stats.Offered > s.cfg.WarmupTuples {
 		if s.rng.Float64() < s.pShed {
 			s.stats.Shed++
-			return out
+			return it, false
 		}
 		if s.cfg.Compensate {
 			t.Value /= 1 - s.pShed
 			it = stream.DataItem(t)
 		}
 	}
-	return s.inner.Insert(it, out)
+	return it, true
 }
+
+// FeedbackHorizon is the inner handler's, or 0 when it takes no feedback
+// (buffer.FeedbackHandler): InsertRun and Feedback then have nothing to
+// forward to, and the executor inserts item by item (Insert).
+func (s *Shedder) FeedbackHorizon() stream.Time {
+	if s.fb == nil {
+		return 0
+	}
+	return s.fb.FeedbackHorizon()
+}
+
+// InsertRun admits items one at a time into the inner handler's InsertRun,
+// and stops behind the one after which the inner handler's adaptation falls
+// due: the shedder decides nothing ahead of what the inner handler takes. A
+// shed item releases nothing but still has its entry in ends.
+func (s *Shedder) InsertRun(items []stream.Item, out []stream.Tuple, ends []int) ([]stream.Tuple, []int, bool) {
+	for i := range items {
+		it, ok := s.admit(items[i])
+		if !ok {
+			ends = append(ends, len(out))
+			continue
+		}
+		s.one[0] = it
+		var due bool
+		if out, ends, due = s.fb.InsertRun(s.one[:], out, ends); due {
+			return out, ends, true
+		}
+	}
+	return out, ends, false
+}
+
+// Feedback forwards the query operator's reports to the inner handler.
+func (s *Shedder) Feedback(fs []window.Final) { s.fb.Feedback(fs) }
 
 // observe feeds the estimator and the rate/window-count measurements.
 func (s *Shedder) observe(t stream.Tuple) {

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/buffer"
 	"repro/internal/stats"
 	"repro/internal/stream"
-	"repro/internal/window"
 )
 
 // This file exports and restores the adaptive controller's state for
@@ -14,7 +11,9 @@ import (
 // rest of the State/Restore family: a restored AQKSlack fed the identical
 // item suffix makes identical slack decisions and identical releases,
 // because every input to the adaptation loop — sketch, sample, RNG, PI
-// integral, shadow windows, feedback bookkeeping — round-trips exactly.
+// integral, realized error, adaptation bookkeeping — round-trips exactly.
+// The windows awaiting their feedback horizon are the query's window
+// operator's, and round-trip in its state (window.OpState.Kept).
 //
 // Deliberately NOT persisted: the adaptation trace (a debugging artifact),
 // telemetry and tracer attachments (runtime wiring, re-attached by the host
@@ -79,28 +78,11 @@ func (e *Estimator) Restore(st EstimatorState) {
 	e.observed = st.Observed
 }
 
-// EmittedVal records the value a shadow window had at emission time, while
-// it awaits finalization.
-type EmittedVal struct {
-	Idx   int64   `json:"idx"`
-	Value float64 `json:"value"`
-}
-
 // AQState is the exported state of an AQKSlack handler.
 type AQState struct {
-	Buf    buffer.SlackState `json:"buf"`
-	Est    EstimatorState    `json:"est"`
-	PI     PIState           `json:"pi"`
-	Shadow window.OpState    `json:"shadow"`
-
-	Full    []window.WinAgg `json:"full,omitempty"`
-	FullLo  int64           `json:"fullLo"`
-	FullHi  int64           `json:"fullHi"`
-	HaveWin bool            `json:"haveWin"`
-	Emitted []EmittedVal    `json:"emitted,omitempty"`
-
-	RelClock stream.Time `json:"relClock"`
-	RelStart bool        `json:"relStart"`
+	Buf buffer.SlackState `json:"buf"`
+	Est EstimatorState    `json:"est"`
+	PI  PIState           `json:"pi"`
 
 	Realized stats.EWMAState `json:"realized"`
 	// Curve is the cached loss curve, one expected error per grid probe. A
@@ -121,12 +103,6 @@ func (a *AQKSlack) State() AQState {
 		Buf:        a.buf.State(),
 		Est:        a.est.State(),
 		PI:         a.pi.State(),
-		Shadow:     a.shadow.State(),
-		FullLo:     a.fullLo,
-		FullHi:     a.fullHi,
-		HaveWin:    a.haveWin,
-		RelClock:   a.relClock,
-		RelStart:   a.relStart,
 		Realized:   stats.EWMAState{Value: a.realized.v, Init: a.realized.init},
 		Curve:      a.curve.errs, // never written after it is built
 		CurveAge:   a.curveAge,
@@ -135,52 +111,25 @@ func (a *AQKSlack) State() AQState {
 		QStats:     a.qstats,
 		LastClamps: a.lastClamps,
 	}
-	for i, w := range a.wins {
-		idx := a.fullLo + int64(i)
-		if w.full != nil {
-			st.Full = append(st.Full, window.WinAgg{Idx: idx, Agg: window.SaveAggregate(w.full)})
-		}
-		if w.hasEmitted {
-			st.Emitted = append(st.Emitted, EmittedVal{Idx: idx, Value: w.emitted})
-		}
-	}
 	return st
 }
 
 // Restore sets the handler to a previously exported state. The handler must
 // have been built with the same Config as the one the state was saved from.
-// The one part that can be refused is the shadow operator's (see
-// window.Op.Restore); it goes first, so an error leaves the handler as built.
+// A state written while the handler still computed its own windows carries
+// them ("shadow", "full", "emitted"); they are ignored, and the windows then
+// in flight lose their realized-error sample.
 func (a *AQKSlack) Restore(st AQState) error {
-	if err := a.shadow.Restore(st.Shadow); err != nil {
-		return fmt.Errorf("core: shadow operator: %w", err)
-	}
 	a.buf.Restore(st.Buf)
 	a.est.Restore(st.Est)
 	a.pi.Restore(st.PI)
-	a.fullLo, a.fullHi, a.haveWin = st.FullLo, st.FullHi, st.HaveWin
-	a.wins = a.wins[:0]
-	if a.haveWin {
-		a.win(a.fullHi) // finalize indexes every window up to fullHi
-	}
-	for _, wa := range st.Full {
-		if w := a.win(wa.Idx); w != nil {
-			w.full = window.RestoreAggregate(a.cfg.Agg, wa.Agg)
-		}
-	}
-	for _, ev := range st.Emitted {
-		if w := a.win(ev.Idx); w != nil {
-			w.emitted, w.hasEmitted = ev.Value, true
-		}
-	}
-	a.relClock, a.relStart = st.RelClock, st.RelStart
 	a.realized.v, a.realized.init = st.Realized.Value, st.Realized.Init
 	a.curve = LossCurve{}
 	if len(st.Curve) == curvePoints {
 		a.curve.errs = st.Curve
 	}
 	a.curveAge = st.CurveAge
-	a.lastAdapt, a.adaptInit = st.LastAdapt, st.AdaptInit
+	a.lastAdapt, a.adaptInit, a.due = st.LastAdapt, st.AdaptInit, false
 	a.qstats = st.QStats
 	a.lastClamps = st.LastClamps
 	a.trace, a.traceHead = nil, 0 // the adaptation trace is not persisted

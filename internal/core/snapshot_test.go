@@ -224,20 +224,16 @@ func TestAQKSlackStateSnapshotIsDeterministic(t *testing.T) {
 		scratch = a.Insert(it, scratch[:0])
 		scratch = b.Insert(it, scratch[:0])
 	}
-	sa, sb := a.State(), b.State()
-	// Slices built from map iteration must still come out identically ordered.
-	if len(sa.Full) != len(sb.Full) || len(sa.Emitted) != len(sb.Emitted) {
-		t.Fatalf("state shapes diverged: full=%d/%d emitted=%d/%d",
-			len(sa.Full), len(sb.Full), len(sa.Emitted), len(sb.Emitted))
+	// Two handlers fed the same items must export the same bytes.
+	sa, err := json.Marshal(a.State())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range sa.Full {
-		if sa.Full[i].Idx != sb.Full[i].Idx {
-			t.Fatalf("full window order nondeterministic at %d", i)
-		}
+	sb, err := json.Marshal(b.State())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range sa.Emitted {
-		if sa.Emitted[i] != sb.Emitted[i] {
-			t.Fatalf("emitted order nondeterministic at %d", i)
-		}
+	if string(sa) != string(sb) {
+		t.Fatalf("state nondeterministic:\n%s\n%s", sa, sb)
 	}
 }

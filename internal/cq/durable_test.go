@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -235,6 +237,58 @@ func TestDurableCrashRecoveryAdaptiveHandler(t *testing.T) {
 		if rep.Handler != full.Handler {
 			t.Fatalf("crash at %d: adaptive handler stats diverged:\n got %+v\nwant %+v", c, rep.Handler, full.Handler)
 		}
+	}
+}
+
+// TestDurableRestoresShadowSnapshot: a snapshot written while the adaptive
+// handler still ran its own shadow windows (testdata/aq-snapshot-shadow, 600
+// items into the stream below) restores without error. Its "shadow", "full"
+// and "emitted" windows are ignored: the windows then in flight lose their
+// realized-error sample, and every window the restored operator emits is
+// reported again.
+func TestDurableRestoresShadowSnapshot(t *testing.T) {
+	spec := window.Spec{Size: 1000, Slide: 250}
+	aq := core.NewAQKSlack(core.Config{Theta: 0.02, Spec: spec, Agg: window.Sum(), WarmupTuples: 50,
+		Estimator: core.EstimatorConfig{Seed: 3, ReservoirSize: 16, MCTrials: 2}})
+	dir := t.TempDir()
+	snaps, err := filepath.Glob("testdata/aq-snapshot-shadow/snap-*.json")
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("testdata snapshot: %v %v", snaps, err)
+	}
+	raw, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, filepath.Base(snaps[0])), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log := mustOpenLog(t, durable.Options{Dir: dir, CommitEvery: 1})
+	defer log.Close()
+	x, err := NewExec(New(nil).Handle(aq).Window(spec, window.Sum()).Durable(Durable{Log: log}), nil)
+	if err != nil {
+		t.Fatalf("a snapshot with shadow windows did not restore: %v", err)
+	}
+	if rec := x.Report().Recovery; rec == nil || !rec.FromSnapshot {
+		t.Fatalf("recovery %+v, want the snapshot", rec)
+	}
+	before := aq.Quality()
+	c := gen.Sensor(2000, 7)
+	c.Interval = 10
+	var items []stream.Item
+	for _, tp := range c.Arrivals() {
+		items = append(items, stream.DataItem(tp))
+	}
+	for i := 600; i < len(items); i += 100 {
+		if err := x.Step(items[i:min(i+100, len(items))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := x.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	after := aq.Quality()
+	if before.Adaptations == 0 || after.Adaptations <= before.Adaptations || after.FinalizedWins <= before.FinalizedWins {
+		t.Fatalf("the restored controller did not carry on: %+v, then %+v", before, after)
 	}
 }
 

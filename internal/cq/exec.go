@@ -25,8 +25,10 @@ import (
 // items into the handler, advancing the arrival clock, and keep what they
 // released with the clock each tuple was released at → the window pass: hand
 // every window stage that run whole → suppress emissions below the recovered
-// floor → report / telemetry / tracer / sink → sync the handler's trace and
-// telemetry, once → journal the emission cursor → snapshot when due. A run,
+// floor → report / telemetry / tracer / sink → hand an adaptive handler what
+// its query's operator reported, and run its adaptation if due (feedback) →
+// sync the handler's trace and telemetry, once → journal the emission cursor
+// → snapshot when due. A run,
 // not a tuple, is the unit of work between handler and operator, which is
 // where the time goes: see Resume. Crash recovery is the same two passes
 // over the journal suffix with nothing journaled. Every state change happens
@@ -49,8 +51,9 @@ import (
 // An Exec is not safe for concurrent use; its driver serializes every call
 // (cmd/aqserver does so with its group's mutex).
 type Exec struct {
-	raw     buffer.Handler // as configured; what Handler returns and the disorder pass feeds
-	handler buffer.Handler // raw, or its traced wrapper (feeding every stage's tracer)
+	raw     buffer.Handler         // as configured; what Handler returns and the disorder pass feeds
+	handler buffer.Handler         // raw, or its traced wrapper (feeding every stage's tracer)
+	fb      buffer.FeedbackHandler // raw, when it adapts to what its query's operator reports
 	stages  []*Stage
 
 	now      stream.Time // arrival clock: max arrival/watermark applied so far
@@ -106,6 +109,7 @@ type released struct {
 	nows []stream.Time // nows[i]: the arrival clock when ts[i] was released
 	ends []int         // ends[j]: len(ts) once the chunk's item j was inserted
 	base int           // the chunk is pend[base : base+len(ends)]
+	fin  []window.Final
 }
 
 // maxChunk bounds the items one disorder pass inserts, and with them the
@@ -135,6 +139,9 @@ type windowStage interface {
 	// flush forces the remaining windows out and delivers them.
 	flush(now stream.Time)
 	stats() window.OpStats
+	// setFeedback and finals are the operator's SetFeedback and Finals.
+	setFeedback(horizon stream.Time)
+	finals(out []window.Final) []window.Final
 }
 
 // NewExec builds the step core for a query that has no source of its own:
@@ -172,6 +179,9 @@ func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 	if x.raw == nil {
 		x.raw = buffer.Zero()
 	}
+	if fb, ok := x.raw.(buffer.FeedbackHandler); ok && fb.FeedbackHorizon() > 0 {
+		x.fb = fb
+	}
 	x.handler = q.traceHandler(x.raw)
 	x.stages = []*Stage{x.newStage(q, sink)}
 	if q.durable != nil {
@@ -191,6 +201,9 @@ func (x *Exec) newStage(q *AggQuery, sink func(window.Result)) *Stage {
 	} else {
 		s.op = window.NewOp(q.spec, q.agg, q.policy, q.refineFor)
 		s.win = plainStage{s}
+	}
+	if x.fb != nil {
+		s.win.setFeedback(x.fb.FeedbackHorizon())
 	}
 	return s
 }
@@ -370,7 +383,9 @@ func (x *Exec) NoteShed(n int64) {
 // Resume applies what is pending, in two passes a chunk: the disorder pass
 // inserts the chunk's items into the handler and stamps every released tuple
 // with the arrival clock of the item that released it; the window pass hands
-// every window stage that run. It is the body of every Step, and what a
+// every window stage that run. A feedback handler's chunk ends where its
+// next adaptation falls due, and the adaptation runs behind the window pass
+// (feedback). It is the body of every Step, and what a
 // panic-isolating driver calls itself. After NewExec recovered prior state,
 // the journal suffix is pending and Resume is the replay — nothing is
 // journaled again, it is the journal. And after recovering a panic raised
@@ -397,11 +412,13 @@ func (x *Exec) Resume() {
 		// an operator or short of a sink. (A pass that returns leaves
 		// nothing, so every other call starts with the disorder pass.)
 		x.windowPass()
+		x.feedback()
 	}
 	for x.pos < len(x.pend) {
 		x.stage = stageDisorder
 		x.insertChunk(x.pend[x.pos:min(x.pos+maxChunk, len(x.pend))])
 		x.windowPass()
+		x.feedback()
 	}
 	x.sync()
 	x.stage, x.pend = stageSource, nil
@@ -418,13 +435,30 @@ func (x *Exec) windowPass() {
 	x.cur = 0
 }
 
+// feedback hands a feedback handler what the window pass had its query's
+// operator report, and so runs the adaptation the run left due — before the
+// step's sync, emission cursor and snapshot, so that every adaptation sees
+// the same reports whatever the size of the steps. It is part of the
+// disorder pass: a panic in it is the handler's. (A feedback handler never
+// shares its disorder pass, see shareable: its stage is the first and only.)
+func (x *Exec) feedback() {
+	if x.fb == nil {
+		return
+	}
+	x.stage = stageDisorder
+	r := x.rel
+	r.fin = x.stages[0].win.finals(r.fin[:0])
+	x.fb.Feedback(r.fin)
+}
+
 // insertChunk is the disorder pass over one chunk of the pending items. A
 // handler that is exactly a *buffer.KSlack — its concrete type, looked up
 // behind the traced wrapper; a type that embeds one and overrides Insert
 // inherits InsertBatch and must not be short-circuited — takes the chunk in
-// one call, and the chunk is stamped behind it in one pass. Every other
-// handler takes it item by item, x.pos moving first so that a panic leaves
-// the item behind, not the batch, and every item stamped as it goes.
+// one call, and a feedback handler the part of it up to its next adaptation;
+// either is stamped behind it in one pass. Every other handler takes it
+// item by item, x.pos moving first so that a panic leaves the item behind,
+// not the batch, and every item stamped as it goes.
 func (x *Exec) insertChunk(chunk []stream.Item) {
 	r := x.rel
 	r.ts, r.nows, r.ends, r.base = r.ts[:0], r.nows[:0], r.ends[:0], x.pos
@@ -432,9 +466,15 @@ func (x *Exec) insertChunk(chunk []stream.Item) {
 		s.pos = 0
 	}
 	tr, _ := x.handler.(*buffer.Traced)
-	if ks, ok := x.raw.(*buffer.KSlack); ok {
+	if ks, ok := x.raw.(*buffer.KSlack); ok || x.fb != nil {
 		x.pos += len(chunk)
-		r.ts, r.ends = ks.InsertBatch(chunk, r.ts, r.ends)
+		if ok {
+			r.ts, r.ends = ks.InsertBatch(chunk, r.ts, r.ends)
+		} else {
+			r.ts, r.ends, _ = x.fb.InsertRun(chunk, r.ts, r.ends)
+			chunk = chunk[:len(r.ends)]
+			x.pos = r.base + len(chunk)
+		}
 		at := stream.Time(math.MinInt64)
 		for i := range chunk {
 			at = max(at, x.stamp(&chunk[i], r.ends[i]))
@@ -552,6 +592,7 @@ func (x *Exec) Finish() error {
 	for ; x.cur < len(x.stages); x.cur++ {
 		x.stages[x.cur].finish(r, x.now)
 	}
+	x.feedback()
 	x.stage, x.cur = stageSource, 0
 	if x.log != nil {
 		if err := x.log.Commit(); err != nil {
@@ -801,6 +842,10 @@ func (p plainStage) flush(now stream.Time) {
 
 func (p plainStage) stats() window.OpStats { return p.s.op.Stats() }
 
+func (p plainStage) setFeedback(horizon stream.Time) { p.s.op.SetFeedback(horizon) }
+
+func (p plainStage) finals(out []window.Final) []window.Final { return p.s.op.Finals(out) }
+
 // keyedStage is the grouped window stage: one window.KeyedOp, whose results
 // — in its canonical order, by window and then by key — are delivered like
 // the plain stage's: report, telemetry, tracer, SinkKeyed, and the plain
@@ -860,3 +905,7 @@ func (k *keyedStage) emit() {
 }
 
 func (k *keyedStage) stats() window.OpStats { return k.op.Stats() }
+
+func (k *keyedStage) setFeedback(horizon stream.Time) { k.op.SetFeedback(horizon) }
+
+func (k *keyedStage) finals(out []window.Final) []window.Final { return k.op.Finals(out) }

@@ -56,9 +56,12 @@ func TestGroupedRunWithAQHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Note: the AQ handler's shadow models the *global* aggregate, so the
-	// per-key error is related but not identical; the grouped pipeline
-	// must still run and produce bounded-ish quality.
+	// The AQ handler's realized error is the keyed operator's: one report
+	// per (key, window), so the controller measures what the query
+	// delivers, group by group.
+	if h.Quality().FinalizedWins == 0 {
+		t.Fatal("no (key, window) reached the controller")
+	}
 	q := rep.KeyedQuality(spec, agg, metrics.CompareOpts{
 		Theta: 0.05, SkipWarmup: 5, SkipEmptyOracle: true,
 	})

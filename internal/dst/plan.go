@@ -168,15 +168,14 @@ func (p Plan) agg() window.Factory {
 func (p Plan) grouped() bool { return p.NumKeys > 1 }
 
 // qualityChecked reports whether the plan carries the θ quality
-// contract: the adaptive handler on an ungrouped query (the
-// configuration the controller's realized-error feedback is calibrated
-// for; grouped AQ plans are swept for engine equivalence only) under a
+// contract: the adaptive handler, grouped or not — its realized error is
+// the query's own operator's, per (key, window) under GROUP BY — under a
 // stationary delay distribution. Non-stationary models (step, burst)
 // shift the delay regime faster than the feedback loop tracks it — the
 // adaptation-lag transient the paper itself reports — so those plans
 // exercise the engine without asserting the bound.
 func (p Plan) qualityChecked() bool {
-	if p.Handler.Kind != "aq" || p.grouped() {
+	if p.Handler.Kind != "aq" {
 		return false
 	}
 	switch p.Delay.Kind {

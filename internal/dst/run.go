@@ -274,9 +274,8 @@ func Execute(p Plan) (*Outcome, error) {
 		o.fail("obs-passivity: trace digest %s != %s under history sampling", got, o.TraceDigest)
 	}
 
-	// Contract 2: realized quality within θ (adaptive ungrouped plans; the
-	// controller's shadow computation is not per-key, so grouped AQ plans
-	// are swept for equivalence only).
+	// Contract 2: realized quality within θ (adaptive plans, grouped ones
+	// per (key, window): the controller measures what the query delivers).
 	if p.qualityChecked() {
 		if err := oracle.QualityContract(sync, p.spec(), p.agg(), p.grouped(),
 			oracle.ContractOpts{Theta: p.Handler.Theta}); err != nil {

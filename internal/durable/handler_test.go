@@ -157,8 +157,30 @@ func TestHandlerRoundTripAQ(t *testing.T) {
 		WarmupTuples: 1,
 	}
 	h := core.NewAQKSlack(cfg)
-	feedHandler(t, h)
+	// The query's window operator behind it, as cq.Exec runs one: the
+	// realized error it reports is what makes the controller hold a slack.
+	op := window.NewOp(cfg.Spec, cfg.Agg, window.DropLate, 0)
+	op.SetFeedback(h.FeedbackHorizon())
+	feedHandler(t, withOperator{h, op})
 	roundTrip(t, "aq", h, core.NewAQKSlack(cfg))
+}
+
+// withOperator is an adaptive handler with its query's window operator
+// behind it: each Insert is a run of one item, observed by the operator,
+// whose reports go back to the handler.
+type withOperator struct {
+	*core.AQKSlack
+	op *window.Op
+}
+
+func (w withOperator) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
+	n := len(out)
+	out, _, _ = w.InsertRun([]stream.Item{it}, out, nil)
+	for _, t := range out[n:] {
+		w.op.Observe(t, 0, nil)
+	}
+	w.Feedback(w.op.Finals(nil))
+	return out
 }
 
 // Instrumentation wrappers (the tracing one, buffer.Traced) must be

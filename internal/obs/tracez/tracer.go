@@ -44,12 +44,9 @@ type Dump struct {
 // provCap bounds the per-tracer provenance ring.
 const provCap = 512
 
-// dumpCap bounds how many dumps a tracer retains.
-const dumpCap = 8
-
 // dumpEvents bounds the events one dump copies: the newest of the ring.
 // A violation, panic or breaker trip is explained by what led up to it, and
-// a full default ring is 16× this — megabytes a copy, per dump retained.
+// a full default ring is 16× this — megabytes a copy.
 const dumpEvents = 4096
 
 // Tracer is one query's handle into the flight recorder: the pipeline
@@ -79,9 +76,6 @@ type Tracer struct {
 	prov      []Provenance // ring of the last provCap provenance records
 	provStart int          // index of the oldest entry once the ring wrapped
 	sealStrag int64        // stragglers counter at the previous seal
-
-	dumpMu sync.Mutex
-	dumps  []Dump
 }
 
 // New returns a tracer recording into rec on behalf of the named query.
@@ -135,7 +129,8 @@ func (t *Tracer) SetTheta(theta float64) {
 }
 
 // OnDump installs a sink invoked with every dump the tracer takes
-// (automatic or on demand) — aqserver uses it for dump-to-file.
+// (automatic or on demand) — aqserver uses it for dump-to-file. Without one
+// a dump copies nothing: the events stay in the ring, for /debug/aq/trace.
 func (t *Tracer) OnDump(sink func(Dump)) {
 	if t == nil {
 		return
@@ -375,40 +370,19 @@ func (t *Tracer) ProvenanceFor(win int64) (Provenance, bool) {
 }
 
 // Dump takes a flight-recorder snapshot (the newest dumpEvents events +
-// provenance), retains it (last dumpCap dumps), hands it to the OnDump sink
-// if one is set, and returns it. win < 0 means "no specific window".
-func (t *Tracer) Dump(reason string, at, win int64) Dump {
-	if t == nil {
-		return Dump{}
+// provenance) and hands it to the OnDump sink; with no sink installed there
+// is no one to read it, and it takes nothing. win < 0 means "no specific
+// window".
+func (t *Tracer) Dump(reason string, at, win int64) {
+	if t == nil || t.sink == nil {
+		return
 	}
-	d := Dump{
+	t.sink(Dump{
 		Query:      t.query,
 		Reason:     reason,
 		At:         at,
 		Win:        win,
 		Provenance: t.Provenances(),
 		Events:     t.rec.Last(dumpEvents),
-	}
-	t.dumpMu.Lock()
-	t.dumps = append(t.dumps, d)
-	if len(t.dumps) > dumpCap {
-		t.dumps = t.dumps[len(t.dumps)-dumpCap:]
-	}
-	t.dumpMu.Unlock()
-	if t.sink != nil {
-		t.sink(d)
-	}
-	return d
-}
-
-// Dumps returns the retained dumps, oldest first.
-func (t *Tracer) Dumps() []Dump {
-	if t == nil {
-		return nil
-	}
-	t.dumpMu.Lock()
-	defer t.dumpMu.Unlock()
-	out := make([]Dump, len(t.dumps))
-	copy(out, t.dumps)
-	return out
+	})
 }

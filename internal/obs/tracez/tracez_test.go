@@ -29,8 +29,10 @@ func TestRecorderNilSafe(t *testing.T) {
 	tr.QualitySample(1, 0, 0.1)
 	tr.Emit(1, 0, 0, 10, 0, 3, 2)
 	tr.Panic(StageWindow, 1, "boom")
+	var dumped bool
+	tr.OnDump(func(Dump) { dumped = true })
 	tr.Dump("x", 1, -1)
-	if tr.Recorder() != nil || tr.Dumps() != nil || tr.Provenances() != nil {
+	if tr.Recorder() != nil || dumped || tr.Provenances() != nil {
 		t.Fatal("nil tracer must be inert")
 	}
 }
@@ -355,10 +357,11 @@ func TestWatchdogRegister(t *testing.T) {
 func TestTracerViolationDump(t *testing.T) {
 	tr := New(NewRecorder(256), "q")
 	tr.SetWatchdog(NewWatchdog(0.01, nil))
+	var dumps []Dump
+	tr.OnDump(func(d Dump) { dumps = append(dumps, d) })
 	tr.BufferSync(100, 10, 10, 1, 300, true)
 	tr.Emit(110, 5, 0, 100, 0, 9, 10)
 	tr.QualitySample(120, 5, 0.2) // above theta: violation + automatic dump
-	dumps := tr.Dumps()
 	if len(dumps) != 1 {
 		t.Fatalf("got %d dumps, want 1", len(dumps))
 	}
@@ -380,7 +383,7 @@ func TestTracerViolationDump(t *testing.T) {
 	}
 	// Recovery emits a violation-end event but no extra dump.
 	tr.QualitySample(130, 6, 0.001)
-	if len(tr.Dumps()) != 1 {
+	if len(dumps) != 1 {
 		t.Fatal("violation end must not dump again")
 	}
 }
@@ -405,6 +408,8 @@ func TestDumpHoldsNewestEvents(t *testing.T) {
 	rec := NewRecorder(DefaultRecorderSize)
 	tr := New(rec, "q")
 	tr.SetWatchdog(NewWatchdog(0.01, nil))
+	var dumps []Dump
+	tr.OnDump(func(d Dump) { dumps = append(dumps, d) })
 	for i := 0; i < DefaultRecorderSize+100; i++ {
 		tr.BufferSync(int64(i), 1, 1, 0, 100, false)
 	}
@@ -412,7 +417,6 @@ func TestDumpHoldsNewestEvents(t *testing.T) {
 		t.Fatalf("ring holds %d events, want it full at %d", rec.Len(), DefaultRecorderSize)
 	}
 	tr.QualitySample(int64(DefaultRecorderSize+100), 7, 0.5)
-	dumps := tr.Dumps()
 	if len(dumps) != 1 {
 		t.Fatalf("got %d dumps, want 1", len(dumps))
 	}

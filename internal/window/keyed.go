@@ -38,6 +38,8 @@ type KeyedOp struct {
 	started   bool
 	scratch   []Result
 	blockBuf  []KeyedResult // rotation scratch for mergeOwnBlock
+	feedback  stream.Time   // every key's operator's (SetFeedback)
+	finals    []Final       // the keys' reports, in the order they made them
 	// res collects the call's results, for the reason Op.res does: a key's
 	// operator may panic after other keys' have emitted. (What the panicking
 	// operator itself had emitted comes out of its own next call, one slide on
@@ -60,6 +62,19 @@ func NewKeyedOp(spec Spec, agg Factory, policy LatePolicy, refineFor stream.Time
 // Spec returns the window specification.
 func (o *KeyedOp) Spec() Spec { return o.spec }
 
+// SetFeedback is Op.SetFeedback for every key's operator: each (key, window)
+// is reported on its own. Call it before the first tuple.
+func (o *KeyedOp) SetFeedback(horizon stream.Time) { o.feedback = horizon }
+
+// Finals appends the (key, window) reports made since the last call to out,
+// in the order the keys' operators made them: a function of the released
+// tuple sequence, like the results.
+func (o *KeyedOp) Finals(out []Final) []Final {
+	out = append(out, o.finals...)
+	o.finals = o.finals[:0]
+	return out
+}
+
 // Keys returns the number of keys with operator state.
 func (o *KeyedOp) Keys() int { return len(o.ops) }
 
@@ -77,13 +92,14 @@ func (o *KeyedOp) observe(t stream.Tuple, now stream.Time) {
 	op, ok := o.ops[t.Key]
 	if !ok {
 		op = NewOp(o.spec, o.agg, o.policy, o.refineFor)
+		op.SetFeedback(o.feedback)
 		o.ops[t.Key] = op
 		o.keys = append(o.keys, t.Key)
 		o.keysDirty = true
 	}
 	base := len(o.res)
 	o.scratch = op.Observe(t, now, o.scratch[:0])
-	o.appendKeyedFrom(t.Key)
+	o.appendKeyedFrom(t.Key, op)
 	if !o.started || t.TS > o.clock {
 		crossed := !o.started || o.spec.LastClosed(t.TS) != o.spec.LastClosed(o.clock)
 		ownLen := len(o.res) - base
@@ -134,16 +150,18 @@ func (o *KeyedOp) advanceOthers(except uint64, now stream.Time) {
 		if key == except {
 			continue
 		}
-		o.scratch = o.ops[key].Advance(o.clock, now, o.scratch[:0])
-		o.appendKeyedFrom(key)
+		op := o.ops[key]
+		o.scratch = op.Advance(o.clock, now, o.scratch[:0])
+		o.appendKeyedFrom(key, op)
 	}
 }
 
 // Flush emits every open window of every key, in key order.
 func (o *KeyedOp) Flush(now stream.Time, out []KeyedResult) []KeyedResult {
 	for _, key := range o.sortedKeys() {
-		o.scratch = o.ops[key].Flush(now, o.scratch[:0])
-		o.appendKeyedFrom(key)
+		op := o.ops[key]
+		o.scratch = op.Flush(now, o.scratch[:0])
+		o.appendKeyedFrom(key, op)
 	}
 	return o.Drain(out)
 }
@@ -169,9 +187,14 @@ func (o *KeyedOp) mergeOwnBlock(seg []KeyedResult, k int) {
 	copy(seg[p:], o.blockBuf)
 }
 
-func (o *KeyedOp) appendKeyedFrom(key uint64) {
+// appendKeyedFrom collects what key's operator op emitted and reported in
+// the call just made.
+func (o *KeyedOp) appendKeyedFrom(key uint64, op *Op) {
 	for _, r := range o.scratch {
 		o.res = append(o.res, KeyedResult{Key: key, Result: r})
+	}
+	if o.feedback > 0 {
+		o.finals = op.Finals(o.finals)
 	}
 }
 

@@ -79,13 +79,19 @@ type Op struct {
 	policy    LatePolicy
 	refineFor stream.Time // retain emitted state this long past the clock
 
-	fib       fibaState           // the open windows' tuples
-	retained  map[int64]Aggregate // emitted windows kept for refinement
+	fib       fibaState // the open windows' tuples
 	nextEmit  int64
 	haveFirst bool
 	clock     stream.Time
 	started   bool
 	stats     OpStats
+
+	// The emitted windows the operator keeps: under RefineLate for
+	// refineFor, with a feedback horizon (SetFeedback) for at least that long.
+	kept      keptRing
+	feedback  stream.Time // 0: no feedback reports
+	nextFinal int64       // the next kept window to report
+	finals    []Final     // reports not yet collected (Finals)
 
 	// res collects what the call in progress emits. It is the operator's and
 	// not the caller's slice because a call can end in a panic out of a
@@ -118,8 +124,34 @@ func NewOp(spec Spec, agg Factory, policy LatePolicy, refineFor stream.Time) *Op
 		policy:    policy,
 		refineFor: refineFor,
 		fib:       newFibaState(agg, spec),
-		retained:  make(map[int64]Aggregate),
 	}
+}
+
+// Final is one emitted window's feedback report: the value it was emitted
+// with, and its complete value and tuple count once every tuple released up
+// to its feedback horizon is in — stragglers a DropLate operator dropped from
+// its output included.
+type Final struct {
+	Idx     int64
+	Emitted float64
+	Full    float64
+	N       int64
+}
+
+// SetFeedback makes the operator keep every window it emits until horizon
+// past the window's end, add the late tuples released meanwhile to it — under
+// DropLate silently: results and OpStats are as without feedback — and report
+// the window once (Finals) when the clock passes that point, provided a tuple
+// ever fell in it. A horizon of 0 turns reporting off. Call it before the
+// first tuple; a Restore keeps it.
+func (o *Op) SetFeedback(horizon stream.Time) { o.feedback = horizon }
+
+// Finals appends the windows reported since the last call to out, in window
+// order.
+func (o *Op) Finals(out []Final) []Final {
+	out = append(out, o.finals...)
+	o.finals = o.finals[:0]
+	return out
 }
 
 // Spec returns the operator's window specification.
@@ -149,9 +181,9 @@ func (o *Op) observe(t stream.Tuple, now stream.Time) {
 	for idx := first; idx <= last; idx++ {
 		if idx < o.nextEmit {
 			late = true
-			if o.policy == RefineLate {
-				if agg, ok := o.retained[idx]; ok {
-					agg.Add(t.Value)
+			if agg := o.kept.agg(idx); agg != nil {
+				agg.Add(t.Value) // the window's complete value counts it either way
+				if _, end := o.spec.Bounds(idx); o.policy == RefineLate && end+o.refineFor > o.clock {
 					o.stats.LateRefined++
 					o.res = append(o.res, o.result(idx, agg, now, true))
 					o.stats.Refinements++
@@ -188,7 +220,7 @@ func (o *Op) observe(t stream.Tuple, now stream.Time) {
 // Observe does with it is count it, store it and raise the clock. Nearly
 // every tuple a K-slack releases is of that kind — one per slide closes a
 // window, a few in a thousand are stragglers — so a maximal stretch of them
-// is found with two compares a tuple and stored by one tree append; retained
+// is found with two compares a tuple and stored by one tree append; kept
 // windows are expired once behind it, nothing in the stretch reads them. The
 // tuple that ends a stretch takes Observe's body, with its own now. Results
 // collect in o.res until the run is through, so a panic strands none.
@@ -206,7 +238,7 @@ func (o *Op) ObserveRun(ts []stream.Tuple, nows []stream.Time, pos *int, out []R
 				o.stats.TuplesIn += int64(j - i)
 				o.fib.insertRun(ts[i:j])
 				o.clock = clock
-				o.expireRetained()
+				o.expireKept()
 				continue
 			}
 		}
@@ -237,7 +269,7 @@ func (o *Op) advance(eventTS, now stream.Time) {
 	for idx := o.nextEmit; idx <= lastClosed; idx++ {
 		o.emit(idx, now)
 	}
-	o.expireRetained()
+	o.expireKept()
 }
 
 // Drain appends to out what a call that ended in a panic had emitted before
@@ -281,9 +313,10 @@ func (o *Op) emit(idx int64, now stream.Time) {
 	start, end := o.spec.Bounds(idx)
 	r := Result{Idx: idx, Start: start, End: end, Value: math.NaN(), EmitArrival: now}
 	var agg Aggregate
+	keep := o.policy == RefineLate || o.feedback > 0
 	if o.emitTries < maxEmitTries {
 		o.emitTries++ // stands if the materialization panics
-		agg = o.fib.aggFor(o.agg, start, end, o.policy == RefineLate)
+		agg = o.fib.aggFor(o.agg, start, end, keep)
 		empty := agg == nil
 		if empty {
 			agg = o.agg.New()
@@ -298,8 +331,12 @@ func (o *Op) emit(idx int64, now stream.Time) {
 	o.emitTries = 0
 	o.res = append(o.res, r)
 	o.stats.Emitted++
-	if o.policy == RefineLate && agg != nil {
-		o.retained[idx] = agg
+	if keep {
+		if o.kept.len() == 0 {
+			// Every window before idx has been reported or was never kept.
+			o.nextFinal = idx
+		}
+		o.kept.push(idx, keptWin{agg: agg, emitted: r.Value})
 	}
 	if idx >= o.nextEmit {
 		o.nextEmit = idx + 1
@@ -323,17 +360,87 @@ func (o *Op) result(idx int64, agg Aggregate, now stream.Time, refinement bool) 
 	}
 }
 
-// expireRetained drops retained window state whose refinement horizon has
-// passed, bounding memory under RefineLate.
-func (o *Op) expireRetained() {
-	if o.policy != RefineLate || len(o.retained) == 0 {
-		return
+// expireKept reports the kept windows whose feedback horizon has passed and
+// drops those whose refinement horizon has too, bounding memory under
+// RefineLate and feedback alike. Every clock advance calls it, so the test
+// for an empty ring is kept small enough to inline.
+func (o *Op) expireKept() {
+	if o.kept.len() > 0 {
+		o.sweepKept()
 	}
-	for idx := range o.retained {
-		_, end := o.spec.Bounds(idx)
-		if end+o.refineFor <= o.clock {
-			delete(o.retained, idx)
+}
+
+// sweepKept is expireKept over a ring with windows in it: the ring is in
+// window order, so reporting and expiry both stop at the first window still
+// inside its horizon.
+func (o *Op) sweepKept() {
+	if o.feedback > 0 {
+		for ; o.nextFinal < o.kept.hi(); o.nextFinal++ {
+			if _, end := o.spec.Bounds(o.nextFinal); end+o.feedback > o.clock {
+				break
+			}
+			if w := o.kept.at(o.nextFinal); w.agg != nil && w.agg.N() > 0 {
+				o.finals = append(o.finals, Final{Idx: o.nextFinal, Emitted: w.emitted, Full: w.agg.Value(), N: w.agg.N()})
+			}
 		}
+	}
+	keepFor := o.feedback
+	if o.policy == RefineLate {
+		keepFor = max(keepFor, o.refineFor)
+	}
+	for o.kept.len() > 0 {
+		if _, end := o.spec.Bounds(o.kept.lo); end+keepFor > o.clock {
+			break
+		}
+		o.kept.pop()
+	}
+}
+
+// keptRing holds emitted windows lo, lo+1, … in order — the operator emits
+// every window index once, in order, so the ring has no gaps — with a head
+// offset for O(1) expiry; the dead prefix is reclaimed once it dominates.
+type keptRing struct {
+	wins []keptWin // wins[head:] are windows lo, lo+1, …
+	head int
+	lo   int64
+}
+
+// keptWin is one kept window: the aggregate it was emitted with, still
+// taking late tuples (nil when its emission failed), and the value emitted.
+type keptWin struct {
+	agg     Aggregate
+	emitted float64
+}
+
+func (r *keptRing) len() int              { return len(r.wins) - r.head }
+func (r *keptRing) hi() int64             { return r.lo + int64(r.len()) }
+func (r *keptRing) at(idx int64) *keptWin { return &r.wins[r.head+int(idx-r.lo)] }
+
+// agg returns window idx's kept aggregate, or nil when it is not kept.
+func (r *keptRing) agg(idx int64) Aggregate {
+	if idx < r.lo || idx >= r.hi() {
+		return nil
+	}
+	return r.at(idx).agg
+}
+
+// push appends window idx, the next after the last kept one (or the first).
+func (r *keptRing) push(idx int64, w keptWin) {
+	if r.len() == 0 {
+		r.wins, r.head, r.lo = r.wins[:0], 0, idx
+	}
+	r.wins = append(r.wins, w)
+}
+
+// pop drops the oldest kept window.
+func (r *keptRing) pop() {
+	r.wins[r.head] = keptWin{}
+	r.head++
+	r.lo++
+	if r.head >= 64 && r.head*2 >= len(r.wins) {
+		n := copy(r.wins, r.wins[r.head:])
+		clear(r.wins[n:])
+		r.wins, r.head = r.wins[:n], 0
 	}
 }
 

@@ -1,9 +1,11 @@
 package window
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fiba"
@@ -113,8 +115,7 @@ type WinAgg struct {
 	Agg AggState `json:"agg"`
 }
 
-// OpState is the exported state of a window operator. Retained is sorted by
-// window index so snapshot bytes are deterministic.
+// OpState is the exported state of a window operator.
 type OpState struct {
 	// Tree holds the open windows' tuples in key order and Shape how the
 	// operator's tree arranges them. Restore rebuilds exactly that tree, so
@@ -122,9 +123,16 @@ type OpState struct {
 	// it was and the recovered run is bit-identical to the uninterrupted one
 	// by construction. A snapshot written before shapes were recorded has
 	// none and restores by bulk insert: same tuples, another grouping.
-	Tree     []fiba.Entry `json:"tree,omitempty"`
-	Shape    *fiba.Shape  `json:"shape,omitempty"`
-	Retained []WinAgg     `json:"retained,omitempty"`
+	Tree  []fiba.Entry `json:"tree,omitempty"`
+	Shape *fiba.Shape  `json:"shape,omitempty"`
+	// Kept is the ring of emitted windows the operator keeps (RefineLate,
+	// SetFeedback); nil when it keeps none.
+	Kept *KeptState `json:"kept,omitempty"`
+	// Retained is never written. It is what a snapshot written before the
+	// ring holds instead: a RefineLate operator's retained windows, sorted by
+	// index, which Restore turns into the ring. Those windows come back
+	// without their emitted value, so they are not reported (Final).
+	Retained []WinAgg `json:"retained,omitempty"`
 	// LegacyOpen is never written. It catches the per-window partials a
 	// snapshot of the removed per-window-fold core carries under "open", so
 	// that Restore can refuse them instead of restoring an operator whose
@@ -138,30 +146,79 @@ type OpState struct {
 	Stats      OpStats         `json:"stats"`
 }
 
-func saveWinAggs(m map[int64]Aggregate) []WinAgg {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]WinAgg, 0, len(m))
-	for idx, agg := range m {
-		out = append(out, WinAgg{Idx: idx, Agg: SaveAggregate(agg)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Idx < out[j].Idx })
-	return out
+// KeptState is the exported kept-window ring: windows Lo, Lo+1, … in order,
+// and the next one to report.
+type KeptState struct {
+	Lo        int64     `json:"lo"`
+	NextFinal int64     `json:"nextFinal"`
+	Wins      []KeptWin `json:"wins"`
 }
 
-func restoreWinAggs(f Factory, was []WinAgg) map[int64]Aggregate {
-	m := make(map[int64]Aggregate, len(was))
-	for _, wa := range was {
-		m[wa.Idx] = RestoreAggregate(f, wa.Agg)
+// KeptWin is one kept window: its aggregate (nil when its emission failed)
+// and, when the operator reports (SetFeedback), the value it was emitted
+// with.
+type KeptWin struct {
+	Agg     *AggState `json:"agg,omitempty"`
+	Emitted float64   `json:"emitted"`
+}
+
+func (o *Op) saveKept() *KeptState {
+	if o.kept.len() == 0 {
+		return nil
 	}
-	return m
+	st := &KeptState{Lo: o.kept.lo, NextFinal: o.nextFinal, Wins: make([]KeptWin, 0, o.kept.len())}
+	for _, w := range o.kept.wins[o.kept.head:] {
+		var kw KeptWin
+		if o.feedback > 0 {
+			kw.Emitted = w.emitted
+		}
+		if w.agg != nil {
+			a := SaveAggregate(w.agg)
+			kw.Agg = &a
+		}
+		st.Wins = append(st.Wins, kw)
+	}
+	return st
+}
+
+// restoreKept rebuilds the ring from st, or from the retained windows of a
+// snapshot written before the ring (see OpState.Retained): they are the
+// emitted windows from the first of them to nextEmit−1, less any whose
+// emission failed, and none is reported.
+func (o *Op) restoreKept(st OpState) {
+	o.kept = keptRing{}
+	if k := st.Kept; k != nil {
+		o.kept.lo, o.nextFinal = k.Lo, k.NextFinal
+		for _, kw := range k.Wins {
+			w := keptWin{emitted: kw.Emitted}
+			if kw.Agg != nil {
+				w.agg = RestoreAggregate(o.agg, *kw.Agg)
+			}
+			o.kept.wins = append(o.kept.wins, w)
+		}
+		return
+	}
+	o.nextFinal = st.NextEmit
+	was := st.Retained
+	if len(was) == 0 {
+		return
+	}
+	slices.SortFunc(was, func(a, b WinAgg) int { return cmp.Compare(a.Idx, b.Idx) })
+	o.kept.lo = was[0].Idx
+	for idx := o.kept.lo; idx < st.NextEmit; idx++ {
+		var w keptWin
+		if len(was) > 0 && was[0].Idx == idx {
+			w.agg = RestoreAggregate(o.agg, was[0].Agg)
+			was = was[1:]
+		}
+		o.kept.wins = append(o.kept.wins, w)
+	}
 }
 
 // State exports the operator state.
 func (o *Op) State() OpState {
 	st := OpState{
-		Retained:  saveWinAggs(o.retained),
+		Kept:      o.saveKept(),
 		NextEmit:  o.nextEmit,
 		EmitTries: o.emitTries,
 		HaveFirst: o.haveFirst,
@@ -193,7 +250,7 @@ func (o *Op) Restore(st OpState) error {
 		return fmt.Errorf("window: snapshot is damaged (%w): clear the query's durable directory and let its source replay", err)
 	}
 	o.fib = fresh
-	o.retained = restoreWinAggs(o.agg, st.Retained)
+	o.restoreKept(st)
 	o.nextEmit, o.emitTries = st.NextEmit, st.EmitTries
 	o.haveFirst = st.HaveFirst
 	o.clock = st.Clock
