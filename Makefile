@@ -99,11 +99,13 @@ cover:
 # path (TestOneDisorderPass), every metric name registered in one
 # file, by one instrument set (TestOneInstrumentSet), and fan-out batch
 # recycling in one compare-and-swap-guarded function (TestOneRecycleSite),
-# and an adaptive query's windows computed once, by its own operator
-# (TestOneWindowComputation).
+# an adaptive query's windows computed once, by its own operator
+# (TestOneWindowComputation), and raw syscalls, which skip the runtime's
+# syscall hook, confined to the listener's non-blocking read(2)
+# (TestOneRawRead).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$|^TestOneWindowComputation$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$|^TestOneWindowComputation$$|^TestOneRawRead$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

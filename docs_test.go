@@ -795,6 +795,69 @@ func TestOneRecycleSite(t *testing.T) {
 	}
 }
 
+// TestOneRawRead keeps raw syscalls to the one call that is safe without the
+// runtime's syscall hook. syscall.RawSyscall skips entersyscall, so the P is
+// not handed off while the call runs: a call that can block stalls every
+// goroutine on that P. The listener's conn reader issues read(2) on a
+// non-blocking socket that way, which cannot block, so that sysmon is not
+// woken on every paced tick. So: non-test Go outside bench/ calls
+// syscall.RawSyscall or RawSyscall6 only in internal/netstream's conn reader,
+// and only with SYS_READ.
+func TestOneRawRead(t *testing.T) {
+	const want = "internal/netstream/connread_linux.go: read"
+	found := false
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		pkg := "" // the file's name for package syscall
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"syscall"` {
+				pkg = "syscall"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		if pkg == "" {
+			return
+		}
+		isSyscall := func(e ast.Expr, names ...string) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			x, ok := sel.X.(*ast.Ident)
+			return ok && x.Name == pkg && slices.Contains(names, sel.Sel.Name)
+		}
+		for _, decl := range f.Decls {
+			where := path + ": package scope"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				where = path + ": " + fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isSyscall(call.Fun, "RawSyscall", "RawSyscall6") {
+					return true
+				}
+				switch {
+				case where != want:
+					t.Errorf("%s (%s) calls %s.%s: raw syscalls belong to %s only",
+						where, fset.Position(call.Pos()), pkg, call.Fun.(*ast.SelectorExpr).Sel.Name, want)
+				case len(call.Args) == 0 || !isSyscall(call.Args[0], "SYS_READ"):
+					t.Errorf("%s (%s) issues a raw syscall other than SYS_READ", where, fset.Position(call.Pos()))
+				default:
+					found = true
+				}
+				return true
+			})
+		}
+	})
+	if !found {
+		t.Errorf("extraction rotted: no raw read(2) found in %s", want)
+	}
+}
+
 // TestOneWindowStage keeps grouped execution inside the step core. For
 // eighteen PRs RunConcurrent ran GROUP BY queries on a second window stage —
 // a dispatcher broadcasting every released tuple to N shard workers and a

@@ -133,7 +133,7 @@ func (l *Listener) acceptLoop() {
 // read is decoded straight into a batch borrowed from the sink and handed
 // over before the next blocking read, so one TCP segment's worth of
 // frames becomes one publish (ConnBatch at most) and a trickling client
-// still sees per-frame latency.
+// still sees per-frame latency. The decoder reads c through connReader.
 func (l *Listener) serve(c net.Conn) {
 	defer l.wg.Done()
 	defer l.untrack(c)
@@ -145,7 +145,7 @@ func (l *Listener) serve(c net.Conn) {
 		l.rejected.Add(1)
 		l.log.Warn(msg, append(attrs, "remote", c.RemoteAddr().String(), "err", err)...)
 	}
-	d := NewDecoder(c)
+	d := NewDecoder(connReader(c))
 	if err := d.Hello(); err != nil {
 		reject("netstream: rejecting connection", err)
 		return

@@ -19,7 +19,7 @@ import (
 type memSink struct {
 	mu     sync.Mutex
 	items  map[string][]stream.Item
-	provs  map[string][]stream.BatchProv // one entry per Publish call
+	provs  map[string][]stream.BatchProv // one entry per item: the provenance it was published under
 	tenant map[string]string
 	err    error // returned from Publish when set
 }
@@ -54,7 +54,9 @@ func (c *memConn) PublishOwned(items []stream.Item, prov stream.BatchProv) error
 		return s.err
 	}
 	s.items[c.source] = append(s.items[c.source], items...) // copies: append clones into our backing array
-	s.provs[c.source] = append(s.provs[c.source], prov)
+	for range items {
+		s.provs[c.source] = append(s.provs[c.source], prov)
+	}
 	s.tenant[c.source] = c.tenant
 	c.buf = items
 	return nil
@@ -343,16 +345,16 @@ func TestListenerCarriesWireProvenance(t *testing.T) {
 	sink.mu.Lock()
 	provs := append([]stream.BatchProv(nil), sink.provs["s1"]...)
 	sink.mu.Unlock()
-	// The listener may split a send into several publishes, but every
-	// publish must carry a valid mark and the ids must step 1 → 2 at the
-	// timestamp boundary.
+	// The listener may split a send into several publishes, but every item
+	// must be published under a valid mark and the ids must step 1 → 2 at
+	// the timestamp boundary.
 	if len(provs) == 0 {
 		t.Fatal("no publishes recorded")
 	}
 	seen := map[uint64]int64{}
 	for i, p := range provs {
 		if !p.Valid() {
-			t.Fatalf("publish %d carried no provenance: %+v", i, p)
+			t.Fatalf("item %d published without provenance: %+v", i, p)
 		}
 		if prev, ok := seen[p.BatchID]; ok && prev != p.SendMS {
 			t.Fatalf("batch id %d seen with two send times", p.BatchID)
