@@ -100,12 +100,14 @@ cover:
 # file, by one instrument set (TestOneInstrumentSet), and fan-out batch
 # recycling in one compare-and-swap-guarded function (TestOneRecycleSite),
 # an adaptive query's windows computed once, by its own operator
-# (TestOneWindowComputation), and raw syscalls, which skip the runtime's
+# (TestOneWindowComputation), raw syscalls, which skip the runtime's
 # syscall hook, confined to the listener's non-blocking read(2)
-# (TestOneRawRead).
+# (TestOneRawRead), and the disorder buffer's flight-recorder events
+# written by the executor alone, with no handler wrapper in between
+# (TestOneBufferTrace).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$|^TestOneWindowComputation$$|^TestOneRawRead$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$|^TestOneWindowComputation$$|^TestOneRawRead$$|^TestOneBufferTrace$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

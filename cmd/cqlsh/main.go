@@ -185,6 +185,6 @@ func execute(w io.Writer, stmt string, n int, seed uint64, warmup int, tr *trace
 		}
 	}
 	fmt.Fprintf(w, "  wall    : %v (%.0f tuples/s)\n", wall.Round(time.Millisecond),
-		float64(n)/wall.Seconds())
+		float64(len(rep.Input))/wall.Seconds())
 	return nil
 }

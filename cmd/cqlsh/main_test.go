@@ -2,11 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/obs/tracez"
 )
 
@@ -50,6 +52,38 @@ func TestExecuteExplicitHandler(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "adaptive handler") {
 		t.Fatal("explicit handler reported as adaptive")
+	}
+}
+
+// TestExecuteTraceRate: a trace('file.csv') source replays the file whatever
+// the tuple count asked for, so the wall line's rate is the file's tuples
+// over the wall time, not the count asked for.
+func TestExecuteTraceRate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gen.WriteTrace(f, gen.Sensor(50, 1).Arrivals()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	stmt := fmt.Sprintf("SELECT sum(value) FROM trace('%s') WINDOW 1s SLIDE 1s HANDLER kslack(1s)", path)
+	if err := execute(&out, stmt, 1e12, 1, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	var rate float64
+	_, line, _ := strings.Cut(out.String(), "wall    : ")
+	if _, rest, ok := strings.Cut(line, "("); !ok {
+		t.Fatalf("no rate in the wall line:\n%s", out.String())
+	} else if _, err := fmt.Sscanf(rest, "%f tuples/s", &rate); err != nil {
+		t.Fatalf("wall line %q: %v", line, err)
+	}
+	if rate <= 0 || rate >= 1e9 {
+		t.Fatalf("50 tuples replayed at %.0f tuples/s: the rate counts the tuples asked for, not the trace's", rate)
 	}
 }
 

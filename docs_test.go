@@ -1080,6 +1080,49 @@ func TestOneWindowComputation(t *testing.T) {
 	}
 }
 
+// TestOneBufferTrace keeps the disorder buffer's flight-recorder events in
+// the executor. A handler wrapper, buffer.Traced, used to write them: every
+// traced query ran through it, the executor looked behind it for the concrete
+// handler and the feedback protocol, and each need of the executor's added a
+// method to it (Sync, Advance, Mirror, Split) — while the only other wrapper,
+// buffer.Timeout, dropped the feedback protocol without a word. Now cq.Exec
+// reads the handler's stats once per step and each window stage records its
+// own deltas. So: non-test code calls (*tracez.Tracer).BufferSync from
+// internal/cq/exec.go only, and non-test internal/buffer does not import
+// tracez.
+func TestOneBufferTrace(t *testing.T) {
+	const want = "internal/cq/exec.go"
+	found := false
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		if strings.HasPrefix(path, "internal/buffer/") {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"repro/internal/obs/tracez"` {
+					t.Errorf("%s imports tracez: the executor records the buffer's trace, the handlers know nothing of it", path)
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "BufferSync" {
+				if path != want {
+					t.Errorf("%s calls BufferSync: the disorder buffer's events are recorded in %s only", fset.Position(call.Pos()), want)
+				}
+				found = true
+			}
+			return true
+		})
+	})
+	if !found {
+		t.Errorf("extraction rotted: no BufferSync call found in %s", want)
+	}
+}
+
 // keys lists a set's members, sorted.
 func keys(set map[string]bool) []string {
 	out := make([]string, 0, len(set))

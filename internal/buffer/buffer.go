@@ -259,15 +259,6 @@ func (b *slackBuffer) Stats() Stats { return b.stats }
 // Clock returns the current stream clock (max event timestamp observed).
 func (b *slackBuffer) Clock() stream.Time { return b.clock }
 
-// Head returns the buffered tuple that would be released next, if any.
-// Timeout uses it to detect a stuck buffer head.
-func (b *slackBuffer) Head() (stream.Tuple, bool) {
-	if b.heap.len() == 0 {
-		return stream.Tuple{}, false
-	}
-	return *b.heap.first(), true
-}
-
 // KSlack is the classic fixed-slack buffer: release when the clock has
 // advanced K past a tuple's event time. SetK makes it externally tunable,
 // which is how the adaptive controller in internal/core drives it.

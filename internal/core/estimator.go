@@ -395,19 +395,13 @@ func (e *Estimator) sweepTrials(compensated bool) {
 	}
 }
 
-// EstimateShedErr predicts the relative window error of uniform shedding
-// at probability p. With compensated set, survivor values are scaled by
-// 1/(1−p) (Horvitz–Thompson): unbiased for linear aggregates like sum —
-// only sampling variance remains — while distorting location and extreme
-// statistics (avg, min, max, quantiles), which the simulation reports
-// faithfully. Count cannot be value-compensated; its error stays ≈ p
-// either way.
-func (e *Estimator) EstimateShedErr(p float64, compensated bool) float64 {
-	return e.lossCurve(compensated).Err(p)
-}
-
-// MaxTolerableShed inverts EstimateShedErr: the largest shedding
-// probability whose estimated error stays within target.
+// MaxTolerableShed returns the largest uniform shedding probability whose
+// estimated relative window error stays within target. With compensated
+// set, survivor values are scaled by 1/(1−p) (Horvitz–Thompson): unbiased
+// for linear aggregates like sum — only sampling variance remains — while
+// distorting location and extreme statistics (avg, min, max, quantiles),
+// which the simulation reports faithfully. Count cannot be
+// value-compensated; its error stays ≈ p either way.
 func (e *Estimator) MaxTolerableShed(target float64, compensated bool) float64 {
 	// Cap: total shedding is never sensible.
 	return min(e.lossCurve(compensated).MaxLoss(target), 0.99)

@@ -3,7 +3,6 @@ package cq
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -27,11 +26,11 @@ import (
 // every window stage that run whole → suppress emissions below the recovered
 // floor → report / telemetry / tracer / sink → hand an adaptive handler what
 // its query's operator reported, and run its adaptation if due (feedback) →
-// sync the handler's trace and telemetry, once → journal the emission cursor
-// → snapshot when due. A run,
-// not a tuple, is the unit of work between handler and operator, which is
-// where the time goes: see Resume. Crash recovery is the same two passes
-// over the journal suffix with nothing journaled. Every state change happens
+// sync every stage's buffer trace and telemetry, once → journal the emission
+// cursor → snapshot when due. A run, not a tuple, is the unit of work
+// between handler and operator, which is where the time goes: see Resume.
+// Crash recovery is the same two passes over the journal suffix with nothing
+// journaled. Every state change happens
 // inside Step on the caller's goroutine, so a snapshot is a plain call at a
 // batch boundary: the journal covers exactly the items the captured state
 // has absorbed.
@@ -44,19 +43,19 @@ import (
 // K-slack in front of several windows, as in the paper — and Leave ends one
 // while the others run on. The handler, arrival clock, intake disorder
 // measurement and journal are the Exec's; the sink, report, tracer,
-// telemetry, emitted count, release cursor and PreFlush boundary are the
-// stage's, so every query's report, trace and gauges read exactly as they
-// would if it ran alone over the same items.
+// telemetry, what the last sync saw of the handler, emitted count, release
+// cursor and PreFlush boundary are the stage's, so every query's report, trace
+// and gauges read exactly as they would if it ran alone over the same items.
 //
 // An Exec is not safe for concurrent use; its driver serializes every call
 // (cmd/aqserver does so with its group's mutex).
 type Exec struct {
-	raw     buffer.Handler         // as configured; what Handler returns and the disorder pass feeds
-	handler buffer.Handler         // raw, or its traced wrapper (feeding every stage's tracer)
-	fb      buffer.FeedbackHandler // raw, when it adapts to what its query's operator reports
+	handler buffer.Handler         // as configured (buffer.Zero when none); the disorder pass feeds it
+	fb      buffer.FeedbackHandler // handler, when it adapts to what its query's operator reports
 	stages  []*Stage
 
 	now      stream.Time // arrival clock: max arrival/watermark applied so far
+	at       stream.Time // event-time clock: max event time inserted so far, the buffer events' timestamp
 	dis      disorderAcc // intake-side disorder measurement (see noteInput)
 	released int         // tuples the handler released since the last sync
 
@@ -92,9 +91,12 @@ type Stage struct {
 	win     windowStage
 	scratch []window.Result
 	emitted int // results delivered, after floor suppression
-	// stragglers is the handler's straggler count as last published to the
-	// telemetry, which counts the stragglers since.
-	stragglers int64
+	// seen is the handler as the stage's last sync saw it: its cumulative
+	// stats and its slack, whose deltas the next sync records. synced is false
+	// until the first, which always records the slack.
+	seen   buffer.Stats
+	seenK  stream.Time
+	synced bool
 
 	// The release cursor: the run's tuples before pos have been handed to
 	// the operator, and the operator's results before sent delivered.
@@ -174,22 +176,21 @@ func (q *AggQuery) ownedByCaller() error {
 
 // newExec builds the core for a validated query.
 func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
-	x := &Exec{stage: stageSource, rel: &released{}}
-	x.raw = q.handler
-	if x.raw == nil {
-		x.raw = buffer.Zero()
+	x := &Exec{stage: stageSource, rel: &released{}, handler: q.handler}
+	if x.handler == nil {
+		x.handler = buffer.Zero()
 	}
-	if fb, ok := x.raw.(buffer.FeedbackHandler); ok && fb.FeedbackHorizon() > 0 {
+	if fb, ok := x.handler.(buffer.FeedbackHandler); ok && fb.FeedbackHorizon() > 0 {
 		x.fb = fb
 	}
-	x.handler = q.traceHandler(x.raw)
+	q.traceTo(x.handler)
 	x.stages = []*Stage{x.newStage(q, sink)}
 	if q.durable != nil {
 		if err := x.restore(); err != nil {
 			return nil, err
 		}
 	}
-	x.stages[0].publish(x.raw, 0) // the handler as restored, not as built
+	q.telem.noteHandler(0, 0, x.handler.K(), x.handler.Len()) // the handler as restored, not as built
 	return x, nil
 }
 
@@ -282,14 +283,7 @@ func (x *Exec) Join(q *AggQuery, sink func(window.Result)) (*Stage, error) {
 	}
 	s := x.newStage(q, sink)
 	x.stages = append(x.stages, s)
-	s.publish(x.raw, 0)
-	if tr := q.tracer; tr != nil {
-		if traced, ok := x.handler.(*buffer.Traced); ok {
-			traced.Mirror(tr)
-		} else {
-			x.handler = buffer.NewTraced(x.raw, tr)
-		}
-	}
+	q.telem.noteHandler(0, 0, x.handler.K(), x.handler.Len())
 	return s, nil
 }
 
@@ -297,7 +291,7 @@ func (x *Exec) Join(q *AggQuery, sink func(window.Result)) (*Stage, error) {
 // where it stands now.
 func (x *Exec) shareKey() string {
 	lead := *x.stages[0].q
-	lead.handler = x.raw
+	lead.handler = x.handler
 	return ShareKey(&lead)
 }
 
@@ -452,21 +446,20 @@ func (x *Exec) feedback() {
 }
 
 // insertChunk is the disorder pass over one chunk of the pending items. A
-// handler that is exactly a *buffer.KSlack — its concrete type, looked up
-// behind the traced wrapper; a type that embeds one and overrides Insert
-// inherits InsertBatch and must not be short-circuited — takes the chunk in
-// one call, and a feedback handler the part of it up to its next adaptation;
-// either is stamped behind it in one pass. Every other handler takes it
-// item by item, x.pos moving first so that a panic leaves the item behind,
-// not the batch, and every item stamped as it goes.
+// handler that is exactly a *buffer.KSlack — its concrete type; a type that
+// embeds one and overrides Insert inherits InsertBatch and must not be
+// short-circuited — takes the chunk in one call, and a feedback handler the
+// part of it up to its next adaptation; either is stamped behind it in one
+// pass. Every other handler takes it item by item, x.pos moving first so that
+// a panic leaves the item behind, not the batch, and every item stamped as it
+// goes. The event-time clock takes the largest event time stamped.
 func (x *Exec) insertChunk(chunk []stream.Item) {
 	r := x.rel
 	r.ts, r.nows, r.ends, r.base = r.ts[:0], r.nows[:0], r.ends[:0], x.pos
 	for _, s := range x.stages {
 		s.pos = 0
 	}
-	tr, _ := x.handler.(*buffer.Traced)
-	if ks, ok := x.raw.(*buffer.KSlack); ok || x.fb != nil {
+	if ks, ok := x.handler.(*buffer.KSlack); ok || x.fb != nil {
 		x.pos += len(chunk)
 		if ok {
 			r.ts, r.ends = ks.InsertBatch(chunk, r.ts, r.ends)
@@ -475,22 +468,18 @@ func (x *Exec) insertChunk(chunk []stream.Item) {
 			chunk = chunk[:len(r.ends)]
 			x.pos = r.base + len(chunk)
 		}
-		at := stream.Time(math.MinInt64)
+		at := x.at
 		for i := range chunk {
 			at = max(at, x.stamp(&chunk[i], r.ends[i]))
 		}
-		if tr != nil {
-			tr.Advance(at)
-		}
+		x.at = at
 		return
 	}
 	for i := range chunk {
 		x.pos++
-		r.ts = x.raw.Insert(chunk[i], r.ts)
+		r.ts = x.handler.Insert(chunk[i], r.ts)
 		r.ends = append(r.ends, len(r.ts))
-		if at := x.stamp(&chunk[i], len(r.ts)); tr != nil {
-			tr.Advance(at)
-		}
+		x.at = max(x.at, x.stamp(&chunk[i], len(r.ts)))
 	}
 }
 
@@ -513,33 +502,34 @@ func (x *Exec) stamp(it *stream.Item, end int) (at stream.Time) {
 	return at
 }
 
-// sync publishes the handler's activity once per step, not per item: the
-// traced wrapper turns the deltas of the handler's cumulative stats into
-// buffer events (N = count) in every stage's tracer, and each stage's
-// telemetry takes what was released and the new stragglers among it, and the
-// handler's slack and depth. A step a panic cut short skips it and loses
-// nothing: its share rides on the sync of the Resume that carries on behind
-// it.
+// sync publishes the handler's activity once per step, not per item, and
+// without a hook in the handler: it reads the handler's cumulative stats,
+// slack and depth once and brings every stage up to them (Stage.sync). A step
+// a panic cut short skips it and loses nothing: its share rides on the sync
+// of the Resume that carries on behind it.
 func (x *Exec) sync() {
-	if tr, ok := x.handler.(*buffer.Traced); ok {
-		tr.Sync()
-	}
+	h := x.handler
+	st, k, depth := h.Stats(), h.K(), h.Len()
 	for _, s := range x.stages {
-		s.publish(x.raw, x.released)
+		s.sync(st, k, depth, x.at, x.released)
 	}
 	x.released = 0
 }
 
-// publish brings the stage's telemetry up to h, the handler that feeds it:
-// released, the tuples h released since the last publish; the stragglers h
-// counted since; h's slack and depth now.
-func (s *Stage) publish(h buffer.Handler, released int) {
-	if s.q.telem == nil {
-		return
-	}
-	n := h.Stats().Stragglers
-	s.q.telem.noteHandler(h, released, n-s.stragglers)
-	s.stragglers = n
+// sync brings the stage's tracer and telemetry up to the handler that feeds
+// it, which now stands at stats st, slack k and depth: the deltas since the
+// stage's last sync become buffer events — tuples inserted, released and
+// released out of order, one event each with N = the count, and the slack if
+// it changed (the first sync always records it) — at the event-time clock at,
+// so traces replay deterministically; the telemetry takes released, the
+// tuples released since, the new stragglers among them, and the slack and
+// depth.
+func (s *Stage) sync(st buffer.Stats, k stream.Time, depth int, at stream.Time, released int) {
+	stragglers := st.Stragglers - s.seen.Stragglers
+	s.q.tracer.BufferSync(int64(at), st.Inserted-s.seen.Inserted, st.Released-s.seen.Released,
+		stragglers, int64(k), !s.synced || k != s.seenK)
+	s.q.telem.noteHandler(released, stragglers, k, depth)
+	s.seen, s.seenK, s.synced = st, k, true
 }
 
 // InFlight reports where a panic raised inside Step or Resume hit: the
@@ -620,7 +610,7 @@ func (x *Exec) Leave(s *Stage) error {
 		x.Resume()
 	}
 	h := shareable(s.q) // every query of a shared pass is shareable
-	st, err := durable.SaveHandler(x.raw)
+	st, err := durable.SaveHandler(x.handler)
 	if err == nil {
 		err = durable.RestoreHandler(h, st)
 	}
@@ -628,14 +618,8 @@ func (x *Exec) Leave(s *Stage) error {
 		return fmt.Errorf("cq: Leave: %w", err)
 	}
 	x.stages = slices.Delete(x.stages, i, i+1)
-	if tr := s.q.tracer; tr != nil {
-		h = x.handler.(*buffer.Traced).Split(tr, h)
-	}
 	r := x.drain(h)
-	if tr, ok := h.(*buffer.Traced); ok {
-		tr.Sync()
-	}
-	s.publish(h, len(r.ts))
+	s.sync(h.Stats(), h.K(), h.Len(), x.at, len(r.ts))
 	s.finish(r, x.now)
 	s.rep.Disorder, s.rep.Handler = x.dis.finish(), h.Stats()
 	s.x = nil
@@ -675,7 +659,7 @@ func (x *Exec) Now() stream.Time { return x.now }
 
 // Handler returns the disorder handler the Exec was built with (buffer.Zero
 // when none was set), for hosts that read its live state between steps.
-func (x *Exec) Handler() buffer.Handler { return x.raw }
+func (x *Exec) Handler() buffer.Handler { return x.handler }
 
 // panicErr converts a panic recovered around Step or Finish into the
 // pipeline error naming the stage it hit.

@@ -342,17 +342,12 @@ func (q *AggQuery) Run() (*AggReport, error) {
 	return x.Report(), nil
 }
 
-// traceHandler hooks the disorder handler into the query's tracer:
-// handlers exposing TraceTo (the adaptive controllers in internal/core)
-// report their decisions directly, and the handler is wrapped so
-// inserts, releases, stragglers and slack changes become buffer events.
-// Returns h unchanged when the query is untraced.
-func (q *AggQuery) traceHandler(h buffer.Handler) buffer.Handler {
-	if q.tracer == nil {
-		return h
-	}
-	if qt, ok := h.(interface{ TraceTo(*tracez.Tracer) }); ok {
+// traceTo hooks a disorder handler exposing TraceTo (the adaptive
+// controllers in internal/core) into the query's tracer, so it reports its
+// decisions directly. Inserts, releases, stragglers and slack changes become
+// buffer events without it: the executor records them (Exec.sync).
+func (q *AggQuery) traceTo(h buffer.Handler) {
+	if qt, ok := h.(interface{ TraceTo(*tracez.Tracer) }); ok && q.tracer != nil {
 		qt.TraceTo(q.tracer)
 	}
-	return buffer.NewTraced(h, q.tracer)
 }

@@ -131,6 +131,10 @@ func TestSharedStagesReadAsAlone(t *testing.T) {
 	}
 }
 
+// opaqueHandler wraps a handler in a type the executor does not know, whose
+// releases may therefore depend on anything.
+type opaqueHandler struct{ buffer.Handler }
+
 // TestJoinRefusesWhatCannotShare: a query whose releases depend on more than
 // the stream — an adaptive handler, a journal — or whose handler is
 // not where the pass's is, gets a step core of its own.
@@ -148,7 +152,7 @@ func TestJoinRefusesWhatCannotShare(t *testing.T) {
 		"adaptive":      mk(aq),
 		"other K":       mk(buffer.NewKSlack(400)),
 		"durable":       mk(buffer.NewKSlack(500)).Durable(Durable{Log: log}),
-		"wrapped":       mk(buffer.NewTimeout(buffer.NewKSlack(500), 100)),
+		"wrapped":       mk(opaqueHandler{buffer.NewKSlack(500)}),
 		"other kind":    mk(buffer.NewMaxSlack()),
 		"no window":     New(nil).Handle(buffer.NewKSlack(500)),
 		"with a source": New(stream.NewSliceSource(nil)).Handle(buffer.NewKSlack(500)).Window(spec, window.Sum()),

@@ -3,9 +3,9 @@ package cq
 import (
 	"math"
 
-	"repro/internal/buffer"
 	"repro/internal/fanout"
 	"repro/internal/obs"
+	"repro/internal/stream"
 	"repro/internal/window"
 )
 
@@ -146,7 +146,7 @@ func (t *Telemetry) noteShed(n int64) {
 // noteHandler records the disorder handler's activity since the last call —
 // released tuples, and new stragglers among them — and its slack and depth
 // now.
-func (t *Telemetry) noteHandler(h buffer.Handler, released int, stragglers int64) {
+func (t *Telemetry) noteHandler(released int, stragglers int64, k stream.Time, depth int) {
 	if t == nil {
 		return
 	}
@@ -156,8 +156,8 @@ func (t *Telemetry) noteHandler(h buffer.Handler, released int, stragglers int64
 	if stragglers > 0 {
 		t.Stragglers.Add(float64(stragglers))
 	}
-	t.K.Set(float64(h.K()))
-	t.Depth.Set(float64(h.Len()))
+	t.K.Set(float64(k))
+	t.Depth.Set(float64(depth))
 }
 
 // noteResult records one emitted window result. Latency is observed only

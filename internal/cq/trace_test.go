@@ -189,3 +189,139 @@ func TestLatencyBucketsFor(t *testing.T) {
 		t.Errorf("small-window ladder tops out at %g, want >= 16x the floor", small[len(small)-1])
 	}
 }
+
+// bufferEvents is the recorder's disorder-buffer events.
+func bufferEvents(rec *tracez.Recorder) []tracez.Event {
+	var out []tracez.Event
+	for _, ev := range rec.Events() {
+		if ev.Stage == tracez.StageBuffer {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// bufferTraceExec is a traced K-slack (K = 4) count query over tumbling
+// windows of 5, recording into rec. step runs one Step and returns the
+// buffer events it recorded; onSink, if set, runs at each window result
+// emitted inside a step.
+func bufferTraceExec(t *testing.T, rec *tracez.Recorder, onSink func()) (x *Exec, step func(...stream.Item) []tracez.Event) {
+	t.Helper()
+	stepping, synced := false, 0
+	sink := func(window.Result) {
+		if stepping && onSink != nil {
+			onSink()
+		}
+	}
+	x, err := NewExec(New(nil).Handle(buffer.NewKSlack(4)).
+		Window(window.Spec{Size: 5, Slide: 5}, window.Count()).
+		Trace(tracez.New(rec, "q")), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step = func(items ...stream.Item) []tracez.Event {
+		t.Helper()
+		stepping = true
+		if err := x.Step(items); err != nil {
+			t.Fatal(err)
+		}
+		stepping = false
+		evs := bufferEvents(rec)
+		defer func() { synced = len(evs) }()
+		return evs[synced:]
+	}
+	return x, step
+}
+
+func dataAt(ts stream.Time, seq uint64) stream.Item {
+	return stream.DataItem(stream.Tuple{TS: ts, Arrival: ts, Seq: seq})
+}
+
+// TestExecBufferTraceMirrorsHandler: the executor records the disorder
+// buffer's activity at each step's sync — one event per non-zero delta of
+// the handler's cumulative stats, N = the count, at the event-time clock,
+// plus the slack on the first sync. The events sum to the handler's stats,
+// and none is stamped beyond the largest event time inserted.
+func TestExecBufferTraceMirrorsHandler(t *testing.T) {
+	rec := tracez.NewRecorder(1 << 10)
+	x, step := bufferTraceExec(t, rec, nil)
+
+	// 3 inserted, 2 released (TS 10 and 12 are behind 30−K), and the
+	// initial slack, at the event-time clock 30.
+	first := step(dataAt(10, 0), dataAt(12, 1), dataAt(30, 2))
+	want := []tracez.Event{
+		{At: 30, Kind: tracez.KindInsert, N: 3},
+		{At: 30, Kind: tracez.KindRelease, N: 2},
+		{At: 30, Kind: tracez.KindKSet, K: 4},
+	}
+	if len(first) != len(want) {
+		t.Fatalf("first sync recorded %+v, want %+v", first, want)
+	}
+	for i, ev := range first {
+		if w := want[i]; ev.At != w.At || ev.Kind != w.Kind || ev.N != w.N || ev.K != w.K {
+			t.Errorf("first sync event %d = %+v, want %+v", i, ev, w)
+		}
+	}
+	// A straggler (TS 8 is behind the released 12), then a tuple that
+	// releases TS 30.
+	step(stream.DataItem(stream.Tuple{TS: 8, Arrival: 31, Seq: 3}))
+	step(dataAt(40, 4))
+	if err := x.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := x.Report().Handler
+	n := map[tracez.Kind]int64{}
+	for _, ev := range bufferEvents(rec) {
+		n[ev.Kind] += ev.N
+		if ev.At > 40 {
+			t.Errorf("event %+v stamped beyond the largest event time 40", ev)
+		}
+	}
+	if st.Inserted != 5 || st.Released != 5 || st.Stragglers != 1 {
+		t.Fatalf("handler stats %+v, want 5 inserted and released, 1 straggler", st)
+	}
+	if n[tracez.KindInsert] != st.Inserted || n[tracez.KindRelease] != st.Released || n[tracez.KindStraggler] != st.Stragglers {
+		t.Errorf("events sum to %v, handler stats %+v", n, st)
+	}
+}
+
+// TestExecBufferTraceSyncsOnDemand: buffer events are recorded at a step's
+// sync and only there — nothing while the step is still running (checked
+// from the sink, which runs inside the step) — and a step with nothing new
+// records nothing.
+func TestExecBufferTraceSyncsOnDemand(t *testing.T) {
+	rec := tracez.NewRecorder(1 << 10)
+	synced, sinkCalls := 0, 0
+	x, step := bufferTraceExec(t, rec, func() {
+		sinkCalls++
+		if n := len(bufferEvents(rec)); n != synced {
+			t.Errorf("%d buffer events inside a step, %d at the last sync", n, synced)
+		}
+	})
+	record := func(items ...stream.Item) []tracez.Event {
+		t.Helper()
+		evs := step(items...)
+		synced = len(bufferEvents(rec))
+		return evs
+	}
+
+	if evs := record(dataAt(10, 0), dataAt(12, 1), dataAt(30, 2)); len(evs) == 0 {
+		t.Fatal("a step that inserted tuples recorded nothing")
+	}
+	if evs := record(); len(evs) != 0 {
+		t.Errorf("a step with nothing new recorded %+v", evs)
+	}
+	// A tuple that releases TS 30 and closes windows: the sink runs inside
+	// the step.
+	record(dataAt(40, 3))
+	if sinkCalls == 0 {
+		t.Fatal("no window closed inside a step: the between-syncs check proved nothing")
+	}
+	if evs := record(); len(evs) != 0 {
+		t.Errorf("a step with nothing new recorded %+v", evs)
+	}
+	if err := x.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}

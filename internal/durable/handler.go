@@ -18,8 +18,8 @@ type HandlerState struct {
 	AQ         *core.AQState           `json:"aq,omitempty"`         // aq
 }
 
-// unwrapHandler strips instrumentation/tracing wrappers down to the
-// concrete handler that owns the state.
+// unwrapHandler strips instrumentation wrappers (any handler with an Unwrap
+// method) down to the concrete handler that owns the state.
 func unwrapHandler(h buffer.Handler) buffer.Handler {
 	for {
 		u, ok := h.(interface{ Unwrap() buffer.Handler })

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/obs/tracez"
 	"repro/internal/snapjson"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -183,14 +182,21 @@ func (w withOperator) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple 
 	return out
 }
 
-// Instrumentation wrappers (the tracing one, buffer.Traced) must be
-// transparent: the state belongs to the wrapped handler, and a wrapped
-// target restores like a bare one.
+// tapHandler is an instrumentation wrapper: it hides the handler's type and
+// hands the handler back through Unwrap.
+type tapHandler struct{ buffer.Handler }
+
+func (w tapHandler) Unwrap() buffer.Handler { return w.Handler }
+
+// opaqueHandler hides the handler's type and offers no Unwrap.
+type opaqueHandler struct{ buffer.Handler }
+
+// Instrumentation wrappers must be transparent: the state belongs to the
+// wrapped handler, and a wrapped target restores like a bare one.
 func TestHandlerRoundTripUnwrapsInstrumentation(t *testing.T) {
-	tr := tracez.New(tracez.NewRecorder(64), "q")
-	h := buffer.NewTraced(buffer.NewKSlack(25), tr)
+	h := tapHandler{buffer.NewKSlack(25)}
 	feedHandler(t, h)
-	roundTrip(t, "kslack", h, buffer.NewTraced(buffer.NewKSlack(25), tr))
+	roundTrip(t, "kslack", h, tapHandler{buffer.NewKSlack(25)})
 }
 
 func TestRestoreHandlerRejectsMismatch(t *testing.T) {
@@ -213,12 +219,12 @@ func TestRestoreHandlerRejectsMismatch(t *testing.T) {
 }
 
 func TestUnsupportedHandlerRejected(t *testing.T) {
-	h := buffer.NewTimeout(buffer.NewKSlack(10), 100)
+	h := opaqueHandler{buffer.NewKSlack(10)}
 	if _, err := SaveHandler(h); err == nil {
 		t.Fatal("SaveHandler on an unsupported handler must fail")
 	}
 	st := &HandlerState{Kind: "kslack"}
-	if err := RestoreHandler(buffer.NewTimeout(buffer.NewKSlack(10), 100), st); err == nil {
+	if err := RestoreHandler(opaqueHandler{buffer.NewKSlack(10)}, st); err == nil {
 		t.Fatal("RestoreHandler on an unsupported handler must fail")
 	}
 }

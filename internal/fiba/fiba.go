@@ -183,19 +183,6 @@ func (t *Tree[P]) Len() int { return t.size }
 // Stats returns cumulative counters.
 func (t *Tree[P]) Stats() Stats { return t.stats }
 
-// Height returns the tree height (0 when empty, 1 for a single leaf).
-func (t *Tree[P]) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf {
-			break
-		}
-		n = n.kids[0]
-	}
-	return h
-}
-
 // MinKey returns the smallest stored key; ok is false when empty.
 func (t *Tree[P]) MinKey() (Key, bool) {
 	if t.left == nil {

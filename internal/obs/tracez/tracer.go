@@ -192,11 +192,10 @@ func (t *Tracer) Panic(stage Stage, at int64, msg string) {
 
 // BufferSync records the disorder buffer's activity since the previous
 // call as delta events: tuples inserted, released and released out of
-// order, plus the slack when it changed. The buffer wrapper
-// (buffer.Traced) derives the deltas from the handler's cumulative
-// stats, so any handler is traceable without hot-path hooks, and the
-// executor calls it once per step: one event per kind with N = count,
-// never one per tuple.
+// order, plus the slack when it changed. The executor (cq.Exec) derives
+// the deltas from the handler's cumulative stats once per step, so any
+// handler is traceable without hot-path hooks or a wrapper: one event per
+// kind with N = count, never one per tuple.
 func (t *Tracer) BufferSync(at int64, inserted, released, stragglers, k int64, kChanged bool) {
 	if t == nil {
 		return

@@ -246,16 +246,6 @@ func NewRetryingSource(ctx context.Context, src stream.ErrSource, retry Retry) *
 // safe to read from another goroutine.
 func (s *RetryingSource) Retries() int64 { return s.retries.Load() }
 
-// BreakerTrips returns how many times the source's circuit breaker has
-// opened (0 when the policy runs without a breaker). Safe to read from
-// another goroutine.
-func (s *RetryingSource) BreakerTrips() int64 {
-	if s.breaker == nil {
-		return 0
-	}
-	return s.breaker.Trips()
-}
-
 // NextErr implements stream.ErrSource. It returns an error only when the
 // retry budget is exhausted or the breaker refuses the call.
 func (s *RetryingSource) NextErr() (stream.Item, bool, error) {
