@@ -102,12 +102,13 @@ cover:
 # an adaptive query's windows computed once, by its own operator
 # (TestOneWindowComputation), raw syscalls, which skip the runtime's
 # syscall hook, confined to the listener's non-blocking read(2)
-# (TestOneRawRead), and the disorder buffer's flight-recorder events
+# (TestOneRawRead), the disorder buffer's flight-recorder events
 # written by the executor alone, with no handler wrapper in between
-# (TestOneBufferTrace).
+# (TestOneBufferTrace), and the fan-out ring read by one loop,
+# cq.Group.Run, whatever the driver (TestOneRingConsumer).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$|^TestOneWindowComputation$$|^TestOneRawRead$$|^TestOneBufferTrace$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$|^TestOneWindowComputation$$|^TestOneRawRead$$|^TestOneBufferTrace$$|^TestOneRingConsumer$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

@@ -21,7 +21,6 @@ package main
 // semantics, curl transcript).
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -214,10 +213,9 @@ func admissionError(err error) error {
 
 // registerQuery is the full runtime admission pipeline: validate,
 // parse, bind, quota-check, wire a runner exactly like a compiled-in
-// query, place it in its group on the source ring — a fresh group of the
-// same handler, or a new one attached at the frontier (groupRegistry.place) —
-// and make sure the group's pump runs. A failure after placement ends the
-// query again.
+// query and place it in its group on the source ring — a fresh group of the
+// same handler, or a new one attached at the frontier, whose loop starts
+// (groupRegistry.place). A failure after placement ends the query again.
 func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 	if !netstream.ValidName(req.Name) {
 		return nil, badRequest("invalid query name %q (want [A-Za-z0-9_.-]{1,%d})", req.Name, netstream.MaxNameLen)
@@ -258,14 +256,13 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 	// query (a query joins a group only while nothing has been published
 	// since it attached); the source-level rate-quota shed counter is
 	// rebased to attach time.
-	sub, rateBase := q.grp.sub, src.RateShed()
+	sub, rateBase := q.grp.Sub(), src.RateShed()
 	q.mu.Lock()
 	q.upstreamShed = func() int64 { return sub.Shed() + src.RateShed() - rateBase }
 	q.mu.Unlock()
-	q.grp.run(context.Background()) // a no-op when the query joined a running group
 
 	stop := func() {
-		q.finish() // leaves the group; the last member out stops its pump
+		q.finish() // leaves the group; the last member out stops its loop
 		if q.dlog != nil {
 			if err := q.dlog.Close(); err != nil {
 				q.log.Error("closing durable log", "err", err)

@@ -11,8 +11,10 @@ import (
 
 // TestAppFanout runs the server with -fanout replicas: every spec gets
 // three replica runners sharing one broadcast-ring producer, all of them
-// must ingest the same stream, and a drain must flush every replica.
+// must ingest the same stream, and a drain must flush every replica and
+// leave no goroutine behind.
 func TestAppFanout(t *testing.T) {
+	base := steadyGoroutines()
 	a, err := newApp(appConfig{n: 5000, rate: 2_000_000, fanout: 3,
 		chaos: resilience.Chaos{ErrorRate: 0.001, DupRate: 0.001}, chaosOn: true})
 	if err != nil {
@@ -73,4 +75,5 @@ func TestAppFanout(t *testing.T) {
 			}
 		}
 	}
+	settleGoroutines(t, base)
 }

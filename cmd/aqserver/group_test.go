@@ -145,9 +145,9 @@ func TestRuntimeGroupRecyclesRingBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(5 * time.Second)
-		for q.grp.sub.Lag() > 0 {
+		for q.grp.Sub().Lag() > 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("the group is stuck %d batches behind", q.grp.sub.Lag())
+				t.Fatalf("the group is stuck %d batches behind", q.grp.Sub().Lag())
 			}
 			runtime.Gosched()
 		}
@@ -293,7 +293,7 @@ func TestAPIGroupShedAccounting(t *testing.T) {
 				recorded += ev.N
 			}
 		}
-		if lapped := q.grp.sub.Shed(); recorded != lapped {
+		if lapped := q.grp.Sub().Shed(); recorded != lapped {
 			t.Fatalf("%s: the flight recorder's shed events add up to %d tuples, the ring lapped %d", name, recorded, lapped)
 		}
 	}
@@ -445,14 +445,13 @@ func TestGroupPanicIsolatedToMember(t *testing.T) {
 	if members[1].grp != members[0].grp || members[2].grp != members[0].grp {
 		t.Fatal("the three kslack(400) queries are not one group")
 	}
-	members[0].grp.run(context.Background())
 	for i := 0; i < len(items); i += 128 {
 		if err := b.Publish(context.Background(), append(b.Get(), items[i:min(i+128, len(items))]...)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	b.Close()
-	<-members[0].grp.pumpDone
+	<-members[0].grp.done
 
 	if st := members[1].status(); st.Panics != 1 || st.Health != healthDone || !choked {
 		t.Fatalf("choking member: panics %d health %s; want its one panic counted", st.Panics, st.Health)

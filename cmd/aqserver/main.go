@@ -250,7 +250,7 @@ func newApp(cfg appConfig) (*app, error) {
 // per-query logger, the engine query (handler, window, aggregation core,
 // tracer), -obs instruments, and durability when -durable-dir is set. The
 // runner is placed in its group on the ring it reads — the network source
-// src, or the compiled-in stream b — whose pump feeds it (pumpRing). A nil
+// src, or the compiled-in stream b — whose loop feeds it (cq.Group.Run). A nil
 // def.handler picks the adaptive controller at def.theta. replica marks a
 // -fanout replica, which runs without durability. The opened durability log,
 // if any, is the runner's dlog; the caller owns closing it.

@@ -8,7 +8,7 @@ package main
 // A query's instruments come from three places, and each name from one:
 //
 //   - The engine's set (cq.Telemetry, installed by runnerDef.query; ring
-//     gauges by groupRegistry.place): stage throughput, heartbeats, ring
+//     gauges by cq.Group): stage throughput, heartbeats, ring
 //     laps, the disorder handler's stragglers, slack and depth, batch
 //     sizes and emission latency, updated by the step core under the
 //     group's lock — what a library user of internal/cq sees too.
@@ -34,7 +34,7 @@ import (
 var healthStates = []string{healthFeeding, healthDegraded, healthStalled, healthDraining, healthDone}
 
 // instrument registers what only the server knows about the runner; called
-// by newQueryRunner once the core exists. A DELETE forgets all of the
+// by groupRegistry.place once the runner is in its group. A DELETE forgets all of the
 // query's series at once (obs.Registry.Forget), these callbacks with them.
 func (q *queryRunner) instrument(reg *obs.Registry) {
 	lbl := obs.L("query", q.name)

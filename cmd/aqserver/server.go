@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 	"repro/internal/stats"
-	"repro/internal/stream"
 	"repro/internal/window"
 )
 
@@ -71,7 +71,7 @@ type runnerDef struct {
 	dlog *durable.QueryLog
 	// wireLat is the per-source aq_wire_latency_ms histogram of a runtime
 	// query over a -listen source (nil without -obs and for compiled-in
-	// queries): see noteWireBatch.
+	// queries): see observeWireLatency.
 	wireLat *obs.Histogram
 }
 
@@ -93,14 +93,13 @@ func (d *runnerDef) query(decorate func(*durable.Snapshot)) *cq.AggQuery {
 // queryRunner is the server's driver around one continuous query: it owns
 // the query's live bookkeeping — status counters, the ring of recent results,
 // health, wire latency — while the engine executes. Every runner is in a
-// group (group.go): one fan-out ring subscription, the one ingest queue, read
-// by one pump (pumpRing) that steps the group's cq.Exec under the group's
-// mutex, one whole ring batch per step, for every member at once. HTTP
-// handlers read under that mutex.
+// group (group.go): a cq.Group, whose loop steps one whole ring batch at a
+// time for every member under the group's lock. HTTP handlers read under that
+// lock.
 type queryRunner struct {
 	runnerDef
 
-	// grp is the runner's group and mu its mutex: every call into the step
+	// grp is the runner's group and mu its lock: every call into the step
 	// core, and every read or write of the bookkeeping below, holds it. exec
 	// is the group's step core and stage the runner's window stage in it
 	// (exec.Report is the first member's report; the runner's is stage's).
@@ -109,10 +108,6 @@ type queryRunner struct {
 	exec     *cq.Exec
 	stage    *cq.Stage
 	stopOnce sync.Once
-
-	// panicOn is a test seam: when set, applying a matching item panics so
-	// the runner's panic isolation can be exercised.
-	panicOn func(stream.Item) bool
 
 	// Host continuity across restarts (durable.go). feedBase is written
 	// by the feeder at segment boundaries and read by the snapshot
@@ -129,16 +124,6 @@ type queryRunner struct {
 	done        bool
 	journalErrs int64
 
-	// Wire provenance (runtime queries over -listen sources): wireSendMS
-	// holds the client send time of the provenance-marked batch being
-	// stepped, so absorbOne can observe true client-send→emission latency
-	// into wireLat. A ring batch is stepped whole right after its mark is
-	// noted, so the emissions it triggers are charged to its own mark.
-	// wallMS is the wall-clock source, injectable by tests; nil means
-	// time.Now.
-	wireSendMS atomic.Int64
-	wallMS     func() int64
-
 	// upstreamShed reports the losses of a runtime query — fan-out ring
 	// laps and ingest-quota drops; nil for compiled-in queries, whose Block
 	// subscriptions lose nothing.
@@ -147,15 +132,10 @@ type queryRunner struct {
 
 const resultRing = 256
 
-// newQueryRunner builds the runner for def and its window stage: in into's
-// step core when into is non-nil (the group registry, which holds into's
-// mutex, decided the runner joins it), otherwise in a step core of its own,
-// the first of a new group. That includes, when def.dlog holds prior state,
-// crash recovery: the journal suffix is replayed under the live panic policy
-// (an item that panicked before the crash is in the journal, and must not
-// take the restart down with it), and replayed emissions land in the result
-// ring like live ones. (A durable query never shares, so it never joins.)
-func newQueryRunner(def runnerDef, into *runnerGroup) (*queryRunner, error) {
+// newQueryRunner builds the runner for def, before it has a group: its
+// bookkeeping, logger and engine instruments (groupRegistry.place builds its
+// window stage into one).
+func newQueryRunner(def runnerDef) *queryRunner {
 	q := &queryRunner{runnerDef: def, latency: stats.NewP2(0.95), health: healthFeeding}
 	if q.log == nil {
 		q.log = slog.Default()
@@ -163,57 +143,33 @@ func newQueryRunner(def runnerDef, into *runnerGroup) (*queryRunner, error) {
 	if q.reg != nil {
 		q.telem = cq.NewTelemetry(q.reg, q.name, q.spec)
 	}
-	query := q.query(q.decorateSnapshot)
-	if g := into; g != nil {
-		stage, err := g.exec.Join(query, q.absorbOne)
-		if err != nil {
-			return nil, err
-		}
-		q.grp, q.mu, q.exec, q.stage = g, &g.mu, g.exec, stage
-		g.members = append(g.members, q)
-	} else {
-		var prior *durable.Recovery
-		if q.dlog != nil {
-			prior = q.resumeCounters()
-		}
-		exec, err := cq.NewExec(query, q.absorbOne)
-		if err != nil {
-			return nil, err
-		}
-		g := &runnerGroup{exec: exec, members: []*queryRunner{q}}
-		q.grp, q.mu, q.exec, q.stage = g, &g.mu, exec, exec.Stages()[0]
-		for !g.stepIsolated(nil, true) {
-		}
-		q.noteRecovery(prior)
-	}
-	if q.reg != nil {
-		q.instrument(q.reg)
-	}
-	return q, nil
+	return q
 }
 
-// step applies one batch to the runner's group, as its pump does (tests feed
-// runners this way).
-func (q *queryRunner) step(batch []stream.Item) { q.grp.step(batch, stream.BatchProv{}) }
-
-// finish flushes the runner's windows and marks it done; it is idempotent.
-// The runner leaves its group at a step boundary, and the last member out
-// stops the group's pump and waits for it, so finish is never called from
-// the pump (which ends its group with runnerGroup.finish).
+// finish ends the runner: its stage leaves the group (cq.Group.Leave) with
+// its windows flushed — through a private copy of the handler while other
+// members remain, which run on untouched — and it is marked done. The last
+// member out closes the group, and finish waits for its loop to stop. It is
+// idempotent, and never called from the loop.
 func (q *queryRunner) finish() {
 	q.stopOnce.Do(func() {
-		if stop := q.grp.leave(q); stop != nil {
-			stop()
+		g := q.grp
+		g.Lock()
+		last, err := g.Leave(q.stage)
+		if err != nil {
+			q.log.Error("journal commit on finish failed", "err", err)
+		}
+		q.markDone()
+		g.members = slices.DeleteFunc(g.members, func(m *queryRunner) bool { return m == q })
+		g.Unlock()
+		if last {
+			<-g.done
 		}
 	})
 }
 
-// markDone records the end of the runner's stream (err is the journal's
-// final commit); the group's lock is held.
-func (q *queryRunner) markDone(err error) {
-	if err != nil {
-		q.log.Error("journal commit on finish failed", "err", err)
-	}
+// markDone records the end of the runner's stream; the group's lock is held.
+func (q *queryRunner) markDone() {
 	q.done, q.health = true, healthDone
 }
 
@@ -242,41 +198,19 @@ func (q *queryRunner) tuplesInLocked() int64 {
 	return q.exec.Handler().Stats().Inserted
 }
 
-// wallNowMS reads the runner's wall clock (injectable for tests).
-func (q *queryRunner) wallNowMS() int64 {
-	if q.wallMS != nil {
-		return q.wallMS()
-	}
-	return time.Now().UnixMilli()
-}
-
-// noteWireBatch records a provenance-marked transport batch arriving at
-// the runner: a wire-batch event in the flight recorder (replayed ids
-// show up as duplicate Win values — the visible shape of an
-// at-least-once reconnect) and the clock base absorbOne charges the
-// batch's emissions against.
-func (q *queryRunner) noteWireBatch(p stream.BatchProv, n int) {
-	if !p.Valid() {
-		return
-	}
-	q.tracer.WireBatch(q.wallNowMS(), p.BatchID, n, p.SendMS)
-	q.wireSendMS.Store(p.SendMS)
-}
-
 // observeWireLatency publishes one emission's client-send→emission
-// latency against the mark of the batch being stepped; a no-op without -obs, for
-// compiled-in queries, and before the first marked batch. q.mu is held
-// by the caller (only atomics and the histogram are touched).
+// latency against the last provenance-marked batch its group took
+// (cq.Group.Prov); a no-op without -obs, for compiled-in queries, before the
+// first marked batch and in a recovery replay, which has no provenance (and
+// runs before q.grp is set). q.mu is held.
 func (q *queryRunner) observeWireLatency() {
-	if q.wireLat == nil {
+	if q.wireLat == nil || q.grp == nil {
 		return
 	}
-	send := q.wireSendMS.Load()
-	if send == 0 {
-		return
-	}
-	if d := q.wallNowMS() - send; d >= 0 {
-		q.wireLat.Observe(float64(d))
+	if send := q.grp.Prov().SendMS; send != 0 {
+		if d := time.Now().UnixMilli() - send; d >= 0 {
+			q.wireLat.Observe(float64(d))
+		}
 	}
 }
 
@@ -305,11 +239,6 @@ func (q *queryRunner) addRetries(n int64) {
 func (q *queryRunner) setHealth(h string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.setHealthLocked(h)
-}
-
-// setHealthLocked is setHealth with q.mu held.
-func (q *queryRunner) setHealthLocked(h string) {
 	if q.health == healthDone || (q.health == healthDraining && h != healthDone) {
 		return
 	}

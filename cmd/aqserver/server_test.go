@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -33,18 +34,34 @@ func adaptiveRunner(t testing.TB, def runnerDef) *queryRunner {
 		h.Instrument(core.NewTelemetry(def.reg, def.name))
 	}
 	def.handler = h
-	q, err := newQueryRunner(def, nil)
+	return ringRunner(t, def)
+}
+
+// testRings is the ring each runner a test builds reads: the feed helpers
+// publish into it, as a compiled-in stream's producer does.
+var testRings = map[*queryRunner]*fanout.Broadcast{}
+
+// ringRunner places def on a Block ring of its own, as buildRunner places a
+// compiled-in query: its group's loop steps what the feed helpers publish.
+func ringRunner(t testing.TB, def runnerDef) *queryRunner {
+	t.Helper()
+	b := fanout.New(fanout.Options{})
+	var reg groupRegistry
+	q, err := reg.place(def, nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	testRings[q] = b
 	return q
 }
 
 // feedTuples steps the runner one tuple at a time.
 func feedTuples(q *queryRunner, tuples []stream.Tuple) {
-	for _, tp := range tuples {
-		q.step([]stream.Item{stream.DataItem(tp)})
+	items := make([]stream.Item, len(tuples))
+	for i, tp := range tuples {
+		items[i] = stream.DataItem(tp)
 	}
+	feedBatches(q, items, 1)
 }
 
 // sumRunner is adaptiveRunner for the tests' stock query: a 10s/1s sum.
@@ -202,8 +219,8 @@ func TestResultsNonFiniteValueIsNull(t *testing.T) {
 // TestStatusResilienceFields asserts the degradation counters are
 // exported via the /queries/{name} status JSON.
 func TestStatusResilienceFields(t *testing.T) {
-	q := sumRunner(t, "degraded-sum", 0.02)
-	q.panicOn = func(it stream.Item) bool { return !it.Heartbeat && it.Tuple.Seq%1000 == 3 }
+	q := handlerRunner(t, runnerDef{name: "degraded-sum", spec: window.Spec{Size: 10 * stream.Second, Slide: stream.Second}, agg: window.Sum()},
+		&chokingHandler{Handler: buffer.NewKSlack(400), chokes: func(tp stream.Tuple) bool { return tp.Seq%1000 == 3 }})
 	feedTuples(q, gen.Sensor(20000, 9).Arrivals())
 	q.addRetries(7)
 	q.finish()
@@ -246,8 +263,10 @@ func TestStatusResilienceFields(t *testing.T) {
 
 // TestAppDrain is the graceful-shutdown test: cancelling the feed context
 // (what SIGTERM does in main) must stop the loops, flush every runner's
-// windows via finish(), and flip /readyz to 503 with per-query health.
+// windows via finish(), and flip /readyz to 503 with per-query health — and
+// leave no goroutine behind.
 func TestAppDrain(t *testing.T) {
+	base := steadyGoroutines()
 	a, err := newApp(appConfig{n: 5000, rate: 2_000_000,
 		chaos: resilience.Chaos{ErrorRate: 0.001, DupRate: 0.001}, chaosOn: true})
 	if err != nil {
@@ -322,6 +341,8 @@ func TestAppDrain(t *testing.T) {
 	}
 	// Idempotent: a second drain must not panic or deadlock.
 	a.drain()
+	ts.Close()
+	settleGoroutines(t, base)
 }
 
 // TestFeedLoopEmptyGeneratorMarksDone is the regression test for the old
@@ -329,8 +350,7 @@ func TestAppDrain(t *testing.T) {
 // done instead of leaving it in limbo forever.
 func TestFeedLoopEmptyGeneratorMarksDone(t *testing.T) {
 	q := sumRunner(t, "empty", 0.02)
-	b := fanout.New(fanout.Options{})
-	q.grp.sub = b.Subscribe(q.name, fanout.Block)
+	b := testRings[q]
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -353,11 +373,7 @@ func handlerRunner(t *testing.T, def runnerDef, h buffer.Handler) *queryRunner {
 	t.Helper()
 	def.log = slog.New(slog.NewTextHandler(io.Discard, nil)) // these tests provoke error logs on purpose
 	def.handler = h
-	q, err := newQueryRunner(def, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
+	return ringRunner(t, def)
 }
 
 // kslackRunner is handlerRunner over a fixed-slack buffer.
@@ -365,13 +381,19 @@ func kslackRunner(t *testing.T, def runnerDef, k stream.Time) *queryRunner {
 	return handlerRunner(t, def, buffer.NewKSlack(k))
 }
 
-// feedBatches hands items to a runner the way pumpRing does: whole batches
-// of n.
+// feedBatches publishes items into a runner's ring in whole batches of n,
+// and returns once its group's loop has stepped and released every one.
 func feedBatches(q *queryRunner, items []stream.Item, n int) {
+	b := testRings[q]
 	for len(items) > 0 {
 		m := min(n, len(items))
-		q.step(items[:m])
+		if err := b.Publish(context.Background(), append(b.Get(), items[:m]...)); err != nil {
+			panic(err)
+		}
 		items = items[m:]
+	}
+	for q.grp.Sub().Lag() > 0 {
+		runtime.Gosched()
 	}
 }
 
@@ -430,14 +452,14 @@ func TestRunnerJournalFailureKeepsProcessing(t *testing.T) {
 }
 
 // TestRunnerPanicMidBatchResumes drives every way a panic can hit a batch
-// handed over whole; each costs the item in flight and nothing else. The
-// test seam poisons one item: it is skipped, the rest of its batch is
-// applied. A panic from the disorder stage — a handler that chokes on one
-// tuple — is resumed behind the item in flight. One from inside the core's
-// window stage costs not even that: a non-built-in aggregate is fed at
-// emission, by an ordered scan of the window, so one that chokes on a value
-// panics while a window is being emitted — with the tuple in flight already
-// stored and the emit cursor not yet moved. Resume carries on behind it and
+// handed over whole; each costs the item in flight and nothing else. A panic
+// from the disorder stage — a handler that chokes on one tuple — is resumed
+// behind the item in flight: it is skipped, the rest of its batch is
+// applied. One from inside the core's window stage costs not even that: a
+// non-built-in aggregate is fed at emission, by an ordered scan of the
+// window, so one that chokes on a value panics while a window is being
+// emitted — with the tuple in flight already stored and the emit cursor not
+// yet moved. Resume carries on behind it and
 // the next advance tries the window again; this aggregate chokes every time,
 // so after window.Op's bounded tries each of the ten windows holding the
 // value is given up (emitted as NaN, counted) and the stream moves on. And
@@ -448,17 +470,10 @@ func TestRunnerPanicMidBatchResumes(t *testing.T) {
 	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
 	items := sensorItems(5000, 11)
 
-	seam := kslackRunner(t, runnerDef{name: "seam", spec: spec, agg: window.Sum()}, 400)
-	seam.panicOn = func(it stream.Item) bool { return it.Tuple.Seq == items[1234].Tuple.Seq }
-	feedBatches(seam, items, 500)
-	seam.finish()
-	if st := seam.status(); st.Panics != 1 || st.TuplesIn != int64(len(items))-1 {
-		t.Fatalf("seam panic: panics=%d tuplesIn=%d, want 1 and %d", st.Panics, st.TuplesIn, len(items)-1)
-	}
-
 	inner := buffer.NewKSlack(400)
+	poisoned := items[1234].Tuple.Seq
 	h := handlerRunner(t, runnerDef{name: "choking-handler", spec: spec, agg: window.Sum()},
-		&chokingHandler{Handler: inner, poison: items[1234].Tuple.Seq})
+		&chokingHandler{Handler: inner, chokes: func(tp stream.Tuple) bool { return tp.Seq == poisoned }})
 	feedBatches(h, items, 500)
 	h.finish()
 	if st, in := h.status(), inner.Stats().Inserted; st.Panics != 1 || st.Health != healthDone || in != int64(len(items))-1 {
@@ -583,14 +598,15 @@ func (a *chokeOnceSum) Add(v float64) {
 	a.Aggregate.Add(v)
 }
 
-// chokingHandler panics on one tuple before its handler sees it.
+// chokingHandler panics on the tuples chokes picks, before its handler sees
+// them.
 type chokingHandler struct {
 	buffer.Handler
-	poison uint64 // Seq
+	chokes func(stream.Tuple) bool
 }
 
 func (h *chokingHandler) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
-	if !it.Heartbeat && it.Tuple.Seq == h.poison {
+	if !it.Heartbeat && h.chokes(it.Tuple) {
 		panic("poisoned tuple")
 	}
 	return h.Handler.Insert(it, out)

@@ -291,10 +291,24 @@ func TestOneExecutor(t *testing.T) {
 	}
 
 	// The server's runner is bookkeeping around the core: no operator state
-	// of its own, one constructor, and a ring consumer that hands batches
-	// over whole.
-	constructors, sawRunner, sawPump := 0, false, false
+	// of its own, one constructor; and the ring consumer every driver runs
+	// hands batches over whole.
+	constructors, sawRunner, sawLoop := 0, false, false
 	for path, f := range files {
+		if path == "internal/cq/group.go" {
+			for _, decl := range f.Decls {
+				if d, ok := decl.(*ast.FuncDecl); ok && d.Recv != nil && d.Name.Name == "Run" {
+					sawLoop = true
+					ast.Inspect(d.Body, func(n ast.Node) bool {
+						if r, ok := n.(*ast.RangeStmt); ok {
+							t.Errorf("%s: Group.Run loops over a ring batch; hand it to the step core whole (Exec.Step)",
+								fset.Position(r.Pos()))
+						}
+						return true
+					})
+				}
+			}
+		}
 		if !strings.HasPrefix(path, "cmd/aqserver/") {
 			continue
 		}
@@ -332,21 +346,11 @@ func TestOneExecutor(t *testing.T) {
 					}
 					return true
 				})
-				if d.Recv == nil && d.Name.Name == "pumpRing" {
-					sawPump = true
-					ast.Inspect(d.Body, func(n ast.Node) bool {
-						if r, ok := n.(*ast.RangeStmt); ok {
-							t.Errorf("%s: pumpRing loops over a ring batch; hand it to the runner whole (step)",
-								fset.Position(r.Pos()))
-						}
-						return true
-					})
-				}
 			}
 		}
 	}
-	if !sawRunner || !sawPump {
-		t.Fatalf("extraction rotted: queryRunner found=%v pumpRing found=%v", sawRunner, sawPump)
+	if !sawRunner || !sawLoop {
+		t.Fatalf("extraction rotted: queryRunner found=%v Group.Run found=%v", sawRunner, sawLoop)
 	}
 	if constructors != 1 {
 		t.Errorf("cmd/aqserver builds a queryRunner in %d places, want exactly one (newQueryRunner, from a runnerDef)", constructors)
@@ -922,7 +926,7 @@ func TestOneWindowStage(t *testing.T) {
 					}
 				case "RunConcurrent", "RunShared":
 					if inServer {
-						t.Errorf("%s: cmd/aqserver calls %s: every runner steps a cq.Exec under its own lock (newQueryRunner, pumpRing)",
+						t.Errorf("%s: cmd/aqserver calls %s: every runner is stepped by its cq.Group's loop (groupRegistry.place)",
 							fset.Position(n.Pos()), n.Name)
 					}
 				}
@@ -1016,6 +1020,40 @@ func TestOneDisorderPass(t *testing.T) {
 		if !shareKey[caller] {
 			t.Errorf("%s does not group its queries by cq.ShareKey (callers: %v)", caller, keys(shareKey))
 		}
+	}
+}
+
+// TestOneRingConsumer keeps one loop reading the fan-out ring. Two used to —
+// internal/cq's receiveRing behind RunShared and RunConcurrent, and
+// cmd/aqserver's pumpRing — and they grouped queries, committed the journal
+// and treated a panic two ways, and fixes landed in one of them only. Now both
+// drivers run cq.Group.Run, and what a step does when something goes wrong
+// is the driver's Fault, not a loop of its own. So: non-test root-module Go
+// outside internal/fanout calls NextBatch or NextBatchProv from exactly one
+// function, internal/cq's Group.Run. (bench/ is a module of its own, and its
+// per-layer replay reads the ring to time it.)
+func TestOneRingConsumer(t *testing.T) {
+	const want = "internal/cq/group.go: Run"
+	readers := map[string]bool{}
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "internal/fanout/") {
+			return
+		}
+		for _, decl := range f.Decls {
+			where := path + ": (package level)"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				where = path + ": " + fn.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "NextBatch" || sel.Sel.Name == "NextBatchProv") {
+					readers[where] = true
+				}
+				return true
+			})
+		}
+	})
+	if len(readers) != 1 || !readers[want] {
+		t.Errorf("non-test code outside internal/fanout reads the fan-out ring in %v, want only %s", keys(readers), want)
 	}
 }
 

@@ -61,24 +61,30 @@ type disorderAcc struct {
 	started  bool
 }
 
-// observe folds one input tuple in.
-func (d *disorderAcc) observe(t stream.Tuple) {
-	if !d.started || t.TS > d.clock {
-		d.clock, d.started = t.TS, true
-	}
-	if l := d.clock - t.TS; l > 0 {
-		d.stats.OutOfOrder++
-		d.sumLate += float64(l)
-		if l > d.stats.MaxLateness {
-			d.stats.MaxLateness = l
+// observe folds a batch's data tuples in, in order. The accumulator is held
+// in locals across the batch: the intake runs over every tuple a driver
+// steps.
+func (d *disorderAcc) observe(items []stream.Item) {
+	st, sumLate, sumDelay, clock, started := d.stats, d.sumLate, d.sumDelay, d.clock, d.started
+	for i := range items {
+		t := &items[i].Tuple
+		if items[i].Heartbeat {
+			continue
 		}
+		if !started || t.TS > clock {
+			clock, started = t.TS, true
+		}
+		if l := clock - t.TS; l > 0 {
+			st.OutOfOrder++
+			sumLate += float64(l)
+			st.MaxLateness = max(st.MaxLateness, l)
+		}
+		dl := t.Arrival - t.TS
+		sumDelay += float64(dl)
+		st.MaxDelay = max(st.MaxDelay, dl)
+		st.N++
 	}
-	dl := t.Delay()
-	d.sumDelay += float64(dl)
-	if dl > d.stats.MaxDelay {
-		d.stats.MaxDelay = dl
-	}
-	d.stats.N++
+	d.stats, d.sumLate, d.sumDelay, d.clock, d.started = st, sumLate, sumDelay, clock, started
 }
 
 // finish computes the derived means and returns the stats.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -341,6 +342,31 @@ func TestDurableRunConcurrentCrashRecovery(t *testing.T) {
 		if rep.Handler != full.Handler {
 			t.Fatalf("crash at %d: handler stats diverged", c)
 		}
+	}
+}
+
+// TestDurableRingLoopCommitsPerBatch: the ring loop group-commits the journal
+// once per ring batch it steps, whatever the log's item cadence — a crash
+// loses at most the batch in flight — and Finish once more.
+func TestDurableRingLoopCommitsPerBatch(t *testing.T) {
+	reg := obs.NewRegistry()
+	metrics := durable.NewMetrics(reg)
+	log := mustOpenLog(t, durable.Options{Dir: t.TempDir(), CommitEvery: 1 << 30, Metrics: metrics})
+	defer log.Close()
+	telem := NewTelemetry(reg, "q", testSpec)
+	items := sensorItems(5000, 41)
+	_, err := NewFallible(stream.AsErrSource(stream.NewSliceSource(items))).Batch(64).
+		Handle(buffer.NewKSlack(2000)).Window(testSpec, window.Sum()).Instrument(telem).
+		Durable(Durable{Log: log}).RunConcurrent(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := telem.IngestBatch.Count()
+	if batches < uint64(len(items)/64) {
+		t.Fatalf("%d items in %d ring batches of at most 64", len(items), batches)
+	}
+	if commits := metrics.Commits.Value(); commits != float64(batches+1) {
+		t.Fatalf("%d ring batches and Finish made %v journal commits, want one each (%d)", batches, commits, batches+1)
 	}
 }
 

@@ -34,31 +34,22 @@ type SharedOpts struct {
 // RunConcurrent executes the query as a pipeline around the step core: it is
 // RunShared of one query over a ring of its own, with one Block subscriber.
 // A producer goroutine pumps the query's source — wrapped in a retrier when
-// Retry is set — into the ring (fanout.Broadcast.Pump), and the core stage
-// borrows each published batch in place, measures disorder, steps the batch
-// through the disorder handler and the window operator (see Exec) and
-// releases it. Results are streamed to sink from the core stage's goroutine
-// as they are emitted, and the final report is returned once the stream ends
-// or ctx is cancelled.
+// Retry is set — into the ring in pooled batches of up to Batch items
+// (fanout.Broadcast.Pump: a partial batch ships as soon as the ring is
+// drained, and heartbeats and end-of-stream force one out), and the query's
+// Group steps each whole (Group.Run). Results reach sink as they are
+// emitted; the final report is returned once the stream ends or ctx is
+// cancelled. Output — results, order, stats — is identical to the
+// synchronous Run for every batch setting, grouped or not (absent faults):
+// it is the same step core fed the same items in the same order.
 //
-// Transport is batched: pooled slices of up to Batch items, recycled by
-// the ring, so a saturated pipeline pays one wake-up per batch instead of
-// per tuple. Partial batches ship as soon as the core has drained the
-// ring, and heartbeats and end-of-stream always force the batch out, so
-// batching changes neither emission order nor the PreFlush latency
-// accounting.
-//
-// Output — results, order, stats — is identical to the synchronous Run for
-// every batch setting, grouped or not (absent faults): it is the same step
-// core fed the same items in the same order, and the window stage runs inside
-// the step.
-//
-// Failure semantics are the ring driver's (see RunShared), with the report
-// withheld on any error. A source error is retried per the Retry policy (if
-// configured); once the budget is exhausted or the circuit breaker opens,
-// everything accepted before the error is still applied (and, for a durable
-// query, journaled) and then the error is returned. A durability error aborts
-// the run. A private ring never sheds: a slow core holds the source back.
+// Failure semantics are RunShared's, with the report withheld on any error.
+// A source error is retried per the Retry policy (if configured); once the
+// budget is exhausted or the circuit breaker opens, everything accepted
+// before the error is still applied (and, for a durable query, journaled and
+// committed, batch by batch) and then the error is returned. A durability
+// error aborts the run. A private ring never sheds: a slow core holds the
+// source back.
 func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) (*AggReport, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
@@ -93,34 +84,30 @@ func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) 
 	return reps[0], nil
 }
 
-// RunShared executes M queries over one shared ingest path: src is
-// drained exactly once by a producer goroutine that publishes pooled
-// batches into a fanout.Broadcast, and the queries consume the same
-// published batches through cursors of their own (see internal/fanout).
-// Queries whose disorder handlers release identical runs from identical
-// input — equal ShareKey: the same fixed handler — share one step core
-// (Exec.Join): one subscription, one core goroutine, one disorder pass
-// feeding every one of their window stages. Each of the others runs alone.
-// The queries must be built without a source — the ring provides it;
-// everything else (handler, window, grouping, telemetry, tracing) is per
-// query as usual, and every report reads as the query's standalone run over
-// the stream would.
+// RunShared executes M queries over one shared ingest path: src is drained
+// exactly once by a producer goroutine that publishes pooled batches into a
+// fanout.Broadcast, and the queries read the published batches through
+// subscriptions of their own. Queries whose disorder handlers release
+// identical runs from identical input — equal ShareKey: the same fixed
+// handler — are one Group: one subscription, one loop goroutine, one disorder
+// pass feeding every one of their window stages. Each of the others is a
+// group of its own. The queries must be built without a source — the ring
+// provides it; everything else (handler, window, grouping, telemetry,
+// tracing) is per query, and every report reads as the query's standalone
+// run over the stream would.
 //
-// Resilience belongs upstream: wrap src with resilience.NewRetryingSource
-// (or any chaos/retry stack) before calling — the single producer pays
-// for it once on behalf of every subscriber. A producer failure reaches
-// every query after its published prefix is drained, so all reports fail
-// with the same cause; a panic in the producer fails them all at once,
-// named as the source stage's. A stage failure — a panic in a handler,
-// operator or sink, or a durability error — fails the queries of its step
-// core, which share the pass the step was in; the others run on. Every
-// failure is recovered and returned as an error naming the stage.
-// Cancellation never deadlocks, even when a sink blocks forever: the driver
-// abandons that step core rather than waiting on it (its goroutine is
-// leaked, which is the best Go can do about a callback that never returns).
-//
-// The returned reports are index-aligned with queries. The first
-// per-query error is returned; reports of successful queries are still
+// Resilience belongs upstream: wrap src with resilience.NewRetryingSource (or
+// any chaos/retry stack) before calling — the single producer pays for it
+// once on behalf of every subscriber. A producer failure reaches every query
+// after its published prefix is applied, so all reports fail with the same
+// cause; a panic in the producer fails them all at once, named as the source
+// stage's. A step failure — a panic in a handler, operator or sink, or a
+// durability error — fails the queries of its group (the nil Fault), named
+// by stage; the others run on. Cancellation never deadlocks, even when a
+// sink blocks forever: the driver abandons that group rather than waiting on
+// it (its goroutine is leaked, the best Go can do about a callback that
+// never returns). The returned reports are index-aligned with queries. The
+// first per-query error is returned; reports of successful queries are still
 // filled in.
 func RunShared(ctx context.Context, src stream.ErrSource, opts SharedOpts, queries ...*AggQuery) ([]*AggReport, error) {
 	if len(queries) == 0 {
@@ -135,25 +122,24 @@ func RunShared(ctx context.Context, src stream.ErrSource, opts SharedOpts, queri
 }
 
 // runRing is the one ring driver. It runs validated queries, each as a copy
-// without its source, off one fan-out ring: one step core per group of equal
-// ShareKey, one subscription and one goroutine each, and one producer
-// goroutine pumping source(ctx) into the ring — source is called with the
-// pump's context, which any retrier it builds runs under. A core stage steps
-// its Exec with the ring's batches (receiveRing) and finishes it when the
-// ring ends. (A crash recovery's journal suffix is replayed by the first Step
-// or by Finish; its emissions reach the sinks like live ones.) A core's
-// failure cancels its group, a producer panic every group. A group has ended
-// once its core is done or its context is: a core stuck in a sink that blocks
-// forever is not waited for. Once every group has ended the pump is stopped
-// and joined, and the reports are collected as RunShared's.
+// without its source, off one fan-out ring: it subscribes, opens a Group per
+// ShareKey or joins the query to the open one (every subscription is fresh
+// before the pump starts), starts one producer goroutine pumping source(ctx)
+// into the ring — source is called with the pump's context, which any
+// retrier it builds runs under — runs each group's loop (Group.Run) in a
+// goroutine of its own, under the nil Fault, and collects the reports. A
+// group's failure cancels that group, a producer panic every group. A group
+// has ended once its loop is done or its context is: a loop stuck in a sink
+// that blocks forever is not waited for. Once every group has ended the pump
+// is stopped and joined, and the reports are collected as RunShared's.
 func runRing(ctx context.Context, source func(context.Context) stream.ErrSource, opts SharedOpts, queries ...*AggQuery) ([]*AggReport, error) {
-	// The caller's queries are left as built. Everything is built before
-	// anything subscribes: a query that refuses to run would otherwise leave
-	// a subscription unread and wedge Block peers.
+	// The caller's queries are left as built. Nothing is published before
+	// every group is open, so a query that refuses to run wedges no one.
+	b := fanout.New(fanout.Options{Ring: opts.Ring, BatchCap: opts.Batch})
 	stages := make([]*Stage, len(queries))
-	core := make([]int, len(queries)) // stages[i] is fed by execs[core[i]]
-	var execs []*Exec
-	byKey := map[string]int{}
+	core := make([]int, len(queries)) // stages[i] is in groups[core[i]]
+	var groups []*Group
+	open := map[string]int{}
 	for i, q := range queries {
 		sq := *q
 		sq.source = nil
@@ -162,32 +148,27 @@ func runRing(ctx context.Context, source func(context.Context) stream.ErrSource,
 			sink = func(r window.Result) { opts.Sink(i, r) }
 		}
 		key := ShareKey(&sq)
-		if j, ok := byKey[key]; ok && key != "" {
-			s, err := execs[j].Join(&sq, sink)
+		if j, ok := open[key]; ok && key != "" {
+			s, err := groups[j].Join(&sq, sink)
 			if err != nil {
 				return nil, err
 			}
 			stages[i], core[i] = s, j
 			continue
 		}
-		x, err := newExec(&sq, sink)
+		g, err := NewGroup(&sq, sink, b.Subscribe(fmt.Sprintf("core%d", len(groups)), opts.Policy), nil)
 		if err != nil {
 			return nil, err
 		}
-		byKey[key] = len(execs)
-		stages[i], core[i] = x.stages[0], len(execs)
-		execs = append(execs, x)
+		open[key] = len(groups)
+		stages[i], core[i] = g.x.stages[0], len(groups)
+		groups = append(groups, g)
 	}
 
 	// Cancelled with the failure as the cause by a producer panic: every
 	// group unwinds, and outcome tells it from the caller's cancellation.
 	ctx, fail := context.WithCancelCause(ctx)
 	defer fail(nil)
-	b := fanout.New(fanout.Options{Ring: opts.Ring, BatchCap: opts.Batch})
-	subs := make([]*fanout.Sub, len(execs))
-	for j := range execs {
-		subs[j] = b.Subscribe(fmt.Sprintf("core%d", j), opts.Policy)
-	}
 	pumpCtx, stopPump := context.WithCancel(ctx)
 	defer stopPump()
 	src := source(pumpCtx)
@@ -199,35 +180,26 @@ func runRing(ctx context.Context, source func(context.Context) stream.ErrSource,
 				fail(fmt.Errorf("cq: %s stage panicked: %v", stageSource, p))
 			}
 		}()
-		// A source error reaches every core through the ring, behind
+		// A source error reaches every group through the ring, behind
 		// everything published before it.
 		_ = b.Pump(pumpCtx, src, opts.Batch)
 	}()
 
-	ctxs := make([]context.Context, len(execs))
-	done := make([]chan struct{}, len(execs))
-	for j, x := range execs {
+	ctxs := make([]context.Context, len(groups))
+	done := make([]chan struct{}, len(groups))
+	for j, g := range groups {
 		gctx, gfail := context.WithCancelCause(ctx)
 		defer gfail(nil)
 		ctxs[j], done[j] = gctx, make(chan struct{})
 		go func() {
 			defer close(done[j])
-			defer func() {
-				if p := recover(); p != nil {
-					gfail(x.panicErr(p))
-				}
-			}()
-			receiveRing(gctx, x, subs[j], gfail)
-			if gctx.Err() != nil {
-				return // cancelled or failed: no bogus final flush
-			}
-			if err := x.Finish(); err != nil {
+			if err := g.Run(gctx); err != nil {
 				gfail(err)
 			}
 		}()
 	}
-	errs := make([]error, len(execs))
-	for j := range execs {
+	errs := make([]error, len(groups))
+	for j := range groups {
 		select {
 		case <-done[j]:
 		case <-ctxs[j].Done():
@@ -246,7 +218,7 @@ func runRing(ctx context.Context, source func(context.Context) stream.ErrSource,
 			first = cmp.Or(first, err)
 			continue
 		}
-		reps[i] = ringReport(s, subs[core[i]])
+		reps[i] = s.Report()
 	}
 	return reps, first
 }
@@ -260,62 +232,4 @@ func outcome(ctx context.Context) error {
 		return cause
 	}
 	return ctx.Err()
-}
-
-// ringReport is s's report with the ring's losses: ShedOldest laps are the
-// query's sheds. The lapped tuples never reached the intake, so they are
-// absent from Input and Disorder — quality must be read through the
-// shed-adjusted metrics.
-func ringReport(s *Stage, sub *fanout.Sub) *AggReport {
-	rep := s.Report()
-	rep.Shed = sub.Shed()
-	rep.Handler.Shed = rep.Shed
-	return rep
-}
-
-// receiveRing is the one driver loop: the fan-out ring is the ingest queue
-// — batches are borrowed in place from the producer's publish (no copy, no
-// per-query channel), stepped whole, and released once the core has
-// absorbed them. Per-consumer work (disorder accounting, KeepInput) happens
-// here, so every query's report is field-for-field what a standalone run over
-// the same stream would produce; only the decode/generate work upstream of
-// the ring is paid once for all subscribers — and the disorder pass once for
-// all the queries x serves. A terminal producer error fails the pipeline
-// after the batches published before it were applied.
-func receiveRing(ctx context.Context, x *Exec, sub *fanout.Sub, fail func(error)) {
-	for _, s := range x.stages {
-		s.q.telem.RingGauges(sub)
-	}
-	// A consumer that stops reading must never wedge the producer or its
-	// Block peers: leaving marks the cursor dead.
-	defer sub.Unsubscribe()
-	var shed int64
-	for {
-		items, seq, ok, err := sub.NextBatch(ctx)
-		if lost := sub.Shed() - shed; lost > 0 { // a ShedOldest lap
-			shed += lost
-			x.NoteShed(lost)
-		}
-		if err != nil {
-			if ctx.Err() == nil {
-				fail(fmt.Errorf("cq: source: %w", err))
-			}
-			return
-		}
-		if !ok {
-			return
-		}
-		// The published batch is immutable and borrowed: everything here
-		// only reads it. Tuples entering the handler are value copies, so
-		// the batch can be released as soon as it is stepped.
-		x.noteInput(items)
-		for _, s := range x.stages {
-			s.q.tracer.SourceBatch(int64(x.dis.clock), len(items))
-		}
-		if err := x.Step(items); err != nil {
-			fail(err)
-			return
-		}
-		sub.Release(seq)
-	}
 }

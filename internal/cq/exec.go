@@ -15,10 +15,9 @@ import (
 
 // Exec is the one executor: a synchronous, single-writer step core that
 // applies batches of accepted items to a disorder handler and hands what it
-// releases to the window stages it feeds, one per query. Run, the ring driver
-// (RunConcurrent, RunShared) and cmd/aqserver's runners are drivers:
-// they decide where items come from and what an error means, and hand the
-// items to Step.
+// releases to the window stages it feeds, one per query. Run and Group — the
+// one ring loop, behind RunConcurrent, RunShared and cmd/aqserver — are its
+// drivers: they decide where items come from, and hand them to Step.
 //
 // One Step is: count the batch → journal it → the disorder pass: insert the
 // items into the handler, advancing the arrival clock, and keep what they
@@ -48,7 +47,7 @@ import (
 // and gauges read exactly as they would if it ran alone over the same items.
 //
 // An Exec is not safe for concurrent use; its driver serializes every call
-// (cmd/aqserver does so with its group's mutex).
+// (a Group with its lock).
 type Exec struct {
 	handler buffer.Handler         // as configured (buffer.Zero when none); the disorder pass feeds it
 	fb      buffer.FeedbackHandler // handler, when it adapts to what its query's operator reports
@@ -302,18 +301,16 @@ func (x *Exec) Stages() []*Stage { return x.stages }
 // noteInput is every driver's intake for a batch it is about to step: each
 // data tuple's input record (KeepInput) and the inline disorder measurement.
 func (x *Exec) noteInput(items []stream.Item) {
-	for i := range items {
-		if items[i].Heartbeat {
-			continue
-		}
-		t := items[i].Tuple
-		for _, s := range x.stages {
-			if s.q.keepInput {
-				s.rep.Input = append(s.rep.Input, t)
+	for _, s := range x.stages {
+		if s.q.keepInput {
+			for i := range items {
+				if !items[i].Heartbeat {
+					s.rep.Input = append(s.rep.Input, items[i].Tuple)
+				}
 			}
 		}
-		x.dis.observe(t)
 	}
+	x.dis.observe(items)
 }
 
 // Step applies one batch of accepted items, in order. The batch is only
@@ -364,11 +361,12 @@ func (x *Exec) noteBatch(batch []stream.Item) {
 	}
 }
 
-// NoteShed charges n data tuples a ring lap cost x's queries to every stage:
-// its telemetry's shed count, and a shed event in its tracer at the arrival
-// clock. The ring drivers call it when their subscription reports a lap.
-func (x *Exec) NoteShed(n int64) {
+// noteShed charges n data tuples a ring lap cost to every stage: its
+// report's and its telemetry's shed count, and a shed event in its tracer at
+// the arrival clock.
+func (x *Exec) noteShed(n int64) {
 	for _, s := range x.stages {
+		s.rep.Shed += n
 		s.q.telem.noteShed(n)
 		s.q.tracer.Shed(int64(x.now), n)
 	}
@@ -584,10 +582,17 @@ func (x *Exec) Finish() error {
 	}
 	x.feedback()
 	x.stage, x.cur = stageSource, 0
-	if x.log != nil {
-		if err := x.log.Commit(); err != nil {
-			return fmt.Errorf("cq: journal: %w", err)
-		}
+	return x.commit()
+}
+
+// commit group-commits the journal, if there is one: what it holds now
+// survives a process crash.
+func (x *Exec) commit() error {
+	if x.log == nil {
+		return nil
+	}
+	if err := x.log.Commit(); err != nil {
+		return fmt.Errorf("cq: journal: %w", err)
 	}
 	return nil
 }
@@ -650,6 +655,7 @@ func (s *Stage) Report() *AggReport {
 		s.rep.Disorder = x.dis.finish()
 		s.rep.Handler = x.handler.Stats()
 	}
+	s.rep.Handler.Shed = s.rep.Shed
 	s.rep.Op = s.win.stats()
 	return s.rep
 }

@@ -253,7 +253,7 @@ type AggReport struct {
 	// (latency metrics skip them).
 	PreFlush int
 	// Shed counts the tuples a ShedOldest ring subscription lapped past
-	// the query (RunShared). They never
+	// the query (a Group's loop: RunShared, cmd/aqserver). They never
 	// reached its intake, so they are absent from Input/Disorder: quality
 	// under shedding is read through the shed-adjusted metrics.
 	// Handler.Shed carries the same count for handler-level reporting.

@@ -562,10 +562,6 @@ type Sub struct {
 	// released batch, maintained for the Pending gauge.
 	consumedFloor atomic.Int64
 
-	// NextErr iteration state: the borrowed batch being walked.
-	cur    *batch
-	curIdx int
-
 	termErr error // terminal producer error, once seen
 	done    bool  // end-of-stream seen
 }
@@ -714,33 +710,4 @@ func (s *Sub) Release(seq int64) {
 		}
 	}
 	s.b.cons.wake()
-}
-
-// ErrSource adapts the subscription to stream.ErrSource under ctx: items
-// are delivered one at a time (heartbeats included), batches are
-// released as they are exhausted, and the producer's terminal error (or
-// ctx cancellation) surfaces as the source error. The adapter owns the
-// Sub; do not mix with NextBatch.
-func (s *Sub) ErrSource(ctx context.Context) stream.ErrSource {
-	return stream.ErrFuncSource(func() (stream.Item, bool, error) {
-		for {
-			if s.cur != nil && s.curIdx < len(s.cur.items) {
-				it := s.cur.items[s.curIdx]
-				s.curIdx++
-				return it, true, nil
-			}
-			if s.cur != nil {
-				s.Release(s.cur.seq)
-				s.cur, s.curIdx = nil, 0
-			}
-			bt, err := s.acquire(ctx)
-			if err != nil {
-				return stream.Item{}, false, err
-			}
-			if bt == nil {
-				return stream.Item{}, false, nil
-			}
-			s.cur, s.curIdx = bt, 0
-		}
-	})
 }

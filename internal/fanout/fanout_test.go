@@ -23,22 +23,21 @@ func mkItems(start, n int) []stream.Item {
 	return out
 }
 
-// drain consumes a sub through its ErrSource adapter, returning the
-// delivered data values and the terminal error.
+// drain consumes a sub batch by batch, returning the delivered data values
+// and the terminal error.
 func drain(ctx context.Context, s *Sub) ([]float64, error) {
-	src := s.ErrSource(ctx)
 	var vals []float64
 	for {
-		it, ok, err := src.NextErr()
-		if err != nil {
+		items, seq, ok, err := s.NextBatch(ctx)
+		if err != nil || !ok {
 			return vals, err
 		}
-		if !ok {
-			return vals, nil
+		for _, it := range items {
+			if !it.Heartbeat {
+				vals = append(vals, it.Tuple.Value)
+			}
 		}
-		if !it.Heartbeat {
-			vals = append(vals, it.Tuple.Value)
-		}
+		s.Release(seq)
 	}
 }
 

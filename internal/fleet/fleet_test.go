@@ -53,19 +53,21 @@ func dataItems(start, n int) []stream.Item {
 // drainSub reads data values off a subscription until end of stream.
 func drainSub(t *testing.T, sub *fanout.Sub) []float64 {
 	t.Helper()
-	src := sub.ErrSource(context.Background())
 	var vals []float64
 	for {
-		it, ok, err := src.NextErr()
+		items, seq, ok, err := sub.NextBatch(context.Background())
 		if err != nil {
 			t.Fatalf("drain: %v", err)
 		}
 		if !ok {
 			return vals
 		}
-		if !it.Heartbeat {
-			vals = append(vals, it.Tuple.Value)
+		for _, it := range items {
+			if !it.Heartbeat {
+				vals = append(vals, it.Tuple.Value)
+			}
 		}
+		sub.Release(seq)
 	}
 }
 

@@ -102,15 +102,16 @@ func TestOwnedPublishCompactsInPlace(t *testing.T) {
 	}
 	r.Close()
 	var got []stream.Item
-	for es := sub.ErrSource(context.Background()); ; {
-		it, ok, err := es.NextErr()
+	for {
+		items, seq, ok, err := sub.NextBatch(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		got = append(got, it)
+		got = append(got, items...)
+		sub.Release(seq)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("consumer saw %d items, want the %d admitted ones in order", len(got), len(want))
