@@ -86,14 +86,6 @@ func BenchmarkR9Ablation(b *testing.B) { runExperiment(b, "R9") }
 // query scaling over key cardinality).
 func BenchmarkR11GroupedScaling(b *testing.B) { runExperiment(b, "R11") }
 
-// BenchmarkR12LoadShedding regenerates R12 (extension table:
-// quality-driven load shedding under overload).
-func BenchmarkR12LoadShedding(b *testing.B) { runExperiment(b, "R12") }
-
-// BenchmarkR13Sessions regenerates R13 (extension table: session windows
-// under disorder — hold vs. upstream buffering).
-func BenchmarkR13Sessions(b *testing.B) { runExperiment(b, "R13") }
-
 // BenchmarkR14Speculation regenerates R14 (extension table: emit+refine
 // speculation vs. buffering).
 func BenchmarkR14Speculation(b *testing.B) { runExperiment(b, "R14") }

@@ -211,12 +211,12 @@ var executorCalls = map[string]int{
 
 // executorFiles says which non-test files under internal/cq and
 // cmd/aqserver may make executorCalls (nil: any of them). exec.go is the
-// executor; session.go and join.go run different operators
-// (window.SessionOp, join.Op) through loops of their own and are exempt.
+// executor; join.go runs join.Op through a loop of its own and is exempt.
+// Every key must name a parsed file: a key whose file is gone would
+// silently exempt whatever file next takes its name.
 var executorFiles = map[string][]string{
-	"internal/cq/exec.go":    nil,
-	"internal/cq/session.go": nil,
-	"internal/cq/join.go":    nil,
+	"internal/cq/exec.go": nil,
+	"internal/cq/join.go": nil,
 }
 
 // TestOneExecutor is the structural half of `make check`'s doccheck: the
@@ -244,6 +244,11 @@ func TestOneExecutor(t *testing.T) {
 	}
 	if files["internal/cq/exec.go"] == nil || files["cmd/aqserver/server.go"] == nil {
 		t.Fatalf("extraction rotted: parsed %d files, exec.go or server.go not among them", len(files))
+	}
+	for path := range executorFiles {
+		if files[path] == nil {
+			t.Errorf("executorFiles exempts %s, which is not a non-test file under internal/cq or cmd/aqserver: drop the stale key", path)
+		}
 	}
 
 	allowed := func(path, call string) bool {
@@ -361,10 +366,10 @@ func TestOneExecutor(t *testing.T) {
 // model: non-test code in internal/core reads the value reservoir
 // (values.Sample()) and draws synthetic windows from it
 // (rng.Intn(len(sample)), or the batched rng.IntnUint64s(len(sample), …))
-// in exactly one place, the sweep in (*Estimator).lossCurve that every
-// estimate, plain or compensated, is read from. The model used to be
-// re-simulated per probe, fourteen times per refresh; a second simulation
-// path is how that grows back.
+// in exactly one place, the sweep in (*Estimator).LossCurve that every
+// estimate is read from. The model used to be re-simulated per probe,
+// fourteen times per refresh; a second simulation path is how that grows
+// back.
 func TestOneErrorSimulation(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, "internal/core", func(fi os.FileInfo) bool {
@@ -408,8 +413,8 @@ func TestOneErrorSimulation(t *testing.T) {
 		}
 	}
 	for what, where := range map[string][]string{"draws from a sample": draws, "reads the value reservoir": samples} {
-		if len(where) != 1 || !strings.HasPrefix(where[0], "lossCurve at internal/core/estimator.go") {
-			t.Errorf("internal/core %s in %d places, want only the sweep in lossCurve: %s",
+		if len(where) != 1 || !strings.HasPrefix(where[0], "LossCurve at internal/core/estimator.go") {
+			t.Errorf("internal/core %s in %d places, want only the sweep in LossCurve: %s",
 				what, len(where), strings.Join(where, "; "))
 		}
 	}

@@ -29,10 +29,10 @@ type BatchHandler interface {
 }
 
 // FeedbackHandler is implemented by a handler that adapts to the error its
-// query actually delivers — the adaptive controller of internal/core, and a
-// shedder in front of one. The query's window operator keeps each window it
-// emits until FeedbackHorizon past the window's end and then reports the
-// window's emitted and complete value (window.Op.SetFeedback). The executor
+// query actually delivers — the adaptive controller of internal/core. The
+// query's window operator keeps each window it emits until FeedbackHorizon
+// past the window's end and then reports the window's emitted and complete
+// value (window.Op.SetFeedback). The executor
 // (cq.Exec) inserts by InsertRun, which takes items up to the one after which
 // the handler's next adaptation falls due — ends and out as InsertBatch has
 // them, so len(ends) grows by the items taken — and reports whether it

@@ -8,17 +8,15 @@ import (
 
 // BenchmarkLossCurve times one loss-curve refresh in adaptive_drift's
 // steady state: a full 4 096-value reservoir, 1 000-tuple windows, 16
-// trials. The compensated sweep is Shedder's.
+// trials.
 func BenchmarkLossCurve(b *testing.B) {
 	for _, tc := range []struct {
-		name        string
-		agg         window.Factory
-		compensated bool
+		name string
+		agg  window.Factory
 	}{
-		{"sum", window.Sum(), false},
-		{"max", window.Max(), false},
-		{"p95", window.Quantile(0.95), false},
-		{"sum-compensated", window.Sum(), true},
+		{"sum", window.Sum()},
+		{"max", window.Max()},
+		{"p95", window.Quantile(0.95)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			e := NewEstimator(pinnedSpec(), tc.agg, EstimatorConfig{Seed: 1})
@@ -29,7 +27,7 @@ func BenchmarkLossCurve(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.lossCurve(tc.compensated)
+				e.LossCurve()
 			}
 		})
 	}

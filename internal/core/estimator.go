@@ -47,7 +47,7 @@ type Estimator struct {
 
 	gaps  []float64    // PLoss's headroom per window position, ascending
 	fracs []float64    // PLoss's scratch: the sketch read at k + gaps
-	sweep []sweepTrial // lossCurve's scratch, one per trial; not state
+	sweep []sweepTrial // LossCurve's scratch, one per trial; not state
 }
 
 // EstimatorConfig parameterizes NewEstimator. Zero values select defaults.
@@ -279,13 +279,7 @@ func (c LossCurve) MaxLoss(target float64) float64 {
 // visits every probe's thinned window in turn and ends on the full one.
 // For sum and count over positive values that makes the curve exactly
 // monotone, not just monotone in expectation.
-func (e *Estimator) LossCurve() LossCurve { return e.lossCurve(false) }
-
-// lossCurve is LossCurve with optional Horvitz–Thompson compensation:
-// survivor values scaled by 1/(1−p). The scale differs per probe, so a
-// compensated sweep rebuilds each probe's thinned window from the sorted
-// draws instead of growing one.
-func (e *Estimator) lossCurve(compensated bool) LossCurve {
+func (e *Estimator) LossCurve() LossCurve {
 	c := LossCurve{errs: make([]float64, curvePoints)}
 	sample := e.values.Sample()
 	if len(sample) == 0 {
@@ -327,7 +321,7 @@ func (e *Estimator) lossCurve(compensated bool) LossCurve {
 		}
 		s.thin, s.added = e.agg.New(), 0
 	}
-	e.sweepTrials(compensated)
+	e.sweepTrials()
 	for t := range e.sweep {
 		for j, v := range e.sweep[t].value {
 			c.errs[j] += relErrEst(v, e.sweep[t].value[0])
@@ -360,51 +354,29 @@ type sweepTrial struct {
 // together, a draw each in turn for as many draws as every one of them has
 // there, then each its rest: their chains of dependent additions overlap
 // in the CPU. No bit changes — each thinned aggregate still receives its
-// own values, and is read, in the same order. A compensated sweep rebuilds
-// every probe's thinned window from the first draw, with that probe's
-// scale.
-func (e *Estimator) sweepTrials(compensated bool) {
+// own values, and is read, in the same order.
+func (e *Estimator) sweepTrials() {
 	trials := e.sweep
 	for j := curvePoints - 1; j >= 0; j-- {
-		scale := 1.0
-		if compensated {
-			// (Infinite at p = 1, with nothing there to scale.)
-			scale = 1 / (1 - lossGrid[j])
-		}
 		common := maxWindow
 		for t := range trials {
 			s := &trials[t]
-			if compensated {
-				s.thin, s.added = e.agg.New(), 0
-			}
 			common = min(common, s.end[j+1]-s.added)
 		}
 		for r := 0; r < common; r++ {
 			for t := range trials {
 				s := &trials[t]
-				s.thin.Add(s.sorted[s.added+r] * scale)
+				s.thin.Add(s.sorted[s.added+r])
 			}
 		}
 		for t := range trials {
 			s := &trials[t]
 			for s.added += common; s.added < s.end[j+1]; s.added++ {
-				s.thin.Add(s.sorted[s.added] * scale)
+				s.thin.Add(s.sorted[s.added])
 			}
 			s.value[j] = s.thin.Value()
 		}
 	}
-}
-
-// MaxTolerableShed returns the largest uniform shedding probability whose
-// estimated relative window error stays within target. With compensated
-// set, survivor values are scaled by 1/(1−p) (Horvitz–Thompson): unbiased
-// for linear aggregates like sum — only sampling variance remains — while
-// distorting location and extreme statistics (avg, min, max, quantiles),
-// which the simulation reports faithfully. Count cannot be
-// value-compensated; its error stays ≈ p either way.
-func (e *Estimator) MaxTolerableShed(target float64, compensated bool) float64 {
-	// Cap: total shedding is never sensible.
-	return min(e.lossCurve(compensated).MaxLoss(target), 0.99)
 }
 
 // relErrEst mirrors metrics.RelErr without importing it (core must not

@@ -69,13 +69,13 @@ func pinnedItems(n int, seed uint64) []stream.Item {
 // TestControllerDecisionsPinned: every slack the controllers choose, every
 // error they estimate and every tuple they release over the drift stream
 // hashes to what the parent of the controller rewrite produced. The
-// adaptive K-slack and the shedder in front of it run as every query runs
-// them, through cq.Exec: their realized error comes from the query's window
-// operator. avg and stddev fold a window's complete value in key order
-// where the handler's own computation once folded it in release order, so
-// their realized errors moved in the last bits and their full hashes were
-// re-recorded then; their slacks and releases did not move (kOnly, recorded
-// on the commit before).
+// adaptive K-slack runs as every query runs it, through cq.Exec: its
+// realized error comes from the query's window operator. avg and stddev
+// fold a window's complete value in key order where the handler's own
+// computation once folded it in release order, so their realized errors
+// moved in the last bits and their full hashes were re-recorded then;
+// their slacks and releases did not move (kOnly, recorded on the commit
+// before).
 func TestControllerDecisionsPinned(t *testing.T) {
 	items := pinnedItems(core.PinnedN, 51)
 	check := func(t *testing.T, what string, h *core.PinHash, want uint64) {
@@ -140,39 +140,14 @@ func TestControllerDecisionsPinned(t *testing.T) {
 		check(t, "decision", h, 0xeab625429e9b7877)
 	})
 
-	for _, tc := range []struct {
-		compensate bool
-		want       uint64
-	}{{false, 0x46db01775669cbef}, {true, 0x972141fa10499e86}} {
-		name := "shed"
-		if tc.compensate {
-			name = "shed-compensated"
-		}
-		t.Run(name, func(t *testing.T) {
-			inner := core.NewAQKSlack(core.Config{Theta: 0.005, Spec: core.PinnedSpec(), Agg: window.Sum()})
-			sh := core.NewShedder(core.ShedConfig{Theta: 0.005, Spec: core.PinnedSpec(), Agg: window.Sum(),
-				TargetRate: 50, Compensate: tc.compensate}, inner)
-			h := core.NewPinHash()
-			runPinned(t, sh, window.Sum(), items, 100, h)
-			h.Samples(inner.Trace())
-			st := sh.Shed()
-			if st.Shed == 0 || st.Adaptations < 300 {
-				t.Fatalf("shedder idle: %v", st)
-			}
-			h.U64(uint64(st.Shed), uint64(st.Adaptations))
-			h.F64(st.PShed, st.PBudget, st.MeanPBudget, st.MeanPWanted)
-			check(t, "decision", h, tc.want)
-		})
-	}
-
 	// The curve itself at fixed estimator states: a full power-of-two
-	// reservoir and a partly filled one, plain then compensated.
+	// reservoir and a partly filled one.
 	for _, tc := range []struct {
 		name string
 		est  func(agg window.Factory) *core.Estimator
 		want uint64
 	}{
-		{"curve/pow2", func(agg window.Factory) *core.Estimator { return core.SkewedEstimator(agg, 16) }, 0xedb9fb645941495f},
+		{"curve/pow2", func(agg window.Factory) *core.Estimator { return core.SkewedEstimator(agg, 16) }, 0xb2e15f1853726238},
 		{"curve/partial", func(agg window.Factory) *core.Estimator {
 			e := core.NewEstimator(core.PinnedSpec(), agg, core.EstimatorConfig{Seed: 5})
 			rng := stats.NewRNG(6)
@@ -181,15 +156,14 @@ func TestControllerDecisionsPinned(t *testing.T) {
 			}
 			e.ObserveWindowCount(700)
 			return e
-		}, 0x66c0306f01525f24},
+		}, 0xe3e8d843766f1455},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := core.NewPinHash()
 			for _, agg := range []window.Factory{window.Sum(), window.Count(), window.Avg(),
 				window.Max(), window.Median(), window.StdDev()} {
 				e := tc.est(agg)
-				h.F64(core.CurveErrs(e, false)...)
-				h.F64(core.CurveErrs(e, true)...)
+				h.F64(core.CurveErrs(e)...)
 			}
 			check(t, "curve", h, tc.want)
 		})

@@ -50,8 +50,8 @@ var (
 
 const PinnedN = pinnedN
 
-// CurveErrs is the estimator's loss curve, plain or compensated.
-func CurveErrs(e *Estimator, compensated bool) []float64 { return e.lossCurve(compensated).errs }
+// CurveErrs is the estimator's loss curve.
+func CurveErrs(e *Estimator) []float64 { return e.LossCurve().errs }
 
 // PinHash is an FNV-1a hash over the bits of controller decisions.
 type PinHash struct{ h hash.Hash64 }

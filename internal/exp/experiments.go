@@ -35,8 +35,6 @@ func All() []Experiment {
 		{ID: "R8", Title: "window size and slide sweep", Run: R8},
 		{ID: "R9", Title: "controller ablation", Run: R9},
 		{ID: "R11", Title: "grouped query scaling [extension]", Run: R11},
-		{ID: "R12", Title: "quality-driven load shedding [extension]", Run: R12},
-		{ID: "R13", Title: "session windows under disorder [extension]", Run: R13},
 		{ID: "R14", Title: "speculation (refinements) vs. buffering [extension]", Run: R14},
 		{ID: "R16", Title: "batched transport + grouped execution [extension]", Run: R16},
 	}

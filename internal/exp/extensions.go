@@ -9,144 +9,11 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/cq"
-	"repro/internal/delay"
 	"repro/internal/gen"
 	"repro/internal/metrics"
-	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
-
-// R12 evaluates quality-driven load shedding: a theta sweep under fixed
-// 4x overload, with and without Horvitz–Thompson compensation. The total
-// budget is split half shedding, half disorder handling.
-func R12(s Scale) []Table {
-	n := s.N(200000)
-	agg := window.Sum()
-
-	t := Table{
-		ID:    "R12",
-		Title: "quality-driven load shedding under 4x overload (sum; budget split half shed / half buffer)",
-		Cols:  []string{"theta", "compensate", "shedFrac", "pBudget", "wantedFrac", "meanErr", "compliance"},
-		Notes: []string{
-			"the load target asks for 75% shedding (4x overload); the shedder grants min(wanted, quality budget)",
-			"expected shape: uncompensated shedding of a sum is capped near theta/2; Horvitz–Thompson compensation multiplies the budget until the sampling-variance term binds",
-		},
-	}
-	tuples := gen.Sensor(n, 12).Arrivals()
-	oracle := window.Oracle(stdSpec, agg, tuples)
-	offered := 100.0 // sensor workload: 1 tuple / 10 stream-time units
-	const overload = 4.0
-	for _, theta := range []float64{0.01, 0.02, 0.05, 0.10} {
-		for _, comp := range []bool{false, true} {
-			inner := core.NewAQKSlack(core.Config{Theta: theta / 2, Spec: stdSpec, Agg: agg})
-			sh := core.NewShedder(core.ShedConfig{
-				Theta: theta / 2, Spec: stdSpec, Agg: agg,
-				TargetRate: offered / overload, Compensate: comp,
-			}, inner)
-			o := RunAgg(fmt.Sprintf("theta=%g/comp=%v", theta, comp),
-				tuples, oracle, stdSpec, agg, sh, theta)
-			st := sh.Shed()
-			t.AddRow(Pct(theta), fmt.Sprintf("%v", comp),
-				PctC(st.ShedFrac()), PctC(st.MeanPBudget), PctC(st.MeanPWanted),
-				Pct(o.Quality.MeanRelErr), PctC(o.Quality.Compliance))
-		}
-	}
-	return []Table{t}
-}
-
-// R13 evaluates session windows under disorder: structural (boundary)
-// accuracy and latency for the two repair mechanisms — upstream slack
-// buffering vs. operator-level hold (allowed lateness) — against no
-// handling.
-func R13(s Scale) []Table {
-	n := s.N(120000)
-	gap := stream.Time(50)
-	agg := window.Sum()
-
-	// Keyed activity stream with explicit session structure and
-	// heavy-tailed delays on the order of the gap.
-	rng := stats.NewRNG(13)
-	var tuples []stream.Tuple
-	ts := stream.Time(0)
-	dm := delay.ParetoWithMean(60, 1.8)
-	for i := 0; i < n; i++ {
-		g := stream.Time(rng.Intn(20))
-		if rng.Intn(25) == 0 {
-			g += 200
-		}
-		ts += g
-		tuples = append(tuples, stream.Tuple{
-			TS: ts, Arrival: ts + stream.Time(dm.Delay(ts, rng)),
-			Seq: uint64(i), Key: uint64(rng.Intn(8)), Value: 1,
-		})
-	}
-	stream.SortByArrival(tuples)
-
-	t := Table{
-		ID:    "R13",
-		Title: fmt.Sprintf("session windows under disorder (gap=%s, n=%d, 8 keys)", Ms(float64(gap)), n),
-		Cols:  []string{"mechanism", "boundaryAcc", "splits", "missing", "lateDrops", "meanLat"},
-		Notes: []string{
-			"boundaryAcc = fraction of oracle sessions reproduced with exact (key, start, end)",
-			"expected shape: hold-H and kslack-H repair boundaries comparably at a similar latency cost; none splits sessions",
-			"aq-session adapts the hold to the accuracy target: it should land between the fixed holds bracketing its target",
-		},
-	}
-	type variant struct {
-		name    string
-		handler func() buffer.Handler
-		hold    stream.Time
-	}
-	variants := []variant{
-		{"none", func() buffer.Handler { return buffer.Zero() }, 0},
-		{"hold-100ms", func() buffer.Handler { return buffer.Zero() }, 100},
-		{"hold-500ms", func() buffer.Handler { return buffer.Zero() }, 500},
-		{"kslack-100ms", func() buffer.Handler { return buffer.NewKSlack(100) }, 0},
-		{"kslack-500ms", func() buffer.Handler { return buffer.NewKSlack(500) }, 0},
-		{"maxslack", func() buffer.Handler { return buffer.NewMaxSlack() }, 0},
-	}
-	for _, v := range variants {
-		rep, err := cq.NewSession(stream.FromTuples(tuples), gap, agg).
-			Handle(v.handler()).
-			Hold(v.hold).
-			KeepInput().
-			Run()
-		if err != nil {
-			panic(err)
-		}
-		q := rep.Quality(gap, agg)
-		t.AddRow(v.name, PctC(q.BoundaryAccuracy()), I(int64(q.Splits)), I(int64(q.Missing)),
-			I(rep.Op.LateDrops), Ms(rep.MeanLatency()))
-	}
-
-	// Quality-driven hold: AQSession adapts the hold to a boundary
-	// accuracy target.
-	oracle := window.SessionOracle(gap, agg, tuples)
-	for _, beta := range []float64{0.95, 0.99} {
-		a := core.NewAQSession(core.SessionConfig{Beta: beta, Gap: gap, Agg: agg})
-		var out []window.SessionResult
-		var now stream.Time
-		for _, tp := range tuples {
-			now = tp.Arrival
-			out = a.Observe(tp, now, out)
-		}
-		preFlush := len(out)
-		out = a.Flush(now, out)
-		q := window.CompareSessions(out, oracle)
-		var meanLat float64
-		if preFlush > 0 {
-			for _, r := range out[:preFlush] {
-				meanLat += float64(r.Latency())
-			}
-			meanLat /= float64(preFlush)
-		}
-		t.AddRow(fmt.Sprintf("aq-session(%.0f%%)", 100*beta),
-			PctC(q.BoundaryAccuracy()), I(int64(q.Splits)), I(int64(q.Missing)),
-			I(a.Op().Stats().LateDrops), Ms(meanLat))
-	}
-	return []Table{t}
-}
 
 // R14 evaluates emit-then-refine (speculation) against buffering: with
 // RefineLate, windows are emitted eagerly and re-emitted when stragglers

@@ -157,11 +157,11 @@ func (a *maxAgg) N() int64 { return a.n }
 // sorting them at read time: Value caches the sort until the next Add, and
 // an Add into an already-sorted sample inserts in place rather than
 // invalidating the cache — interleaved Add/Value (refinement reads) would
-// otherwise re-sort the full sample per tuple. That is what the oracle, the
-// session operator and a window retained for refinement use. The operator
-// does not evaluate an open window this way: it selects the same value, to
-// the bit, across per-pane sorted runs (orderstat.go), and builds a
-// quantileAgg only for RefineLate to retain.
+// otherwise re-sort the full sample per tuple. That is what the oracle and
+// a window retained for refinement use. The operator does not evaluate an
+// open window this way: it selects the same value, to the bit, across
+// per-pane sorted runs (orderstat.go), and builds a quantileAgg only for
+// RefineLate to retain.
 type quantileAgg struct {
 	p      float64
 	vals   []float64

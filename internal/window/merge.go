@@ -1,9 +1,10 @@
 package window
 
 // Mergeable is implemented by aggregates whose partial results can be
-// combined. Session windows require it (two sessions bridged by a late
-// tuple fold into one), and the tree's scalar partials replicate this
-// arithmetic (treeMonoid). All built-in aggregates are mergeable.
+// combined. No operator merges through it: it is the reference arithmetic
+// that the tree's scalar partials (treeMonoid) replicate, and the tests
+// check the tree against it (FactoryMonoid) and the sum's merge for
+// exactness. All built-in aggregates are mergeable.
 type Mergeable interface {
 	Aggregate
 	// MergeFrom folds other (an aggregate of the same concrete type)
