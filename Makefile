@@ -34,6 +34,7 @@ fuzz-short:
 	$(GO) test ./internal/cql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window -run '^$$' -fuzz '^FuzzOrderStatisticWindows$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window -run '^$$' -fuzz '^FuzzObserveRunMatchesObserve$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzJournalRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream -run '^$$' -fuzz '^FuzzLineProtocol$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream -run '^$$' -fuzz '^FuzzParserDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netstream -run '^$$' -fuzz '^FuzzValueKernel$$' -fuzztime $(FUZZTIME)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -21,6 +22,7 @@ func durableCfg(dir string) appConfig {
 // ingesting without rewinding its synthetic event clock.
 func TestDurableRestartRecovers(t *testing.T) {
 	dir := t.TempDir()
+	goroutines := runtime.NumGoroutine()
 
 	a, err := newApp(durableCfg(dir))
 	if err != nil {
@@ -107,6 +109,8 @@ func TestDurableRestartRecovers(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	cancel2()
+	b.drain()
+	settleGoroutines(t, goroutines)
 }
 
 // TestDurableSuppressionAfterRestart verifies exactly-once emission across
@@ -114,6 +118,7 @@ func TestDurableRestartRecovers(t *testing.T) {
 // are suppressed on replay, not re-delivered into the result ring.
 func TestDurableSuppressionAfterRestart(t *testing.T) {
 	dir := t.TempDir()
+	goroutines := runtime.NumGoroutine()
 	// No snapshots: recovery replays the whole journal, so every window
 	// emitted (non-flush) before the shutdown must be suppressed on replay.
 	cfg := durableCfg(dir)
@@ -153,4 +158,6 @@ func TestDurableSuppressionAfterRestart(t *testing.T) {
 		t.Errorf("replayed %d items but suppressed no duplicate emissions (emitted before shutdown: %d)",
 			st.Recovery.ReplayedItems, a.runners[0].status().Windows)
 	}
+	b.drain()
+	settleGoroutines(t, goroutines)
 }

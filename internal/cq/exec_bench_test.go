@@ -36,6 +36,10 @@ import (
 // every Step, timed with it. Snapshot and rotation fsyncs are wall time the
 // CPU does not spend, so every sub-benchmark also reports cpu-ns/query-tuple,
 // the process's user + system CPU over the same region, from getrusage.
+// durable also reports journal-B/query-tuple, the journal bytes written per
+// tuple: the growth of each log's open segment, read from its
+// durable_journal_open_segment_bytes gauge after every step (outside the
+// timed region; a step that rotates counts its new segment's records only).
 func BenchmarkExecStepServerShaped(b *testing.B) {
 	type shape struct {
 		spec window.Spec
@@ -69,18 +73,21 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 			var execs []*Exec
 			byKey := map[string]*Exec{}
 			logs := make([]*durable.QueryLog, 0, len(bc.shapes))
+			var journals []*journalGrowth
 			for _, s := range bc.shapes {
 				q := New(nil).Handle(buffer.NewKSlack(s.k)).Window(s.spec, s.agg).
 					Trace(tracez.New(tracez.NewRecorder(1<<12), "q")).
 					Instrument(NewTelemetry(obs.NewRegistry(), "q", s.spec)).DiscardReport()
 				if bc.durable {
+					m := durable.NewMetrics(obs.NewRegistry())
 					log, err := durable.Open(durable.Options{Dir: b.TempDir(), CommitEvery: 64, SnapshotEvery: 50_000,
-						Metrics: durable.NewMetrics(obs.NewRegistry())})
+						Metrics: m})
 					if err != nil {
 						b.Fatal(err)
 					}
 					defer log.Close()
 					logs = append(logs, log)
+					journals = append(journals, &journalGrowth{m: m, size: segHeader})
 					q.Durable(Durable{Log: log, Decorate: func(s *durable.Snapshot) {
 						s.Query, s.Counters = "q", map[string]int64{"emitted": int64(results)}
 					}})
@@ -133,6 +140,9 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 				}
 				inStep += time.Since(start)
 				cpu += cpuTime() - cpu0
+				for _, j := range journals {
+					j.sample()
+				}
 			}
 			b.StopTimer()
 			if results == 0 && b.N*bc.batch > 1000 {
@@ -141,8 +151,35 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 			n := float64(b.N * bc.batch * len(bc.shapes))
 			b.ReportMetric(float64(inStep.Nanoseconds())/n, "ns/query-tuple")
 			b.ReportMetric(float64(cpu.Nanoseconds())/n, "cpu-ns/query-tuple")
+			if len(journals) > 0 {
+				var bytes float64
+				for _, j := range journals {
+					bytes += j.bytes
+				}
+				b.ReportMetric(bytes/n, "journal-B/query-tuple")
+			}
 		})
 	}
+}
+
+// segHeader is a journal segment's header, which journalGrowth leaves out.
+const segHeader = 16
+
+// journalGrowth sums the bytes a journal's open segment grows by, sample to
+// sample, from its durable_journal_open_segment_bytes gauge.
+type journalGrowth struct {
+	m               *durable.Metrics
+	size, rotations float64
+	bytes           float64
+}
+
+func (j *journalGrowth) sample() {
+	size, rotations := j.m.JournalBytes.Value(), j.m.Rotations.Value()
+	if rotations != j.rotations {
+		j.size, j.rotations = segHeader, rotations
+	}
+	j.bytes += size - j.size
+	j.size = size
 }
 
 // BenchmarkExecStepAdaptive is BenchmarkExecStepServerShaped for the

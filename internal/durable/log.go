@@ -173,21 +173,20 @@ func (l *QueryLog) Items() uint64 {
 }
 
 // AppendItems journals a batch of accepted items (post-shedding) under one
-// lock. The batch is framed in one pass, every item
-// as a record of its own, so the bytes on disk do not depend on how items are
-// batched; it is handed to the buffered writer once per segment it spans. The
-// group-commit rule is applied once, at the batch's end: the buffered writes
-// are flushed to the OS when CommitEvery or more appended items are
-// unflushed, so fewer than CommitEvery are when the call returns. Unflushed
-// writes become crash-durable at the next group commit, Commit, or snapshot
-// cut.
+// lock, as one batch record (or several, past maxBatchItems), so that a torn
+// write loses the batch whole. The group-commit rule is applied once, at the
+// batch's end: the buffered writes are flushed to the OS when CommitEvery or
+// more appended items are unflushed, so fewer than CommitEvery are when the
+// call returns. Unflushed writes become crash-durable at the next group
+// commit, Commit, or snapshot cut.
 func (l *QueryLog) AppendItems(items []stream.Item) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	records := l.w.records
 	if err := l.w.appendItems(items); err != nil {
 		return err
 	}
-	l.opts.Metrics.noteAppend(len(items), l.w.segSize)
+	l.opts.Metrics.noteAppend(int(l.w.records-records), l.w.segSize)
 	l.sinceSnap += int64(len(items))
 	l.sinceCommit += len(items)
 	if l.opts.SnapshotEvery > 0 && l.sinceSnap >= l.opts.SnapshotEvery {

@@ -10,9 +10,11 @@ import (
 	"repro/internal/stream"
 )
 
-// tupleFrame is the on-disk cost of one tuple record: 8-byte frame header
-// plus 42-byte payload (kind + 41-byte body).
-const tupleFrame = recHeaderSize + 1 + 41
+// tupleFrame is the on-disk cost of a one-tuple batch record whose TS,
+// Arrival and Seq are below 64 and whose Key and Src are 0: the 8-byte frame
+// header, then kind, item count, tag, three one-byte deltas, a one-byte Key
+// and the 8-byte value.
+const tupleFrame = recHeaderSize + 7 + 8
 
 func testItems(n int) []stream.Item {
 	items := make([]stream.Item, 0, n)
