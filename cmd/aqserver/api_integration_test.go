@@ -36,9 +36,12 @@ import (
 
 // apiTestApp boots an app with the control plane on (no compiled-in
 // feeds running) plus an httptest server and a TCP ingest listener on
-// ephemeral ports.
+// ephemeral ports. Its cleanup drains the app, closes the server and then
+// holds the test to the goroutines it started with: whatever the app
+// started must be gone within settleGoroutines' grace.
 func apiTestApp(t *testing.T, cfg appConfig) (*app, *httptest.Server) {
 	t.Helper()
+	base := runtime.NumGoroutine()
 	cfg.apiOn = true
 	if cfg.log == nil {
 		cfg.log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -54,6 +57,7 @@ func apiTestApp(t *testing.T, cfg appConfig) (*app, *httptest.Server) {
 	t.Cleanup(func() {
 		a.drain()
 		ts.Close()
+		settleGoroutines(t, base)
 	})
 	return a, ts
 }

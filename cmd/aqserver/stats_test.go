@@ -309,8 +309,13 @@ func TestAPIRequestInstrumentation(t *testing.T) {
 	if resp, body := postJSON(t, ts, "/api/sources", map[string]string{"name": "s1"}); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create source: %d %s", resp.StatusCode, body)
 	}
-	if resp, err := ts.Client().Get(ts.URL + "/api/queries/nosuch"); err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("expected 404 for unknown query, got %v %v", resp.StatusCode, err)
+	resp, err := ts.Client().Get(ts.URL + "/api/queries/nosuch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("expected 404 for unknown query, got %d", resp.StatusCode)
 	}
 	if _, code := getStats(t, ts, ""); code != http.StatusOK {
 		t.Fatalf("GET /api/stats = %d", code)

@@ -209,21 +209,13 @@ var executorCalls = map[string]int{
 	"TakeRecovery": 0, "RestoreHandler": 0, // recovery
 }
 
-// executorFiles says which non-test files under internal/cq and
-// cmd/aqserver may make executorCalls (nil: any of them). exec.go is the
-// executor; join.go runs join.Op through a loop of its own and is exempt.
-// Every key must name a parsed file: a key whose file is gone would
-// silently exempt whatever file next takes its name.
-var executorFiles = map[string][]string{
-	"internal/cq/exec.go": nil,
-	"internal/cq/join.go": nil,
-}
-
 // TestOneExecutor is the structural half of `make check`'s doccheck: the
 // buffer → window → emit loop and the durability protocol (journal, emit
 // progress, snapshot cut/write, recovery restore + replay) exist once, in
 // internal/cq/exec.go, and every way of running a query — Run,
-// RunConcurrent, RunShared, cmd/aqserver's runners — is a driver over it.
+// RunConcurrent, RunShared, a join's Run, cmd/aqserver's runners — is a
+// driver over it: no other non-test file under internal/cq or cmd/aqserver
+// makes one of the executorCalls, and none is exempt.
 // The repository once had six copies of the loop and two of the protocol,
 // and they had drifted apart; this keeps a seventh from growing back.
 func TestOneExecutor(t *testing.T) {
@@ -245,24 +237,6 @@ func TestOneExecutor(t *testing.T) {
 	if files["internal/cq/exec.go"] == nil || files["cmd/aqserver/server.go"] == nil {
 		t.Fatalf("extraction rotted: parsed %d files, exec.go or server.go not among them", len(files))
 	}
-	for path := range executorFiles {
-		if files[path] == nil {
-			t.Errorf("executorFiles exempts %s, which is not a non-test file under internal/cq or cmd/aqserver: drop the stale key", path)
-		}
-	}
-
-	allowed := func(path, call string) bool {
-		names, listed := executorFiles[path]
-		if !listed || names == nil {
-			return listed
-		}
-		for _, n := range names {
-			if n == call {
-				return true
-			}
-		}
-		return false
-	}
 	calls := 0
 	for path, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -277,7 +251,7 @@ func TestOneExecutor(t *testing.T) {
 					return true
 				}
 				calls++
-				if !allowed(path, sel.Sel.Name) {
+				if path != "internal/cq/exec.go" {
 					t.Errorf("%s calls %s: the execution loop and the durability protocol live in internal/cq/exec.go; drive cq.Exec instead",
 						fset.Position(n.Pos()), sel.Sel.Name)
 				}

@@ -39,6 +39,27 @@ func (r releaseHasher) hash(rel []stream.Tuple) {
 	}
 }
 
+// joinHasher hashes everything the join handler it wraps releases, in
+// release order, as cq.Exec drives it: one insert at a time.
+type joinHasher struct {
+	buffer.Handler
+	h *core.PinHash
+}
+
+func (r joinHasher) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
+	n := len(out)
+	out = r.Handler.Insert(it, out)
+	r.h.Released(out[n:])
+	return out
+}
+
+func (r joinHasher) Flush(out []stream.Tuple) []stream.Tuple {
+	n := len(out)
+	out = r.Handler.Flush(out)
+	r.h.Released(out[n:])
+	return out
+}
+
 // runPinned drives h through cq.Exec over items in steps of step items, a
 // window of agg over the pinned spec downstream, hashing what h releases
 // into every one of hs.
@@ -120,19 +141,14 @@ func TestControllerDecisionsPinned(t *testing.T) {
 		for i := range two {
 			two[i].Src = uint8(i % 2)
 		}
-		jop := join.New(join.Config{Band: 500, RetainFor: 60 * stream.Second})
+		cfg := join.Config{Band: 500, RetainFor: 60 * stream.Second}
+		jop := join.New(cfg)
 		aq := core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: 500}, jop.Stats)
 		h := core.NewPinHash()
-		var rel []stream.Tuple
-		var res []join.Result
-		for _, tp := range two {
-			rel = aq.Insert(stream.DataItem(tp), rel[:0])
-			h.Released(rel)
-			for _, r := range rel {
-				res = jop.Insert(join.Tagged{Tuple: r, Side: join.Side(r.Src)}, tp.Arrival, res[:0])
-			}
+		// Sides are Src-defined: the whole stream is the left source.
+		if _, err := cq.NewJoin(stream.FromTuples(two), stream.FromTuples(nil), cfg).Handle(joinHasher{aq, h}).Run(jop); err != nil {
+			t.Fatal(err)
 		}
-		h.Released(aq.Flush(rel[:0]))
 		h.Samples(aq.Trace())
 		if aq.Adaptations() < 300 {
 			t.Fatalf("only %d adaptations", aq.Adaptations())

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/durable"
+	"repro/internal/join"
 	"repro/internal/obs/tracez"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -127,9 +128,10 @@ const (
 )
 
 // windowStage is the seam between the step core and a query's window
-// operator: the plain operator, or the keyed operator of a grouped query.
-// Both are evaluated in place, on the stepping goroutine, whatever the
-// driver, and both take a released run whole — there is no per-tuple entry.
+// operator: the plain operator, the keyed operator of a grouped query, or
+// the join operator of a join query. Each is evaluated in place, on the
+// stepping goroutine, whatever the driver, and each takes a released run
+// whole — there is no per-tuple entry.
 type windowStage interface {
 	// observeRun delivers the results a panic cut off from the sink (from
 	// the stage's sent), hands the operator r.ts[pos:] with their nows — pos
@@ -155,22 +157,19 @@ type windowStage interface {
 // results — is Resume: a driver with a panic policy calls it under that
 // policy before the first Step; otherwise the first Step or Finish does.
 func NewExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
-	if err := q.ownedByCaller(); err != nil {
-		return nil, err
-	}
-	if err := q.validateShape(); err != nil {
+	if err := q.validateOwned(); err != nil {
 		return nil, err
 	}
 	return newExec(q, sink)
 }
 
-// ownedByCaller refuses a query with a source: NewExec's and Join's caller is
-// the driver.
-func (q *AggQuery) ownedByCaller() error {
+// validateOwned refuses a query with a source — NewExec's and Join's caller
+// is the driver — and checks its shape.
+func (q *AggQuery) validateOwned() error {
 	if q.source != nil {
 		return errors.New("cq: an Exec's queries are built without a source (Run and RunConcurrent own theirs)")
 	}
-	return nil
+	return q.validateShape()
 }
 
 // newExec builds the core for a validated query.
@@ -196,9 +195,12 @@ func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 // newStage builds q's window stage in x.
 func (x *Exec) newStage(q *AggQuery, sink func(window.Result)) *Stage {
 	s := &Stage{x: x, q: q, sink: sink, rep: &AggReport{}}
-	if q.grouped {
+	switch {
+	case q.join != nil:
+		s.win = &joinStage{s: s, op: q.join}
+	case q.grouped:
 		s.win = &keyedStage{s: s, op: window.NewKeyedOp(q.spec, q.agg, q.policy, q.refineFor)}
-	} else {
+	default:
 		s.op = window.NewOp(q.spec, q.agg, q.policy, q.refineFor)
 		s.win = plainStage{s}
 	}
@@ -271,10 +273,7 @@ func ShareKey(q *AggQuery) string {
 // asks in practice that neither x nor q's handler has seen an item yet. q's
 // own handler is left unused.
 func (x *Exec) Join(q *AggQuery, sink func(window.Result)) (*Stage, error) {
-	if err := q.ownedByCaller(); err != nil {
-		return nil, err
-	}
-	if err := q.validateShape(); err != nil {
+	if err := q.validateOwned(); err != nil {
 		return nil, err
 	}
 	if key := ShareKey(q); key == "" || key != x.shareKey() || x.pend != nil || x.stages[0].flushing {
@@ -899,3 +898,29 @@ func (k *keyedStage) stats() window.OpStats { return k.op.Stats() }
 func (k *keyedStage) setFeedback(horizon stream.Time) { k.op.SetFeedback(horizon) }
 
 func (k *keyedStage) finals(out []window.Final) []window.Final { return k.op.Finals(out) }
+
+// joinStage is a join query's window stage: one join.Join, handed each
+// released tuple on its side (its Src) at the clock it was released at. Its
+// pairs stay here for JoinQuery.Run; a join has no windows to force out and
+// reports nothing back to the handler.
+type joinStage struct {
+	s     *Stage
+	op    *join.Join
+	pairs []join.Result
+}
+
+func (j *joinStage) observeRun(r *released) {
+	for s := j.s; s.pos < len(r.ts); {
+		t, now := r.ts[s.pos], r.nows[s.pos]
+		s.pos++
+		j.pairs = j.op.Insert(join.Tagged{Tuple: t, Side: join.Side(t.Src)}, now, j.pairs)
+	}
+}
+
+func (*joinStage) flush(stream.Time) {}
+
+func (*joinStage) stats() window.OpStats { return window.OpStats{} }
+
+func (*joinStage) setFeedback(stream.Time) {}
+
+func (*joinStage) finals(out []window.Final) []window.Final { return out }

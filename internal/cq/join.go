@@ -45,20 +45,15 @@ type JoinReport struct {
 	Left, Right []stream.Tuple // only when KeepInput was set
 }
 
-// OraclePairs computes ground-truth pairs; the query must have been built
-// with KeepInput.
-func (r *JoinReport) OraclePairs(cfg join.Config) map[metrics.Pair]struct{} {
-	return join.OraclePairs(cfg, r.Left, r.Right)
-}
-
-// Quality compares emitted pairs against the oracle.
+// Quality compares emitted pairs against the oracle's; the query must have
+// been built with KeepInput.
 func (r *JoinReport) Quality(cfg join.Config) metrics.PairReport {
-	return metrics.PairMetrics(join.PairSet(r.Results), r.OraclePairs(cfg))
+	return metrics.PairMetrics(join.PairSet(r.Results), join.OraclePairs(cfg, r.Left, r.Right))
 }
 
-// Run executes the join query synchronously. op is the join operator to
-// drive; passing it in (rather than constructing it internally) lets
-// callers share the operator with an adaptive handler's feedback hook
+// Run executes the join query synchronously, as AggQuery.Run executes a
+// query, over the merged sources, with op as the query's window stage. op is
+// passed in so that an adaptive handler can read its statistics
 // (core.NewAQJoin takes op.Stats).
 func (q *JoinQuery) Run(op *join.Join) (*JoinReport, error) {
 	if q.left == nil || q.right == nil {
@@ -67,44 +62,21 @@ func (q *JoinQuery) Run(op *join.Join) (*JoinReport, error) {
 	if op == nil {
 		return nil, errors.New("cq: join query needs an operator")
 	}
-	handler := q.handler
-	if handler == nil {
-		handler = buffer.Zero()
+	x, err := newExec(&AggQuery{handler: q.handler, keepInput: q.keepInput, join: op}, nil)
+	if err != nil {
+		return nil, err
 	}
-	rep := &JoinReport{}
-	merged := stream.NewMerge(q.left, q.right)
-	var rel []stream.Tuple
-	var now stream.Time
-	for {
-		it, ok := merged.Next()
-		if !ok {
-			break
-		}
-		if !it.Heartbeat {
-			t := it.Tuple
-			if q.keepInput {
-				if t.Src == 0 {
-					rep.Left = append(rep.Left, t)
-				} else {
-					rep.Right = append(rep.Right, t)
-				}
-			}
-			if t.Arrival > now {
-				now = t.Arrival
-			}
-		} else if it.Watermark > now {
-			now = it.Watermark
-		}
-		rel = handler.Insert(it, rel[:0])
-		for _, t := range rel {
-			rep.Results = op.Insert(join.Tagged{Tuple: t, Side: join.Side(t.Src)}, now, rep.Results)
-		}
+	agg, err := x.run(stream.AsErrSource(stream.NewMerge(q.left, q.right)))
+	if err != nil {
+		return nil, err
 	}
-	rel = handler.Flush(rel[:0])
-	for _, t := range rel {
-		rep.Results = op.Insert(join.Tagged{Tuple: t, Side: join.Side(t.Src)}, now, rep.Results)
+	rep := &JoinReport{Results: x.stages[0].win.(*joinStage).pairs, Join: op.Stats(), Handler: agg.Handler}
+	for _, t := range agg.Input {
+		side := &rep.Left
+		if t.Src != 0 {
+			side = &rep.Right
+		}
+		*side = append(*side, t)
 	}
-	rep.Join = op.Stats()
-	rep.Handler = handler.Stats()
 	return rep, nil
 }

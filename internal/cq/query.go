@@ -15,10 +15,12 @@
 // of queries that can share a disorder pass (ShareKey) receives and steps its
 // batches, streaming results to a callback as they are produced. RunShared is
 // that driver over many queries; RunConcurrent is RunShared of one query over
-// its own source, which it may retry. cmd/aqserver's runner groups call
-// NewExec, Join and Step themselves under their own lock. A grouped query
-// (GroupBy) differs from a plain one only in its window stage — one keyed
-// operator instead of one plain operator — so every driver runs both.
+// its own source, which it may retry. cmd/aqserver's runner groups run the
+// same ring loop, Group.Run, under a fault policy of their own. A grouped
+// query (GroupBy) differs from a plain one only in its window stage — one
+// keyed operator instead of one plain operator — so every driver runs both;
+// a join query (NewJoin) is Run's loop over its merged sources with the join
+// operator as its window stage.
 package cq
 
 import (
@@ -26,6 +28,7 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
+	"repro/internal/join"
 	"repro/internal/metrics"
 	"repro/internal/obs/tracez"
 	"repro/internal/resilience"
@@ -58,6 +61,7 @@ type AggQuery struct {
 	durable    *Durable
 
 	hasWindow bool
+	join      *join.Join // a join query's operator (JoinQuery.Run)
 }
 
 // New starts building a query over the given arrival-ordered source.
@@ -321,14 +325,23 @@ func (q *AggQuery) Run() (*AggReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	return x.run(q.source)
+}
+
+// run is the synchronous driver's loop, a query's or a join's: it pulls src
+// on the calling goroutine, one item per step, and finishes the stream.
+func (x *Exec) run(src stream.ErrSource) (*AggReport, error) {
 	var one [1]stream.Item
 	for {
-		it, ok, err := q.source.NextErr()
+		it, ok, err := src.NextErr()
 		if err != nil {
 			return nil, fmt.Errorf("cq: source: %w", err)
 		}
 		if !ok {
-			break
+			if err := x.Finish(); err != nil {
+				return nil, err
+			}
+			return x.Report(), nil
 		}
 		one[0] = it
 		x.noteInput(one[:])
@@ -336,10 +349,6 @@ func (q *AggQuery) Run() (*AggReport, error) {
 			return nil, err
 		}
 	}
-	if err := x.Finish(); err != nil {
-		return nil, err
-	}
-	return x.Report(), nil
 }
 
 // traceTo hooks a disorder handler exposing TraceTo (the adaptive

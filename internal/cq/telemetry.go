@@ -48,14 +48,8 @@ type Telemetry struct {
 // 4×size, so both the sub-slide fast path and pathological stragglers
 // resolve.
 func LatencyBucketsFor(spec window.Spec) []float64 {
-	lo := float64(spec.Slide) / 8
-	if lo < 1 {
-		lo = 1
-	}
-	hi := 4 * float64(spec.Size)
-	if hi < 16*lo {
-		hi = 16 * lo
-	}
+	lo := max(float64(spec.Slide)/8, 1)
+	hi := max(4*float64(spec.Size), 16*lo)
 	const n = 20
 	factor := math.Pow(hi/lo, 1/float64(n-1))
 	buckets := make([]float64, n)

@@ -321,45 +321,6 @@ func (b Burst) String() string {
 	return fmt.Sprintf("burst(%v x%g %d/%d)", b.Base, b.Factor, b.BurstLen, b.Period)
 }
 
-// Empirical resamples delays uniformly from a recorded sample (bootstrap):
-// the bridge from measured production delays to synthetic workloads.
-// Build one from a recorded trace with FromTuplesDelays or directly from
-// a sample slice.
-type Empirical struct {
-	samples []float64
-	mean    float64
-}
-
-// NewEmpirical returns a model resampling from samples (copied). It panics
-// on an empty or negative-valued sample.
-func NewEmpirical(samples []float64) *Empirical {
-	if len(samples) == 0 {
-		panic("delay: empirical model needs samples")
-	}
-	cp := make([]float64, len(samples))
-	var sum float64
-	for i, s := range samples {
-		if s < 0 {
-			panic("delay: negative delay sample")
-		}
-		cp[i] = s
-		sum += s
-	}
-	return &Empirical{samples: cp, mean: sum / float64(len(samples))}
-}
-
-// Delay implements Model.
-func (e *Empirical) Delay(_ int64, rng *stats.RNG) float64 {
-	return e.samples[rng.Intn(len(e.samples))]
-}
-
-// Mean implements Model.
-func (e *Empirical) Mean() float64 { return e.mean }
-
-func (e *Empirical) String() string {
-	return fmt.Sprintf("empirical(n=%d,mean=%.1f)", len(e.samples), e.mean)
-}
-
 // Scaled multiplies a base model's delays by a constant factor.
 type Scaled struct {
 	Base   Model

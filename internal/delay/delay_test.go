@@ -264,46 +264,3 @@ func TestModelStringsNonEmpty(t *testing.T) {
 		}
 	}
 }
-
-func TestEmpiricalResamples(t *testing.T) {
-	samples := []float64{10, 20, 30}
-	e := NewEmpirical(samples)
-	if math.Abs(e.Mean()-20) > 1e-9 {
-		t.Fatalf("Mean = %v", e.Mean())
-	}
-	rng := stats.NewRNG(41)
-	seen := map[float64]bool{}
-	for i := 0; i < 1000; i++ {
-		d := e.Delay(0, rng)
-		if d != 10 && d != 20 && d != 30 {
-			t.Fatalf("resampled value %v not in sample", d)
-		}
-		seen[d] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("only %d distinct values resampled", len(seen))
-	}
-	// The model must own its copy.
-	samples[0] = 9999
-	for i := 0; i < 100; i++ {
-		if e.Delay(0, rng) == 9999 {
-			t.Fatal("empirical model aliases caller's slice")
-		}
-	}
-}
-
-func TestEmpiricalPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"empty":    func() { NewEmpirical(nil) },
-		"negative": func() { NewEmpirical([]float64{1, -2}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -154,5 +156,20 @@ func TestTableFormats(t *testing.T) {
 	}
 	if err := tb.Write(&txt, "bogus"); err == nil {
 		t.Fatal("unknown format accepted")
+	}
+}
+
+// TestR6Pinned: the join experiment's tables — the two-way join's recall,
+// precision, pair latency and steady slack per handler, and the three-way
+// join's — read as they did when RunJoin drove the handler and the join
+// operator through a loop of its own, at a scale where the adaptive join
+// handler adapts.
+func TestR6Pinned(t *testing.T) {
+	d := sha256.New()
+	for _, tb := range R6(Scale(0.05)) {
+		d.Write([]byte(tb.String()))
+	}
+	if got, want := fmt.Sprintf("%x", d.Sum(nil)), "c80793a6c3252c000f5dd92cb950e90c21e09a9dd1473c88597228ad8d58a524"; got != want {
+		t.Errorf("R6 tables digest %s, want %s", got, want)
 	}
 }

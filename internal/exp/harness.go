@@ -130,7 +130,7 @@ type JoinOutcome struct {
 	SteadyK  float64
 }
 
-// RunJoin executes one band-join pipeline over pre-merged, arrival-ordered
+// RunJoin executes one band-join query over pre-merged, arrival-ordered
 // tuples (Src-tagged) and measures recall against the oracle pair set.
 // The handler is constructed via mk, which receives the join operator's
 // stats accessor so adaptive handlers (core.NewAQJoin) can wire up their
@@ -140,26 +140,19 @@ func RunJoin(name string, merged, left, right []stream.Tuple, jcfg join.Config,
 
 	op := join.New(jcfg)
 	h := mk(op.Stats)
-	var rel []stream.Tuple
-	var results []join.Result
-	var now stream.Time
-	for _, tp := range merged {
-		now = tp.Arrival
-		rel = h.Insert(stream.DataItem(tp), rel[:0])
-		for _, r := range rel {
-			results = op.Insert(join.Tagged{Tuple: r, Side: join.Side(r.Src)}, now, results)
-		}
+	// The join's sides are its tuples' Src: the merged stream is the left
+	// source whole, in its own order of ties.
+	rep, err := cq.NewJoin(stream.FromTuples(merged), stream.FromTuples(nil), jcfg).Handle(h).Run(op)
+	if err != nil {
+		panic(err) // experiment configurations are static; a failure is a bug
 	}
-	rel = h.Flush(rel[:0])
-	for _, r := range rel {
-		results = op.Insert(join.Tagged{Tuple: r, Side: join.Side(r.Src)}, now, results)
-	}
+	results := rep.Results
 
 	out := JoinOutcome{
 		Name:     name,
 		Pairs:    metrics.PairMetrics(join.PairSet(results), join.OraclePairs(jcfg, left, right)),
-		Measured: op.Stats(),
-		Handler:  h.Stats(),
+		Measured: rep.Join,
+		Handler:  rep.Handler,
 	}
 	if len(results) > 0 {
 		var sum float64

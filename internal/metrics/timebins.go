@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 
-	"repro/internal/stats"
 	"repro/internal/window"
 )
 
@@ -88,60 +87,4 @@ func TimeBinned(emitted, oracle []window.Result, binSize int64, theta float64) [
 		out = append(out, tb)
 	}
 	return out
-}
-
-// WorstBins returns the k bins with the highest mean error, preserving
-// their time order — the "where did it hurt" view of a run.
-func WorstBins(bins []TimeBin, k int) []TimeBin {
-	if k <= 0 || len(bins) == 0 {
-		return nil
-	}
-	idx := make([]int, len(bins))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Select the k largest by mean error.
-	errOf := func(i int) float64 { return bins[idx[i]].MeanRelErr }
-	for i := 0; i < len(idx) && i < k; i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if errOf(j) > errOf(best) {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	if k > len(idx) {
-		k = len(idx)
-	}
-	chosen := append([]int(nil), idx[:k]...)
-	// Restore time order.
-	for i := 1; i < len(chosen); i++ {
-		for j := i; j > 0 && chosen[j-1] > chosen[j]; j-- {
-			chosen[j-1], chosen[j] = chosen[j], chosen[j-1]
-		}
-	}
-	out := make([]TimeBin, k)
-	for i, ci := range chosen {
-		out[i] = bins[ci]
-	}
-	return out
-}
-
-// ErrTimeline is a convenience: the per-bin mean errors as a plain series
-// (for sparkline-style rendering in reports).
-func ErrTimeline(bins []TimeBin) []float64 {
-	out := make([]float64, len(bins))
-	for i, b := range bins {
-		out[i] = b.MeanRelErr
-	}
-	return out
-}
-
-// P95OfBins returns the 95th percentile of per-bin mean errors.
-func P95OfBins(bins []TimeBin) float64 {
-	if len(bins) == 0 {
-		return 0
-	}
-	return stats.Percentile(ErrTimeline(bins), 0.95)
 }

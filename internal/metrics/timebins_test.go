@@ -42,6 +42,9 @@ func TestTimeBinnedBuckets(t *testing.T) {
 	if last.MeanLat != 7 {
 		t.Fatalf("latency not carried: %+v", last)
 	}
+	if s := bins[0].String(); !strings.Contains(s, "bin[") {
+		t.Fatalf("String = %q", s)
+	}
 }
 
 func TestTimeBinnedSkipsMissingAndEmpty(t *testing.T) {
@@ -60,45 +63,5 @@ func TestTimeBinnedSkipsMissingAndEmpty(t *testing.T) {
 func TestTimeBinnedEmpty(t *testing.T) {
 	if bins := TimeBinned(nil, nil, 10, 0.1); bins != nil {
 		t.Fatalf("empty input produced bins: %v", bins)
-	}
-}
-
-func TestWorstBins(t *testing.T) {
-	bins := []TimeBin{
-		{Start: 0, MeanRelErr: 0.01},
-		{Start: 10, MeanRelErr: 0.50},
-		{Start: 20, MeanRelErr: 0.02},
-		{Start: 30, MeanRelErr: 0.30},
-	}
-	worst := WorstBins(bins, 2)
-	if len(worst) != 2 {
-		t.Fatalf("got %d", len(worst))
-	}
-	// Highest errors are bins at t=10 and t=30; time order preserved.
-	if worst[0].Start != 10 || worst[1].Start != 30 {
-		t.Fatalf("worst bins: %v", worst)
-	}
-	if got := WorstBins(bins, 0); got != nil {
-		t.Fatalf("k=0 returned %v", got)
-	}
-	if got := WorstBins(bins, 10); len(got) != len(bins) {
-		t.Fatalf("k>len returned %d", len(got))
-	}
-}
-
-func TestTimelineHelpers(t *testing.T) {
-	bins := []TimeBin{{MeanRelErr: 0.1}, {MeanRelErr: 0.3}}
-	tl := ErrTimeline(bins)
-	if len(tl) != 2 || tl[1] != 0.3 {
-		t.Fatalf("timeline: %v", tl)
-	}
-	if p := P95OfBins(bins); p < 0.1 || p > 0.3 {
-		t.Fatalf("P95OfBins = %v", p)
-	}
-	if P95OfBins(nil) != 0 {
-		t.Fatal("empty P95OfBins")
-	}
-	if s := bins[0].String(); !strings.Contains(s, "bin[") {
-		t.Fatalf("String = %q", s)
 	}
 }
