@@ -6,9 +6,14 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test race fuzz-short fuzz doccheck api-test bench-smoke dst crash cover
+.PHONY: check fmt vet build test race fuzz-short fuzz doccheck api-test bench-smoke dst crash cover
 
-check: vet build race fuzz-short api-test dst crash doccheck bench-smoke
+check: fmt vet build race fuzz-short api-test dst crash doccheck bench-smoke
+
+# Formatting gate: gofmt must have nothing to say about any Go file, the
+# bench/ module's included.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists files to format:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -106,10 +111,12 @@ cover:
 # (TestOneRawRead), the disorder buffer's flight-recorder events
 # written by the executor alone, with no handler wrapper in between
 # (TestOneBufferTrace), and the fan-out ring read by one loop,
-# cq.Group.Run, whatever the driver (TestOneRingConsumer).
+# cq.Group.Run, whatever the driver (TestOneRingConsumer). One adaptive
+# control loop, core.AQKSlack, serves aggregates and joins alike
+# (TestOneAdaptiveHandler).
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$|^TestOneWindowComputation$$|^TestOneRawRead$$|^TestOneBufferTrace$$|^TestOneRingConsumer$$'
+	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$|^TestOneWindowComputation$$|^TestOneRawRead$$|^TestOneBufferTrace$$|^TestOneRingConsumer$$|^TestOneAdaptiveHandler$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

@@ -70,10 +70,10 @@ func (s *server) burnRates(query string) (fast, slow float64, ok bool) {
 // statsResponse is the JSON shape of /api/stats: the selected series
 // histories plus per-query and per-tenant rollups of the live runners.
 type statsResponse struct {
-	NowMS       int64               `json:"nowMs"`
-	StepMS      int64               `json:"stepMs"`
-	RetentionMS int64               `json:"retentionMs"`
-	Series      []obs.SeriesHistory `json:"series"`
+	NowMS       int64                   `json:"nowMs"`
+	StepMS      int64                   `json:"stepMs"`
+	RetentionMS int64                   `json:"retentionMs"`
+	Series      []obs.SeriesHistory     `json:"series"`
 	Queries     map[string]queryRollup  `json:"queries"`
 	Tenants     map[string]tenantRollup `json:"tenants"`
 }

@@ -16,10 +16,10 @@ func TestSparkline(t *testing.T) {
 	}{
 		{nil, 8, ""},
 		{[]float64{1, 2, 3}, 0, ""},
-		{[]float64{5, 5, 5}, 8, "▁▁▁"},                // flat series = lowest bar
-		{[]float64{0, 7}, 8, "▁█"},                    // full range
+		{[]float64{5, 5, 5}, 8, "▁▁▁"}, // flat series = lowest bar
+		{[]float64{0, 7}, 8, "▁█"},     // full range
 		{[]float64{0, 1, 2, 3, 4, 5, 6, 7}, 8, "▁▂▃▄▅▆▇█"}, // one bar per level
-		{[]float64{0, 0, 0, 7}, 2, "▁█"},              // keeps the newest width points
+		{[]float64{0, 0, 0, 7}, 2, "▁█"},                   // keeps the newest width points
 	}
 	for i, c := range cases {
 		if got := sparkline(c.vals, c.width); got != c.want {
@@ -58,10 +58,10 @@ func TestRenderTop(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"q1", "t1", "feeding",
-		"0.0100",  // θ
-		"0.00200", // realized error
-		"300",     // K
-		"10.00%",  // shed fraction: 100/(900+100)
+		"0.0100",       // θ
+		"0.00200",      // realized error
+		"300",          // K
+		"10.00%",       // shed fraction: 100/(900+100)
 		"2.50", "1.25", // burn rates
 		"err ", "K   ", // sparkline rows
 		"wire latency",

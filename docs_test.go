@@ -1097,6 +1097,83 @@ func TestOneWindowComputation(t *testing.T) {
 	}
 }
 
+// TestOneAdaptiveHandler keeps one adaptive control loop. The band join's
+// recall-driven handler used to be core.AQJoin, a copy of AQKSlack's —
+// K-slack, lateness sketch, PI trim, realized-error EWMA, warm-up, adaptation
+// clock, trace and mode switch — with no snapshot, no bound on its trace and
+// no telemetry, and its realized recall reached it through a closure every
+// caller wired by hand. Now one handler takes a quality model, the window
+// aggregate's or the join's, and the join stage reports through the feedback
+// protocol. So: exactly one type in non-test internal/core has a
+// *buffer.KSlack field, and the PI trim (calls of Update, PI's being the
+// package's only one) and the slack search (minSlack) are called from that
+// type's methods alone — minSlack also from Estimator.MinKForLoss, the
+// estimator's open-loop query, which holds no controller state.
+func TestOneAdaptiveHandler(t *testing.T) {
+	const handler = "AQKSlack"
+	var owners []string
+	sites := map[string][]string{} // callee → "Type.Method" of every caller
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if !strings.HasPrefix(path, "internal/core/") || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					if star, ok := field.Type.(*ast.StarExpr); ok && types.ExprString(star.X) == "buffer.KSlack" {
+						owners = append(owners, ts.Name.Name)
+					}
+				}
+			}
+			return true
+		})
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			caller := fn.Name.Name
+			if fn.Recv != nil {
+				caller = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + caller
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					if fun.Name == "minSlack" {
+						sites["minSlack"] = append(sites["minSlack"], caller)
+					}
+				case *ast.SelectorExpr:
+					if fun.Sel.Name == "Update" {
+						sites["Update"] = append(sites["Update"], caller)
+					}
+				}
+				return true
+			})
+		}
+	})
+	if !slices.Equal(owners, []string{handler}) {
+		t.Errorf("types with a *buffer.KSlack field in internal/core: %v, want %s alone", owners, handler)
+	}
+	for _, callee := range []string{"minSlack", "Update"} {
+		if len(sites[callee]) == 0 {
+			t.Errorf("extraction rotted: no call of %s found in internal/core", callee)
+		}
+		for _, caller := range sites[callee] {
+			if !strings.HasPrefix(caller, handler+".") && !(callee == "minSlack" && caller == "Estimator.MinKForLoss") {
+				t.Errorf("%s calls %s: the control loop is %s's alone", caller, callee, handler)
+			}
+		}
+	}
+}
+
 // TestOneBufferTrace keeps the disorder buffer's flight-recorder events in
 // the executor. A handler wrapper, buffer.Traced, used to write them: every
 // traced query ran through it, the executor looked behind it for the concrete

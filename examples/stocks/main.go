@@ -38,16 +38,15 @@ func exchange(src uint8, seed uint64) []stream.Tuple {
 	return tuples
 }
 
-func run(name string, mk func(statsFn func() join.Stats) buffer.Handler) {
+func run(name string, h buffer.Handler) {
 	left := exchange(0, 11)
 	right := exchange(1, 22)
 	jcfg := join.Config{Band: 500, KeyMatch: true, RetainFor: 60 * stream.Second}
-	op := join.New(jcfg)
 
 	rep, err := cq.NewJoin(stream.FromTuples(left), stream.FromTuples(right), jcfg).
-		Handle(mk(op.Stats)).
+		Handle(h).
 		KeepInput().
-		Run(op)
+		Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,11 +65,9 @@ func run(name string, mk func(statsFn func() join.Stats) buffer.Handler) {
 func main() {
 	fmt.Println("band join: same-symbol trades within 500ms, two exchanges, 2x50k ticks")
 	fmt.Println()
-	run("none", func(func() join.Stats) buffer.Handler { return buffer.Zero() })
-	run("kslack-20s", func(func() join.Stats) buffer.Handler { return buffer.NewKSlack(20 * stream.Second) })
-	run("aq(99%)", func(statsFn func() join.Stats) buffer.Handler {
-		return core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: 500}, statsFn)
-	})
+	run("none", buffer.Zero())
+	run("kslack-20s", buffer.NewKSlack(20*stream.Second))
+	run("aq(99%)", core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: 500}))
 	fmt.Println("\naq meets the recall target at a fraction of the fixed slack's latency;")
 	fmt.Println("no buffering is fastest but silently loses pairs.")
 }

@@ -32,7 +32,8 @@ type BatchHandler interface {
 // query actually delivers — the adaptive controller of internal/core. The
 // query's window operator keeps each window it emits until FeedbackHorizon
 // past the window's end and then reports the window's emitted and complete
-// value (window.Op.SetFeedback). The executor
+// value (window.Op.SetFeedback); a join query's operator reports the pairs it
+// has emitted and missed so far instead. The executor
 // (cq.Exec) inserts by InsertRun, which takes items up to the one after which
 // the handler's next adaptation falls due — ends and out as InsertBatch has
 // them, so len(ends) grows by the items taken — and reports whether it

@@ -122,32 +122,36 @@ type QualityStats struct {
 	LastK           stream.Time
 }
 
-// AQKSlack is the quality-driven adaptive disorder handler for windowed
-// aggregates. It implements buffer.Handler, so it drops into any place a
-// fixed K-slack buffer fits, and adapts its slack to the smallest value
-// whose estimated + realized window error stays within Theta.
+// AQKSlack is the quality-driven adaptive disorder handler, the one control
+// loop of this package. It implements buffer.Handler, so it drops into any
+// place a fixed K-slack buffer fits, and adapts its slack to the smallest
+// value whose estimated + realized error stays within Theta. The error is
+// its quality model's: the relative error of window aggregates (NewAQKSlack)
+// or the pair miss rate 1 − recall of band joins (NewAQJoin).
 //
-// The realized error comes from the query's own window operator, not from a
-// computation of the handler's: cq.Exec has the operator keep each emitted
-// window until FeedbackHorizon past its end, adding the stragglers released
-// meanwhile, and hands the handler the window's emitted and complete value
-// then (Feedback). Their relative difference is the error actually
-// inflicted, fed back into the PI trim. Between adaptations the handler
-// inserts a run at a time into its K-slack (InsertRun); the run ends at the
-// item after which an adaptation falls due, and the adaptation waits until
-// the operator has seen what the run released. A caller that drives Insert
-// itself gets the same handler with no one to report back: the model half
-// of the controller, with no realized feedback.
+// The realized error comes from the query's own operator, not from a
+// computation of the handler's: cq.Exec has a window operator keep each
+// emitted window until FeedbackHorizon past its end, adding the stragglers
+// released meanwhile, and hands the handler the window's emitted and complete
+// value then (Feedback); a join reports the pairs it emitted and missed. The
+// realized error is fed back into the PI trim. Between adaptations the
+// handler inserts a run at a time into its K-slack (InsertRun); the run ends
+// at the item after which an adaptation falls due, and the adaptation waits
+// until the operator has seen what the run released. A caller that drives
+// Insert itself gets the same handler with no one to report back: the model
+// half of the controller, with no realized feedback.
 type AQKSlack struct {
-	cfg  Config
-	buf  *buffer.KSlack
-	est  *Estimator
-	pi   *PI
-	mode Mode
+	cfg   Config
+	buf   *buffer.KSlack
+	est   *Estimator
+	model qualityModel
+	pi    *PI
+	mode  Mode
 
 	realized  *ewmaOrZero
-	curve     LossCurve // error model as of the last refresh; empty before it
-	curveAge  int       // adaptations since then, modulo LossRefresh
+	curve     LossCurve    // loss model: error model as of the last refresh; empty before it
+	curveAge  int          // loss model: adaptations since then, modulo LossRefresh
+	seen      window.Final // recall model: the join's report at the last adaptation
 	lastAdapt stream.Time
 	adaptInit bool
 	due       bool      // InsertRun stopped where an adaptation falls due
@@ -177,8 +181,8 @@ func (e *ewmaOrZero) add(x float64) {
 	e.v += 0.1 * (x - e.v)
 }
 
-// NewAQKSlack returns the adaptive handler. It panics on an invalid window
-// spec or a non-positive Theta.
+// NewAQKSlack returns the adaptive handler with the window aggregate's loss
+// model. It panics on an invalid window spec or a non-positive Theta.
 func NewAQKSlack(cfg Config) *AQKSlack {
 	if err := cfg.Spec.Validate(); err != nil {
 		panic(err)
@@ -187,14 +191,14 @@ func NewAQKSlack(cfg Config) *AQKSlack {
 		panic("core: Theta must be positive")
 	}
 	cfg = cfg.withDefaults()
-	return &AQKSlack{
-		cfg:      cfg,
-		buf:      buffer.NewKSlack(0),
-		est:      NewEstimator(cfg.Spec, cfg.Agg, cfg.Estimator),
-		pi:       cfg.PI,
-		mode:     cfg.Mode,
-		realized: &ewmaOrZero{},
-	}
+	est := NewEstimator(cfg.Spec, cfg.Agg, cfg.Estimator)
+	return newHandler(cfg, est, lossModel{})
+}
+
+// newHandler returns the handler of both constructors, with cfg's defaults
+// filled.
+func newHandler(cfg Config, est *Estimator, model qualityModel) *AQKSlack {
+	return &AQKSlack{cfg: cfg, buf: buffer.NewKSlack(0), est: est, model: model, pi: cfg.PI, mode: cfg.Mode, realized: &ewmaOrZero{}}
 }
 
 // Insert implements buffer.Handler: InsertRun of the one item, then the
@@ -252,21 +256,11 @@ func (a *AQKSlack) InsertRun(items []stream.Item, out []stream.Tuple, ends []int
 // its clock is this far past the window's end.
 func (a *AQKSlack) FeedbackHorizon() stream.Time { return a.cfg.FeedbackHorizon }
 
-// Feedback takes the windows the query's operator reported, in the order it
-// reported them, into the realized error and the per-window count estimate,
-// then runs the adaptation InsertRun left due, if any.
+// Feedback takes what the query's operator reported, in the order it
+// reported it, into the realized error (see qualityModel), then runs the
+// adaptation InsertRun left due, if any.
 func (a *AQKSlack) Feedback(fs []window.Final) {
-	for _, f := range fs {
-		a.est.ObserveWindowCount(f.N)
-		a.realized.add(relErrEst(f.Emitted, f.Full))
-		a.qstats.FinalizedWins++
-		if a.telem != nil {
-			a.telem.Finalized.Inc()
-			a.telem.RealizedErr.Set(a.realized.v)
-		}
-		_, end := a.cfg.Spec.Bounds(f.Idx)
-		a.tracer.QualitySample(int64(end+a.cfg.FeedbackHorizon), f.Idx, a.realized.v)
-	}
+	a.model.feedback(a, fs)
 	if a.due {
 		a.due = false
 		a.adapt()
@@ -287,6 +281,9 @@ func (a *AQKSlack) Stats() buffer.Stats { return a.buf.Stats() }
 
 // String implements buffer.Handler.
 func (a *AQKSlack) String() string {
+	if m, ok := a.model.(recallModel); ok {
+		return fmt.Sprintf("aq-join(recall=%g mode=%s K=%d)", m.recall, a.mode, a.K())
+	}
 	return fmt.Sprintf("aq-kslack(theta=%g mode=%s K=%d)", a.cfg.Theta, a.mode, a.K())
 }
 
@@ -334,15 +331,10 @@ func (a *AQKSlack) adapt() {
 	a.lastAdapt = clock
 	target := a.cfg.Safety * a.cfg.Theta
 
-	// Model half: smallest K whose predicted error meets the target. The
-	// error model is re-run every LossRefresh steps (and after restoring a
-	// snapshot that carried no curve); the lateness sketch is read afresh
-	// every step.
-	if a.curveAge == 0 || a.curve.errs == nil {
-		a.curve = a.est.LossCurve()
-	}
-	a.curveAge = (a.curveAge + 1) % a.cfg.LossRefresh
-	kModel := a.est.MinKForLoss(a.curve.MaxLoss(target), a.cfg.KMax)
+	// Model half: smallest K whose predicted loss stays within the budget
+	// that meets the target. The lateness sketch is read afresh every step.
+	kModel := minSlack(a.est.lateness, a.model.budget(a, target), a.cfg.KMax,
+		func(k stream.Time) float64 { return a.model.loss(a, k) })
 
 	// Feedback half: multiplicative PI trim on realized error.
 	factor := 1.0
@@ -381,7 +373,7 @@ func (a *AQKSlack) adapt() {
 	}
 	a.buf.SetK(k)
 
-	estErr := a.curve.Err(a.est.PLoss(k))
+	estErr := a.model.err(a, k)
 	a.qstats.Adaptations++
 	a.qstats.LastEstErr = estErr
 	a.tracer.AdaptDecision(int64(clock), int64(k), estErr)

@@ -12,23 +12,27 @@ import (
 // TestAQKSlackTraceBounded: the adaptation trace is a ring of the last
 // traceCap samples, oldest first, however long the handler lives.
 func TestAQKSlackTraceBounded(t *testing.T) {
-	h := NewAQKSlack(defaultCfg(0.02))
-	const extra = 1000
-	for i := 0; i < traceCap+extra; i++ {
-		h.record(KSample{At: stream.Time(i)})
-		if i == traceCap-1 {
-			if tr := h.Trace(); len(tr) != traceCap || tr[0].At != 0 {
-				t.Fatalf("full, unwrapped trace: %d samples from At=%d", len(tr), tr[0].At)
+	for name, h := range map[string]*AQKSlack{
+		"loss":   NewAQKSlack(defaultCfg(0.02)),
+		"recall": NewAQJoin(JoinConfig{Recall: 0.99, Band: 500}),
+	} {
+		const extra = 1000
+		for i := 0; i < traceCap+extra; i++ {
+			h.record(KSample{At: stream.Time(i)})
+			if i == traceCap-1 {
+				if tr := h.Trace(); len(tr) != traceCap || tr[0].At != 0 {
+					t.Fatalf("%s: full, unwrapped trace: %d samples from At=%d", name, len(tr), tr[0].At)
+				}
 			}
 		}
-	}
-	tr := h.Trace()
-	if len(tr) != traceCap || cap(h.trace) > 2*traceCap {
-		t.Fatalf("trace holds %d samples (cap %d), want %d", len(tr), cap(h.trace), traceCap)
-	}
-	for i, s := range tr {
-		if s.At != stream.Time(extra+i) {
-			t.Fatalf("sample %d has At=%d, want %d: not the latest, oldest first", i, s.At, extra+i)
+		tr := h.Trace()
+		if len(tr) != traceCap || cap(h.trace) > 2*traceCap {
+			t.Fatalf("%s: trace holds %d samples (cap %d), want %d", name, len(tr), cap(h.trace), traceCap)
+		}
+		for i, s := range tr {
+			if s.At != stream.Time(extra+i) {
+				t.Fatalf("%s: sample %d has At=%d, want %d: not the latest, oldest first", name, i, s.At, extra+i)
+			}
 		}
 	}
 }
@@ -108,7 +112,7 @@ func TestAQKSlackStalledSourceHeartbeats(t *testing.T) {
 // verify the buffer itself drains).
 func TestAQJoinStateBounded(t *testing.T) {
 	all, _, _ := twoStreams(20000, 85)
-	aq := NewAQJoin(JoinConfig{Recall: 0.95, Band: 500}, nil)
+	aq := NewAQJoin(JoinConfig{Recall: 0.95, Band: 500})
 	var out []stream.Tuple
 	for _, tp := range all {
 		out = aq.Insert(stream.DataItem(tp), out[:0])

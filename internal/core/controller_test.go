@@ -131,11 +131,11 @@ func TestHandlersOwnTheirPI(t *testing.T) {
 	kc := cfgWith(pOnly)
 	kc.Mode = ModePOnly
 	k := NewAQKSlack(kc)
-	j := NewAQJoin(JoinConfig{Recall: 0.99, Band: 500, Mode: ModePOnly, PI: pOnly}, nil)
+	j := NewAQJoin(JoinConfig{Recall: 0.99, Band: 500, Mode: ModePOnly, PI: pOnly})
 	if *pOnly != *gains() {
 		t.Errorf("ModePOnly zeroed the caller's integral gain: %+v", *pOnly)
 	}
 	if k.pi.Ki != 0 || j.pi.Ki != 0 {
-		t.Errorf("ModePOnly handlers kept an integral gain: AQKSlack %v, AQJoin %v", k.pi.Ki, j.pi.Ki)
+		t.Errorf("ModePOnly handlers kept an integral gain: loss model %v, recall model %v", k.pi.Ki, j.pi.Ki)
 	}
 }

@@ -3,24 +3,25 @@
 // streams.
 //
 // Instead of a hand-tuned slack, the user states a bound θ on result
-// quality — relative error of window aggregates (AQKSlack) or recall of
-// window joins (AQJoin). A feedback loop keeps the slack K of an internal
-// K-slack buffer at (approximately) the smallest value that still meets
-// the bound:
+// quality. One handler, AQKSlack, keeps the slack K of an internal K-slack
+// buffer at (approximately) the smallest value that still meets the bound,
+// with one of two quality models: the relative error of window aggregates
+// (NewAQKSlack) or the pair recall of band joins (NewAQJoin, θ = 1 − recall):
 //
 //  1. a lateness sketch (Greenwald–Khanna quantile summary over observed
-//     tuple lateness) yields P(lateness > K) for any candidate K;
-//  2. an aggregate-specific error model maps the induced tuple-loss
-//     probability to an expected relative window error: a loss curve, built
+//     tuple lateness) yields P(lateness > K + offset) for any candidate K;
+//  2. the model maps that to the error: for aggregates, the induced tuple
+//     loss to an expected relative window error by a loss curve, built
 //     every few adaptations by one Monte-Carlo sweep over synthetic windows
 //     drawn from a reservoir sample of recent tuple values — every loss
 //     probability of a fixed grid from the same random numbers — and read
-//     by interpolation in between;
+//     by interpolation in between; for joins, the per-tuple miss over the
+//     partners' headroom to the pair miss rate 1 − (1 − p)^m;
 //  3. a proportional–integral (PI) controller trims the model's choice
-//     using the realized error, measured a posteriori: stragglers
-//     eventually arrive, so the true value of each emitted window becomes
-//     known after a feedback horizon and the error actually made is
-//     observable.
+//     using the realized error, measured a posteriori and reported by the
+//     query's own operator: stragglers eventually arrive, so the true value
+//     of each emitted window becomes known after a feedback horizon, and a
+//     join counts the pairs its expired state missed.
 //
 // The baselines this is evaluated against live in internal/buffer.
 package core
@@ -81,24 +82,26 @@ func (c EstimatorConfig) withDefaults() EstimatorConfig {
 // aggregate.
 func NewEstimator(spec window.Spec, agg window.Factory, cfg EstimatorConfig) *Estimator {
 	cfg = cfg.withDefaults()
-	rng := stats.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	// With windows every Slide, the gap between a uniformly placed tuple and
 	// the end of a window it falls in takes the values (j+½)·Slide for
 	// j = 0..Size/Slide−1 (see PLoss).
-	gaps := make([]float64, max(int(spec.Size/spec.Slide), 1))
-	for j := range gaps {
-		gaps[j] = float64(j)*float64(spec.Slide) + float64(spec.Slide)/2
+	e := newLatenessEstimator(max(int(spec.Size/spec.Slide), 1), float64(spec.Slide), cfg.SketchEps)
+	e.rng = stats.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15)
+	e.agg, e.trials = agg, cfg.MCTrials
+	e.values = stats.NewReservoir(cfg.ReservoirSize, e.rng)
+	e.winCount = stats.NewEWMA(cfg.CountAlpha)
+	return e
+}
+
+// newLatenessEstimator returns an estimator of the lateness sketch alone,
+// whose PLoss averages over the n offsets (j+½)·step: the recall model's. With
+// no value sample it answers PLate and PLoss only.
+func newLatenessEstimator(n int, step, sketchEps float64) *Estimator {
+	e := &Estimator{lateness: stats.NewGK(sketchEps), gaps: make([]float64, n), fracs: make([]float64, n)}
+	for j := range e.gaps {
+		e.gaps[j] = (float64(j) + 0.5) * step
 	}
-	return &Estimator{
-		agg:      agg,
-		lateness: stats.NewGK(cfg.SketchEps),
-		values:   stats.NewReservoir(cfg.ReservoirSize, rng),
-		winCount: stats.NewEWMA(cfg.CountAlpha),
-		rng:      rng,
-		trials:   cfg.MCTrials,
-		gaps:     gaps,
-		fracs:    make([]float64, len(gaps)),
-	}
+	return e
 }
 
 // ObserveTuple records one tuple's lateness (>= 0, in stream-time units)
@@ -108,7 +111,9 @@ func (e *Estimator) ObserveTuple(lateness float64, value float64) {
 		lateness = 0
 	}
 	e.lateness.Add(lateness)
-	e.values.Add(value)
+	if e.values != nil {
+		e.values.Add(value)
+	}
 	e.observed++
 }
 
@@ -137,20 +142,14 @@ func (e *Estimator) PLate(k stream.Time) float64 {
 // tuples early in a window have the whole remaining window length as
 // additional headroom. With windows every Slide, the gap of a uniformly
 // placed tuple takes the values (j+½)·Slide for j = 0..Size/Slide−1, so we
-// average P(L > k + gap) over them.
+// average P(L > k + gap) over them. The recall model's estimator averages
+// over a join's partner headroom instead (newLatenessEstimator).
 func (e *Estimator) PLoss(k stream.Time) float64 {
-	return meanFracAbove(e.lateness, k, e.gaps, e.fracs)
-}
-
-// meanFracAbove is the mean over the ascending offsets of the sketch's
-// fraction of latenesses above k + offset: PLoss for AQKSlack, the
-// per-tuple miss probability for AQJoin. scratch holds len(offs) values.
-func meanFracAbove(sketch *stats.GK, k stream.Time, offs, scratch []float64) float64 {
 	var sum float64
-	for _, f := range sketch.FracsAbove(float64(k), offs, scratch) {
+	for _, f := range e.lateness.FracsAbove(float64(k), e.gaps, e.fracs) {
 		sum += f
 	}
-	return sum / float64(len(offs))
+	return sum / float64(len(e.gaps))
 }
 
 // WindowCount returns the estimated tuples per window (at least 1).
@@ -407,8 +406,9 @@ func (e *Estimator) MaxTolerableLoss(target float64) float64 {
 }
 
 // MinKForLoss returns the smallest slack in [0, kMax] whose loss
-// probability PLoss(k) is at most pMax: the cheap, every-adaptation half
-// of slack selection, which only reads the lateness sketch.
+// probability PLoss(k) is at most pMax: the handler's cheap, every-adaptation
+// half of slack selection, which only reads the lateness sketch, for a caller
+// of the estimator alone.
 func (e *Estimator) MinKForLoss(pMax float64, kMax stream.Time) stream.Time {
 	return minSlack(e.lateness, pMax, kMax, e.PLoss)
 }
@@ -418,7 +418,7 @@ func (e *Estimator) MinKForLoss(pMax float64, kMax stream.Time) stream.Time {
 // positive offsets — is at most budget. It bisects between 0 and the
 // sketch's largest lateness, rounded up, where the loss is 0, so that bound
 // never changes the answer (a negative or NaN budget, which no slack
-// meets, keeps kMax). AQKSlack and AQJoin both search this way.
+// meets, keeps kMax). The handler searches this way under either model.
 func minSlack(sketch *stats.GK, budget float64, kMax stream.Time, loss func(stream.Time) float64) stream.Time {
 	if kMax <= 0 || loss(0) <= budget {
 		return 0

@@ -39,27 +39,6 @@ func (r releaseHasher) hash(rel []stream.Tuple) {
 	}
 }
 
-// joinHasher hashes everything the join handler it wraps releases, in
-// release order, as cq.Exec drives it: one insert at a time.
-type joinHasher struct {
-	buffer.Handler
-	h *core.PinHash
-}
-
-func (r joinHasher) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
-	n := len(out)
-	out = r.Handler.Insert(it, out)
-	r.h.Released(out[n:])
-	return out
-}
-
-func (r joinHasher) Flush(out []stream.Tuple) []stream.Tuple {
-	n := len(out)
-	out = r.Handler.Flush(out)
-	r.h.Released(out[n:])
-	return out
-}
-
 // runPinned drives h through cq.Exec over items in steps of step items, a
 // window of agg over the pinned spec downstream, hashing what h releases
 // into every one of hs.
@@ -142,16 +121,18 @@ func TestControllerDecisionsPinned(t *testing.T) {
 			two[i].Src = uint8(i % 2)
 		}
 		cfg := join.Config{Band: 500, RetainFor: 60 * stream.Second}
-		jop := join.New(cfg)
-		aq := core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: 500}, jop.Stats)
+		aq := core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: 500})
 		h := core.NewPinHash()
-		// Sides are Src-defined: the whole stream is the left source.
-		if _, err := cq.NewJoin(stream.FromTuples(two), stream.FromTuples(nil), cfg).Handle(joinHasher{aq, h}).Run(jop); err != nil {
+		// Sides are Src-defined: the whole stream is the left source. The
+		// join stage feeds the handler its realized recall through the
+		// hasher, as it does any feedback handler.
+		hasher := releaseHasher{aq, []*core.PinHash{h}}
+		if _, err := cq.NewJoin(stream.FromTuples(two), stream.FromTuples(nil), cfg).Handle(hasher).Run(); err != nil {
 			t.Fatal(err)
 		}
 		h.Samples(aq.Trace())
-		if aq.Adaptations() < 300 {
-			t.Fatalf("only %d adaptations", aq.Adaptations())
+		if n := aq.Quality().Adaptations; n < 300 {
+			t.Fatalf("only %d adaptations", n)
 		}
 		check(t, "decision", h, 0xeab625429e9b7877)
 	})

@@ -4,6 +4,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/stats"
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
 // This file exports and restores the adaptive controller's state for
@@ -60,21 +61,21 @@ type EstimatorState struct {
 
 // State exports the estimator state.
 func (e *Estimator) State() EstimatorState {
-	return EstimatorState{
-		Lateness: e.lateness.State(),
-		Values:   e.values.State(),
-		WinCount: e.winCount.State(),
-		RNG:      e.rng.State(),
-		Observed: e.observed,
+	st := EstimatorState{Lateness: e.lateness.State(), Observed: e.observed}
+	if e.values != nil {
+		st.Values, st.WinCount, st.RNG = e.values.State(), e.winCount.State(), e.rng.State()
 	}
+	return st
 }
 
 // Restore sets the estimator to a previously exported state.
 func (e *Estimator) Restore(st EstimatorState) {
 	e.lateness.Restore(st.Lateness)
-	e.values.Restore(st.Values)
-	e.winCount.Restore(st.WinCount)
-	e.rng.Restore(st.RNG)
+	if e.values != nil {
+		e.values.Restore(st.Values)
+		e.winCount.Restore(st.WinCount)
+		e.rng.Restore(st.RNG)
+	}
 	e.observed = st.Observed
 }
 
@@ -85,12 +86,15 @@ type AQState struct {
 	PI  PIState           `json:"pi"`
 
 	Realized stats.EWMAState `json:"realized"`
-	// Curve is the cached loss curve, one expected error per grid probe. A
-	// snapshot without it (taken before the first refresh, or by a version
-	// that cached only the inverted curve) restores with none, and the next
-	// adaptation refreshes.
-	Curve      []float64    `json:"curve,omitempty"`
-	CurveAge   int          `json:"curveAge"`
+	// Curve is the loss model's cached loss curve, one expected error per
+	// grid probe. A snapshot without it (taken before the first refresh, or
+	// by a version that cached only the inverted curve) restores with none,
+	// and the next adaptation refreshes.
+	Curve    []float64 `json:"curve,omitempty"`
+	CurveAge int       `json:"curveAge"`
+	// Seen is the recall model's pair counts at its last adaptation:
+	// emitted, and emitted + missed. Nil for the loss model.
+	Seen       *[2]float64  `json:"seen,omitempty"`
 	LastAdapt  stream.Time  `json:"lastAdapt"`
 	AdaptInit  bool         `json:"adaptInit"`
 	QStats     QualityStats `json:"qstats"`
@@ -111,14 +115,17 @@ func (a *AQKSlack) State() AQState {
 		QStats:     a.qstats,
 		LastClamps: a.lastClamps,
 	}
+	if _, ok := a.model.(recallModel); ok {
+		st.Seen = &[2]float64{a.seen.Emitted, a.seen.Full}
+	}
 	return st
 }
 
 // Restore sets the handler to a previously exported state. The handler must
-// have been built with the same Config as the one the state was saved from.
-// A state written while the handler still computed its own windows carries
-// them ("shadow", "full", "emitted"); they are ignored, and the windows then
-// in flight lose their realized-error sample.
+// have been built with the same Config (or JoinConfig) as the one the state
+// was saved from. A state written while the handler still computed its own
+// windows carries them ("shadow", "full", "emitted"); they are ignored, and
+// the windows then in flight lose their realized-error sample.
 func (a *AQKSlack) Restore(st AQState) error {
 	a.buf.Restore(st.Buf)
 	a.est.Restore(st.Est)
@@ -129,6 +136,10 @@ func (a *AQKSlack) Restore(st AQState) error {
 		a.curve.errs = st.Curve
 	}
 	a.curveAge = st.CurveAge
+	a.seen = window.Final{}
+	if st.Seen != nil {
+		a.seen.Emitted, a.seen.Full = st.Seen[0], st.Seen[1]
+	}
 	a.lastAdapt, a.adaptInit, a.due = st.LastAdapt, st.AdaptInit, false
 	a.qstats = st.QStats
 	a.lastClamps = st.LastClamps
@@ -136,6 +147,16 @@ func (a *AQKSlack) Restore(st AQState) error {
 	return nil
 }
 
-// Theta returns the configured quality bound. Recovery validation uses it
-// to check a snapshot is being restored into an identically-bounded query.
+// Theta returns the configured quality bound — for the recall model the miss
+// budget 1 − Recall. Recovery validation uses it to check a snapshot is being
+// restored into an identically-bounded query.
 func (a *AQKSlack) Theta() float64 { return a.cfg.Theta }
+
+// Recall returns the recall target of a handler NewAQJoin built, and 0 for
+// the loss model's. It tells a recall handler's snapshots from the other's.
+func (a *AQKSlack) Recall() float64 {
+	if m, ok := a.model.(recallModel); ok {
+		return m.recall
+	}
+	return 0
+}

@@ -179,6 +179,11 @@ func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 		x.handler = buffer.Zero()
 	}
 	if fb, ok := x.handler.(buffer.FeedbackHandler); ok && fb.FeedbackHorizon() > 0 {
+		// The handler reads its stage's reports by its quality model: a
+		// join's pair counts by the recall model, window finals by the other.
+		if m, ok := fb.(interface{ Recall() float64 }); ok && (m.Recall() > 0) != (q.join != nil) {
+			return nil, fmt.Errorf("cq: %s cannot take this query's feedback: a join query needs core.NewAQJoin, a window query core.NewAQKSlack", fb)
+		}
 		x.fb = fb
 	}
 	q.traceTo(x.handler)
@@ -901,16 +906,30 @@ func (k *keyedStage) finals(out []window.Final) []window.Final { return k.op.Fin
 
 // joinStage is a join query's window stage: one join.Join, handed each
 // released tuple on its side (its Src) at the clock it was released at. Its
-// pairs stay here for JoinQuery.Run; a join has no windows to force out and
-// reports nothing back to the handler.
+// pairs stay here for JoinQuery.Run; a join has no windows to force out. To a
+// feedback handler — the recall model of core.NewAQJoin — it reports one
+// Final per run: the pairs emitted (Emitted) and emitted + missed (Full) so
+// far, as they stood before the run's last item released, which is when an
+// adaptation that item made due reads them.
 type joinStage struct {
 	s     *Stage
 	op    *join.Join
 	pairs []join.Result
+	seen  join.Stats // op's counts before the last run's last item released
 }
 
 func (j *joinStage) observeRun(r *released) {
-	for s := j.s; s.pos < len(r.ts); {
+	last := 0 // where the run's last item's releases start
+	if n := len(r.ends); n > 1 {
+		last = r.ends[n-2]
+	}
+	for s := j.s; ; {
+		if s.pos == last {
+			j.seen = j.op.Stats()
+		}
+		if s.pos == len(r.ts) {
+			return
+		}
 		t, now := r.ts[s.pos], r.nows[s.pos]
 		s.pos++
 		j.pairs = j.op.Insert(join.Tagged{Tuple: t, Side: join.Side(t.Src)}, now, j.pairs)
@@ -923,4 +942,6 @@ func (*joinStage) stats() window.OpStats { return window.OpStats{} }
 
 func (*joinStage) setFeedback(stream.Time) {}
 
-func (*joinStage) finals(out []window.Final) []window.Final { return out }
+func (j *joinStage) finals(out []window.Final) []window.Final {
+	return append(out, window.Final{Emitted: float64(j.seen.Emitted), Full: float64(j.seen.Emitted + j.seen.Missed)})
+}

@@ -52,16 +52,16 @@ func (r *JoinReport) Quality(cfg join.Config) metrics.PairReport {
 }
 
 // Run executes the join query synchronously, as AggQuery.Run executes a
-// query, over the merged sources, with op as the query's window stage. op is
-// passed in so that an adaptive handler can read its statistics
-// (core.NewAQJoin takes op.Stats).
-func (q *JoinQuery) Run(op *join.Join) (*JoinReport, error) {
+// query, over the merged sources, with a join operator of the query's config
+// as its window stage.
+func (q *JoinQuery) Run() (*JoinReport, error) {
 	if q.left == nil || q.right == nil {
 		return nil, errors.New("cq: join query needs two sources")
 	}
-	if op == nil {
-		return nil, errors.New("cq: join query needs an operator")
+	if q.cfg.Band <= 0 {
+		return nil, errors.New("cq: join band must be positive")
 	}
+	op := join.New(q.cfg)
 	x, err := newExec(&AggQuery{handler: q.handler, keepInput: q.keepInput, join: op}, nil)
 	if err != nil {
 		return nil, err

@@ -54,16 +54,16 @@ func TestJoinPinned(t *testing.T) {
 		left, right := joinSide(0, 4000, 10*seed), joinSide(1, 4000, 10*seed+1)
 		for _, tc := range []struct {
 			name      string
-			handler   func(op *join.Join) buffer.Handler
+			handler   func() buffer.Handler
 			heartbeat bool
 		}{
-			{"none", func(*join.Join) buffer.Handler { return buffer.Zero() }, false},
-			{"kslack-1s", func(*join.Join) buffer.Handler { return buffer.NewKSlack(stream.Second) }, false},
-			{"maxslack", func(*join.Join) buffer.Handler { return buffer.NewMaxSlack() }, false},
-			{"aq-join-99", func(op *join.Join) buffer.Handler {
-				return core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: cfg.Band}, op.Stats)
+			{"none", func() buffer.Handler { return buffer.Zero() }, false},
+			{"kslack-1s", func() buffer.Handler { return buffer.NewKSlack(stream.Second) }, false},
+			{"maxslack", func() buffer.Handler { return buffer.NewMaxSlack() }, false},
+			{"aq-join-99", func() buffer.Handler {
+				return core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: cfg.Band})
 			}, false},
-			{"punctuated-heartbeats", func(*join.Join) buffer.Handler { return buffer.NewPunctuated() }, true},
+			{"punctuated-heartbeats", func() buffer.Handler { return buffer.NewPunctuated() }, true},
 		} {
 			name := fmt.Sprintf("%s/seed%d", tc.name, seed)
 			t.Run(name, func(t *testing.T) {
@@ -71,9 +71,8 @@ func TestJoinPinned(t *testing.T) {
 				if tc.heartbeat {
 					l = stream.NewWithHeartbeats(l, 500)
 				}
-				op := join.New(cfg)
-				h := tc.handler(op)
-				rep, err := NewJoin(l, stream.FromTuples(right), cfg).Handle(h).KeepInput().Run(op)
+				h := tc.handler()
+				rep, err := NewJoin(l, stream.FromTuples(right), cfg).Handle(h).KeepInput().Run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,9 +87,9 @@ func TestJoinPinned(t *testing.T) {
 						fmt.Fprintf(d, "%+v\n", tp)
 					}
 				}
-				if aq, ok := h.(*core.AQJoin); ok {
-					if aq.Adaptations() < 20 {
-						t.Fatalf("only %d adaptations", aq.Adaptations())
+				if aq, ok := h.(*core.AQKSlack); ok {
+					if n := aq.Quality().Adaptations; n < 20 {
+						t.Fatalf("only %d adaptations", n)
 					}
 					for _, s := range aq.Trace() {
 						fmt.Fprintf(d, "%+v\n", s)

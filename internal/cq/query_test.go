@@ -183,11 +183,10 @@ func TestJoinQueryRun(t *testing.T) {
 	stream.SortByArrival(rightArr)
 
 	cfg := join.Config{Band: 100}
-	op := join.New(cfg)
 	rep, err := NewJoin(stream.FromTuples(leftArr), stream.FromTuples(rightArr), cfg).
 		Handle(buffer.NewKSlack(1 << 30)).
 		KeepInput().
-		Run(op)
+		Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +201,27 @@ func TestJoinQueryRun(t *testing.T) {
 
 func TestJoinQueryValidates(t *testing.T) {
 	cfg := join.Config{Band: 10}
-	if _, err := NewJoin(nil, nil, cfg).Run(join.New(cfg)); err == nil {
+	if _, err := NewJoin(nil, nil, cfg).Run(); err == nil {
 		t.Fatal("nil sources accepted")
 	}
 	src := gen.Config{N: 1, Seed: 1}.Source()
-	if _, err := NewJoin(src, src, cfg).Run(nil); err == nil {
-		t.Fatal("nil operator accepted")
+	if _, err := NewJoin(src, src, join.Config{}).Run(); err == nil {
+		t.Fatal("zero band accepted")
+	}
+}
+
+// TestFeedbackHandlerMatchesStage: an adaptive handler reads its stage's
+// reports by its quality model, so the loss model is refused behind a join
+// and the recall model behind a window.
+func TestFeedbackHandlerMatchesStage(t *testing.T) {
+	cfg := join.Config{Band: 10}
+	src := gen.Config{N: 1, Seed: 1}.Source()
+	loss := core.NewAQKSlack(core.Config{Theta: 0.01, Spec: testSpec, Agg: window.Sum()})
+	if _, err := NewJoin(src, src, cfg).Handle(loss).Run(); err == nil {
+		t.Error("a join query took the loss model's handler")
+	}
+	recall := core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: cfg.Band})
+	if _, err := NewExec(New(nil).Handle(recall).Window(testSpec, window.Sum()), nil); err == nil {
+		t.Error("a window query took the recall model's handler")
 	}
 }

@@ -84,15 +84,15 @@ func (p joinPlan) sides() (left, right []stream.Tuple) {
 	return side(0), side(1)
 }
 
-// handler builds the plan's handler for a join whose operator reports op.
-func (p joinPlan) handler(op *join.Join) buffer.Handler {
+// handler builds the plan's handler.
+func (p joinPlan) handler() buffer.Handler {
 	switch p.Handler {
 	case "kslack":
 		return buffer.NewKSlack(p.K)
 	case "maxslack":
 		return buffer.NewMaxSlack()
 	case "aq":
-		return core.NewAQJoin(core.JoinConfig{Recall: p.Recall, Band: p.Band}, op.Stats)
+		return core.NewAQJoin(core.JoinConfig{Recall: p.Recall, Band: p.Band})
 	}
 	return buffer.Zero()
 }
@@ -107,9 +107,9 @@ func (p joinPlan) recallChecked() bool {
 // runJoin executes a join query over the two sides behind h and returns its
 // report and a digest of its output: every pair in order, and the join's and
 // the handler's statistics.
-func runJoin(t *testing.T, cfg join.Config, left, right []stream.Tuple, op *join.Join, h buffer.Handler) (*cq.JoinReport, string) {
+func runJoin(t *testing.T, cfg join.Config, left, right []stream.Tuple, h buffer.Handler) (*cq.JoinReport, string) {
 	t.Helper()
-	rep, err := cq.NewJoin(stream.FromTuples(left), stream.FromTuples(right), cfg).Handle(h).Run(op)
+	rep, err := cq.NewJoin(stream.FromTuples(left), stream.FromTuples(right), cfg).Handle(h).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +178,12 @@ func TestDSTJoinSweep(t *testing.T) {
 					maxDelay = max(maxDelay, tp.Delay())
 				}
 			}
-			exact, _ := runJoin(t, cfg, left, right, join.New(cfg), buffer.NewKSlack(maxDelay+1))
+			exact, _ := runJoin(t, cfg, left, right, buffer.NewKSlack(maxDelay+1))
 			if q := metrics.PairMetrics(join.PairSet(exact.Results), oracle); q.TruePos != q.Expected || q.Emitted != q.Expected {
 				t.Errorf("%s: K-slack past the largest delay (%d) is not the oracle: %+v", p, maxDelay, q)
 			}
 
-			op := join.New(cfg)
-			rep, digest := runJoin(t, cfg, left, right, op, p.handler(op))
+			rep, digest := runJoin(t, cfg, left, right, p.handler())
 			got := join.PairSet(rep.Results)
 			if q := metrics.PairMetrics(got, oracle); q.Precision != 1 {
 				t.Errorf("%s: precision %v: %+v", p, q.Precision, q)
@@ -193,8 +192,7 @@ func TestDSTJoinSweep(t *testing.T) {
 				t.Errorf("%s: recall past the warm-up %.4f below target %.4f - %g", p, r, p.Recall, joinRecallSlack)
 			}
 
-			op = join.New(cfg)
-			if _, again := runJoin(t, cfg, left, right, op, p.handler(op)); again != digest {
+			if _, again := runJoin(t, cfg, left, right, p.handler()); again != digest {
 				t.Errorf("%s: two executions digest %s and %s", p, digest, again)
 			}
 		})

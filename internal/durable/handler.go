@@ -15,7 +15,7 @@ type HandlerState struct {
 	Slack      *buffer.SlackState      `json:"slack,omitempty"`      // kslack, maxslack
 	Percentile *buffer.PercentileState `json:"percentile,omitempty"` // percentile
 	Punctuated *buffer.PunctuatedState `json:"punctuated,omitempty"` // punctuated
-	AQ         *core.AQState           `json:"aq,omitempty"`         // aq
+	AQ         *core.AQState           `json:"aq,omitempty"`         // aq, aq-join
 }
 
 // unwrapHandler strips instrumentation wrappers (any handler with an Unwrap
@@ -28,6 +28,15 @@ func unwrapHandler(h buffer.Handler) buffer.Handler {
 		}
 		h = u.Unwrap()
 	}
+}
+
+// aqKind tells the adaptive handler's two quality models apart: "aq" for the
+// window aggregate's, "aq-join" for the band join's recall model.
+func aqKind(a *core.AQKSlack) string {
+	if a.Recall() > 0 {
+		return "aq-join"
+	}
+	return "aq"
 }
 
 // SaveHandler exports a handler's state. It fails on handler types without
@@ -49,13 +58,13 @@ func SaveHandler(h buffer.Handler) (*HandlerState, error) {
 		return &HandlerState{Kind: "punctuated", Punctuated: &st}, nil
 	case *core.AQKSlack:
 		st := v.State()
-		return &HandlerState{Kind: "aq", AQ: &st}, nil
+		return &HandlerState{Kind: aqKind(v), AQ: &st}, nil
 	}
 	return nil, fmt.Errorf("durable: handler %s does not support snapshots", h)
 }
 
 // RestoreHandler loads a saved state into a freshly constructed handler of
-// the same kind (and, for AQ, the same Config).
+// the same kind (and, for AQ, the same model and Config).
 func RestoreHandler(h buffer.Handler, st *HandlerState) error {
 	if st == nil {
 		return fmt.Errorf("durable: nil handler state")
@@ -85,8 +94,8 @@ func RestoreHandler(h buffer.Handler, st *HandlerState) error {
 		}
 		v.Restore(*st.Punctuated)
 	case *core.AQKSlack:
-		if st.Kind != "aq" || st.AQ == nil {
-			return mismatch("aq")
+		if kind := aqKind(v); st.Kind != kind || st.AQ == nil {
+			return mismatch(kind)
 		}
 		return v.Restore(*st.AQ)
 	default:

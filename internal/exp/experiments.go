@@ -296,11 +296,8 @@ func R6(s Scale) []Table {
 	}
 
 	for _, recall := range []float64{0.90, 0.95, 0.99, 0.999} {
-		recall := recall
 		name := fmt.Sprintf("aq-join(%.1f%%)", 100*recall)
-		o := RunJoin(name, merged, left, right, jcfg, func(statsFn func() join.Stats) buffer.Handler {
-			return core.NewAQJoin(core.JoinConfig{Recall: recall, Band: jcfg.Band}, statsFn)
-		})
+		o := RunJoin(name, merged, left, right, jcfg, core.NewAQJoin(core.JoinConfig{Recall: recall, Band: jcfg.Band}))
 		t.AddRow(name, PctC(recall), PctC(o.Pairs.Recall), F(o.Pairs.Precision, 4), Ms(o.MeanLat), Ms(o.SteadyK))
 	}
 	fixed := map[string]func() buffer.Handler{
@@ -314,7 +311,7 @@ func R6(s Scale) []Table {
 	}
 	for _, name := range sortedNames(fixed) {
 		mkH := fixed[name]
-		o := RunJoin(name, merged, left, right, jcfg, func(func() join.Stats) buffer.Handler { return mkH() })
+		o := RunJoin(name, merged, left, right, jcfg, mkH())
 		t.AddRow(name, "-", PctC(o.Pairs.Recall), F(o.Pairs.Precision, 4), Ms(o.MeanLat), Ms(o.SteadyK))
 	}
 
@@ -383,14 +380,14 @@ func R6(s Scale) []Table {
 			recall = float64(hits) / float64(len(oracle3))
 		}
 		steady := float64(h.K())
-		if aq, ok := h.(*core.AQJoin); ok {
+		if aq, ok := h.(*core.AQKSlack); ok {
 			steady = SteadyK(aq.Trace())
 		}
 		t3.AddRow(name, target, PctC(recall), I(int64(len(emitted))), Ms(steady))
 	}
 	for _, recall := range []float64{0.95, 0.99} {
 		run3(fmt.Sprintf("aq-join3(%.0f%%)", 100*recall),
-			core.NewAQJoin(core.JoinConfig{Recall: recall, Band: j3cfg.Band, Streams: 3}, nil),
+			core.NewAQJoin(core.JoinConfig{Recall: recall, Band: j3cfg.Band, Streams: 3}),
 			PctC(recall))
 	}
 	run3("none", buffer.Zero(), "-")

@@ -192,7 +192,7 @@ func R16(s Scale) []Table {
 	tuples := c.Arrivals()
 	build := func() *cq.AggQuery {
 		return cq.New(stream.FromTuples(tuples)).
-			Handle(buffer.NewKSlack(2 * stream.Second)).
+			Handle(buffer.NewKSlack(2*stream.Second)).
 			Window(stdSpec, agg).
 			GroupBy().KeepInput()
 	}

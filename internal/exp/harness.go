@@ -130,19 +130,14 @@ type JoinOutcome struct {
 	SteadyK  float64
 }
 
-// RunJoin executes one band-join query over pre-merged, arrival-ordered
-// tuples (Src-tagged) and measures recall against the oracle pair set.
-// The handler is constructed via mk, which receives the join operator's
-// stats accessor so adaptive handlers (core.NewAQJoin) can wire up their
-// realized-recall feedback.
-func RunJoin(name string, merged, left, right []stream.Tuple, jcfg join.Config,
-	mk func(statsFn func() join.Stats) buffer.Handler) JoinOutcome {
-
-	op := join.New(jcfg)
-	h := mk(op.Stats)
+// RunJoin executes one band-join query behind h over pre-merged,
+// arrival-ordered tuples (Src-tagged) and measures recall against the oracle
+// pair set. An adaptive handler (core.NewAQJoin) is fed the join's realized
+// recall by the query itself.
+func RunJoin(name string, merged, left, right []stream.Tuple, jcfg join.Config, h buffer.Handler) JoinOutcome {
 	// The join's sides are its tuples' Src: the merged stream is the left
 	// source whole, in its own order of ties.
-	rep, err := cq.NewJoin(stream.FromTuples(merged), stream.FromTuples(nil), jcfg).Handle(h).Run(op)
+	rep, err := cq.NewJoin(stream.FromTuples(merged), stream.FromTuples(nil), jcfg).Handle(h).Run()
 	if err != nil {
 		panic(err) // experiment configurations are static; a failure is a bug
 	}
@@ -161,7 +156,7 @@ func RunJoin(name string, merged, left, right []stream.Tuple, jcfg join.Config,
 		}
 		out.MeanLat = sum / float64(len(results))
 	}
-	if aq, ok := h.(*core.AQJoin); ok {
+	if aq, ok := h.(*core.AQKSlack); ok {
 		out.SteadyK = SteadyK(aq.Trace())
 	} else {
 		out.SteadyK = float64(h.K())

@@ -5,8 +5,9 @@
 //
 // over near-ordered input as produced by a disorder handler. A straggler
 // that arrives after its partners expired from the join state loses those
-// result pairs — the quality loss that quality-driven buffering (AQJoin in
-// internal/core) bounds via a recall target.
+// result pairs — the quality loss that quality-driven buffering (the recall
+// model of internal/core's adaptive handler, core.NewAQJoin) bounds via a
+// recall target.
 //
 // For online recall accounting the join can retain expired state for a
 // grace period: a probe that matches only retained state counts the pairs
