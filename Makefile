@@ -113,10 +113,14 @@ cover:
 # (TestOneBufferTrace), and the fan-out ring read by one loop,
 # cq.Group.Run, whatever the driver (TestOneRingConsumer). One adaptive
 # control loop, core.AQKSlack, serves aggregates and joins alike
-# (TestOneAdaptiveHandler).
+# (TestOneAdaptiveHandler). No code that only tests reach: every func,
+# method, type, const and var outside bench/ is reachable from a main, an
+# init, a package-level var or the lint's short allowlist
+# (TestNoTestOnlyCode). The -run pattern takes every TestOne* lint, so a
+# new one cannot be left out.
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^TestDocLinks$$|^TestMetricsCatalog$$|^TestOneInstrumentSet$$|^TestOneExecutor$$|^TestOneIngestQueue$$|^TestOneWindowStage$$|^TestOneDisorderPass$$|^TestOneErrorSimulation$$|^TestOneFrameParser$$|^TestOneAggregationCore$$|^TestOneRecycleSite$$|^TestOneWindowComputation$$|^TestOneRawRead$$|^TestOneBufferTrace$$|^TestOneRingConsumer$$|^TestOneAdaptiveHandler$$'
+	$(GO) test . -run '^Test(DocLinks|MetricsCatalog|One[A-Za-z]+|NoTestOnlyCode)$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

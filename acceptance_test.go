@@ -46,7 +46,7 @@ func TestAcceptanceQueryMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.stmt, err)
 			}
-			rep, err := q.Run(c.n, uint64(100+i))
+			rep, err := q.RunTraced(c.n, uint64(100+i), nil)
 			if err != nil {
 				t.Fatalf("%s: %v", c.stmt, err)
 			}
@@ -77,7 +77,7 @@ func TestAcceptanceGroupedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := q.Run(40000, 77)
+	rep, err := q.RunTraced(40000, 77, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAcceptanceThetaMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := q.Run(80000, 5)
+		rep, err := q.RunTraced(80000, 5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -272,9 +272,8 @@ func BenchmarkGroupedServerShaped(b *testing.B) {
 		q := cq.New(stream.FromTuples(tuples)).
 			Handle(buffer.NewKSlack(200*stream.Millisecond)).
 			Window(spec, window.Sum()).
-			GroupBy().Batch(64).DiscardReport().
-			SinkKeyed(func(window.KeyedResult) { results++ })
-		if _, err := q.RunConcurrent(context.Background(), nil); err != nil {
+			GroupBy().Batch(64).DiscardReport()
+		if _, err := q.RunConcurrent(context.Background(), func(window.Result) { results++ }); err != nil {
 			b.Fatal(err)
 		}
 	}

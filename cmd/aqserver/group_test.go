@@ -250,7 +250,7 @@ func TestAPIGroupShedAccounting(t *testing.T) {
 
 	m1.mu.Lock() // the group's pump stalls inside its next step: the ring laps it
 	for i := 0; i < len(items); i += 10 {
-		if err := src.Publish(items[i : i+10]); err != nil {
+		if err := src.PublishProv(items[i:i+10], stream.BatchProv{}); err != nil {
 			m1.mu.Unlock()
 			t.Fatal(err)
 		}
@@ -370,11 +370,11 @@ func TestAPIGroupsUnderConcurrentRegistration(t *testing.T) {
 	}
 	items := sensorItems(2000, 91)
 	register(names[:4])
-	if err := src.Publish(items[:1000]); err != nil {
+	if err := src.PublishProv(items[:1000], stream.BatchProv{}); err != nil {
 		t.Fatal(err)
 	}
 	register(names[4:])
-	if err := src.Publish(items[1000:]); err != nil {
+	if err := src.PublishProv(items[1000:], stream.BatchProv{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, name := range names {

@@ -24,6 +24,18 @@ import (
 	"repro/internal/window"
 )
 
+// collect drains a source into a slice of items.
+func collect(s stream.Source) []stream.Item {
+	var out []stream.Item
+	for {
+		it, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, it)
+	}
+}
+
 // adaptiveRunner builds a non-grouped runner over the adaptive controller
 // the way buildRunner does, minus the app around it: tests step it
 // themselves, and only the wiring def carries.
@@ -547,7 +559,7 @@ func TestGroupedRunnerPanicIsolated(t *testing.T) {
 	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
 	cfg := gen.Sensor(6000, 21)
 	cfg.NumKeys = 16
-	items := stream.Collect(cfg.Source())
+	items := collect(cfg.Source())
 
 	choked := false
 	poison := items[2500].Tuple.Value

@@ -1,7 +1,10 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -13,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // mdLink matches inline markdown links [text](target). Reference-style
@@ -1274,4 +1278,423 @@ func stripCodeFences(s string) string {
 		}
 	}
 	return out.String()
+}
+
+// testOnlyAllowlist names the code that no program path reaches and that
+// stays anyway, each with the reason; it holds at most 12 entries. An entry
+// is a package directory
+// (every exported declaration and exported method in it is a root), a
+// declaration "dir.Name" (a type brings its exported methods), or a method
+// "dir.Type.Method".
+var testOnlyAllowlist = map[string]string{
+	"internal/dst":                          "the deterministic simulation harness: the DST, crash and join sweeps call its entry points",
+	"internal/oracle":                       "the differential oracles the DST harness and the package tests hold every run to",
+	"internal/netstream.Client":             "the reconnecting TCP producer the cmd/aqserver integration tests drive; a _test.go file cannot be imported from another package",
+	"internal/netstream.ParseLine":          "the one-line entry of the frame-parser oracles (TestOneFrameParser, FuzzLineProtocol, TestParserMatchesReference)",
+	"internal/fleet.Source.Subscribers":     "the ring-level subscription count the cmd/aqserver sharing and leak tests assert; a _test.go file cannot be imported from another package",
+	"internal/resilience.FaultSource.Stats": "the injected-fault counts the chaos tests of internal/resilience and internal/cq check their fault configuration against",
+	"internal/obs/tracez.Recorder.Total":    "the flight-recorder pin (TestFlightRecorderPinned) reads it and stays unedited",
+}
+
+// TestNoTestOnlyCode fails on code that only tests reach. It type-checks
+// every non-test package of the module plus bench/aqbench (read, never
+// reported: its uses keep code alive), then walks reachability from each
+// main and init, every package-level var and the allowlist. A declaration
+// is reached through any identifier use inside a reached declaration; a
+// method of a reached type is also reached when the type implements an
+// interface that names it, one the reached code declares or one exported
+// by a standard package the program imports (fmt.Stringer, error,
+// http.Handler, ...), since a call through the interface names no concrete
+// method. A const
+// block is reached as a whole, because iota positions matter. Every
+// unreached func, method, type, const or var outside bench/ is an error,
+// and so is an allowlist entry that names nothing or that is reached anyway.
+// Dead code is not free: every refactor of the pipeline has to carry it and
+// keep it compiling, and a test of it proves nothing about the program.
+func TestNoTestOnlyCode(t *testing.T) {
+	start := time.Now()
+	prog := loadProgram(t)
+	if len(prog.pkgs) < 20 || prog.pkgs["repro/bench/aqbench"] == nil || prog.pkgs["repro/internal/cq"] == nil {
+		t.Fatalf("extraction rotted: loaded %d packages", len(prog.pkgs))
+	}
+	var base []*progDecl
+	for _, d := range prog.decls {
+		if d.root {
+			base = append(base, d)
+		}
+	}
+	live := prog.reach(base)
+	if len(testOnlyAllowlist) > 12 {
+		t.Errorf("the allowlist has %d entries: keep it to 12", len(testOnlyAllowlist))
+	}
+	entries := make([]string, 0, len(testOnlyAllowlist))
+	for entry, reason := range testOnlyAllowlist {
+		if reason == "" {
+			t.Errorf("allowlist entry %s carries no reason", entry)
+		}
+		entries = append(entries, entry)
+	}
+	sort.Strings(entries)
+	var allow []*progDecl
+	for _, entry := range entries {
+		roots := prog.allowed(entry)
+		if len(roots) == 0 {
+			t.Errorf("allowlist entry %s names nothing", entry)
+			continue
+		}
+		if !slices.ContainsFunc(roots, func(d *progDecl) bool { return !live[d] }) {
+			t.Errorf("allowlist entry %s is reached by the program: drop it", entry)
+		}
+		allow = append(allow, roots...)
+	}
+	live = prog.reach(append(base, allow...))
+	var dead []string
+	for _, d := range prog.decls {
+		if !live[d] && !strings.HasPrefix(d.pkg.dir, "bench/") {
+			dead = append(dead, fmt.Sprintf("%s %s", prog.fset.Position(d.pos), d.name))
+		}
+	}
+	sort.Strings(dead)
+	for _, line := range dead {
+		t.Errorf("%s: no program path reaches it; delete it (or move what a test needs into a _test.go file)", line)
+	}
+	t.Logf("%d packages, %d declarations, %d unreached, %s", len(prog.pkgs), len(prog.decls), len(dead), time.Since(start).Round(time.Millisecond))
+}
+
+// progPkg is one type-checked non-test package.
+type progPkg struct {
+	dir   string // slash-separated, relative to the module root
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// progDecl is one package-level declaration: a func, a method, a type, a
+// var spec or a whole const block.
+type progDecl struct {
+	pkg  *progPkg
+	name string // dir.Name or dir.Type.Method
+	pos  token.Pos
+	objs []types.Object
+	node ast.Node
+	recv *types.TypeName // a method's receiver base type
+	root bool            // main, init or a package-level var
+}
+
+type program struct {
+	fset   *token.FileSet
+	std    types.Importer
+	pkgs   map[string]*progPkg // by import path
+	decls  []*progDecl
+	byObj  map[types.Object]*progDecl
+	ifaces []*types.Interface // error and the standard interfaces the program imports
+}
+
+// loadProgram type-checks every non-test package of the module (bench/, a
+// module of its own, and dot-directories excluded) plus bench/aqbench,
+// honouring build constraints, and indexes their declarations.
+func loadProgram(t *testing.T) *program {
+	t.Helper()
+	p := &program{
+		fset:   token.NewFileSet(),
+		pkgs:   map[string]*progPkg{},
+		byObj:  map[types.Object]*progDecl{},
+		ifaces: []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)},
+	}
+	p.std = importer.Default()
+	dirs := []string{"bench/aqbench"}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "bench" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), "."))) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			dir := filepath.ToSlash(filepath.Dir(path))
+			if !slices.Contains(dirs, dir) {
+				dirs = append(dirs, dir)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		path := "repro"
+		if dir != "." {
+			path += "/" + dir
+		}
+		if _, err := p.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pkg := range p.pkgs {
+		for _, imp := range pkg.types.Imports() {
+			if _, ours := p.pkgs[imp.Path()]; ours {
+				continue
+			}
+			for _, name := range imp.Scope().Names() {
+				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+					if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !slices.Contains(p.ifaces, it) {
+						p.ifaces = append(p.ifaces, it)
+					}
+				}
+			}
+		}
+		p.index(pkg)
+	}
+	return p
+}
+
+// Import resolves repro/... to the module's own directories, type-checking
+// them from source, and everything else to the standard library.
+func (p *program) Import(path string) (*types.Package, error) {
+	if pkg := p.pkgs[path]; pkg != nil {
+		return pkg.types, nil
+	}
+	dir, ours := strings.CutPrefix(path, "repro/")
+	if path == "repro" {
+		dir, ours = ".", true
+	}
+	if !ours {
+		return p.std.Import(path)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	pkg := &progPkg{dir: dir, info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			continue
+		}
+		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		pkg.files = append(pkg.files, f)
+	}
+	conf := types.Config{Importer: p}
+	pkg.types, err = conf.Check(path, p.fset, pkg.files, pkg.info)
+	if err != nil {
+		return nil, err
+	}
+	p.pkgs[path] = pkg
+	return pkg.types, nil
+}
+
+// index records pkg's package-level declarations, a method under its
+// receiver's base type.
+func (p *program) index(pkg *progPkg) {
+	add := func(d *progDecl) {
+		d.pkg = pkg
+		p.decls = append(p.decls, d)
+		for _, o := range d.objs {
+			p.byObj[o] = d
+		}
+	}
+	for _, f := range pkg.files {
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				d := &progDecl{name: pkg.dir + "." + decl.Name.Name, pos: decl.Pos(), node: decl}
+				if o := pkg.info.Defs[decl.Name]; o != nil && decl.Name.Name != "_" {
+					d.objs = []types.Object{o}
+				}
+				if decl.Recv != nil {
+					named, _ := types.Unalias(deref(pkg.info.Defs[decl.Name].Type().(*types.Signature).Recv().Type())).(*types.Named)
+					d.recv = named.Obj()
+					d.name = pkg.dir + "." + d.recv.Name() + "." + decl.Name.Name
+				} else {
+					d.root = decl.Name.Name == "init" || (decl.Name.Name == "main" && pkg.types.Name() == "main")
+				}
+				add(d)
+			case *ast.GenDecl:
+				if decl.Tok == token.CONST {
+					d := &progDecl{pos: decl.Pos(), node: decl}
+					for _, spec := range decl.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							if id.Name != "_" {
+								d.objs = append(d.objs, pkg.info.Defs[id])
+							}
+						}
+					}
+					if len(d.objs) > 0 {
+						d.name = pkg.dir + "." + d.objs[0].Name()
+						add(d)
+					}
+					continue
+				}
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(&progDecl{name: pkg.dir + "." + spec.Name.Name, pos: spec.Pos(), node: spec, objs: []types.Object{pkg.info.Defs[spec.Name]}})
+					case *ast.ValueSpec:
+						d := &progDecl{name: pkg.dir + "." + spec.Names[0].Name, pos: spec.Pos(), node: spec, root: true}
+						for _, id := range spec.Names {
+							if o := pkg.info.Defs[id]; o != nil {
+								d.objs = append(d.objs, o)
+							}
+						}
+						add(d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// deref strips one pointer.
+func deref(t types.Type) types.Type {
+	if ptr, ok := t.(*types.Pointer); ok {
+		return ptr.Elem()
+	}
+	return t
+}
+
+// allowed resolves an allowlist entry to the declarations it roots.
+func (p *program) allowed(entry string) []*progDecl {
+	var out []*progDecl
+	for _, d := range p.decls {
+		exported := len(d.objs) > 0 && d.objs[0].Exported()
+		switch {
+		case d.pkg.dir == entry && exported && (d.recv == nil || d.recv.Exported()),
+			d.name == entry,
+			d.recv != nil && d.pkg.dir+"."+d.recv.Name() == entry && exported:
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// reach returns every declaration reachable from roots.
+func (p *program) reach(roots []*progDecl) map[*progDecl]bool {
+	live := map[*progDecl]bool{}
+	ifaces := slices.Clone(p.ifaces)
+	matched := map[[2]types.Type]bool{}
+	work := slices.Clone(roots)
+	for len(work) > 0 {
+		for len(work) > 0 {
+			d := work[len(work)-1]
+			work = work[:len(work)-1]
+			if live[d] {
+				continue
+			}
+			live[d] = true
+			ast.Inspect(d.node, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					o := d.pkg.info.Uses[n]
+					switch v := o.(type) {
+					case *types.Func:
+						o = v.Origin()
+					case *types.Var:
+						o = v.Origin()
+					}
+					if u := p.byObj[o]; u != nil && !live[u] {
+						work = append(work, u)
+					}
+				case *ast.InterfaceType:
+					if it, ok := d.pkg.info.Types[n].Type.(*types.Interface); ok && it.NumMethods() > 0 && !slices.Contains(ifaces, it) {
+						ifaces = append(ifaces, it)
+					}
+				}
+				return true
+			})
+		}
+		// A call through an interface names the interface's method, not the
+		// concrete one: every live type that implements a live interface
+		// keeps the methods the interface names. Where type parameters make
+		// Implements meaningless, having a method of every name it names
+		// decides.
+		for _, d := range p.decls {
+			if len(d.objs) == 0 || !live[d] {
+				continue
+			}
+			tn, ok := d.objs[0].(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for _, it := range ifaces {
+				key := [2]types.Type{named, it}
+				if matched[key] {
+					continue
+				}
+				methods := make([]*types.Func, it.NumMethods())
+				for i := range methods {
+					m := it.Method(i)
+					obj, _, _ := types.LookupFieldOrMethod(named, true, m.Pkg(), m.Name())
+					methods[i], _ = obj.(*types.Func)
+				}
+				if named.TypeParams().Len() > 0 || mentionsTypeParam(it) {
+					if slices.Contains(methods, nil) {
+						continue
+					}
+				} else if !types.Implements(named, it) && !types.Implements(types.NewPointer(named), it) {
+					continue
+				}
+				matched[key] = true
+				for _, fn := range methods {
+					if u := p.byObj[fn.Origin()]; u != nil && !live[u] {
+						work = append(work, u)
+					}
+				}
+			}
+		}
+	}
+	return live
+}
+
+// mentionsTypeParam reports whether a method of it has a type parameter in
+// its signature: an interface declared inside a generic declaration.
+func mentionsTypeParam(it *types.Interface) bool {
+	var mentions func(t types.Type) bool
+	mentions = func(t types.Type) bool {
+		switch t := t.(type) {
+		case *types.TypeParam:
+			return true
+		case *types.Pointer:
+			return mentions(t.Elem())
+		case *types.Slice:
+			return mentions(t.Elem())
+		case *types.Array:
+			return mentions(t.Elem())
+		case *types.Map:
+			return mentions(t.Key()) || mentions(t.Elem())
+		case *types.Chan:
+			return mentions(t.Elem())
+		case *types.Named:
+			for i := 0; i < t.TypeArgs().Len(); i++ {
+				if mentions(t.TypeArgs().At(i)) {
+					return true
+				}
+			}
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					if mentions(tup.At(i).Type()) {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	for i := 0; i < it.NumMethods(); i++ {
+		if mentions(it.Method(i).Type()) {
+			return true
+		}
+	}
+	return false
 }

@@ -40,12 +40,16 @@ type BatchHandler interface {
 // stopped there; and once the window operator has had what that released, it
 // hands the operator's reports to Feedback, which runs the adaptation. A
 // horizon of 0 means the handler takes no feedback: it is then inserted into
-// item by item, by Insert.
+// item by item, by Insert. Recall tells which reports the handler reads: a
+// join's pair counts when it returns the handler's recall target, window
+// finals when it returns 0; the executor refuses a handler whose reports do
+// not fit its query.
 type FeedbackHandler interface {
 	Handler
 	FeedbackHorizon() stream.Time
 	InsertRun(items []stream.Item, out []stream.Tuple, ends []int) ([]stream.Tuple, []int, bool)
 	Feedback(fs []window.Final)
+	Recall() float64
 }
 
 // InsertBatch feeds items to h in order, using the handler's batched fast

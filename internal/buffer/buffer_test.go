@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +11,11 @@ import (
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
+
+// eventTimeSorted reports whether tuples are non-decreasing in event time.
+func eventTimeSorted(ts []stream.Tuple) bool {
+	return slices.IsSortedFunc(ts, func(a, b stream.Tuple) int { return cmp.Compare(a.TS, b.TS) })
+}
 
 func feed(h Handler, tuples []stream.Tuple) []stream.Tuple {
 	var out []stream.Tuple
@@ -35,7 +42,7 @@ func TestKSlackReordersWithinSlack(t *testing.T) {
 	if len(out) != 3 {
 		t.Fatalf("released %d tuples, want 3", len(out))
 	}
-	if !stream.IsEventTimeSorted(out) {
+	if !eventTimeSorted(out) {
 		t.Fatalf("K-slack output out of order: %v", out)
 	}
 }
@@ -110,7 +117,7 @@ func TestKSlackFlushReleasesAllSorted(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", h.Len())
 	}
 	out = h.Flush(out)
-	if len(out) != 4 || !stream.IsEventTimeSorted(out) {
+	if len(out) != 4 || !eventTimeSorted(out) {
 		t.Fatalf("flush output: %v", out)
 	}
 	if h.Len() != 0 {
@@ -196,7 +203,7 @@ func TestLargeKSlackFullySorts(t *testing.T) {
 	tuples := c.Arrivals()
 	h := NewKSlack(1 << 40)
 	out := feed(h, tuples)
-	if !stream.IsEventTimeSorted(out) {
+	if !eventTimeSorted(out) {
 		t.Fatal("huge K output unsorted")
 	}
 	if h.Stats().Stragglers != 0 {

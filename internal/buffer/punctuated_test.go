@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/stats"
 	"repro/internal/stream"
 )
 
@@ -56,7 +55,7 @@ func TestPunctuatedWithOracleWatermarksIsExact(t *testing.T) {
 	if len(out) != len(tuples) {
 		t.Fatalf("conservation violated: %d/%d", len(out), len(tuples))
 	}
-	if !stream.IsEventTimeSorted(out) {
+	if !eventTimeSorted(out) {
 		t.Fatal("oracle punctuations still produced disorder")
 	}
 	if s := h.Stats().Stragglers; s != 0 {
@@ -99,53 +98,5 @@ func TestWithOracleWatermarksPromiseHolds(t *testing.T) {
 				t.Fatalf("watermark %d violated by later tuple ts=%d", it.Watermark, later.Tuple.TS)
 			}
 		}
-	}
-}
-
-// TestPunctuatedNeedsAlignedMerge demonstrates the multi-stream watermark
-// semantics: with per-source oracle punctuations merged naively (Merge),
-// one stream's watermark overclaims completeness for the union and the
-// punctuation-trusting handler forwards stragglers; AlignedMerge fuses
-// watermarks with min-combining and stays exact.
-func TestPunctuatedNeedsAlignedMerge(t *testing.T) {
-	mkStream := func(src uint8, seed uint64) []stream.Item {
-		c := gen.Config{N: 4000, Interval: 10, Poisson: true, Seed: seed}
-		c.Delays = nil
-		tuples := c.Events()
-		rng := stats.NewRNG(seed + 500)
-		for i := range tuples {
-			tuples[i].Src = src
-			tuples[i].Arrival = tuples[i].TS + stream.Time(rng.Intn(2000))
-		}
-		stream.SortByArrival(tuples)
-		return gen.WithOracleWatermarks(tuples, 32)
-	}
-	run := func(src stream.Source) (stragglers int64, total int) {
-		h := NewPunctuated()
-		var out []stream.Tuple
-		for {
-			it, ok := src.Next()
-			if !ok {
-				break
-			}
-			out = h.Insert(it, out)
-		}
-		out = h.Flush(out)
-		return h.Stats().Stragglers, len(out)
-	}
-
-	naiveStragglers, naiveTotal := run(stream.NewMerge(
-		stream.NewSliceSource(mkStream(0, 1)), stream.NewSliceSource(mkStream(1, 2))))
-	alignedStragglers, alignedTotal := run(stream.NewAlignedMerge(
-		stream.NewSliceSource(mkStream(0, 1)), stream.NewSliceSource(mkStream(1, 2))))
-
-	if naiveTotal != 8000 || alignedTotal != 8000 {
-		t.Fatalf("conservation: naive %d aligned %d", naiveTotal, alignedTotal)
-	}
-	if naiveStragglers == 0 {
-		t.Fatal("naive merge produced no punctuation violations; test premise broken")
-	}
-	if alignedStragglers != 0 {
-		t.Fatalf("aligned merge still produced %d stragglers", alignedStragglers)
 	}
 }

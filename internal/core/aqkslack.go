@@ -116,7 +116,7 @@ type KSample struct {
 // QualityStats are the operator's cumulative quality-control counters.
 type QualityStats struct {
 	Adaptations     int
-	FinalizedWins   int64   // windows whose realized error is known
+	FinalizedWins   int64   // windows (a join: reports) whose realized error is known
 	RealizedErrEWMA float64 // current realized-error estimate
 	LastEstErr      float64
 	LastK           stream.Time
@@ -265,6 +265,21 @@ func (a *AQKSlack) Feedback(fs []window.Final) {
 		a.due = false
 		a.adapt()
 	}
+}
+
+// fold takes one report's realized error into the handler — the EWMA the
+// feedback half trims on and the finalized count — and, when instrumented or
+// traced, into the telemetry and one flight-recorder quality sample at
+// stream time at for window (a join: report) win. Both models fold through
+// it.
+func (a *AQKSlack) fold(at stream.Time, win int64, err float64) {
+	a.realized.add(err)
+	a.qstats.FinalizedWins++
+	if a.telem != nil {
+		a.telem.Finalized.Inc()
+		a.telem.RealizedErr.Set(a.realized.v)
+	}
+	a.tracer.QualitySample(int64(at), win, a.realized.v)
 }
 
 // Flush implements buffer.Handler.

@@ -24,19 +24,13 @@ type PI struct {
 	hasOutput            bool
 }
 
-// DefaultPI returns the gains used throughout the evaluation: a fairly
-// aggressive proportional response with a slow integral trim.
-func DefaultPI() *PI {
-	return &PI{Kp: 0.5, Ki: 0.1, MinFactor: 0.25, MaxFactor: 4}
-}
-
 // ownPI returns a handler's own controller: a copy of p, or of the gentle
 // default gains when p is nil, with the integral gain zeroed for ModePOnly —
 // so handlers built from one Config never share integral state or clamp
-// counts, and nothing is written to the caller's PI. The default is gentler
-// than DefaultPI because the adaptive handlers' feedback — realized error a
-// FeedbackHorizon late, a nearly binary miss or late-drop count — makes
-// aggressive gains oscillate between their clamps instead of settling.
+// counts, and nothing is written to the caller's PI. The default is gentle
+// because the adaptive handlers' feedback — realized error a FeedbackHorizon
+// late, a nearly binary miss or late-drop count — makes aggressive gains
+// oscillate between their clamps instead of settling.
 func ownPI(p *PI, pOnly bool) *PI {
 	own := PI{Kp: 0.2, Ki: 0.02, MinFactor: 0.5, MaxFactor: 2}
 	if p != nil {
@@ -79,25 +73,10 @@ func (c *PI) Update(sig float64) float64 {
 	return f
 }
 
-// Reset clears the integral state.
-func (c *PI) Reset() { c.integral = 0 }
-
 // Clamps counts updates whose output hit the [MinFactor, MaxFactor]
 // clamp — a controller pinned at its clamp is either still converging or
 // mis-tuned, which makes this worth alerting on.
 func (c *PI) Clamps() int64 { return c.clamps }
-
-// LastFactor returns the most recent correction factor (1 before the
-// first update).
-func (c *PI) LastFactor() float64 {
-	if !c.hasOutput {
-		return 1
-	}
-	return c.lastFactor
-}
-
-// Integral exposes the accumulated term for ablation traces.
-func (c *PI) Integral() float64 { return c.integral }
 
 // String renders the gains.
 func (c *PI) String() string {

@@ -57,20 +57,14 @@ func TestPIAntiWindup(t *testing.T) {
 	}
 }
 
-func TestPIReset(t *testing.T) {
-	c := DefaultPI()
-	c.Update(5)
-	if c.Integral() == 0 {
-		t.Fatal("integral not accumulating")
-	}
-	c.Reset()
-	if c.Integral() != 0 {
-		t.Fatal("Reset did not clear integral")
-	}
+// aggressivePI is a fairly aggressive proportional response with a slow
+// integral trim: gains that drive a controller through its clamps.
+func aggressivePI() *PI {
+	return &PI{Kp: 0.5, Ki: 0.1, MinFactor: 0.25, MaxFactor: 4}
 }
 
 func TestPIString(t *testing.T) {
-	if s := DefaultPI().String(); !strings.Contains(s, "kp=") {
+	if s := aggressivePI().String(); !strings.Contains(s, "kp=") {
 		t.Fatalf("String = %q", s)
 	}
 }
@@ -123,8 +117,8 @@ func TestHandlersOwnTheirPI(t *testing.T) {
 	if *shared != *gains() {
 		t.Errorf("handlers wrote to the caller's PI: %+v", *shared)
 	}
-	if a.pi.Integral() == 0 || a.pi.Clamps() != alone.pi.Clamps() {
-		t.Errorf("handler PI state: integral %v, clamps %d (alone %d)", a.pi.Integral(), a.pi.Clamps(), alone.pi.Clamps())
+	if a.pi.integral == 0 || a.pi.Clamps() != alone.pi.Clamps() {
+		t.Errorf("handler PI state: integral %v, clamps %d (alone %d)", a.pi.integral, a.pi.Clamps(), alone.pi.Clamps())
 	}
 
 	pOnly := gains()

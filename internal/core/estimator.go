@@ -95,7 +95,7 @@ func NewEstimator(spec window.Spec, agg window.Factory, cfg EstimatorConfig) *Es
 
 // newLatenessEstimator returns an estimator of the lateness sketch alone,
 // whose PLoss averages over the n offsets (j+½)·step: the recall model's. With
-// no value sample it answers PLate and PLoss only.
+// no value sample it answers PLoss only.
 func newLatenessEstimator(n int, step, sketchEps float64) *Estimator {
 	e := &Estimator{lateness: stats.NewGK(sketchEps), gaps: make([]float64, n), fracs: make([]float64, n)}
 	for j := range e.gaps {
@@ -128,19 +128,12 @@ func (e *Estimator) ObserveWindowCount(n int64) {
 // Observations returns how many tuples the estimator has seen.
 func (e *Estimator) Observations() int64 { return e.observed }
 
-// PLate returns the estimated probability that a tuple's lateness exceeds
-// k — i.e. that a K-slack buffer with slack k would forward it as a
-// straggler.
-func (e *Estimator) PLate(k stream.Time) float64 {
-	return e.lateness.FracAbove(float64(k))
-}
-
 // PLoss returns the estimated probability that a (tuple, window)
-// contribution is lost at slack k. It is strictly tighter than PLate: a
-// tuple with event time ts contributing to window [s, s+Size) is lost only
-// if it is later than k plus the gap between ts and the window's end —
-// tuples early in a window have the whole remaining window length as
-// additional headroom. With windows every Slide, the gap of a uniformly
+// contribution is lost at slack k. It is strictly tighter than the
+// probability that the tuple's lateness exceeds k: a tuple with event time
+// ts contributing to window [s, s+Size) is lost only if it is later than k
+// plus the gap between ts and the window's end — tuples early in a window
+// have the whole remaining window length as additional headroom. With windows every Slide, the gap of a uniformly
 // placed tuple takes the values (j+½)·Slide for j = 0..Size/Slide−1, so we
 // average P(L > k + gap) over them. The recall model's estimator averages
 // over a join's partner headroom instead (newLatenessEstimator).

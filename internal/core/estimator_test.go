@@ -19,6 +19,12 @@ func uniformEstimator(t *testing.T, spec window.Spec, agg window.Factory, maxLat
 	return e
 }
 
+// pLate is the estimated probability that a tuple's lateness exceeds k —
+// that a K-slack buffer with slack k would forward it as a straggler.
+func pLate(e *Estimator, k int64) float64 {
+	return e.lateness.FracsAbove(float64(k), []float64{0}, nil)[0]
+}
+
 func TestPLateMatchesDistribution(t *testing.T) {
 	e := uniformEstimator(t, window.Spec{Size: 10, Slide: 10}, window.Sum(), 100, 20000)
 	for _, c := range []struct {
@@ -27,7 +33,7 @@ func TestPLateMatchesDistribution(t *testing.T) {
 	}{
 		{0, 1}, {50, 0.5}, {90, 0.1}, {100, 0}, {1000, 0},
 	} {
-		if got := e.PLate(c.k); math.Abs(got-c.want) > 0.03 {
+		if got := pLate(e, c.k); math.Abs(got-c.want) > 0.03 {
 			t.Errorf("PLate(%d) = %v, want ~%v", c.k, got, c.want)
 		}
 	}
@@ -38,7 +44,7 @@ func TestPLossTighterThanPLate(t *testing.T) {
 	// be well below PLate.
 	e := uniformEstimator(t, window.Spec{Size: 200, Slide: 50}, window.Sum(), 100, 20000)
 	k := int64(20)
-	pLate, pLoss := e.PLate(k), e.PLoss(k)
+	pLate, pLoss := pLate(e, k), e.PLoss(k)
 	if pLoss >= pLate {
 		t.Fatalf("PLoss(%d)=%v not tighter than PLate=%v", k, pLoss, pLate)
 	}
@@ -182,7 +188,7 @@ func TestWindowCountFallbacks(t *testing.T) {
 func TestObserveTupleClampsNegativeLateness(t *testing.T) {
 	e := NewEstimator(window.Spec{Size: 10, Slide: 10}, window.Sum(), EstimatorConfig{Seed: 11})
 	e.ObserveTuple(-50, 1)
-	if got := e.PLate(0); got != 0 {
+	if got := pLate(e, 0); got != 0 {
 		t.Fatalf("negative lateness recorded: PLate(0) = %v", got)
 	}
 }
@@ -205,7 +211,15 @@ func bruteForceErr(e *Estimator, rng *stats.RNG, p float64, trials int) (mean, v
 		}
 		w.Add(relErrEst(thin.Value(), full.Value()))
 	}
-	return w.Mean(), w.SampleVar()
+	return w.Mean(), sampleVar(&w)
+}
+
+// sampleVar is w's unbiased sample variance.
+func sampleVar(w *stats.Welford) float64 {
+	if w.N() < 2 {
+		return 0
+	}
+	return w.Var() * float64(w.N()) / float64(w.N()-1)
 }
 
 // skewedEstimator holds a fixed reservoir of positive, heavy-tailed values
@@ -241,7 +255,7 @@ func TestLossCurveMatchesBruteForce(t *testing.T) {
 			want, variance := bruteForceErr(e, rng, p, curves*trials)
 			// Five standard errors of the difference, plus 2% for
 			// interpolating between grid probes.
-			se := math.Sqrt(got[i].SampleVar()/curves + variance/(curves*trials))
+			se := math.Sqrt(sampleVar(&got[i])/curves + variance/(curves*trials))
 			if tol := 5*se + 0.02*want; math.Abs(got[i].Mean()-want) > tol {
 				t.Errorf("%s p=%v: curve %.6g, brute force %.6g (tolerance %.2g)",
 					agg.Name, p, got[i].Mean(), want, tol)

@@ -15,7 +15,8 @@ import (
 // aggregate's, recallModel (NewAQJoin) the band join's.
 type qualityModel interface {
 	// feedback takes what the query's stage reported (buffer.FeedbackHandler)
-	// into the handler's realized error, before a due adaptation runs.
+	// into the handler's realized error, before a due adaptation runs: one
+	// AQKSlack.fold per report it takes in.
 	feedback(a *AQKSlack, fs []window.Final)
 	// budget returns the largest loss whose predicted error meets target,
 	// refreshing whatever the handler caches for the model.
@@ -33,18 +34,12 @@ type qualityModel interface {
 type lossModel struct{}
 
 // feedback takes each reported window's complete count into the estimator
-// and its relative error into the realized error.
+// and folds its relative error, known a feedback horizon past its end.
 func (lossModel) feedback(a *AQKSlack, fs []window.Final) {
 	for _, f := range fs {
 		a.est.ObserveWindowCount(f.N)
-		a.realized.add(relErrEst(f.Emitted, f.Full))
-		a.qstats.FinalizedWins++
-		if a.telem != nil {
-			a.telem.Finalized.Inc()
-			a.telem.RealizedErr.Set(a.realized.v)
-		}
 		_, end := a.cfg.Spec.Bounds(f.Idx)
-		a.tracer.QualitySample(int64(end+a.cfg.FeedbackHorizon), f.Idx, a.realized.v)
+		a.fold(end+a.cfg.FeedbackHorizon, f.Idx, relErrEst(f.Emitted, f.Full))
 	}
 }
 
@@ -126,9 +121,10 @@ func NewAQJoin(jc JoinConfig) *AQKSlack {
 	return newHandler(cfg, est, recallModel{jc.Recall, float64(jc.Streams)})
 }
 
-// feedback folds the pairs emitted and missed since the last adaptation into
-// the realized miss rate when one is due: the stage reports cumulative
-// counts, as they stood before the due item's releases.
+// feedback folds the miss rate of the pairs emitted and missed since the
+// last adaptation when one is due: the stage reports cumulative counts, as
+// they stood before the due item's releases. The sample is numbered by the
+// reports folded before it and stamped with the buffer's clock.
 func (recallModel) feedback(a *AQKSlack, fs []window.Final) {
 	if !a.due || len(fs) == 0 {
 		return
@@ -137,7 +133,7 @@ func (recallModel) feedback(a *AQKSlack, fs []window.Final) {
 	emitted, total := cur.Emitted-a.seen.Emitted, cur.Full-a.seen.Full
 	a.seen = cur
 	if total > 0 {
-		a.realized.add((total - emitted) / total)
+		a.fold(a.buf.Clock(), a.qstats.FinalizedWins, (total-emitted)/total)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"repro/internal/cq"
 	"repro/internal/join"
 	"repro/internal/metrics"
+	"repro/internal/obs"
+	"repro/internal/obs/tracez"
 	"repro/internal/stream"
 )
 
@@ -97,5 +99,40 @@ func TestAQJoinFeedbackClosesTheLoop(t *testing.T) {
 	}
 	if len(open.Trace()) < 100 || !slices.Equal(open.Trace(), model.Trace()) {
 		t.Errorf("open loop decided differently from ModeModelOnly over %d adaptations", len(open.Trace()))
+	}
+}
+
+// TestAQJoinTracedRecordsQuality: behind a join query, a traced and
+// instrumented recall handler records one flight-recorder quality sample and
+// one finalized count per report it folds, as the loss model does per window.
+func TestAQJoinTracedRecordsQuality(t *testing.T) {
+	all, _, _ := core.TwoStreams(8000, 31)
+	cfg := join.Config{Band: 500, RetainFor: 60 * stream.Second}
+	aq := core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: cfg.Band})
+	rec := tracez.NewRecorder(1 << 14)
+	aq.TraceTo(tracez.New(rec, "join"))
+	reg := obs.NewRegistry()
+	tel := core.NewTelemetry(reg, "join")
+	aq.Instrument(tel)
+	runJoinQuery(t, aq, cfg, all)
+
+	var samples []tracez.Event
+	for _, ev := range rec.Events() {
+		if ev.Kind == tracez.KindQuality {
+			samples = append(samples, ev)
+		}
+	}
+	folded := aq.Quality().FinalizedWins
+	if folded == 0 || int64(len(samples)) != folded || tel.Finalized.Value() != float64(folded) {
+		t.Fatalf("folded %d reports, recorded %d quality samples, counted %v finalized: want one each, and some",
+			folded, len(samples), tel.Finalized.Value())
+	}
+	for i, ev := range samples {
+		if ev.Win != int64(i) || ev.V < 0 || ev.V > 1 {
+			t.Fatalf("quality sample %d = %+v: want report %d with a miss rate in [0, 1]", i, ev, i)
+		}
+	}
+	if last := samples[len(samples)-1].V; last != aq.Quality().RealizedErrEWMA {
+		t.Fatalf("last sample %v, realized miss-rate EWMA %v", last, aq.Quality().RealizedErrEWMA)
 	}
 }

@@ -147,13 +147,10 @@ func (a *AQKSlack) Restore(st AQState) error {
 	return nil
 }
 
-// Theta returns the configured quality bound — for the recall model the miss
-// budget 1 − Recall. Recovery validation uses it to check a snapshot is being
-// restored into an identically-bounded query.
-func (a *AQKSlack) Theta() float64 { return a.cfg.Theta }
-
-// Recall returns the recall target of a handler NewAQJoin built, and 0 for
-// the loss model's. It tells a recall handler's snapshots from the other's.
+// Recall implements buffer.FeedbackHandler: the recall target of a handler
+// NewAQJoin built, and 0 for the loss model's. The executor refuses a handler
+// whose model does not fit its query by it, and it tells a recall handler's
+// snapshots from the other's.
 func (a *AQKSlack) Recall() float64 {
 	if m, ok := a.model.(recallModel); ok {
 		return m.recall

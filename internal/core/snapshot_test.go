@@ -10,7 +10,7 @@ import (
 )
 
 func TestPIStateContinuation(t *testing.T) {
-	a := DefaultPI()
+	a := aggressivePI()
 	for i := 0; i < 50; i++ {
 		a.Update(float64(i%7-3) * 0.8) // drive through clamps and sign flips
 	}
@@ -22,7 +22,7 @@ func TestPIStateContinuation(t *testing.T) {
 			t.Fatalf("factor diverged at step %d: %v vs %v", i, fa, fb)
 		}
 	}
-	if a.Clamps() != b.Clamps() || a.Integral() != b.Integral() || a.LastFactor() != b.LastFactor() {
+	if a.Clamps() != b.Clamps() || a.integral != b.integral || a.lastFactor != b.lastFactor || a.hasOutput != b.hasOutput {
 		t.Fatalf("controller internals diverged: %+v vs %+v", a.State(), b.State())
 	}
 }
@@ -169,8 +169,8 @@ func TestAQKSlackStateContinuation(t *testing.T) {
 			t.Fatalf("adaptation %d after the cut diverged: %+v vs %+v", i, trA[i], trB[i])
 		}
 	}
-	if b.Theta() != 0.02 {
-		t.Fatalf("theta accessor: got %v", b.Theta())
+	if b.cfg.Theta != 0.02 {
+		t.Fatalf("restored theta: got %v", b.cfg.Theta)
 	}
 }
 

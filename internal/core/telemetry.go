@@ -15,7 +15,7 @@ import (
 type Telemetry struct {
 	Adaptations *obs.Counter // adaptation steps taken
 	PIClamps    *obs.Counter // PI outputs that hit the factor clamp
-	Finalized   *obs.Counter // windows whose realized error became known
+	Finalized   *obs.Counter // windows (a join: reports) whose realized error became known
 	EstErr      *obs.Gauge   // model-estimated relative error at the chosen K
 	RealizedErr *obs.Gauge   // realized relative-error EWMA
 	PIFactor    *obs.Gauge   // last PI correction factor

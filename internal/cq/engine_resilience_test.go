@@ -18,6 +18,11 @@ import (
 	"repro/internal/window"
 )
 
+// errFuncSource adapts a function to the stream.ErrSource interface.
+type errFuncSource func() (stream.Item, bool, error)
+
+func (f errFuncSource) NextErr() (stream.Item, bool, error) { return f() }
+
 // panicHandler panics on the (after+1)-th Insert.
 type panicHandler struct {
 	buffer.Handler
@@ -147,7 +152,7 @@ func TestRunConcurrentSourceError(t *testing.T) {
 	boom := errors.New("upstream gone")
 	mkSrc := func(transientFails int) stream.ErrSource {
 		n, fails := 0, 0
-		return stream.ErrFuncSource(func() (stream.Item, bool, error) {
+		return errFuncSource(func() (stream.Item, bool, error) {
 			if n >= 200 {
 				if transientFails < 0 {
 					return stream.Item{}, false, boom // permanent failure mid-stream
@@ -237,7 +242,7 @@ func TestChaosPipeline(t *testing.T) {
 	eof := make(chan struct{})
 	var eofOnce sync.Once
 	var delivered []stream.Tuple
-	src := resilience.NewRetryingSource(context.Background(), stream.ErrFuncSource(func() (stream.Item, bool, error) {
+	src := resilience.NewRetryingSource(context.Background(), errFuncSource(func() (stream.Item, bool, error) {
 		it, ok, err := fs.NextErr()
 		if err == nil && !ok {
 			eofOnce.Do(func() { close(eof) })
@@ -298,7 +303,7 @@ func TestDriversLeakNoGoroutines(t *testing.T) {
 	boom := errors.New("upstream gone")
 	failing := func() stream.ErrSource { // fails mid-batch, mid-stream
 		n := 0
-		return stream.ErrFuncSource(func() (stream.Item, bool, error) {
+		return errFuncSource(func() (stream.Item, bool, error) {
 			if n == 1234 {
 				return stream.Item{}, false, boom
 			}
@@ -308,7 +313,7 @@ func TestDriversLeakNoGoroutines(t *testing.T) {
 	}
 	endless := func() stream.ErrSource {
 		n := 0
-		return stream.ErrFuncSource(func() (stream.Item, bool, error) {
+		return errFuncSource(func() (stream.Item, bool, error) {
 			n++
 			ts := stream.Time(n * 10)
 			return stream.DataItem(stream.Tuple{TS: ts, Arrival: ts, Seq: uint64(n)}), true, nil
@@ -316,7 +321,7 @@ func TestDriversLeakNoGoroutines(t *testing.T) {
 	}
 	panicking := func() stream.ErrSource { // panics mid-batch, mid-stream
 		n := 0
-		return stream.ErrFuncSource(func() (stream.Item, bool, error) {
+		return errFuncSource(func() (stream.Item, bool, error) {
 			if n == 1234 {
 				panic("source exploded")
 			}

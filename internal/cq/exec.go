@@ -149,11 +149,10 @@ type windowStage interface {
 
 // NewExec builds the step core for a query that has no source of its own:
 // the caller is the driver and feeds Step. Results reach sink (may be nil;
-// a grouped query's sink sees the Result embedded in each KeyedResult, its
-// SinkKeyed callback the whole of it) from inside Step, Resume and Finish,
-// on the caller's goroutine. A Durable query whose log holds prior state
-// comes back with the snapshot restored and the journal suffix pending.
-// Replaying it — duplicates suppressed, the rest delivered to sink like live
+// a grouped query's sink sees the Result embedded in each KeyedResult) from
+// inside Step, Resume and Finish, on the caller's goroutine. A Durable query
+// whose log holds prior state comes back with the snapshot restored and the
+// journal suffix pending. Replaying it — duplicates suppressed, the rest delivered to sink like live
 // results — is Resume: a driver with a panic policy calls it under that
 // policy before the first Step; otherwise the first Step or Finish does.
 func NewExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
@@ -181,7 +180,7 @@ func newExec(q *AggQuery, sink func(window.Result)) (*Exec, error) {
 	if fb, ok := x.handler.(buffer.FeedbackHandler); ok && fb.FeedbackHorizon() > 0 {
 		// The handler reads its stage's reports by its quality model: a
 		// join's pair counts by the recall model, window finals by the other.
-		if m, ok := fb.(interface{ Recall() float64 }); ok && (m.Recall() > 0) != (q.join != nil) {
+		if (fb.Recall() > 0) != (q.join != nil) {
 			return nil, fmt.Errorf("cq: %s cannot take this query's feedback: a join query needs core.NewAQJoin, a window query core.NewAQKSlack", fb)
 		}
 		x.fb = fb
@@ -842,9 +841,9 @@ func (p plainStage) finals(out []window.Final) []window.Final { return p.s.op.Fi
 
 // keyedStage is the grouped window stage: one window.KeyedOp, whose results
 // — in its canonical order, by window and then by key — are delivered like
-// the plain stage's: report, telemetry, tracer, SinkKeyed, and the plain
-// sink with the embedded Result. (Durable refuses grouped queries, so there
-// is no emission floor to apply.) The operator appends straight to the
+// the plain stage's: report, telemetry, tracer, and the sink with the
+// embedded Result. (Durable refuses grouped queries, so there is no
+// emission floor to apply.) The operator appends straight to the
 // report; under DiscardReport, to a scratch slice instead.
 type keyedStage struct {
 	s       *Stage
@@ -889,9 +888,6 @@ func (k *keyedStage) emit() {
 		s.emitted++
 		s.q.telem.noteResult(kr.Result, s.flushing)
 		s.q.tracer.Emit(int64(kr.EmitArrival), kr.Idx, int64(kr.Start), int64(kr.End), kr.Key, kr.Count, int64(kr.Latency()))
-		if s.q.keyedSink != nil {
-			s.q.keyedSink(kr)
-		}
 		if s.sink != nil {
 			s.sink(kr.Result)
 		}

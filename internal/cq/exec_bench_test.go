@@ -66,7 +66,7 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := gen.Sensor(240_000, 11)
 			cfg.Delays = delay.Exponential{MeanD: 100}
-			pool := stream.Collect(cfg.Source())
+			pool := collect(cfg.Source())
 			span := stream.Time(len(pool)) * cfg.Interval
 
 			results := 0
@@ -206,7 +206,7 @@ func BenchmarkExecStepAdaptive(b *testing.B) {
 		After:  burst(delay.ParetoWithMean(600, 1.8)),
 		At:     span / 2,
 	}
-	pool := stream.Collect(cfg.Source())
+	pool := collect(cfg.Source())
 	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
 	for _, bc := range []struct {
 		name    string

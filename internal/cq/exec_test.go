@@ -21,10 +21,22 @@ import (
 	"repro/internal/window"
 )
 
+// collect drains a source into a slice of items.
+func collect(s stream.Source) []stream.Item {
+	var out []stream.Item
+	for {
+		it, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, it)
+	}
+}
+
 // execItems is a disordered sensor stream with heartbeats: both item kinds
 // move the arrival clock.
 func execItems(n int, seed uint64) []stream.Item {
-	return stream.Collect(stream.NewWithHeartbeats(gen.Sensor(n, seed).Source(), stream.Second))
+	return collect(stream.NewWithHeartbeats(gen.Sensor(n, seed).Source(), stream.Second))
 }
 
 // stepAll feeds items to x in batches whose sizes rng draws from [1, max]

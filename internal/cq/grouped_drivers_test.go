@@ -57,9 +57,9 @@ func assertKeyedReportsEqual(t *testing.T, label string, sync, conc *AggReport) 
 //
 //   - RunConcurrent, report retained: the report equals Run's field for
 //     field — what the shard merger used to have to reconstruct.
-//   - RunConcurrent with SinkKeyed, a plain sink and DiscardReport: SinkKeyed
-//     sees Run's Keyed sequence in Run's order, the plain sink the embedded
-//     Results, Keyed stays empty and PreFlush is still counted.
+//   - RunConcurrent with a sink and DiscardReport: the sink sees the Results
+//     embedded in Run's Keyed sequence, in Run's order, Keyed stays empty and
+//     PreFlush is still counted.
 //   - A stepped NewExec fed batch items per Step: the same report again,
 //     with nothing but the caller's goroutine involved.
 func assertGroupedDriversMatchRun(t *testing.T, build func(src stream.Source) *AggQuery, items []stream.Item, batch int) {
@@ -80,10 +80,8 @@ func assertGroupedDriversMatchRun(t *testing.T, build func(src stream.Source) *A
 	}
 	assertKeyedReportsEqual(t, label+"/RunConcurrent", syncRep, concRep)
 
-	var sunk []window.KeyedResult
 	var plain []window.Result
 	discRep, err := build(stream.NewSliceSource(items)).Batch(batch).
-		SinkKeyed(func(kr window.KeyedResult) { sunk = append(sunk, kr) }).
 		DiscardReport().
 		RunConcurrent(context.Background(), func(r window.Result) { plain = append(plain, r) })
 	if err != nil {
@@ -94,9 +92,6 @@ func assertGroupedDriversMatchRun(t *testing.T, build func(src stream.Source) *A
 	}
 	if discRep.PreFlush != syncRep.PreFlush {
 		t.Fatalf("%s: DiscardReport PreFlush = %d, Run produced %d", label, discRep.PreFlush, syncRep.PreFlush)
-	}
-	if !reflect.DeepEqual(sunk, syncRep.Keyed) {
-		t.Fatalf("%s: SinkKeyed saw %d results in another order or with other values than Run's %d", label, len(sunk), len(syncRep.Keyed))
 	}
 	for i, r := range plain {
 		if r != syncRep.Keyed[i].Result {
@@ -136,7 +131,7 @@ func TestShardedRunConcurrentMatchesRun(t *testing.T) {
 	for _, seed := range []uint64{61, 62, 63} {
 		cfg := gen.Sensor(12000, seed)
 		cfg.NumKeys = 64
-		items := stream.Collect(cfg.Source())
+		items := collect(cfg.Source())
 		build := func(src stream.Source) *AggQuery {
 			return New(src).
 				Handle(buffer.NewKSlack(200)).
@@ -156,7 +151,7 @@ func TestShardedRunConcurrentMatchesRun(t *testing.T) {
 func TestShardedMatchesRunAQHandler(t *testing.T) {
 	cfg := gen.Sensor(15000, 71)
 	cfg.NumKeys = 48
-	items := stream.Collect(cfg.Source())
+	items := collect(cfg.Source())
 	spec := testSpec
 	agg := window.Sum()
 	build := func(src stream.Source) *AggQuery {
@@ -256,14 +251,13 @@ func TestDiscardReport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sunk []window.KeyedResult
+	var sunk []window.Result
 	disc, err := New(stream.FromTuples(tuples)).
 		Handle(buffer.NewKSlack(200)).
 		Window(testSpec, window.Sum()).
 		GroupBy().
-		SinkKeyed(func(kr window.KeyedResult) { sunk = append(sunk, kr) }).
 		DiscardReport().
-		RunConcurrent(context.Background(), nil)
+		RunConcurrent(context.Background(), func(r window.Result) { sunk = append(sunk, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +269,8 @@ func TestDiscardReport(t *testing.T) {
 		t.Fatalf("sink saw %d results, full report has %d", len(sunk), len(full.Keyed))
 	}
 	for i := range sunk {
-		if sunk[i] != full.Keyed[i] {
-			t.Fatalf("sunk result %d = %+v, want %+v", i, sunk[i], full.Keyed[i])
+		if sunk[i] != full.Keyed[i].Result {
+			t.Fatalf("sunk result %d = %+v, want %+v", i, sunk[i], full.Keyed[i].Result)
 		}
 	}
 }

@@ -79,8 +79,7 @@ func TestGroupedRunConcurrent(t *testing.T) {
 		Handle(buffer.NewKSlack(200)).
 		Window(testSpec, window.Sum()).
 		GroupBy().
-		SinkKeyed(func(window.KeyedResult) { sunk++ }).
-		RunConcurrent(context.Background(), nil)
+		RunConcurrent(context.Background(), func(window.Result) { sunk++ })
 	if err != nil {
 		t.Fatal(err)
 	}

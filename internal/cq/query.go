@@ -54,7 +54,6 @@ type AggQuery struct {
 	retry      *resilience.Retry
 	clock      resilience.Clock
 	batchSize  int
-	keyedSink  func(window.KeyedResult)
 	discardRep bool
 	telem      *Telemetry
 	tracer     *tracez.Tracer
@@ -144,22 +143,11 @@ func (q *AggQuery) Batch(n int) *AggQuery {
 	return q
 }
 
-// SinkKeyed registers a per-result callback for grouped queries run with
-// RunConcurrent or stepped through NewExec: it receives each
-// window.KeyedResult (key included) in emission order — Run's Keyed order —
-// from the stepping goroutine, ahead of any plain sink, which sees just
-// the embedded Result. Run ignores it (its report is the output).
-func (q *AggQuery) SinkKeyed(f func(window.KeyedResult)) *AggQuery {
-	q.keyedSink = f
-	return q
-}
-
 // DiscardReport makes the executor drop results from the AggReport after
-// delivering them to the sinks: Results/Keyed stay empty while
-// Sink/SinkKeyed still see every result in order. PreFlush still counts
-// the progress-emitted results (it is a counter, not a slice), grouped or
-// not. Long-running deployments need
-// this — a continuous query that never ends would otherwise accumulate its
+// delivering them to the sink: Results/Keyed stay empty while the sink
+// still sees every result in order. PreFlush still counts the
+// progress-emitted results (it is a counter, not a slice), grouped or not.
+// Long-running deployments need this — a continuous query that never ends would otherwise accumulate its
 // whole output in memory. Run ignores it (its report is the output).
 func (q *AggQuery) DiscardReport() *AggQuery {
 	q.discardRep = true
@@ -317,10 +305,10 @@ func (q *AggQuery) Run() (*AggReport, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	// The report is the output: SinkKeyed and DiscardReport apply to the
-	// concurrent drivers only.
+	// The report is the output: DiscardReport applies to the concurrent
+	// drivers only.
 	hq := *q
-	hq.keyedSink, hq.discardRep = nil, false
+	hq.discardRep = false
 	x, err := newExec(&hq, nil)
 	if err != nil {
 		return nil, err

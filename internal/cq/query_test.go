@@ -225,3 +225,23 @@ func TestFeedbackHandlerMatchesStage(t *testing.T) {
 		t.Error("a window query took the recall model's handler")
 	}
 }
+
+// wrappedFeedback is a handler wrapper that embeds the feedback protocol, as
+// a test harness's release hasher does: the model check sees through it.
+type wrappedFeedback struct{ buffer.FeedbackHandler }
+
+func TestFeedbackHandlerMatchesStageThroughWrapper(t *testing.T) {
+	cfg := join.Config{Band: 10}
+	src := gen.Config{N: 1, Seed: 1}.Source()
+	loss := wrappedFeedback{core.NewAQKSlack(core.Config{Theta: 0.01, Spec: testSpec, Agg: window.Sum()})}
+	if _, err := NewJoin(src, src, cfg).Handle(loss).Run(); err == nil {
+		t.Error("a join query took a wrapped loss-model handler")
+	}
+	recall := wrappedFeedback{core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: cfg.Band})}
+	if _, err := NewJoin(src, src, cfg).Handle(recall).Run(); err != nil {
+		t.Errorf("a join query refused a wrapped recall-model handler: %v", err)
+	}
+	if _, err := NewExec(New(nil).Handle(recall).Window(testSpec, window.Sum()), nil); err == nil {
+		t.Error("a window query took a wrapped recall-model handler")
+	}
+}

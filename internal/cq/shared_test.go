@@ -154,10 +154,15 @@ func TestRunSharedShedOldestKeepsAccountingInvariant(t *testing.T) {
 	}
 }
 
+// errFuncSource adapts a function to the stream.ErrSource interface.
+type errFuncSource func() (stream.Item, bool, error)
+
+func (f errFuncSource) NextErr() (stream.Item, bool, error) { return f() }
+
 func TestRunSharedProducerFailureReachesEveryQuery(t *testing.T) {
 	cause := errors.New("socket reset")
 	n := 0
-	src := stream.ErrFuncSource(func() (stream.Item, bool, error) {
+	src := errFuncSource(func() (stream.Item, bool, error) {
 		if n >= 1000 {
 			return stream.Item{}, false, cause
 		}

@@ -95,19 +95,14 @@ func (q Query) Tuples(n int, seed uint64) ([]stream.Tuple, error) {
 	return c.Arrivals(), nil
 }
 
-// Run executes the query end to end: n generated tuples (or the trace),
-// the requested handler, the requested window shape. KeepInput is always
-// set so callers can compute quality against the oracle.
-func (q Query) Run(n int, seed uint64) (*cq.AggReport, error) {
-	return q.RunTraced(n, seed, nil)
-}
-
-// RunTraced is Run with an optional tracez event tracer attached to the
-// execution: buffer activity, controller decisions and window emissions
-// land in tr's flight recorder (cqlsh -trace exports it as a Chrome
-// trace). A nil tr runs untraced. Note this is event tracing over the
-// pipeline, unrelated to the trace('file.csv') CQL source, which replays
-// a recorded tuple stream as input.
+// RunTraced executes the query end to end: n generated tuples (or the
+// trace), the requested handler, the requested window shape. KeepInput is
+// always set so callers can compute quality against the oracle. A non-nil
+// tr is a tracez event tracer attached to the execution: buffer activity,
+// controller decisions and window emissions land in its flight recorder
+// (cqlsh -trace exports it as a Chrome trace). Note this is event tracing
+// over the pipeline, unrelated to the trace('file.csv') CQL source, which
+// replays a recorded tuple stream as input.
 func (q Query) RunTraced(n int, seed uint64, tr *tracez.Tracer) (*cq.AggReport, error) {
 	tuples, err := q.Tuples(n, seed)
 	if err != nil {

@@ -168,7 +168,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := q.Run(20000, 7)
+	rep, err := q.RunTraced(20000, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRunGroupedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := q.Run(10000, 8)
+	rep, err := q.RunTraced(10000, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestRunPunctuatedIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := q.Run(10000, 9)
+	rep, err := q.RunTraced(10000, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRunUnknownSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Run(100, 1); err == nil {
+	if _, err := q.RunTraced(100, 1, nil); err == nil {
 		t.Fatal("unknown source accepted at run time")
 	}
 }
@@ -227,7 +227,7 @@ func TestRunTraceMissingFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Run(100, 1); err == nil {
+	if _, err := q.RunTraced(100, 1, nil); err == nil {
 		t.Fatal("missing trace accepted")
 	}
 }

@@ -20,7 +20,7 @@ import (
 // Model generates a transport delay for a tuple with event time at.
 // Implementations must return a non-negative delay and must be
 // deterministic given the RNG state. The event time parameter lets
-// time-varying models (Step, Ramp, Burst) change behaviour over the
+// time-varying models (Step, Burst) change behaviour over the
 // stream's lifetime.
 type Model interface {
 	// Delay returns the delay, in stream-time units, experienced by a
@@ -137,48 +137,6 @@ func ParetoWithMean(mean, alpha float64) Pareto {
 	return Pareto{Xm: mean * (alpha - 1) / alpha, Alpha: alpha}
 }
 
-// Gamma draws delays from a Gamma distribution with the given shape K and
-// scale Theta, a common fit for end-to-end latencies composed of several
-// queueing stages. Sampling uses the Marsaglia–Tsang method.
-type Gamma struct{ K, Theta float64 }
-
-// Delay implements Model.
-func (g Gamma) Delay(_ int64, rng *stats.RNG) float64 {
-	return sampleGamma(g.K, rng) * g.Theta
-}
-
-// Mean implements Model.
-func (g Gamma) Mean() float64 { return g.K * g.Theta }
-
-func (g Gamma) String() string { return fmt.Sprintf("gamma(k=%g,theta=%g)", g.K, g.Theta) }
-
-// sampleGamma draws from Gamma(k, 1) via Marsaglia & Tsang (2000), with the
-// standard boost for k < 1.
-func sampleGamma(k float64, rng *stats.RNG) float64 {
-	if k < 1 {
-		// Gamma(k) = Gamma(k+1) * U^(1/k)
-		u := 1 - rng.Float64()
-		return sampleGamma(k+1, rng) * math.Pow(u, 1/k)
-	}
-	d := k - 1.0/3
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := 1 - rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
 // Mixture draws from one of several component models, chosen with the given
 // weights. It models bimodal networks (e.g. a fast path plus an occasional
 // slow retransmission path).
@@ -252,35 +210,6 @@ func (s Step) String() string {
 	return fmt.Sprintf("step(%v -> %v @%d)", s.Before, s.After, s.At)
 }
 
-// Ramp scales the Base model's delay by a factor that moves linearly from
-// 1 to Factor between event times Start and End, modelling gradual
-// congestion build-up.
-type Ramp struct {
-	Base       Model
-	Factor     float64
-	Start, End int64
-}
-
-// Delay implements Model.
-func (r Ramp) Delay(at int64, rng *stats.RNG) float64 {
-	f := 1.0
-	switch {
-	case at >= r.End:
-		f = r.Factor
-	case at > r.Start:
-		frac := float64(at-r.Start) / float64(r.End-r.Start)
-		f = 1 + (r.Factor-1)*frac
-	}
-	return r.Base.Delay(at, rng) * f
-}
-
-// Mean implements Model (the unscaled mean, per the time-0 convention).
-func (r Ramp) Mean() float64 { return r.Base.Mean() }
-
-func (r Ramp) String() string {
-	return fmt.Sprintf("ramp(%v x%g over [%d,%d])", r.Base, r.Factor, r.Start, r.End)
-}
-
 // Burst multiplies the Base model's delay by Factor during periodic bursts:
 // within each Period-long cycle, the first BurstLen time units are bursty.
 // It models periodic congestion (e.g. batch jobs sharing the link).
@@ -320,19 +249,3 @@ func (b Burst) Mean() float64 {
 func (b Burst) String() string {
 	return fmt.Sprintf("burst(%v x%g %d/%d)", b.Base, b.Factor, b.BurstLen, b.Period)
 }
-
-// Scaled multiplies a base model's delays by a constant factor.
-type Scaled struct {
-	Base   Model
-	Factor float64
-}
-
-// Delay implements Model.
-func (s Scaled) Delay(at int64, rng *stats.RNG) float64 {
-	return s.Base.Delay(at, rng) * s.Factor
-}
-
-// Mean implements Model.
-func (s Scaled) Mean() float64 { return s.Base.Mean() * s.Factor }
-
-func (s Scaled) String() string { return fmt.Sprintf("scaled(%v x%g)", s.Base, s.Factor) }

@@ -110,15 +110,6 @@ func TestParetoWithMean(t *testing.T) {
 	ParetoWithMean(50, 1)
 }
 
-func TestGammaMean(t *testing.T) {
-	for _, g := range []Gamma{{K: 2, Theta: 10}, {K: 0.5, Theta: 40}, {K: 9, Theta: 3}} {
-		m := sampleMean(t, g, 0, 200000, 11)
-		if math.Abs(m-g.Mean()) > 0.03*g.Mean()+0.5 {
-			t.Errorf("%v sample mean %v, want ~%v", g, m, g.Mean())
-		}
-	}
-}
-
 func TestMixture(t *testing.T) {
 	m := NewMixture(
 		[]float64{0.9, 0.1},
@@ -166,23 +157,6 @@ func TestStepSwitchesAtBoundary(t *testing.T) {
 	}
 }
 
-func TestRampInterpolates(t *testing.T) {
-	r := Ramp{Base: Constant{D: 10}, Factor: 3, Start: 0, End: 100}
-	rng := stats.NewRNG(19)
-	if d := r.Delay(0, rng); d != 10 {
-		t.Fatalf("ramp at start: %v, want 10", d)
-	}
-	if d := r.Delay(50, rng); math.Abs(d-20) > 1e-9 {
-		t.Fatalf("ramp midway: %v, want 20", d)
-	}
-	if d := r.Delay(100, rng); d != 30 {
-		t.Fatalf("ramp at end: %v, want 30", d)
-	}
-	if d := r.Delay(1000, rng); d != 30 {
-		t.Fatalf("ramp after end: %v, want 30", d)
-	}
-}
-
 func TestBurstPeriodicity(t *testing.T) {
 	b := Burst{Base: Constant{D: 10}, Factor: 5, Period: 100, BurstLen: 20}
 	rng := stats.NewRNG(23)
@@ -212,26 +186,13 @@ func TestBurstZeroPeriod(t *testing.T) {
 	}
 }
 
-func TestScaled(t *testing.T) {
-	s := Scaled{Base: Constant{D: 4}, Factor: 2.5}
-	rng := stats.NewRNG(31)
-	if d := s.Delay(0, rng); d != 10 {
-		t.Fatalf("scaled delay = %v, want 10", d)
-	}
-	if s.Mean() != 10 {
-		t.Fatalf("scaled mean = %v, want 10", s.Mean())
-	}
-}
-
 func TestAllModelsNonNegative(t *testing.T) {
 	models := []Model{
 		Zero{}, Constant{D: 3}, Uniform{Lo: 0, Hi: 5}, Exponential{MeanD: 10},
-		Normal{Mu: 2, Sigma: 5}, Pareto{Xm: 1, Alpha: 1.5}, Gamma{K: 0.7, Theta: 8},
+		Normal{Mu: 2, Sigma: 5}, Pareto{Xm: 1, Alpha: 1.5},
 		NewMixture([]float64{1, 1}, []Model{Exponential{MeanD: 1}, Pareto{Xm: 1, Alpha: 2}}),
 		Step{Before: Exponential{MeanD: 1}, After: Exponential{MeanD: 10}, At: 50},
-		Ramp{Base: Exponential{MeanD: 1}, Factor: 4, Start: 0, End: 100},
 		Burst{Base: Exponential{MeanD: 1}, Factor: 10, Period: 50, BurstLen: 10},
-		Scaled{Base: Exponential{MeanD: 1}, Factor: 3},
 	}
 	rng := stats.NewRNG(37)
 	f := func(atRaw uint16) bool {
@@ -251,12 +212,10 @@ func TestAllModelsNonNegative(t *testing.T) {
 func TestModelStringsNonEmpty(t *testing.T) {
 	models := []Model{
 		Zero{}, Constant{D: 3}, Uniform{Lo: 0, Hi: 5}, Exponential{MeanD: 10},
-		Normal{Mu: 2, Sigma: 5}, Pareto{Xm: 1, Alpha: 1.5}, Gamma{K: 0.7, Theta: 8},
+		Normal{Mu: 2, Sigma: 5}, Pareto{Xm: 1, Alpha: 1.5},
 		NewMixture([]float64{1}, []Model{Zero{}}),
 		Step{Before: Zero{}, After: Zero{}, At: 1},
-		Ramp{Base: Zero{}, Factor: 2, Start: 0, End: 1},
 		Burst{Base: Zero{}, Factor: 2, Period: 10, BurstLen: 1},
-		Scaled{Base: Zero{}, Factor: 2},
 	}
 	for _, m := range models {
 		if m.String() == "" {

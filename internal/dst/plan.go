@@ -123,11 +123,6 @@ type ChaosPlan struct {
 	CutAfter  int64   `json:"cut_after,omitempty"`
 }
 
-// enabled reports whether any fault is configured.
-func (c ChaosPlan) enabled() bool {
-	return c.ErrRate > 0 || c.StallRate > 0 || c.DupRate > 0 || c.SpikeRate > 0 || c.CutAfter > 0
-}
-
 // chaos materializes the resilience config; the fault RNG is seeded from
 // the plan seed so the schedule replays.
 func (p Plan) chaos() resilience.Chaos {

@@ -213,7 +213,7 @@ func TestBatchesAcrossSegmentsRecoverWhateverTheCut(t *testing.T) {
 				snap = &Snapshot{Records: records, Items: n}
 			}
 		}
-		records := l.Records()
+		records := l.w.records
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -295,8 +295,8 @@ func TestLongBatchSplitsAcrossRecords(t *testing.T) {
 	if err := l.AppendItems(items); err != nil {
 		t.Fatal(err)
 	}
-	if l.Records() != 2 || l.Items() != uint64(len(items)) {
-		t.Fatalf("records/items %d/%d, want 2/%d", l.Records(), l.Items(), len(items))
+	if l.w.records != 2 || l.w.items != uint64(len(items)) {
+		t.Fatalf("records/items %d/%d, want 2/%d", l.w.records, l.w.items, len(items))
 	}
 	l.Close()
 	l = mustOpen(t, Options{Dir: dir})
@@ -361,22 +361,22 @@ func TestTakeRecoveryClearsPending(t *testing.T) {
 	}
 }
 
-// Sync makes buffered writes durable even past an Abandon — the property
-// the executors rely on when they fsync at a snapshot cut.
+// A snapshot cut makes buffered writes durable even past an Abandon — the
+// property the executors rely on when they fsync at a snapshot cut.
 func TestSyncSurvivesAbandon(t *testing.T) {
 	dir := t.TempDir()
 	items := testItems(50)
 	l := mustOpen(t, Options{Dir: dir, CommitEvery: 1 << 20}) // never auto-commit
 	appendAll(t, l, items)
-	if err := l.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
+	if _, _, err := l.CutForSnapshot(); err != nil {
+		t.Fatalf("CutForSnapshot: %v", err)
 	}
 	l.Abandon()
 
 	l = mustOpen(t, Options{Dir: dir})
 	defer l.Close()
 	if got := len(l.Recovery().Suffix); got != len(items) {
-		t.Fatalf("recovered %d items after Sync+Abandon, want %d", got, len(items))
+		t.Fatalf("recovered %d items after a cut and Abandon, want %d", got, len(items))
 	}
 }
 

@@ -158,20 +158,6 @@ func (l *QueryLog) TakeRecovery() *Recovery {
 	return r
 }
 
-// Records returns the total journal record count.
-func (l *QueryLog) Records() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.records
-}
-
-// Items returns the total journal item count.
-func (l *QueryLog) Items() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.items
-}
-
 // AppendItems journals a batch of accepted items (post-shedding) under one
 // lock, as one batch record (or several, past maxBatchItems), so that a torn
 // write loses the batch whole. The group-commit rule is applied once, at the
@@ -234,14 +220,6 @@ func (l *QueryLog) commitLocked() error {
 	}
 	l.opts.Metrics.noteCommit()
 	return nil
-}
-
-// Sync flushes and fsyncs the journal.
-func (l *QueryLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.sinceCommit = 0
-	return l.w.sync()
 }
 
 // ShouldSnapshot reports whether the automatic snapshot cadence is due.

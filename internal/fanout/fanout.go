@@ -68,7 +68,7 @@ func (p Policy) String() string {
 	return "block"
 }
 
-// ErrClosed is returned by Publish after Close or Fail.
+// ErrClosed is returned by Publish after Close or a failed Pump.
 var ErrClosed = errors.New("fanout: broadcast closed")
 
 // batch is one published ring entry. Batches are immutable once stored:
@@ -186,7 +186,7 @@ type Options struct {
 }
 
 // Broadcast is the single-producer multi-consumer ring. Publish, Close
-// and Fail must be called from one goroutine (the producer); Subscribe
+// and Pump must be called from one goroutine (the producer); Subscribe
 // may be called from anywhere but only before the first Publish;
 // consumer methods are safe concurrently with the producer.
 type Broadcast struct {
@@ -195,7 +195,7 @@ type Broadcast struct {
 
 	next   int64 // producer-owned: next sequence to publish
 	cum    int64 // producer-owned: cumulative data tuples published
-	closed bool  // producer-owned: Close/Fail happened
+	closed bool  // producer-owned: the end-of-stream marker was published
 
 	// pubCum mirrors cum for concurrent readers (queue-depth gauges).
 	pubCum atomic.Int64
@@ -245,7 +245,8 @@ func New(o Options) *Broadcast {
 // position). Call before the first Publish.
 func (b *Broadcast) Trace(tr *tracez.Tracer) { b.tracer = tr }
 
-// Subscribe registers a consumer under the given policy. It must be
+// Subscribe registers a consumer under the given policy; name is the
+// caller's label for it, which the ring does not keep. It must be
 // called before the first Publish — a late subscriber would miss a
 // prefix of the stream, which silently breaks the byte-equivalence
 // contract, so the ring refuses instead.
@@ -255,7 +256,7 @@ func (b *Broadcast) Subscribe(name string, p Policy) *Sub {
 	if b.sealed {
 		panic("fanout: Subscribe after first Publish")
 	}
-	s := &Sub{b: b, name: name, policy: p}
+	s := &Sub{b: b, policy: p}
 	b.subs = append(b.subs, s)
 	return s
 }
@@ -272,7 +273,7 @@ func (b *Broadcast) Subscribe(name string, p Policy) *Sub {
 func (b *Broadcast) SubscribeLate(name string, p Policy) *Sub {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := &Sub{b: b, name: name, policy: p}
+	s := &Sub{b: b, policy: p}
 	// Pin the frontier batch to seed the shed baseline. pubSeq and the
 	// slot are published by separate atomics, so the slot may already
 	// hold a later lap of the ring; retry at the fresh frontier.
@@ -347,7 +348,7 @@ func (b *Broadcast) minCursor(blockOnly bool) int64 {
 // Publish stamps items as the next batch and stores it in the ring,
 // waiting (under ctx) for Block consumers when the target slot is still
 // unreleased. On success the ring owns items. Returns ErrClosed after
-// Close/Fail, ctx.Err() when cancelled while waiting.
+// Close or a failed Pump, ctx.Err() when cancelled while waiting.
 func (b *Broadcast) Publish(ctx context.Context, items []stream.Item) error {
 	return b.publish(ctx, items, stream.BatchProv{}, false, nil)
 }
@@ -363,13 +364,6 @@ func (b *Broadcast) PublishProv(ctx context.Context, items []stream.Item, prov s
 // remaining batches and then sees a clean end. Idempotent only in the
 // sense that the producer must not publish afterwards.
 func (b *Broadcast) Close() { b.publish(context.Background(), nil, stream.BatchProv{}, true, nil) }
-
-// Fail publishes a terminal producer error: consumers drain the
-// remaining batches and then receive err. Use it when the upstream
-// source fails so every subscriber aborts with the same cause.
-func (b *Broadcast) Fail(err error) {
-	b.publish(context.Background(), nil, stream.BatchProv{}, true, err)
-}
 
 func (b *Broadcast) publish(ctx context.Context, items []stream.Item, prov stream.BatchProv, eos bool, errv error) error {
 	if b.closed {
@@ -470,10 +464,10 @@ func (b *Broadcast) cumData() int64 { return b.pubCum.Load() }
 // the ring: nobody has work then, so holding a partial batch back would
 // only add delay, and a paced source never waits on batchSize. A clean end
 // publishes Close; a source error publishes what was accepted before it
-// and then Fail, so every consumer applies the same prefix and aborts with
-// the cause, and Pump returns it. Retry/chaos wrappers belong on src —
-// upstream of the ring, where the single producer pays for resilience once
-// on behalf of every consumer.
+// and then a terminal marker carrying the error, so every consumer applies
+// the same prefix and aborts with the cause, and Pump returns it.
+// Retry/chaos wrappers belong on src — upstream of the ring, where the
+// single producer pays for resilience once on behalf of every consumer.
 func (b *Broadcast) Pump(ctx context.Context, src stream.ErrSource, batchSize int) error {
 	if batchSize <= 0 {
 		batchSize = 64
@@ -540,7 +534,6 @@ func (b *Broadcast) drained() bool { return b.minCursor(false) >= b.next }
 // other goroutines (metrics scrape them).
 type Sub struct {
 	b      *Broadcast
-	name   string
 	policy Policy
 
 	// cursor is the next sequence this consumer will read; advanced by
@@ -565,12 +558,6 @@ type Sub struct {
 	termErr error // terminal producer error, once seen
 	done    bool  // end-of-stream seen
 }
-
-// Name returns the subscriber name given at Subscribe.
-func (s *Sub) Name() string { return s.name }
-
-// Policy returns the subscriber's slow-consumer policy.
-func (s *Sub) Policy() Policy { return s.policy }
 
 // Fresh reports whether nothing has been published since the subscription
 // was made, so that a subscriber attached now would be handed exactly the

@@ -11,6 +11,11 @@ import (
 	"repro/internal/stream"
 )
 
+// errFuncSource adapts a function to the stream.ErrSource interface.
+type errFuncSource func() (stream.Item, bool, error)
+
+func (f errFuncSource) NextErr() (stream.Item, bool, error) { return f() }
+
 // mkItems builds n data items with dense seq/ts.
 func mkItems(start, n int) []stream.Item {
 	out := make([]stream.Item, 0, n)
@@ -174,7 +179,7 @@ func TestFailPropagatesAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	cause := errors.New("upstream gone")
-	b.Fail(cause)
+	b.publish(context.Background(), nil, stream.BatchProv{}, true, cause) // what Pump does when its source fails
 
 	vals, err := drain(context.Background(), s)
 	if len(vals) != 5 {
@@ -361,7 +366,7 @@ func TestSubscribeLateOnClosedRing(t *testing.T) {
 func TestSubscribeLateOnFailedRing(t *testing.T) {
 	b := New(Options{Ring: 8})
 	boom := errors.New("upstream died")
-	b.Fail(boom)
+	b.publish(context.Background(), nil, stream.BatchProv{}, true, boom)
 	s := b.SubscribeLate("after-fail", Block)
 	if _, err := drain(context.Background(), s); !errors.Is(err, boom) {
 		t.Fatalf("late sub on failed ring: err=%v, want %v", err, boom)
@@ -402,7 +407,7 @@ func TestPumpFailsEveryConsumerOnSourceError(t *testing.T) {
 	cause := errors.New("flaky")
 	const failAt, batch = 10, 4 // not a multiple: a partial batch is in flight
 	n := 0
-	src := stream.ErrFuncSource(func() (stream.Item, bool, error) {
+	src := errFuncSource(func() (stream.Item, bool, error) {
 		if n >= failAt {
 			return stream.Item{}, false, cause
 		}
@@ -415,17 +420,17 @@ func TestPumpFailsEveryConsumerOnSourceError(t *testing.T) {
 	s2 := b.Subscribe("b", Block)
 	errc := make(chan error, 1)
 	go func() { errc <- b.Pump(context.Background(), src, batch) }()
-	for _, s := range []*Sub{s1, s2} {
+	for n, s := range []*Sub{s1, s2} {
 		vals, err := drain(context.Background(), s)
 		if !errors.Is(err, cause) {
-			t.Fatalf("sub %s: err = %v, want %v", s.Name(), err, cause)
+			t.Fatalf("sub %d: err = %v, want %v", n, err, cause)
 		}
 		if len(vals) != failAt {
-			t.Fatalf("sub %s: got %d tuples, want the %d accepted before the failure", s.Name(), len(vals), failAt)
+			t.Fatalf("sub %d: got %d tuples, want the %d accepted before the failure", n, len(vals), failAt)
 		}
 		for i, v := range vals {
 			if v != float64(i) {
-				t.Fatalf("sub %s: item %d = %g, want %d", s.Name(), i, v, i)
+				t.Fatalf("sub %d: item %d = %g, want %d", n, i, v, i)
 			}
 		}
 	}
@@ -441,7 +446,7 @@ func TestPumpShipsPartialBatchToStarvedConsumer(t *testing.T) {
 	const batch, burst = 64, 40
 	more := make(chan struct{})
 	n := 0
-	src := stream.ErrFuncSource(func() (stream.Item, bool, error) {
+	src := errFuncSource(func() (stream.Item, bool, error) {
 		if n == burst {
 			<-more // the source goes quiet mid-batch
 			return stream.Item{}, false, nil
@@ -481,7 +486,7 @@ func TestPumpShipsPartialBatchToStarvedConsumer(t *testing.T) {
 func TestPumpStopsOnCancelWithoutConsumers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	src := stream.ErrFuncSource(func() (stream.Item, bool, error) {
+	src := errFuncSource(func() (stream.Item, bool, error) {
 		if n++; n == 1000 {
 			cancel()
 		}

@@ -77,19 +77,6 @@ type Monoid[P any] interface {
 	Combine(a, b P) P
 }
 
-// Stats are cumulative tree counters.
-type Stats struct {
-	Inserts      int64 // total inserts
-	AppendFast   int64 // in-order inserts taking the O(1) right-finger path
-	FingerSearch int64 // out-of-order inserts resolved by a finger climb
-	FingerSteps  int64 // climb+descend node steps across all finger searches
-	Splits       int64 // node splits (leaf and internal)
-	Evicted      int64 // entries removed by EvictBelow
-	EvictCalls   int64 // EvictBelow calls that removed at least one entry
-	RangeQueries int64 // RangeAgg calls
-	Combines     int64 // monoid Combine invocations (query + lazy repair)
-}
-
 // Node fanout. Leaves hold up to maxLeaf entries; internal nodes up to
 // maxKids children. Wide leaves amortize per-node overhead on the append
 // path; a narrower internal fanout keeps partial recombination after a
@@ -122,7 +109,6 @@ type Tree[P any] struct {
 	root        *node[P]
 	left, right *node[P] // leaf fingers
 	size        int
-	stats       Stats
 
 	// Node free lists: prefix eviction discards nodes at the same steady
 	// rate splits create them, so recycling keeps the hot insert/evict
@@ -180,9 +166,6 @@ func New[P any](m Monoid[P]) *Tree[P] {
 // Len returns the number of stored entries.
 func (t *Tree[P]) Len() int { return t.size }
 
-// Stats returns cumulative counters.
-func (t *Tree[P]) Stats() Stats { return t.stats }
-
 // MinKey returns the smallest stored key; ok is false when empty.
 func (t *Tree[P]) MinKey() (Key, bool) {
 	if t.left == nil {
@@ -199,16 +182,10 @@ func (t *Tree[P]) MaxKey() (Key, bool) {
 	return t.right.ents[len(t.right.ents)-1].Key, true
 }
 
-func (t *Tree[P]) combine(a, b P) P {
-	t.stats.Combines++
-	return t.m.Combine(a, b)
-}
-
 // Insert adds one entry. Keys ≥ the current maximum append through the
 // right finger in amortized O(1); an out-of-order key at distance d from
 // the end costs O(log d) amortized.
 func (t *Tree[P]) Insert(k Key, v float64) {
-	t.stats.Inserts++
 	if t.root == nil {
 		leaf := t.newLeaf()
 		leaf.lo, leaf.dirty = k, true
@@ -220,17 +197,14 @@ func (t *Tree[P]) Insert(k Key, v float64) {
 	r := t.right
 	if !k.Less(r.ents[len(r.ents)-1].Key) {
 		// In-order fast path: k is ≥ everything stored, append at the end.
-		t.stats.AppendFast++
 		t.leafInsert(r, len(r.ents), Entry{Key: k, Val: v})
 		return
 	}
 	// Finger search: climb the right spine until the subtree's key space
 	// covers k, then descend. Right-spine node n covers [n.lo, +inf).
-	t.stats.FingerSearch++
 	n := r
 	for n.parent != nil && k.Less(n.lo) {
 		n = n.parent
-		t.stats.FingerSteps++
 	}
 	for !n.leaf {
 		// Route to the last child whose lo ≤ k (equal keys go right, so the
@@ -244,7 +218,6 @@ func (t *Tree[P]) Insert(k Key, v float64) {
 			c = kid
 		}
 		n = c
-		t.stats.FingerSteps++
 	}
 	// Upper-bound position: first entry strictly greater than k.
 	pos := 0
@@ -299,7 +272,6 @@ func updateLo[P any](n *node[P]) {
 }
 
 func (t *Tree[P]) splitLeaf(n *node[P]) {
-	t.stats.Splits++
 	mid := len(n.ents) / 2
 	right := t.newLeaf()
 	right.dirty = true
@@ -318,7 +290,6 @@ func (t *Tree[P]) splitLeaf(n *node[P]) {
 }
 
 func (t *Tree[P]) splitInternal(n *node[P]) {
-	t.stats.Splits++
 	mid := len(n.kids) / 2
 	right := t.newInternal()
 	right.dirty = true
@@ -358,10 +329,10 @@ func (t *Tree[P]) insertChild(n, sib *node[P]) {
 }
 
 // InsertRun inserts entries in slice order and leaves exactly the tree that
-// calling Insert once per entry leaves: same leaves, same splits, same Stats,
-// hence the same Shape and — a cached partial being a left fold over a
-// node's children — the same bits in every later range fold, wherever a
-// caller cuts its input into runs. What it saves is the per-entry work: every
+// calling Insert once per entry leaves: same leaves, same splits, hence the
+// same Shape and — a cached partial being a left fold over a node's children
+// — the same bits in every later range fold, wherever a caller cuts its
+// input into runs. What it saves is the per-entry work: every
 // ascending stretch at or above the maximum key (what a disorder buffer
 // releases, stragglers aside) is appended to the right leaf a chunk at a
 // time — fill the leaf to the overflow point one-by-one appends reach, split
@@ -384,8 +355,6 @@ func (t *Tree[P]) InsertRun(entries []Entry) {
 		}
 		r.ents = append(r.ents, entries[i:j]...)
 		t.size += j - i
-		t.stats.Inserts += int64(j - i)
-		t.stats.AppendFast += int64(j - i)
 		t.markDirty(r)
 		if len(r.ents) > maxLeaf {
 			t.splitLeaf(r)
@@ -436,10 +405,6 @@ func (t *Tree[P]) EvictBelow(ts stream.Time) int {
 		break
 	}
 	t.size -= removed
-	if removed > 0 {
-		t.stats.Evicted += int64(removed)
-		t.stats.EvictCalls++
-	}
 	return removed
 }
 
@@ -491,12 +456,12 @@ func (t *Tree[P]) clean(n *node[P]) P {
 	if n.leaf {
 		a = t.m.Identity()
 		for i := range n.ents {
-			a = t.combine(a, t.m.Lift(n.ents[i].Val))
+			a = t.m.Combine(a, t.m.Lift(n.ents[i].Val))
 		}
 	} else {
 		a = t.clean(n.kids[0])
 		for _, kid := range n.kids[1:] {
-			a = t.combine(a, t.clean(kid))
+			a = t.m.Combine(a, t.clean(kid))
 		}
 	}
 	n.agg = a
@@ -509,7 +474,6 @@ func (t *Tree[P]) clean(n *node[P]) P {
 // children and recurses down the O(log n) boundary paths, so a query costs
 // O(B·log n) combines plus any lazy partial repair.
 func (t *Tree[P]) RangeAgg(lo, hi stream.Time) P {
-	t.stats.RangeQueries++
 	acc := t.m.Identity()
 	if t.root == nil || lo >= hi {
 		return acc
@@ -526,7 +490,7 @@ func (t *Tree[P]) rangeNode(n *node[P], lo, hi Key, acc P) P {
 			if !n.ents[i].Key.Less(hi) {
 				break
 			}
-			acc = t.combine(acc, t.m.Lift(n.ents[i].Val))
+			acc = t.m.Combine(acc, t.m.Lift(n.ents[i].Val))
 		}
 		return acc
 	}
@@ -541,7 +505,7 @@ func (t *Tree[P]) rangeNode(n *node[P], lo, hi Key, acc P) P {
 			}
 			if !kid.lo.Less(lo) && !hi.Less(nextLo) {
 				// [kid.lo, nextLo) ⊆ [lo, hi): take the cached partial whole.
-				acc = t.combine(acc, t.clean(kid))
+				acc = t.m.Combine(acc, t.clean(kid))
 				continue
 			}
 		}
@@ -665,7 +629,7 @@ func (t *Tree[P]) Load(entries []Entry, sh Shape) error {
 		return fmt.Errorf("fiba: shape ends in %d nodes without a common root", width)
 	}
 
-	*t = Tree[P]{m: t.m, stats: t.stats}
+	*t = Tree[P]{m: t.m}
 	if len(entries) == 0 {
 		return nil
 	}

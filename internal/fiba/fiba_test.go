@@ -241,16 +241,13 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 }
 
 // TestInOrderFastPath verifies the right-finger append path handles a pure
-// in-order stream: every insert after the first takes the O(1) path and
-// queries stay correct across evictions.
+// in-order stream: queries stay correct across evictions, down to an empty
+// tree and back.
 func TestInOrderFastPath(t *testing.T) {
 	tr := New[float64](SumMonoid{})
 	const n = 10000
 	for i := 0; i < n; i++ {
 		tr.Insert(Key{TS: stream.Time(i)}, 1)
-	}
-	if st := tr.Stats(); st.AppendFast != n-1 {
-		t.Fatalf("AppendFast = %d, want %d", st.AppendFast, n-1)
 	}
 	if got := tr.RangeAgg(0, n); got != n {
 		t.Fatalf("RangeAgg = %g, want %d", got, n)
@@ -301,36 +298,6 @@ func TestMonoids(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderDistanceStats sanity-checks the finger-search accounting:
-// bounded-distance disorder must not trigger root-depth searches once the
-// tree is large.
-func TestOutOfOrderDistanceStats(t *testing.T) {
-	tr := New[float64](SumMonoid{})
-	rng := stats.NewRNG(7)
-	const n, d = 20000, 64
-	for i := 0; i < n; i++ {
-		ts := stream.Time(i)
-		if i > d && rng.Intn(4) == 0 {
-			ts -= stream.Time(1 + rng.Intn(d))
-		}
-		tr.Insert(Key{TS: ts, Seq: uint64(i)}, 1)
-	}
-	st := tr.Stats()
-	if st.FingerSearch == 0 {
-		t.Fatal("no finger searches recorded for an out-of-order stream")
-	}
-	steps := float64(st.FingerSteps) / float64(st.FingerSearch)
-	// log_B(d) is ~2 levels for d=64 at leaf fanout 32; the climb+descend
-	// walk should stay well under the full height-to-root round trip that a
-	// root search of 20k entries would pay every time.
-	if steps > 8 {
-		t.Fatalf("mean finger steps %.1f — out-of-order inserts are not using the finger", steps)
-	}
-	if got := tr.RangeAgg(0, n); got != n {
-		t.Fatalf("RangeAgg = %g, want %d", got, n)
-	}
-}
-
 // TestTumblingCycleDoesNotAllocate is the free lists' reason to exist: a
 // tumbling window fills the tree and evicts all of it, every leaf and every
 // internal node at once, and the next window must be built from those nodes
@@ -361,4 +328,77 @@ func TestTumblingCycleDoesNotAllocate(t *testing.T) {
 	if now := len(tr.freeLeaves) + len(tr.freeNodes); now != held {
 		t.Errorf("the free lists grew from %d to %d nodes over identical windows", held, now)
 	}
+}
+
+// The generic-tree tests' monoids: partials of other shapes than
+// SumMonoid's float64.
+
+// CountMonoid counts entries.
+type CountMonoid struct{}
+
+// Identity implements Monoid.
+func (CountMonoid) Identity() int64 { return 0 }
+
+// Lift implements Monoid.
+func (CountMonoid) Lift(float64) int64 { return 1 }
+
+// Combine implements Monoid.
+func (CountMonoid) Combine(a, b int64) int64 { return a + b }
+
+// MinMax is the partial of MinMaxMonoid: the extrema of a non-empty set,
+// with N = 0 as the identity.
+type MinMax struct {
+	N        int64
+	Min, Max float64
+}
+
+// MinMaxMonoid tracks minimum and maximum together.
+type MinMaxMonoid struct{}
+
+// Identity implements Monoid.
+func (MinMaxMonoid) Identity() MinMax { return MinMax{} }
+
+// Lift implements Monoid.
+func (MinMaxMonoid) Lift(v float64) MinMax { return MinMax{N: 1, Min: v, Max: v} }
+
+// Combine implements Monoid.
+func (MinMaxMonoid) Combine(a, b MinMax) MinMax {
+	if a.N == 0 {
+		return b
+	}
+	if b.N == 0 {
+		return a
+	}
+	c := MinMax{N: a.N + b.N, Min: a.Min, Max: a.Max}
+	if b.Min < c.Min {
+		c.Min = b.Min
+	}
+	if b.Max > c.Max {
+		c.Max = b.Max
+	}
+	return c
+}
+
+// AvgPair is the pair-monoid partial for averages: sum and count travel
+// together so the mean is sum/n at read time.
+type AvgPair struct {
+	Sum float64
+	N   int64
+}
+
+// Mean returns the average (NaN-free only when N > 0; callers check N).
+func (p AvgPair) Mean() float64 { return p.Sum / float64(p.N) }
+
+// AvgMonoid aggregates averages via the (sum, count) pair monoid.
+type AvgMonoid struct{}
+
+// Identity implements Monoid.
+func (AvgMonoid) Identity() AvgPair { return AvgPair{} }
+
+// Lift implements Monoid.
+func (AvgMonoid) Lift(v float64) AvgPair { return AvgPair{Sum: v, N: 1} }
+
+// Combine implements Monoid.
+func (AvgMonoid) Combine(a, b AvgPair) AvgPair {
+	return AvgPair{Sum: a.Sum + b.Sum, N: a.N + b.N}
 }

@@ -1,9 +1,8 @@
 package fiba
 
-// Ready-made monoids for the common aggregates. internal/window has its
-// own specialized partial (one struct covering count/sum/min/max with the
-// exact merge arithmetic of its legacy aggregates); these are the
-// free-standing forms for direct Tree users, tests and benchmarks.
+// A ready-made monoid for direct Tree users. internal/window has its own
+// specialized partial (one struct covering count/sum/min/max with the exact
+// merge arithmetic of its legacy aggregates).
 
 // SumMonoid aggregates float64 sums.
 type SumMonoid struct{}
@@ -16,73 +15,3 @@ func (SumMonoid) Lift(v float64) float64 { return v }
 
 // Combine implements Monoid.
 func (SumMonoid) Combine(a, b float64) float64 { return a + b }
-
-// CountMonoid counts entries.
-type CountMonoid struct{}
-
-// Identity implements Monoid.
-func (CountMonoid) Identity() int64 { return 0 }
-
-// Lift implements Monoid.
-func (CountMonoid) Lift(float64) int64 { return 1 }
-
-// Combine implements Monoid.
-func (CountMonoid) Combine(a, b int64) int64 { return a + b }
-
-// MinMax is the partial of MinMaxMonoid: the extrema of a non-empty set,
-// with N = 0 as the identity.
-type MinMax struct {
-	N        int64
-	Min, Max float64
-}
-
-// MinMaxMonoid tracks minimum and maximum together.
-type MinMaxMonoid struct{}
-
-// Identity implements Monoid.
-func (MinMaxMonoid) Identity() MinMax { return MinMax{} }
-
-// Lift implements Monoid.
-func (MinMaxMonoid) Lift(v float64) MinMax { return MinMax{N: 1, Min: v, Max: v} }
-
-// Combine implements Monoid.
-func (MinMaxMonoid) Combine(a, b MinMax) MinMax {
-	if a.N == 0 {
-		return b
-	}
-	if b.N == 0 {
-		return a
-	}
-	c := MinMax{N: a.N + b.N, Min: a.Min, Max: a.Max}
-	if b.Min < c.Min {
-		c.Min = b.Min
-	}
-	if b.Max > c.Max {
-		c.Max = b.Max
-	}
-	return c
-}
-
-// AvgPair is the pair-monoid partial for averages: sum and count travel
-// together so the mean is sum/n at read time.
-type AvgPair struct {
-	Sum float64
-	N   int64
-}
-
-// Mean returns the average (NaN-free only when N > 0; callers check N).
-func (p AvgPair) Mean() float64 { return p.Sum / float64(p.N) }
-
-// AvgMonoid aggregates averages via the (sum, count) pair monoid.
-type AvgMonoid struct{}
-
-// Identity implements Monoid.
-func (AvgMonoid) Identity() AvgPair { return AvgPair{} }
-
-// Lift implements Monoid.
-func (AvgMonoid) Lift(v float64) AvgPair { return AvgPair{Sum: v, N: 1} }
-
-// Combine implements Monoid.
-func (AvgMonoid) Combine(a, b AvgPair) AvgPair {
-	return AvgPair{Sum: a.Sum + b.Sum, N: a.N + b.N}
-}

@@ -13,7 +13,7 @@ import (
 // right leaf holds when a run arrives (every fill level from the empty tree
 // to the entry that splits the first leaf, 0…33) and however the input is cut
 // into runs, the tree is the one that inserting the entries one by one
-// builds — same entries, same shape, same counters, and therefore the same
+// builds — same entries, same shape, and therefore the same
 // bits out of every range fold of a float sum, which depends on how the
 // leaves group their values. The runs are what a disorder buffer releases:
 // ascending for the most part, equal keys and equal timestamps included,
@@ -25,12 +25,14 @@ func TestInsertRunShapeMatchesSequential(t *testing.T) {
 			runs, single := New[float64](SumMonoid{}), New[float64](SumMonoid{})
 			var clock stream.Time
 			var seq uint64
+			stragglers, split := 0, false
 			next := func() Entry {
 				clock += stream.Time(rng.Intn(3)) // 0: an equal timestamp
 				e := Entry{Key: Key{TS: clock, Seq: seq}, Val: rng.NormFloat64() * 1e3}
 				switch r := rng.Float64(); {
 				case r < 0.10:
 					e.TS -= stream.Time(rng.Intn(200)) // a straggler
+					stragglers++
 				case r < 0.15 && seq > 0:
 					e.Seq = seq - 1 // an equal key, or one just below the maximum
 				}
@@ -71,11 +73,9 @@ func TestInsertRunShapeMatchesSequential(t *testing.T) {
 						t.Fatalf("fill %d, seed %d, round %d: sum over [%d,%d) is %v, one-by-one inserts give %v", fill, seed, round, lo, hi, x, y)
 					}
 				}
-				if got, want := runs.Stats(), single.Stats(); got != want {
-					t.Fatalf("fill %d, seed %d, round %d: stats %+v, one-by-one inserts give %+v", fill, seed, round, got, want)
-				}
+				split = split || len(runs.Shape().Leaves) > 1
 			}
-			if runs.Stats().Splits == 0 || runs.Stats().FingerSearch == 0 {
+			if !split || stragglers == 0 {
 				t.Fatalf("fill %d, seed %d: no split or no straggler; the comparison proves less than it should", fill, seed)
 			}
 		}

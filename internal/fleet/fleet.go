@@ -109,7 +109,6 @@ func (r *Registry) sourceLocked(name string) *Source {
 	s, ok := r.sources[name]
 	if !ok {
 		s = &Source{
-			name:  name,
 			ring:  fanout.New(fanout.Options{Ring: r.opts.Ring, BatchCap: netstream.ConnBatch}),
 			rate:  r.opts.Quotas.MaxIngestPerSec,
 			clock: r.opts.Clock,
@@ -329,7 +328,6 @@ func (e *DuplicateError) Error() string {
 // number of network connections (serialized here — the ring is
 // single-producer) and consumed by any number of runtime queries.
 type Source struct {
-	name  string
 	ring  *fanout.Broadcast
 	clock resilience.Clock
 
@@ -344,9 +342,6 @@ type Source struct {
 	tuples   atomic.Int64 // data tuples admitted to the ring
 	rateShed atomic.Int64 // data tuples dropped by the rate limiter
 }
-
-// Name returns the source's registered name.
-func (s *Source) Name() string { return s.name }
 
 // Tuples reports data tuples admitted to the ring.
 func (s *Source) Tuples() int64 { return s.tuples.Load() }
@@ -365,11 +360,6 @@ func (s *Source) Subscribers() int { return s.ring.Subscribers() }
 // queries never get Block).
 func (s *Source) Attach(query string) *fanout.Sub {
 	return s.ring.SubscribeLate(query, fanout.ShedOldest)
-}
-
-// Publish admits one batch with no wire provenance. See PublishProv.
-func (s *Source) Publish(items []stream.Item) error {
-	return s.PublishProv(items, stream.BatchProv{})
 }
 
 // PublishProv admits a copy of items: the input slice is never retained.

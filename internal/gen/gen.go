@@ -165,14 +165,6 @@ func (g UniformValue) Value(_ int, _ stream.Time, rng *stats.RNG) float64 {
 	return rng.Float64Range(g.Lo, g.Hi)
 }
 
-// NormalValue yields normal values with the given mean and deviation.
-type NormalValue struct{ Mu, Sigma float64 }
-
-// Value implements ValueGen.
-func (g NormalValue) Value(_ int, _ stream.Time, rng *stats.RNG) float64 {
-	return g.Mu + g.Sigma*rng.NormFloat64()
-}
-
 // ParetoValue yields heavy-tailed positive values (e.g. transfer sizes,
 // call durations).
 type ParetoValue struct{ Xm, Alpha float64 }

@@ -36,7 +36,6 @@ type MWay struct {
 	clock   stream.Time
 	started bool
 	inserts int
-	stats   Stats
 }
 
 // NewMWay returns an m-way join over m >= 2 streams. It panics on m < 2 or
@@ -55,28 +54,12 @@ func NewMWay(m int, cfg Config) *MWay {
 	return &MWay{cfg: cfg, m: m, live: live}
 }
 
-// M returns the number of input streams.
-func (j *MWay) M() int { return j.m }
-
-// Stats returns cumulative counters (Missed is not tracked for m-way).
-func (j *MWay) Stats() Stats { return j.stats }
-
-// StateSize returns the number of live tuples held across all sides.
-func (j *MWay) StateSize() int {
-	var n int
-	for _, s := range j.live {
-		n += s.count
-	}
-	return n
-}
-
 // Insert feeds one tuple from stream side at arrival position now,
 // appending emitted combinations to out.
 func (j *MWay) Insert(side int, t stream.Tuple, now stream.Time, out []MResult) []MResult {
 	if side < 0 || side >= j.m {
 		panic(fmt.Sprintf("join: side %d out of range [0,%d)", side, j.m))
 	}
-	j.stats.TuplesIn++
 	if !j.started || t.TS > j.clock {
 		j.clock = t.TS
 		j.started = true
@@ -107,7 +90,6 @@ func (j *MWay) enumerate(side, newSide int, key uint64, combo []stream.Tuple, no
 	if side == j.m {
 		res := MResult{Tuples: make([]stream.Tuple, j.m), EmitArrival: now}
 		copy(res.Tuples, combo)
-		j.stats.Emitted++
 		return append(out, res)
 	}
 	if side == newSide {

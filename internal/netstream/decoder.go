@@ -33,7 +33,6 @@ type Decoder struct {
 	source string
 	tenant string
 	hello  bool
-	frames int64
 	prov   stream.BatchProv // current batch mark; zero until one arrives
 }
 
@@ -48,9 +47,6 @@ func (d *Decoder) Source() string { return d.source }
 
 // Tenant returns the tenant announced by the hello frame (may be "").
 func (d *Decoder) Tenant() string { return d.tenant }
-
-// Frames returns how many non-empty frames were decoded.
-func (d *Decoder) Frames() int64 { return d.frames }
 
 // Prov returns the wire provenance currently in effect: the most recent
 // batch mark, or the zero BatchProv (Valid() == false) when the
@@ -126,8 +122,6 @@ func (d *Decoder) Decode(dst []stream.Item, max int) ([]stream.Item, error) {
 			return dst, err
 		case kind == FrameHello:
 			return dst, fmt.Errorf("netstream: duplicate hello mid-stream")
-		case kind != FrameNone:
-			d.frames++
 		}
 	}
 	return dst, nil
@@ -152,7 +146,6 @@ func (d *Decoder) Hello() error {
 			return err
 		case kind == FrameHello:
 			d.source, d.tenant, d.hello = source, tenant, true
-			d.frames++
 		case kind != FrameNone:
 			return fmt.Errorf("netstream: frame before hello")
 		}

@@ -57,9 +57,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add shifts the value by delta (negative allowed).
-func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

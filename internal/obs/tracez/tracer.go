@@ -83,14 +83,6 @@ func New(rec *Recorder, query string) *Tracer {
 	return &Tracer{rec: rec, query: query}
 }
 
-// Query returns the query name the tracer was built for.
-func (t *Tracer) Query() string {
-	if t == nil {
-		return ""
-	}
-	return t.query
-}
-
 // Recorder returns the underlying flight recorder (nil for a nil tracer).
 func (t *Tracer) Recorder() *Recorder {
 	if t == nil {
@@ -112,14 +104,6 @@ func (t *Tracer) SetWatchdog(wd *Watchdog) {
 	}
 }
 
-// Watchdog returns the attached watchdog, if any.
-func (t *Tracer) Watchdog() *Watchdog {
-	if t == nil {
-		return nil
-	}
-	return t.wd
-}
-
 // SetTheta records the query's declared quality bound for provenance.
 func (t *Tracer) SetTheta(theta float64) {
 	if t == nil {
@@ -136,14 +120,6 @@ func (t *Tracer) OnDump(sink func(Dump)) {
 		return
 	}
 	t.sink = sink
-}
-
-// Record appends a raw event to the flight recorder.
-func (t *Tracer) Record(ev Event) {
-	if t == nil {
-		return
-	}
-	t.rec.Record(ev)
 }
 
 // SourceBatch records one transport batch shipped by the source stage.
@@ -331,15 +307,6 @@ func (t *Tracer) WireBatch(at int64, batchID uint64, n int, sendMS int64) {
 	t.rec.Record(Event{At: at, Kind: KindWireBatch, Stage: StageSource, Win: int64(batchID), N: int64(n), V: float64(sendMS)})
 }
 
-// Log mirrors one structured-log record into the recorder. At is wall
-// milliseconds (log records happen outside stream time).
-func (t *Tracer) Log(at int64, msg string) {
-	if t == nil {
-		return
-	}
-	t.rec.Record(Event{At: at, Kind: KindLog, Stage: StageLog, Msg: msg})
-}
-
 // Provenances returns the retained per-window provenance oldest-first.
 func (t *Tracer) Provenances() []Provenance {
 	if t == nil {
@@ -351,21 +318,6 @@ func (t *Tracer) Provenances() []Provenance {
 	out = append(out, t.prov[t.provStart:]...)
 	out = append(out, t.prov[:t.provStart]...)
 	return out
-}
-
-// ProvenanceFor returns the newest retained provenance record for the
-// given window index.
-func (t *Tracer) ProvenanceFor(win int64) (Provenance, bool) {
-	if t == nil {
-		return Provenance{}, false
-	}
-	ps := t.Provenances()
-	for i := len(ps) - 1; i >= 0; i-- {
-		if ps[i].Win == win {
-			return ps[i], true
-		}
-	}
-	return Provenance{}, false
 }
 
 // Dump takes a flight-recorder snapshot (the newest dumpEvents events +

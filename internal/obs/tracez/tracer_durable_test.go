@@ -42,12 +42,12 @@ func TestKindAndStageNames(t *testing.T) {
 func TestTracerDurableEvents(t *testing.T) {
 	rec := NewRecorder(64)
 	tr := New(rec, "q0")
-	if tr.Query() != "q0" {
-		t.Fatalf("Query() = %q", tr.Query())
+	if tr.query != "q0" {
+		t.Fatalf("query = %q", tr.query)
 	}
 	wd := NewWatchdog(0.02, func() time.Time { return time.Unix(0, 0) })
 	tr.SetWatchdog(wd)
-	if tr.Watchdog() != wd {
+	if tr.wd != wd {
 		t.Fatal("watchdog not attached")
 	}
 
@@ -55,8 +55,6 @@ func TestTracerDurableEvents(t *testing.T) {
 	tr.Snapshot(20, 4821)
 	tr.Flush(30)
 	tr.Retry(40, 2)
-	tr.Log(50, "hello")
-	tr.Record(Event{At: 60, Kind: KindPanic, Stage: StageWindow, Msg: "boom"})
 
 	evs := rec.Events()
 	want := []struct {
@@ -67,8 +65,6 @@ func TestTracerDurableEvents(t *testing.T) {
 		{KindSnapshot, StageDurable},
 		{KindFlush, StageWindow},
 		{KindRetry, StageSource},
-		{KindLog, StageLog},
-		{KindPanic, StageWindow},
 	}
 	if len(evs) != len(want) {
 		t.Fatalf("%d events recorded, want %d", len(evs), len(want))
@@ -90,16 +86,14 @@ func TestTracerDurableEvents(t *testing.T) {
 // no-op, never a panic.
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Query() != "" || tr.Recorder() != nil || tr.Watchdog() != nil {
+	if tr.Recorder() != nil {
 		t.Fatal("nil tracer accessors must return zero values")
 	}
 	tr.SetWatchdog(nil)
 	tr.SetTheta(0.1)
 	tr.OnDump(func(Dump) {})
-	tr.Record(Event{})
 	tr.Retry(0, 1)
 	tr.Flush(0)
 	tr.Recovery(0, 0, 0, 0)
 	tr.Snapshot(0, 0)
-	tr.Log(0, "")
 }

@@ -27,8 +27,6 @@ type Watchdog struct {
 	since       time.Time
 	violatedMs  float64 // accumulated, completed violations only
 	count       int64
-	lastWin     int64
-	lastErr     float64
 }
 
 // NewWatchdog returns a watchdog for the bound theta. now supplies wall
@@ -83,7 +81,6 @@ func (w *Watchdog) Observe(win int64, realized float64) (started bool, endedMs f
 			w.count++
 			started = true
 		}
-		w.lastWin, w.lastErr = win, realized
 		return started, endedMs
 	}
 	if w.inViolation {
@@ -113,17 +110,6 @@ func (w *Watchdog) Violations() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.count
-}
-
-// LastViolation returns the window index and realized error of the most
-// recent above-θ sample.
-func (w *Watchdog) LastViolation() (win int64, err float64) {
-	if w == nil {
-		return 0, 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastWin, w.lastErr
 }
 
 // TimeInViolation returns the cumulative wall time spent above θ,

@@ -112,27 +112,6 @@ func (r Retry) Do(ctx context.Context, op func() error) error {
 // ErrCircuitOpen is returned (wrapped) while a breaker is open.
 var ErrCircuitOpen = errors.New("resilience: circuit breaker open")
 
-// BreakerState enumerates the classic three circuit-breaker states.
-type BreakerState int
-
-const (
-	BreakerClosed   BreakerState = iota // normal operation
-	BreakerOpen                         // failing fast until the cooldown passes
-	BreakerHalfOpen                     // cooldown passed; one probe allowed
-)
-
-// String names the state.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 // Breaker is a small consecutive-failure circuit breaker. It is not
 // goroutine-safe; each pipeline stage owns its own.
 type Breaker struct {
@@ -174,18 +153,6 @@ func (b *Breaker) Allow() bool {
 	}
 	b.probing = true
 	return true
-}
-
-// State returns the breaker's current state.
-func (b *Breaker) State() BreakerState {
-	switch {
-	case !b.open:
-		return BreakerClosed
-	case b.now().Sub(b.openedAt) >= b.cooldown:
-		return BreakerHalfOpen
-	default:
-		return BreakerOpen
-	}
 }
 
 // Success records a successful call and closes the breaker.

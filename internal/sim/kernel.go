@@ -40,27 +40,12 @@ func (k *Kernel) Schedule(at stream.Time, fn func()) {
 	k.push(event{at: at, seq: k.seq, fn: fn})
 }
 
-// After registers fn to run d time units from now.
-func (k *Kernel) After(d stream.Time, fn func()) { k.Schedule(k.now+d, fn) }
-
 // Run executes events until none remain.
 func (k *Kernel) Run() {
 	for len(k.heap) > 0 {
 		k.step()
 	}
 }
-
-// RunUntil executes events with time <= limit; remaining events stay
-// scheduled and Now stops at the last executed event (or limit if nothing
-// fired beyond it).
-func (k *Kernel) RunUntil(limit stream.Time) {
-	for len(k.heap) > 0 && k.heap[0].at <= limit {
-		k.step()
-	}
-}
-
-// Pending returns the number of scheduled events.
-func (k *Kernel) Pending() int { return len(k.heap) }
 
 func (k *Kernel) step() {
 	e := k.pop()

@@ -45,7 +45,7 @@ func TestKernelNestedScheduling(t *testing.T) {
 	var got []string
 	k.Schedule(10, func() {
 		got = append(got, "a")
-		k.After(5, func() { got = append(got, "b") })
+		k.Schedule(k.Now()+5, func() { got = append(got, "b") })
 	})
 	k.Schedule(12, func() { got = append(got, "mid") })
 	k.Run()
@@ -68,24 +68,6 @@ func TestKernelPastSchedulingPanics(t *testing.T) {
 		k.Schedule(5, func() {})
 	})
 	k.Run()
-}
-
-func TestKernelRunUntil(t *testing.T) {
-	var k Kernel
-	fired := 0
-	k.Schedule(10, func() { fired++ })
-	k.Schedule(20, func() { fired++ })
-	k.RunUntil(15)
-	if fired != 1 {
-		t.Fatalf("RunUntil(15) fired %d events", fired)
-	}
-	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d", k.Pending())
-	}
-	k.Run()
-	if fired != 2 {
-		t.Fatalf("remaining event lost")
-	}
 }
 
 func TestLinkFIFOAndService(t *testing.T) {

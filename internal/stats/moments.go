@@ -31,35 +31,11 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// Remove un-incorporates a previously added x. Welford's recurrence runs
-// backwards exactly, which windowed aggregates use to subtract expired
-// tuples. Min/max are not maintained under removal (they stay conservative);
-// use a monotonic deque (window.MinMax) when exact sliding min/max matter.
-func (w *Welford) Remove(x float64) {
-	if w.n == 0 {
-		return
-	}
-	if w.n == 1 {
-		*w = Welford{}
-		return
-	}
-	mPrev := (float64(w.n)*w.mean - x) / float64(w.n-1)
-	w.m2 -= (x - w.mean) * (x - mPrev)
-	if w.m2 < 0 { // guard against rounding drift
-		w.m2 = 0
-	}
-	w.mean = mPrev
-	w.n--
-}
-
 // N returns the number of samples.
 func (w *Welford) N() int64 { return w.n }
 
 // Mean returns the running mean (0 for an empty tracker).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Sum returns the running sum.
-func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
 
 // Var returns the population variance.
 func (w *Welford) Var() float64 {
@@ -69,25 +45,11 @@ func (w *Welford) Var() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// SampleVar returns the unbiased sample variance.
-func (w *Welford) SampleVar() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // Std returns the population standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
-// Min returns the smallest sample seen (0 for an empty tracker).
-func (w *Welford) Min() float64 { return w.min }
-
 // Max returns the largest sample seen (0 for an empty tracker).
 func (w *Welford) Max() float64 { return w.max }
-
-// Reset clears the tracker.
-func (w *Welford) Reset() { *w = Welford{} }
 
 // Merge combines another tracker into w using the parallel variance
 // formula (Chan et al.). Min/max merge exactly.
@@ -141,9 +103,3 @@ func (e *EWMA) Add(x float64) {
 
 // Value returns the current average, or 0 before any observation.
 func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation was added.
-func (e *EWMA) Initialized() bool { return e.init }
-
-// Reset clears the average, keeping alpha.
-func (e *EWMA) Reset() { e.value, e.init = 0, false }

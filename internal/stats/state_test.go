@@ -69,7 +69,7 @@ func TestWelfordStateContinuation(t *testing.T) {
 	if a != b {
 		t.Fatalf("welford diverged after restore: %+v vs %+v", a, b)
 	}
-	if a.N() != 521 || a.Min() >= a.Max() {
+	if a.N() != 521 || a.min >= a.Max() {
 		t.Fatalf("implausible tracker state: %+v", a)
 	}
 }
@@ -90,7 +90,7 @@ func TestEWMAStateContinuation(t *testing.T) {
 		a.Add(v)
 		b.Add(v)
 	}
-	if a.Value() != b.Value() || a.Initialized() != b.Initialized() {
+	if a.Value() != b.Value() || a.init != b.init {
 		t.Fatalf("ewma diverged: %v vs %v", a.Value(), b.Value())
 	}
 }
@@ -114,8 +114,8 @@ func TestReservoirStateContinuation(t *testing.T) {
 		a.Add(v)
 		b.Add(v)
 	}
-	if a.N() != b.N() || a.Len() != b.Len() {
-		t.Fatalf("reservoir counters diverged: n=%d/%d len=%d/%d", a.N(), b.N(), a.Len(), b.Len())
+	if a.n != b.n || a.Len() != b.Len() {
+		t.Fatalf("reservoir counters diverged: n=%d/%d len=%d/%d", a.n, b.n, a.Len(), b.Len())
 	}
 	for i, v := range a.Sample() {
 		if b.Sample()[i] != v {
@@ -167,8 +167,10 @@ func TestGKStateContinuation(t *testing.T) {
 			}
 		}
 	}
-	if a.N() != b.N() || a.Size() != b.Size() {
-		t.Fatalf("summary shape diverged: n=%d/%d size=%d/%d", a.N(), b.N(), a.Size(), b.Size())
+	a.flush()
+	b.flush()
+	if a.N() != b.N() || len(a.entries) != len(b.entries) {
+		t.Fatalf("summary shape diverged: n=%d/%d size=%d/%d", a.N(), b.N(), len(a.entries), len(b.entries))
 	}
 }
 

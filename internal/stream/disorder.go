@@ -100,13 +100,3 @@ func mergeCount(a, buf []Time) int64 {
 	copy(a, buf[:n])
 	return inv
 }
-
-// IsEventTimeSorted reports whether tuples are non-decreasing in event time.
-func IsEventTimeSorted(ts []Tuple) bool {
-	for i := 1; i < len(ts); i++ {
-		if ts[i].TS < ts[i-1].TS {
-			return false
-		}
-	}
-	return true
-}

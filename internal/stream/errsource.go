@@ -31,9 +31,3 @@ func (f infallible) NextErr() (Item, bool, error) {
 	it, ok := f.src.Next()
 	return it, ok, nil
 }
-
-// ErrFuncSource adapts a function to the ErrSource interface.
-type ErrFuncSource func() (Item, bool, error)
-
-// NextErr implements ErrSource.
-func (f ErrFuncSource) NextErr() (Item, bool, error) { return f() }

@@ -40,43 +40,11 @@ func (s *SliceSource) Next() (Item, bool) {
 	return it, true
 }
 
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len returns the total number of items.
-func (s *SliceSource) Len() int { return len(s.items) }
-
 // FuncSource adapts a function to the Source interface.
 type FuncSource func() (Item, bool)
 
 // Next implements Source.
 func (f FuncSource) Next() (Item, bool) { return f() }
-
-// Collect drains a source into a slice of items.
-func Collect(s Source) []Item {
-	var out []Item
-	for {
-		it, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, it)
-	}
-}
-
-// CollectTuples drains a source and returns only the data tuples.
-func CollectTuples(s Source) []Tuple {
-	var out []Tuple
-	for {
-		it, ok := s.Next()
-		if !ok {
-			return out
-		}
-		if !it.Heartbeat {
-			out = append(out, it.Tuple)
-		}
-	}
-}
 
 // Merge combines multiple arrival-ordered sources into one source ordered
 // by arrival time (heartbeats use their watermark as arrival position).
@@ -120,121 +88,6 @@ func (m *Merge) Next() (Item, bool) {
 	it := m.heads[best]
 	m.heads[best], m.valid[best] = m.sources[best].Next()
 	return it, true
-}
-
-// AlignedMerge combines multiple arrival-ordered sources like Merge, but
-// treats heartbeats with multi-stream semantics: a heartbeat from one
-// source promises progress only for that source, so the merged stream's
-// emitted heartbeats carry the MINIMUM of the per-source watermarks —
-// the only value that is a valid progress statement for the union.
-// Sources that have ended stop constraining the minimum.
-//
-// Use AlignedMerge (not Merge) when the consumer interprets watermarks as
-// completeness guarantees (buffer.Punctuated); plain Merge passes
-// heartbeats through unchanged, which is fine for the slack-based
-// handlers that treat them as clock hints.
-type AlignedMerge struct {
-	inner   *Merge
-	wm      []Time // last watermark per source, -1 until seen
-	ended   []bool
-	srcIdx  map[Source]int
-	lastOut Time
-	hasOut  bool
-}
-
-// NewAlignedMerge returns a watermark-aligning merge over the sources.
-func NewAlignedMerge(sources ...Source) *AlignedMerge {
-	am := &AlignedMerge{
-		inner:  &Merge{},
-		wm:     make([]Time, len(sources)),
-		ended:  make([]bool, len(sources)),
-		srcIdx: make(map[Source]int, len(sources)),
-	}
-	for i, s := range sources {
-		am.wm[i] = -1
-		am.srcIdx[s] = i
-	}
-	// Reimplement the merge loop here so we know which source each item
-	// came from (Merge does not expose provenance).
-	am.inner.sources = sources
-	am.inner.heads = make([]Item, len(sources))
-	am.inner.valid = make([]bool, len(sources))
-	for i := range sources {
-		am.inner.heads[i], am.inner.valid[i] = sources[i].Next()
-		if !am.inner.valid[i] {
-			am.ended[i] = true
-		}
-	}
-	return am
-}
-
-// Next implements Source.
-func (m *AlignedMerge) Next() (Item, bool) {
-	for {
-		best := -1
-		for i, ok := range m.inner.valid {
-			if !ok {
-				continue
-			}
-			if best == -1 || itemArrival(m.inner.heads[i]) < itemArrival(m.inner.heads[best]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			return Item{}, false
-		}
-		it := m.inner.heads[best]
-		m.inner.heads[best], m.inner.valid[best] = m.inner.sources[best].Next()
-		if !m.inner.valid[best] {
-			m.ended[best] = true
-		}
-		if !it.Heartbeat {
-			return it, true
-		}
-		if it.Watermark > m.wm[best] {
-			m.wm[best] = it.Watermark
-		}
-		fused, ok := m.fusedWatermark()
-		if !ok {
-			continue // some source has not spoken yet: no promise possible
-		}
-		if m.hasOut && fused <= m.lastOut {
-			continue // no progress; swallow the redundant heartbeat
-		}
-		m.lastOut, m.hasOut = fused, true
-		return HeartbeatItem(fused), true
-	}
-}
-
-// fusedWatermark returns the minimum watermark over live sources; ended
-// sources no longer constrain it. It reports false until every live
-// source has emitted at least one watermark.
-func (m *AlignedMerge) fusedWatermark() (Time, bool) {
-	var min Time
-	found := false
-	for i := range m.wm {
-		if m.ended[i] && m.wm[i] < 0 {
-			continue // ended without ever promising anything: ignore
-		}
-		if m.wm[i] < 0 {
-			return 0, false
-		}
-		if m.ended[i] {
-			continue // final watermark already folded; no longer binding
-		}
-		if !found || m.wm[i] < min {
-			min, found = m.wm[i], true
-		}
-	}
-	if !found {
-		// All sources ended: the union is complete through the max seen.
-		for i := range m.wm {
-			if m.wm[i] > min {
-				min = m.wm[i]
-			}
-		}
-	}
-	return min, true
 }
 
 // SortByArrival sorts tuples in place by (arrival, seq); it converts an

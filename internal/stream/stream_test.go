@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,6 +12,34 @@ import (
 
 func tup(ts, arrival Time, seq uint64) Tuple {
 	return Tuple{TS: ts, Arrival: arrival, Seq: seq, Value: float64(ts)}
+}
+
+// collect drains a source into a slice of items.
+func collect(s Source) []Item {
+	var out []Item
+	for {
+		it, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, it)
+	}
+}
+
+// collectTuples drains a source and returns only the data tuples.
+func collectTuples(s Source) []Tuple {
+	var out []Tuple
+	for _, it := range collect(s) {
+		if !it.Heartbeat {
+			out = append(out, it.Tuple)
+		}
+	}
+	return out
+}
+
+// eventTimeSorted reports whether tuples are non-decreasing in event time.
+func eventTimeSorted(ts []Tuple) bool {
+	return slices.IsSortedFunc(ts, func(a, b Tuple) int { return cmp.Compare(a.TS, b.TS) })
 }
 
 func TestTupleDelayAndString(t *testing.T) {
@@ -38,18 +68,18 @@ func TestItemConstructors(t *testing.T) {
 
 func TestSliceSource(t *testing.T) {
 	src := FromTuples([]Tuple{tup(1, 1, 0), tup(2, 2, 1)})
-	if src.Len() != 2 {
-		t.Fatalf("Len = %d", src.Len())
+	if len(src.items) != 2 {
+		t.Fatalf("Len = %d", len(src.items))
 	}
-	got := CollectTuples(src)
+	got := collectTuples(src)
 	if len(got) != 2 || got[0].TS != 1 || got[1].TS != 2 {
 		t.Fatalf("collected %v", got)
 	}
 	if _, ok := src.Next(); ok {
 		t.Fatal("exhausted source returned an item")
 	}
-	src.Reset()
-	if got := CollectTuples(src); len(got) != 2 {
+	src.pos = 0 // rewind
+	if got := collectTuples(src); len(got) != 2 {
 		t.Fatalf("after Reset collected %d tuples", len(got))
 	}
 }
@@ -63,20 +93,8 @@ func TestFuncSource(t *testing.T) {
 		n++
 		return DataItem(Tuple{TS: Time(n)}), true
 	})
-	if got := len(Collect(src)); got != 3 {
+	if got := len(collect(src)); got != 3 {
 		t.Fatalf("collected %d items, want 3", got)
-	}
-}
-
-func TestCollectTuplesSkipsHeartbeats(t *testing.T) {
-	src := NewSliceSource([]Item{
-		DataItem(tup(1, 1, 0)),
-		HeartbeatItem(1),
-		DataItem(tup(2, 2, 1)),
-	})
-	got := CollectTuples(src)
-	if len(got) != 2 {
-		t.Fatalf("CollectTuples kept %d items, want 2", len(got))
 	}
 }
 
@@ -84,7 +102,7 @@ func TestMergeOrdersByArrival(t *testing.T) {
 	a := FromTuples([]Tuple{tup(1, 10, 0), tup(2, 30, 1)})
 	b := FromTuples([]Tuple{tup(3, 20, 0), tup(4, 40, 1)})
 	m := NewMerge(a, b)
-	got := CollectTuples(m)
+	got := collectTuples(m)
 	wantArrivals := []Time{10, 20, 30, 40}
 	if len(got) != len(wantArrivals) {
 		t.Fatalf("merged %d tuples", len(got))
@@ -98,7 +116,7 @@ func TestMergeOrdersByArrival(t *testing.T) {
 
 func TestMergeEmptyInputs(t *testing.T) {
 	m := NewMerge(FromTuples(nil), FromTuples([]Tuple{tup(1, 1, 0)}))
-	if got := CollectTuples(m); len(got) != 1 {
+	if got := collectTuples(m); len(got) != 1 {
 		t.Fatalf("merge with empty input: %d tuples", len(got))
 	}
 	empty := NewMerge()
@@ -121,7 +139,7 @@ func TestMergePropertyPreservesAllAndOrders(t *testing.T) {
 		}
 		a, b := mk(na, 0), mk(nb, 3)
 		m := NewMerge(FromTuples(a), FromTuples(b))
-		got := CollectTuples(m)
+		got := collectTuples(m)
 		if len(got) != len(a)+len(b) {
 			return false
 		}
@@ -140,7 +158,7 @@ func TestMergePropertyPreservesAllAndOrders(t *testing.T) {
 func TestSortHelpers(t *testing.T) {
 	ts := []Tuple{tup(3, 10, 2), tup(1, 30, 0), tup(2, 20, 1)}
 	SortByEventTime(ts)
-	if !IsEventTimeSorted(ts) {
+	if !eventTimeSorted(ts) {
 		t.Fatal("SortByEventTime did not sort")
 	}
 	SortByArrival(ts)
@@ -268,7 +286,7 @@ func TestWithHeartbeats(t *testing.T) {
 		tup(100, 100, 2), // long arrival gap: heartbeat expected before this
 	}
 	src := NewWithHeartbeats(FromTuples(tuples), 50)
-	items := Collect(src)
+	items := collect(src)
 	var hbs, data int
 	for _, it := range items {
 		if it.Heartbeat {
@@ -291,7 +309,7 @@ func TestWithHeartbeats(t *testing.T) {
 func TestWithHeartbeatsNoGap(t *testing.T) {
 	tuples := []Tuple{tup(1, 1, 0), tup(2, 2, 1), tup(3, 3, 2)}
 	src := NewWithHeartbeats(FromTuples(tuples), 1000)
-	for _, it := range Collect(src) {
+	for _, it := range collect(src) {
 		if it.Heartbeat {
 			t.Fatal("heartbeat injected without an arrival gap")
 		}

@@ -22,10 +22,11 @@ type KeyedResult struct {
 // tuple plus the empty gaps between their own occupied windows (the same
 // contiguity rule as Op, applied per key).
 //
-// Emission order is canonical: within one input step (one Observe or Flush
-// call) results are ordered by key, ascending, with a key's own results
-// keeping their operator-emission order, so the output sequence is a pure
-// function of the released tuple sequence (no map-iteration dependence).
+// Emission order is canonical: within one input step (one tuple of
+// ObserveRun, or one Flush call) results are ordered by key, ascending,
+// with a key's own results keeping their operator-emission order, so the
+// output sequence is a pure function of the released tuple sequence (no
+// map-iteration dependence).
 type KeyedOp struct {
 	spec      Spec
 	agg       Factory
@@ -59,9 +60,6 @@ func NewKeyedOp(spec Spec, agg Factory, policy LatePolicy, refineFor stream.Time
 	}
 }
 
-// Spec returns the window specification.
-func (o *KeyedOp) Spec() Spec { return o.spec }
-
 // SetFeedback is Op.SetFeedback for every key's operator: each (key, window)
 // is reported on its own. Call it before the first tuple.
 func (o *KeyedOp) SetFeedback(horizon stream.Time) { o.feedback = horizon }
@@ -75,19 +73,10 @@ func (o *KeyedOp) Finals(out []Final) []Final {
 	return out
 }
 
-// Keys returns the number of keys with operator state.
-func (o *KeyedOp) Keys() int { return len(o.ops) }
-
-// Observe feeds one tuple, appending emitted per-key results to out. A
-// clock advance that closes a window (crosses a slide boundary) also
-// closes that window for every other key; advances within the same slide
-// touch only the tuple's own key, since no other key could emit anything.
-func (o *KeyedOp) Observe(t stream.Tuple, now stream.Time, out []KeyedResult) []KeyedResult {
-	o.observe(t, now)
-	return o.Drain(out)
-}
-
-// observe is Observe with the results left in o.res.
+// observe feeds one tuple, leaving the emitted per-key results in o.res. A
+// clock advance that closes a window (crosses a slide boundary) also closes
+// that window for every other key; advances within the same slide touch
+// only the tuple's own key, since no other key could emit anything.
 func (o *KeyedOp) observe(t stream.Tuple, now stream.Time) {
 	op, ok := o.ops[t.Key]
 	if !ok {
@@ -116,7 +105,7 @@ func (o *KeyedOp) observe(t stream.Tuple, now stream.Time) {
 }
 
 // ObserveRun feeds ts[*pos:] with their arrival-time positions nows, one
-// Observe per tuple — each tuple is an input step of its own, which is what
+// step per tuple — each tuple is an input step of its own, which is what
 // the canonical emission order is defined over — moving *pos past a tuple
 // before touching it (see Op.ObserveRun).
 func (o *KeyedOp) ObserveRun(ts []stream.Tuple, nows []stream.Time, pos *int, out []KeyedResult) []KeyedResult {
@@ -213,14 +202,4 @@ func (o *KeyedOp) Stats() OpStats {
 		s.EmitFailed += os.EmitFailed
 	}
 	return s
-}
-
-// KeyedByIdx indexes keyed results by (key, window index), refinements
-// overwriting primaries.
-func KeyedByIdx(rs []KeyedResult) map[[2]uint64]KeyedResult {
-	m := make(map[[2]uint64]KeyedResult, len(rs))
-	for _, r := range rs {
-		m[[2]uint64{r.Key, uint64(r.Idx)}] = r
-	}
-	return m
 }

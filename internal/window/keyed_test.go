@@ -9,6 +9,23 @@ import (
 	"repro/internal/stream"
 )
 
+// Observe feeds one tuple, appending emitted per-key results to out: one
+// tuple of ObserveRun.
+func (o *KeyedOp) Observe(t stream.Tuple, now stream.Time, out []KeyedResult) []KeyedResult {
+	o.observe(t, now)
+	return o.Drain(out)
+}
+
+// keyedByIdx indexes keyed results by (key, window index), refinements
+// overwriting primaries.
+func keyedByIdx(rs []KeyedResult) map[[2]uint64]KeyedResult {
+	m := make(map[[2]uint64]KeyedResult, len(rs))
+	for _, r := range rs {
+		m[[2]uint64{r.Key, uint64(r.Idx)}] = r
+	}
+	return m
+}
+
 func kmk(ts stream.Time, key uint64, v float64) stream.Tuple {
 	return stream.Tuple{TS: ts, Arrival: ts, Key: key, Value: v}
 }
@@ -20,15 +37,15 @@ func TestKeyedOpSeparatesKeys(t *testing.T) {
 	out = op.Observe(kmk(2, 2, 100), 2, out)
 	out = op.Observe(kmk(15, 1, 1), 15, out) // closes window 0 for both keys
 	out = op.Flush(20, out)
-	byIdx := KeyedByIdx(out)
+	byIdx := keyedByIdx(out)
 	if r := byIdx[[2]uint64{1, 0}]; r.Value != 10 {
 		t.Fatalf("key 1 window 0 = %+v", r)
 	}
 	if r := byIdx[[2]uint64{2, 0}]; r.Value != 100 {
 		t.Fatalf("key 2 window 0 = %+v", r)
 	}
-	if op.Keys() != 2 {
-		t.Fatalf("Keys = %d", op.Keys())
+	if len(op.ops) != 2 {
+		t.Fatalf("Keys = %d", len(op.ops))
 	}
 }
 
@@ -64,7 +81,7 @@ func TestKeyedOpMatchesPerKeyOracle(t *testing.T) {
 				Key: uint64(rng.Intn(4)), Value: rng.Float64Range(0, 10),
 			}
 		}
-		got := KeyedByIdx(KeyedOracle(spec, Sum(), tuples))
+		got := keyedByIdx(KeyedOracle(spec, Sum(), tuples))
 		// Brute force per key/window.
 		for k, r := range got {
 			key, idx := k[0], int64(k[1])

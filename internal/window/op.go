@@ -3,7 +3,6 @@ package window
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/stream"
 )
@@ -153,9 +152,6 @@ func (o *Op) Finals(out []Final) []Final {
 	o.finals = o.finals[:0]
 	return out
 }
-
-// Spec returns the operator's window specification.
-func (o *Op) Spec() Spec { return o.spec }
 
 // Stats returns cumulative counters.
 func (o *Op) Stats() OpStats { return o.stats }
@@ -442,17 +438,6 @@ func (r *keptRing) pop() {
 		clear(r.wins[n:])
 		r.wins, r.head = r.wins[:n], 0
 	}
-}
-
-// SortResults orders results by (window index, refinement flag) — the
-// canonical order used when comparing against the oracle.
-func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Idx != rs[j].Idx {
-			return rs[i].Idx < rs[j].Idx
-		}
-		return !rs[i].Refinement && rs[j].Refinement
-	})
 }
 
 // Primary filters rs to primary (non-refinement) results, preserving order.

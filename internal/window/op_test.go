@@ -237,11 +237,7 @@ func TestOracleZeroLatency(t *testing.T) {
 
 func TestResultHelpers(t *testing.T) {
 	rs := []Result{
-		{Idx: 2}, {Idx: 0}, {Idx: 1, Refinement: true}, {Idx: 1},
-	}
-	SortResults(rs)
-	if rs[0].Idx != 0 || rs[1].Idx != 1 || rs[1].Refinement || !rs[2].Refinement {
-		t.Fatalf("SortResults order: %v", rs)
+		{Idx: 0}, {Idx: 1}, {Idx: 1, Refinement: true}, {Idx: 2},
 	}
 	p := Primary(rs)
 	if len(p) != 3 {
