@@ -113,7 +113,8 @@ cover:
 # (TestOneBufferTrace), and the fan-out ring read by one loop,
 # cq.Group.Run, whatever the driver (TestOneRingConsumer). One adaptive
 # control loop, core.AQKSlack, serves aggregates and joins alike
-# (TestOneAdaptiveHandler). No code that only tests reach: every func,
+# (TestOneAdaptiveHandler), whose only settings are the query's bound and
+# the few a program sets (TestOneQualityKnob). No code that only tests reach: every func,
 # method, type, const and var outside bench/ is reachable from a main, an
 # init, a package-level var or the lint's short allowlist
 # (TestNoTestOnlyCode). The -run pattern takes every TestOne* lint, so a

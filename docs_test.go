@@ -11,12 +11,15 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // mdLink matches inline markdown links [text](target). Reference-style
@@ -1174,6 +1177,84 @@ func TestOneAdaptiveHandler(t *testing.T) {
 			if !strings.HasPrefix(caller, handler+".") && !(callee == "minSlack" && caller == "Estimator.MinKForLoss") {
 				t.Errorf("%s calls %s: the control loop is %s's alone", caller, callee, handler)
 			}
+		}
+	}
+}
+
+// declared marks a setting that is the query's declaration, which the user
+// states: its quality bound and what it bounds.
+const declared = "the query's declaration"
+
+// qualityKnobs is every settable value of the adaptive handler, named by its
+// path from core.Config or core.JoinConfig (the estimator's through
+// Config.Estimator, the same core.EstimatorConfig that NewEstimator takes).
+// A value that is not the query's declaration says why it is still settable.
+var qualityKnobs = map[string]string{
+	"Config.Theta":                   declared,
+	"Config.Spec":                    declared,
+	"Config.Agg":                     declared,
+	"Config.Mode":                    "R9's controller ablation sets it; it goes with R9 once a regret table replaces the ablation",
+	"Config.AdaptEvery":              "R9's adaptation-period sweep sets it; it goes with R9 as Mode does",
+	"Config.FeedbackHorizon":         "the feedback tests' emit-and-finalize-in-one-run case needs a horizon of a fifth of a slide",
+	"Config.WarmupTuples":            "the warm-up is an open question of the controller (ROADMAP item 3(a)); tests shorten it to adapt from the start",
+	"Config.Estimator.ReservoirSize": "the executor tests' cost seam: a small value sample keeps an adaptive run cheap",
+	"Config.Estimator.MCTrials":      "the executor tests' cost seam: few Monte-Carlo trials keep an adaptive run cheap",
+	"Config.Estimator.Seed":          "the experiments and the benchmark seed the estimator's sampling",
+	"JoinConfig.Recall":              declared,
+	"JoinConfig.Band":                declared,
+	"JoinConfig.Streams":             declared,
+	"JoinConfig.WarmupTuples":        "as Config.WarmupTuples",
+}
+
+// TestOneQualityKnob keeps the quality bound the controller's one knob. The
+// paper's user states a bound on result quality — relative error ≤ θ for an
+// aggregate, recall ≥ r for a join — and the system picks the buffer; yet
+// core.Config and core.JoinConfig once offered the slack ceiling, the safety
+// share of the bound, the PI gains, the loss-curve refresh, the sketch's rank
+// error and the window-count smoothing, each with the one value every program
+// used. They are the package's constants now (docs/ALGORITHMS.md tabulates
+// them). So: every exported field of the two configs, through the structs of
+// package core they hold, is a recorded value of qualityKnobs with a reason,
+// and every recorded value is still a field.
+func TestOneQualityKnob(t *testing.T) {
+	found := map[string]bool{}
+	pkg := reflect.TypeFor[core.Config]().PkgPath()
+	var walk func(prefix string, ty reflect.Type)
+	walk = func(prefix string, ty reflect.Type) {
+		for i := range ty.NumField() {
+			f := ty.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			ft := f.Type
+			if ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			if ft.Kind() == reflect.Struct && ft.PkgPath() == pkg {
+				walk(prefix+f.Name+".", ft)
+				continue
+			}
+			found[prefix+f.Name] = true
+		}
+	}
+	walk("Config.", reflect.TypeFor[core.Config]())
+	walk("JoinConfig.", reflect.TypeFor[core.JoinConfig]())
+	if !found["Config.Theta"] || !found["Config.Estimator.Seed"] || !found["JoinConfig.Recall"] {
+		t.Fatalf("extraction rotted: %v", keys(found))
+	}
+	for _, name := range keys(found) {
+		if qualityKnobs[name] == "" {
+			t.Errorf("core.%s is settable but not recorded: make it a constant, or record why a program sets it", name)
+		}
+	}
+	recorded := make([]string, 0, len(qualityKnobs))
+	for name := range qualityKnobs {
+		recorded = append(recorded, name)
+	}
+	sort.Strings(recorded)
+	for _, name := range recorded {
+		if !found[name] {
+			t.Errorf("qualityKnobs records core.%s, which is no longer a field", name)
 		}
 	}
 }

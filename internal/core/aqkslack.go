@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/obs/tracez"
+	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -40,49 +41,49 @@ func (m Mode) String() string {
 	}
 }
 
-// Config parameterizes AQKSlack. Spec, Agg and Theta are required; zero
-// values elsewhere select documented defaults.
+// Config parameterizes AQKSlack: the query's declaration — the bound Theta
+// on its window's relative error, its window Spec and aggregate Agg, all
+// required — and the few settings a program varies. Zero values select
+// documented defaults; everything else the handler takes from the constants
+// below.
 type Config struct {
 	Theta float64        // bound on relative window error, e.g. 0.01
 	Spec  window.Spec    // the downstream query's window
 	Agg   window.Factory // the downstream query's aggregate
 
-	KMax            stream.Time // slack ceiling; default 64 × Spec.Size
 	AdaptEvery      stream.Time // adaptation period; default Spec.Slide
-	Safety          float64     // internal target = Safety·Theta; default 0.8
 	Mode            Mode        // default ModeHybrid
-	PI              *PI         // gains, copied per handler; default Kp 0.2, Ki 0.02, clamp [0.5, 2]
 	Estimator       EstimatorConfig
 	FeedbackHorizon stream.Time // straggler wait before realized error; default 4 × Spec.Size
-	LossRefresh     int         // adaptations between loss-curve refreshes; default 8
 	WarmupTuples    int64       // tuples before first adaptation; default 200
 }
 
+// The controller's constants. The user states only the quality bound; the
+// handler scales these by it and by the query's window (a join: its band).
+// docs/ALGORITHMS.md tabulates them with their reasons.
+const (
+	// kMaxWindows is the slack ceiling, in window sizes.
+	kMaxWindows = 64
+	// safety is the share of the bound the controller aims at: its target
+	// is safety·Theta, the rest absorbs the model's and the sketch's error.
+	safety = 0.8
+	// lossRefresh is the number of adaptations between loss-curve refreshes.
+	lossRefresh = 8
+	// realizedAlpha smooths the realized error slowly: it arrives once per
+	// slide but reflects decisions a feedback horizon ago, and a twitchy
+	// average would feed the controller its own noise.
+	realizedAlpha = 0.1
+)
+
 func (c Config) withDefaults() Config {
-	if c.KMax == 0 {
-		c.KMax = 64 * c.Spec.Size
-	}
 	if c.AdaptEvery == 0 {
 		c.AdaptEvery = c.Spec.Slide
 	}
-	if c.Safety == 0 {
-		c.Safety = 0.8
-	}
-	c.PI = ownPI(c.PI, c.Mode == ModePOnly)
 	if c.FeedbackHorizon == 0 {
 		c.FeedbackHorizon = 4 * c.Spec.Size
 	}
-	if c.LossRefresh == 0 {
-		c.LossRefresh = 8
-	}
 	if c.WarmupTuples == 0 {
 		c.WarmupTuples = 200
-	}
-	if c.Estimator.SketchEps == 0 {
-		// The controller probes tail probabilities around Safety·Theta;
-		// the sketch's rank error must be well below that or the model is
-		// forced into gross over-buffering.
-		c.Estimator.SketchEps = clampEps(c.Safety * c.Theta / 4)
 	}
 	return c
 }
@@ -146,11 +147,10 @@ type AQKSlack struct {
 	est   *Estimator
 	model qualityModel
 	pi    *PI
-	mode  Mode
 
-	realized  *ewmaOrZero
+	realized  *stats.EWMA
 	curve     LossCurve    // loss model: error model as of the last refresh; empty before it
-	curveAge  int          // loss model: adaptations since then, modulo LossRefresh
+	curveAge  int          // loss model: adaptations since then, modulo lossRefresh
 	seen      window.Final // recall model: the join's report at the last adaptation
 	lastAdapt stream.Time
 	adaptInit bool
@@ -164,23 +164,6 @@ type AQKSlack struct {
 	lastClamps int64          // PI clamp count already published to telem
 }
 
-// ewmaOrZero is a tiny EWMA that reports whether it has data.
-type ewmaOrZero struct {
-	v    float64
-	init bool
-}
-
-func (e *ewmaOrZero) add(x float64) {
-	if !e.init {
-		e.v, e.init = x, true
-		return
-	}
-	// Slow smoothing: realized errors arrive once per slide but reflect
-	// decisions a feedback horizon ago; a twitchy average would feed the
-	// controller its own noise.
-	e.v += 0.1 * (x - e.v)
-}
-
 // NewAQKSlack returns the adaptive handler with the window aggregate's loss
 // model. It panics on an invalid window spec or a non-positive Theta.
 func NewAQKSlack(cfg Config) *AQKSlack {
@@ -191,15 +174,22 @@ func NewAQKSlack(cfg Config) *AQKSlack {
 		panic("core: Theta must be positive")
 	}
 	cfg = cfg.withDefaults()
-	est := NewEstimator(cfg.Spec, cfg.Agg, cfg.Estimator)
+	// The controller probes tail probabilities around safety·Theta; the
+	// sketch's rank error must be well below that or the model is forced
+	// into gross over-buffering.
+	est := newEstimator(cfg.Spec, cfg.Agg, cfg.Estimator, clampEps(safety*cfg.Theta/4))
 	return newHandler(cfg, est, lossModel{})
 }
 
 // newHandler returns the handler of both constructors, with cfg's defaults
 // filled.
 func newHandler(cfg Config, est *Estimator, model qualityModel) *AQKSlack {
-	return &AQKSlack{cfg: cfg, buf: buffer.NewKSlack(0), est: est, model: model, pi: cfg.PI, mode: cfg.Mode, realized: &ewmaOrZero{}}
+	return &AQKSlack{cfg: cfg, buf: buffer.NewKSlack(0), est: est, model: model,
+		pi: ownPI(cfg.Mode == ModePOnly), realized: stats.NewEWMA(realizedAlpha)}
 }
+
+// kMax is the slack ceiling: kMaxWindows window sizes (a join: bands).
+func (a *AQKSlack) kMax() stream.Time { return kMaxWindows * a.cfg.Spec.Size }
 
 // Insert implements buffer.Handler: InsertRun of the one item, then the
 // adaptation it leaves due, with no realized error to trim by (see AQKSlack).
@@ -273,13 +263,13 @@ func (a *AQKSlack) Feedback(fs []window.Final) {
 // stream time at for window (a join: report) win. Both models fold through
 // it.
 func (a *AQKSlack) fold(at stream.Time, win int64, err float64) {
-	a.realized.add(err)
+	a.realized.Add(err)
 	a.qstats.FinalizedWins++
 	if a.telem != nil {
 		a.telem.Finalized.Inc()
-		a.telem.RealizedErr.Set(a.realized.v)
+		a.telem.RealizedErr.Set(a.realized.Value())
 	}
-	a.tracer.QualitySample(int64(at), win, a.realized.v)
+	a.tracer.QualitySample(int64(at), win, a.realized.Value())
 }
 
 // Flush implements buffer.Handler.
@@ -297,9 +287,9 @@ func (a *AQKSlack) Stats() buffer.Stats { return a.buf.Stats() }
 // String implements buffer.Handler.
 func (a *AQKSlack) String() string {
 	if m, ok := a.model.(recallModel); ok {
-		return fmt.Sprintf("aq-join(recall=%g mode=%s K=%d)", m.recall, a.mode, a.K())
+		return fmt.Sprintf("aq-join(recall=%g mode=%s K=%d)", m.recall, a.cfg.Mode, a.K())
 	}
-	return fmt.Sprintf("aq-kslack(theta=%g mode=%s K=%d)", a.cfg.Theta, a.mode, a.K())
+	return fmt.Sprintf("aq-kslack(theta=%g mode=%s K=%d)", a.cfg.Theta, a.cfg.Mode, a.K())
 }
 
 // Trace returns the adaptation trace, oldest first: one sample per
@@ -335,7 +325,7 @@ func (a *AQKSlack) TraceTo(tr *tracez.Tracer) {
 // Quality returns cumulative quality-control counters.
 func (a *AQKSlack) Quality() QualityStats {
 	q := a.qstats
-	q.RealizedErrEWMA = a.realized.v
+	q.RealizedErrEWMA = a.realized.Value()
 	q.LastK = a.K()
 	return q
 }
@@ -344,22 +334,22 @@ func (a *AQKSlack) Quality() QualityStats {
 func (a *AQKSlack) adapt() {
 	clock := a.buf.Clock()
 	a.lastAdapt = clock
-	target := a.cfg.Safety * a.cfg.Theta
+	target, kMax := safety*a.cfg.Theta, a.kMax()
 
 	// Model half: smallest K whose predicted loss stays within the budget
 	// that meets the target. The lateness sketch is read afresh every step.
-	kModel := minSlack(a.est.lateness, a.model.budget(a, target), a.cfg.KMax,
+	kModel := minSlack(a.est.lateness, a.model.budget(a, target), kMax,
 		func(k stream.Time) float64 { return a.model.loss(a, k) })
 
 	// Feedback half: multiplicative PI trim on realized error.
 	factor := 1.0
-	if a.realized.init && a.mode != ModeModelOnly {
-		sig := (a.realized.v - target) / a.cfg.Theta
+	if a.realized.State().Init && a.cfg.Mode != ModeModelOnly {
+		sig := (a.realized.Value() - target) / a.cfg.Theta
 		factor = a.pi.Update(sig)
 	}
 
 	var k stream.Time
-	switch a.mode {
+	switch a.cfg.Mode {
 	case ModeModelOnly:
 		k = kModel
 	case ModePIOnly, ModePOnly:
@@ -380,8 +370,8 @@ func (a *AQKSlack) adapt() {
 		}
 		k = stream.Time(base * factor)
 	}
-	if k > a.cfg.KMax {
-		k = a.cfg.KMax
+	if k > kMax {
+		k = kMax
 	}
 	if k < 0 {
 		k = 0
@@ -393,7 +383,7 @@ func (a *AQKSlack) adapt() {
 	a.qstats.LastEstErr = estErr
 	a.tracer.AdaptDecision(int64(clock), int64(k), estErr)
 	a.record(KSample{
-		At: clock, K: k, EstErr: estErr, RealizedErr: a.realized.v, PIFactor: factor,
+		At: clock, K: k, EstErr: estErr, RealizedErr: a.realized.Value(), PIFactor: factor,
 	})
 	if a.telem != nil {
 		a.telem.Adaptations.Inc()

@@ -154,7 +154,7 @@ func TestAQKSlackMeetsQualityBound(t *testing.T) {
 		})
 		// The bound is on per-window error in steady state; accept the
 		// mean comfortably under theta and p95 within ~2x (the controller
-		// targets Safety*theta = 0.8*theta on average, not a hard
+		// targets safety*theta = 0.8*theta on average, not a hard
 		// worst-case guarantee).
 		if q.MeanRelErr > theta {
 			t.Errorf("theta=%v: mean error %v exceeds bound (%v)", theta, q.MeanRelErr, q)
@@ -247,7 +247,7 @@ func TestAQKSlackTraceMonotoneTime(t *testing.T) {
 		if tr[i].At < tr[i-1].At {
 			t.Fatalf("trace time went backwards at %d", i)
 		}
-		if tr[i].K < 0 || tr[i].K > h.cfg.KMax {
+		if tr[i].K < 0 || tr[i].K > h.kMax() {
 			t.Fatalf("trace K out of bounds: %+v", tr[i])
 		}
 	}

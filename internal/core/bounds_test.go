@@ -59,7 +59,7 @@ func TestAQKSlackExtremeDisorder(t *testing.T) {
 	if len(out) != len(tuples) {
 		t.Fatalf("conservation violated under extreme disorder: %d/%d", len(out), len(tuples))
 	}
-	if h.K() < 0 || h.K() > h.cfg.KMax {
+	if h.K() < 0 || h.K() > h.kMax() {
 		t.Fatalf("K out of bounds: %d", h.K())
 	}
 }

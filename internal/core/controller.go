@@ -20,22 +20,15 @@ type PI struct {
 	MinFactor, MaxFactor float64
 	integral             float64
 	clamps               int64
-	lastFactor           float64
-	hasOutput            bool
 }
 
-// ownPI returns a handler's own controller: a copy of p, or of the gentle
-// default gains when p is nil, with the integral gain zeroed for ModePOnly —
-// so handlers built from one Config never share integral state or clamp
-// counts, and nothing is written to the caller's PI. The default is gentle
-// because the adaptive handlers' feedback — realized error a FeedbackHorizon
-// late, a nearly binary miss or late-drop count — makes aggressive gains
-// oscillate between their clamps instead of settling.
-func ownPI(p *PI, pOnly bool) *PI {
+// ownPI returns a handler's own controller, with the gentle gains every
+// handler runs: Kp 0.2, Ki 0.02 (zeroed for ModePOnly), factor clamp
+// [0.5, 2]. Gentle, because the adaptive handlers' feedback — realized error
+// a FeedbackHorizon late, a nearly binary miss or late-drop count — makes
+// aggressive gains oscillate between their clamps instead of settling.
+func ownPI(pOnly bool) *PI {
 	own := PI{Kp: 0.2, Ki: 0.02, MinFactor: 0.5, MaxFactor: 2}
-	if p != nil {
-		own = *p
-	}
 	if pOnly {
 		own.Ki = 0
 	}
@@ -69,7 +62,6 @@ func (c *PI) Update(sig float64) float64 {
 	if f > c.MaxFactor {
 		f = c.MaxFactor
 	}
-	c.lastFactor, c.hasOutput = f, true
 	return f
 }
 

@@ -53,17 +53,15 @@ type Estimator struct {
 
 // EstimatorConfig parameterizes NewEstimator. Zero values select defaults.
 type EstimatorConfig struct {
-	SketchEps     float64 // GK rank error; default 0.005
-	ReservoirSize int     // value sample size; default 512
-	MCTrials      int     // Monte-Carlo trials per estimate; default 16
-	CountAlpha    float64 // EWMA factor for window tuple count; default 0.2
+	ReservoirSize int // value sample size; default 4096
+	MCTrials      int // Monte-Carlo trials per estimate; default 16
 	Seed          uint64
 }
 
+// countAlpha is the EWMA factor of the per-window tuple count.
+const countAlpha = 0.2
+
 func (c EstimatorConfig) withDefaults() EstimatorConfig {
-	if c.SketchEps == 0 {
-		c.SketchEps = 0.005
-	}
 	if c.ReservoirSize == 0 {
 		// Large enough that values appearing at ~0.1% frequency (rare
 		// spikes that dominate max/stddev) are present in the sample.
@@ -72,24 +70,27 @@ func (c EstimatorConfig) withDefaults() EstimatorConfig {
 	if c.MCTrials == 0 {
 		c.MCTrials = 16
 	}
-	if c.CountAlpha == 0 {
-		c.CountAlpha = 0.2
-	}
 	return c
 }
 
 // NewEstimator returns an estimator for the given window spec and
-// aggregate.
+// aggregate, whose lateness sketch has rank error 0.005.
 func NewEstimator(spec window.Spec, agg window.Factory, cfg EstimatorConfig) *Estimator {
+	return newEstimator(spec, agg, cfg, 0.005)
+}
+
+// newEstimator is NewEstimator with a lateness sketch of rank error
+// sketchEps, which the adaptive handler derives from its bound.
+func newEstimator(spec window.Spec, agg window.Factory, cfg EstimatorConfig, sketchEps float64) *Estimator {
 	cfg = cfg.withDefaults()
 	// With windows every Slide, the gap between a uniformly placed tuple and
 	// the end of a window it falls in takes the values (j+½)·Slide for
 	// j = 0..Size/Slide−1 (see PLoss).
-	e := newLatenessEstimator(max(int(spec.Size/spec.Slide), 1), float64(spec.Slide), cfg.SketchEps)
+	e := newLatenessEstimator(max(int(spec.Size/spec.Slide), 1), float64(spec.Slide), sketchEps)
 	e.rng = stats.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	e.agg, e.trials = agg, cfg.MCTrials
 	e.values = stats.NewReservoir(cfg.ReservoirSize, e.rng)
-	e.winCount = stats.NewEWMA(cfg.CountAlpha)
+	e.winCount = stats.NewEWMA(countAlpha)
 	return e
 }
 

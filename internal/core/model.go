@@ -30,7 +30,7 @@ type qualityModel interface {
 // lossModel is the window aggregate's quality model: the loss probability of
 // a (tuple, window) contribution (PLoss), and the loss curve that maps it to
 // the expected relative window error, which the handler caches and re-runs
-// every LossRefresh adaptations.
+// every lossRefresh adaptations.
 type lossModel struct{}
 
 // feedback takes each reported window's complete count into the estimator
@@ -43,13 +43,13 @@ func (lossModel) feedback(a *AQKSlack, fs []window.Final) {
 	}
 }
 
-// budget re-runs the error model every LossRefresh adaptations (and after
+// budget re-runs the error model every lossRefresh adaptations (and after
 // restoring a snapshot that carried no curve) and inverts it at target.
 func (lossModel) budget(a *AQKSlack, target float64) float64 {
 	if a.curveAge == 0 || a.curve.errs == nil {
 		a.curve = a.est.LossCurve()
 	}
-	a.curveAge = (a.curveAge + 1) % a.cfg.LossRefresh
+	a.curveAge = (a.curveAge + 1) % lossRefresh
 	return a.curve.MaxLoss(target)
 }
 
@@ -57,8 +57,10 @@ func (lossModel) loss(a *AQKSlack, k stream.Time) float64 { return a.est.PLoss(k
 
 func (lossModel) err(a *AQKSlack, k stream.Time) float64 { return a.curve.Err(a.est.PLoss(k)) }
 
-// JoinConfig parameterizes the recall model (NewAQJoin). Recall and Band are
-// required; zero values elsewhere select documented defaults.
+// JoinConfig parameterizes the recall model (NewAQJoin): the join's
+// declaration — the Recall target and the Band, both required, and the number
+// of Streams — and its warm-up. Zero values select documented defaults; the
+// rest is Config's constants, scaled by the band.
 type JoinConfig struct {
 	Recall float64     // recall target in (0, 1), e.g. 0.99
 	Band   stream.Time // the downstream join's band
@@ -67,13 +69,7 @@ type JoinConfig struct {
 	// missRate = 1 − (1−p)^m.
 	Streams int
 
-	KMax         stream.Time // slack ceiling; default 64 × Band
-	AdaptEvery   stream.Time // adaptation period; default Band
-	Safety       float64     // use Safety × miss budget; default 0.8
-	Mode         Mode        // default ModeHybrid
-	PI           *PI         // gains, copied per handler; default as Config.PI
-	SketchEps    float64     // lateness sketch rank error; default 0.005
-	WarmupTuples int64       // tuples before first adaptation; default 200
+	WarmupTuples int64 // tuples before first adaptation; default 200
 }
 
 // recallModel is the band join's quality model. A pair is missed when one
@@ -102,22 +98,18 @@ func NewAQJoin(jc JoinConfig) *AQKSlack {
 	if jc.Band <= 0 {
 		panic("core: join band must be positive")
 	}
-	// A tuple's partners lie within one band: it scales the defaults as the
-	// window does an aggregate's.
+	// A tuple's partners lie within one band: it scales the defaults and the
+	// constants as the window does an aggregate's.
 	cfg := Config{
 		Theta: 1 - jc.Recall, Spec: window.Spec{Size: jc.Band, Slide: jc.Band},
-		KMax: jc.KMax, AdaptEvery: jc.AdaptEvery, Safety: jc.Safety, Mode: jc.Mode, PI: jc.PI,
-		WarmupTuples: jc.WarmupTuples, Estimator: EstimatorConfig{SketchEps: jc.SketchEps},
+		WarmupTuples: jc.WarmupTuples,
 	}.withDefaults()
-	if jc.SketchEps == 0 {
-		// The model probes per-tuple tail probabilities around half the
-		// pair budget; keep the sketch's rank error well below that.
-		cfg.Estimator.SketchEps = clampEps(cfg.Safety * cfg.Theta / 8)
-	}
 	if jc.Streams == 0 {
 		jc.Streams = 2
 	}
-	est := newLatenessEstimator(8, float64(2*jc.Band)/8, cfg.Estimator.SketchEps)
+	// The model probes per-tuple tail probabilities around half the pair
+	// budget; keep the sketch's rank error well below that.
+	est := newLatenessEstimator(8, float64(2*jc.Band)/8, clampEps(safety*cfg.Theta/8))
 	return newHandler(cfg, est, recallModel{jc.Recall, float64(jc.Streams)})
 }
 

@@ -93,7 +93,7 @@ func TestAQJoinFeedbackClosesTheLoop(t *testing.T) {
 		return h.Flush(out)
 	}
 	open := core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: cfg.Band})
-	model := core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: cfg.Band, Mode: core.ModeModelOnly})
+	model := core.NewAQJoinModelOnly(core.JoinConfig{Recall: 0.99, Band: cfg.Band})
 	if !slices.Equal(insertAll(open), insertAll(model)) {
 		t.Error("open loop released differently from ModeModelOnly")
 	}

@@ -96,7 +96,7 @@ func TestAQJoinTraceAndString(t *testing.T) {
 		t.Fatal("no adaptations")
 	}
 	for i, s := range aq.Trace() {
-		if s.K < 0 || s.K > aq.cfg.KMax {
+		if s.K < 0 || s.K > aq.kMax() {
 			t.Fatalf("trace[%d] K out of bounds: %+v", i, s)
 		}
 		if s.EstErr < 0 || s.EstErr > 1 {
@@ -114,3 +114,12 @@ func TestAQJoinTraceAndString(t *testing.T) {
 // TwoStreams exports twoStreams to the external test package
 // (recall_exec_test.go, which imports cq).
 var TwoStreams = twoStreams
+
+// NewAQJoinModelOnly is NewAQJoin's handler with the feedback half off
+// (ModeModelOnly, which a JoinConfig does not offer): the open-loop reference
+// of the external test package (recall_exec_test.go).
+func NewAQJoinModelOnly(jc JoinConfig) *AQKSlack {
+	a := NewAQJoin(jc)
+	a.cfg.Mode = ModeModelOnly
+	return a
+}

@@ -23,22 +23,23 @@ import (
 // PIState is the exported state of a PI controller. Gains and clamp bounds
 // are included — a snapshot taken under one tuning must not be silently
 // reinterpreted under another.
+//
+// A state written while the controller still kept its last output carries it
+// ("lastFactor", "hasOutput"); nothing read it, and it is ignored.
 type PIState struct {
-	Kp         float64 `json:"kp"`
-	Ki         float64 `json:"ki"`
-	MinFactor  float64 `json:"minFactor"`
-	MaxFactor  float64 `json:"maxFactor"`
-	Integral   float64 `json:"integral"`
-	Clamps     int64   `json:"clamps"`
-	LastFactor float64 `json:"lastFactor"`
-	HasOutput  bool    `json:"hasOutput"`
+	Kp        float64 `json:"kp"`
+	Ki        float64 `json:"ki"`
+	MinFactor float64 `json:"minFactor"`
+	MaxFactor float64 `json:"maxFactor"`
+	Integral  float64 `json:"integral"`
+	Clamps    int64   `json:"clamps"`
 }
 
 // State exports the controller state, gains included.
 func (c *PI) State() PIState {
 	return PIState{
 		Kp: c.Kp, Ki: c.Ki, MinFactor: c.MinFactor, MaxFactor: c.MaxFactor,
-		Integral: c.integral, Clamps: c.clamps, LastFactor: c.lastFactor, HasOutput: c.hasOutput,
+		Integral: c.integral, Clamps: c.clamps,
 	}
 }
 
@@ -46,7 +47,7 @@ func (c *PI) State() PIState {
 // gains.
 func (c *PI) Restore(st PIState) {
 	c.Kp, c.Ki, c.MinFactor, c.MaxFactor = st.Kp, st.Ki, st.MinFactor, st.MaxFactor
-	c.integral, c.clamps, c.lastFactor, c.hasOutput = st.Integral, st.Clamps, st.LastFactor, st.HasOutput
+	c.integral, c.clamps = st.Integral, st.Clamps
 }
 
 // EstimatorState is the exported state of an Estimator. The RNG is shared
@@ -107,7 +108,7 @@ func (a *AQKSlack) State() AQState {
 		Buf:        a.buf.State(),
 		Est:        a.est.State(),
 		PI:         a.pi.State(),
-		Realized:   stats.EWMAState{Value: a.realized.v, Init: a.realized.init},
+		Realized:   a.realized.State(),
 		Curve:      a.curve.errs, // never written after it is built
 		CurveAge:   a.curveAge,
 		LastAdapt:  a.lastAdapt,
@@ -130,7 +131,7 @@ func (a *AQKSlack) Restore(st AQState) error {
 	a.buf.Restore(st.Buf)
 	a.est.Restore(st.Est)
 	a.pi.Restore(st.PI)
-	a.realized.v, a.realized.init = st.Realized.Value, st.Realized.Init
+	a.realized.Restore(st.Realized)
 	a.curve = LossCurve{}
 	if len(st.Curve) == curvePoints {
 		a.curve.errs = st.Curve

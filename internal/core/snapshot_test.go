@@ -22,7 +22,7 @@ func TestPIStateContinuation(t *testing.T) {
 			t.Fatalf("factor diverged at step %d: %v vs %v", i, fa, fb)
 		}
 	}
-	if a.Clamps() != b.Clamps() || a.integral != b.integral || a.lastFactor != b.lastFactor || a.hasOutput != b.hasOutput {
+	if a.Clamps() != b.Clamps() || a.integral != b.integral {
 		t.Fatalf("controller internals diverged: %+v vs %+v", a.State(), b.State())
 	}
 }
@@ -108,7 +108,7 @@ func TestAQKSlackStateContinuation(t *testing.T) {
 	cut := len(items) / 2
 	var scratch []stream.Tuple
 	for i, it := range items {
-		if i >= cut && a.curveAge == a.cfg.LossRefresh/2 {
+		if i >= cut && a.curveAge == lossRefresh/2 {
 			cut = i
 			break
 		}
@@ -161,7 +161,7 @@ func TestAQKSlackStateContinuation(t *testing.T) {
 	// The trace restarts empty on restore; from there on every sample —
 	// slack, estimated error, trim — must match the original's.
 	trA, trB := a.Trace()[traced:], b.Trace()
-	if len(trB) < 2*a.cfg.LossRefresh || len(trA) != len(trB) {
+	if len(trB) < 2*lossRefresh || len(trA) != len(trB) {
 		t.Fatalf("test setup: %d vs %d adaptations after the cut, want a few refreshes", len(trA), len(trB))
 	}
 	for i := range trA {

@@ -1,9 +1,6 @@
 package cq
 
-import (
-	"repro/internal/durable"
-	"repro/internal/stream"
-)
+import "repro/internal/durable"
 
 // Durable couples a query to a durability log (see internal/durable): the
 // step core (Exec) journals every batch it applies, snapshots
@@ -11,8 +8,7 @@ import (
 // opened over a previous run's directory — recovers before processing:
 // restore the snapshot, replay the journal suffix, and suppress re-emission
 // of windows the previous process already delivered durably. The whole
-// protocol lives in exec.go; this file holds its configuration and the
-// intake-side disorder accumulator a snapshot carries.
+// protocol lives in exec.go; this file holds its configuration.
 type Durable struct {
 	// Log is an opened durable.QueryLog. The Exec consumes its pending
 	// recovery (QueryLog.TakeRecovery); the caller keeps ownership and
@@ -47,61 +43,4 @@ type RecoveryInfo struct {
 	HaveEmit          bool
 	TruncatedBytes    int64 // torn journal tail repaired away
 	TruncatedRecords  int
-}
-
-// disorderAcc is the drivers' inline disorder measurement (same
-// definition as stream.MeasureDisorder, without retaining the input). It is
-// part of snapshots so a recovered run's disorder report covers the whole
-// logical stream, not just the post-crash part.
-type disorderAcc struct {
-	stats    stream.DisorderStats
-	sumLate  float64
-	sumDelay float64
-	clock    stream.Time
-	started  bool
-}
-
-// observe folds a batch's data tuples in, in order. The accumulator is held
-// in locals across the batch: the intake runs over every tuple a driver
-// steps.
-func (d *disorderAcc) observe(items []stream.Item) {
-	st, sumLate, sumDelay, clock, started := d.stats, d.sumLate, d.sumDelay, d.clock, d.started
-	for i := range items {
-		t := &items[i].Tuple
-		if items[i].Heartbeat {
-			continue
-		}
-		if !started || t.TS > clock {
-			clock, started = t.TS, true
-		}
-		if l := clock - t.TS; l > 0 {
-			st.OutOfOrder++
-			sumLate += float64(l)
-			st.MaxLateness = max(st.MaxLateness, l)
-		}
-		dl := t.Arrival - t.TS
-		sumDelay += float64(dl)
-		st.MaxDelay = max(st.MaxDelay, dl)
-		st.N++
-	}
-	d.stats, d.sumLate, d.sumDelay, d.clock, d.started = st, sumLate, sumDelay, clock, started
-}
-
-// finish computes the derived means and returns the stats.
-func (d *disorderAcc) finish() stream.DisorderStats {
-	st := d.stats
-	if st.N > 0 {
-		st.MeanLateness = d.sumLate / float64(st.N)
-		st.MeanDelay = d.sumDelay / float64(st.N)
-	}
-	return st
-}
-
-// cut exports the accumulator for a snapshot.
-func (d *disorderAcc) cut() durable.DisorderCut {
-	return durable.DisorderCut{Stats: d.stats, SumLate: d.sumLate, SumDelay: d.sumDelay, Clock: d.clock, Started: d.started}
-}
-
-func (d *disorderAcc) restore(c durable.DisorderCut) {
-	d.stats, d.sumLate, d.sumDelay, d.clock, d.started = c.Stats, c.SumLate, c.SumDelay, c.Clock, c.Started
 }

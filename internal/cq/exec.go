@@ -54,10 +54,10 @@ type Exec struct {
 	fb      buffer.FeedbackHandler // handler, when it adapts to what its query's operator reports
 	stages  []*Stage
 
-	now      stream.Time // arrival clock: max arrival/watermark applied so far
-	at       stream.Time // event-time clock: max event time inserted so far, the buffer events' timestamp
-	dis      disorderAcc // intake-side disorder measurement (see noteInput)
-	released int         // tuples the handler released since the last sync
+	now      stream.Time        // arrival clock: max arrival/watermark applied so far
+	at       stream.Time        // event-time clock: max event time inserted so far, the buffer events' timestamp
+	dis      stream.DisorderAcc // intake-side disorder measurement (see noteInput)
+	released int                // tuples the handler released since the last sync
 
 	// The work in flight: pend[pos:] is journaled (or is the journal) and
 	// still to be inserted, and rel is what the items before pos released;
@@ -313,7 +313,7 @@ func (x *Exec) noteInput(items []stream.Item) {
 			}
 		}
 	}
-	x.dis.observe(items)
+	x.dis.Observe(items)
 }
 
 // Step applies one batch of accepted items, in order. The batch is only
@@ -629,7 +629,7 @@ func (x *Exec) Leave(s *Stage) error {
 	r := x.drain(h)
 	s.sync(h.Stats(), h.K(), h.Len(), x.at, len(r.ts))
 	s.finish(r, x.now)
-	s.rep.Disorder, s.rep.Handler = x.dis.finish(), h.Stats()
+	s.rep.Disorder, s.rep.Handler = x.dis.Finish(), h.Stats()
 	s.x = nil
 	return nil
 }
@@ -655,7 +655,7 @@ func (x *Exec) Report() *AggReport { return x.stages[0].Report() }
 // stage has left, what its private copy's were when it did.
 func (s *Stage) Report() *AggReport {
 	if x := s.x; x != nil {
-		s.rep.Disorder = x.dis.finish()
+		s.rep.Disorder = x.dis.Finish()
 		s.rep.Handler = x.handler.Stats()
 	}
 	s.rep.Handler.Shed = s.rep.Shed
@@ -700,7 +700,7 @@ func (x *Exec) restore() error {
 				return err
 			}
 		}
-		x.dis.restore(snap.Disorder)
+		x.dis = stream.DisorderAcc(snap.Disorder)
 		x.now = snap.Now
 	}
 	x.floor, x.haveFloor = rec.EmitProgress, rec.HaveEmit
@@ -765,7 +765,7 @@ func (x *Exec) snapshot() error {
 		Records:      records,
 		Items:        items,
 		Now:          x.now,
-		Disorder:     x.dis.cut(),
+		Disorder:     durable.DisorderCut(x.dis),
 		Handler:      hs,
 		Op:           &ops,
 		EmitProgress: emit,

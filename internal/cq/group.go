@@ -159,7 +159,7 @@ func (g *Group) step(items []stream.Item, prov stream.BatchProv) error {
 		g.prov = prov
 	}
 	for _, s := range x.stages {
-		s.q.tracer.SourceBatch(int64(x.dis.clock), len(items))
+		s.q.tracer.SourceBatch(int64(x.dis.Clock), len(items))
 		if prov.Valid() {
 			s.q.tracer.WireBatch(time.Now().UnixMilli(), prov.BatchID, len(items), prov.SendMS)
 		}

@@ -1,8 +1,11 @@
 package durable
 
 import (
+	"bytes"
 	"math"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -162,6 +165,80 @@ func TestHandlerRoundTripAQ(t *testing.T) {
 	op.SetFeedback(h.FeedbackHorizon())
 	feedHandler(t, withOperator{h, op})
 	roundTrip(t, "aq", h, core.NewAQKSlack(cfg))
+}
+
+// TestHandlerRestoresRetiredPIOutput: a snapshot written while the PI
+// controller still kept its last output carries it — "lastFactor" and
+// "hasOutput" after "clamps", though nothing read them. Such a state, read
+// through snapjson, restores with the two keys ignored, saves back to the
+// bytes the handler writes now, and the restored handler, behind a copy of
+// the operator, continues to the bit as the original does.
+func TestHandlerRestoresRetiredPIOutput(t *testing.T) {
+	cfg := core.Config{Theta: 0.001, Spec: window.Spec{Size: 100, Slide: 50}, Agg: window.Sum(), WarmupTuples: 1}
+	item := func(i int) stream.Item {
+		ts := int64(i * 10)
+		if i%3 == 1 {
+			ts -= 35
+		}
+		return stream.DataItem(stream.Tuple{TS: ts, Arrival: int64(i * 10), Seq: uint64(i), Value: float64(i%7) * 1.5})
+	}
+	withOp := func(h *core.AQKSlack) withOperator {
+		op := window.NewOp(cfg.Spec, cfg.Agg, window.DropLate, 0)
+		op.SetFeedback(h.FeedbackHorizon())
+		return withOperator{h, op}
+	}
+	orig := withOp(core.NewAQKSlack(cfg))
+	const cut = 600
+	for i := 0; i < cut; i++ {
+		orig.Insert(item(i), nil)
+	}
+	tr := orig.Trace()
+	last := tr[len(tr)-1].PIFactor
+	if last == 1 {
+		t.Fatal("test setup: the PI trim never acted before the cut")
+	}
+	st, err := SaveHandler(orig.AQKSlack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := snapjson.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clamps := regexp.MustCompile(`("pi":\{[^{}]*"clamps":-?\d+)\}`)
+	before := clamps.ReplaceAll(now, []byte(`${1},"lastFactor":`+strconv.FormatFloat(last, 'g', -1, 64)+`,"hasOutput":true}`))
+	if bytes.Equal(before, now) {
+		t.Fatalf("no PI state in %s", now)
+	}
+	var back HandlerState
+	if err := snapjson.Unmarshal(before, &back); err != nil {
+		t.Fatal(err)
+	}
+	restored := withOp(core.NewAQKSlack(cfg))
+	if err := RestoreHandler(restored.AQKSlack, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.op.Restore(orig.op.State()); err != nil {
+		t.Fatal(err)
+	}
+	again, err := SaveHandler(restored.AQKSlack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := snapjson.Marshal(again); !bytes.Equal(b, now) {
+		t.Fatalf("restored state saves as\n%s\nwant\n%s", b, now)
+	}
+	for i := cut; i < 2*cut; i++ {
+		if got, want := restored.Insert(item(i), nil), orig.Insert(item(i), nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("item %d: restored handler released %v, the original %v", i, got, want)
+		}
+	}
+	if got, want := restored.Trace(), orig.Trace()[len(tr):]; len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored handler decided %d times differently from the original's %d", len(got), len(want))
+	}
+	if restored.Quality() != orig.Quality() {
+		t.Fatalf("quality counters %+v, the original %+v", restored.Quality(), orig.Quality())
+	}
 }
 
 // withOperator is an adaptive handler with its query's window operator

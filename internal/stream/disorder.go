@@ -29,36 +29,68 @@ func (d DisorderStats) String() string {
 		d.N, 100*d.FracOutOfOrder(), d.MaxLateness, d.MeanLateness, d.MaxDelay)
 }
 
-// MeasureDisorder computes DisorderStats over tuples in their given
-// (arrival) order.
-func MeasureDisorder(ts []Tuple) DisorderStats {
-	var d DisorderStats
-	var clock Time
-	var sumLate, sumDelay float64
-	for i, t := range ts {
-		if i == 0 || t.TS > clock {
-			clock = t.TS
+// DisorderAcc measures DisorderStats as an arrival-ordered stream passes,
+// without retaining it. Its fields are exported so that a snapshot can carry
+// it (durable.DisorderCut).
+type DisorderAcc struct {
+	Stats    DisorderStats // counts and maxima so far; Finish adds the means
+	SumLate  float64
+	SumDelay float64
+	Clock    Time // the largest event time so far
+	Started  bool // a tuple has been observed, so Clock holds
+}
+
+// Observe folds a batch's data tuples in, in arrival order; heartbeats carry
+// none. This is the one definition of a tuple's lateness and delay. The
+// accumulator is held in locals across the batch: a driver's intake runs
+// this over every tuple it steps.
+func (d *DisorderAcc) Observe(items []Item) {
+	st, sumLate, sumDelay, clock, started := d.Stats, d.SumLate, d.SumDelay, d.Clock, d.Started
+	for i := range items {
+		t := &items[i].Tuple
+		if items[i].Heartbeat {
+			continue
 		}
-		late := clock - t.TS
-		if late > 0 {
-			d.OutOfOrder++
-			sumLate += float64(late)
-			if late > d.MaxLateness {
-				d.MaxLateness = late
-			}
+		if !started || t.TS > clock {
+			clock, started = t.TS, true
+		}
+		if l := clock - t.TS; l > 0 {
+			st.OutOfOrder++
+			sumLate += float64(l)
+			st.MaxLateness = max(st.MaxLateness, l)
 		}
 		dl := t.Delay()
 		sumDelay += float64(dl)
-		if dl > d.MaxDelay {
-			d.MaxDelay = dl
+		st.MaxDelay = max(st.MaxDelay, dl)
+		st.N++
+	}
+	d.Stats, d.SumLate, d.SumDelay, d.Clock, d.Started = st, sumLate, sumDelay, clock, started
+}
+
+// Finish returns the stats so far, means included.
+func (d *DisorderAcc) Finish() DisorderStats {
+	st := d.Stats
+	if st.N > 0 {
+		st.MeanLateness = d.SumLate / float64(st.N)
+		st.MeanDelay = d.SumDelay / float64(st.N)
+	}
+	return st
+}
+
+// MeasureDisorder computes DisorderStats over tuples in their given
+// (arrival) order: a DisorderAcc fed them in batches.
+func MeasureDisorder(ts []Tuple) DisorderStats {
+	var d DisorderAcc
+	var batch [128]Item
+	for len(ts) > 0 {
+		n := min(len(ts), len(batch))
+		for i, t := range ts[:n] {
+			batch[i] = DataItem(t)
 		}
+		d.Observe(batch[:n])
+		ts = ts[n:]
 	}
-	d.N = len(ts)
-	if d.N > 0 {
-		d.MeanLateness = sumLate / float64(d.N)
-		d.MeanDelay = sumDelay / float64(d.N)
-	}
-	return d
+	return d.Finish()
 }
 
 // Inversions counts pairs (i, j) with i < j in arrival order but
