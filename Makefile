@@ -117,11 +117,14 @@ cover:
 # the few a program sets (TestOneQualityKnob). No code that only tests reach: every func,
 # method, type, const and var outside bench/ is reachable from a main, an
 # init, a package-level var or the lint's short allowlist
-# (TestNoTestOnlyCode). The -run pattern takes every TestOne* lint, so a
-# new one cannot be left out.
+# (TestNoTestOnlyCode), and no setting that only tests set: every
+# exported field of the listed option structs is set by a program outside
+# its package and the simulation harness, or is a reasoned seam
+# (TestNoTestOnlySetting). The -run pattern takes every TestOne* lint, so
+# a new one cannot be left out.
 doccheck:
 	$(GO) vet ./internal/obs/...
-	$(GO) test . -run '^Test(DocLinks|MetricsCatalog|One[A-Za-z]+|NoTestOnlyCode)$$'
+	$(GO) test . -run '^Test(DocLinks|MetricsCatalog|One[A-Za-z]+|NoTestOnlyCode|NoTestOnlySetting)$$'
 
 # The benchmark harness is a module of its own (bench/), so the root
 # build and tests never see it; its smoke test (every workload, traced,

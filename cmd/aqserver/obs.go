@@ -99,8 +99,8 @@ func mountObs(mux *http.ServeMux, reg *obs.Registry) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// instrumentFanoutProducer registers the per-stream producer counters of
-// a fan-out group's broadcast ring.
+// instrumentFanoutProducer registers the per-stream producer counter of a
+// fan-out group's broadcast ring.
 func instrumentFanoutProducer(reg *obs.Registry, stream string, b *fanout.Broadcast) {
 	if reg == nil {
 		return
@@ -109,7 +109,4 @@ func instrumentFanoutProducer(reg *obs.Registry, stream string, b *fanout.Broadc
 	reg.CounterFunc("aq_fanout_published_total",
 		"Batches published into the shared-source broadcast ring.",
 		func() float64 { return float64(b.Published()) }, lbl)
-	reg.CounterFunc("aq_fanout_dropped_total",
-		"Data tuples shed by lapped ShedOldest ring subscribers.",
-		func() float64 { return float64(b.Dropped()) }, lbl)
 }

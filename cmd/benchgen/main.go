@@ -62,9 +62,7 @@ func run() error {
 	var tuples []stream.Tuple
 	if *useNet {
 		c.Delays = delay.Zero{}
-		net := sim.DefaultNetwork()
-		net.Seed = *seed
-		tuples = sim.Transport(c.Events(), net)
+		tuples = sim.Transport(c.Events(), *seed)
 	} else {
 		tuples = c.Arrivals()
 	}

@@ -1302,10 +1302,10 @@ func TestOneBufferTrace(t *testing.T) {
 	}
 }
 
-// keys lists a set's members, sorted.
-func keys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
+// keys lists a map's keys, sorted.
+func keys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -1440,6 +1440,129 @@ func TestNoTestOnlyCode(t *testing.T) {
 		t.Errorf("%s: no program path reaches it; delete it (or move what a test needs into a _test.go file)", line)
 	}
 	t.Logf("%d packages, %d declarations, %d unreached, %s", len(prog.pkgs), len(prog.decls), len(dead), time.Since(start).Round(time.Millisecond))
+}
+
+// settingStructs are the option structs whose every exported field
+// TestNoTestOnlySetting holds to a program that sets it, by import path.
+// core's configs are TestOneQualityKnob's; resilience.Chaos is filled from
+// the -chaos flag by ParseChaos.
+var settingStructs = map[string][]string{
+	"repro/internal/cq":         {"SharedOpts"},
+	"repro/internal/durable":    {"Options"},
+	"repro/internal/fanout":     {"Options"},
+	"repro/internal/fleet":      {"Options", "Quotas"},
+	"repro/internal/metrics":    {"CompareOpts"},
+	"repro/internal/obs":        {"HistoryOptions"},
+	"repro/internal/resilience": {"Retry"},
+}
+
+// settingSeams names the fields of settingStructs that no program sets and
+// that stay settable anyway, each with the reason; it holds at most 8
+// entries.
+var settingSeams = map[string]string{
+	"cq.SharedOpts.Policy":          "the in-process lap-accounting tests run ShedOldest subscribers; cmd/aqserver's rings set their policy per subscription",
+	"cq.SharedOpts.Sink":            "RunConcurrent hands its sink to the ring driver through it",
+	"durable.Options.SegmentBytes":  "the crash sweep's small segments exercise rotation and compaction",
+	"durable.Options.FsyncOnCommit": "durability safety: the machine-crash guarantee the journal tests turn on",
+	"fleet.Options.Clock":           "a fake clock for the rate limiter's deterministic tests",
+	"obs.HistoryOptions.Now":        "a fake clock for the history's deterministic tests",
+	"resilience.Retry.Clock":        "a fake clock for the deterministic simulation's virtual time and the backoff tests",
+	"resilience.Retry.Jitter":       "the backoff-arithmetic tests turn jitter off to check exact delays",
+}
+
+// TestNoTestOnlySetting fails on a setting that no program sets. An option
+// that every caller leaves at its default is a branch the program never
+// takes and a knob the documentation has to explain; one that only the
+// simulation harness sets chooses between equivalent implementations. So:
+// every exported field of settingStructs is written — a composite-literal
+// key or an assignment through a selector — by non-test code outside its
+// own package and outside
+// internal/dst and internal/oracle (bench/aqbench counts), or it is a
+// seam of settingSeams with a reason; and every seam is still a field that
+// no program sets.
+func TestNoTestOnlySetting(t *testing.T) {
+	prog := loadProgram(t)
+	fields := map[*types.Var]string{} // field → "pkg.Type.Field"
+	home := map[string]string{}       // "pkg.Type.Field" → declaring dir
+	for path, names := range settingStructs {
+		pkg := prog.pkgs[path]
+		if pkg == nil {
+			t.Fatalf("extraction rotted: %s is not loaded", path)
+		}
+		for _, name := range names {
+			tn, _ := pkg.types.Scope().Lookup(name).(*types.TypeName)
+			if tn == nil {
+				t.Fatalf("extraction rotted: %s.%s is not a type", path, name)
+			}
+			st := tn.Type().Underlying().(*types.Struct)
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() {
+					id := pkg.types.Name() + "." + name + "." + f.Name()
+					fields[f], home[id] = id, pkg.dir
+				}
+			}
+		}
+	}
+	set := map[string]bool{}
+	for _, pkg := range prog.pkgs {
+		if pkg.dir == "internal/dst" || pkg.dir == "internal/oracle" {
+			continue
+		}
+		write := func(e ast.Expr) {
+			var id *ast.Ident
+			switch e := e.(type) {
+			case *ast.Ident:
+				id = e
+			case *ast.SelectorExpr:
+				id = e.Sel
+			default:
+				return
+			}
+			if f, ok := pkg.info.Uses[id].(*types.Var); ok && fields[f] != "" && home[fields[f]] != pkg.dir {
+				set[fields[f]] = true
+			}
+		}
+		for _, f := range pkg.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							write(kv.Key)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							write(sel)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if !set["cq.SharedOpts.Batch"] || !set["durable.Options.Dir"] || len(home) < 20 {
+		t.Fatalf("extraction rotted: %d fields, set %v", len(home), keys(set))
+	}
+	if len(settingSeams) > 8 {
+		t.Errorf("settingSeams has %d entries: keep it to 8", len(settingSeams))
+	}
+	for _, id := range keys(home) {
+		if !set[id] && settingSeams[id] == "" {
+			t.Errorf("%s is settable but no program sets it: make it a constant with the value every caller uses, or record why it stays", id)
+		}
+	}
+	for _, id := range keys(settingSeams) {
+		switch {
+		case settingSeams[id] == "":
+			t.Errorf("settingSeams entry %s carries no reason", id)
+		case home[id] == "":
+			t.Errorf("settingSeams records %s, which is no longer a field", id)
+		case set[id]:
+			t.Errorf("settingSeams records %s, which a program sets: drop the entry", id)
+		}
+	}
 }
 
 // progPkg is one type-checked non-test package.

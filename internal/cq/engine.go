@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/fanout"
-	"repro/internal/resilience"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -33,53 +32,37 @@ type SharedOpts struct {
 
 // RunConcurrent executes the query as a pipeline around the step core: it is
 // RunShared of one query over a ring of its own, with one Block subscriber.
-// A producer goroutine pumps the query's source — wrapped in a retrier when
-// Retry is set — into the ring in pooled batches of up to Batch items
-// (fanout.Broadcast.Pump: a partial batch ships as soon as the ring is
-// drained, and heartbeats and end-of-stream force one out), and the query's
-// Group steps each whole (Group.Run). Results reach sink as they are
-// emitted; the final report is returned once the stream ends or ctx is
-// cancelled. Output — results, order, stats — is identical to the
-// synchronous Run for every batch setting, grouped or not (absent faults):
-// it is the same step core fed the same items in the same order.
+// A producer goroutine pumps the query's source into the ring in pooled
+// batches of up to Batch items (fanout.Broadcast.Pump: a partial batch ships
+// as soon as the ring is drained, and heartbeats and end-of-stream force one
+// out), and the query's Group steps each whole (Group.Run). Results reach
+// sink as they are emitted; the final report is returned once the stream
+// ends or ctx is cancelled. Output — results, order, stats — is identical to
+// the synchronous Run for every batch setting, grouped or not (absent
+// faults): it is the same step core fed the same items in the same order.
 //
 // Failure semantics are RunShared's, with the report withheld on any error.
-// A source error is retried per the Retry policy (if configured); once the
-// budget is exhausted or the circuit breaker opens, everything accepted
-// before the error is still applied (and, for a durable query, journaled and
-// committed, batch by batch) and then the error is returned. A durability
-// error aborts the run. A private ring never sheds: a slow core holds the
-// source back.
+// A source error ends the run: everything accepted before it is still
+// applied (and, for a durable query, journaled and committed, batch by
+// batch) and then the error is returned. To ride through transient failures,
+// build the query over a retrying source (resilience.NewRetryingSource),
+// made with the ctx given to RunConcurrent: the driver cancels no source, so
+// only that context cuts a backoff sleep short, and a failed step's run
+// returns once the source's retry ends, as RunShared's does. Its OnRetry and
+// OnBreakerTrip hooks are what records retries in the query's tracer. A
+// durability error aborts the run. A private ring never sheds: a slow core
+// holds the source back.
 func (q *AggQuery) RunConcurrent(ctx context.Context, sink func(window.Result)) (*AggReport, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
-	}
-	var retrier *resilience.RetryingSource
-	source := func(ctx context.Context) stream.ErrSource {
-		if q.retry == nil {
-			return q.source
-		}
-		retry := *q.retry
-		if retry.Clock == nil {
-			retry.Clock = q.clock // nil stays nil: NewRetryingSource defaults to wall
-		}
-		if tr := q.tracer; tr != nil {
-			retry.OnRetry = func(attempt int, err error) { tr.Retry(0, attempt) }
-			retry.OnBreakerTrip = func() { tr.BreakerTrip(0) }
-		}
-		retrier = resilience.NewRetryingSource(ctx, q.source, retry)
-		return retrier
 	}
 	opts := SharedOpts{Batch: q.batchSize}
 	if sink != nil {
 		opts.Sink = func(_ int, r window.Result) { sink(r) }
 	}
-	reps, err := runRing(ctx, source, opts, q)
+	reps, err := runRing(ctx, q.source, opts, q)
 	if err != nil {
 		return nil, err
-	}
-	if retrier != nil {
-		reps[0].Retries = retrier.Retries()
 	}
 	return reps[0], nil
 }
@@ -118,21 +101,20 @@ func RunShared(ctx context.Context, src stream.ErrSource, opts SharedOpts, queri
 			return nil, fmt.Errorf("cq: RunShared query %d: %w", i, err)
 		}
 	}
-	return runRing(ctx, func(context.Context) stream.ErrSource { return src }, opts, queries...)
+	return runRing(ctx, src, opts, queries...)
 }
 
 // runRing is the one ring driver. It runs validated queries, each as a copy
 // without its source, off one fan-out ring: it subscribes, opens a Group per
 // ShareKey or joins the query to the open one (every subscription is fresh
-// before the pump starts), starts one producer goroutine pumping source(ctx)
-// into the ring — source is called with the pump's context, which any
-// retrier it builds runs under — runs each group's loop (Group.Run) in a
+// before the pump starts), starts one producer goroutine pumping src into
+// the ring, runs each group's loop (Group.Run) in a
 // goroutine of its own, under the nil Fault, and collects the reports. A
 // group's failure cancels that group, a producer panic every group. A group
 // has ended once its loop is done or its context is: a loop stuck in a sink
 // that blocks forever is not waited for. Once every group has ended the pump
 // is stopped and joined, and the reports are collected as RunShared's.
-func runRing(ctx context.Context, source func(context.Context) stream.ErrSource, opts SharedOpts, queries ...*AggQuery) ([]*AggReport, error) {
+func runRing(ctx context.Context, src stream.ErrSource, opts SharedOpts, queries ...*AggQuery) ([]*AggReport, error) {
 	// The caller's queries are left as built. Nothing is published before
 	// every group is open, so a query that refuses to run wedges no one.
 	b := fanout.New(fanout.Options{Ring: opts.Ring, BatchCap: opts.Batch})
@@ -171,7 +153,6 @@ func runRing(ctx context.Context, source func(context.Context) stream.ErrSource,
 	defer fail(nil)
 	pumpCtx, stopPump := context.WithCancel(ctx)
 	defer stopPump()
-	src := source(pumpCtx)
 	pumped := make(chan struct{})
 	go func() {
 		defer close(pumped)

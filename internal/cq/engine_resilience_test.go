@@ -177,22 +177,24 @@ func TestRunConcurrentSourceError(t *testing.T) {
 		}
 	})
 	t.Run("retry rides through transients", func(t *testing.T) {
-		rep, err := NewFallible(mkSrc(3)).Window(testSpec, window.Sum()).
-			Retry(resilience.Retry{MaxAttempts: 5, BaseDelay: time.Microsecond}).
+		src := resilience.NewRetryingSource(context.Background(), mkSrc(3),
+			resilience.Retry{MaxAttempts: 5, BaseDelay: time.Microsecond})
+		rep, err := NewFallible(src).Window(testSpec, window.Sum()).
 			RunConcurrent(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("retry did not recover: %v", err)
 		}
-		if rep.Retries != 3 {
-			t.Fatalf("Retries = %d, want 3", rep.Retries)
+		if src.Retries() != 3 {
+			t.Fatalf("Retries = %d, want 3", src.Retries())
 		}
 		if got := rep.Handler.Inserted; got != 200 {
 			t.Fatalf("Inserted = %d, want 200 (no tuple lost or duplicated)", got)
 		}
 	})
 	t.Run("retry budget exhausts", func(t *testing.T) {
-		_, err := NewFallible(mkSrc(-1)).Window(testSpec, window.Sum()).
-			Retry(resilience.Retry{MaxAttempts: 3, BaseDelay: time.Microsecond}).
+		src := resilience.NewRetryingSource(context.Background(), mkSrc(-1),
+			resilience.Retry{MaxAttempts: 3, BaseDelay: time.Microsecond})
+		_, err := NewFallible(src).Window(testSpec, window.Sum()).
 			RunConcurrent(context.Background(), nil)
 		if !errors.Is(err, boom) {
 			t.Fatalf("err = %v, want wrapped boom", err)

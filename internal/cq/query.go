@@ -31,7 +31,6 @@ import (
 	"repro/internal/join"
 	"repro/internal/metrics"
 	"repro/internal/obs/tracez"
-	"repro/internal/resilience"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -51,8 +50,6 @@ type AggQuery struct {
 	keepInput bool
 	grouped   bool
 
-	retry      *resilience.Retry
-	clock      resilience.Clock
 	batchSize  int
 	discardRep bool
 	telem      *Telemetry
@@ -72,8 +69,10 @@ func New(source stream.Source) *AggQuery {
 }
 
 // NewFallible starts building a query over a source whose delivery can
-// fail (stream.ErrSource). Pair it with Retry to make RunConcurrent ride
-// through transient failures instead of aborting on the first one.
+// fail (stream.ErrSource). To make RunConcurrent ride through transient
+// failures instead of aborting on the first one, wrap the source
+// (resilience.NewRetryingSource) under RunConcurrent's context; see
+// RunConcurrent for what that context bounds and how retries are traced.
 func NewFallible(source stream.ErrSource) *AggQuery {
 	return &AggQuery{source: source}
 }
@@ -107,26 +106,6 @@ func (q *AggQuery) AggCore(window.CoreKind) *AggQuery { return q }
 // oracle ground truth.
 func (q *AggQuery) KeepInput() *AggQuery {
 	q.keepInput = true
-	return q
-}
-
-// Retry configures retry-with-backoff (and, when the config asks for it,
-// a circuit breaker) around a fallible source. Only RunConcurrent applies
-// it; the synchronous Run driver stays deterministic and surfaces the
-// first source error unretried.
-func (q *AggQuery) Retry(r resilience.Retry) *AggQuery {
-	q.retry = &r
-	return q
-}
-
-// Clock injects the time source RunConcurrent hands to its recovery
-// machinery (retry backoff, breaker cooldowns). The default is the wall
-// clock; the deterministic simulation harness (internal/dst) passes a
-// virtual clock so a chaos-faulted pipeline replays byte-for-byte without
-// wall-clock sleeps. Simulated and production runs execute the same code
-// path — only the clock differs.
-func (q *AggQuery) Clock(c resilience.Clock) *AggQuery {
-	q.clock = c
 	return q
 }
 
@@ -203,9 +182,6 @@ func (q *AggQuery) validateRing() error {
 	if q.source != nil {
 		return errors.New("cq: a RunShared query must be built without a source (the ring provides it)")
 	}
-	if q.retry != nil {
-		return errors.New("cq: Retry on a shared-source query belongs on the ring's producer")
-	}
 	if q.durable != nil {
 		return errors.New("cq: Durable does not support shared-source queries (journal the producer)")
 	}
@@ -250,9 +226,6 @@ type AggReport struct {
 	// under shedding is read through the shed-adjusted metrics.
 	// Handler.Shed carries the same count for handler-level reporting.
 	Shed int64
-	// Retries counts source retry attempts spent by the Retry policy
-	// (RunConcurrent only).
-	Retries int64
 	// Recovery is set when a durable query recovered prior state before
 	// processing (see Durable); nil for fresh starts and non-durable runs.
 	Recovery *RecoveryInfo

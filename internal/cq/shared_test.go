@@ -16,7 +16,6 @@ import (
 	"repro/internal/fanout"
 	"repro/internal/gen"
 	"repro/internal/oracle"
-	"repro/internal/resilience"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -206,13 +205,6 @@ func TestSharedValidation(t *testing.T) {
 	// synchronously.
 	if _, err := cq.NewFallible(nil).Window(sharedSpec, window.Sum()).Run(); err == nil {
 		t.Fatal("sourceless query ran synchronously")
-	}
-
-	// Retry belongs on the producer.
-	q := cq.NewFallible(nil).Window(sharedSpec, window.Sum()).
-		Retry(resilience.Retry{MaxAttempts: 2})
-	if _, err := cq.RunShared(context.Background(), sliceErrSource(items), cq.SharedOpts{}, q); err == nil {
-		t.Fatal("shared query with Retry accepted")
 	}
 }
 

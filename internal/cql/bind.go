@@ -83,9 +83,7 @@ func (q Query) Tuples(n int, seed uint64) ([]stream.Tuple, error) {
 	case "simnet":
 		c = gen.Sensor(n, seed)
 		c.Delays = nil
-		net := sim.DefaultNetwork()
-		net.Seed = seed
-		return sim.Transport(c.Events(), net), nil
+		return sim.Transport(c.Events(), seed), nil
 	default:
 		return nil, fmt.Errorf("cql: unknown source %q", q.Source)
 	}

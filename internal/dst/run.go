@@ -90,7 +90,8 @@ func (p Plan) faultChain(sched *Scheduler) *resilience.FaultSource {
 // transcript materializes the exact item sequence the pipeline will
 // consume: the chaos source drained with inline retry on injected errors
 // (errors leave the position untouched, so the delivered sequence equals
-// what RunConcurrent's retrier sees for the same seed).
+// what the retrying source of runConcurrent and runShared sees for the
+// same seed).
 func (p Plan) transcript() []stream.Item {
 	fault := p.faultChain(NewScheduler())
 	var items []stream.Item
@@ -120,37 +121,34 @@ func (p Plan) runSync(items []stream.Item, h buffer.Handler, tr *tracez.Tracer) 
 // runConcurrent executes the plan's query through the goroutine pipeline
 // against a fresh chaos chain under virtual time.
 func (p Plan) runConcurrent() (*cq.AggReport, error) {
-	sched := NewScheduler()
-	src := &pacedSource{src: p.faultChain(sched), sched: sched}
-	q := p.build(src, p.handler()).Clock(sched)
-	if p.Chaos.ErrRate > 0 {
-		// Injected errors must never terminate the run: a generous attempt
-		// budget, deterministic jitter, no breaker (a breaker's fail-fast
-		// window would drop items and break transcript equality).
-		q.Retry(resilience.Retry{MaxAttempts: 1000, Seed: p.Seed ^ 0x5bf03635, Clock: sched})
-	}
-	return q.RunConcurrent(context.Background(), nil)
+	return p.build(p.source(), p.handler()).RunConcurrent(context.Background(), nil)
 }
 
 // runShared executes Fanout replica queries of the plan's shape over one
 // shared broadcast ring (see internal/fanout), fed by a fresh chaos chain
-// under virtual time. The producer side carries the resilience stack —
-// pacing, then retry on injected errors — so every subscriber sees the
-// identical delivered sequence the standalone runs consumed.
+// under virtual time, so every subscriber sees the identical delivered
+// sequence the standalone runs consumed.
 func (p Plan) runShared() ([]*cq.AggReport, error) {
+	queries := make([]*cq.AggQuery, p.Fanout)
+	for i := range queries {
+		queries[i] = p.build(nil, p.handler())
+	}
+	return cq.RunShared(context.Background(), p.source(), cq.SharedOpts{Batch: p.Batch}, queries...)
+}
+
+// source is a fresh chaos chain under a virtual clock of its own, carrying
+// the resilience stack: pacing, then retry on injected errors.
+func (p Plan) source() stream.ErrSource {
 	sched := NewScheduler()
 	var src stream.ErrSource = &pacedSource{src: p.faultChain(sched), sched: sched}
 	if p.Chaos.ErrRate > 0 {
-		// Same attempt budget and jitter seed as runConcurrent's per-query
-		// retrier, hoisted to the ring's single producer.
+		// Injected errors must never terminate the run: a generous attempt
+		// budget, deterministic jitter, no breaker (a breaker's fail-fast
+		// window would drop items and break transcript equality).
 		src = resilience.NewRetryingSource(context.Background(), src,
 			resilience.Retry{MaxAttempts: 1000, Seed: p.Seed ^ 0x5bf03635, Clock: sched})
 	}
-	queries := make([]*cq.AggQuery, p.Fanout)
-	for i := range queries {
-		queries[i] = p.build(nil, p.handler()).Clock(sched)
-	}
-	return cq.RunShared(context.Background(), src, cq.SharedOpts{Batch: p.Batch}, queries...)
+	return src
 }
 
 // Execute runs one plan through every execution path and the differential

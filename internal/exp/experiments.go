@@ -237,9 +237,7 @@ func R5(s Scale) []Table {
 		{"simnet(2-path)", func(seed uint64) []stream.Tuple {
 			c := gen.Sensor(n, seed)
 			c.Delays = delay.Zero{}
-			net := sim.DefaultNetwork()
-			net.Seed = seed
-			return sim.Transport(c.Events(), net)
+			return sim.Transport(c.Events(), seed)
 		}},
 	}
 
@@ -407,7 +405,7 @@ func R7(s Scale) []Table {
 		Title: fmt.Sprintf("disorder-handling throughput (tuples/s, n=%d, incl. window operator)", len(tuples)),
 		Cols:  []string{"handler", "tuples/s", "maxBuffered", "meanErr"},
 		Notes: []string{
-			"expected shape: none is fastest; kslack/maxslack pay the sort heap (~2x); aq pays the estimator (~3-4x vs kslack at the default per-slide adaptation; amortize via Config.AdaptEvery/LossRefresh) while still exceeding 1M tuples/s",
+			"expected shape: none is fastest; kslack/maxslack pay the sort heap (~2x); aq pays the estimator (~3-4x vs kslack at the default per-slide adaptation; amortize via Config.AdaptEvery) while still exceeding 1M tuples/s",
 		},
 	}
 	handlers := map[string]func() buffer.Handler{

@@ -203,7 +203,6 @@ type Broadcast struct {
 	pubSeq atomic.Int64
 
 	published atomic.Int64 // batches published (excluding the final marker)
-	dropped   atomic.Int64 // data tuples shed across all ShedOldest consumers
 
 	pool freeList // released item slices
 
@@ -450,10 +449,6 @@ func (b *Broadcast) Subscribers() int {
 // Published reports how many batches were published (markers excluded).
 func (b *Broadcast) Published() int64 { return b.published.Load() }
 
-// Dropped reports how many data tuples were shed across all ShedOldest
-// consumers.
-func (b *Broadcast) Dropped() int64 { return b.dropped.Load() }
-
 // cumData reports the cumulative count of published data tuples.
 func (b *Broadcast) cumData() int64 { return b.pubCum.Load() }
 
@@ -647,7 +642,6 @@ func (s *Sub) acquire(ctx context.Context) (*batch, error) {
 				}
 				lost := (bt.cum - bt.n) - s.lastCum
 				s.shed.Add(lost)
-				s.b.dropped.Add(lost)
 			}
 			s.lastCum = bt.cum
 			s.acq = bt.seq + 1

@@ -94,8 +94,12 @@ func TestBlockSubscribersSeeEverything(t *testing.T) {
 	if b.Published() != total/batch {
 		t.Fatalf("published = %d, want %d", b.Published(), total/batch)
 	}
-	if b.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", b.Dropped())
+	var shed int64
+	for _, s := range subs {
+		shed += s.Shed()
+	}
+	if shed != 0 {
+		t.Fatalf("subscribers shed %d in all, want 0", shed)
 	}
 }
 
@@ -158,8 +162,8 @@ func TestShedOldestAccountingIsExact(t *testing.T) {
 	if got, shed := int64(len(slowGot)), slow.Shed(); got+shed != total {
 		t.Fatalf("slow consumer: consumed %d + shed %d != published %d", got, shed, total)
 	}
-	if b.Dropped() != slow.Shed() {
-		t.Fatalf("Dropped = %d, sub shed = %d", b.Dropped(), slow.Shed())
+	if fast.Shed() != 0 {
+		t.Fatalf("Block subscriber shed %d, want 0", fast.Shed())
 	}
 	// Delivered values must still be a subsequence in order (no
 	// duplicates, no reordering — laps skip forward only).

@@ -56,12 +56,12 @@ type Quotas struct {
 	MaxIngestPerSec int
 }
 
+// sourceRing is the per-source broadcast ring size in batches.
+const sourceRing = 256
+
 // Options configures a Registry.
 type Options struct {
 	Quotas Quotas
-	// Ring is the per-source broadcast ring size in batches (<= 0
-	// picks 256).
-	Ring int
 	// Clock drives the rate limiter; nil means WallClock. The
 	// deterministic tests inject a fake.
 	Clock resilience.Clock
@@ -84,9 +84,6 @@ type Registry struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry(opts Options) *Registry {
-	if opts.Ring <= 0 {
-		opts.Ring = 256
-	}
 	if opts.Clock == nil {
 		opts.Clock = resilience.WallClock{}
 	}
@@ -109,7 +106,7 @@ func (r *Registry) sourceLocked(name string) *Source {
 	s, ok := r.sources[name]
 	if !ok {
 		s = &Source{
-			ring:  fanout.New(fanout.Options{Ring: r.opts.Ring, BatchCap: netstream.ConnBatch}),
+			ring:  fanout.New(fanout.Options{Ring: sourceRing, BatchCap: netstream.ConnBatch}),
 			rate:  r.opts.Quotas.MaxIngestPerSec,
 			clock: r.opts.Clock,
 		}

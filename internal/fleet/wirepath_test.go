@@ -40,7 +40,7 @@ func TestWirePathAllocatesNothingPerTuple(t *testing.T) {
 		it.Tuple.Value += 0.123456789
 		wire = netstream.AppendItem(wire, it)
 	}
-	r := NewRegistry(Options{Ring: 4})
+	r := NewRegistry(Options{})
 	defer r.Close()
 	src, err := r.Open("s1")
 	if err != nil {
@@ -67,7 +67,10 @@ func TestWirePathAllocatesNothingPerTuple(t *testing.T) {
 		}
 		sub.Release(seq)
 	}
-	for i := 0; i < 32; i++ { // grow and circulate the pooled slices
+	// Grow and circulate the pooled slices, and lap the ring so the measured
+	// publishes overwrite and recycle a slot, as every production publish
+	// after the ring's first lap does.
+	for i := 0; i < sourceRing+32; i++ {
 		cycle()
 	}
 	perCycle := testing.AllocsPerRun(200, cycle)

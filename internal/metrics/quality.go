@@ -5,7 +5,7 @@
 //
 // The central quality measure for aggregates is per-window relative error
 //
-//	err(w) = |emitted(w) − oracle(w)| / max(|oracle(w)|, Floor)
+//	err(w) = |emitted(w) − oracle(w)| / max(|oracle(w)|, 1e-9)
 //
 // and the user-facing quality bound θ is a bound on this error. For joins,
 // quality is recall of result pairs (see PairMetrics).
@@ -22,9 +22,6 @@ import (
 
 // CompareOpts configures Compare.
 type CompareOpts struct {
-	// Floor is the denominator floor for relative error, guarding windows
-	// whose oracle value is ~0. Zero means 1e-9.
-	Floor float64
 	// Theta is the quality bound used for the compliance ratio. Zero means
 	// compliance is reported against Theta = 0 (exact windows only).
 	Theta float64
@@ -60,10 +57,6 @@ func (q QualityReport) String() string {
 // summarizes the error. Refinements in emitted overwrite earlier values
 // for the same window (the consumer keeps the latest).
 func Compare(emitted, oracle []window.Result, opts CompareOpts) QualityReport {
-	floor := opts.Floor
-	if floor == 0 {
-		floor = 1e-9
-	}
 	em := window.ResultsByIdx(emitted)
 	or := window.ResultsByIdx(oracle)
 
@@ -92,7 +85,7 @@ func Compare(emitted, oracle []window.Result, opts CompareOpts) QualityReport {
 		if opts.SkipEmptyOracle && o.Count == 0 {
 			continue
 		}
-		err := relErr(e.Value, o.Value, floor)
+		err := RelErr(e.Value, o.Value)
 		errs = append(errs, err)
 		if err == 0 {
 			rep.ExactWindows++
@@ -130,10 +123,15 @@ func Compare(emitted, oracle []window.Result, opts CompareOpts) QualityReport {
 	return rep
 }
 
-// relErr computes |e-o| / max(|o|, floor), treating NaN aggregates of empty
-// windows as equal when both sides are NaN (e.g. avg of an empty window on
-// both sides) and as total error when only one side is NaN.
-func relErr(e, o, floor float64) float64 {
+// relErrFloor is the denominator floor for relative error, guarding windows
+// whose oracle value is ~0.
+const relErrFloor = 1e-9
+
+// RelErr is the relative-error definition, |e-o| / max(|o|, relErrFloor),
+// treating NaN aggregates of empty windows as equal when both sides are NaN
+// (e.g. avg of an empty window on both sides) and as total error when only
+// one side is NaN.
+func RelErr(e, o float64) float64 {
 	eNaN, oNaN := math.IsNaN(e), math.IsNaN(o)
 	switch {
 	case eNaN && oNaN:
@@ -142,14 +140,11 @@ func relErr(e, o, floor float64) float64 {
 		return 1
 	}
 	den := math.Abs(o)
-	if den < floor {
-		den = floor
+	if den < relErrFloor {
+		den = relErrFloor
 	}
 	return math.Abs(e-o) / den
 }
-
-// RelErr exposes the relative-error definition for tests and estimators.
-func RelErr(emitted, oracle float64) float64 { return relErr(emitted, oracle, 1e-9) }
 
 // ShedAdjustedErr folds load-shedding loss into a realized relative-error
 // estimate. A shed tuple never reaches the operator, so estimators that

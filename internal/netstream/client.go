@@ -30,7 +30,7 @@ type Client struct {
 	// Tenant optionally names the tenant owning the source.
 	Tenant string
 	// Retry shapes the redial policy. The zero value uses the resilience
-	// defaults (3 attempts, exponential backoff).
+	// defaults (5 attempts, exponential backoff).
 	Retry resilience.Retry
 	// Dial overrides the dialer (tests); nil uses net.Dial("tcp", Addr).
 	Dial func() (net.Conn, error)

@@ -73,9 +73,8 @@ func diffKeyed(label string, a, b []window.KeyedResult) string {
 // SameOutput verifies that two reports carry identical query output:
 // results (plain and keyed), the flush boundary, and the handler/operator
 // counters that describe how the output was produced. It ignores
-// Retries (recovery effort legitimately differs across execution paths)
-// and Input/Disorder (callers compare those separately when the variants
-// are supposed to consume the same transcript).
+// Input/Disorder (callers compare those separately when the variants are
+// supposed to consume the same transcript).
 func SameOutput(a, b *cq.AggReport) error {
 	if d := diffResults("results", a.Results, b.Results); d != "" {
 		return fmt.Errorf("oracle: %s", d)

@@ -18,7 +18,6 @@ type Retry struct {
 	MaxAttempts int           // total attempts per operation; 0 = 5
 	BaseDelay   time.Duration // delay after the first failure; 0 = 10ms
 	MaxDelay    time.Duration // backoff cap; 0 = 1s
-	Multiplier  float64       // backoff growth factor; 0 = 2
 	Jitter      float64       // ± fraction of the delay; 0 = 0.2, negative = none
 	Seed        uint64        // jitter RNG seed, for reproducible schedules
 
@@ -35,8 +34,8 @@ type Retry struct {
 	Clock Clock
 
 	// OnRetry, when set, is invoked after each failed attempt that will
-	// be retried (attempt numbers start at 1). Used by the executors to
-	// mirror retries into the flight recorder; keep it cheap and
+	// be retried (attempt numbers start at 1). cmd/aqserver mirrors
+	// retries into the flight recorder with it; keep it cheap and
 	// non-blocking.
 	OnRetry func(attempt int, err error)
 
@@ -55,9 +54,6 @@ func (r Retry) withDefaults() Retry {
 	if r.MaxDelay <= 0 {
 		r.MaxDelay = time.Second
 	}
-	if r.Multiplier <= 1 {
-		r.Multiplier = 2
-	}
 	switch {
 	case r.Jitter == 0:
 		r.Jitter = 0.2
@@ -71,12 +67,15 @@ func (r Retry) withDefaults() Retry {
 	return r
 }
 
+// backoffGrowth is the factor the backoff delay grows by per failed attempt.
+const backoffGrowth = 2
+
 // backoff returns the sleep before attempt n (n = 1 after the first
 // failure), with jitter drawn from rng.
 func (r Retry) backoff(n int, rng *stats.RNG) time.Duration {
 	d := float64(r.BaseDelay)
 	for i := 1; i < n; i++ {
-		d *= r.Multiplier
+		d *= backoffGrowth
 		if d >= float64(r.MaxDelay) {
 			break
 		}
@@ -184,8 +183,8 @@ func (b *Breaker) Trips() int64 { return b.trips.Load() }
 // RetryingSource wraps a fallible source with a Retry policy: transient
 // NextErr failures are retried with backoff (and optionally gated by a
 // circuit breaker) before surfacing a terminal error to the pipeline.
-// Retries() exposes how many retry attempts were spent, so executors can
-// report them.
+// Retries() exposes how many retry attempts were spent, so its owner (the
+// server's feed loop, a test) can report them.
 type RetryingSource struct {
 	ctx     context.Context
 	src     stream.ErrSource

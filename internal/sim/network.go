@@ -118,37 +118,20 @@ func (m *Multipath) Receive(k *Kernel, t stream.Tuple) {
 	}
 }
 
-// NetworkConfig describes the canonical two-path topology used by the
-// experiments: a fast path taken by most packets and a slow congested
-// path taken by the rest.
-type NetworkConfig struct {
-	FastWeight, SlowWeight float64
-	Fast, Slow             LinkConfig
-	Seed                   uint64
-}
-
-// DefaultNetwork is a topology producing ~5% slow-path packets with
-// emergent queueing under load — disorder comparable to the heavy-tailed
-// analytic models.
-func DefaultNetwork() NetworkConfig {
-	return NetworkConfig{
-		FastWeight: 0.95,
-		SlowWeight: 0.05,
-		Fast:       LinkConfig{Propagation: 20, ServiceMean: 2, ServiceJitter: 2},
-		Slow:       LinkConfig{Propagation: 800, ServiceMean: 40, ServiceJitter: 40},
-	}
-}
-
 // Transport pushes tuples through the simulated network (each injected at
 // its event time) and returns them in (simulated) arrival order. It is a
-// drop-in alternative to sampling delays from an analytic model.
-func Transport(events []stream.Tuple, cfg NetworkConfig) []stream.Tuple {
+// drop-in alternative to sampling delays from an analytic model. The network
+// is the canonical two-path topology of the experiments: a fast path taken
+// by 95% of the packets and a slow congested path taken by the rest, with
+// emergent queueing under load — disorder comparable to the heavy-tailed
+// analytic models. seed draws the path choices and service times.
+func Transport(events []stream.Tuple, seed uint64) []stream.Tuple {
 	var k Kernel
-	rng := stats.NewRNG(cfg.Seed ^ 0xda3e39cb94b95bdb)
+	rng := stats.NewRNG(seed ^ 0xda3e39cb94b95bdb)
 	col := &Collector{}
-	fast := NewLink(cfg.Fast, col, rng)
-	slow := NewLink(cfg.Slow, col, rng)
-	mp := NewMultipath([]float64{cfg.FastWeight, cfg.SlowWeight}, []*Link{fast, slow}, rng)
+	fast := NewLink(LinkConfig{Propagation: 20, ServiceMean: 2, ServiceJitter: 2}, col, rng)
+	slow := NewLink(LinkConfig{Propagation: 800, ServiceMean: 40, ServiceJitter: 40}, col, rng)
+	mp := NewMultipath([]float64{0.95, 0.05}, []*Link{fast, slow}, rng)
 	for _, t := range events {
 		t := t
 		k.Schedule(t.TS, func() { mp.Receive(&k, t) })

@@ -111,7 +111,7 @@ func TestLinkQueueingUnderOverload(t *testing.T) {
 
 func TestMultipathProducesReordering(t *testing.T) {
 	events := gen.Config{N: 20000, Interval: 10, Seed: 7}.Events()
-	arr := Transport(events, DefaultNetwork())
+	arr := Transport(events, 0)
 	if len(arr) != len(events) {
 		t.Fatalf("transport lost tuples: %d of %d", len(arr), len(events))
 	}
@@ -130,16 +130,14 @@ func TestMultipathProducesReordering(t *testing.T) {
 
 func TestTransportDeterministic(t *testing.T) {
 	events := gen.Config{N: 5000, Interval: 10, Seed: 8}.Events()
-	a := Transport(events, DefaultNetwork())
-	b := Transport(events, DefaultNetwork())
+	a := Transport(events, 0)
+	b := Transport(events, 0)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("simulation not deterministic at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
-	cfg := DefaultNetwork()
-	cfg.Seed = 99
-	c := Transport(events, cfg)
+	c := Transport(events, 99)
 	same := 0
 	for i := range a {
 		if a[i] == c[i] {

@@ -9,22 +9,14 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add incorporates x.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+	if w.n == 1 || x > w.max {
+		w.max = x
 	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
@@ -52,7 +44,7 @@ func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 func (w *Welford) Max() float64 { return w.max }
 
 // Merge combines another tracker into w using the parallel variance
-// formula (Chan et al.). Min/max merge exactly.
+// formula (Chan et al.). The maximum merges exactly.
 func (w *Welford) Merge(o *Welford) {
 	if o.n == 0 {
 		return
@@ -65,9 +57,6 @@ func (w *Welford) Merge(o *Welford) {
 	delta := o.mean - w.mean
 	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
 	w.mean += delta * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
 	if o.max > w.max {
 		w.max = o.max
 	}

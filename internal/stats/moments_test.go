@@ -33,8 +33,8 @@ func TestWelfordBasic(t *testing.T) {
 	if !almostEqual(w.Std(), 2, 1e-12) {
 		t.Fatalf("Std = %v, want 2", w.Std())
 	}
-	if w.min != 2 || w.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", w.min, w.Max())
+	if w.Max() != 9 {
+		t.Fatalf("Max = %v, want 9", w.Max())
 	}
 }
 
@@ -70,8 +70,8 @@ func TestWelfordMerge(t *testing.T) {
 	if !almostEqual(left.Var(), whole.Var(), 1e-9) {
 		t.Fatalf("merged Var = %v, want %v", left.Var(), whole.Var())
 	}
-	if left.min != whole.min || left.Max() != whole.Max() {
-		t.Fatal("merged min/max mismatch")
+	if left.Max() != whole.Max() {
+		t.Fatal("merged max mismatch")
 	}
 }
 

@@ -39,18 +39,17 @@ type WelfordState struct {
 	N    int64   `json:"n"`
 	Mean float64 `json:"mean"`
 	M2   float64 `json:"m2"`
-	Min  float64 `json:"min"`
 	Max  float64 `json:"max"`
 }
 
 // State exports the tracker state.
 func (w *Welford) State() WelfordState {
-	return WelfordState{N: w.n, Mean: w.mean, M2: w.m2, Min: w.min, Max: w.max}
+	return WelfordState{N: w.n, Mean: w.mean, M2: w.m2, Max: w.max}
 }
 
 // Restore sets the tracker to a previously exported state.
 func (w *Welford) Restore(st WelfordState) {
-	w.n, w.mean, w.m2, w.min, w.max = st.N, st.Mean, st.M2, st.Min, st.Max
+	w.n, w.mean, w.m2, w.max = st.N, st.Mean, st.M2, st.Max
 }
 
 // EWMAState is the exported state of an EWMA. The smoothing factor is

@@ -40,10 +40,10 @@ func SaveAggregate(a Aggregate) AggState {
 		return AggState{N: v.n, Nums: []float64{v.sum, v.c}}
 	case *avgAgg:
 		w := v.w.State()
-		return AggState{N: w.N, Nums: []float64{w.Mean, w.M2, w.Min, w.Max}}
+		return AggState{N: w.N, Nums: []float64{w.Mean, w.M2}}
 	case *stddevAgg:
 		w := v.w.State()
-		return AggState{N: w.N, Nums: []float64{w.Mean, w.M2, w.Min, w.Max}}
+		return AggState{N: w.N, Nums: []float64{w.Mean, w.M2}}
 	case *minAgg:
 		return AggState{N: v.n, Nums: []float64{v.v}}
 	case *maxAgg:
@@ -105,8 +105,11 @@ func num(st AggState, i int) float64 {
 	return st.Nums[i]
 }
 
+// welfordFrom reads an avg or stddev state, [mean, m2]: the two moments
+// their results are computed from. Slots past them, the extremes an older
+// layout also saved ([mean, m2, min, max]), are not read.
 func welfordFrom(st AggState) stats.WelfordState {
-	return stats.WelfordState{N: st.N, Mean: num(st, 0), M2: num(st, 1), Min: num(st, 2), Max: num(st, 3)}
+	return stats.WelfordState{N: st.N, Mean: num(st, 0), M2: num(st, 1)}
 }
 
 // WinAgg pairs a window index with its aggregate state.

@@ -1,6 +1,8 @@
 package window
 
 import (
+	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -69,6 +71,71 @@ func TestOpStateContinuationAllAggregates(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWelfordStateRestoresWithRetiredExtremes: an avg or stddev window's
+// state is [mean, m2]; a snapshot written while the state also kept the
+// extremes holds [mean, m2, min, max]. A RefineLate operator restored from
+// either must save the 2-slot state back and emit the same results to the
+// bit — late tuples refining the restored windows included.
+func TestWelfordStateRestoresWithRetiredExtremes(t *testing.T) {
+	spec := Spec{Size: 100, Slide: 40}
+	for _, f := range []Factory{Avg(), StdDev()} {
+		t.Run(f.Name, func(t *testing.T) {
+			a := NewOp(spec, f, RefineLate, 400)
+			tuples := opTuples(11, 600)
+			cut := len(tuples) / 2
+			for _, tp := range tuples[:cut] {
+				a.Observe(tp, tp.Arrival, nil)
+			}
+			st := a.State()
+			if st.Kept == nil || len(st.Kept.Wins) == 0 {
+				t.Fatal("no kept windows to restore")
+			}
+			legacy := st
+			legacy.Kept = &KeptState{Lo: st.Kept.Lo, NextFinal: st.Kept.NextFinal}
+			for _, kw := range st.Kept.Wins {
+				if kw.Agg != nil {
+					if len(kw.Agg.Nums) != 2 {
+						t.Fatalf("saved %d scalars, want [mean, m2]", len(kw.Agg.Nums))
+					}
+					nums := kw.Agg.Nums
+					agg := AggState{N: kw.Agg.N, Nums: []float64{nums[0], nums[1], nums[0] - 1, nums[0] + 1}}
+					kw.Agg = &agg
+				}
+				legacy.Kept.Wins = append(legacy.Kept.Wins, kw)
+			}
+
+			var out [2][]Result
+			for i, from := range []OpState{st, legacy} {
+				b := NewOp(spec, f, RefineLate, 400)
+				if err := b.Restore(from); err != nil {
+					t.Fatal(err)
+				}
+				if got := b.State(); !reflect.DeepEqual(got.Kept, st.Kept) {
+					t.Fatalf("restored from %d scalars, saves %+v, want %+v", len(from.Kept.Wins[0].Agg.Nums), got.Kept, st.Kept)
+				}
+				for _, tp := range tuples[cut:] {
+					out[i] = b.Observe(tp, tp.Arrival, out[i])
+				}
+				out[i] = b.Flush(tuples[len(tuples)-1].Arrival, out[i])
+			}
+			refined := 0
+			for _, r := range out[0] {
+				if r.Refinement {
+					refined++
+				}
+			}
+			if refined == 0 || len(out[0]) != len(out[1]) {
+				t.Fatalf("%d results (%d refinements) vs %d", len(out[0]), refined, len(out[1]))
+			}
+			for i := range out[0] {
+				if out[0][i] != out[1][i] || math.Float64bits(out[0][i].Value) != math.Float64bits(out[1][i].Value) {
+					t.Fatalf("result %d diverged:\n  2-slot: %v\n  4-slot: %v", i, out[0][i], out[1][i])
+				}
+			}
+		})
 	}
 }
 
