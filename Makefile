@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet build test race fuzz-short fuzz doccheck api-test bench-smoke dst crash cover
+.PHONY: check fmt vet build test race fuzz-short fuzz doccheck api-test bench-smoke bench-inproc-smoke dst crash cover
 
-check: fmt vet build race fuzz-short api-test dst crash doccheck bench-smoke
+check: fmt vet build race fuzz-short api-test dst crash doccheck bench-smoke bench-inproc-smoke
 
 # Formatting gate: gofmt must have nothing to say about any Go file, the
 # bench/ module's included.
@@ -132,6 +132,12 @@ doccheck:
 # against internal/cq, window, durable and the server's flags.
 bench-smoke:
 	$(GO) test -C bench ./...
+
+# One iteration of each in-process step and loss-curve benchmark: a
+# benchmark that panics or stops compiling fails here, not at the next
+# measurement. -run '^$$' keeps the packages' tests out of it.
+bench-inproc-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkExecStep|BenchmarkLossCurve' -benchtime 1x ./internal/core ./internal/cq
 
 # In-process benchmarks (bench_test.go, bench_fanout_test.go,
 # bench_history_test.go) have no target of their own: run them with

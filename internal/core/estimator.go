@@ -11,12 +11,15 @@
 //  1. a lateness sketch (Greenwald–Khanna quantile summary over observed
 //     tuple lateness) yields P(lateness > K + offset) for any candidate K;
 //  2. the model maps that to the error: for aggregates, the induced tuple
-//     loss to an expected relative window error by a loss curve, built
-//     every few adaptations by one Monte-Carlo sweep over synthetic windows
-//     drawn from a reservoir sample of recent tuple values — every loss
-//     probability of a fixed grid from the same random numbers — and read
-//     by interpolation in between; for joins, the per-tuple miss over the
-//     partners' headroom to the pair miss rate 1 − (1 − p)^m;
+//     loss to an expected relative window error by a loss curve, rebuilt
+//     every few adaptations and read by interpolation between the probes of
+//     a fixed grid of loss probabilities. For count, and for sum over a
+//     reservoir sample of recent values that are all of one sign, the curve
+//     is the closed form: the error at loss p is p. For every other
+//     aggregate it is one Monte-Carlo sweep over synthetic windows drawn
+//     from that sample, every probe from the same random numbers. For
+//     joins, the model maps the per-tuple miss over the partners' headroom
+//     to the pair miss rate 1 − (1 − p)^m;
 //  3. a proportional–integral (PI) controller trims the model's choice
 //     using the realized error, measured a posteriori and reported by the
 //     query's own operator: stragglers eventually arrive, so the true value
@@ -222,9 +225,9 @@ func gridCell(p float64) int {
 }
 
 // LossCurve is the error model evaluated once: the expected relative
-// window error at every probe of the loss grid, from one Monte-Carlo sweep
-// (Estimator.LossCurve). It is a plain value — AQKSlack caches one between
-// refreshes and snapshots it.
+// window error at every probe of the loss grid, the closed form or one
+// Monte-Carlo sweep (Estimator.LossCurve). It is a plain value — AQKSlack
+// caches one between refreshes and snapshots it.
 type LossCurve struct {
 	errs []float64 // errs[j] = expected error at loss probability lossGrid[j]
 }
@@ -259,27 +262,43 @@ func (c LossCurve) MaxLoss(target float64) float64 {
 	return 1
 }
 
-// LossCurve runs the error model: Monte-Carlo over synthetic windows of the
-// estimated size drawn from the value sample, each element lost with
-// probability p, the thinned window's aggregate compared against the full
-// one. The generic simulation handles every aggregate — including max and
-// quantiles, whose error is driven by the value distribution, not just the
-// loss fraction.
+// LossCurve runs the error model: the expected relative error of a window of
+// the estimated size, drawn from the value sample, each element lost with
+// probability p.
 //
-// All probes share their random numbers: each element gets one uniform u
-// and survives loss probability p iff u >= p, so the survivor sets are
-// nested and one pass per trial, adding elements in descending-u order,
-// visits every probe's thinned window in turn and ends on the full one.
-// For sum and count over positive values that makes the curve exactly
-// monotone, not just monotone in expectation.
+// Where the answer is known it is stated. A window that loses each element
+// with probability p loses, in expectation, the share p of its count, and of
+// a sum over values of one sign: Σ p·|v| / Σ |v| = p. For count, and for sum
+// when the sample holds no negative value or no positive one, the curve is
+// the grid itself (all zero for a sum of zeros), and no random number is
+// drawn.
+//
+// Every other case is Monte-Carlo over synthetic windows, the thinned
+// window's aggregate compared against the full one: avg, stddev, min, max,
+// median, quantiles and distinct, whose error is driven by the value
+// distribution, not just the loss fraction, and sum over a sample of both
+// signs or holding NaN or ±Inf. All probes share their random numbers: each
+// element gets one uniform u and survives loss probability p iff u >= p, so
+// the survivor sets are nested and one pass per trial, adding elements in
+// descending-u order, visits every probe's thinned window in turn and ends
+// on the full one.
 func (e *Estimator) LossCurve() LossCurve {
 	c := LossCurve{errs: make([]float64, curvePoints)}
 	sample := e.values.Sample()
-	if len(sample) == 0 {
-		// No value information yet: fall back to the loss fraction, the
-		// exact error of count and the iid-expected error of sum.
+	if len(sample) == 0 || e.agg.Name == "count" {
+		// count loses the share p of any window. With no value
+		// information yet, every aggregate falls back to that loss
+		// fraction, also the expected error of a one-sign sum.
 		copy(c.errs, lossGrid[:])
 		return c
+	}
+	if e.agg.Name == "sum" {
+		if zero, ok := oneSign(sample); ok {
+			if !zero {
+				copy(c.errs, lossGrid[:])
+			}
+			return c
+		}
 	}
 	n := min(e.WindowCount(), maxWindow)
 	if e.sweep == nil {
@@ -324,6 +343,23 @@ func (e *Estimator) LossCurve() LossCurve {
 		c.errs[j] /= float64(e.trials)
 	}
 	return c
+}
+
+// oneSign reports whether sample holds finite values of at most one sign,
+// and whether they are all zero.
+func oneSign(sample []float64) (zero, ok bool) {
+	var pos, neg bool
+	for _, v := range sample {
+		switch {
+		case v > 0 && v <= math.MaxFloat64:
+			pos = true
+		case v < 0 && v >= -math.MaxFloat64:
+			neg = true
+		case v != 0: // NaN or ±Inf
+			return false, false
+		}
+	}
+	return !pos && !neg, !(pos && neg)
 }
 
 // maxWindow caps the simulated window size: beyond ~1k elements the
@@ -391,10 +427,11 @@ func relErrEst(e, o float64) float64 {
 
 // MaxTolerableLoss inverts the error model: it returns the largest
 // (tuple, window) loss probability whose estimated relative error stays
-// within target. This is the expensive half of slack selection — one
-// Monte-Carlo sweep — and its result depends only on the value
-// distribution and window size, which drift slowly; AQKSlack keeps the
-// curve across adaptation steps.
+// within target. Its result depends only on the value distribution and
+// window size, which drift slowly. For count and one-sign sum it is the
+// target itself, stated in closed form; for every other aggregate it is the
+// expensive half of slack selection, one Monte-Carlo sweep, and AQKSlack
+// keeps the curve across adaptation steps.
 func (e *Estimator) MaxTolerableLoss(target float64) float64 {
 	return e.LossCurve().MaxLoss(target)
 }

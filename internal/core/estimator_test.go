@@ -354,3 +354,87 @@ func TestGridCell(t *testing.T) {
 		}
 	}
 }
+
+// sampleEstimator holds exactly the values value(0..511) in its reservoir
+// and expects 300-tuple windows.
+func sampleEstimator(agg window.Factory, value func(i int, rng *stats.RNG) float64) *Estimator {
+	e := NewEstimator(window.Spec{Size: 10, Slide: 10}, agg,
+		EstimatorConfig{Seed: 31, MCTrials: 16, ReservoirSize: 512})
+	rng := stats.NewRNG(32)
+	for i := 0; i < 512; i++ {
+		e.ObserveTuple(0, value(i, rng))
+	}
+	e.ObserveWindowCount(300)
+	return e
+}
+
+// TestLossCurveClosedForm: losing each element of a window with probability
+// p costs count, and a sum over values of one sign, the share p of the
+// window's value: Σ p·|v| / Σ |v| = p. Their curve is the loss grid itself,
+// drawn without a random number. A sum of zeros loses nothing.
+func TestLossCurveClosedForm(t *testing.T) {
+	logNormal := func(_ int, rng *stats.RNG) float64 { return math.Exp(rng.NormFloat64()) }
+	for _, tc := range []struct {
+		name  string
+		agg   window.Factory
+		value func(i int, rng *stats.RNG) float64
+		want  float64 // the curve is want·lossGrid
+	}{
+		{"count", window.Count(), func(_ int, rng *stats.RNG) float64 { return rng.NormFloat64() }, 1},
+		{"count/nan", window.Count(), func(int, *stats.RNG) float64 { return math.NaN() }, 1},
+		{"sum/positive", window.Sum(), logNormal, 1},
+		{"sum/negative", window.Sum(), func(i int, rng *stats.RNG) float64 { return -logNormal(i, rng) }, 1},
+		{"sum/positive-and-zero", window.Sum(), func(i int, rng *stats.RNG) float64 { return float64(i%2) * logNormal(i, rng) }, 1},
+		{"sum/negative-and-zero", window.Sum(), func(i int, rng *stats.RNG) float64 { return -float64(i%3/2) * logNormal(i, rng) }, 1},
+		{"sum/zero", window.Sum(), func(int, *stats.RNG) float64 { return 0 }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sampleEstimator(tc.agg, tc.value)
+			rng := e.rng.State()
+			got := e.LossCurve()
+			for j, p := range lossGrid {
+				if got.errs[j] != tc.want*p {
+					t.Fatalf("errs[%d] = %v at p = %v, want %v", j, got.errs[j], p, tc.want*p)
+				}
+			}
+			if e.rng.State() != rng {
+				t.Error("the closed form drew random numbers")
+			}
+		})
+	}
+}
+
+// TestLossCurveSweepUnchanged: a sum over values of both signs, or over a
+// sample that holds NaN or ±Inf, and every aggregate other than count and
+// sum still run the Monte-Carlo sweep, and it is the sweep it always was:
+// their curves hash to what they were before count and one-sign sum took
+// the closed form.
+func TestLossCurveSweepUnchanged(t *testing.T) {
+	logNormal := func(_ int, rng *stats.RNG) float64 { return math.Exp(rng.NormFloat64()) }
+	with := func(at int, v float64, sign float64) func(int, *stats.RNG) float64 {
+		return func(i int, rng *stats.RNG) float64 {
+			if i == at {
+				return v
+			}
+			return sign * logNormal(i, rng)
+		}
+	}
+	h := NewPinHash()
+	for _, tc := range []struct {
+		agg   window.Factory
+		value func(i int, rng *stats.RNG) float64
+	}{
+		{window.Sum(), func(_ int, rng *stats.RNG) float64 { return 5 + 20*rng.NormFloat64() }},
+		{window.Sum(), with(0, -1e-3, 1)}, // one negative among positives
+		{window.Sum(), with(100, math.NaN(), 1)},
+		{window.Sum(), with(200, math.Inf(1), 1)},
+		{window.Sum(), with(300, math.Inf(-1), -1)},
+		{window.Avg(), logNormal},
+		{window.Max(), logNormal},
+	} {
+		h.F64(sampleEstimator(tc.agg, tc.value).LossCurve().errs...)
+	}
+	if got, want := h.Sum(), uint64(0xe2d390982e026768); got != want {
+		t.Errorf("swept curves hash %#x, want %#x", got, want)
+	}
+}

@@ -237,3 +237,78 @@ func TestAQKSlackStateSnapshotIsDeterministic(t *testing.T) {
 		t.Fatalf("state nondeterministic:\n%s\n%s", sa, sb)
 	}
 }
+
+// TestAQKSlackRestoresSweptSumCurve: a sum handler's snapshot written while
+// sum's loss curve was still a Monte-Carlo sweep carries that curve. It
+// restores: up to the next refresh the restored handler reads the swept
+// curve and decides exactly as the sweeping handler does, then it takes the
+// closed form, and two restores of the one snapshot agree to the bit.
+func TestAQKSlackRestoresSweptSumCurve(t *testing.T) {
+	cfg := func(agg window.Factory) Config { return Config{Theta: 0.01, Spec: pinnedSpec(), Agg: agg} }
+	// A sum under another name runs the sweep, as sum's loss model once did.
+	a := NewAQKSlack(cfg(window.Factory{Name: "swept-sum", New: window.Sum().New}))
+	var items []stream.Item
+	for _, tp := range driftTuples(20_000, 51) {
+		items = append(items, stream.DataItem(tp))
+	}
+	cut := len(items) / 2
+	var scratch []stream.Tuple
+	for i, it := range items {
+		if i >= cut && a.curveAge == lossRefresh/2 {
+			cut = i
+			break
+		}
+		scratch = a.Insert(it, scratch[:0])
+	}
+	raw, err := json.Marshal(a.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st AQState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.CurveAge != lossRefresh/2 || len(st.Curve) != curvePoints || st.Curve[20] == lossGrid[20] {
+		t.Fatalf("test setup: want a swept curve between refreshes, got age %d, curve %v", st.CurveAge, st.Curve)
+	}
+	restore := func() *AQKSlack {
+		b := NewAQKSlack(cfg(window.Sum()))
+		if err := b.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b, c := restore(), restore()
+	traced := len(a.Trace())
+	var relB, relC []stream.Tuple
+	for _, it := range items[cut:] {
+		scratch = a.Insert(it, scratch[:0])
+		relB = b.Insert(it, relB)
+		relC = c.Insert(it, relC)
+	}
+	relB, relC = b.Flush(relB), c.Flush(relC)
+	if len(relB) != len(relC) {
+		t.Fatalf("restores released %d and %d tuples", len(relB), len(relC))
+	}
+	for i := range relB {
+		if relB[i] != relC[i] {
+			t.Fatalf("restores' release %d diverged: %v vs %v", i, relB[i], relC[i])
+		}
+	}
+	trA, trB, trC := a.Trace()[traced:], b.Trace(), c.Trace()
+	stale := lossRefresh - st.CurveAge // adaptations that read the restored curve
+	if len(trB) < 2*lossRefresh || len(trA) != len(trB) || len(trB) != len(trC) {
+		t.Fatalf("test setup: %d, %d and %d adaptations after the cut", len(trA), len(trB), len(trC))
+	}
+	for i := range trB {
+		if trB[i] != trC[i] {
+			t.Fatalf("restores' adaptation %d diverged: %+v vs %+v", i, trB[i], trC[i])
+		}
+		if i < stale && trA[i] != trB[i] {
+			t.Fatalf("adaptation %d, before the refresh, diverged from the sweeping handler: %+v vs %+v", i, trA[i], trB[i])
+		}
+	}
+	if got := b.curve.errs; got[20] != lossGrid[20] || got[curvePoints-1] != 1 {
+		t.Fatalf("after its refresh the restored sum handler holds %v, not the closed form", got)
+	}
+}

@@ -134,6 +134,7 @@ type gkEntry struct {
 // the estimated fraction of late tuples.
 type GK struct {
 	eps     float64
+	flushAt int // pending values that trigger a flush: flushThreshold(eps)
 	n       int64
 	entries []gkEntry
 	spare   []gkEntry // flush merges into this, then swaps it with entries
@@ -146,19 +147,21 @@ func NewGK(eps float64) *GK {
 	if eps <= 0 || eps >= 1 {
 		panic("stats: GK epsilon must be in (0, 1)")
 	}
-	return &GK{eps: eps}
+	return &GK{eps: eps, flushAt: flushThreshold(eps)}
 }
 
 // Add incorporates x.
 func (g *GK) Add(x float64) {
 	g.pending = append(g.pending, x)
-	if len(g.pending) >= g.flushThreshold() {
+	if len(g.pending) >= g.flushAt {
 		g.flush()
 	}
 }
 
-func (g *GK) flushThreshold() int {
-	t := int(1 / (2 * g.eps))
+// flushThreshold is how many pending values a sketch of rank error eps
+// buffers before it merges them: 1/(2·eps), at least 16.
+func flushThreshold(eps float64) int {
+	t := int(1 / (2 * eps))
 	if t < 16 {
 		t = 16
 	}

@@ -123,7 +123,7 @@ func (g *GK) State() GKState {
 
 // Restore sets the sketch to a previously exported state, keeping epsilon.
 func (g *GK) Restore(st GKState) {
-	g.n = st.N
+	g.n, g.flushAt = st.N, flushThreshold(g.eps)
 	g.entries = make([]gkEntry, len(st.Entries))
 	for i, e := range st.Entries {
 		g.entries[i] = gkEntry{v: e.V, g: e.G, delta: e.Delta}
