@@ -57,19 +57,21 @@ api-test:
 # the full differential oracle (sync/concurrent equivalence, quality
 # contract, metamorphic relations) plus the committed regression
 # transcripts. DST_SEEDS widens the matrix (nightly runs use hundreds);
-# the default keeps `make check` fast.
+# the default keeps `make check` fast. The timeout is go test's 10-minute
+# default raised for the wide runs: 400 seeds take about 12 minutes on two
+# cores.
 DST_SEEDS ?= 12
 dst:
-	DST_SEEDS=$(DST_SEEDS) $(GO) test ./internal/dst -race -count=1
+	DST_SEEDS=$(DST_SEEDS) $(GO) test ./internal/dst -race -count=1 -timeout 60m
 
 # Crash-recovery sweep under the race detector: each seed runs a query to
 # a randomized crash point, optionally corrupts the journal tail, recovers
 # over the damaged directory, and checks the continuation + quality oracle
 # (see internal/dst/crash.go). DST_CRASH_SEEDS widens the matrix; nightly
-# runs use hundreds.
+# runs use hundreds, under the same raised timeout as dst.
 DST_CRASH_SEEDS ?= 12
 crash:
-	DST_CRASH_SEEDS=$(DST_CRASH_SEEDS) $(GO) test ./internal/dst -race -count=1 -run '^TestCrash'
+	DST_CRASH_SEEDS=$(DST_CRASH_SEEDS) $(GO) test ./internal/dst -race -count=1 -timeout 60m -run '^TestCrash'
 
 # Coverage gate: per-package breakdown plus a repo-level floor. The floor
 # and a committed snapshot live in COVERAGE.md; raise the baseline when

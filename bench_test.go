@@ -79,8 +79,9 @@ func BenchmarkR7Throughput(b *testing.B) { runExperiment(b, "R7") }
 // BenchmarkR8Windows regenerates R8 (figure: window size and slide sweep).
 func BenchmarkR8Windows(b *testing.B) { runExperiment(b, "R8") }
 
-// BenchmarkR9Ablation regenerates R9 (table: controller ablation).
-func BenchmarkR9Ablation(b *testing.B) { runExperiment(b, "R9") }
+// BenchmarkR9Regret regenerates R9 (table: latency regret against the best
+// fixed K).
+func BenchmarkR9Regret(b *testing.B) { runExperiment(b, "R9") }
 
 // BenchmarkR11GroupedScaling regenerates R11 (extension table: grouped
 // query scaling over key cardinality).

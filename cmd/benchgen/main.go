@@ -43,19 +43,8 @@ func run() error {
 		return inspectTrace(*inspect)
 	}
 
-	var c gen.Config
-	switch *workload {
-	case "sensor":
-		c = gen.Sensor(*n, *seed)
-	case "bursty":
-		c = gen.SensorBursty(*n, *seed)
-	case "drift":
-		c = gen.SensorDrift(*n, stream.Time(*n/2)*10, *seed)
-	case "stock":
-		c = gen.Stock(*n, 100, *seed)
-	case "cdr":
-		c = gen.CDR(*n, *seed)
-	default:
+	c, ok := gen.Workload(*workload, *n, *seed)
+	if !ok {
 		return fmt.Errorf("unknown workload %q", *workload)
 	}
 

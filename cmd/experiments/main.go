@@ -1,5 +1,7 @@
-// Command experiments runs the reconstructed evaluation suite R1–R9 (see
-// DESIGN.md §4) and prints each experiment's tables.
+// Command experiments runs the reconstructed evaluation suite R1–R9 and its
+// extensions R11, R14 and R16 (see DESIGN.md §4) and prints each
+// experiment's tables. R9 is the adaptive handler's latency regret against
+// the best fixed K in hindsight (-only R9 prints it in seconds).
 //
 // Usage:
 //

@@ -1193,10 +1193,8 @@ var qualityKnobs = map[string]string{
 	"Config.Theta":                   declared,
 	"Config.Spec":                    declared,
 	"Config.Agg":                     declared,
-	"Config.Mode":                    "R9's controller ablation sets it; it goes with R9 once a regret table replaces the ablation",
-	"Config.AdaptEvery":              "R9's adaptation-period sweep sets it; it goes with R9 as Mode does",
 	"Config.FeedbackHorizon":         "the feedback tests' emit-and-finalize-in-one-run case needs a horizon of a fifth of a slide",
-	"Config.WarmupTuples":            "the warm-up is an open question of the controller (ROADMAP item 3(a)); tests shorten it to adapt from the start",
+	"Config.WarmupTuples":            "the warm-up is an open question of the controller (ROADMAP item 5(a), the recall warm-up hole); tests shorten it to adapt from the start",
 	"Config.Estimator.ReservoirSize": "the executor tests' cost seam: a small value sample keeps an adaptive run cheap",
 	"Config.Estimator.MCTrials":      "the executor tests' cost seam: few Monte-Carlo trials keep an adaptive run cheap",
 	"Config.Estimator.Seed":          "the experiments and the benchmark seed the estimator's sampling",

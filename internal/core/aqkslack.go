@@ -10,37 +10,6 @@ import (
 	"repro/internal/window"
 )
 
-// Mode selects which parts of the adaptation loop are active; experiment
-// R9 ablates them.
-type Mode int
-
-const (
-	// ModeHybrid (default) combines the model-driven slack with the PI
-	// trim from realized error.
-	ModeHybrid Mode = iota
-	// ModeModelOnly uses the estimator's slack directly (open loop).
-	ModeModelOnly
-	// ModePIOnly ignores the estimator and drives the slack purely by PI
-	// feedback on realized error.
-	ModePIOnly
-	// ModePOnly is ModePIOnly with the integral gain zeroed (ablation).
-	ModePOnly
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeModelOnly:
-		return "model"
-	case ModePIOnly:
-		return "pi"
-	case ModePOnly:
-		return "p"
-	default:
-		return "hybrid"
-	}
-}
-
 // Config parameterizes AQKSlack: the query's declaration — the bound Theta
 // on its window's relative error, its window Spec and aggregate Agg, all
 // required — and the few settings a program varies. Zero values select
@@ -48,11 +17,9 @@ func (m Mode) String() string {
 // below.
 type Config struct {
 	Theta float64        // bound on relative window error, e.g. 0.01
-	Spec  window.Spec    // the downstream query's window
+	Spec  window.Spec    // the downstream query's window; adaptation falls due every Slide
 	Agg   window.Factory // the downstream query's aggregate
 
-	AdaptEvery      stream.Time // adaptation period; default Spec.Slide
-	Mode            Mode        // default ModeHybrid
 	Estimator       EstimatorConfig
 	FeedbackHorizon stream.Time // straggler wait before realized error; default 4 × Spec.Size
 	WarmupTuples    int64       // tuples before first adaptation; default 200
@@ -76,9 +43,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.AdaptEvery == 0 {
-		c.AdaptEvery = c.Spec.Slide
-	}
 	if c.FeedbackHorizon == 0 {
 		c.FeedbackHorizon = 4 * c.Spec.Size
 	}
@@ -185,7 +149,7 @@ func NewAQKSlack(cfg Config) *AQKSlack {
 // filled.
 func newHandler(cfg Config, est *Estimator, model qualityModel) *AQKSlack {
 	return &AQKSlack{cfg: cfg, buf: buffer.NewKSlack(0), est: est, model: model,
-		pi: ownPI(cfg.Mode == ModePOnly), realized: stats.NewEWMA(realizedAlpha)}
+		pi: ownPI(), realized: stats.NewEWMA(realizedAlpha)}
 }
 
 // kMax is the slack ceiling: kMaxWindows window sizes (a join: bands).
@@ -201,7 +165,7 @@ func (a *AQKSlack) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
 }
 
 // InsertRun inserts items from the front of items into the K-slack, in one
-// batch, up to the one after which an adaptation falls due — the period has
+// batch, up to the one after which an adaptation falls due — a slide has
 // elapsed on the stream clock and the estimator is warm — or all of them,
 // and reports whether it stopped there. Released tuples and ends follow
 // buffer.BatchHandler.InsertBatch, so len(ends) grows by the items taken.
@@ -231,7 +195,7 @@ func (a *AQKSlack) InsertRun(items []stream.Item, out []stream.Tuple, ends []int
 			continue
 		}
 		clock = max(clock, at)
-		if clock-a.lastAdapt >= a.cfg.AdaptEvery && a.est.Observations() >= a.cfg.WarmupTuples {
+		if clock-a.lastAdapt >= a.cfg.Spec.Slide && a.est.Observations() >= a.cfg.WarmupTuples {
 			n, due = i+1, true
 			break
 		}
@@ -287,9 +251,9 @@ func (a *AQKSlack) Stats() buffer.Stats { return a.buf.Stats() }
 // String implements buffer.Handler.
 func (a *AQKSlack) String() string {
 	if m, ok := a.model.(recallModel); ok {
-		return fmt.Sprintf("aq-join(recall=%g mode=%s K=%d)", m.recall, a.cfg.Mode, a.K())
+		return fmt.Sprintf("aq-join(recall=%g K=%d)", m.recall, a.K())
 	}
-	return fmt.Sprintf("aq-kslack(theta=%g mode=%s K=%d)", a.cfg.Theta, a.cfg.Mode, a.K())
+	return fmt.Sprintf("aq-kslack(theta=%g K=%d)", a.cfg.Theta, a.K())
 }
 
 // Trace returns the adaptation trace, oldest first: one sample per
@@ -341,41 +305,21 @@ func (a *AQKSlack) adapt() {
 	kModel := minSlack(a.est.lateness, a.model.budget(a, target), kMax,
 		func(k stream.Time) float64 { return a.model.loss(a, k) })
 
-	// Feedback half: multiplicative PI trim on realized error.
+	// Feedback half: multiplicative PI trim on realized error. With no
+	// realized error yet (or none ever: a caller that drives Insert alone)
+	// the factor stays 1 and the model's K stands.
 	factor := 1.0
-	if a.realized.State().Init && a.cfg.Mode != ModeModelOnly {
-		sig := (a.realized.Value() - target) / a.cfg.Theta
-		factor = a.pi.Update(sig)
+	if a.realized.State().Init {
+		factor = a.pi.Update((a.realized.Value() - target) / a.cfg.Theta)
 	}
-
-	var k stream.Time
-	switch a.cfg.Mode {
-	case ModeModelOnly:
-		k = kModel
-	case ModePIOnly, ModePOnly:
-		// Pure feedback: scale the current slack (at least one slide so
-		// the controller has something to scale).
-		base := a.buf.K()
-		if base < a.cfg.Spec.Slide {
-			base = a.cfg.Spec.Slide
-		}
-		k = stream.Time(float64(base) * factor)
-	default: // ModeHybrid
-		base := float64(kModel)
-		// A multiplicative trim cannot escape a model choice of zero: if
-		// the model says "no buffering" but realized error exceeds the
-		// target, grow from one slide instead.
-		if factor > 1 && base < float64(a.cfg.Spec.Slide) {
-			base = float64(a.cfg.Spec.Slide)
-		}
-		k = stream.Time(base * factor)
+	base := float64(kModel)
+	// A multiplicative trim cannot escape a model choice of zero: if the
+	// model says "no buffering" but realized error exceeds the target, grow
+	// from one slide instead.
+	if factor > 1 && base < float64(a.cfg.Spec.Slide) {
+		base = float64(a.cfg.Spec.Slide)
 	}
-	if k > kMax {
-		k = kMax
-	}
-	if k < 0 {
-		k = 0
-	}
+	k := min(stream.Time(base*factor), kMax) // ≥ 0: kModel is, and factor ≥ 0.5
 	a.buf.SetK(k)
 
 	estErr := a.model.err(a, k)

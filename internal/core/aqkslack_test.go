@@ -204,23 +204,6 @@ func TestAQKSlackBeatsMaxSlackLatency(t *testing.T) {
 	}
 }
 
-func TestAQKSlackModes(t *testing.T) {
-	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
-	tuples := sensorTuples(40000, 26)
-	for _, mode := range []Mode{ModeHybrid, ModeModelOnly, ModePIOnly, ModePOnly} {
-		cfg := defaultCfg(0.02)
-		cfg.Mode = mode
-		h := NewAQKSlack(cfg)
-		results := runPipeline(h, tuples, spec, cfg.Agg)
-		if len(results) == 0 {
-			t.Errorf("mode %v produced no results", mode)
-		}
-		if h.Quality().Adaptations == 0 {
-			t.Errorf("mode %v never adapted", mode)
-		}
-	}
-}
-
 func TestAQKSlackHeartbeatsAdvance(t *testing.T) {
 	cfg := defaultCfg(0.05)
 	h := NewAQKSlack(cfg)

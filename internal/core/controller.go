@@ -23,17 +23,10 @@ type PI struct {
 }
 
 // ownPI returns a handler's own controller, with the gentle gains every
-// handler runs: Kp 0.2, Ki 0.02 (zeroed for ModePOnly), factor clamp
-// [0.5, 2]. Gentle, because the adaptive handlers' feedback — realized error
+// handler runs: Kp 0.2, Ki 0.02, factor clamp [0.5, 2]. Gentle, because the adaptive handlers' feedback — realized error
 // a FeedbackHorizon late, a nearly binary miss or late-drop count — makes
 // aggressive gains oscillate between their clamps instead of settling.
-func ownPI(pOnly bool) *PI {
-	own := PI{Kp: 0.2, Ki: 0.02, MinFactor: 0.5, MaxFactor: 2}
-	if pOnly {
-		own.Ki = 0
-	}
-	return &own
-}
+func ownPI() *PI { return &PI{Kp: 0.2, Ki: 0.02, MinFactor: 0.5, MaxFactor: 2} }
 
 // Update advances the controller with one normalized deviation sample and
 // returns the correction factor. sig > 0 means measured quality violated

@@ -66,26 +66,12 @@ func TestPIString(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	for m, want := range map[Mode]string{
-		ModeHybrid: "hybrid", ModeModelOnly: "model", ModePIOnly: "pi", ModePOnly: "p",
-	} {
-		if got := m.String(); got != want {
-			t.Errorf("Mode(%d).String() = %q, want %q", m, got, want)
-		}
-	}
-}
-
 // TestHandlersOwnTheirPI: every handler runs a controller of its own with
-// the package's gains, and ModePOnly zeroes its integral gain.
+// the package's gains.
 func TestHandlersOwnTheirPI(t *testing.T) {
 	cfg := defaultCfg(0.01)
 	a, b := NewAQKSlack(cfg), NewAQKSlack(cfg)
 	if a.pi == b.pi || *a.pi != (PI{Kp: 0.2, Ki: 0.02, MinFactor: 0.5, MaxFactor: 2}) {
 		t.Errorf("handlers from one Config share a controller (%v) or run other gains: %s", a.pi == b.pi, a.pi)
-	}
-	cfg.Mode = ModePOnly
-	if k := NewAQKSlack(cfg); k.pi.Ki != 0 {
-		t.Errorf("a ModePOnly handler kept an integral gain: %v", k.pi.Ki)
 	}
 }

@@ -103,7 +103,7 @@ func TestAQJoinTraceAndString(t *testing.T) {
 			t.Fatalf("trace[%d] predicted miss rate out of [0,1]: %+v", i, s)
 		}
 	}
-	if got, want := aq.String(), "aq-join(recall=0.95 mode=hybrid K="; !strings.HasPrefix(got, want) {
+	if got, want := aq.String(), "aq-join(recall=0.95 K="; !strings.HasPrefix(got, want) {
 		t.Fatalf("String() = %q, want prefix %q", got, want)
 	}
 	if aq.Recall() != 0.95 || NewAQKSlack(defaultCfg(0.01)).Recall() != 0 {
@@ -114,12 +114,3 @@ func TestAQJoinTraceAndString(t *testing.T) {
 // TwoStreams exports twoStreams to the external test package
 // (recall_exec_test.go, which imports cq).
 var TwoStreams = twoStreams
-
-// NewAQJoinModelOnly is NewAQJoin's handler with the feedback half off
-// (ModeModelOnly, which a JoinConfig does not offer): the open-loop reference
-// of the external test package (recall_exec_test.go).
-func NewAQJoinModelOnly(jc JoinConfig) *AQKSlack {
-	a := NewAQJoin(jc)
-	a.cfg.Mode = ModeModelOnly
-	return a
-}

@@ -68,23 +68,13 @@ func (q Query) Tuples(n int, seed uint64) ([]stream.Tuple, error) {
 		defer f.Close()
 		return gen.ReadTrace(f)
 	}
-	var c gen.Config
-	switch q.Source {
-	case "sensor":
-		c = gen.Sensor(n, seed)
-	case "bursty":
-		c = gen.SensorBursty(n, seed)
-	case "drift":
-		c = gen.SensorDrift(n, stream.Time(n/2)*10, seed)
-	case "stock":
-		c = gen.Stock(n, 100, seed)
-	case "cdr":
-		c = gen.CDR(n, seed)
-	case "simnet":
-		c = gen.Sensor(n, seed)
+	if q.Source == "simnet" {
+		c := gen.Sensor(n, seed)
 		c.Delays = nil
 		return sim.Transport(c.Events(), seed), nil
-	default:
+	}
+	c, ok := gen.Workload(q.Source, n, seed)
+	if !ok {
 		return nil, fmt.Errorf("cql: unknown source %q", q.Source)
 	}
 	if q.GroupBy && c.NumKeys <= 1 {

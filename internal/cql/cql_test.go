@@ -217,8 +217,8 @@ func TestRunUnknownSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.RunTraced(100, 1, nil); err == nil {
-		t.Fatal("unknown source accepted at run time")
+	if _, err := q.RunTraced(100, 1, nil); err == nil || err.Error() != `cql: unknown source "nosuch"` {
+		t.Fatalf("unknown source at run time: err = %v", err)
 	}
 }
 

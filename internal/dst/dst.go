@@ -15,8 +15,8 @@
 //   - Time is virtual: the Scheduler implements resilience.Clock, so
 //     chaos stalls and retry backoffs advance simulated time instantly
 //     instead of sleeping. Simulated and production runs share one code
-//     path — only the injected clock differs (cq.AggQuery.Clock,
-//     resilience.FaultSource.WithClock, resilience.Retry.Clock).
+//     path — only the injected clock differs
+//     (resilience.FaultSource.WithClock, resilience.Retry.Clock).
 //   - The engine's own output contract (batched transport preserves
 //     the synchronous executor's output exactly)
 //     removes goroutine-schedule dependence from everything the harness
@@ -39,17 +39,9 @@ import (
 	"repro/internal/stream"
 )
 
-// schedEvent is one callback scheduled on the virtual timeline.
-type schedEvent struct {
-	at  time.Time
-	seq uint64
-	fn  func()
-}
-
-// Scheduler is a seed-reproducible virtual-time scheduler. It advances
-// time only through the explicit Advance/AdvanceTo/Sleep/Step calls —
-// never by waiting — and fires scheduled callbacks in (time, schedule
-// order). It implements resilience.Clock, so pipeline components that
+// Scheduler is a seed-reproducible virtual clock. It advances time only
+// through the explicit AdvanceTo/AdvanceToStream/Sleep calls — never by
+// waiting. It implements resilience.Clock, so pipeline components that
 // would sleep on the wall clock (chaos stalls, retry backoff, breaker
 // cooldowns) instead move simulated time forward instantly.
 //
@@ -60,12 +52,8 @@ type schedEvent struct {
 // never race for ordering — the mutex is about memory safety under
 // -race, not about scheduling policy.
 type Scheduler struct {
-	mu    sync.Mutex
-	now   time.Time
-	seq   uint64
-	queue []schedEvent
-
-	slept time.Duration // cumulative virtual time consumed by Sleep
+	mu  sync.Mutex
+	now time.Time
 }
 
 // simEpoch anchors virtual time. The concrete value is arbitrary but
@@ -83,26 +71,9 @@ func (s *Scheduler) Now() time.Time {
 	return s.now
 }
 
-// Elapsed returns how much virtual time has passed since the epoch.
-func (s *Scheduler) Elapsed() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now.Sub(simEpoch)
-}
-
-// Slept returns the cumulative virtual time consumed via Sleep — the
-// wall-clock time a production run would have burnt in stalls and
-// backoffs.
-func (s *Scheduler) Slept() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.slept
-}
-
 // Sleep implements resilience.Clock: simulated waiting is instantaneous —
-// the virtual clock jumps forward by d and any callbacks that became due
-// fire before Sleep returns. The context is only checked, never waited
-// on, so a cancelled pipeline still unwinds promptly.
+// the virtual clock jumps forward by d. The context is only checked, never
+// waited on, so a cancelled pipeline still unwinds promptly.
 func (s *Scheduler) Sleep(ctx context.Context, d time.Duration) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -113,27 +84,17 @@ func (s *Scheduler) Sleep(ctx context.Context, d time.Duration) error {
 		return nil
 	}
 	s.mu.Lock()
-	s.slept += d
-	s.advanceLocked(s.now.Add(d))
+	s.now = s.now.Add(d)
 	s.mu.Unlock()
 	return nil
 }
 
-// Advance moves virtual time forward by d, firing due callbacks.
-func (s *Scheduler) Advance(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.advanceLocked(s.now.Add(d))
-	s.mu.Unlock()
-}
-
-// AdvanceTo moves virtual time forward to t (a no-op if t is in the
-// past), firing due callbacks.
+// AdvanceTo moves virtual time forward to t (a no-op if t is in the past).
 func (s *Scheduler) AdvanceTo(t time.Time) {
 	s.mu.Lock()
-	s.advanceLocked(t)
+	if t.After(s.now) {
+		s.now = t
+	}
 	s.mu.Unlock()
 }
 
@@ -143,100 +104,6 @@ func (s *Scheduler) AdvanceTo(t time.Time) {
 // the item being delivered.
 func (s *Scheduler) AdvanceToStream(st stream.Time) {
 	s.AdvanceTo(simEpoch.Add(time.Duration(st) * time.Millisecond))
-}
-
-// Schedule registers fn to fire when virtual time reaches now+d. Events
-// at equal times fire in schedule order.
-func (s *Scheduler) Schedule(d time.Duration, fn func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	s.push(schedEvent{at: s.now.Add(d), seq: s.seq, fn: fn})
-}
-
-// Step fires the single next scheduled callback, jumping virtual time to
-// its deadline. It reports false when nothing is scheduled.
-func (s *Scheduler) Step() bool {
-	s.mu.Lock()
-	if len(s.queue) == 0 {
-		s.mu.Unlock()
-		return false
-	}
-	e := s.pop()
-	s.now = e.at
-	s.mu.Unlock()
-	e.fn() // outside the lock: callbacks may schedule further events
-	return true
-}
-
-// Pending returns the number of scheduled callbacks not yet fired.
-func (s *Scheduler) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
-// advanceLocked moves time to target (monotonically) and fires every
-// callback whose deadline is reached, in (time, schedule) order. Caller
-// holds mu; callbacks run with mu released so they may re-schedule.
-func (s *Scheduler) advanceLocked(target time.Time) {
-	if target.Before(s.now) {
-		return
-	}
-	for len(s.queue) > 0 && !s.queue[0].at.After(target) {
-		e := s.pop()
-		s.now = e.at
-		s.mu.Unlock()
-		e.fn()
-		s.mu.Lock()
-		if target.Before(s.now) { // a callback advanced past the target
-			return
-		}
-	}
-	s.now = target
-}
-
-func eventLess(a, b schedEvent) bool {
-	if !a.at.Equal(b.at) {
-		return a.at.Before(b.at)
-	}
-	return a.seq < b.seq
-}
-
-func (s *Scheduler) push(e schedEvent) {
-	s.queue = append(s.queue, e)
-	i := len(s.queue) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(s.queue[i], s.queue[parent]) {
-			break
-		}
-		s.queue[i], s.queue[parent] = s.queue[parent], s.queue[i]
-		i = parent
-	}
-}
-
-func (s *Scheduler) pop() schedEvent {
-	top := s.queue[0]
-	n := len(s.queue) - 1
-	s.queue[0] = s.queue[n]
-	s.queue = s.queue[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(s.queue) && eventLess(s.queue[l], s.queue[smallest]) {
-			smallest = l
-		}
-		if r < len(s.queue) && eventLess(s.queue[r], s.queue[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		s.queue[i], s.queue[smallest] = s.queue[smallest], s.queue[i]
-		i = smallest
-	}
 }
 
 // pacedSource wraps an item source so that delivering an item first

@@ -18,11 +18,8 @@ func TestSchedulerAdvancesOnSleep(t *testing.T) {
 	if err := s.Sleep(context.Background(), 250*time.Millisecond); err != nil {
 		t.Fatalf("Sleep: %v", err)
 	}
-	if got := s.Elapsed(); got != 250*time.Millisecond {
-		t.Fatalf("Elapsed = %v, want 250ms", got)
-	}
-	if got := s.Slept(); got != 250*time.Millisecond {
-		t.Fatalf("Slept = %v, want 250ms", got)
+	if got := s.Now().Sub(simEpoch); got != 250*time.Millisecond {
+		t.Fatalf("Now = epoch + %v, want epoch + 250ms", got)
 	}
 }
 
@@ -33,44 +30,20 @@ func TestSchedulerSleepHonorsCancelledContext(t *testing.T) {
 	if err := s.Sleep(ctx, time.Second); err == nil {
 		t.Fatal("Sleep on cancelled context: want error")
 	}
-	if s.Elapsed() != 0 {
-		t.Fatalf("cancelled Sleep advanced time by %v", s.Elapsed())
-	}
-}
-
-func TestSchedulerFiresEventsInOrder(t *testing.T) {
-	s := NewScheduler()
-	var fired []int
-	s.Schedule(30*time.Millisecond, func() { fired = append(fired, 3) })
-	s.Schedule(10*time.Millisecond, func() { fired = append(fired, 1) })
-	s.Schedule(10*time.Millisecond, func() { fired = append(fired, 2) }) // same time: schedule order
-	s.Advance(20 * time.Millisecond)
-	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
-		t.Fatalf("after Advance(20ms): fired = %v, want [1 2]", fired)
-	}
-	if !s.Step() {
-		t.Fatal("Step: want remaining event")
-	}
-	if len(fired) != 3 || fired[2] != 3 {
-		t.Fatalf("after Step: fired = %v, want [1 2 3]", fired)
-	}
-	if s.Step() {
-		t.Fatal("Step on empty queue: want false")
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d, want 0", s.Pending())
+	if got := s.Now().Sub(simEpoch); got != 0 {
+		t.Fatalf("cancelled Sleep advanced time by %v", got)
 	}
 }
 
 func TestSchedulerAdvanceToStream(t *testing.T) {
 	s := NewScheduler()
 	s.AdvanceToStream(3 * stream.Second)
-	if got := s.Elapsed(); got != 3*time.Second {
-		t.Fatalf("Elapsed = %v, want 3s (1 stream unit = 1ms)", got)
+	if got := s.Now().Sub(simEpoch); got != 3*time.Second {
+		t.Fatalf("Now = epoch + %v, want epoch + 3s (1 stream unit = 1ms)", got)
 	}
 	s.AdvanceToStream(stream.Second) // time is monotone: no going back
-	if got := s.Elapsed(); got != 3*time.Second {
-		t.Fatalf("Elapsed moved backwards to %v", got)
+	if got := s.Now().Sub(simEpoch); got != 3*time.Second {
+		t.Fatalf("Now moved backwards to epoch + %v", got)
 	}
 }
 

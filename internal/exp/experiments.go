@@ -11,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/join"
 	"repro/internal/metrics"
+	"repro/internal/oracle"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -33,7 +34,7 @@ func All() []Experiment {
 		{ID: "R6", Title: "join recall vs. latency", Run: R6},
 		{ID: "R7", Title: "disorder-handling throughput", Run: R7},
 		{ID: "R8", Title: "window size and slide sweep", Run: R8},
-		{ID: "R9", Title: "controller ablation", Run: R9},
+		{ID: "R9", Title: "latency regret against the best fixed K", Run: R9},
 		{ID: "R11", Title: "grouped query scaling [extension]", Run: R11},
 		{ID: "R14", Title: "speculation (refinements) vs. buffering [extension]", Run: R14},
 		{ID: "R16", Title: "batched transport + grouped execution [extension]", Run: R16},
@@ -405,7 +406,7 @@ func R7(s Scale) []Table {
 		Title: fmt.Sprintf("disorder-handling throughput (tuples/s, n=%d, incl. window operator)", len(tuples)),
 		Cols:  []string{"handler", "tuples/s", "maxBuffered", "meanErr"},
 		Notes: []string{
-			"expected shape: none is fastest; kslack/maxslack pay the sort heap (~2x); aq pays the estimator (~3-4x vs kslack at the default per-slide adaptation; amortize via Config.AdaptEvery) while still exceeding 1M tuples/s",
+			"expected shape: none is fastest; kslack/maxslack pay the sort heap (~2x); aq pays the estimator (~3-4x vs kslack, adapting once per slide) while still exceeding 1M tuples/s",
 		},
 	}
 	handlers := map[string]func() buffer.Handler{
@@ -450,36 +451,78 @@ func R8(s Scale) []Table {
 	return []Table{t}
 }
 
-// R9 ablates the controller on the drift workload.
-func R9(s Scale) []Table {
-	n := s.N(150000)
-	stepAt := stream.Time(n/2) * 10
-	tuples := gen.SensorDrift(n, stepAt, 9).Arrivals()
-	agg := window.Sum()
-	oracle := window.Oracle(stdSpec, agg, tuples)
-	theta := 0.01
+// The fixed-K grid R9 searches: every 50 ms from 0 to 30 s.
+const (
+	regretStep    stream.Time = 50
+	regretCeiling             = 30 * stream.Second
+)
 
+// R9 measures the adaptive handler's latency regret against the best fixed
+// K-slack in hindsight, on R1's workload at R1's bounds and across a 4x
+// delay step up (R3's workload and one of its own) and down. Per row, the
+// oracle K is the smallest grid K whose fixed K-slack meets θ on the mean
+// error, the matched K the smallest whose error is no more than the adaptive
+// handler's own (oracle.SmallestK bisects the grid for both, so it assumes
+// error falls with K); the regret is how much later the adaptive handler's
+// results come than that fixed K's, in mean latency.
+func R9(s Scale) []Table {
+	n, n9 := s.N(200000), s.N(150000)
+	stepDown := gen.Sensor(n, 5)
+	stepDown.Delays = delay.Step{
+		Before: delay.ParetoWithMean(2000, 1.8),
+		After:  delay.ParetoWithMean(500, 1.8),
+		At:     stream.Time(n/2) * 10,
+	}
+	workloads := []struct {
+		name   string
+		c      gen.Config
+		thetas []float64
+	}{
+		{"sensor (R1)", gen.Sensor(n, 1), []float64{0.001, 0.005, 0.01, 0.02}},
+		{"step up 4x (R3)", gen.SensorDrift(n, stream.Time(n/2)*10, 3), []float64{0.01}},
+		{"step up 4x", gen.SensorDrift(n9, stream.Time(n9/2)*10, 9), []float64{0.01}},
+		{"step down 4x", stepDown, []float64{0.01}},
+	}
+	agg := window.Sum()
 	t := Table{
 		ID:    "R9",
-		Title: fmt.Sprintf("controller ablation on the drift workload (theta=%s)", Pct(theta)),
-		Cols:  []string{"variant", "meanErr", "p95Err", "compliance", "meanLat"},
+		Title: fmt.Sprintf("latency regret against the best fixed K (sum, %v, fixed-K grid %s..%s by %s)", stdSpec, Ms(0), Ms(float64(regretCeiling)), Ms(float64(regretStep))),
+		Cols:  []string{"workload", "theta", "aqLat", "aqErr", "oracleK", "itsLat", "regret@theta", "matchedK", "itsLat", "regret@matched"},
 		Notes: []string{
-			"expected shape: hybrid gets near-model latency with better compliance than model-only; pi-only (no model) reaches compliance only by over-buffering ~100x on latency",
-			"slower adaptation (larger period) degrades compliance around the step",
+			"expected shape: positive regret at theta (the controller aims at 0.8 theta), small at matched error; on a drift workload one fixed K for both regimes is a weak rival",
 		},
 	}
-	for _, mode := range []core.Mode{core.ModeHybrid, core.ModeModelOnly, core.ModePIOnly, core.ModePOnly} {
-		cfg := core.Config{Theta: theta, Spec: stdSpec, Agg: agg, Mode: mode}
-		o := RunAgg(mode.String(), tuples, oracle, stdSpec, agg, core.NewAQKSlack(cfg), theta)
-		t.AddRow("mode="+mode.String(), Pct(o.Quality.MeanRelErr), Pct(o.Quality.P95RelErr),
-			PctC(o.Quality.Compliance), Ms(o.Latency.Mean))
+	runs := 0
+	for _, w := range workloads {
+		tuples := w.c.Arrivals()
+		exact := window.Oracle(stdSpec, agg, tuples)
+		fixed := map[stream.Time]AggOutcome{} // both searches of a row, and every row of a workload, share runs
+		run := func(k stream.Time) AggOutcome {
+			o, ok := fixed[k]
+			if !ok {
+				o = RunAgg("kslack", tuples, exact, stdSpec, agg, buffer.NewKSlack(k), 0.01)
+				fixed[k] = o
+			}
+			return o
+		}
+		for _, theta := range w.thetas {
+			aq := RunAgg("aq", tuples, exact, stdSpec, agg, aqHandler(theta, stdSpec, agg), theta)
+			row := []string{w.name, Pct(theta), Ms(aq.Latency.Mean), Pct(aq.Quality.MeanRelErr)}
+			for _, bound := range []float64{theta, aq.Quality.MeanRelErr} {
+				k, ok := oracle.SmallestK(regretStep, regretCeiling, func(k stream.Time) bool {
+					return run(k).Quality.MeanRelErr <= bound
+				})
+				if !ok {
+					row = append(row, "> "+Ms(float64(regretCeiling)), "-", "-")
+					continue
+				}
+				lat := run(k).Latency.Mean
+				row = append(row, Ms(float64(k)), Ms(lat), fmt.Sprintf("%+.1f%%", 100*(aq.Latency.Mean/lat-1)))
+			}
+			t.AddRow(row...)
+		}
+		runs += len(fixed)
 	}
-	for _, period := range []stream.Time{500, stream.Second, 5 * stream.Second, 20 * stream.Second} {
-		cfg := core.Config{Theta: theta, Spec: stdSpec, Agg: agg, AdaptEvery: period}
-		name := "period=" + Ms(float64(period))
-		o := RunAgg(name, tuples, oracle, stdSpec, agg, core.NewAQKSlack(cfg), theta)
-		t.AddRow(name, Pct(o.Quality.MeanRelErr), Pct(o.Quality.P95RelErr),
-			PctC(o.Quality.Compliance), Ms(o.Latency.Mean))
-	}
+	t.Notes = append(t.Notes, fmt.Sprintf("%d fixed-K runs", runs))
 	return []Table{t}
 }

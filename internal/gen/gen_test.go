@@ -200,6 +200,29 @@ func TestCanonicalWorkloadsGenerate(t *testing.T) {
 	}
 }
 
+// TestWorkloadNames: each canonical name builds what its constructor does,
+// drift with its step at mid-stream, and no other name builds anything.
+func TestWorkloadNames(t *testing.T) {
+	const n, seed = 2000, 3
+	for name, want := range map[string]Config{
+		"sensor": Sensor(n, seed),
+		"bursty": SensorBursty(n, seed),
+		"drift":  SensorDrift(n, n/2*10, seed),
+		"stock":  Stock(n, 100, seed),
+		"cdr":    CDR(n, seed),
+	} {
+		c, ok := Workload(name, n, seed)
+		if !ok || !slices.Equal(c.Arrivals(), want.Arrivals()) {
+			t.Errorf("Workload(%q): ok %v, or not its constructor's stream", name, ok)
+		}
+	}
+	for _, name := range []string{"", "simnet", "Sensor", "nosuch"} {
+		if _, ok := Workload(name, n, seed); ok {
+			t.Errorf("Workload(%q) accepted", name)
+		}
+	}
+}
+
 func TestConfigString(t *testing.T) {
 	s := Config{N: 10, Seed: 3}.String()
 	if !strings.Contains(s, "n=10") {

@@ -10,6 +10,25 @@ import (
 // of tens to hundreds of ms, heavy-tailed tails) rather than tuned to any
 // particular result.
 
+// Workload returns the canonical workload of the given name — sensor,
+// bursty, drift (a 4x step at mid-stream), stock or cdr — with n tuples and
+// the seed; ok is false for any other name.
+func Workload(name string, n int, seed uint64) (c Config, ok bool) {
+	switch name {
+	case "sensor":
+		return Sensor(n, seed), true
+	case "bursty":
+		return SensorBursty(n, seed), true
+	case "drift":
+		return SensorDrift(n, stream.Time(n/2)*10, seed), true
+	case "stock":
+		return Stock(n, 100, seed), true
+	case "cdr":
+		return CDR(n, seed), true
+	}
+	return Config{}, false
+}
+
 // Sensor returns a sensor-reading workload: fixed 1-tuple-per-10ms event
 // rate, diurnal sinusoid values with noise, and heavy-tailed (Pareto,
 // alpha 1.8) transport delays with mean 500 time units — delays on the

@@ -13,6 +13,9 @@
 //   - Metamorphic relations: infinite slack ⇒ exact results; permuting
 //     tuples that share (TS, Arrival) ⇒ identical output; relaxing θ ⇒
 //     emission latency does not increase.
+//   - Regret: SmallestK finds the best fixed K in hindsight — the smallest
+//     slack on a grid that meets a bound — which an adaptive handler's
+//     latency is measured against (exp.R9).
 //
 // The package deliberately knows nothing about how the workload was
 // produced; internal/dst owns workload construction and variant
@@ -22,6 +25,7 @@ package oracle
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/cq"
 	"repro/internal/metrics"
@@ -256,4 +260,18 @@ func PermuteEqualArrival(items []stream.Item, seed uint64) []stream.Item {
 		i = j
 	}
 	return out
+}
+
+// SmallestK returns the smallest K on the grid 0, step, 2·step, … up to
+// ceiling at which holds is true, for a predicate monotone in K: false below
+// some K, true from it on — "a fixed K-slack of K meets the bound" is one.
+// It bisects, evaluating holds at the grid's top point first and then
+// O(log(ceiling/step)) times; ok is false, and k 0, when even the top fails.
+func SmallestK(step, ceiling stream.Time, holds func(k stream.Time) bool) (k stream.Time, ok bool) {
+	n := int(ceiling / step)
+	if !holds(stream.Time(n) * step) {
+		return 0, false
+	}
+	i := sort.Search(n, func(i int) bool { return holds(stream.Time(i) * step) })
+	return stream.Time(i) * step, true
 }

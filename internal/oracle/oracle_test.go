@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -136,4 +137,44 @@ func TestExactUnderInfiniteKMatchesOracleShape(t *testing.T) {
 	if err := ExactUnderInfiniteK(rep, spec, window.Sum(), false); err == nil {
 		t.Fatal("value drift vs oracle not detected")
 	}
+}
+
+// TestSmallestKMatchesBruteForce: the bisection finds what a sweep of the
+// same grid finds — the first grid K at which the predicate holds — for a
+// step at every grid point and between them, for a predicate that never
+// holds (the ceiling fails) and for one that always does (K = 0), and it
+// evaluates the predicate only O(log n) times.
+func TestSmallestKMatchesBruteForce(t *testing.T) {
+	const step, ceiling = 50, 30 * stream.Second
+	sweep := func(holds func(stream.Time) bool) (stream.Time, bool) {
+		for k := stream.Time(0); k <= ceiling; k += step {
+			if holds(k) {
+				return k, true
+			}
+		}
+		return 0, false
+	}
+	check := func(name string, holds func(stream.Time) bool) {
+		t.Helper()
+		calls := 0
+		got, ok := SmallestK(step, ceiling, func(k stream.Time) bool {
+			if k < 0 || k > ceiling || k%step != 0 {
+				t.Fatalf("%s: probed %d, off the grid", name, k)
+			}
+			calls++
+			return holds(k)
+		})
+		want, wantOK := sweep(holds)
+		if got != want || ok != wantOK {
+			t.Fatalf("%s: SmallestK = %d, %v; the sweep finds %d, %v", name, got, ok, want, wantOK)
+		}
+		if calls > 12 { // the top point, then ⌈log2 600⌉ = 10 bisection steps
+			t.Fatalf("%s: %d evaluations", name, calls)
+		}
+	}
+	for at := stream.Time(0); at <= ceiling+step; at += 25 {
+		check(fmt.Sprintf("step at %d", at), func(k stream.Time) bool { return k >= at })
+	}
+	check("never", func(stream.Time) bool { return false })
+	check("always", func(stream.Time) bool { return true })
 }
