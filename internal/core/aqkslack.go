@@ -32,7 +32,7 @@ const (
 	// kMaxWindows is the slack ceiling, in window sizes.
 	kMaxWindows = 64
 	// safety is the share of the bound the controller aims at: its target
-	// is safety·Theta, the rest absorbs the model's and the sketch's error.
+	// is safety·Theta, the rest absorbs the model's error and the tail margin.
 	safety = 0.8
 	// lossRefresh is the number of adaptations between loss-curve refreshes.
 	lossRefresh = 8
@@ -52,16 +52,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// clampEps bounds a derived sketch error to a practical range.
-func clampEps(eps float64) float64 {
+// tailMargin is what the handler adds to every nonzero lateness tail it
+// reads, derived from the tail probability it probes around and bounded to a
+// practical range. It is the rank error of the quantile sketch the exact
+// histogram replaced, whose read sat up to twice it above the exact tail on
+// the drift stream: the controller's decisions were tuned with it, and read
+// without it, the PI's grow-from-one-slide rule fires at θ = 2 % and step-up
+// drift breaks the bound (docs/ALGORITHMS.md §3).
+func tailMargin(p float64) float64 {
 	const lo, hi = 0.0002, 0.005
-	if eps < lo {
-		return lo
-	}
-	if eps > hi {
-		return hi
-	}
-	return eps
+	return min(max(p, lo), hi)
 }
 
 // traceCap bounds the adaptation trace: Trace returns the most recent
@@ -139,9 +139,9 @@ func NewAQKSlack(cfg Config) *AQKSlack {
 	}
 	cfg = cfg.withDefaults()
 	// The controller probes tail probabilities around safety·Theta; the
-	// sketch's rank error must be well below that or the model is forced
-	// into gross over-buffering.
-	est := newEstimator(cfg.Spec, cfg.Agg, cfg.Estimator, clampEps(safety*cfg.Theta/4))
+	// margin must sit well below that or the model is forced into gross
+	// over-buffering.
+	est := newEstimator(cfg.Spec, cfg.Agg, cfg.Estimator, tailMargin(safety*cfg.Theta/4))
 	return newHandler(cfg, est, lossModel{})
 }
 
@@ -301,7 +301,7 @@ func (a *AQKSlack) adapt() {
 	target, kMax := safety*a.cfg.Theta, a.kMax()
 
 	// Model half: smallest K whose predicted loss stays within the budget
-	// that meets the target. The lateness sketch is read afresh every step.
+	// that meets the target. The lateness histogram is read afresh every step.
 	kModel := minSlack(a.est.lateness, a.model.budget(a, target), kMax,
 		func(k stream.Time) float64 { return a.model.loss(a, k) })
 

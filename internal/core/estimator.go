@@ -8,8 +8,9 @@
 // with one of two quality models: the relative error of window aggregates
 // (NewAQKSlack) or the pair recall of band joins (NewAQJoin, θ = 1 − recall):
 //
-//  1. a lateness sketch (Greenwald–Khanna quantile summary over observed
-//     tuple lateness) yields P(lateness > K + offset) for any candidate K;
+//  1. a lateness histogram (exact counts of observed tuple lateness in
+//     log-spaced buckets) yields P(lateness > K + offset) for any candidate
+//     K, read with a margin;
 //  2. the model maps that to the error: for aggregates, the induced tuple
 //     loss to an expected relative window error by a loss curve, rebuilt
 //     every few adaptations and read by interpolation between the probes of
@@ -42,7 +43,8 @@ import (
 // sample of recent tuple values.
 type Estimator struct {
 	agg      window.Factory
-	lateness *stats.GK
+	lateness *stats.LogHist
+	margin   float64 // added to every nonzero tail PLoss reads (tailMargin)
 	values   *stats.Reservoir
 	winCount *stats.EWMA // tuples per window
 	rng      *stats.RNG
@@ -50,7 +52,7 @@ type Estimator struct {
 	observed int64
 
 	gaps  []float64    // PLoss's headroom per window position, ascending
-	fracs []float64    // PLoss's scratch: the sketch read at k + gaps
+	fracs []float64    // PLoss's scratch: the histogram read at k + gaps
 	sweep []sweepTrial // LossCurve's scratch, one per trial; not state
 }
 
@@ -77,19 +79,19 @@ func (c EstimatorConfig) withDefaults() EstimatorConfig {
 }
 
 // NewEstimator returns an estimator for the given window spec and
-// aggregate, whose lateness sketch has rank error 0.005.
+// aggregate, whose PLoss reads the lateness histogram as it is.
 func NewEstimator(spec window.Spec, agg window.Factory, cfg EstimatorConfig) *Estimator {
-	return newEstimator(spec, agg, cfg, 0.005)
+	return newEstimator(spec, agg, cfg, 0)
 }
 
-// newEstimator is NewEstimator with a lateness sketch of rank error
-// sketchEps, which the adaptive handler derives from its bound.
-func newEstimator(spec window.Spec, agg window.Factory, cfg EstimatorConfig, sketchEps float64) *Estimator {
+// newEstimator is NewEstimator whose PLoss adds margin to every nonzero
+// tail, which the adaptive handler derives from its bound (tailMargin).
+func newEstimator(spec window.Spec, agg window.Factory, cfg EstimatorConfig, margin float64) *Estimator {
 	cfg = cfg.withDefaults()
 	// With windows every Slide, the gap between a uniformly placed tuple and
 	// the end of a window it falls in takes the values (j+½)·Slide for
 	// j = 0..Size/Slide−1 (see PLoss).
-	e := newLatenessEstimator(max(int(spec.Size/spec.Slide), 1), float64(spec.Slide), sketchEps)
+	e := newLatenessEstimator(max(int(spec.Size/spec.Slide), 1), float64(spec.Slide), margin)
 	e.rng = stats.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	e.agg, e.trials = agg, cfg.MCTrials
 	e.values = stats.NewReservoir(cfg.ReservoirSize, e.rng)
@@ -97,23 +99,20 @@ func newEstimator(spec window.Spec, agg window.Factory, cfg EstimatorConfig, ske
 	return e
 }
 
-// newLatenessEstimator returns an estimator of the lateness sketch alone,
+// newLatenessEstimator returns an estimator of the lateness histogram alone,
 // whose PLoss averages over the n offsets (j+½)·step: the recall model's. With
 // no value sample it answers PLoss only.
-func newLatenessEstimator(n int, step, sketchEps float64) *Estimator {
-	e := &Estimator{lateness: stats.NewGK(sketchEps), gaps: make([]float64, n), fracs: make([]float64, n)}
+func newLatenessEstimator(n int, step, margin float64) *Estimator {
+	e := &Estimator{lateness: &stats.LogHist{}, margin: margin, gaps: make([]float64, n), fracs: make([]float64, n)}
 	for j := range e.gaps {
 		e.gaps[j] = (float64(j) + 0.5) * step
 	}
 	return e
 }
 
-// ObserveTuple records one tuple's lateness (>= 0, in stream-time units)
-// and value.
+// ObserveTuple records one tuple's lateness (in stream-time units; the
+// histogram counts a negative one as 0) and value.
 func (e *Estimator) ObserveTuple(lateness float64, value float64) {
-	if lateness < 0 {
-		lateness = 0
-	}
 	e.lateness.Add(lateness)
 	if e.values != nil {
 		e.values.Add(value)
@@ -140,10 +139,14 @@ func (e *Estimator) Observations() int64 { return e.observed }
 // have the whole remaining window length as additional headroom. With windows every Slide, the gap of a uniformly
 // placed tuple takes the values (j+½)·Slide for j = 0..Size/Slide−1, so we
 // average P(L > k + gap) over them. The recall model's estimator averages
-// over a join's partner headroom instead (newLatenessEstimator).
+// over a join's partner headroom instead (newLatenessEstimator). Every
+// nonzero tail is read with the estimator's margin, capped at 1.
 func (e *Estimator) PLoss(k stream.Time) float64 {
 	var sum float64
 	for _, f := range e.lateness.FracsAbove(float64(k), e.gaps, e.fracs) {
+		if f > 0 {
+			f = min(f+e.margin, 1)
+		}
 		sum += f
 	}
 	return sum / float64(len(e.gaps))
@@ -438,24 +441,24 @@ func (e *Estimator) MaxTolerableLoss(target float64) float64 {
 
 // MinKForLoss returns the smallest slack in [0, kMax] whose loss
 // probability PLoss(k) is at most pMax: the handler's cheap, every-adaptation
-// half of slack selection, which only reads the lateness sketch, for a caller
+// half of slack selection, which only reads the lateness histogram, for a caller
 // of the estimator alone.
 func (e *Estimator) MinKForLoss(pMax float64, kMax stream.Time) stream.Time {
 	return minSlack(e.lateness, pMax, kMax, e.PLoss)
 }
 
 // minSlack returns the smallest slack in [0, kMax] whose loss — a
-// non-increasing function of k read from the lateness sketch at k plus
+// non-increasing function of k read from the lateness histogram at k plus
 // positive offsets — is at most budget. It bisects between 0 and the
-// sketch's largest lateness, rounded up, where the loss is 0, so that bound
-// never changes the answer (a negative or NaN budget, which no slack
-// meets, keeps kMax). The handler searches this way under either model.
-func minSlack(sketch *stats.GK, budget float64, kMax stream.Time, loss func(stream.Time) float64) stream.Time {
+// largest lateness, rounded up, where the loss is 0, so that bound never
+// changes the answer (a negative or NaN budget, which no slack meets, keeps
+// kMax). The handler searches this way under either model.
+func minSlack(lateness *stats.LogHist, budget float64, kMax stream.Time, loss func(stream.Time) float64) stream.Time {
 	if kMax <= 0 || loss(0) <= budget {
 		return 0
 	}
 	lo, hi := stream.Time(0), kMax // invariant: loss(lo) > budget
-	if m := math.Ceil(sketch.Max()); budget >= 0 && m < float64(kMax) {
+	if m := math.Ceil(lateness.Max()); budget >= 0 && m < float64(kMax) {
 		hi = stream.Time(m)
 	}
 	for hi-lo > 1 {

@@ -108,8 +108,8 @@ func NewAQJoin(jc JoinConfig) *AQKSlack {
 		jc.Streams = 2
 	}
 	// The model probes per-tuple tail probabilities around half the pair
-	// budget; keep the sketch's rank error well below that.
-	est := newLatenessEstimator(8, float64(2*jc.Band)/8, clampEps(safety*cfg.Theta/8))
+	// budget; keep the margin well below that.
+	est := newLatenessEstimator(8, float64(2*jc.Band)/8, tailMargin(safety*cfg.Theta/8))
 	return newHandler(cfg, est, recallModel{jc.Recall, float64(jc.Streams)})
 }
 

@@ -76,7 +76,10 @@ func pinnedItems(n int, seed uint64) []stream.Item {
 // moved in the last bits and their full hashes were re-recorded then;
 // their slacks and releases did not move (kOnly, recorded on the commit
 // before). sum and count were re-recorded when their loss curve became the
-// closed form, which removes the sweep's noise from their budgets.
+// closed form, which removes the sweep's noise from their budgets. Every
+// kslack and join hash was re-recorded when the lateness sketch became the
+// exact histogram read with the tail margin; avg's and stddev's slacks and
+// releases held (kOnly), and the curve hashes do not read the lateness.
 func TestControllerDecisionsPinned(t *testing.T) {
 	items := pinnedItems(core.PinnedN, 51)
 	check := func(t *testing.T, what string, h *core.PinHash, want uint64) {
@@ -89,12 +92,12 @@ func TestControllerDecisionsPinned(t *testing.T) {
 		agg         window.Factory
 		want, kOnly uint64
 	}{
-		{window.Sum(), 0x509f9923c3b7d1f6, 0},
-		{window.Count(), 0x7404b27214c68e13, 0},
-		{window.Avg(), 0xda956ec75a2b5938, 0xd4fbd6e3e9029161},
-		{window.Max(), 0x35abf7745372d18f, 0},
-		{window.Quantile(0.95), 0x315c9d6014b99eaf, 0},
-		{window.StdDev(), 0x94adb98095f4198e, 0xa408fe178aba1736},
+		{window.Sum(), 0x6ac0f462f31b0ed5, 0},
+		{window.Count(), 0x363d51ce20f7d8d8, 0},
+		{window.Avg(), 0x1adbb41a673b5ef1, 0xd4fbd6e3e9029161},
+		{window.Max(), 0x5ffaa048ebd3a99a, 0},
+		{window.Quantile(0.95), 0x8d831967b21ae90e, 0},
+		{window.StdDev(), 0x8d5357ed0fe1f9be, 0xa408fe178aba1736},
 	} {
 		t.Run("kslack/"+tc.agg.Name, func(t *testing.T) {
 			aq := core.NewAQKSlack(core.Config{Theta: 0.01, Spec: core.PinnedSpec(), Agg: tc.agg})
@@ -135,7 +138,7 @@ func TestControllerDecisionsPinned(t *testing.T) {
 		if n := aq.Quality().Adaptations; n < 300 {
 			t.Fatalf("only %d adaptations", n)
 		}
-		check(t, "decision", h, 0xeab625429e9b7877)
+		check(t, "decision", h, 0xfe38fe926da906f2)
 	})
 
 	// The curve itself at fixed estimator states: a full power-of-two
@@ -182,9 +185,9 @@ func TestControllerDecisionsPinned(t *testing.T) {
 // sum case driven the way every server runner drives it — through cq.Exec,
 // in one-item, wire-sized and recovery-sized steps — and pinned, results
 // included, to one hash whatever the step size. Re-recorded with sum's
-// closed-form loss curve.
+// closed-form loss curve, and with the exact lateness histogram.
 func TestControllerDecisionsPinnedThroughExec(t *testing.T) {
-	const want uint64 = 0xf8e6edd47b50865e
+	const want uint64 = 0xcc4f3929b0ef009a
 	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
 	items := make([]stream.Item, 0, core.PinnedN)
 	for _, tp := range core.DriftTuples(core.PinnedN, 51) {

@@ -11,7 +11,7 @@ import (
 // crash-consistent snapshots (internal/durable). The contract matches the
 // rest of the State/Restore family: a restored AQKSlack fed the identical
 // item suffix makes identical slack decisions and identical releases,
-// because every input to the adaptation loop — sketch, sample, RNG, PI
+// because every input to the adaptation loop — lateness histogram, sample, RNG, PI
 // integral, realized error, adaptation bookkeeping — round-trips exactly.
 // The windows awaiting their feedback horizon are the query's window
 // operator's, and round-trip in its state (window.OpState.Kept).
@@ -52,8 +52,14 @@ func (c *PI) Restore(st PIState) {
 
 // EstimatorState is the exported state of an Estimator. The RNG is shared
 // with the reservoir, so it is snapshotted exactly once, here.
+//
+// A state written while the estimator kept a Greenwald–Khanna sketch of
+// lateness carries it ("lateness"): it restores into the histogram, each
+// entry's observations in the bucket of its value, which bounds them from
+// above, and each pending value in its own.
 type EstimatorState struct {
-	Lateness stats.GKState        `json:"lateness"`
+	Hist     stats.LogHistState   `json:"latenessHist"`
+	Lateness *stats.GKState       `json:"lateness,omitempty"`
 	Values   stats.ReservoirState `json:"values"`
 	WinCount stats.EWMAState      `json:"winCount"`
 	RNG      stats.RNGState       `json:"rng"`
@@ -62,7 +68,7 @@ type EstimatorState struct {
 
 // State exports the estimator state.
 func (e *Estimator) State() EstimatorState {
-	st := EstimatorState{Lateness: e.lateness.State(), Observed: e.observed}
+	st := EstimatorState{Hist: e.lateness.State(), Observed: e.observed}
 	if e.values != nil {
 		st.Values, st.WinCount, st.RNG = e.values.State(), e.winCount.State(), e.rng.State()
 	}
@@ -71,7 +77,15 @@ func (e *Estimator) State() EstimatorState {
 
 // Restore sets the estimator to a previously exported state.
 func (e *Estimator) Restore(st EstimatorState) {
-	e.lateness.Restore(st.Lateness)
+	e.lateness.Restore(st.Hist)
+	if gk := st.Lateness; gk != nil {
+		for _, en := range gk.Entries {
+			e.lateness.AddN(en.V, en.G)
+		}
+		for _, v := range gk.Pending {
+			e.lateness.Add(v)
+		}
+	}
 	if e.values != nil {
 		e.values.Restore(st.Values)
 		e.winCount.Restore(st.WinCount)

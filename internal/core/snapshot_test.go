@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
 	"testing"
 
+	"repro/internal/snapjson"
 	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -310,5 +314,93 @@ func TestAQKSlackRestoresSweptSumCurve(t *testing.T) {
 	}
 	if got := b.curve.errs; got[20] != lossGrid[20] || got[curvePoints-1] != 1 {
 		t.Fatalf("after its refresh the restored sum handler holds %v, not the closed form", got)
+	}
+}
+
+// TestRestoresGKLatenessState: a handler state written while the estimator
+// kept a Greenwald–Khanna sketch of lateness restores. testdata/gk-states.json
+// holds both models' states after 12 004 drift tuples, each sketch with
+// values pending, recorded by that version (θ = 1 %, a 64-value reservoir
+// seeded 3; recall 95 % over a 500 ms band). Two restores agree to the bit,
+// the histogram holds every observation, and the restored handler continues
+// to the bit beside a copy of itself restored from its own state.
+func TestRestoresGKLatenessState(t *testing.T) {
+	raw, err := os.ReadFile("testdata/gk-states.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Cut          int
+		Loss, Recall json.RawMessage
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	var items []stream.Item
+	for _, tp := range driftTuples(20_000, 51) {
+		items = append(items, stream.DataItem(tp))
+	}
+	for _, tc := range []struct {
+		name string
+		raw  json.RawMessage
+		mk   func() *AQKSlack
+	}{
+		{"loss", rec.Loss, func() *AQKSlack {
+			return NewAQKSlack(Config{Theta: 0.01, Spec: pinnedSpec(), Agg: window.Sum(),
+				Estimator: EstimatorConfig{ReservoirSize: 64, Seed: 3}})
+		}},
+		{"recall", rec.Recall, func() *AQKSlack { return NewAQJoin(JoinConfig{Recall: 0.95, Band: 500}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			restore := func(raw []byte) *AQKSlack {
+				t.Helper()
+				var st AQState
+				if err := snapjson.Unmarshal(raw, &st); err != nil {
+					t.Fatal(err)
+				}
+				h := tc.mk()
+				if err := h.Restore(st); err != nil {
+					t.Fatal(err)
+				}
+				return h
+			}
+			save := func(h *AQKSlack) []byte {
+				t.Helper()
+				b, err := snapjson.Marshal(h.State())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			var old AQState
+			if err := snapjson.Unmarshal(tc.raw, &old); err != nil {
+				t.Fatal(err)
+			}
+			if gk := old.Est.Lateness; gk == nil || len(gk.Entries) == 0 || len(gk.Pending) == 0 {
+				t.Fatalf("fixture holds no sketch with pending values: %+v", gk)
+			}
+			a, b := restore(tc.raw), restore(tc.raw)
+			st := save(a)
+			if !bytes.Equal(st, save(b)) {
+				t.Fatal("two restores of one state save differently")
+			}
+			var counted int64
+			for _, c := range a.est.lateness.State().Counts {
+				counted += c
+			}
+			if counted != old.Est.Observed || a.State().Est.Lateness != nil {
+				t.Fatalf("histogram counts %d of %d observations (sketch carried: %v)",
+					counted, old.Est.Observed, a.State().Est.Lateness != nil)
+			}
+			c := restore(st)
+			for i, it := range items[rec.Cut:] {
+				if got, want := c.Insert(it, nil), a.Insert(it, nil); !slices.Equal(got, want) {
+					t.Fatalf("item %d: copy released %v, restored handler %v", rec.Cut+i, got, want)
+				}
+			}
+			if got, want := c.Trace(), a.Trace(); len(want) < 50 || !slices.Equal(got, want) {
+				t.Fatalf("copy's trace of %d adaptations differs from the restored handler's %d", len(got), len(want))
+			}
+		})
 	}
 }

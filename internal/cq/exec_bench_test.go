@@ -10,6 +10,7 @@ import (
 	"repro/internal/delay"
 	"repro/internal/durable"
 	"repro/internal/gen"
+	"repro/internal/join"
 	"repro/internal/obs"
 	"repro/internal/obs/tracez"
 	"repro/internal/stream"
@@ -255,6 +256,42 @@ func BenchmarkExecStepAdaptive(b *testing.B) {
 			b.ReportMetric(float64(inStep.Nanoseconds())/float64(b.N*batch), "ns/tuple")
 		})
 	}
+}
+
+// BenchmarkExecStepJoin is BenchmarkExecStepAdaptive for the recall model:
+// TestJoinPinned's band join (200 ms band on a 16-key match, 30 s
+// retention, Pareto delays of mean 300 ms) behind core.NewAQJoin at 99 %
+// recall, stepped in 100-item batches of the two sides merged by arrival.
+// Every 40 k-item round starts a fresh Exec. One iteration is one step; the
+// metric is ns/tuple inside Step, the join operator's probes included.
+func BenchmarkExecStepJoin(b *testing.B) {
+	const side, batch = 20_000, 100
+	cfg := join.Config{Band: 200, KeyMatch: true, RetainFor: 30 * stream.Second}
+	pool := collect(stream.NewMerge(stream.FromTuples(joinSide(0, side, 10)), stream.FromTuples(joinSide(1, side, 11))))
+	var x *Exec
+	fresh := func() {
+		aq := core.NewAQJoin(core.JoinConfig{Recall: 0.99, Band: cfg.Band})
+		var err error
+		if x, err = newExec(&AggQuery{handler: aq, join: join.New(cfg)}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var inStep time.Duration
+	off := len(pool)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if off+batch > len(pool) {
+			fresh()
+			off = 0
+		}
+		start := time.Now()
+		if err := x.Step(pool[off : off+batch]); err != nil {
+			b.Fatal(err)
+		}
+		inStep += time.Since(start)
+		off += batch
+	}
+	b.ReportMetric(float64(inStep.Nanoseconds())/float64(b.N*batch), "ns/tuple")
 }
 
 // cpuTime is the process's user + system CPU time so far.

@@ -15,10 +15,11 @@ import (
 
 // pinnedJoins are the digests TestJoinPinned holds every case to, recorded
 // while JoinQuery.Run still drove the handler and the join operator through
-// a loop of its own.
+// a loop of its own. The aq-join entries were re-recorded when the lateness
+// sketch became the exact histogram.
 var pinnedJoins = map[string]string{
-	"aq-join-99/seed1":            "d2b28687575b9aebc3bc2d0444f66f191f38008d1159f39df4cf16067d2505c7",
-	"aq-join-99/seed2":            "8590a49138615a5c19e61273c28abf1fc438b404d6eeafdf030eb412ba1504dc",
+	"aq-join-99/seed1":            "b3d65a2a01024831be9c4a449bfe197432155c90675f743a3067ca61f95dfc18",
+	"aq-join-99/seed2":            "16d16547764e91dbe5ba35c8f05439745be95a8b58237a01555ccad210b633d1",
 	"kslack-1s/seed1":             "a1eb0a664ef10c1fbb5ab847b9fd213addbf3217e8d10a15e04f8fe9b64a05ae",
 	"kslack-1s/seed2":             "28711796a073939de6cce26da21f1cc9274d79ed627c2a429f9ad39460295b7c",
 	"maxslack/seed1":              "35aa07cf044127fb167e3e1127af17a1d8fdd4dddaddd15e61d805e3b721d5fe",

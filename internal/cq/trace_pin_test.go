@@ -16,9 +16,10 @@ import (
 // pinnedTraces are the flight-recorder digests TestFlightRecorderPinned
 // holds every case to, recorded while a handler wrapper still wrote the
 // disorder buffer's events. The aq entries were re-recorded when the loss
-// curve of a one-sign sum became the closed form, which moves its slacks.
+// curve of a one-sign sum became the closed form, which moves its slacks,
+// and again when the lateness sketch became the exact histogram.
 var pinnedTraces = map[string]string{
-	"concurrent/aq":                 "81f77026a8b0fa2eac4b58a7e566783c0eea2712c7f1d852dddd764747ffd54f",
+	"concurrent/aq":                 "6fbc456902916fd74ad46b4e40073f1a7cbc584e5ca23152b8c34f6000d0d8bd",
 	"concurrent/grouped-kslack":     "9a88ee256500ab09e88ff9dd5d0bc94754796bfb55371d082f90e036c58dae7a",
 	"concurrent/kslack":             "4bd1bfe088a8be73a7ac429598984d9d5ad532374a635f53e0fe3e14be102956",
 	"concurrent/maxslack":           "a904f1a389af50eeb59e7470d9c75ac9cfd25459146616b54a776a99375e4a39",
@@ -27,11 +28,11 @@ var pinnedTraces = map[string]string{
 	"exec/lead-traced=true/stage0":  "b98ec6f98afcbaedacd3373f160883dcfbdd925e0ff931aa3e3be6a7c1ba7054",
 	"exec/lead-traced=true/stage2":  "51d5d2174dbae698aee4c72100e87d35fe825fbdde94c3977020955655f2e1cf",
 	"exec/lead-traced=true/stage3":  "b98ec6f98afcbaedacd3373f160883dcfbdd925e0ff931aa3e3be6a7c1ba7054",
-	"run/aq":                        "d16fd6860bc4a6f323242e28225a9c74786e25ded177874d874ee641a7eb8170",
+	"run/aq":                        "9f529fe1386ca849dbf66bb9ad769f1b57a5ec5b5a156b1406511858f58768b0",
 	"run/grouped-kslack":            "e79035ba31f7d9ebc4ef01a6178a4cae8e16de9681408f8732f1ca09801e5d0e",
 	"run/kslack":                    "77450af791ba35bca87fe5505e31bd66ef9ba6340bef7aadfb79c4072d32da72",
 	"run/maxslack":                  "3f1d55a0c4b5a97051e754fb66fd34b8ae7f9927ed359c63bc35b5e0e05ea180",
-	"shared/aq":                     "81f77026a8b0fa2eac4b58a7e566783c0eea2712c7f1d852dddd764747ffd54f",
+	"shared/aq":                     "6fbc456902916fd74ad46b4e40073f1a7cbc584e5ca23152b8c34f6000d0d8bd",
 	"shared/grouped-kslack":         "9a88ee256500ab09e88ff9dd5d0bc94754796bfb55371d082f90e036c58dae7a",
 	"shared/kslack":                 "4bd1bfe088a8be73a7ac429598984d9d5ad532374a635f53e0fe3e14be102956",
 	"shared/maxslack":               "a904f1a389af50eeb59e7470d9c75ac9cfd25459146616b54a776a99375e4a39",

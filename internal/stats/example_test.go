@@ -14,11 +14,9 @@ func ExampleGK() {
 	}
 	fmt.Println("p50 within 1%:", within(g.Quantile(0.5), 5000, 100))
 	fmt.Println("p99 within 1%:", within(g.Quantile(0.99), 9900, 100))
-	fmt.Println("fraction above 9000 within 2%:", within(g.FracAbove(9000), 0.1, 0.02))
 	// Output:
 	// p50 within 1%: true
 	// p99 within 1%: true
-	// fraction above 9000 within 2%: true
 }
 
 func within(got, want, tol float64) bool {

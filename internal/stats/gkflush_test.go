@@ -8,17 +8,14 @@ import (
 )
 
 // refGK is the Greenwald–Khanna summary as it was before flush merged and
-// compressed in one pass: merge, then compress, then a lazy prefix-rank
-// rebuild. Its methods are kept verbatim as the reference GK must match
-// bit for bit after every flush.
+// compressed in one pass: merge, then compress. Its methods are kept
+// verbatim as the reference GK must match bit for bit after every flush.
 type refGK struct {
 	eps     float64
 	n       int64
 	entries []gkEntry
 	spare   []gkEntry // flush merges into this, then swaps it with entries
 	pending []float64 // small insert buffer to amortize compress cost
-	cumG    []int64   // prefix sums of entry g values; rebuilt lazily
-	dirty   bool      // cumG out of date
 }
 
 func (g *refGK) Add(x float64) {
@@ -67,7 +64,6 @@ func (g *refGK) flush() {
 	out = append(out, g.entries[i:]...)
 	g.entries, g.spare = out, g.entries[:0]
 	g.pending = g.pending[:0]
-	g.dirty = true
 	g.compress()
 }
 
@@ -77,7 +73,6 @@ func (g *refGK) compress() {
 	if len(g.entries) < 3 {
 		return
 	}
-	g.dirty = true
 	band := int64(2 * g.eps * float64(g.n))
 	out := g.entries[:0]
 	out = append(out, g.entries[0])
@@ -126,50 +121,9 @@ func (g *refGK) Quantile(q float64) float64 {
 	return g.entries[len(g.entries)-1].v
 }
 
-func (g *refGK) FracAbove(x float64) float64 {
-	g.flush()
-	if g.n == 0 {
-		return 0
-	}
-	g.rebuildRanks()
-	// Largest index with entries[i].v <= x.
-	lo, hi := 0, len(g.entries) // lo = count of entries with v <= x
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.entries[mid].v <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	var rank int64
-	if lo > 0 {
-		rank = g.cumG[lo-1]
-	}
-	above := g.n - rank
-	if above < 0 {
-		above = 0
-	}
-	return float64(above) / float64(g.n)
-}
-
-func (g *refGK) rebuildRanks() {
-	if !g.dirty && len(g.cumG) == len(g.entries) {
-		return
-	}
-	g.cumG = g.cumG[:0]
-	var sum int64
-	for _, e := range g.entries {
-		sum += e.g
-		g.cumG = append(g.cumG, sum)
-	}
-	g.dirty = false
-}
-
-// FuzzGKFlushMatchesReference: fed the same values, GK and the three-pass
-// reference hold bit-identical entries, n and prefix ranks after every
-// flush — forced by a probe or by the threshold — and answer every
-// Quantile and FracAbove alike. Bytes below 224 add a value (few distinct
+// FuzzGKFlushMatchesReference: fed the same values, GK and the two-pass
+// reference hold bit-identical entries and n after every flush — forced by
+// a probe or by the threshold — and answer every Quantile alike. Bytes below 224 add a value (few distinct
 // ones, so duplicates abound, −0 among them); the rest probe.
 func FuzzGKFlushMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 250, 3, 3, 3, 255, 0, 0, 224}, uint16(0))
@@ -197,10 +151,6 @@ func FuzzGKFlushMatchesReference(f *testing.F) {
 				g.Add(v)
 				ref.Add(v)
 			} else {
-				x := float64(b-224) * 1.2
-				if got, want := g.FracAbove(x), ref.FracAbove(x); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("op %d: FracAbove(%v) = %v, reference %v", i, x, got, want)
-				}
 				q := float64(b-224) / 31
 				if got, want := g.Quantile(q), ref.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("op %d: Quantile(%v) = %v, reference %v", i, q, got, want)
@@ -213,63 +163,13 @@ func FuzzGKFlushMatchesReference(f *testing.F) {
 				continue
 			}
 			flushes++
-			ref.rebuildRanks()
-			if g.n != ref.n || !slices.Equal(g.entries, ref.entries) || !slices.Equal(g.cumG, ref.cumG) {
-				t.Fatalf("op %d: after a flush n=%d entries=%v cumG=%v, reference n=%d entries=%v cumG=%v",
-					i, g.n, g.entries, g.cumG, ref.n, ref.entries, ref.cumG)
+			if g.n != ref.n || !slices.Equal(g.entries, ref.entries) {
+				t.Fatalf("op %d: after a flush n=%d entries=%v, reference n=%d entries=%v",
+					i, g.n, g.entries, ref.n, ref.entries)
 			}
 		}
 		if len(data) > 1000 && flushes < 100 {
 			t.Fatalf("only %d flushes over %d operations", flushes, len(data))
 		}
 	})
-}
-
-// TestFracsAboveMatchesFracAbove: every fraction FracsAbove returns is the
-// one FracAbove returns at that offset, whatever the offsets straddle —
-// nothing, every entry, one value many times.
-func TestFracsAboveMatchesFracAbove(t *testing.T) {
-	g := NewGK(0.002)
-	if got := g.FracsAbove(1, []float64{0, 1}, nil); len(got) != 2 || got[0] != 0 || got[1] != 0 {
-		t.Fatalf("empty sketch: %v", got)
-	}
-	rng := NewRNG(61)
-	for round := 0; round < 200; round++ {
-		for i := 0; i < 97; i++ {
-			g.Add(math.Floor(rng.ExpFloat64() * 100)) // integral, like latenesses
-		}
-		x := rng.Float64Range(-50, 400)
-		offs := make([]float64, 1+rng.Intn(12))
-		for j := range offs {
-			offs[j] = rng.Float64Range(0, 300)
-		}
-		if round%5 == 0 {
-			offs = append(offs, offs[0], offs[0]) // repeated offsets
-		}
-		sort.Float64s(offs)
-		got := g.FracsAbove(x, offs, make([]float64, 3))
-		for j, off := range offs {
-			if want := g.FracAbove(x + off); math.Float64bits(got[j]) != math.Float64bits(want) {
-				t.Fatalf("round %d: FracsAbove(%v)[%d] (offset %v) = %v, FracAbove %v", round, x, j, off, got[j], want)
-			}
-		}
-	}
-}
-
-// TestGKMax: the summary keeps its largest observation exactly.
-func TestGKMax(t *testing.T) {
-	g := NewGK(0.01)
-	if g.Max() != 0 {
-		t.Fatalf("empty sketch Max = %v", g.Max())
-	}
-	rng := NewRNG(62)
-	top := math.Inf(-1)
-	for i := 0; i < 50000; i++ {
-		v := rng.NormFloat64()
-		top = max(top, v)
-		g.Add(v)
-		if i%777 == 0 && g.Max() != top {
-			t.Fatalf("after %d values Max = %v, want %v", i+1, g.Max(), top)
-		}
-	}
 }

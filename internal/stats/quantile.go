@@ -129,9 +129,8 @@ type gkEntry struct {
 
 // GK is a Greenwald–Khanna ε-approximate quantile summary: Quantile(q)
 // returns a value whose rank differs from ceil(q·n) by at most ε·n. Memory
-// is O((1/ε)·log(ε·n)). The controller uses it for the lateness-distribution
-// sketch, where rank-error guarantees translate directly into guarantees on
-// the estimated fraction of late tuples.
+// is O((1/ε)·log(ε·n)). The Percentile baseline handler reads its slack
+// from it, and cmd/benchgen its lateness quantiles.
 type GK struct {
 	eps     float64
 	flushAt int // pending values that trigger a flush: flushThreshold(eps)
@@ -139,7 +138,6 @@ type GK struct {
 	entries []gkEntry
 	spare   []gkEntry // flush merges into this, then swaps it with entries
 	pending []float64 // small insert buffer to amortize the merge
-	cumG    []int64   // cumG[i] = rmin(entries[i]), the sum of g up to it
 }
 
 // NewGK returns a summary with rank error at most eps in (0, 1).
@@ -171,8 +169,7 @@ func flushThreshold(eps float64) int {
 // flush merges the sorted pending values into the summary and compresses
 // it in the same pass: each merged entry but the last absorbs the entry
 // before it, unless that is the first, when their combined uncertainty
-// stays within the 2εn band of the post-merge n. cumG is written
-// alongside.
+// stays within the 2εn band of the post-merge n.
 func (g *GK) flush() {
 	if len(g.pending) == 0 {
 		return
@@ -180,17 +177,14 @@ func (g *GK) flush() {
 	sort.Float64s(g.pending)
 	last := len(g.entries) + len(g.pending) - 1 // merged index of the max
 	band := int64(2 * g.eps * float64(g.n+int64(len(g.pending))))
-	out, cum := slices.Grow(g.spare[:0], last+1), slices.Grow(g.cumG[:0], last+1)
-	out, cum = out[:last+1], cum[:last+1]
-	var rank int64
+	out := slices.Grow(g.spare[:0], last+1)[:last+1]
 	w, k, i := 0, 0, 0 // entries written, merged, taken from g.entries
 	push := func(e gkEntry) {
-		rank += e.g
 		if w > 1 && k < last && out[w-1].g+e.g+e.delta <= band {
 			e.g += out[w-1].g
 			w--
 		}
-		out[w], cum[w] = e, rank
+		out[w] = e
 		w++
 		k++
 	}
@@ -211,7 +205,7 @@ func (g *GK) flush() {
 	for ; i < len(g.entries); i++ {
 		push(g.entries[i])
 	}
-	g.entries, g.spare, g.cumG = out[:w], g.entries[:0], cum[:w]
+	g.entries, g.spare = out[:w], g.entries[:0]
 	g.pending = g.pending[:0]
 }
 
@@ -245,66 +239,6 @@ func (g *GK) Quantile(q float64) float64 {
 		if i == len(g.entries)-1 {
 			break
 		}
-	}
-	return g.entries[len(g.entries)-1].v
-}
-
-// FracsAbove sets out[j] to an approximation of the fraction of
-// observations strictly greater than x + offs[j], within the summary's rank
-// error, for offsets in ascending order, and returns out[:len(offs)]: one
-// binary search on the prefix ranks flush keeps for the first, then one
-// forward walk over the entries for the rest. The adaptive controller
-// probes it dozens of times per adaptation step.
-func (g *GK) FracsAbove(x float64, offs, out []float64) []float64 {
-	g.flush()
-	out = out[:0]
-	i := 0
-	for j, off := range offs {
-		if y := x + off; j == 0 {
-			i = g.upper(y)
-		} else {
-			for i < len(g.entries) && g.entries[i].v <= y {
-				i++
-			}
-		}
-		out = append(out, g.fracAbove(i))
-	}
-	return out
-}
-
-// upper returns how many entries have v <= x.
-func (g *GK) upper(x float64) int {
-	lo, hi := 0, len(g.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.entries[mid].v <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// fracAbove is the fraction of observations ranked above the first i
-// entries.
-func (g *GK) fracAbove(i int) float64 {
-	if g.n == 0 {
-		return 0
-	}
-	var rank int64
-	if i > 0 {
-		rank = g.cumG[i-1]
-	}
-	return float64(max(g.n-rank, 0)) / float64(g.n)
-}
-
-// Max returns the largest observation, 0 before the first. The summary
-// keeps it exactly: it is the last entry, which no compression absorbs.
-func (g *GK) Max() float64 {
-	g.flush()
-	if len(g.entries) == 0 {
-		return 0
 	}
 	return g.entries[len(g.entries)-1].v
 }

@@ -7,14 +7,6 @@ import (
 	"testing/quick"
 )
 
-// FracAbove is FracsAbove at the single offset 0: the fraction of
-// observations strictly greater than x, the probe the sketch's tests hold
-// it to.
-func (g *GK) FracAbove(x float64) float64 {
-	g.flush()
-	return g.fracAbove(g.upper(x))
-}
-
 func TestPercentileExact(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
 	cases := []struct {
@@ -136,30 +128,8 @@ func TestGKEmpty(t *testing.T) {
 	if g.Quantile(0.5) != 0 {
 		t.Fatal("empty GK quantile should be 0")
 	}
-	if g.FracAbove(10) != 0 {
-		t.Fatal("empty GK FracAbove should be 0")
-	}
 	if g.N() != 0 {
 		t.Fatal("empty GK N should be 0")
-	}
-}
-
-func TestGKFracAbove(t *testing.T) {
-	g := NewGK(0.01)
-	const n = 10000
-	for i := 0; i < n; i++ {
-		g.Add(float64(i))
-	}
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{-1, 1}, {float64(n), 0}, {float64(n) / 2, 0.5}, {float64(n) / 4, 0.75},
-	}
-	for _, c := range cases {
-		if got := g.FracAbove(c.x); math.Abs(got-c.want) > 0.03 {
-			t.Errorf("FracAbove(%v) = %v, want ~%v", c.x, got, c.want)
-		}
 	}
 }
 
@@ -216,8 +186,7 @@ func TestGKSortedInsertions(t *testing.T) {
 
 // TestGKSteadyStateAllocatesNothing: once both merge buffers have grown to
 // the summary's size, a flush swaps them instead of building a new slice,
-// so the controller's cycle — a flush-threshold's worth of Adds, then a
-// probe — allocates nothing.
+// so a flush-threshold's worth of Adds, then a probe, allocates nothing.
 func TestGKSteadyStateAllocatesNothing(t *testing.T) {
 	g := NewGK(0.002)
 	rng := NewRNG(31)
@@ -228,9 +197,9 @@ func TestGKSteadyStateAllocatesNothing(t *testing.T) {
 		for i := 0; i < 250; i++ {
 			g.Add(rng.ExpFloat64())
 		}
-		g.FracAbove(1)
+		g.Quantile(0.5)
 	})
 	if allocs != 0 {
-		t.Fatalf("warmed GK Add×250 + FracAbove allocates %v times, want 0", allocs)
+		t.Fatalf("warmed GK Add×250 + Quantile allocates %v times, want 0", allocs)
 	}
 }

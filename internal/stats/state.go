@@ -129,10 +129,24 @@ func (g *GK) Restore(st GKState) {
 		g.entries[i] = gkEntry{v: e.V, g: e.G, delta: e.Delta}
 	}
 	g.pending = append(g.pending[:0], st.Pending...)
-	g.cumG = g.cumG[:0]
-	var rank int64
-	for _, e := range g.entries {
-		rank += e.g
-		g.cumG = append(g.cumG, rank)
+}
+
+// LogHistState is the exported state of a LogHist: its bucket counts up to
+// the highest one holding a value, and the largest value.
+type LogHistState struct {
+	Counts []int64 `json:"counts"`
+	Max    float64 `json:"max"`
+}
+
+// State exports the histogram state. The returned slice is a copy.
+func (h *LogHist) State() LogHistState {
+	return LogHistState{Counts: append([]int64{}, h.counts...), Max: h.max}
+}
+
+// Restore sets the histogram to a previously exported state.
+func (h *LogHist) Restore(st LogHistState) {
+	*h = LogHist{counts: append([]int64{}, st.Counts...), stale: len(st.Counts), max: st.Max}
+	for _, c := range st.Counts {
+		h.n += c
 	}
 }
