@@ -33,10 +33,7 @@ fuzz-short:
 	$(GO) test ./internal/buffer -run '^$$' -fuzz '^FuzzKSlackInvariants$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/buffer -run '^$$' -fuzz '^FuzzPercentileHandler$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/buffer -run '^$$' -fuzz '^FuzzTupleRingOrder$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzGKQuantile$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzGKFlushMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzLogHist$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzP2Bounds$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window -run '^$$' -fuzz '^FuzzOrderStatisticWindows$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window -run '^$$' -fuzz '^FuzzObserveRunMatchesObserve$$' -fuzztime $(FUZZTIME)

@@ -282,24 +282,6 @@ func BenchmarkGroupedServerShaped(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(tuples)*b.N), "ns/tuple")
 }
 
-// BenchmarkGKSketchAdd measures the lateness sketch's insert cost.
-func BenchmarkGKSketchAdd(b *testing.B) {
-	rng := stats.NewRNG(1)
-	xs := make([]float64, 100000)
-	for i := range xs {
-		xs[i] = rng.ExpFloat64() * 500
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := stats.NewGK(0.005)
-		for _, x := range xs {
-			g.Add(x)
-		}
-	}
-	b.ReportMetric(float64(len(xs)*b.N)/b.Elapsed().Seconds(), "adds/s")
-}
-
 // BenchmarkEstimatorMinK measures one full model-driven slack selection
 // (the expensive Monte-Carlo inversion plus sketch bisection).
 func BenchmarkEstimatorMinK(b *testing.B) {

@@ -482,7 +482,7 @@ func TestAPIDeleteReleasesRunner(t *testing.T) {
 				// The runner sits in a cycle with its window stage's sink, and
 				// Go never finalizes an object in a cycle: watch its p95
 				// estimator, a leaf nothing but the runner references.
-				runtime.SetFinalizer(q.latency, func(*stats.P2) { freed.Add(1) })
+				runtime.SetFinalizer(q.latency, func(*stats.LogHist) { freed.Add(1) })
 			}
 		}
 		if freed != nil && tracks() == 0 {

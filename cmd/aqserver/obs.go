@@ -15,7 +15,7 @@ package main
 //   - The adaptive handler's controller metrics (core.Telemetry, installed
 //     on the handler by buildRunner).
 //   - What only the server knows (instrument below): retries, panics, the
-//     P² p95, shed-adjusted error and health, exported as CounterFunc/
+//     latency p95, shed-adjusted error and health, exported as CounterFunc/
 //     GaugeFunc callbacks that lock the runner at scrape time, and the
 //     watchdog's verdicts. The hot path pays nothing for these.
 
@@ -65,7 +65,7 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 		}, lbl)
 	}
 	gauge("aq_latency_p95_ms", "Streaming p95 of result emission latency (stream-time ms).",
-		func() float64 { return q.latency.Value() })
+		func() float64 { return q.latency.Quantile(0.95) })
 	gauge("aq_quality_realized_err_adjusted",
 		"Realized relative-error EWMA with shed loss folded in (metrics.ShedAdjustedErr).",
 		func() float64 {

@@ -119,7 +119,7 @@ type queryRunner struct {
 	emitted     int64
 	retries     int64
 	panics      int64
-	latency     *stats.P2 // streaming p95 of result latency
+	latency     *stats.LogHist // result latencies for the p95; a flush-forced one (negative) as 0
 	health      string
 	done        bool
 	journalErrs int64
@@ -136,7 +136,7 @@ const resultRing = 256
 // bookkeeping, logger and engine instruments (groupRegistry.place builds its
 // window stage into one).
 func newQueryRunner(def runnerDef) *queryRunner {
-	q := &queryRunner{runnerDef: def, latency: stats.NewP2(0.95), health: healthFeeding}
+	q := &queryRunner{runnerDef: def, latency: &stats.LogHist{}, health: healthFeeding}
 	if q.log == nil {
 		q.log = slog.Default()
 	}
@@ -303,7 +303,7 @@ func (q *queryRunner) status() status {
 		Aggregate:   q.agg.Name,
 		TuplesIn:    q.tuplesInLocked(),
 		Windows:     q.emitted,
-		LatencyP95:  q.latency.Value(),
+		LatencyP95:  q.latency.Quantile(0.95),
 		Health:      q.health,
 		Shed:        q.shedTotal(),
 		Retries:     q.retries,

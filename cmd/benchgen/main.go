@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/delay"
 	"repro/internal/gen"
@@ -94,17 +95,18 @@ func inspectTrace(path string) error {
 	fmt.Printf("disorder   : %v\n", d)
 	fmt.Printf("inversions : %d\n", stream.Inversions(tuples))
 
-	lat := stats.NewGK(0.005)
+	lat := make([]float64, len(tuples))
 	var clock stream.Time
 	for i, t := range tuples {
 		if i == 0 || t.TS > clock {
 			clock = t.TS
 		}
-		late := clock - t.TS
-		lat.Add(float64(late))
+		lat[i] = float64(clock - t.TS)
 	}
+	slices.Sort(lat)
 	fmt.Printf("lateness   : p50=%.0f p90=%.0f p99=%.0f p99.9=%.0f\n",
-		lat.Quantile(0.5), lat.Quantile(0.9), lat.Quantile(0.99), lat.Quantile(0.999))
+		stats.PercentileSorted(lat, 0.5), stats.PercentileSorted(lat, 0.9),
+		stats.PercentileSorted(lat, 0.99), stats.PercentileSorted(lat, 0.999))
 	return nil
 }
 

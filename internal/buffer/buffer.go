@@ -333,15 +333,17 @@ func (b *MaxSlack) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
 // String implements Handler.
 func (b *MaxSlack) String() string { return fmt.Sprintf("maxslack(K=%d)", b.k) }
 
-// Percentile sets its slack to an estimated quantile of the observed
-// lateness distribution, re-evaluated every UpdateEvery tuples. It is the
-// heuristic watermark baseline (à la "bounded out-of-orderness" watermarks
-// tuned to a percentile): quality-agnostic — the percentile bounds the
-// fraction of straggling tuples, not the result error.
+// Percentile sets its slack to a quantile of the observed lateness
+// distribution, re-evaluated every UpdateEvery tuples and read from an exact
+// log-bucket histogram (stats.LogHist: exact below 128 ms, at most a bucket
+// above). It is the heuristic watermark baseline (à la "bounded
+// out-of-orderness" watermarks tuned to a percentile): quality-agnostic —
+// the percentile bounds the fraction of straggling tuples, not the result
+// error.
 type Percentile struct {
 	slackBuffer
 	p           float64
-	sketch      *stats.GK
+	lateness    stats.LogHist
 	updateEvery int64
 	sinceUpdate int64
 }
@@ -356,7 +358,7 @@ func NewPercentile(p float64, updateEvery int64) *Percentile {
 	if updateEvery <= 0 {
 		panic("buffer: updateEvery must be positive")
 	}
-	return &Percentile{p: p, sketch: stats.NewGK(0.005), updateEvery: updateEvery}
+	return &Percentile{p: p, updateEvery: updateEvery}
 }
 
 // Insert implements Handler.
@@ -366,15 +368,11 @@ func (b *Percentile) Insert(it stream.Item, out []stream.Tuple) []stream.Tuple {
 	}
 	t := it.Tuple
 	if b.started {
-		late := b.clock - t.TS
-		if late < 0 {
-			late = 0
-		}
-		b.sketch.Add(float64(late))
+		b.lateness.Add(float64(b.clock - t.TS)) // an early tuple counts as 0
 		b.sinceUpdate++
 		if b.sinceUpdate >= b.updateEvery {
 			b.sinceUpdate = 0
-			b.k = stream.Time(b.sketch.Quantile(b.p))
+			b.k = stream.Time(b.lateness.Quantile(b.p))
 		}
 	}
 	return b.insertTuple(t, out)

@@ -61,18 +61,21 @@ func (b *MaxSlack) State() SlackState { return b.slackState() }
 func (b *MaxSlack) Restore(st SlackState) { b.restoreSlack(st) }
 
 // PercentileState is the exported state of a Percentile buffer. The target
-// percentile and update cadence are construction-time configuration.
+// percentile and update cadence are construction-time configuration. A state
+// written while the buffer kept a Greenwald–Khanna sketch carries it
+// ("sketch"): it restores into the histogram (stats.LogHist.AddGK).
 type PercentileState struct {
-	Slack       SlackState    `json:"slack"`
-	Sketch      stats.GKState `json:"sketch"`
-	SinceUpdate int64         `json:"sinceUpdate"`
+	Slack       SlackState         `json:"slack"`
+	Hist        stats.LogHistState `json:"latenessHist"`
+	Sketch      *stats.GKState     `json:"sketch,omitempty"`
+	SinceUpdate int64              `json:"sinceUpdate"`
 }
 
 // State exports the buffer state.
 func (b *Percentile) State() PercentileState {
 	return PercentileState{
 		Slack:       b.slackState(),
-		Sketch:      b.sketch.State(),
+		Hist:        b.lateness.State(),
 		SinceUpdate: b.sinceUpdate,
 	}
 }
@@ -80,7 +83,10 @@ func (b *Percentile) State() PercentileState {
 // Restore sets the buffer to a previously exported state.
 func (b *Percentile) Restore(st PercentileState) {
 	b.restoreSlack(st.Slack)
-	b.sketch.Restore(st.Sketch)
+	b.lateness.Restore(st.Hist)
+	if st.Sketch != nil {
+		b.lateness.AddGK(*st.Sketch)
+	}
 	b.sinceUpdate = st.SinceUpdate
 }
 

@@ -54,9 +54,8 @@ func (c *PI) Restore(st PIState) {
 // with the reservoir, so it is snapshotted exactly once, here.
 //
 // A state written while the estimator kept a Greenwald–Khanna sketch of
-// lateness carries it ("lateness"): it restores into the histogram, each
-// entry's observations in the bucket of its value, which bounds them from
-// above, and each pending value in its own.
+// lateness carries it ("lateness"): it restores into the histogram
+// (stats.LogHist.AddGK).
 type EstimatorState struct {
 	Hist     stats.LogHistState   `json:"latenessHist"`
 	Lateness *stats.GKState       `json:"lateness,omitempty"`
@@ -78,13 +77,8 @@ func (e *Estimator) State() EstimatorState {
 // Restore sets the estimator to a previously exported state.
 func (e *Estimator) Restore(st EstimatorState) {
 	e.lateness.Restore(st.Hist)
-	if gk := st.Lateness; gk != nil {
-		for _, en := range gk.Entries {
-			e.lateness.AddN(en.V, en.G)
-		}
-		for _, v := range gk.Pending {
-			e.lateness.Add(v)
-		}
+	if st.Lateness != nil {
+		e.lateness.AddGK(*st.Lateness)
 	}
 	if e.values != nil {
 		e.values.Restore(st.Values)

@@ -164,13 +164,15 @@ func TestTableFormats(t *testing.T) {
 // join's — read as they did when RunJoin drove the handler and the join
 // operator through a loop of its own, at a scale where the adaptive join
 // handler adapts. Re-recorded when the lateness sketch became the exact
-// histogram, which moves the adaptive join's slacks.
+// histogram, which moves the adaptive join's slacks, and when the wm-p95
+// baseline read its slack from it too, which moves that row alone (steady
+// slack 698 → 663 ms, pair latency 1582 → 1373 ms, recall unchanged).
 func TestR6Pinned(t *testing.T) {
 	d := sha256.New()
 	for _, tb := range R6(Scale(0.05)) {
 		d.Write([]byte(tb.String()))
 	}
-	if got, want := fmt.Sprintf("%x", d.Sum(nil)), "5e4604637eed7375a2e9b634bf3e6ee12807e459b7276eb496b58c4c1201c381"; got != want {
+	if got, want := fmt.Sprintf("%x", d.Sum(nil)), "0dc8621392dde2fd6428d131f2f94abbf007a544926bc10e92bb19b879dda9fa"; got != want {
 		t.Errorf("R6 tables digest %s, want %s", got, want)
 	}
 }

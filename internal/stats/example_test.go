@@ -6,25 +6,16 @@ import (
 	"repro/internal/stats"
 )
 
-// ExampleGK shows the streaming quantile summary on a known distribution.
-func ExampleGK() {
-	g := stats.NewGK(0.01)
+// ExampleLogHist shows the streaming quantile: exact below 128, and above it
+// the top of the true quantile's bucket, at most 1/128 of it higher.
+func ExampleLogHist() {
+	var h stats.LogHist
 	for i := 1; i <= 10000; i++ {
-		g.Add(float64(i))
+		h.Add(float64(i))
 	}
-	fmt.Println("p50 within 1%:", within(g.Quantile(0.5), 5000, 100))
-	fmt.Println("p99 within 1%:", within(g.Quantile(0.99), 9900, 100))
+	fmt.Println(h.Quantile(0.01), h.Quantile(0.5), h.Quantile(0.99), h.Quantile(1))
 	// Output:
-	// p50 within 1%: true
-	// p99 within 1%: true
-}
-
-func within(got, want, tol float64) bool {
-	d := got - want
-	if d < 0 {
-		d = -d
-	}
-	return d <= tol
+	// 100 5023 9919 10000
 }
 
 // ExampleWelford shows one-pass moments, the primitive behind windowed

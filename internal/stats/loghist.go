@@ -8,9 +8,11 @@ import (
 // LogHist counts non-negative whole numbers exactly, in log-spaced buckets:
 // one bucket per value below 128, then 128 per octave, so no bucket spans
 // more than 1/128 of the values it holds. Any int64 fits in the first 7 296
-// buckets, and only those up to the largest value seen are kept. The
-// controller counts tuple lateness, in stream-time ms, with it: one counter
-// per tuple, one suffix pass per adaptation.
+// buckets, and only those up to the largest value seen are kept. It is the
+// one streaming quantile of the module: the controller counts tuple
+// lateness, in stream-time ms, with it (one counter per tuple, one suffix
+// pass per adaptation), the Percentile baseline reads its slack from it, and
+// aqserver its result-latency p95.
 type LogHist struct {
 	counts []int64 // counts[i]: values in bucket i
 	suffix []int64 // suffix[i]: values in buckets i and above; len(counts)+1
@@ -40,6 +42,20 @@ func histBucket(x float64) int {
 	}
 	o := bits.Len64(u) - 8 // octave [2^(o+7), 2^(o+8)), in steps of 2^o
 	return histSub*(o+1) + int(u>>o&(histSub-1))
+}
+
+// histTop returns the largest whole float64 in bucket b: +Inf for the top
+// bucket, which holds everything from 2^63 up.
+func histTop(b int) float64 {
+	if b < histSub {
+		return float64(b)
+	}
+	o := b/histSub - 1
+	if o >= 56 {
+		return math.Inf(1)
+	}
+	next := float64(uint64(histSub+b%histSub+1) << o) // the next bucket's lower edge
+	return min(next-1, math.Nextafter(next, 0))       // past 2^53 next-1 rounds to next
 }
 
 // Add counts x.
@@ -86,4 +102,19 @@ func (h *LogHist) FracsAbove(x float64, offs, out []float64) []float64 {
 		out = append(out, f)
 	}
 	return out
+}
+
+// Quantile returns the largest whole number in the smallest bucket whose
+// cumulative count reaches ⌈q·n⌉ (at least one value), capped at the largest
+// value, and 0 when the histogram is empty. It is never below the exact
+// quantile, lies in its bucket, and below 128 is exact.
+func (h *LogHist) Quantile(q float64) float64 {
+	target := min(max(int64(math.Ceil(q*float64(h.n))), 1), h.n)
+	var cum int64
+	for i, c := range h.counts {
+		if cum += c; cum >= target {
+			return min(histTop(i), h.max)
+		}
+	}
+	return 0
 }

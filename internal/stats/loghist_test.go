@@ -41,21 +41,38 @@ func TestLogHistBuckets(t *testing.T) {
 }
 
 // TestLogHistSpecialValues: NaN and negative values count as 0, +Inf in the
-// top bucket, and the empty histogram reads 0 everywhere.
+// top bucket, and the empty histogram reads 0 everywhere. Quantile reads the
+// smallest value at q = 0, the largest at q = 1, and +Inf only from the top.
 func TestLogHistSpecialValues(t *testing.T) {
+	quantiles := func(h *LogHist) []float64 {
+		return []float64{h.Quantile(0), h.Quantile(0.5), h.Quantile(0.75), h.Quantile(1)}
+	}
 	var h LogHist
 	if got := h.FracsAbove(-5, []float64{0, 10}, nil); !slices.Equal(got, []float64{0, 0}) || h.Max() != 0 {
 		t.Fatalf("empty histogram reads %v, max %v", got, h.Max())
+	}
+	if got := quantiles(&h); !slices.Equal(got, []float64{0, 0, 0, 0}) {
+		t.Fatalf("empty histogram's quantiles %v", got)
 	}
 	h.Add(math.NaN())
 	h.Add(-3)
 	if got := h.FracsAbove(-1, []float64{0, 0.5, 1}, nil); !slices.Equal(got, []float64{1, 1, 0}) || h.Max() != 0 {
 		t.Fatalf("two zeros read %v, max %v", got, h.Max())
 	}
+	if got := quantiles(&h); !slices.Equal(got, []float64{0, 0, 0, 0}) {
+		t.Fatalf("two zeros' quantiles %v", got)
+	}
 	h.Add(math.Inf(1))
 	h.Add(7)
 	if got := h.FracsAbove(0, []float64{0, 7, 1e300}, nil); !slices.Equal(got, []float64{0.5, 0.25, 0.25}) || !math.IsInf(h.Max(), 1) {
 		t.Fatalf("0, 0, 7, +Inf read %v, max %v", got, h.Max())
+	}
+	if got := quantiles(&h); !slices.Equal(got, []float64{0, 0, 7, math.Inf(1)}) {
+		t.Fatalf("0, 0, 7, +Inf have quantiles %v", got)
+	}
+	h.Add(1000)
+	if got := h.Quantile(0.8); got != 1003 {
+		t.Fatalf("0, 0, 7, 1000, +Inf: p80 %v, want 1003, the top of 1000's bucket [1000, 1003]", got)
 	}
 }
 
@@ -63,9 +80,11 @@ func TestLogHistSpecialValues(t *testing.T) {
 // fraction above y counts the values from the lower edge of the bucket that
 // holds ⌊y⌋+1 up, so it lies between the exact fraction above y and that
 // above the edge; it is exact below 128 and 0 at or above the largest value.
-// A histogram restored from another's state reads the same. Each pair of
-// bytes is a value, b0·2^(b1 mod 56); probes sit at, between and beside
-// them.
+// Every quantile lies in the bucket of the exact ⌈q·n⌉-th value, at or above
+// it and at or below the largest value, and is that value below 128. A
+// histogram restored from another's state reads the same. Each pair of bytes
+// is a value, b0·2^(b1 mod 56); probes sit at, between and beside them, and
+// the fuzzed x, folded into [0, 1], is one more q.
 func FuzzLogHist(f *testing.F) {
 	f.Add([]byte{1, 0, 5, 0, 127, 0, 128, 0, 255, 0}, 3.5)
 	f.Add([]byte{3, 7, 200, 12, 9, 40, 255, 55, 0, 0, 17, 1}, 1000.0)
@@ -104,6 +123,18 @@ func FuzzLogHist(f *testing.F) {
 				if got[j] != want || got[j] < float64(above)/n || y < 127 && got[j] != float64(above)/n {
 					t.Fatalf("%d values: fraction above %v reads %v; exact %v, from the bucket edge %d %v",
 						len(xs), y, got[j], float64(above)/n, edge, want)
+				}
+			}
+			if len(xs) == 0 {
+				return
+			}
+			sorted := slices.Clone(xs)
+			slices.Sort(sorted)
+			for _, q := range []float64{0, 0.01, 0.5, 0.9, 0.95, 0.999, 1, math.Abs(math.Mod(x, 1))} {
+				exact := sorted[max(int(math.Ceil(q*float64(len(xs)))), 1)-1]
+				got := h.Quantile(q)
+				if got < exact || got > h.Max() || histBucket(got) != histBucket(exact) || exact < histSub && got != exact {
+					t.Fatalf("%d values: quantile %v reads %v; exact %v, max %v", len(xs), q, got, exact, h.Max())
 				}
 			}
 		}

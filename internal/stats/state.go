@@ -9,11 +9,11 @@ package stats
 // is enforced by continuation tests in state_test.go and by the DST crash
 // oracle.
 //
-// Configuration that is fixed at construction time (GK epsilon, EWMA alpha,
-// reservoir capacity, P2 target quantile) is deliberately NOT part of the
-// state: snapshots are only ever restored into an instance built from the
-// same query definition, and keeping config out of the state means a
-// restored instance can never silently change the query's parameters.
+// Configuration that is fixed at construction time (EWMA alpha, reservoir
+// capacity) is deliberately NOT part of the state: snapshots are only ever
+// restored into an instance built from the same query definition, and
+// keeping config out of the state means a restored instance can never
+// silently change the query's parameters.
 
 // RNGState is the exported state of an RNG.
 type RNGState struct {
@@ -91,44 +91,30 @@ func (r *Reservoir) Restore(st ReservoirState) {
 	r.data = append(r.data[:0], st.Data...)
 }
 
-// GKEntry is one exported Greenwald–Khanna summary tuple.
+// GKEntry is one tuple of a Greenwald–Khanna summary as snapshots wrote it
+// while a GK sketch kept lateness: a value and the count of observations
+// (g) it stands for. Its other fields are not read.
 type GKEntry struct {
-	V     float64 `json:"v"`
-	G     int64   `json:"g"`
-	Delta int64   `json:"delta"`
+	V float64 `json:"v"`
+	G int64   `json:"g"`
 }
 
-// GKState is the exported state of a GK sketch. Pending is exported
-// verbatim rather than flushed: flushing at snapshot time would compress
-// the summary earlier than the uninterrupted run would, changing its future
-// evolution and breaking exact replay.
+// GKState is the legacy snapshot format of a lateness sketch: the summary's
+// entries and the values still pending a merge. It is only read, by AddGK.
 type GKState struct {
-	N       int64     `json:"n"`
 	Entries []GKEntry `json:"entries"`
-	Pending []float64 `json:"pending,omitempty"`
+	Pending []float64 `json:"pending"`
 }
 
-// State exports the sketch state without side effects.
-func (g *GK) State() GKState {
-	st := GKState{N: g.n}
-	st.Entries = make([]GKEntry, len(g.entries))
-	for i, e := range g.entries {
-		st.Entries[i] = GKEntry{V: e.v, G: e.g, Delta: e.delta}
+// AddGK counts a legacy sketch's observations: each entry's g at its value,
+// which bounds them from above, and each pending value in its own bucket.
+func (h *LogHist) AddGK(st GKState) {
+	for _, e := range st.Entries {
+		h.AddN(e.V, e.G)
 	}
-	if len(g.pending) > 0 {
-		st.Pending = append([]float64(nil), g.pending...)
+	for _, v := range st.Pending {
+		h.Add(v)
 	}
-	return st
-}
-
-// Restore sets the sketch to a previously exported state, keeping epsilon.
-func (g *GK) Restore(st GKState) {
-	g.n, g.flushAt = st.N, flushThreshold(g.eps)
-	g.entries = make([]gkEntry, len(st.Entries))
-	for i, e := range st.Entries {
-		g.entries[i] = gkEntry{v: e.V, g: e.G, delta: e.Delta}
-	}
-	g.pending = append(g.pending[:0], st.Pending...)
 }
 
 // LogHistState is the exported state of a LogHist: its bucket counts up to

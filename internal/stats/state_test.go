@@ -134,76 +134,21 @@ func TestReservoirRestoreRejectsOversizedState(t *testing.T) {
 	r.Restore(ReservoirState{N: 5, Data: []float64{1, 2, 3}})
 }
 
-func TestGKStateContinuation(t *testing.T) {
-	rng := NewRNG(17)
-	a := NewGK(0.01)
-	// Feed enough to force several flush/compress cycles, then stop at a
-	// count that is not a flush-threshold multiple so pending is non-empty.
-	for i := 0; i < 1234; i++ {
-		a.Add(rng.ExpFloat64() * 100)
-	}
-	st := a.State()
-	if len(st.Pending) == 0 {
-		t.Fatalf("test setup: expected non-empty pending buffer at snapshot point")
-	}
-
-	b := NewGK(0.01)
-	b.Restore(st)
-
-	// Same suffix into both; quantile reads interleaved with adds mirror how
-	// the adaptive controller probes the sketch mid-stream.
-	for i := 0; i < 2000; i++ {
-		v := rng.ExpFloat64() * 100
-		a.Add(v)
-		b.Add(v)
-		if i%97 == 0 {
-			for _, q := range []float64{0.5, 0.9, 0.99} {
-				if ga, gb := a.Quantile(q), b.Quantile(q); ga != gb {
-					t.Fatalf("quantile(%v) diverged at step %d: %v vs %v", q, i, ga, gb)
-				}
-			}
-		}
-	}
-	a.flush()
-	b.flush()
-	if a.N() != b.N() || len(a.entries) != len(b.entries) {
-		t.Fatalf("summary shape diverged: n=%d/%d size=%d/%d", a.N(), b.N(), len(a.entries), len(b.entries))
-	}
-}
-
-func TestGKStateExportHasNoSideEffects(t *testing.T) {
-	a := NewGK(0.05)
-	for i := 0; i < 20; i++ {
-		a.Add(float64(i))
-	}
-	before := len(a.pending)
-	_ = a.State()
-	if len(a.pending) != before {
-		t.Fatalf("State flushed the pending buffer (%d -> %d); export must be side-effect free",
-			before, len(a.pending))
-	}
-}
-
 func TestStateRoundTripIsValueIdentical(t *testing.T) {
 	// NaN-free guarantee for snapshot JSON: states built from finite inputs
 	// must contain only finite numbers.
 	rng := NewRNG(5)
 	var w Welford
-	g := NewGK(0.02)
+	var h LogHist
 	for i := 0; i < 100; i++ {
 		v := rng.NormFloat64()
 		w.Add(v)
-		g.Add(v)
+		h.Add(v)
 	}
 	ws := w.State()
-	for _, v := range []float64{ws.Mean, ws.M2, ws.Max} {
+	for _, v := range []float64{ws.Mean, ws.M2, ws.Max, h.State().Max} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("non-finite welford state: %+v", ws)
-		}
-	}
-	for _, e := range g.State().Entries {
-		if math.IsNaN(e.V) || math.IsInf(e.V, 0) {
-			t.Fatalf("non-finite GK entry: %+v", e)
+			t.Fatalf("non-finite state: %+v, %+v", ws, h.State())
 		}
 	}
 }
