@@ -318,7 +318,7 @@ func BenchmarkRecovery(b *testing.B) {
 	if _, err := cq.New(stream.FromTuples(tuples)).
 		Handle(buffer.NewKSlack(2*stream.Second)).
 		Window(spec, window.Sum()).
-		Durable(cq.Durable{Log: log}).
+		Durable(log).
 		Run(); err != nil {
 		b.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func BenchmarkRecovery(b *testing.B) {
 		rep, err := cq.New(stream.NewSliceSource(nil)).
 			Handle(buffer.NewKSlack(2*stream.Second)).
 			Window(spec, window.Sum()).
-			Durable(cq.Durable{Log: l}).
+			Durable(l).
 			Run()
 		if err != nil {
 			b.Fatal(err)

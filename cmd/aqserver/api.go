@@ -261,14 +261,7 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 	q.upstreamShed = func() int64 { return sub.Shed() + src.RateShed() - rateBase }
 	q.mu.Unlock()
 
-	stop := func() {
-		q.finish() // leaves the group; the last member out stops its loop
-		if q.dlog != nil {
-			if err := q.dlog.Close(); err != nil {
-				q.log.Error("closing durable log", "err", err)
-			}
-		}
-	}
+	stop := q.finish // leaves the group (the last member out stops its loop) and closes the log
 	entry := &fleet.Query{
 		Name:      req.Name,
 		Tenant:    req.Tenant,
@@ -313,5 +306,5 @@ func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query, src *fleet
 			return nil, badRequest("%v", err)
 		}
 	}
-	return a.buildRunner(def, false, src, nil)
+	return a.buildRunner(def, src, nil)
 }

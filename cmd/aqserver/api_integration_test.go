@@ -28,9 +28,9 @@ import (
 	"repro/internal/gen"
 	"repro/internal/netstream"
 	"repro/internal/obs"
+	"repro/internal/obs/tracez"
 	"repro/internal/oracle"
 	"repro/internal/resilience"
-	"repro/internal/stats"
 	"repro/internal/stream"
 )
 
@@ -480,9 +480,10 @@ func TestAPIDeleteReleasesRunner(t *testing.T) {
 			if freed != nil {
 				q, _ := a.srv.get(n)
 				// The runner sits in a cycle with its window stage's sink, and
-				// Go never finalizes an object in a cycle: watch its p95
-				// estimator, a leaf nothing but the runner references.
-				runtime.SetFinalizer(q.latency, func(*stats.LogHist) { freed.Add(1) })
+				// Go never finalizes an object in a cycle: watch its SLO
+				// watchdog, a leaf nothing but the runner, its tracer and its
+				// series reference.
+				runtime.SetFinalizer(q.watchdog, func(*tracez.Watchdog) { freed.Add(1) })
 			}
 		}
 		if freed != nil && tracks() == 0 {

@@ -2,8 +2,7 @@ package main
 
 // Compiled-in feeds: one producer per stream pays generation, chaos
 // decoration and retry once, publishing pooled batches into a broadcast
-// ring (internal/fanout); the stream's runners — one, or -fanout N
-// replicas — consume the same batches through per-runner cursors.
+// ring (internal/fanout), which the stream's runner consumes.
 
 import (
 	"context"
@@ -14,27 +13,22 @@ import (
 	"repro/internal/stream"
 )
 
-// fanoutFeedLoop feeds one stream's runners: one replaySegments producer
-// publishing into the stream's broadcast ring b, read by the loop of each
-// group of its runners (replicas behind the same fixed handler share one; see
-// group.go). Subscriptions are Block — a compiled-in query sees its whole
+// fanoutFeedLoop feeds one stream's runner q: one replaySegments producer
+// publishing into the stream's broadcast ring b, read by q's group's loop
+// (group.go). The subscription is Block — a compiled-in query sees its whole
 // stream, and backpressure bounds the producer's lead at the ring — and the
-// loops end with the ring, not with ctx: what was published is applied, and
-// every runner's windows are flushed.
-func fanoutFeedLoop(ctx context.Context, b *fanout.Broadcast, runners []*queryRunner, base string, load func(seed uint64) gen.Config, seed uint64, cfg appConfig, reg *obs.Registry) {
-	if runners[0].tracer != nil {
-		b.Trace(runners[0].tracer) // publish events land in the lead runner's flight recorder
+// loop ends with the ring, not with ctx: what was published is applied, and
+// the runner's windows are flushed.
+func fanoutFeedLoop(ctx context.Context, b *fanout.Broadcast, q *queryRunner, load func(seed uint64) gen.Config, seed uint64, cfg appConfig, reg *obs.Registry) {
+	if q.tracer != nil {
+		b.Trace(q.tracer) // publish events land in the runner's flight recorder
 	}
-	instrumentFanoutProducer(reg, base, b)
-	// LIFO: Close publishes end-of-stream, then the loops are waited for.
-	defer func() {
-		for _, q := range runners {
-			<-q.grp.done
-		}
-	}()
+	instrumentFanoutProducer(reg, q.name, b)
+	// LIFO: Close publishes end-of-stream, then the loop is waited for.
+	defer func() { <-q.grp.done }()
 	defer b.Close()
 
-	replaySegments(ctx, runners, load, seed, cfg, func(items []stream.Item) bool {
+	replaySegments(ctx, q, load, seed, cfg, func(items []stream.Item) bool {
 		return b.Publish(ctx, append(b.Get(), items...)) == nil
 	})
 }

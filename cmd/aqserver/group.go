@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/cq"
-	"repro/internal/durable"
 	"repro/internal/fanout"
 	"repro/internal/fleet"
 )
@@ -44,11 +43,12 @@ type groupRegistry struct {
 // admits it (cq.Group.Join: nothing published since it subscribed), so every
 // run it is handed is byte for byte what a subscription of its own, made now,
 // would deliver; otherwise — or when it may share with nobody — it opens a
-// group of its own and starts its loop. This is the one place the server
-// subscribes to a ring.
+// group of its own and starts its loop; a durable query, which shares with
+// nobody, has recovered from its log by then. This is the one place the
+// server subscribes to a ring.
 func (r *groupRegistry) place(def runnerDef, src *fleet.Source, b *fanout.Broadcast) (*queryRunner, error) {
 	q := newQueryRunner(def)
-	query := q.query(q.decorateSnapshot)
+	query := q.query()
 	key := groupKey{ring: b, share: cq.ShareKey(query)}
 	if src != nil {
 		key.ring = src
@@ -74,10 +74,6 @@ func (r *groupRegistry) place(def runnerDef, src *fleet.Source, b *fanout.Broadc
 		} else {
 			sub = b.Subscribe(q.name, fanout.Block)
 		}
-		var prior *durable.Recovery
-		if q.dlog != nil {
-			prior = q.resumeCounters()
-		}
 		g = &runnerGroup{members: []*queryRunner{q}, key: key, done: make(chan struct{})}
 		var err error
 		if g.Group, err = cq.NewGroup(query, q.absorbOne, sub, g.fault); err != nil {
@@ -85,7 +81,12 @@ func (r *groupRegistry) place(def runnerDef, src *fleet.Source, b *fanout.Broadc
 			return nil, err
 		}
 		q.grp, q.mu, q.exec, q.stage = g, &g.Mutex, g.Exec(), g.Exec().Stages()[0]
-		q.noteRecovery(prior)
+		if rec := q.stage.Report().Recovery; rec != nil {
+			q.log.Info("recovered from durable state",
+				"fromSnapshot", rec.FromSnapshot, "replayed", rec.ReplayedItems,
+				"suppressed", rec.SuppressedResults, "durableItems", rec.DurableItems,
+				"truncatedBytes", rec.TruncatedBytes)
+		}
 		if key.share != "" {
 			r.open.Store(key, g)
 		}

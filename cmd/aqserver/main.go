@@ -37,7 +37,7 @@
 // walkthrough.
 //
 // Tracing: every query always mirrors its pipeline lifecycle — the batches
-// it is fed (ring publishes of a compiled-in stream, in its lead query's
+// it is fed (ring publishes of a compiled-in stream, in its query's
 // recorder; wire batches of a -listen source, by provenance mark), buffer
 // inserts/releases, slack adaptations, window emits with provenance, ring-lap
 // sheds, retries, panics — into a fixed-ring flight recorder
@@ -52,8 +52,8 @@
 // the server's own account of them.
 //
 // Execution: every query is the same runner object around the cq engine,
-// whether compiled in, replicated by -fanout or registered at runtime over
-// /api/queries (see buildRunner), and every runner has one ingest queue: a
+// whether compiled in or registered at runtime over /api/queries (see
+// buildRunner), and every runner has one ingest queue: a
 // fan-out ring (internal/fanout) — its compiled-in stream's, or its network
 // source's. Queries on one ring behind the same fixed disorder handler share
 // one group (group.go): one subscription and one step core (cq.Exec) whose
@@ -98,13 +98,9 @@ const readHeaderTimeout = 10 * time.Second
 
 // appConfig carries the flag-derived settings for one server instance.
 type appConfig struct {
-	n     int // tuples per stream segment
-	rate  int // replay rate, tuples per wall-clock second
-	batch int // journal commit cadence, in items
-	// fanout is how many replica queries subscribe to each compiled-in
-	// stream's broadcast ring (-fanout): generation, chaos and retry are
-	// paid once per stream by its single producer however many there are.
-	fanout    int
+	n         int // tuples per stream segment
+	rate      int // replay rate, tuples per wall-clock second
+	batch     int // journal commit cadence, in items
 	chaos     resilience.Chaos
 	chaosOn   bool
 	obs       bool         // serve /metrics + pprof and instrument every query
@@ -140,19 +136,14 @@ type appConfig struct {
 // app ties the HTTP state, the query runners and their feed loops
 // together so that startup and drain are testable without signals.
 type app struct {
-	cfg     appConfig
-	srv     *server
-	log     *slog.Logger
+	cfg appConfig
+	srv *server
+	log *slog.Logger
+	// runners are the compiled-in queries, one per stream, each fed by the
+	// broadcast ring in rings; rings and loads are index-aligned with it.
 	runners []*queryRunner
-	// streams partitions runners by compiled-in stream: one entry per spec,
-	// holding that stream's replicas (a single runner unless -fanout > 1),
-	// fed by the broadcast ring in rings. rings, loads and bases are
-	// index-aligned with streams.
-	streams [][]*queryRunner
 	rings   []*fanout.Broadcast
-	bases   []string
 	loads   []func(seed uint64) gen.Config
-	dlogs   []*durable.QueryLog
 	wg      sync.WaitGroup
 	// groups places every runner, compiled-in or runtime, in the group
 	// whose disorder pass feeds it (group.go).
@@ -208,53 +199,36 @@ func newApp(cfg appConfig) (*app, error) {
 				return c
 			}},
 	}
-	replicas := 1
-	if cfg.fanout > 1 {
-		replicas = cfg.fanout
-	}
 	for _, sp := range specs {
-		var runners []*queryRunner
 		ring := fanout.New(fanout.Options{Ring: 64, BatchCap: 128})
-		for r := 0; r < replicas; r++ {
-			def := runnerDef{name: sp.name, theta: sp.theta, spec: sp.spec, agg: sp.agg, grouped: sp.grouped}
-			if replicas > 1 {
-				def.name = fmt.Sprintf("%s#%d", sp.name, r)
-			}
-			if sp.grouped { // the others run the adaptive controller at sp.theta
-				def.handler = buffer.NewKSlack(200 * stream.Millisecond)
-			}
-			q, err := a.buildRunner(def, replicas > 1, nil, ring)
-			if err != nil {
-				return nil, err
-			}
-			if q.dlog != nil {
-				a.dlogs = append(a.dlogs, q.dlog)
-			}
-			a.srv.add(q)
-			a.runners = append(a.runners, q)
-			runners = append(runners, q)
+		def := runnerDef{name: sp.name, theta: sp.theta, spec: sp.spec, agg: sp.agg, grouped: sp.grouped}
+		if sp.grouped { // the others run the adaptive controller at sp.theta
+			def.handler = buffer.NewKSlack(200 * stream.Millisecond)
 		}
-		a.streams = append(a.streams, runners)
+		q, err := a.buildRunner(def, nil, ring)
+		if err != nil {
+			return nil, err
+		}
+		a.srv.add(q)
+		a.runners = append(a.runners, q)
 		a.rings = append(a.rings, ring)
-		a.bases = append(a.bases, sp.name)
 		a.loads = append(a.loads, sp.load)
 	}
 	return a, nil
 }
 
-// buildRunner constructs and wires one query runner. Compiled-in queries,
-// -fanout replicas and runtime registrations all come through here and are
-// the same object: a per-query flight recorder (always on: a fixed ring of
-// recent events, served at /debug/aq/trace and dumped on panics, breaker
-// trips and quality violations), the SLO watchdog for a declared θ, the
+// buildRunner constructs and wires one query runner. Compiled-in queries and
+// runtime registrations both come through here and are the same object: a
+// per-query flight recorder (always on: a fixed ring of recent events, served
+// at /debug/aq/trace and dumped on panics, breaker trips and quality
+// violations), the SLO watchdog for a declared θ, the
 // per-query logger, the engine query (handler, window, aggregation core,
 // tracer), -obs instruments, and durability when -durable-dir is set. The
 // runner is placed in its group on the ring it reads — the network source
 // src, or the compiled-in stream b — whose loop feeds it (cq.Group.Run). A nil
-// def.handler picks the adaptive controller at def.theta. replica marks a
-// -fanout replica, which runs without durability. The opened durability log,
-// if any, is the runner's dlog; the caller owns closing it.
-func (a *app) buildRunner(def runnerDef, replica bool, src *fleet.Source, b *fanout.Broadcast) (*queryRunner, error) {
+// def.handler picks the adaptive controller at def.theta. The opened
+// durability log, if any, is the runner's dlog, which its finish closes.
+func (a *app) buildRunner(def runnerDef, src *fleet.Source, b *fanout.Broadcast) (*queryRunner, error) {
 	cfg := a.cfg
 	rec := tracez.NewRecorder(cfg.traceBuf)
 	def.tracer = tracez.New(rec, def.name)
@@ -274,27 +248,24 @@ func (a *app) buildRunner(def runnerDef, replica bool, src *fleet.Source, b *fan
 		}
 		def.handler = aq
 	}
-	if cfg.durableDir != "" {
-		switch {
-		case def.grouped:
-			def.log.Warn("durability is not supported for grouped queries; running without")
-		case replica:
-			def.log.Warn("durability is not supported for -fanout replicas; running without (journal the producer's stream instead)")
-		default:
-			opts := durable.Options{
-				Dir:           filepath.Join(cfg.durableDir, def.name),
-				CommitEvery:   cfg.batch,
-				SnapshotEvery: cfg.snapshotEvery,
-			}
-			if def.reg != nil {
-				opts.Metrics = durable.NewMetrics(def.reg, obs.L("query", def.name))
-			}
-			dlog, err := durable.Open(opts)
-			if err != nil {
-				return nil, fmt.Errorf("open durable dir for %s: %w", def.name, err)
-			}
-			def.dlog = dlog
+	switch {
+	case cfg.durableDir == "":
+	case def.grouped:
+		def.log.Warn("durability is not supported for grouped queries; running without")
+	default:
+		opts := durable.Options{
+			Dir:           filepath.Join(cfg.durableDir, def.name),
+			CommitEvery:   cfg.batch,
+			SnapshotEvery: cfg.snapshotEvery,
 		}
+		if def.reg != nil {
+			opts.Metrics = durable.NewMetrics(def.reg, obs.L("query", def.name))
+		}
+		dlog, err := durable.Open(opts)
+		if err != nil {
+			return nil, fmt.Errorf("open durable dir for %s: %w", def.name, err)
+		}
+		def.dlog = dlog
 	}
 
 	q, err := a.groups.place(def, src, b)
@@ -311,14 +282,14 @@ func (a *app) buildRunner(def runnerDef, replica bool, src *fleet.Source, b *fan
 }
 
 // startFeeds launches one feed loop per stream — a producer publishing
-// into the stream's broadcast ring, and its runners' groups consuming it;
+// into the stream's broadcast ring, and its runner's group consuming it;
 // the loops stop when ctx is cancelled.
 func (a *app) startFeeds(ctx context.Context) {
-	for i, runners := range a.streams {
+	for i, q := range a.runners {
 		a.wg.Add(1)
 		go func() {
 			defer a.wg.Done()
-			fanoutFeedLoop(ctx, a.rings[i], runners, a.bases[i], a.loads[i], uint64(i+1), a.cfg, a.srv.reg)
+			fanoutFeedLoop(ctx, a.rings[i], q, a.loads[i], uint64(i+1), a.cfg, a.srv.reg)
 		}()
 	}
 }
@@ -346,8 +317,8 @@ func (a *app) startListener(addr string) error {
 
 // drain performs the graceful-shutdown sequence: flip readiness, stop
 // network ingest, end every runtime query, wait for the feed loops to
-// stop, then flush every runner's open windows. It is idempotent
-// because runner.finish is.
+// stop, then flush every runner's open windows and close its durability
+// log. It is idempotent because runner.finish is.
 func (a *app) drain() {
 	a.srv.draining.Store(true)
 	for _, q := range a.runners {
@@ -368,11 +339,6 @@ func (a *app) drain() {
 	for _, q := range a.runners {
 		q.finish()
 	}
-	for _, l := range a.dlogs {
-		if err := l.Close(); err != nil {
-			a.log.Error("closing durable log", "err", err)
-		}
-	}
 	if a.srv.history != nil {
 		a.srv.history.Stop()
 	}
@@ -384,7 +350,6 @@ func main() {
 	n := flag.Int("n", 200000, "tuples per stream segment (looped)")
 	chaosSpec := flag.String("chaos", "", "fault injection spec, e.g. seed=7,err=0.01,stall=0.001,stalldur=5ms,dup=0.005,spike=0.001 (empty = off)")
 	batch := flag.Int("batch", 64, "journal group-commit cadence in items (with -durable-dir)")
-	fanoutN := flag.Int("fanout", 1, "replica queries subscribed to each compiled-in stream's broadcast ring")
 	obsOn := flag.Bool("obs", false, "serve Prometheus /metrics and /debug/pprof, instrumenting every query")
 	traceBuf := flag.Int("trace-buf", tracez.DefaultRecorderSize, "flight-recorder ring size per query, in events")
 	traceDump := flag.String("trace-dump", "", "directory for automatic flight-recorder dumps (panic, breaker trip, quality violation); empty = off")
@@ -408,9 +373,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *fanoutN < 1 {
-		fatal(fmt.Errorf("-fanout must be >= 1, got %d", *fanoutN))
-	}
 	if *maxQueries < 0 {
 		fatal(fmt.Errorf("-max-queries-per-tenant must be >= 0, got %d", *maxQueries))
 	}
@@ -418,8 +380,7 @@ func main() {
 		fatal(fmt.Errorf("-max-ingest-per-sec must be >= 0, got %d", *maxIngest))
 	}
 	cfg := appConfig{n: *n, rate: *rate, batch: *batch,
-		fanout: *fanoutN,
-		chaos:  chaos, chaosOn: chaos.Enabled(), obs: *obsOn,
+		chaos: chaos, chaosOn: chaos.Enabled(), obs: *obsOn,
 		traceBuf: *traceBuf, traceDump: *traceDump, log: logger,
 		durableDir: *durableDir, snapshotEvery: *snapshotInterval,
 		listen: *listen, apiOn: *apiOn,
@@ -466,23 +427,15 @@ func main() {
 // replaySegments replays generated stream segments forever at the
 // configured wall rate, re-basing timestamps so event time keeps moving
 // forward, and hands the items to deliver in batches of up to 128 (valid
-// only during the call; false means ctx was cancelled). runners are the
-// queries fed from this one stream — a single query, or its -fanout
-// replicas: segment lifecycle (health, retries, rebase) is mirrored
-// to all of them, because they share the stream they share its state.
-// Chaos faults (when enabled) are injected per segment; transient source
-// errors are retried with backoff behind a circuit breaker, and a terminal
-// failure stalls the queries briefly before reconnecting with the next
-// segment. It returns when ctx is cancelled (false) or when the generator
-// yields nothing (true): such a stream is over, and its queries must be
-// finished so their state is flushed and /readyz says "done", not limbo.
-func replaySegments(ctx context.Context, runners []*queryRunner, load func(seed uint64) gen.Config, seed uint64, cfg appConfig, deliver func([]stream.Item) bool) (exhausted bool) {
-	lead := runners[0] // its logger and flight recorder speak for the stream
-	each := func(f func(q *queryRunner)) {
-		for _, q := range runners {
-			f(q)
-		}
-	}
+// only during the call; false means ctx was cancelled). q is the query fed
+// from this stream: its health and retries follow the segments. Chaos faults
+// (when enabled) are injected per segment; transient source errors are
+// retried with backoff behind a circuit breaker, and a terminal failure
+// stalls the query briefly before reconnecting with the next segment. It
+// returns when ctx is cancelled (false) or when the generator yields nothing
+// (true): such a stream is over, and its query must be finished so its state
+// is flushed and /readyz says "done", not limbo.
+func replaySegments(ctx context.Context, q *queryRunner, load func(seed uint64) gen.Config, seed uint64, cfg appConfig, deliver func([]stream.Item) bool) (exhausted bool) {
 	rate := cfg.rate
 	if rate <= 0 {
 		rate = 1
@@ -493,18 +446,24 @@ func replaySegments(ctx context.Context, runners []*queryRunner, load func(seed 
 		MaxAttempts: 6, BaseDelay: 20 * time.Millisecond, MaxDelay: time.Second, Seed: seed,
 		BreakerThreshold: 8, BreakerCooldown: 2 * time.Second,
 	}
-	if tr := lead.tracer; tr != nil {
+	if tr := q.tracer; tr != nil {
 		retry.OnRetry = func(attempt int, err error) { tr.Retry(0, attempt) }
 		retry.OnBreakerTrip = func() { tr.BreakerTrip(0) }
 	}
-	// After a durable recovery the rebase resumes past the dead process's
-	// event-time horizon instead of rewinding the synthetic clock to zero.
-	base := lead.resumeBase()
+	// The feed begins past everything the query has applied — after a durable
+	// recovery, the arrival clock the engine restored and advanced by its
+	// replay — so a restarted feed never rewinds event time.
+	var base stream.Time
+	q.mu.Lock()
+	if now := q.exec.Now(); now > 0 {
+		base = now + stream.Second
+	}
+	q.mu.Unlock()
 	buf := make([]stream.Item, 0, batch)
 	for loop := uint64(0); ctx.Err() == nil; loop++ {
 		tuples := load(seed + loop).Arrivals()
 		if len(tuples) == 0 {
-			lead.log.Warn("generator yielded no tuples; marking the stream's queries done", "segment", loop)
+			q.log.Warn("generator yielded no tuples; marking the stream's query done", "segment", loop)
 			return true
 		}
 		items := make([]stream.Item, len(tuples))
@@ -541,8 +500,8 @@ func replaySegments(ctx context.Context, runners []*queryRunner, load func(seed 
 				// segment after a short stall — the paced-replay analogue
 				// of re-dialing an upstream.
 				segmentOK = false
-				each(func(q *queryRunner) { q.setHealth(healthStalled) })
-				lead.log.Error("source failed; reconnecting", "segment", loop, "err", err)
+				q.setHealth(healthStalled)
+				q.log.Error("source failed; reconnecting", "segment", loop, "err", err)
 				sleepCtx(ctx, time.Second)
 			}
 			if err != nil || !ok {
@@ -562,7 +521,7 @@ func replaySegments(ctx context.Context, runners []*queryRunner, load func(seed 
 		}
 		flush()
 		ticker.Stop()
-		each(func(q *queryRunner) { q.addRetries(rs.Retries()) })
+		q.addRetries(rs.Retries())
 		if ctx.Err() != nil {
 			return false
 		}
@@ -570,13 +529,12 @@ func replaySegments(ctx context.Context, runners []*queryRunner, load func(seed 
 		case !segmentOK:
 			// health stays stalled until the next segment feeds
 		case rs.Retries() > 0:
-			each(func(q *queryRunner) { q.setHealth(healthDegraded) })
+			q.setHealth(healthDegraded)
 		default:
-			each(func(q *queryRunner) { q.setHealth(healthFeeding) })
+			q.setHealth(healthFeeding)
 		}
 		base = maxTS + stream.Second
-		each(func(q *queryRunner) { q.noteRebase(base) })
-		lead.log.Info("segment finished", "segment", loop, "items", sent, "rebase", int64(base), "queries", len(runners))
+		q.log.Info("segment finished", "segment", loop, "items", sent, "rebase", int64(base))
 	}
 	return false
 }

@@ -64,8 +64,8 @@ func (q *queryRunner) instrument(reg *obs.Registry) {
 			return read()
 		}, lbl)
 	}
-	gauge("aq_latency_p95_ms", "Streaming p95 of result emission latency (stream-time ms).",
-		func() float64 { return q.latency.Quantile(0.95) })
+	gauge("aq_latency_p95_ms", "p95 of result emission latency over the query's last 256 results (stream-time ms).",
+		q.latencyP95)
 	gauge("aq_quality_realized_err_adjusted",
 		"Realized relative-error EWMA with shed loss folded in (metrics.ShedAdjustedErr).",
 		func() float64 {

@@ -66,8 +66,9 @@ type runnerDef struct {
 	// core updates; obs.go registers what only the server knows.
 	reg   *obs.Registry
 	telem *cq.Telemetry
-	// dlog is the query's opened durability log; nil without -durable-dir
-	// and for grouped queries and -fanout replicas (see durable.go).
+	// dlog is the query's opened durability log, which the engine journals,
+	// snapshots and recovers from, and finish closes; nil without
+	// -durable-dir and for grouped queries.
 	dlog *durable.QueryLog
 	// wireLat is the per-source aq_wire_latency_ms histogram of a runtime
 	// query over a -listen source (nil without -obs and for compiled-in
@@ -75,24 +76,22 @@ type runnerDef struct {
 	wireLat *obs.Histogram
 }
 
-// query is the engine query def runs: its handler, window, tracer and
-// telemetry, the report discarded (the runner keeps its own ring of recent
-// results, and a query that never ends must not grow a report), and its
-// journal, with decorate adding the host's continuity to every snapshot.
-func (d *runnerDef) query(decorate func(*durable.Snapshot)) *cq.AggQuery {
-	query := cq.New(nil).Handle(d.handler).Window(d.spec, d.agg).Trace(d.tracer).Instrument(d.telem).DiscardReport()
+// query is the engine query def runs: its handler, window, tracer,
+// telemetry and journal, the report discarded (the runner keeps its own ring
+// of recent results, and a query that never ends must not grow a report).
+func (d *runnerDef) query() *cq.AggQuery {
+	query := cq.New(nil).Handle(d.handler).Window(d.spec, d.agg).Trace(d.tracer).Instrument(d.telem).Durable(d.dlog).DiscardReport()
 	if d.grouped {
 		query.GroupBy() // absorbOne sees each keyed result's embedded Result
-	}
-	if d.dlog != nil {
-		query.Durable(cq.Durable{Log: d.dlog, Decorate: decorate})
 	}
 	return query
 }
 
 // queryRunner is the server's driver around one continuous query: it owns
 // the query's live bookkeeping — status counters, the ring of recent results,
-// health, wire latency — while the engine executes. Every runner is in a
+// health, wire latency — while the engine executes. What survives a restart
+// is the engine's own state: the window counts and the arrival clock come
+// back with a durable query's snapshot and its replay. Every runner is in a
 // group (group.go): a cq.Group, whose loop steps one whole ring batch at a
 // time for every member under the group's lock. HTTP handlers read under that
 // lock.
@@ -109,17 +108,9 @@ type queryRunner struct {
 	stage    *cq.Stage
 	stopOnce sync.Once
 
-	// Host continuity across restarts (durable.go). feedBase is written
-	// by the feeder at segment boundaries and read by the snapshot
-	// decorator, hence atomic.
-	recovery *recoveryStatus
-	feedBase atomic.Int64
-
 	results     []window.Result // ring of recent results
-	emitted     int64
 	retries     int64
 	panics      int64
-	latency     *stats.LogHist // result latencies for the p95; a flush-forced one (negative) as 0
 	health      string
 	done        bool
 	journalErrs int64
@@ -136,7 +127,7 @@ const resultRing = 256
 // bookkeeping, logger and engine instruments (groupRegistry.place builds its
 // window stage into one).
 func newQueryRunner(def runnerDef) *queryRunner {
-	q := &queryRunner{runnerDef: def, latency: &stats.LogHist{}, health: healthFeeding}
+	q := &queryRunner{runnerDef: def, health: healthFeeding}
 	if q.log == nil {
 		q.log = slog.Default()
 	}
@@ -149,8 +140,9 @@ func newQueryRunner(def runnerDef) *queryRunner {
 // finish ends the runner: its stage leaves the group (cq.Group.Leave) with
 // its windows flushed — through a private copy of the handler while other
 // members remain, which run on untouched — and it is marked done. The last
-// member out closes the group, and finish waits for its loop to stop. It is
-// idempotent, and never called from the loop.
+// member out closes the group, and finish waits for its loop to stop; then
+// the runner's durability log is closed (a durable query is always alone in
+// its group). It is idempotent, and never called from the loop.
 func (q *queryRunner) finish() {
 	q.stopOnce.Do(func() {
 		g := q.grp
@@ -165,6 +157,11 @@ func (q *queryRunner) finish() {
 		if last {
 			<-g.done
 		}
+		if q.dlog != nil {
+			if err := q.dlog.Close(); err != nil {
+				q.log.Error("closing durable log", "err", err)
+			}
+		}
 	})
 }
 
@@ -173,16 +170,39 @@ func (q *queryRunner) markDone() {
 	q.done, q.health = true, healthDone
 }
 
-// absorbOne is the core's result sink: it folds one emitted result into
-// the ring/latency state. q.mu is held by whoever is stepping the core.
+// absorbOne is the core's result sink: it keeps one emitted result in the
+// ring. q.mu is held by whoever is stepping the core.
 func (q *queryRunner) absorbOne(r window.Result) {
-	q.emitted++
-	q.latency.Add(float64(r.Latency()))
 	q.observeWireLatency()
 	q.results = append(q.results, r)
 	if len(q.results) > resultRing {
 		q.results = q.results[len(q.results)-resultRing:]
 	}
+}
+
+// latencyP95 is the p95 of the latencies of the results in the ring — the
+// last resultRing — with a flush-forced result's negative latency counted as
+// 0, so it follows the query's current latency rather than its whole life;
+// 0 before the first result. q.mu must be held.
+func (q *queryRunner) latencyP95() float64 {
+	if len(q.results) == 0 {
+		return 0
+	}
+	var buf [resultRing]float64
+	lat := buf[:0]
+	for _, r := range q.results {
+		lat = append(lat, float64(max(r.Latency(), 0)))
+	}
+	slices.Sort(lat)
+	return stats.PercentileSorted(lat, 0.95)
+}
+
+// recovered is what the runner's durable recovery did (its stage's
+// AggReport.Recovery, final once the runner is placed); nil for a fresh start.
+func (q *queryRunner) recovered() *cq.RecoveryInfo {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.stage.Report().Recovery
 }
 
 // adaptive returns the quality-driven controller behind the runner, or nil
@@ -287,14 +307,17 @@ type status struct {
 	Statement string `json:"statement,omitempty"`
 	Tenant    string `json:"tenant,omitempty"`
 	// Durability (present only with -durable-dir on a non-grouped query).
-	Durable     bool            `json:"durable,omitempty"`
-	JournalErrs int64           `json:"journalErrors,omitempty"`
-	Recovery    *recoveryStatus `json:"recovery,omitempty"`
+	Durable     bool             `json:"durable,omitempty"`
+	JournalErrs int64            `json:"journalErrors,omitempty"`
+	Recovery    *cq.RecoveryInfo `json:"recovery,omitempty"`
 }
 
 func (q *queryRunner) status() status {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	// The window counts are the operator's: restored with a durable query's
+	// snapshot and advanced by its replay.
+	rep := q.stage.Report()
 	st := status{
 		Name:        q.name,
 		Theta:       q.theta,
@@ -302,8 +325,8 @@ func (q *queryRunner) status() status {
 		WindowSlide: q.spec.Slide,
 		Aggregate:   q.agg.Name,
 		TuplesIn:    q.tuplesInLocked(),
-		Windows:     q.emitted,
-		LatencyP95:  q.latency.Quantile(0.95),
+		Windows:     rep.Op.Emitted + rep.Op.Refinements,
+		LatencyP95:  q.latencyP95(),
 		Health:      q.health,
 		Shed:        q.shedTotal(),
 		Retries:     q.retries,
@@ -312,7 +335,7 @@ func (q *queryRunner) status() status {
 		Grouped:     q.grouped,
 		Durable:     q.dlog != nil,
 		JournalErrs: q.journalErrs,
-		Recovery:    q.recovery,
+		Recovery:    rep.Recovery,
 		Statement:   q.statement,
 		Tenant:      q.tenant,
 	}
@@ -423,7 +446,7 @@ type readiness struct {
 	// Recovered reports, per durable query that found prior state at
 	// startup, what its recovery did — proof the restart resumed instead
 	// of starting over.
-	Recovered map[string]*recoveryStatus `json:"recovered,omitempty"`
+	Recovered map[string]*cq.RecoveryInfo `json:"recovered,omitempty"`
 	// Degraded explains, per degraded query, *why* it is degraded:
 	// health-state causes, a live quality violation, and — when both the
 	// fast and slow SLO burn-rate windows run hot — the burn readings
@@ -467,11 +490,11 @@ func (s *server) readiness() readiness {
 			}
 			r.Degraded[n] = reasons
 		}
-		if q.recovery != nil {
+		if rec := q.recovered(); rec != nil {
 			if r.Recovered == nil {
-				r.Recovered = make(map[string]*recoveryStatus)
+				r.Recovered = make(map[string]*cq.RecoveryInfo)
 			}
-			r.Recovered[n] = q.recovery
+			r.Recovered[n] = rec
 		}
 	}
 	return r

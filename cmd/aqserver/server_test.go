@@ -116,6 +116,64 @@ func TestQueryRunnerPipeline(t *testing.T) {
 	}
 }
 
+// TestWindowsEmittedCountsDeliveries: windowsEmitted is the window
+// operator's count (primary results plus refinements), not a tally of the
+// runner's own; on a fresh run it equals the results the runner's sink
+// received, end-of-stream flush included, for a plain, a grouped and an
+// adaptive runner.
+func TestWindowsEmittedCountsDeliveries(t *testing.T) {
+	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
+	keyed := gen.Sensor(3000, 17)
+	keyed.NumKeys = 4
+	for _, tc := range []struct {
+		q     *queryRunner
+		items []stream.Item
+	}{
+		{kslackRunner(t, runnerDef{name: "plain", spec: spec, agg: window.Sum()}, 400), sensorItems(3000, 17)},
+		{kslackRunner(t, runnerDef{name: "grouped", grouped: true, spec: spec, agg: window.Sum()}, 400), collect(keyed.Source())},
+		{sumRunner(t, "adaptive", 0.01), sensorItems(3000, 17)},
+	} {
+		feedBatches(tc.q, tc.items, 64)
+		tc.q.finish()
+		got, delivered := tc.q.status().Windows, len(tc.q.recentResults(0))
+		if delivered == 0 || delivered == resultRing {
+			t.Fatalf("%s: %d results in the ring; the count must be whole and nonzero", tc.q.name, delivered)
+		}
+		if got != int64(delivered) {
+			t.Errorf("%s: windowsEmitted %d, the sink received %d results", tc.q.name, got, delivered)
+		}
+	}
+}
+
+// TestLatencyP95ForgetsSlowStart: latencyP95 (aq_latency_p95_ms) is the p95
+// of the last resultRing results, so an early slow phase ages out of it.
+// The first ten seconds of the stream arrive 20 s late; then the stream
+// arrives on time for 40 s, three hundred windows more than the ring holds.
+func TestLatencyP95ForgetsSlowStart(t *testing.T) {
+	spec := window.Spec{Size: stream.Second, Slide: 100 * stream.Millisecond}
+	q := kslackRunner(t, runnerDef{name: "slow-start", spec: spec, agg: window.Sum()}, 100*stream.Millisecond)
+	var items []stream.Item
+	for i := range 1000 {
+		ts := stream.Time(i) * 10 * stream.Millisecond
+		items = append(items, stream.DataItem(stream.Tuple{TS: ts, Arrival: ts + 20*stream.Second, Seq: uint64(i), Value: 1}))
+	}
+	feedBatches(q, items, 64)
+	slow := q.status().LatencyP95
+	if slow < 19_000 {
+		t.Fatalf("p95 over the slow phase %.0f ms, want about 20 s", slow)
+	}
+	items = items[:0]
+	for i := range 4000 {
+		ts := 30*stream.Second + stream.Time(i)*10*stream.Millisecond
+		items = append(items, stream.DataItem(stream.Tuple{TS: ts, Arrival: ts, Seq: uint64(1000 + i), Value: 1}))
+	}
+	feedBatches(q, items, 64)
+	if got := q.status().LatencyP95; got > 1000 {
+		t.Fatalf("p95 %.0f ms after %d on-time windows: the slow start (%.0f ms) did not age out", got, resultRing, slow)
+	}
+	q.finish()
+}
+
 func TestServerEndpoints(t *testing.T) {
 	srv := newServer()
 	srv.add(testRunner(t))
@@ -366,7 +424,7 @@ func TestFeedLoopEmptyGeneratorMarksDone(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		fanoutFeedLoop(context.Background(), b, []*queryRunner{q}, "empty",
+		fanoutFeedLoop(context.Background(), b, q,
 			func(uint64) gen.Config { return gen.Config{} }, 1, appConfig{rate: 1_000_000}, nil)
 	}()
 	select {

@@ -213,7 +213,7 @@ var executorCalls = map[string]int{
 	"Insert": 2, "InsertBatch": 0, "Observe": 3, "Flush": 0, // handler insert/flush, window observe/flush
 	"AppendItems": 0, "AppendEmitProgress": 0, // journal
 	"CutForSnapshot": 0, "WriteSnapshot": 0, "SaveHandler": 0, // snapshot
-	"TakeRecovery": 0, "RestoreHandler": 0, // recovery
+	"TakeRecovery": 0, "RestoreHandler": 0, "Recovery": 0, // recovery
 }
 
 // TestOneExecutor is the structural half of `make check`'s doccheck: the
@@ -222,7 +222,10 @@ var executorCalls = map[string]int{
 // internal/cq/exec.go, and every way of running a query — Run,
 // RunConcurrent, RunShared, a join's Run, cmd/aqserver's runners — is a
 // driver over it: no other non-test file under internal/cq or cmd/aqserver
-// makes one of the executorCalls, and none is exempt.
+// makes one of the executorCalls, and none is exempt. Nor does the server
+// read a snapshot or a recovery (durable.Snapshot, durable.Recovery): what a
+// durable query carries across a restart is the engine's own state, which
+// the engine restores.
 // The repository once had six copies of the loop and two of the protocol,
 // and they had drifted apart; this keeps a seventh from growing back.
 func TestOneExecutor(t *testing.T) {
@@ -261,6 +264,12 @@ func TestOneExecutor(t *testing.T) {
 				if path != "internal/cq/exec.go" {
 					t.Errorf("%s calls %s: the execution loop and the durability protocol live in internal/cq/exec.go; drive cq.Exec instead",
 						fset.Position(n.Pos()), sel.Sel.Name)
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "durable" && (n.Sel.Name == "Snapshot" || n.Sel.Name == "Recovery") &&
+					strings.HasPrefix(path, "cmd/aqserver/") {
+					t.Errorf("%s: the server reads durable.%s; a durable query's continuity is the engine's own state (cq.Exec, AggReport.Recovery)",
+						fset.Position(n.Pos()), n.Sel.Name)
 				}
 			case *ast.Ident:
 				// The in-band snapshot marker and its split writer existed only

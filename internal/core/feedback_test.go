@@ -209,12 +209,9 @@ func newFeedbackRun(cfg core.Config) *feedbackRun {
 	return r
 }
 
-func (r *feedbackRun) exec(t *testing.T, d *cq.Durable) *cq.Exec {
+func (r *feedbackRun) exec(t *testing.T, log *durable.QueryLog) *cq.Exec {
 	t.Helper()
-	q := cq.New(nil).Handle(r.tap).Window(r.cfg.Spec, r.cfg.Agg).DiscardReport()
-	if d != nil {
-		q = q.Durable(*d)
-	}
+	q := cq.New(nil).Handle(r.tap).Window(r.cfg.Spec, r.cfg.Agg).DiscardReport().Durable(log)
 	x, err := cq.NewExec(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +272,7 @@ func TestFeedbackMatchesShadow(t *testing.T) {
 			}
 			r := newFeedbackRun(cfg)
 			log := open()
-			x := r.exec(t, &cq.Durable{Log: log})
+			x := r.exec(t, log)
 			stepAll(t, x, items[:cut], 100)
 			if err := log.Close(); err != nil {
 				t.Fatal(err)
@@ -286,7 +283,7 @@ func TestFeedbackMatchesShadow(t *testing.T) {
 			r.tap.FeedbackHandler = r.aq
 			log = open()
 			defer log.Close()
-			x = r.exec(t, &cq.Durable{Log: log})
+			x = r.exec(t, log)
 			if rec := x.Report().Recovery; rec == nil || !rec.FromSnapshot || rec.ReplayedItems != 0 {
 				t.Fatalf("recovery %+v, want the snapshot and nothing to replay", rec)
 			}

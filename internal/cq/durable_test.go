@@ -84,7 +84,7 @@ func TestDurableFreshRunMatchesPlain(t *testing.T) {
 
 	dir := t.TempDir()
 	log := mustOpenLog(t, durable.Options{Dir: dir, SnapshotEvery: 1000})
-	rep, err := mk().Durable(Durable{Log: log}).Run()
+	rep, err := mk().Durable(log).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDurableRunCrashRecovery(t *testing.T) {
 		q := NewFallible(&crashSource{items: items, n: c}).
 			Handle(buffer.NewKSlack(2000)).
 			Window(testSpec, window.Sum())
-		if _, err := q.Durable(Durable{Log: log}).Run(); !errors.Is(err, errCrash) {
+		if _, err := q.Durable(log).Run(); !errors.Is(err, errCrash) {
 			t.Fatalf("crash at %d: err = %v", c, err)
 		}
 		log.Abandon()
@@ -143,7 +143,7 @@ func TestDurableRunCrashRecovery(t *testing.T) {
 		rep, err := New(stream.NewSliceSource(items[c:])).
 			Handle(buffer.NewKSlack(2000)).
 			Window(testSpec, window.Sum()).
-			Durable(Durable{Log: log2}).
+			Durable(log2).
 			Run()
 		if err != nil {
 			t.Fatalf("recovered run at %d: %v", c, err)
@@ -210,7 +210,7 @@ func TestDurableCrashRecoveryAdaptiveHandler(t *testing.T) {
 		log := mustOpenLog(t, durable.Options{Dir: dir, CommitEvery: 1, SnapshotEvery: 500})
 		q := NewFallible(&crashSource{items: items, n: c}).
 			Handle(mkHandler()).Window(testSpec, window.Sum())
-		if _, err := q.Durable(Durable{Log: log}).Run(); !errors.Is(err, errCrash) {
+		if _, err := q.Durable(log).Run(); !errors.Is(err, errCrash) {
 			t.Fatalf("crash at %d: err = %v", c, err)
 		}
 		log.Abandon()
@@ -219,7 +219,7 @@ func TestDurableCrashRecoveryAdaptiveHandler(t *testing.T) {
 		rep, err := New(stream.NewSliceSource(items[c:])).
 			Handle(mkHandler()).
 			Window(testSpec, window.Sum()).
-			Durable(Durable{Log: log2}).
+			Durable(log2).
 			Run()
 		if err != nil {
 			t.Fatalf("recovered run at %d: %v", c, err)
@@ -261,7 +261,7 @@ func TestDurableRestoresShadowSnapshot(t *testing.T) {
 	}
 	log := mustOpenLog(t, durable.Options{Dir: dir, CommitEvery: 1})
 	defer log.Close()
-	x, err := NewExec(New(nil).Handle(aq).Window(spec, window.Sum()).Durable(Durable{Log: log}), nil)
+	x, err := NewExec(New(nil).Handle(aq).Window(spec, window.Sum()).Durable(log), nil)
 	if err != nil {
 		t.Fatalf("a snapshot with shadow windows did not restore: %v", err)
 	}
@@ -307,7 +307,7 @@ func TestDurableRunConcurrentCrashRecovery(t *testing.T) {
 		log := mustOpenLog(t, durable.Options{Dir: dir, CommitEvery: 1, SnapshotEvery: 300})
 		q := NewFallible(&crashSource{items: items, n: c}).
 			Handle(buffer.NewKSlack(2000)).Window(testSpec, window.Sum())
-		if _, err := q.Durable(Durable{Log: log}).RunConcurrent(context.Background(), nil); !errors.Is(err, errCrash) {
+		if _, err := q.Durable(log).RunConcurrent(context.Background(), nil); !errors.Is(err, errCrash) {
 			t.Fatalf("crash at %d: err = %v", c, err)
 		}
 		log.Abandon()
@@ -317,7 +317,7 @@ func TestDurableRunConcurrentCrashRecovery(t *testing.T) {
 		rep, err := New(stream.NewSliceSource(items[c:])).
 			Handle(buffer.NewKSlack(2000)).
 			Window(testSpec, window.Sum()).
-			Durable(Durable{Log: log2}).
+			Durable(log2).
 			RunConcurrent(context.Background(), func(r window.Result) { sunk = append(sunk, r) })
 		if err != nil {
 			t.Fatalf("recovered run at %d: %v", c, err)
@@ -353,7 +353,7 @@ func TestDurableRingLoopCommitsPerBatch(t *testing.T) {
 	items := sensorItems(5000, 41)
 	_, err := NewFallible(stream.AsErrSource(stream.NewSliceSource(items))).Batch(64).
 		Handle(buffer.NewKSlack(2000)).Window(testSpec, window.Sum()).Instrument(telem).
-		Durable(Durable{Log: log}).RunConcurrent(context.Background(), nil)
+		Durable(log).RunConcurrent(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestDurableStopAndContinueConcurrent(t *testing.T) {
 	if _, err := New(stream.NewSliceSource(items[:cut])).
 		Handle(buffer.NewKSlack(2000)).
 		Window(testSpec, window.Sum()).
-		Durable(Durable{Log: log}).
+		Durable(log).
 		RunConcurrent(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestDurableStopAndContinueConcurrent(t *testing.T) {
 	rep, err := New(stream.NewSliceSource(items[cut:])).
 		Handle(buffer.NewKSlack(2000)).
 		Window(testSpec, window.Sum()).
-		Durable(Durable{Log: log2}).
+		Durable(log2).
 		RunConcurrent(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -417,12 +417,16 @@ func TestDurableStopAndContinueConcurrent(t *testing.T) {
 func TestDurableValidate(t *testing.T) {
 	src := gen.Sensor(10, 1).Source()
 	if _, err := New(src).Window(testSpec, window.Sum()).GroupBy().
-		Durable(Durable{Log: &durable.QueryLog{}}).Run(); err == nil {
+		Durable(&durable.QueryLog{}).Run(); err == nil {
 		t.Fatal("grouped durable query accepted")
 	}
-	if _, err := New(src).Window(testSpec, window.Sum()).
-		Durable(Durable{}).Run(); err == nil {
-		t.Fatal("durable query with nil log accepted")
+	// A nil log is no durability, as a nil tracer is no tracing.
+	rep, err := New(src).Window(testSpec, window.Sum()).GroupBy().Durable(nil).Run()
+	if err != nil {
+		t.Fatalf("grouped query with a nil log rejected: %v", err)
+	}
+	if rep.Recovery != nil {
+		t.Fatalf("query with a nil log recovered %+v", rep.Recovery)
 	}
 }
 
@@ -465,7 +469,7 @@ func TestDurableRunConcurrentSnapshotsMatchRun(t *testing.T) {
 		t.Helper()
 		l := mustOpenLog(t, durable.Options{Dir: dir})
 		defer l.Close()
-		rep, err := build(stream.AsErrSource(stream.NewSliceSource(items[crashAt:]))).Durable(Durable{Log: l}).Run()
+		rep, err := build(stream.AsErrSource(stream.NewSliceSource(items[crashAt:]))).Durable(l).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +479,7 @@ func TestDurableRunConcurrentSnapshotsMatchRun(t *testing.T) {
 	for _, batch := range []int{1, 7, 64} {
 		concDir, syncDir := t.TempDir(), t.TempDir()
 		log := mustOpenLog(t, durable.Options{Dir: concDir, CommitEvery: 1, SnapshotEvery: 500})
-		_, err := build(&crashSource{items: items, n: crashAt}).Batch(batch).Durable(Durable{Log: log}).
+		_, err := build(&crashSource{items: items, n: crashAt}).Batch(batch).Durable(log).
 			RunConcurrent(context.Background(), nil)
 		if !errors.Is(err, errCrash) {
 			t.Fatalf("batch %d: err = %v", batch, err)
@@ -488,7 +492,7 @@ func TestDurableRunConcurrentSnapshotsMatchRun(t *testing.T) {
 
 		// Run cuts one snapshot, at the same journal item.
 		log = mustOpenLog(t, durable.Options{Dir: syncDir, CommitEvery: 1, SnapshotEvery: int64(conc.Items)})
-		if _, err := build(&crashSource{items: items, n: crashAt}).Durable(Durable{Log: log}).Run(); !errors.Is(err, errCrash) {
+		if _, err := build(&crashSource{items: items, n: crashAt}).Durable(log).Run(); !errors.Is(err, errCrash) {
 			t.Fatalf("batch %d: reference err = %v", batch, err)
 		}
 		log.Abandon()

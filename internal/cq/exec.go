@@ -74,7 +74,6 @@ type Exec struct {
 
 	// Durability (nil log without Durable; a durable query never shares).
 	log       *durable.QueryLog
-	decorate  func(*durable.Snapshot)
 	floor     int64 // primary emissions below it were delivered before the crash
 	haveFloor bool
 }
@@ -683,9 +682,8 @@ func (x *Exec) panicErr(p any) error {
 // starts clean. A durable query runs alone: its stage is the Exec's only one.
 func (x *Exec) restore() error {
 	s := x.stages[0]
-	d := s.q.durable
-	x.log, x.decorate = d.Log, d.Decorate
-	rec := d.Log.TakeRecovery()
+	x.log = s.q.durable
+	rec := x.log.TakeRecovery()
 	if rec == nil || !rec.Recovered {
 		return nil
 	}
@@ -707,6 +705,7 @@ func (x *Exec) restore() error {
 	s.rep.Recovery = &RecoveryInfo{
 		FromSnapshot:     rec.Snapshot != nil,
 		ReplayedItems:    len(rec.Suffix),
+		DurableItems:     rec.Items,
 		EmitProgress:     rec.EmitProgress,
 		HaveEmit:         rec.HaveEmit,
 		TruncatedBytes:   rec.TruncatedBytes,
@@ -770,9 +769,6 @@ func (x *Exec) snapshot() error {
 		Op:           &ops,
 		EmitProgress: emit,
 		HaveEmit:     have,
-	}
-	if x.decorate != nil {
-		x.decorate(snap)
 	}
 	if err := x.log.WriteSnapshot(snap); err != nil {
 		return fmt.Errorf("cq: snapshot: %w", err)

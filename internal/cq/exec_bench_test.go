@@ -33,8 +33,7 @@ import (
 // durable is fixedk journaled the way aqserver runs a durable query:
 // 256-item ring batches, a journal in a temporary directory with the
 // server's CommitEvery (64), snapshot interval (50 000 items) and -obs
-// instruments, a snapshot Decorate like the runner's, and one Commit after
-// every Step, timed with it. Snapshot and rotation fsyncs are wall time the
+// instruments, and one Commit after every Step, timed with it. Snapshot and rotation fsyncs are wall time the
 // CPU does not spend, so every sub-benchmark also reports cpu-ns/query-tuple,
 // the process's user + system CPU over the same region, from getrusage.
 // durable also reports journal-B/query-tuple, the journal bytes written per
@@ -89,9 +88,7 @@ func BenchmarkExecStepServerShaped(b *testing.B) {
 					defer log.Close()
 					logs = append(logs, log)
 					journals = append(journals, &journalGrowth{m: m, size: segHeader})
-					q.Durable(Durable{Log: log, Decorate: func(s *durable.Snapshot) {
-						s.Query, s.Counters = "q", map[string]int64{"emitted": int64(results)}
-					}})
+					q.Durable(log)
 				}
 				sink := func(window.Result) { results++ }
 				key := ShareKey(q)

@@ -143,7 +143,7 @@ func TestExecCrashInTheMiddle(t *testing.T) {
 	build := func(log *durable.QueryLog, sink func(window.Result)) *Exec {
 		q := New(nil).Handle(buffer.NewKSlack(1500)).Window(testSpec, window.Sum())
 		if log != nil {
-			q.Durable(Durable{Log: log})
+			q.Durable(log)
 		}
 		x, err := NewExec(q, sink)
 		if err != nil {
@@ -220,7 +220,7 @@ func TestExecCrashWithInfiniteWindow(t *testing.T) {
 	build := func(log *durable.QueryLog, sink func(window.Result)) *Exec {
 		q := New(nil).Handle(buffer.NewKSlack(1500)).Window(testSpec, window.Max())
 		if log != nil {
-			q.Durable(Durable{Log: log})
+			q.Durable(log)
 		}
 		x, err := NewExec(q, sink)
 		if err != nil {
@@ -292,7 +292,7 @@ func TestExecRefusesUnrestorableSnapshot(t *testing.T) {
 		for _, damage := range []string{"legacy open windows", "malformed shape"} {
 			opts := durable.Options{Dir: t.TempDir(), CommitEvery: 64, SnapshotEvery: 900}
 			build := func(log *durable.QueryLog) (*Exec, error) {
-				return NewExec(New(nil).Handle(mk()).Window(testSpec, window.Sum()).Durable(Durable{Log: log}), nil)
+				return NewExec(New(nil).Handle(mk()).Window(testSpec, window.Sum()).Durable(log), nil)
 			}
 			log := mustOpenLog(t, opts)
 			x, err := build(log)
@@ -665,7 +665,7 @@ func TestRunAbortsOnJournalError(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := New(gen.Sensor(100, 3).Source()).Handle(buffer.NewKSlack(100)).
-		Window(testSpec, window.Sum()).Durable(Durable{Log: log}).Run()
+		Window(testSpec, window.Sum()).Durable(log).Run()
 	if err == nil {
 		t.Fatal("Run succeeded over a journal that cannot be written")
 	}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
+	"repro/internal/durable"
 	"repro/internal/join"
 	"repro/internal/metrics"
 	"repro/internal/obs/tracez"
@@ -54,7 +55,7 @@ type AggQuery struct {
 	discardRep bool
 	telem      *Telemetry
 	tracer     *tracez.Tracer
-	durable    *Durable
+	durable    *durable.QueryLog
 
 	hasWindow bool
 	join      *join.Join // a join query's operator (JoinQuery.Run)
@@ -196,13 +197,8 @@ func (q *AggQuery) validateShape() error {
 	if err := q.spec.Validate(); err != nil {
 		return err
 	}
-	if q.durable != nil {
-		if q.grouped {
-			return errors.New("cq: Durable does not support grouped queries")
-		}
-		if q.durable.Log == nil {
-			return errors.New("cq: Durable needs an opened log")
-		}
+	if q.durable != nil && q.grouped {
+		return errors.New("cq: Durable does not support grouped queries")
 	}
 	return nil
 }

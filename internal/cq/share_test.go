@@ -151,7 +151,7 @@ func TestJoinRefusesWhatCannotShare(t *testing.T) {
 	for what, q := range map[string]*AggQuery{
 		"adaptive":      mk(aq),
 		"other K":       mk(buffer.NewKSlack(400)),
-		"durable":       mk(buffer.NewKSlack(500)).Durable(Durable{Log: log}),
+		"durable":       mk(buffer.NewKSlack(500)).Durable(log),
 		"wrapped":       mk(opaqueHandler{buffer.NewKSlack(500)}),
 		"other kind":    mk(buffer.NewMaxSlack()),
 		"no window":     New(nil).Handle(buffer.NewKSlack(500)),

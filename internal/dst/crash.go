@@ -132,7 +132,7 @@ func (s *crashAfter) NextErr() (stream.Item, bool, error) {
 // run executes the plan's query over src with durability attached, through
 // the executor the crash plan selects.
 func (cp CrashPlan) run(src stream.ErrSource, log *durable.QueryLog) (*cq.AggReport, error) {
-	q := cp.Plan.build(src, cp.Plan.handler()).Durable(cq.Durable{Log: log})
+	q := cp.Plan.build(src, cp.Plan.handler()).Durable(log)
 	if cp.Concurrent {
 		return q.RunConcurrent(context.Background(), nil)
 	}

@@ -128,7 +128,7 @@ func TestSnapshotFileRoundTripsInfiniteState(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	want := &Snapshot{Records: 7, Items: 200, Handler: st, Counters: map[string]int64{"emitted": 3}}
+	want := &Snapshot{Records: 7, Items: 200, Handler: st, Now: 2000}
 	if _, err := writeSnapshotFile(dir, want); err != nil {
 		t.Fatalf("a snapshot holding ±Inf was not written: %v", err)
 	}

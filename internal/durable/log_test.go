@@ -370,7 +370,6 @@ func TestSnapshotRoundTripAndSuffix(t *testing.T) {
 		Now:          1234,
 		EmitProgress: 4,
 		HaveEmit:     true,
-		Counters:     map[string]int64{"in": 50},
 	}
 	if err := l.WriteSnapshot(snap); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
@@ -384,7 +383,7 @@ func TestSnapshotRoundTripAndSuffix(t *testing.T) {
 	if rec.Snapshot == nil {
 		t.Fatal("no snapshot recovered")
 	}
-	if rec.Snapshot.Query != "q1" || rec.Snapshot.Records != 50 || rec.Snapshot.Counters["in"] != 50 {
+	if rec.Snapshot.Query != "q1" || rec.Snapshot.Records != 50 || rec.Snapshot.Now != 1234 {
 		t.Fatalf("snapshot fields: %+v", rec.Snapshot)
 	}
 	if !reflect.DeepEqual(rec.Suffix, items[50:]) {

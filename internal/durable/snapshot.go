@@ -32,11 +32,12 @@ type DisorderCut struct {
 // Snapshot captures everything a query needs to resume: where the journal
 // cut is (Records/Items — the snapshot covers exactly that prefix), the
 // disorder handler's full state, the window operator's open aggregates and
-// emit cursor, and the executor's clocks. Host processes (aqserver) add
-// FeedBase and Counters for their own continuity.
+// emit cursor, and the executor's clocks. A host's continuity is that state:
+// the operator's counts and the arrival clock come back with it. Older
+// snapshots also carry "feedBase" and "counters" keys, which are ignored.
 type Snapshot struct {
 	Version int    `json:"version"`
-	Query   string `json:"query,omitempty"` // host-assigned query name
+	Query   string `json:"query,omitempty"` // query name; only bench/aqbench writes it
 
 	Records uint64 `json:"records"` // journal records covered by this snapshot
 	Items   uint64 `json:"items"`   // item records among them
@@ -51,12 +52,6 @@ type Snapshot struct {
 	// any later journaled emit-progress record.
 	EmitProgress int64 `json:"emitProgress"`
 	HaveEmit     bool  `json:"haveEmit"`
-
-	// FeedBase lets aqserver's feed loop resume its event-time rebase
-	// instead of restarting the synthetic clock from zero.
-	FeedBase stream.Time `json:"feedBase,omitempty"`
-	// Counters carries host-level cumulative counters (tuples in, shed, …).
-	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
 func snapshotName(records uint64) string { return fmt.Sprintf("snap-%016d.json", records) }
