@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/cql"
-	"repro/internal/fleet"
 	"repro/internal/netstream"
 	"repro/internal/obs"
 )
@@ -61,8 +60,8 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// apiHandler builds the /api/ routing table over the app's fleet
-// registry.
+// apiHandler builds the /api/ routing table over the app's query table and
+// fleet sources.
 func (a *app) apiHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/queries", a.handleAPIQueries)
@@ -92,11 +91,10 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
 func (a *app) handleAPIQueries(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		out := make([]status, 0)
-		for _, name := range a.fleet.QueryNames() {
-			if q, ok := a.srv.get(name); ok {
-				out = append(out, q.status())
-			}
+		qs := a.srv.runners(true)
+		out := make([]status, 0, len(qs))
+		for _, q := range qs {
+			out = append(out, q.status())
 		}
 		writeJSON(w, out)
 	case http.MethodPost:
@@ -133,26 +131,15 @@ func (a *app) handleAPIQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		if a.fleet.Query(name) == nil {
-			writeAPIError(w, http.StatusNotFound, fmt.Sprintf("no runtime query %q", name))
-			return
-		}
-		if q, ok := a.srv.get(name); ok {
+		if q, ok := a.srv.get(name); ok && q.statement != "" {
 			writeJSON(w, q.status())
 			return
 		}
 		writeAPIError(w, http.StatusNotFound, fmt.Sprintf("no runtime query %q", name))
 	case http.MethodDelete:
-		// RemoveQuery invokes the stop hook: cancel the pump, flush open
-		// windows, detach from the ring, drop the routing entry.
-		if !a.fleet.RemoveQuery(name) {
+		if !a.dropQuery(name) {
 			writeAPIError(w, http.StatusNotFound, fmt.Sprintf("no runtime query %q", name))
 			return
-		}
-		// Its series go too: their callbacks hold the runner, and the
-		// metric history would keep every one of them for good.
-		if a.srv.reg != nil {
-			a.srv.reg.Forget(obs.L("query", name))
 		}
 		w.WriteHeader(http.StatusNoContent)
 	default:
@@ -197,34 +184,19 @@ func (a *app) handleAPISources(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// admissionError maps fleet admission failures onto HTTP status codes:
-// tenant over quota → 429, name taken → 409, anything else → 400.
-func admissionError(err error) error {
-	var qe *fleet.QuotaError
-	if errors.As(err, &qe) {
-		return &httpError{code: http.StatusTooManyRequests, msg: err.Error()}
-	}
-	var de *fleet.DuplicateError
-	if errors.As(err, &de) {
-		return &httpError{code: http.StatusConflict, msg: err.Error()}
-	}
-	return badRequest("%v", err)
-}
-
-// registerQuery is the full runtime admission pipeline: validate,
-// parse, bind, quota-check, wire a runner exactly like a compiled-in
-// query and place it in its group on the source ring — a fresh group of the
-// same handler, or a new one attached at the frontier, whose loop starts
-// (groupRegistry.place). A failure after placement ends the query again.
+// registerQuery is the full runtime admission pipeline: validate, parse,
+// bind, admit — reserve the name and a quota slot in the query table — then
+// wire a runner exactly like a compiled-in query and place it in its group on
+// the source ring — a fresh group of the same handler, or a new one attached
+// at the frontier, whose loop starts (groupRegistry.place) — and in the
+// table. A registration that fails after its admission ends whatever it
+// built and frees its name.
 func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 	if !netstream.ValidName(req.Name) {
 		return nil, badRequest("invalid query name %q (want [A-Za-z0-9_.-]{1,%d})", req.Name, netstream.MaxNameLen)
 	}
 	if req.Tenant != "" && !netstream.ValidName(req.Tenant) {
 		return nil, badRequest("invalid tenant %q", req.Tenant)
-	}
-	if _, exists := a.srv.get(req.Name); exists {
-		return nil, &httpError{code: http.StatusConflict, msg: fmt.Sprintf("query %q already exists", req.Name)}
 	}
 	stmt, err := cql.Parse(req.CQL)
 	if err != nil {
@@ -237,18 +209,35 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 		}
 		return nil, &httpError{code: code, msg: err.Error()}
 	}
-
-	// Admission precheck before any heavy state exists: building the
-	// runner may open (and recover) a durable log, and a rejected
-	// registration must leave nothing on disk. AddQuery below remains
-	// the authoritative check under concurrent registrations.
-	if err := a.fleet.Admissible(req.Name, req.Tenant); err != nil {
-		return nil, admissionError(err)
+	if stmt.GroupBy && stmt.Quality > 0 {
+		return nil, badRequest("QUALITY is not supported for GROUP BY queries registered at runtime; use a fixed HANDLER")
 	}
-
+	def := runnerDef{
+		name: req.Name, theta: stmt.Quality, spec: stmt.Spec, agg: stmt.Agg,
+		grouped: stmt.GroupBy, statement: req.CQL, tenant: req.Tenant,
+	}
+	if stmt.Quality == 0 { // otherwise: the adaptive controller at QUALITY
+		if def.handler, err = stmt.BuildHandler(); err != nil {
+			return nil, badRequest("%v", err)
+		}
+	}
+	// The name and the slot are held from here on, so nothing below — the
+	// durable log, the ring attachment, the series — is built twice.
+	if err := a.srv.admit(req.Name, req.Tenant); err != nil {
+		return nil, err
+	}
+	if a.srv.reg != nil {
+		// True client-send→emission latency, keyed by source: queries on
+		// the same source share the histogram, so it reads as the wire's
+		// property, not any one query's.
+		def.wireLat = a.srv.reg.Histogram("aq_wire_latency_ms",
+			"Client-send to window-emission latency in milliseconds per network source (wire provenance marks).",
+			obs.LatencyBuckets(), obs.L("source", stmt.Source))
+	}
 	src := a.fleet.Source(stmt.Source)
-	q, err := a.buildRuntimeRunner(req, stmt, src)
+	q, err := a.buildRunner(def, src, nil)
 	if err != nil {
+		a.endQuery(req.Name, nil)
 		return nil, err
 	}
 	// Charge upstream losses to this query from its own baseline: ring laps
@@ -261,50 +250,36 @@ func (a *app) registerQuery(req registerRequest) (*queryRunner, error) {
 	q.upstreamShed = func() int64 { return sub.Shed() + src.RateShed() - rateBase }
 	q.mu.Unlock()
 
-	stop := q.finish // leaves the group (the last member out stops its loop) and closes the log
-	entry := &fleet.Query{
-		Name:      req.Name,
-		Tenant:    req.Tenant,
-		Statement: req.CQL,
-		Stop: func() {
-			stop()
-			a.srv.remove(req.Name)
-		},
+	if !a.srv.place(q) {
+		a.endQuery(req.Name, q)
+		return nil, badRequest("server is draining")
 	}
-	if err := a.fleet.AddQuery(entry); err != nil {
-		stop() // Stop never runs
-		return nil, admissionError(err)
-	}
-
-	a.srv.add(q)
 	q.log.Info("runtime query registered", "tenant", req.Tenant, "source", stmt.Source, "cql", req.CQL)
 	return q, nil
 }
 
-// buildRuntimeRunner maps a parsed statement onto buildRunner: the same
-// runner object and wiring as a compiled-in query, over the network source
-// src.
-func (a *app) buildRuntimeRunner(req registerRequest, stmt cql.Query, src *fleet.Source) (*queryRunner, error) {
-	def := runnerDef{
-		name: req.Name, theta: stmt.Quality, spec: stmt.Spec, agg: stmt.Agg,
-		grouped: stmt.GroupBy, statement: req.CQL, tenant: req.Tenant,
+// dropQuery ends the named runtime query (DELETE /api/queries/{name});
+// false when there is none.
+func (a *app) dropQuery(name string) bool {
+	q := a.srv.take(name)
+	if q == nil {
+		return false
+	}
+	a.endQuery(name, q)
+	return true
+}
+
+// endQuery ends a runtime query the table holds the name of: its runner, if
+// it has one, leaves its group with its windows flushed (the last member out
+// stops the group's loop) and closes its durable log; its series go, since
+// their callbacks hold the runner and the metric history would keep every
+// one of them for good; then the name and its quota slot are freed.
+func (a *app) endQuery(name string, q *queryRunner) {
+	if q != nil {
+		q.finish()
 	}
 	if a.srv.reg != nil {
-		// True client-send→emission latency, keyed by source: queries on
-		// the same source share the histogram, so it reads as the wire's
-		// property, not any one query's.
-		def.wireLat = a.srv.reg.Histogram("aq_wire_latency_ms",
-			"Client-send to window-emission latency in milliseconds per network source (wire provenance marks).",
-			obs.LatencyBuckets(), obs.L("source", stmt.Source))
+		a.srv.reg.Forget(obs.L("query", name))
 	}
-	if stmt.GroupBy && stmt.Quality > 0 {
-		return nil, badRequest("QUALITY is not supported for GROUP BY queries registered at runtime; use a fixed HANDLER")
-	}
-	if stmt.Quality == 0 { // otherwise: the adaptive controller at QUALITY
-		var err error
-		if def.handler, err = stmt.BuildHandler(); err != nil {
-			return nil, badRequest("%v", err)
-		}
-	}
-	return a.buildRunner(def, src, nil)
+	a.srv.release(name)
 }

@@ -4,7 +4,8 @@ package main
 // endpoint must come back as a 4xx — never a 5xx, never a panic. The
 // app is built once with no registered sources, so even a structurally
 // valid registration cannot bind and the whole input space maps to
-// client errors.
+// client errors. Whatever the app started must be gone after its drain,
+// as apiTestApp holds every other app to.
 
 import (
 	"bytes"
@@ -12,6 +13,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/signal"
+	"runtime"
 	"testing"
 )
 
@@ -21,11 +25,22 @@ func FuzzQueryAPI(f *testing.F) {
 		batch: 8,
 		log:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
+	// Under -fuzz the engine's coordinator starts os/signal's watch
+	// goroutine inside f.Fuzz, once per process and for good: start it
+	// first, so that the count before newApp has it and what is left over
+	// after the drain is the app's.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	signal.Stop(sig)
+	base := runtime.NumGoroutine()
 	a, err := newApp(cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
-	defer a.drain()
+	defer func() {
+		a.drain()
+		settleGoroutines(f, base)
+	}()
 	h := a.srv.handler()
 
 	f.Add([]byte(`{"name":"q1","cql":"SELECT sum FROM s WINDOW 2s SLIDE 1s QUALITY 1%"}`))

@@ -17,14 +17,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cq"
 	"repro/internal/cql"
-	"repro/internal/fleet"
 	"repro/internal/gen"
 	"repro/internal/netstream"
 	"repro/internal/obs"
@@ -294,6 +295,9 @@ func TestAPIDropQueryMidStream(t *testing.T) {
 	if _, code := getStatus(t, ts, "drop"); code != http.StatusNotFound {
 		t.Fatalf("GET deleted query = %d, want 404", code)
 	}
+	if resp := doDelete(t, ts, "/api/queries/drop"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("second DELETE = %d, want 404", resp.StatusCode)
+	}
 
 	// The survivor is unaffected by its neighbour's departure.
 	if err := c.Send(context.Background(), items[third:]); err != nil {
@@ -314,7 +318,7 @@ func TestAPIDropQueryMidStream(t *testing.T) {
 // (404), bad CQL and bad names (400).
 func TestAPIQuotaAndValidation(t *testing.T) {
 	durDir := t.TempDir()
-	_, ts := apiTestApp(t, appConfig{quotas: fleet.Quotas{MaxQueriesPerTenant: 1}, durableDir: durDir})
+	_, ts := apiTestApp(t, appConfig{maxQueries: 1, durableDir: durDir})
 	const cqlText = `SELECT sum FROM s1 WINDOW 2s SLIDE 1s QUALITY 1%`
 	registerSourceAndQuery(t, ts, "s1", "q1", cqlText)
 
@@ -360,11 +364,181 @@ func TestAPIQuotaAndValidation(t *testing.T) {
 	}
 }
 
+// TestAPICompiledInNamesAreNotRuntime: the query table holds the
+// compiled-in queries too, so their names are taken (409), but the runtime
+// API neither shows nor ends them (404), and they keep running.
+func TestAPICompiledInNamesAreNotRuntime(t *testing.T) {
+	a, ts := apiTestApp(t, appConfig{batch: 8})
+	a.fleet.Source("s1")
+	const name = "temp-avg-10s"
+	if _, code := getStatus(t, ts, name); code != http.StatusNotFound {
+		t.Errorf("GET /api/queries/%s = %d, want 404", name, code)
+	}
+	if resp := doDelete(t, ts, "/api/queries/"+name); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("DELETE /api/queries/%s = %d, want 404", name, resp.StatusCode)
+	}
+	if resp, body := postJSON(t, ts, "/api/queries", registerRequest{Name: name,
+		CQL: `SELECT sum FROM s1 WINDOW 2s SLIDE 1s HANDLER none`}); resp.StatusCode != http.StatusConflict {
+		t.Errorf("POST of compiled-in name %s = %d %s, want 409", name, resp.StatusCode, body)
+	}
+	if q, ok := a.srv.get(name); !ok || q.healthState() != healthFeeding {
+		t.Errorf("compiled-in %s gone or ended by the runtime API", name)
+	}
+}
+
+// postConcurrently POSTs every request to /api/queries at once and returns
+// the status codes, index-aligned with reqs.
+func postConcurrently(t *testing.T, ts *httptest.Server, reqs []registerRequest) []int {
+	t.Helper()
+	codes := make([]int, len(reqs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := ts.Client().Post(ts.URL+"/api/queries", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}()
+	}
+	close(start)
+	wg.Wait()
+	return codes
+}
+
+// countCodes reports how many of codes are want.
+func countCodes(codes []int, want int) int {
+	n := 0
+	for _, c := range codes {
+		if c == want {
+			n++
+		}
+	}
+	return n
+}
+
+// TestAPIConcurrentSameName: registrations of one name racing each other are
+// admitted once, and the others are 409s that built nothing. When the name
+// was checked in one place and recorded in another, every racer built a
+// runner: a loser's series callbacks replaced the winner's (the live query
+// read health "done" on /metrics), and under -durable-dir a loser opened the
+// winner's durable directory a second time and failed with a 400.
+func TestAPIConcurrentSameName(t *testing.T) {
+	a, ts := apiTestApp(t, appConfig{obs: true, durableDir: t.TempDir(), batch: 8})
+	a.fleet.Source("s1")
+	reqs := make([]registerRequest, 8)
+	for i := range reqs {
+		reqs[i] = registerRequest{Name: "dup", Tenant: "t1", CQL: `SELECT sum FROM s1 WINDOW 2s SLIDE 1s QUALITY 1%`}
+	}
+	codes := postConcurrently(t, ts, reqs)
+	if countCodes(codes, http.StatusCreated) != 1 || countCodes(codes, http.StatusConflict) != len(reqs)-1 {
+		t.Fatalf("status codes %v, want one 201 and %d 409s", codes, len(reqs)-1)
+	}
+	text := scrapeMetrics(t, ts)
+	if v := metricValue(t, text, `aq_query_health\{query="dup",state="feeding"\} ([0-9.e+]+)`); v != 1 {
+		t.Errorf(`aq_query_health{query="dup",state="feeding"} = %v, want 1 for the live query`, v)
+	}
+}
+
+// TestAPIQuotaRaceLeavesNothing: of registrations racing for a tenant's one
+// quota slot, the 429s leave nothing behind — no series on /metrics, no
+// rollup or series in /api/stats, no durable directory. A registration that
+// lost the quota only after it had built its runner used to leave all three.
+func TestAPIQuotaRaceLeavesNothing(t *testing.T) {
+	durDir := t.TempDir()
+	a, ts := apiTestApp(t, appConfig{obs: true, durableDir: durDir, batch: 8, maxQueries: 1, statsStep: time.Hour})
+	a.fleet.Source("s1")
+	reqs := make([]registerRequest, 8)
+	for i := range reqs {
+		reqs[i] = registerRequest{Name: "r" + strconv.Itoa(i), Tenant: "t1", CQL: `SELECT sum FROM s1 WINDOW 2s SLIDE 1s QUALITY 1%`}
+	}
+	codes := postConcurrently(t, ts, reqs)
+	if countCodes(codes, http.StatusCreated) != 1 || countCodes(codes, http.StatusTooManyRequests) != len(reqs)-1 {
+		t.Fatalf("status codes %v, want one 201 and %d 429s", codes, len(reqs)-1)
+	}
+	a.srv.history.Sample()
+	text := scrapeMetrics(t, ts)
+	sr, _ := getStats(t, ts, "")
+	for i, req := range reqs {
+		_, err := os.Stat(filepath.Join(durDir, req.Name))
+		if codes[i] == http.StatusCreated {
+			if err != nil || !strings.Contains(text, `query="`+req.Name+`"`) {
+				t.Errorf("admitted %s: durable state %v, on /metrics %t", req.Name, err, strings.Contains(text, `query="`+req.Name+`"`))
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("rejected %s left a durable directory", req.Name)
+		}
+		if strings.Contains(text, `query="`+req.Name+`"`) {
+			t.Errorf("rejected %s left series on /metrics", req.Name)
+		}
+		if _, ok := sr.Queries[req.Name]; ok {
+			t.Errorf("rejected %s has an /api/stats rollup", req.Name)
+		}
+		for _, s := range sr.Series {
+			if s.Labels["query"] == req.Name {
+				t.Errorf("rejected %s left %s in /api/stats", req.Name, s.Name)
+			}
+		}
+	}
+	if tr := sr.Tenants["t1"]; tr.Queries != 1 || tr.FleetQueries != 1 {
+		t.Errorf("tenant t1 rollup %+v, want one query holding one slot", tr)
+	}
+}
+
+// TestAPIRegistrationRacingDrain: a registration racing the drain is either
+// ended by it or finds the server draining and ends itself. None leaves a
+// runner reading its source or a name in the query table.
+func TestAPIRegistrationRacingDrain(t *testing.T) {
+	a, _ := apiTestApp(t, appConfig{batch: 8})
+	src := a.fleet.Source("s1")
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	placed := make([]*queryRunner, 8)
+	for i := range placed {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			placed[i], _ = a.registerQuery(registerRequest{Name: "r" + strconv.Itoa(i),
+				CQL: `SELECT sum FROM s1 WINDOW 2s SLIDE 1s HANDLER kslack(300ms)`})
+		}()
+	}
+	close(start)
+	a.drain()
+	wg.Wait()
+	for i, q := range placed {
+		if q != nil && q.healthState() != healthDone {
+			t.Errorf("r%d: admitted and still %s after the drain", i, q.healthState())
+		}
+	}
+	if n := src.Subscribers(); n != 0 {
+		t.Errorf("%d subscriptions left on the source after the drain", n)
+	}
+	a.srv.mu.RLock()
+	defer a.srv.mu.RUnlock()
+	if len(a.srv.queries) != len(a.runners) {
+		t.Errorf("the query table holds %d names after the drain, want the %d compiled-in ones", len(a.srv.queries), len(a.runners))
+	}
+}
+
 // TestAPIIngestQuotaShedsIntoQueryAccounting drives a source past its
 // rate quota and checks the dropped tuples are charged to the attached
 // query's shed count (the AggReport.Shed semantics of the issue).
 func TestAPIIngestQuotaShedsIntoQueryAccounting(t *testing.T) {
-	a, ts := apiTestApp(t, appConfig{quotas: fleet.Quotas{MaxIngestPerSec: 1000}})
+	a, ts := apiTestApp(t, appConfig{maxIngest: 1000})
 	registerSourceAndQuery(t, ts, "s1", "q1",
 		`SELECT sum FROM s1 WINDOW 2s SLIDE 1s HANDLER none`)
 

@@ -322,7 +322,7 @@ func TestAPIGroupGoroutines(t *testing.T) {
 		t.Fatalf("%d queries behind one handler added %d goroutines, want 1 (one pump)", len(names), n)
 	}
 	for _, name := range names {
-		if !a.fleet.RemoveQuery(name) {
+		if !a.dropQuery(name) {
 			t.Fatalf("%s not registered", name)
 		}
 	}
@@ -390,7 +390,7 @@ func TestAPIGroupsUnderConcurrentRegistration(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			q, _ := a.srv.get(name)
-			if !a.fleet.RemoveQuery(name) {
+			if !a.dropQuery(name) {
 				t.Errorf("%s not registered", name)
 			}
 			if q.healthState() != healthDone {
@@ -407,7 +407,7 @@ func TestAPIGroupsUnderConcurrentRegistration(t *testing.T) {
 }
 
 // settleGoroutines waits for the goroutine count to come back down to base.
-func settleGoroutines(t *testing.T, base int) {
+func settleGoroutines(t testing.TB, base int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base {

@@ -126,11 +126,13 @@ type appConfig struct {
 
 	// Network control plane: listen is the TCP line-protocol ingest
 	// address (-listen, empty = off), apiOn mounts /api/ for runtime
-	// query management (-api), quotas bounds per-tenant consumption.
-	// Either one brings up the fleet registry.
-	listen string
-	apiOn  bool
-	quotas fleet.Quotas
+	// query management (-api), maxQueries and maxIngest are the
+	// -max-queries-per-tenant and -max-ingest-per-sec quotas. Either of
+	// the first two brings up the fleet registry.
+	listen     string
+	apiOn      bool
+	maxQueries int
+	maxIngest  int
 }
 
 // app ties the HTTP state, the query runners and their feed loops
@@ -150,7 +152,7 @@ type app struct {
 	groups groupRegistry
 
 	// Network control plane (nil without -listen/-api): the fleet
-	// registry owns named sources and runtime query entries; netl is the
+	// registry owns the named sources runtime queries read; netl is the
 	// TCP ingest listener feeding it.
 	fleet *fleet.Registry
 	netl  *netstream.Listener
@@ -161,6 +163,7 @@ func newApp(cfg appConfig) (*app, error) {
 		cfg.log = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	a := &app{cfg: cfg, srv: newServer(), log: cfg.log}
+	a.srv.maxQueries = cfg.maxQueries
 	if cfg.obs {
 		a.srv.reg = obs.NewRegistry()
 		obs.RegisterRuntimeMetrics(a.srv.reg)
@@ -170,8 +173,7 @@ func newApp(cfg appConfig) (*app, error) {
 		a.srv.history.Start() // drain stops it
 	}
 	if cfg.listen != "" || cfg.apiOn {
-		a.fleet = fleet.NewRegistry(fleet.Options{Quotas: cfg.quotas, Metrics: a.srv.reg})
-		a.srv.fleetTenants = a.fleet.Tenants
+		a.fleet = fleet.NewRegistry(fleet.Options{MaxIngestPerSec: cfg.maxIngest, Metrics: a.srv.reg})
 	}
 	if cfg.apiOn {
 		a.srv.api = a.apiHandler()
@@ -326,7 +328,8 @@ func (a *app) drain() {
 	}
 	// Network side first: stop accepting and close ingest connections,
 	// then close every source ring (runtime queries drain to a clean end
-	// of stream) and stop the runtime query entries.
+	// of stream) and end every runtime query; a registration still being
+	// built ends itself when it finds the server draining.
 	if a.netl != nil {
 		if err := a.netl.Close(); err != nil {
 			a.log.Error("closing ingest listener", "err", err)
@@ -334,6 +337,9 @@ func (a *app) drain() {
 	}
 	if a.fleet != nil {
 		a.fleet.Close()
+	}
+	for _, q := range a.srv.runners(true) {
+		a.dropQuery(q.name)
 	}
 	a.wg.Wait()
 	for _, q := range a.runners {
@@ -384,7 +390,7 @@ func main() {
 		traceBuf: *traceBuf, traceDump: *traceDump, log: logger,
 		durableDir: *durableDir, snapshotEvery: *snapshotInterval,
 		listen: *listen, apiOn: *apiOn,
-		quotas:    fleet.Quotas{MaxQueriesPerTenant: *maxQueries, MaxIngestPerSec: *maxIngest},
+		maxQueries: *maxQueries, maxIngest: *maxIngest,
 		statsStep: *statsStep, statsRetention: *statsRetention, sloBudget: *sloBudget}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

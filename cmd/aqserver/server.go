@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -375,12 +374,16 @@ func (q *queryRunner) trace() []core.KSample {
 	return out
 }
 
-// server exposes a set of query runners over HTTP.
+// server exposes the query table over HTTP.
 type server struct {
-	mu       sync.RWMutex
-	queries  map[string]*queryRunner
-	draining atomic.Bool
-	reg      *obs.Registry // non-nil with -obs: serves /metrics and pprof
+	// mu guards queries, the one record of every query, compiled in or
+	// registered at runtime (api.go). maxQueries caps the runtime queries
+	// one tenant holds (-max-queries-per-tenant); 0 means unlimited.
+	mu         sync.RWMutex
+	queries    map[string]*tableEntry
+	maxQueries int
+	draining   atomic.Bool
+	reg        *obs.Registry // non-nil with -obs: serves /metrics and pprof
 	// api is the runtime query-management handler (api.go); nil without
 	// -api.
 	api http.Handler
@@ -390,47 +393,112 @@ type server struct {
 	// sloBudget is the error-budget fraction the burn-rate evaluation
 	// divides by (-slo-budget flag); <= 0 disables burn-rate readouts.
 	sloBudget float64
-	// fleetTenants reports live runtime-query counts per tenant from the
-	// fleet registry (fleet.Registry.Tenants); nil without -listen/-api.
-	fleetTenants func() map[string]int
+}
+
+// tableEntry is one name in the query table. A compiled-in query's entry
+// holds its runner for good. A runtime registration's holds the name and one
+// of its tenant's quota slots from admission until its runner has ended; run
+// is nil, and no reader sees the name, while the runner is built or ended.
+type tableEntry struct {
+	run     *queryRunner
+	tenant  string
+	runtime bool
 }
 
 func newServer() *server {
-	return &server{queries: make(map[string]*queryRunner)}
+	return &server{queries: make(map[string]*tableEntry)}
 }
 
+// add records a compiled-in query.
 func (s *server) add(q *queryRunner) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.queries[q.name] = q
+	s.queries[q.name] = &tableEntry{run: q}
 }
 
-// remove drops a runtime-deregistered query from the routing table. The
-// runner object stays valid for anyone still holding it; only lookup
-// stops resolving.
-func (s *server) remove(name string) {
+// admit reserves name and a slot of tenant's quota for a runtime
+// registration, in one check under the table's lock: of racing registrations
+// exactly one wins a name or a tenant's last slot. It fails with 409 when the
+// name is taken, by a query or a registration in flight, with 429 when the
+// tenant holds maxQueries, and with 400 once the server drains.
+func (s *server) admit(name, tenant string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return badRequest("server is draining")
+	}
+	if _, ok := s.queries[name]; ok {
+		return &httpError{code: http.StatusConflict, msg: fmt.Sprintf("query %q already exists", name)}
+	}
+	held := 0
+	for _, e := range s.queries {
+		if e.runtime && e.tenant == tenant {
+			held++
+		}
+	}
+	if s.maxQueries > 0 && held >= s.maxQueries {
+		return &httpError{code: http.StatusTooManyRequests, msg: fmt.Sprintf("tenant %q at query quota (%d)", tenant, s.maxQueries)}
+	}
+	s.queries[name] = &tableEntry{tenant: tenant, runtime: true}
+	return nil
+}
+
+// place shows an admitted registration's runner to readers. It reports false,
+// the name still reserved, once the server drains: drain ends the runners it
+// sees, so the caller ends this one.
+func (s *server) place(q *queryRunner) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.queries[q.name].run = q
+	return true
+}
+
+// release frees a reserved name and its quota slot.
+func (s *server) release(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.queries, name)
 }
 
+// take hides the named runtime query from readers and returns its runner, the
+// name still reserved until release; nil when there is no such query.
+func (s *server) take(name string) *queryRunner {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.queries[name]
+	if e == nil || !e.runtime || e.run == nil {
+		return nil
+	}
+	q := e.run
+	e.run = nil
+	return q
+}
+
 func (s *server) get(name string) (*queryRunner, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	q, ok := s.queries[name]
-	return q, ok
+	if e := s.queries[name]; e != nil && e.run != nil {
+		return e.run, true
+	}
+	return nil, false
 }
 
-// sortedNames returns the query names in stable order.
-func (s *server) sortedNames() []string {
+// runners returns the visible queries sorted by name, or only the runtime
+// ones.
+func (s *server) runners(runtimeOnly bool) []*queryRunner {
 	s.mu.RLock()
-	names := make([]string, 0, len(s.queries))
-	for n := range s.queries {
-		names = append(names, n)
+	out := make([]*queryRunner, 0, len(s.queries))
+	for _, e := range s.queries {
+		if e.run != nil && (e.runtime || !runtimeOnly) {
+			out = append(out, e.run)
+		}
 	}
 	s.mu.RUnlock()
-	sort.Strings(names)
-	return names
+	slices.SortFunc(out, func(a, b *queryRunner) int { return strings.Compare(a.name, b.name) })
+	return out
 }
 
 // readiness is the JSON shape of /readyz.
@@ -462,11 +530,8 @@ func (s *server) readiness() readiness {
 	if r.Draining {
 		r.Ready = false
 	}
-	for _, n := range s.sortedNames() {
-		q, ok := s.get(n)
-		if !ok {
-			continue
-		}
+	for _, q := range s.runners(false) {
+		n := q.name
 		h := q.healthState()
 		r.Queries[n] = h
 		if h == healthStalled {
@@ -514,12 +579,10 @@ func (s *server) handler() http.Handler {
 		writeJSON(w, rd)
 	})
 	mux.HandleFunc("/queries", func(w http.ResponseWriter, r *http.Request) {
-		names := s.sortedNames()
-		out := make([]status, 0, len(names))
-		for _, n := range names {
-			if q, ok := s.get(n); ok {
-				out = append(out, q.status())
-			}
+		qs := s.runners(false)
+		out := make([]status, 0, len(qs))
+		for _, q := range qs {
+			out = append(out, q.status())
 		}
 		writeJSON(w, out)
 	})

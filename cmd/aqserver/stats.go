@@ -3,7 +3,7 @@ package main
 // The fleet observability plane: windowed metric history over
 // obs.History (/api/stats), SLO burn-rate gauges, and the HTTP
 // control-plane instruments. Everything here is read-side — it never
-// touches operator state, only runner statuses and the registry.
+// touches operator state, only runner statuses and the query table.
 
 import (
 	"net/http"
@@ -100,9 +100,10 @@ type tenantRollup struct {
 	TuplesIn int64 `json:"tuplesIn"`
 	Windows  int64 `json:"windowsEmitted"`
 	Shed     int64 `json:"shedTuples"`
-	// FleetQueries is the fleet registry's live runtime-query count for
-	// the tenant — the admission-quota view, which can disagree with
-	// Queries briefly during register/deregister races.
+	// FleetQueries counts the tenant's runtime queries among Queries: those
+	// holding a -max-queries-per-tenant slot. A tenantless runtime query's
+	// slot counts under "default", beside the compiled-in queries, which
+	// hold none.
 	FleetQueries int `json:"fleetQueries,omitempty"`
 }
 
@@ -164,12 +165,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if resp.Series == nil {
 		resp.Series = []obs.SeriesHistory{}
 	}
-	for _, n := range s.sortedNames() {
-		qr, ok := s.get(n)
-		if !ok {
-			continue
-		}
-		st := qr.status()
+	for _, qr := range s.runners(false) {
+		n, st := qr.name, qr.status()
 		tenant := st.Tenant
 		if tenant == "" {
 			tenant = "default"
@@ -199,17 +196,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		t.TuplesIn += st.TuplesIn
 		t.Windows += st.Windows
 		t.Shed += st.Shed
-		resp.Tenants[tenant] = t
-	}
-	if s.fleetTenants != nil {
-		for tenant, n := range s.fleetTenants() {
-			if tenantFilter != "" && tenant != tenantFilter {
-				continue
-			}
-			t := resp.Tenants[tenant]
-			t.FleetQueries = n
-			resp.Tenants[tenant] = t
+		if st.Statement != "" {
+			t.FleetQueries++
 		}
+		resp.Tenants[tenant] = t
 	}
 	writeJSON(w, resp)
 }

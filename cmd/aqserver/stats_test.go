@@ -61,6 +61,11 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
 func TestStatsEndpoint(t *testing.T) {
 	a, ts := apiTestApp(t, appConfig{obs: true, statsStep: 5 * time.Millisecond, sloBudget: 0.01})
 	registerSourceAndQuery(t, ts, "sensors", "net-stats", statsCQL)
+	// A tenantless runtime query rolls up under "default", with the
+	// compiled-in queries: its tuples and its quota slot both.
+	if resp, body := postJSON(t, ts, "/api/queries", registerRequest{Name: "net-anon", CQL: statsCQL}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register tenantless query: %d %s", resp.StatusCode, body)
+	}
 
 	items := sensorItems(3000, 7)
 	c := &netstream.Client{Addr: a.netl.Addr().String(), Source: "sensors", Tenant: "t1"}
@@ -69,6 +74,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTuples(t, ts, "net-stats", int64(len(items)))
+	waitTuples(t, ts, "net-anon", int64(len(items)))
 
 	// The background sampler needs a couple of ticks past the ingest.
 	deadline := time.Now().Add(10 * time.Second)
@@ -109,6 +115,11 @@ func TestStatsEndpoint(t *testing.T) {
 	tr, ok := sr.Tenants["t1"]
 	if !ok || tr.Queries != 1 || tr.TuplesIn != int64(len(items)) || tr.FleetQueries != 1 {
 		t.Fatalf("tenant rollup wrong: %+v (ok=%v)", tr, ok)
+	}
+	all, _ := getStats(t, ts, "")
+	dflt, ok := all.Tenants["default"]
+	if _, split := all.Tenants[""]; !ok || split || dflt.Queries != len(a.runners)+1 || dflt.TuplesIn != int64(len(items)) || dflt.FleetQueries != 1 {
+		t.Fatalf("default tenant rollup wrong: %+v (ok=%v); tenants %+v", dflt, ok, all.Tenants)
 	}
 
 	// Downsampling: a coarse step returns at most one point per bucket.

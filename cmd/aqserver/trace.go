@@ -57,8 +57,12 @@ func installDumpSink(tr *tracez.Tracer, dir string, logger *slog.Logger) {
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("query")
 	if name == "" {
+		var names []string
+		for _, q := range s.runners(false) {
+			names = append(names, q.name)
+		}
 		http.Error(w, fmt.Sprintf("missing ?query=; available: %s",
-			strings.Join(s.sortedNames(), ", ")), http.StatusBadRequest)
+			strings.Join(names, ", ")), http.StatusBadRequest)
 		return
 	}
 	q, ok := s.get(name)

@@ -1309,6 +1309,63 @@ func TestOneBufferTrace(t *testing.T) {
 	}
 }
 
+// TestOneQueryTable keeps one record of a query: the server's query table
+// (cmd/aqserver's server.queries). aqserver used to record each runtime query
+// twice, in fleet.Registry (name, tenant quota slot, stop hook) and in its
+// own table (the runner), and the two diverged: racing registrations of one
+// name both passed the first check, so a loser's series replaced the live
+// query's, and a registration that lost the tenant's last slot after
+// building its runner kept its series exported. Now the table admits, lists
+// and ends every query under one lock, and internal/fleet keeps only sources.
+// So: no exported declaration of non-test internal/fleet — type, func,
+// method, const, var or struct field — has Query or Tenant in its name.
+func TestOneQueryTable(t *testing.T) {
+	const dir = "internal/fleet/"
+	var bad []string
+	checked := 0
+	eachGoFile(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if !strings.HasPrefix(path, dir) || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		check := func(id *ast.Ident) {
+			checked++
+			if id.IsExported() && (strings.Contains(id.Name, "Query") || strings.Contains(id.Name, "Tenant")) {
+				bad = append(bad, fmt.Sprintf("%s %s", fset.Position(id.Pos()), id.Name))
+			}
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				check(d.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						check(sp.Name)
+						if st, ok := sp.Type.(*ast.StructType); ok {
+							for _, field := range st.Fields.List {
+								for _, id := range field.Names {
+									check(id)
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							check(id)
+						}
+					}
+				}
+			}
+		}
+	})
+	if checked < 10 {
+		t.Fatalf("extraction rotted: %d names checked under %s", checked, dir)
+	}
+	for _, line := range bad {
+		t.Errorf("%s: internal/fleet keeps sources only; a query's name, tenant and quota slot are the server's query table's", line)
+	}
+}
+
 // keys lists a map's keys, sorted.
 func keys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
@@ -1457,7 +1514,7 @@ var settingStructs = map[string][]string{
 	"repro/internal/cq":         {"SharedOpts"},
 	"repro/internal/durable":    {"Options"},
 	"repro/internal/fanout":     {"Options"},
-	"repro/internal/fleet":      {"Options", "Quotas"},
+	"repro/internal/fleet":      {"Options"},
 	"repro/internal/metrics":    {"CompareOpts"},
 	"repro/internal/obs":        {"HistoryOptions"},
 	"repro/internal/resilience": {"Retry"},

@@ -1,25 +1,27 @@
-// Package fleet is the runtime control plane's bookkeeping core: a
-// registry of named ingest sources and the continuous queries attached
-// to them. It is the glue between the network edge (internal/netstream
+// Package fleet holds the runtime control plane's ingest sources: a
+// registry of named sources, each a broadcast ring that runtime queries
+// read. It is the glue between the network edge (internal/netstream
 // delivers decoded item batches here) and the fan-out substrate
-// (internal/fanout broadcasts each source's stream to its queries):
+// (internal/fanout broadcasts each source's stream to its readers). The
+// queries themselves — their names, tenants and quota slots — are recorded
+// by their server (cmd/aqserver), not here.
 //
 //   - Every named source owns one broadcast ring. TCP connections for
 //     that source all publish into the same ring, serialized by the
 //     source (the ring is single-producer), so N queries over one
-//     source pay one ingest path — the PR 8 fan-out economics extended
-//     to network ingest.
-//   - Queries attach to a source at runtime via fanout.SubscribeLate:
+//     source pay one ingest path — the in-process fan-out economics
+//     extended to network ingest.
+//   - Readers attach to a source at runtime via fanout.SubscribeLate:
 //     they see the stream from the moment of attachment with a zero
 //     shed baseline, and always under the ShedOldest policy — a
 //     runtime query must never backpressure the shared ingest path of
 //     its neighbours (quality degrades before the fleet stalls, the
 //     paper's central trade made multi-tenant).
-//   - Per-tenant quotas bound the blast radius of any one tenant: a
-//     cap on registered queries (admission control, HTTP 429) and a
-//     token-bucket cap on ingest rate (over-rate data tuples are shed
-//     at the door and charged to the source's RateShed counter, which
-//     the engine folds into AggReport.Shed exactly like ring laps).
+//   - A token-bucket cap on each source's ingest rate
+//     (Options.MaxIngestPerSec) bounds what one producer can push:
+//     over-rate data tuples are shed at the door and charged to the
+//     source's RateShed counter, which the engine folds into
+//     AggReport.Shed exactly like ring laps.
 //
 // A Source implements netstream.Sink, so a netstream.Listener feeds it
 // directly once Registry.Open has resolved a connection's hello; the
@@ -43,25 +45,16 @@ import (
 	"repro/internal/stream"
 )
 
-// Quotas bounds what one tenant may consume. Zero values mean
-// unlimited.
-type Quotas struct {
-	// MaxQueriesPerTenant caps concurrently registered queries per
-	// tenant.
-	MaxQueriesPerTenant int
-	// MaxIngestPerSec caps data tuples per second per source (token
-	// bucket, burst of one second). Heartbeats always pass — progress
-	// signals must survive overload or watermarks stall and quality
-	// collapses for reasons the quality model cannot see.
-	MaxIngestPerSec int
-}
-
 // sourceRing is the per-source broadcast ring size in batches.
 const sourceRing = 256
 
 // Options configures a Registry.
 type Options struct {
-	Quotas Quotas
+	// MaxIngestPerSec caps data tuples per second per source (token
+	// bucket, burst of one second); 0 means unlimited. Heartbeats always
+	// pass — progress signals must survive overload or watermarks stall
+	// and quality collapses for reasons the quality model cannot see.
+	MaxIngestPerSec int
 	// Clock drives the rate limiter; nil means WallClock. The
 	// deterministic tests inject a fake.
 	Clock resilience.Clock
@@ -71,14 +64,12 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Registry tracks sources and queries. Safe for concurrent use.
+// Registry tracks sources. Safe for concurrent use.
 type Registry struct {
 	opts Options
 
 	mu      sync.Mutex
 	sources map[string]*Source
-	queries map[string]*Query
-	byTen   map[string]int // live query count per tenant
 	closed  bool
 }
 
@@ -90,8 +81,6 @@ func NewRegistry(opts Options) *Registry {
 	return &Registry{
 		opts:    opts,
 		sources: make(map[string]*Source),
-		queries: make(map[string]*Query),
-		byTen:   make(map[string]int),
 	}
 }
 
@@ -107,7 +96,7 @@ func (r *Registry) sourceLocked(name string) *Source {
 	if !ok {
 		s = &Source{
 			ring:  fanout.New(fanout.Options{Ring: sourceRing, BatchCap: netstream.ConnBatch}),
-			rate:  r.opts.Quotas.MaxIngestPerSec,
+			rate:  r.opts.MaxIngestPerSec,
 			clock: r.opts.Clock,
 		}
 		s.lastRefill = r.opts.Clock.Now()
@@ -172,110 +161,8 @@ func (r *Registry) Publish(source, tenant string, items []stream.Item, prov stre
 	return s.PublishProv(items, prov)
 }
 
-// Query is one registered runtime query's control-plane entry. The
-// engine half (runner goroutine, metrics, durability) lives in
-// cmd/aqserver; the registry only tracks identity and the stop hook.
-type Query struct {
-	Name      string
-	Tenant    string
-	Statement string
-	// Stop tears the runner down (cancel pump, finish, unsubscribe).
-	// Called exactly once, by Registry.RemoveQuery or Registry.Close.
-	Stop func()
-}
-
-// AddQuery admits a query under the per-tenant quota. It returns
-// ErrQuotaExceeded when the tenant is at its cap and ErrDuplicate when
-// the name is taken.
-func (r *Registry) AddQuery(q *Query) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return fmt.Errorf("fleet: registry closed")
-	}
-	if _, ok := r.queries[q.Name]; ok {
-		return &DuplicateError{Name: q.Name}
-	}
-	if max := r.opts.Quotas.MaxQueriesPerTenant; max > 0 && r.byTen[q.Tenant] >= max {
-		return &QuotaError{Tenant: q.Tenant, Limit: max}
-	}
-	r.queries[q.Name] = q
-	r.byTen[q.Tenant]++
-	return nil
-}
-
-// Admissible reports whether AddQuery for (name, tenant) would pass the
-// duplicate and quota checks right now, without reserving anything. It
-// lets callers skip building expensive per-query state (durable-log
-// recovery, ring attachment) for registrations that would be rejected;
-// AddQuery remains the authoritative check under races.
-func (r *Registry) Admissible(name, tenant string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return fmt.Errorf("fleet: registry closed")
-	}
-	if _, ok := r.queries[name]; ok {
-		return &DuplicateError{Name: name}
-	}
-	if max := r.opts.Quotas.MaxQueriesPerTenant; max > 0 && r.byTen[tenant] >= max {
-		return &QuotaError{Tenant: tenant, Limit: max}
-	}
-	return nil
-}
-
-// Query returns the named query entry, or nil.
-func (r *Registry) Query(name string) *Query {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.queries[name]
-}
-
-// QueryNames lists registered queries, sorted.
-func (r *Registry) QueryNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.queries))
-	for n := range r.queries {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Tenants returns the live query count per tenant (the control plane's
-// per-tenant rollup input). The empty tenant appears under "".
-func (r *Registry) Tenants() map[string]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int, len(r.byTen))
-	for t, n := range r.byTen {
-		out[t] = n
-	}
-	return out
-}
-
-// RemoveQuery stops and deregisters the named query. It reports
-// whether the query existed.
-func (r *Registry) RemoveQuery(name string) bool {
-	r.mu.Lock()
-	q, ok := r.queries[name]
-	if ok {
-		delete(r.queries, name)
-		if r.byTen[q.Tenant]--; r.byTen[q.Tenant] == 0 {
-			delete(r.byTen, q.Tenant)
-		}
-	}
-	r.mu.Unlock()
-	if ok && q.Stop != nil {
-		q.Stop()
-	}
-	return ok
-}
-
-// Close stops every query and closes every source ring (consumers see
-// a clean end of stream). The registry rejects publishes and
-// admissions afterwards.
+// Close closes every source ring: the queries reading them see a clean
+// end of stream. The registry opens and publishes nothing afterwards.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -283,12 +170,6 @@ func (r *Registry) Close() {
 		return
 	}
 	r.closed = true
-	qs := make([]*Query, 0, len(r.queries))
-	for _, q := range r.queries {
-		qs = append(qs, q)
-	}
-	r.queries = make(map[string]*Query)
-	r.byTen = make(map[string]int)
 	srcs := make([]*Source, 0, len(r.sources))
 	for _, s := range r.sources {
 		srcs = append(srcs, s)
@@ -297,28 +178,6 @@ func (r *Registry) Close() {
 	for _, s := range srcs {
 		s.close()
 	}
-	for _, q := range qs {
-		if q.Stop != nil {
-			q.Stop()
-		}
-	}
-}
-
-// QuotaError reports a tenant at its query cap (HTTP 429 upstairs).
-type QuotaError struct {
-	Tenant string
-	Limit  int
-}
-
-func (e *QuotaError) Error() string {
-	return fmt.Sprintf("fleet: tenant %q at query quota (%d)", e.Tenant, e.Limit)
-}
-
-// DuplicateError reports a query name collision (HTTP 409 upstairs).
-type DuplicateError struct{ Name string }
-
-func (e *DuplicateError) Error() string {
-	return fmt.Sprintf("fleet: query %q already registered", e.Name)
 }
 
 // Source is one named ingest stream: a broadcast ring fed by any

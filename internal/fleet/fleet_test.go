@@ -115,61 +115,9 @@ func TestPublishCreatesSourceAndCopiesBatch(t *testing.T) {
 	}
 }
 
-func TestQueryQuotaPerTenant(t *testing.T) {
-	r := NewRegistry(Options{Quotas: Quotas{MaxQueriesPerTenant: 2}})
-	add := func(name, tenant string) error {
-		return r.AddQuery(&Query{Name: name, Tenant: tenant})
-	}
-	if err := add("q1", "acme"); err != nil {
-		t.Fatal(err)
-	}
-	if err := add("q2", "acme"); err != nil {
-		t.Fatal(err)
-	}
-	err := add("q3", "acme")
-	var qe *QuotaError
-	if !errors.As(err, &qe) || qe.Tenant != "acme" || qe.Limit != 2 {
-		t.Fatalf("third query: err=%v, want QuotaError{acme,2}", err)
-	}
-	// Another tenant is unaffected.
-	if err := add("q3", "other"); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate names collide across tenants.
-	var de *DuplicateError
-	if err := add("q1", "other"); !errors.As(err, &de) {
-		t.Fatalf("duplicate name: err=%v, want DuplicateError", err)
-	}
-	// Removing frees the slot.
-	stopped := false
-	r.Query("q2").Stop = func() { stopped = true }
-	if !r.RemoveQuery("q2") {
-		t.Fatal("RemoveQuery(q2) = false")
-	}
-	if !stopped {
-		t.Fatal("RemoveQuery did not invoke Stop")
-	}
-	if r.RemoveQuery("q2") {
-		t.Fatal("second RemoveQuery(q2) = true")
-	}
-	if err := add("q4", "acme"); err != nil {
-		t.Fatalf("after removal: %v", err)
-	}
-	got := r.QueryNames()
-	want := []string{"q1", "q3", "q4"}
-	if len(got) != len(want) {
-		t.Fatalf("QueryNames() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("QueryNames() = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRateLimiterShedsDataKeepsHeartbeats(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	r := NewRegistry(Options{Quotas: Quotas{MaxIngestPerSec: 100}, Clock: clk})
+	r := NewRegistry(Options{MaxIngestPerSec: 100, Clock: clk})
 	src := r.Source("s1")
 	sub := src.Attach("q1")
 
@@ -203,29 +151,27 @@ func TestRateLimiterShedsDataKeepsHeartbeats(t *testing.T) {
 	}
 }
 
+// TestCloseEndsStreamsAndStopsQueries: Close ends every source's ring, so
+// each query reading one drains what was published and stops at a clean end
+// of stream; nothing opens or publishes afterwards.
 func TestCloseEndsStreamsAndStopsQueries(t *testing.T) {
 	r := NewRegistry(Options{})
-	sub := r.Source("s1").Attach("q1")
-	stopped := 0
-	if err := r.AddQuery(&Query{Name: "q1", Tenant: "t", Stop: func() { stopped++ }}); err != nil {
-		t.Fatal(err)
-	}
+	subs := []*fanout.Sub{r.Source("s1").Attach("q1"), r.Source("s1").Attach("q2"), r.Source("s2").Attach("q3")}
 	if err := r.Publish("s1", "t", dataItems(0, 3), stream.BatchProv{}); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
 	r.Close() // idempotent
-	if stopped != 1 {
-		t.Fatalf("Stop ran %d times, want 1", stopped)
-	}
-	if vals := drainSub(t, sub); len(vals) != 3 {
-		t.Fatalf("consumer saw %d values, want 3 then clean end", len(vals))
+	for i, want := range []int{3, 3, 0} {
+		if vals := drainSub(t, subs[i]); len(vals) != want {
+			t.Fatalf("reader %d saw %d values, want %d then clean end", i, len(vals), want)
+		}
 	}
 	if err := r.Publish("s1", "t", dataItems(0, 1), stream.BatchProv{}); err == nil {
 		t.Fatal("Publish after Close should fail")
 	}
-	if err := r.AddQuery(&Query{Name: "q2", Tenant: "t"}); err == nil {
-		t.Fatal("AddQuery after Close should fail")
+	if _, err := r.Open("s3"); err == nil {
+		t.Fatal("Open after Close should fail")
 	}
 }
 
@@ -260,35 +206,6 @@ func TestConcurrentPublishersOneRing(t *testing.T) {
 	}
 }
 
-func TestAdmissiblePrecheckMatchesAddQuery(t *testing.T) {
-	r := NewRegistry(Options{Quotas: Quotas{MaxQueriesPerTenant: 1}})
-	if err := r.Admissible("q1", "acme"); err != nil {
-		t.Fatalf("empty registry: %v", err)
-	}
-	if err := r.AddQuery(&Query{Name: "q1", Tenant: "acme"}); err != nil {
-		t.Fatal(err)
-	}
-	var de *DuplicateError
-	if err := r.Admissible("q1", "other"); !errors.As(err, &de) {
-		t.Fatalf("duplicate name: got %v, want DuplicateError", err)
-	}
-	var qe *QuotaError
-	if err := r.Admissible("q2", "acme"); !errors.As(err, &qe) {
-		t.Fatalf("tenant at quota: got %v, want QuotaError", err)
-	}
-	if err := r.Admissible("q2", "other"); err != nil {
-		t.Fatalf("other tenant under quota: %v", err)
-	}
-	// Precheck reserves nothing: the slot is still takeable.
-	if err := r.AddQuery(&Query{Name: "q2", Tenant: "other"}); err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	if err := r.Admissible("q3", "other"); err == nil {
-		t.Fatal("closed registry: want error")
-	}
-}
-
 func TestSourceNamesAndName(t *testing.T) {
 	r := NewRegistry(Options{})
 	r.Source("zeta")
@@ -297,51 +214,6 @@ func TestSourceNamesAndName(t *testing.T) {
 	got := r.SourceNames()
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Fatalf("SourceNames = %v, want [alpha zeta]", got)
-	}
-}
-
-func TestTenantsRollup(t *testing.T) {
-	r := NewRegistry(Options{})
-	for _, q := range []*Query{
-		{Name: "a1", Tenant: "acme"},
-		{Name: "a2", Tenant: "acme"},
-		{Name: "b1", Tenant: "beta"},
-		{Name: "c1"}, // empty tenant rolls up under ""
-	} {
-		if err := r.AddQuery(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := r.Tenants()
-	if len(got) != 3 || got["acme"] != 2 || got["beta"] != 1 || got[""] != 1 {
-		t.Fatalf("Tenants = %v", got)
-	}
-	// The map is a copy: mutating it must not corrupt the registry.
-	got["acme"] = 99
-	if r.Tenants()["acme"] != 2 {
-		t.Fatal("Tenants returned a live reference")
-	}
-	// Removal drains the count; the last query of a tenant deletes the
-	// entry entirely.
-	r.RemoveQuery("a1")
-	r.RemoveQuery("b1")
-	got = r.Tenants()
-	if got["acme"] != 1 {
-		t.Fatalf("acme = %d after removal, want 1", got["acme"])
-	}
-	if _, ok := got["beta"]; ok {
-		t.Fatalf("beta lingers after its last query: %v", got)
-	}
-}
-
-func TestAdmissionErrorStrings(t *testing.T) {
-	qe := &QuotaError{Tenant: "acme", Limit: 2}
-	if s := qe.Error(); s != `fleet: tenant "acme" at query quota (2)` {
-		t.Fatalf("QuotaError = %q", s)
-	}
-	de := &DuplicateError{Name: "q1"}
-	if s := de.Error(); s != `fleet: query "q1" already registered` {
-		t.Fatalf("DuplicateError = %q", s)
 	}
 }
 
@@ -355,12 +227,6 @@ func TestPublishOnClosedSourceAndRegistry(t *testing.T) {
 	if err := r.Publish("s1", "t", dataItems(0, 1), stream.BatchProv{}); err == nil {
 		t.Fatal("publish on closed registry must fail")
 	}
-	if err := r.AddQuery(&Query{Name: "late"}); err == nil {
-		t.Fatal("admission on closed registry must fail")
-	}
-	if err := r.Admissible("late", "t"); err == nil {
-		t.Fatal("admissible on closed registry must fail")
-	}
 	// Double-close of both the registry and the source is a no-op.
 	r.Close()
 	s.close()
@@ -368,7 +234,7 @@ func TestPublishOnClosedSourceAndRegistry(t *testing.T) {
 
 func TestPublishEmptyAndFullyShedBatches(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	r := NewRegistry(Options{Quotas: Quotas{MaxIngestPerSec: 1}, Clock: clk})
+	r := NewRegistry(Options{MaxIngestPerSec: 1, Clock: clk})
 	s := r.Source("s1")
 	sub := s.Attach("q")
 
@@ -396,26 +262,10 @@ func TestPublishEmptyAndFullyShedBatches(t *testing.T) {
 	}
 }
 
-func TestRemoveQueryWithoutStopHook(t *testing.T) {
-	r := NewRegistry(Options{})
-	if err := r.AddQuery(&Query{Name: "bare", Tenant: "t"}); err != nil {
-		t.Fatal(err)
-	}
-	if !r.RemoveQuery("bare") {
-		t.Fatal("existing query not removed")
-	}
-	if r.RemoveQuery("bare") {
-		t.Fatal("second removal reported success")
-	}
-	if r.Query("bare") != nil {
-		t.Fatal("query still resolvable")
-	}
-}
-
 func TestSourceMetricsRegistration(t *testing.T) {
 	reg := obs.NewRegistry()
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	r := NewRegistry(Options{Quotas: Quotas{MaxIngestPerSec: 2}, Clock: clk, Metrics: reg})
+	r := NewRegistry(Options{MaxIngestPerSec: 2, Clock: clk, Metrics: reg})
 	s := r.Source("sensors")
 	if err := s.PublishProv(dataItems(0, 4), stream.BatchProv{}); err != nil { // 2 admitted, 2 shed
 		t.Fatal(err)

@@ -85,7 +85,7 @@ func TestWirePathAllocatesNothingPerTuple(t *testing.T) {
 // over-rate tail shed and counted — read back item for item.
 func TestOwnedPublishCompactsInPlace(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	r := NewRegistry(Options{Quotas: Quotas{MaxIngestPerSec: 100}, Clock: clk})
+	r := NewRegistry(Options{MaxIngestPerSec: 100, Clock: clk})
 	src := r.Source("s1")
 	sub := src.Attach("q1")
 
