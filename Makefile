@@ -133,11 +133,11 @@ doccheck:
 bench-smoke:
 	$(GO) test -C bench ./...
 
-# One iteration of each in-process step and loss-curve benchmark: a
-# benchmark that panics or stops compiling fails here, not at the next
-# measurement. -run '^$$' keeps the packages' tests out of it.
+# One iteration of each in-process step, loss-curve and read-plane
+# benchmark: a benchmark that panics or stops compiling fails here, not at
+# the next measurement. -run '^$$' keeps the packages' tests out of it.
 bench-inproc-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecStep|BenchmarkLossCurve' -benchtime 1x ./internal/core ./internal/cq
+	$(GO) test -run '^$$' -bench 'BenchmarkExecStep|BenchmarkLossCurve|BenchmarkReadPlane' -benchtime 1x ./internal/core ./internal/cq ./cmd/aqserver
 
 # In-process benchmarks (bench_test.go, bench_fanout_test.go,
 # bench_history_test.go) have no target of their own: run them with

@@ -660,6 +660,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, body)
+}
+
+// writeBody answers with body, a whole JSON value, and a newline.
+func writeBody(w http.ResponseWriter, body []byte) {
 	body = append(body, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))

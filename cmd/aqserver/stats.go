@@ -6,9 +6,15 @@ package main
 // touches operator state, only runner statuses and the query table.
 
 import (
+	"errors"
+	"maps"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -67,17 +73,6 @@ func (s *server) burnRates(query string) (fast, slow float64, ok bool) {
 	return fast, slow, true
 }
 
-// statsResponse is the JSON shape of /api/stats: the selected series
-// histories plus per-query and per-tenant rollups of the live runners.
-type statsResponse struct {
-	NowMS       int64                   `json:"nowMs"`
-	StepMS      int64                   `json:"stepMs"`
-	RetentionMS int64                   `json:"retentionMs"`
-	Series      []obs.SeriesHistory     `json:"series"`
-	Queries     map[string]queryRollup  `json:"queries"`
-	Tenants     map[string]tenantRollup `json:"tenants"`
-}
-
 // queryRollup is the live per-query summary the console renders next to
 // the series sparklines.
 type queryRollup struct {
@@ -117,64 +112,78 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	params := r.URL.Query()
-	var hq obs.HistoryQuery
+	req, err := s.parseStats(r.URL.Query(), time.Now())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	bp := statsBufs.Get().(*[]byte)
+	defer statsBufs.Put(bp)
+	*bp, err = s.appendStats((*bp)[:0], req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeBody(w, *bp)
+}
+
+// statsBufs holds the buffers /api/stats responses are appended into.
+var statsBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// statsRequest is a parsed /api/stats request.
+type statsRequest struct {
+	now           time.Time
+	hq            obs.HistoryQuery
+	query, tenant string // the query and tenant filters; empty = all
+}
+
+// parseStats reads the request parameters, taking the window back from now.
+func (s *server) parseStats(params url.Values, now time.Time) (statsRequest, error) {
+	req := statsRequest{now: now, query: params.Get("query"), tenant: params.Get("tenant")}
 	if names := params.Get("series"); names != "" {
 		for _, n := range strings.Split(names, ",") {
 			if n = strings.TrimSpace(n); n != "" {
-				hq.Names = append(hq.Names, n)
+				req.hq.Names = append(req.hq.Names, n)
 			}
 		}
 	}
-	now := time.Now()
 	window := s.history.Retention()
 	if ws := params.Get("window"); ws != "" {
 		d, err := time.ParseDuration(ws)
 		if err != nil || d <= 0 {
-			http.Error(w, "bad window: want a positive Go duration like 5m", http.StatusBadRequest)
-			return
+			return req, errors.New("bad window: want a positive Go duration like 5m")
 		}
 		window = d
 	}
-	hq.SinceMS = now.Add(-window).UnixMilli()
+	req.hq.SinceMS = now.Add(-window).UnixMilli()
 	if ss := params.Get("step"); ss != "" {
 		d, err := time.ParseDuration(ss)
 		if err != nil || d <= 0 {
-			http.Error(w, "bad step: want a positive Go duration like 10s", http.StatusBadRequest)
-			return
+			return req, errors.New("bad step: want a positive Go duration like 10s")
 		}
-		hq.StepMS = d.Milliseconds()
+		req.hq.StepMS = d.Milliseconds()
 	}
-	queryFilter := params.Get("query")
-	tenantFilter := params.Get("tenant")
-	if queryFilter != "" {
-		hq.Labels = append(hq.Labels, obs.L("query", queryFilter))
+	if req.query != "" {
+		req.hq.Labels = append(req.hq.Labels, obs.L("query", req.query))
 	}
+	return req, nil
+}
 
-	resp := statsResponse{
-		NowMS:       now.UnixMilli(),
-		StepMS:      s.history.Step().Milliseconds(),
-		RetentionMS: s.history.Retention().Milliseconds(),
-		Series:      s.history.Query(hq),
-		Queries:     make(map[string]queryRollup),
-		Tenants:     make(map[string]tenantRollup),
-	}
-	if hq.StepMS > 0 {
-		resp.StepMS = hq.StepMS
-	}
-	if resp.Series == nil {
-		resp.Series = []obs.SeriesHistory{}
-	}
+// rollups summarizes the live runners the request's filters select, per
+// query and per tenant (a compiled-in query's tenant is "default").
+func (s *server) rollups(req statsRequest) (map[string]queryRollup, map[string]tenantRollup) {
+	queries := make(map[string]queryRollup)
+	tenants := make(map[string]tenantRollup)
 	for _, qr := range s.runners(false) {
 		n, st := qr.name, qr.status()
 		tenant := st.Tenant
 		if tenant == "" {
 			tenant = "default"
 		}
-		if queryFilter != "" && n != queryFilter {
+		if req.query != "" && n != req.query {
 			continue
 		}
-		if tenantFilter != "" && tenant != tenantFilter {
+		if req.tenant != "" && tenant != req.tenant {
 			continue
 		}
 		roll := queryRollup{
@@ -190,8 +199,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		if fast, slow, ok := s.burnRates(n); ok {
 			roll.BurnFast, roll.BurnSlow = fast, slow
 		}
-		resp.Queries[n] = roll
-		t := resp.Tenants[tenant]
+		queries[n] = roll
+		t := tenants[tenant]
 		t.Queries++
 		t.TuplesIn += st.TuplesIn
 		t.Windows += st.Windows
@@ -199,9 +208,117 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		if st.Statement != "" {
 			t.FleetQueries++
 		}
-		resp.Tenants[tenant] = t
+		tenants[tenant] = t
 	}
-	writeJSON(w, resp)
+	return queries, tenants
+}
+
+// appendStats appends the /api/stats body for req: the series straight from
+// the history's tracks, then the rollups in key order, byte for byte what
+// json.Marshal writes for the same response as a struct
+// (TestStatsJSONMatchesEncodingJSON). Like json.Marshal, it fails on a NaN
+// or ±Inf value.
+func (s *server) appendStats(b []byte, req statsRequest) ([]byte, error) {
+	step := s.history.Step().Milliseconds()
+	if req.hq.StepMS > 0 {
+		step = req.hq.StepMS
+	}
+	b = append(b, `{"nowMs":`...)
+	b = strconv.AppendInt(b, req.now.UnixMilli(), 10)
+	b = append(b, `,"stepMs":`...)
+	b = strconv.AppendInt(b, step, 10)
+	b = append(b, `,"retentionMs":`...)
+	b = strconv.AppendInt(b, s.history.Retention().Milliseconds(), 10)
+	b = append(b, `,"series":`...)
+	b, err := s.history.AppendJSON(b, req.hq)
+	if err != nil {
+		return b, err
+	}
+	queries, tenants := s.rollups(req)
+	b = append(b, `,"queries":{`...)
+	for i, n := range sortedKeys(queries) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = queries[n].appendJSON(obs.AppendJSONString(b, n)); err != nil {
+			return b, err
+		}
+	}
+	b = append(b, `},"tenants":{`...)
+	for i, n := range sortedKeys(tenants) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = tenants[n].appendJSON(obs.AppendJSONString(b, n))
+	}
+	return append(b, "}}"...), nil
+}
+
+// sortedKeys returns m's keys in the order json.Marshal writes them.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// appendJSON appends :{…}, the rollup as json.Marshal writes it after its
+// key.
+func (r queryRollup) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `:{"tenant":`...)
+	b = obs.AppendJSONString(b, r.Tenant)
+	b = append(b, `,"health":`...)
+	b = obs.AppendJSONString(b, r.Health)
+	b = append(b, `,"theta":`...)
+	b, err := obs.AppendJSONFloat(b, r.Theta)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"currentK":`...)
+	b = strconv.AppendInt(b, r.K, 10)
+	b = append(b, `,"realizedErrAdjusted":`...)
+	if b, err = obs.AppendJSONFloat(b, r.RealizedErr); err != nil {
+		return b, err
+	}
+	b = append(b, `,"tuplesIn":`...)
+	b = strconv.AppendInt(b, r.TuplesIn, 10)
+	b = append(b, `,"windowsEmitted":`...)
+	b = strconv.AppendInt(b, r.Windows, 10)
+	b = append(b, `,"shedTuples":`...)
+	b = strconv.AppendInt(b, r.Shed, 10)
+	if r.BurnFast != 0 {
+		b = append(b, `,"burnRateFast":`...)
+		if b, err = obs.AppendJSONFloat(b, r.BurnFast); err != nil {
+			return b, err
+		}
+	}
+	if r.BurnSlow != 0 {
+		b = append(b, `,"burnRateSlow":`...)
+		if b, err = obs.AppendJSONFloat(b, r.BurnSlow); err != nil {
+			return b, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSON appends :{…}, the rollup as json.Marshal writes it after its
+// key.
+func (t tenantRollup) appendJSON(b []byte) []byte {
+	b = append(b, `:{"queries":`...)
+	b = strconv.AppendInt(b, int64(t.Queries), 10)
+	b = append(b, `,"tuplesIn":`...)
+	b = strconv.AppendInt(b, t.TuplesIn, 10)
+	b = append(b, `,"windowsEmitted":`...)
+	b = strconv.AppendInt(b, t.Windows, 10)
+	b = append(b, `,"shedTuples":`...)
+	b = strconv.AppendInt(b, t.Shed, 10)
+	if t.FleetQueries != 0 {
+		b = append(b, `,"fleetQueries":`...)
+		b = strconv.AppendInt(b, int64(t.FleetQueries), 10)
+	}
+	return append(b, '}')
 }
 
 // statusRecorder captures the response code for the control-plane
@@ -220,25 +337,62 @@ func (w *statusRecorder) WriteHeader(code int) {
 // (aq_api_requests_total{route,code}) and latency measurement
 // (aq_api_latency_ms{route}); a pass-through without -obs. The route
 // label is the pattern, never the raw path, so cardinality stays
-// bounded.
+// bounded. Each instrument is looked up in the registry once: the
+// histogram on the route's first request, a counter on its code's first
+// appearance.
 func (s *server) instrumentRoute(route string, h http.HandlerFunc) http.HandlerFunc {
+	if s.reg == nil {
+		return h
+	}
+	latency := sync.OnceValue(func() *obs.Histogram {
+		return s.reg.Histogram("aq_api_latency_ms",
+			"HTTP control-plane request latency in milliseconds by route pattern.",
+			obs.LatencyBuckets(), obs.L("route", route))
+	})
+	requests := &requestCounters{reg: s.reg, route: route}
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.reg == nil {
-			h(w, r)
-			return
-		}
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		h(rec, r)
 		ms := float64(time.Since(start)) / float64(time.Millisecond)
-		s.reg.Counter("aq_api_requests_total",
-			"HTTP control-plane requests by route pattern and status code.",
-			obs.L("route", route), obs.L("code", strconv.Itoa(rec.code))).Inc()
-		s.reg.Histogram("aq_api_latency_ms",
-			"HTTP control-plane request latency in milliseconds by route pattern.",
-			obs.LatencyBuckets(), obs.L("route", route)).Observe(ms)
+		requests.counter(rec.code).Inc()
+		latency().Observe(ms)
 	}
 }
+
+// requestCounters are one route's aq_api_requests_total counters by status
+// code, read without a lock: the map is replaced, never changed, when a
+// code first appears.
+type requestCounters struct {
+	reg   *obs.Registry
+	route string
+	mu    sync.Mutex // held to add a code
+	codes atomic.Pointer[map[int]*obs.Counter]
+}
+
+func (rc *requestCounters) counter(code int) *obs.Counter {
+	if m := rc.codes.Load(); m != nil {
+		if c := (*m)[code]; c != nil {
+			return c
+		}
+	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	m := make(map[int]*obs.Counter)
+	if old := rc.codes.Load(); old != nil {
+		maps.Copy(m, *old)
+	}
+	if m[code] == nil {
+		m[code] = rc.reg.Counter("aq_api_requests_total",
+			"HTTP control-plane requests by route pattern and status code.",
+			obs.L("route", rc.route), obs.L("code", strconv.Itoa(code)))
+		rc.codes.Store(&m)
+	}
+	return m[code]
+}
+
+// apiRoutes are the route labels apiRoute returns, each instrumented once.
+var apiRoutes = []string{"/api/queries", "/api/sources", "/api/stats", "/api/queries/{name}", "/api/other"}
 
 // apiRoute normalizes a request path to its bounded route label.
 func apiRoute(path string) string {
@@ -255,7 +409,11 @@ func apiRoute(path string) string {
 // instrumentAPI wraps the runtime query-management mux (api.go) with
 // the same instruments, deriving the route label from the path shape.
 func (s *server) instrumentAPI(h http.Handler) http.Handler {
+	routes := make(map[string]http.HandlerFunc, len(apiRoutes))
+	for _, route := range apiRoutes {
+		routes[route] = s.instrumentRoute(route, h.ServeHTTP)
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.instrumentRoute(apiRoute(r.URL.Path), h.ServeHTTP)(w, r)
+		routes[apiRoute(r.URL.Path)](w, r)
 	})
 }

@@ -6,14 +6,19 @@ package main
 // control-plane request instruments.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -344,5 +349,202 @@ func TestAPIRequestInstrumentation(t *testing.T) {
 	}
 	if metricValue(t, body, `aq_api_latency_ms_count\{route="/api/stats"\} ([0-9.e+]+)`) < 1 {
 		t.Fatal("latency histogram did not fill")
+	}
+}
+
+// statsResponse is the JSON shape of /api/stats, which the endpoint once
+// marshaled whole: the selected series histories plus per-query and
+// per-tenant rollups of the live runners. appendStats writes the same bytes
+// by hand; the tests decode into it.
+type statsResponse struct {
+	NowMS       int64                   `json:"nowMs"`
+	StepMS      int64                   `json:"stepMs"`
+	RetentionMS int64                   `json:"retentionMs"`
+	Series      []obs.SeriesHistory     `json:"series"`
+	Queries     map[string]queryRollup  `json:"queries"`
+	Tenants     map[string]tenantRollup `json:"tenants"`
+}
+
+// TestStatsJSONMatchesEncodingJSON holds the /api/stats body, which
+// appendStats writes by hand, to the bytes json.Marshal makes of a
+// statsResponse built from History.Query and the same rollups — the shape
+// the endpoint used to marshal. The registry holds, beside two fed runtime
+// queries, label values JSON escapes, the float values whose JSON form is
+// special, a counter past 2^53 and a histogram's _count/_sum readings; the
+// requests are TestStatsEndpoint's and more, at a now the samples are in and
+// at one an hour on, where every track has "points":null. A non-finite
+// sample keeps the answer json.Marshal gave: a 500 with its error.
+func TestStatsJSONMatchesEncodingJSON(t *testing.T) {
+	a, ts := apiTestApp(t, appConfig{obs: true, statsStep: time.Hour, sloBudget: 0.01})
+	registerSourceAndQuery(t, ts, "sensors", "net-stats", statsCQL)
+	if resp, body := postJSON(t, ts, "/api/queries", registerRequest{Name: "net-anon", CQL: statsCQL}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register tenantless query: %d %s", resp.StatusCode, body)
+	}
+	items := sensorItems(3000, 7)
+	c := &netstream.Client{Addr: a.netl.Addr().String(), Source: "sensors", Tenant: "t1"}
+	defer c.Close()
+	if err := c.Send(context.Background(), items); err != nil {
+		t.Fatal(err)
+	}
+	waitTuples(t, ts, "net-stats", int64(len(items)))
+	waitTuples(t, ts, "net-anon", int64(len(items)))
+
+	srv, reg := a.srv, a.srv.reg
+	odd := "q\"\\<&>\u2028\xff"
+	g := reg.Gauge("aq_json_gauge", "test", obs.L("query", odd), obs.L("zone", "<&>"))
+	reg.Counter("aq_json_total", "test", obs.L("query", odd)).Add(1<<53 + 1)
+	hist := reg.Histogram("aq_json_ms", "test", []float64{1}, obs.L("query", odd))
+	for i := 0; i < 12; i++ {
+		g.Set([]float64{0, math.Copysign(0, -1), 1e-7, 123456.789, 1e21}[i%5])
+		hist.Observe(float64(i) + 0.5)
+		srv.history.Sample()
+		time.Sleep(time.Millisecond)
+	}
+	// The runners settle once the ingest has been processed.
+	all, deadline := statsRequest{}, time.Now().Add(10*time.Second)
+	for prevQ, prevT := srv.rollups(all); ; {
+		time.Sleep(20 * time.Millisecond)
+		q, tn := srv.rollups(all)
+		if reflect.DeepEqual(q, prevQ) && reflect.DeepEqual(tn, prevT) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rollups still moving: %+v", q)
+		}
+		prevQ, prevT = q, tn
+	}
+
+	marshal := func(req statsRequest) ([]byte, error) {
+		resp := statsResponse{
+			NowMS:       req.now.UnixMilli(),
+			StepMS:      srv.history.Step().Milliseconds(),
+			RetentionMS: srv.history.Retention().Milliseconds(),
+			Series:      srv.history.Query(req.hq),
+		}
+		if req.hq.StepMS > 0 {
+			resp.StepMS = req.hq.StepMS
+		}
+		resp.Queries, resp.Tenants = srv.rollups(req)
+		return json.Marshal(resp)
+	}
+	params := []string{
+		"", "window=10s", "window=1ms", "step=1ms", "step=3ms&window=1h",
+		"series=aq_stage_tuples_total&query=net-stats",
+		"series=aq_heartbeats_total&query=net-stats&step=1h",
+		"series=aq_emit_latency_ms&query=net-stats",
+		"series=aq_json_ms,aq_json_gauge", "series=nosuch",
+		"tenant=nosuch", "tenant=t1", "tenant=default", "query=net-anon&tenant=default",
+		"query=" + url.QueryEscape(odd),
+	}
+	for _, p := range params {
+		values, err := url.ParseQuery(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, now := range []time.Time{time.Now(), time.Now().Add(time.Hour)} {
+			req, err := srv.parseStats(values, now)
+			if err != nil {
+				t.Fatalf("%q: %v", p, err)
+			}
+			want, err := marshal(req)
+			if err != nil {
+				t.Fatalf("%q: json.Marshal: %v", p, err)
+			}
+			got, err := srv.appendStats(nil, req)
+			if err != nil {
+				t.Fatalf("%q: appendStats: %v", p, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%q at %v:\nappendStats  %s\njson.Marshal %s", p, now, got, want)
+			}
+		}
+	}
+
+	// A NaN reading: the parent's answer was writeJSON's, a 500 carrying
+	// json.Marshal's error.
+	reg.GaugeFunc("aq_json_nan", "test", math.NaN, obs.L("query", "nan"))
+	srv.history.Sample()
+	nan, _ := srv.parseStats(url.Values{}, time.Now())
+	_, wantErr := marshal(nan)
+	resp, err := ts.Client().Get(ts.URL + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if wantErr == nil || resp.StatusCode != http.StatusInternalServerError ||
+		string(body) != wantErr.Error()+"\n" || !strings.HasPrefix(string(body), "json: unsupported value") {
+		t.Fatalf("NaN sample: %d %q, json.Marshal error %v", resp.StatusCode, body, wantErr)
+	}
+	if _, code := getStats(t, ts, "?query=net-stats"); code != http.StatusOK {
+		t.Fatalf("a selection without the NaN = %d", code)
+	}
+}
+
+// TestRollupJSONMatchesEncodingJSON covers the rollup fields the served
+// runners leave at zero: burn rates (omitted at zero), a fleet-query count,
+// escaped names and a non-finite θ.
+func TestRollupJSONMatchesEncodingJSON(t *testing.T) {
+	for _, r := range []queryRollup{
+		{},
+		{Tenant: "<t>", Health: "degraded", Theta: 1e-7, K: -3, RealizedErr: 123456.789,
+			TuplesIn: 1 << 62, Windows: 9, Shed: 2, BurnFast: 1e21, BurnSlow: math.Copysign(0, -1)},
+		{BurnSlow: 0.5},
+		{Theta: math.Inf(1)},
+		{BurnFast: math.NaN()},
+	} {
+		want, wantErr := json.Marshal(r)
+		got, err := r.appendJSON([]byte("x"))
+		if (err != nil) != (wantErr != nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("%+v: appendJSON error %v, json.Marshal error %v", r, err, wantErr)
+		}
+		if err == nil && string(got) != "x:"+string(want) {
+			t.Fatalf("%+v:\nappendJSON   %s\njson.Marshal :%s", r, got[1:], want)
+		}
+	}
+	for _, r := range []tenantRollup{{}, {Queries: 3, TuplesIn: 1 << 62, Windows: 4, Shed: 5, FleetQueries: 2}} {
+		want, _ := json.Marshal(r)
+		if got := r.appendJSON([]byte("x")); string(got) != "x:"+string(want) {
+			t.Fatalf("%+v:\nappendJSON   %s\njson.Marshal :%s", r, got[1:], want)
+		}
+	}
+}
+
+// TestRouteInstrumentsConcurrent sends requests through one instrumented
+// route from several goroutines, each status code first seen concurrently:
+// every request is counted once under its code and timed once.
+func TestRouteInstrumentsConcurrent(t *testing.T) {
+	srv := newServer()
+	srv.reg = obs.NewRegistry()
+	codes := []int{http.StatusOK, http.StatusNotFound, http.StatusInternalServerError}
+	h := srv.instrumentRoute("/api/test", func(w http.ResponseWriter, r *http.Request) {
+		code, _ := strconv.Atoi(r.URL.Query().Get("code"))
+		w.WriteHeader(code)
+	})
+	const workers, each = 8, 60
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				path := "/api/test?code=" + strconv.Itoa(codes[(g+i)%len(codes)])
+				h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+			}
+		}()
+	}
+	wg.Wait()
+	var out strings.Builder
+	if err := srv.reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range codes {
+		want := `aq_api_requests_total{route="/api/test",code="` + strconv.Itoa(code) + `"} ` + strconv.Itoa(workers*each/len(codes))
+		if !strings.Contains(out.String(), want+"\n") {
+			t.Fatalf("missing %q in:\n%s", want, out.String())
+		}
+	}
+	if !strings.Contains(out.String(), `aq_api_latency_ms_count{route="/api/test"} `+strconv.Itoa(workers*each)+"\n") {
+		t.Fatalf("latency count wrong:\n%s", out.String())
 	}
 }

@@ -36,5 +36,9 @@
 //
 // WritePrometheus renders the registry in Prometheus text format
 // (version 0.0.4), deterministically ordered so the output is diffable
-// and golden-testable; Handler wraps it for HTTP.
+// and golden-testable; Handler wraps it for HTTP. A scrape appends its
+// text into a pooled buffer, keeps the orderings it sorted until a
+// registration or a Forget changes them, and runs callbacks with no
+// registry lock held. History.AppendJSON is the same for /api/stats: the
+// JSON json.Marshal made of History.Query, appended from the tracks.
 package obs

@@ -1,7 +1,9 @@
 package obs
 
 import (
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -57,6 +59,13 @@ type track struct {
 	key    trackKey
 	gen    uint64 // the Sample that last read the series
 
+	// sortKey orders the tracks as Query returns them: the name, then the
+	// labels sorted by name. jsonHead is the reading's JSON up to its points —
+	// {"name":…,"kind":…,"labels":{…} — as json.Marshal writes a
+	// SeriesHistory. Both are built with the track.
+	sortKey  string
+	jsonHead []byte
+
 	ring []Point // fixed capacity, filled circularly
 	head int     // next write position
 	n    int     // live points (<= len(ring))
@@ -94,7 +103,8 @@ type History struct {
 
 	mu     sync.Mutex
 	tracks map[trackKey]*track
-	gen    uint64 // Sample calls so far
+	sorted []*track // the tracks in sortKey order
+	gen    uint64   // Sample calls so far
 
 	// sampler scratch, reused across Sample calls (zero-alloc steady
 	// state).
@@ -248,6 +258,7 @@ func (h *History) Sample() {
 				delete(h.tracks, key)
 			}
 		}
+		h.sorted = slices.DeleteFunc(h.sorted, func(t *track) bool { return t.gen != h.gen })
 	}
 	h.mu.Unlock()
 	clear(reads)
@@ -273,9 +284,44 @@ func (h *History) trackFor(f *family, s *series, sub uint8) *track {
 			key:    key,
 			ring:   make([]Point, h.capacity),
 		}
+		t.describe()
 		h.tracks[key] = t
+		i, _ := slices.BinarySearchFunc(h.sorted, t.sortKey, func(t *track, k string) int {
+			return strings.Compare(t.sortKey, k)
+		})
+		h.sorted = slices.Insert(h.sorted, i, t)
 	}
 	return t
+}
+
+// describe builds the track's sortKey and jsonHead.
+func (t *track) describe() {
+	labels := slices.Clone(t.labels)
+	slices.SortFunc(labels, func(a, b Label) int { return strings.Compare(a.Name, b.Name) })
+	key := []byte(t.name)
+	key = append(key, 0) // below every name byte: a name sorts before its extensions
+	h := AppendJSONString([]byte(`{"name":`), t.name)
+	h = append(h, `,"kind":`...)
+	h = AppendJSONString(h, t.kind)
+	if len(labels) > 0 {
+		h = append(h, `,"labels":{`...)
+	}
+	for i, l := range labels {
+		key = append(key, l.Name...)
+		key = append(key, '=')
+		key = append(key, l.Value...)
+		key = append(key, ',')
+		if i > 0 {
+			h = append(h, ',')
+		}
+		h = AppendJSONString(h, l.Name)
+		h = append(h, ':')
+		h = AppendJSONString(h, l.Value)
+	}
+	if len(labels) > 0 {
+		h = append(h, '}')
+	}
+	t.sortKey, t.jsonHead = string(key), h
 }
 
 // HistoryQuery selects series histories. Zero value selects everything
@@ -298,8 +344,9 @@ type HistoryQuery struct {
 // each with points oldest-first. The returned slices are copies.
 func (h *History) Query(q HistoryQuery) []SeriesHistory {
 	h.mu.Lock()
-	tracks := make([]*track, 0, len(h.tracks))
-	for _, t := range h.tracks {
+	defer h.mu.Unlock()
+	tracks := make([]*track, 0, len(h.sorted))
+	for _, t := range h.sorted {
 		if q.matches(t) {
 			tracks = append(tracks, t)
 		}
@@ -331,33 +378,85 @@ func (h *History) Query(q HistoryQuery) []SeriesHistory {
 		}
 		out = append(out, sh)
 	}
-	h.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return labelKeyOf(out[i].Labels) < labelKeyOf(out[j].Labels)
-	})
 	return out
 }
 
-func labelKeyOf(m map[string]string) string {
-	if len(m) == 0 {
-		return ""
+// AppendJSON appends what json.Marshal writes for Query(q)'s result, without
+// building it: each matching track's head, then its points in the window,
+// downsampled the way Query does it. A track with no point in the window has
+// "points":null. Like json.Marshal, it fails on a NaN or ±Inf point.
+func (h *History) AppendJSON(b []byte, q HistoryQuery) ([]byte, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	b = append(b, '[')
+	first := true
+	for _, t := range h.sorted {
+		if !q.matches(t) {
+			continue
+		}
+		if !first {
+			b = append(b, ',')
+		}
+		first = false
+		b = append(b, t.jsonHead...)
+		b = append(b, `,"points":`...)
+		var err error
+		if b, err = t.appendPoints(b, q); err != nil {
+			return b, err
+		}
+		b = append(b, '}')
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	return append(b, ']'), nil
+}
+
+// appendPoints writes the points Query would return for the track as a JSON
+// array, or null. A point a later one of its step bucket replaces is cut
+// back out of b, so only a point that stays can fail the encoding.
+func (t *track) appendPoints(b []byte, q HistoryQuery) ([]byte, error) {
+	n, mark := 0, 0 // points written; where the last one starts
+	var lastBucket int64 = -1
+	var pending error // the last point written cannot be encoded
+	for i := 0; i < t.n; i++ {
+		p := t.at(i)
+		if p.T < q.SinceMS {
+			continue
+		}
+		if q.StepMS > 0 {
+			bucket := p.T / q.StepMS
+			if bucket == lastBucket && n > 0 {
+				b, pending = appendPoint(b[:mark], p) // keep last of bucket
+				continue
+			}
+			lastBucket = bucket
+		}
+		if pending != nil {
+			return b, pending
+		}
+		if n == 0 {
+			b = append(b, '[')
+		} else {
+			b = append(b, ',')
+		}
+		mark = len(b)
+		n++
+		b, pending = appendPoint(b, p)
 	}
-	sort.Strings(keys)
-	var b []byte
-	for _, k := range keys {
-		b = append(b, k...)
-		b = append(b, '=')
-		b = append(b, m[k]...)
-		b = append(b, ',')
+	if pending != nil {
+		return b, pending
 	}
-	return string(b)
+	if n == 0 {
+		return append(b, "null"...), nil
+	}
+	return append(b, ']'), nil
+}
+
+// appendPoint writes {"t":…,"v":…}.
+func appendPoint(b []byte, p Point) ([]byte, error) {
+	b = append(b, `{"t":`...)
+	b = strconv.AppendInt(b, p.T, 10)
+	b = append(b, `,"v":`...)
+	b, err := AppendJSONFloat(b, p.V)
+	return append(b, '}'), err
 }
 
 func (q *HistoryQuery) matches(t *track) bool {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,6 +138,8 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 // series is one label-distinguished time series inside a family.
 type series struct {
 	labels []Label
+	key    string   // labelKey(labels): the family's map key and the exposition infix
+	les    []string // a histogram's rendered le values, +Inf last; see family.exposition
 	// exactly one of the following is set
 	counter *Counter
 	gauge   *Gauge
@@ -156,13 +157,20 @@ type family struct {
 	typ    metricType
 	mu     sync.Mutex
 	series map[string]*series // keyed by rendered label set
+
+	// Exposition state, under mu and built by scrapes: the HELP and TYPE
+	// lines, set once, and the series in label-key order, replaced but never
+	// changed; a scrape reads both without the lock.
+	head   []byte
+	sorted []*series
 }
 
 // Registry owns metric families and renders them for exposition.
 // All methods are safe for concurrent use.
 type Registry struct {
-	mu   sync.Mutex
-	fams map[string]*family
+	mu     sync.Mutex
+	fams   map[string]*family
+	sorted []*family // fams in name order as of the last scrape; replaced, never changed
 }
 
 // NewRegistry returns an empty registry.
@@ -198,7 +206,7 @@ func (f *family) getOrCreate(labels []Label, make func() *series) *series {
 		return s
 	}
 	s := make()
-	s.labels = labels
+	s.labels, s.key = labels, key
 	f.series[key] = s
 	return s
 }
@@ -275,6 +283,7 @@ func (r *Registry) Forget(l Label) {
 		for key, s := range f.series {
 			if slices.Contains(s.labels, l) {
 				delete(f.series, key)
+				f.sorted = nil // the next scrape sorts again
 			}
 		}
 		f.mu.Unlock()
@@ -294,32 +303,59 @@ func (r *Registry) registerFunc(name, help string, typ metricType, fn func() flo
 	s.fn.Store(&fn)
 }
 
-// sortedFamilies snapshots the family list ordered by name.
+// sortedFamilies returns the families ordered by name. Families are never
+// removed, so the last ordering stands until one is added.
 func (r *Registry) sortedFamilies() []*family {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
+	defer r.mu.Unlock()
+	if len(r.sorted) != len(r.fams) {
+		r.sorted = make([]*family, 0, len(r.fams))
+		for _, f := range r.fams {
+			r.sorted = append(r.sorted, f)
+		}
+		slices.SortFunc(r.sorted, func(a, b *family) int { return strings.Compare(a.name, b.name) })
 	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams
+	return r.sorted
 }
 
-// sortedSeries snapshots a family's series ordered by label key.
-func (f *family) sortedSeries() []*series {
+// exposition returns the family's HELP and TYPE lines and its series in
+// label-key order, rendering the lines on the first call. A registration
+// only adds series, which grows the map, and a Forget drops the ordering, so
+// the last one stands while the lengths agree. A histogram's le values are
+// rendered when its series first joins an ordering: the caller reads them,
+// like the lines, after taking f.mu here, so without the lock.
+func (f *family) exposition() (head []byte, sorted []*series) {
 	f.mu.Lock()
-	keys := make([]string, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
+	defer f.mu.Unlock()
+	if f.head == nil {
+		if f.help != "" {
+			f.head = append(f.head, "# HELP "...)
+			f.head = append(f.head, f.name...)
+			f.head = append(f.head, ' ')
+			f.head = append(f.head, escapeHelp(f.help)...)
+			f.head = append(f.head, '\n')
+		}
+		f.head = append(f.head, "# TYPE "...)
+		f.head = append(f.head, f.name...)
+		f.head = append(f.head, ' ')
+		f.head = append(f.head, f.typ...)
+		f.head = append(f.head, '\n')
 	}
-	sort.Strings(keys)
-	out := make([]*series, len(keys))
-	for i, k := range keys {
-		out[i] = f.series[k]
+	if len(f.sorted) != len(f.series) {
+		f.sorted = make([]*series, 0, len(f.series))
+		for _, s := range f.series {
+			if s.hist != nil && s.les == nil {
+				s.les = make([]string, len(s.hist.counts))
+				for i, bound := range s.hist.bounds {
+					s.les[i] = formatValue(bound)
+				}
+				s.les[len(s.hist.bounds)] = "+Inf"
+			}
+			f.sorted = append(f.sorted, s)
+		}
+		slices.SortFunc(f.sorted, func(a, b *series) int { return strings.Compare(a.key, b.key) })
 	}
-	f.mu.Unlock()
-	return out
+	return f.head, f.sorted
 }
 
 // labelKey renders a label set into a stable map key / exposition infix:

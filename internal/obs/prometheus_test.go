@@ -147,3 +147,55 @@ func checkParseable(t *testing.T, r io.Reader) {
 		t.Fatal(err)
 	}
 }
+
+// TestExpositionGoldenRescrape pins the text of two scrapes with registry
+// changes between them: a histogram whose labels and help need escaping, a
+// family added, and a series forgotten and registered again, which leaves
+// the family's series count unchanged — the second scrape must show the new
+// series, not the ordering the first one kept.
+func TestExpositionGoldenRescrape(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("aq_esc_ms", "Escapes: back\\slash and\nnewline.", []float64{0.5, 1e6},
+		L("query", "a\"b\\c\nd"), L("stage", "x"))
+	h.Observe(0.25)
+	h.Observe(2e6)
+	r.Counter("aq_re_total", "", L("query", "q2")).Add(2)
+	r.Counter("aq_re_total", "", L("query", "q1")).Add(1)
+	r.Counter("aq_re_total", "", L("query", "q3")).Add(3)
+
+	const hist = `# HELP aq_esc_ms Escapes: back\\slash and\nnewline.
+# TYPE aq_esc_ms histogram
+aq_esc_ms_bucket{query="a\"b\\c\nd",stage="x",le="0.5"} 1
+aq_esc_ms_bucket{query="a\"b\\c\nd",stage="x",le="1e+06"} 1
+aq_esc_ms_bucket{query="a\"b\\c\nd",stage="x",le="+Inf"} 2
+aq_esc_ms_sum{query="a\"b\\c\nd",stage="x"} 2.00000025e+06
+aq_esc_ms_count{query="a\"b\\c\nd",stage="x"} 2
+`
+	scrape := func(want string) {
+		t.Helper()
+		var out strings.Builder
+		if err := r.WritePrometheus(&out); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != want {
+			t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", out.String(), want)
+		}
+	}
+	scrape(hist + `# TYPE aq_re_total counter
+aq_re_total{query="q1"} 1
+aq_re_total{query="q2"} 2
+aq_re_total{query="q3"} 3
+`)
+
+	r.Forget(L("query", "q2"))
+	r.Counter("aq_re_total", "", L("query", "q2")).Add(5)
+	r.Gauge("aq_new", "Added between scrapes.").Set(7)
+	scrape(hist + `# HELP aq_new Added between scrapes.
+# TYPE aq_new gauge
+aq_new 7
+# TYPE aq_re_total counter
+aq_re_total{query="q1"} 1
+aq_re_total{query="q2"} 5
+aq_re_total{query="q3"} 3
+`)
+}
